@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test vet race verify faults lint cover fuzz-smoke \
+.PHONY: build test vet race bench-module verify faults lint cover fuzz-smoke \
 	bench-plane bench-server bench-proxy bench-conns bench-extstore \
 	bench-slo bench-check obs slo repro clean
 
@@ -20,7 +20,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-verify: build vet test race
+# bench/ is a nested module pinned to the internal APIs it measures, so
+# ./... never compiles it; build and test it where it lives (~8 s).
+bench-module:
+	cd bench && $(GO) vet . && $(GO) test .
+
+verify: build vet test bench-module race
 
 # Fault-injection and resilience suite only (client recovery paths,
 # sim/live fault threading, cross-plane schedule determinism). -race
@@ -68,10 +73,12 @@ cover:
 	./scripts/coverfloor.sh cover_sketch.out 90.0 internal/sketch
 	./scripts/coverfloor.sh cover_slo.out 85.0 internal/slo
 
-# Fuzz smoke: 30s over the reusable-buffer parser (ReadCommand and
-# Parser.Next must agree byte-for-byte on arbitrary input), 15s over
+# Fuzz smoke: 30s over the request framer (the same bytes fed whole,
+# split, and one at a time through Parser must frame identically, and
+# every Append encoder's output must parse back to its inputs), 15s over
 # the proxy's forwarding contract (every accepted command's captured
-# frame must re-parse identically) and 15s over the Chrome trace-event
+# frame must re-parse identically; a reply must relay verbatim and agree
+# with the client-side reader) and 15s over the Chrome trace-event
 # decoder (ParseChrome must never panic and must round-trip WriteChrome
 # output).
 fuzz-smoke:

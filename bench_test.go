@@ -219,9 +219,9 @@ func BenchmarkProtocolParseSet(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := bufio.NewReader(strings.NewReader(big))
+		p := protocol.NewParser(bufio.NewReader(strings.NewReader(big)))
 		for j := 0; j < 64; j++ {
-			if _, err := protocol.ReadCommand(r); err != nil {
+			if _, err := p.Next(); err != nil {
 				b.Fatal(err)
 			}
 		}

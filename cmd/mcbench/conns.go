@@ -8,6 +8,8 @@ package main
 // so one run produces the p99-vs-conns curve the README table shows.
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -18,6 +20,8 @@ import (
 	"sync/atomic"
 	"syscall"
 	"time"
+
+	"memqlat/internal/protocol"
 )
 
 // raiseNoFile lifts the soft fd limit to the hard limit (best effort)
@@ -137,25 +141,44 @@ func connsKey(i int) string { return fmt.Sprintf("mcbench:conns:%d", i) }
 
 // prime sets each hot connection's key so the measured gets are hits.
 func (cb *connsBench) prime() error {
-	value := strings.Repeat("v", cb.valueSize)
-	buf := make([]byte, 64)
+	value := bytes.Repeat([]byte("v"), cb.valueSize)
 	for i, c := range cb.hot {
 		key := connsKey(i)
-		req := fmt.Sprintf("set %s 0 0 %d\r\n%s\r\n", key, cb.valueSize, value)
 		_ = c.SetDeadline(time.Now().Add(cb.timeout))
-		if _, err := c.Write([]byte(req)); err != nil {
+		if _, err := c.Write(protocol.AppendStorage(nil, protocol.OpSet, key, 0, 0, value, 0)); err != nil {
 			return fmt.Errorf("prime %s: %w", key, err)
 		}
-		n, err := c.Read(buf)
+		// The reader dies with this call, which is safe: STORED is the
+		// only reply in flight, so it buffers nothing else.
+		got, err := protocol.ReadLineReply(bufio.NewReader(c))
 		if err != nil {
 			return fmt.Errorf("prime %s: %w", key, err)
 		}
-		if got := string(buf[:n]); got != "STORED\r\n" {
+		if got != protocol.RespStored {
 			return fmt.Errorf("prime %s: unexpected reply %q", key, got)
 		}
 		_ = c.SetDeadline(time.Time{})
 	}
 	return nil
+}
+
+// readHit consumes one single-key retrieval reply, which must be one
+// VALUE block of size bytes closed by END, without copying the value.
+func readHit(r *bufio.Reader, size int) error {
+	for values := 0; ; values++ {
+		rep, err := protocol.ScanReply(r)
+		switch {
+		case err != nil:
+			return err
+		case rep.Kind == protocol.ReplyEnd && values == 1:
+			return nil
+		case rep.Kind != protocol.ReplyValue || rep.Bytes != size || values > 0:
+			return fmt.Errorf("response desynced (line %q)", rep.Line)
+		}
+		if _, err := r.Discard(rep.Bytes + 2); err != nil { // data block + CRLF
+			return err
+		}
+	}
 }
 
 // connsQuantiles summarizes per-op RTTs in seconds.
@@ -179,9 +202,8 @@ func (cb *connsBench) run(totalOps int) (connsQuantiles, error) {
 		wg.Add(1)
 		go func(i int, c net.Conn) {
 			defer wg.Done()
-			key := connsKey(i)
-			req := []byte("get " + key + "\r\n")
-			resp := make([]byte, len(fmt.Sprintf("VALUE %s 0 %d\r\n", key, cb.valueSize))+cb.valueSize+2+len("END\r\n"))
+			req, _ := protocol.AppendRetrieval(nil, protocol.OpGet, 0, []string{connsKey(i)})
+			r := bufio.NewReader(c)
 			_ = c.SetDeadline(deadline)
 			for remaining.Add(-1) >= 0 {
 				t0 := time.Now()
@@ -189,14 +211,11 @@ func (cb *connsBench) run(totalOps int) (connsQuantiles, error) {
 					errs <- fmt.Errorf("hot conn %d: %w", i, err)
 					return
 				}
-				if _, err := io.ReadFull(c, resp); err != nil {
+				if err := readHit(r, cb.valueSize); err != nil {
 					errs <- fmt.Errorf("hot conn %d: %w", i, err)
 					return
 				}
 				samples[i] = append(samples[i], time.Since(t0).Seconds())
-			}
-			if len(samples[i]) > 0 && !strings.HasSuffix(string(resp), "END\r\n") {
-				errs <- fmt.Errorf("hot conn %d: response desynced (tail %q)", i, string(resp[len(resp)-5:]))
 			}
 		}(i, c)
 	}

@@ -131,11 +131,58 @@ type Client struct {
 type conn struct {
 	nc net.Conn
 	r  *bufio.Reader
-	w  *bufio.Writer
+	// buf is the request under construction: the protocol encoders
+	// append into it and send writes it out in one call.
+	buf []byte
 	// idleSince is when the connection was parked in the pool (or
 	// dialed); the acquire-time liveness screen keys off it.
 	idleSince time.Time
 }
+
+// maxRetainedBuf bounds the request buffer a pooled connection keeps, so
+// one large value does not pin its size for the connection's lifetime.
+const maxRetainedBuf = 64 << 10
+
+// send writes the request framed in cn.buf.
+func (cn *conn) send() error {
+	_, err := cn.nc.Write(cn.buf)
+	if cap(cn.buf) > maxRetainedBuf {
+		cn.buf = nil
+	}
+	return err
+}
+
+// lineReply sends the request framed in cn.buf and reads its one-line
+// reply. A reply listed in outcomes yields the listed error (nil for
+// success); any other line comes back with an "unexpected reply" error,
+// for the caller to accept (incr/decr results) or pass up.
+func (cn *conn) lineReply(outcomes map[string]error) (string, error) {
+	if err := cn.send(); err != nil {
+		return "", err
+	}
+	line, err := protocol.ReadLineReply(cn.r)
+	if err != nil {
+		return "", err
+	}
+	if outcome, ok := outcomes[line]; ok {
+		return line, outcome
+	}
+	return line, fmt.Errorf("client: unexpected reply %q", line)
+}
+
+// Per-verb reply tables: what each legal one-line reply means.
+var (
+	storeOutcomes = map[string]error{
+		protocol.RespStored:    nil,
+		protocol.RespNotStored: ErrNotStored,
+		protocol.RespExists:    ErrCASConflict,
+		protocol.RespNotFound:  ErrCacheMiss,
+	}
+	deleteOutcomes = map[string]error{protocol.RespDeleted: nil, protocol.RespNotFound: ErrCacheMiss}
+	touchOutcomes  = map[string]error{protocol.RespTouched: nil, protocol.RespNotFound: ErrCacheMiss}
+	incrOutcomes   = map[string]error{protocol.RespNotFound: ErrCacheMiss}
+	flushOutcomes  = map[string]error{protocol.RespOK: nil}
+)
 
 // New validates options and constructs a Client.
 func New(opts Options) (*Client, error) {
@@ -284,7 +331,6 @@ func (c *Client) acquire(idx int) (*conn, error) {
 	return &conn{
 		nc:        nc,
 		r:         bufio.NewReader(nc),
-		w:         bufio.NewWriter(nc),
 		idleSince: time.Now(),
 	}, nil
 }
@@ -568,9 +614,9 @@ func (c *Client) getFromServer(parent otrace.Ctx, idx int, keys []string, withCA
 // context in-band (an mq_trace header ahead of every frame), so retried
 // and hedged attempts are distinguishable in the trace.
 func (c *Client) getOnce(parent otrace.Ctx, idx int, keys []string, withCAS bool) ([]Item, error) {
-	verb := "get"
+	op := protocol.OpGet
 	if withCAS {
-		verb = "gets"
+		op = protocol.OpGets
 	}
 	var out []Item
 	began := time.Now()
@@ -580,51 +626,33 @@ func (c *Client) getOnce(parent otrace.Ctx, idx int, keys []string, withCAS bool
 			rpc = c.tracer.Begin(parent, "client", "rpc", idx)
 			defer c.tracer.End(rpc)
 		}
-		// Frame the key set into pipelined command lines, each kept
-		// under the server's MaxLineBytes bound, so a multi-get of any
-		// size survives the line-length limit. All frames share one
-		// flush and their replies are read back-to-back, so the extra
-		// frames cost no extra round trips.
+		// The encoder keeps each command line under the server's line
+		// limit, so a multi-get of any size goes out as pipelined lines.
+		// They share one write and their replies are read back-to-back,
+		// so the extra lines cost no extra round trips.
+		cn.buf = cn.buf[:0]
 		frames := 0
-		for i := 0; i < len(keys); {
+		for rest := keys; len(rest) > 0; frames++ {
 			if rpc.ID != 0 {
-				if _, err := fmt.Fprintf(cn.w, "mq_trace %d %d\r\n", rpc.Trace, rpc.ID); err != nil {
-					return err
-				}
+				cn.buf = protocol.AppendTrace(cn.buf, rpc.Trace, rpc.ID)
 			}
-			if _, err := cn.w.WriteString(verb); err != nil {
-				return err
-			}
-			line := len(verb)
-			frames++
-			for i < len(keys) && (line == len(verb) || line+1+len(keys[i])+2 <= protocol.MaxLineBytes) {
-				if err := cn.w.WriteByte(' '); err != nil {
-					return err
-				}
-				if _, err := cn.w.WriteString(keys[i]); err != nil {
-					return err
-				}
-				line += 1 + len(keys[i])
-				i++
-			}
-			if _, err := cn.w.WriteString("\r\n"); err != nil {
-				return err
-			}
+			var n int
+			cn.buf, n = protocol.AppendRetrieval(cn.buf, op, 0, rest)
+			rest = rest[n:]
 		}
-		if err := cn.w.Flush(); err != nil {
+		if err := cn.send(); err != nil {
 			return err
 		}
-		merged := make([]Item, 0, len(keys))
+		out = make([]Item, 0, len(keys))
 		for f := 0; f < frames; f++ {
 			items, err := protocol.ReadRetrieval(cn.r)
 			if err != nil {
 				return err
 			}
 			for _, it := range items {
-				merged = append(merged, Item{Key: it.Key, Value: it.Value, Flags: it.Flags, CAS: it.CAS})
+				out = append(out, Item(it))
 			}
 		}
-		out = merged
 		return nil
 	})
 	if c.readLat != nil && err == nil {
@@ -817,44 +845,13 @@ func (c *Client) multiGet(keys []string) (map[string]Item, map[string]error) {
 // storage runs one storage-class command. A successful store
 // invalidates any in-flight coalesced fetch for the key so waiters do
 // not write the now-superseded fetched value back over it.
-func (c *Client) storage(verb, key string, value []byte, flags uint32, ttl time.Duration, cas uint64) error {
+func (c *Client) storage(op protocol.Op, key string, value []byte, flags uint32, ttl time.Duration, cas uint64) error {
 	exptime := exptimeFromTTL(ttl)
 	defer c.coalescer.Invalidate(key)
 	return c.roundTrip(c.pickServer(key), func(cn *conn) error {
-		var header string
-		if verb == "cas" {
-			header = fmt.Sprintf("cas %s %d %d %d %d\r\n", key, flags, exptime, len(value), cas)
-		} else {
-			header = fmt.Sprintf("%s %s %d %d %d\r\n", verb, key, flags, exptime, len(value))
-		}
-		if _, err := cn.w.WriteString(header); err != nil {
-			return err
-		}
-		if _, err := cn.w.Write(value); err != nil {
-			return err
-		}
-		if _, err := cn.w.WriteString("\r\n"); err != nil {
-			return err
-		}
-		if err := cn.w.Flush(); err != nil {
-			return err
-		}
-		line, err := protocol.ReadLineReply(cn.r)
-		if err != nil {
-			return err
-		}
-		switch line {
-		case protocol.RespStored:
-			return nil
-		case protocol.RespNotStored:
-			return ErrNotStored
-		case protocol.RespExists:
-			return ErrCASConflict
-		case protocol.RespNotFound:
-			return ErrCacheMiss
-		default:
-			return fmt.Errorf("client: unexpected reply %q", line)
-		}
+		cn.buf = protocol.AppendStorage(cn.buf[:0], op, key, flags, exptime, value, cas)
+		_, err := cn.lineReply(storeOutcomes)
+		return err
 	})
 }
 
@@ -884,22 +881,22 @@ func exptimeFromTTL(ttl time.Duration) int64 {
 
 // Set stores a value unconditionally.
 func (c *Client) Set(key string, value []byte, flags uint32, ttl time.Duration) error {
-	return c.storage("set", key, value, flags, ttl, 0)
+	return c.storage(protocol.OpSet, key, value, flags, ttl, 0)
 }
 
 // Add stores a value only if absent.
 func (c *Client) Add(key string, value []byte, flags uint32, ttl time.Duration) error {
-	return c.storage("add", key, value, flags, ttl, 0)
+	return c.storage(protocol.OpAdd, key, value, flags, ttl, 0)
 }
 
 // Replace stores a value only if present.
 func (c *Client) Replace(key string, value []byte, flags uint32, ttl time.Duration) error {
-	return c.storage("replace", key, value, flags, ttl, 0)
+	return c.storage(protocol.OpReplace, key, value, flags, ttl, 0)
 }
 
 // CompareAndSwap stores a value if the CAS token still matches.
 func (c *Client) CompareAndSwap(key string, value []byte, flags uint32, ttl time.Duration, cas uint64) error {
-	return c.storage("cas", key, value, flags, ttl, cas)
+	return c.storage(protocol.OpCas, key, value, flags, ttl, cas)
 }
 
 // Delete removes a key; ErrCacheMiss when absent. Like the storage
@@ -907,59 +904,31 @@ func (c *Client) CompareAndSwap(key string, value []byte, flags uint32, ttl time
 func (c *Client) Delete(key string) error {
 	defer c.coalescer.Invalidate(key)
 	return c.roundTrip(c.pickServer(key), func(cn *conn) error {
-		if _, err := fmt.Fprintf(cn.w, "delete %s\r\n", key); err != nil {
-			return err
-		}
-		if err := cn.w.Flush(); err != nil {
-			return err
-		}
-		line, err := protocol.ReadLineReply(cn.r)
-		if err != nil {
-			return err
-		}
-		switch line {
-		case protocol.RespDeleted:
-			return nil
-		case protocol.RespNotFound:
-			return ErrCacheMiss
-		default:
-			return fmt.Errorf("client: unexpected reply %q", line)
-		}
+		cn.buf = protocol.AppendDelete(cn.buf[:0], key)
+		_, err := cn.lineReply(deleteOutcomes)
+		return err
 	})
 }
 
 // Incr atomically adds delta to a numeric value.
 func (c *Client) Incr(key string, delta uint64) (uint64, error) {
-	return c.incrDecr("incr", key, delta)
+	return c.incrDecr(protocol.OpIncr, key, delta)
 }
 
 // Decr atomically subtracts delta (floored at zero).
 func (c *Client) Decr(key string, delta uint64) (uint64, error) {
-	return c.incrDecr("decr", key, delta)
+	return c.incrDecr(protocol.OpDecr, key, delta)
 }
 
-func (c *Client) incrDecr(verb, key string, delta uint64) (uint64, error) {
+func (c *Client) incrDecr(op protocol.Op, key string, delta uint64) (uint64, error) {
 	var result uint64
 	err := c.roundTrip(c.pickServer(key), func(cn *conn) error {
-		if _, err := fmt.Fprintf(cn.w, "%s %s %d\r\n", verb, key, delta); err != nil {
-			return err
+		cn.buf = protocol.AppendIncrDecr(cn.buf[:0], op, key, delta)
+		line, err := cn.lineReply(incrOutcomes)
+		if n, perr := strconv.ParseUint(line, 10, 64); perr == nil {
+			result, err = n, nil // the one reply no table can list: the new value
 		}
-		if err := cn.w.Flush(); err != nil {
-			return err
-		}
-		line, err := protocol.ReadLineReply(cn.r)
-		if err != nil {
-			return err
-		}
-		if line == protocol.RespNotFound {
-			return ErrCacheMiss
-		}
-		n, err := strconv.ParseUint(line, 10, 64)
-		if err != nil {
-			return fmt.Errorf("client: unexpected reply %q", line)
-		}
-		result = n
-		return nil
+		return err
 	})
 	return result, err
 }
@@ -969,10 +938,8 @@ func (c *Client) incrDecr(verb, key string, delta uint64) (uint64, error) {
 func (c *Client) GetAndTouch(key string, ttl time.Duration) (Item, error) {
 	var out Item
 	err := c.roundTrip(c.pickServer(key), func(cn *conn) error {
-		if _, err := fmt.Fprintf(cn.w, "gat %d %s\r\n", exptimeFromTTL(ttl), key); err != nil {
-			return err
-		}
-		if err := cn.w.Flush(); err != nil {
+		cn.buf, _ = protocol.AppendRetrieval(cn.buf[:0], protocol.OpGat, exptimeFromTTL(ttl), []string{key})
+		if err := cn.send(); err != nil {
 			return err
 		}
 		items, err := protocol.ReadRetrieval(cn.r)
@@ -982,41 +949,18 @@ func (c *Client) GetAndTouch(key string, ttl time.Duration) (Item, error) {
 		if len(items) == 0 {
 			return ErrCacheMiss
 		}
-		out = Item{
-			Key:   items[0].Key,
-			Value: items[0].Value,
-			Flags: items[0].Flags,
-			CAS:   items[0].CAS,
-		}
+		out = Item(items[0])
 		return nil
 	})
-	if err != nil {
-		return Item{}, err
-	}
-	return out, nil
+	return out, err
 }
 
 // Touch refreshes a key's TTL.
 func (c *Client) Touch(key string, ttl time.Duration) error {
 	return c.roundTrip(c.pickServer(key), func(cn *conn) error {
-		if _, err := fmt.Fprintf(cn.w, "touch %s %d\r\n", key, exptimeFromTTL(ttl)); err != nil {
-			return err
-		}
-		if err := cn.w.Flush(); err != nil {
-			return err
-		}
-		line, err := protocol.ReadLineReply(cn.r)
-		if err != nil {
-			return err
-		}
-		switch line {
-		case protocol.RespTouched:
-			return nil
-		case protocol.RespNotFound:
-			return ErrCacheMiss
-		default:
-			return fmt.Errorf("client: unexpected reply %q", line)
-		}
+		cn.buf = protocol.AppendTouch(cn.buf[:0], key, exptimeFromTTL(ttl))
+		_, err := cn.lineReply(touchOutcomes)
+		return err
 	})
 }
 
@@ -1026,19 +970,12 @@ func (c *Client) ServerStats(idx int) (map[string]string, error) {
 		return nil, fmt.Errorf("client: server index %d out of range", idx)
 	}
 	var out map[string]string
-	err := c.roundTrip(idx, func(cn *conn) error {
-		if _, err := cn.w.WriteString("stats\r\n"); err != nil {
-			return err
+	err := c.roundTrip(idx, func(cn *conn) (err error) {
+		cn.buf = protocol.AppendBare(cn.buf[:0], protocol.OpStats)
+		if err = cn.send(); err == nil {
+			out, err = protocol.ReadStats(cn.r)
 		}
-		if err := cn.w.Flush(); err != nil {
-			return err
-		}
-		m, err := protocol.ReadStats(cn.r)
-		if err != nil {
-			return err
-		}
-		out = m
-		return nil
+		return err
 	})
 	return out, err
 }
@@ -1047,20 +984,9 @@ func (c *Client) ServerStats(idx int) (map[string]string, error) {
 func (c *Client) FlushAll() error {
 	for idx := range c.opts.Servers {
 		err := c.roundTrip(idx, func(cn *conn) error {
-			if _, err := cn.w.WriteString("flush_all\r\n"); err != nil {
-				return err
-			}
-			if err := cn.w.Flush(); err != nil {
-				return err
-			}
-			line, err := protocol.ReadLineReply(cn.r)
-			if err != nil {
-				return err
-			}
-			if line != protocol.RespOK {
-				return fmt.Errorf("client: unexpected reply %q", line)
-			}
-			return nil
+			cn.buf = protocol.AppendBare(cn.buf[:0], protocol.OpFlushAll)
+			_, err := cn.lineReply(flushOutcomes)
+			return err
 		})
 		if err != nil {
 			return err

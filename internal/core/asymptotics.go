@@ -60,11 +60,6 @@ func (c *Config) TSGrowthSlope() (float64, error) {
 	return 1 / rate, nil
 }
 
-// TDGrowthSlope returns the large-N per-e-fold slope of E[T_D(N)] in
-// ln N, which Theorem 1 predicts converges to 1/µ_D (§5.2.4:
-// lim E[T_D(N)] = ln(N·r+1)/µ_D).
-func (c *Config) TDGrowthSlope() float64 { return 1 / c.MuD }
-
 // ConcurrencyScaling returns E[T_S(N)] evaluated at concurrency q,
 // divided by its value at q=0, holding the key arrival rate λ fixed —
 // the paper's §5.2.1(i) observation that latency grows linearly in the

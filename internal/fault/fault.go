@@ -15,7 +15,6 @@ package fault
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -623,25 +622,4 @@ func (r Resilience) WithDefaults() Resilience {
 		}
 	}
 	return r
-}
-
-// sortRulesByFrom is used by reporting helpers that want a stable
-// timeline view of a schedule.
-func sortRulesByFrom(rules []Rule) []Rule {
-	out := append([]Rule(nil), rules...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].From < out[j].From })
-	return out
-}
-
-// Timeline renders the schedule ordered by window start — handy for
-// CLI banners.
-func (s Schedule) Timeline() string {
-	if s.Empty() {
-		return "healthy (no faults)"
-	}
-	parts := make([]string, 0, len(s.Rules))
-	for _, r := range sortRulesByFrom(s.Rules) {
-		parts = append(parts, r.String())
-	}
-	return strings.Join(parts, "; ")
 }

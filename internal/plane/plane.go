@@ -449,12 +449,6 @@ type Plane interface {
 	Run(ctx context.Context, s Scenario) (*Result, error)
 }
 
-// Planes returns the default plane set in comparison order:
-// model, simulator, live.
-func Planes() []Plane {
-	return []Plane{ModelPlane{}, SimPlane{}, LivePlane{}}
-}
-
 // ByName returns the named plane; it understands every Name() of the
 // built-in planes plus "sim-integrated" for the event-driven simulator.
 func ByName(name string) (Plane, error) {

@@ -1,50 +1,60 @@
 package protocol
 
-import (
-	"bufio"
-	"io"
-)
+import "bufio"
 
-// Parser parses commands from one connection into reusable
-// per-connection buffers, so a pipelined stream of commands costs zero
-// heap allocations per command. The server owns one Parser per
-// connection; ReadCommand wraps a throwaway Parser for callers that
-// want an owning Command.
+// Parser is the blocking front of the request framer: a fill loop that
+// moves whatever its bufio.Reader delivers into a StreamParser and asks
+// it for the next command. The goroutine server core and the proxy's
+// downstream side own one per connection. Its command-line limit is the
+// reader's buffer size.
 //
-// Aliasing contract: the Command returned by Next, together with its
-// KeyB, KeyList and Value fields, aliases parser-owned scratch and the
-// bufio.Reader's internal buffer. Everything is valid only until the
-// next call to Next; callers that retain any of it must copy first
-// (the cache's SetBytes/GetInto do).
+// Aliasing contract: the Command returned by Next, its KeyB, KeyList and
+// Value fields, and Frame all alias the framer's input buffer. Everything
+// is valid only until the next call to Next; callers that retain any of
+// it must copy first (the cache's SetBytes/GetInto do).
 type Parser struct {
-	r       *bufio.Reader
-	cmd     Command
-	fields  [][]byte // reused field-splitter output
-	keyList [][]byte // reused multi-key list backing
-	keyBuf  []byte   // storage-op key copy that must survive the data read
-	scratch []byte   // reused data-block buffer (grows to the largest value)
-	capture bool     // accumulate wire frames for Frame
-	frame   []byte   // reused frame buffer (command line + data block)
+	r *bufio.Reader
+	s StreamParser
+}
+
+// NewParser returns a Parser reading from r.
+func NewParser(r *bufio.Reader) *Parser {
+	return &Parser{r: r, s: StreamParser{maxLine: r.Size()}}
 }
 
 // CaptureFrames toggles frame capture: when on, each successful Next
 // additionally records the command's wire bytes for Frame. Off by
 // default — the server's parse loop never pays for it.
-func (p *Parser) CaptureFrames(on bool) {
-	p.capture = on
-	p.frame = p.frame[:0]
-}
+func (p *Parser) CaptureFrames(on bool) { p.s.CaptureFrames(on) }
 
 // Frame returns the wire bytes of the command most recently returned by
-// Next — the command line (normalized to a single CRLF terminator) plus
-// the data block for storage ops — so a proxy can forward the frame
-// verbatim without re-serializing. The slice aliases a reused parser
-// buffer: valid until the next Next, and only meaningful after a
-// successful Next with capture enabled.
-func (p *Parser) Frame() []byte { return p.frame }
+// Next; see StreamParser.Frame.
+func (p *Parser) Frame() []byte { return p.s.Frame() }
 
-// NewParser returns a Parser reading from r.
-func NewParser(r *bufio.Reader) *Parser { return &Parser{r: r} }
+// Buffered reports how many received bytes Next has not consumed yet: 0
+// means the pipeline is drained and the caller should flush its replies.
+func (p *Parser) Buffered() int { return p.s.Buffered() + p.r.Buffered() }
+
+// Next parses one command. Malformed requests yield a *ClientError
+// (recoverable); I/O failures yield the underlying error; a quit
+// command yields ErrQuit. See the type comment for the aliasing rules
+// of the returned Command.
+func (p *Parser) Next() (*Command, error) {
+	for {
+		cmd, err := p.s.Next()
+		if err != ErrIncomplete {
+			return cmd, err
+		}
+		// Block for at least one byte, then hand over everything the
+		// reader holds.
+		if _, err := p.r.Peek(1); err != nil {
+			return nil, err
+		}
+		chunk, _ := p.r.Peek(p.r.Buffered())
+		p.s.Feed(chunk)
+		_, _ = p.r.Discard(len(chunk)) // cannot fail: chunk was just peeked
+	}
+}
 
 // appendFields splits line on ASCII whitespace, appending the fields to
 // dst (the protocol is ASCII; keys cannot contain bytes <= ' ').
@@ -118,316 +128,158 @@ func parseIntB(b []byte, bitSize int) (int64, bool) {
 	return 0, false
 }
 
-// Next parses one command. Malformed requests yield a *ClientError
-// (recoverable); I/O failures yield the underlying error; a quit
-// command yields ErrQuit. See the type comment for the aliasing rules
-// of the returned Command.
-func (p *Parser) Next() (*Command, error) {
-	line, err := readLine(p.r)
-	if err != nil {
-		return nil, err
-	}
-	if p.capture {
-		p.frame = append(append(p.frame[:0], line...), '\r', '\n')
-	}
-	cmd, need, err := p.parseLine(line)
-	if err != nil {
-		return nil, err
-	}
-	if need >= 0 {
-		cmd.Value, err = p.readData(need)
-		if err != nil {
-			return nil, err
+// lookupOp maps a wire verb to its Op (0 when unknown).
+func lookupOp(verb []byte) Op {
+	for op := OpGet; int(op) < len(opNames); op++ {
+		if string(verb) == opNames[op] { // comparison only: no allocation
+			return op
 		}
 	}
-	return cmd, nil
+	return 0
 }
 
 // parseLine parses one complete command line (terminator already
-// stripped) into the parser's reusable Command. Storage commands return
-// need >= 0: the command is incomplete until the caller supplies the
-// need-byte data block (plus CRLF); every other command returns
-// need == -1, complete as is. This is the resumable seam shared by the
-// blocking Next and the non-blocking StreamParser: the line is parsed
-// without touching the input stream, so the data block can arrive in a
-// later read.
-func (p *Parser) parseLine(line []byte) (cmd *Command, need int, err error) {
-	p.fields = appendFields(p.fields[:0], line)
-	if len(p.fields) == 0 {
-		return nil, -1, &ClientError{Msg: "empty command"}
+// stripped) into the framer's reusable Command. Storage commands return
+// need >= 0: the command is complete only once the need-byte data block
+// (plus CRLF) follows the line in the input; every other command returns
+// need == -1, complete as is. The line is parsed without touching the
+// rest of the input, so the data block can arrive in a later read.
+func (s *StreamParser) parseLine(line []byte) (need int, err error) {
+	s.fields = appendFields(s.fields[:0], line)
+	if len(s.fields) == 0 {
+		return -1, &ClientError{Msg: "empty command"}
 	}
-	cmd = &p.cmd
-	*cmd = Command{}
-	op := p.fields[0]
-	args := p.fields[1:]
-	switch string(op) { // compiled to an alloc-free switch
-	case "get":
-		cmd, err = p.parseGet(OpGet, "get", args)
-		return cmd, -1, err
-	case "gets":
-		cmd, err = p.parseGet(OpGets, "gets", args)
-		return cmd, -1, err
-	case "set":
-		return p.parseStorage(OpSet, "set", args)
-	case "add":
-		return p.parseStorage(OpAdd, "add", args)
-	case "replace":
-		return p.parseStorage(OpReplace, "replace", args)
-	case "append":
-		return p.parseStorage(OpAppend, "append", args)
-	case "prepend":
-		return p.parseStorage(OpPrepend, "prepend", args)
-	case "cas":
-		return p.parseCas(args)
-	case "delete":
-		cmd, err = p.parseDelete(args)
-		return cmd, -1, err
-	case "incr":
-		cmd, err = p.parseIncrDecr(OpIncr, "incr", args)
-		return cmd, -1, err
-	case "decr":
-		cmd, err = p.parseIncrDecr(OpDecr, "decr", args)
-		return cmd, -1, err
-	case "touch":
-		cmd, err = p.parseTouch(args)
-		return cmd, -1, err
-	case "gat":
-		cmd, err = p.parseGat(OpGat, "gat", args)
-		return cmd, -1, err
-	case "gats":
-		cmd, err = p.parseGat(OpGats, "gats", args)
-		return cmd, -1, err
-	case "stats":
-		cmd.Op = OpStats
-		if len(args) >= 1 {
-			cmd.KeyB = args[0] // sub-statistic: "items", "slabs", ...
+	op, args := lookupOp(s.fields[0]), s.fields[1:]
+	s.cmd = Command{Op: op}
+	switch op {
+	case OpGet, OpGets:
+		if len(args) == 0 {
+			return -1, &ClientError{Msg: opNames[op] + " requires at least one key"}
 		}
-		return cmd, -1, nil
-	case "flush_all":
-		cmd, err = p.parseFlushAll(args)
-		return cmd, -1, err
-	case "version":
-		cmd.Op = OpVersion
-		return cmd, -1, nil
-	case "verbosity":
-		cmd, err = p.parseVerbosity(args)
-		return cmd, -1, err
-	case "quit":
-		return nil, -1, ErrQuit
-	case "mq_trace":
-		cmd, err = p.parseTrace(args)
-		return cmd, -1, err
+		s.cmd.KeyList = args
+	case OpGat, OpGats:
+		if len(args) < 2 {
+			return -1, &ClientError{Msg: opNames[op] + " requires an exptime and at least one key"}
+		}
+		s.cmd.KeyList = args[1:]
+		err = s.parseExptime(args[0])
+	case OpSet, OpAdd, OpReplace, OpAppend, OpPrepend:
+		return s.parseStorage(args, 4)
+	case OpCas:
+		if need, err = s.parseStorage(args, 5); err == nil {
+			var ok bool
+			if s.cmd.CAS, ok = parseUintB(args[4], 64); !ok {
+				return -1, &ClientError{Msg: "bad cas token"}
+			}
+		}
+		return need, err
+	case OpDelete:
+		err = s.parseKeyed(args, 1)
+	case OpIncr, OpDecr:
+		if err = s.parseKeyed(args, 2); err == nil {
+			var ok bool
+			if s.cmd.Delta, ok = parseUintB(args[1], 64); !ok {
+				err = &ClientError{Msg: "invalid numeric delta argument"}
+			}
+		}
+	case OpTouch:
+		if err = s.parseKeyed(args, 2); err == nil {
+			err = s.parseExptime(args[1])
+		}
+	case OpStats:
+		if len(args) >= 1 {
+			s.cmd.KeyB = args[0] // sub-statistic: "items", "slabs", ...
+		}
+	case OpFlushAll:
+		for _, a := range args {
+			if string(a) == "noreply" {
+				s.cmd.Noreply = true
+			} else if s.parseExptime(a) != nil {
+				return -1, &ClientError{Msg: "bad flush_all delay"}
+			}
+		}
+	case OpVersion:
+	case OpVerbosity:
+		if len(args) >= 1 {
+			lvl, ok := parseIntB(args[0], 64)
+			if !ok {
+				return -1, &ClientError{Msg: "bad verbosity level"}
+			}
+			s.cmd.Level = int(lvl)
+		}
+		s.cmd.Noreply = len(args) == 2 && string(args[1]) == "noreply"
+	case OpQuit:
+		return -1, ErrQuit
+	case OpTrace:
+		err = s.parseTrace(args)
 	default:
-		return nil, -1, &ClientError{Msg: "unknown command " + string(op)}
+		return -1, &ClientError{Msg: "unknown command " + string(s.fields[0])}
 	}
+	return -1, err
+}
+
+// parseExptime parses an exptime token (flush_all's delay included)
+// into the command.
+func (s *StreamParser) parseExptime(tok []byte) error {
+	exptime, ok := parseIntB(tok, 64)
+	if !ok {
+		return &ClientError{Msg: "bad exptime"}
+	}
+	s.cmd.Exptime = exptime
+	return nil
+}
+
+// parseKeyed parses the "<key> ... [noreply]" shape shared by every
+// single-key command: exactly want arguments plus an optional trailing
+// noreply. Arguments after the key are left to the caller.
+func (s *StreamParser) parseKeyed(args [][]byte, want int) error {
+	if len(args) == want+1 && string(args[want]) == "noreply" {
+		s.cmd.Noreply = true
+		args = args[:want]
+	}
+	if len(args) != want {
+		return &ClientError{Msg: "bad " + opNames[s.cmd.Op] + " argument count"}
+	}
+	s.cmd.KeyB = args[0]
+	return nil
+}
+
+// parseStorage parses "<key> <flags> <exptime> <bytes>" (want counts
+// the fields: cas has a fifth) and returns the data block's length.
+func (s *StreamParser) parseStorage(args [][]byte, want int) (need int, err error) {
+	if err := s.parseKeyed(args, want); err != nil {
+		return -1, err
+	}
+	flags, ok := parseUintB(args[1], 32)
+	if !ok {
+		return -1, &ClientError{Msg: "bad flags"}
+	}
+	if err := s.parseExptime(args[2]); err != nil {
+		return -1, err
+	}
+	length, ok := parseUintB(args[3], 31)
+	if !ok || length > MaxValueBytes {
+		return -1, &ClientError{Msg: "bad data length"}
+	}
+	s.cmd.Flags = uint32(flags)
+	return int(length), nil
 }
 
 // parseTrace parses "mq_trace <trace> <parent>": the trace ID lands in
 // CAS, the parent span ID in Delta. A zero trace ID is rejected — it
 // would silently mean "untraced" downstream.
-func (p *Parser) parseTrace(args [][]byte) (*Command, error) {
+func (s *StreamParser) parseTrace(args [][]byte) error {
 	if len(args) != 2 {
-		return nil, &ClientError{Msg: "mq_trace requires <trace> <parent>"}
+		return &ClientError{Msg: "mq_trace requires <trace> <parent>"}
 	}
 	trace, ok := parseUintB(args[0], 64)
 	if !ok || trace == 0 {
-		return nil, &ClientError{Msg: "bad mq_trace trace id"}
+		return &ClientError{Msg: "bad mq_trace trace id"}
 	}
 	parent, ok := parseUintB(args[1], 64)
 	if !ok {
-		return nil, &ClientError{Msg: "bad mq_trace parent id"}
+		return &ClientError{Msg: "bad mq_trace parent id"}
 	}
-	p.cmd.Op = OpTrace
-	p.cmd.CAS = trace
-	p.cmd.Delta = parent
-	return &p.cmd, nil
-}
-
-func (p *Parser) parseGet(op Op, name string, args [][]byte) (*Command, error) {
-	if len(args) == 0 {
-		return nil, &ClientError{Msg: name + " requires at least one key"}
-	}
-	p.cmd.Op = op
-	p.keyList = append(p.keyList[:0], args...)
-	p.cmd.KeyList = p.keyList
-	return &p.cmd, nil
-}
-
-// parseStorageHeader parses "<key> <flags> <exptime> <bytes>" plus the
-// optional trailing noreply into p.cmd, returning the value length. The
-// key is copied into the parser's key buffer because reading the data
-// block invalidates the command line it pointed into.
-func (p *Parser) parseStorageHeader(name string, args [][]byte, extra int) (length int, err error) {
-	want := 4 + extra
-	noreply := false
-	if len(args) == want+1 && string(args[want]) == "noreply" {
-		noreply = true
-		args = args[:want]
-	}
-	if len(args) != want {
-		return 0, &ClientError{Msg: "bad " + name + " argument count"}
-	}
-	flags, ok := parseUintB(args[1], 32)
-	if !ok {
-		return 0, &ClientError{Msg: "bad flags"}
-	}
-	exptime, ok := parseIntB(args[2], 64)
-	if !ok {
-		return 0, &ClientError{Msg: "bad exptime"}
-	}
-	length64, ok := parseUintB(args[3], 31)
-	if !ok || length64 > MaxValueBytes {
-		return 0, &ClientError{Msg: "bad data length"}
-	}
-	p.keyBuf = append(p.keyBuf[:0], args[0]...)
-	p.cmd.KeyB = p.keyBuf
-	p.cmd.Flags = uint32(flags)
-	p.cmd.Exptime = exptime
-	p.cmd.Noreply = noreply
-	return int(length64), nil
-}
-
-// readData reads a length-byte data block plus its CRLF terminator into
-// the parser's reusable scratch buffer.
-func (p *Parser) readData(length int) ([]byte, error) {
-	need := length + 2
-	if cap(p.scratch) < need {
-		p.scratch = make([]byte, need)
-	}
-	buf := p.scratch[:need]
-	if _, err := io.ReadFull(p.r, buf); err != nil {
-		return nil, err
-	}
-	if buf[length] != '\r' || buf[length+1] != '\n' {
-		return nil, &ClientError{Msg: "bad data chunk terminator"}
-	}
-	if p.capture {
-		p.frame = append(p.frame, buf...)
-	}
-	return buf[:length], nil
-}
-
-func (p *Parser) parseStorage(op Op, name string, args [][]byte) (*Command, int, error) {
-	length, err := p.parseStorageHeader(name, args, 0)
-	if err != nil {
-		return nil, -1, err
-	}
-	p.cmd.Op = op
-	return &p.cmd, length, nil
-}
-
-func (p *Parser) parseCas(args [][]byte) (*Command, int, error) {
-	length, err := p.parseStorageHeader("cas", args, 1)
-	if err != nil {
-		return nil, -1, err
-	}
-	cas, ok := parseUintB(args[4], 64)
-	if !ok {
-		return nil, -1, &ClientError{Msg: "bad cas token"}
-	}
-	p.cmd.Op = OpCas
-	p.cmd.CAS = cas
-	return &p.cmd, length, nil
-}
-
-func (p *Parser) parseDelete(args [][]byte) (*Command, error) {
-	noreply := false
-	if len(args) == 2 && string(args[1]) == "noreply" {
-		noreply = true
-		args = args[:1]
-	}
-	if len(args) != 1 {
-		return nil, &ClientError{Msg: "bad delete argument count"}
-	}
-	p.cmd.Op = OpDelete
-	p.cmd.KeyB = args[0]
-	p.cmd.Noreply = noreply
-	return &p.cmd, nil
-}
-
-func (p *Parser) parseIncrDecr(op Op, name string, args [][]byte) (*Command, error) {
-	noreply := false
-	if len(args) == 3 && string(args[2]) == "noreply" {
-		noreply = true
-		args = args[:2]
-	}
-	if len(args) != 2 {
-		return nil, &ClientError{Msg: "bad " + name + " argument count"}
-	}
-	delta, ok := parseUintB(args[1], 64)
-	if !ok {
-		return nil, &ClientError{Msg: "invalid numeric delta argument"}
-	}
-	p.cmd.Op = op
-	p.cmd.KeyB = args[0]
-	p.cmd.Delta = delta
-	p.cmd.Noreply = noreply
-	return &p.cmd, nil
-}
-
-func (p *Parser) parseTouch(args [][]byte) (*Command, error) {
-	noreply := false
-	if len(args) == 3 && string(args[2]) == "noreply" {
-		noreply = true
-		args = args[:2]
-	}
-	if len(args) != 2 {
-		return nil, &ClientError{Msg: "bad touch argument count"}
-	}
-	exptime, ok := parseIntB(args[1], 64)
-	if !ok {
-		return nil, &ClientError{Msg: "bad exptime"}
-	}
-	p.cmd.Op = OpTouch
-	p.cmd.KeyB = args[0]
-	p.cmd.Exptime = exptime
-	p.cmd.Noreply = noreply
-	return &p.cmd, nil
-}
-
-// parseGat parses "gat <exptime> <key>+" (get-and-touch).
-func (p *Parser) parseGat(op Op, name string, args [][]byte) (*Command, error) {
-	if len(args) < 2 {
-		return nil, &ClientError{Msg: name + " requires an exptime and at least one key"}
-	}
-	exptime, ok := parseIntB(args[0], 64)
-	if !ok {
-		return nil, &ClientError{Msg: "bad exptime"}
-	}
-	p.cmd.Op = op
-	p.cmd.Exptime = exptime
-	p.keyList = append(p.keyList[:0], args[1:]...)
-	p.cmd.KeyList = p.keyList
-	return &p.cmd, nil
-}
-
-func (p *Parser) parseFlushAll(args [][]byte) (*Command, error) {
-	p.cmd.Op = OpFlushAll
-	for _, a := range args {
-		if string(a) == "noreply" {
-			p.cmd.Noreply = true
-			continue
-		}
-		delay, ok := parseIntB(a, 64)
-		if !ok {
-			return nil, &ClientError{Msg: "bad flush_all delay"}
-		}
-		p.cmd.Exptime = delay
-	}
-	return &p.cmd, nil
-}
-
-func (p *Parser) parseVerbosity(args [][]byte) (*Command, error) {
-	p.cmd.Op = OpVerbosity
-	if len(args) >= 1 {
-		lvl, ok := parseIntB(args[0], 64)
-		if !ok {
-			return nil, &ClientError{Msg: "bad verbosity level"}
-		}
-		p.cmd.Level = int(lvl)
-	}
-	if len(args) == 2 && string(args[1]) == "noreply" {
-		p.cmd.Noreply = true
-	}
-	return &p.cmd, nil
+	s.cmd.CAS, s.cmd.Delta = trace, parent
+	return nil
 }

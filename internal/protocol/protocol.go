@@ -6,11 +6,8 @@
 package protocol
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
-	"io"
 )
 
 // Op enumerates protocol commands.
@@ -45,19 +42,22 @@ const (
 	OpTrace
 )
 
+// opNames is the wire verb of every Op: what Op.String prints, what the
+// framer's verb lookup matches and what the Append encoders emit.
+var opNames = [...]string{
+	OpGet: "get", OpGets: "gets", OpSet: "set", OpAdd: "add",
+	OpReplace: "replace", OpAppend: "append", OpPrepend: "prepend",
+	OpCas: "cas", OpDelete: "delete", OpIncr: "incr", OpDecr: "decr",
+	OpTouch: "touch", OpGat: "gat", OpGats: "gats",
+	OpStats: "stats", OpFlushAll: "flush_all",
+	OpVersion: "version", OpVerbosity: "verbosity", OpQuit: "quit",
+	OpTrace: "mq_trace",
+}
+
 // String implements fmt.Stringer.
 func (o Op) String() string {
-	names := map[Op]string{
-		OpGet: "get", OpGets: "gets", OpSet: "set", OpAdd: "add",
-		OpReplace: "replace", OpAppend: "append", OpPrepend: "prepend",
-		OpCas: "cas", OpDelete: "delete", OpIncr: "incr", OpDecr: "decr",
-		OpTouch: "touch", OpGat: "gat", OpGats: "gats",
-		OpStats: "stats", OpFlushAll: "flush_all",
-		OpVersion: "version", OpVerbosity: "verbosity", OpQuit: "quit",
-		OpTrace: "mq_trace",
-	}
-	if s, ok := names[o]; ok {
-		return s
+	if o > 0 && int(o) < len(opNames) {
+		return opNames[o]
 	}
 	return fmt.Sprintf("Op(%d)", int(o))
 }
@@ -66,8 +66,15 @@ func (o Op) String() string {
 // cache's 1 MiB default item limit).
 const MaxValueBytes = 1 << 20
 
-// MaxLineBytes bounds a single command line (multi-get of many keys).
+// MaxLineBytes bounds a single command line a client may send: the
+// retrieval encoder splits longer key lists into pipelined lines.
 const MaxLineBytes = 8 << 10
+
+// ConnBufferBytes sizes the per-connection read and write buffers of
+// both server cores and the proxy. A Parser takes its command-line limit
+// from its reader's size, so this is also the longest line a server or
+// proxy accepts — twice MaxLineBytes, the longest a client frames.
+const ConnBufferBytes = 16 << 10
 
 // ClientError is a malformed-request error; servers report it as
 // CLIENT_ERROR and keep the connection open.
@@ -78,19 +85,16 @@ type ClientError struct {
 // Error implements error.
 func (e *ClientError) Error() string { return "protocol: client error: " + e.Msg }
 
-// ErrQuit is returned by ReadCommand when the peer sent quit.
+// ErrQuit is returned by the parsers when the peer sent quit.
 var ErrQuit = errors.New("protocol: quit")
 
-// Command is one parsed request. Parser.Next fills the byte-slice key
-// fields (KeyB, KeyList), which alias parser-owned buffers; ReadCommand
-// additionally materializes them into the owning string fields (Key,
-// Keys) and clones Value, so its result has no aliasing hazards.
+// Command is one parsed request. Its byte-slice fields alias the
+// parser's input buffer: valid until the next call on the parser that
+// produced it.
 type Command struct {
 	Op      Op
-	Key     string   // single-key ops (ReadCommand only)
-	Keys    []string // get/gets/gat (ReadCommand only)
-	KeyB    []byte   // single-key ops; valid until the next Parser.Next
-	KeyList [][]byte // get/gets/gat; valid until the next Parser.Next
+	KeyB    []byte   // single-key ops
+	KeyList [][]byte // get/gets/gat/gats
 	Flags   uint32
 	Exptime int64 // raw exptime token (memcached semantics)
 	Value   []byte
@@ -98,61 +102,4 @@ type Command struct {
 	Delta   uint64 // incr/decr amount
 	Noreply bool
 	Level   int // verbosity
-}
-
-// ReadCommand parses one request from r into a freshly allocated,
-// self-owned Command. Malformed requests yield a *ClientError
-// (recoverable); I/O failures yield the underlying error; a quit
-// command yields ErrQuit. Hot paths that read many commands from one
-// connection should hold a Parser instead and call Next.
-func ReadCommand(r *bufio.Reader) (*Command, error) {
-	p := Parser{r: r}
-	cmd, err := p.Next()
-	if err != nil {
-		return nil, err
-	}
-	out := *cmd
-	out.Key = string(cmd.KeyB)
-	out.KeyB = nil
-	if cmd.KeyList != nil {
-		out.Keys = make([]string, len(cmd.KeyList))
-		for i, k := range cmd.KeyList {
-			out.Keys[i] = string(k)
-		}
-		out.KeyList = nil
-	}
-	out.Value = bytes.Clone(cmd.Value)
-	return &out, nil
-}
-
-func readLine(r *bufio.Reader) ([]byte, error) {
-	line, err := r.ReadSlice('\n')
-	if errors.Is(err, bufio.ErrBufferFull) {
-		// Drain the oversized line, then report a client error.
-		for errors.Is(err, bufio.ErrBufferFull) {
-			_, err = r.ReadSlice('\n')
-		}
-		if err != nil && !errors.Is(err, io.EOF) {
-			return nil, err
-		}
-		return nil, &ClientError{Msg: "line too long"}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return bytes.TrimRight(line, "\r\n"), nil
-}
-
-// readDataBlock reads a length-byte data block plus CRLF into a fresh
-// buffer (client-side response parsing; the server path uses
-// Parser.readData's reusable scratch instead).
-func readDataBlock(r *bufio.Reader, length int) ([]byte, error) {
-	buf := make([]byte, length+2)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	if !bytes.HasSuffix(buf, []byte("\r\n")) {
-		return nil, &ClientError{Msg: "bad data chunk terminator"}
-	}
-	return buf[:length], nil
 }

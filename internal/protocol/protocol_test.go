@@ -13,28 +13,31 @@ func reader(s string) *bufio.Reader {
 	return bufio.NewReader(strings.NewReader(s))
 }
 
+// parse frames the first command on r with a fresh blocking Parser.
+func parse(r *bufio.Reader) (*Command, error) { return NewParser(r).Next() }
+
 func TestParseGet(t *testing.T) {
-	cmd, err := ReadCommand(reader("get foo\r\n"))
+	cmd, err := parse(reader("get foo\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd.Op != OpGet || len(cmd.Keys) != 1 || cmd.Keys[0] != "foo" {
+	if cmd.Op != OpGet || len(cmd.KeyList) != 1 || string(cmd.KeyList[0]) != "foo" {
 		t.Errorf("cmd = %+v", cmd)
 	}
 }
 
 func TestParseMultiGet(t *testing.T) {
-	cmd, err := ReadCommand(reader("gets a b c\r\n"))
+	cmd, err := parse(reader("gets a b c\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd.Op != OpGets || len(cmd.Keys) != 3 || cmd.Keys[2] != "c" {
+	if cmd.Op != OpGets || len(cmd.KeyList) != 3 || string(cmd.KeyList[2]) != "c" {
 		t.Errorf("cmd = %+v", cmd)
 	}
 }
 
 func TestParseGetNoKeys(t *testing.T) {
-	_, err := ReadCommand(reader("get\r\n"))
+	_, err := parse(reader("get\r\n"))
 	var ce *ClientError
 	if !errors.As(err, &ce) {
 		t.Errorf("err = %v", err)
@@ -42,18 +45,18 @@ func TestParseGetNoKeys(t *testing.T) {
 }
 
 func TestParseSet(t *testing.T) {
-	cmd, err := ReadCommand(reader("set foo 42 100 5\r\nhello\r\n"))
+	cmd, err := parse(reader("set foo 42 100 5\r\nhello\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd.Op != OpSet || cmd.Key != "foo" || cmd.Flags != 42 ||
+	if cmd.Op != OpSet || string(cmd.KeyB) != "foo" || cmd.Flags != 42 ||
 		cmd.Exptime != 100 || string(cmd.Value) != "hello" || cmd.Noreply {
 		t.Errorf("cmd = %+v", cmd)
 	}
 }
 
 func TestParseSetNoreply(t *testing.T) {
-	cmd, err := ReadCommand(reader("set foo 0 0 2 noreply\r\nhi\r\n"))
+	cmd, err := parse(reader("set foo 0 0 2 noreply\r\nhi\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestParseSetNoreply(t *testing.T) {
 func TestParseSetBinaryValue(t *testing.T) {
 	// Values may contain \r\n bytes; only the length delimits them.
 	raw := "set k 0 0 4\r\na\r\nb\r\n" // value is "a\r\nb"... wait, 4 bytes: 'a','\r','\n','b'
-	cmd, err := ReadCommand(reader(raw))
+	cmd, err := parse(reader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +88,7 @@ func TestParseStorageVariants(t *testing.T) {
 		{"prepend k 0 0 1\r\nx\r\n", OpPrepend},
 	}
 	for _, tt := range tests {
-		cmd, err := ReadCommand(reader(tt.give))
+		cmd, err := parse(reader(tt.give))
 		if err != nil {
 			t.Fatalf("%q: %v", tt.give, err)
 		}
@@ -96,14 +99,14 @@ func TestParseStorageVariants(t *testing.T) {
 }
 
 func TestParseCas(t *testing.T) {
-	cmd, err := ReadCommand(reader("cas k 1 2 3 99\r\nabc\r\n"))
+	cmd, err := parse(reader("cas k 1 2 3 99\r\nabc\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cmd.Op != OpCas || cmd.CAS != 99 || string(cmd.Value) != "abc" {
 		t.Errorf("cmd = %+v", cmd)
 	}
-	cmd, err = ReadCommand(reader("cas k 1 2 3 99 noreply\r\nabc\r\n"))
+	cmd, err = parse(reader("cas k 1 2 3 99 noreply\r\nabc\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +127,7 @@ func TestParseStorageErrors(t *testing.T) {
 		"set k 0 0 1048577\r\n",      // over MaxValueBytes
 	}
 	for _, give := range bad {
-		_, err := ReadCommand(reader(give))
+		_, err := parse(reader(give))
 		var ce *ClientError
 		if !errors.As(err, &ce) {
 			t.Errorf("%q: err = %v, want ClientError", give, err)
@@ -133,7 +136,7 @@ func TestParseStorageErrors(t *testing.T) {
 }
 
 func TestParseBadTerminator(t *testing.T) {
-	_, err := ReadCommand(reader("set k 0 0 5\r\nhelloXX"))
+	_, err := parse(reader("set k 0 0 5\r\nhelloXX"))
 	var ce *ClientError
 	if !errors.As(err, &ce) {
 		t.Errorf("err = %v", err)
@@ -141,83 +144,83 @@ func TestParseBadTerminator(t *testing.T) {
 }
 
 func TestParseDelete(t *testing.T) {
-	cmd, err := ReadCommand(reader("delete k\r\n"))
-	if err != nil || cmd.Op != OpDelete || cmd.Key != "k" {
+	cmd, err := parse(reader("delete k\r\n"))
+	if err != nil || cmd.Op != OpDelete || string(cmd.KeyB) != "k" {
 		t.Fatalf("cmd=%+v err=%v", cmd, err)
 	}
-	cmd, _ = ReadCommand(reader("delete k noreply\r\n"))
+	cmd, _ = parse(reader("delete k noreply\r\n"))
 	if !cmd.Noreply {
 		t.Error("delete noreply")
 	}
-	if _, err := ReadCommand(reader("delete\r\n")); err == nil {
+	if _, err := parse(reader("delete\r\n")); err == nil {
 		t.Error("delete without key accepted")
 	}
-	if _, err := ReadCommand(reader("delete a b\r\n")); err == nil {
+	if _, err := parse(reader("delete a b\r\n")); err == nil {
 		t.Error("delete extra arg accepted")
 	}
 }
 
 func TestParseIncrDecr(t *testing.T) {
-	cmd, err := ReadCommand(reader("incr n 5\r\n"))
+	cmd, err := parse(reader("incr n 5\r\n"))
 	if err != nil || cmd.Op != OpIncr || cmd.Delta != 5 {
 		t.Fatalf("cmd=%+v err=%v", cmd, err)
 	}
-	cmd, err = ReadCommand(reader("decr n 3 noreply\r\n"))
+	cmd, err = parse(reader("decr n 3 noreply\r\n"))
 	if err != nil || cmd.Op != OpDecr || cmd.Delta != 3 || !cmd.Noreply {
 		t.Fatalf("cmd=%+v err=%v", cmd, err)
 	}
-	if _, err := ReadCommand(reader("incr n abc\r\n")); err == nil {
+	if _, err := parse(reader("incr n abc\r\n")); err == nil {
 		t.Error("non-numeric delta accepted")
 	}
-	if _, err := ReadCommand(reader("incr n\r\n")); err == nil {
+	if _, err := parse(reader("incr n\r\n")); err == nil {
 		t.Error("missing delta accepted")
 	}
 }
 
 func TestParseTouch(t *testing.T) {
-	cmd, err := ReadCommand(reader("touch k 60\r\n"))
+	cmd, err := parse(reader("touch k 60\r\n"))
 	if err != nil || cmd.Op != OpTouch || cmd.Exptime != 60 {
 		t.Fatalf("cmd=%+v err=%v", cmd, err)
 	}
-	if _, err := ReadCommand(reader("touch k abc\r\n")); err == nil {
+	if _, err := parse(reader("touch k abc\r\n")); err == nil {
 		t.Error("bad exptime accepted")
 	}
 }
 
 func TestParseManagement(t *testing.T) {
-	cmd, err := ReadCommand(reader("stats\r\n"))
+	cmd, err := parse(reader("stats\r\n"))
 	if err != nil || cmd.Op != OpStats {
 		t.Fatalf("stats: %+v %v", cmd, err)
 	}
-	cmd, err = ReadCommand(reader("version\r\n"))
+	cmd, err = parse(reader("version\r\n"))
 	if err != nil || cmd.Op != OpVersion {
 		t.Fatalf("version: %+v %v", cmd, err)
 	}
-	cmd, err = ReadCommand(reader("flush_all\r\n"))
+	cmd, err = parse(reader("flush_all\r\n"))
 	if err != nil || cmd.Op != OpFlushAll {
 		t.Fatalf("flush_all: %+v %v", cmd, err)
 	}
-	cmd, err = ReadCommand(reader("flush_all 10 noreply\r\n"))
+	cmd, err = parse(reader("flush_all 10 noreply\r\n"))
 	if err != nil || cmd.Exptime != 10 || !cmd.Noreply {
 		t.Fatalf("flush_all args: %+v %v", cmd, err)
 	}
-	cmd, err = ReadCommand(reader("verbosity 2\r\n"))
+	cmd, err = parse(reader("verbosity 2\r\n"))
 	if err != nil || cmd.Op != OpVerbosity || cmd.Level != 2 {
 		t.Fatalf("verbosity: %+v %v", cmd, err)
 	}
-	if _, err := ReadCommand(reader("verbosity abc\r\n")); err == nil {
+	if _, err := parse(reader("verbosity abc\r\n")); err == nil {
 		t.Error("bad verbosity accepted")
 	}
 }
 
 func TestParseQuit(t *testing.T) {
-	if _, err := ReadCommand(reader("quit\r\n")); !errors.Is(err, ErrQuit) {
+	if _, err := parse(reader("quit\r\n")); !errors.Is(err, ErrQuit) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestParseUnknownCommand(t *testing.T) {
-	_, err := ReadCommand(reader("bogus\r\n"))
+	_, err := parse(reader("bogus\r\n"))
 	var ce *ClientError
 	if !errors.As(err, &ce) {
 		t.Errorf("err = %v", err)
@@ -230,14 +233,15 @@ func TestParseUnknownCommand(t *testing.T) {
 func TestParseOversizedLine(t *testing.T) {
 	long := "get " + strings.Repeat("k ", MaxLineBytes) + "\r\n"
 	r := bufio.NewReaderSize(strings.NewReader(long+"get ok\r\n"), 4096)
-	_, err := ReadCommand(r)
+	p := NewParser(r)
+	_, err := p.Next()
 	var ce *ClientError
 	if !errors.As(err, &ce) {
 		t.Fatalf("err = %v", err)
 	}
 	// The stream recovers: the next command parses.
-	cmd, err := ReadCommand(r)
-	if err != nil || cmd.Keys[0] != "ok" {
+	cmd, err := p.Next()
+	if err != nil || string(cmd.KeyList[0]) != "ok" {
 		t.Errorf("recovery failed: %+v %v", cmd, err)
 	}
 }
@@ -369,7 +373,7 @@ func TestPropertySetValueRoundTrip(t *testing.T) {
 		req.WriteString("\r\n")
 		req.Write(value)
 		req.WriteString("\r\n")
-		cmd, err := ReadCommand(bufio.NewReader(&req))
+		cmd, err := parse(bufio.NewReader(&req))
 		if err != nil {
 			return false
 		}
@@ -383,9 +387,9 @@ func TestPropertySetValueRoundTrip(t *testing.T) {
 // Property: the parser never panics on arbitrary input bytes.
 func TestPropertyParserNoPanic(t *testing.T) {
 	f := func(junk []byte) bool {
-		r := bufio.NewReader(bytes.NewReader(junk))
+		p := NewParser(bufio.NewReader(bytes.NewReader(junk)))
 		for i := 0; i < 10; i++ {
-			if _, err := ReadCommand(r); err != nil {
+			if _, err := p.Next(); err != nil {
 				if IsRecoverable(err) {
 					continue
 				}
@@ -412,21 +416,21 @@ func itoa(n int) string {
 }
 
 func TestParseGat(t *testing.T) {
-	cmd, err := ReadCommand(reader("gat 60 k1 k2\r\n"))
+	cmd, err := parse(reader("gat 60 k1 k2\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd.Op != OpGat || cmd.Exptime != 60 || len(cmd.Keys) != 2 || cmd.Keys[1] != "k2" {
+	if cmd.Op != OpGat || cmd.Exptime != 60 || len(cmd.KeyList) != 2 || string(cmd.KeyList[1]) != "k2" {
 		t.Errorf("cmd = %+v", cmd)
 	}
-	cmd, err = ReadCommand(reader("gats 0 k\r\n"))
+	cmd, err = parse(reader("gats 0 k\r\n"))
 	if err != nil || cmd.Op != OpGats {
 		t.Fatalf("gats: %+v %v", cmd, err)
 	}
-	if _, err := ReadCommand(reader("gat 60\r\n")); err == nil {
+	if _, err := parse(reader("gat 60\r\n")); err == nil {
 		t.Error("gat without keys accepted")
 	}
-	if _, err := ReadCommand(reader("gat abc k\r\n")); err == nil {
+	if _, err := parse(reader("gat abc k\r\n")); err == nil {
 		t.Error("gat bad exptime accepted")
 	}
 	if OpGat.String() != "gat" || OpGats.String() != "gats" {
@@ -435,15 +439,15 @@ func TestParseGat(t *testing.T) {
 }
 
 func TestParseStatsSection(t *testing.T) {
-	cmd, err := ReadCommand(reader("stats items\r\n"))
+	cmd, err := parse(reader("stats items\r\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cmd.Op != OpStats || cmd.Key != "items" {
+	if cmd.Op != OpStats || string(cmd.KeyB) != "items" {
 		t.Errorf("cmd = %+v", cmd)
 	}
-	cmd, err = ReadCommand(reader("stats\r\n"))
-	if err != nil || cmd.Key != "" {
+	cmd, err = parse(reader("stats\r\n"))
+	if err != nil || string(cmd.KeyB) != "" {
 		t.Fatalf("bare stats: %+v %v", cmd, err)
 	}
 }

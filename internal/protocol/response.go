@@ -134,14 +134,100 @@ func (w *Writer) ServerErrorf(format string, args ...any) error {
 // Flush pushes buffered output to the connection.
 func (w *Writer) Flush() error { return w.w.Flush() }
 
-// ---- Client-side response parsing ----
+// ---- Reply scanning (clients and the proxy's relay) ----
+
+// ReplyKind classifies one line of a server reply.
+type ReplyKind uint8
+
+const (
+	// ReplyLine is any other line: STORED, DELETED, a number, STAT ….
+	ReplyLine ReplyKind = iota
+	// ReplyValue is a well-formed VALUE header; its data block follows.
+	ReplyValue
+	// ReplyEnd is the END that closes a retrieval or stats reply.
+	ReplyEnd
+	// ReplyError is an error line, see IsErrorReply.
+	ReplyError
+)
+
+// Reply is one scanned reply line.
+type Reply struct {
+	Kind ReplyKind
+	// Line is the raw line, terminator included, so a relay can forward
+	// it verbatim. It aliases the reader's buffer: valid until the next
+	// read.
+	Line []byte
+	// The fields of "VALUE <key> <flags> <bytes> [<cas>]" (ReplyValue
+	// only; Key aliases Line). The Bytes-long data block and its CRLF
+	// follow on the stream and are the caller's to consume.
+	Key   []byte
+	Flags uint32
+	Bytes int
+	CAS   uint64
+}
+
+// ScanReply reads and classifies the next line of a reply: the one place
+// the reply grammar is written down. A reply is a single line, or — for
+// retrievals and stats — a run of VALUE blocks / STAT lines closed by
+// END or by an error line. A line that starts like a VALUE header but
+// does not parse as one is a ReplyLine, which no retrieval allows: the
+// reader reports it as the desync it is.
+func ScanReply(r *bufio.Reader) (Reply, error) {
+	line, err := r.ReadSlice('\n')
+	if err != nil {
+		return Reply{}, err // bufio.ErrBufferFull included: no reply line is that long
+	}
+	rep := Reply{Line: line}
+	text := bytes.TrimRight(line, "\r\n")
+	switch {
+	case len(text) > 6 && string(text[:6]) == "VALUE ": // the hot case first
+		var arr [6][]byte
+		f := appendFields(arr[:0], text)
+		if len(f) != 4 && len(f) != 5 {
+			break
+		}
+		flags, okF := parseUintB(f[2], 32)
+		n, okN := parseUintB(f[3], 31)
+		cas, okC := uint64(0), true
+		if len(f) == 5 {
+			cas, okC = parseUintB(f[4], 64)
+		}
+		if okF && okN && okC && n <= MaxValueBytes {
+			rep.Kind, rep.Key, rep.Flags, rep.Bytes, rep.CAS = ReplyValue, f[1], uint32(flags), int(n), cas
+		}
+	case string(text) == RespEnd:
+		rep.Kind = ReplyEnd
+	case IsErrorReply(text):
+		rep.Kind = ReplyError
+	}
+	return rep, nil
+}
+
+// IsErrorReply reports whether line (terminator optional) is an error
+// reply as protocol.txt defines them: exactly "ERROR", or "CLIENT_ERROR"
+// / "SERVER_ERROR" followed by a space or the end of the line.
+func IsErrorReply(line []byte) bool {
+	line = bytes.TrimRight(line, "\r\n")
+	if string(line) == RespError {
+		return true
+	}
+	for _, prefix := range [...]string{"CLIENT_ERROR", "SERVER_ERROR"} {
+		if rest, ok := bytes.CutPrefix(line, []byte(prefix)); ok && (len(rest) == 0 || rest[0] == ' ') {
+			return true
+		}
+	}
+	return false
+}
+
+// text returns the line without its terminator.
+func (r Reply) text() []byte { return bytes.TrimRight(r.Line, "\r\n") }
 
 // ValueItem is one VALUE block of a retrieval response.
 type ValueItem struct {
 	Key   string
+	Value []byte
 	Flags uint32
 	CAS   uint64
-	Value []byte
 }
 
 // ServerError is an error reply from the server (ERROR, CLIENT_ERROR or
@@ -158,40 +244,27 @@ func (e *ServerError) Error() string { return "protocol: server replied " + e.Li
 func ReadRetrieval(r *bufio.Reader) ([]ValueItem, error) {
 	var items []ValueItem
 	for {
-		line, err := readLine(r)
+		rep, err := ScanReply(r)
 		if err != nil {
 			return nil, err
 		}
-		if string(line) == RespEnd {
+		switch rep.Kind {
+		case ReplyEnd:
 			return items, nil
+		case ReplyError:
+			return nil, &ServerError{Line: string(rep.text())}
+		case ReplyLine:
+			return nil, fmt.Errorf("protocol: unexpected retrieval line %q", rep.text())
 		}
-		if isErrorLine(line) {
-			return nil, &ServerError{Line: string(line)}
-		}
-		fields := bytes.Fields(line)
-		if len(fields) < 4 || string(fields[0]) != "VALUE" {
-			return nil, fmt.Errorf("protocol: unexpected retrieval line %q", line)
-		}
-		flags, err := strconv.ParseUint(string(fields[2]), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("protocol: bad flags in %q", line)
-		}
-		length, err := strconv.ParseUint(string(fields[3]), 10, 31)
-		if err != nil || length > MaxValueBytes {
-			return nil, fmt.Errorf("protocol: bad length in %q", line)
-		}
-		item := ValueItem{Key: string(fields[1]), Flags: uint32(flags)}
-		if len(fields) >= 5 {
-			cas, err := strconv.ParseUint(string(fields[4]), 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("protocol: bad cas in %q", line)
-			}
-			item.CAS = cas
-		}
-		item.Value, err = readDataBlock(r, int(length))
-		if err != nil {
+		item := ValueItem{Key: string(rep.Key), Flags: rep.Flags, CAS: rep.CAS}
+		block := make([]byte, rep.Bytes+2) // rep.Key is dead after this read
+		if _, err := io.ReadFull(r, block); err != nil {
 			return nil, err
 		}
+		if !bytes.HasSuffix(block, crlf) {
+			return nil, errors.New("protocol: bad data chunk terminator")
+		}
+		item.Value = block[:rep.Bytes]
 		items = append(items, item)
 	}
 }
@@ -199,42 +272,36 @@ func ReadRetrieval(r *bufio.Reader) ([]ValueItem, error) {
 // ReadLineReply reads a one-line reply (STORED, DELETED, a number, ...).
 // Error replies surface as *ServerError.
 func ReadLineReply(r *bufio.Reader) (string, error) {
-	line, err := readLine(r)
+	rep, err := ScanReply(r)
 	if err != nil {
 		return "", err
 	}
-	if isErrorLine(line) {
-		return "", &ServerError{Line: string(line)}
+	if rep.Kind == ReplyError {
+		return "", &ServerError{Line: string(rep.text())}
 	}
-	return string(line), nil
+	return string(rep.text()), nil
 }
 
 // ReadStats parses a stats response: STAT lines until END.
 func ReadStats(r *bufio.Reader) (map[string]string, error) {
 	out := make(map[string]string)
 	for {
-		line, err := readLine(r)
+		rep, err := ScanReply(r)
 		if err != nil {
 			return nil, err
 		}
-		if string(line) == RespEnd {
+		switch rep.Kind {
+		case ReplyEnd:
 			return out, nil
+		case ReplyError:
+			return nil, &ServerError{Line: string(rep.text())}
 		}
-		if isErrorLine(line) {
-			return nil, &ServerError{Line: string(line)}
-		}
-		fields := bytes.SplitN(line, []byte(" "), 3)
+		fields := bytes.SplitN(rep.text(), []byte(" "), 3)
 		if len(fields) != 3 || string(fields[0]) != "STAT" {
-			return nil, fmt.Errorf("protocol: unexpected stats line %q", line)
+			return nil, fmt.Errorf("protocol: unexpected stats line %q", rep.text())
 		}
 		out[string(fields[1])] = string(fields[2])
 	}
-}
-
-func isErrorLine(line []byte) bool {
-	return bytes.Equal(line, []byte(RespError)) ||
-		bytes.HasPrefix(line, []byte("CLIENT_ERROR ")) ||
-		bytes.HasPrefix(line, []byte("SERVER_ERROR "))
 }
 
 // IsRecoverable reports whether err allows the server loop to continue

@@ -18,41 +18,55 @@ var ErrIncomplete = errors.New("protocol: incomplete frame")
 // for the rest of its (possibly very long) life.
 const streamShrinkCap = 64 << 10
 
-// StreamParser parses commands from a byte stream delivered in
-// arbitrary chunks — the non-blocking twin of Parser. The event-loop
-// server feeds it whatever a readiness-driven read returned (possibly a
-// partial line, possibly many pipelined commands, possibly a data block
-// split at any byte boundary) and drains complete commands with Next;
-// ErrIncomplete means "wait for more input".
+// StreamParser is the request framer: the one consumer of request bytes
+// and the one place a command line is parsed. It takes the stream in
+// arbitrary chunks — a partial line, many pipelined commands, a data
+// block split at any byte boundary — and yields complete commands with
+// Next; ErrIncomplete means "wait for more input". The event-loop server
+// feeds it whatever a readiness-driven read returned; the blocking
+// Parser feeds it from a bufio.Reader.
 //
-// Aliasing contract: like Parser.Next, the returned Command and its
-// byte-slice fields alias parser-owned buffers and are valid only until
-// the next call to Feed or Next.
-//
-// Frame capture is not supported; the proxy, which needs it, reads with
-// a blocking Parser.
+// Aliasing contract: the returned Command, its byte-slice fields and
+// Frame are slices of the input buffer, valid only until the next call
+// to Feed or Next.
 type StreamParser struct {
-	p       Parser
 	maxLine int
 	buf     []byte // unconsumed input, appended by Feed
 	off     int    // consumed prefix of buf
-	// need >= 0 means a storage command line has been parsed and the
-	// command is pending its need-byte data block (plus CRLF).
-	need int
-	// discard eats input through the next '\n' after an oversized
-	// command line, mirroring the blocking parser's resync behavior.
+	// discard eats input through the next '\n' after a command line that
+	// overflowed maxLine before its newline arrived.
 	discard bool
+	cmd     Command
+	fields  [][]byte // reused field-splitter output; cmd.KeyList aliases it
+	capture bool
+	frame   []byte // the last command's wire bytes (capture on)
+	norm    []byte // reused copy for frames whose line needed a CRLF rewrite
 }
 
 // NewStreamParser returns a StreamParser. maxLine bounds a single
-// command line, matching the blocking server's line limit (its
-// bufio.Reader size); 0 applies the 16 KiB default the server uses.
+// command line; 0 applies ConnBufferBytes, the limit the blocking
+// server's reader size implies.
 func NewStreamParser(maxLine int) *StreamParser {
 	if maxLine <= 0 {
-		maxLine = 16 << 10
+		maxLine = ConnBufferBytes
 	}
-	return &StreamParser{maxLine: maxLine, need: -1}
+	return &StreamParser{maxLine: maxLine}
 }
+
+// CaptureFrames toggles frame capture: when on, each successful Next
+// also records the command's wire bytes for Frame.
+func (s *StreamParser) CaptureFrames(on bool) {
+	s.capture = on
+	s.frame = nil
+}
+
+// Frame returns the wire bytes of the command most recently returned by
+// Next — the command line, terminated by exactly one CRLF, plus the data
+// block for storage ops — so a proxy can forward the frame verbatim
+// without re-serializing. It is a slice of the input buffer (a copy only
+// when the line arrived with a bare "\n" and had to be rewritten), and
+// only meaningful after a successful Next with capture enabled.
+func (s *StreamParser) Frame() []byte { return s.frame }
 
 // Feed appends a chunk of input. The chunk is copied, so the caller may
 // reuse its read buffer immediately. Commands previously returned by
@@ -72,9 +86,11 @@ func (s *StreamParser) Feed(data []byte) {
 // Buffered reports how many fed bytes are not yet consumed.
 func (s *StreamParser) Buffered() int { return len(s.buf) - s.off }
 
-// release recycles the buffer once fully consumed, dropping outsized
-// capacity so long-lived mostly-idle connections stay cheap.
-func (s *StreamParser) release() {
+// consume marks n more bytes parsed and, once the buffer drains,
+// recycles it — dropping outsized capacity so long-lived mostly-idle
+// connections stay cheap. Slices already handed out keep the old array.
+func (s *StreamParser) consume(n int) {
+	s.off += n
 	if s.off != len(s.buf) {
 		return
 	}
@@ -87,67 +103,54 @@ func (s *StreamParser) release() {
 }
 
 // Next parses the next complete command out of the buffered input.
-// ErrIncomplete means a partial frame is buffered; *ClientError reports
-// a malformed request with the stream resynchronized past it (the
-// connection can continue); ErrQuit reports an orderly quit.
+// ErrIncomplete means a partial frame is buffered and nothing was
+// consumed; *ClientError reports a malformed request with the stream
+// resynchronized past it (the connection can continue); ErrQuit reports
+// an orderly quit.
 func (s *StreamParser) Next() (*Command, error) {
-	if s.discard {
-		i := bytes.IndexByte(s.buf[s.off:], '\n')
-		if i < 0 {
-			s.off = len(s.buf)
-			s.release()
-			return nil, ErrIncomplete
-		}
-		s.off += i + 1
-		s.discard = false
-		s.release()
-		return nil, &ClientError{Msg: "line too long"}
-	}
-	if s.need >= 0 {
-		total := s.need + 2
-		if s.Buffered() < total {
-			return nil, ErrIncomplete
-		}
-		block := s.buf[s.off : s.off+total]
-		s.off += total
-		need := s.need
-		s.need = -1
-		if block[need] != '\r' || block[need+1] != '\n' {
-			s.release()
-			return nil, &ClientError{Msg: "bad data chunk terminator"}
-		}
-		cmd := &s.p.cmd
-		cmd.Value = block[:need]
-		s.release()
-		return cmd, nil
-	}
-	i := bytes.IndexByte(s.buf[s.off:], '\n')
-	if i < 0 {
-		if s.Buffered() >= s.maxLine {
-			// The line already overflows the limit; eat through its
-			// eventual newline, exactly like the blocking reader drains
-			// an ErrBufferFull line.
+	rest := s.buf[s.off:]
+	i := bytes.IndexByte(rest, '\n')
+	switch {
+	case i < 0:
+		if s.discard || len(rest) >= s.maxLine {
+			// The line already overflows the limit: drop what has arrived
+			// and keep dropping until its newline shows up.
 			s.discard = true
-			s.off = len(s.buf)
-			s.release()
+			s.consume(len(rest))
 		}
 		return nil, ErrIncomplete
-	}
-	line := s.buf[s.off : s.off+i]
-	s.off += i + 1
-	if len(line) >= s.maxLine {
-		s.release()
+	case s.discard || i >= s.maxLine:
+		s.discard = false
+		s.consume(i + 1)
 		return nil, &ClientError{Msg: "line too long"}
 	}
-	line = bytes.TrimRight(line, "\r\n")
-	cmd, need, err := s.p.parseLine(line)
+	line := bytes.TrimRight(rest[:i], "\r")
+	end := i + 1
+	need, err := s.parseLine(line)
 	if err != nil {
-		s.release()
+		s.consume(end)
 		return nil, err
 	}
 	if need >= 0 {
-		s.need = need
-		return s.Next()
+		// A storage command is whole only with its data block; until then
+		// the line stays unconsumed and is parsed again on the next call.
+		if len(rest) < end+need+2 {
+			return nil, ErrIncomplete
+		}
+		s.cmd.Value = rest[end : end+need]
+		end += need + 2
+		if rest[end-2] != '\r' || rest[end-1] != '\n' {
+			s.consume(end)
+			return nil, &ClientError{Msg: "bad data chunk terminator"}
+		}
 	}
-	return cmd, nil
+	if s.capture {
+		s.frame = rest[:end]
+		if i-len(line) != 1 { // not exactly one "\r" before the "\n"
+			s.norm = append(append(append(s.norm[:0], line...), crlf...), rest[i+1:end]...)
+			s.frame = s.norm
+		}
+	}
+	s.consume(end)
+	return &s.cmd, nil
 }

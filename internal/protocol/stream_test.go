@@ -31,14 +31,8 @@ func snapshot(c *protocol.Command) ownedCommand {
 		value: string(c.Value), cas: c.CAS, delta: c.Delta,
 		noreply: c.Noreply, level: c.Level,
 	}
-	if c.Key != "" {
-		o.key = c.Key
-	}
 	for _, k := range c.KeyList {
 		o.keys = append(o.keys, string(k))
-	}
-	for _, k := range c.Keys {
-		o.keys = append(o.keys, k)
 	}
 	return o
 }

@@ -64,6 +64,7 @@ type pending struct {
 	popped    bool   // slot: left the queue (awaiting straggler legs)
 	claimed   bool   // race slot: a winner is delivering
 	remaining int    // slot: outstanding legs
+	frames    int    // part leg: request lines sent, one reply owed for each
 	buf       []byte // buffered reply bytes (reused)
 }
 
@@ -92,11 +93,11 @@ type downstream struct {
 }
 
 // splitGroup accumulates one (server, connection) share of a split
-// multi-get; the slice is reused across commands.
+// multi-get; the slices are reused across commands.
 type splitGroup struct {
 	srv, conn int
+	keys      [][]byte // alias the downstream command: valid during dispatch
 	frame     []byte
-	used      bool
 }
 
 func (p *Proxy) handleConn(nc net.Conn, hint uint64) {
@@ -104,19 +105,18 @@ func (p *Proxy) handleConn(nc net.Conn, hint uint64) {
 	d := &downstream{
 		p:   p,
 		nc:  nc,
-		w:   bufio.NewWriterSize(nc, p.opts.WriteBuffer),
+		w:   bufio.NewWriterSize(nc, protocol.ConnBufferBytes),
 		rec: telemetry.Shard(p.rec, hint),
 	}
 	d.cond = sync.NewCond(&d.mu)
-	br := bufio.NewReaderSize(nc, p.opts.ReadBuffer)
-	parser := protocol.NewParser(br)
+	parser := protocol.NewParser(bufio.NewReaderSize(nc, protocol.ConnBufferBytes))
 	parser.CaptureFrames(true)
 	for {
 		cmd, err := parser.Next()
 		if err != nil {
 			var ce *protocol.ClientError
 			if errors.As(err, &ce) {
-				d.localLine("CLIENT_ERROR " + ce.Msg + "\r\n")
+				d.localLine("CLIENT_ERROR " + ce.Msg + crlf)
 				continue
 			}
 			// quit, EOF or a broken connection: deliver what is owed,
@@ -131,7 +131,7 @@ func (p *Proxy) handleConn(nc net.Conn, hint uint64) {
 			continue
 		}
 		start := time.Now()
-		tn := p.dispatch(d, cmd, parser.Frame(), br.Buffered() == 0)
+		tn := p.dispatch(d, cmd, parser.Frame(), parser.Buffered() == 0)
 		hop := time.Since(start).Seconds()
 		d.rec.Observe(telemetry.StageProxyHop, hop)
 		if tn != nil {
@@ -174,7 +174,7 @@ func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte, flu
 		d.trace = otrace.Ctx{}
 		if tr := p.tracer; tr.Enabled() {
 			hop = tr.Begin(tc, "proxy", "hop", -1)
-			d.hdr = appendTraceHeader(d.hdr, hop.Trace, hop.ID)
+			d.hdr = protocol.AppendTrace(d.hdr, hop.Trace, hop.ID)
 		}
 	}
 	defer p.tracer.End(hop)
@@ -184,11 +184,11 @@ func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte, flu
 	case protocol.OpStats:
 		d.localStats()
 	case protocol.OpVersion:
-		d.localLine("VERSION memqlat-proxy\r\n")
+		d.localLine(versionLine)
 	case protocol.OpVerbosity:
 		// Accepted and ignored, like memcached.
 		if !cmd.Noreply {
-			d.localLine("OK\r\n")
+			d.localLine(okLine)
 		}
 	case protocol.OpFlushAll:
 		p.broadcast(d, frame, cmd.Noreply, flush, -1, 0)
@@ -289,10 +289,6 @@ func (p *Proxy) forward(d *downstream, frame []byte, kind replyKind, srv, conn i
 // degrades its keys to misses (absent from the reply), matching
 // memcached's partial-result semantics.
 func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, flush bool) {
-	d.mu.Lock()
-	for i := range d.groups {
-		d.groups[i].used = false
-	}
 	active := 0
 	for _, k := range cmd.KeyList {
 		h := route.Hash64B(k)
@@ -310,12 +306,11 @@ func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, flush bool) {
 			}
 			g = &d.groups[active]
 			active++
-			g.srv, g.conn, g.used = srv, conn, true
-			g.frame = appendReadVerb(g.frame[:0], cmd)
+			g.srv, g.conn, g.keys = srv, conn, g.keys[:0]
 		}
-		g.frame = append(g.frame, ' ')
-		g.frame = append(g.frame, k...)
+		g.keys = append(g.keys, k)
 	}
+	d.mu.Lock()
 	slot := d.allocLocked()
 	slot.role, slot.kind = roleSlot, kindRetrieval
 	slot.remaining = active
@@ -323,11 +318,18 @@ func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, flush bool) {
 	d.mu.Unlock()
 	for i := 0; i < active; i++ {
 		g := &d.groups[i]
-		g.frame = append(g.frame, '\r', '\n')
 		d.mu.Lock()
 		leg := d.allocLocked()
 		leg.role, leg.slot, leg.srv = rolePart, slot, g.srv
 		d.mu.Unlock()
+		// A share too long for one line goes out as pipelined lines on the
+		// same connection; the leg then reads one reply per line.
+		g.frame = g.frame[:0]
+		for keys := g.keys; len(keys) > 0; leg.frames++ {
+			var n int
+			g.frame, n = protocol.AppendRetrieval(g.frame, cmd.Op, cmd.Exptime, keys)
+			keys = keys[n:]
+		}
 		if err := p.ups[g.srv][g.conn].send(d.hdr, g.frame, leg, flush); err != nil {
 			p.recordOutcome(g.srv, true)
 			d.legDone(leg, true)
@@ -335,24 +337,6 @@ func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, flush bool) {
 		}
 		p.forwarded.Add(1)
 	}
-}
-
-// appendReadVerb writes the retrieval verb (and the gat family's
-// exptime) that heads each split-group frame.
-func appendReadVerb(b []byte, cmd *protocol.Command) []byte {
-	switch cmd.Op {
-	case protocol.OpGets:
-		b = append(b, "gets"...)
-	case protocol.OpGat:
-		b = append(b, "gat "...)
-		b = strconv.AppendInt(b, cmd.Exptime, 10)
-	case protocol.OpGats:
-		b = append(b, "gats "...)
-		b = strconv.AppendInt(b, cmd.Exptime, 10)
-	default:
-		b = append(b, "get"...)
-	}
-	return b
 }
 
 // raceRead fans a single-key read out to the replica set; the first
@@ -432,23 +416,20 @@ func (p *Proxy) broadcast(d *downstream, frame []byte, noreply, flush bool, owne
 	}
 }
 
-// appendTraceHeader renders the upstream mq_trace header for a traced
-// dispatch into a reusable buffer.
-func appendTraceHeader(b []byte, trace, span uint64) []byte {
-	b = append(b, "mq_trace "...)
-	b = strconv.AppendUint(b, trace, 10)
-	b = append(b, ' ')
-	b = strconv.AppendUint(b, span, 10)
-	return append(b, '\r', '\n')
-}
-
-const serverErrorLine = "SERVER_ERROR proxy: upstream unavailable\r\n"
+// Local reply lines: the only wire text the proxy writes itself;
+// everything else it relays or has internal/protocol encode.
+const (
+	crlf            = "\r\n"
+	endLine         = protocol.RespEnd + crlf
+	okLine          = protocol.RespOK + crlf
+	versionLine     = "VERSION memqlat-proxy" + crlf
+	serverErrorLine = "SERVER_ERROR proxy: upstream unavailable" + crlf
+	// tenantShedLine is the reply of a QoS-shed command; tenant.ShedMsg so
+	// clients and loadgen classify sheds without importing the proxy.
+	tenantShedLine = tenant.ShedMsg + crlf
+)
 
 var serverErrorBytes = []byte(serverErrorLine)
-
-// tenantShedLine is the reply of a QoS-shed command; tenant.ShedMsg so
-// clients and loadgen classify sheds without importing the proxy.
-const tenantShedLine = tenant.ShedMsg + "\r\n"
 
 // --- queue machinery -------------------------------------------------
 
@@ -576,7 +557,7 @@ func (d *downstream) legDone(leg *pending, failed bool) {
 	switch leg.role {
 	case rolePart:
 		if slot.remaining == 0 {
-			slot.buf = append(slot.buf, "END\r\n"...)
+			slot.buf = append(slot.buf, endLine...)
 			slot.done = true
 		}
 	case roleRaceLeg:
@@ -594,7 +575,7 @@ func (d *downstream) legDone(leg *pending, failed bool) {
 func (d *downstream) legFold(leg *pending, line []byte, failure bool) {
 	d.mu.Lock()
 	slot := leg.slot
-	if len(slot.buf) == 0 || (failure && !isErrLine(slot.buf)) {
+	if len(slot.buf) == 0 || (failure && !protocol.IsErrorReply(slot.buf)) {
 		slot.buf = append(slot.buf[:0], line...)
 	}
 	slot.remaining--
@@ -648,7 +629,7 @@ func (d *downstream) localStats() {
 			buf = appendStatInt(buf, "tenant_"+s.Name+"_shed", s.Shed)
 		}
 	}
-	buf = append(buf, "END\r\n"...)
+	buf = append(buf, endLine...)
 	d.mu.Lock()
 	pd := d.allocLocked()
 	pd.role, pd.kind = roleSlot, kindRetrieval
@@ -664,7 +645,7 @@ func appendStat(b []byte, k, v string) []byte {
 	b = append(b, k...)
 	b = append(b, ' ')
 	b = append(b, v...)
-	return append(b, '\r', '\n')
+	return append(b, crlf...)
 }
 
 func appendStatInt(b []byte, k string, v int64) []byte {
@@ -672,24 +653,5 @@ func appendStatInt(b []byte, k string, v int64) []byte {
 	b = append(b, k...)
 	b = append(b, ' ')
 	b = strconv.AppendInt(b, v, 10)
-	return append(b, '\r', '\n')
-}
-
-// isErrLine reports whether a reply line is an error line (the same
-// prefixes the client treats as errors).
-func isErrLine(line []byte) bool {
-	return hasPrefix(line, "ERROR") || hasPrefix(line, "CLIENT_ERROR") ||
-		hasPrefix(line, "SERVER_ERROR")
-}
-
-func hasPrefix(b []byte, s string) bool {
-	if len(b) < len(s) {
-		return false
-	}
-	for i := 0; i < len(s); i++ {
-		if b[i] != s[i] {
-			return false
-		}
-	}
-	return true
+	return append(b, crlf...)
 }

@@ -9,11 +9,14 @@ import (
 	"memqlat/internal/protocol"
 )
 
-// FuzzProxyFrame fuzzes the proxy's forwarding contract: every command
-// the parser accepts must yield a captured wire frame that re-parses to
-// an equivalent command. A frame that parses differently would make the
-// proxy forward a request the upstream interprets differently than the
-// downstream sent it.
+// FuzzProxyFrame fuzzes the proxy's forwarding contract in both
+// directions. Downstream: every command the parser accepts must yield a
+// captured wire frame that re-parses to an equivalent command — a frame
+// that parses differently would make the proxy forward a request the
+// upstream interprets differently than the downstream sent it. Upstream:
+// the same bytes read as a reply must relay verbatim, and agree with the
+// client-side reader on what a whole reply and an error reply are (see
+// relayContract).
 func FuzzProxyFrame(f *testing.F) {
 	f.Add([]byte("get a b c\r\n"))
 	f.Add([]byte("gets one\r\n"))
@@ -26,7 +29,16 @@ func FuzzProxyFrame(f *testing.F) {
 	f.Add([]byte("gat 60 a b\r\ngats 1 z\r\n"))
 	f.Add([]byte("flush_all 10\r\nversion\r\nverbosity 2\r\n"))
 	f.Add([]byte("get a\nget b\n"))
+	f.Add([]byte("VALUE a 1 3\r\nabc\r\nVALUE b 0 1 42\r\nx\r\nEND\r\n"))
+	f.Add([]byte("VALUE a 0\r\nEND\r\n"))                  // truncated VALUE header
+	f.Add([]byte("VALUE a 0 3\r\nab"))                     // truncated data block
+	f.Add([]byte("VALUE a 0 1048577\r\nx\r\nEND\r\n"))     // oversize length
+	f.Add([]byte("VALUE a 0 3\r\nabc\r\nSTORED\r\n"))      // missing END
+	f.Add([]byte("VALUE a 0 3\r\nabc\r\n"))                // missing END, stream ends
+	f.Add([]byte("VALUE a 0 3\r\nabcXYEND\r\n"))           // data block not CRLF-closed
+	f.Add([]byte("SERVER_ERROR out of memory\r\nEND\r\n")) // error line closes the reply
 	f.Fuzz(func(t *testing.T, data []byte) {
+		relayContract(t, data)
 		p := protocol.NewParser(bufio.NewReader(bytes.NewReader(data)))
 		p.CaptureFrames(true)
 		for i := 0; i < 64; i++ {
@@ -66,4 +78,34 @@ func FuzzProxyFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// relayContract reads data as an upstream retrieval reply through the
+// relay (copyReply) and through the client-side reader: whatever the
+// client would accept the relay must forward byte for byte, an error
+// reply must be one for both, and the relay never forwards bytes that
+// were not in the stream.
+func relayContract(t *testing.T, data []byte) {
+	var relayed []byte
+	up := &uconn{r: bufio.NewReader(bytes.NewReader(data))}
+	fail, err := up.copyReply(appender{&relayed}, kindRetrieval, false)
+	if !bytes.HasPrefix(data, relayed) {
+		t.Fatalf("relay wrote %q, not a prefix of the stream %q", relayed, data)
+	}
+	items, rerr := protocol.ReadRetrieval(bufio.NewReader(bytes.NewReader(data)))
+	var se *protocol.ServerError
+	switch {
+	case rerr == nil:
+		if err != nil || fail {
+			t.Fatalf("client reads %d items from %q, relay says fail=%v err=%v", len(items), data, fail, err)
+		}
+		again, err := protocol.ReadRetrieval(bufio.NewReader(bytes.NewReader(relayed)))
+		if err != nil || len(again) != len(items) {
+			t.Fatalf("relayed reply %q reads back as %d items (%v), want %d", relayed, len(again), err, len(items))
+		}
+	case errors.As(rerr, &se):
+		if err != nil || !fail {
+			t.Fatalf("client reads error reply %q, relay says fail=%v err=%v", se.Line, fail, err)
+		}
+	}
 }

@@ -97,10 +97,6 @@ type Options struct {
 	// UpstreamTimeout bounds waiting for one upstream reply (default
 	// 5s); a timeout abandons the connection and fails its pipeline.
 	UpstreamTimeout time.Duration
-	// ReadBuffer / WriteBuffer size the per-connection bufio buffers
-	// (default 16 KiB).
-	ReadBuffer  int
-	WriteBuffer int
 	// Recorder, when set, receives StageProxyHop observations: the
 	// forward-path cost (parse + route + upstream enqueue) per command.
 	Recorder telemetry.Recorder
@@ -151,12 +147,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.UpstreamTimeout <= 0 {
 		o.UpstreamTimeout = 5 * time.Second
-	}
-	if o.ReadBuffer <= 0 {
-		o.ReadBuffer = 16 << 10
-	}
-	if o.WriteBuffer <= 0 {
-		o.WriteBuffer = 16 << 10
 	}
 	if o.Logger == nil {
 		o.Logger = log.New(io.Discard, "", 0)

@@ -2,6 +2,8 @@ package proxy
 
 import (
 	"bufio"
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"memqlat/internal/cache"
+	"memqlat/internal/protocol"
 	"memqlat/internal/route"
 	"memqlat/internal/server"
 )
@@ -486,4 +489,110 @@ func TestProxyClientError(t *testing.T) {
 	}
 	// The connection survives a client error.
 	c.set("after", "ok")
+}
+
+// TestProxyLineLimit: the proxy's downstream side enforces the same
+// command-line limit as the servers — a line one byte over
+// protocol.ConnBufferBytes is refused, and the command pipelined behind
+// it is still served.
+func TestProxyLineLimit(t *testing.T) {
+	_, addr := startProxy(t, Options{Upstreams: startBackends(t, 2)})
+	c := dialConn(t, addr)
+	c.set("a", "hi")
+	line := func(total int) string {
+		return "get a " + strings.Repeat("k", total-len("get a \r\n")) + "\r\n"
+	}
+	c.send(line(protocol.ConnBufferBytes) + line(protocol.ConnBufferBytes+1) + "get a\r\n")
+	if got := c.retrieval(); got["a"] != "hi" {
+		t.Fatalf("line at the limit: %v", got)
+	}
+	c.expect("CLIENT_ERROR line too long")
+	if got := c.retrieval(); got["a"] != "hi" {
+		t.Fatalf("command behind the refused line: %v", got)
+	}
+}
+
+// TestProxySplitShareOverLineLimit: a downstream multi-get may be twice
+// as long as a line a client is allowed to send upstream
+// (protocol.MaxLineBytes). When one upstream connection's share of the
+// split outgrows that, it goes out as pipelined lines and every key
+// still comes back in the one joined reply.
+func TestProxySplitShareOverLineLimit(t *testing.T) {
+	addrs := startBackends(t, 2)
+	_, addr := startProxy(t, Options{Upstreams: addrs, UpstreamConns: 1})
+	sel, err := route.NewRingSelector(2, 0) // the proxy's default selector
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 60 keys of 200 bytes owned by server 0 (12 KiB: two lines' worth)
+	// and one owned by server 1, so the command has to split.
+	var keys []string
+	other := ""
+	for i := 0; len(keys) < 60 || other == ""; i++ {
+		k := fmt.Sprintf("%0200d", i)
+		if route.PickKey(sel, []byte(k)) != 0 {
+			other = k
+		} else if len(keys) < 60 {
+			keys = append(keys, k)
+		}
+	}
+	keys = append(keys, other)
+	c := dialConn(t, addr)
+	for _, k := range keys {
+		c.set(k, "v"+k[190:])
+	}
+	c.send("get " + strings.Join(keys, " ") + "\r\n")
+	got := c.retrieval()
+	for _, k := range keys {
+		if got[k] != "v"+k[190:] {
+			t.Fatalf("key …%s = %q in a joined reply of %d keys", k[190:], got[k], len(got))
+		}
+	}
+	s0 := dialConn(t, addrs[0])
+	s0.send("stats commands\r\n")
+	lines := ""
+	for line := s0.line(); line != "END"; line = s0.line() {
+		if n, ok := strings.CutPrefix(line, "STAT cmd_get "); ok {
+			lines = n
+		}
+	}
+	if lines != "2" {
+		t.Errorf("server 0 saw %q get lines for its 12 KiB share, want 2", lines)
+	}
+}
+
+// TestErrorReplyClassification: the client's reply reader and the
+// proxy's relay must agree, row by row, on which lines are error
+// replies — protocol.txt's rule: exactly ERROR, or CLIENT_ERROR /
+// SERVER_ERROR followed by a space or the end of the line.
+func TestErrorReplyClassification(t *testing.T) {
+	for line, want := range map[string]bool{
+		"ERROR":             true,
+		"ERRORX":            false,
+		"SERVER_ERROR":      true,
+		"SERVER_ERROR x":    true,
+		"SERVER_ERRORx":     false,
+		"CLIENT_ERROR":      true,
+		"CLIENT_ERROR x":    true,
+		"END":               false,
+		"VALUE k 0 1":       false,
+		"VALUE k 0 9999999": false,
+		"STORED":            false,
+	} {
+		wire := []byte(line + "\r\n")
+		var se *protocol.ServerError
+		_, err := protocol.ReadLineReply(bufio.NewReader(bytes.NewReader(wire)))
+		if client := errors.As(err, &se); client != want || (err != nil && !client) {
+			t.Errorf("%q: client reader error-reply=%v (err %v), want %v", line, client, err, want)
+		}
+		var relayed []byte
+		up := &uconn{r: bufio.NewReader(bytes.NewReader(wire))}
+		relay, err := up.copyReply(appender{&relayed}, kindLine, false)
+		if err != nil || relay != want || !bytes.Equal(relayed, wire) {
+			t.Errorf("%q: proxy relay error-reply=%v (err %v, relayed %q), want %v", line, relay, err, relayed, want)
+		}
+		if got := protocol.IsErrorReply(wire); got != want {
+			t.Errorf("%q: IsErrorReply=%v, want %v", line, got, want)
+		}
+	}
 }

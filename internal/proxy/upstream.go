@@ -43,8 +43,7 @@ type uconn struct {
 	w    *bufio.Writer
 	pend chan *pending
 
-	broken  bool // guarded by u.mu; set exactly once
-	scratch []byte
+	broken bool // guarded by u.mu; set exactly once
 }
 
 // send writes frame to the upstream pipeline and registers pd (nil for
@@ -112,8 +111,8 @@ func (u *upstream) dialLocked() (*uconn, error) {
 	c := &uconn{
 		u:    u,
 		nc:   nc,
-		r:    bufio.NewReaderSize(nc, u.p.opts.ReadBuffer),
-		w:    bufio.NewWriterSize(nc, u.p.opts.WriteBuffer),
+		r:    bufio.NewReaderSize(nc, protocol.ConnBufferBytes),
+		w:    bufio.NewWriterSize(nc, protocol.ConnBufferBytes),
 		pend: make(chan *pending, pendQueueDepth),
 	}
 	u.cur = c
@@ -233,13 +232,19 @@ func (c *uconn) processPart(pd *pending) error {
 	d.mu.Lock()
 	slot := pd.slot
 	start := len(slot.buf)
-	fail, err := c.copyReply(appender{&slot.buf}, kindRetrieval, true)
+	var fail bool
+	var err error
+	for f := 0; f < pd.frames && err == nil; f++ {
+		var lineFail bool
+		lineFail, err = c.copyReply(appender{&slot.buf}, kindRetrieval, true)
+		fail = fail || lineFail
+	}
 	if err != nil || fail {
 		slot.buf = slot.buf[:start]
 	}
 	slot.remaining--
 	if slot.remaining == 0 {
-		slot.buf = append(slot.buf, "END\r\n"...)
+		slot.buf = append(slot.buf, endLine...)
 		slot.done = true
 	}
 	d.finishLegLocked(pd, slot)
@@ -304,15 +309,15 @@ func (c *uconn) processRaceLeg(pd *pending) error {
 // processJoinLine folds one broadcast reply line into its join slot
 // (error lines win the fold).
 func (c *uconn) processJoinLine(pd *pending) error {
-	line, err := c.r.ReadSlice('\n')
+	rep, err := protocol.ScanReply(c.r)
 	srv := pd.srv
 	if err != nil {
 		pd.d.legFold(pd, serverErrorBytes, true)
 		c.u.p.recordOutcome(srv, true)
 		return err
 	}
-	fail := isErrLine(line)
-	pd.d.legFold(pd, line, fail)
+	fail := rep.Kind == protocol.ReplyError
+	pd.d.legFold(pd, rep.Line, fail)
 	c.u.p.recordOutcome(srv, fail)
 	return nil
 }
@@ -333,65 +338,54 @@ func (c *uconn) failPending(pd *pending) {
 	c.u.p.recordOutcome(srv, true)
 }
 
-// copyReply relays one reply from the upstream stream into dst.
-// kindLine replies are a single terminal line; kindRetrieval replies
-// are VALUE blocks closed by END or an error line. partMode swallows
-// the terminal line (split-join parts contribute only VALUE blocks).
-// fail reports an error-line reply; a non-nil error means the stream is
-// desynced and the conn must go.
+// copyReply relays one reply from the upstream stream into dst, line
+// by line as protocol.ScanReply classifies them. kindLine replies are a
+// single terminal line; kindRetrieval replies are VALUE blocks closed by
+// END or an error line. partMode swallows the terminal line (split-join
+// parts contribute only VALUE blocks). fail reports an error-line reply;
+// a non-nil error means the stream is desynced and the conn must go.
 func (c *uconn) copyReply(dst io.Writer, kind replyKind, partMode bool) (fail bool, err error) {
 	for {
-		line, err := c.r.ReadSlice('\n')
+		rep, err := protocol.ScanReply(c.r)
 		if err != nil {
 			return false, err
 		}
-		if kind == kindRetrieval && hasPrefix(line, "VALUE ") {
-			n, ok := valueLineBytes(line)
-			if !ok {
-				return false, errUpstreamProtocol
-			}
-			if _, werr := dst.Write(line); werr != nil {
+		if kind == kindRetrieval && rep.Kind == protocol.ReplyValue {
+			if _, werr := dst.Write(rep.Line); werr != nil {
 				return false, werr
 			}
-			if cerr := c.copyN(dst, n+2); cerr != nil {
+			if cerr := c.copyN(dst, rep.Bytes+len(crlf)); cerr != nil {
 				return false, cerr
 			}
 			continue
 		}
-		isErr := isErrLine(line)
 		if !partMode {
-			if _, werr := dst.Write(line); werr != nil {
+			if _, werr := dst.Write(rep.Line); werr != nil {
 				return false, werr
 			}
 		}
-		if kind == kindRetrieval && !isErr && !isEnd(line) {
+		if kind == kindRetrieval && rep.Kind != protocol.ReplyEnd && rep.Kind != protocol.ReplyError {
 			// A retrieval stream may only close with END or an error line;
 			// anything else means we lost framing.
 			return true, errUpstreamProtocol
 		}
-		return isErr, nil
+		return rep.Kind == protocol.ReplyError, nil
 	}
 }
 
-// copyN relays exactly n upstream bytes to dst through the conn's
-// reusable scratch buffer.
+// copyN relays exactly n upstream bytes to dst, straight out of the
+// reader's buffer.
 func (c *uconn) copyN(dst io.Writer, n int) error {
-	if cap(c.scratch) == 0 {
-		c.scratch = make([]byte, 32<<10)
-	}
-	buf := c.scratch[:cap(c.scratch)]
 	for n > 0 {
-		chunk := n
-		if chunk > len(buf) {
-			chunk = len(buf)
-		}
-		if _, err := io.ReadFull(c.r, buf[:chunk]); err != nil {
+		if _, err := c.r.Peek(1); err != nil { // block until some of it is here
 			return err
 		}
-		if _, err := dst.Write(buf[:chunk]); err != nil {
+		chunk, _ := c.r.Peek(min(n, c.r.Buffered()))
+		if _, err := dst.Write(chunk); err != nil {
 			return err
 		}
-		n -= chunk
+		_, _ = c.r.Discard(len(chunk)) // cannot fail: chunk was just peeked
+		n -= len(chunk)
 	}
 	return nil
 }
@@ -420,34 +414,4 @@ type appender struct{ buf *[]byte }
 func (a appender) Write(p []byte) (int, error) {
 	*a.buf = append(*a.buf, p...)
 	return len(p), nil
-}
-
-// valueLineBytes extracts the <bytes> field of a "VALUE <key> <flags>
-// <bytes> [<cas>]" line.
-func valueLineBytes(line []byte) (int, bool) {
-	i, field := 0, 0
-	for field < 3 {
-		for i < len(line) && line[i] != ' ' {
-			i++
-		}
-		for i < len(line) && line[i] == ' ' {
-			i++
-		}
-		field++
-	}
-	n, start := 0, i
-	for i < len(line) && line[i] >= '0' && line[i] <= '9' {
-		n = n*10 + int(line[i]-'0')
-		if n > protocol.MaxValueBytes {
-			return 0, false
-		}
-		i++
-	}
-	return n, i > start
-}
-
-// isEnd reports whether line is the END terminator of a retrieval.
-func isEnd(line []byte) bool {
-	return len(line) >= 3 && line[0] == 'E' && line[1] == 'N' && line[2] == 'D' &&
-		(len(line) == 3 || line[3] == '\r' || line[3] == '\n')
 }

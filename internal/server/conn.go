@@ -216,9 +216,8 @@ func (c *goroutineCore) loopStats() []LoopStat { return nil }
 
 // handleConn runs the request loop for one connection.
 func (s *Server) handleConn(conn net.Conn, id uint64) error {
-	r := bufio.NewReaderSize(conn, s.opts.ReadBuffer)
-	w := protocol.NewWriter(bufio.NewWriterSize(conn, s.opts.WriteBuffer))
-	p := protocol.NewParser(r)
+	w := protocol.NewWriter(bufio.NewWriterSize(conn, protocol.ConnBufferBytes))
+	p := protocol.NewParser(bufio.NewReaderSize(conn, protocol.ConnBufferBytes))
 	cs := s.newSession(id)
 	for {
 		if s.opts.IdleTimeout > 0 {
@@ -258,7 +257,7 @@ func (s *Server) handleConn(conn net.Conn, id uint64) error {
 			return nil
 		}
 		// Flush when the pipeline is drained (no buffered next command).
-		if r.Buffered() == 0 {
+		if p.Buffered() == 0 {
 			if err := w.Flush(); err != nil {
 				return err
 			}

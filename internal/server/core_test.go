@@ -13,6 +13,7 @@ import (
 
 	"memqlat/internal/cache"
 	"memqlat/internal/fault"
+	"memqlat/internal/protocol"
 )
 
 // testCores lists the connection cores runnable on this platform.
@@ -121,6 +122,33 @@ func TestConnCoreEquivalence(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.stages, want.stages) {
 				t.Errorf("chunk=%d: core %s stage set %v, want %v", chunk, core, got.stages, want.stages)
+			}
+		}
+	}
+}
+
+// TestConnCoreLineLimit pins the one command-line limit both cores
+// share: a line of exactly protocol.ConnBufferBytes (newline included)
+// is served, one byte more is refused with "line too long", and the
+// command pipelined behind the refused line is still served — whether
+// the bytes arrive in one write or in 1000-byte pieces.
+func TestConnCoreLineLimit(t *testing.T) {
+	line := func(total int) string { // "get a kkk…k\r\n", total bytes long
+		return "get a " + strings.Repeat("k", total-len("get a \r\n")) + "\r\n"
+	}
+	script := "set a 0 0 2\r\nhi\r\n" +
+		line(protocol.ConnBufferBytes) +
+		line(protocol.ConnBufferBytes+1) +
+		"get a\r\nquit\r\n"
+	hit := "VALUE a 0 2\r\nhi\r\nEND\r\n"
+	for _, core := range testCores(t) {
+		for _, chunk := range []int{len(script), 1000} {
+			_, reply := runScript(t, Options{ConnCore: core}, script, chunk)
+			rest, ok := strings.CutPrefix(reply, "STORED\r\n"+hit)
+			refusal, rest, _ := strings.Cut(rest, "\r\n")
+			if !ok || !strings.HasPrefix(refusal, "CLIENT_ERROR ") ||
+				!strings.HasSuffix(refusal, "line too long") || rest != hit {
+				t.Errorf("core %s, chunk %d: replies %q", core, chunk, reply)
 			}
 		}
 	}

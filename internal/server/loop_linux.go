@@ -178,10 +178,10 @@ func newEvLoop(s *Server, idx int) (*evLoop, error) {
 	l := &evLoop{
 		s: s, idx: idx, epfd: epfd, wakeR: p[0], wakeW: p[1],
 		conns:   make(map[int32]*evConn),
-		readBuf: make([]byte, s.opts.ReadBuffer),
+		readBuf: make([]byte, protocol.ConnBufferBytes),
 		done:    make(chan struct{}),
 	}
-	l.bw = bufio.NewWriterSize(io.Discard, s.opts.WriteBuffer)
+	l.bw = bufio.NewWriterSize(io.Discard, protocol.ConnBufferBytes)
 	l.w = protocol.NewWriter(l.bw)
 	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(l.wakeR)}
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, l.wakeR, &ev); err != nil {
@@ -354,7 +354,7 @@ func (l *evLoop) readable(c *evConn, now time.Time) {
 				// First byte ever: build the parser and dispatch state.
 				// Idle connections never pay for these.
 				c.sess = l.s.newSession(c.id)
-				c.sp = protocol.NewStreamParser(l.s.opts.ReadBuffer)
+				c.sp = protocol.NewStreamParser(0)
 			}
 			c.sp.Feed(l.readBuf[:n])
 			got = true

@@ -55,10 +55,6 @@ type Options struct {
 	Seed uint64
 	// Logger receives connection-level errors (default log.Default()).
 	Logger *log.Logger
-	// ReadBuffer / WriteBuffer size the per-connection buffers
-	// (default 16 KiB).
-	ReadBuffer  int
-	WriteBuffer int
 	// IdleTimeout closes connections that send no command for this
 	// long (0 = never).
 	IdleTimeout time.Duration
@@ -276,12 +272,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.ServiceChannels == 0 {
 		opts.ServiceChannels = 1
-	}
-	if opts.ReadBuffer == 0 {
-		opts.ReadBuffer = 16 << 10
-	}
-	if opts.WriteBuffer == 0 {
-		opts.WriteBuffer = 16 << 10
 	}
 	logger := opts.Logger
 	if logger == nil {

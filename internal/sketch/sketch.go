@@ -284,9 +284,6 @@ type Snapshot struct {
 // Count reports the number of observations in the snapshot.
 func (sn *Snapshot) Count() int64 { return sn.n }
 
-// Sum reports the summed observations.
-func (sn *Snapshot) Sum() float64 { return sn.sum }
-
 // Mean reports the exact sample mean (0 when empty).
 func (sn *Snapshot) Mean() float64 {
 	if sn.n == 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // Histogram is a log-bucketed latency histogram in the spirit of
@@ -199,16 +198,6 @@ func (h *Histogram) CDF(v float64) float64 {
 		cum += c
 	}
 	return float64(cum) / float64(total)
-}
-
-// Summary renders a short human-readable digest.
-func (h *Histogram) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "n=%d mean=%.4g", h.Count(), h.Mean())
-	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
-		fmt.Fprintf(&b, " p%g=%.4g", q*100, h.MustQuantile(q))
-	}
-	return b.String()
 }
 
 // Quantiles evaluates several quantiles at once, more cheaply than
