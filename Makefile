@@ -60,6 +60,7 @@ cover:
 	$(GO) test -coverprofile=cover_extstore.out ./internal/extstore/
 	$(GO) test -coverprofile=cover_sketch.out ./internal/sketch/
 	$(GO) test -coverprofile=cover_slo.out ./internal/slo/
+	$(GO) test -coverprofile=cover_client.out ./internal/client/
 	./scripts/coverfloor.sh cover_cache.out 95.2 internal/cache
 	./scripts/coverfloor.sh cover_protocol.out 90.6 internal/protocol
 	./scripts/coverfloor.sh cover_proxy.out 82.0 internal/proxy
@@ -72,17 +73,21 @@ cover:
 	./scripts/coverfloor.sh cover_extstore.out 85.0 internal/extstore
 	./scripts/coverfloor.sh cover_sketch.out 90.0 internal/sketch
 	./scripts/coverfloor.sh cover_slo.out 85.0 internal/slo
+	./scripts/coverfloor.sh cover_client.out 86.0 internal/client
 
-# Fuzz smoke: 30s over the request framer (the same bytes fed whole,
+# Fuzz smoke: 20s over the request framer (the same bytes fed whole,
 # split, and one at a time through Parser must frame identically, and
-# every Append encoder's output must parse back to its inputs), 15s over
+# every Append encoder's output must parse back to its inputs), 10s over
+# the reply readers (ScanReply's in-place VALUE cutter and the known-keys
+# RetrievalReader against their plain reference implementations), 15s over
 # the proxy's forwarding contract (every accepted command's captured
 # frame must re-parse identically; a reply must relay verbatim and agree
 # with the client-side reader) and 15s over the Chrome trace-event
 # decoder (ParseChrome must never panic and must round-trip WriteChrome
 # output).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzParseCommand -fuzztime=30s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz FuzzParseCommand -fuzztime=20s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz FuzzScanReply -fuzztime=10s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzProxyFrame -fuzztime=15s ./internal/proxy/
 	$(GO) test -run '^$$' -fuzz FuzzChromeTrace -fuzztime=15s ./internal/otrace/
 
@@ -91,10 +96,13 @@ fuzz-smoke:
 bench-plane:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimPlane|BenchmarkLivePlane' -benchmem -benchtime 3x .
 
-# Server hot-path benchmarks (get/set/multiget at 1/4/16 connections).
-# BENCH_server.json records the last blessed numbers.
+# Server hot-path benchmarks (get/set/multiget at 1/4/16 connections;
+# BENCH_server.json records the last blessed numbers), then the client
+# against real in-process servers: one Get, and one 32-key MultiGet over
+# 2 and over 8 servers, per op, whose allocs/op are the client's own.
 bench-server:
 	$(GO) test -run '^$$' -bench 'BenchmarkServerHotPath|BenchmarkCoalescedMiss' -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench 'BenchmarkClientGet|BenchmarkClientMultiGet' -benchmem ./internal/client/
 
 # Proxy hot-path benchmarks (pipelined get/set passthrough, the
 # multiget fork-join through a real proxy + server, and the tenant QoS

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -353,6 +354,9 @@ func (c *Client) connAlive(cn *conn) bool {
 		// Unsolicited bytes on an idle connection: protocol desync.
 		return false
 	}
+	// The last exchange's deadline is still on the connection, and once
+	// it has passed the probe would fail without reaching the socket.
+	_ = cn.nc.SetReadDeadline(time.Time{})
 	return !connDead(cn.nc)
 }
 
@@ -418,28 +422,34 @@ func (c *Client) roundTrip(idx int, fn func(*conn) error) error {
 
 // roundTripRead is the idempotent-read path: the same round trip, but
 // transport-level failures are retried under the RetryPolicy (capped
-// exponential backoff + jitter, spent from the token budget).
+// exponential backoff + jitter, spent from the token budget), and a
+// success feeds the hedge trigger's latency digest.
 func (c *Client) roundTripRead(idx int, fn func(*conn) error) error {
-	attempts := 1
-	if c.retry != nil {
-		attempts = c.retry.MaxAttempts
+	var began time.Time
+	if c.readLat != nil {
+		began = time.Now()
 	}
-	var err error
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if attempt > 1 {
-			if !c.retryBudget.take() {
-				return err
-			}
-			wait := c.retry.backoff(attempt-1, c.jitterFloat())
-			time.Sleep(wait)
-			c.rec.Observe(telemetry.StageRetry, wait.Seconds())
-		}
+	err := c.roundTripOnce(idx, fn)
+	for attempt := 2; c.retries(err) && attempt <= c.retry.MaxAttempts && c.retryBudget.take(); attempt++ {
+		c.backOff(attempt)
 		err = c.roundTripOnce(idx, fn)
-		if err == nil || !retryable(err) {
-			return err
-		}
+	}
+	if c.readLat != nil && err == nil {
+		c.readLat.add(time.Since(began).Seconds())
 	}
 	return err
+}
+
+// retries reports whether a read that came to err may be re-issued.
+func (c *Client) retries(err error) bool {
+	return err != nil && c.retry != nil && retryable(err)
+}
+
+// backOff sleeps out the RetryPolicy's wait before attempt.
+func (c *Client) backOff(attempt int) {
+	wait := c.retry.backoff(attempt-1, c.jitterFloat())
+	time.Sleep(wait)
+	c.rec.Observe(telemetry.StageRetry, wait.Seconds())
 }
 
 // retryable reports whether err is a transport-level failure worth
@@ -456,33 +466,52 @@ func retryable(err error) bool {
 // recycling the connection on success and feeding the server's circuit
 // breaker with the outcome.
 func (c *Client) roundTripOnce(idx int, fn func(*conn) error) error {
+	cn, err := c.checkout(idx)
+	if err != nil {
+		return err
+	}
+	if _, err = c.arm(cn); err == nil {
+		err = fn(cn)
+	}
+	c.checkin(idx, cn, err)
+	return err
+}
+
+// checkout is the first half of a round trip: breaker admission and a
+// screened pooled (or fresh) connection. A dial is bounded by DialTimeout
+// and by nothing else: the exchange's clock starts once the connection
+// is in hand (arm), so a slow dial spends no OpTimeout.
+func (c *Client) checkout(idx int) (*conn, error) {
 	if br := c.breakerFor(idx); br != nil && !br.Allow(time.Now()) {
 		c.rec.Observe(telemetry.StageBreakerShed, 0)
-		return fmt.Errorf("client: server %s: %w", c.opts.Servers[idx], ErrBreakerOpen)
+		return nil, fmt.Errorf("client: server %s: %w", c.opts.Servers[idx], ErrBreakerOpen)
 	}
 	cn, err := c.acquire(idx)
 	if err != nil {
 		c.recordOutcome(idx, false)
-		return err
+		return nil, err
 	}
-	if err := cn.nc.SetDeadline(time.Now().Add(c.opts.OpTimeout)); err != nil {
-		c.release(idx, cn, false)
-		c.recordOutcome(idx, false)
-		return fmt.Errorf("client: set deadline: %w", err)
+	return cn, nil
+}
+
+// arm starts the clock of an exchange on cn: its deadline is OpTimeout
+// from now.
+func (c *Client) arm(cn *conn) (deadline time.Time, err error) {
+	deadline = time.Now().Add(c.opts.OpTimeout)
+	if err := cn.nc.SetDeadline(deadline); err != nil {
+		return deadline, fmt.Errorf("client: set deadline: %w", err)
 	}
-	if err := fn(cn); err != nil {
-		// Protocol-level outcomes (miss, not-stored, cas conflict,
-		// server error lines) leave the stream positioned at a command
-		// boundary and the connection reusable; only transport/parse
-		// errors poison it.
-		ok := isProtocolOutcome(err)
-		c.release(idx, cn, ok)
-		c.recordOutcome(idx, ok)
-		return err
-	}
-	c.release(idx, cn, true)
-	c.recordOutcome(idx, true)
-	return nil
+	return deadline, nil
+}
+
+// checkin is the second half: err is what the exchange on cn came to.
+// Protocol-level outcomes (miss, not-stored, cas conflict, server error
+// lines) leave the stream positioned at a command boundary and the
+// connection reusable; only transport/parse errors poison it.
+func (c *Client) checkin(idx int, cn *conn, err error) {
+	ok := err == nil || isProtocolOutcome(err)
+	c.release(idx, cn, ok)
+	c.recordOutcome(idx, ok)
 }
 
 // breakerFor returns server idx's breaker (nil when disabled).
@@ -577,87 +606,148 @@ func (c *Client) Gets(key string) (Item, error) {
 }
 
 // get is the shared single-key read: it opens a span (a fresh root
-// trace when parent is zero) and fetches from the key's owner.
+// trace when parent is zero) and fetches from the key's owner. Plain
+// gets ride the resilient read path: retries under the RetryPolicy and,
+// when hedging is enabled, a duplicate request to a second pooled
+// connection once the primary outlives the hedge trigger. CAS reads
+// (gets) never hedge — racing tokens would be ambiguous.
 func (c *Client) get(parent otrace.Ctx, key string, withCAS bool) (Item, error) {
 	idx := c.pickServer(key)
-	name := "get"
+	op, name := protocol.OpGet, "get"
 	if withCAS {
-		name = "gets"
+		op, name = protocol.OpGets, "gets"
 	}
 	sp := c.tracer.Begin(parent, "client", name, idx)
 	defer c.tracer.End(sp)
-	items, err := c.getFromServer(sp.Ctx(), idx, []string{key}, withCAS)
-	if err != nil {
-		return Item{}, err
+	if c.hedge != nil && !withCAS {
+		items, err := c.hedgedGet(sp.Ctx(), idx, []string{key})
+		if err != nil {
+			return Item{}, err
+		}
+		if len(items) == 0 {
+			return Item{}, ErrCacheMiss
+		}
+		return items[0], nil
 	}
-	if len(items) == 0 {
+	one := oneKey{keys: [1]string{key}}
+	err := c.roundTripRead(idx, func(cn *conn) error {
+		one.found = false // a retried attempt starts over
+		return c.attempt(cn, sp.Ctx(), idx, op, 0, one.keys[:], one.emit)
+	})
+	return one.result(err)
+}
+
+// oneKey is the receiving end of a single-key read: the key in the
+// shape the retrieval path takes keys in, and the item once it arrives.
+type oneKey struct {
+	keys  [1]string
+	item  Item
+	found bool
+}
+
+// emit keeps the item, unless it answers a key that was not asked for.
+func (o *oneKey) emit(it protocol.ValueItem) error {
+	if err := checkKey(o.keys[:], it.Key); err != nil {
+		return err
+	}
+	o.item, o.found = Item(it), true
+	return nil
+}
+
+// result is what the read came to, err being the round trip's error.
+func (o *oneKey) result(err error) (Item, error) {
+	switch {
+	case err != nil:
+		return Item{}, err
+	case !o.found:
 		return Item{}, ErrCacheMiss
 	}
-	return items[0], nil
+	return o.item, nil
 }
 
-// getFromServer fetches keys from server idx. Plain gets ride the
-// resilient read path: retries under the RetryPolicy and, when hedging
-// is enabled, a duplicate request to a second pooled connection once
-// the primary outlives the hedge trigger. CAS reads (gets) never hedge
-// — racing tokens would be ambiguous.
-func (c *Client) getFromServer(parent otrace.Ctx, idx int, keys []string, withCAS bool) ([]Item, error) {
-	if c.hedge != nil && !withCAS {
-		return c.hedgedGet(parent, idx, keys)
+// checkKey refuses the reply to a single-key read that names another
+// key: it is some other request's reply, so the connection is out of
+// step and the error — no protocol outcome — has it discarded.
+func checkKey(asked []string, got string) error {
+	if len(asked) == 1 && asked[0] != got {
+		return fmt.Errorf("client: asked for key %q, reply carries %q", asked[0], got)
 	}
-	return c.getOnce(parent, idx, keys, withCAS)
+	return nil
 }
 
-// getOnce issues one get/gets round trip (with retries when enabled)
-// and feeds the hedge trigger's latency digest. When parent carries a
-// trace, each attempt gets its own rpc span and the server is told the
-// context in-band (an mq_trace header ahead of every frame), so retried
-// and hedged attempts are distinguishable in the trace.
-func (c *Client) getOnce(parent otrace.Ctx, idx int, keys []string, withCAS bool) ([]Item, error) {
-	op := protocol.OpGet
-	if withCAS {
-		op = protocol.OpGets
+// sendRetrieval frames keys as retrieval lines and writes them in one
+// call, returning how many lines — replies owed — went out. The encoder
+// keeps each line under the server's line limit, so a read of any width
+// goes out as pipelined lines whose replies come back to back and cost
+// no extra round trip. When rpc is live every line is preceded by its
+// mq_trace header, so the server's spans land under it.
+func (cn *conn) sendRetrieval(op protocol.Op, exptime int64, keys []string, rpc otrace.Span) (lines int, err error) {
+	cn.buf = cn.buf[:0]
+	for rest := keys; len(rest) > 0; lines++ {
+		if rpc.ID != 0 {
+			cn.buf = protocol.AppendTrace(cn.buf, rpc.Trace, rpc.ID)
+		}
+		var n int
+		cn.buf, n = protocol.AppendRetrieval(cn.buf, op, exptime, rest)
+		rest = rest[n:]
 	}
-	var out []Item
-	began := time.Now()
-	err := c.roundTripRead(idx, func(cn *conn) error {
-		var rpc otrace.Span
-		if parent.Valid() {
-			rpc = c.tracer.Begin(parent, "client", "rpc", idx)
-			defer c.tracer.End(rpc)
-		}
-		// The encoder keeps each command line under the server's line
-		// limit, so a multi-get of any size goes out as pipelined lines.
-		// They share one write and their replies are read back-to-back,
-		// so the extra lines cost no extra round trips.
-		cn.buf = cn.buf[:0]
-		frames := 0
-		for rest := keys; len(rest) > 0; frames++ {
-			if rpc.ID != 0 {
-				cn.buf = protocol.AppendTrace(cn.buf, rpc.Trace, rpc.ID)
-			}
-			var n int
-			cn.buf, n = protocol.AppendRetrieval(cn.buf, op, 0, rest)
-			rest = rest[n:]
-		}
-		if err := cn.send(); err != nil {
-			return err
-		}
-		out = make([]Item, 0, len(keys))
-		for f := 0; f < frames; f++ {
-			items, err := protocol.ReadRetrieval(cn.r)
-			if err != nil {
+	return lines, cn.send()
+}
+
+// readRetrieval reads the replies to lines retrieval lines for keys,
+// handing every item to emit. It reads every reply the request is owed:
+// an error reply ends one line's reply, not the others', so the first
+// one is kept while the rest are read, and the connection is back at a
+// command boundary when a protocol outcome is returned. Any other error
+// leaves the stream wherever it broke.
+func (cn *conn) readRetrieval(lines int, keys []string, emit func(protocol.ValueItem) error) error {
+	rr := protocol.RetrievalReader{Want: keys}
+	var refused error
+	for ; lines > 0; lines-- {
+		if err := rr.Read(cn.r, emit); err != nil {
+			var se *protocol.ServerError
+			if !errors.As(err, &se) {
 				return err
 			}
-			for _, it := range items {
-				out = append(out, Item(it))
+			if refused == nil {
+				refused = err
 			}
 		}
-		return nil
-	})
-	if c.readLat != nil && err == nil {
-		c.readLat.add(time.Since(began).Seconds())
 	}
+	return refused
+}
+
+// attempt is one retrieval exchange on cn: under a traced parent it gets
+// its own rpc span, which the server is told in-band, so retried and
+// hedged attempts are distinguishable in the trace.
+func (c *Client) attempt(cn *conn, parent otrace.Ctx, idx int, op protocol.Op, exptime int64, keys []string, emit func(protocol.ValueItem) error) error {
+	var rpc otrace.Span
+	if parent.Valid() {
+		rpc = c.tracer.Begin(parent, "client", "rpc", idx)
+		defer c.tracer.End(rpc)
+	}
+	lines, err := cn.sendRetrieval(op, exptime, keys, rpc)
+	if err != nil {
+		return err
+	}
+	return cn.readRetrieval(lines, keys, emit)
+}
+
+// getOnce gets keys from server idx (with retries when enabled) into a
+// slice of its own: what a hedged leg, which races another for the same
+// keys, needs.
+func (c *Client) getOnce(parent otrace.Ctx, idx int, keys []string) ([]Item, error) {
+	var out []Item
+	err := c.roundTripRead(idx, func(cn *conn) error {
+		out = make([]Item, 0, len(keys)) // a retried attempt starts over
+		return c.attempt(cn, parent, idx, protocol.OpGet, 0, keys, func(it protocol.ValueItem) error {
+			if err := checkKey(keys, it.Key); err != nil {
+				return err
+			}
+			out = append(out, Item(it))
+			return nil
+		})
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -693,7 +783,7 @@ func (c *Client) hedgedGet(parent otrace.Ctx, idx int, keys []string) ([]Item, e
 	}
 	ch := make(chan legResult, 2)
 	issue := func() {
-		items, err := c.getOnce(parent, idx, keys, false)
+		items, err := c.getOnce(parent, idx, keys)
 		ch <- legResult{items, err}
 	}
 	go issue()
@@ -764,9 +854,10 @@ func (c *Client) GetThrough(ctx context.Context, key string) (Item, bool, error)
 }
 
 // MultiGet fetches many keys with fork-join fan-out: keys are grouped by
-// owning server, the groups are issued in parallel, and the call returns
-// when the slowest server answers — exactly the request/N-keys join the
-// model analyzes. Missing keys are absent from the result map.
+// owning server, every group is put on the wire before any reply is
+// read, and the call returns when the slowest server has answered —
+// exactly the request/N-keys join the model analyzes. Missing keys are
+// absent from the result map.
 //
 // When a server group fails, the items healthy groups returned are
 // still in the map alongside the first error — partial results are
@@ -796,50 +887,233 @@ func (c *Client) MultiGetDegraded(keys []string) (map[string]Item, map[string]er
 	return c.multiGet(keys)
 }
 
-// multiGet runs the grouped fan-out and attributes group failures to
-// their keys.
-func (c *Client) multiGet(keys []string) (map[string]Item, map[string]error) {
-	groups := make(map[int][]string)
-	for _, k := range keys {
-		idx := c.pickServer(k)
-		groups[idx] = append(groups[idx], k)
+// A leg is one server's share of a fork-join read.
+type leg struct {
+	idx  int
+	keys []string // the keys idx owns, in request order
+	span otrace.Span
+	err  error
+
+	// A pipelined leg: whether the next pass issues it and, between its
+	// checkout and its join, the exchange in flight.
+	due      bool
+	cn       *conn
+	deadline time.Time
+	rpc      otrace.Span
+	lines    int
+
+	items []Item // a hedged leg's result
+}
+
+// forkJoin is the per-call scratch of multiGet, pooled so that a call
+// allocates for its results only.
+type forkJoin struct {
+	owner   []int    // owner[i] is the server of keys[i]
+	fill    []int    // per server: where its next key goes in grouped
+	grouped []string // the keys ordered by server
+	legs    []leg
+}
+
+var forkJoins = sync.Pool{New: func() any { return new(forkJoin) }}
+
+// maxPooledKeys bounds the scratch the pool keeps: a wider call's is
+// left to the collector.
+const maxPooledKeys = 1024
+
+// split groups keys by owning server — a counting sort, so each group
+// keeps request order — into one leg per server that owns any.
+func (fj *forkJoin) split(c *Client, keys []string) []leg {
+	n := len(c.opts.Servers)
+	fj.owner = slices.Grow(fj.owner[:0], len(keys))[:len(keys)]
+	fj.fill = slices.Grow(fj.fill[:0], n+1)[:n+1]
+	fj.grouped = slices.Grow(fj.grouped[:0], len(keys))[:len(keys)]
+	clear(fj.fill)
+	for i, k := range keys {
+		fj.owner[i] = c.pickServer(k)
+		fj.fill[fj.owner[i]+1]++
 	}
+	for idx := 0; idx < n; idx++ {
+		fj.fill[idx+1] += fj.fill[idx] // fill[idx] is now where idx's group starts
+	}
+	for i, k := range keys {
+		fj.grouped[fj.fill[fj.owner[i]]] = k
+		fj.fill[fj.owner[i]]++ // ... and, once filled, where it ends
+	}
+	fj.legs = fj.legs[:0]
+	start := 0
+	for idx := 0; idx < n; idx++ {
+		if end := fj.fill[idx]; end > start {
+			fj.legs = append(fj.legs, leg{idx: idx, keys: fj.grouped[start:end], due: true})
+			start = end
+		}
+	}
+	return fj.legs
+}
+
+// recycle returns the scratch to the pool without the caller's strings.
+func (fj *forkJoin) recycle() {
+	if len(fj.grouped) > maxPooledKeys {
+		return
+	}
+	clear(fj.grouped)
+	clear(fj.legs)
+	forkJoins.Put(fj)
+}
+
+// drainGrace is how long a leg that is read only after its deadline has
+// passed — it waited its turn behind a stalled sibling, or a later leg's
+// dial — gets to hand over the reply it received in time.
+const drainGrace = 10 * time.Millisecond
+
+// multiGet runs the fork-join and attributes leg failures to their keys.
+func (c *Client) multiGet(keys []string) (map[string]Item, map[string]error) {
 	// The root span is the fork-join the model analyzes: its duration is
 	// the max over the per-server leg spans beneath it.
 	root := c.tracer.Begin(otrace.Ctx{}, "client", "multiget", -1)
 	defer c.tracer.End(root)
-	var (
-		mu      sync.Mutex
-		out     = make(map[string]Item, len(keys))
-		keyErrs map[string]error
-		wg      sync.WaitGroup
-	)
-	for idx, group := range groups {
-		idx, group := idx, group
+	out := make(map[string]Item, len(keys))
+	fj := forkJoins.Get().(*forkJoin)
+	legs := fj.split(c, keys)
+	if c.hedge != nil {
+		// A hedged leg's losing attempt may outlive the call and still
+		// read its keys: this scratch is not reused.
+		c.forkHedged(root.Ctx(), legs, out)
+	} else {
+		defer fj.recycle()
+		c.forkPipelined(root.Ctx(), legs, out)
+	}
+	var keyErrs map[string]error
+	for i := range legs {
+		if l := &legs[i]; l.err != nil {
+			if keyErrs == nil {
+				keyErrs = make(map[string]error)
+			}
+			for _, k := range l.keys {
+				keyErrs[k] = l.err
+			}
+		}
+	}
+	return out, keyErrs
+}
+
+// forkHedged runs every leg as a hedged read. A hedged read races two
+// connections, so each leg needs a goroutine of its own.
+func (c *Client) forkHedged(root otrace.Ctx, legs []leg, out map[string]Item) {
+	var wg sync.WaitGroup
+	for i := range legs {
+		l := &legs[i]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			leg := c.tracer.Begin(root.Ctx(), "client", "leg", idx)
-			defer c.tracer.End(leg)
-			items, err := c.getFromServer(leg.Ctx(), idx, group, false)
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				if keyErrs == nil {
-					keyErrs = make(map[string]error)
-				}
-				for _, k := range group {
-					keyErrs[k] = err
-				}
-				return
-			}
-			for _, it := range items {
-				out[it.Key] = it
-			}
+			l.span = c.tracer.Begin(root, "client", "leg", l.idx)
+			defer c.tracer.End(l.span)
+			l.items, l.err = c.hedgedGet(l.span.Ctx(), l.idx, l.keys)
 		}()
 	}
 	wg.Wait()
-	return out, keyErrs
+	for i := range legs {
+		for _, it := range legs[i].items {
+			out[it.Key] = it
+		}
+	}
+}
+
+// forkPipelined runs the legs on the calling goroutine, as one pipelined
+// pass over all of them and, under a RetryPolicy, one more per further
+// attempt over those that failed retryably: the legs of a pass back off
+// together, once, and each spends a token of the retry budget.
+func (c *Client) forkPipelined(root otrace.Ctx, legs []leg, out map[string]Item) {
+	c.pipeline(root, legs, out)
+	for attempt := 2; c.retry != nil && attempt <= c.retry.MaxAttempts; attempt++ {
+		again := false
+		for i := range legs {
+			l := &legs[i]
+			l.due = c.retries(l.err) && c.retryBudget.take()
+			again = again || l.due
+		}
+		if !again {
+			break
+		}
+		c.backOff(attempt)
+		c.pipeline(root, legs, out)
+	}
+	for i := range legs {
+		if l := &legs[i]; c.retries(l.err) {
+			c.tracer.End(l.span) // join left it open for a retry
+		}
+	}
+}
+
+// pipeline is one pass over the legs that are due: every leg's request
+// goes on the wire — the first half of any round trip, then one write —
+// before the first reply is read, so the servers work in parallel as
+// they would for one goroutine per leg, and the replies are then read in
+// send order. Each leg has OpTimeout from the moment it has its
+// connection, as a round trip of its own would: a leg that has to dial
+// does so on nobody's clock, its own included.
+func (c *Client) pipeline(root otrace.Ctx, legs []leg, out map[string]Item) {
+	emit := func(it protocol.ValueItem) error {
+		out[it.Key] = Item(it)
+		return nil
+	}
+	for i := range legs {
+		l := &legs[i]
+		if !l.due {
+			continue
+		}
+		if l.span.ID == 0 { // a retried leg's is open
+			l.span = c.tracer.Begin(root, "client", "leg", l.idx)
+		}
+		if l.cn, l.err = c.checkout(l.idx); l.err == nil {
+			l.deadline, l.err = c.arm(l.cn)
+		}
+		if l.err == nil {
+			if l.span.ID != 0 {
+				l.rpc = c.tracer.Begin(l.span.Ctx(), "client", "rpc", l.idx)
+			}
+			l.lines, l.err = l.cn.sendRetrieval(protocol.OpGet, 0, l.keys, l.rpc)
+		}
+		if l.err != nil {
+			c.join(l, out)
+		}
+	}
+	for i := range legs {
+		l := &legs[i]
+		if l.cn == nil {
+			continue
+		}
+		// A read that starts after the deadline fails without looking at
+		// the socket, whatever has arrived.
+		if time.Now().After(l.deadline) {
+			_ = l.cn.nc.SetReadDeadline(time.Now().Add(drainGrace)) // on failure the read reports it
+		}
+		l.err = l.cn.readRetrieval(l.lines, l.keys, emit)
+		c.join(l, out)
+	}
+}
+
+// join ends a pipelined leg's exchange: the connection, if the leg got
+// one, goes back under the health rule of any round trip, and a failed
+// leg contributes no items, not even those read before it failed. The
+// leg's span stays open while the failure is one a retry may mend.
+func (c *Client) join(l *leg, out map[string]Item) {
+	if l.cn != nil {
+		c.tracer.End(l.rpc)
+		c.checkin(l.idx, l.cn, l.err)
+		l.cn, l.rpc = nil, otrace.Span{}
+	}
+	if l.err != nil {
+		dropKeys(out, l.keys)
+	}
+	if !c.retries(l.err) {
+		c.tracer.End(l.span)
+	}
+}
+
+func dropKeys(out map[string]Item, keys []string) {
+	for _, k := range keys {
+		delete(out, k)
+	}
 }
 
 // storage runs one storage-class command. A successful store
@@ -936,23 +1210,12 @@ func (c *Client) incrDecr(op protocol.Op, key string, delta uint64) (uint64, err
 // GetAndTouch atomically fetches a key and refreshes its TTL (the
 // protocol's gat command); ErrCacheMiss when absent.
 func (c *Client) GetAndTouch(key string, ttl time.Duration) (Item, error) {
-	var out Item
-	err := c.roundTrip(c.pickServer(key), func(cn *conn) error {
-		cn.buf, _ = protocol.AppendRetrieval(cn.buf[:0], protocol.OpGat, exptimeFromTTL(ttl), []string{key})
-		if err := cn.send(); err != nil {
-			return err
-		}
-		items, err := protocol.ReadRetrieval(cn.r)
-		if err != nil {
-			return err
-		}
-		if len(items) == 0 {
-			return ErrCacheMiss
-		}
-		out = Item(items[0])
-		return nil
+	idx := c.pickServer(key)
+	one := oneKey{keys: [1]string{key}}
+	err := c.roundTrip(idx, func(cn *conn) error {
+		return c.attempt(cn, otrace.Ctx{}, idx, protocol.OpGat, exptimeFromTTL(ttl), one.keys[:], one.emit)
 	})
-	return out, err
+	return one.result(err)
 }
 
 // Touch refreshes a key's TTL.

@@ -244,6 +244,23 @@ func TestFaultStaleConnectionScreen(t *testing.T) {
 	}
 }
 
+// TestFaultScreenSparesHealthyIdle parks a healthy connection for longer
+// than OpTimeout: the deadline of its last exchange has passed by the
+// time the screen probes it, and that must not make it look dead.
+func TestFaultScreenSparesHealthyIdle(t *testing.T) {
+	c := newClient(t, startCluster(t, 1), func(o *Options) { o.OpTimeout = 40 * time.Millisecond })
+	if err := c.Set("k", []byte("v"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if _, err := c.Get("k"); err != nil {
+		t.Fatal(err)
+	}
+	if ps, _ := c.PoolStats(0); ps.StaleDrops != 0 || ps.Dials != 1 {
+		t.Errorf("healthy idle connection was not reused: stats %+v", ps)
+	}
+}
+
 // TestFaultMaxConnIdle ages a pooled connection past MaxConnIdle and
 // checks the acquire path drops it by age alone.
 func TestFaultMaxConnIdle(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 
 // startCluster launches n memcached servers on loopback and returns
 // their addresses.
-func startCluster(t *testing.T, n int) []string {
+func startCluster(t testing.TB, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
 	for i := 0; i < n; i++ {

@@ -178,29 +178,55 @@ func ScanReply(r *bufio.Reader) (Reply, error) {
 		return Reply{}, err // bufio.ErrBufferFull included: no reply line is that long
 	}
 	rep := Reply{Line: line}
-	text := bytes.TrimRight(line, "\r\n")
-	switch {
-	case len(text) > 6 && string(text[:6]) == "VALUE ": // the hot case first
-		var arr [6][]byte
-		f := appendFields(arr[:0], text)
-		if len(f) != 4 && len(f) != 5 {
-			break
-		}
-		flags, okF := parseUintB(f[2], 32)
-		n, okN := parseUintB(f[3], 31)
-		cas, okC := uint64(0), true
-		if len(f) == 5 {
-			cas, okC = parseUintB(f[4], 64)
-		}
-		if okF && okN && okC && n <= MaxValueBytes {
-			rep.Kind, rep.Key, rep.Flags, rep.Bytes, rep.CAS = ReplyValue, f[1], uint32(flags), int(n), cas
-		}
+	if len(line) > 6 && string(line[:6]) == "VALUE " { // the hot case first
+		scanValueHeader(&rep, line[6:])
+		return rep, nil
+	}
+	switch text := rep.text(); {
 	case string(text) == RespEnd:
 		rep.Kind = ReplyEnd
 	case IsErrorReply(text):
 		rep.Kind = ReplyError
 	}
 	return rep, nil
+}
+
+// scanValueHeader cuts "<key> <flags> <bytes> [<cas>]" out of rest — what
+// follows "VALUE " on the line, terminator included — in place, under the
+// framer's whitespace grammar (fields are runs of bytes above ' ',
+// separated by any run of ASCII whitespace, which the terminator is).
+// It makes rep a ReplyValue only when all of it parses.
+func scanValueHeader(rep *Reply, rest []byte) {
+	key, rest := cutField(rest)
+	flagsB, rest := cutField(rest)
+	sizeB, rest := cutField(rest)
+	casB, rest := cutField(rest)
+	if extra, _ := cutField(rest); len(sizeB) == 0 || len(extra) != 0 {
+		return // fewer than three fields, or more than four
+	}
+	flags, okF := parseUintB(flagsB, 32)
+	size, okN := parseUintB(sizeB, 31)
+	cas, okC := uint64(0), true
+	if len(casB) != 0 {
+		cas, okC = parseUintB(casB, 64)
+	}
+	if okF && okN && okC && size <= MaxValueBytes {
+		rep.Kind, rep.Key, rep.Flags, rep.Bytes, rep.CAS = ReplyValue, key, uint32(flags), int(size), cas
+	}
+}
+
+// cutField returns the first whitespace-delimited field of b and what
+// follows it; the field is empty when b holds none.
+func cutField(b []byte) (field, rest []byte) {
+	i := 0
+	for i < len(b) && asciiSpace(b[i]) {
+		i++
+	}
+	start := i
+	for i < len(b) && !asciiSpace(b[i]) {
+		i++
+	}
+	return b[start:i], b[i:]
 }
 
 // IsErrorReply reports whether line (terminator optional) is an error
@@ -239,34 +265,104 @@ type ServerError struct {
 // Error implements error.
 func (e *ServerError) Error() string { return "protocol: server replied " + e.Line }
 
-// ReadRetrieval parses a get/gets response: zero or more VALUE blocks
-// terminated by END.
-func ReadRetrieval(r *bufio.Reader) ([]ValueItem, error) {
-	var items []ValueItem
+// A RetrievalReader reads the replies to retrieval lines (get, gets,
+// gat, gats) — the one implementation of the retrieval-reply grammar:
+// zero or more VALUE blocks closed by END. The zero value reads any
+// reply; a caller that knows what it asked for sets Want and saves the
+// key copies.
+//
+// When Want is set, the values of the replies one reader reads are
+// carved out of shared slabs: each has its own bytes and no spare
+// capacity, but they may share a backing array, so a caller that retains
+// one value retains its neighbours too — at most the size of the
+// bufio.Reader's buffer (see carve).
+type RetrievalReader struct {
+	// Want lists the keys the replies still to be read were asked for, in
+	// request order. Servers answer in that order and leave misses out,
+	// so a VALUE's key is looked for from the front of Want and, when
+	// found, the item carries that string instead of a copy; Read drops
+	// the entries it has passed. A key that is not ahead means the peer
+	// does not answer in order: it is copied, and so is every later one.
+	Want []string
+	slab []byte // what is left of the current slab
+}
+
+// Read reads one reply, handing each item to emit as its block
+// completes. It returns emit's error, if any, at once, with the rest of
+// the reply unread; an error reply comes back as *ServerError with the
+// stream at the next reply. Items emitted before an error stand for
+// nothing: the caller drops them.
+func (rr *RetrievalReader) Read(r *bufio.Reader, emit func(ValueItem) error) error {
 	for {
 		rep, err := ScanReply(r)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		switch rep.Kind {
 		case ReplyEnd:
-			return items, nil
+			return nil
 		case ReplyError:
-			return nil, &ServerError{Line: string(rep.text())}
+			return &ServerError{Line: string(rep.text())}
 		case ReplyLine:
-			return nil, fmt.Errorf("protocol: unexpected retrieval line %q", rep.text())
+			return fmt.Errorf("protocol: unexpected retrieval line %q", rep.text())
 		}
-		item := ValueItem{Key: string(rep.Key), Flags: rep.Flags, CAS: rep.CAS}
-		block := make([]byte, rep.Bytes+2) // rep.Key is dead after this read
+		item := ValueItem{Key: rr.key(rep.Key), Flags: rep.Flags, CAS: rep.CAS} // rep.Key is dead after the next read
+		block := rr.carve(rep.Bytes+len(crlf), r.Buffered())
 		if _, err := io.ReadFull(r, block); err != nil {
-			return nil, err
+			return err
 		}
-		if !bytes.HasSuffix(block, crlf) {
-			return nil, errors.New("protocol: bad data chunk terminator")
+		if block[rep.Bytes] != '\r' || block[rep.Bytes+1] != '\n' {
+			return errors.New("protocol: bad data chunk terminator")
 		}
-		item.Value = block[:rep.Bytes]
-		items = append(items, item)
+		item.Value = block[:rep.Bytes:rep.Bytes]
+		if err := emit(item); err != nil {
+			return err
+		}
 	}
+}
+
+// key returns the VALUE key as a string: the caller's own when it is
+// the next wanted key still ahead, else a copy.
+func (rr *RetrievalReader) key(k []byte) string {
+	for i, w := range rr.Want {
+		if w == string(k) {
+			rr.Want = rr.Want[i+1:]
+			return w
+		}
+	}
+	rr.Want = nil
+	return string(k)
+}
+
+// carve returns n bytes with no spare capacity from the current slab,
+// starting a new slab when it runs out. A new slab has room for this
+// block and one like it for every key still wanted — one allocation for
+// a reply of like-sized values, one per value when Want is not set — but
+// no more than the reader has buffered (with one request in flight, the
+// rest of its reply), which bounds a slab by the reader's buffer size; a
+// larger value gets exactly its own bytes.
+func (rr *RetrievalReader) carve(n, buffered int) []byte {
+	if n > len(rr.slab) {
+		rr.slab = make([]byte, max(n, min(n*(1+len(rr.Want)), buffered)))
+	}
+	b := rr.slab[:n:n]
+	rr.slab = rr.slab[n:]
+	return b
+}
+
+// ReadRetrieval reads one retrieval reply whose keys the caller does not
+// know and returns its items.
+func ReadRetrieval(r *bufio.Reader) ([]ValueItem, error) {
+	var items []ValueItem
+	var rr RetrievalReader
+	err := rr.Read(r, func(it ValueItem) error {
+		items = append(items, it)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return items, nil
 }
 
 // ReadLineReply reads a one-line reply (STORED, DELETED, a number, ...).

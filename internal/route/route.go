@@ -114,6 +114,12 @@ type RingSelector struct {
 	n       int
 	vnodes  int
 	present []bool // per-index membership; false after Remove
+
+	// jump[b] is the index of the first point whose hash is at or above
+	// b<<shift, so the owner of a hash is found from its top bits by a
+	// short forward scan. Derived from points by index().
+	jump  []int32
+	shift uint
 }
 
 type ringPoint struct {
@@ -144,7 +150,28 @@ func NewRingSelector(n, vnodes int) (*RingSelector, error) {
 	for i := range present {
 		present[i] = true
 	}
-	return &RingSelector{points: points, n: n, vnodes: vnodes, present: present}, nil
+	r := &RingSelector{points: points, n: n, vnodes: vnodes, present: present}
+	r.index()
+	return r, nil
+}
+
+// index rebuilds the jump table over the current points: a power-of-two
+// number of equal hash ranges, at least two per point, so a lookup scans
+// past fewer than one point on average.
+func (r *RingSelector) index() {
+	bits := uint(1)
+	for 1<<bits < 2*len(r.points) {
+		bits++
+	}
+	r.shift = 64 - bits
+	r.jump = make([]int32, 1<<bits)
+	i := 0
+	for b := range r.jump {
+		for i < len(r.points) && r.points[i].hash < uint64(b)<<r.shift {
+			i++
+		}
+		r.jump[b] = int32(i)
+	}
 }
 
 // appendVnodes appends server s's virtual-node points (unsorted).
@@ -166,22 +193,17 @@ func (r *RingSelector) Pick(key string) int { return r.owner(Hash64(key)) }
 func (r *RingSelector) PickB(key []byte) int { return r.owner(Hash64B(key)) }
 
 // owner finds the first point with hash >= h, wrapping at the top of
-// the ring. Hand-rolled binary search: sort.Search would force the
-// closure (and h) to escape, costing an allocation per pick.
+// the ring: the jump table gives the first candidate for h's range and
+// the scan passes the few points of that range below h.
 func (r *RingSelector) owner(h uint64) int {
-	lo, hi := 0, len(r.points)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if r.points[mid].hash < h {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+	i := int(r.jump[h>>r.shift])
+	for i < len(r.points) && r.points[i].hash < h {
+		i++
 	}
-	if lo == len(r.points) {
-		lo = 0
+	if i == len(r.points) {
+		i = 0
 	}
-	return r.points[lo].server
+	return r.points[i].server
 }
 
 // N implements Selector: the size of the index space, which Remove
@@ -226,6 +248,7 @@ func (r *RingSelector) Remove(s int) error {
 	}
 	r.points = kept
 	r.present[s] = false
+	r.index()
 	return nil
 }
 
@@ -259,6 +282,7 @@ func (r *RingSelector) Add(s int) error {
 	merged = append(merged, fresh[j:]...)
 	r.points = merged
 	r.present[s] = true
+	r.index()
 	return nil
 }
 

@@ -3,6 +3,8 @@ package route
 import (
 	"fmt"
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 	"time"
@@ -251,5 +253,73 @@ func TestBreakerLifecycle(t *testing.T) {
 	b.Record(false, later)
 	if b.State() != "closed" {
 		t.Fatalf("state %q after probe success, want closed", b.State())
+	}
+}
+
+// searchOwner is the ring lookup as a binary search over the points: the
+// definition the jump table must reproduce bit for bit.
+func searchOwner(r *RingSelector, h uint64) int {
+	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
+	if i == len(r.points) {
+		i = 0
+	}
+	return r.points[i].server
+}
+
+// TestRingSelectorOwnerOracle checks the jump-table lookup against the
+// binary search on a million random hashes and on the hashes where an
+// off-by-one would show — each point's own hash and its two neighbours,
+// and both ends of the hash space — on rings of several shapes and after
+// every step of a membership walk.
+func TestRingSelectorOwnerOracle(t *testing.T) {
+	check := func(t *testing.T, r *RingSelector, random int, rng *rand.Rand) {
+		t.Helper()
+		same := func(h uint64) {
+			if got, want := r.owner(h), searchOwner(r, h); got != want {
+				t.Fatalf("owner(%#x) = %d, binary search says %d (%d points)", h, got, want, len(r.points))
+			}
+		}
+		same(0)
+		same(math.MaxUint64)
+		for _, p := range r.points {
+			same(p.hash - 1)
+			same(p.hash)
+			same(p.hash + 1)
+		}
+		for i := 0; i < random; i++ {
+			same(rng.Uint64())
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, shape := range [][2]int{{1, 1}, {1, 160}, {2, 160}, {3, 7}, {64, 160}} {
+		r, err := NewRingSelector(shape[0], shape[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, r, 50_000, rng)
+	}
+
+	r, err := NewRingSelector(8, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, r, 1_000_000, rng)
+	walk := []struct {
+		add bool
+		s   int
+	}{
+		{false, 3}, {false, 0}, {false, 7}, {true, 0}, {true, 8}, {false, 5},
+		{true, 3}, {true, 9}, {false, 8}, {true, 7}, {true, 5}, {true, 8},
+	}
+	for _, step := range walk {
+		if step.add {
+			err = r.Add(step.s)
+		} else {
+			err = r.Remove(step.s)
+		}
+		if err != nil {
+			t.Fatalf("walk step %+v: %v", step, err)
+		}
+		check(t, r, 20_000, rng)
 	}
 }
