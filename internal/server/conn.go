@@ -13,6 +13,7 @@ import (
 	"memqlat/internal/fault"
 	"memqlat/internal/otrace"
 	"memqlat/internal/protocol"
+	"memqlat/internal/sketch"
 	"memqlat/internal/telemetry"
 )
 
@@ -33,7 +34,7 @@ type connSession struct {
 	// rec/lat: connections mapped to different stripes never serialize
 	// on observability.
 	rec telemetry.Recorder
-	lat *latencyStripe
+	lat *sketch.Stripe
 	// shaper draws exponential service times when ServiceRate > 0.
 	shaper *rand.Rand
 	// cmdSeq is the per-connection sequence driving latency sampling.
@@ -46,7 +47,7 @@ type connSession struct {
 func (s *Server) newSession(id uint64) *connSession {
 	cs := &connSession{
 		rec: telemetry.Shard(s.rec, id),
-		lat: s.latency.stripe(id),
+		lat: s.latency.Stripe(id),
 	}
 	if s.opts.ServiceRate > 0 {
 		cs.shaper = dist.SubRand(s.opts.Seed, id)
@@ -141,7 +142,7 @@ func (s *Server) serveCommand(w *protocol.Writer, cmd *protocol.Command, cs *con
 	}
 	if timed {
 		total := time.Since(began)
-		cs.lat.record(total.Seconds())
+		cs.lat.Record(total.Seconds())
 		cs.rec.Observe(telemetry.StageService, (total - waited).Seconds())
 		if srvSpan.ID != 0 {
 			// A traced command doubles as the stage histograms' exemplar:

@@ -23,6 +23,7 @@ import (
 	"memqlat/internal/fault"
 	"memqlat/internal/otrace"
 	"memqlat/internal/protocol"
+	"memqlat/internal/sketch"
 	"memqlat/internal/stats"
 	"memqlat/internal/telemetry"
 )
@@ -172,8 +173,10 @@ type Server struct {
 	serviceCh []sync.Mutex
 
 	// latency tracks per-command handling time, served by "stats
-	// latency" (a memqlat observability extension).
-	latency latencyTracker
+	// latency" (a memqlat observability extension). Each connection
+	// records through its own stripe, so per-command timing never
+	// serializes the connections against each other.
+	latency *sketch.Sketch
 
 	// core owns connection handling after accept: either one goroutine
 	// per connection or the shared event loop (see core.go).
@@ -191,49 +194,12 @@ type Server struct {
 	promotions atomic.Int64
 }
 
-// latencyStripes is the number of lock domains in latencyTracker
-// (power of two: connections map to stripes by masked id).
-const latencyStripes = 8
-
-// latencyTracker is a striped latency histogram: each connection records
-// into its own stripe so per-command timing never serializes the
-// connections against each other; snapshot merges the stripes.
-type latencyTracker struct {
-	stripes [latencyStripes]latencyStripe
-}
-
-type latencyStripe struct {
-	mu   sync.Mutex
-	hist *stats.Histogram
-}
-
-// stripe returns the lock domain for the connection identified by hint.
-func (l *latencyTracker) stripe(hint uint64) *latencyStripe {
-	return &l.stripes[hint&(latencyStripes-1)]
-}
-
-func (ls *latencyStripe) record(seconds float64) {
-	ls.mu.Lock()
-	if ls.hist == nil {
-		ls.hist = stats.NewHistogram()
-	}
-	ls.hist.Record(seconds)
-	ls.mu.Unlock()
-}
-
 type statRow struct{ k, v string }
 
-func (l *latencyTracker) snapshot() []statRow {
-	merged := stats.NewHistogram()
-	for i := range l.stripes {
-		ls := &l.stripes[i]
-		ls.mu.Lock()
-		if ls.hist != nil {
-			// Identical bucketing by construction; Merge cannot fail.
-			_ = merged.Merge(ls.hist)
-		}
-		ls.mu.Unlock()
-	}
+// latencyRows renders the merged per-command latency histogram as the
+// "stats latency" rows.
+func (s *Server) latencyRows() []statRow {
+	merged := s.latency.Snapshot()
 	if merged.Count() == 0 {
 		return []statRow{{"latency:count", "0"}}
 	}
@@ -286,6 +252,8 @@ func New(opts Options) (*Server, error) {
 		timingMask = uint64(nextPow2(opts.TimingSample)) - 1
 	}
 	telem := telemetry.NewCollector()
+	// New cannot fail: Options has nothing to reject.
+	latency, _ := sketch.New(sketch.Options{})
 	s := &Server{
 		opts:       opts,
 		logger:     logger,
@@ -293,6 +261,7 @@ func New(opts Options) (*Server, error) {
 		startTime:  time.Now(),
 		telem:      telem,
 		rec:        telemetry.Tee(telem, opts.Recorder),
+		latency:    latency,
 		serviceCh:  make([]sync.Mutex, opts.ServiceChannels),
 		timingMask: timingMask,
 		timingOff:  timingOff,
@@ -763,8 +732,7 @@ func (s *Server) writeStats(w *protocol.Writer, section string) error {
 		return w.End()
 	case "latency":
 		// memqlat extension: server-side per-command latency quantiles.
-		snap := s.latency.snapshot()
-		for _, row := range snap {
+		for _, row := range s.latencyRows() {
 			if err := w.Stat(row.k, row.v); err != nil {
 				return err
 			}
@@ -961,16 +929,4 @@ func (s *Server) LatencySampleEvery() int {
 
 // LatencyHistogram snapshots the merged per-command latency histogram
 // behind "stats latency". The copy is private to the caller.
-func (s *Server) LatencyHistogram() *stats.Histogram {
-	merged := stats.NewHistogram()
-	for i := range s.latency.stripes {
-		ls := &s.latency.stripes[i]
-		ls.mu.Lock()
-		if ls.hist != nil {
-			// Identical bucketing by construction; Merge cannot fail.
-			_ = merged.Merge(ls.hist)
-		}
-		ls.mu.Unlock()
-	}
-	return merged
-}
+func (s *Server) LatencyHistogram() *stats.Histogram { return s.latency.Snapshot() }

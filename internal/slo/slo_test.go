@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -61,9 +62,6 @@ func TestNewWatchdogValidation(t *testing.T) {
 	if _, err := NewWatchdog(Config{Band: 0.5}); err == nil {
 		t.Errorf("band <= 1: want error")
 	}
-	if _, err := NewWatchdog(Config{RelativeError: 0.9}); err == nil {
-		t.Errorf("bad alpha: want error")
-	}
 }
 
 func TestDriftDetectionAndAttribution(t *testing.T) {
@@ -78,12 +76,15 @@ func TestDriftDetectionAndAttribution(t *testing.T) {
 		t.Fatalf("Window() = %v, want 0.25", w.Window())
 	}
 
-	// Pre-arm observations are dropped.
+	// Pre-arm observations are discarded at Arm; a second Arm is a
+	// no-op and must not discard the measured phase.
 	w.Observe(telemetry.StageMissPenalty, 1)
+	w.OnLatency(1)
 	w.Arm()
 	if !w.Armed() {
 		t.Fatal("Armed() = false after Arm")
 	}
+	w.Arm()
 
 	rng := rand.New(rand.NewSource(1))
 	// Windows 0-1: on-model. Windows 2+: miss penalty shifted 6x up.
@@ -290,7 +291,9 @@ func TestFlushClosesPartialWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Flush before Arm is a no-op.
+	// Flush before Arm is a no-op, and what was observed before Arm is
+	// not in the first window (the count below is exact).
+	w.Observe(telemetry.StageMissPenalty, 1)
 	w.Flush()
 	w.Arm()
 	rng := rand.New(rand.NewSource(4))
@@ -354,14 +357,14 @@ func TestServeHTTP(t *testing.T) {
 
 func TestParseSpec(t *testing.T) {
 	cfg, m, err := ParseSpec(
-		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002,burn=8,short=2,long=6,alpha=0.02,min-samples=30," +
+		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002,burn=8,short=2,long=6,min-samples=30," +
 			"lambda=2000,mus=2000,mud=500,q=0.1,xi=1,miss=0.2,n=10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Window != 0.25 || cfg.K != 3 || cfg.Band != 2.5 || cfg.Target != 5e-3 ||
 		cfg.Budget != 0.002 || cfg.Burn != 8 || cfg.ShortWindows != 2 || cfg.LongWindows != 6 ||
-		cfg.RelativeError != 0.02 || cfg.MinSamples != 30 {
+		cfg.MinSamples != 30 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if m.Lambda != 2000 || m.MuS != 2000 || m.MuD != 500 || m.Q != 0.1 || m.Xi != 1 ||
@@ -377,14 +380,95 @@ func TestParseSpec(t *testing.T) {
 	if _, _, err := ParseSpec("  "); err != nil {
 		t.Fatalf("empty spec: %v", err)
 	}
-	for _, bad := range []string{"window", "nope=1", "k=abc", "window=xyz"} {
+	// alpha went with the sketch's own bucket scheme: it is unknown now.
+	for _, bad := range []string{"window", "nope=1", "k=abc", "window=xyz", "alpha=0.02"} {
 		if _, _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q): want error", bad)
 		}
 	}
 }
 
-// BenchmarkWatchdogTick is benchdiff-gated in BENCH_slo.json: one
+// renderSpec writes a parsed spec back in the -slo grammar: every
+// non-zero field under its key, floats in round-trip form, durations
+// as bare seconds.
+func renderSpec(cfg Config, m Model) string {
+	var parts []string
+	f := func(key string, v float64) {
+		if v != 0 {
+			parts = append(parts, key+"="+strconv.FormatFloat(v, 'g', -1, 64))
+		}
+	}
+	i := func(key string, v int64) {
+		if v != 0 {
+			parts = append(parts, key+"="+strconv.FormatInt(v, 10))
+		}
+	}
+	f("window", cfg.Window)
+	i("k", int64(cfg.K))
+	f("band", cfg.Band)
+	f("target", cfg.Target)
+	f("budget", cfg.Budget)
+	f("burn", cfg.Burn)
+	i("short", int64(cfg.ShortWindows))
+	i("long", int64(cfg.LongWindows))
+	i("min-samples", cfg.MinSamples)
+	f("lambda", m.Lambda)
+	f("mus", m.MuS)
+	f("mud", m.MuD)
+	f("q", m.Q)
+	f("xi", m.Xi)
+	f("miss", m.Miss)
+	i("n", int64(m.N))
+	return strings.Join(parts, ",")
+}
+
+// FuzzParseSpec fuzzes the -slo flag grammar: ParseSpec never panics;
+// a spec it accepts re-renders and re-parses to the same Config and
+// Model (compared as renderings, so NaN equals itself); a spec that
+// names a key outside the grammar — alpha included — is rejected.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"", " , ", "window", "nope=1", "alpha=0.02", "k=abc", "window=xyz", "band=NaN,burn=+Inf",
+		// scripts/slo_smoke.sh and the README's SLO section.
+		"lambda=100,mus=500,q=0.1,xi=0.15,window=0.5s,k=2,band=3",
+		"lambda=100,mus=500,q=0.1,xi=0.15,window=500ms,band=3",
+		"window=0.5s,k=2,band=3",
+		// experiments/drift.go's Config, and the binaries' -slo help text.
+		"window=0.25,k=2,band=3,target=10ms,budget=0.05",
+		"window=250ms,k=2,band=2",
+		"lambda=2000,mus=8000,window=1s,k=2",
+		"lambda=2000,mus=4000,miss=0.2,mud=500,window=1s,k=2,band=2",
+		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002,burn=8,short=2,long=6,minsamples=30,n=10",
+	} {
+		f.Add(seed)
+	}
+	known := map[string]bool{}
+	for _, key := range strings.Split("window k band target budget burn short long min-samples minsamples "+
+		"lambda mus mud q xi miss n", " ") {
+		known[key] = true
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		cfg, m, err := ParseSpec(spec)
+		if err != nil {
+			return
+		}
+		for _, part := range strings.Split(spec, ",") {
+			if key, _, ok := strings.Cut(part, "="); ok && !known[strings.TrimSpace(key)] {
+				t.Fatalf("ParseSpec(%q) accepted unknown key %q", spec, key)
+			}
+		}
+		rendered := renderSpec(cfg, m)
+		cfg2, m2, err := ParseSpec(rendered)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q) ok, but its rendering %q fails: %v", spec, rendered, err)
+		}
+		if again := renderSpec(cfg2, m2); again != rendered {
+			t.Fatalf("ParseSpec(%q) renders %q, which re-parses to %q", spec, rendered, again)
+		}
+	})
+}
+
+// BenchmarkWatchdogTick prints what `make bench-slo` reports: one
 // window close over a realistically loaded watchdog (three active
 // stages plus the end-to-end sketch).
 func BenchmarkWatchdogTick(b *testing.B) {

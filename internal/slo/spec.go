@@ -26,8 +26,8 @@ type Model struct {
 //
 // Detector keys: window (duration), k (int), band (float), target
 // (duration), budget (float), burn (float), short/long (windows),
-// alpha (float), min-samples (int). Durations accept Go syntax
-// ("250ms") or bare seconds ("0.25").
+// min-samples (int). Durations accept Go syntax ("250ms") or bare
+// seconds ("0.25").
 //
 // Model keys (for binaries that are not already running a scenario):
 // lambda, mus, mud, q, xi, miss, n.
@@ -70,8 +70,6 @@ func ParseSpec(spec string) (Config, Model, error) {
 			cfg.ShortWindows, err = strconv.Atoi(val)
 		case "long":
 			cfg.LongWindows, err = strconv.Atoi(val)
-		case "alpha":
-			cfg.RelativeError, err = strconv.ParseFloat(val, 64)
 		case "min-samples", "minsamples":
 			var n int
 			n, err = strconv.Atoi(val)

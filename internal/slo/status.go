@@ -107,9 +107,6 @@ func (w *Watchdog) Status() *Status {
 		Alerts:        append([]Alert(nil), w.alerts...),
 	}
 	for _, ss := range w.stages {
-		if ss == nil {
-			continue
-		}
 		row := StageStatus{
 			Stage: ss.stage.String(),
 			Observed: Quantiles{

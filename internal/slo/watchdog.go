@@ -6,10 +6,10 @@
 //
 // The watchdog is a telemetry.Recorder (and Sharder), so it tees into
 // the exact observation stream the planes already produce: every stage
-// observation lands in a per-stage streaming quantile sketch
-// (internal/sketch; zero-alloc Record). At each window boundary —
-// real time on the live plane, virtual time on the simulator — the
-// sketches are snapshotted, reset, and the frozen window is judged:
+// observation lands in the current window's telemetry.Collector. At
+// each window boundary — real time on the live plane, virtual time on
+// the simulator — the collector is drained and the frozen window is
+// judged:
 //
 //   - A stage drifts when an observed quantile exceeds its predicted
 //     value by more than the band factor for K consecutive evaluated
@@ -76,8 +76,6 @@ type Config struct {
 	// windows (defaults 4 and 16).
 	ShortWindows int
 	LongWindows  int
-	// RelativeError is the sketch accuracy α (default 0.01).
-	RelativeError float64
 	// MinSamples is the per-stage observation floor below which a
 	// window is not evaluated for that stage — the drift streak is
 	// kept, not reset, so a stalled tier cannot launder its drift by
@@ -114,21 +112,17 @@ func (c Config) withDefaults() Config {
 	if c.LongWindows == 0 {
 		c.LongWindows = 16
 	}
-	if c.RelativeError == 0 {
-		c.RelativeError = 0.01
-	}
 	if c.MinSamples == 0 {
 		c.MinSamples = 20
 	}
 	return c
 }
 
-// stageState is the per-stage half of the watchdog: the live window
-// sketch plus the drift bookkeeping the evaluator updates at window
-// boundaries (under Watchdog.mu).
+// stageState is the per-stage half of the watchdog: the model band and
+// the drift bookkeeping the evaluator updates at window boundaries
+// (under Watchdog.mu).
 type stageState struct {
 	stage     telemetry.Stage
-	sk        *sketch.Sketch
 	pred      [3]float64
 	hasBand   bool
 	pointMass bool
@@ -144,11 +138,13 @@ type stageState struct {
 // NewWatchdog, tee it into a telemetry chain, Arm it when the measured
 // phase starts, and Advance it with the plane's clock.
 type Watchdog struct {
-	cfg    Config
-	armed  atomic.Bool
-	stages []*stageState // indexed by int(telemetry.Stage); nil gaps allowed
+	cfg   Config
+	armed atomic.Bool
+	// win holds the current window's per-stage observations, total its
+	// end-to-end request latencies; both are drained at each boundary.
+	win    *telemetry.Collector
 	total  *sketch.Sketch
-	shards [8]shardRec
+	stages []stageState // indexed by telemetry.Stage
 
 	// next is the index of the oldest unclosed window; Advance's fast
 	// path reads it without taking mu.
@@ -183,33 +179,17 @@ func NewWatchdog(cfg Config) (*Watchdog, error) {
 	if !(cfg.Band > 1) {
 		return nil, fmt.Errorf("slo: band factor %v must exceed 1", cfg.Band)
 	}
-	maxStage := 0
+	w := &Watchdog{cfg: cfg, win: telemetry.NewCollector()}
+	// New cannot fail: Options has nothing to reject.
+	w.total, _ = sketch.New(sketch.Options{})
 	for _, st := range telemetry.Stages() {
-		if int(st) > maxStage {
-			maxStage = int(st)
-		}
-	}
-	w := &Watchdog{cfg: cfg, stages: make([]*stageState, maxStage+1)}
-	for _, st := range telemetry.Stages() {
-		sk, err := sketch.New(sketch.Options{RelativeError: cfg.RelativeError})
-		if err != nil {
-			return nil, err
-		}
-		ss := &stageState{stage: st, sk: sk}
+		ss := stageState{stage: st}
 		if p, ok := cfg.Predicted[st]; ok && p.Count > 0 {
 			ss.pred = [3]float64{p.P50, p.P95, p.P99}
 			ss.hasBand = ss.pred[0] > 0 || ss.pred[1] > 0 || ss.pred[2] > 0
 			ss.pointMass = p.P50 == p.P95 && p.P95 == p.P99
 		}
-		w.stages[int(st)] = ss
-	}
-	tot, err := sketch.New(sketch.Options{RelativeError: cfg.RelativeError})
-	if err != nil {
-		return nil, err
-	}
-	w.total = tot
-	for i := range w.shards {
-		w.shards[i] = shardRec{w: w, hint: uint64(i)}
+		w.stages = append(w.stages, ss)
 	}
 	return w, nil
 }
@@ -217,58 +197,35 @@ func NewWatchdog(cfg Config) (*Watchdog, error) {
 // Window reports the configured window length in seconds.
 func (w *Watchdog) Window() float64 { return w.cfg.Window }
 
-// Arm starts accepting observations. Before Arm every Observe is
-// dropped, so warm-up traffic (cache population) cannot pollute the
-// first window.
-func (w *Watchdog) Arm() { w.armed.Store(true) }
+// Arm starts the measured phase: whatever was observed before it
+// (warm-up traffic, cache population) is discarded, so it cannot
+// pollute the first window, and the record paths need no armed check.
+// Arming an armed watchdog does nothing.
+func (w *Watchdog) Arm() {
+	if w.armed.Load() {
+		return
+	}
+	w.win.Drain()
+	w.total.Reset()
+	w.armed.Store(true)
+}
 
-// Armed reports whether the watchdog is accepting observations.
+// Armed reports whether the measured phase has started.
 func (w *Watchdog) Armed() bool { return w.armed.Load() }
 
 // Observe implements telemetry.Recorder (stripe 0). Hot paths obtain a
 // striped handle via Shard.
 func (w *Watchdog) Observe(stage telemetry.Stage, seconds float64) {
-	if !w.armed.Load() {
-		return
-	}
-	i := int(stage)
-	if i < 0 || i >= len(w.stages) || w.stages[i] == nil {
-		return
-	}
-	w.stages[i].sk.Record(seconds)
+	w.win.Observe(stage, seconds)
 }
 
-// Shard implements telemetry.Sharder. The handles are preallocated, so
-// sharding a watchdog never allocates.
-func (w *Watchdog) Shard(hint uint64) telemetry.Recorder {
-	return &w.shards[hint&uint64(len(w.shards)-1)]
-}
-
-type shardRec struct {
-	w    *Watchdog
-	hint uint64
-}
-
-func (r *shardRec) Observe(stage telemetry.Stage, seconds float64) {
-	w := r.w
-	if !w.armed.Load() {
-		return
-	}
-	i := int(stage)
-	if i < 0 || i >= len(w.stages) || w.stages[i] == nil {
-		return
-	}
-	w.stages[i].sk.Stripe(r.hint).Record(seconds)
-}
+// Shard implements telemetry.Sharder with the window collector's
+// preallocated handles, so sharding a watchdog never allocates.
+func (w *Watchdog) Shard(hint uint64) telemetry.Recorder { return w.win.Shard(hint) }
 
 // OnLatency records one end-to-end request latency for burn-rate
 // accounting (the loadgen's per-request hook on the live plane).
-func (w *Watchdog) OnLatency(seconds float64) {
-	if !w.armed.Load() {
-		return
-	}
-	w.total.Record(seconds)
-}
+func (w *Watchdog) OnLatency(seconds float64) { w.total.Record(seconds) }
 
 // BeginRequest and RequestTotal implement the simulator's request
 // observer: the virtual timeline drives the window clock, making the
@@ -279,9 +236,7 @@ func (w *Watchdog) BeginRequest(now float64) { w.Advance(now) }
 // virtual time now.
 func (w *Watchdog) RequestTotal(now, total float64) {
 	w.Advance(now)
-	if w.armed.Load() {
-		w.total.Record(total)
-	}
+	w.total.Record(total)
 }
 
 // Advance closes every rolling window that ended before now (seconds
@@ -316,22 +271,20 @@ func (w *Watchdog) Flush() {
 	w.mu.Unlock()
 }
 
-// closeWindowLocked snapshots and resets every sketch, judges the
-// frozen window idx, and fires any alerts. Caller holds w.mu.
+// closeWindowLocked drains the window, judges the frozen window idx,
+// and fires any alerts. Caller holds w.mu.
 func (w *Watchdog) closeWindowLocked(idx int64) {
 	w.windowsClosed++
+	window := w.win.Drain()
 	var drifting []*stageState
-	for _, ss := range w.stages {
-		if ss == nil {
-			continue
-		}
-		snap := ss.sk.Snapshot()
-		ss.sk.Reset()
+	for i := range w.stages {
+		ss := &w.stages[i]
+		snap := window[ss.stage]
 		ss.lastCount = snap.Count()
 		if snap.Count() >= w.cfg.MinSamples {
 			obs := [3]float64{}
 			for j, q := range qprobs {
-				obs[j] = snap.Quantile(q)
+				obs[j] = snap.MustQuantile(q)
 			}
 			ss.lastObs = obs
 			if ss.hasBand {
@@ -388,11 +341,11 @@ func (w *Watchdog) closeWindowLocked(idx int64) {
 		w.pushAlertLocked(a)
 	}
 
-	// Burn-rate accounting over the end-to-end latency sketch.
+	// Burn-rate accounting over the window's end-to-end latencies.
 	tsnap := w.total.Snapshot()
 	w.total.Reset()
 	frac := 0.0
-	if w.cfg.Target > 0 && tsnap.Count() > 0 {
+	if w.cfg.Target > 0 {
 		frac = tsnap.FractionAbove(w.cfg.Target)
 	}
 	w.shortRing = pushRing(w.shortRing, frac, w.cfg.ShortWindows)

@@ -86,20 +86,37 @@ func (h *Histogram) bucketMid(i int) float64 {
 	return math.Sqrt(lo * hi)
 }
 
-// Record adds a single non-negative observation. Negative or NaN values
-// are recorded as zero so that corrupted inputs cannot poison quantiles.
+// Record adds a single observation. This is the one rule for bad
+// samples, whichever recorder (Sketch stripe, Collector, server) they
+// arrive through: a negative or NaN value is counted, as zero — a
+// corrupted input cannot poison the quantiles or the mean, but it still
+// shows in Count, so a stage that emits garbage is not silently quiet.
 func (h *Histogram) Record(v float64) {
 	if math.IsNaN(v) || v < 0 {
 		v = 0
 	}
 	i := h.bucketIndex(v)
 	if i >= len(h.counts) {
-		grown := make([]int64, i+1)
-		copy(grown, h.counts)
-		h.counts = grown
+		h.grow(i + 1)
 	}
 	h.counts[i]++
 	h.moments.Add(v)
+}
+
+// grow extends counts to n buckets. Capacity grows by a quarter, so a
+// rising run of samples reallocates O(log n) times instead of once per
+// new top bucket, while a server's ~100 histograms carry at most 25 %
+// slack (doubling showed up in the benchmark's live heap). Nothing ever
+// writes past len and Reset zeroes in place, so re-slicing within
+// capacity exposes only zeros.
+func (h *Histogram) grow(n int) {
+	if n <= cap(h.counts) {
+		h.counts = h.counts[:n]
+		return
+	}
+	grown := make([]int64, n, max(n, cap(h.counts)+cap(h.counts)/4))
+	copy(grown, h.counts)
+	h.counts = grown
 }
 
 // Count reports the number of recorded observations.
@@ -117,10 +134,11 @@ func (h *Histogram) Min() float64 { return h.moments.Min() }
 // Max reports the largest recorded observation.
 func (h *Histogram) Max() float64 { return h.moments.Max() }
 
-// Quantile returns an estimate of the q-th quantile, q in [0, 1].
-// It returns ErrNoSamples when the histogram is empty and an error for
-// q outside [0, 1].
-func (h *Histogram) Quantile(q float64) (float64, error) {
+// rankBucket returns the bucket holding the q-th quantile's observation
+// (1-based rank ceil(q*n), clamped to [1,n]), or len(counts) when the
+// counts fall short of the rank. It returns ErrNoSamples when the
+// histogram is empty and an error for q outside [0, 1].
+func (h *Histogram) rankBucket(q float64) (int, error) {
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
 	}
@@ -128,7 +146,6 @@ func (h *Histogram) Quantile(q float64) (float64, error) {
 	if total == 0 {
 		return 0, ErrNoSamples
 	}
-	// Rank of the desired observation, 1-based, ceil(q*n) clamped to [1,n].
 	rank := int64(math.Ceil(q * float64(total)))
 	if rank < 1 {
 		rank = 1
@@ -137,13 +154,26 @@ func (h *Histogram) Quantile(q float64) (float64, error) {
 	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			v := h.bucketMid(i)
-			// Clamp to the observed range: exact min/max beat bucket
-			// midpoints at the extremes.
-			return clamp(v, h.Min(), h.Max()), nil
+			return i, nil
 		}
 	}
-	return h.Max(), nil
+	return len(h.counts), nil
+}
+
+// Quantile returns an estimate of the q-th quantile, q in [0, 1].
+// It returns ErrNoSamples when the histogram is empty and an error for
+// q outside [0, 1].
+func (h *Histogram) Quantile(q float64) (float64, error) {
+	i, err := h.rankBucket(q)
+	if err != nil {
+		return 0, err
+	}
+	if i == len(h.counts) {
+		return h.Max(), nil
+	}
+	// Clamp to the observed range: exact min/max beat bucket midpoints
+	// at the extremes.
+	return clamp(h.bucketMid(i), h.Min(), h.Max()), nil
 }
 
 // MustQuantile is Quantile for static q known to be valid; it returns 0
@@ -166,9 +196,7 @@ func (h *Histogram) Merge(other *Histogram) error {
 		return fmt.Errorf("stats: merging histograms with different bucketing")
 	}
 	if len(other.counts) > len(h.counts) {
-		grown := make([]int64, len(other.counts))
-		copy(grown, h.counts)
-		h.counts = grown
+		h.grow(len(other.counts))
 	}
 	for i, c := range other.counts {
 		h.counts[i] += c
@@ -177,9 +205,11 @@ func (h *Histogram) Merge(other *Histogram) error {
 	return nil
 }
 
-// Reset discards all recorded observations, keeping bucketing parameters.
+// Reset discards all recorded observations, keeping the bucketing
+// parameters and the bucket array, so a histogram that is reset every
+// window records into warm memory without allocating.
 func (h *Histogram) Reset() {
-	h.counts = h.counts[:0]
+	clear(h.counts)
 	h.moments.Reset()
 }
 
@@ -189,15 +219,19 @@ func (h *Histogram) CDF(v float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	idx := h.bucketIndex(v)
-	var cum int64
-	for i, c := range h.counts {
-		if i > idx {
-			break
-		}
-		cum += c
+	return float64(h.CumulativeCount(v)) / float64(total)
+}
+
+// FractionAbove reports the fraction of observations strictly above v,
+// up to bucket resolution: observations in v's own bucket count as not
+// above, so it is exactly 1 − CDF(v). The SLO watchdog's burn rate is
+// FractionAbove(target).
+func (h *Histogram) FractionAbove(v float64) float64 {
+	total := h.Count()
+	if total == 0 {
+		return 0
 	}
-	return float64(cum) / float64(total)
+	return float64(total-h.CumulativeCount(v)) / float64(total)
 }
 
 // Quantiles evaluates several quantiles at once, more cheaply than
@@ -222,28 +256,16 @@ func (h *Histogram) Quantiles(qs []float64) ([]float64, error) {
 // make about where the true quantile lies. Bucket 0 reports [0,
 // smallest). It returns ErrNoSamples when the histogram is empty.
 func (h *Histogram) QuantileBounds(q float64) (lo, hi float64, err error) {
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return 0, 0, fmt.Errorf("stats: quantile %v out of [0,1]", q)
+	i, err := h.rankBucket(q)
+	switch {
+	case err != nil:
+		return 0, 0, err
+	case i == len(h.counts):
+		return h.Max(), h.Max(), nil
+	case i == 0:
+		return 0, h.smallest, nil
 	}
-	total := h.Count()
-	if total == 0 {
-		return 0, 0, ErrNoSamples
-	}
-	rank := int64(math.Ceil(q * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range h.counts {
-		cum += c
-		if cum >= rank {
-			if i == 0 {
-				return 0, h.smallest, nil
-			}
-			return h.bucketUpper(i - 1), h.bucketUpper(i), nil
-		}
-	}
-	return h.Max(), h.Max(), nil
+	return h.bucketUpper(i - 1), h.bucketUpper(i), nil
 }
 
 // EachBucket calls fn for every non-empty bucket in ascending value

@@ -161,12 +161,127 @@ func TestHistogramReset(t *testing.T) {
 	h := NewHistogram()
 	h.Record(1)
 	h.Reset()
-	if h.Count() != 0 {
+	if h.Count() != 0 || h.CumulativeCount(10) != 0 {
 		t.Fatal("reset did not clear")
 	}
 	h.Record(2) // still usable
-	if h.Count() != 1 {
+	if h.Count() != 1 || h.CumulativeCount(10) != 1 {
 		t.Fatal("histogram unusable after reset")
+	}
+}
+
+// TestHistogramResetKeepsBuckets: a histogram that is reset every
+// window (the SLO watchdog resets 13 per window) must record into the
+// bucket array it already has.
+func TestHistogramResetKeepsBuckets(t *testing.T) {
+	h := NewHistogram()
+	h.Record(1)
+	if n := testing.AllocsPerRun(100, func() {
+		h.Reset()
+		h.Record(123e-6)
+		h.Record(1)
+	}); n != 0 {
+		t.Errorf("Reset then Record on a warmed histogram: %v allocs/op, want 0", n)
+	}
+}
+
+// TestHistogramGrowsGeometrically: a rising run of samples opens one
+// new top bucket per sample; geometric capacity growth keeps that to O(log n)
+// reallocations, and the stale-free invariant holds across regrowth.
+func TestHistogramGrowsGeometrically(t *testing.T) {
+	h := NewHistogram()
+	const samples = 1000
+	v := 1e-6
+	if n := testing.AllocsPerRun(1, func() {
+		for i := 0; i < samples; i++ {
+			h.Record(v)
+			v *= defaultGrowth * 1.001
+		}
+	}); n > 12 {
+		t.Errorf("%d rising samples cost %v allocations, want O(log n)", samples, n)
+	}
+	var total int64
+	h.EachBucket(func(_ float64, c int64) { total += c })
+	if total != h.Count() {
+		t.Errorf("bucket counts sum to %d, Count says %d", total, h.Count())
+	}
+}
+
+// TestHistogramQuantileRelativeError is the accuracy property the
+// watchdog's band math depends on: with growth 1.02 and the geometric
+// midpoint as representative, every quantile is within √1.02 − 1 < 1 %
+// of the exact sorted-reference value at the same rank.
+func TestHistogramQuantileRelativeError(t *testing.T) {
+	h := NewHistogram()
+	rng := rand.New(rand.NewPCG(42, 42))
+	const n = 20000
+	vals := make([]float64, n)
+	for i := range vals {
+		// Log-uniform between 100ns and 10s: seven decades, like a
+		// latency distribution with a heavy tail.
+		vals[i] = math.Exp(rng.Float64()*math.Log(1e8)) * 1e-7
+		h.Record(vals[i])
+	}
+	sort.Float64s(vals)
+	for _, q := range []float64{0, 0.01, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999, 1} {
+		rank := int(math.Ceil(q * n))
+		if rank < 1 {
+			rank = 1
+		}
+		exact := vals[rank-1]
+		got := h.MustQuantile(q)
+		if relErr := math.Abs(got-exact) / exact; relErr > 0.01 {
+			t.Errorf("q=%v: histogram=%v exact=%v relative error %v > 1%%", q, got, exact, relErr)
+		}
+	}
+	if h.Min() != vals[0] || h.Max() != vals[n-1] {
+		t.Errorf("min/max=%v/%v, want %v/%v", h.Min(), h.Max(), vals[0], vals[n-1])
+	}
+}
+
+// TestHistogramFractionAbove pins the burn-rate convention: samples in
+// the threshold's own bucket count as not above, so FractionAbove is
+// exactly 1 − CumulativeCount/Count.
+func TestHistogramFractionAbove(t *testing.T) {
+	if got := NewHistogram().FractionAbove(0); got != 0 {
+		t.Errorf("empty FractionAbove = %v, want 0", got)
+	}
+	h := NewHistogram()
+	for i := 1; i <= 100; i++ {
+		h.Record(float64(i) * 1e-3) // 1ms .. 100ms
+	}
+	if got := h.FractionAbove(50e-3); math.Abs(got-0.5) > 0.03 {
+		t.Errorf("FractionAbove(50ms)=%v, want ~0.5", got)
+	}
+	if got := h.FractionAbove(1); got != 0 {
+		t.Errorf("FractionAbove(1s)=%v, want 0", got)
+	}
+	if got := h.FractionAbove(0); got != 1 {
+		t.Errorf("FractionAbove(0)=%v, want 1", got)
+	}
+	// A sample equal to the threshold shares its bucket: not above.
+	if got := h.FractionAbove(100e-3); got != 0 {
+		t.Errorf("FractionAbove(max)=%v, want 0 (own bucket is not above)", got)
+	}
+	for _, v := range []float64{0, 1e-3, 7.5e-3, 50e-3, 99e-3, 1} {
+		want := 1 - float64(h.CumulativeCount(v))/float64(h.Count())
+		if got := h.FractionAbove(v); math.Abs(got-want) > 1e-15 {
+			t.Errorf("FractionAbove(%v)=%v, 1−CumulativeCount/Count=%v", v, got, want)
+		}
+	}
+	// The watchdog's burn cases: a 10ms target over 1ms/20ms traffic.
+	burn := NewHistogram()
+	for i := 0; i < 100; i++ {
+		burn.Record(1e-3)
+	}
+	if got := burn.FractionAbove(10e-3); got != 0 {
+		t.Errorf("healthy window burns %v, want 0", got)
+	}
+	for i := 0; i < 100; i++ {
+		burn.Record(20e-3)
+	}
+	if got := burn.FractionAbove(10e-3); got != 0.5 {
+		t.Errorf("half-violating window burns %v, want 0.5", got)
 	}
 }
 

@@ -11,8 +11,8 @@ package telemetry
 import (
 	"fmt"
 	"strings"
-	"sync"
 
+	"memqlat/internal/sketch"
 	"memqlat/internal/stats"
 )
 
@@ -82,44 +82,40 @@ const (
 	numStages
 )
 
-// Stages lists every stage in reporting order.
-func Stages() []Stage {
-	return []Stage{StageQueueWait, StageService, StageMissPenalty, StageForkJoin,
-		StageRetry, StageHedgeWait, StageBreakerShed, StageLockWait, StageProxyHop,
-		StageCoalesceWait, StageTenantShed, StageDiskRead}
+// stageNames is the one table of stage names, indexed by Stage: the
+// stable snake_case names used in reports and the server's "stats
+// telemetry" protocol section. Adding a stage is a const above and a
+// row here; Stages and String derive from it.
+var stageNames = [numStages]string{
+	StageQueueWait:    "queue_wait",
+	StageService:      "service",
+	StageMissPenalty:  "miss_penalty",
+	StageForkJoin:     "fork_join",
+	StageRetry:        "retry",
+	StageHedgeWait:    "hedge_wait",
+	StageBreakerShed:  "breaker_shed",
+	StageLockWait:     "lock_wait",
+	StageProxyHop:     "proxy_hop",
+	StageCoalesceWait: "coalesce_wait",
+	StageTenantShed:   "tenant_shed",
+	StageDiskRead:     "disk_read",
 }
 
-// String returns the stable snake_case stage name used in reports and
-// the server's "stats telemetry" protocol section.
+// Stages lists every stage in reporting order.
+func Stages() []Stage {
+	out := make([]Stage, numStages)
+	for i := range out {
+		out[i] = Stage(i)
+	}
+	return out
+}
+
+// String returns the stage's name from stageNames.
 func (s Stage) String() string {
-	switch s {
-	case StageQueueWait:
-		return "queue_wait"
-	case StageService:
-		return "service"
-	case StageMissPenalty:
-		return "miss_penalty"
-	case StageForkJoin:
-		return "fork_join"
-	case StageRetry:
-		return "retry"
-	case StageHedgeWait:
-		return "hedge_wait"
-	case StageBreakerShed:
-		return "breaker_shed"
-	case StageLockWait:
-		return "lock_wait"
-	case StageProxyHop:
-		return "proxy_hop"
-	case StageCoalesceWait:
-		return "coalesce_wait"
-	case StageTenantShed:
-		return "tenant_shed"
-	case StageDiskRead:
-		return "disk_read"
-	default:
+	if s < 0 || s >= numStages {
 		return fmt.Sprintf("stage(%d)", int(s))
 	}
+	return stageNames[s]
 }
 
 // Recorder receives per-stage latency observations. Implementations
@@ -254,42 +250,43 @@ func (b Breakdown) String() string {
 	return sb.String()
 }
 
-// collectorStripes is the number of independent lock domains inside a
-// Collector. Power of two so Shard can mask instead of divide.
-const collectorStripes = 8
-
-// stripe is one lock domain of a Collector; it is itself a Recorder, so
-// Collector.Shard can hand it out directly.
-type stripe struct {
-	mu    sync.Mutex
-	hists [numStages]*stats.Histogram
+// shard is one of a Collector's preallocated per-worker handles: the
+// stripe it maps to in every stage's sketch. It is itself a Recorder,
+// so Collector.Shard hands it out without allocating.
+type shard struct {
+	stripes [numStages]*sketch.Stripe
 }
 
 // Observe implements Recorder.
-func (s *stripe) Observe(stage Stage, seconds float64) {
+func (s *shard) Observe(stage Stage, seconds float64) {
 	if stage < 0 || stage >= numStages {
 		return
 	}
-	s.mu.Lock()
-	s.hists[stage].Record(seconds)
-	s.mu.Unlock()
+	s.stripes[stage].Record(seconds)
 }
 
+// numShards matches the sketch's stripe count: more handles would only
+// alias the same locks.
+const numShards = 8
+
 // Collector is a thread-safe Recorder that aggregates observations into
-// a Breakdown. Internally it is striped: workers that obtain handles via
-// Shard serialize only within their stripe, so a cluster-wide collector
-// does not become a cluster-wide lock. The zero value is NOT ready; use
-// NewCollector.
+// a Breakdown: one striped sketch per stage. Workers that obtain
+// handles via Shard serialize only within their stripe, so a
+// cluster-wide collector does not become a cluster-wide lock. The zero
+// value is NOT ready; use NewCollector.
 type Collector struct {
-	stripes [collectorStripes]stripe
+	stages [numStages]*sketch.Sketch
+	shards [numShards]shard
 }
 
 // NewCollector constructs an empty Collector.
 func NewCollector() *Collector {
 	c := &Collector{}
-	for s := range c.stripes {
-		for i := range c.stripes[s].hists {
-			c.stripes[s].hists[i] = stats.NewHistogram()
+	for i := range c.stages {
+		// New cannot fail: Options has nothing to reject.
+		c.stages[i], _ = sketch.New(sketch.Options{})
+		for h := range c.shards {
+			c.shards[h].stripes[i] = c.stages[i].Stripe(uint64(h))
 		}
 	}
 	return c
@@ -298,33 +295,19 @@ func NewCollector() *Collector {
 // Observe implements Recorder. Unsharded callers all land in stripe 0;
 // hot paths should take a per-worker handle via Shard instead.
 func (c *Collector) Observe(stage Stage, seconds float64) {
-	c.stripes[0].Observe(stage, seconds)
+	c.shards[0].Observe(stage, seconds)
 }
 
 // Shard implements Sharder: observations through the returned handle
 // only contend with workers mapped to the same stripe.
 func (c *Collector) Shard(hint uint64) Recorder {
-	return &c.stripes[hint&(collectorStripes-1)]
+	return &c.shards[hint&(numShards-1)]
 }
 
-// Breakdown snapshots the current per-stage statistics, merged across
-// stripes.
+// Breakdown summarizes the current per-stage statistics.
 func (c *Collector) Breakdown() Breakdown {
-	merged := [numStages]*stats.Histogram{}
-	for i := range merged {
-		merged[i] = stats.NewHistogram()
-	}
-	for s := range c.stripes {
-		st := &c.stripes[s]
-		st.mu.Lock()
-		for i, h := range st.hists {
-			// Identical bucketing by construction; Merge cannot fail.
-			_ = merged[i].Merge(h)
-		}
-		st.mu.Unlock()
-	}
 	out := make(Breakdown, numStages)
-	for i, h := range merged {
+	for stage, h := range c.Histograms() {
 		st := StageStats{Count: h.Count()}
 		if st.Count > 0 {
 			st.Mean = h.Mean()
@@ -333,7 +316,7 @@ func (c *Collector) Breakdown() Breakdown {
 			st.P95 = h.MustQuantile(0.95)
 			st.P99 = h.MustQuantile(0.99)
 		}
-		out[Stage(i)] = st
+		out[stage] = st
 	}
 	return out
 }
@@ -343,22 +326,23 @@ func (c *Collector) Breakdown() Breakdown {
 // bucket counts agree with the Breakdown's quantiles. The returned
 // histograms are private copies; callers may mutate them freely.
 func (c *Collector) Histograms() map[Stage]*stats.Histogram {
-	merged := [numStages]*stats.Histogram{}
-	for i := range merged {
-		merged[i] = stats.NewHistogram()
-	}
-	for s := range c.stripes {
-		st := &c.stripes[s]
-		st.mu.Lock()
-		for i, h := range st.hists {
-			// Identical bucketing by construction; Merge cannot fail.
-			_ = merged[i].Merge(h)
-		}
-		st.mu.Unlock()
-	}
 	out := make(map[Stage]*stats.Histogram, numStages)
-	for i, h := range merged {
-		out[Stage(i)] = h
+	for i, sk := range c.stages {
+		out[Stage(i)] = sk.Snapshot()
+	}
+	return out
+}
+
+// Drain is Histograms followed by a reset of every stage: it returns
+// one window's distributions and starts the next, keeping the stripes'
+// bucket arrays warm. Recorders are not paused: a sample that lands
+// between a stage's snapshot and its reset is in neither window
+// (microseconds out of the SLO watchdog's 250 ms).
+func (c *Collector) Drain() map[Stage]*stats.Histogram {
+	out := make(map[Stage]*stats.Histogram, numStages)
+	for i, sk := range c.stages {
+		out[Stage(i)] = sk.Snapshot()
+		sk.Reset()
 	}
 	return out
 }

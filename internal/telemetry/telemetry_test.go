@@ -35,6 +35,29 @@ func TestStageNames(t *testing.T) {
 	}
 }
 
+// TestStageTableComplete: a stage added to the const block without a
+// stageNames row would report as "" — every stage below numStages must
+// have a unique non-empty name, and Stages must list them in order.
+func TestStageTableComplete(t *testing.T) {
+	seen := map[string]Stage{}
+	for i, stage := range Stages() {
+		if stage != Stage(i) {
+			t.Fatalf("Stages()[%d] = %d, want reporting order", i, stage)
+		}
+		name := stage.String()
+		if name == "" {
+			t.Errorf("stage %d has no name in stageNames", stage)
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("stages %d and %d share the name %q", prev, stage, name)
+		}
+		seen[name] = stage
+	}
+	if len(seen) != int(numStages) {
+		t.Errorf("%d distinct names for %d stages", len(seen), numStages)
+	}
+}
+
 func TestCollectorAggregates(t *testing.T) {
 	c := NewCollector()
 	for i := 1; i <= 100; i++ {
@@ -249,5 +272,72 @@ func TestBreakdownP95Ordering(t *testing.T) {
 	// Uniform 1..1000µs: p95 must sit near 950µs within bucket error.
 	if st.P95 < 900e-6 || st.P95 > 1000e-6 {
 		t.Errorf("p95 = %v, want ~950µs", st.P95)
+	}
+}
+
+// TestDrainEqualsHistograms: Drain hands back exactly what Histograms
+// showed just before it — recorded here through every shard handle
+// from concurrent goroutines (run under -race) — and leaves the
+// collector empty but usable.
+func TestDrainEqualsHistograms(t *testing.T) {
+	c := NewCollector()
+	var wg sync.WaitGroup
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			h := Shard(c, uint64(w))
+			for i := 0; i < 500; i++ {
+				h.Observe(StageService, float64(w*500+i+1)*1e-7)
+				h.Observe(StageMissPenalty, float64(i+1)*1e-5)
+			}
+		}(w)
+	}
+	wg.Wait()
+	before := c.Histograms()
+	drained := c.Drain()
+	for _, stage := range Stages() {
+		want, got := before[stage], drained[stage]
+		if got.Count() != want.Count() || got.Min() != want.Min() || got.Max() != want.Max() ||
+			got.Mean() != want.Mean() {
+			t.Fatalf("%s: drained count/min/max/mean %d/%v/%v/%v, Histograms said %d/%v/%v/%v", stage,
+				got.Count(), got.Min(), got.Max(), got.Mean(), want.Count(), want.Min(), want.Max(), want.Mean())
+		}
+		for q := 0.0; q <= 1; q += 1.0 / 32 {
+			if g, w := got.MustQuantile(q), want.MustQuantile(q); g != w {
+				t.Errorf("%s q=%v: drained %v, Histograms said %v", stage, q, g, w)
+			}
+		}
+	}
+	if drained[StageService].Count() != 8000 {
+		t.Errorf("drained service count = %d, want 8000", drained[StageService].Count())
+	}
+	if !c.Breakdown().Empty() {
+		t.Error("collector not empty after Drain")
+	}
+	c.Observe(StageService, 1e-6)
+	if got := c.Breakdown()[StageService].Count; got != 1 {
+		t.Errorf("count after Drain+Observe = %d, want 1", got)
+	}
+}
+
+// TestObserveZeroAlloc is the steady-state gate for the recorder every
+// tier calls per command: neither the collector nor a shard handle
+// allocates once its histograms cover the sample range, nor does
+// taking the handle.
+func TestObserveZeroAlloc(t *testing.T) {
+	c := NewCollector()
+	h := c.Shard(3)
+	c.Observe(StageService, 1)
+	h.Observe(StageService, 1)
+	c.Drain()
+	if n := testing.AllocsPerRun(1000, func() { c.Observe(StageService, 123e-6) }); n != 0 {
+		t.Errorf("Collector.Observe: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { h.Observe(StageService, 123e-6) }); n != 0 {
+		t.Errorf("shard handle Observe: %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() { _ = c.Shard(5) }); n != 0 {
+		t.Errorf("Collector.Shard: %v allocs/op, want 0", n)
 	}
 }
