@@ -93,8 +93,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChromeTrace -fuzztime=15s ./internal/otrace/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=10s ./internal/slo/
 
-# Regenerate the plane-harness baseline (BENCH_plane.json records the
-# last blessed numbers).
+# Plane-harness benchmarks, printed not gated: the live run is 125 ms of
+# real-time pacing, so its ns/op says nothing portable.
 bench-plane:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimPlane|BenchmarkLivePlane' -benchmem -benchtime 3x .
 
@@ -103,7 +103,7 @@ bench-plane:
 # against real in-process servers: one Get, and one 32-key MultiGet over
 # 2 and over 8 servers, per op, whose allocs/op are the client's own.
 bench-server:
-	$(GO) test -run '^$$' -bench 'BenchmarkServerHotPath|BenchmarkCoalescedMiss' -benchmem ./internal/server/
+	$(GO) test -run '^$$' -bench BenchmarkServerHotPath -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkClientGet|BenchmarkClientMultiGet' -benchmem ./internal/client/
 
 # Proxy hot-path benchmarks (pipelined get/set passthrough, the
@@ -122,8 +122,8 @@ bench-conns:
 		-benchtime 500000x ./internal/server/
 
 # Extstore disk-tier benchmarks (indexed read path against a populated
-# segment log, and the bounded sync write path). BENCH_extstore.json
-# records the last blessed numbers.
+# segment log, and the bounded sync write path), printed not gated: the
+# allocation bounds are a tier-1 test, extstore.TestHotPathAllocs.
 bench-extstore:
 	$(GO) test -run '^$$' -bench 'BenchmarkExtstoreRead|BenchmarkExtstoreWrite' -benchmem ./internal/extstore/
 
@@ -139,17 +139,13 @@ bench-slo:
 # way CI does: >20% ns/op regression or any allocation appearing on a
 # zero-alloc path fails.
 bench-check:
-	$(GO) test -run '^$$' -bench 'BenchmarkServerHotPath|BenchmarkCoalescedMiss' -benchmem ./internal/server/ \
+	$(GO) test -run '^$$' -bench BenchmarkServerHotPath -benchmem ./internal/server/ \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_server.json
 	$(GO) test -run '^$$' -bench 'BenchmarkProxyHotPath|BenchmarkProxyQoS' -benchmem ./internal/proxy/ \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_proxy.json
-	$(GO) test -run '^$$' -bench 'BenchmarkSimPlane|BenchmarkLivePlane' -benchmem -benchtime 3x . \
-		| $(GO) run ./cmd/benchdiff -baseline BENCH_plane.json
 	$(GO) test -run '^$$' -bench BenchmarkConnScaling -benchmem \
 		-benchtime 500000x ./internal/server/ \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_conns.json
-	$(GO) test -run '^$$' -bench 'BenchmarkExtstoreRead|BenchmarkExtstoreWrite' -benchmem ./internal/extstore/ \
-		| $(GO) run ./cmd/benchdiff -baseline BENCH_extstore.json
 
 # Observability smoke: a short live-plane run with the admin plane and
 # span recording armed (mcbench re-parses the Chrome trace it wrote and
@@ -163,7 +159,7 @@ obs:
 		-admin 127.0.0.1:0 -trace-ring 8192 -trace-out obs_trace.json -slow 250ms
 	rm -f obs_trace.json
 	$(GO) test -run TestObservabilitySmoke -count=1 ./cmd/mcbench/
-	$(GO) test -run '^$$' -bench 'BenchmarkServerHotPath|BenchmarkCoalescedMiss' -benchmem ./internal/server/ \
+	$(GO) test -run '^$$' -bench BenchmarkServerHotPath -benchmem ./internal/server/ \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_server.json
 	$(GO) test -run '^$$' -bench BenchmarkProxyHotPath -benchmem ./internal/proxy/ \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_proxy.json

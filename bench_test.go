@@ -62,7 +62,7 @@ func BenchmarkExtIntegrated(b *testing.B)          { runExperiment(b, experiment
 func BenchmarkExtElasticity(b *testing.B)          { runExperiment(b, experiments.ExtElasticity) }
 func BenchmarkLiveStack(b *testing.B)              { runExperiment(b, experiments.Live) }
 
-// ---- plane harness benchmarks (baseline in BENCH_plane.json) ----
+// ---- plane harness benchmarks (make bench-plane) ----
 
 // BenchmarkSimPlane measures a full simulator-plane evaluation of the
 // Facebook workload at bench budget: scenario lowering, the composition

@@ -1,5 +1,5 @@
 // Command benchdiff compares `go test -bench` output against a
-// checked-in JSON baseline (BENCH_plane.json, BENCH_server.json) and
+// checked-in JSON baseline (BENCH_server.json, BENCH_proxy.json) and
 // exits non-zero when a benchmark regressed: ns/op above the allowed
 // ratio, or any allocations appearing on a path the baseline records as
 // zero-alloc. It can also write a fresh baseline from current output.

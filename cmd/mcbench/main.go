@@ -321,6 +321,8 @@ func run(args []string, out io.Writer) error {
 	if *adminAddr != "" {
 		reg := metrics.NewRegistry()
 		metrics.RegisterClient(reg, cl)
+		metrics.RegisterCoalesce(reg, cl.Coalescer())
+		metrics.RegisterBackend(reg, db)
 		metrics.RegisterProxy(reg, px)
 		metrics.RegisterTenants(reg, lim)
 		metrics.RegisterTelemetry(reg, collector)

@@ -62,24 +62,50 @@ func TestRunAgainstLiveServer(t *testing.T) {
 	}
 }
 
+// TestRunWithFillMisses relays misses to the simulated database, naive
+// and coalesced, and checks the admin page carries the families the
+// miss path owns: memqlat_backend_* whenever there is a database,
+// memqlat_coalesce_* only when fetches are single-flighted.
 func TestRunWithFillMisses(t *testing.T) {
 	addr := startTestServer(t)
-	var out bytes.Buffer
-	args := []string{
-		"-servers", addr,
-		"-keys", "100",
-		"-ops", "300",
-		"-lambda", "50000",
-		"-miss-ratio", "0.3",
-		"-fill-misses",
-		"-mud", "100000",
-		"-workers", "8",
-	}
-	if err := run(args, &out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "misses") {
-		t.Errorf("output missing miss accounting:\n%s", out.String())
+	for _, tc := range []struct {
+		name    string
+		extra   []string
+		metrics map[string]bool
+	}{
+		{"naive", nil, map[string]bool{
+			"memqlat_backend_lookups_total": true, "memqlat_coalesce_fetches_total": false}},
+		{"coalesced", []string{"-coalesce"}, map[string]bool{
+			"memqlat_backend_lookups_total": true, "memqlat_coalesce_fetches_total": true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			probe := &adminProbe{t: t}
+			args := append([]string{
+				"-servers", addr,
+				"-keys", "100",
+				"-ops", "300",
+				"-lambda", "50000",
+				"-miss-ratio", "0.3",
+				"-fill-misses",
+				"-mud", "100000",
+				"-workers", "8",
+				"-admin", "127.0.0.1:0",
+			}, tc.extra...)
+			if err := run(args, probe); err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(probe.String(), "misses") {
+				t.Errorf("output missing miss accounting:\n%s", probe.String())
+			}
+			if probe.metrics == "" {
+				t.Fatal("admin banner never appeared; /metrics not scraped")
+			}
+			for name, want := range tc.metrics {
+				if got := strings.Contains(probe.metrics, name); got != want {
+					t.Errorf("/metrics has %q = %v, want %v", name, got, want)
+				}
+			}
+		})
 	}
 }
 

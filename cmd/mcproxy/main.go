@@ -152,6 +152,7 @@ func run(args []string) error {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	errCh := make(chan error, 1)
 	go func() { errCh <- p.Serve(l) }()
 	log.Printf("mcproxy: listening on %s, %s routing over %s",

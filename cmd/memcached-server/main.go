@@ -58,7 +58,6 @@ func run(args []string) error {
 		maxItemKB   = fs.Int("max-item-kb", 1024, "maximum item size in KiB")
 		maxConns    = fs.Int("max-conns", 1024, "maximum concurrent connections")
 		serviceRate = fs.Float64("service-rate", 0, "optional exponential service-rate shaping (ops/s, 0 = off)")
-		serviceCh   = fs.Int("service-channels", 1, "independent service channels for the shaped path (1 = the paper's single-server queue)")
 		seed        = fs.Uint64("seed", 1, "seed for service-time shaping")
 		timingSmpl  = fs.Int("timing-sample", 0, "time 1-in-N unshaped commands for stats latency/telemetry (0 = default 8, 1 = every command, negative = off)")
 		extDir      = fs.String("extstore-dir", "", "arm a log-structured SSD cache tier on this directory (RAM evictions spill there; empty = off)")
@@ -142,19 +141,18 @@ func run(args []string) error {
 			*extDir, *extMB, ext.Len(), ext.Stats().Segments)
 	}
 	sopts := server.Options{
-		Cache:           c,
-		Extstore:        ext,
-		MaxConns:        *maxConns,
-		ServiceRate:     *serviceRate,
-		ServiceChannels: *serviceCh,
-		Seed:            *seed,
-		TimingSample:    *timingSmpl,
-		Tracer:          tracer,
-		Exemplars:       exStore,
-		ConnCore:        *connCore,
-		LoopWorkers:     *loopWorkers,
-		IdleTimeout:     *idleTimeout,
-		Logger:          log.New(os.Stderr, "memcached-server: ", log.LstdFlags),
+		Cache:        c,
+		Extstore:     ext,
+		MaxConns:     *maxConns,
+		ServiceRate:  *serviceRate,
+		Seed:         *seed,
+		TimingSample: *timingSmpl,
+		Tracer:       tracer,
+		Exemplars:    exStore,
+		ConnCore:     *connCore,
+		LoopWorkers:  *loopWorkers,
+		IdleTimeout:  *idleTimeout,
+		Logger:       log.New(os.Stderr, "memcached-server: ", log.LstdFlags),
 	}
 	if wd != nil {
 		// The server tees Options.Recorder with its own collector, so
@@ -201,6 +199,7 @@ func run(args []string) error {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
 	errCh := make(chan error, 1)
 	go func() { errCh <- srv.ListenAndServe(*addr) }()
 	log.Printf("memcached-server: listening on %s (memory %d MiB, shards %d, conn core %s)",

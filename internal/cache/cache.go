@@ -218,12 +218,6 @@ func (c *Cache) shardFor(key string) *shard {
 	return c.shards[fnv64a(key)&c.shardMask]
 }
 
-// ShardIndex exposes the key-to-shard routing (the server's shaped
-// service path uses it to pick a service channel per key).
-func (c *Cache) ShardIndex(key []byte) int {
-	return int(fnv64aBytes(key) & c.shardMask)
-}
-
 // Shards reports the number of lock domains.
 func (c *Cache) Shards() int { return len(c.shards) }
 

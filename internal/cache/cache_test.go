@@ -467,3 +467,25 @@ func TestShardStatsAndLockWaitCounters(t *testing.T) {
 		t.Errorf("lock waits counted (%d) but no blocked time", st.LockWaits)
 	}
 }
+
+func TestGetAndTouch(t *testing.T) {
+	c, clk := newTestCache(t, Options{})
+	_ = c.Set("k", []byte("v"), 9, time.Second)
+	it, err := c.GetAndTouch("k", time.Hour)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(it.Value) != "v" || it.Flags != 9 {
+		t.Errorf("item = %+v", it)
+	}
+	clk.Advance(10 * time.Second) // would have expired without the touch
+	if _, err := c.Get("k"); err != nil {
+		t.Errorf("gat did not extend life: %v", err)
+	}
+	if _, err := c.GetAndTouch("absent", time.Hour); err != ErrNotFound {
+		t.Errorf("gat absent: %v", err)
+	}
+	if _, err := c.GetAndTouch("", time.Hour); err != ErrKeyInvalid {
+		t.Errorf("gat invalid key: %v", err)
+	}
+}

@@ -21,7 +21,7 @@ func shardKeys(t *testing.T, c *Cache, shard, n int) []string {
 	keys := make([]string, 0, n)
 	for i := 0; len(keys) < n; i++ {
 		k := fmt.Sprintf("sk%06d", i)
-		if c.ShardIndex([]byte(k)) == shard {
+		if c.shardFor(k) == c.shards[shard] {
 			keys = append(keys, k)
 		}
 		if i > 1_000_000 {

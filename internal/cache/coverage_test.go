@@ -16,9 +16,6 @@ func TestShardsAccessor(t *testing.T) {
 	if got := c.Shards(); got != 8 {
 		t.Errorf("Shards() = %d, want 8 (5 rounded up to a power of two)", got)
 	}
-	if idx := c.ShardIndex([]byte("anything")); idx < 0 || idx >= c.Shards() {
-		t.Errorf("ShardIndex out of range: %d", idx)
-	}
 	if n := DefaultShards(); n < 8 || n&(n-1) != 0 {
 		t.Errorf("DefaultShards() = %d, want a power of two >= 8", n)
 	}

@@ -8,11 +8,14 @@ import (
 	"io"
 	"log"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"memqlat/internal/backend"
 	"memqlat/internal/cache"
+	"memqlat/internal/coalesce"
 	"memqlat/internal/server"
 )
 
@@ -66,7 +69,7 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("no servers accepted")
 	}
-	sel, _ := NewModuloSelector(2)
+	sel, _ := NewRingSelector(2, 0)
 	if _, err := New(Options{Servers: []string{"a"}, Selector: sel}); err == nil {
 		t.Error("selector/server count mismatch accepted")
 	}
@@ -338,5 +341,99 @@ func TestMissDoesNotPoisonConnection(t *testing.T) {
 	}
 	if st["total_connections"] > "3" {
 		t.Errorf("misses churned connections: total_connections = %s", st["total_connections"])
+	}
+}
+
+// slowFiller is a store of record whose fetches take delay and are
+// counted, so a test can hold one in flight.
+type slowFiller struct {
+	value   []byte
+	delay   time.Duration
+	fetches atomic.Int64
+}
+
+func (f *slowFiller) Get(ctx context.Context, key string) ([]byte, error) {
+	f.fetches.Add(1)
+	select {
+	case <-time.After(f.delay):
+		return f.value, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	}
+}
+
+// TestGetThroughCoalescedHerd drives a hot-key miss storm through the
+// one miss path the binaries run: with FillTTL negative every fill is
+// stored already expired, so every read re-misses, and single-flight
+// coalescing must keep the backend fetch count far below the read count.
+func TestGetThroughCoalescedHerd(t *testing.T) {
+	filler := &slowFiller{value: []byte("v"), delay: 2 * time.Millisecond}
+	c := newClient(t, startCluster(t, 1), func(o *Options) {
+		o.Filler = filler
+		o.FillTTL = -time.Second
+		o.Coalesce = &coalesce.Policy{}
+		o.PoolSize = 16
+	})
+	const workers, reads = 16, 10
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < reads; j++ {
+				it, hit, err := c.GetThrough(context.Background(), "hot")
+				if err != nil || hit || string(it.Value) != "v" {
+					t.Errorf("GetThrough = %q, hit %v, %v", it.Value, hit, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	total := int64(workers * reads)
+	fetched := filler.fetches.Load()
+	if fetched >= total/2 {
+		t.Fatalf("fetches = %d of %d reads; coalescing is not collapsing the herd", fetched, total)
+	}
+	st := c.Coalescer().Stats()
+	if st.Fetches != fetched {
+		t.Errorf("coalescer fetches = %d, filler saw %d", st.Fetches, fetched)
+	}
+	if st.Fetches+st.FanIns != total {
+		t.Errorf("fetches(%d) + fanins(%d) != reads(%d)", st.Fetches, st.FanIns, total)
+	}
+}
+
+// TestGetThroughCoalescedInvalidation: a set racing the in-flight fill
+// must win — the fetched value may be served to the waiting read, but
+// it must not be written back over the set.
+func TestGetThroughCoalescedInvalidation(t *testing.T) {
+	filler := &slowFiller{value: []byte("old"), delay: 20 * time.Millisecond}
+	c := newClient(t, startCluster(t, 1), func(o *Options) {
+		o.Filler = filler
+		o.Coalesce = &coalesce.Policy{}
+	})
+	readDone := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetThrough(context.Background(), "k")
+		readDone <- err
+	}()
+	// Let the fetch start, then set the key mid-fetch.
+	for c.Coalescer().Stats().InflightKeys == 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	if err := c.Set("k", []byte("new"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-readDone; err != nil {
+		t.Fatal(err)
+	}
+	it, err := c.Get("k")
+	if err != nil || string(it.Value) != "new" {
+		t.Fatalf("post-race value = %q, %v; want %q (stale write-back resurrected the fetched value?)", it.Value, err, "new")
+	}
+	if got := c.Coalescer().Stats().Invalidations; got != 1 {
+		t.Fatalf("invalidations = %d, want 1", got)
 	}
 }

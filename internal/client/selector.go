@@ -15,25 +15,10 @@ import "memqlat/internal/route"
 // Selector maps a key to a server index in [0, n).
 type Selector = route.Selector
 
-// ModuloSelector is the simplest key-to-server mapping: hash mod n.
-type ModuloSelector = route.ModuloSelector
-
 // RingSelector is a ketama-style consistent-hash ring with virtual
-// nodes and incremental membership; see route.RingSelector.
+// nodes; see route.RingSelector.
 type RingSelector = route.RingSelector
-
-// WeightedSelector realizes an arbitrary load distribution {p_j}; see
-// route.WeightedSelector.
-type WeightedSelector = route.WeightedSelector
-
-// NewModuloSelector validates n >= 1.
-func NewModuloSelector(n int) (*ModuloSelector, error) { return route.NewModuloSelector(n) }
 
 // NewRingSelector builds a ring over n servers with the given number of
 // virtual nodes per server (default 160 when vnodes <= 0).
 func NewRingSelector(n, vnodes int) (*RingSelector, error) { return route.NewRingSelector(n, vnodes) }
-
-// NewWeightedSelector validates the weight vector.
-func NewWeightedSelector(weights []float64) (*WeightedSelector, error) {
-	return route.NewWeightedSelector(weights)
-}

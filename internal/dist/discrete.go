@@ -147,19 +147,6 @@ func (w *Weighted) SampleInt(rng *rand.Rand) int {
 	return sort.SearchFloat64s(w.cdf, u)
 }
 
-// PickQuantile maps a deterministic u in [0, 1) to its category — the
-// inverse-CDF lookup SampleInt performs, exposed for hash-based
-// (deterministic) assignment.
-func (w *Weighted) PickQuantile(u float64) int {
-	if u < 0 {
-		u = 0
-	}
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return sort.SearchFloat64s(w.cdf, u)
-}
-
 // Prob returns the normalized probability of index i.
 func (w *Weighted) Prob(i int) float64 {
 	if i < 0 || i >= len(w.cdf) {

@@ -64,3 +64,43 @@ func BenchmarkExtstoreWrite(b *testing.B) {
 		}
 	}
 }
+
+// TestHotPathAllocs pins what the two benchmarks above show that does
+// not depend on the machine: an indexed Lookup of a warmed key into a
+// large-enough dst allocates nothing (the server's miss path runs it
+// per RAM miss), and a sync Put of an indexed key allocates at most
+// twice (what the write benchmark, which overwrites, has always shown).
+func TestHotPathAllocs(t *testing.T) {
+	s, err := Open(Options{Dir: t.TempDir(), SegmentBytes: 16 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	val := make([]byte, 256)
+	const keys = 256
+	keyBufs := make([][]byte, keys)
+	for i := range keyBufs {
+		keyBufs[i] = []byte(fmt.Sprintf("alloc-key-%06d", i))
+		if err := s.Put(keyBufs[i], val, 0, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dst := make([]byte, 0, 512)
+	i := 0
+	if n := testing.AllocsPerRun(1000, func() {
+		if _, _, _, err := s.Lookup(keyBufs[i%keys], dst[:0]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n != 0 {
+		t.Errorf("Lookup of a warmed key = %v allocs/op, want 0", n)
+	}
+	if n := testing.AllocsPerRun(1000, func() {
+		if err := s.Put(keyBufs[i%keys], val, 0, time.Time{}); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}); n > 2 {
+		t.Errorf("sync Put = %v allocs/op, want <= 2", n)
+	}
+}

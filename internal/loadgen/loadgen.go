@@ -24,6 +24,10 @@ import (
 	"memqlat/internal/tenant"
 )
 
+// KeyPrefix namespaces the keyspace every run populates and reads; the
+// live plane sizes its tiers from the key length it implies.
+const KeyPrefix = "mq:"
+
 // Value-size laws for Options.ValueDist.
 const (
 	ValueDistFixed     = "fixed"
@@ -36,8 +40,6 @@ type Options struct {
 	Client *client.Client
 	// Keys is the keyspace size (default 10_000).
 	Keys int
-	// KeyPrefix namespaces the keyspace (default "mq:").
-	KeyPrefix string
 	// ValueSize is the stored value size in bytes (default 100). Under
 	// ValueDistLogNormal it is the mean of the size law instead.
 	ValueSize int
@@ -165,9 +167,6 @@ func (o *Options) withDefaults() (Options, error) {
 	if out.Keys < 1 {
 		return out, fmt.Errorf("loadgen: Keys=%d must be >= 1", out.Keys)
 	}
-	if out.KeyPrefix == "" {
-		out.KeyPrefix = "mq:"
-	}
 	if out.ValueSize == 0 {
 		out.ValueSize = 100
 	}
@@ -226,13 +225,13 @@ func (o *Options) withDefaults() (Options, error) {
 }
 
 // keyName formats the i-th keyspace member.
-func keyName(prefix string, i int) string {
-	return prefix + strconv.Itoa(i)
+func keyName(i int) string {
+	return KeyPrefix + strconv.Itoa(i)
 }
 
 // missKeyName formats a key that Populate never stores.
-func missKeyName(prefix string, i int) string {
-	return prefix + "miss:" + strconv.Itoa(i)
+func missKeyName(i int) string {
+	return KeyPrefix + "miss:" + strconv.Itoa(i)
 }
 
 // Populate stores the whole keyspace through the client so that a
@@ -267,7 +266,7 @@ func Populate(opts Options) error {
 			if sizes != nil {
 				v = value[:sizes[i]]
 			}
-			if err := o.Client.Set(tp+keyName(o.KeyPrefix, i), v, 0, 0); err != nil {
+			if err := o.Client.Set(tp+keyName(i), v, 0, 0); err != nil {
 				return fmt.Errorf("loadgen: populate key %s%d: %w", tp, i, err)
 			}
 		}
@@ -364,9 +363,9 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	drawKey := func(rngKey, rngMiss, rngTenant *rand.Rand, popularity *dist.Zipf) (string, int) {
 		var key string
 		if o.MissRatio > 0 && rngMiss.Float64() < o.MissRatio {
-			key = missKeyName(o.KeyPrefix, popularity.SampleInt(rngKey))
+			key = missKeyName(popularity.SampleInt(rngKey))
 		} else {
-			key = keyName(o.KeyPrefix, popularity.SampleInt(rngKey))
+			key = keyName(popularity.SampleInt(rngKey))
 		}
 		if tenantMix == nil {
 			return key, -1

@@ -97,7 +97,7 @@ func TestPopulateValueDist(t *testing.T) {
 	}
 	minLen, maxLen, sum := 1<<30, 0, 0
 	for i := 0; i < opts.Keys; i++ {
-		v, err := cl.Get("mq:" + strconv.Itoa(i))
+		v, err := cl.Get(KeyPrefix + strconv.Itoa(i))
 		if err != nil {
 			t.Fatalf("key %d: %v", i, err)
 		}

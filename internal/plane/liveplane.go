@@ -40,7 +40,7 @@ const liveExtSegmentBytes = 16 << 10
 // both converted to bytes at the loadgen's key/value sizes.
 func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
 	e := s.Extstore
-	keyLen := len("mq:" + strconv.Itoa(s.Keys-1))
+	keyLen := len(loadgen.KeyPrefix + strconv.Itoa(s.Keys-1))
 	ramPer := (e.RAMItems + m - 1) / m
 	diskPer := (e.TotalItems - e.RAMItems + m - 1) / m
 	copts := cache.Options{
@@ -72,6 +72,11 @@ func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
 type LivePlane struct {
 	// PoolSize caps client connections per server (default: Workers).
 	PoolSize int
+	// ConnCore selects the servers' connection core: server.CoreGoroutines
+	// (the default) or server.CoreEventLoop. It belongs to this plane
+	// alone — connection handling is exactly the machinery the model and
+	// the simulator abstract away.
+	ConnCore string
 }
 
 // Name implements Plane.
@@ -186,7 +191,7 @@ func (p LivePlane) Run(ctx context.Context, s Scenario) (*Result, error) {
 			Fault:       pointFor(i),
 			Tracer:      s.Tracer,
 			ID:          i,
-			ConnCore:    s.ConnCore,
+			ConnCore:    p.ConnCore,
 		})
 		if err != nil {
 			return nil, err

@@ -17,7 +17,6 @@ package plane
 import (
 	"context"
 	"fmt"
-	"os"
 	"time"
 
 	"memqlat/internal/backend"
@@ -173,13 +172,6 @@ type Scenario struct {
 	// capacity-sized RAM cache.
 	Extstore *ExtstoreSpec
 
-	// ConnCore selects the live-plane servers' connection core
-	// (server.CoreGoroutines by default; server.CoreEventLoop multiplexes
-	// every connection onto a few epoll loops). Model and simulator
-	// planes ignore it — connection handling is exactly the machinery
-	// they abstract away.
-	ConnCore string
-
 	// SLO, when set, arms the model-anchored watchdog on the measured
 	// planes. The live plane tees it into every tier's telemetry,
 	// arms it when the run clock starts and advances its rolling
@@ -217,11 +209,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.Keys == 0 {
 		s.Keys = 2000
-	}
-	if s.ConnCore == "" {
-		// CI matrixes the live plane over both connection cores by
-		// exporting MEMQLAT_CONN_CORE; explicit scenarios still win.
-		s.ConnCore = os.Getenv("MEMQLAT_CONN_CORE")
 	}
 	if s.Proxy != nil {
 		p := *s.Proxy

@@ -112,50 +112,48 @@ func TestFaultSimPlaneDegrades(t *testing.T) {
 // healthy half keeps answering — the live realization of the degraded
 // behavior the simulator predicts.
 func TestFaultLivePlaneSameSchedule(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live plane needs real time")
-	}
-	s := faultScenario(t, "reset:srv=0", fault.Resilience{})
-	res, err := LivePlane{}.Run(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lg := res.Live
-	if lg.Errors == 0 {
-		t.Fatal("live plane under reset:srv=0 reported no errors")
-	}
-	if lg.Hits == 0 {
-		t.Fatal("live plane under reset:srv=0 lost the healthy server too")
-	}
-	// Balanced hashing puts ~half the keyspace on the dead server; allow
-	// wide slack for the key distribution.
-	frac := float64(lg.Errors) / float64(lg.Issued)
-	if frac < 0.2 || frac > 0.8 {
-		t.Errorf("error fraction %.2f, want roughly the dead server's key share", frac)
-	}
+	eachConnCore(t, func(t *testing.T, live LivePlane) {
+		s := faultScenario(t, "reset:srv=0", fault.Resilience{})
+		res, err := live.Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lg := res.Live
+		if lg.Errors == 0 {
+			t.Fatal("live plane under reset:srv=0 reported no errors")
+		}
+		if lg.Hits == 0 {
+			t.Fatal("live plane under reset:srv=0 lost the healthy server too")
+		}
+		// Balanced hashing puts ~half the keyspace on the dead server; allow
+		// wide slack for the key distribution.
+		frac := float64(lg.Errors) / float64(lg.Issued)
+		if frac < 0.2 || frac > 0.8 {
+			t.Errorf("error fraction %.2f, want roughly the dead server's key share", frac)
+		}
+	})
 }
 
 // TestFaultLivePlaneBreakerSheds: with the circuit breaker on, the same
 // live fault turns slow transport errors into fast breaker sheds,
 // visible both in the loadgen counters and the telemetry stage.
 func TestFaultLivePlaneBreakerSheds(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live plane needs real time")
-	}
-	s := faultScenario(t, "reset:srv=0", fault.Resilience{
-		BreakerThreshold: 0.5,
-		BreakerWindow:    4,
-		BreakerCooldown:  0.05,
+	eachConnCore(t, func(t *testing.T, live LivePlane) {
+		s := faultScenario(t, "reset:srv=0", fault.Resilience{
+			BreakerThreshold: 0.5,
+			BreakerWindow:    4,
+			BreakerCooldown:  0.05,
+		})
+		res, err := live.Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Live.Shed == 0 {
+			t.Fatal("breaker never shed under a 100% reset fault")
+		}
+		if res.Breakdown.MeanOf(telemetry.StageBreakerShed) < 0 ||
+			res.Breakdown[telemetry.StageBreakerShed].Count == 0 {
+			t.Error("no StageBreakerShed telemetry from the live plane")
+		}
 	})
-	res, err := LivePlane{}.Run(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Live.Shed == 0 {
-		t.Fatal("breaker never shed under a 100% reset fault")
-	}
-	if res.Breakdown.MeanOf(telemetry.StageBreakerShed) < 0 ||
-		res.Breakdown[telemetry.StageBreakerShed].Count == 0 {
-		t.Error("no StageBreakerShed telemetry from the live plane")
-	}
 }

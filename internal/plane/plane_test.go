@@ -3,10 +3,12 @@ package plane
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"memqlat/internal/otrace"
+	"memqlat/internal/server"
 	"memqlat/internal/telemetry"
 	"memqlat/internal/tenant"
 	"memqlat/internal/workload"
@@ -414,97 +416,116 @@ func TestCrossPlaneNoisyNeighbor(t *testing.T) {
 	}
 }
 
+// eachConnCore runs f once per connection core the platform has, so
+// every test that starts a live plane covers both without anyone
+// exporting an environment variable. The cores run side by side: a live
+// run is sleep-shaped (about a fifth of one CPU), so overlapping them
+// keeps the package's wall time where one core left it.
+func eachConnCore(t *testing.T, f func(t *testing.T, live LivePlane)) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("live plane needs real time")
+	}
+	for _, core := range server.ConnCores() {
+		if core == server.CoreEventLoop && runtime.GOOS != "linux" {
+			continue
+		}
+		t.Run(core, func(t *testing.T) {
+			t.Parallel()
+			f(t, LivePlane{ConnCore: core})
+		})
+	}
+}
+
 // TestLivePlaneSmoke brings the full TCP stack up for a scaled-down
 // scenario and checks the common Result surface is populated and the
 // measured breakdown is coherent (total ≈ wait + service per key).
 func TestLivePlaneSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live plane needs real time")
-	}
-	s := Scenario{
-		Name:         "live-smoke",
-		N:            10,
-		LoadRatios:   []float64{0.5, 0.5},
-		TotalKeyRate: 4000,
-		Q:            0.1,
-		Xi:           0.15,
-		MuS:          2000,
-		MissRatio:    0.01,
-		MuD:          1000,
-		Ops:          1200,
-		Workers:      32,
-		Duration:     30 * time.Second,
-		Seed:         3,
-	}
-	res, err := LivePlane{}.Run(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Live == nil || res.Live.Issued == 0 {
-		t.Fatal("live plane issued no operations")
-	}
-	if res.Sample == nil || res.Sample.Count() == 0 {
-		t.Fatal("live plane recorded no latency sample")
-	}
-	mean := res.Sample.Mean()
-	if mean <= 0 {
-		t.Fatalf("non-positive mean latency %v", mean)
-	}
-	wait := res.Breakdown.MeanOf(telemetry.StageQueueWait)
-	service := res.Breakdown.MeanOf(telemetry.StageService)
-	if service <= 0 {
-		t.Fatal("live breakdown missing service stage")
-	}
-	// Server-side wait+service cannot exceed the client-observed
-	// per-key latency (which adds network + client overhead).
-	if wait+service > mean*1.05 {
-		t.Errorf("server-side stages %v exceed client mean %v", wait+service, mean)
-	}
-	if res.Breakdown.MeanOf(telemetry.StageForkJoin) < 0 {
-		t.Error("negative fork-join stage")
-	}
+	eachConnCore(t, func(t *testing.T, live LivePlane) {
+		s := Scenario{
+			Name:         "live-smoke",
+			N:            10,
+			LoadRatios:   []float64{0.5, 0.5},
+			TotalKeyRate: 4000,
+			Q:            0.1,
+			Xi:           0.15,
+			MuS:          2000,
+			MissRatio:    0.01,
+			MuD:          1000,
+			Ops:          1200,
+			Workers:      32,
+			Duration:     30 * time.Second,
+			Seed:         3,
+		}
+		res, err := live.Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Live == nil || res.Live.Issued == 0 {
+			t.Fatal("live plane issued no operations")
+		}
+		if res.Sample == nil || res.Sample.Count() == 0 {
+			t.Fatal("live plane recorded no latency sample")
+		}
+		mean := res.Sample.Mean()
+		if mean <= 0 {
+			t.Fatalf("non-positive mean latency %v", mean)
+		}
+		wait := res.Breakdown.MeanOf(telemetry.StageQueueWait)
+		service := res.Breakdown.MeanOf(telemetry.StageService)
+		if service <= 0 {
+			t.Fatal("live breakdown missing service stage")
+		}
+		// Server-side wait+service cannot exceed the client-observed
+		// per-key latency (which adds network + client overhead).
+		if wait+service > mean*1.05 {
+			t.Errorf("server-side stages %v exceed client mean %v", wait+service, mean)
+		}
+		if res.Breakdown.MeanOf(telemetry.StageForkJoin) < 0 {
+			t.Error("negative fork-join stage")
+		}
+	})
 }
 
 // TestLivePlaneProxiedSmoke runs the scaled-down live scenario through
 // a real TCP proxy in front of the server pool and checks the run
 // completes with proxy_hop telemetry in the breakdown.
 func TestLivePlaneProxiedSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live plane needs real time")
-	}
-	s := Scenario{
-		Name:         "live-proxied-smoke",
-		N:            10,
-		LoadRatios:   []float64{0.5, 0.5},
-		TotalKeyRate: 4000,
-		Q:            0.1,
-		Xi:           0.15,
-		MuS:          2000,
-		MissRatio:    0.01,
-		MuD:          1000,
-		Ops:          1200,
-		Workers:      32,
-		Duration:     30 * time.Second,
-		Seed:         3,
-		Proxy:        &ProxySpec{},
-	}
-	res, err := LivePlane{}.Run(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Live == nil || res.Live.Issued == 0 {
-		t.Fatal("proxied live plane issued no operations")
-	}
-	if res.Sample == nil || res.Sample.Count() == 0 {
-		t.Fatal("proxied live plane recorded no latency sample")
-	}
-	ph, ok := res.Breakdown[telemetry.StageProxyHop]
-	if !ok || ph.Count == 0 {
-		t.Fatalf("proxied live breakdown missing proxy_hop samples: %+v", ph)
-	}
-	if res.Breakdown.MeanOf(telemetry.StageService) <= 0 {
-		t.Fatal("proxied live breakdown missing server-side service stage")
-	}
+	eachConnCore(t, func(t *testing.T, live LivePlane) {
+		s := Scenario{
+			Name:         "live-proxied-smoke",
+			N:            10,
+			LoadRatios:   []float64{0.5, 0.5},
+			TotalKeyRate: 4000,
+			Q:            0.1,
+			Xi:           0.15,
+			MuS:          2000,
+			MissRatio:    0.01,
+			MuD:          1000,
+			Ops:          1200,
+			Workers:      32,
+			Duration:     30 * time.Second,
+			Seed:         3,
+			Proxy:        &ProxySpec{},
+		}
+		res, err := live.Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Live == nil || res.Live.Issued == 0 {
+			t.Fatal("proxied live plane issued no operations")
+		}
+		if res.Sample == nil || res.Sample.Count() == 0 {
+			t.Fatal("proxied live plane recorded no latency sample")
+		}
+		ph, ok := res.Breakdown[telemetry.StageProxyHop]
+		if !ok || ph.Count == 0 {
+			t.Fatalf("proxied live breakdown missing proxy_hop samples: %+v", ph)
+		}
+		if res.Breakdown.MeanOf(telemetry.StageService) <= 0 {
+			t.Fatal("proxied live breakdown missing server-side service stage")
+		}
+	})
 }
 
 // TestSimPlaneTraced checks Scenario.Tracer reaches the composition
@@ -546,40 +567,39 @@ func TestSimPlaneTraced(t *testing.T) {
 // TestLivePlaneTraced runs the scaled-down live scenario with a tracer
 // on the Scenario and checks every tier contributed wall-clock spans.
 func TestLivePlaneTraced(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live plane needs real time")
-	}
-	tr := otrace.New(otrace.Options{RingSize: 1 << 16})
-	s := Scenario{
-		Name:         "live-traced",
-		N:            10,
-		LoadRatios:   []float64{0.5, 0.5},
-		TotalKeyRate: 4000,
-		Q:            0.1,
-		Xi:           0.15,
-		MuS:          2000,
-		MissRatio:    0.05,
-		MuD:          1000,
-		Ops:          600,
-		Workers:      16,
-		Duration:     30 * time.Second,
-		Seed:         3,
-		Tracer:       tr,
-	}
-	res, err := LivePlane{}.Run(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Live == nil || res.Live.Issued == 0 {
-		t.Fatal("traced live plane issued no operations")
-	}
-	comps := map[string]int{}
-	for _, sp := range tr.Snapshot() {
-		comps[sp.Comp]++
-	}
-	for _, comp := range []string{"client", "server", "backend"} {
-		if comps[comp] == 0 {
-			t.Errorf("no %s spans in live trace (got %v)", comp, comps)
+	eachConnCore(t, func(t *testing.T, live LivePlane) {
+		tr := otrace.New(otrace.Options{RingSize: 1 << 16})
+		s := Scenario{
+			Name:         "live-traced",
+			N:            10,
+			LoadRatios:   []float64{0.5, 0.5},
+			TotalKeyRate: 4000,
+			Q:            0.1,
+			Xi:           0.15,
+			MuS:          2000,
+			MissRatio:    0.05,
+			MuD:          1000,
+			Ops:          600,
+			Workers:      16,
+			Duration:     30 * time.Second,
+			Seed:         3,
+			Tracer:       tr,
 		}
-	}
+		res, err := live.Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Live == nil || res.Live.Issued == 0 {
+			t.Fatal("traced live plane issued no operations")
+		}
+		comps := map[string]int{}
+		for _, sp := range tr.Snapshot() {
+			comps[sp.Comp]++
+		}
+		for _, comp := range []string{"client", "server", "backend"} {
+			if comps[comp] == 0 {
+				t.Errorf("no %s spans in live trace (got %v)", comp, comps)
+			}
+		}
+	})
 }

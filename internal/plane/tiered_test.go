@@ -138,61 +138,60 @@ func TestCrossPlaneTiered(t *testing.T) {
 	})
 
 	t.Run("live-vs-mrc", func(t *testing.T) {
-		if testing.Short() {
-			t.Skip("live plane needs real time")
-		}
-		// The live leg runs the same tier spec and key-popularity law at
-		// live-sustainable rates. MissRatio stays 0: the capacity-sized
-		// RAM cache produces the misses organically, which is the whole
-		// point of deriving the split from the MRC.
-		ls := Scenario{
-			Name:         "tiered-live",
-			N:            10,
-			LoadRatios:   []float64{0.5, 0.5},
-			TotalKeyRate: 4000,
-			Q:            0.1,
-			Xi:           0.15,
-			MuS:          2000,
-			MuD:          1000,
-			Ops:          8000,
-			Workers:      32,
-			Duration:     45 * time.Second,
-			Seed:         7,
-			Keys:         2000,
-			ZipfS:        1.0,
-			Extstore:     &ExtstoreSpec{RAMItems: 200, TotalItems: 1200, MuDisk: 2000},
-		}
-		lsplit, err := ls.ExtstoreSplit()
-		if err != nil {
-			t.Fatal(err)
-		}
-		lbeta := lsplit.DiskHitFraction()
-		res, err := LivePlane{}.Run(context.Background(), ls)
-		if err != nil {
-			t.Fatal(err)
-		}
-		er := res.Extstore
-		if er == nil {
-			t.Fatal("live tiered run missing the Extstore result surface")
-		}
-		if er.DiskHits == 0 || er.Promotions == 0 {
-			t.Fatalf("live tier never served a read: %+v", er)
-		}
-		if er.RAMMisses == 0 {
-			t.Fatal("capacity-sized cache produced no RAM misses")
-		}
-		if er.SegmentBytes == 0 || er.Segments == 0 {
-			t.Fatalf("live tier holds no segments: %+v", er)
-		}
-		got := er.DiskHitFraction()
-		if got < lbeta/1.5 || got > lbeta*1.5 {
-			t.Errorf("live disk-hit fraction %.3f outside 1.5x of MRC prediction %.3f (hits=%d, ram misses=%d)",
-				got, lbeta, er.DiskHits, er.RAMMisses)
-		}
-		// Real disk reads landed in the shared breakdown.
-		if res.Breakdown[telemetry.StageDiskRead].Count == 0 {
-			t.Error("live breakdown has no disk_read samples")
-		}
+		eachConnCore(t, func(t *testing.T, live LivePlane) {
+			// The live leg runs the same tier spec and key-popularity law at
+			// live-sustainable rates. MissRatio stays 0: the capacity-sized
+			// RAM cache produces the misses organically, which is the whole
+			// point of deriving the split from the MRC.
+			ls := Scenario{
+				Name:         "tiered-live",
+				N:            10,
+				LoadRatios:   []float64{0.5, 0.5},
+				TotalKeyRate: 4000,
+				Q:            0.1,
+				Xi:           0.15,
+				MuS:          2000,
+				MuD:          1000,
+				Ops:          8000,
+				Workers:      32,
+				Duration:     45 * time.Second,
+				Seed:         7,
+				Keys:         2000,
+				ZipfS:        1.0,
+				Extstore:     &ExtstoreSpec{RAMItems: 200, TotalItems: 1200, MuDisk: 2000},
+			}
+			lsplit, err := ls.ExtstoreSplit()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lbeta := lsplit.DiskHitFraction()
+			res, err := live.Run(context.Background(), ls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			er := res.Extstore
+			if er == nil {
+				t.Fatal("live tiered run missing the Extstore result surface")
+			}
+			if er.DiskHits == 0 || er.Promotions == 0 {
+				t.Fatalf("live tier never served a read: %+v", er)
+			}
+			if er.RAMMisses == 0 {
+				t.Fatal("capacity-sized cache produced no RAM misses")
+			}
+			if er.SegmentBytes == 0 || er.Segments == 0 {
+				t.Fatalf("live tier holds no segments: %+v", er)
+			}
+			got := er.DiskHitFraction()
+			if got < lbeta/1.5 || got > lbeta*1.5 {
+				t.Errorf("live disk-hit fraction %.3f outside 1.5x of MRC prediction %.3f (hits=%d, ram misses=%d)",
+					got, lbeta, er.DiskHits, er.RAMMisses)
+			}
+			// Real disk reads landed in the shared breakdown.
+			if res.Breakdown[telemetry.StageDiskRead].Count == 0 {
+				t.Error("live breakdown has no disk_read samples")
+			}
+		})
 	})
 }
 

@@ -94,9 +94,6 @@ type Options struct {
 	Breaker *route.BreakerPolicy
 	// DialTimeout bounds upstream dials (default 2s).
 	DialTimeout time.Duration
-	// UpstreamTimeout bounds waiting for one upstream reply (default
-	// 5s); a timeout abandons the connection and fails its pipeline.
-	UpstreamTimeout time.Duration
 	// Recorder, when set, receives StageProxyHop observations: the
 	// forward-path cost (parse + route + upstream enqueue) per command.
 	Recorder telemetry.Recorder
@@ -144,9 +141,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 2 * time.Second
-	}
-	if o.UpstreamTimeout <= 0 {
-		o.UpstreamTimeout = 5 * time.Second
 	}
 	if o.Logger == nil {
 		o.Logger = log.New(io.Discard, "", 0)

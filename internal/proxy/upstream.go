@@ -16,6 +16,10 @@ import (
 // sender that holds the pool lock.
 const pendQueueDepth = 4096
 
+// upstreamTimeout bounds waiting for one upstream reply; a timeout
+// abandons the connection and fails its pipeline.
+const upstreamTimeout = 5 * time.Second
+
 var (
 	errPipelineFull     = errors.New("proxy: upstream pipeline full")
 	errUpstreamProtocol = errors.New("proxy: upstream protocol desync")
@@ -175,7 +179,7 @@ func (c *uconn) process(pd *pending) error {
 		}
 	}
 	u.mu.Unlock()
-	_ = c.nc.SetReadDeadline(time.Now().Add(u.p.opts.UpstreamTimeout))
+	_ = c.nc.SetReadDeadline(time.Now().Add(upstreamTimeout))
 
 	switch pd.role {
 	case roleDirect:

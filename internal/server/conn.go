@@ -55,18 +55,6 @@ func (s *Server) newSession(id uint64) *connSession {
 	return cs
 }
 
-// primaryKey returns the key that routes a command to a service channel
-// (first key of multi-key ops; nil for keyless commands).
-func primaryKey(cmd *protocol.Command) []byte {
-	if cmd.KeyB != nil {
-		return cmd.KeyB
-	}
-	if len(cmd.KeyList) > 0 {
-		return cmd.KeyList[0]
-	}
-	return nil
-}
-
 // serveCommand runs one parsed command through the full service path —
 // counters, trace propagation, fault injection, the shaped service
 // channel, dispatch and timing — identically on both connection cores.
@@ -116,16 +104,12 @@ func (s *Server) serveCommand(w *protocol.Writer, cmd *protocol.Command, cs *con
 	var waited time.Duration
 	if cs.shaper != nil {
 		service := time.Duration(cs.shaper.ExpFloat64() / s.opts.ServiceRate * float64(time.Second))
-		ch := 0
-		if len(s.serviceCh) > 1 {
-			ch = s.opts.Cache.ShardIndex(primaryKey(cmd)) % len(s.serviceCh)
-		}
-		s.serviceCh[ch].Lock()
+		s.serviceCh.Lock()
 		// Time spent acquiring the service channel is the live
 		// server's queueing delay (the W of GI^X/M/1).
 		waited = time.Since(began)
 		time.Sleep(service)
-		s.serviceCh[ch].Unlock()
+		s.serviceCh.Unlock()
 		cs.rec.Observe(telemetry.StageQueueWait, waited.Seconds())
 	}
 	out := w

@@ -4,12 +4,12 @@ import (
 	"bufio"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
 	"memqlat/internal/cache"
 	"memqlat/internal/extstore"
-	"memqlat/internal/protocol"
 )
 
 // tieredServer starts a server whose RAM tier holds only a couple of
@@ -44,8 +44,9 @@ func expectValue(t *testing.T, r *bufio.Reader, key, flags, body string) {
 // TestTieredReadPathBothCores drives the full RAM→disk→RAM cycle
 // through the protocol on each connection core (dispatch is the shared
 // seam): evicted values are served from the disk tier, re-promoted
-// into RAM, mutations invalidate the disk index, and flush_all clears
-// both tiers.
+// into RAM, verbs that need the current value (touch, gat, append, incr,
+// replace, cas) find it on disk, a mutation drops the disk record only
+// once it has succeeded, and flush_all clears both tiers.
 func TestTieredReadPathBothCores(t *testing.T) {
 	cores := []string{CoreGoroutines}
 	if runtime.GOOS == "linux" {
@@ -57,6 +58,9 @@ func TestTieredReadPathBothCores(t *testing.T) {
 			r, w, _ := dial(t, addr)
 
 			// Spill: the tiny RAM tier evicts all but the newest keys.
+			send(t, w, "set num 0 0 2\r\n41\r\nset dec 0 0 2\r\n10\r\n")
+			readLine(t, r)
+			readLine(t, r)
 			for i := 0; i < 10; i++ {
 				send(t, w, fmt.Sprintf("set key-%04d 7 0 8\r\nvalue-%02d\r\n", i, i))
 				if got := readLine(t, r); got != "STORED" {
@@ -87,11 +91,62 @@ func TestTieredReadPathBothCores(t *testing.T) {
 			// A delete must drop the disk record even when the key is no
 			// longer in RAM — otherwise the next get would resurrect it.
 			send(t, w, "delete key-0001\r\n")
-			readLine(t, r) // DELETED or NOT_FOUND depending on RAM residency
+			if got := readLine(t, r); got != "DELETED" {
+				t.Fatalf("delete of a disk-resident key = %q, want DELETED", got)
+			}
 			send(t, w, "get key-0001\r\n")
 			if got := readLine(t, r); got != "END" {
 				t.Fatalf("get after delete = %q, want END (stale disk copy served?)", got)
 			}
+
+			// Verbs that need the current value see one cache, not two
+			// tiers: each promotes the disk record and applies to it.
+			expectLine := func(cmd, want string) {
+				t.Helper()
+				send(t, w, cmd)
+				if got := readLine(t, r); got != want {
+					t.Fatalf("%q answered %q, want %q", cmd, got, want)
+				}
+			}
+			spill := func() {
+				t.Helper()
+				for i := 0; i < 4; i++ {
+					expectLine(fmt.Sprintf("set pad-%d 0 0 3\r\npad\r\n", i), "STORED")
+				}
+				ext.Flush()
+			}
+			expectLine("touch key-0003 100\r\n", "TOUCHED")
+			send(t, w, "gat 100 key-0004\r\n")
+			expectValue(t, r, "key-0004", "7", "value-04")
+			send(t, w, "gats 100 key-0005\r\n")
+			if got := readLine(t, r); !strings.HasPrefix(got, "VALUE key-0005 7 8 ") {
+				t.Fatalf("gats of a disk-resident key = %q", got)
+			}
+			readLine(t, r) // body
+			readLine(t, r) // END
+			expectLine("append key-0006 0 0 2\r\n!!\r\n", "STORED")
+			expectLine("prepend key-0007 0 0 2\r\n>>\r\n", "STORED")
+			expectLine("incr num 1\r\n", "42")
+			expectLine("decr dec 3\r\n", "7")
+			spill()
+			expectLine("replace key-0003 5 0 3\r\nnew\r\n", "STORED")
+			// The promoted copy owns a fresh CAS: the token is stale, the
+			// key is not missing.
+			expectLine("cas key-0004 0 0 1 999\r\nx\r\n", "EXISTS")
+			// A verb that fails must leave the disk record alone.
+			expectLine("incr key-0005 1\r\n", "CLIENT_ERROR cannot increment or decrement non-numeric value")
+			// A touch that expires the key must not leave a disk copy to
+			// resurrect it.
+			expectLine("touch dec -1\r\n", "TOUCHED")
+			spill()
+			for _, kv := range [][3]string{
+				{"key-0003", "5", "new"}, {"key-0004", "7", "value-04"}, {"key-0005", "7", "value-05"},
+				{"key-0006", "7", "value-06!!"}, {"key-0007", "7", ">>value-07"}, {"num", "0", "42"},
+			} {
+				send(t, w, "get "+kv[0]+"\r\n")
+				expectValue(t, r, kv[0], kv[1], kv[2])
+			}
+			expectLine("get dec\r\n", "END")
 
 			// An overwrite of a disk-resident key invalidates the old
 			// record; once the new value is evicted in turn, the disk
@@ -186,34 +241,5 @@ func TestTieredTTLSurvivesDemotion(t *testing.T) {
 	send(t, w, "get ttl-key\r\n")
 	if got := readLine(t, r); got != "END" {
 		t.Fatalf("get after expiry = %q, want END (promotion dropped the TTL?)", got)
-	}
-}
-
-// TestTieredMissFallsThroughToFiller: with both a disk tier and a
-// Filler, a key on neither tier still read-throughs from the store of
-// record.
-func TestTieredMissFallsThroughToFiller(t *testing.T) {
-	ext, err := extstore.Open(extstore.Options{Dir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ext.Close() })
-	filler := &stubFiller{values: map[string][]byte{"db-only": []byte("from-db")}}
-	srv, addr := startServer(t, Options{Extstore: ext, Filler: filler})
-	r, w, _ := dial(t, addr)
-
-	send(t, w, "get db-only\r\n")
-	expectValue(t, r, "db-only", "0", "from-db")
-	if hits, _ := srv.ExtstoreCounts(); hits != 0 {
-		t.Fatalf("disk hits = %d, want 0 (key was never evicted)", hits)
-	}
-	if fills, _ := srv.FillCounts(); fills != 1 {
-		t.Fatalf("fills = %d, want 1", fills)
-	}
-	if srv.Extstore() != ext {
-		t.Fatal("Extstore() accessor does not expose the tier")
-	}
-	if srv.OpCount(protocol.OpGet) != 1 {
-		t.Fatalf("get count = %d", srv.OpCount(protocol.OpGet))
 	}
 }

@@ -8,7 +8,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"log"
@@ -18,7 +17,6 @@ import (
 	"time"
 
 	"memqlat/internal/cache"
-	"memqlat/internal/coalesce"
 	"memqlat/internal/extstore"
 	"memqlat/internal/fault"
 	"memqlat/internal/otrace"
@@ -45,13 +43,6 @@ type Options struct {
 	// exponential draw of mean 1/ServiceRate, emulating a Memcached
 	// server with service rate µ_S (paper §5.1 measures 80 Kps).
 	ServiceRate float64
-	// ServiceChannels is the number of independent service channels the
-	// shaped path may occupy concurrently (default 1: the single-server
-	// GI^X/M/1 queue the paper models). Values > 1 emulate a
-	// multi-threaded memcached where commands for different cache shards
-	// are serviced in parallel; commands are routed to channels by key
-	// shard so per-key ordering is preserved.
-	ServiceChannels int
 	// Seed feeds the service-time shaper.
 	Seed uint64
 	// Logger receives connection-level errors (default log.Default()).
@@ -100,39 +91,14 @@ type Options struct {
 	// LoopWorkers sets how many event-loop goroutines CoreEventLoop
 	// runs (default GOMAXPROCS). Ignored by CoreGoroutines.
 	LoopWorkers int
-	// Filler, when set, turns GET/GETS misses into server-side
-	// read-through: the missing key is fetched from the Filler (the
-	// store of record), stored with FillTTL and served in the same
-	// reply. dispatch is the seam shared by both connection cores, so
-	// goroutine and event-loop servers fill identically. Nil keeps the
-	// memcached default — misses are silently omitted — and the miss
-	// path stays a single branch.
-	Filler Filler
-	// FillTTL is the exptime applied to read-through fills (0 = never
-	// expires; negative stores the value already expired, which keeps a
-	// benchmark in steady-state miss).
-	FillTTL time.Duration
-	// Coalesce, when set alongside Filler, collapses concurrent
-	// read-through fetches for the same key into one in-flight backend
-	// call (single-flight miss coalescing; see internal/coalesce).
-	// Nil means every miss fetches independently.
-	Coalesce *coalesce.Policy
 	// Extstore, when set, adds a log-structured SSD tier behind the RAM
 	// cache: LRU victims are appended to it asynchronously (the server
-	// installs the cache's OnEvict hook), GET misses consult it before
-	// the Filler, disk hits are re-promoted into RAM with their
-	// remaining TTL, and every mutation invalidates the key's disk
-	// record alongside the coalescer. The server does not own the
+	// installs the cache's OnEvict hook), a RAM miss consults it, disk
+	// hits are re-promoted into RAM with their remaining TTL, and every
+	// mutation drops the key's disk record. The server does not own the
 	// store's lifecycle — the caller opens and closes it. Nil keeps the
 	// RAM-only configuration: the miss path pays one nil check.
 	Extstore *extstore.Store
-}
-
-// Filler fetches a missed key from the store of record for the
-// server-side read-through path (same shape as client.Filler;
-// backend.DB satisfies both).
-type Filler interface {
-	Get(ctx context.Context, key string) ([]byte, error)
 }
 
 // Server is a memcached-protocol TCP server.
@@ -164,13 +130,10 @@ type Server struct {
 	telem *telemetry.Collector
 	rec   telemetry.Recorder
 
-	// serviceCh holds the shaped path's service channels. With the
-	// default single channel, shaped service serializes across
-	// connections so a shaped server behaves as ONE queueing server (the
-	// model's single service channel), not one per connection. With
-	// Options.ServiceChannels > 1, commands contend only within their
-	// key's channel.
-	serviceCh []sync.Mutex
+	// serviceCh serializes shaped service across connections, so a
+	// shaped server behaves as ONE queueing server (the paper's single
+	// GI^X/M/1 service channel), not one per connection.
+	serviceCh sync.Mutex
 
 	// latency tracks per-command handling time, served by "stats
 	// latency" (a memqlat observability extension). Each connection
@@ -182,13 +145,7 @@ type Server struct {
 	// per connection or the shared event loop (see core.go).
 	core connCore
 
-	// coalescer single-flights the read-through path when
-	// Options.Coalesce is set; nil otherwise (naive fills).
-	coalescer *coalesce.Group
-	fills     atomic.Int64 // read-through fetches served (hit after fill)
-	fillErrs  atomic.Int64 // read-through fetches that failed (miss kept)
-
-	// diskHits/promotions count GET misses the extstore tier absorbed
+	// diskHits/promotions count RAM misses the extstore tier absorbed
 	// and how many of those were stored back into the RAM tier.
 	diskHits   atomic.Int64
 	promotions atomic.Int64
@@ -233,12 +190,6 @@ func New(opts Options) (*Server, error) {
 	if opts.ServiceRate < 0 {
 		return nil, fmt.Errorf("server: ServiceRate=%v must be >= 0", opts.ServiceRate)
 	}
-	if opts.ServiceChannels < 0 {
-		return nil, fmt.Errorf("server: ServiceChannels=%d must be >= 0", opts.ServiceChannels)
-	}
-	if opts.ServiceChannels == 0 {
-		opts.ServiceChannels = 1
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = log.Default()
@@ -262,7 +213,6 @@ func New(opts Options) (*Server, error) {
 		telem:      telem,
 		rec:        telemetry.Tee(telem, opts.Recorder),
 		latency:    latency,
-		serviceCh:  make([]sync.Mutex, opts.ServiceChannels),
 		timingMask: timingMask,
 		timingOff:  timingOff,
 	}
@@ -279,16 +229,6 @@ func New(opts Options) (*Server, error) {
 		opts.Cache.OnEvict(func(key string, value []byte, flags uint32, expires time.Time) {
 			ext.PutAsync(key, value, flags, expires)
 		})
-	}
-	if opts.Coalesce != nil {
-		if opts.Filler == nil {
-			return nil, errors.New("server: Coalesce requires Filler (nothing to coalesce)")
-		}
-		pol := *opts.Coalesce
-		if pol.Recorder == nil {
-			pol.Recorder = s.rec // coalesce_wait lands in "stats telemetry" too
-		}
-		s.coalescer = coalesce.New(pol)
 	}
 	if opts.LoopWorkers < 0 {
 		return nil, fmt.Errorf("server: LoopWorkers=%d must be >= 0", opts.LoopWorkers)
@@ -456,28 +396,13 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 		for _, key := range cmd.KeyList {
 			v, flags, cas, err := c.GetInto(key, st.val[:0])
 			if err != nil {
-				if s.opts.Extstore != nil {
-					dv, dflags, ok := s.diskFill(key, cs)
-					if ok {
-						// The re-promoted RAM copy carries a fresh CAS
-						// this reply never saw; like the fill path, the
-						// disk hit is served without one.
-						if err := w.ValueBytes(key, dflags, 0, dv, withCAS); err != nil {
-							return err
-						}
-						continue
-					}
-				}
-				if s.opts.Filler == nil {
+				dv, dflags, ok := s.diskFill(key, cs)
+				if !ok {
 					continue // missing keys are silently omitted
 				}
-				fv, ok := s.fillMiss(key)
-				if !ok {
-					continue // fetch failed or negative: stays a miss
-				}
-				// The filled value is shared with coalesced waiters, so
-				// it is served read-only and never copied into st.val.
-				if err := w.ValueBytes(key, 0, 0, fv, withCAS); err != nil {
+				// The re-promoted RAM copy carries a fresh CAS this
+				// reply never saw, so the disk hit is served without one.
+				if err := w.ValueBytes(key, dflags, 0, dv, withCAS); err != nil {
 					return err
 				}
 				continue
@@ -492,29 +417,48 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 	case protocol.OpSet:
 		// SetBytes copies key and value, so the parser scratch that
 		// cmd.Value aliases is safe to reuse on the next command.
-		s.invalidateFill(cmd.KeyB)
-		return s.storageReply(w, cmd, c.SetBytes(cmd.KeyB, cmd.Value, cmd.Flags, ttlFromExptime(cmd.Exptime, now)))
+		err := c.SetBytes(cmd.KeyB, cmd.Value, cmd.Flags, ttlFromExptime(cmd.Exptime, now))
+		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
 	case protocol.OpAdd:
-		s.invalidateFill(cmd.KeyB)
-		return s.storageReply(w, cmd, c.Add(string(cmd.KeyB), bytes.Clone(cmd.Value), cmd.Flags, ttlFromExptime(cmd.Exptime, now)))
+		err := c.Add(string(cmd.KeyB), bytes.Clone(cmd.Value), cmd.Flags, ttlFromExptime(cmd.Exptime, now))
+		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
 	case protocol.OpReplace:
-		s.invalidateFill(cmd.KeyB)
-		return s.storageReply(w, cmd, c.Replace(string(cmd.KeyB), bytes.Clone(cmd.Value), cmd.Flags, ttlFromExptime(cmd.Exptime, now)))
-	case protocol.OpAppend:
-		// concat copies the suffix under the shard lock; no clone needed.
-		s.invalidateFill(cmd.KeyB)
-		return s.storageReply(w, cmd, c.Append(string(cmd.KeyB), cmd.Value))
-	case protocol.OpPrepend:
-		s.invalidateFill(cmd.KeyB)
-		return s.storageReply(w, cmd, c.Prepend(string(cmd.KeyB), cmd.Value))
+		k, v, ttl := string(cmd.KeyB), bytes.Clone(cmd.Value), ttlFromExptime(cmd.Exptime, now)
+		err := c.Replace(k, v, cmd.Flags, ttl)
+		if s.promoted(err, cmd.KeyB, cs) {
+			err = c.Replace(k, v, cmd.Flags, ttl)
+		}
+		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
+	case protocol.OpAppend, protocol.OpPrepend:
+		// concat copies the affix under the shard lock; no clone needed.
+		concat := c.Append
+		if cmd.Op == protocol.OpPrepend {
+			concat = c.Prepend
+		}
+		k := string(cmd.KeyB)
+		err := concat(k, cmd.Value)
+		if s.promoted(err, cmd.KeyB, cs) {
+			err = concat(k, cmd.Value)
+		}
+		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
 	case protocol.OpCas:
-		s.invalidateFill(cmd.KeyB)
-		return s.storageReply(w, cmd,
-			c.CompareAndSwap(string(cmd.KeyB), bytes.Clone(cmd.Value), cmd.Flags, ttlFromExptime(cmd.Exptime, now), cmd.CAS))
+		// A promoted copy owns a fresh CAS, so a cas of a disk-resident
+		// key answers EXISTS (the token is out of date), not NOT_FOUND.
+		k, v, ttl := string(cmd.KeyB), bytes.Clone(cmd.Value), ttlFromExptime(cmd.Exptime, now)
+		err := c.CompareAndSwap(k, v, cmd.Flags, ttl, cmd.CAS)
+		if s.promoted(err, cmd.KeyB, cs) {
+			err = c.CompareAndSwap(k, v, cmd.Flags, ttl, cmd.CAS)
+		}
+		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
 
 	case protocol.OpDelete:
-		s.invalidateFill(cmd.KeyB)
 		err := c.Delete(string(cmd.KeyB))
+		// The disk record goes whether or not RAM held the key —
+		// otherwise the next get would resurrect it — and a key that
+		// lived on disk only was still deleted.
+		if ext := s.opts.Extstore; ext != nil && ext.Delete(cmd.KeyB) && errors.Is(err, cache.ErrNotFound) {
+			err = nil
+		}
 		switch {
 		case err == nil:
 			return reply(w, cmd, protocol.RespDeleted)
@@ -529,8 +473,12 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 		if cmd.Op == protocol.OpDecr {
 			delta = -delta
 		}
-		s.invalidateFill(cmd.KeyB)
-		n, err := c.IncrDecr(string(cmd.KeyB), delta)
+		k := string(cmd.KeyB)
+		n, err := c.IncrDecr(k, delta)
+		if s.promoted(err, cmd.KeyB, cs) {
+			n, err = c.IncrDecr(k, delta)
+		}
+		s.settle(cmd.KeyB, err)
 		switch {
 		case err == nil:
 			if cmd.Noreply {
@@ -549,7 +497,12 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 		}
 
 	case protocol.OpTouch:
-		err := c.Touch(string(cmd.KeyB), ttlFromExptime(cmd.Exptime, now))
+		k, ttl := string(cmd.KeyB), ttlFromExptime(cmd.Exptime, now)
+		err := c.Touch(k, ttl)
+		if s.promoted(err, cmd.KeyB, cs) {
+			err = c.Touch(k, ttl)
+		}
+		s.settle(cmd.KeyB, err)
 		switch {
 		case err == nil:
 			return reply(w, cmd, protocol.RespTouched)
@@ -564,7 +517,10 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 		ttl := ttlFromExptime(cmd.Exptime, now)
 		for _, key := range cmd.KeyList {
 			it, err := c.GetAndTouch(string(key), ttl)
-			if err != nil {
+			if s.promoted(err, key, cs) {
+				it, err = c.GetAndTouch(string(key), ttl)
+			}
+			if s.settle(key, err) != nil {
 				continue
 			}
 			if err := w.ValueBytes(key, it.Flags, it.CAS, it.Value, withCAS); err != nil {
@@ -596,53 +552,16 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 	}
 }
 
-// storageReply maps cache errors of storage commands to protocol lines.
-// fillMiss runs the server-side read-through for one missed GET key:
-// fetch from the Filler (single-flighted when Options.Coalesce is set),
-// write the value back with FillTTL, and return it for serving. A fetch
-// error or negative result keeps memcached miss semantics — the key is
-// omitted from the reply. The returned slice may be shared with
-// coalesced waiters on other connections and must be treated read-only.
-func (s *Server) fillMiss(key []byte) ([]byte, bool) {
-	k := string(key)
-	var value []byte
-	var err error
-	if s.coalescer != nil {
-		var res coalesce.Result
-		res, err = s.coalescer.Do(context.Background(), k, func(ctx context.Context) ([]byte, error) {
-			return s.opts.Filler.Get(ctx, k)
-		})
-		if err == nil {
-			value = res.Value
-			// Only the leader writes back, and only if no storage verb
-			// invalidated the fetch while it was in flight.
-			if !res.Shared && !res.Stale && value != nil {
-				_ = s.opts.Cache.SetBytes(key, value, 0, s.opts.FillTTL)
-			}
-		}
-	} else {
-		value, err = s.opts.Filler.Get(context.Background(), k)
-		if err == nil && value != nil {
-			_ = s.opts.Cache.SetBytes(key, value, 0, s.opts.FillTTL)
-		}
-	}
-	if err != nil || value == nil {
-		if err != nil {
-			s.fillErrs.Add(1)
-		}
-		return nil, false
-	}
-	s.fills.Add(1)
-	return value, true
-}
-
-// diskFill serves one missed GET key from the extstore tier: a timed
-// segment read (the disk_read telemetry stage) followed by
-// re-promotion into the RAM tier under the record's remaining TTL, so
-// the next read of a hot key is a RAM hit again. The value lands in
-// the connection scratch like a RAM hit; a steady-state disk hit
-// allocates nothing once the scratch has grown.
+// diskFill serves one key that missed RAM from the extstore tier (a
+// plain miss without one): a timed segment read (the disk_read
+// telemetry stage) followed by re-promotion into the RAM tier under the
+// record's remaining TTL, so the next read of a hot key is a RAM hit
+// again. The value lands in the connection scratch like a RAM hit; a
+// steady-state disk hit allocates nothing once the scratch has grown.
 func (s *Server) diskFill(key []byte, cs *connSession) ([]byte, uint32, bool) {
+	if s.opts.Extstore == nil {
+		return nil, 0, false
+	}
 	began := time.Now()
 	v, flags, expires, err := s.opts.Extstore.Lookup(key, cs.st.val[:0])
 	if err != nil {
@@ -667,20 +586,29 @@ func (s *Server) diskFill(key []byte, cs *connSession) ([]byte, uint32, bool) {
 	return v, flags, true
 }
 
-// invalidateFill marks any in-flight coalesced fetch for key stale so
-// its write-back cannot clobber the mutation this command is about to
-// apply, and drops the key's extstore record so a stale disk copy
-// cannot outlive the mutation. A pair of nil checks when both features
-// are off.
-func (s *Server) invalidateFill(key []byte) {
-	if s.coalescer != nil {
-		s.coalescer.Invalidate(string(key))
+// promoted reports whether a keyed verb that just missed RAM should run
+// once more: err says the key was absent, and the disk tier held it and
+// diskFill has put it back in RAM. Verbs that need the current value
+// (touch, gat, append, incr, replace, cas) see one cache, not two tiers.
+func (s *Server) promoted(err error, key []byte, cs *connSession) bool {
+	if !errors.Is(err, cache.ErrNotFound) && !errors.Is(err, cache.ErrNotStored) {
+		return false
 	}
-	if ext := s.opts.Extstore; ext != nil {
-		ext.Delete(key)
-	}
+	_, _, ok := s.diskFill(key, cs)
+	return ok
 }
 
+// settle drops key's disk record once a mutation has succeeded, so a
+// stale disk copy cannot outlive it; a verb that failed leaves both
+// tiers as they were. One nil check without a disk tier.
+func (s *Server) settle(key []byte, err error) error {
+	if ext := s.opts.Extstore; ext != nil && err == nil {
+		ext.Delete(key)
+	}
+	return err
+}
+
+// storageReply maps cache errors of storage commands to protocol lines.
 func (s *Server) storageReply(w *protocol.Writer, cmd *protocol.Command, err error) error {
 	switch {
 	case err == nil:
@@ -824,19 +752,6 @@ func (s *Server) writeStats(w *protocol.Writer, section string) error {
 			struct{ k, v string }{"extstore_compactions", fmt.Sprintf("%d", es.Compactions)},
 			struct{ k, v string }{"extstore_relocated", fmt.Sprintf("%d", es.Relocated)})
 	}
-	if s.opts.Filler != nil {
-		rows = append(rows,
-			struct{ k, v string }{"fill_hits", fmt.Sprintf("%d", s.fills.Load())},
-			struct{ k, v string }{"fill_errors", fmt.Sprintf("%d", s.fillErrs.Load())})
-		if cs := s.coalescer.Stats(); s.coalescer.Coalescing() {
-			rows = append(rows,
-				struct{ k, v string }{"coalesce_inflight_keys", fmt.Sprintf("%d", cs.InflightKeys)},
-				struct{ k, v string }{"coalesce_fetches", fmt.Sprintf("%d", cs.Fetches)},
-				struct{ k, v string }{"coalesce_fanins", fmt.Sprintf("%d", cs.FanIns)},
-				struct{ k, v string }{"coalesce_sheds", fmt.Sprintf("%d", cs.Sheds)},
-				struct{ k, v string }{"coalesce_invalidations", fmt.Sprintf("%d", cs.Invalidations)})
-		}
-	}
 	for _, row := range rows {
 		if err := w.Stat(row.k, row.v); err != nil {
 			return err
@@ -890,22 +805,7 @@ func (s *Server) LoopStats() []LoopStat { return s.core.loopStats() }
 // Cache exposes the backing store for occupancy metrics.
 func (s *Server) Cache() *cache.Cache { return s.opts.Cache }
 
-// Coalescer exposes the single-flight group behind the read-through
-// path for stats and metrics scraping; nil unless Options.Coalesce was
-// set.
-func (s *Server) Coalescer() *coalesce.Group { return s.coalescer }
-
-// FillCounts reports read-through outcomes: fills served and fetch
-// errors. Both are zero without Options.Filler.
-func (s *Server) FillCounts() (fills, errs int64) {
-	return s.fills.Load(), s.fillErrs.Load()
-}
-
-// Extstore exposes the disk tier behind the RAM cache; nil unless
-// Options.Extstore was set.
-func (s *Server) Extstore() *extstore.Store { return s.opts.Extstore }
-
-// ExtstoreCounts reports how many GET misses the disk tier served and
+// ExtstoreCounts reports how many RAM misses the disk tier served and
 // how many of those were re-promoted into RAM. Both are zero without
 // Options.Extstore.
 func (s *Server) ExtstoreCounts() (diskHits, promotions int64) {

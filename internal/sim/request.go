@@ -31,9 +31,6 @@ type RequestConfig struct {
 	// to the servers: each per-server stream runs at ReadReplicas times
 	// the configured key rate.
 	ReadReplicas int
-	// FreeReplicas suppresses the load inflation of ReadReplicas — the
-	// hypothetical "free replicas" bound.
-	FreeReplicas bool
 	// ProxyModel, when set, threads every key through an interposed
 	// proxy tier simulated as one extra GI^X/M/1 stream receiving the
 	// aggregate key rate (a single-server core.Config). Each request's
@@ -266,7 +263,7 @@ func SimulateRequests(cfg RequestConfig) (*RequestResult, error) {
 			continue
 		}
 		lam := m.ServerKeyRate(j)
-		if replicas > 1 && !cfg.FreeReplicas {
+		if replicas > 1 {
 			lam *= float64(replicas)
 		}
 		arrival, err := serverArrival(m, lam)
