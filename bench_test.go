@@ -9,13 +9,13 @@ import (
 	"testing"
 
 	"memqlat/internal/cache"
-	"memqlat/internal/client"
 	"memqlat/internal/core"
 	"memqlat/internal/dist"
 	"memqlat/internal/experiments"
 	"memqlat/internal/plane"
 	"memqlat/internal/protocol"
 	"memqlat/internal/queueing"
+	"memqlat/internal/route"
 	"memqlat/internal/sim"
 	"memqlat/internal/stats"
 	"memqlat/internal/workload"
@@ -239,7 +239,7 @@ func BenchmarkHistogramRecord(b *testing.B) {
 }
 
 func BenchmarkRingSelectorPick(b *testing.B) {
-	ring, err := client.NewRingSelector(16, 160)
+	ring, err := route.NewRingSelector(16, 160)
 	if err != nil {
 		b.Fatal(err)
 	}

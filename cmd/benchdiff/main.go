@@ -120,9 +120,11 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 }
 
 // benchLine matches one `go test -bench` result line, with or without
-// -benchmem columns. The trailing -N GOMAXPROCS suffix is stripped so
-// baselines recorded on different core counts still match by name.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:\s+(\d+) B/op)?(?:\s+(\d+) allocs/op)?`)
+// -benchmem columns, wherever they stand: `go test` prints a benchmark's
+// own metrics (p99-ns/op, ...) between ns/op and B/op. The trailing -N
+// GOMAXPROCS suffix is stripped so baselines recorded on different core
+// counts still match by name.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([\d.]+) ns/op(?:.*?\s(\d+) B/op)?(?:.*?\s(\d+) allocs/op)?`)
 
 // parseBenchOutput extracts benchmark entries and run metadata (goos /
 // goarch / cpu lines) from `go test -bench` text output.

@@ -43,6 +43,12 @@ func TestParseBenchOutput(t *testing.T) {
 	if benches[3].Name != "BenchmarkSimPlane" || benches[3].NsPerOp != 25478919 {
 		t.Errorf("plain entry = %+v", benches[3])
 	}
+	// A benchmark's own metrics stand between ns/op and the -benchmem
+	// columns.
+	benches, _ = parseBenchOutput("BenchmarkConnScaling/eventloop/conns=1000-2 \t 60000\t 2100 ns/op\t 1500 p50-ns/op\t 3000 p95-ns/op\t 5000 p99-ns/op\t 12 B/op\t 1 allocs/op\n")
+	if len(benches) != 1 || benches[0].NsPerOp != 2100 || benches[0].BytesPerOp != 12 || benches[0].AllocsPerOp != 1 {
+		t.Errorf("entry with custom metrics = %+v", benches)
+	}
 }
 
 func TestCompareDetectsRegressions(t *testing.T) {

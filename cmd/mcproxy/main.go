@@ -114,15 +114,8 @@ func run(args []string) error {
 		return err
 	}
 	if wd != nil {
-		wd.Arm()
 		start := time.Now()
-		go func() {
-			t := time.NewTicker(time.Duration(wd.Window() * float64(time.Second)))
-			defer t.Stop()
-			for range t.C {
-				wd.Advance(time.Since(start).Seconds())
-			}
-		}()
+		defer wd.Start(func() float64 { return time.Since(start).Seconds() })()
 		log.Printf("mcproxy: slo watchdog armed (window %gs, alerts on stderr)", wd.Window())
 	}
 	if *adminAddr != "" {

@@ -68,7 +68,10 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 
 	addr := reservePort(t)
 	done := make(chan error, 1)
-	go func() { done <- run([]string{"-listen", addr, "-servers", upstream}) }()
+	// -slo arms the watchdog, whose window goroutine run has to stop too.
+	go func() {
+		done <- run([]string{"-listen", addr, "-servers", upstream, "-slo", "lambda=2000,mus=8000,window=20ms"})
+	}()
 
 	cl, err := client.New(client.Options{Servers: []string{addr}})
 	if err != nil {

@@ -40,7 +40,10 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 	baseline := goroutineBaseline()
 	addr := reservePort(t)
 	done := make(chan error, 1)
-	go func() { done <- run([]string{"-addr", addr}) }()
+	// -slo arms the watchdog, whose window goroutine run has to stop too.
+	go func() {
+		done <- run([]string{"-addr", addr, "-service-rate", "5000", "-slo", "lambda=100,mus=5000,window=20ms"})
+	}()
 
 	cl, err := client.New(client.Options{Servers: []string{addr}})
 	if err != nil {

@@ -1,3 +1,9 @@
+// Package client is the Memcached-client substrate (the front-end web
+// server side of the paper's Fig. 1): it hashes keys to servers,
+// multiplexes pooled TCP connections, fans a request's keys out to all
+// servers in parallel and joins on the last value (the fork-join that
+// the paper's model analyzes), and relays misses to the back-end
+// database.
 package client
 
 import (
@@ -6,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -57,8 +62,6 @@ type Filler interface {
 type Options struct {
 	// Servers lists memcached server addresses (required).
 	Servers []string
-	// Selector maps keys to servers (default: ketama ring).
-	Selector Selector
 	// PoolSize caps idle connections per server (default 4).
 	PoolSize int
 	// DialTimeout bounds connection establishment (default 2s).
@@ -105,7 +108,7 @@ type Options struct {
 // (MultiGetDegraded).
 type Client struct {
 	opts     Options
-	selector Selector
+	selector *route.RingSelector // the same ketama ring the proxy routes by
 	rec      telemetry.Recorder
 	tracer   *otrace.Tracer // nil = tracing disabled
 
@@ -153,25 +156,11 @@ func (cn *conn) send() error {
 	return err
 }
 
-// lineReply sends the request framed in cn.buf and reads its one-line
-// reply. A reply listed in outcomes yields the listed error (nil for
-// success); any other line comes back with an "unexpected reply" error,
-// for the caller to accept (incr/decr results) or pass up.
-func (cn *conn) lineReply(outcomes map[string]error) (string, error) {
-	if err := cn.send(); err != nil {
-		return "", err
-	}
-	line, err := protocol.ReadLineReply(cn.r)
-	if err != nil {
-		return "", err
-	}
-	if outcome, ok := outcomes[line]; ok {
-		return line, outcome
-	}
-	return line, fmt.Errorf("client: unexpected reply %q", line)
-}
+// Per-verb reply tables: what each legal one-line reply means (nil for
+// success). anyNumber stands for the replies no table can list: incr's
+// and decr's new value.
+const anyNumber = "<number>"
 
-// Per-verb reply tables: what each legal one-line reply means.
 var (
 	storeOutcomes = map[string]error{
 		protocol.RespStored:    nil,
@@ -181,7 +170,7 @@ var (
 	}
 	deleteOutcomes = map[string]error{protocol.RespDeleted: nil, protocol.RespNotFound: ErrCacheMiss}
 	touchOutcomes  = map[string]error{protocol.RespTouched: nil, protocol.RespNotFound: ErrCacheMiss}
-	incrOutcomes   = map[string]error{protocol.RespNotFound: ErrCacheMiss}
+	incrOutcomes   = map[string]error{anyNumber: nil, protocol.RespNotFound: ErrCacheMiss}
 	flushOutcomes  = map[string]error{protocol.RespOK: nil}
 )
 
@@ -190,16 +179,9 @@ func New(opts Options) (*Client, error) {
 	if len(opts.Servers) == 0 {
 		return nil, errors.New("client: at least one server required")
 	}
-	if opts.Selector == nil {
-		ring, err := NewRingSelector(len(opts.Servers), 0)
-		if err != nil {
-			return nil, err
-		}
-		opts.Selector = ring
-	}
-	if opts.Selector.N() != len(opts.Servers) {
-		return nil, fmt.Errorf("client: selector covers %d servers, have %d",
-			opts.Selector.N(), len(opts.Servers))
+	ring, err := route.NewRingSelector(len(opts.Servers), 0)
+	if err != nil {
+		return nil, err
 	}
 	if opts.PoolSize == 0 {
 		opts.PoolSize = 4
@@ -218,7 +200,7 @@ func New(opts Options) (*Client, error) {
 	}
 	c := &Client{
 		opts:     opts,
-		selector: opts.Selector,
+		selector: ring,
 		rec:      telemetry.OrNop(opts.Recorder),
 		tracer:   opts.Tracer,
 	}
@@ -232,11 +214,12 @@ func New(opts Options) (*Client, error) {
 	c.staleDrops = make([]atomic.Int64, n)
 	if p := opts.Resilience.Retry; p != nil {
 		c.retry = p.withDefaults()
-		c.retryBudget = newTokenBucket(c.retry.BudgetRatio, c.retry.BudgetBurst)
+		// Full from the start, so cold-start failures can retry at once.
+		c.retryBudget = &tokenBucket{tokens: retryBudgetBurst}
 	}
 	if p := opts.Resilience.Hedge; p != nil {
 		c.hedge = p.withDefaults()
-		c.readLat = newLatencyDigest()
+		c.readLat = new(latencyDigest)
 	}
 	if p := opts.Resilience.Breaker; p != nil {
 		pol := *p.WithDefaults()
@@ -299,43 +282,6 @@ func (c *Client) Close() error {
 // connections are handed out directly.
 const probeAfterIdle = 10 * time.Millisecond
 
-// acquire returns a pooled or fresh connection to server idx. Pooled
-// connections are screened for liveness so a server restart does not
-// poison the first request issued afterwards.
-func (c *Client) acquire(idx int) (*conn, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
-	}
-	pool := c.pools[idx]
-	c.mu.Unlock()
-	for {
-		select {
-		case cn := <-pool:
-			if c.connAlive(cn) {
-				return cn, nil
-			}
-			_ = cn.nc.Close()
-			c.discards[idx].Add(1)
-			c.staleDrops[idx].Add(1)
-			continue
-		default:
-		}
-		break
-	}
-	nc, err := net.DialTimeout("tcp", c.opts.Servers[idx], c.opts.DialTimeout)
-	if err != nil {
-		return nil, fmt.Errorf("client: dial %s: %w", c.opts.Servers[idx], err)
-	}
-	c.dials[idx].Add(1)
-	return &conn{
-		nc:        nc,
-		r:         bufio.NewReader(nc),
-		idleSince: time.Now(),
-	}, nil
-}
-
 // connAlive cheaply screens a pooled connection: connections idle past
 // MaxConnIdle are dropped, and ones idle longer than a beat get a
 // non-blocking read probe that detects a peer that closed (a server
@@ -389,129 +335,76 @@ func connDead(nc net.Conn) bool {
 	return dead || probeErr != nil
 }
 
-// release returns a healthy connection to the pool (or closes it when
-// the pool is full or the client closed).
-func (c *Client) release(idx int, cn *conn, healthy bool) {
-	if !healthy {
-		_ = cn.nc.Close()
-		c.discards[idx].Add(1)
-		return
-	}
-	c.mu.Lock()
-	closed := c.closed
-	pool := c.pools[idx]
-	c.mu.Unlock()
-	if closed {
-		_ = cn.nc.Close()
-		return
-	}
-	cn.idleSince = time.Now()
-	select {
-	case pool <- cn:
-	default:
-		_ = cn.nc.Close()
-		c.discards[idx].Add(1)
-	}
-}
-
-// roundTrip runs fn on a connection to server idx — one attempt, no
-// retry. All mutating commands go through here.
-func (c *Client) roundTrip(idx int, fn func(*conn) error) error {
-	return c.roundTripOnce(idx, fn)
-}
-
-// roundTripRead is the idempotent-read path: the same round trip, but
-// transport-level failures are retried under the RetryPolicy (capped
-// exponential backoff + jitter, spent from the token budget), and a
-// success feeds the hedge trigger's latency digest.
-func (c *Client) roundTripRead(idx int, fn func(*conn) error) error {
-	var began time.Time
-	if c.readLat != nil {
-		began = time.Now()
-	}
-	err := c.roundTripOnce(idx, fn)
-	for attempt := 2; c.retries(err) && attempt <= c.retry.MaxAttempts && c.retryBudget.take(); attempt++ {
-		c.backOff(attempt)
-		err = c.roundTripOnce(idx, fn)
-	}
-	if c.readLat != nil && err == nil {
-		c.readLat.add(time.Since(began).Seconds())
-	}
-	return err
-}
-
-// retries reports whether a read that came to err may be re-issued.
-func (c *Client) retries(err error) bool {
-	return err != nil && c.retry != nil && retryable(err)
-}
-
-// backOff sleeps out the RetryPolicy's wait before attempt.
-func (c *Client) backOff(attempt int) {
-	wait := c.retry.backoff(attempt-1, c.jitterFloat())
-	time.Sleep(wait)
-	c.rec.Observe(telemetry.StageRetry, wait.Seconds())
-}
-
-// retryable reports whether err is a transport-level failure worth
-// re-issuing an idempotent read for. Protocol outcomes are answers; a
-// shed (breaker open) or closed client will not get better by asking
-// again immediately.
-func retryable(err error) bool {
-	return !isProtocolOutcome(err) &&
-		!errors.Is(err, ErrBreakerOpen) &&
-		!errors.Is(err, ErrClosed)
-}
-
-// roundTripOnce runs fn on a connection with the op deadline applied,
-// recycling the connection on success and feeding the server's circuit
-// breaker with the outcome.
-func (c *Client) roundTripOnce(idx int, fn func(*conn) error) error {
-	cn, err := c.checkout(idx)
-	if err != nil {
-		return err
-	}
-	if _, err = c.arm(cn); err == nil {
-		err = fn(cn)
-	}
-	c.checkin(idx, cn, err)
-	return err
-}
-
-// checkout is the first half of a round trip: breaker admission and a
-// screened pooled (or fresh) connection. A dial is bounded by DialTimeout
-// and by nothing else: the exchange's clock starts once the connection
-// is in hand (arm), so a slow dial spends no OpTimeout.
+// checkout is the first half of a round trip: breaker admission, then a
+// pooled connection — screened for liveness, so a server restart does
+// not poison the first request issued afterwards — or a fresh one. A dial
+// is bounded by DialTimeout and by nothing else: the exchange's clock
+// starts once the connection is in hand, so a slow dial spends no
+// OpTimeout.
 func (c *Client) checkout(idx int) (*conn, error) {
 	if br := c.breakerFor(idx); br != nil && !br.Allow(time.Now()) {
 		c.rec.Observe(telemetry.StageBreakerShed, 0)
 		return nil, fmt.Errorf("client: server %s: %w", c.opts.Servers[idx], ErrBreakerOpen)
 	}
-	cn, err := c.acquire(idx)
+	c.mu.Lock()
+	closed := c.closed
+	c.mu.Unlock()
+	if closed {
+		c.recordOutcome(idx, false)
+		return nil, ErrClosed
+	}
+	for {
+		select {
+		case cn := <-c.pools[idx]:
+			if c.connAlive(cn) {
+				return cn, nil
+			}
+			_ = cn.nc.Close()
+			c.discards[idx].Add(1)
+			c.staleDrops[idx].Add(1)
+			continue
+		default:
+		}
+		break
+	}
+	nc, err := net.DialTimeout("tcp", c.opts.Servers[idx], c.opts.DialTimeout)
 	if err != nil {
 		c.recordOutcome(idx, false)
-		return nil, err
+		return nil, fmt.Errorf("client: dial %s: %w", c.opts.Servers[idx], err)
 	}
-	return cn, nil
-}
-
-// arm starts the clock of an exchange on cn: its deadline is OpTimeout
-// from now.
-func (c *Client) arm(cn *conn) (deadline time.Time, err error) {
-	deadline = time.Now().Add(c.opts.OpTimeout)
-	if err := cn.nc.SetDeadline(deadline); err != nil {
-		return deadline, fmt.Errorf("client: set deadline: %w", err)
-	}
-	return deadline, nil
+	c.dials[idx].Add(1)
+	return &conn{nc: nc, r: bufio.NewReader(nc), idleSince: time.Now()}, nil
 }
 
 // checkin is the second half: err is what the exchange on cn came to.
 // Protocol-level outcomes (miss, not-stored, cas conflict, server error
 // lines) leave the stream positioned at a command boundary and the
-// connection reusable; only transport/parse errors poison it.
+// connection reusable; only transport/parse errors poison it. A healthy
+// connection is parked under the lock Close drains the pools under, so
+// none lands in a drained pool.
 func (c *Client) checkin(idx int, cn *conn, err error) {
 	ok := err == nil || isProtocolOutcome(err)
-	c.release(idx, cn, ok)
 	c.recordOutcome(idx, ok)
+	parked, closed := false, false
+	if ok {
+		cn.idleSince = time.Now()
+		c.mu.Lock()
+		if closed = c.closed; !closed {
+			select {
+			case c.pools[idx] <- cn:
+				parked = true
+			default: // pool full
+			}
+		}
+		c.mu.Unlock()
+	}
+	if parked {
+		return
+	}
+	_ = cn.nc.Close()
+	if !closed {
+		c.discards[idx].Add(1)
+	}
 }
 
 // breakerFor returns server idx's breaker (nil when disabled).
@@ -597,216 +490,34 @@ func (c *Client) PoolStats(idx int) (PoolStats, error) {
 
 // Get fetches one key, returning ErrCacheMiss when absent.
 func (c *Client) Get(key string) (Item, error) {
-	return c.get(otrace.Ctx{}, key, false)
+	return c.get(otrace.Ctx{}, "get", protocol.OpGet, 0, key)
 }
 
 // Gets fetches one key with its CAS token.
 func (c *Client) Gets(key string) (Item, error) {
-	return c.get(otrace.Ctx{}, key, true)
+	return c.get(otrace.Ctx{}, "gets", protocol.OpGets, 0, key)
 }
 
-// get is the shared single-key read: it opens a span (a fresh root
-// trace when parent is zero) and fetches from the key's owner. Plain
-// gets ride the resilient read path: retries under the RetryPolicy and,
-// when hedging is enabled, a duplicate request to a second pooled
-// connection once the primary outlives the hedge trigger. CAS reads
-// (gets) never hedge — racing tokens would be ambiguous.
-func (c *Client) get(parent otrace.Ctx, key string, withCAS bool) (Item, error) {
-	idx := c.pickServer(key)
-	op, name := protocol.OpGet, "get"
-	if withCAS {
-		op, name = protocol.OpGets, "gets"
-	}
-	sp := c.tracer.Begin(parent, "client", name, idx)
-	defer c.tracer.End(sp)
-	if c.hedge != nil && !withCAS {
-		items, err := c.hedgedGet(sp.Ctx(), idx, []string{key})
-		if err != nil {
-			return Item{}, err
-		}
-		if len(items) == 0 {
-			return Item{}, ErrCacheMiss
-		}
-		return items[0], nil
-	}
-	one := oneKey{keys: [1]string{key}}
-	err := c.roundTripRead(idx, func(cn *conn) error {
-		one.found = false // a retried attempt starts over
-		return c.attempt(cn, sp.Ctx(), idx, op, 0, one.keys[:], one.emit)
-	})
-	return one.result(err)
+// GetAndTouch atomically fetches a key and refreshes its TTL (the
+// protocol's gat command); ErrCacheMiss when absent.
+func (c *Client) GetAndTouch(key string, ttl time.Duration) (Item, error) {
+	return c.get(otrace.Ctx{}, "", protocol.OpGat, exptimeFromTTL(ttl), key)
 }
 
-// oneKey is the receiving end of a single-key read: the key in the
-// shape the retrieval path takes keys in, and the item once it arrives.
-type oneKey struct {
-	keys  [1]string
-	item  Item
-	found bool
-}
-
-// emit keeps the item, unless it answers a key that was not asked for.
-func (o *oneKey) emit(it protocol.ValueItem) error {
-	if err := checkKey(o.keys[:], it.Key); err != nil {
-		return err
-	}
-	o.item, o.found = Item(it), true
-	return nil
-}
-
-// result is what the read came to, err being the round trip's error.
-func (o *oneKey) result(err error) (Item, error) {
+// get is the single-key read: a fork-join of one leg, under a span
+// called name (a fresh root trace when parent is zero).
+func (c *Client) get(parent otrace.Ctx, name string, op protocol.Op, exptime int64, key string) (Item, error) {
+	fj := forkJoins.Get().(*forkJoin)
+	defer fj.recycle()
+	l := &fj.split(c, []string{key}, op, exptime)[0]
+	c.read(parent, name, fj.legs)
 	switch {
-	case err != nil:
-		return Item{}, err
-	case !o.found:
+	case l.err != nil:
+		return Item{}, l.err
+	case len(l.items) == 0:
 		return Item{}, ErrCacheMiss
 	}
-	return o.item, nil
-}
-
-// checkKey refuses the reply to a single-key read that names another
-// key: it is some other request's reply, so the connection is out of
-// step and the error — no protocol outcome — has it discarded.
-func checkKey(asked []string, got string) error {
-	if len(asked) == 1 && asked[0] != got {
-		return fmt.Errorf("client: asked for key %q, reply carries %q", asked[0], got)
-	}
-	return nil
-}
-
-// sendRetrieval frames keys as retrieval lines and writes them in one
-// call, returning how many lines — replies owed — went out. The encoder
-// keeps each line under the server's line limit, so a read of any width
-// goes out as pipelined lines whose replies come back to back and cost
-// no extra round trip. When rpc is live every line is preceded by its
-// mq_trace header, so the server's spans land under it.
-func (cn *conn) sendRetrieval(op protocol.Op, exptime int64, keys []string, rpc otrace.Span) (lines int, err error) {
-	cn.buf = cn.buf[:0]
-	for rest := keys; len(rest) > 0; lines++ {
-		if rpc.ID != 0 {
-			cn.buf = protocol.AppendTrace(cn.buf, rpc.Trace, rpc.ID)
-		}
-		var n int
-		cn.buf, n = protocol.AppendRetrieval(cn.buf, op, exptime, rest)
-		rest = rest[n:]
-	}
-	return lines, cn.send()
-}
-
-// readRetrieval reads the replies to lines retrieval lines for keys,
-// handing every item to emit. It reads every reply the request is owed:
-// an error reply ends one line's reply, not the others', so the first
-// one is kept while the rest are read, and the connection is back at a
-// command boundary when a protocol outcome is returned. Any other error
-// leaves the stream wherever it broke.
-func (cn *conn) readRetrieval(lines int, keys []string, emit func(protocol.ValueItem) error) error {
-	rr := protocol.RetrievalReader{Want: keys}
-	var refused error
-	for ; lines > 0; lines-- {
-		if err := rr.Read(cn.r, emit); err != nil {
-			var se *protocol.ServerError
-			if !errors.As(err, &se) {
-				return err
-			}
-			if refused == nil {
-				refused = err
-			}
-		}
-	}
-	return refused
-}
-
-// attempt is one retrieval exchange on cn: under a traced parent it gets
-// its own rpc span, which the server is told in-band, so retried and
-// hedged attempts are distinguishable in the trace.
-func (c *Client) attempt(cn *conn, parent otrace.Ctx, idx int, op protocol.Op, exptime int64, keys []string, emit func(protocol.ValueItem) error) error {
-	var rpc otrace.Span
-	if parent.Valid() {
-		rpc = c.tracer.Begin(parent, "client", "rpc", idx)
-		defer c.tracer.End(rpc)
-	}
-	lines, err := cn.sendRetrieval(op, exptime, keys, rpc)
-	if err != nil {
-		return err
-	}
-	return cn.readRetrieval(lines, keys, emit)
-}
-
-// getOnce gets keys from server idx (with retries when enabled) into a
-// slice of its own: what a hedged leg, which races another for the same
-// keys, needs.
-func (c *Client) getOnce(parent otrace.Ctx, idx int, keys []string) ([]Item, error) {
-	var out []Item
-	err := c.roundTripRead(idx, func(cn *conn) error {
-		out = make([]Item, 0, len(keys)) // a retried attempt starts over
-		return c.attempt(cn, parent, idx, protocol.OpGet, 0, keys, func(it protocol.ValueItem) error {
-			if err := checkKey(keys, it.Key); err != nil {
-				return err
-			}
-			out = append(out, Item(it))
-			return nil
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// hedgeTrigger returns the current hedge delay: the fixed Delay when
-// configured, else the observed read-latency percentile (floored), else
-// the fallback while the digest warms up.
-func (c *Client) hedgeTrigger() time.Duration {
-	if c.hedge.Delay > 0 {
-		return c.hedge.Delay
-	}
-	if q, ok := c.readLat.quantile(c.hedge.Percentile, c.hedge.MinSamples); ok {
-		d := time.Duration(q * float64(time.Second))
-		if d < minHedgeDelay {
-			d = minHedgeDelay
-		}
-		return d
-	}
-	return c.hedge.FallbackDelay
-}
-
-// hedgedGet races the primary read against a hedge fired after the
-// trigger delay. The first success wins; if the first reply is a
-// failure and a hedge is outstanding, the slower leg gets to answer.
-// Both legs run complete round trips, so the loser's connection is
-// recycled normally.
-func (c *Client) hedgedGet(parent otrace.Ctx, idx int, keys []string) ([]Item, error) {
-	type legResult struct {
-		items []Item
-		err   error
-	}
-	ch := make(chan legResult, 2)
-	issue := func() {
-		items, err := c.getOnce(parent, idx, keys)
-		ch <- legResult{items, err}
-	}
-	go issue()
-	delay := c.hedgeTrigger()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
-	select {
-	case r := <-ch:
-		return r.items, r.err
-	case <-timer.C:
-	}
-	c.rec.Observe(telemetry.StageHedgeWait, delay.Seconds())
-	go issue()
-	r := <-ch
-	if r.err == nil {
-		return r.items, nil
-	}
-	// First responder failed; the other leg may still save the read.
-	r2 := <-ch
-	if r2.err == nil {
-		return r2.items, nil
-	}
-	return nil, r.err
+	return l.items[0], nil
 }
 
 // GetThrough fetches key from the cache, falling back to the configured
@@ -819,7 +530,7 @@ func (c *Client) GetThrough(ctx context.Context, key string) (Item, bool, error)
 	// otrace.FromContext and emits its own span).
 	root := c.tracer.Begin(otrace.FromContext(ctx), "client", "get_through", c.pickServer(key))
 	defer c.tracer.End(root)
-	it, err := c.get(root.Ctx(), key, false)
+	it, err := c.get(root.Ctx(), "get", protocol.OpGet, 0, key)
 	if err == nil {
 		return it, true, nil
 	}
@@ -864,7 +575,7 @@ func (c *Client) GetThrough(ctx context.Context, key string) (Item, bool, error)
 // never thrown away. Callers that need per-key failure attribution use
 // MultiGetDegraded.
 func (c *Client) MultiGet(keys []string) (map[string]Item, error) {
-	out, keyErrs := c.multiGet(keys)
+	out, keyErrs := c.MultiGetDegraded(keys)
 	if len(keyErrs) == 0 {
 		return out, nil
 	}
@@ -884,33 +595,61 @@ func (c *Client) MultiGet(keys []string) (map[string]Item, error) {
 // request when one leg dies. Keys that simply missed are in neither
 // map. An empty error map means every leg answered.
 func (c *Client) MultiGetDegraded(keys []string) (map[string]Item, map[string]error) {
-	return c.multiGet(keys)
+	// The root span is the fork-join the model analyzes: its duration is
+	// the max over the per-server leg spans beneath it.
+	root := c.tracer.Begin(otrace.Ctx{}, "client", "multiget", -1)
+	defer c.tracer.End(root)
+	fj := forkJoins.Get().(*forkJoin)
+	defer fj.recycle()
+	legs := fj.split(c, keys, protocol.OpGet, 0)
+	c.read(root.Ctx(), "leg", legs)
+	out := make(map[string]Item, len(keys))
+	var keyErrs map[string]error
+	for i := range legs {
+		l := &legs[i]
+		if l.err == nil {
+			for _, it := range l.items {
+				out[it.Key] = it
+			}
+			continue
+		}
+		// What a failed leg delivered before it failed stands for nothing.
+		if keyErrs == nil {
+			keyErrs = make(map[string]error)
+		}
+		for _, k := range l.keys {
+			keyErrs[k] = l.err
+		}
+	}
+	return out, keyErrs
 }
 
-// A leg is one server's share of a fork-join read.
+// A leg is one server's share of a read, and the unit every retrieval is
+// made of: a single-key read is one leg, a fork-join one per server.
 type leg struct {
-	idx  int
-	keys []string // the keys idx owns, in request order
-	span otrace.Span
-	err  error
+	idx     int
+	op      protocol.Op // get, gets or gat
+	exptime int64       // gat's
+	keys    []string    // the keys idx owns, in request order
+	items   []Item      // what the reply to the last attempt carried
+	err     error       // what the last attempt came to
+	span    otrace.Span
 
-	// A pipelined leg: whether the next pass issues it and, between its
-	// checkout and its join, the exchange in flight.
+	// Whether the next pass issues the leg and, between its checkout and
+	// its join, the exchange in flight.
 	due      bool
 	cn       *conn
 	deadline time.Time
 	rpc      otrace.Span
 	lines    int
-
-	items []Item // a hedged leg's result
 }
 
-// forkJoin is the per-call scratch of multiGet, pooled so that a call
+// forkJoin is the per-call scratch of a read, pooled so that a call
 // allocates for its results only.
 type forkJoin struct {
-	owner   []int    // owner[i] is the server of keys[i]
-	fill    []int    // per server: where its next key goes in grouped
+	ints    []int    // owner and fill of split, one after the other
 	grouped []string // the keys ordered by server
+	items   []Item   // room for an item per key, shared out like grouped
 	legs    []leg
 }
 
@@ -921,43 +660,107 @@ var forkJoins = sync.Pool{New: func() any { return new(forkJoin) }}
 const maxPooledKeys = 1024
 
 // split groups keys by owning server — a counting sort, so each group
-// keeps request order — into one leg per server that owns any.
-func (fj *forkJoin) split(c *Client, keys []string) []leg {
+// keeps request order — into one leg per server that owns any, each an
+// op (with gat's exptime) for its keys and due.
+func (fj *forkJoin) split(c *Client, keys []string, op protocol.Op, exptime int64) []leg {
 	n := len(c.opts.Servers)
-	fj.owner = slices.Grow(fj.owner[:0], len(keys))[:len(keys)]
-	fj.fill = slices.Grow(fj.fill[:0], n+1)[:n+1]
-	fj.grouped = slices.Grow(fj.grouped[:0], len(keys))[:len(keys)]
-	clear(fj.fill)
+	fj.ints = scratch(fj.ints, len(keys)+n+1)
+	fj.grouped = scratch(fj.grouped, len(keys))
+	fj.items = scratch(fj.items, len(keys))
+	owner := fj.ints[:len(keys)] // owner[i] is the server of keys[i]
+	fill := fj.ints[len(keys):]  // per server: where its next key goes in grouped
+	clear(fill)
 	for i, k := range keys {
-		fj.owner[i] = c.pickServer(k)
-		fj.fill[fj.owner[i]+1]++
+		owner[i] = c.pickServer(k)
+		fill[owner[i]+1]++
 	}
 	for idx := 0; idx < n; idx++ {
-		fj.fill[idx+1] += fj.fill[idx] // fill[idx] is now where idx's group starts
+		fill[idx+1] += fill[idx] // fill[idx] is now where idx's group starts
 	}
 	for i, k := range keys {
-		fj.grouped[fj.fill[fj.owner[i]]] = k
-		fj.fill[fj.owner[i]]++ // ... and, once filled, where it ends
+		fj.grouped[fill[owner[i]]] = k
+		fill[owner[i]]++ // ... and, once filled, where it ends
 	}
 	fj.legs = fj.legs[:0]
 	start := 0
 	for idx := 0; idx < n; idx++ {
-		if end := fj.fill[idx]; end > start {
-			fj.legs = append(fj.legs, leg{idx: idx, keys: fj.grouped[start:end], due: true})
+		if end := fill[idx]; end > start {
+			fj.legs = append(fj.legs, leg{
+				idx: idx, op: op, exptime: exptime, due: true,
+				keys: fj.grouped[start:end], items: fj.items[start:start:end],
+			})
 			start = end
 		}
 	}
 	return fj.legs
 }
 
-// recycle returns the scratch to the pool without the caller's strings.
+// scratch returns n elements to overwrite: s's own when it has them.
+// (slices.Grow allocates twice under -race, where a quarter of the pool's
+// Puts are dropped and the bounds of TestForkJoinCost still have to hold.)
+func scratch[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// recycle returns the scratch to the pool without the caller's strings
+// and values.
 func (fj *forkJoin) recycle() {
 	if len(fj.grouped) > maxPooledKeys {
 		return
 	}
 	clear(fj.grouped)
+	clear(fj.items)
 	clear(fj.legs)
 	forkJoins.Put(fj)
+}
+
+// read takes the legs of a retrieval to their outcomes: on the calling
+// goroutine (run) unless hedging is on, when every leg of a plain get is
+// a race and needs a goroutine of its own to wait on it. CAS reads never
+// hedge — racing tokens would be ambiguous — and neither does gat.
+func (c *Client) read(parent otrace.Ctx, name string, legs []leg) {
+	if c.hedge == nil || len(legs) == 0 || legs[0].op != protocol.OpGet {
+		c.run(parent, name, legs)
+		return
+	}
+	var wg sync.WaitGroup
+	for i := range legs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.race(parent, name, &legs[i])
+		}()
+	}
+	wg.Wait()
+}
+
+// run takes legs to their outcomes on the calling goroutine: one
+// pipelined pass over all of them and, under a RetryPolicy, one more per
+// further attempt over those that failed retryably. The legs of a pass
+// back off together, once, and each spends a token of the retry budget.
+func (c *Client) run(parent otrace.Ctx, name string, legs []leg) {
+	c.pass(parent, name, legs, nil)
+	for attempt := 2; c.retry != nil && attempt <= c.retry.MaxAttempts; attempt++ {
+		again := false
+		for i := range legs {
+			l := &legs[i]
+			l.due = c.retries(l) && c.retryBudget.take()
+			again = again || l.due
+		}
+		if !again {
+			break
+		}
+		c.backOff(attempt)
+		c.pass(parent, name, legs, nil)
+	}
+	for i := range legs {
+		if l := &legs[i]; c.retries(l) {
+			c.tracer.End(l.span) // the last pass left it open for a retry
+		}
+	}
 }
 
 // drainGrace is how long a leg that is read only after its deadline has
@@ -965,155 +768,162 @@ func (fj *forkJoin) recycle() {
 // dial — gets to hand over the reply it received in time.
 const drainGrace = 10 * time.Millisecond
 
-// multiGet runs the fork-join and attributes leg failures to their keys.
-func (c *Client) multiGet(keys []string) (map[string]Item, map[string]error) {
-	// The root span is the fork-join the model analyzes: its duration is
-	// the max over the per-server leg spans beneath it.
-	root := c.tracer.Begin(otrace.Ctx{}, "client", "multiget", -1)
-	defer c.tracer.End(root)
-	out := make(map[string]Item, len(keys))
-	fj := forkJoins.Get().(*forkJoin)
-	legs := fj.split(c, keys)
-	if c.hedge != nil {
-		// A hedged leg's losing attempt may outlive the call and still
-		// read its keys: this scratch is not reused.
-		c.forkHedged(root.Ctx(), legs, out)
-	} else {
-		defer fj.recycle()
-		c.forkPipelined(root.Ctx(), legs, out)
-	}
-	var keyErrs map[string]error
-	for i := range legs {
-		if l := &legs[i]; l.err != nil {
-			if keyErrs == nil {
-				keyErrs = make(map[string]error)
-			}
-			for _, k := range l.keys {
-				keyErrs[k] = l.err
-			}
-		}
-	}
-	return out, keyErrs
-}
-
-// forkHedged runs every leg as a hedged read. A hedged read races two
-// connections, so each leg needs a goroutine of its own.
-func (c *Client) forkHedged(root otrace.Ctx, legs []leg, out map[string]Item) {
-	var wg sync.WaitGroup
+// pass is the one exchange every operation is made of, run over the legs
+// that are due: every leg's request goes on the wire — breaker admission,
+// a connection, the leg's clock, one write — before the first reply is
+// read, so the servers work in parallel as they would for one goroutine
+// per leg, and the replies are then read in send order. Each leg has
+// OpTimeout from the moment it has its connection, as a round trip of its
+// own would: a leg that has to dial does so on nobody's clock, its own
+// included. A leg gets a span called name, if there is one, and under a
+// traced parent every attempt gets its own rpc span, which the server is
+// told in-band, so retried and hedged attempts are distinguishable.
+//
+// A command that is no retrieval shares everything but the wire format:
+// its leg sends nothing, and do — the whole of its round trip — runs
+// where a retrieval's reply is read.
+func (c *Client) pass(parent otrace.Ctx, name string, legs []leg, do func(*conn) error) {
 	for i := range legs {
 		l := &legs[i]
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l.span = c.tracer.Begin(root, "client", "leg", l.idx)
-			defer c.tracer.End(l.span)
-			l.items, l.err = c.hedgedGet(l.span.Ctx(), l.idx, l.keys)
-		}()
-	}
-	wg.Wait()
-	for i := range legs {
-		for _, it := range legs[i].items {
-			out[it.Key] = it
+		if !l.due {
+			continue
 		}
-	}
-}
-
-// forkPipelined runs the legs on the calling goroutine, as one pipelined
-// pass over all of them and, under a RetryPolicy, one more per further
-// attempt over those that failed retryably: the legs of a pass back off
-// together, once, and each spends a token of the retry budget.
-func (c *Client) forkPipelined(root otrace.Ctx, legs []leg, out map[string]Item) {
-	c.pipeline(root, legs, out)
-	for attempt := 2; c.retry != nil && attempt <= c.retry.MaxAttempts; attempt++ {
-		again := false
-		for i := range legs {
-			l := &legs[i]
-			l.due = c.retries(l.err) && c.retryBudget.take()
-			again = again || l.due
+		under := parent
+		if name != "" {
+			if l.span.ID == 0 { // a retried leg's is open
+				l.span = c.tracer.Begin(parent, "client", name, l.idx)
+			}
+			under = l.span.Ctx()
 		}
-		if !again {
-			break
+		if l.cn, l.err = c.checkout(l.idx); l.err == nil {
+			l.deadline = time.Now().Add(c.opts.OpTimeout)
+			l.err = l.cn.nc.SetDeadline(l.deadline)
 		}
-		c.backOff(attempt)
-		c.pipeline(root, legs, out)
-	}
-	for i := range legs {
-		if l := &legs[i]; c.retries(l.err) {
-			c.tracer.End(l.span) // join left it open for a retry
+		if l.err == nil && do == nil {
+			if under.Valid() {
+				l.rpc = c.tracer.Begin(under, "client", "rpc", l.idx)
+			}
+			l.lines, l.err = l.cn.sendRetrieval(l.op, l.exptime, l.keys, l.rpc)
 		}
-	}
-}
-
-// pipeline is one pass over the legs that are due: every leg's request
-// goes on the wire — the first half of any round trip, then one write —
-// before the first reply is read, so the servers work in parallel as
-// they would for one goroutine per leg, and the replies are then read in
-// send order. Each leg has OpTimeout from the moment it has its
-// connection, as a round trip of its own would: a leg that has to dial
-// does so on nobody's clock, its own included.
-func (c *Client) pipeline(root otrace.Ctx, legs []leg, out map[string]Item) {
-	emit := func(it protocol.ValueItem) error {
-		out[it.Key] = Item(it)
-		return nil
 	}
 	for i := range legs {
 		l := &legs[i]
 		if !l.due {
 			continue
 		}
-		if l.span.ID == 0 { // a retried leg's is open
-			l.span = c.tracer.Begin(root, "client", "leg", l.idx)
-		}
-		if l.cn, l.err = c.checkout(l.idx); l.err == nil {
-			l.deadline, l.err = c.arm(l.cn)
-		}
 		if l.err == nil {
-			if l.span.ID != 0 {
-				l.rpc = c.tracer.Begin(l.span.Ctx(), "client", "rpc", l.idx)
+			// A read that starts after the deadline fails without looking
+			// at the socket, whatever has arrived.
+			if time.Now().After(l.deadline) {
+				_ = l.cn.nc.SetReadDeadline(time.Now().Add(drainGrace)) // on failure the read reports it
 			}
-			l.lines, l.err = l.cn.sendRetrieval(protocol.OpGet, 0, l.keys, l.rpc)
+			if do != nil {
+				l.err = do(l.cn)
+			} else {
+				l.items, l.err = l.cn.readRetrieval(l.lines, l.keys, l.items[:0])
+			}
 		}
-		if l.err != nil {
-			c.join(l, out)
+		// The join: the connection, if the leg got one, goes back under the
+		// health rule of any round trip, and the leg's span stays open only
+		// while the failure is one a retry may mend.
+		if l.cn != nil {
+			c.tracer.End(l.rpc)
+			c.checkin(l.idx, l.cn, l.err)
+			l.cn, l.rpc = nil, otrace.Span{}
 		}
-	}
-	for i := range legs {
-		l := &legs[i]
-		if l.cn == nil {
-			continue
+		if !c.retries(l) {
+			c.tracer.End(l.span)
 		}
-		// A read that starts after the deadline fails without looking at
-		// the socket, whatever has arrived.
-		if time.Now().After(l.deadline) {
-			_ = l.cn.nc.SetReadDeadline(time.Now().Add(drainGrace)) // on failure the read reports it
-		}
-		l.err = l.cn.readRetrieval(l.lines, l.keys, emit)
-		c.join(l, out)
 	}
 }
 
-// join ends a pipelined leg's exchange: the connection, if the leg got
-// one, goes back under the health rule of any round trip, and a failed
-// leg contributes no items, not even those read before it failed. The
-// leg's span stays open while the failure is one a retry may mend.
-func (c *Client) join(l *leg, out map[string]Item) {
-	if l.cn != nil {
-		c.tracer.End(l.rpc)
-		c.checkin(l.idx, l.cn, l.err)
-		l.cn, l.rpc = nil, otrace.Span{}
+// sendRetrieval frames keys as retrieval lines and writes them in one
+// call, returning how many lines — replies owed — went out. The encoder
+// keeps each line under the server's line limit, so a read of any width
+// goes out as pipelined lines whose replies come back to back and cost
+// no extra round trip. When rpc is live every line is preceded by its
+// mq_trace header, so the server's spans land under it.
+func (cn *conn) sendRetrieval(op protocol.Op, exptime int64, keys []string, rpc otrace.Span) (lines int, err error) {
+	cn.buf = cn.buf[:0]
+	for rest := keys; len(rest) > 0; lines++ {
+		if rpc.ID != 0 {
+			cn.buf = protocol.AppendTrace(cn.buf, rpc.Trace, rpc.ID)
+		}
+		var n int
+		cn.buf, n = protocol.AppendRetrieval(cn.buf, op, exptime, rest)
+		rest = rest[n:]
 	}
-	if l.err != nil {
-		dropKeys(out, l.keys)
-	}
-	if !c.retries(l.err) {
-		c.tracer.End(l.span)
-	}
+	return lines, cn.send()
 }
 
-func dropKeys(out map[string]Item, keys []string) {
-	for _, k := range keys {
-		delete(out, k)
+// readRetrieval reads the replies to lines retrieval lines for keys,
+// appending every item to items. It reads every reply the request is
+// owed: an error reply ends one line's reply, not the others', so the
+// first one is kept while the rest are read, and the connection is back
+// at a command boundary when a protocol outcome is returned. Any other
+// error leaves the stream wherever it broke.
+//
+// The reply to a single-key read that names another key is refused: it
+// is some other request's reply, so the connection is out of step and
+// the error — no protocol outcome — has it discarded.
+func (cn *conn) readRetrieval(lines int, keys []string, items []Item) ([]Item, error) {
+	rr := protocol.RetrievalReader{Want: keys}
+	emit := func(it protocol.ValueItem) error {
+		if len(keys) == 1 && keys[0] != it.Key {
+			return fmt.Errorf("client: asked for key %q, reply carries %q", keys[0], it.Key)
+		}
+		items = append(items, Item(it))
+		return nil
 	}
+	var refused error
+	for ; lines > 0; lines-- {
+		if err := rr.Read(cn.r, emit); err != nil {
+			var se *protocol.ServerError
+			if !errors.As(err, &se) {
+				return items, err
+			}
+			if refused == nil {
+				refused = err
+			}
+		}
+	}
+	return items, refused
+}
+
+// do runs fn, a command's whole round trip, on a connection to server
+// idx: a pass of one leg, one attempt. Every command that is not a
+// retrieval goes through here.
+func (c *Client) do(idx int, fn func(*conn) error) error {
+	l := [1]leg{{idx: idx, due: true}}
+	c.pass(otrace.Ctx{}, "", l[:], fn)
+	return l[0].err
+}
+
+// command runs a one-line command on server idx and returns its reply:
+// frame appends the request to the connection's buffer, and outcomes is
+// the verb's reply table. A reply the table does not list is an error
+// that is no protocol outcome, so the connection is discarded.
+func (c *Client) command(idx int, outcomes map[string]error, frame func([]byte) []byte) (line string, err error) {
+	err = c.do(idx, func(cn *conn) (err error) {
+		cn.buf = frame(cn.buf[:0])
+		if err = cn.send(); err != nil {
+			return err
+		}
+		if line, err = protocol.ReadLineReply(cn.r); err != nil {
+			return err
+		}
+		outcome, ok := outcomes[line]
+		if !ok {
+			if _, perr := strconv.ParseUint(line, 10, 64); perr == nil {
+				outcome, ok = outcomes[anyNumber]
+			}
+		}
+		if !ok {
+			return fmt.Errorf("client: unexpected reply %q", line)
+		}
+		return outcome
+	})
+	return line, err
 }
 
 // storage runs one storage-class command. A successful store
@@ -1122,11 +932,10 @@ func dropKeys(out map[string]Item, keys []string) {
 func (c *Client) storage(op protocol.Op, key string, value []byte, flags uint32, ttl time.Duration, cas uint64) error {
 	exptime := exptimeFromTTL(ttl)
 	defer c.coalescer.Invalidate(key)
-	return c.roundTrip(c.pickServer(key), func(cn *conn) error {
-		cn.buf = protocol.AppendStorage(cn.buf[:0], op, key, flags, exptime, value, cas)
-		_, err := cn.lineReply(storeOutcomes)
-		return err
+	_, err := c.command(c.pickServer(key), storeOutcomes, func(buf []byte) []byte {
+		return protocol.AppendStorage(buf, op, key, flags, exptime, value, cas)
 	})
+	return err
 }
 
 // exptimeFromTTL maps a TTL to the protocol's exptime field. Memcached
@@ -1177,11 +986,10 @@ func (c *Client) CompareAndSwap(key string, value []byte, flags uint32, ttl time
 // verbs it invalidates any in-flight coalesced fetch for the key.
 func (c *Client) Delete(key string) error {
 	defer c.coalescer.Invalidate(key)
-	return c.roundTrip(c.pickServer(key), func(cn *conn) error {
-		cn.buf = protocol.AppendDelete(cn.buf[:0], key)
-		_, err := cn.lineReply(deleteOutcomes)
-		return err
+	_, err := c.command(c.pickServer(key), deleteOutcomes, func(buf []byte) []byte {
+		return protocol.AppendDelete(buf, key)
 	})
+	return err
 }
 
 // Incr atomically adds delta to a numeric value.
@@ -1195,36 +1003,21 @@ func (c *Client) Decr(key string, delta uint64) (uint64, error) {
 }
 
 func (c *Client) incrDecr(op protocol.Op, key string, delta uint64) (uint64, error) {
-	var result uint64
-	err := c.roundTrip(c.pickServer(key), func(cn *conn) error {
-		cn.buf = protocol.AppendIncrDecr(cn.buf[:0], op, key, delta)
-		line, err := cn.lineReply(incrOutcomes)
-		if n, perr := strconv.ParseUint(line, 10, 64); perr == nil {
-			result, err = n, nil // the one reply no table can list: the new value
-		}
-		return err
+	line, err := c.command(c.pickServer(key), incrOutcomes, func(buf []byte) []byte {
+		return protocol.AppendIncrDecr(buf, op, key, delta)
 	})
-	return result, err
-}
-
-// GetAndTouch atomically fetches a key and refreshes its TTL (the
-// protocol's gat command); ErrCacheMiss when absent.
-func (c *Client) GetAndTouch(key string, ttl time.Duration) (Item, error) {
-	idx := c.pickServer(key)
-	one := oneKey{keys: [1]string{key}}
-	err := c.roundTrip(idx, func(cn *conn) error {
-		return c.attempt(cn, otrace.Ctx{}, idx, protocol.OpGat, exptimeFromTTL(ttl), one.keys[:], one.emit)
-	})
-	return one.result(err)
+	if err != nil {
+		return 0, err
+	}
+	return strconv.ParseUint(line, 10, 64)
 }
 
 // Touch refreshes a key's TTL.
 func (c *Client) Touch(key string, ttl time.Duration) error {
-	return c.roundTrip(c.pickServer(key), func(cn *conn) error {
-		cn.buf = protocol.AppendTouch(cn.buf[:0], key, exptimeFromTTL(ttl))
-		_, err := cn.lineReply(touchOutcomes)
-		return err
+	_, err := c.command(c.pickServer(key), touchOutcomes, func(buf []byte) []byte {
+		return protocol.AppendTouch(buf, key, exptimeFromTTL(ttl))
 	})
+	return err
 }
 
 // ServerStats fetches the stats table from server idx.
@@ -1233,7 +1026,7 @@ func (c *Client) ServerStats(idx int) (map[string]string, error) {
 		return nil, fmt.Errorf("client: server index %d out of range", idx)
 	}
 	var out map[string]string
-	err := c.roundTrip(idx, func(cn *conn) (err error) {
+	err := c.do(idx, func(cn *conn) (err error) {
 		cn.buf = protocol.AppendBare(cn.buf[:0], protocol.OpStats)
 		if err = cn.send(); err == nil {
 			out, err = protocol.ReadStats(cn.r)
@@ -1246,10 +1039,8 @@ func (c *Client) ServerStats(idx int) (map[string]string, error) {
 // FlushAll clears every server.
 func (c *Client) FlushAll() error {
 	for idx := range c.opts.Servers {
-		err := c.roundTrip(idx, func(cn *conn) error {
-			cn.buf = protocol.AppendBare(cn.buf[:0], protocol.OpFlushAll)
-			_, err := cn.lineReply(flushOutcomes)
-			return err
+		_, err := c.command(idx, flushOutcomes, func(buf []byte) []byte {
+			return protocol.AppendBare(buf, protocol.OpFlushAll)
 		})
 		if err != nil {
 			return err

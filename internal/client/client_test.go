@@ -23,7 +23,14 @@ import (
 // their addresses.
 func startCluster(t testing.TB, n int) []string {
 	t.Helper()
-	addrs := make([]string, n)
+	addrs, _ := startServers(t, n)
+	return addrs
+}
+
+// startServers is startCluster for a test that looks inside the servers.
+func startServers(t testing.TB, n int) ([]string, []*server.Server) {
+	t.Helper()
+	addrs, srvs := make([]string, n), make([]*server.Server, n)
 	for i := 0; i < n; i++ {
 		c, err := cache.New(cache.Options{})
 		if err != nil {
@@ -37,7 +44,7 @@ func startCluster(t testing.TB, n int) []string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		addrs[i] = l.Addr().String()
+		addrs[i], srvs[i] = l.Addr().String(), srv
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
@@ -48,7 +55,7 @@ func startCluster(t testing.TB, n int) []string {
 			<-done
 		})
 	}
-	return addrs
+	return addrs, srvs
 }
 
 func newClient(t *testing.T, addrs []string, mutate func(*Options)) *Client {
@@ -68,10 +75,6 @@ func newClient(t *testing.T, addrs []string, mutate func(*Options)) *Client {
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("no servers accepted")
-	}
-	sel, _ := NewRingSelector(2, 0)
-	if _, err := New(Options{Servers: []string{"a"}, Selector: sel}); err == nil {
-		t.Error("selector/server count mismatch accepted")
 	}
 	if _, err := New(Options{Servers: []string{"a"}, PoolSize: -1}); err == nil {
 		t.Error("negative pool accepted")
@@ -269,6 +272,44 @@ func TestClientClosed(t *testing.T) {
 	_ = c.Close() // idempotent
 	if err := c.Set("k", []byte("v"), 0, 0); !errors.Is(err, ErrClosed) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// TestCloseRacesCheckin closes clients under concurrent reads: a
+// connection checked in while Close runs must be closed by one of the
+// two, not parked in a pool Close has already drained — the server would
+// see it stay open.
+func TestCloseRacesCheckin(t *testing.T) {
+	addrs, srvs := startServers(t, 1)
+	for round := 0; round < 100; round++ {
+		c, err := New(Options{Servers: addrs, PoolSize: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 50; i++ {
+					if _, err := c.Get("k"); errors.Is(err, ErrClosed) {
+						return
+					}
+				}
+			}()
+		}
+		if _, err := c.Get("k"); !errors.Is(err, ErrCacheMiss) { // the readers are under way
+			t.Fatal(err)
+		}
+		_ = c.Close()
+		wg.Wait()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for srvs[0].Counters().CurrConns != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d connections still open after every client closed", srvs[0].Counters().CurrConns)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -18,11 +18,21 @@ import (
 	"memqlat/internal/telemetry"
 )
 
-// answerGets writes a well-formed all-hits reply to one "get k1 k2 ..."
-// line: every key's value is the key itself.
+// askedKeys returns the keys of one retrieval line: "get k1 k2 ...",
+// "gets ..." or "gat <exptime> k1 k2 ...".
+func askedKeys(line string) []string {
+	fields := strings.Fields(line)
+	if fields[0] == "gat" {
+		return fields[2:]
+	}
+	return fields[1:]
+}
+
+// answerGets writes a well-formed all-hits reply to one retrieval line:
+// every key's value is the key itself.
 func answerGets(w net.Conn, line string) {
 	var sb strings.Builder
-	for _, k := range strings.Fields(line)[1:] {
+	for _, k := range askedKeys(line) {
 		fmt.Fprintf(&sb, "VALUE %s 0 %d\r\n%s\r\n", k, len(k), k)
 	}
 	sb.WriteString("END\r\n")
@@ -447,6 +457,145 @@ func TestForkJoinSemantics(t *testing.T) {
 		}
 	})
 
+	// A single-key read is a fork-join of one leg: Get, Gets and
+	// GetAndTouch fail, shed, time out, retry and recycle connections as
+	// the legs above do — except that GetAndTouch, which moves the expiry,
+	// is never asked twice.
+	for _, rd := range []struct {
+		name    string
+		read    func(c *Client, key string) (Item, error)
+		retried bool
+	}{
+		{"Get", func(c *Client, key string) (Item, error) { return c.Get(key) }, true},
+		{"Gets", func(c *Client, key string) (Item, error) { return c.Gets(key) }, true},
+		{"GetAndTouch", func(c *Client, key string) (Item, error) { return c.GetAndTouch(key, time.Minute) }, false},
+	} {
+		t.Run("one leg/"+rd.name, func(t *testing.T) {
+			// fails reads "k" and wants a failure that is not a miss.
+			fails := func(t *testing.T, c *Client) error {
+				t.Helper()
+				it, err := rd.read(c, "k")
+				if err == nil || errors.Is(err, ErrCacheMiss) {
+					t.Fatalf("read = %+v, %v; want a failure", it, err)
+				}
+				return err
+			}
+			t.Run("mid-reply hangup", func(t *testing.T) {
+				c := newClient(t, []string{scriptedServer(t, func(w net.Conn, _ string) bool {
+					_, _ = w.Write([]byte("VALUE k 0 1\r\nk\r\nVALUE "))
+					return false
+				})}, nil)
+				fails(t, c)
+				if ps, _ := c.PoolStats(0); ps.Dials != 1 || ps.Discards != 1 || ps.Idle != 0 {
+					t.Errorf("pool after a reply cut short: %+v, want the connection discarded", ps)
+				}
+			})
+			t.Run("listener closed", func(t *testing.T) {
+				c := newClient(t, []string{closedAddr(t)}, nil)
+				fails(t, c)
+				if ps, _ := c.PoolStats(0); ps.Dials != 0 || ps.Discards != 0 {
+					t.Errorf("pool after a refused dial: %+v", ps)
+				}
+			})
+			t.Run("dial hangs", func(t *testing.T) {
+				const dialTimeout, opTimeout = 400 * time.Millisecond, 100 * time.Millisecond
+				c := newClient(t, []string{hangingAddr(t)}, func(o *Options) {
+					o.DialTimeout, o.OpTimeout = dialTimeout, opTimeout
+				})
+				began := time.Now()
+				fails(t, c)
+				if took := time.Since(began); took < dialTimeout || took > 2*dialTimeout {
+					t.Errorf("read took %v, want about DialTimeout = %v: a dial runs on no leg's OpTimeout", took, dialTimeout)
+				}
+			})
+			t.Run("breaker open", func(t *testing.T) {
+				var lines atomic.Int64
+				c := newClient(t, []string{scriptedServer(t, func(net.Conn, string) bool {
+					lines.Add(1)
+					return false
+				})}, func(o *Options) {
+					o.Resilience = Resilience{Breaker: &BreakerPolicy{
+						Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: time.Minute,
+					}}
+				})
+				fails(t, c)
+				fails(t, c)
+				if st := c.BreakerState(0); st != "open" {
+					t.Fatalf("breaker state = %q after two failed reads, want open", st)
+				}
+				before := lines.Load()
+				ps0, _ := c.PoolStats(0)
+				if err := fails(t, c); !errors.Is(err, ErrBreakerOpen) {
+					t.Errorf("shed read = %v, want ErrBreakerOpen", err)
+				}
+				if ps, _ := c.PoolStats(0); lines.Load() != before || ps.Dials != ps0.Dials {
+					t.Errorf("shed read touched the wire: %d request lines, %d dials more", lines.Load()-before, ps.Dials-ps0.Dials)
+				}
+			})
+			t.Run("stalled", func(t *testing.T) {
+				const opTimeout = 150 * time.Millisecond
+				release := make(chan struct{})
+				t.Cleanup(func() { close(release) })
+				c := newClient(t, []string{scriptedServer(t, func(net.Conn, string) bool {
+					<-release
+					return false
+				})}, func(o *Options) { o.OpTimeout = opTimeout })
+				began := time.Now()
+				if err := fails(t, c); !errors.Is(err, os.ErrDeadlineExceeded) {
+					t.Errorf("stalled read = %v, want a timeout", err)
+				}
+				if took := time.Since(began); took < opTimeout || took > 2*opTimeout {
+					t.Errorf("read took %v, want about OpTimeout = %v", took, opTimeout)
+				}
+				if ps, _ := c.PoolStats(0); ps.Discards != 1 || ps.Idle != 0 {
+					t.Errorf("pool after a timeout: %+v, want the connection discarded", ps)
+				}
+			})
+			t.Run("flaky", func(t *testing.T) {
+				var reads atomic.Int64
+				flaky := scriptedServer(t, func(w net.Conn, line string) bool {
+					if strings.HasPrefix(line, "mq_trace ") {
+						return true // the trace header: it gets no reply
+					}
+					if reads.Add(1) == 1 {
+						_, _ = w.Write([]byte("VALUE k 0 5\r\nstale\r\n"))
+						return false
+					}
+					answerGets(w, line)
+					return true
+				})
+				col, tr := telemetry.NewCollector(), otrace.New(otrace.Options{})
+				c := newClient(t, []string{flaky}, func(o *Options) {
+					o.Resilience = Resilience{Retry: &RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
+					o.Recorder = col
+					o.Tracer = tr
+				})
+				it, err := rd.read(c, "k")
+				backoffs := col.Breakdown()[telemetry.StageRetry].Count
+				if !rd.retried {
+					if err == nil || reads.Load() != 1 || backoffs != 0 {
+						t.Errorf("read = %+v, %v after %d attempts and %d backoffs; want the first failure, not retried", it, err, reads.Load(), backoffs)
+					}
+					return
+				}
+				if err != nil || string(it.Value) != "k" {
+					t.Fatalf("retried read = %+v, %v; want the second attempt's value", it, err)
+				}
+				if reads.Load() != 2 || backoffs != 1 {
+					t.Errorf("%d attempts, %d backoffs; want 2 and 1", reads.Load(), backoffs)
+				}
+				kinds := byKind(tr.Snapshot())
+				if roots, rpcs := kinds["client/"+strings.ToLower(rd.name)], kinds["client/rpc"]; len(roots) != 1 || len(rpcs) != 2 ||
+					rpcs[0].Parent != roots[0].ID || rpcs[1].Parent != roots[0].ID {
+					t.Errorf("spans: roots %+v, rpcs %+v; want one root with an rpc per attempt", roots, rpcs)
+				}
+				if ps, _ := c.PoolStats(0); ps.Dials != 2 || ps.Discards != 1 || ps.Idle != 1 {
+					t.Errorf("pool after one failed and one good attempt: %+v", ps)
+				}
+			})
+		})
+	}
+
 	// With hedging on every leg is a hedged read on a goroutine of its
 	// own: a leg whose primary stalls is saved by its hedge while the
 	// other leg proceeds, and a dead leg still fails only its own keys.
@@ -532,7 +681,7 @@ func TestForkJoinSemantics(t *testing.T) {
 
 // TestForkJoinCost holds the unhedged fork-join to its budget: it spawns
 // no goroutine and allocates for its results only — the result map and
-// one value slab per leg.
+// one value slab per leg; for a single key, the value.
 func TestForkJoinCost(t *testing.T) {
 	c := newClient(t, startCluster(t, 2), nil)
 	keys := seqKeys("cost", 32)
@@ -549,6 +698,14 @@ func TestForkJoinCost(t *testing.T) {
 	read() // dial, size the scratch
 	if allocs := testing.AllocsPerRun(200, read); allocs > 8 {
 		t.Errorf("32-key MultiGet over 2 servers: %.0f allocs per call, want at most 8", allocs)
+	}
+	get := func() {
+		if _, err := c.Get(keys[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, get); allocs > 2 {
+		t.Errorf("single-key Get: %.0f allocs per call, want at most 2", allocs)
 	}
 	// Goroutines of earlier tests' servers may still be winding down, so
 	// the count may fall; a call that spawned would raise it.

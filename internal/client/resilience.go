@@ -1,20 +1,25 @@
 package client
 
 import (
+	"errors"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"memqlat/internal/fault"
+	"memqlat/internal/otrace"
+	"memqlat/internal/protocol"
 	"memqlat/internal/route"
+	"memqlat/internal/telemetry"
 )
 
 // Resilience bundles the client's recovery policies. The zero value
-// disables all of them (the seed behavior). Each policy is optional and
-// independently tunable; ResilienceFromSpec lifts the plane-neutral
-// fault.Resilience knobs a Scenario carries into these policies so the
-// live plane and the simulator interpret one spec.
+// disables all of them (the seed behavior). Each policy is optional;
+// ResilienceFromSpec lifts the plane-neutral fault.Resilience knobs a
+// Scenario carries into these policies so the live plane and the
+// simulator interpret one spec.
 type Resilience struct {
 	// Retry re-issues idempotent reads after transport-level failures.
 	Retry *RetryPolicy
@@ -34,16 +39,20 @@ type RetryPolicy struct {
 	// (default 3).
 	MaxAttempts int
 	// BaseBackoff is the first retry's backoff (default 1ms); attempt k
-	// waits BaseBackoff·2^(k-1), full-jittered, capped at MaxBackoff.
+	// waits BaseBackoff·2^(k-1), full-jittered, capped at
+	// maxBackoffFactor·BaseBackoff.
 	BaseBackoff time.Duration
-	// MaxBackoff caps the backoff (default 8·BaseBackoff).
-	MaxBackoff time.Duration
-	// BudgetRatio is the retry tokens earned per successful operation
-	// (default 0.1 — at most ~10% extra load in steady state).
-	BudgetRatio float64
-	// BudgetBurst caps banked tokens (default 10).
-	BudgetBurst float64
 }
+
+const (
+	// maxBackoffFactor caps a backoff at this many BaseBackoffs.
+	maxBackoffFactor = 8
+	// retryBudgetRatio is the retry tokens earned per successful
+	// operation: at most ~10% extra load in steady state.
+	retryBudgetRatio = 0.1
+	// retryBudgetBurst caps banked retry tokens.
+	retryBudgetBurst = 10
+)
 
 func (p *RetryPolicy) withDefaults() *RetryPolicy {
 	out := *p
@@ -53,30 +62,37 @@ func (p *RetryPolicy) withDefaults() *RetryPolicy {
 	if out.BaseBackoff <= 0 {
 		out.BaseBackoff = time.Millisecond
 	}
-	if out.MaxBackoff <= 0 {
-		out.MaxBackoff = 8 * out.BaseBackoff
-	}
-	if out.BudgetRatio <= 0 {
-		out.BudgetRatio = 0.1
-	}
-	if out.BudgetBurst <= 0 {
-		out.BudgetBurst = 10
-	}
 	return &out
 }
 
 // backoff returns the jittered wait before retry attempt k (1-based).
 func (p *RetryPolicy) backoff(k int, jitter float64) time.Duration {
-	d := float64(p.BaseBackoff) * math.Pow(2, float64(k-1))
-	if max := float64(p.MaxBackoff); d > max {
-		d = max
-	}
+	d := float64(p.BaseBackoff) * math.Min(math.Pow(2, float64(k-1)), maxBackoffFactor)
 	// Full jitter: uniform in [0, d) so synchronized clients
 	// desynchronize. Equal jitter (d/2 + U·d/2) keeps a d/2 floor that
 	// re-aligns a coalesced herd whose waiters all erred out at the same
 	// instant — they would re-arrive inside the same half-window and
 	// re-form the thundering herd the coalescer just collapsed.
 	return time.Duration(d * jitter)
+}
+
+// retries reports whether asking again may mend l's failure: under a
+// RetryPolicy, a transport-level error of an idempotent read — get or
+// gets; gat moves the expiry, and no other command is a leg with an op.
+// Protocol outcomes are answers; a shed (breaker open) or closed client
+// will not get better by asking again immediately.
+func (c *Client) retries(l *leg) bool {
+	if l.err == nil || c.retry == nil || (l.op != protocol.OpGet && l.op != protocol.OpGets) {
+		return false
+	}
+	return !isProtocolOutcome(l.err) && !errors.Is(l.err, ErrBreakerOpen) && !errors.Is(l.err, ErrClosed)
+}
+
+// backOff sleeps out the RetryPolicy's wait before attempt.
+func (c *Client) backOff(attempt int) {
+	wait := c.retry.backoff(attempt-1, c.jitterFloat())
+	time.Sleep(wait)
+	c.rec.Observe(telemetry.StageRetry, wait.Seconds())
 }
 
 // HedgePolicy duplicates a slow read to a second connection and keeps
@@ -88,12 +104,6 @@ type HedgePolicy struct {
 	Delay time.Duration
 	// Percentile is the adaptive trigger quantile (default 0.95).
 	Percentile float64
-	// MinSamples is how many reads must be observed before the adaptive
-	// trigger arms (default 50; before that FallbackDelay is used).
-	MinSamples int
-	// FallbackDelay triggers hedges before the digest warms up
-	// (default 10ms).
-	FallbackDelay time.Duration
 }
 
 func (p *HedgePolicy) withDefaults() *HedgePolicy {
@@ -101,18 +111,71 @@ func (p *HedgePolicy) withDefaults() *HedgePolicy {
 	if out.Percentile <= 0 || out.Percentile >= 1 {
 		out.Percentile = 0.95
 	}
-	if out.MinSamples <= 0 {
-		out.MinSamples = 50
-	}
-	if out.FallbackDelay <= 0 {
-		out.FallbackDelay = 10 * time.Millisecond
-	}
 	return &out
 }
 
-// minHedgeDelay floors the adaptive trigger so sub-µs observed
-// latencies cannot degenerate into hedging every read.
-const minHedgeDelay = 100 * time.Microsecond
+const (
+	// hedgeMinSamples is how many reads must be observed before the
+	// adaptive trigger arms; until then hedgeFallbackDelay is the trigger.
+	hedgeMinSamples    = 50
+	hedgeFallbackDelay = 10 * time.Millisecond
+	// minHedgeDelay floors the adaptive trigger so sub-µs observed
+	// latencies cannot degenerate into hedging every read.
+	minHedgeDelay = 100 * time.Microsecond
+)
+
+// race is a hedged read: l's one-leg run, and the same run again on
+// another connection once the first has outlived the hedge trigger. The
+// first success wins; if the first reply is a failure and a hedge is
+// outstanding, the slower attempt gets to answer. Both are complete runs,
+// so the loser's connection is recycled normally, and each success feeds
+// the digest the trigger is read from.
+func (c *Client) race(parent otrace.Ctx, name string, l *leg) {
+	span := c.tracer.Begin(parent, "client", name, l.idx)
+	defer c.tracer.End(span)
+	idx, keys := l.idx, slices.Clone(l.keys) // the loser may outlive the call, and its keys with it
+	ch := make(chan leg, 2)
+	issue := func() {
+		r := [1]leg{{idx: idx, op: protocol.OpGet, keys: keys, items: make([]Item, 0, len(keys)), due: true}}
+		began := time.Now()
+		c.run(span.Ctx(), "", r[:])
+		if r[0].err == nil {
+			c.readLat.add(time.Since(began).Seconds())
+		}
+		ch <- r[0]
+	}
+	go issue()
+	delay := c.hedgeTrigger()
+	timer := time.NewTimer(delay)
+	defer timer.Stop()
+	var won leg
+	select {
+	case won = <-ch:
+	case <-timer.C:
+		c.rec.Observe(telemetry.StageHedgeWait, delay.Seconds())
+		go issue()
+		if won = <-ch; won.err != nil {
+			// First responder failed; the other attempt may still save the read.
+			if second := <-ch; second.err == nil {
+				won = second
+			}
+		}
+	}
+	l.items, l.err = won.items, won.err
+}
+
+// hedgeTrigger returns the current hedge delay: the fixed Delay when
+// configured, else the observed read-latency percentile (floored), else
+// the fallback while the digest warms up.
+func (c *Client) hedgeTrigger() time.Duration {
+	if c.hedge.Delay > 0 {
+		return c.hedge.Delay
+	}
+	if q, ok := c.readLat.quantile(c.hedge.Percentile); ok {
+		return max(time.Duration(q*float64(time.Second)), minHedgeDelay)
+	}
+	return hedgeFallbackDelay
+}
 
 // BreakerPolicy is the per-server circuit breaker policy. It lives in
 // internal/route (the proxy's failover policy shares the same state
@@ -150,19 +213,12 @@ func ResilienceFromSpec(spec fault.Resilience) Resilience {
 type tokenBucket struct {
 	mu     sync.Mutex
 	tokens float64
-	ratio  float64
-	burst  float64
-}
-
-func newTokenBucket(ratio, burst float64) *tokenBucket {
-	// Start full so cold-start failures can retry immediately.
-	return &tokenBucket{tokens: burst, ratio: ratio, burst: burst}
 }
 
 // earn credits one successful operation.
 func (t *tokenBucket) earn() {
 	t.mu.Lock()
-	t.tokens = math.Min(t.tokens+t.ratio, t.burst)
+	t.tokens = math.Min(t.tokens+retryBudgetRatio, retryBudgetBurst)
 	t.mu.Unlock()
 }
 
@@ -181,12 +237,11 @@ func (t *tokenBucket) take() bool {
 // a lazily recomputed quantile — the adaptive hedge trigger's input.
 type latencyDigest struct {
 	mu      sync.Mutex
-	buf     []float64
+	buf     [digestSize]float64
 	idx     int
 	filled  int
 	stale   int
 	cachedQ float64
-	cachedP float64
 }
 
 const digestSize = 512
@@ -194,10 +249,6 @@ const digestSize = 512
 // recomputing the quantile every insert would be O(n log n) per op;
 // every 32 inserts keeps the trigger fresh at negligible cost.
 const digestRefresh = 32
-
-func newLatencyDigest() *latencyDigest {
-	return &latencyDigest{buf: make([]float64, digestSize)}
-}
 
 func (d *latencyDigest) add(v float64) {
 	d.mu.Lock()
@@ -210,21 +261,18 @@ func (d *latencyDigest) add(v float64) {
 	d.mu.Unlock()
 }
 
-// quantile returns the p-quantile of the reservoir once it holds at
-// least minSamples observations.
-func (d *latencyDigest) quantile(p float64, minSamples int) (float64, bool) {
+// quantile returns the p-quantile of the reservoir — p being the same
+// from call to call — once it holds hedgeMinSamples observations.
+func (d *latencyDigest) quantile(p float64) (float64, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.filled < minSamples {
+	if d.filled < hedgeMinSamples {
 		return 0, false
 	}
-	if d.cachedQ == 0 || d.cachedP != p || d.stale >= digestRefresh {
-		tmp := make([]float64, d.filled)
-		copy(tmp, d.buf[:d.filled])
+	if d.cachedQ == 0 || d.stale >= digestRefresh {
+		tmp := slices.Clone(d.buf[:d.filled])
 		sort.Float64s(tmp)
-		k := int(p * float64(len(tmp)-1))
-		d.cachedQ = tmp[k]
-		d.cachedP = p
+		d.cachedQ = tmp[int(p*float64(len(tmp)-1))]
 		d.stale = 0
 	}
 	return d.cachedQ, true

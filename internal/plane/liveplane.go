@@ -322,21 +322,7 @@ func (p LivePlane) Run(ctx context.Context, s Scenario) (*Result, error) {
 		// Arm only once the run clock starts: populate traffic is warmup,
 		// not SLO traffic. Windows advance on the same epoch the fault
 		// schedule uses, so "fault at t=1s" and "window 4" line up.
-		wd.Arm()
-		stopWatch := make(chan struct{})
-		defer close(stopWatch)
-		go func() {
-			t := time.NewTicker(time.Duration(wd.Window() * float64(time.Second)))
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					wd.Advance(clock.Now())
-				case <-stopWatch:
-					return
-				}
-			}
-		}()
+		defer wd.Start(clock.Now)()
 	}
 	lg, err := loadgen.Run(runCtx, opts)
 	if err != nil {

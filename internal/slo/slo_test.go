@@ -7,7 +7,9 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"memqlat/internal/telemetry"
 )
@@ -172,6 +174,46 @@ func TestPointMassBandJudgesMedianOnly(t *testing.T) {
 	}
 	if st := w.Status(); st.DriftAlerts != 0 || st.TopDrift != "" {
 		t.Fatalf("point-mass service stage drifted: %+v", st)
+	}
+}
+
+// TestStartAdvancesUntilStopped: Start arms the watchdog and closes
+// windows on the clock it is given, and stop ends that — it returns only
+// when the goroutine has, so nothing is read from the clock afterwards.
+func TestStartAdvancesUntilStopped(t *testing.T) {
+	cfg := testConfig()
+	cfg.Window = 0.002
+	w, err := NewWatchdog(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reads atomic.Int64
+	ticked := make(chan struct{}, 1)
+	stop := w.Start(func() float64 {
+		select {
+		case ticked <- struct{}{}:
+		default:
+		}
+		return float64(reads.Add(1)) * cfg.Window // a window per tick, whatever the wall clock did
+	})
+	if !w.Armed() {
+		t.Error("Start did not arm the watchdog")
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case <-ticked:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the clock was not read: the watchdog is not advancing")
+		}
+	}
+	stop()
+	after := reads.Load()
+	if closed := w.Status().WindowsClosed; closed < 2 || closed > after {
+		t.Errorf("%d windows closed after %d ticks", closed, after)
+	}
+	time.Sleep(5 * time.Duration(cfg.Window*float64(time.Second)))
+	if n := reads.Load(); n != after {
+		t.Errorf("clock read %d more times after stop returned", n-after)
 	}
 }
 

@@ -41,6 +41,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"memqlat/internal/sketch"
 	"memqlat/internal/telemetry"
@@ -208,6 +209,32 @@ func (w *Watchdog) Arm() {
 	w.win.Drain()
 	w.total.Reset()
 	w.armed.Store(true)
+}
+
+// Start arms the watchdog and advances it once a window on clock —
+// seconds since the run's epoch, the time base of Advance — until the
+// returned stop is called. stop returns once the advancing goroutine has
+// exited; call it once.
+func (w *Watchdog) Start(clock func() float64) (stop func()) {
+	w.Arm()
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(time.Duration(w.cfg.Window * float64(time.Second)))
+		defer t.Stop()
+		for {
+			select {
+			case <-t.C:
+				w.Advance(clock())
+			case <-quit:
+				return
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
 // Armed reports whether the measured phase has started.
