@@ -4,7 +4,8 @@ GO ?= go
 
 .PHONY: build test vet race bench-module verify faults lint cover fuzz-smoke \
 	bench-plane bench-server bench-proxy bench-conns bench-extstore \
-	bench-slo bench-check obs slo repro clean
+	bench-slo bench-check bench-check-server bench-check-proxy bench-check-conns \
+	obs slo repro clean
 
 build:
 	$(GO) build ./...
@@ -136,33 +137,35 @@ bench-slo:
 		./internal/sketch/ ./internal/slo/
 
 # Compare current benchmark runs against the checked-in baselines the
-# way CI does: >20% ns/op regression or any allocation appearing on a
-# zero-alloc path fails.
-bench-check:
+# way CI does, one target per baseline: >20% ns/op regression or any
+# allocation appearing on a zero-alloc path fails.
+bench-check: bench-check-server bench-check-proxy bench-check-conns
+
+bench-check-server:
 	$(GO) test -run '^$$' -bench BenchmarkServerHotPath -benchmem ./internal/server/ \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_server.json
+
+bench-check-proxy:
 	$(GO) test -run '^$$' -bench 'BenchmarkProxyHotPath|BenchmarkProxyQoS' -benchmem ./internal/proxy/ \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_proxy.json
+
+bench-check-conns:
 	$(GO) test -run '^$$' -bench BenchmarkConnScaling -benchmem \
 		-benchtime 500000x ./internal/server/ \
 		| $(GO) run ./cmd/benchdiff -baseline BENCH_conns.json
 
-# Observability smoke: a short live-plane run with the admin plane and
+# Observability smoke: the benchdiff gates that prove the server and
+# proxy hot paths stay zero-alloc while tracing/metrics are compiled in
+# but disabled, then a short live-plane run with the admin plane and
 # span recording armed (mcbench re-parses the Chrome trace it wrote and
-# fails the run if it is malformed), the in-process /metrics + /healthz
-# scrape test, and the benchdiff gates that prove the server and proxy
-# hot paths stay zero-alloc while tracing/metrics are compiled in but
-# disabled.
-obs:
+# fails the run if it is malformed) and the in-process /metrics +
+# /healthz scrape test.
+obs: bench-check-server bench-check-proxy
 	$(GO) run ./cmd/mcbench -plane=live -plane-servers 2 -lambda 2000 \
 		-mus 2000 -n 10 -ops 1200 -miss-ratio 0.02 -seed 7 \
 		-admin 127.0.0.1:0 -trace-ring 8192 -trace-out obs_trace.json -slow 250ms
 	rm -f obs_trace.json
 	$(GO) test -run TestObservabilitySmoke -count=1 ./cmd/mcbench/
-	$(GO) test -run '^$$' -bench BenchmarkServerHotPath -benchmem ./internal/server/ \
-		| $(GO) run ./cmd/benchdiff -baseline BENCH_server.json
-	$(GO) test -run '^$$' -bench BenchmarkProxyHotPath -benchmem ./internal/proxy/ \
-		| $(GO) run ./cmd/benchdiff -baseline BENCH_proxy.json
 
 # SLO watchdog smoke: the drift experiment (sim determinism + live
 # detection + healthy-ramp false-alarm sweep), the shell smoke (server

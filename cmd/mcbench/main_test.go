@@ -381,4 +381,114 @@ func TestObservabilitySmoke(t *testing.T) {
 	if !strings.Contains(probe.healthz, `"status":"ok"`) {
 		t.Errorf("/healthz = %q, want status ok", probe.healthz)
 	}
+
+	// The in-process form serves the same page plus the servers it
+	// started: one admin boot, whichever way the cluster came to be.
+	if testing.Short() {
+		return
+	}
+	probe = &adminProbe{t: t}
+	args = []string{
+		"-plane", "live", "-plane-servers", "2", "-lambda", "2000", "-mus", "2000",
+		"-ops", "200", "-admin", "127.0.0.1:0",
+	}
+	if err := run(args, probe); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"memqlat_server_connections_current", "memqlat_client_pool_idle"} {
+		if !strings.Contains(probe.metrics, want) {
+			t.Errorf("-plane=live /metrics missing %q", want)
+		}
+	}
+}
+
+// TestFlagModes pins the rule that no flag is silently dropped: in each
+// mode a flag either takes effect or is refused by name with the mode
+// it needs.
+func TestFlagModes(t *testing.T) {
+	addr := startTestServer(t)
+	journal := filepath.Join(t.TempDir(), "keys.trace")
+	base := map[string][]string{
+		"external": {"-servers", addr, "-keys", "50", "-ops", "50", "-lambda", "50000"},
+		"live":     {"-plane", "live", "-lambda", "4000", "-mus", "4000", "-keys", "50", "-ops", "50"},
+		"sim":      {"-plane", "sim", "-lambda", "250000", "-mus", "80000", "-plane-servers", "4", "-ops", "200"},
+	}
+	for _, tc := range []struct {
+		flag     []string
+		refused  string // modes that must refuse it, naming what it needs
+		needs    string
+		external string // output the flag's effect leaves on an external run ("" = just runs)
+	}{
+		{[]string{"-servers", addr}, "live sim", "an external run", ""},
+		{[]string{"-mus", "90000"}, "external", "a -plane mode", ""},
+		{[]string{"-plane-servers", "5"}, "external", "a -plane mode", ""},
+		{[]string{"-n", "5"}, "external", "a -plane mode", ""},
+		{[]string{"-faults", "slow:srv=0,delay=1us"}, "external", "a -plane mode", ""},
+		{[]string{"-slo", "window=50ms"}, "external", "a -plane mode", ""},
+		{[]string{"-extstore", "ram=10,total=40,mud=2000"}, "external", "a -plane mode", ""},
+		{[]string{"-value-size", "64"}, "sim", "the live stack", ""},
+		{[]string{"-closed-loop"}, "sim", "the live stack", ""},
+		{[]string{"-trace", journal}, "sim", "the live stack", ""},
+		{[]string{"-fill-misses", "-miss-ratio", "0.5"}, "sim", "the live stack", "fills "},
+		{[]string{"-workers", "4"}, "sim", "the live stack", ""},
+		{[]string{"-zipf", "1"}, "", "", ""},
+		{[]string{"-hot-zipf", "1"}, "", "", ""},
+	} {
+		for mode, args := range base {
+			t.Run(tc.flag[0]+"/"+mode, func(t *testing.T) {
+				if mode == "live" && testing.Short() {
+					t.Skip("live plane needs real time")
+				}
+				var out bytes.Buffer
+				err := run(append(append([]string{}, args...), tc.flag...), &out)
+				if strings.Contains(tc.refused, mode) {
+					if err == nil || !strings.Contains(err.Error(), tc.flag[0]+" needs "+tc.needs) {
+						t.Fatalf("err = %v, want a refusal naming %s and %q", err, tc.flag[0], tc.needs)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if mode == "external" && !strings.Contains(out.String(), tc.external) {
+					t.Errorf("output missing %q:\n%s", tc.external, out.String())
+				}
+			})
+		}
+	}
+
+	// Effects the output cannot show are read off the journal: -zipf
+	// skews the issued key stream on the in-process form exactly as it
+	// does attached (the parent ran -plane=live -zipf uniform), and
+	// -trace journals there at all.
+	if testing.Short() {
+		return
+	}
+	hottest := func(extra ...string) float64 {
+		t.Helper()
+		var out bytes.Buffer
+		args := append([]string{"-plane", "live", "-lambda", "20000", "-mus", "20000",
+			"-keys", "100", "-ops", "400", "-trace", journal}, extra...)
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.Open(journal)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		records, err := trace.NewReader(f).ReadAll()
+		if err != nil || len(records) != 400 {
+			t.Fatalf("journaled %d records (err %v), want 400", len(records), err)
+		}
+		counts, top := map[string]int{}, 0
+		for _, r := range records {
+			counts[r.Key]++
+			top = max(top, counts[r.Key])
+		}
+		return float64(top) / float64(len(records))
+	}
+	if uniform, skewed := hottest(), hottest("-zipf", "1.2"); skewed < 3*uniform || skewed < 0.1 {
+		t.Errorf("hottest-key share %.3f uniform vs %.3f under -zipf 1.2: the flag did not reach the loadgen", uniform, skewed)
+	}
 }

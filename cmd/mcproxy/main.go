@@ -122,21 +122,12 @@ func run(args []string) error {
 		reg := metrics.NewRegistry()
 		metrics.RegisterProxy(reg, p)
 		metrics.RegisterTenants(reg, lim)
-		metrics.RegisterTracer(reg, tracer)
-		metrics.RegisterSLO(reg, wd)
-		admin := metrics.NewAdmin(reg)
-		if tracer.Enabled() {
-			admin.AttachTracer(tracer)
-		}
-		if wd != nil {
-			admin.Handle("/debug/watch", wd)
-		}
-		aaddr, err := admin.Start(*adminAddr)
+		admin, err := metrics.ServeAdmin(*adminAddr, reg, tracer, wd)
 		if err != nil {
 			return err
 		}
 		defer func() { _ = admin.Close() }()
-		log.Printf("mcproxy: admin plane on http://%s/metrics", aaddr)
+		log.Printf("mcproxy: admin plane on http://%s/metrics", admin.Addr())
 	}
 	l, err := net.Listen("tcp", *listen)
 	if err != nil {

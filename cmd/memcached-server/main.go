@@ -173,21 +173,12 @@ func run(args []string) error {
 		reg := metrics.NewRegistry()
 		metrics.RegisterServers(reg, []*server.Server{srv})
 		metrics.RegisterTelemetryExemplars(reg, srv.Telemetry(), exStore)
-		metrics.RegisterTracer(reg, tracer)
-		metrics.RegisterSLO(reg, wd)
-		admin := metrics.NewAdmin(reg)
-		if tracer.Enabled() {
-			admin.AttachTracer(tracer)
-		}
-		if wd != nil {
-			admin.Handle("/debug/watch", wd)
-		}
-		aaddr, err := admin.Start(*adminAddr)
+		admin, err := metrics.ServeAdmin(*adminAddr, reg, tracer, wd)
 		if err != nil {
 			return err
 		}
 		defer func() { _ = admin.Close() }()
-		log.Printf("memcached-server: admin plane on http://%s/metrics", aaddr)
+		log.Printf("memcached-server: admin plane on http://%s/metrics", admin.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"memqlat/internal/otrace"
+	"memqlat/internal/slo"
 )
 
 // Admin is the observability HTTP plane every memqlat binary can
@@ -42,6 +43,29 @@ func NewAdmin(reg *Registry) *Admin {
 	a.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return a
 }
+
+// ServeAdmin is the one admin-plane boot behind every binary's -admin
+// flag: it adds the tracer and watchdog families to reg (both nil-safe),
+// mounts /trace when tracer records and /debug/watch when wd is armed,
+// and listens on addr. The caller prints the banner from Addr.
+func ServeAdmin(addr string, reg *Registry, tracer *otrace.Tracer, wd *slo.Watchdog) (*Admin, error) {
+	RegisterTracer(reg, tracer)
+	RegisterSLO(reg, wd)
+	a := NewAdmin(reg)
+	if tracer.Enabled() {
+		a.AttachTracer(tracer)
+	}
+	if wd != nil {
+		a.Handle("/debug/watch", wd)
+	}
+	if _, err := a.Start(addr); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
+// Addr is the resolved listener address of a started plane.
+func (a *Admin) Addr() net.Addr { return a.l.Addr() }
 
 // Registry returns the registry the admin plane serves.
 func (a *Admin) Registry() *Registry { return a.reg }

@@ -1,0 +1,147 @@
+package plane
+
+import (
+	"context"
+	"io"
+	"log"
+	"net"
+	"os"
+	"runtime"
+	"testing"
+	"time"
+
+	"memqlat/internal/cache"
+	"memqlat/internal/loadgen"
+	"memqlat/internal/server"
+	"memqlat/internal/telemetry"
+	"memqlat/internal/tenant"
+)
+
+// openFDs counts this process's open descriptors (-1 where /proc does
+// not say).
+func openFDs() int {
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		return -1
+	}
+	return len(ents)
+}
+
+// settlesAt waits for the goroutine and descriptor counts to come back
+// down to a baseline: closed connections unwind their handlers a beat
+// after Close returns.
+func settlesAt(t *testing.T, what string, goroutines, fds int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		g, f := runtime.NumGoroutine(), openFDs()
+		if g <= goroutines && f <= fds {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%s: %d goroutines / %d fds, baseline %d / %d\n%s",
+				what, g, f, goroutines, fds, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestLivePlaneAttach runs one scenario on the live plane's two forms —
+// attached to servers the test started, and over an in-process cluster —
+// and checks they fill the same Result surface; then that neither a
+// completed run nor a Start that fails after the cluster is up leaves a
+// goroutine or a descriptor behind.
+func TestLivePlaneAttach(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live plane needs real time")
+	}
+	addrs := make([]string, 2)
+	for i := range addrs {
+		c, err := cache.New(cache.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := server.New(server.Options{Cache: c, Logger: log.New(io.Discard, "", 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = srv.Serve(l) }()
+		t.Cleanup(func() { _ = srv.Close() })
+		addrs[i] = l.Addr().String()
+	}
+	goroutines, fds := runtime.NumGoroutine(), openFDs()
+
+	s := Scenario{
+		Name:         "attach",
+		N:            10,
+		LoadRatios:   []float64{0.5, 0.5},
+		TotalKeyRate: 4000,
+		Q:            0.1,
+		Xi:           0.15,
+		MuS:          4000,
+		MissRatio:    0.05,
+		MuD:          2000,
+		Keys:         100,
+		Ops:          400,
+		Duration:     30 * time.Second,
+		Seed:         5,
+		Proxy:        &ProxySpec{},
+		Tenants:      []tenant.Spec{{Name: "a", Share: 0.5}, {Name: "b", Share: 0.5}},
+	}
+	hitsOnly := s
+	hitsOnly.MissRatio = 0
+	for _, tc := range []struct {
+		name   string
+		live   LivePlane
+		s      Scenario
+		wantDB bool
+	}{
+		{"in-process", LivePlane{}, s, true},
+		{"in-process hits only", LivePlane{}, hitsOnly, false},
+		{"attached", LivePlane{Servers: addrs}, s, false},
+		{"attached read-through", LivePlane{Servers: addrs, Load: loadgen.Options{UseGetThrough: true}}, s, true},
+	} {
+		res, err := tc.live.Run(context.Background(), tc.s)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Live == nil || res.Live.Issued != int64(s.Ops) {
+			t.Errorf("%s: Live = %+v, want %d issued", tc.name, res.Live, s.Ops)
+		}
+		if res.Breakdown[telemetry.StageForkJoin].Count == 0 {
+			t.Errorf("%s: breakdown has no fork_join stage: %v", tc.name, res.Breakdown)
+		}
+		if got := res.DB != nil; got != tc.wantDB {
+			t.Errorf("%s: DB present = %v, want %v (read-through on = %v)", tc.name, got, tc.wantDB, tc.wantDB)
+		}
+		if len(res.Tenants) != 2 || res.Tenants[0].Name != "a" || res.Tenants[1].Name != "b" ||
+			res.Tenants[0].Issued+res.Tenants[1].Issued != int64(s.Ops) {
+			t.Errorf("%s: tenant rows = %+v", tc.name, res.Tenants)
+		}
+		settlesAt(t, tc.name+" after Close", goroutines, fds)
+	}
+
+	// The policy is only parsed once the cluster is up, so this Start
+	// fails with two servers (and their epoll loops) already running.
+	core := server.CoreEventLoop
+	if runtime.GOOS != "linux" {
+		core = server.CoreGoroutines
+	}
+	bad := s
+	bad.Proxy = &ProxySpec{Policy: "scatter"}
+	if _, err := (LivePlane{ConnCore: core}).Start(bad); err == nil {
+		t.Fatal("Start accepted an unknown proxy policy")
+	}
+	settlesAt(t, "failed Start", goroutines, fds)
+
+	// What the run would have to build into the servers is refused on a
+	// cluster it did not start.
+	tiered := s
+	tiered.Extstore = &ExtstoreSpec{RAMItems: 10, TotalItems: 40, MuDisk: 2000}
+	if _, err := (LivePlane{Servers: addrs}).Start(tiered); err == nil {
+		t.Error("attached Start accepted an extstore spec")
+	}
+}

@@ -18,17 +18,14 @@ import (
 	"memqlat/internal/extstore"
 	"memqlat/internal/fault"
 	"memqlat/internal/loadgen"
+	"memqlat/internal/metrics"
 	"memqlat/internal/mrc"
 	"memqlat/internal/proxy"
 	"memqlat/internal/server"
 	"memqlat/internal/stats"
 	"memqlat/internal/telemetry"
+	"memqlat/internal/tenant"
 )
-
-// liveValueSize is the loadgen payload the live plane stores (the
-// loadgen default, pinned here because the tier sizing below converts
-// the spec's item budgets into byte budgets at this value size).
-const liveValueSize = 100
 
 // liveExtSegmentBytes keeps live-plane segments small so modest SSD
 // budgets still roll across several segments (eviction granularity is
@@ -37,8 +34,12 @@ const liveExtSegmentBytes = 16 << 10
 
 // liveTier sizes one server's share of a tiered scenario: a RAM cache
 // holding ~RAMItems/M items and an extstore budget for the SSD share,
-// both converted to bytes at the loadgen's key/value sizes.
-func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
+// both converted to bytes at the loadgen's key size and valueSize (the
+// payload the run stores; 0 = the loadgen default of 100).
+func liveTier(s Scenario, m, valueSize int) (cache.Options, extstore.Options) {
+	if valueSize == 0 {
+		valueSize = 100
+	}
 	e := s.Extstore
 	keyLen := len(loadgen.KeyPrefix + strconv.Itoa(s.Keys-1))
 	ramPer := (e.RAMItems + m - 1) / m
@@ -46,7 +47,7 @@ func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
 	copts := cache.Options{
 		// One shard: a sharded LRU partitions its budget per shard,
 		// which blurs the item capacity this sizing is trying to pin.
-		MaxBytes:    int64(ramPer) * cache.ItemCost(keyLen, liveValueSize),
+		MaxBytes:    int64(ramPer) * cache.ItemCost(keyLen, valueSize),
 		Shards:      1,
 		MaxItemSize: 1024,
 	}
@@ -54,16 +55,18 @@ func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
 		SegmentBytes: liveExtSegmentBytes,
 		// One segment of slack absorbs footers and the active segment's
 		// unsealed tail.
-		MaxBytes: int64(diskPer)*extstore.FrameCost(keyLen, liveValueSize) + liveExtSegmentBytes,
+		MaxBytes: int64(diskPer)*extstore.FrameCost(keyLen, valueSize) + liveExtSegmentBytes,
 	}
 	return copts, eopts
 }
 
-// LivePlane evaluates a Scenario on the real TCP stack: it brings up
-// one shaped memcached server per load-ratio entry, a simulated
-// database backend, a pooled client, and the mutilate-like load
-// generator, all sharing a single telemetry collector so the measured
-// Breakdown decomposes exactly like the model's and the simulator's.
+// LivePlane evaluates a Scenario on the real TCP stack, and is the one
+// place that stack is assembled: a cluster (one shaped in-process
+// server per load-ratio entry, or the existing one at Servers), an
+// optional proxy tier, a simulated database backend, a pooled client,
+// and the mutilate-like load generator, all sharing a single telemetry
+// collector so the measured Breakdown decomposes exactly like the
+// model's and the simulator's. Run is Start → Drive → Close.
 //
 // Real-time pacing cannot sustain the paper's 62.5 Kps per server on
 // one machine, so live Scenarios use scaled rates; the Sample is
@@ -77,6 +80,15 @@ type LivePlane struct {
 	// alone — connection handling is exactly the machinery the model and
 	// the simulator abstract away.
 	ConnCore string
+	// Servers, when non-empty, attaches the run to the cluster already
+	// listening at these addresses instead of starting one. It has its
+	// own service rate, tier and failures: the model parameters are not
+	// validated against it and Faults/Extstore are rejected.
+	Servers []string
+	// Load carries the loadgen settings a Scenario has no word for:
+	// ValueSize, ClosedLoop, Observer and UseGetThrough (an in-process
+	// cluster also reads through whenever the scenario prices misses).
+	Load loadgen.Options
 }
 
 // Name implements Plane.
@@ -84,252 +96,297 @@ func (LivePlane) Name() string { return "live" }
 
 // Run implements Plane.
 func (p LivePlane) Run(ctx context.Context, s Scenario) (*Result, error) {
-	start := time.Now()
+	r, err := p.Start(s)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return r.Drive(ctx)
+}
+
+// LiveRun is a started, populated live stack; it owns its tiers until Close.
+type LiveRun struct {
+	s         Scenario
+	began     time.Time
+	collector *telemetry.Collector
+	// clock is the run epoch the fault schedule, the QoS buckets and the
+	// watchdog windows share: -Inf until Drive, so populate runs healthy.
+	clock fault.Clock
+	// inj is shared by all servers and the backend, so wall-time fault
+	// windows line up with the simulator's virtual-time schedule.
+	inj       *fault.Injector
+	split     mrc.TierSplit
+	load      loadgen.Options
+	servers   []*server.Server
+	caches    []*cache.Cache
+	exts      []*extstore.Store
+	db        *backend.DB
+	px        *proxy.Proxy
+	lim       *tenant.Limiter
+	cl        *client.Client
+	upstreams int // addresses the client dials: the cluster, or its proxy
+	// closers release what Start built; Close runs them last-in first-out.
+	closers []func()
+}
+
+// Start assembles the stack for s and populates the keyspace; on error
+// everything built so far is released.
+func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 	s = s.withDefaults()
-	model, err := s.Config()
-	if err != nil {
+	r := &LiveRun{s: s, began: time.Now(), collector: telemetry.NewCollector()}
+	defer func() {
+		if err != nil {
+			r.Close()
+		}
+	}()
+	if r.lim, err = s.validateTenants(); err != nil {
 		return nil, err
 	}
-	lim, err := s.validateTenants()
-	if err != nil {
-		return nil, err
-	}
-	collector := telemetry.NewCollector()
 	// With a watchdog armed, every tier's stage observations tee into
 	// its rolling-window sketches alongside the collector; the tee
 	// preserves sharding, so hot-path recording stays lock-striped.
-	var rec telemetry.Recorder = collector
+	var rec telemetry.Recorder = r.collector
 	if s.SLO != nil {
-		rec = telemetry.Tee(collector, s.SLO)
+		rec = telemetry.Tee(r.collector, s.SLO)
 	}
 
-	// --- faults ---
-	// One injector shared by all servers and the backend, clocked from a
-	// common epoch that starts when the load does — so populate runs
-	// healthy and the wall-time fault windows line up with the schedule
-	// the simulator evaluates in virtual time.
-	var (
-		clock fault.Clock
-		inj   *fault.Injector
-	)
-	if !s.Faults.Empty() {
-		inj, err = fault.NewInjector(s.Faults, model.M())
-		if err != nil {
+	addrs := p.Servers
+	if len(addrs) == 0 {
+		if addrs, err = r.startServers(p, rec); err != nil {
 			return nil, err
 		}
-	}
-	pointFor := func(target int) *fault.Point {
-		if inj == nil {
-			return nil
-		}
-		return &fault.Point{Inj: inj, Server: target, Now: clock.Now}
+	} else if !s.Faults.Empty() || s.Extstore != nil {
+		return nil, fmt.Errorf("plane: scenario %q: faults and the extstore tier are built into in-process servers; an attached cluster runs its own", s.Name)
 	}
 
-	// --- tiered storage ---
-	// The MRC prediction is computed up front (it is also the Result's
-	// cross-plane surface); per-server stores live in temp dirs removed
-	// AFTER the servers close (defer order matters: reads race Close).
-	var (
-		split   mrc.TierSplit
-		exts    []*extstore.Store
-		extDirs []string
-		caches  []*cache.Cache
-	)
-	defer func() {
-		for _, e := range exts {
-			_ = e.Close()
+	// A tiered run's misses are capacity misses, and whatever falls past
+	// the disk tier must still read through to the backend.
+	readThrough := p.Load.UseGetThrough ||
+		len(p.Servers) == 0 && (s.MissRatio > 0 || s.Extstore != nil)
+	clOpts := client.Options{
+		FillTTL:    s.FillTTL,
+		PoolSize:   p.PoolSize,
+		Resilience: client.ResilienceFromSpec(s.Resilience),
+		Recorder:   rec,
+		Tracer:     s.Tracer,
+		Seed:       s.Seed,
+	}
+	if clOpts.PoolSize == 0 {
+		clOpts.PoolSize = s.Workers
+	}
+	if readThrough {
+		dbOpts := backend.Options{MuD: s.MuD, Seed: s.Seed, Recorder: rec, Tracer: s.Tracer}
+		if r.inj != nil {
+			dbOpts.Fault = &fault.Point{Inj: r.inj, Server: fault.Database, Now: r.clock.Now}
 		}
-		for _, d := range extDirs {
-			_ = os.RemoveAll(d)
+		if s.DBQueueDepth > 0 {
+			// A bounded single-worker database makes hot-key herds visible:
+			// without coalescing the herd stacks up in the queue (watch
+			// QueuePeak), with it the backend sees ~1 fetch per miss window.
+			dbOpts.Mode = backend.ModeSingleQueue
+			dbOpts.QueueDepth = s.DBQueueDepth
 		}
-	}()
-	if s.Extstore != nil {
-		split, err = s.ExtstoreSplit()
-		if err != nil {
+		if r.db, err = backend.New(dbOpts); err != nil {
 			return nil, err
 		}
+		r.closers = append(r.closers, r.db.Close)
+		clOpts.Filler = r.db
+	}
+	if s.Coalesce {
+		clOpts.Coalesce = &coalesce.Policy{}
 	}
 
-	// --- cluster ---
-	addrs := make([]string, model.M())
-	var servers []*server.Server
-	defer func() {
-		for _, srv := range servers {
-			_ = srv.Close()
-		}
-	}()
-	for i := range addrs {
-		copts := cache.Options{}
-		var ext *extstore.Store
-		if s.Extstore != nil {
-			var eopts extstore.Options
-			copts, eopts = liveTier(s, model.M())
-			dir, err := os.MkdirTemp("", "memqlat-extstore-*")
-			if err != nil {
-				return nil, err
-			}
-			extDirs = append(extDirs, dir)
-			eopts.Dir = dir
-			ext, err = extstore.Open(eopts)
-			if err != nil {
-				return nil, err
-			}
-			exts = append(exts, ext)
-		}
-		c, err := cache.New(copts)
-		if err != nil {
-			return nil, err
-		}
-		caches = append(caches, c)
-		srv, err := server.New(server.Options{
-			Cache:       c,
-			Extstore:    ext,
-			ServiceRate: s.MuS,
-			Seed:        s.Seed + uint64(i),
-			Logger:      log.New(io.Discard, "", 0),
-			Recorder:    rec,
-			Fault:       pointFor(i),
-			Tracer:      s.Tracer,
-			ID:          i,
-			ConnCore:    p.ConnCore,
-		})
-		if err != nil {
-			return nil, err
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[i] = l.Addr().String()
-		servers = append(servers, srv)
-		go func() { _ = srv.Serve(l) }()
-	}
-	dbOpts := backend.Options{
-		MuD:      s.MuD,
-		Seed:     s.Seed,
-		Recorder: rec,
-		Fault:    pointFor(fault.Database),
-		Tracer:   s.Tracer,
-	}
-	if s.DBQueueDepth > 0 {
-		// A bounded single-worker database makes hot-key herds visible:
-		// without coalescing the herd stacks up in the queue (watch
-		// QueuePeak), with it the backend sees ~1 fetch per miss window.
-		dbOpts.Mode = backend.ModeSingleQueue
-		dbOpts.QueueDepth = s.DBQueueDepth
-	}
-	db, err := backend.New(dbOpts)
-	if err != nil {
-		return nil, err
-	}
-	defer db.Close()
-	// --- proxy tier ---
-	// With a ProxySpec the client talks to a single real proxy process
-	// that multiplexes onto the server pool; it shares the telemetry
-	// collector, so forward-path proxy work lands in StageProxyHop.
-	clientAddrs := addrs
 	if s.Proxy != nil {
 		pol, err := proxy.ParsePolicy(s.Proxy.Policy)
 		if err != nil {
 			return nil, err
 		}
-		px, err := proxy.New(proxy.Options{
+		r.px, err = proxy.New(proxy.Options{
 			Upstreams: addrs,
 			Policy:    pol,
 			Replicas:  s.Proxy.Replicas,
 			Recorder:  rec,
 			Logger:    log.New(io.Discard, "", 0),
 			Tracer:    s.Tracer,
-			// The QoS buckets meter on the shared run clock: -Inf until
-			// clock.Start() fires (populate admits unthrottled), then
-			// seconds from the same epoch the fault schedule and the
-			// sim's virtual timeline use.
-			Tenants:     lim,
-			TenantClock: clock.Now,
+			// The QoS buckets meter on the run clock, so populate admits
+			// unthrottled and the sim's virtual timeline shares the epoch.
+			Tenants:     r.lim,
+			TenantClock: r.clock.Now,
 		})
 		if err != nil {
 			return nil, err
 		}
-		pl, err := net.Listen("tcp", "127.0.0.1:0")
+		addr, err := r.serve(r.px.Serve, r.px.Close)
 		if err != nil {
 			return nil, err
 		}
-		go func() { _ = px.Serve(pl) }()
-		defer func() { _ = px.Close() }()
-		clientAddrs = []string{pl.Addr().String()}
+		addrs = []string{addr}
 	}
-
-	poolSize := p.PoolSize
-	if poolSize == 0 {
-		poolSize = s.Workers
-	}
-	clOpts := client.Options{
-		Servers:    clientAddrs,
-		Filler:     db,
-		FillTTL:    s.FillTTL,
-		PoolSize:   poolSize,
-		Resilience: client.ResilienceFromSpec(s.Resilience),
-		Recorder:   rec,
-		Tracer:     s.Tracer,
-		Seed:       s.Seed,
-	}
-	if s.Coalesce {
-		clOpts.Coalesce = &coalesce.Policy{}
-	}
-	cl, err := client.New(clOpts)
-	if err != nil {
+	clOpts.Servers, r.upstreams = addrs, len(addrs)
+	if r.cl, err = client.New(clOpts); err != nil {
 		return nil, err
 	}
-	defer func() { _ = cl.Close() }()
+	r.closers = append(r.closers, func() { _ = r.cl.Close() })
 
-	// --- drive ---
-	opts := loadgen.Options{
-		Client:     cl,
-		Keys:       s.Keys,
-		ValueSize:  liveValueSize,
-		ValueDist:  s.ValueDist,
-		ValueSigma: s.ValueSigma,
-		ZipfS:      s.ZipfS,
-		Lambda:     s.TotalKeyRate,
-		Xi:         s.Xi,
-		Q:          s.Q,
-		MissRatio:  s.MissRatio,
-		Ops:        s.Ops,
-		Workers:    s.Workers,
-		Seed:       s.Seed,
-		// A tiered run's misses are capacity misses (the RAM cache holds
-		// only RAMItems of the populated keyspace), and whatever falls
-		// past the disk tier must still read through to the backend.
-		UseGetThrough: s.MissRatio > 0 || s.Extstore != nil,
+	r.load = loadgen.Options{
+		Client:        r.cl,
+		Keys:          s.Keys,
+		ValueSize:     p.Load.ValueSize,
+		ValueDist:     s.ValueDist,
+		ValueSigma:    s.ValueSigma,
+		ZipfS:         s.ZipfS,
+		Lambda:        s.TotalKeyRate,
+		Xi:            s.Xi,
+		Q:             s.Q,
+		MissRatio:     s.MissRatio,
+		Ops:           s.Ops,
+		Workers:       s.Workers,
+		Seed:          s.Seed,
+		UseGetThrough: readThrough,
+		Observer:      p.Load.Observer,
+		ClosedLoop:    p.Load.ClosedLoop,
 		Recorder:      rec,
 		Tenants:       s.Tenants,
 	}
 	if s.SLO != nil {
-		opts.OnLatency = s.SLO.OnLatency
+		r.load.OnLatency = s.SLO.OnLatency
 	}
-	if err := loadgen.Populate(opts); err != nil {
+	if err := loadgen.Populate(r.load); err != nil {
 		return nil, err
 	}
-	for _, e := range exts {
+	for _, e := range r.exts {
 		// Drain the eviction queues so the measured run starts with the
 		// populate spill fully indexed on disk.
 		e.Flush()
 	}
+	return r, nil
+}
+
+// serve puts a new server or proxy on a loopback listener. A tier that
+// gets none is closed at once; Close closes the listener too, in case
+// Serve never adopted it.
+func (r *LiveRun) serve(serve func(net.Listener) error, closeTier func() error) (string, error) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		_ = closeTier()
+		return "", err
+	}
+	go func() { _ = serve(l) }()
+	r.closers = append(r.closers, func() { _ = closeTier(); _ = l.Close() })
+	return l.Addr().String(), nil
+}
+
+// startServers brings up the in-process cluster (on a tiered scenario,
+// capacity-sized RAM caches over real segment files in temp dirs).
+func (r *LiveRun) startServers(p LivePlane, rec telemetry.Recorder) ([]string, error) {
+	s := r.s
+	model, err := s.Config()
+	if err != nil {
+		return nil, err
+	}
+	m := model.M()
+	if !s.Faults.Empty() {
+		if r.inj, err = fault.NewInjector(s.Faults, m); err != nil {
+			return nil, err
+		}
+	}
+	if s.Extstore != nil {
+		// The MRC prediction is also the Result's cross-plane surface.
+		if r.split, err = s.ExtstoreSplit(); err != nil {
+			return nil, err
+		}
+	}
+	addrs := make([]string, m)
+	for i := range addrs {
+		copts := cache.Options{}
+		var ext *extstore.Store
+		if s.Extstore != nil {
+			var eopts extstore.Options
+			copts, eopts = liveTier(s, m, p.Load.ValueSize)
+			dir, err := os.MkdirTemp("", "memqlat-extstore-*")
+			if err != nil {
+				return nil, err
+			}
+			// The dir outlives the store and the store its server: reads
+			// race a store's Close.
+			r.closers = append(r.closers, func() { _ = os.RemoveAll(dir) })
+			eopts.Dir = dir
+			if ext, err = extstore.Open(eopts); err != nil {
+				return nil, err
+			}
+			r.closers = append(r.closers, func() { _ = ext.Close() })
+			r.exts = append(r.exts, ext)
+		}
+		c, err := cache.New(copts)
+		if err != nil {
+			return nil, err
+		}
+		r.caches = append(r.caches, c)
+		sopts := server.Options{
+			Cache:       c,
+			Extstore:    ext,
+			ServiceRate: s.MuS,
+			Seed:        s.Seed + uint64(i),
+			Logger:      log.New(io.Discard, "", 0),
+			Recorder:    rec,
+			Tracer:      s.Tracer,
+			ID:          i,
+			ConnCore:    p.ConnCore,
+		}
+		if r.inj != nil {
+			sopts.Fault = &fault.Point{Inj: r.inj, Server: i, Now: r.clock.Now}
+		}
+		srv, err := server.New(sopts)
+		if err != nil {
+			return nil, err
+		}
+		if addrs[i], err = r.serve(srv.Serve, srv.Close); err != nil {
+			return nil, err
+		}
+		r.servers = append(r.servers, srv)
+	}
+	return addrs, nil
+}
+
+// Close releases everything Start built, newest first (so the client
+// goes before the tiers it dials), once; safe on a partly started run.
+func (r *LiveRun) Close() {
+	for i := len(r.closers) - 1; i >= 0; i-- {
+		r.closers[i]()
+	}
+}
+
+// RegisterMetrics exposes every tier of the started stack on reg;
+// tiers the scenario did not ask for add nothing.
+func (r *LiveRun) RegisterMetrics(reg *metrics.Registry) {
+	metrics.RegisterServers(reg, r.servers)
+	metrics.RegisterClient(reg, r.cl)
+	metrics.RegisterCoalesce(reg, r.cl.Coalescer())
+	metrics.RegisterBackend(reg, r.db)
+	metrics.RegisterProxy(reg, r.px)
+	metrics.RegisterTenants(reg, r.lim)
+	metrics.RegisterTelemetry(reg, r.collector)
+}
+
+// Drive starts the run clock, issues the load (bounded by ctx and the
+// scenario's Duration) and summarizes it on the common Result surface.
+func (r *LiveRun) Drive(ctx context.Context) (*Result, error) {
+	s := r.s
 	runCtx, cancel := context.WithTimeout(ctx, s.Duration)
 	defer cancel()
-	clock.Start()
+	r.clock.Start()
 	if wd := s.SLO; wd != nil {
 		// Arm only once the run clock starts: populate traffic is warmup,
 		// not SLO traffic. Windows advance on the same epoch the fault
 		// schedule uses, so "fault at t=1s" and "window 4" line up.
-		defer wd.Start(clock.Now)()
+		defer wd.Start(r.clock.Now)()
 	}
-	lg, err := loadgen.Run(runCtx, opts)
+	lg, err := loadgen.Run(runCtx, r.load)
 	if err != nil {
 		return nil, err
 	}
 	if wd := s.SLO; wd != nil {
-		wd.Advance(clock.Now())
+		wd.Advance(r.clock.Now())
 		wd.Flush()
 	}
 	if lg.Issued == 0 {
@@ -337,27 +394,22 @@ func (p LivePlane) Run(ctx context.Context, s Scenario) (*Result, error) {
 		// surface it instead of reporting a zero-latency "result".
 		return nil, fmt.Errorf("plane: live run issued no operations (duration %v too short?)", s.Duration)
 	}
+	return r.summarize(lg), nil
+}
 
-	// --- summarize on the common surface ---
-	b := collector.Breakdown()
+// summarize folds the run into the plane-independent Result.
+func (r *LiveRun) summarize(lg *loadgen.Result) *Result {
+	s := r.s
+	b := r.collector.Breakdown()
 	mean := lg.Latency.Mean()
 	tsMean := b.MeanOf(telemetry.StageQueueWait) + b.MeanOf(telemetry.StageService)
-	var missFrac float64
-	if lg.Issued > 0 {
-		missFrac = float64(lg.Misses) / float64(lg.Issued)
-	}
-	td := b.MeanOf(telemetry.StageMissPenalty) * missFrac
-	if s.Coalesce {
+	td := b.MeanOf(telemetry.StageMissPenalty) * float64(lg.Misses) / float64(lg.Issued)
+	if s.Coalesce || s.Extstore != nil {
 		// Under coalescing a miss is either a fetch leader (miss_penalty)
-		// or a fan-in (coalesce_wait); the per-key database cost is the
-		// combined stage mass amortized over every issued key.
-		td = (b[telemetry.StageMissPenalty].Total +
-			b[telemetry.StageCoalesceWait].Total) / float64(lg.Issued)
-	}
-	if s.Extstore != nil {
-		// A tiered run splits the per-miss cost across backend fills,
-		// coalesced waits and disk reads; amortizing the combined stage
-		// mass over issued keys matches the model's blended TD stage.
+		// or a fan-in (coalesce_wait), and a tiered run splits the cost
+		// with disk reads; the per-key miss cost is the combined stage
+		// mass amortized over every issued key, which matches the model's
+		// blended TD stage.
 		td = (b[telemetry.StageMissPenalty].Total +
 			b[telemetry.StageCoalesceWait].Total +
 			b[telemetry.StageDiskRead].Total) / float64(lg.Issued)
@@ -375,41 +427,24 @@ func (p LivePlane) Run(ctx context.Context, s Scenario) (*Result, error) {
 		Sample:    lg.Latency,
 		MeanCI:    stats.HistMeanCI(lg.Latency, ci95),
 		Breakdown: b,
-		Elapsed:   time.Since(start),
+		Elapsed:   time.Since(r.began),
 		Live:      lg,
 	}
-	dbStats := db.Stats()
-	res.DB = &dbStats
+	if r.db != nil {
+		dbStats := r.db.Stats()
+		res.DB = &dbStats
+	}
 	if s.SLO != nil {
 		res.SLO = s.SLO.Status()
 	}
-	if s.Extstore != nil {
-		er := &ExtstoreResult{Predicted: split}
-		for _, srv := range servers {
-			dh, pr := srv.ExtstoreCounts()
-			er.DiskHits += dh
-			er.Promotions += pr
-		}
-		for _, c := range caches {
-			// Populate only writes, so Misses counts the measured gets.
-			er.RAMMisses += c.Stats().Misses
-		}
-		for _, e := range exts {
-			st := e.Stats()
-			er.SegmentBytes += st.SegmentBytes
-			er.Segments += st.Segments
-			er.Compactions += st.Compactions
-			er.Drops += st.Drops
-		}
-		res.Extstore = er
-	}
-	if g := cl.Coalescer(); g.Coalescing() {
+	res.Extstore = r.tier()
+	if g := r.cl.Coalescer(); g.Coalescing() {
 		cs := g.Stats()
 		res.Coalesce = &cs
 	}
 	if len(lg.Tenants) > 0 {
 		offered, _, _ := s.tenantRates()
-		handles := lim.Tenants()
+		handles := r.lim.Tenants()
 		res.Tenants = make([]TenantResult, len(lg.Tenants))
 		for i, ts := range lg.Tenants {
 			admittedRate := 0.0
@@ -427,5 +462,54 @@ func (p LivePlane) Run(ctx context.Context, s Scenario) (*Result, error) {
 			}
 		}
 	}
-	return res, nil
+	return res
+}
+
+// tier reports the disk tier's counters: read off the in-process
+// servers next to the MRC prediction, or summed from the extstore_*
+// stats rows of an attached cluster (nil when no server reports a tier
+// or a proxy in front does not relay the rows).
+func (r *LiveRun) tier() *ExtstoreResult {
+	if len(r.servers) > 0 {
+		if r.s.Extstore == nil {
+			return nil
+		}
+		er := &ExtstoreResult{Predicted: r.split}
+		for _, srv := range r.servers {
+			dh, pr := srv.ExtstoreCounts()
+			er.DiskHits += dh
+			er.Promotions += pr
+		}
+		for _, c := range r.caches {
+			// Populate only writes, so Misses counts the measured gets.
+			er.RAMMisses += c.Stats().Misses
+		}
+		for _, e := range r.exts {
+			st := e.Stats()
+			er.SegmentBytes += st.SegmentBytes
+			er.Segments += st.Segments
+			er.Compactions += st.Compactions
+			er.Drops += st.Drops
+		}
+		return er
+	}
+	var er *ExtstoreResult
+	for i := 0; i < r.upstreams; i++ {
+		m, err := r.cl.ServerStats(i)
+		if _, ok := m["extstore_disk_hits"]; err != nil || !ok {
+			continue
+		}
+		if er == nil {
+			er = &ExtstoreResult{}
+		}
+		row := func(k string) int64 {
+			v, _ := strconv.ParseInt(m[k], 10, 64)
+			return v
+		}
+		er.DiskHits += row("extstore_disk_hits")
+		er.Promotions += row("extstore_promotions")
+		er.SegmentBytes += row("extstore_segment_bytes")
+		er.Compactions += row("extstore_compactions")
+	}
+	return er
 }

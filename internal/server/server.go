@@ -720,7 +720,7 @@ func (s *Server) writeStats(w *protocol.Writer, section string) error {
 		return w.ClientErrorf("unknown stats section %q", section)
 	}
 	st := s.opts.Cache.Stats()
-	rows := []struct{ k, v string }{
+	rows := []statRow{
 		{"version", Version},
 		{"conn_core", s.opts.ConnCore},
 		{"uptime", fmt.Sprintf("%d", int64(time.Since(s.startTime).Seconds()))},
@@ -741,16 +741,16 @@ func (s *Server) writeStats(w *protocol.Writer, section string) error {
 	if ext := s.opts.Extstore; ext != nil {
 		es := ext.Stats()
 		rows = append(rows,
-			struct{ k, v string }{"extstore_disk_hits", fmt.Sprintf("%d", s.diskHits.Load())},
-			struct{ k, v string }{"extstore_promotions", fmt.Sprintf("%d", s.promotions.Load())},
-			struct{ k, v string }{"extstore_keys", fmt.Sprintf("%d", es.Keys)},
-			struct{ k, v string }{"extstore_segments", fmt.Sprintf("%d", es.Segments)},
-			struct{ k, v string }{"extstore_segment_bytes", fmt.Sprintf("%d", es.SegmentBytes)},
-			struct{ k, v string }{"extstore_dead_bytes", fmt.Sprintf("%d", es.DeadBytes)},
-			struct{ k, v string }{"extstore_puts", fmt.Sprintf("%d", es.Puts)},
-			struct{ k, v string }{"extstore_drops", fmt.Sprintf("%d", es.Drops)},
-			struct{ k, v string }{"extstore_compactions", fmt.Sprintf("%d", es.Compactions)},
-			struct{ k, v string }{"extstore_relocated", fmt.Sprintf("%d", es.Relocated)})
+			statRow{"extstore_disk_hits", fmt.Sprintf("%d", s.diskHits.Load())},
+			statRow{"extstore_promotions", fmt.Sprintf("%d", s.promotions.Load())},
+			statRow{"extstore_keys", fmt.Sprintf("%d", es.Keys)},
+			statRow{"extstore_segments", fmt.Sprintf("%d", es.Segments)},
+			statRow{"extstore_segment_bytes", fmt.Sprintf("%d", es.SegmentBytes)},
+			statRow{"extstore_dead_bytes", fmt.Sprintf("%d", es.DeadBytes)},
+			statRow{"extstore_puts", fmt.Sprintf("%d", es.Puts)},
+			statRow{"extstore_drops", fmt.Sprintf("%d", es.Drops)},
+			statRow{"extstore_compactions", fmt.Sprintf("%d", es.Compactions)},
+			statRow{"extstore_relocated", fmt.Sprintf("%d", es.Relocated)})
 	}
 	for _, row := range rows {
 		if err := w.Stat(row.k, row.v); err != nil {

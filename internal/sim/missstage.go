@@ -49,10 +49,8 @@ func (r *MissStageResult) TDQuantileEstimate(muD float64) float64 {
 	pAny := float64(r.RequestsWithMiss) / float64(r.Requests)
 	kBar := float64(r.MissKeys) / float64(r.RequestsWithMiss)
 	// (T_D)_{kBar/(kBar+1)} of Exp(muD) = ln(kBar+1)/muD (paper eq. 21).
-	return pAny * logOnePlus(kBar) / muD
+	return pAny * math.Log1p(kBar) / muD
 }
-
-func logOnePlus(x float64) float64 { return math.Log1p(x) }
 
 // SimulateMissStage runs the database stage in isolation.
 func SimulateMissStage(cfg MissStageConfig) (*MissStageResult, error) {

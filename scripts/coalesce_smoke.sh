@@ -6,30 +6,14 @@
 # Used by the CI verify job; runnable locally from the repo root.
 set -euo pipefail
 
-srv=$(mktemp -t memcached-server-coalesce.XXXXXX)
-bench=$(mktemp -t mcbench-coalesce.XXXXXX)
-go build -o "$srv" ./cmd/memcached-server
-go build -o "$bench" ./cmd/mcbench
+. "$(dirname "$0")/lib.sh"
+srv=$(build_bin memcached-server)
+bench=$(build_bin mcbench)
 
 addr=127.0.0.1:18213
 "$srv" -addr "$addr" &
-pid=$!
-trap 'kill "$pid" 2>/dev/null || true; rm -f "$srv" "$bench"' EXIT INT TERM
-
-ok=0
-i=0
-while [ "$i" -lt 50 ]; do
-    if "$bench" -servers "$addr" -keys 8 -ops 1 -lambda 100 >/dev/null 2>&1; then
-        ok=1
-        break
-    fi
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ "$ok" != 1 ]; then
-    echo "FAIL: server never answered" >&2
-    exit 1
-fi
+smoke_pids+=("$!")
+wait_ready "$bench" -servers "$addr" -keys 8 -ops 1 -lambda 100
 
 # Hot-key herd: every get forced to miss on a tiny Zipf keyspace, fills
 # held in flight ~10ms each (mud=100), negative fill TTL so write-backs

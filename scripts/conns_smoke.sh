@@ -10,26 +10,15 @@ set -euo pipefail
 
 ulimit -n "$(ulimit -Hn)" 2>/dev/null || true
 
-srv=$(mktemp -t memcached-server-conns.XXXXXX)
-mcb=$(mktemp -t mcbench-conns.XXXXXX)
-go build -o "$srv" ./cmd/memcached-server
-go build -o "$mcb" ./cmd/mcbench
+. "$(dirname "$0")/lib.sh"
+srv=$(build_bin memcached-server)
+mcb=$(build_bin mcbench)
 
 conns=5000
 addr=127.0.0.1:18213
 "$srv" -addr "$addr" -conn-core eventloop -max-conns $((conns + 64)) &
-pid=$!
-trap 'kill "$pid" 2>/dev/null || true; rm -f "$srv" "$mcb"' EXIT INT TERM
-
-# Wait for the listener.
-i=0
-while [ "$i" -lt 50 ]; do
-    if "$mcb" -servers "$addr" -conns 16 -conn-hot 1 -ops 1 >/dev/null 2>&1; then
-        break
-    fi
-    sleep 0.1
-    i=$((i + 1))
-done
+smoke_pids+=("$!")
+wait_ready "$mcb" -servers "$addr" -conns 16 -conn-hot 1 -ops 1
 
 out=$("$mcb" -servers "$addr" -conns "$conns" -ops 20000 -timeout 2m)
 printf '%s\n' "$out"

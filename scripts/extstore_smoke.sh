@@ -14,10 +14,9 @@ dir=${EXTSTORE_SMOKE_DIR:-extstore_smoke_dir}
 rm -rf "$dir"
 mkdir -p "$dir"
 
-srv=$(mktemp -t memcached-server-extstore.XXXXXX)
-bench=$(mktemp -t mcbench-extstore.XXXXXX)
-go build -o "$srv" ./cmd/memcached-server
-go build -o "$bench" ./cmd/mcbench
+. "$(dirname "$0")/lib.sh"
+srv=$(build_bin memcached-server)
+bench=$(build_bin mcbench)
 
 addr=127.0.0.1:18214
 pid=
@@ -28,19 +27,13 @@ start_server() {
     "$srv" -addr "$addr" -memory-mb 1 -shards 1 -max-item-kb 64 \
         -extstore-dir "$dir/segments" -extstore-segment-kb 64 >>"$dir/$1" 2>&1 &
     pid=$!
+    smoke_pids+=("$pid")
     disown "$pid" 2>/dev/null || true # silence bash's job-kill notice on SIGKILL
-    local i=0
-    while [ "$i" -lt 50 ]; do
-        if "$bench" -servers "$addr" -keys 8 -ops 1 -lambda 100 >/dev/null 2>&1; then
-            return 0
-        fi
-        sleep 0.1
-        i=$((i + 1))
-    done
-    echo "FAIL: server never answered (log: $dir/$1)" >&2
-    exit 1
+    wait_ready "$bench" -servers "$addr" -keys 8 -ops 1 -lambda 100 || {
+        echo "server log: $dir/$1" >&2
+        exit 1
+    }
 }
-trap 'kill -9 "$pid" 2>/dev/null || true; rm -f "$srv" "$bench"' EXIT INT TERM
 
 start_server server1.log
 

@@ -4,29 +4,14 @@
 # Used by the CI verify job; runnable locally from the repo root.
 set -euo pipefail
 
-bin=$(mktemp -t memcached-server-smoke.XXXXXX)
-go build -o "$bin" ./cmd/memcached-server
+. "$(dirname "$0")/lib.sh"
+bin=$(build_bin memcached-server)
 
 addr=127.0.0.1:18211
 admin=127.0.0.1:18212
 "$bin" -addr "$addr" -admin "$admin" -trace-ring 1024 &
-pid=$!
-trap 'kill "$pid" 2>/dev/null || true; rm -f "$bin"' EXIT INT TERM
-
-ok=0
-i=0
-while [ "$i" -lt 50 ]; do
-    if curl -fsS "http://$admin/healthz" >/dev/null 2>&1; then
-        ok=1
-        break
-    fi
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ "$ok" != 1 ]; then
-    echo "FAIL: admin plane never answered /healthz" >&2
-    exit 1
-fi
+smoke_pids+=("$!")
+wait_ready curl -fsS "http://$admin/healthz"
 
 healthz=$(curl -fsS "http://$admin/healthz")
 case $healthz in

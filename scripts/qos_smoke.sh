@@ -7,41 +7,26 @@
 # runnable locally from the repo root.
 set -euo pipefail
 
-srv=$(mktemp -t memcached-server-qos.XXXXXX)
-prx=$(mktemp -t mcproxy-qos.XXXXXX)
-mcb=$(mktemp -t mcbench-qos.XXXXXX)
-out=$(mktemp -t mcbench-qos-out.XXXXXX)
-go build -o "$srv" ./cmd/memcached-server
-go build -o "$prx" ./cmd/mcproxy
-go build -o "$mcb" ./cmd/mcbench
+. "$(dirname "$0")/lib.sh"
+srv=$(build_bin memcached-server)
+prx=$(build_bin mcproxy)
+mcb=$(build_bin mcbench)
+out=$smoke_tmp/mcbench.out
 
 addr=127.0.0.1:18217
 paddr=127.0.0.1:18218
 admin=127.0.0.1:18219
 
 "$srv" -addr "$addr" &
-spid=$!
+smoke_pids+=("$!")
 # The proxy enforces the quotas: the victim is unlimited, the
 # aggressor's 150 ops/s is far under the ~800/s mcbench offers it. The
 # 80-op burst absorbs the populate sets so only the run sheds.
 "$prx" -listen "$paddr" -servers "$addr" -admin "$admin" \
     -tenants "victim;aggressor:rate=150,burst=80" &
-ppid=$!
-trap 'kill "$spid" "$ppid" 2>/dev/null || true; rm -f "$srv" "$prx" "$mcb" "$out"' EXIT INT TERM
-
-ok=0
-for _ in $(seq 50); do
-    if curl -fsS "http://$admin/healthz" >/dev/null 2>&1 &&
-        "$mcb" -servers "$paddr" -keys 8 -ops 1 -lambda 100 >/dev/null 2>&1; then
-        ok=1
-        break
-    fi
-    sleep 0.1
-done
-if [ "$ok" != 1 ]; then
-    echo "FAIL: proxy never answered" >&2
-    exit 1
-fi
+smoke_pids+=("$!")
+wait_ready curl -fsS "http://$admin/healthz"
+wait_ready "$mcb" -servers "$paddr" -keys 8 -ops 1 -lambda 100
 
 # mcbench's own specs carry no rates: they only shape the offered mix
 # (50/50 prefixed key streams through its pass-through proxy). The

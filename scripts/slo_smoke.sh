@@ -15,33 +15,18 @@
 # Used by the CI verify job; runnable locally from the repo root.
 set -euo pipefail
 
-srv=$(mktemp -t memcached-server-slo.XXXXXX)
-mcb=$(mktemp -t mcbench-slo.XXXXXX)
-errlog=$(mktemp -t slo-smoke-err.XXXXXX)
-go build -o "$srv" ./cmd/memcached-server
-go build -o "$mcb" ./cmd/mcbench
+. "$(dirname "$0")/lib.sh"
+srv=$(build_bin memcached-server)
+mcb=$(build_bin mcbench)
+errlog=$smoke_tmp/server.err
 
 addr=127.0.0.1:18311
 admin=127.0.0.1:18312
 "$srv" -addr "$addr" -admin "$admin" -service-rate 500 -trace-ring 1024 -exemplars \
     -slo 'lambda=100,mus=500,q=0.1,xi=0.15,window=0.5s,k=2,band=3' 2>"$errlog" &
 pid=$!
-trap 'kill "$pid" 2>/dev/null || true; rm -f "$srv" "$mcb" "$errlog"' EXIT INT TERM
-
-ok=0
-i=0
-while [ "$i" -lt 50 ]; do
-    if curl -fsS "http://$admin/healthz" >/dev/null 2>&1; then
-        ok=1
-        break
-    fi
-    sleep 0.1
-    i=$((i + 1))
-done
-if [ "$ok" != 1 ]; then
-    echo "FAIL: admin plane never answered /healthz" >&2
-    exit 1
-fi
+smoke_pids+=("$pid")
+wait_ready curl -fsS "http://$admin/healthz"
 
 # 4x the anchored arrival rate: the server queues far past the λ=100
 # band, which is exactly the drift the watchdog must catch.
