@@ -103,9 +103,13 @@ bench-plane:
 # BENCH_server.json records the last blessed numbers), then the client
 # against real in-process servers: one Get, and one 32-key MultiGet over
 # 2 and over 8 servers, per op, whose allocs/op are the client's own.
+# Last, printed not gated, the cache hit underneath both: one reader, and
+# GOMAXPROCS readers at once; parallel minus serial at -cpu 2 is what
+# readers cost each other in shared cache lines.
 bench-server:
 	$(GO) test -run '^$$' -bench BenchmarkServerHotPath -benchmem ./internal/server/
 	$(GO) test -run '^$$' -bench 'BenchmarkClientGet|BenchmarkClientMultiGet' -benchmem ./internal/client/
+	$(GO) test -run '^$$' -bench BenchmarkGetInto -cpu 1,2 ./internal/cache/
 
 # Proxy hot-path benchmarks (pipelined get/set passthrough, the
 # multiget fork-join through a real proxy + server, and the tenant QoS

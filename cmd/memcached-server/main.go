@@ -1,5 +1,5 @@
 // Command memcached-server runs the memqlat cache server: an in-memory
-// LRU key-value store speaking the memcached text protocol over TCP.
+// key-value store speaking the memcached text protocol over TCP.
 //
 // Example:
 //
@@ -10,7 +10,7 @@
 // turns the server into a physical realization of the paper's GI^X/M/1
 // model for latency experiments.
 //
-// -extstore-dir arms the log-structured SSD cache tier: RAM LRU
+// -extstore-dir arms the log-structured SSD cache tier: RAM eviction
 // victims spill into append-only segment files under the directory,
 // GET misses read back through the tier, and reopening the same
 // directory after a crash rebuilds the disk index from the segment

@@ -1,8 +1,17 @@
 // Package cache is the in-memory key-value store at the heart of the
-// Memcached-server substrate: a sharded hash table with per-shard LRU
-// eviction, item TTLs, CAS tokens, byte-budget memory accounting and
-// memcached-compatible mutation semantics (set/add/replace/append/
-// prepend/cas/incr/decr/touch/delete/flush_all).
+// Memcached-server substrate: a sharded hash table with per-shard
+// second-chance (CLOCK) eviction, item TTLs, CAS tokens, byte-budget
+// memory accounting and memcached-compatible mutation semantics
+// (set/add/replace/append/prepend/cas/incr/decr/touch/delete/flush_all).
+//
+// Second-chance approximates LRU without reordering on reads: a hit
+// only sets the entry's reference bit, and the evictor gives a
+// referenced tail entry one more lap before it goes. A read therefore
+// writes nothing but the shard line it already locked, which is what
+// keeps concurrent readers off each other's cache lines. The price is
+// that recency among referenced entries is forgotten: internal/mrc
+// predicts exact LRU, and a capacity-sized cache lands a little below
+// that curve (DESIGN.md §9.1).
 package cache
 
 import (
@@ -39,7 +48,7 @@ const MaxKeyLen = 250
 const DefaultMaxItemSize = 1 << 20
 
 // itemOverhead approximates per-item bookkeeping cost for the byte
-// budget (entry struct, map bucket share, LRU links).
+// budget (entry struct, map bucket share, list links).
 const itemOverhead = 64
 
 // Item is a stored value returned by Get.
@@ -78,8 +87,8 @@ func DefaultShards() int {
 	return nextPow2(n)
 }
 
-// Cache is a sharded LRU key-value store. All methods are safe for
-// concurrent use.
+// Cache is a sharded second-chance key-value store. All methods are safe
+// for concurrent use.
 type Cache struct {
 	shards      []*shard
 	shardMask   uint64
@@ -88,29 +97,28 @@ type Cache struct {
 	casCounter  atomic.Uint64
 
 	// onLockWait, when set, receives the seconds a shard-lock
-	// acquisition spent blocked. The TryLock fast path keeps the
-	// uncontended case observation-free, so the stage stays zero-elided
-	// on healthy runs.
+	// acquisition by a request spent blocked. The TryLock fast path keeps
+	// the uncontended case observation-free, so the stage stays
+	// zero-elided on healthy runs.
 	onLockWait atomic.Pointer[func(float64)]
 
-	// onEvict, when set, receives each non-expired LRU victim as it is
+	// onEvict, when set, receives each non-expired victim as it is
 	// evicted (expired reaping is not an eviction — those values are
 	// dead, not displaced). One atomic load per victim when unset; the
 	// store hot path is untouched when no evictions occur.
 	onEvict atomic.Pointer[EvictFunc]
 
-	gets        atomic.Int64
-	hits        atomic.Int64
-	misses      atomic.Int64
 	sets        atomic.Int64
 	deletes     atomic.Int64
 	evictions   atomic.Int64
 	expirations atomic.Int64
 
-	// lockWaits / lockWaitNanos count contended shard-lock
-	// acquisitions and the total time they spent blocked. Only the
-	// TryLock-miss slow path pays for them, so the uncontended hot
-	// path is unchanged.
+	// lockWaits / lockWaitNanos count the shard-lock acquisitions of
+	// requests that found the lock held, and the total time they spent
+	// blocked. Only the TryLock-miss slow path pays for them, so the
+	// uncontended hot path is unchanged. The admin walks (Stats,
+	// ShardStats, SlabClasses) lock plainly: a scrape that waits is not
+	// a request that waited.
 	lockWaits     atomic.Int64
 	lockWaitNanos atomic.Int64
 }
@@ -221,7 +229,7 @@ func (c *Cache) shardFor(key string) *shard {
 // Shards reports the number of lock domains.
 func (c *Cache) Shards() int { return len(c.shards) }
 
-// EvictFunc observes one LRU victim: the key, the stored value, its
+// EvictFunc observes one eviction victim: the key, the stored value, its
 // flags and its absolute expiry (zero when none). It is called with
 // the victim's shard lock held, so it must be fast and must not call
 // back into the cache; the value slice is owned by the evicted entry
@@ -231,8 +239,8 @@ func (c *Cache) Shards() int { return len(c.shards) }
 type EvictFunc func(key string, value []byte, flags uint32, expires time.Time)
 
 // OnEvict installs f as the eviction observer (nil removes it). Safe
-// to call concurrently with cache use. Only genuine LRU displacements
-// are reported — entries reaped because their TTL passed are counted
+// to call concurrently with cache use. Only genuine displacements are
+// reported — entries reaped because their TTL passed are counted
 // as expirations and never observed here.
 func (c *Cache) OnEvict(f EvictFunc) {
 	if f == nil {
@@ -304,18 +312,30 @@ func (c *Cache) validateValue(value []byte) error {
 	return nil
 }
 
-// expiryFrom converts a TTL to an absolute deadline: ttl == 0 means no
-// expiry; ttl < 0 means already expired (memcached's negative-exptime
-// semantics — the item is stored but never retrievable).
-func (c *Cache) expiryFrom(ttl time.Duration) time.Time {
+// now reads the cache clock in the unit entries keep their expiry in.
+func (c *Cache) now() int64 { return c.clock().UnixNano() }
+
+// expiryFrom converts a TTL to an absolute deadline in Unix nanoseconds:
+// ttl == 0 means no expiry (0); ttl < 0 means already expired
+// (memcached's negative-exptime semantics — the item is stored but
+// never retrievable).
+func expiryFrom(now int64, ttl time.Duration) int64 {
 	switch {
 	case ttl == 0:
-		return time.Time{}
+		return 0
 	case ttl < 0:
-		return c.clock()
+		return now
 	default:
-		return c.clock().Add(ttl)
+		return now + int64(ttl)
 	}
+}
+
+// expiryTime is the API form of a stored deadline (zero when none).
+func expiryTime(ns int64) time.Time {
+	if ns == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, ns)
 }
 
 // Get returns the item stored at key.
@@ -323,25 +343,19 @@ func (c *Cache) Get(key string) (Item, error) {
 	if err := validateKey(key); err != nil {
 		return Item{}, err
 	}
-	c.gets.Add(1)
 	s := c.shardFor(key)
-	now := c.clock()
+	now := c.now()
 	c.lock(s)
 	e := s.lookup(key, now, &c.expirations)
 	if e == nil {
+		s.misses++
 		s.mu.Unlock()
-		c.misses.Add(1)
 		return Item{}, ErrNotFound
 	}
-	s.touch(e)
-	it := Item{
-		Value:   append([]byte(nil), e.value...),
-		Flags:   e.flags,
-		CAS:     e.cas,
-		Expires: e.expires,
-	}
+	s.hits++
+	e.touch()
+	it := e.item()
 	s.mu.Unlock()
-	c.hits.Add(1)
 	return it, nil
 }
 
@@ -354,20 +368,19 @@ func (c *Cache) GetInto(key []byte, dst []byte) (value []byte, flags uint32, cas
 	if err := validateKeyBytes(key); err != nil {
 		return nil, 0, 0, err
 	}
-	c.gets.Add(1)
 	s := c.shards[fnv64aBytes(key)&c.shardMask]
 	c.lock(s)
 	e := s.lookupBytes(key, c.clock, &c.expirations)
 	if e == nil {
+		s.misses++
 		s.mu.Unlock()
-		c.misses.Add(1)
 		return nil, 0, 0, ErrNotFound
 	}
-	s.touch(e)
+	s.hits++
+	e.touch()
 	dst = append(dst, e.value...)
 	flags, cas = e.flags, e.cas
 	s.mu.Unlock()
-	c.hits.Add(1)
 	return dst, flags, cas, nil
 }
 
@@ -383,10 +396,10 @@ func (c *Cache) SetBytes(key, value []byte, flags uint32, ttl time.Duration) err
 	}
 	owned := append(make([]byte, 0, len(value)), value...)
 	s := c.shards[fnv64aBytes(key)&c.shardMask]
-	now := c.clock()
+	now := c.now()
 	c.lock(s)
 	defer s.mu.Unlock()
-	s.store(string(key), owned, flags, c.expiryFrom(ttl), c.nextCAS(), now, c)
+	s.store(string(key), owned, flags, expiryFrom(now, ttl), c.nextCAS(), now, c)
 	c.sets.Add(1)
 	return nil
 }
@@ -397,26 +410,20 @@ func (c *Cache) GetAndTouch(key string, ttl time.Duration) (Item, error) {
 	if err := validateKey(key); err != nil {
 		return Item{}, err
 	}
-	c.gets.Add(1)
 	s := c.shardFor(key)
-	now := c.clock()
+	now := c.now()
 	c.lock(s)
 	e := s.lookup(key, now, &c.expirations)
 	if e == nil {
+		s.misses++
 		s.mu.Unlock()
-		c.misses.Add(1)
 		return Item{}, ErrNotFound
 	}
-	e.expires = c.expiryFrom(ttl)
-	s.touch(e)
-	it := Item{
-		Value:   append([]byte(nil), e.value...),
-		Flags:   e.flags,
-		CAS:     e.cas,
-		Expires: e.expires,
-	}
+	s.hits++
+	e.expires = expiryFrom(now, ttl)
+	e.touch()
+	it := e.item()
 	s.mu.Unlock()
-	c.hits.Add(1)
 	return it, nil
 }
 
@@ -429,10 +436,10 @@ func (c *Cache) Set(key string, value []byte, flags uint32, ttl time.Duration) e
 		return err
 	}
 	s := c.shardFor(key)
-	now := c.clock()
+	now := c.now()
 	c.lock(s)
 	defer s.mu.Unlock()
-	s.store(key, value, flags, c.expiryFrom(ttl), c.nextCAS(), now, c)
+	s.store(key, value, flags, expiryFrom(now, ttl), c.nextCAS(), now, c)
 	c.sets.Add(1)
 	return nil
 }
@@ -446,13 +453,13 @@ func (c *Cache) Add(key string, value []byte, flags uint32, ttl time.Duration) e
 		return err
 	}
 	s := c.shardFor(key)
-	now := c.clock()
+	now := c.now()
 	c.lock(s)
 	defer s.mu.Unlock()
 	if s.lookup(key, now, &c.expirations) != nil {
 		return ErrNotStored
 	}
-	s.store(key, value, flags, c.expiryFrom(ttl), c.nextCAS(), now, c)
+	s.store(key, value, flags, expiryFrom(now, ttl), c.nextCAS(), now, c)
 	c.sets.Add(1)
 	return nil
 }
@@ -466,13 +473,13 @@ func (c *Cache) Replace(key string, value []byte, flags uint32, ttl time.Duratio
 		return err
 	}
 	s := c.shardFor(key)
-	now := c.clock()
+	now := c.now()
 	c.lock(s)
 	defer s.mu.Unlock()
 	if s.lookup(key, now, &c.expirations) == nil {
 		return ErrNotStored
 	}
-	s.store(key, value, flags, c.expiryFrom(ttl), c.nextCAS(), now, c)
+	s.store(key, value, flags, expiryFrom(now, ttl), c.nextCAS(), now, c)
 	c.sets.Add(1)
 	return nil
 }
@@ -493,7 +500,7 @@ func (c *Cache) concat(key string, value []byte, after bool) error {
 		return err
 	}
 	s := c.shardFor(key)
-	now := c.clock()
+	now := c.now()
 	c.lock(s)
 	defer s.mu.Unlock()
 	e := s.lookup(key, now, &c.expirations)
@@ -524,7 +531,7 @@ func (c *Cache) CompareAndSwap(key string, value []byte, flags uint32, ttl time.
 		return err
 	}
 	s := c.shardFor(key)
-	now := c.clock()
+	now := c.now()
 	c.lock(s)
 	defer s.mu.Unlock()
 	e := s.lookup(key, now, &c.expirations)
@@ -534,7 +541,7 @@ func (c *Cache) CompareAndSwap(key string, value []byte, flags uint32, ttl time.
 	if e.cas != casToken {
 		return ErrExists
 	}
-	s.store(key, value, flags, c.expiryFrom(ttl), c.nextCAS(), now, c)
+	s.store(key, value, flags, expiryFrom(now, ttl), c.nextCAS(), now, c)
 	c.sets.Add(1)
 	return nil
 }
@@ -545,7 +552,7 @@ func (c *Cache) Delete(key string) error {
 		return err
 	}
 	s := c.shardFor(key)
-	now := c.clock()
+	now := c.now()
 	c.lock(s)
 	defer s.mu.Unlock()
 	if s.lookup(key, now, &c.expirations) == nil {
@@ -562,14 +569,15 @@ func (c *Cache) Touch(key string, ttl time.Duration) error {
 		return err
 	}
 	s := c.shardFor(key)
-	now := c.clock()
+	now := c.now()
 	c.lock(s)
 	defer s.mu.Unlock()
 	e := s.lookup(key, now, &c.expirations)
 	if e == nil {
 		return ErrNotFound
 	}
-	e.expires = c.expiryFrom(ttl)
+	e.expires = expiryFrom(now, ttl)
+	e.touch()
 	return nil
 }
 
@@ -581,7 +589,7 @@ func (c *Cache) IncrDecr(key string, delta int64) (uint64, error) {
 		return 0, err
 	}
 	s := c.shardFor(key)
-	now := c.clock()
+	now := c.now()
 	c.lock(s)
 	defer s.mu.Unlock()
 	e := s.lookup(key, now, &c.expirations)
@@ -619,40 +627,16 @@ func (c *Cache) FlushAll() {
 
 // Len returns the number of live items (expired-but-unreaped items
 // included until their next access).
-func (c *Cache) Len() int64 {
-	var n int64
-	for _, s := range c.shards {
-		c.lock(s)
-		n += int64(len(s.items))
-		s.mu.Unlock()
-	}
-	return n
-}
+func (c *Cache) Len() int64 { return c.Stats().Items }
 
 // Bytes returns the accounted memory usage.
-func (c *Cache) Bytes() int64 {
-	var n int64
-	for _, s := range c.shards {
-		c.lock(s)
-		n += s.bytes
-		s.mu.Unlock()
-	}
-	return n
-}
+func (c *Cache) Bytes() int64 { return c.Stats().Bytes }
 
-// Stats snapshots the counters.
+// Stats snapshots the counters in one pass over the shards. Each
+// shard's occupancy and hit/miss counts are consistent with each other;
+// the snapshot is not atomic across shards.
 func (c *Cache) Stats() Stats {
-	var maxBytes int64
-	for _, s := range c.shards {
-		maxBytes += s.maxBytes
-	}
-	return Stats{
-		Items:           c.Len(),
-		Bytes:           c.Bytes(),
-		MaxBytes:        maxBytes,
-		Gets:            c.gets.Load(),
-		Hits:            c.hits.Load(),
-		Misses:          c.misses.Load(),
+	st := Stats{
 		Sets:            c.sets.Load(),
 		Deletes:         c.deletes.Load(),
 		Evictions:       c.evictions.Load(),
@@ -660,6 +644,17 @@ func (c *Cache) Stats() Stats {
 		LockWaits:       c.lockWaits.Load(),
 		LockWaitSeconds: float64(c.lockWaitNanos.Load()) / 1e9,
 	}
+	for _, s := range c.shards {
+		s.mu.Lock()
+		st.Items += int64(len(s.items))
+		st.Bytes += s.bytes
+		st.MaxBytes += s.maxBytes
+		st.Hits += s.hits
+		st.Misses += s.misses
+		s.mu.Unlock()
+	}
+	st.Gets = st.Hits + st.Misses
+	return st
 }
 
 // ShardStat is one shard's occupancy snapshot.
@@ -670,13 +665,13 @@ type ShardStat struct {
 }
 
 // ShardStats snapshots per-shard occupancy — the balance view the
-// metrics plane exposes so a skewed key distribution (one shard's LRU
-// churning while others idle) is visible without guessing from global
+// metrics plane exposes so a skewed key distribution (one shard
+// evicting while others idle) is visible without guessing from global
 // counters.
 func (c *Cache) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(c.shards))
 	for i, s := range c.shards {
-		c.lock(s)
+		s.mu.Lock()
 		out[i] = ShardStat{
 			Items:    int64(len(s.items)),
 			Bytes:    s.bytes,
@@ -687,14 +682,38 @@ func (c *Cache) ShardStats() []ShardStat {
 	return out
 }
 
-// entry is one stored item plus its LRU links (intrusive list).
+// entry is one stored item plus its eviction-list links (intrusive
+// list). It is 80 bytes, a malloc size class of its own, and the heap of
+// a full cache is mostly entries: ref sits in the padding after flags
+// and expires is Unix nanoseconds (0 = never) rather than a 24-byte
+// time.Time so that it stays there (TestEntrySize).
 type entry struct {
 	key        string
 	value      []byte
 	flags      uint32
+	ref        bool // read since it was stored or last reprieved
 	cas        uint64
-	expires    time.Time
+	expires    int64
 	prev, next *entry
+}
+
+// touch marks e recently used; every read path goes through it. The
+// evictor does the reordering (shard.store), so a hit on an entry that
+// is already referenced writes nothing to it.
+func (e *entry) touch() {
+	if !e.ref {
+		e.ref = true
+	}
+}
+
+// item copies e out for the caller. Caller holds mu.
+func (e *entry) item() Item {
+	return Item{
+		Value:   append([]byte(nil), e.value...),
+		Flags:   e.flags,
+		CAS:     e.cas,
+		Expires: expiryTime(e.expires),
+	}
 }
 
 func (e *entry) cost() int64 {
@@ -709,18 +728,24 @@ func ItemCost(keyLen, valueLen int) int64 {
 	return int64(keyLen) + int64(valueLen) + itemOverhead
 }
 
-func (e *entry) expired(now time.Time) bool {
-	return !e.expires.IsZero() && !now.Before(e.expires)
+func (e *entry) expired(now int64) bool {
+	return e.expires != 0 && now >= e.expires
 }
 
-// shard is one lock domain: hash map + LRU list + byte budget.
+// shard is one lock domain: hash map + second-chance list + byte
+// budget + the read counters, which are plain integers because every
+// read already holds mu (Stats sums them). It is 64 bytes and allocated
+// on its own, so the lock word and the counters a hit writes share one
+// cache line and no other shard's.
 type shard struct {
 	mu       sync.Mutex
 	items    map[string]*entry
-	head     *entry // most recently used
-	tail     *entry // least recently used
+	head     *entry // newest: stored or reprieved last
+	tail     *entry // oldest: the next eviction candidate
 	bytes    int64
 	maxBytes int64
+	hits     int64
+	misses   int64
 }
 
 func newShard(maxBytes int64) *shard {
@@ -732,7 +757,7 @@ func newShard(maxBytes int64) *shard {
 
 // lookup returns the live entry for key, reaping it if expired.
 // Caller holds mu.
-func (s *shard) lookup(key string, now time.Time, expirations *atomic.Int64) *entry {
+func (s *shard) lookup(key string, now int64, expirations *atomic.Int64) *entry {
 	e, ok := s.items[key]
 	if !ok {
 		return nil
@@ -755,21 +780,12 @@ func (s *shard) lookupBytes(key []byte, clock func() time.Time, expirations *ato
 	if !ok {
 		return nil
 	}
-	if !e.expires.IsZero() && e.expired(clock()) {
+	if e.expires != 0 && e.expired(clock().UnixNano()) {
 		s.remove(e.key)
 		expirations.Add(1)
 		return nil
 	}
 	return e
-}
-
-// touch moves e to the MRU position. Caller holds mu.
-func (s *shard) touch(e *entry) {
-	if s.head == e {
-		return
-	}
-	s.unlink(e)
-	s.pushFront(e)
 }
 
 func (s *shard) unlink(e *entry) {
@@ -798,10 +814,10 @@ func (s *shard) pushFront(e *entry) {
 	}
 }
 
-// store inserts or replaces key, evicting LRU entries to fit the budget.
-// Caller holds mu.
-func (s *shard) store(key string, value []byte, flags uint32, expires time.Time,
-	cas uint64, now time.Time, c *Cache) {
+// store inserts or replaces key at the head, evicting from the tail to
+// fit the budget. Caller holds mu.
+func (s *shard) store(key string, value []byte, flags uint32, expires int64,
+	cas uint64, now int64, c *Cache) {
 	if old, ok := s.items[key]; ok {
 		s.bytes -= old.cost()
 		s.unlink(old)
@@ -809,11 +825,21 @@ func (s *shard) store(key string, value []byte, flags uint32, expires time.Time,
 	}
 	e := &entry{key: key, value: value, flags: flags, cas: cas, expires: expires}
 	need := e.cost()
-	// Evict expired items first, then LRU, until the new entry fits.
+	// Walk the tail until the new entry fits. A live entry read since its
+	// last lap gets a second chance: its bit is cleared and it goes round
+	// again, so the loop ends after at most one lap of reprieves. An
+	// expired entry goes whatever its bit.
 	for s.bytes+need > s.maxBytes && s.tail != nil {
 		victim := s.tail
+		expired := victim.expired(now)
+		if victim.ref && !expired {
+			victim.ref = false
+			s.unlink(victim)
+			s.pushFront(victim)
+			continue
+		}
 		s.remove(victim.key)
-		if victim.expired(now) {
+		if expired {
 			c.expirations.Add(1)
 		} else {
 			c.evictions.Add(1)
@@ -821,7 +847,7 @@ func (s *shard) store(key string, value []byte, flags uint32, expires time.Time,
 			// cache tier catches them here. The entry is already
 			// unlinked, so the callback is the value's sole referent.
 			if f := c.onEvict.Load(); f != nil {
-				(*f)(victim.key, victim.value, victim.flags, victim.expires)
+				(*f)(victim.key, victim.value, victim.flags, expiryTime(victim.expires))
 			}
 		}
 	}

@@ -10,7 +10,8 @@ import (
 // "stats slabs"/"stats items". memqlat does not allocate from real
 // slabs (Go's allocator does the pooling), but class-level accounting
 // is what operators use to reason about eviction pressure per item
-// size, so the view is preserved.
+// size, so the view is preserved. Eviction itself is per shard, not per
+// class: one second-chance list holds every size.
 type SlabClass struct {
 	// ChunkSize is the class upper bound in bytes (power of two).
 	ChunkSize int64
@@ -35,7 +36,7 @@ func classFor(cost int64) int64 {
 func (c *Cache) SlabClasses() []SlabClass {
 	acc := make(map[int64]*SlabClass)
 	for _, s := range c.shards {
-		c.lock(s)
+		s.mu.Lock()
 		for _, e := range s.items {
 			cost := e.cost()
 			cls := classFor(cost)

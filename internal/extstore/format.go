@@ -1,5 +1,5 @@
 // Package extstore is the log-structured SSD-backed second cache tier:
-// values evicted from the RAM LRU are appended to on-disk segments and
+// values evicted from the RAM cache are appended to on-disk segments and
 // indexed in memory, so a subsequent RAM miss becomes a cheap disk hit
 // instead of a full backend fetch. The design follows memcached's
 // extstore: append-only segment files, an FNV-sharded in-memory

@@ -45,8 +45,11 @@ func liveTier(s Scenario, m, valueSize int) (cache.Options, extstore.Options) {
 	ramPer := (e.RAMItems + m - 1) / m
 	diskPer := (e.TotalItems - e.RAMItems + m - 1) / m
 	copts := cache.Options{
-		// One shard: a sharded LRU partitions its budget per shard,
+		// One shard: a sharded cache partitions its budget per shard,
 		// which blurs the item capacity this sizing is trying to pin.
+		// The split it is sized from is Mattson's, exact LRU; the cache
+		// evicts by second chance, which lands within ~2 % of that RAM
+		// hit ratio here (DESIGN §9.1).
 		MaxBytes:    int64(ramPer) * cache.ItemCost(keyLen, valueSize),
 		Shards:      1,
 		MaxItemSize: 1024,

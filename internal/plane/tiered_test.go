@@ -183,6 +183,8 @@ func TestCrossPlaneTiered(t *testing.T) {
 				t.Fatalf("live tier holds no segments: %+v", er)
 			}
 			got := er.DiskHitFraction()
+			t.Logf("live disk-hit fraction %.3f, MRC (exact LRU) predicts %.3f; RAM hit %.3f vs %.3f",
+				got, lbeta, 1-float64(er.RAMMisses)/float64(ls.Ops), lsplit.RAMHit)
 			if got < lbeta/1.5 || got > lbeta*1.5 {
 				t.Errorf("live disk-hit fraction %.3f outside 1.5x of MRC prediction %.3f (hits=%d, ram misses=%d)",
 					got, lbeta, er.DiskHits, er.RAMMisses)

@@ -14,7 +14,7 @@ import (
 
 // tieredServer starts a server whose RAM tier holds only a couple of
 // small items, backed by an extstore tier in a temp dir, so a handful
-// of sets reliably spills the LRU tail to disk.
+// of sets reliably spills the eviction tail to disk.
 func tieredServer(t *testing.T, core string) (*Server, *extstore.Store, string) {
 	t.Helper()
 	ext, err := extstore.Open(extstore.Options{Dir: t.TempDir()})

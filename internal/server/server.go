@@ -92,7 +92,7 @@ type Options struct {
 	// runs (default GOMAXPROCS). Ignored by CoreGoroutines.
 	LoopWorkers int
 	// Extstore, when set, adds a log-structured SSD tier behind the RAM
-	// cache: LRU victims are appended to it asynchronously (the server
+	// cache: eviction victims are appended to it asynchronously (the server
 	// installs the cache's OnEvict hook), a RAM miss consults it, disk
 	// hits are re-promoted into RAM with their remaining TTL, and every
 	// mutation drops the key's disk record. The server does not own the
@@ -223,7 +223,7 @@ func New(opts Options) (*Server, error) {
 		s.rec.Observe(telemetry.StageLockWait, seconds)
 	})
 	if ext := opts.Extstore; ext != nil {
-		// LRU victims feed the disk tier. PutAsync never blocks (the
+		// Eviction victims feed the disk tier. PutAsync never blocks (the
 		// hook runs under the cache shard lock): a full queue sheds the
 		// write, which the tier's drop counter records.
 		opts.Cache.OnEvict(func(key string, value []byte, flags uint32, expires time.Time) {
