@@ -3,9 +3,7 @@
 GO ?= go
 
 .PHONY: build test vet race bench-module verify faults lint cover fuzz-smoke \
-	bench-plane bench-server bench-proxy bench-conns bench-extstore \
-	bench-slo bench-check bench-check-server bench-check-proxy bench-check-conns \
-	obs slo repro clean
+	microbench obs slo repro clean
 
 build:
 	$(GO) build ./...
@@ -44,37 +42,20 @@ lint:
 	staticcheck ./...
 	govulncheck ./...
 
-# Coverage floors for the packages the hot-path rework touches most,
-# plus the proxy tier's data plane and routing library. The floors are
-# the blessed coverage levels; CI fails if any package drops below its
-# floor.
+# Coverage floors (package:percent under internal/) for the packages the
+# hot-path rework touches most, plus the proxy tier's data plane and
+# routing library. The floors are the blessed coverage levels; CI fails
+# if any package drops below its floor.
+COVER_FLOORS = cache:95.2 protocol:90.6 proxy:82.0 route:91.0 otrace:95.0 \
+	metrics:90.0 server:77.0 coalesce:90.0 tenant:90.0 extstore:85.0 \
+	sketch:90.0 slo:85.0 client:86.0
+
 cover:
-	$(GO) test -coverprofile=cover_cache.out ./internal/cache/
-	$(GO) test -coverprofile=cover_protocol.out ./internal/protocol/
-	$(GO) test -coverprofile=cover_proxy.out ./internal/proxy/
-	$(GO) test -coverprofile=cover_route.out ./internal/route/
-	$(GO) test -coverprofile=cover_otrace.out ./internal/otrace/
-	$(GO) test -coverprofile=cover_metrics.out ./internal/metrics/
-	$(GO) test -coverprofile=cover_server.out ./internal/server/
-	$(GO) test -coverprofile=cover_coalesce.out ./internal/coalesce/
-	$(GO) test -coverprofile=cover_tenant.out ./internal/tenant/
-	$(GO) test -coverprofile=cover_extstore.out ./internal/extstore/
-	$(GO) test -coverprofile=cover_sketch.out ./internal/sketch/
-	$(GO) test -coverprofile=cover_slo.out ./internal/slo/
-	$(GO) test -coverprofile=cover_client.out ./internal/client/
-	./scripts/coverfloor.sh cover_cache.out 95.2 internal/cache
-	./scripts/coverfloor.sh cover_protocol.out 90.6 internal/protocol
-	./scripts/coverfloor.sh cover_proxy.out 82.0 internal/proxy
-	./scripts/coverfloor.sh cover_route.out 91.0 internal/route
-	./scripts/coverfloor.sh cover_otrace.out 95.0 internal/otrace
-	./scripts/coverfloor.sh cover_metrics.out 90.0 internal/metrics
-	./scripts/coverfloor.sh cover_server.out 77.0 internal/server
-	./scripts/coverfloor.sh cover_coalesce.out 90.0 internal/coalesce
-	./scripts/coverfloor.sh cover_tenant.out 90.0 internal/tenant
-	./scripts/coverfloor.sh cover_extstore.out 85.0 internal/extstore
-	./scripts/coverfloor.sh cover_sketch.out 90.0 internal/sketch
-	./scripts/coverfloor.sh cover_slo.out 85.0 internal/slo
-	./scripts/coverfloor.sh cover_client.out 86.0 internal/client
+	@set -e; for pf in $(COVER_FLOORS); do \
+		pkg=$${pf%%:*}; \
+		$(GO) test -coverprofile=cover_$$pkg.out ./internal/$$pkg/; \
+		./scripts/coverfloor.sh cover_$$pkg.out $${pf##*:} internal/$$pkg; \
+	done
 
 # Fuzz smoke: 20s over the request framer (the same bytes fed whole,
 # split, and one at a time through Parser must frame identically, and
@@ -94,77 +75,33 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzChromeTrace -fuzztime=15s ./internal/otrace/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=10s ./internal/slo/
 
-# Plane-harness benchmarks, printed not gated: the live run is 125 ms of
-# real-time pacing, so its ns/op says nothing portable.
-bench-plane:
+# Micro-benchmarks, printed and gated by nothing: absolute ns/op says
+# nothing portable, so speed is gated by bench/ (BENCHMARK.json: paired
+# runs of parent and change on one machine) and allocation counts by
+# tier-1 tests (server/proxy TestHotPathAllocs, extstore.TestHotPathAllocs,
+# sketch.TestRecordZeroAlloc, telemetry.TestObserveZeroAlloc). In order:
+# the plane harness (the live run is 125 ms of real-time pacing); the
+# server, proxy + QoS admission, client (one Get, one 32-key MultiGet
+# over 2 and 8 in-process servers), extstore and SLO-watchdog hot paths;
+# the cache hit under one reader and under GOMAXPROCS readers (parallel
+# minus serial at -cpu 2 is what readers cost each other in shared cache
+# lines); connection-count scaling, 1k -> 100k parked connections on the
+# event-loop core (tiers beyond the fd limit skip; the fixed -benchtime
+# runs the expensive fleet setup once per scale, not once per b.N probe).
+microbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkSimPlane|BenchmarkLivePlane' -benchmem -benchtime 3x .
-
-# Server hot-path benchmarks (get/set/multiget at 1/4/16 connections;
-# BENCH_server.json records the last blessed numbers), then the client
-# against real in-process servers: one Get, and one 32-key MultiGet over
-# 2 and over 8 servers, per op, whose allocs/op are the client's own.
-# Last, printed not gated, the cache hit underneath both: one reader, and
-# GOMAXPROCS readers at once; parallel minus serial at -cpu 2 is what
-# readers cost each other in shared cache lines.
-bench-server:
-	$(GO) test -run '^$$' -bench BenchmarkServerHotPath -benchmem ./internal/server/
-	$(GO) test -run '^$$' -bench 'BenchmarkClientGet|BenchmarkClientMultiGet' -benchmem ./internal/client/
+	$(GO) test -run '^$$' -benchmem \
+		-bench 'ServerHotPath|ProxyHotPath|ProxyQoS|ClientGet|ClientMultiGet|ExtstoreRead|ExtstoreWrite|SketchRecord|WatchdogTick' \
+		./internal/server/ ./internal/proxy/ ./internal/client/ ./internal/extstore/ ./internal/sketch/ ./internal/slo/
 	$(GO) test -run '^$$' -bench BenchmarkGetInto -cpu 1,2 ./internal/cache/
+	$(GO) test -run '^$$' -bench BenchmarkConnScaling -benchmem -benchtime 500000x ./internal/server/
 
-# Proxy hot-path benchmarks (pipelined get/set passthrough, the
-# multiget fork-join through a real proxy + server, and the tenant QoS
-# admission check, which must stay zero-alloc on both the admitted and
-# the shed path). BENCH_proxy.json records the last blessed numbers.
-bench-proxy:
-	$(GO) test -run '^$$' -bench 'BenchmarkProxyHotPath|BenchmarkProxyQoS' -benchmem ./internal/proxy/
-
-# Connection-count scaling (1k -> 100k parked connections on the
-# event-loop core; tiers beyond the fd limit skip). The fixed -benchtime
-# runs the expensive fleet setup once per scale instead of once per b.N
-# probe. BENCH_conns.json records the last blessed numbers.
-bench-conns:
-	$(GO) test -run '^$$' -bench BenchmarkConnScaling -benchmem \
-		-benchtime 500000x ./internal/server/
-
-# Extstore disk-tier benchmarks (indexed read path against a populated
-# segment log, and the bounded sync write path), printed not gated: the
-# allocation bounds are a tier-1 test, extstore.TestHotPathAllocs.
-bench-extstore:
-	$(GO) test -run '^$$' -bench 'BenchmarkExtstoreRead|BenchmarkExtstoreWrite' -benchmem ./internal/extstore/
-
-# SLO watchdog benchmarks, printed not gated: the striped recorder's
-# per-observation cost (its zero-alloc property is a tier-1 test,
-# sketch.TestRecordZeroAlloc / telemetry.TestObserveZeroAlloc) and the
-# per-window watchdog tick.
-bench-slo:
-	$(GO) test -run '^$$' -bench 'BenchmarkSketchRecord|BenchmarkWatchdogTick' -benchmem \
-		./internal/sketch/ ./internal/slo/
-
-# Compare current benchmark runs against the checked-in baselines the
-# way CI does, one target per baseline: >20% ns/op regression or any
-# allocation appearing on a zero-alloc path fails.
-bench-check: bench-check-server bench-check-proxy bench-check-conns
-
-bench-check-server:
-	$(GO) test -run '^$$' -bench BenchmarkServerHotPath -benchmem ./internal/server/ \
-		| $(GO) run ./cmd/benchdiff -baseline BENCH_server.json
-
-bench-check-proxy:
-	$(GO) test -run '^$$' -bench 'BenchmarkProxyHotPath|BenchmarkProxyQoS' -benchmem ./internal/proxy/ \
-		| $(GO) run ./cmd/benchdiff -baseline BENCH_proxy.json
-
-bench-check-conns:
-	$(GO) test -run '^$$' -bench BenchmarkConnScaling -benchmem \
-		-benchtime 500000x ./internal/server/ \
-		| $(GO) run ./cmd/benchdiff -baseline BENCH_conns.json
-
-# Observability smoke: the benchdiff gates that prove the server and
-# proxy hot paths stay zero-alloc while tracing/metrics are compiled in
-# but disabled, then a short live-plane run with the admin plane and
+# Observability smoke: a short live-plane run with the admin plane and
 # span recording armed (mcbench re-parses the Chrome trace it wrote and
 # fails the run if it is malformed) and the in-process /metrics +
-# /healthz scrape test.
-obs: bench-check-server bench-check-proxy
+# /healthz scrape test. That the hot paths stay zero-alloc with
+# tracing/metrics linked in but disabled is tier 1 (TestHotPathAllocs).
+obs:
 	$(GO) run ./cmd/mcbench -plane=live -plane-servers 2 -lambda 2000 \
 		-mus 2000 -n 10 -ops 1200 -miss-ratio 0.02 -seed 7 \
 		-admin 127.0.0.1:0 -trace-ring 8192 -trace-out obs_trace.json -slow 250ms

@@ -1,27 +1,21 @@
 // Benchmarks: one per paper table/figure (regenerating the artifact end
 // to end, so ns/op measures the cost of a full reproduction at bench
-// budget) plus micro-benchmarks of the hot substrate paths.
+// budget) plus micro-benchmarks of the model-side solvers. The live
+// substrate's per-layer costs (cache, protocol, histogram, ring pick)
+// are bench/'s layer rows, not repeated here.
 package memqlat_test
 
 import (
 	"context"
-	"fmt"
 	"testing"
 
-	"memqlat/internal/cache"
 	"memqlat/internal/core"
 	"memqlat/internal/dist"
 	"memqlat/internal/experiments"
 	"memqlat/internal/plane"
-	"memqlat/internal/protocol"
 	"memqlat/internal/queueing"
-	"memqlat/internal/route"
 	"memqlat/internal/sim"
-	"memqlat/internal/stats"
 	"memqlat/internal/workload"
-
-	"bufio"
-	"strings"
 )
 
 // benchBudget keeps each experiment iteration around a second.
@@ -62,7 +56,7 @@ func BenchmarkExtIntegrated(b *testing.B)          { runExperiment(b, experiment
 func BenchmarkExtElasticity(b *testing.B)          { runExperiment(b, experiments.ExtElasticity) }
 func BenchmarkLiveStack(b *testing.B)              { runExperiment(b, experiments.Live) }
 
-// ---- plane harness benchmarks (make bench-plane) ----
+// ---- plane harness benchmarks (make microbench) ----
 
 // BenchmarkSimPlane measures a full simulator-plane evaluation of the
 // Facebook workload at bench budget: scenario lowering, the composition
@@ -116,7 +110,7 @@ func BenchmarkLivePlane(b *testing.B) {
 	}
 }
 
-// ---- micro-benchmarks of the substrate hot paths ----
+// ---- micro-benchmarks of the model-side solvers ----
 
 func BenchmarkDeltaSolverGP(b *testing.B) {
 	gp, err := dist.NewGeneralizedPareto(workload.FacebookXi, 56250)
@@ -168,88 +162,6 @@ func BenchmarkServerSimLindley(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = res.Mean()
-	}
-}
-
-func BenchmarkCacheSet(b *testing.B) {
-	c, err := cache.New(cache.Options{MaxBytes: 256 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := make([]string, 1024)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("bench-key-%d", i)
-	}
-	value := []byte(strings.Repeat("v", 100))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := c.Set(keys[i%len(keys)], value, 0, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCacheGetHit(b *testing.B) {
-	c, err := cache.New(cache.Options{MaxBytes: 256 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := make([]string, 1024)
-	value := []byte(strings.Repeat("v", 100))
-	for i := range keys {
-		keys[i] = fmt.Sprintf("bench-key-%d", i)
-		if err := c.Set(keys[i], value, 0, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Get(keys[i%len(keys)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkProtocolParseSet(b *testing.B) {
-	raw := "set somekey 42 0 100\r\n" + strings.Repeat("v", 100) + "\r\n"
-	big := strings.Repeat(raw, 64)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(raw)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := protocol.NewParser(bufio.NewReader(strings.NewReader(big)))
-		for j := 0; j < 64; j++ {
-			if _, err := p.Next(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		i += 63
-	}
-}
-
-func BenchmarkHistogramRecord(b *testing.B) {
-	h := stats.NewHistogram()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Record(float64(i%1000) * 1e-6)
-	}
-}
-
-func BenchmarkRingSelectorPick(b *testing.B) {
-	ring, err := route.NewRingSelector(16, 160)
-	if err != nil {
-		b.Fatal(err)
-	}
-	keys := make([]string, 256)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("pick-key-%d", i)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = ring.Pick(keys[i%len(keys)])
 	}
 }
 

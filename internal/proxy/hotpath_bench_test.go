@@ -1,14 +1,14 @@
 package proxy
 
-// Hot-path benchmarks for the proxy data plane: pipelined get/set/
-// multiget through a real TCP proxy in front of a real memqlat server.
-// The bench client is allocation-free (prebuilt batches, fixed-size
-// replies read with io.ReadFull), so allocs/op is the combined
-// proxy + server cost; the server's own hot path is already zero-alloc
-// (BENCH_server.json), so any allocation that appears here is the
-// proxy's. Baselines live in BENCH_proxy.json; the CI bench job fails
-// on >20% ns/op regression or any allocation appearing on the
-// zero-alloc get passthrough.
+// Hot-path driver for the proxy data plane: pipelined get/set/multiget
+// through a real TCP proxy in front of a real memqlat server. The
+// client is allocation-free (prebuilt batches, fixed-size replies read
+// with io.ReadFull), so every allocation counted while it runs is the
+// combined proxy + server cost; the server's own hot path is already
+// zero-alloc (server.TestHotPathAllocs), so any that appears here is
+// the proxy's. Two consumers: TestHotPathAllocs gates that count in
+// tier 1, BenchmarkProxyHotPath / BenchmarkProxyQoS print ns/op and
+// gate nothing (speed is gated by bench/, on paired same-machine runs).
 
 import (
 	"fmt"
@@ -22,6 +22,7 @@ import (
 
 	"memqlat/internal/cache"
 	"memqlat/internal/server"
+	"memqlat/internal/tenant"
 )
 
 const (
@@ -34,30 +35,30 @@ func benchKey(i int) string { return fmt.Sprintf("k%04d", i%benchKeys) }
 // startBenchProxy brings up nBackends servers pre-populated with
 // benchKeys fixed-size values and a proxy in front of them, and returns
 // the proxy's address.
-func startBenchProxy(b *testing.B, nBackends int) string {
-	b.Helper()
+func startBenchProxy(tb testing.TB, nBackends int) string {
+	tb.Helper()
 	addrs := make([]string, nBackends)
 	for s := 0; s < nBackends; s++ {
 		c, err := cache.New(cache.Options{MaxBytes: 256 << 20})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		value := []byte(strings.Repeat("v", benchValueLen))
 		for i := 0; i < benchKeys; i++ {
 			if err := c.Set(benchKey(i), value, 0, 0); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 		srv, err := server.New(server.Options{Cache: c, Logger: log.New(io.Discard, "", 0)})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		l, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		go func() { _ = srv.Serve(l) }()
-		b.Cleanup(func() { _ = srv.Close() })
+		tb.Cleanup(func() { _ = srv.Close() })
 		addrs[s] = l.Addr().String()
 	}
 	p, err := New(Options{
@@ -65,14 +66,14 @@ func startBenchProxy(b *testing.B, nBackends int) string {
 		Logger:    log.New(io.Discard, "", 0),
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	go func() { _ = p.Serve(l) }()
-	b.Cleanup(func() { _ = p.Close() })
+	tb.Cleanup(func() { _ = p.Close() })
 	return l.Addr().String()
 }
 
@@ -116,82 +117,149 @@ func benchBatch(op string, offset int) (batch []byte, ops int, respLen int) {
 	return []byte(sb.String()), ops, respLen
 }
 
-// BenchmarkProxyHotPath measures the proxied data plane. The get and
-// set variants are single-upstream passthroughs (the zero-alloc
-// contract); multiget-split forces the fork-join path by fronting two
-// backends, whose reply assembly buffers per part.
-func BenchmarkProxyHotPath(b *testing.B) {
-	for _, bc := range []struct {
-		name     string
-		op       string
-		backends int
-		conns    int
-	}{
-		{"get/conns=1", "get", 1, 1},
-		{"get/conns=4", "get", 1, 4},
-		{"set/conns=1", "set", 1, 1},
-		{"multiget/conns=1", "multiget", 1, 1},
-		{"multiget-split/conns=1", "multiget", 2, 1},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			addr := startBenchProxy(b, bc.backends)
-			type worker struct {
-				nc    net.Conn
-				batch []byte
-				resp  []byte
-				ops   int64
-			}
-			workers := make([]*worker, bc.conns)
-			for i := range workers {
-				nc, err := net.Dial("tcp", addr)
-				if err != nil {
-					b.Fatal(err)
+// benchConn is one pipelined client: a connection, its prebuilt batch
+// and a reply buffer of exactly the reply's size.
+type benchConn struct {
+	nc    net.Conn
+	batch []byte
+	resp  []byte
+	ops   int64
+}
+
+// dialBench connects to addr and pumps the batch a few times to warm
+// the upstream pool, parser buffers and pending freelists, so what
+// follows is steady state.
+func dialBench(tb testing.TB, addr string, batch []byte, ops, respLen int) *benchConn {
+	tb.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = nc.Close() })
+	c := &benchConn{nc: nc, batch: batch, resp: make([]byte, respLen), ops: int64(ops)}
+	for i := 0; i < 4; i++ {
+		if err := c.roundTrip(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
+}
+
+// roundTrip writes the batch and reads the whole reply.
+func (c *benchConn) roundTrip() error {
+	if _, err := c.nc.Write(c.batch); err != nil {
+		return err
+	}
+	_, err := io.ReadFull(c.nc, c.resp)
+	return err
+}
+
+// pumpBench drives every connection from its own goroutine until b.N
+// commands are done.
+func pumpBench(b *testing.B, conns []*benchConn) {
+	var remaining atomic.Int64
+	remaining.Store(int64(b.N))
+	var wg sync.WaitGroup
+	errs := make(chan error, len(conns))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, c := range conns {
+		wg.Add(1)
+		go func(c *benchConn) {
+			defer wg.Done()
+			for remaining.Add(-c.ops) > -c.ops {
+				if err := c.roundTrip(); err != nil {
+					errs <- err
+					return
 				}
-				defer nc.Close()
-				batch, ops, respLen := benchBatch(bc.op, i*16)
-				workers[i] = &worker{nc: nc, batch: batch, resp: make([]byte, respLen), ops: int64(ops)}
 			}
-			pump := func(w *worker) error {
-				if _, err := w.nc.Write(w.batch); err != nil {
-					return err
-				}
-				_, err := io.ReadFull(w.nc, w.resp)
-				return err
+		}(c)
+	}
+	wg.Wait()
+	b.StopTimer()
+	select {
+	case err := <-errs:
+		b.Fatal(err)
+	default:
+	}
+}
+
+// hotPathCases are the proxied data-plane shapes. get and set are
+// single-upstream passthroughs; multiget-split forces the fork-join
+// path by fronting two backends, whose reply assembly buffers per part.
+var hotPathCases = []struct {
+	name     string
+	op       string
+	backends int
+}{
+	{"get", "get", 1},
+	{"set", "set", 1},
+	{"multiget", "multiget", 1},
+	{"multiget-split", "multiget", 2},
+}
+
+// TestHotPathAllocs is the allocation gate of the proxy hop: a
+// pipelined batch of gets or multigets through the proxy (passthrough,
+// fork-join split, QoS admitted, QoS shed) costs the whole process zero
+// heap allocations, a set at most three (the backend's stored item).
+// AllocsPerRun counts every goroutine's mallocs, so proxy and backend
+// are both in the count.
+func TestHotPathAllocs(t *testing.T) {
+	for _, tc := range hotPathCases {
+		t.Run(tc.name, func(t *testing.T) {
+			batch, ops, respLen := benchBatch(tc.op, 0)
+			c := dialBench(t, startBenchProxy(t, tc.backends), batch, ops, respLen)
+			limit := 0
+			if tc.op == "set" {
+				limit = 3 * ops
 			}
-			// Warm the upstream pool, parser buffers and pending freelists
-			// so the timed region measures steady state.
-			for _, w := range workers {
-				for i := 0; i < 4; i++ {
-					if err := pump(w); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-			var remaining atomic.Int64
-			remaining.Store(int64(b.N))
-			var wg sync.WaitGroup
-			errs := make(chan error, bc.conns)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for _, w := range workers {
-				wg.Add(1)
-				go func(w *worker) {
-					defer wg.Done()
-					for remaining.Add(-w.ops) > -w.ops {
-						if err := pump(w); err != nil {
-							errs <- err
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			b.StopTimer()
-			select {
-			case err := <-errs:
-				b.Fatal(err)
-			default:
-			}
+			checkBatchAllocs(t, c, limit)
 		})
 	}
+	for _, tc := range qosCases {
+		t.Run(tc.name, func(t *testing.T) {
+			batch, ops, respLen := qosBatch(tc.shed)
+			c := dialBench(t, startQoSBenchProxy(t, []tenant.Spec{tc.spec}), batch, ops, respLen)
+			checkBatchAllocs(t, c, 0)
+		})
+	}
+}
+
+// checkBatchAllocs fails if one steady-state batch on c allocates more
+// than limit times.
+func checkBatchAllocs(t *testing.T, c *benchConn, limit int) {
+	t.Helper()
+	var err error
+	allocs := testing.AllocsPerRun(500, func() {
+		if e := c.roundTrip(); e != nil && err == nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > float64(limit) {
+		t.Errorf("batch of %d: %.0f allocs, want <= %d", c.ops, allocs, limit)
+	}
+}
+
+// BenchmarkProxyHotPath prints the per-command cost of the proxied data
+// plane (make microbench); nothing compares it against a recorded
+// number.
+func BenchmarkProxyHotPath(b *testing.B) {
+	run := func(name, op string, backends, conns int) {
+		b.Run(fmt.Sprintf("%s/conns=%d", name, conns), func(b *testing.B) {
+			addr := startBenchProxy(b, backends)
+			workers := make([]*benchConn, conns)
+			for i := range workers {
+				batch, ops, respLen := benchBatch(op, i*16)
+				workers[i] = dialBench(b, addr, batch, ops, respLen)
+			}
+			pumpBench(b, workers)
+		})
+	}
+	for _, bc := range hotPathCases {
+		run(bc.name, bc.op, bc.backends, 1)
+	}
+	run("get", "get", 1, 4)
 }

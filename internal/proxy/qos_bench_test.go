@@ -1,7 +1,7 @@
 package proxy
 
 // BenchmarkProxyQoS measures the tenant admission check on the proxy
-// data plane. The contract gated by BENCH_proxy.json: arming the QoS
+// data plane. The contract, gated by TestHotPathAllocs: arming the QoS
 // layer adds zero allocations per op to the get passthrough — both
 // when the command is admitted (prefix lookup + bucket math + per-
 // tenant latency record) and when it is shed (local SERVER_ERROR via
@@ -13,8 +13,6 @@ import (
 	"log"
 	"net"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"memqlat/internal/cache"
@@ -26,31 +24,31 @@ func qosBenchKey(i int) string { return fmt.Sprintf("t:%04d", i%benchKeys) }
 
 // startQoSBenchProxy brings up one backend populated with tenant-
 // prefixed keys and a QoS-armed proxy in front of it.
-func startQoSBenchProxy(b *testing.B, specs []tenant.Spec) string {
-	b.Helper()
+func startQoSBenchProxy(tb testing.TB, specs []tenant.Spec) string {
+	tb.Helper()
 	c, err := cache.New(cache.Options{MaxBytes: 256 << 20})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	value := []byte(strings.Repeat("v", benchValueLen))
 	for i := 0; i < benchKeys; i++ {
 		if err := c.Set(qosBenchKey(i), value, 0, 0); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	srv, err := server.New(server.Options{Cache: c, Logger: log.New(io.Discard, "", 0)})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	sl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	go func() { _ = srv.Serve(sl) }()
-	b.Cleanup(func() { _ = srv.Close() })
+	tb.Cleanup(func() { _ = srv.Close() })
 	lim, err := tenant.New(specs)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p, err := New(Options{
 		Upstreams: []string{sl.Addr().String()},
@@ -58,84 +56,54 @@ func startQoSBenchProxy(b *testing.B, specs []tenant.Spec) string {
 		Logger:    log.New(io.Discard, "", 0),
 	})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	pl, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	go func() { _ = p.Serve(pl) }()
-	b.Cleanup(func() { _ = p.Close() })
+	tb.Cleanup(func() { _ = p.Close() })
 	return pl.Addr().String()
 }
 
+// qosCases are the two admission outcomes.
+var qosCases = []struct {
+	name string
+	shed bool
+	spec tenant.Spec
+}{
+	// admitted: the bucket never runs dry — pure admission overhead
+	// on top of the get passthrough.
+	{"get-admitted", false, tenant.Spec{Name: "t", Rate: 1e12, Burst: 1e9}},
+	// shed: the bucket starts empty and refills at a negligible
+	// rate — measures the shed-before-queue fast path.
+	{"get-shed", true, tenant.Spec{Name: "t", Rate: 1e-9, Burst: 1e-9}},
+}
+
+// qosBatch builds a pipeline of tenant-prefixed single-key gets and
+// the exact byte count of the reply: VALUE blocks when admitted, one
+// shed line per command otherwise.
+func qosBatch(shed bool) (batch []byte, ops int, respLen int) {
+	ops = 64
+	var sb strings.Builder
+	for i := 0; i < ops; i++ {
+		fmt.Fprintf(&sb, "get %s\r\n", qosBenchKey(i))
+	}
+	valueBlock := len("VALUE t:0000 0 100\r\n") + benchValueLen + 2
+	respLen = ops * (valueBlock + len("END\r\n"))
+	if shed {
+		respLen = ops * len(tenantShedLine)
+	}
+	return []byte(sb.String()), ops, respLen
+}
+
 func BenchmarkProxyQoS(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		spec tenant.Spec
-	}{
-		// admitted: the bucket never runs dry — pure admission overhead
-		// on top of the get passthrough.
-		{"get-admitted/conns=1", tenant.Spec{Name: "t", Rate: 1e12, Burst: 1e9}},
-		// shed: the bucket starts empty and refills at a negligible
-		// rate — measures the shed-before-queue fast path.
-		{"get-shed/conns=1", tenant.Spec{Name: "t", Rate: 1e-9, Burst: 1e-9}},
-	} {
-		shed := bc.spec.Rate < 1
-		b.Run(bc.name, func(b *testing.B) {
+	for _, bc := range qosCases {
+		b.Run(bc.name+"/conns=1", func(b *testing.B) {
 			addr := startQoSBenchProxy(b, []tenant.Spec{bc.spec})
-			const ops = 64
-			var sb strings.Builder
-			for i := 0; i < ops; i++ {
-				fmt.Fprintf(&sb, "get %s\r\n", qosBenchKey(i))
-			}
-			batch := []byte(sb.String())
-			valueBlock := len("VALUE t:0000 0 100\r\n") + benchValueLen + 2
-			respLen := ops * (valueBlock + len("END\r\n"))
-			if shed {
-				respLen = ops * len(tenantShedLine)
-			}
-			nc, err := net.Dial("tcp", addr)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer nc.Close()
-			resp := make([]byte, respLen)
-			pump := func() error {
-				if _, err := nc.Write(batch); err != nil {
-					return err
-				}
-				_, err := io.ReadFull(nc, resp)
-				return err
-			}
-			for i := 0; i < 4; i++ {
-				if err := pump(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			var remaining atomic.Int64
-			remaining.Store(int64(b.N))
-			var wg sync.WaitGroup
-			errs := make(chan error, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for remaining.Add(-ops) > -ops {
-					if err := pump(); err != nil {
-						errs <- err
-						return
-					}
-				}
-			}()
-			wg.Wait()
-			b.StopTimer()
-			select {
-			case err := <-errs:
-				b.Fatal(err)
-			default:
-			}
+			batch, ops, respLen := qosBatch(bc.shed)
+			pumpBench(b, []*benchConn{dialBench(b, addr, batch, ops, respLen)})
 		})
 	}
 }

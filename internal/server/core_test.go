@@ -17,8 +17,8 @@ import (
 )
 
 // testCores lists the connection cores runnable on this platform.
-func testCores(t *testing.T) []string {
-	t.Helper()
+func testCores(tb testing.TB) []string {
+	tb.Helper()
 	if runtime.GOOS != "linux" {
 		return []string{CoreGoroutines}
 	}

@@ -1,13 +1,13 @@
 package server
 
-// Hot-path benchmarks for the live server: pipelined get/set/multiget
-// over real TCP connections. The client side is deliberately
-// allocation-free (prebuilt request batches, fixed-size expected
-// responses read with io.ReadFull), so allocs/op reported by -benchmem
-// is the server-side cost of parsing, cache access and response
-// formatting. Baselines live in BENCH_server.json; the CI bench job
-// fails on >20% ns/op regression or any new allocs on the zero-alloc
-// get path.
+// Hot-path driver for the live server: pipelined get/set/multiget over
+// real TCP connections. The client side is deliberately allocation-free
+// (prebuilt request batches, fixed-size expected responses read with
+// io.ReadFull), so every allocation counted while it runs is the
+// server-side cost of parsing, cache access and response formatting.
+// Two consumers: TestHotPathAllocs gates that count in tier 1 (it is the
+// same on every machine), BenchmarkServerHotPath prints ns/op and gates
+// nothing (speed is gated by bench/, on paired same-machine runs).
 
 import (
 	"fmt"
@@ -31,29 +31,31 @@ const (
 func hotKey(i int) string { return fmt.Sprintf("k%04d", i%hotKeys) }
 
 // startHotServer brings up an unshaped server on a loopback listener
-// with hotKeys pre-populated fixed-size values.
-func startHotServer(b *testing.B, core string) (*Server, net.Addr) {
-	b.Helper()
+// with hotKeys pre-populated fixed-size values and returns its address.
+// maxConns 0 keeps the server's default cap.
+func startHotServer(tb testing.TB, core string, maxConns int) string {
+	tb.Helper()
 	c, err := cache.New(cache.Options{MaxBytes: 256 << 20})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	value := []byte(strings.Repeat("v", hotValueLen))
 	for i := 0; i < hotKeys; i++ {
 		if err := c.Set(hotKey(i), value, 0, 0); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	srv, err := New(Options{Cache: c, ConnCore: core, Logger: log.New(io.Discard, "", 0)})
+	srv, err := New(Options{Cache: c, ConnCore: core, MaxConns: maxConns, Logger: log.New(io.Discard, "", 0)})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	go func() { _ = srv.Serve(l) }()
-	return srv, l.Addr()
+	tb.Cleanup(func() { _ = srv.Close() })
+	return l.Addr().String()
 }
 
 // hotBatch builds one pipelined request batch plus the exact byte count
@@ -96,51 +98,119 @@ func hotBatch(op string, offset int) (batch []byte, ops int, respLen int) {
 	return []byte(sb.String()), ops, respLen
 }
 
-// BenchmarkServerHotPath drives the server end to end: conns workers
-// each own one TCP connection and pump pipelined batches until b.N ops
-// are done. ns/op is per command; the get path must stay 0 allocs/op.
-// The legacy goroutine core keeps its original benchmark names (the
-// long-running baseline series); the event-loop core runs the same
-// matrix under a core=eventloop prefix with its own baselines, holding
-// both cores to the zero-alloc gate.
-func BenchmarkServerHotPath(b *testing.B) {
-	for _, op := range []string{"get", "set", "multiget"} {
-		for _, conns := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("%s/conns=%d", op, conns), func(b *testing.B) {
-				benchHotPath(b, CoreGoroutines, op, conns)
+// hotConn is one pipelined client: a connection, its prebuilt batch and
+// a reply buffer of exactly the reply's size.
+type hotConn struct {
+	nc    net.Conn
+	batch []byte
+	resp  []byte
+	ops   int64
+}
+
+// dialHot connects to addr and pumps the batch a few times to warm the
+// connection's parser and write buffers, so what follows is steady state.
+func dialHot(tb testing.TB, addr, op string, offset int) *hotConn {
+	tb.Helper()
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { _ = nc.Close() })
+	batch, ops, respLen := hotBatch(op, offset)
+	c := &hotConn{nc: nc, batch: batch, resp: make([]byte, respLen), ops: int64(ops)}
+	for i := 0; i < 4; i++ {
+		if err := c.roundTrip(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return c
+}
+
+// roundTrip writes the batch and reads the whole reply.
+func (c *hotConn) roundTrip() error {
+	if _, err := c.nc.Write(c.batch); err != nil {
+		return err
+	}
+	_, err := io.ReadFull(c.nc, c.resp)
+	return err
+}
+
+// TestHotPathAllocs is the allocation gate of the server hot path, on
+// both connection cores: a pipelined batch of gets or multigets costs
+// the whole process zero heap allocations, a set at most three (the
+// stored item). AllocsPerRun counts every goroutine's mallocs, so the
+// server side is what it sees. The last case repeats the get with 1000
+// connections parked on the event loop: fan-in must not add a malloc.
+func TestHotPathAllocs(t *testing.T) {
+	for _, core := range testCores(t) {
+		for _, op := range []string{"get", "set", "multiget"} {
+			t.Run(core+"/"+op, func(t *testing.T) {
+				checkHotAllocs(t, startHotServer(t, core, 0), op)
 			})
 		}
 	}
-	if runtime.GOOS != "linux" {
-		return
+	t.Run(CoreEventLoop+"/get/parked=1000", func(t *testing.T) {
+		if runtime.GOOS != "linux" {
+			t.Skip("event loop requires linux")
+		}
+		const parked = 1000
+		if limit, need := raiseNoFile(), fdsFor(parked); limit < need {
+			t.Skipf("RLIMIT_NOFILE=%d < %d needed for %d in-process connections", limit, need, parked)
+		}
+		addr := startScalingServer(t, parked)
+		dialFleet(t, addr, parked)
+		checkHotAllocs(t, addr, "get")
+	})
+}
+
+// checkHotAllocs fails unless a steady-state batch of op against addr
+// allocates nothing (get, multiget) or at most 3 per command (set).
+func checkHotAllocs(t *testing.T, addr, op string) {
+	t.Helper()
+	c := dialHot(t, addr, op, 0)
+	var err error
+	allocs := testing.AllocsPerRun(500, func() {
+		if e := c.roundTrip(); e != nil && err == nil {
+			err = e
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, op := range []string{"get", "set", "multiget"} {
-		for _, conns := range []int{1, 4, 16} {
-			b.Run(fmt.Sprintf("core=eventloop/%s/conns=%d", op, conns), func(b *testing.B) {
-				benchHotPath(b, CoreEventLoop, op, conns)
-			})
+	var limit int64
+	if op == "set" {
+		limit = 3 * c.ops
+	}
+	if allocs > float64(limit) {
+		t.Errorf("%s batch of %d: %.0f allocs, want <= %d", op, c.ops, allocs, limit)
+	}
+}
+
+// BenchmarkServerHotPath drives the server end to end: conns workers
+// each own one TCP connection and pump pipelined batches until b.N ops
+// are done. ns/op is per command, printed for the reader (make
+// microbench); nothing compares it against a recorded number.
+func BenchmarkServerHotPath(b *testing.B) {
+	for _, core := range testCores(b) {
+		prefix := ""
+		if core != CoreGoroutines {
+			prefix = "core=" + core + "/"
+		}
+		for _, op := range []string{"get", "set", "multiget"} {
+			for _, conns := range []int{1, 4, 16} {
+				b.Run(fmt.Sprintf("%s%s/conns=%d", prefix, op, conns), func(b *testing.B) {
+					benchHotPath(b, core, op, conns)
+				})
+			}
 		}
 	}
 }
 
 func benchHotPath(b *testing.B, core, op string, conns int) {
-	srv, addr := startHotServer(b, core)
-	defer srv.Close()
-	type worker struct {
-		nc    net.Conn
-		batch []byte
-		resp  []byte
-		ops   int64
-	}
-	workers := make([]*worker, conns)
+	addr := startHotServer(b, core, 0)
+	workers := make([]*hotConn, conns)
 	for i := range workers {
-		nc, err := net.Dial("tcp", addr.String())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer nc.Close()
-		batch, ops, respLen := hotBatch(op, i*16)
-		workers[i] = &worker{nc: nc, batch: batch, resp: make([]byte, respLen), ops: int64(ops)}
+		workers[i] = dialHot(b, addr, op, i*16)
 	}
 	var remaining atomic.Int64
 	remaining.Store(int64(b.N))
@@ -150,14 +220,10 @@ func benchHotPath(b *testing.B, core, op string, conns int) {
 	b.ResetTimer()
 	for _, w := range workers {
 		wg.Add(1)
-		go func(w *worker) {
+		go func(w *hotConn) {
 			defer wg.Done()
 			for remaining.Add(-w.ops) > -w.ops {
-				if _, err := w.nc.Write(w.batch); err != nil {
-					errs <- err
-					return
-				}
-				if _, err := io.ReadFull(w.nc, w.resp); err != nil {
+				if err := w.roundTrip(); err != nil {
 					errs <- err
 					return
 				}

@@ -188,7 +188,7 @@ func TestRecordZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkSketchRecord prints the per-record cost `make bench-slo`
+// BenchmarkSketchRecord prints the per-record cost `make microbench`
 // reports; the zero-alloc half is gated by TestRecordZeroAlloc.
 func BenchmarkSketchRecord(b *testing.B) {
 	s := mustNew(b)

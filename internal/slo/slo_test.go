@@ -510,7 +510,7 @@ func FuzzParseSpec(f *testing.F) {
 	})
 }
 
-// BenchmarkWatchdogTick prints what `make bench-slo` reports: one
+// BenchmarkWatchdogTick prints what `make microbench` reports: one
 // window close over a realistically loaded watchdog (three active
 // stages plus the end-to-end sketch).
 func BenchmarkWatchdogTick(b *testing.B) {
