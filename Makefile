@@ -100,7 +100,8 @@ microbench:
 # span recording armed (mcbench re-parses the Chrome trace it wrote and
 # fails the run if it is malformed) and the in-process /metrics +
 # /healthz scrape test. That the hot paths stay zero-alloc with
-# tracing/metrics linked in but disabled is tier 1 (TestHotPathAllocs).
+# tracing/metrics linked in but disabled is tier 1 (TestHotPathAllocs),
+# and so is the admin plane of the real binary (TestObsSmoke).
 obs:
 	$(GO) run ./cmd/mcbench -plane=live -plane-servers 2 -lambda 2000 \
 		-mus 2000 -n 10 -ops 1200 -miss-ratio 0.02 -seed 7 \
@@ -109,11 +110,12 @@ obs:
 	$(GO) test -run TestObservabilitySmoke -count=1 ./cmd/mcbench/
 
 # SLO watchdog smoke: the drift experiment (sim determinism + live
-# detection + healthy-ramp false-alarm sweep), the shell smoke (server
-# overload attribution on /debug/watch, exemplars, live-plane db fault).
+# detection + healthy-ramp false-alarm sweep), then the real binaries
+# (server overload blamed on /debug/watch, exemplars, live-plane db
+# fault; tier 1 runs it too).
 slo:
 	$(GO) test -run TestDrift -count=1 -v ./internal/experiments/
-	./scripts/slo_smoke.sh
+	$(GO) test -run TestSLOSmoke -count=1 -v .
 
 repro:
 	$(GO) run ./cmd/repro -run all

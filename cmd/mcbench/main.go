@@ -45,13 +45,13 @@ import (
 
 	"memqlat/internal/core"
 	"memqlat/internal/fault"
+	"memqlat/internal/keylog"
 	"memqlat/internal/metrics"
 	"memqlat/internal/otrace"
 	"memqlat/internal/plane"
 	"memqlat/internal/slo"
 	"memqlat/internal/telemetry"
 	"memqlat/internal/tenant"
-	"memqlat/internal/trace"
 )
 
 func main() {
@@ -260,13 +260,13 @@ func keyJournal(path string, out io.Writer) (observe func(time.Duration, string)
 	if err != nil {
 		return nil, nil, err
 	}
-	journal := trace.NewWriter(f)
+	journal := keylog.NewWriter(f)
 	failed := false
 	observe = func(offset time.Duration, key string) {
 		// The pacer is single-threaded; journaling inline is safe.
 		// Trace-write failures must not abort the measurement run.
 		if !failed {
-			if err := journal.Write(trace.Record{Offset: offset, Key: key}); err != nil {
+			if err := journal.Write(keylog.Record{Offset: offset, Key: key}); err != nil {
 				fmt.Fprintln(out, "trace write failed:", err)
 				failed = true
 			}

@@ -15,8 +15,8 @@ import (
 	"memqlat/internal/otrace"
 
 	"memqlat/internal/cache"
+	"memqlat/internal/keylog"
 	"memqlat/internal/server"
-	"memqlat/internal/trace"
 )
 
 func startTestServer(t *testing.T) string {
@@ -279,7 +279,7 @@ func TestRunWithTraceJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	records, err := trace.NewReader(f).ReadAll()
+	records, err := keylog.NewReader(f).ReadAll()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +477,7 @@ func TestFlagModes(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		records, err := trace.NewReader(f).ReadAll()
+		records, err := keylog.NewReader(f).ReadAll()
 		if err != nil || len(records) != 400 {
 			t.Fatalf("journaled %d records (err %v), want 400", len(records), err)
 		}

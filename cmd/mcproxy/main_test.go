@@ -5,8 +5,6 @@ import (
 	"log"
 	"net"
 	"os"
-	"os/signal"
-	"runtime"
 	"syscall"
 	"testing"
 	"time"
@@ -14,28 +12,8 @@ import (
 	"memqlat/internal/cache"
 	"memqlat/internal/client"
 	"memqlat/internal/server"
+	"memqlat/internal/testkit"
 )
-
-// reservePort returns a loopback address that was free a moment ago.
-func reservePort(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	return l.Addr().String()
-}
-
-// goroutineBaseline counts goroutines once os/signal's loop goroutine is
-// running: the process's first signal.Notify starts it for good, so it
-// would otherwise read as a leak of the first run() a test makes.
-func goroutineBaseline() int {
-	warm := make(chan os.Signal, 1)
-	signal.Notify(warm, syscall.SIGUSR1)
-	signal.Stop(warm)
-	return runtime.NumGoroutine()
-}
 
 // startUpstream serves one in-process memcached server for the proxy to
 // route to.
@@ -64,9 +42,9 @@ func startUpstream(t *testing.T) string {
 // with every goroutine it started (and every upstream handler) gone.
 func TestRunDrainsOnSIGTERM(t *testing.T) {
 	upstream := startUpstream(t)
-	baseline := goroutineBaseline()
+	settled := testkit.Settles(t)
 
-	addr := reservePort(t)
+	addr := testkit.ReservePort(t)
 	done := make(chan error, 1)
 	// -slo arms the watchdog, whose window goroutine run has to stop too.
 	go func() {
@@ -78,19 +56,14 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if err = cl.Set("k", []byte("v"), 0, 0); err == nil {
-			break
-		}
+	testkit.WaitReady(t, "proxy", func() error {
 		select {
 		case rerr := <-done:
 			t.Fatalf("run returned before serving: %v", rerr)
 		default:
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("proxy never answered a set: %v", err)
-		}
-	}
+		return cl.Set("k", []byte("v"), 0, 0)
+	})
 	if it, err := cl.Get("k"); err != nil || string(it.Value) != "v" {
 		t.Fatalf("get through the proxy = %q, %v", it.Value, err)
 	}
@@ -109,11 +82,5 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 		t.Fatal("run did not return within 5s of SIGTERM")
 	}
 	_ = cl.Close()
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines after drain, baseline %d:\n%s",
-				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-	}
+	settled("after drain")
 }

@@ -1,44 +1,21 @@
 package main
 
 import (
-	"net"
 	"os"
-	"os/signal"
-	"runtime"
 	"syscall"
 	"testing"
 	"time"
 
 	"memqlat/internal/client"
+	"memqlat/internal/testkit"
 )
-
-// reservePort returns a loopback address that was free a moment ago.
-func reservePort(t *testing.T) string {
-	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	return l.Addr().String()
-}
-
-// goroutineBaseline counts goroutines once os/signal's loop goroutine is
-// running: the process's first signal.Notify starts it for good, so it
-// would otherwise read as a leak of the first run() a test makes.
-func goroutineBaseline() int {
-	warm := make(chan os.Signal, 1)
-	signal.Notify(warm, syscall.SIGUSR1)
-	signal.Stop(warm)
-	return runtime.NumGoroutine()
-}
 
 // TestRunDrainsOnSIGTERM: the binary serves a set/get, and SIGTERM —
 // arriving while the client still holds a pooled connection — makes run
 // return nil with every goroutine it started gone.
 func TestRunDrainsOnSIGTERM(t *testing.T) {
-	baseline := goroutineBaseline()
-	addr := reservePort(t)
+	settled := testkit.Settles(t)
+	addr := testkit.ReservePort(t)
 	done := make(chan error, 1)
 	// -slo arms the watchdog, whose window goroutine run has to stop too.
 	go func() {
@@ -50,19 +27,14 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() { _ = cl.Close() }()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		if err = cl.Set("k", []byte("v"), 0, 0); err == nil {
-			break
-		}
+	testkit.WaitReady(t, "server", func() error {
 		select {
 		case rerr := <-done:
 			t.Fatalf("run returned before serving: %v", rerr)
 		default:
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server never answered a set: %v", err)
-		}
-	}
+		return cl.Set("k", []byte("v"), 0, 0)
+	})
 	if it, err := cl.Get("k"); err != nil || string(it.Value) != "v" {
 		t.Fatalf("get = %q, %v", it.Value, err)
 	}
@@ -81,13 +53,7 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 		t.Fatal("run did not return within 5s of SIGTERM")
 	}
 	_ = cl.Close()
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; time.Sleep(10 * time.Millisecond) {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines after drain, baseline %d:\n%s",
-				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
-		}
-	}
+	settled("after drain")
 }
 
 // TestRunRejectsFlags: the shaped path has one service channel and no
@@ -98,7 +64,7 @@ func TestRunRejectsFlags(t *testing.T) {
 		{"-slow", "10ms"},
 		{"-exemplars"},
 	} {
-		args = append([]string{"-addr", reservePort(t)}, args...)
+		args = append([]string{"-addr", testkit.ReservePort(t)}, args...)
 		done := make(chan error, 1)
 		go func() { done <- run(args) }()
 		select {

@@ -23,8 +23,8 @@ import (
 	"strconv"
 	"strings"
 
+	"memqlat/internal/keylog"
 	"memqlat/internal/mrc"
-	"memqlat/internal/trace"
 	"memqlat/internal/workload"
 )
 
@@ -122,11 +122,11 @@ func ingest(src io.Reader) (*mrc.Analyzer, error) {
 		case 2:
 			// trace format: "<offset-ns> <key>"
 			if _, err := strconv.ParseInt(fields[0], 10, 64); err != nil {
-				return nil, fmt.Errorf("%w: line %d: %q", trace.ErrSyntax, lineNo, line)
+				return nil, fmt.Errorf("%w: line %d: %q", keylog.ErrSyntax, lineNo, line)
 			}
 			analyzer.Add(fields[1])
 		default:
-			return nil, fmt.Errorf("%w: line %d: %q", trace.ErrSyntax, lineNo, line)
+			return nil, fmt.Errorf("%w: line %d: %q", keylog.ErrSyntax, lineNo, line)
 		}
 	}
 	if err := scanner.Err(); err != nil {

@@ -50,7 +50,7 @@ func run() error {
 	fmt.Printf("compulsory miss floor: %.2f%%\n\n", curve.ColdMissRatio()*100)
 
 	// 2. Sweep cache capacity: MRC gives r, Theorem 1 gives latency.
-	fmt.Printf("%-10s  %-10s  %-14s  %-12s\n", "capacity", "miss r", "E[TD(N)]", "E[T(N)] hi")
+	fmt.Printf("%-10s  %-10s  %-14s  %s\n", "capacity", "miss r", "E[TD(N)]", "E[T(N)] hi")
 	for _, capacity := range []int{500, 1000, 2000, 5000, 10000, 20000} {
 		r := curve.MissRatio(capacity)
 		model := workload.Facebook()

@@ -20,10 +20,10 @@ import (
 
 	"memqlat/internal/cache"
 	"memqlat/internal/client"
+	"memqlat/internal/keylog"
 	"memqlat/internal/loadgen"
 	"memqlat/internal/mrc"
 	"memqlat/internal/server"
-	"memqlat/internal/trace"
 )
 
 func main() {
@@ -71,7 +71,7 @@ func run() error {
 	defer shutdownBig()
 
 	var journal bytes.Buffer
-	writer := trace.NewWriter(&journal)
+	writer := keylog.NewWriter(&journal)
 	opts := loadgen.Options{
 		Client:  bigClient,
 		Keys:    3000,
@@ -83,7 +83,7 @@ func run() error {
 		Workers: 16,
 		Seed:    21,
 		Observer: func(offset time.Duration, key string) {
-			_ = writer.Write(trace.Record{Offset: offset, Key: key})
+			_ = writer.Write(keylog.Record{Offset: offset, Key: key})
 		},
 	}
 	if err := loadgen.Populate(opts); err != nil {
@@ -100,11 +100,11 @@ func run() error {
 		res.Issued, res.AchievedRate(), res.Hits)
 
 	// 2. Analyze: what does this trace's miss-ratio curve look like?
-	records, err := trace.NewReader(bytes.NewReader(journal.Bytes())).ReadAll()
+	records, err := keylog.NewReader(bytes.NewReader(journal.Bytes())).ReadAll()
 	if err != nil {
 		return err
 	}
-	curve, err := mrc.Compute(trace.Keys(records))
+	curve, err := mrc.Compute(keylog.Keys(records))
 	if err != nil {
 		return err
 	}
@@ -123,7 +123,7 @@ func run() error {
 	}
 	defer shutdownSmall()
 	var hits, misses int
-	err = trace.Replay(context.Background(), records, 20, func(key string) error {
+	err = keylog.Replay(context.Background(), records, 20, func(key string) error {
 		_, err := smallClient.Get(key)
 		switch {
 		case err == nil:

@@ -1,7 +1,8 @@
 // SLO planning: the model's extensions answering deployment questions
 // the paper stops short of — what are my percentile latencies, how much
-// traffic can I admit under a latency budget, does the constant-network
-// assumption hold for my link, and would hedged reads help? Run with:
+// traffic can I admit under a latency budget, and does the
+// constant-network assumption hold for my link? (Whether hedged reads
+// would help is `repro -run ext-redundancy`.) Run with:
 //
 //	go run ./examples/slo
 package main
@@ -39,7 +40,7 @@ func run() error {
 
 	// 2. Admission control: maximum aggregate rate under a TS budget.
 	fmt.Println("\nadmission limits (aggregate keys/s keeping E[T_S(N)] under budget):")
-	for _, budget := range []float64{200e-6, 350e-6, 500e-6, 1e-3} {
+	for _, budget := range []float64{200e-6, 500e-6} {
 		rate, err := model.MaxTotalKeyRate(budget)
 		if err != nil {
 			fmt.Printf("  budget %-7s -> %v\n", us(budget), err)
@@ -66,20 +67,6 @@ func run() error {
 		}
 		fmt.Printf("  %-8s: keys %.1f%%, values %.1f%% -> %s\n",
 			link.name, check.RequestUtilization*100, check.ResponseUtilization*100, verdict)
-	}
-
-	// 4. Would 2-way hedged reads help at this load?
-	fmt.Println("\nhedged reads (2 replicas, duplicated load):")
-	crossover, err := model.RedundancyCrossover(2)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("  crossover at base ρS ≈ %.0f%%; this deployment runs at %.0f%% -> ",
-		crossover*100, model.MaxUtilization()*100)
-	if model.MaxUtilization() < crossover {
-		fmt.Println("hedge")
-	} else {
-		fmt.Println("do NOT hedge (the duplicated load would cross the cliff)")
 	}
 	return nil
 }

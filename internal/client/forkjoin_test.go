@@ -16,6 +16,7 @@ import (
 	"memqlat/internal/otrace"
 	"memqlat/internal/protocol"
 	"memqlat/internal/telemetry"
+	"memqlat/internal/testkit"
 )
 
 // askedKeys returns the keys of one retrieval line: "get k1 k2 ...",
@@ -708,7 +709,10 @@ func TestForkJoinCost(t *testing.T) {
 		t.Errorf("single-key Get: %.0f allocs per call, want at most 2", allocs)
 	}
 	// Goroutines of earlier tests' servers may still be winding down, so
-	// the count may fall; a call that spawned would raise it.
+	// the count may fall; a call that spawned would raise it, and one that
+	// left a goroutine or a descriptor behind fails the baseline (the pool
+	// is dialled by now).
+	settled := testkit.Settles(t)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 1000; i++ {
 		read()
@@ -718,4 +722,5 @@ func TestForkJoinCost(t *testing.T) {
 			before = n
 		}
 	}
+	settled("1000 MultiGets")
 }

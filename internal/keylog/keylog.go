@@ -1,4 +1,6 @@
-// Package trace records and replays key-access traces. Traces connect
+// Package keylog records and replays key-access journals (the files
+// mcbench -trace writes; "trace" elsewhere in the repo means spans, see
+// internal/otrace). Journals connect
 // the live substrate to the analysis side of the reproduction: the load
 // generator can journal the key stream it issued, the mrc package turns
 // a trace into a miss-ratio curve (the model's r input), and Replay
@@ -10,7 +12,7 @@
 //	<offset-nanoseconds> <key>\n
 //
 // chosen over a binary encoding so traces diff, grep and compress well.
-package trace
+package keylog
 
 import (
 	"bufio"
@@ -30,7 +32,7 @@ type Record struct {
 }
 
 // ErrSyntax reports a malformed trace line.
-var ErrSyntax = errors.New("trace: malformed line")
+var ErrSyntax = errors.New("keylog: malformed line")
 
 // Writer journals records to an underlying stream.
 type Writer struct {
@@ -52,10 +54,10 @@ func (t *Writer) Write(rec Record) error {
 		return t.err
 	}
 	if rec.Key == "" || strings.ContainsAny(rec.Key, " \t\r\n") {
-		return fmt.Errorf("trace: invalid key %q", rec.Key)
+		return fmt.Errorf("keylog: invalid key %q", rec.Key)
 	}
 	if rec.Offset < 0 {
-		return fmt.Errorf("trace: negative offset %v", rec.Offset)
+		return fmt.Errorf("keylog: negative offset %v", rec.Offset)
 	}
 	if _, err := t.w.WriteString(strconv.FormatInt(rec.Offset.Nanoseconds(), 10)); err != nil {
 		t.err = err
@@ -159,7 +161,7 @@ func Keys(records []Record) []string {
 // possible). It stops at the first fn error or context cancellation.
 func Replay(ctx context.Context, records []Record, speedup float64, fn func(key string) error) error {
 	if fn == nil {
-		return errors.New("trace: nil replay function")
+		return errors.New("keylog: nil replay function")
 	}
 	start := time.Now()
 	for i, rec := range records {
@@ -181,7 +183,7 @@ func Replay(ctx context.Context, records []Record, speedup float64, fn func(key 
 		default:
 		}
 		if err := fn(rec.Key); err != nil {
-			return fmt.Errorf("trace: replay record %d (%q): %w", i, rec.Key, err)
+			return fmt.Errorf("keylog: replay record %d (%q): %w", i, rec.Key, err)
 		}
 	}
 	return nil

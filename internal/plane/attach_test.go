@@ -5,7 +5,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"os"
 	"runtime"
 	"testing"
 	"time"
@@ -15,35 +14,8 @@ import (
 	"memqlat/internal/server"
 	"memqlat/internal/telemetry"
 	"memqlat/internal/tenant"
+	"memqlat/internal/testkit"
 )
-
-// openFDs counts this process's open descriptors (-1 where /proc does
-// not say).
-func openFDs() int {
-	ents, err := os.ReadDir("/proc/self/fd")
-	if err != nil {
-		return -1
-	}
-	return len(ents)
-}
-
-// settlesAt waits for the goroutine and descriptor counts to come back
-// down to a baseline: closed connections unwind their handlers a beat
-// after Close returns.
-func settlesAt(t *testing.T, what string, goroutines, fds int) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
-		g, f := runtime.NumGoroutine(), openFDs()
-		if g <= goroutines && f <= fds {
-			return
-		}
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%s: %d goroutines / %d fds, baseline %d / %d\n%s",
-				what, g, f, goroutines, fds, buf[:runtime.Stack(buf, true)])
-		}
-	}
-}
 
 // TestLivePlaneAttach runs one scenario on the live plane's two forms —
 // attached to servers the test started, and over an in-process cluster —
@@ -72,7 +44,7 @@ func TestLivePlaneAttach(t *testing.T) {
 		t.Cleanup(func() { _ = srv.Close() })
 		addrs[i] = l.Addr().String()
 	}
-	goroutines, fds := runtime.NumGoroutine(), openFDs()
+	settled := testkit.Settles(t)
 
 	s := Scenario{
 		Name:         "attach",
@@ -121,7 +93,7 @@ func TestLivePlaneAttach(t *testing.T) {
 			res.Tenants[0].Issued+res.Tenants[1].Issued != int64(s.Ops) {
 			t.Errorf("%s: tenant rows = %+v", tc.name, res.Tenants)
 		}
-		settlesAt(t, tc.name+" after Close", goroutines, fds)
+		settled(tc.name + " after Close")
 	}
 
 	// The policy is only parsed once the cluster is up, so this Start
@@ -135,7 +107,7 @@ func TestLivePlaneAttach(t *testing.T) {
 	if _, err := (LivePlane{ConnCore: core}).Start(bad); err == nil {
 		t.Fatal("Start accepted an unknown proxy policy")
 	}
-	settlesAt(t, "failed Start", goroutines, fds)
+	settled("failed Start")
 
 	// What the run would have to build into the servers is refused on a
 	// cluster it did not start.

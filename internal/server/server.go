@@ -356,8 +356,9 @@ func nextPow2(n int) int {
 
 // ttlFromExptime applies memcached exptime semantics: 0 = never,
 // negative = immediately expired, <= 30 days = relative seconds,
-// > 30 days = absolute unix timestamp.
-func ttlFromExptime(exptime int64, now time.Time) time.Duration {
+// > 30 days = absolute unix timestamp. Only that last form needs the
+// clock, so now is called there and nowhere else.
+func ttlFromExptime(exptime int64, now func() time.Time) time.Duration {
 	switch {
 	case exptime == 0:
 		return 0
@@ -366,7 +367,7 @@ func ttlFromExptime(exptime int64, now time.Time) time.Duration {
 	case exptime <= thirtyDays:
 		return time.Duration(exptime) * time.Second
 	default:
-		d := time.Unix(exptime, 0).Sub(now)
+		d := time.Unix(exptime, 0).Sub(now())
 		if d <= 0 {
 			return -time.Second
 		}
@@ -385,7 +386,6 @@ func reply(w *protocol.Writer, cmd *protocol.Command, line string) error {
 func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSession) error {
 	c := s.opts.Cache
 	st := &cs.st
-	now := time.Now()
 	switch cmd.Op {
 	case protocol.OpGet, protocol.OpGets:
 		// The zero-alloc path: keys alias the parser's buffers, values
@@ -417,13 +417,13 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 	case protocol.OpSet:
 		// SetBytes copies key and value, so the parser scratch that
 		// cmd.Value aliases is safe to reuse on the next command.
-		err := c.SetBytes(cmd.KeyB, cmd.Value, cmd.Flags, ttlFromExptime(cmd.Exptime, now))
+		err := c.SetBytes(cmd.KeyB, cmd.Value, cmd.Flags, ttlFromExptime(cmd.Exptime, time.Now))
 		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
 	case protocol.OpAdd:
-		err := c.Add(string(cmd.KeyB), bytes.Clone(cmd.Value), cmd.Flags, ttlFromExptime(cmd.Exptime, now))
+		err := c.Add(string(cmd.KeyB), bytes.Clone(cmd.Value), cmd.Flags, ttlFromExptime(cmd.Exptime, time.Now))
 		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
 	case protocol.OpReplace:
-		k, v, ttl := string(cmd.KeyB), bytes.Clone(cmd.Value), ttlFromExptime(cmd.Exptime, now)
+		k, v, ttl := string(cmd.KeyB), bytes.Clone(cmd.Value), ttlFromExptime(cmd.Exptime, time.Now)
 		err := c.Replace(k, v, cmd.Flags, ttl)
 		if s.promoted(err, cmd.KeyB, cs) {
 			err = c.Replace(k, v, cmd.Flags, ttl)
@@ -444,7 +444,7 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 	case protocol.OpCas:
 		// A promoted copy owns a fresh CAS, so a cas of a disk-resident
 		// key answers EXISTS (the token is out of date), not NOT_FOUND.
-		k, v, ttl := string(cmd.KeyB), bytes.Clone(cmd.Value), ttlFromExptime(cmd.Exptime, now)
+		k, v, ttl := string(cmd.KeyB), bytes.Clone(cmd.Value), ttlFromExptime(cmd.Exptime, time.Now)
 		err := c.CompareAndSwap(k, v, cmd.Flags, ttl, cmd.CAS)
 		if s.promoted(err, cmd.KeyB, cs) {
 			err = c.CompareAndSwap(k, v, cmd.Flags, ttl, cmd.CAS)
@@ -497,7 +497,7 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 		}
 
 	case protocol.OpTouch:
-		k, ttl := string(cmd.KeyB), ttlFromExptime(cmd.Exptime, now)
+		k, ttl := string(cmd.KeyB), ttlFromExptime(cmd.Exptime, time.Now)
 		err := c.Touch(k, ttl)
 		if s.promoted(err, cmd.KeyB, cs) {
 			err = c.Touch(k, ttl)
@@ -514,7 +514,7 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 
 	case protocol.OpGat, protocol.OpGats:
 		withCAS := cmd.Op == protocol.OpGats
-		ttl := ttlFromExptime(cmd.Exptime, now)
+		ttl := ttlFromExptime(cmd.Exptime, time.Now)
 		for _, key := range cmd.KeyList {
 			it, err := c.GetAndTouch(string(key), ttl)
 			if s.promoted(err, key, cs) {

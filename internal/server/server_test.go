@@ -389,6 +389,7 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestTTLFromExptime(t *testing.T) {
 	now := time.Unix(1_700_000_000, 0)
+	clock := func() time.Time { return now }
 	tests := []struct {
 		give int64
 		want time.Duration
@@ -401,7 +402,7 @@ func TestTTLFromExptime(t *testing.T) {
 		{now.Unix() - 100, -time.Second}, // absolute timestamp in the past
 	}
 	for _, tt := range tests {
-		if got := ttlFromExptime(tt.give, now); got != tt.want {
+		if got := ttlFromExptime(tt.give, clock); got != tt.want {
 			t.Errorf("ttlFromExptime(%d) = %v, want %v", tt.give, got, tt.want)
 		}
 	}
