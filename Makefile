@@ -80,15 +80,18 @@ fuzz-smoke:
 # runs of parent and change on one machine) and allocation counts by
 # tier-1 tests (server/proxy TestHotPathAllocs, extstore.TestHotPathAllocs,
 # sketch.TestRecordZeroAlloc, telemetry.TestObserveZeroAlloc). In order:
-# the plane harness (the live run is 125 ms of real-time pacing); the
-# server, proxy + QoS admission, client (one Get, one 32-key MultiGet
-# over 2 and 8 in-process servers), extstore and SLO-watchdog hot paths;
+# the model's numerics (one eq. 6 solve; Table 4's δ-threshold column,
+# twenty root searches over such solves); the plane harness (the live
+# run is 125 ms of real-time pacing); the server, proxy + QoS admission,
+# client (one Get, one 32-key MultiGet over 2 and 8 in-process servers),
+# extstore and SLO-watchdog hot paths;
 # the cache hit under one reader and under GOMAXPROCS readers (parallel
 # minus serial at -cpu 2 is what readers cost each other in shared cache
 # lines); connection-count scaling, 1k -> 100k parked connections on the
 # event-loop core (tiers beyond the fd limit skip; the fixed -benchtime
 # runs the expensive fleet setup once per scale, not once per b.N probe).
 microbench:
+	$(GO) test -run '^$$' -bench 'BenchmarkDelta$$|BenchmarkCliffTable' .
 	$(GO) test -run '^$$' -bench 'BenchmarkSimPlane|BenchmarkLivePlane' -benchmem -benchtime 3x .
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'ServerHotPath|ProxyHotPath|ProxyQoS|ClientGet|ClientMultiGet|ExtstoreRead|ExtstoreWrite|SketchRecord|WatchdogTick' \

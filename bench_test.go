@@ -112,18 +112,16 @@ func BenchmarkLivePlane(b *testing.B) {
 
 // ---- micro-benchmarks of the model-side solvers ----
 
-func BenchmarkDeltaSolverGP(b *testing.B) {
+// BenchmarkDelta is one eq. 6 solve at the Facebook workload: building a
+// BatchQueue is the only place δ is computed.
+func BenchmarkDelta(b *testing.B) {
 	gp, err := dist.NewGeneralizedPareto(workload.FacebookXi, 56250)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bq, err := queueing.NewBatchQueue(gp, 0.1, 80000)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bq.Delta(); err != nil {
+		if _, err := queueing.NewBatchQueue(gp, 0.1, 80000); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,9 +137,11 @@ func BenchmarkTheorem1Estimate(b *testing.B) {
 	}
 }
 
-func BenchmarkCliffUtilization(b *testing.B) {
+// BenchmarkCliffTable is Table 4's δ-threshold column: twenty root
+// searches over ρ, each step of which is an eq. 6 solve.
+func BenchmarkCliffTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CliffUtilization(0.15, 0.1, nil); err != nil {
+		if _, err := core.CliffTable(core.PaperTable4Xis(), 0.1, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -80,7 +80,7 @@ func deltaAt(xi, q, rho float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return bq.Delta()
+	return bq.Delta(), nil
 }
 
 // CliffUtilization returns the utilization ρ_S(ξ) at which the
@@ -104,15 +104,15 @@ func CliffUtilization(xi, q float64, opts *CliffOptions) (float64, error) {
 	}
 }
 
-// cliffSlope bisects for the ρ at which d ln E[T_S]/dρ = slopeStar,
-// where E[T_S] ∝ 1/(1−δ(ρ)). The sensitivity δ'(ρ)/(1−δ(ρ)) is
-// increasing in ρ (latency is log-convex in utilization), so bisection
-// applies; the derivative is taken by central difference.
+// cliffSlope finds the ρ at which d ln E[T_S]/dρ = slopeStar, where
+// E[T_S] ∝ 1/(1−δ(ρ)). The sensitivity δ'(ρ)/(1−δ(ρ)) is increasing in
+// ρ (latency is log-convex in utilization), so the crossing is unique;
+// the derivative is taken by central difference.
 func cliffSlope(xi, q, slopeStar float64) (float64, error) {
 	if !(slopeStar > 0) {
 		return 0, fmt.Errorf("core: slopeStar=%v must be positive", slopeStar)
 	}
-	sens := func(rho float64) (float64, error) {
+	excess := func(rho float64) (float64, error) {
 		const h = 1e-4
 		dPlus, err := deltaAt(xi, q, rho+h)
 		if err != nil {
@@ -126,47 +126,49 @@ func cliffSlope(xi, q, slopeStar float64) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		return (dPlus - dMinus) / (2 * h) / (1 - d0), nil
+		return (dPlus-dMinus)/(2*h)/(1-d0) - slopeStar, nil
 	}
-	lo, hi := 1e-3, 1-1e-3
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		s, err := sens(mid)
-		if err != nil {
-			return 0, err
-		}
-		if s < slopeStar {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-6 {
-			break
-		}
+	// With tails this heavy (ξ ≳ 0.8) the sensitivity is over the
+	// threshold at every utilization: the curve is all cliff.
+	const lo = 1e-3
+	if v, err := excess(lo); err != nil || v >= 0 {
+		return lo, err
 	}
-	return (lo + hi) / 2, nil
+	return crossing(excess, lo, 1-lo, 1e-6)
 }
 
+// cliffDeltaThreshold finds the ρ at which δ(ρ) = deltaStar: δ is
+// strictly increasing in ρ with δ(0+) = 0 and δ(1-) = 1.
 func cliffDeltaThreshold(xi, q, deltaStar float64) (float64, error) {
 	if deltaStar <= 0 || deltaStar >= 1 {
 		return 0, fmt.Errorf("core: deltaStar=%v must be in (0, 1)", deltaStar)
 	}
-	// δ(ρ) is strictly increasing in ρ with δ(0+) = 0 and δ(1-) = 1:
-	// bisection.
-	lo, hi := 1e-6, 1-1e-6
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		d, err := deltaAt(xi, q, mid)
+	return crossing(func(rho float64) (float64, error) {
+		d, err := deltaAt(xi, q, rho)
+		return d - deltaStar, err
+	}, 1e-6, 1-1e-6, 1e-14)
+}
+
+// crossing finds the utilization in [lo, hi] at which g changes sign.
+// g fails only when a trial queue has no numerical δ; the first such
+// failure ends the search and is returned.
+func crossing(g func(rho float64) (float64, error), lo, hi, tol float64) (float64, error) {
+	var failed error
+	rho, err := queueing.FindRoot(func(rho float64) float64 {
+		if failed != nil {
+			return 0
+		}
+		v, err := g(rho)
 		if err != nil {
-			return 0, err
+			failed = err
+			return 0 // FindRoot stops at an exact zero
 		}
-		if d < deltaStar {
-			lo = mid
-		} else {
-			hi = mid
-		}
+		return v
+	}, lo, hi, tol)
+	if failed != nil {
+		return 0, failed
 	}
-	return (lo + hi) / 2, nil
+	return rho, err
 }
 
 // CliffRow is one row of Table 4.

@@ -182,7 +182,8 @@ func (c *Config) arrivalFor(lambdaKeys float64) (dist.Interarrival, error) {
 	return dist.NewGeneralizedPareto(c.Xi, batchRate)
 }
 
-// ServerQueue builds the GI^X/M/1 model of server j.
+// ServerQueue builds the GI^X/M/1 model of server j, which solves its
+// δ; an overloaded server (ρ_j >= 1) is queueing.ErrUnstable here.
 func (c *Config) ServerQueue(j int) (*queueing.BatchQueue, error) {
 	if j < 0 || j >= c.M() {
 		return nil, fmt.Errorf("core: server index %d out of range [0, %d)", j, c.M())
@@ -195,7 +196,11 @@ func (c *Config) ServerQueue(j int) (*queueing.BatchQueue, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server %d arrival: %w", j, err)
 	}
-	return queueing.NewBatchQueue(arr, c.Q, c.MuS)
+	bq, err := queueing.NewBatchQueue(arr, c.Q, c.MuS)
+	if err != nil {
+		return nil, fmt.Errorf("server %d: %w", j, err)
+	}
+	return bq, nil
 }
 
 // HeaviestQueue builds the GI^X/M/1 model of the heaviest-loaded server

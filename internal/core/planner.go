@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"memqlat/internal/queueing"
 )
 
 // Capacity-planning inversions of Theorem 1: the paper's
@@ -36,20 +38,20 @@ func (c *Config) MaxTotalKeyRate(budget float64) (float64, error) {
 	if budget < floor {
 		return 0, fmt.Errorf("core: budget %.3gs below the zero-load floor %.3gs", budget, floor)
 	}
-	// 60 bisection steps give ~1e-18 relative resolution — far below
-	// the model's own accuracy — while keeping the δ-solver call count
-	// (each involving numerical Laplace inversion) moderate.
-	lo, hi := hiRate*1e-6, hiRate
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		ts, err := tsAt(mid)
-		if err != nil || ts > budget {
-			hi = mid
-			continue
+	// A trial too close to saturation to have a numerical δ counts as
+	// over budget. Resolving Λ to one part in 1e12 is far below the
+	// model's own accuracy.
+	rate, err := queueing.FindRoot(func(rate float64) float64 {
+		ts, err := tsAt(rate)
+		if err != nil {
+			return math.Inf(1)
 		}
-		lo = mid
+		return ts - budget
+	}, hiRate*1e-6, hiRate, hiRate*1e-12)
+	if err != nil {
+		return 0, fmt.Errorf("core: budget %.3gs does not bind below saturation: %w", budget, err)
 	}
-	return lo, nil
+	return rate, nil
 }
 
 // NetworkCheck quantifies the paper's §4.2 assumption that network

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"memqlat/internal/queueing"
 )
 
 // Read-redundancy extension. The paper's related work (§2.2) cites
@@ -58,7 +60,7 @@ func (c *Config) ExpectedTSPointRedundant(d int, inflateLoad bool) (float64, err
 		}
 		return s
 	}
-	return solveQuantile(logCDF, logK), nil
+	return solveQuantile(logCDF, logK)
 }
 
 // RedundancyCrossover finds the base utilization (of the heaviest
@@ -98,21 +100,13 @@ func (c *Config) RedundancyCrossover(d int) (float64, error) {
 		return 0, fmt.Errorf("core: %d-way redundancy does not help even at ρ=%.2f", d, loRho)
 	}
 	// benefit is positive at loRho and negative near saturation of the
-	// duplicated system; bisect the sign change.
-	for i := 0; i < 60; i++ {
-		mid := (loRho + hiRho) / 2
-		b, err := benefit(mid)
+	// duplicated system, where the trial can go unstable: that is
+	// "redundancy hurts" territory too.
+	return queueing.FindRoot(func(rho float64) float64 {
+		b, err := benefit(rho)
 		if err != nil {
-			// Close to duplicated saturation the trial can go unstable;
-			// treat as "redundancy hurts" territory.
-			hiRho = mid
-			continue
+			return math.Inf(-1)
 		}
-		if b > 0 {
-			loRho = mid
-		} else {
-			hiRho = mid
-		}
-	}
-	return (loRho + hiRho) / 2, nil
+		return b
+	}, loRho, hiRho, 1e-12)
 }

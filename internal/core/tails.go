@@ -29,29 +29,7 @@ func (c *Config) TSQuantileBounds(k float64) (Bounds, error) {
 	}
 	// P{T_S(N) <= t} = Π_j [F_j(t)]^{p_j·N}; solve at level k, i.e. the
 	// composite per-key CDF at level k^{1/N}.
-	logK := math.Log(k) / float64(c.N)
-	logWait := func(t float64) float64 {
-		var s float64
-		for _, st := range tails {
-			s += st.p * math.Log(1-st.delta*math.Exp(-st.rate*t))
-		}
-		return s
-	}
-	logComplete := func(t float64) float64 {
-		var s float64
-		for _, st := range tails {
-			v := -math.Expm1(-st.rate * t)
-			if v <= 0 {
-				return math.Inf(-1)
-			}
-			s += st.p * math.Log(v)
-		}
-		return s
-	}
-	return Bounds{
-		Lo: solveQuantile(logWait, logK),
-		Hi: solveQuantile(logComplete, logK),
-	}, nil
+	return quantileBounds(tails, math.Log(k)/float64(c.N))
 }
 
 // TDQuantile returns the exact k-th quantile of T_D(N):

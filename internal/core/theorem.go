@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+
+	"memqlat/internal/queueing"
 )
 
 // Bounds is a closed interval [Lo, Hi] bounding an expectation.
@@ -98,26 +100,26 @@ type serverTail struct {
 	rate  float64 // (1-δ_j)(1-q)µ_S
 }
 
-// tails solves δ for every loaded server.
+// tails returns the tail parameters of every loaded server. Servers
+// with the same load ratio are the same queue, so eq. 6 is solved once
+// per distinct ratio: once in all for a balanced deployment.
 func (c *Config) tails() ([]serverTail, error) {
 	out := make([]serverTail, 0, c.M())
+	solved := make(map[float64]serverTail)
 	for j, p := range c.LoadRatios {
 		if p == 0 {
 			continue
 		}
-		bq, err := c.ServerQueue(j)
-		if err != nil {
-			return nil, err
+		st, ok := solved[p]
+		if !ok {
+			bq, err := c.ServerQueue(j)
+			if err != nil {
+				return nil, err
+			}
+			st = serverTail{p: p, delta: bq.Delta(), rate: bq.DecayRate()}
+			solved[p] = st
 		}
-		delta, err := bq.Delta()
-		if err != nil {
-			return nil, fmt.Errorf("server %d: %w", j, err)
-		}
-		out = append(out, serverTail{
-			p:     p,
-			delta: delta,
-			rate:  (1 - delta) * bq.BatchServiceRate(),
-		})
+		out = append(out, st)
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("core: no loaded servers")
@@ -131,8 +133,24 @@ func (c *Config) expectedTS() (Bounds, float64, float64, error) {
 		return Bounds{}, 0, 0, err
 	}
 	k := float64(c.N) / float64(c.N+1)
+	b, err := quantileBounds(tails, math.Log(k))
+	if err != nil {
+		return Bounds{}, 0, 0, err
+	}
+	// The heaviest server's parameters summarize the dominant tail.
+	heavy := tails[0]
+	for _, st := range tails {
+		if st.p > heavy.p {
+			heavy = st
+		}
+	}
+	return b, heavy.delta, heavy.rate, nil
+}
 
-	// log of the composite lower-bounding CDF (waiting-time form).
+// quantileBounds solves the eq. 3 sandwich of the composite per-key CDF
+// Π_j [F_j(t)]^{p_j} at log-level logK: the waiting-time form bounds
+// the quantile below, the completion-time form above.
+func quantileBounds(tails []serverTail, logK float64) (Bounds, error) {
 	logWait := func(t float64) float64 {
 		var s float64
 		for _, st := range tails {
@@ -140,7 +158,6 @@ func (c *Config) expectedTS() (Bounds, float64, float64, error) {
 		}
 		return s
 	}
-	// log of the composite upper-bounding CDF (completion-time form).
 	logComplete := func(t float64) float64 {
 		var s float64
 		for _, st := range tails {
@@ -152,40 +169,25 @@ func (c *Config) expectedTS() (Bounds, float64, float64, error) {
 		}
 		return s
 	}
-	logK := math.Log(k)
-	lo := solveQuantile(logWait, logK)
-	hi := solveQuantile(logComplete, logK)
-
-	// The heaviest server's parameters summarize the dominant tail.
-	heavy := tails[0]
-	for _, st := range tails {
-		if st.p > heavy.p {
-			heavy = st
-		}
+	lo, err := solveQuantile(logWait, logK)
+	if err != nil {
+		return Bounds{}, err
 	}
-	return Bounds{Lo: lo, Hi: hi}, heavy.delta, heavy.rate, nil
+	hi, err := solveQuantile(logComplete, logK)
+	return Bounds{Lo: lo, Hi: hi}, err
 }
 
 // solveQuantile finds t >= 0 with logCDF(t) = logK for a non-decreasing
 // logCDF. Returns 0 when even t=0 already satisfies the level.
-func solveQuantile(logCDF func(float64) float64, logK float64) float64 {
+func solveQuantile(logCDF func(float64) float64, logK float64) (float64, error) {
 	if logCDF(0) >= logK {
-		return 0
+		return 0, nil
 	}
 	hi := 1e-6
 	for i := 0; i < 200 && logCDF(hi) < logK; i++ {
 		hi *= 2
 	}
-	lo := 0.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if logCDF(mid) < logK {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
+	return queueing.FindRoot(func(t float64) float64 { return logCDF(t) - logK }, 0, hi, 0)
 }
 
 // ExpectedTSPoint returns the single-curve prediction used for the
@@ -213,11 +215,7 @@ func (c *Config) Proposition1TSBounds() (Bounds, error) {
 	if err != nil {
 		return Bounds{}, err
 	}
-	delta, err := bq.Delta()
-	if err != nil {
-		return Bounds{}, fmt.Errorf("heaviest server: %w", err)
-	}
-	rate := (1 - delta) * bq.BatchServiceRate()
+	delta, rate := bq.Delta(), bq.DecayRate()
 	p1, _ := c.MaxLoadRatio()
 	k := float64(c.N) / float64(c.N+1)
 	hi := math.Log(float64(c.N)+1) / rate

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"memqlat/internal/dist"
 )
 
 // TestTable3TDValue reproduces the paper's Table 3 "Theorem 1" row for
@@ -395,5 +397,60 @@ func TestFactorsTable(t *testing.T) {
 			t.Errorf("duplicate symbol %s", f.Symbol)
 		}
 		seen[f.Symbol] = true
+	}
+}
+
+// countedArrival counts the transform evaluations of the distribution
+// it wraps: the unit of work of an eq. 6 solve.
+type countedArrival struct {
+	dist.Interarrival
+	evals *int
+}
+
+func (c countedArrival) LaplaceTransform(s float64) float64 {
+	*c.evals++
+	return c.Interarrival.LaplaceTransform(s)
+}
+
+// One Estimate of a balanced deployment is one eq. 6 solve, however
+// many servers share the load, and the solve is a handful of transform
+// evaluations. Both are counts, not times, so the gate reads the same
+// on any machine: four solves of 48 evaluations each is what per-server
+// bisection cost.
+func TestEstimateSolvesDeltaOnce(t *testing.T) {
+	c := facebook()
+	var solves, evals int
+	c.Arrival = func(batchRate float64) (dist.Interarrival, error) {
+		solves++
+		gp, err := dist.NewGeneralizedPareto(c.Xi, batchRate)
+		return countedArrival{gp, &evals}, err
+	}
+	want, err := facebook().Estimate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.Estimate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *got != *want {
+		t.Errorf("estimate through the factory = %+v, want %+v", *got, *want)
+	}
+	if solves != 1 {
+		t.Errorf("%d-server balanced config solved δ %d times, want 1", c.M(), solves)
+	}
+	if evals > 20 {
+		t.Errorf("δ solve took %d transform evaluations, want <= 20", evals)
+	}
+	t.Logf("%d solve, %d transform evaluations", solves, evals)
+
+	// Distinct ratios are distinct queues: one solve each.
+	solves = 0
+	c.LoadRatios = []float64{0.31, 0.23, 0.23, 0.23}
+	if _, err := c.Estimate(); err != nil {
+		t.Fatal(err)
+	}
+	if solves != 2 {
+		t.Errorf("two distinct load ratios solved δ %d times, want 2", solves)
 	}
 }

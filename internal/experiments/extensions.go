@@ -157,15 +157,14 @@ func ExtEq6Ablation(b Budget) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	deltaT1, err := bqTable1.Delta()
+	deltaT1 := bqTable1.Delta()
+	// In-line eq. 6 form, δ = L_TX((1−δ)µS): the same fixed point with
+	// µS un-thinned, which is the Table 1 form of a queue with q = 0.
+	bqInline, err := queueing.NewBatchQueue(gp, 0, model.MuS)
 	if err != nil {
 		return nil, err
 	}
-	// In-line eq. 6 form: same fixed point but with µS un-thinned.
-	deltaEq6, err := solveInlineEq6(gp, model.Q, model.MuS)
-	if err != nil {
-		return nil, err
-	}
+	deltaEq6 := bqInline.Delta()
 	// Ground truth: simulated mean per-key latency.
 	simRes, err := sim.SimulateServer(sim.ServerConfig{
 		Interarrival: gp, Q: model.Q, MuS: model.MuS,
@@ -193,26 +192,4 @@ func ExtEq6Ablation(b Budget) (*Report, error) {
 		},
 		Elapsed: time.Since(start),
 	}, nil
-}
-
-// solveInlineEq6 bisects δ = L_TX((1−δ)·µ_S) — the paper's in-line
-// printing of eq. 6, without batch-service thinning.
-func solveInlineEq6(arr dist.Interarrival, q, muS float64) (float64, error) {
-	_ = q
-	h := func(delta float64) float64 {
-		return delta - arr.LaplaceTransform((1-delta)*muS)
-	}
-	lo, hi := 0.0, 1-1e-12
-	if h(hi) <= 0 {
-		return 0, fmt.Errorf("experiments: inline eq.6 has no interior root")
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if h(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
 }

@@ -59,10 +59,7 @@ func Live(b Budget) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	meanTheory, err := bq.MeanSojourn()
-	if err != nil {
-		return nil, err
-	}
+	meanTheory := bq.MeanSojourn()
 	p90lo, p90hi, err := bq.KeyLatencyBounds(0.9)
 	if err != nil {
 		return nil, err

@@ -35,7 +35,7 @@ func (s *Store) maybeCompactLocked() {
 	for passes := s.segmentCount() + 1; passes > 0; passes-- {
 		victim, ratio := s.pickVictimLocked()
 		switch {
-		case victim != nil && ratio >= s.opts.CompactThreshold:
+		case victim != nil && ratio >= compactThreshold:
 			s.compactSegmentLocked(victim)
 		case s.Bytes() > s.opts.MaxBytes && victim != nil && ratio > 0.05:
 			s.compactSegmentLocked(victim)

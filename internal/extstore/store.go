@@ -24,16 +24,10 @@ type Options struct {
 	// MaxValueBytes caps a single value (default 1 MiB). Frames
 	// claiming larger values are treated as corruption on scan.
 	MaxValueBytes int
-	// IndexShards is the number of index lock domains (default 16,
-	// rounded up to a power of two).
-	IndexShards int
 	// QueueDepth bounds the async write queue fed by RAM evictions
 	// (default 1024). A full queue drops the eviction — the value
 	// falls through to the backend on its next miss.
 	QueueDepth int
-	// CompactThreshold is the dead-byte fraction of a sealed segment
-	// that triggers compaction (default 0.5).
-	CompactThreshold float64
 	// Clock substitutes the time source for tests (default time.Now).
 	Clock func() time.Time
 }
@@ -57,15 +51,8 @@ func (o *Options) withDefaults() error {
 	if o.MaxValueBytes == 0 {
 		o.MaxValueBytes = 1 << 20
 	}
-	if o.IndexShards <= 0 {
-		o.IndexShards = 16
-	}
-	o.IndexShards = nextPow2(o.IndexShards)
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 1024
-	}
-	if o.CompactThreshold <= 0 || o.CompactThreshold > 1 {
-		o.CompactThreshold = 0.5
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -73,13 +60,14 @@ func (o *Options) withDefaults() error {
 	return nil
 }
 
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+const (
+	// indexShards is the number of index lock domains, a power of two
+	// (the shard is picked by mask).
+	indexShards = 16
+	// compactThreshold is the dead-byte fraction of a sealed segment
+	// that triggers compaction.
+	compactThreshold = 0.5
+)
 
 // loc is one index entry: where a key's latest record lives.
 type loc struct {
@@ -130,8 +118,7 @@ type Store struct {
 	segmu    sync.RWMutex
 	segments map[uint64]*segment
 
-	shards    []indexShard
-	shardMask uint64
+	shards []indexShard
 
 	queue  chan putReq
 	stop   chan struct{}
@@ -197,13 +184,12 @@ func Open(opts Options) (*Store, error) {
 		return nil, fmt.Errorf("extstore: %w", err)
 	}
 	s := &Store{
-		opts:      opts,
-		clock:     opts.Clock,
-		segments:  make(map[uint64]*segment),
-		shards:    make([]indexShard, opts.IndexShards),
-		shardMask: uint64(opts.IndexShards - 1),
-		queue:     make(chan putReq, opts.QueueDepth),
-		stop:      make(chan struct{}),
+		opts:     opts,
+		clock:    opts.Clock,
+		segments: make(map[uint64]*segment),
+		shards:   make([]indexShard, indexShards),
+		queue:    make(chan putReq, opts.QueueDepth),
+		stop:     make(chan struct{}),
 	}
 	for i := range s.shards {
 		s.shards[i].m = make(map[string]loc)
@@ -251,7 +237,7 @@ func segFileName(id uint64) string {
 }
 
 func (s *Store) shardFor(key []byte) *indexShard {
-	return &s.shards[fnv64a(key)&s.shardMask]
+	return &s.shards[fnv64a(key)&(indexShards-1)]
 }
 
 func fnv64a(key []byte) uint64 {

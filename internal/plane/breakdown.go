@@ -34,12 +34,7 @@ func predictBreakdown(m *core.Config, tsPoint float64) (telemetry.Breakdown, err
 	if err != nil {
 		return nil, err
 	}
-	delta, err := bq.Delta()
-	if err != nil {
-		return nil, err
-	}
-	rate := (1 - delta) * bq.BatchServiceRate()
-	wait := delta/rate + m.Q/(1-m.Q)/m.MuS
+	wait := bq.Delta()/bq.DecayRate() + m.Q/(1-m.Q)/m.MuS
 	service := 1 / m.MuS
 	forkJoin := tsPoint - (wait + service)
 	if forkJoin < 0 {
@@ -121,10 +116,5 @@ func proxyStageMean(pc *core.Config) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	delta, err := bq.Delta()
-	if err != nil {
-		return 0, err
-	}
-	rate := (1 - delta) * bq.BatchServiceRate()
-	return delta/rate + pc.Q/(1-pc.Q)/pc.MuS + 1/pc.MuS, nil
+	return bq.Delta()/bq.DecayRate() + pc.Q/(1-pc.Q)/pc.MuS + 1/pc.MuS, nil
 }

@@ -54,9 +54,10 @@ type ExtstoreSpec struct {
 	DiskDist string
 	// DiskSigma is the lognormal shape parameter (default 0.5).
 	DiskSigma float64
-	// TraceLen sizes the synthetic MRC trace (default 50000 accesses).
-	TraceLen int
 }
+
+// mrcTraceLen sizes the synthetic MRC trace, in accesses.
+const mrcTraceLen = 50000
 
 // withDefaults fills the spec's zero values.
 func (e ExtstoreSpec) withDefaults() ExtstoreSpec {
@@ -65,9 +66,6 @@ func (e ExtstoreSpec) withDefaults() ExtstoreSpec {
 	}
 	if e.DiskSigma == 0 {
 		e.DiskSigma = 0.5
-	}
-	if e.TraceLen == 0 {
-		e.TraceLen = 50000
 	}
 	return e
 }
@@ -123,7 +121,7 @@ func (s Scenario) ExtstoreSplit() (mrc.TierSplit, error) {
 		draw = func() int { return z.SampleInt(rng) }
 	}
 	a := mrc.NewAnalyzer()
-	for i := 0; i < e.TraceLen; i++ {
+	for i := 0; i < mrcTraceLen; i++ {
 		a.Add("k" + strconv.Itoa(draw()))
 	}
 	curve, err := a.Curve()

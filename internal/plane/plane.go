@@ -36,14 +36,11 @@ import (
 // ProxySpec interposes the proxy tier (internal/proxy) between the
 // clients and the servers of a Scenario. The model and simulator planes
 // price the proxy as one extra GI^X/M/1 stage in series: a single
-// queue receiving the aggregate key rate Λ at service rate Rate, whose
+// queue receiving the aggregate key rate Λ at service rate MuS × M, whose
 // per-request contribution is the fork-join max over the request's N
 // keys — exactly the Theorem 1 treatment of the memcached stage. The
 // live plane interposes a real TCP proxy and points the client at it.
 type ProxySpec struct {
-	// Rate is the proxy's per-key service rate µ_P (default MuS × M: one
-	// proxy fronting M servers runs at the per-server utilization).
-	Rate float64
 	// Policy is the route policy ("direct", "failover", "replicate";
 	// default direct). The model plane prices every policy identically —
 	// routing does not change the queueing structure; the composition
@@ -212,9 +209,6 @@ func (s Scenario) withDefaults() Scenario {
 	}
 	if s.Proxy != nil {
 		p := *s.Proxy
-		if p.Rate == 0 {
-			p.Rate = s.MuS * float64(len(s.LoadRatios))
-		}
 		if p.Replicas == 0 {
 			p.Replicas = 2
 		}
@@ -275,7 +269,8 @@ func (s Scenario) admittedScenario() Scenario {
 
 // proxyConfig lowers the proxy stage to its own single-queue model
 // configuration: the aggregate key stream Λ through one queue at rate
-// µ_P, with the workload's batching (Q) and burstiness (Xi) intact —
+// µ_P = MuS × M (one proxy fronting M servers runs at the per-server
+// utilization), with the workload's batching (Q) and burstiness (Xi) intact —
 // the proxy sees the union of the arrival processes the servers see.
 // MissRatio is zero (the proxy always forwards, never touches the
 // database); MuD is carried over only to satisfy validation.
@@ -292,7 +287,7 @@ func (s Scenario) proxyConfig() (*core.Config, error) {
 		TotalKeyRate: s.TotalKeyRate,
 		Q:            s.Q,
 		Xi:           s.Xi,
-		MuS:          s.Proxy.Rate,
+		MuS:          s.MuS * float64(len(s.LoadRatios)), // µ_P
 		MuD:          s.MuD,
 		Arrival:      s.Arrival,
 	}

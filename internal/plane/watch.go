@@ -55,11 +55,7 @@ func sharpenQueueWait(b telemetry.Breakdown, m *core.Config) error {
 	if err != nil {
 		return err
 	}
-	delta, err := bq.Delta()
-	if err != nil {
-		return err
-	}
-	rate := (1 - delta) * bq.BatchServiceRate()
+	delta, rate := bq.Delta(), bq.DecayRate()
 	batch := m.Q / (1 - m.Q) / m.MuS
 	st := b[telemetry.StageQueueWait]
 	st.P50 = waitQuantile(0.50, delta, rate) + batch

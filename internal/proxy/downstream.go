@@ -196,7 +196,7 @@ func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte, flu
 		// Keyed single-reply ops: storage, delete, incr/decr, touch.
 		if p.opts.Policy == PolicyReplicate {
 			h := route.Hash64B(cmd.KeyB)
-			p.broadcast(d, frame, cmd.Noreply, flush, route.PickKey(p.sel, cmd.KeyB), h)
+			p.broadcast(d, frame, cmd.Noreply, flush, p.sel.PickB(cmd.KeyB), h)
 		} else {
 			h := route.Hash64B(cmd.KeyB)
 			p.forward(d, frame, kindLine, p.routeKey(cmd.KeyB), p.connFor(h), flush, cmd.Noreply)
@@ -343,7 +343,7 @@ func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, flush bool) {
 // upstream to produce reply bytes claims the slot.
 func (p *Proxy) raceRead(d *downstream, key []byte, frame []byte, flush bool) {
 	h := route.Hash64B(key)
-	owner := route.PickKey(p.sel, key)
+	owner := p.sel.PickB(key)
 	n := p.sel.N()
 	r := p.opts.Replicas
 	d.mu.Lock()

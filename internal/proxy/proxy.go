@@ -76,10 +76,6 @@ func ParsePolicy(s string) (Policy, error) {
 type Options struct {
 	// Upstreams are the memcached server addresses (required).
 	Upstreams []string
-	// Selector maps keys to upstream indices (default: ketama ring over
-	// len(Upstreams) servers — the client's default, so proxied and
-	// direct deployments agree on ownership).
-	Selector route.Selector
 	// Policy is the route policy (default PolicyDirect).
 	Policy Policy
 	// Replicas is the replication degree of PolicyReplicate (default 2,
@@ -92,8 +88,6 @@ type Options struct {
 	// Breaker tunes the per-server circuit breaker PolicyFailover
 	// consults (default route.BreakerPolicy zero value + defaults).
 	Breaker *route.BreakerPolicy
-	// DialTimeout bounds upstream dials (default 2s).
-	DialTimeout time.Duration
 	// Recorder, when set, receives StageProxyHop observations: the
 	// forward-path cost (parse + route + upstream enqueue) per command.
 	Recorder telemetry.Recorder
@@ -119,17 +113,6 @@ func (o Options) withDefaults() (Options, error) {
 	if len(o.Upstreams) == 0 {
 		return o, errors.New("proxy: at least one upstream required")
 	}
-	if o.Selector == nil {
-		sel, err := route.NewRingSelector(len(o.Upstreams), 0)
-		if err != nil {
-			return o, err
-		}
-		o.Selector = sel
-	}
-	if o.Selector.N() != len(o.Upstreams) {
-		return o, fmt.Errorf("proxy: selector for %d servers, %d upstreams",
-			o.Selector.N(), len(o.Upstreams))
-	}
 	if o.Replicas <= 0 {
 		o.Replicas = 2
 	}
@@ -138,9 +121,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.UpstreamConns <= 0 {
 		o.UpstreamConns = 2
-	}
-	if o.DialTimeout <= 0 {
-		o.DialTimeout = 2 * time.Second
 	}
 	if o.Logger == nil {
 		o.Logger = log.New(io.Discard, "", 0)
@@ -152,7 +132,7 @@ func (o Options) withDefaults() (Options, error) {
 // (once per listener), stop with Close.
 type Proxy struct {
 	opts     Options
-	sel      route.Selector
+	sel      *route.RingSelector // the client's ring, so proxied and direct deployments agree on ownership
 	rec      telemetry.Recorder
 	tracer   *otrace.Tracer // nil = tracing disabled
 	log      *log.Logger
@@ -182,9 +162,13 @@ func New(opts Options) (*Proxy, error) {
 	if err != nil {
 		return nil, err
 	}
+	sel, err := route.NewRingSelector(len(opts.Upstreams), 0)
+	if err != nil {
+		return nil, err
+	}
 	p := &Proxy{
 		opts:      opts,
-		sel:       opts.Selector,
+		sel:       sel,
 		rec:       telemetry.OrNop(opts.Recorder),
 		tracer:    opts.Tracer,
 		log:       opts.Logger,
@@ -326,7 +310,7 @@ func (p *Proxy) BreakerState(srv int) string {
 // shifted to the next ring successor with a closed breaker under
 // PolicyFailover.
 func (p *Proxy) routeKey(key []byte) int {
-	srv := route.PickKey(p.sel, key)
+	srv := p.sel.PickB(key)
 	if p.breakers == nil {
 		return srv
 	}

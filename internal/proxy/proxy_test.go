@@ -290,12 +290,6 @@ func TestProxyInterleavedMultiGetFraming(t *testing.T) {
 	c.expect("VERSION memqlat-proxy")
 }
 
-// fixedSelector routes every key to one server (failover determinism).
-type fixedSelector struct{ n, target int }
-
-func (f fixedSelector) Pick(string) int { return f.target }
-func (f fixedSelector) N() int          { return f.n }
-
 func TestProxyFailover(t *testing.T) {
 	live := startBackend(t)
 	// A listener that is immediately closed: connecting fails fast.
@@ -306,9 +300,18 @@ func TestProxyFailover(t *testing.T) {
 	deadAddr := dead.Addr().String()
 	_ = dead.Close()
 
+	// A key the ring gives to the dead upstream.
+	sel, err := route.NewRingSelector(2, 0) // the proxy's ring
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := "failkey"
+	for i := 0; sel.Pick(key) != 1; i++ {
+		key = fmt.Sprintf("failkey-%d", i)
+	}
+
 	p, paddr := startProxy(t, Options{
 		Upstreams: []string{live, deadAddr},
-		Selector:  fixedSelector{n: 2, target: 1},
 		Policy:    PolicyFailover,
 		Breaker: &route.BreakerPolicy{
 			Window:           4,
@@ -324,7 +327,7 @@ func TestProxyFailover(t *testing.T) {
 	// trips, traffic fails over to the live server (a clean miss).
 	recovered := false
 	for i := 0; i < 10; i++ {
-		c.send("get failkey\r\n")
+		c.send("get " + key + "\r\n")
 		line := c.line()
 		if line == "END" {
 			recovered = true
@@ -344,10 +347,10 @@ func TestProxyFailover(t *testing.T) {
 		t.Fatal("failover counter never incremented")
 	}
 	// Writes fail over too, and land on the live server.
-	c.send("set failkey 0 0 2\r\nok\r\n")
+	c.send("set " + key + " 0 0 2\r\nok\r\n")
 	c.expect("STORED")
-	c.send("get failkey\r\n")
-	if got := c.retrieval(); got["failkey"] != "ok" {
+	c.send("get " + key + "\r\n")
+	if got := c.retrieval(); got[key] != "ok" {
 		t.Fatalf("failed-over write not readable: %v", got)
 	}
 }
@@ -418,13 +421,12 @@ func TestProxyReplicatedReadSurvivesReplicaLoss(t *testing.T) {
 		addrs[i], srvs[i] = l.Addr().String(), srv
 		t.Cleanup(func() { _ = srv.Close() })
 	}
-	sel, err := route.NewRingSelector(3, 0)
+	sel, err := route.NewRingSelector(3, 0) // the proxy's ring
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, paddr := startProxy(t, Options{
 		Upstreams: addrs,
-		Selector:  sel,
 		Policy:    PolicyReplicate,
 		Replicas:  2,
 	})
@@ -432,7 +434,7 @@ func TestProxyReplicatedReadSurvivesReplicaLoss(t *testing.T) {
 	c.set("lost", "still-here")
 
 	// Kill the key's owner; its replica (ring successor) survives.
-	owner := route.PickKey(sel, []byte("lost"))
+	owner := sel.Pick("lost")
 	_ = srvs[owner].Close()
 
 	deadline := time.Now().Add(10 * time.Second)
@@ -461,10 +463,6 @@ func TestProxyReplicatedReadSurvivesReplicaLoss(t *testing.T) {
 func TestProxyOptionsValidation(t *testing.T) {
 	if _, err := New(Options{}); err == nil {
 		t.Error("no upstreams accepted")
-	}
-	sel, _ := route.NewRingSelector(3, 0)
-	if _, err := New(Options{Upstreams: []string{"a:1"}, Selector: sel}); err == nil {
-		t.Error("selector/upstream cardinality mismatch accepted")
 	}
 	if _, err := ParsePolicy("bogus"); err == nil {
 		t.Error("bogus policy accepted")
@@ -530,7 +528,7 @@ func TestProxySplitShareOverLineLimit(t *testing.T) {
 	other := ""
 	for i := 0; len(keys) < 60 || other == ""; i++ {
 		k := fmt.Sprintf("%0200d", i)
-		if route.PickKey(sel, []byte(k)) != 0 {
+		if sel.Pick(k) != 0 {
 			other = k
 		} else if len(keys) < 60 {
 			keys = append(keys, k)

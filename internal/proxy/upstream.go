@@ -105,10 +105,13 @@ func (u *upstream) send(hdr, frame []byte, pd *pending, flush bool) error {
 	return nil
 }
 
+// dialTimeout bounds an upstream dial.
+const dialTimeout = 2 * time.Second
+
 // dialLocked establishes a fresh uconn and starts its read loop (caller
 // holds u.mu).
 func (u *upstream) dialLocked() (*uconn, error) {
-	nc, err := net.DialTimeout("tcp", u.addr, u.p.opts.DialTimeout)
+	nc, err := net.DialTimeout("tcp", u.addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}

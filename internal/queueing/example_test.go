@@ -20,18 +20,8 @@ func ExampleBatchQueue_Delta() {
 		fmt.Println("error:", err)
 		return
 	}
-	delta, err := bq.Delta()
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
-	mean, err := bq.MeanSojourn()
-	if err != nil {
-		fmt.Println("error:", err)
-		return
-	}
 	fmt.Printf("utilization %.1f%%, δ = %.4f, mean per-key latency %.0fµs\n",
-		bq.Utilization()*100, delta, mean*1e6)
+		bq.Utilization()*100, bq.Delta(), bq.MeanSojourn()*1e6)
 	// Output:
 	// utilization 78.1%, δ = 0.8104, mean per-key latency 73µs
 }

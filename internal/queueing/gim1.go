@@ -32,9 +32,25 @@ type BatchQueue struct {
 	Q float64
 	// MuS is the per-key service rate at the server.
 	MuS float64
+
+	// delta is the root of eq. 6 for the three parameters above, solved
+	// once by NewBatchQueue; every latency law below is a closed form
+	// in it.
+	delta float64
 }
 
-// NewBatchQueue validates the parameters.
+// deltaTol is the absolute tolerance of the eq. 6 root.
+const deltaTol = 1e-14
+
+// NewBatchQueue validates the parameters and solves the paper's eq. 6
+// (Table 1 form):
+//
+//	δ = L_TX((1-δ)·(1-q)·µ_S),  δ ∈ (0, 1),
+//
+// as the root of h(δ) = δ − L_TX((1−δ)µ_B), which is unique in (0, 1)
+// for a stable queue: h(0) = −L_TX(µ_B) < 0, and h just below 1 is
+// positive exactly when ρ < 1. It returns ErrUnstable when ρ >= 1, or
+// when a numerical transform barely misses the sign change near 1.
 func NewBatchQueue(interarrival dist.Interarrival, q, muS float64) (*BatchQueue, error) {
 	if interarrival == nil {
 		return nil, errors.New("queueing: nil interarrival distribution")
@@ -48,7 +64,20 @@ func NewBatchQueue(interarrival dist.Interarrival, q, muS float64) (*BatchQueue,
 	if !(interarrival.Mean() > 0) {
 		return nil, fmt.Errorf("queueing: interarrival mean %v must be positive", interarrival.Mean())
 	}
-	return &BatchQueue{Interarrival: interarrival, Q: q, MuS: muS}, nil
+	b := &BatchQueue{Interarrival: interarrival, Q: q, MuS: muS}
+	rho := b.Utilization()
+	if !(rho < 1) {
+		return nil, fmt.Errorf("%w (rho=%.4f)", ErrUnstable, rho)
+	}
+	muB := b.BatchServiceRate()
+	delta, err := FindRoot(func(delta float64) float64 {
+		return delta - interarrival.LaplaceTransform((1-delta)*muB)
+	}, 0, 1-1e-12, deltaTol)
+	if err != nil {
+		return nil, fmt.Errorf("%w (no interior root; rho=%.6f)", ErrUnstable, rho)
+	}
+	b.delta = delta
+	return b, nil
 }
 
 // BatchServiceRate returns µ_B = (1-q)·µ_S.
@@ -62,82 +91,36 @@ func (b *BatchQueue) KeyArrivalRate() float64 {
 	return b.BatchArrivalRate() / (1 - b.Q)
 }
 
-// Utilization returns ρ_S = λ/µ_S (equivalently batch-rate/µ_B).
+// Utilization returns ρ_S = λ/µ_S (equivalently batch-rate/µ_B), which
+// is below 1 for every constructed queue.
 func (b *BatchQueue) Utilization() float64 { return b.KeyArrivalRate() / b.MuS }
 
-// Stable reports whether ρ_S < 1.
-func (b *BatchQueue) Stable() bool { return b.Utilization() < 1 }
+// Delta returns δ, the root of eq. 6: the probability that an arriving
+// batch has to wait.
+func (b *BatchQueue) Delta() float64 { return b.delta }
 
-// Delta solves the paper's eq. 6 (Table 1 form):
-//
-//	δ = L_TX((1-δ)·(1-q)·µ_S),  δ ∈ (0, 1),
-//
-// by bisection on h(δ) = δ − L_TX((1−δ)µ_B). The root is unique in (0,1)
-// for a stable queue. Returns ErrUnstable when ρ >= 1.
-func (b *BatchQueue) Delta() (float64, error) {
-	if !b.Stable() {
-		return 0, fmt.Errorf("%w (rho=%.4f)", ErrUnstable, b.Utilization())
-	}
-	muB := b.BatchServiceRate()
-	h := func(delta float64) float64 {
-		return delta - b.Interarrival.LaplaceTransform((1-delta)*muB)
-	}
-	lo, hi := 0.0, 1-1e-12
-	// h(0) = -L(µ_B) < 0 always. h near 1 must be > 0 when stable; guard
-	// against numerical transforms that barely miss it.
-	if h(hi) <= 0 {
-		return 0, fmt.Errorf("%w (no interior root; rho=%.6f)", ErrUnstable, b.Utilization())
-	}
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if h(mid) < 0 {
-			lo = mid
-		} else {
-			hi = mid
-		}
-		if hi-lo < 1e-14 {
-			break
-		}
-	}
-	return (lo + hi) / 2, nil
-}
-
-// decayRate returns (1−δ)(1−q)µ_S, the exponential decay rate shared by
-// eqs. 4–5, computing δ on demand.
-func (b *BatchQueue) decayRate() (delta, rate float64, err error) {
-	delta, err = b.Delta()
-	if err != nil {
-		return 0, 0, err
-	}
-	return delta, (1 - delta) * b.BatchServiceRate(), nil
-}
+// DecayRate returns (1−δ)(1−q)µ_S, the exponential decay rate shared by
+// eqs. 4–5.
+func (b *BatchQueue) DecayRate() float64 { return (1 - b.delta) * b.BatchServiceRate() }
 
 // WaitingCDF evaluates the batch queueing-time distribution (eq. 4):
 //
 //	T_Q(t) = 1 − δ·e^{−(1−δ)(1−q)µ_S·t}.
-func (b *BatchQueue) WaitingCDF(t float64) (float64, error) {
-	delta, rate, err := b.decayRate()
-	if err != nil {
-		return 0, err
-	}
+func (b *BatchQueue) WaitingCDF(t float64) float64 {
 	if t < 0 {
-		return 0, nil
+		return 0
 	}
-	return 1 - delta*math.Exp(-rate*t), nil
+	return 1 - b.delta*math.Exp(-b.DecayRate()*t)
 }
 
 // SojournCDF evaluates the batch completion-time distribution (eq. 5):
 //
 //	T_C(t) = 1 − e^{−(1−δ)(1−q)µ_S·t}.
-func (b *BatchQueue) SojournCDF(t float64) (float64, error) {
-	_, rate, err := b.decayRate()
-	if err != nil {
-		return 0, err
-	}
+func (b *BatchQueue) SojournCDF(t float64) float64 {
 	if t < 0 {
-		return 0, nil
+		return 0
 	}
-	return 1 - math.Exp(-rate*t), nil
+	return 1 - math.Exp(-b.DecayRate()*t)
 }
 
 // WaitingQuantile evaluates eq. 7, the k-th quantile of the batch
@@ -148,15 +131,7 @@ func (b *BatchQueue) WaitingQuantile(k float64) (float64, error) {
 	if err := checkQuantile(k); err != nil {
 		return 0, err
 	}
-	delta, rate, err := b.decayRate()
-	if err != nil {
-		return 0, err
-	}
-	v := (math.Log(delta) - math.Log(1-k)) / rate
-	if v < 0 {
-		return 0, nil
-	}
-	return v, nil
+	return math.Max((math.Log(b.delta)-math.Log(1-k))/b.DecayRate(), 0), nil
 }
 
 // SojournQuantile evaluates eq. 8, the k-th quantile of the batch
@@ -167,11 +142,7 @@ func (b *BatchQueue) SojournQuantile(k float64) (float64, error) {
 	if err := checkQuantile(k); err != nil {
 		return 0, err
 	}
-	_, rate, err := b.decayRate()
-	if err != nil {
-		return 0, err
-	}
-	return -math.Log(1-k) / rate, nil
+	return -math.Log(1-k) / b.DecayRate(), nil
 }
 
 // KeyLatencyBounds evaluates eq. 9: the k-th quantile of the
@@ -186,20 +157,11 @@ func (b *BatchQueue) KeyLatencyBounds(k float64) (lo, hi float64, err error) {
 		return 0, 0, err
 	}
 	hi, err = b.SojournQuantile(k)
-	if err != nil {
-		return 0, 0, err
-	}
-	return lo, hi, nil
+	return lo, hi, err
 }
 
 // MeanSojourn returns the mean batch completion time 1/((1−δ)(1−q)µ_S).
-func (b *BatchQueue) MeanSojourn() (float64, error) {
-	_, rate, err := b.decayRate()
-	if err != nil {
-		return 0, err
-	}
-	return 1 / rate, nil
-}
+func (b *BatchQueue) MeanSojourn() float64 { return 1 / b.DecayRate() }
 
 // ArrivalQueueLengthPMF returns P{L = n}: the probability that an
 // arriving batch finds n batches in the system. For GI/M/1 this is the
@@ -209,22 +171,12 @@ func (b *BatchQueue) ArrivalQueueLengthPMF(n int) (float64, error) {
 	if n < 0 {
 		return 0, fmt.Errorf("queueing: queue length %d must be >= 0", n)
 	}
-	delta, err := b.Delta()
-	if err != nil {
-		return 0, err
-	}
-	return (1 - delta) * math.Pow(delta, float64(n)), nil
+	return (1 - b.delta) * math.Pow(b.delta, float64(n)), nil
 }
 
 // MeanArrivalQueueLength returns E[L] = δ/(1−δ), the mean number of
 // batches an arrival finds in the system.
-func (b *BatchQueue) MeanArrivalQueueLength() (float64, error) {
-	delta, err := b.Delta()
-	if err != nil {
-		return 0, err
-	}
-	return delta / (1 - delta), nil
-}
+func (b *BatchQueue) MeanArrivalQueueLength() float64 { return b.delta / (1 - b.delta) }
 
 func checkQuantile(k float64) error {
 	if math.IsNaN(k) || k < 0 || k >= 1 {

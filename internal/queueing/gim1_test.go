@@ -69,9 +69,6 @@ func TestBatchQueueRates(t *testing.T) {
 	if !almostEqual(bq.BatchServiceRate(), 72000, 1e-9) {
 		t.Errorf("muB = %v", bq.BatchServiceRate())
 	}
-	if !bq.Stable() {
-		t.Error("should be stable")
-	}
 }
 
 // For Poisson batch arrivals with q=0 the GI/M/1 delta equals rho
@@ -88,10 +85,7 @@ func TestDeltaPoissonEqualsRho(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, err := bq.Delta()
-		if err != nil {
-			t.Fatal(err)
-		}
+		delta := bq.Delta()
 		want := tt.lambda / tt.mu
 		if !almostEqual(delta, want, 1e-9) {
 			t.Errorf("lambda=%v mu=%v: delta = %v, want rho = %v", tt.lambda, tt.mu, delta, want)
@@ -110,26 +104,18 @@ func TestDeltaDeterministicArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, err := bq.Delta()
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := bq.Delta()
 	if !almostEqual(delta, 0.20319, 1e-3) {
 		t.Errorf("D/M/1 delta = %v, want ~0.20319", delta)
 	}
 }
 
+// A queue with no δ is never built: ρ >= 1 fails at construction.
 func TestDeltaUnstable(t *testing.T) {
-	bq, err := NewBatchQueue(mustExp(t, 100), 0, 100) // rho = 1
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bq.Delta(); !errors.Is(err, ErrUnstable) {
-		t.Errorf("err = %v, want ErrUnstable", err)
-	}
-	bq2, _ := NewBatchQueue(mustExp(t, 150), 0, 100) // rho = 1.5
-	if _, err := bq2.Delta(); !errors.Is(err, ErrUnstable) {
-		t.Errorf("err = %v, want ErrUnstable", err)
+	for _, lambda := range []float64{100, 150} { // rho = 1, 1.5
+		if _, err := NewBatchQueue(mustExp(t, lambda), 0, 100); !errors.Is(err, ErrUnstable) {
+			t.Errorf("lambda=%v: err = %v, want ErrUnstable", lambda, err)
+		}
 	}
 }
 
@@ -141,10 +127,7 @@ func TestDeltaSatisfiesFixedPoint(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, err := bq.Delta()
-		if err != nil {
-			t.Fatal(err)
-		}
+		delta := bq.Delta()
 		if delta <= 0 || delta >= 1 {
 			t.Fatalf("xi=%v: delta = %v out of (0,1)", xi, delta)
 		}
@@ -164,10 +147,7 @@ func TestDeltaIncreasesWithBurstiness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, err := bq.Delta()
-		if err != nil {
-			t.Fatal(err)
-		}
+		delta := bq.Delta()
 		if delta <= prev {
 			t.Errorf("delta(xi=%v) = %v not greater than previous %v", xi, delta, prev)
 		}
@@ -183,10 +163,7 @@ func TestDeltaIncreasesWithUtilization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		delta, err := bq.Delta()
-		if err != nil {
-			t.Fatal(err)
-		}
+		delta := bq.Delta()
 		if delta <= prev {
 			t.Errorf("delta(lambda=%v) = %v not increasing", lambda, delta)
 		}
@@ -205,11 +182,7 @@ func TestCDFsAndQuantilesConsistent(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tq > 0 {
-			cdf, err := bq.WaitingCDF(tq)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !almostEqual(cdf, k, 1e-9) {
+			if cdf := bq.WaitingCDF(tq); !almostEqual(cdf, k, 1e-9) {
 				t.Errorf("waiting CDF(quantile(%v)) = %v", k, cdf)
 			}
 		}
@@ -217,19 +190,15 @@ func TestCDFsAndQuantilesConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cdf, err := bq.SojournCDF(tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(cdf, k, 1e-9) {
+		if cdf := bq.SojournCDF(tc); !almostEqual(cdf, k, 1e-9) {
 			t.Errorf("sojourn CDF(quantile(%v)) = %v", k, cdf)
 		}
 	}
 	// Negative times.
-	if v, _ := bq.WaitingCDF(-1); v != 0 {
+	if v := bq.WaitingCDF(-1); v != 0 {
 		t.Error("waiting CDF(-1) != 0")
 	}
-	if v, _ := bq.SojournCDF(-1); v != 0 {
+	if v := bq.SojournCDF(-1); v != 0 {
 		t.Error("sojourn CDF(-1) != 0")
 	}
 }
@@ -265,11 +234,7 @@ func TestKeyLatencyBoundsOrdered(t *testing.T) {
 func TestMeanSojourn(t *testing.T) {
 	// M/M/1 with q=0: mean sojourn = 1/(mu - lambda).
 	bq, _ := NewBatchQueue(mustExp(t, 50), 0, 100)
-	got, err := bq.MeanSojourn()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 1.0/50, 1e-9) {
+	if got := bq.MeanSojourn(); !almostEqual(got, 1.0/50, 1e-9) {
 		t.Errorf("mean sojourn = %v, want 0.02", got)
 	}
 }
@@ -291,10 +256,7 @@ func TestPropertyDeltaAndQuantiles(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		delta, err := bq.Delta()
-		if err != nil {
-			return false
-		}
+		delta := bq.Delta()
 		if delta <= 0 || delta >= 1 {
 			return false
 		}
@@ -335,11 +297,7 @@ func TestArrivalQueueLengthLaw(t *testing.T) {
 	if !almostEqual(p2, 0.125, 1e-9) {
 		t.Errorf("P{L=2} = %v, want 0.125", p2)
 	}
-	mean, err := bq.MeanArrivalQueueLength()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(mean, 1, 1e-9) { // rho/(1-rho) = 1
+	if mean := bq.MeanArrivalQueueLength(); !almostEqual(mean, 1, 1e-9) { // rho/(1-rho) = 1
 		t.Errorf("E[L] = %v, want 1", mean)
 	}
 	if _, err := bq.ArrivalQueueLengthPMF(-1); err == nil {

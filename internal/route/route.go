@@ -1,40 +1,14 @@
 // Package route is the key-to-server routing substrate shared by the
-// client and the proxy tier: the Selector seam, its one implementation
-// (a ketama ring) and the per-server circuit breaker that drives
-// failover. The client re-exports these types, so both tiers agree
-// byte-for-byte on key ownership — a proxied deployment routes exactly
-// where a direct client would.
+// client and the proxy tier: a ketama ring and the per-server circuit
+// breaker that drives failover. Both tiers build the same ring, so they
+// agree byte-for-byte on key ownership — a proxied deployment routes
+// exactly where a direct client would.
 package route
 
 import (
 	"fmt"
 	"sort"
 )
-
-// Selector maps a key to a server index in [0, n).
-type Selector interface {
-	// Pick returns the index of the server responsible for key.
-	Pick(key string) int
-	// N returns the number of servers.
-	N() int
-}
-
-// ByteSelector is implemented by selectors that can pick from a byte
-// key without materializing a string — the proxy's zero-allocation
-// routing path. RingSelector implements it.
-type ByteSelector interface {
-	// PickB is Pick for a byte-slice key.
-	PickB(key []byte) int
-}
-
-// PickKey routes a byte key through s, using the allocation-free PickB
-// when s supports it.
-func PickKey(s Selector, key []byte) int {
-	if bs, ok := s.(ByteSelector); ok {
-		return bs.PickB(key)
-	}
-	return s.Pick(string(key))
-}
 
 const (
 	fnvOffset = 14695981039346656037
@@ -92,11 +66,6 @@ type ringPoint struct {
 	server int
 }
 
-var (
-	_ Selector     = (*RingSelector)(nil)
-	_ ByteSelector = (*RingSelector)(nil)
-)
-
 // NewRingSelector builds a ring over n servers with the given number of
 // virtual nodes per server (default 160 when vnodes <= 0).
 func NewRingSelector(n, vnodes int) (*RingSelector, error) {
@@ -136,11 +105,12 @@ func NewRingSelector(n, vnodes int) (*RingSelector, error) {
 	return r, nil
 }
 
-// Pick implements Selector: the first ring point clockwise of the key's
-// hash owns it.
+// Pick returns the index in [0, N()) of the server responsible for
+// key: the first ring point clockwise of the key's hash owns it.
 func (r *RingSelector) Pick(key string) int { return r.owner(Hash64(key)) }
 
-// PickB implements ByteSelector.
+// PickB is Pick for a byte-slice key, without materializing a string:
+// the proxy's zero-allocation routing path.
 func (r *RingSelector) PickB(key []byte) int { return r.owner(Hash64B(key)) }
 
 // owner finds the first point with hash >= h, wrapping at the top of
@@ -157,5 +127,5 @@ func (r *RingSelector) owner(h uint64) int {
 	return r.points[i].server
 }
 
-// N implements Selector.
+// N returns the number of servers.
 func (r *RingSelector) N() int { return r.n }

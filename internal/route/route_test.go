@@ -64,29 +64,13 @@ func TestRingSelectorDeterministic(t *testing.T) {
 	}
 }
 
-// stringOnly hides a selector's PickB, so PickKey takes its fallback.
-type stringOnly struct{ Selector }
-
-// Property: the ring is deterministic per key and in range, and PickKey
-// agrees with Pick on identical bytes — through PickB and, for a
-// selector without it, through the string fallback.
+// Property: the ring is deterministic per key and in range, and PickB
+// agrees with Pick on identical bytes.
 func TestPropertySelectorsDeterministicInRange(t *testing.T) {
 	ring, _ := NewRingSelector(7, 40)
-	sels := []Selector{ring, stringOnly{ring}}
 	f := func(key string) bool {
-		for _, s := range sels {
-			a := s.Pick(key)
-			if a != s.Pick(key) {
-				return false
-			}
-			if a < 0 || a >= s.N() {
-				return false
-			}
-			if PickKey(s, []byte(key)) != a {
-				return false
-			}
-		}
-		return true
+		a := ring.Pick(key)
+		return a == ring.Pick(key) && a >= 0 && a < ring.N() && ring.PickB([]byte(key)) == a
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)

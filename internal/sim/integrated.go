@@ -11,34 +11,20 @@ import (
 	"memqlat/internal/telemetry"
 )
 
-// DBMode selects how the integrated simulation services cache misses.
-type DBMode int
-
-const (
-	// DBInfiniteServer delays each miss by an independent Exp(µ_D)
-	// draw — the paper's ρ_D ≈ 0 approximation (default).
-	DBInfiniteServer DBMode = iota + 1
-	// DBSingleQueue routes misses through one FIFO M/M/1 database
-	// server, exposing queueing effects the model neglects.
-	DBSingleQueue
-)
-
 // IntegratedConfig drives the full event-scheduled fork-join system:
 // Poisson end-user requests fork into N keys, keys are hashed to servers
 // by {p_j}, queue FIFO with exponential service, misses visit the
-// database, and the request joins when its last key completes. Unlike
-// RequestSim, per-server arrival processes here *emerge* from the
-// request stream (keys of one request land simultaneously, creating
-// batches), so this mode stress-tests the model's independence and
-// GI^X assumptions rather than assuming them.
+// database (an independent Exp(µ_D) delay each — the paper's ρ_D ≈ 0
+// approximation), and the request joins when its last key completes.
+// Unlike RequestSim, per-server arrival processes here *emerge* from
+// the request stream (keys of one request land simultaneously,
+// creating batches), so this mode stress-tests the model's
+// independence and GI^X assumptions rather than assuming them.
 type IntegratedConfig struct {
 	Model *core.Config
-	// Requests to complete (after WarmupRequests).
+	// Requests to complete, after a warm-up of Requests/10 more that
+	// are discarded.
 	Requests int
-	// WarmupRequests are discarded (default Requests/10).
-	WarmupRequests int
-	// DB selects the miss-stage discipline (default DBInfiniteServer).
-	DB DBMode
 	// Seed makes the run deterministic.
 	Seed uint64
 	// Recorder, when set, receives the per-stage decomposition of every
@@ -102,8 +88,7 @@ type station struct {
 type key struct {
 	req        *request
 	arrived    float64
-	sojourn    float64 // set by the station that just served the key
-	memSojourn float64 // memcached-stage sojourn, preserved across the DB stage
+	sojourn    float64 // memcached-stage sojourn, set by the station that served the key
 	willMiss   bool
 	dbLatency  float64
 	netLatency float64
@@ -164,14 +149,7 @@ func SimulateIntegrated(cfg IntegratedConfig) (*IntegratedResult, error) {
 	if cfg.Requests < 1 {
 		return nil, fmt.Errorf("sim: requests=%d must be >= 1", cfg.Requests)
 	}
-	warmup := cfg.WarmupRequests
-	if warmup == 0 {
-		warmup = cfg.Requests / 10
-	}
-	dbMode := cfg.DB
-	if dbMode == 0 {
-		dbMode = DBInfiniteServer
-	}
+	warmup := cfg.Requests / 10
 	m := cfg.Model
 
 	var inj *fault.Injector
@@ -201,18 +179,16 @@ func SimulateIntegrated(cfg IntegratedConfig) (*IntegratedResult, error) {
 		rngDB     = dist.SubRand(cfg.Seed, 204)
 	)
 
-	// Database: either an infinite server or one more station.
 	rec := telemetry.OrNop(cfg.Recorder)
-	var dbStation *station
 	finishKey := func(k *key) {
 		r := k.req
-		if k.memSojourn > r.maxTS {
-			r.maxTS = k.memSojourn
+		if k.sojourn > r.maxTS {
+			r.maxTS = k.sojourn
 		}
 		if k.dbLatency > r.maxTD {
 			r.maxTD = k.dbLatency
 		}
-		r.sumTS += k.memSojourn
+		r.sumTS += k.sojourn
 		r.remaining--
 		if r.remaining == 0 && r.measured {
 			res.Total.Record(eng.Now() - r.start)
@@ -223,7 +199,6 @@ func SimulateIntegrated(cfg IntegratedConfig) (*IntegratedResult, error) {
 		}
 	}
 	memcachedDone := func(k *key) {
-		k.memSojourn = k.sojourn
 		if k.req.measured {
 			res.KeyLat.Record(k.sojourn)
 			res.KeyCount++
@@ -235,18 +210,13 @@ func SimulateIntegrated(cfg IntegratedConfig) (*IntegratedResult, error) {
 		if k.req.measured {
 			res.MissCount++
 		}
-		switch dbMode {
-		case DBSingleQueue:
-			dbStation.enqueue(k)
-		default: // DBInfiniteServer
-			d := rngDB.ExpFloat64() / m.MuD
-			d += inj.DelayAt(fault.Database, eng.Now())
-			k.dbLatency = d
-			if k.req.measured {
-				rec.Observe(telemetry.StageMissPenalty, d)
-			}
-			_ = eng.Schedule(d, func() { finishKey(k) })
+		d := rngDB.ExpFloat64() / m.MuD
+		d += inj.DelayAt(fault.Database, eng.Now())
+		k.dbLatency = d
+		if k.req.measured {
+			rec.Observe(telemetry.StageMissPenalty, d)
 		}
+		_ = eng.Schedule(d, func() { finishKey(k) })
 	}
 	res.BusyTime = make([]float64, m.M())
 	servers := make([]*station, m.M())
@@ -260,25 +230,6 @@ func SimulateIntegrated(cfg IntegratedConfig) (*IntegratedResult, error) {
 			rec:     cfg.Recorder,
 			inj:     inj,
 			target:  j,
-		}
-	}
-	if dbMode == DBSingleQueue {
-		dbStation = &station{
-			mu:     m.MuD,
-			rng:    rngDB,
-			engine: &eng,
-			inj:    inj,
-			target: fault.Database,
-			onDone: func(k *key) {
-				// The station wrote the DB-stage sojourn into k.sojourn;
-				// move it to its own slot (memSojourn keeps the cache
-				// stage).
-				k.dbLatency = k.sojourn
-				if k.req.measured {
-					rec.Observe(telemetry.StageMissPenalty, k.dbLatency)
-				}
-				finishKey(k)
-			},
 		}
 	}
 
