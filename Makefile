@@ -81,10 +81,11 @@ fuzz-smoke:
 # tier-1 tests (server/proxy TestHotPathAllocs, extstore.TestHotPathAllocs,
 # sketch.TestRecordZeroAlloc, telemetry.TestObserveZeroAlloc). In order:
 # the model's numerics (one eq. 6 solve; Table 4's δ-threshold column,
-# twenty root searches over such solves); the plane harness (the live
-# run is 125 ms of real-time pacing); the server, proxy + QoS admission,
-# client (one Get, one 32-key MultiGet over 2 and 8 in-process servers),
-# extstore and SLO-watchdog hot paths;
+# twenty root searches over such solves); the ext-integrated sweep (four
+# request-driven integrated runs plus their composition twins); the plane
+# harness (the live run is 125 ms of real-time pacing); the server, proxy
+# + QoS admission, client (one Get, one 32-key MultiGet over 2 and 8
+# in-process servers), extstore and SLO-watchdog hot paths;
 # the cache hit under one reader and under GOMAXPROCS readers (parallel
 # minus serial at -cpu 2 is what readers cost each other in shared cache
 # lines); connection-count scaling, 1k -> 100k parked connections on the
@@ -92,6 +93,7 @@ fuzz-smoke:
 # runs the expensive fleet setup once per scale, not once per b.N probe).
 microbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDelta$$|BenchmarkCliffTable' .
+	$(GO) test -run '^$$' -bench 'BenchmarkExtIntegrated$$' -benchmem .
 	$(GO) test -run '^$$' -bench 'BenchmarkSimPlane|BenchmarkLivePlane' -benchmem -benchtime 3x .
 	$(GO) test -run '^$$' -benchmem \
 		-bench 'ServerHotPath|ProxyHotPath|ProxyQoS|ClientGet|ClientMultiGet|ExtstoreRead|ExtstoreWrite|SketchRecord|WatchdogTick' \

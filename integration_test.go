@@ -107,7 +107,7 @@ func TestFullStackEndToEnd(t *testing.T) {
 }
 
 // TestSimulatorModesAgree cross-validates the composition simulator
-// against the independent event-driven simulator on a configuration
+// against the independent request-driven simulator on a configuration
 // where the model's assumptions hold well (Poisson, single keys).
 func TestSimulatorModesAgree(t *testing.T) {
 	model := &core.Config{

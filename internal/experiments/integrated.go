@@ -12,15 +12,15 @@ import (
 // ExtIntegrated probes the model's independence assumption (§3: "the
 // assumption of independent key arrivals is acceptable"). The
 // composition simulator takes the assumption as given; the integrated
-// event-driven simulator does not — its per-server arrival process
+// request-driven simulator does not — its per-server arrival process
 // EMERGES from fork-join requests whose keys arrive together after the
 // network delay, creating correlated batches. Comparing the two (and
 // Theorem 1) measures how much reality the assumption gives away.
 func ExtIntegrated(b Budget) (*Report, error) {
 	start := time.Now()
-	// Scaled N keeps the integrated event count tractable; the
-	// assumption stress (keys-per-request vs concurrent requests) is
-	// preserved by scaling the request rate up correspondingly.
+	// Scaled N keeps the integrated run short; the assumption stress
+	// (keys-per-request vs concurrent requests) is preserved by scaling
+	// the request rate up correspondingly.
 	const n = 20
 	var rows [][]string
 	for i, rho := range []float64{0.3, 0.5, 0.7, 0.8} {
@@ -38,7 +38,7 @@ func ExtIntegrated(b Budget) (*Report, error) {
 		compEst := comp.TS.Mid()
 		is := scenarioFor("ext-integrated", model, b, 1500+uint64(i))
 		if is.Requests > 6000 {
-			is.Requests = 6000 // event-driven mode is the expensive one
+			is.Requests = 6000 // the recorded rows were measured at this cap
 		}
 		integ, err := plane.SimPlane{Mode: plane.SimIntegrated}.Run(context.Background(), is)
 		if err != nil {

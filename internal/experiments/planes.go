@@ -164,7 +164,7 @@ func CrossPlane(b Budget) (*Report, error) {
 	for _, r := range runs {
 		s := scenarioFor("facebook", model, b, 0)
 		if r.p.Name() == "sim-integrated" && s.Requests > 6000 {
-			s.Requests = 6000 // event-driven mode is the expensive one
+			s.Requests = 6000 // the recorded rows were measured at this cap
 		}
 		if r.mut != nil {
 			r.mut(&s)

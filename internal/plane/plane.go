@@ -432,7 +432,7 @@ type Plane interface {
 }
 
 // ByName returns the named plane; it understands every Name() of the
-// built-in planes plus "sim-integrated" for the event-driven simulator.
+// built-in planes plus "sim-integrated" for the request-driven simulator.
 func ByName(name string) (Plane, error) {
 	switch name {
 	case "model":

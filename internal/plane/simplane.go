@@ -21,7 +21,7 @@ const (
 	// into fork-join requests under the model's independence
 	// assumption. It is the paper's "Experiment" column.
 	SimComposition SimMode = iota
-	// SimIntegrated is the event-scheduled fork-join system
+	// SimIntegrated is the request-driven fork-join system
 	// (sim.SimulateIntegrated), whose per-server arrivals emerge from
 	// the request stream — the ablation of the independence assumption.
 	SimIntegrated

@@ -223,7 +223,7 @@ func TestFaultSimHedgeRecoversDrops(t *testing.T) {
 	}
 }
 
-// TestFaultSimIntegratedSlow: the event-driven mode must also honor the
+// TestFaultSimIntegratedSlow: the request-driven mode must also honor the
 // schedule (via the collapsed-delay view).
 func TestFaultSimIntegratedSlow(t *testing.T) {
 	model := facebookModel()

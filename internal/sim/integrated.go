@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"memqlat/internal/core"
 	"memqlat/internal/dist"
@@ -11,7 +13,7 @@ import (
 	"memqlat/internal/telemetry"
 )
 
-// IntegratedConfig drives the full event-scheduled fork-join system:
+// IntegratedConfig drives the full request-driven fork-join system:
 // Poisson end-user requests fork into N keys, keys are hashed to servers
 // by {p_j}, queue FIFO with exponential service, misses visit the
 // database (an independent Exp(µ_D) delay each — the paper's ρ_D ≈ 0
@@ -65,80 +67,14 @@ func (r *IntegratedResult) Utilization(j int) float64 {
 	return r.BusyTime[j] / r.Elapsed
 }
 
-// station is a FIFO single-server queue with exponential service.
-type station struct {
-	mu      float64
-	rng     *rand.Rand
-	engine  *Engine
-	busy    bool
-	pending []*key // waiting keys (head is next to serve)
-	onDone  func(*key)
-	// busyAcc, when set, accumulates total service seconds (the busy
-	// time of a single-server queue).
-	busyAcc *float64
-	// rec, when set, receives queue-wait/service observations for
-	// measured keys.
-	rec telemetry.Recorder
-	// inj/target, when set, stretch service by the schedule's collapsed
-	// delay at the key's service start (DelayAt semantics).
-	inj    *fault.Injector
-	target int
-}
-
-type key struct {
-	req        *request
-	arrived    float64
-	sojourn    float64 // memcached-stage sojourn, set by the station that served the key
-	willMiss   bool
-	dbLatency  float64
-	netLatency float64
-}
-
-type request struct {
-	start     float64
-	remaining int
-	maxTS     float64
-	maxTD     float64
-	sumTS     float64
-	measured  bool
-}
-
-func (s *station) enqueue(k *key) {
-	k.arrived = s.engine.Now()
-	s.pending = append(s.pending, k)
-	if !s.busy {
-		s.startNext()
-	}
-}
-
-func (s *station) startNext() {
-	if len(s.pending) == 0 {
-		s.busy = false
-		return
-	}
-	s.busy = true
-	k := s.pending[0]
-	s.pending = s.pending[1:]
-	service := s.rng.ExpFloat64() / s.mu
-	service += s.inj.DelayAt(s.target, s.engine.Now())
-	if s.busyAcc != nil {
-		*s.busyAcc += service
-	}
-	if s.rec != nil && k.req.measured {
-		s.rec.Observe(telemetry.StageQueueWait, s.engine.Now()-k.arrived)
-		s.rec.Observe(telemetry.StageService, service)
-	}
-	// The callback must tolerate being scheduled on a zero-value engine
-	// only via SimulateIntegrated, which always sets engine; errors are
-	// impossible for non-negative service times.
-	_ = s.engine.Schedule(service, func() {
-		k.sojourn = s.engine.Now() - k.arrived
-		s.onDone(k)
-		s.startNext()
-	})
-}
-
-// SimulateIntegrated runs the event-scheduled fork-join system.
+// SimulateIntegrated runs the request-driven fork-join system in one
+// pass over the requests in launch order. No scheduler is needed: every
+// key reaches its server T_N after its request launches, so launch order
+// is arrival order at every FIFO server, and a key's service starts at
+// max(arrival, the server's previous completion) — the Lindley
+// recursion. The database draws (an independent Exp(µ_D) each) are then
+// taken in the order keys leave memcached, which is the order an event
+// scheduler reaches them, and each request joins at its last key.
 func SimulateIntegrated(cfg IntegratedConfig) (*IntegratedResult, error) {
 	if cfg.Model == nil {
 		return nil, fmt.Errorf("sim: nil model config")
@@ -151,7 +87,6 @@ func SimulateIntegrated(cfg IntegratedConfig) (*IntegratedResult, error) {
 	}
 	warmup := cfg.Requests / 10
 	m := cfg.Model
-
 	var inj *fault.Injector
 	if !cfg.Faults.Empty() {
 		var err error
@@ -160,13 +95,12 @@ func SimulateIntegrated(cfg IntegratedConfig) (*IntegratedResult, error) {
 			return nil, err
 		}
 	}
-
-	var eng Engine
 	res := &IntegratedResult{
-		Total:  stats.NewHistogram(),
-		TS:     stats.NewHistogram(),
-		TD:     stats.NewHistogram(),
-		KeyLat: stats.NewHistogram(),
+		Total:    stats.NewHistogram(),
+		TS:       stats.NewHistogram(),
+		TD:       stats.NewHistogram(),
+		KeyLat:   stats.NewHistogram(),
+		BusyTime: make([]float64, m.M()),
 	}
 	assign, err := dist.NewWeighted(m.LoadRatios)
 	if err != nil {
@@ -177,100 +111,86 @@ func SimulateIntegrated(cfg IntegratedConfig) (*IntegratedResult, error) {
 		rngAssign = dist.SubRand(cfg.Seed, 202)
 		rngMiss   = dist.SubRand(cfg.Seed, 203)
 		rngDB     = dist.SubRand(cfg.Seed, 204)
+		rngServe  = make([]*rand.Rand, m.M())
+		free      = make([]float64, m.M()) // each server's last completion
 	)
-
+	for j := range rngServe {
+		rngServe[j] = dist.SubRand(cfg.Seed, 300+uint64(j))
+	}
 	rec := telemetry.OrNop(cfg.Recorder)
-	finishKey := func(k *key) {
-		r := k.req
-		if k.sojourn > r.maxTS {
-			r.maxTS = k.sojourn
-		}
-		if k.dbLatency > r.maxTD {
-			r.maxTD = k.dbLatency
-		}
-		r.sumTS += k.sojourn
-		r.remaining--
-		if r.remaining == 0 && r.measured {
-			res.Total.Record(eng.Now() - r.start)
-			res.TS.Record(r.maxTS)
-			res.TD.Record(r.maxTD)
-			res.Completed++
-			rec.Observe(telemetry.StageForkJoin, r.maxTS-r.sumTS/float64(m.N))
-		}
-	}
-	memcachedDone := func(k *key) {
-		if k.req.measured {
-			res.KeyLat.Record(k.sojourn)
-			res.KeyCount++
-		}
-		if !k.willMiss {
-			finishKey(k)
-			return
-		}
-		if k.req.measured {
-			res.MissCount++
-		}
-		d := rngDB.ExpFloat64() / m.MuD
-		d += inj.DelayAt(fault.Database, eng.Now())
-		k.dbLatency = d
-		if k.req.measured {
-			rec.Observe(telemetry.StageMissPenalty, d)
-		}
-		_ = eng.Schedule(d, func() { finishKey(k) })
-	}
-	res.BusyTime = make([]float64, m.M())
-	servers := make([]*station, m.M())
-	for j := range servers {
-		servers[j] = &station{
-			mu:      m.MuS,
-			rng:     dist.SubRand(cfg.Seed, 300+uint64(j)),
-			engine:  &eng,
-			onDone:  memcachedDone,
-			busyAcc: &res.BusyTime[j],
-			rec:     cfg.Recorder,
-			inj:     inj,
-			target:  j,
-		}
-	}
 
-	// Request generator: Poisson stream with rate Λ/N so the aggregate
+	// A request launches at start and joins at end, when its last key
+	// returns; a miss is a key that left memcached at done.
+	type request struct{ start, end, maxTS, maxTD float64 }
+	type miss struct {
+		done float64
+		req  int
+	}
+	reqs := make([]request, warmup+cfg.Requests)
+	var misses []miss
+	// Requests launch as a Poisson stream with rate Λ/N, so the aggregate
 	// key rate equals Λ.
 	reqRate := m.TotalKeyRate / float64(m.N)
-	total := warmup + cfg.Requests
-	launched := 0
-	var launch func()
-	launch = func() {
-		if launched >= total {
-			return
-		}
-		launched++
-		r := &request{
-			start:     eng.Now(),
-			remaining: m.N,
-			measured:  launched > warmup,
-		}
-		for i := 0; i < m.N; i++ {
-			k := &key{
-				req:        r,
-				willMiss:   m.MissRatio > 0 && rngMiss.Float64() < m.MissRatio,
-				netLatency: m.NetworkLatency,
-			}
+	var launch float64
+	for i := range reqs {
+		r := &reqs[i]
+		r.start = launch
+		measured := i >= warmup
+		arrival := launch + m.NetworkLatency
+		var sumTS float64
+		for range m.N {
+			willMiss := m.MissRatio > 0 && rngMiss.Float64() < m.MissRatio
 			j := assign.SampleInt(rngAssign)
-			srv := servers[j]
-			_ = eng.Schedule(m.NetworkLatency, func() { srv.enqueue(k) })
+			start := max(arrival, free[j])
+			service := rngServe[j].ExpFloat64()/m.MuS + inj.DelayAt(j, start)
+			free[j] = start + service
+			res.BusyTime[j] += service
+			sojourn := free[j] - arrival
+			r.maxTS = max(r.maxTS, sojourn)
+			sumTS += sojourn
+			if willMiss {
+				misses = append(misses, miss{free[j], i})
+			} else {
+				r.end = max(r.end, free[j])
+			}
+			if measured {
+				res.KeyLat.Record(sojourn)
+				res.KeyCount++
+				rec.Observe(telemetry.StageQueueWait, start-arrival)
+				rec.Observe(telemetry.StageService, service)
+			}
 		}
-		gap := rngReq.ExpFloat64() / reqRate
-		_ = eng.Schedule(gap, launch)
+		if measured {
+			rec.Observe(telemetry.StageForkJoin, r.maxTS-sumTS/float64(m.N))
+		}
+		launch += rngReq.ExpFloat64() / reqRate
 	}
-	launch()
-	// Run to (virtual) completion: the event queue drains once all
-	// requests finish.
-	const horizon = 1e12
-	eng.Run(horizon)
-	res.Elapsed = eng.LastEventAt()
-	if res.Completed < cfg.Requests {
-		return nil, fmt.Errorf("sim: only %d/%d requests completed (system overloaded?)",
-			res.Completed, cfg.Requests)
+
+	// Stream 204 is drawn in the order keys leave memcached: completions
+	// interleave across servers, so launch order would hand the draws out
+	// differently.
+	slices.SortStableFunc(misses, func(a, b miss) int { return cmp.Compare(a.done, b.done) })
+	for _, k := range misses {
+		d := rngDB.ExpFloat64()/m.MuD + inj.DelayAt(fault.Database, k.done)
+		r := &reqs[k.req]
+		r.maxTD = max(r.maxTD, d)
+		r.end = max(r.end, k.done+d)
+		if k.req >= warmup {
+			res.MissCount++
+			rec.Observe(telemetry.StageMissPenalty, d)
+		}
 	}
+	// The span ends at the last join or at the generator's final draw,
+	// whichever is later.
+	res.Elapsed = launch
+	for i, r := range reqs {
+		res.Elapsed = max(res.Elapsed, r.end)
+		if i >= warmup {
+			res.Total.Record(r.end - r.start)
+			res.TS.Record(r.maxTS)
+			res.TD.Record(r.maxTD)
+		}
+	}
+	res.Completed = cfg.Requests
 	return res, nil
 }

@@ -19,7 +19,7 @@ func TestSimulateIntegratedValidation(t *testing.T) {
 	}
 }
 
-// The integrated event-driven system, run at moderate load, should agree
+// The integrated request-driven system, run at moderate load, should agree
 // with the composition simulator and the Theorem 1 ballpark on E[TS(N)].
 func TestSimulateIntegratedAgreesWithModel(t *testing.T) {
 	m := facebookModel()

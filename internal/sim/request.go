@@ -434,6 +434,14 @@ func SimulateRequests(cfg RequestConfig) (*RequestResult, error) {
 		offeredRate = m.TotalKeyRate
 	}
 	reqRate := offeredRate / float64(m.N)
+	// Every key read goes through the resilience pipeline (a nil
+	// simResilience is one plain draw): draw samples server j's stream
+	// and reports whether that sample went unanswered.
+	var j int
+	draw := func() (float64, bool) {
+		idx := servers[j].SampleIdx(rngSample)
+		return servers[j].Sojourns[idx], servers[j].FailedAt(idx)
+	}
 	for req := 0; req < cfg.Requests; req++ {
 		var (
 			maxTS, maxTD, maxTP, sumTS float64
@@ -466,35 +474,22 @@ func SimulateRequests(cfg RequestConfig) (*RequestResult, error) {
 				}
 				rec.Observe(telemetry.StageProxyHop, tp)
 			}
-			j := assign.SampleInt(rngAssign)
-			var (
-				s      float64
-				failed bool
-			)
-			if faultAware {
-				draw := func() (float64, bool) {
-					idx := servers[j].SampleIdx(rngSample)
-					return servers[j].Sojourns[idx], servers[j].FailedAt(idx)
-				}
-				var shed bool
-				s, failed, shed = rs.resolveKey(j, draw, rec)
-				if shed {
-					out.ShedKeys++
-				}
-				if failed {
-					failedKeys++
-					out.FailedKeys++
-				}
-			} else {
-				s = servers[j].Sample(rngSample)
-				// Hedged reads: fastest of `replicas` independent draws
-				// (replicas live on distinct servers; with balanced load the
-				// same server's distribution represents each).
-				for rep := 1; rep < replicas; rep++ {
-					alt := servers[assign.SampleInt(rngAssign)].Sample(rngSample)
-					if alt < s {
-						s = alt
-					}
+			j = assign.SampleInt(rngAssign)
+			s, failed, shed := rs.resolveKey(j, draw, rec)
+			if shed {
+				out.ShedKeys++
+			}
+			if failed {
+				failedKeys++
+				out.FailedKeys++
+			}
+			// Hedged reads: fastest of `replicas` independent draws
+			// (replicas live on distinct servers; with balanced load the
+			// same server's distribution represents each).
+			for rep := 1; rep < replicas; rep++ {
+				alt := servers[assign.SampleInt(rngAssign)].Sample(rngSample)
+				if alt < s {
+					s = alt
 				}
 			}
 			if s > maxTS {
@@ -514,48 +509,42 @@ func SimulateRequests(cfg RequestConfig) (*RequestResult, error) {
 					// coalescing window and no Database fault exposure.
 					d = diskDraw()
 					diskHit = true
-				} else if cfg.Coalesce {
-					var k int
+				} else {
+					k := -1 // the miss's key identity, on coalesced runs
 					if missZipf != nil {
 						k = missZipf.SampleInt(rngMissKey)
-					} else {
+					} else if cfg.Coalesce {
 						k = rngMissKey.IntN(len(inflightUntil))
 					}
-					if end := inflightUntil[k]; end > now {
+					if k >= 0 && inflightUntil[k] > now {
 						// Delayed hit: the key's fetch is already in
 						// flight, so this miss pays only the residual
 						// wait. The leader's fault delay is inside the
 						// window, and a failed fetch fans its error out
 						// to everyone attached.
-						d = end - now
+						d = inflightUntil[k] - now
 						delayed = true
 						if inflightFail[k] {
 							failedKeys++
 							out.FailedKeys++
 						}
 					} else {
+						// A backend fetch, naive or a coalesced leader.
 						d = rngDB.ExpFloat64() / m.MuD
 						fetchFailed := false
 						if act := inj.At(fault.Database, now); act.Faulted() {
 							d += act.Delay
 							if act.Outcome != fault.OK {
+								// Database outage: the fill fails after the
+								// delay and the key goes unanswered.
 								fetchFailed = true
 								failedKeys++
 								out.FailedKeys++
 							}
 						}
-						inflightUntil[k] = now + d
-						inflightFail[k] = fetchFailed
-					}
-				} else {
-					d = rngDB.ExpFloat64() / m.MuD
-					if act := inj.At(fault.Database, now); act.Faulted() {
-						d += act.Delay
-						if act.Outcome != fault.OK {
-							// Database outage: the fill fails after the delay
-							// and the key goes unanswered.
-							failedKeys++
-							out.FailedKeys++
+						if k >= 0 {
+							inflightUntil[k] = now + d
+							inflightFail[k] = fetchFailed
 						}
 					}
 				}

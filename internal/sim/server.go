@@ -19,11 +19,9 @@ type ServerConfig struct {
 	Q float64
 	// MuS is the per-key exponential service rate.
 	MuS float64
-	// Keys is the number of keys to simulate after warmup.
+	// Keys is the number of keys recorded, after a warm-up of Keys/10
+	// more that are discarded to let the queue reach steady state.
 	Keys int
-	// WarmupKeys are discarded to let the queue reach steady state
-	// (default: 10% of Keys).
-	WarmupKeys int
 	// Seed makes the run deterministic.
 	Seed uint64
 	// Recorder, when set, receives StageQueueWait / StageService
@@ -99,10 +97,7 @@ func SimulateServer(cfg ServerConfig) (*ServerResult, error) {
 	if cfg.Keys < 1 {
 		return nil, fmt.Errorf("sim: keys=%d must be >= 1", cfg.Keys)
 	}
-	warmup := cfg.WarmupKeys
-	if warmup == 0 {
-		warmup = cfg.Keys / 10
-	}
+	warmup := cfg.Keys / 10
 	batch, err := dist.NewGeometricBatch(cfg.Q)
 	if err != nil {
 		return nil, err

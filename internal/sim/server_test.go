@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"memqlat/internal/dist"
@@ -161,15 +162,23 @@ func TestSimulateServerDeterminism(t *testing.T) {
 	}
 }
 
+// The first Keys/10 keys are discarded: a run of 5000 keys records keys
+// 501–5500 of the stream, a run of 5500 keys records keys 551–6050, and
+// the stream itself does not depend on where it stops.
 func TestSimulateServerWarmupDiscard(t *testing.T) {
 	exp, _ := dist.NewExponential(10000)
-	res, err := SimulateServer(ServerConfig{
-		Interarrival: exp, Q: 0, MuS: 80000, Keys: 5000, WarmupKeys: 2000, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
+	run := func(keys int) []float64 {
+		res, err := SimulateServer(ServerConfig{Interarrival: exp, Q: 0.3, MuS: 80000, Keys: keys, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Sojourns) != keys {
+			t.Fatalf("recorded %d, want %d post-warmup keys", len(res.Sojourns), keys)
+		}
+		return res.Sojourns
 	}
-	if len(res.Sojourns) != 5000 {
-		t.Errorf("recorded %d, want 5000 post-warmup keys", len(res.Sojourns))
+	a, b := run(5000), run(5500)
+	if !slices.Equal(a[50:], b[:4950]) {
+		t.Error("runs of 5000 and 5500 keys do not record the same stream 50 keys apart")
 	}
 }
