@@ -66,14 +66,21 @@ cover:
 # frame must re-parse identically; a reply must relay verbatim and agree
 # with the client-side reader), 15s over the Chrome trace-event
 # decoder (ParseChrome must never panic and must round-trip WriteChrome
-# output) and 10s over the -slo flag grammar (an accepted spec re-renders
-# and re-parses to itself; keys outside the grammar are errors).
+# output), 10s over the -slo flag grammar (an accepted spec re-renders
+# and re-parses to itself; keys outside the grammar are errors), 7s over
+# the fault-schedule grammar (an accepted schedule re-renders and
+# re-parses to an equal one), 6s over the tenant grammar (accepted specs
+# build a limiter that re-renders to itself) and 7s over the key-journal
+# reader (no input panics; what it accepts round-trips through Writer).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseCommand -fuzztime=20s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzScanReply -fuzztime=10s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzProxyFrame -fuzztime=15s ./internal/proxy/
 	$(GO) test -run '^$$' -fuzz FuzzChromeTrace -fuzztime=15s ./internal/otrace/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=10s ./internal/slo/
+	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime=7s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz FuzzParseSpecs -fuzztime=6s ./internal/tenant/
+	$(GO) test -run '^$$' -fuzz FuzzKeylogReader -fuzztime=7s ./internal/keylog/
 
 # Micro-benchmarks, printed and gated by nothing: absolute ns/op says
 # nothing portable, so speed is gated by bench/ (BENCHMARK.json: paired

@@ -44,14 +44,14 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 	upstream := startUpstream(t)
 	settled := testkit.Settles(t)
 
-	addr := testkit.ReservePort(t)
+	logged := testkit.CaptureLog(t)
 	done := make(chan error, 1)
 	// -slo arms the watchdog, whose window goroutine run has to stop too.
 	go func() {
-		done <- run([]string{"-listen", addr, "-servers", upstream, "-slo", "lambda=2000,mus=8000,window=20ms"})
+		done <- run([]string{"-listen", "127.0.0.1:0", "-servers", upstream, "-slo", "lambda=2000,mus=8000,window=20ms"})
 	}()
 
-	cl, err := client.New(client.Options{Servers: []string{addr}})
+	cl, err := client.New(client.Options{Servers: []string{testkit.Addr(t, logged, "listening on ")}})
 	if err != nil {
 		t.Fatal(err)
 	}

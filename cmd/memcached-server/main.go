@@ -27,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -78,11 +79,7 @@ func run(args []string) error {
 
 	var tracer *otrace.Tracer
 	if *traceRing > 0 {
-		tracer = otrace.New(otrace.Options{
-			RingSize:   *traceRing,
-			Slow:       slow.Seconds(),
-			SlowWriter: os.Stderr,
-		})
+		tracer = otrace.New(otrace.Options{RingSize: *traceRing, Slow: slow.Seconds(), SlowWriter: os.Stderr})
 	} else if *slow > 0 {
 		return fmt.Errorf("-slow needs -trace-ring (no tracer to watch)")
 	}
@@ -181,13 +178,17 @@ func run(args []string) error {
 		log.Printf("memcached-server: admin plane on http://%s/metrics", admin.Addr())
 	}
 
+	l, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sig)
 	errCh := make(chan error, 1)
-	go func() { errCh <- srv.ListenAndServe(*addr) }()
+	go func() { errCh <- srv.Serve(l) }()
 	log.Printf("memcached-server: listening on %s (memory %d MiB, shards %d, conn core %s)",
-		*addr, *memoryMB, c.Shards(), srv.ConnCoreName())
+		l.Addr(), *memoryMB, c.Shards(), srv.ConnCoreName())
 
 	select {
 	case err := <-errCh:

@@ -15,14 +15,14 @@ import (
 // return nil with every goroutine it started gone.
 func TestRunDrainsOnSIGTERM(t *testing.T) {
 	settled := testkit.Settles(t)
-	addr := testkit.ReservePort(t)
+	logged := testkit.CaptureLog(t)
 	done := make(chan error, 1)
 	// -slo arms the watchdog, whose window goroutine run has to stop too.
 	go func() {
-		done <- run([]string{"-addr", addr, "-service-rate", "5000", "-slo", "lambda=100,mus=5000,window=20ms"})
+		done <- run([]string{"-addr", "127.0.0.1:0", "-service-rate", "5000", "-slo", "lambda=100,mus=5000,window=20ms"})
 	}()
 
-	cl, err := client.New(client.Options{Servers: []string{addr}})
+	cl, err := client.New(client.Options{Servers: []string{testkit.Addr(t, logged, "listening on ")}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRunRejectsFlags(t *testing.T) {
 		{"-slow", "10ms"},
 		{"-exemplars"},
 	} {
-		args = append([]string{"-addr", testkit.ReservePort(t)}, args...)
+		args = append([]string{"-addr", "127.0.0.1:0"}, args...)
 		done := make(chan error, 1)
 		go func() { done <- run(args) }()
 		select {

@@ -127,8 +127,8 @@ func TestSimulatorModesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	integ, err := sim.SimulateIntegrated(sim.IntegratedConfig{
-		Model: model, Requests: 30000, Seed: 2,
+	integ, err := sim.SimulateRequests(sim.RequestConfig{
+		Model: model, Requests: 30000, Seed: 2, Integrated: true,
 	})
 	if err != nil {
 		t.Fatal(err)

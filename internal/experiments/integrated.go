@@ -44,7 +44,7 @@ func ExtIntegrated(b Budget) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		integMean := integ.Integrated.TS.Mean()
+		integMean := integ.Sim.TS.Mean()
 		compMean := comp.Sim.TS.Mean()
 		gap := (integMean - compMean) / compMean
 		rows = append(rows, []string{

@@ -165,10 +165,16 @@ func (r Rule) Validate() error {
 	if r.Until < 0 {
 		return fmt.Errorf("fault: negative until")
 	}
+	for _, v := range []float64{r.From, r.Until, r.Delay, r.P, r.Period, r.Duty} {
+		if math.IsNaN(v) {
+			return fmt.Errorf("fault: NaN parameter")
+		}
+	}
 	return nil
 }
 
-// String renders the rule in schedule-spec syntax.
+// String renders the rule in schedule-spec syntax; ParseSchedule reads
+// it back to an equal rule.
 func (r Rule) String() string {
 	var b strings.Builder
 	b.WriteString(r.Kind.String())
@@ -181,24 +187,33 @@ func (r Rule) String() string {
 		fmt.Fprintf(&b, ":srv=%d", r.Server)
 	}
 	if r.From > 0 {
-		fmt.Fprintf(&b, ",from=%gs", r.From)
+		b.WriteString(",from=" + seconds(r.From))
 	}
 	if r.Until > 0 {
-		fmt.Fprintf(&b, ",until=%gs", r.Until)
+		b.WriteString(",until=" + seconds(r.Until))
 	}
 	if r.Delay > 0 {
-		fmt.Fprintf(&b, ",delay=%gs", r.Delay)
+		b.WriteString(",delay=" + seconds(r.Delay))
 	}
-	if r.Kind == KindDrop && r.P > 0 && r.P != 1 {
+	if r.P != 1 {
 		fmt.Fprintf(&b, ",p=%g", r.P)
 	}
-	if r.Kind == KindFlap {
-		fmt.Fprintf(&b, ",period=%gs", r.Period)
-		if r.Duty > 0 {
-			fmt.Fprintf(&b, ",duty=%g", r.Duty)
-		}
+	if r.Period != 0 {
+		b.WriteString(",period=" + seconds(r.Period))
+	}
+	if r.Duty != 0 {
+		fmt.Fprintf(&b, ",duty=%g", r.Duty)
 	}
 	return b.String()
+}
+
+// seconds renders v for parseSeconds: as a Go duration when that reads
+// back exactly, else as bare seconds.
+func seconds(v float64) string {
+	if d := time.Duration(v * 1e9); d.Seconds() == v {
+		return d.String()
+	}
+	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
 // Schedule is a seeded set of fault points — the unit a Scenario

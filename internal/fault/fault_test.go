@@ -47,6 +47,7 @@ func TestFaultParseErrors(t *testing.T) {
 		"slow:srv=1,wat=3",        // unknown key
 		"slow:srv=1,delay",        // malformed kv
 		"slow:srv=zebra,delay=1s", // bad index
+		"slow:srv=1,delay=NaN",    // NaN parameter
 	} {
 		if _, err := ParseSchedule(spec); err == nil {
 			t.Errorf("spec %q accepted", spec)

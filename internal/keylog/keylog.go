@@ -34,6 +34,9 @@ type Record struct {
 // ErrSyntax reports a malformed trace line.
 var ErrSyntax = errors.New("keylog: malformed line")
 
+// keySpace is what no journalled key contains, on write or on read.
+const keySpace = " \t\r\n"
+
 // Writer journals records to an underlying stream.
 type Writer struct {
 	w   *bufio.Writer
@@ -53,7 +56,7 @@ func (t *Writer) Write(rec Record) error {
 	if t.err != nil {
 		return t.err
 	}
-	if rec.Key == "" || strings.ContainsAny(rec.Key, " \t\r\n") {
+	if rec.Key == "" || strings.ContainsAny(rec.Key, keySpace) {
 		return fmt.Errorf("keylog: invalid key %q", rec.Key)
 	}
 	if rec.Offset < 0 {
@@ -121,7 +124,7 @@ func (r *Reader) Next() (Record, error) {
 			return Record{}, fmt.Errorf("%w: line %d: bad offset %q", ErrSyntax, r.line, line[:sep])
 		}
 		key := strings.TrimSpace(line[sep+1:])
-		if strings.ContainsAny(key, " \t") {
+		if strings.ContainsAny(key, keySpace) {
 			return Record{}, fmt.Errorf("%w: line %d: key contains whitespace", ErrSyntax, r.line)
 		}
 		return Record{Offset: time.Duration(nanos), Key: key}, nil

@@ -78,6 +78,7 @@ func TestReaderSyntaxErrors(t *testing.T) {
 		"-5 key\n",
 		"100 two words\n",
 		"100 \n",
+		"100 a\rb\n",
 	}
 	for _, in := range bad {
 		_, err := NewReader(strings.NewReader(in)).ReadAll()

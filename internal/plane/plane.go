@@ -366,10 +366,10 @@ type Result struct {
 	Elapsed time.Duration
 
 	// Plane-specific detail for renderers that need more than the
-	// common surface (per-server samples, hit counters, ...).
-	Sim        *sim.RequestResult
-	Integrated *sim.IntegratedResult
-	Live       *loadgen.Result
+	// common surface (per-server samples, hit counters, ...). Sim is set
+	// by both simulator modes.
+	Sim  *sim.RequestResult
+	Live *loadgen.Result
 	// Coalesce carries the live client's single-flight counters when
 	// the scenario enables coalescing (nil otherwise; the simulator
 	// reports its equivalents on Sim.BackendFetches/DelayedHits).

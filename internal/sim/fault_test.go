@@ -227,15 +227,16 @@ func TestFaultSimHedgeRecoversDrops(t *testing.T) {
 // schedule (via the collapsed-delay view).
 func TestFaultSimIntegratedSlow(t *testing.T) {
 	model := facebookModel()
-	healthy, err := SimulateIntegrated(IntegratedConfig{Model: model, Requests: 400, Seed: 3})
+	healthy, err := SimulateRequests(RequestConfig{Integrated: true, Model: model, Requests: 400, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	slowed, err := SimulateIntegrated(IntegratedConfig{
-		Model:    model,
-		Requests: 400,
-		Seed:     3,
-		Faults:   mustSchedule(t, "slow:srv=all,delay=100us"),
+	slowed, err := SimulateRequests(RequestConfig{
+		Model:      model,
+		Requests:   400,
+		Seed:       3,
+		Faults:     mustSchedule(t, "slow:srv=all,delay=100us"),
+		Integrated: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -15,8 +15,8 @@ import (
 	"memqlat/internal/telemetry"
 )
 
-// This file keeps the event-scheduled implementation SimulateIntegrated
-// replaced — a heap of closures, one station per server — as the
+// This file keeps the event-scheduled implementation the integrated
+// mode replaced — a heap of closures, one station per server — as the
 // reference the request-driven pass must reproduce sample for sample.
 
 type refEvent struct {
@@ -121,9 +121,9 @@ func (s *refStation) startNext() {
 	})
 }
 
-// simulateIntegratedRef is the parent commit's SimulateIntegrated with
+// simulateIntegratedRef is the event-scheduled integrated simulator with
 // validation dropped: the same rng streams, drawn at the same events.
-func simulateIntegratedRef(cfg IntegratedConfig) *IntegratedResult {
+func simulateIntegratedRef(cfg RequestConfig) *RequestResult {
 	m := cfg.Model
 	warmup := cfg.Requests / 10
 	var inj *fault.Injector
@@ -131,7 +131,7 @@ func simulateIntegratedRef(cfg IntegratedConfig) *IntegratedResult {
 		inj, _ = fault.NewInjector(cfg.Faults, m.M())
 	}
 	var eng refEngine
-	res := &IntegratedResult{
+	res := &RequestResult{
 		Total:  stats.NewHistogram(),
 		TS:     stats.NewHistogram(),
 		TD:     stats.NewHistogram(),
@@ -159,7 +159,7 @@ func simulateIntegratedRef(cfg IntegratedConfig) *IntegratedResult {
 			res.Total.Record(eng.now - r.start)
 			res.TS.Record(r.maxTS)
 			res.TD.Record(r.maxTD)
-			res.Completed++
+			res.Requests++
 			rec.Observe(telemetry.StageForkJoin, r.maxTS-r.sumTS/float64(m.N))
 		}
 	}
@@ -249,13 +249,13 @@ func TestSimulateIntegratedMatchesReference(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/seed=%d", c.name, seed), func(t *testing.T) {
 				m := facebookModel()
 				c.edit(m)
-				cfg := IntegratedConfig{Model: m, Requests: 1000, Seed: seed}
+				cfg := RequestConfig{Model: m, Requests: 1000, Seed: seed, Integrated: true}
 				if c.faults != "" {
 					cfg.Faults = mustSchedule(t, c.faults)
 				}
 				gotLog, wantLog := stageLog{}, stageLog{}
 				cfg.Recorder = gotLog
-				got, err := SimulateIntegrated(cfg)
+				got, err := SimulateRequests(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -267,11 +267,11 @@ func TestSimulateIntegratedMatchesReference(t *testing.T) {
 	}
 }
 
-func compareIntegrated(t *testing.T, got, want *IntegratedResult, gotLog, wantLog stageLog) {
+func compareIntegrated(t *testing.T, got, want *RequestResult, gotLog, wantLog stageLog) {
 	t.Helper()
-	if got.Completed != want.Completed || got.KeyCount != want.KeyCount || got.MissCount != want.MissCount {
-		t.Errorf("completed/keys/misses = %d/%d/%d, reference %d/%d/%d",
-			got.Completed, got.KeyCount, got.MissCount, want.Completed, want.KeyCount, want.MissCount)
+	if got.Requests != want.Requests || got.KeyCount != want.KeyCount || got.MissCount != want.MissCount {
+		t.Errorf("requests/keys/misses = %d/%d/%d, reference %d/%d/%d",
+			got.Requests, got.KeyCount, got.MissCount, want.Requests, want.KeyCount, want.MissCount)
 	}
 	if got.Elapsed != want.Elapsed {
 		t.Errorf("elapsed = %v, reference %v", got.Elapsed, want.Elapsed)

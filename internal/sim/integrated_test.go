@@ -1,23 +1,56 @@
 package sim
 
 import (
+	"strings"
 	"testing"
+
+	"memqlat/internal/fault"
+	"memqlat/internal/telemetry"
+	"memqlat/internal/tenant"
 )
 
 func TestSimulateIntegratedValidation(t *testing.T) {
-	if _, err := SimulateIntegrated(IntegratedConfig{Model: nil, Requests: 1}); err == nil {
+	if _, err := SimulateRequests(RequestConfig{Integrated: true, Model: nil, Requests: 1}); err == nil {
 		t.Error("nil model accepted")
 	}
 	m := facebookModel()
-	if _, err := SimulateIntegrated(IntegratedConfig{Model: m, Requests: 0}); err == nil {
+	if _, err := SimulateRequests(RequestConfig{Integrated: true, Model: m, Requests: 0}); err == nil {
 		t.Error("zero requests accepted")
 	}
 	bad := facebookModel()
 	bad.MuS = 0
-	if _, err := SimulateIntegrated(IntegratedConfig{Model: bad, Requests: 1}); err == nil {
+	if _, err := SimulateRequests(RequestConfig{Integrated: true, Model: bad, Requests: 1}); err == nil {
 		t.Error("invalid model accepted")
 	}
+	// Every option the request-driven pass does not model is refused, and
+	// the same option is fine for the composition mode.
+	for name, set := range map[string]func(*RequestConfig){
+		"proxy":      func(c *RequestConfig) { c.ProxyModel = facebookModel() },
+		"replicas":   func(c *RequestConfig) { c.ReadReplicas = 2 },
+		"tenants":    func(c *RequestConfig) { c.Tenants = []tenant.Spec{{Name: "a"}} },
+		"coalesce":   func(c *RequestConfig) { c.Coalesce = true },
+		"extstore":   func(c *RequestConfig) { c.Extstore = &ExtstoreSim{DiskHitFraction: 0.5, MuDisk: 1000} },
+		"observer":   func(c *RequestConfig) { c.Observer = nopObserver{} },
+		"resilience": func(c *RequestConfig) { c.Resilience = fault.Resilience{Retries: 1} },
+	} {
+		cfg := RequestConfig{Model: facebookModel(), Requests: 10, KeysPerServer: 2000, Integrated: true}
+		set(&cfg)
+		if _, err := SimulateRequests(cfg); err == nil || !strings.Contains(err.Error(), "integrated mode does not model") {
+			t.Errorf("integrated mode with %s: err = %v, want a refusal", name, err)
+		}
+		cfg.Integrated = false
+		if _, err := SimulateRequests(cfg); err != nil {
+			t.Errorf("composition mode with %s: %v", name, err)
+		}
+	}
 }
+
+// nopObserver watches nothing.
+type nopObserver struct{}
+
+func (nopObserver) Observe(telemetry.Stage, float64) {}
+func (nopObserver) BeginRequest(float64)             {}
+func (nopObserver) RequestTotal(float64, float64)    {}
 
 // The integrated request-driven system, run at moderate load, should agree
 // with the composition simulator and the Theorem 1 ballpark on E[TS(N)].
@@ -26,16 +59,17 @@ func TestSimulateIntegratedAgreesWithModel(t *testing.T) {
 	m.N = 20 // keep the event count tractable for CI
 	m.TotalKeyRate = 4 * 40000
 	m.MissRatio = 0.01
-	res, err := SimulateIntegrated(IntegratedConfig{
-		Model:    m,
-		Requests: 4000,
-		Seed:     1,
+	res, err := SimulateRequests(RequestConfig{
+		Model:      m,
+		Requests:   4000,
+		Seed:       1,
+		Integrated: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Completed < 4000 {
-		t.Fatalf("completed %d", res.Completed)
+	if res.Requests < 4000 {
+		t.Fatalf("completed %d", res.Requests)
 	}
 	est, err := m.Estimate()
 	if err != nil {
@@ -63,12 +97,12 @@ func TestSimulateIntegratedDeterministic(t *testing.T) {
 	m := facebookModel()
 	m.N = 5
 	m.TotalKeyRate = 4 * 10000
-	cfg := IntegratedConfig{Model: m, Requests: 500, Seed: 7}
-	a, err := SimulateIntegrated(cfg)
+	cfg := RequestConfig{Model: m, Requests: 500, Seed: 7, Integrated: true}
+	a, err := SimulateRequests(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateIntegrated(cfg)
+	b, err := SimulateRequests(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +120,7 @@ func TestSimulateIntegratedKeyLatencySanity(t *testing.T) {
 	m.Xi = 0
 	m.Q = 0
 	m.TotalKeyRate = 4 * 40000 // rho = 0.5 per server
-	res, err := SimulateIntegrated(IntegratedConfig{Model: m, Requests: 60000, Seed: 3})
+	res, err := SimulateRequests(RequestConfig{Integrated: true, Model: m, Requests: 60000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,21 +146,17 @@ func TestSimulateIntegratedUtilizationAndLittlesLaw(t *testing.T) {
 	m.MissRatio = 0
 	m.NetworkLatency = 0
 	m.TotalKeyRate = 4 * 48000 // rho = 0.6 per server
-	res, err := SimulateIntegrated(IntegratedConfig{Model: m, Requests: 40000, Seed: 5})
+	res, err := SimulateRequests(RequestConfig{Integrated: true, Model: m, Requests: 40000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Elapsed <= 0 {
-		t.Fatal("elapsed not measured")
+	if res.Elapsed <= 0 || len(res.BusyTime) != 4 {
+		t.Fatalf("elapsed %v over busy times %v: not measured", res.Elapsed, res.BusyTime)
 	}
-	for j := 0; j < 4; j++ {
-		got := res.Utilization(j)
-		if !almostEqual(got, 0.6, 0.05) {
+	for j, busy := range res.BusyTime {
+		if got := busy / res.Elapsed; !almostEqual(got, 0.6, 0.05) {
 			t.Errorf("server %d utilization = %v, want ~0.6", j, got)
 		}
-	}
-	if res.Utilization(-1) != 0 || res.Utilization(99) != 0 {
-		t.Error("out-of-range utilization should be 0")
 	}
 	// Little's law on the whole cache tier: mean number of keys in
 	// system L = lambda * W. We approximate L via lambda*W and check it

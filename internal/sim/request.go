@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/rand/v2"
 
 	"memqlat/internal/core"
 	"memqlat/internal/dist"
@@ -13,15 +15,19 @@ import (
 	"memqlat/internal/tenant"
 )
 
-// RequestConfig parameterizes the fork-join composition stage: it takes
-// a model configuration and measurement sizes and produces end-user
-// request latencies the way the paper's testbed does (per-server key
-// streams + statistical composition over each request's N keys).
+// RequestConfig parameterizes one fork-join simulation in either mode
+// (see the package doc): the composition mode unless Integrated is set.
 type RequestConfig struct {
 	// Model is the deployment/workload description.
 	Model *core.Config
 	// Requests is the number of end-user requests to synthesize.
 	Requests int
+	// Integrated selects the request-driven mode. It honours Model,
+	// Requests, Seed, Recorder and Faults (collapsed to pure delay by
+	// fault.Injector.DelayAt: it models servers, not connections), and
+	// refuses a proxy, replicas, tenants, coalescing, the extstore tier,
+	// an observer and resilience policies.
+	Integrated bool
 	// KeysPerServer is the per-server key-stream sample size feeding the
 	// composition (default 200_000).
 	KeysPerServer int
@@ -41,10 +47,10 @@ type RequestConfig struct {
 	// Seed makes the run deterministic.
 	Seed uint64
 	// Recorder, when set, receives the per-stage decomposition: queue
-	// wait and service from the per-server streams, miss penalty per
-	// missed key, and fork-join overhead (max-over-N minus mean) per
-	// composed request — plus, under faults, the resilience stages
-	// (retry, hedge_wait, breaker_shed).
+	// wait and service per key, miss penalty per missed key, and
+	// fork-join overhead (max-over-N minus mean) per composed request —
+	// plus, under faults, the resilience stages (retry, hedge_wait,
+	// breaker_shed).
 	Recorder telemetry.Recorder
 	// Faults injects the seeded fault schedule into every per-server
 	// key stream (and, for Database rules, the miss path). The empty
@@ -141,7 +147,8 @@ type ExtstoreSim struct {
 }
 
 // RequestResult aggregates the measured latency decomposition, mirroring
-// the paper's Table 3 columns.
+// the paper's Table 3 columns. The integrated mode fills Total, TS, TD,
+// TN, KeyLat, BusyTime, Elapsed and the key, miss and request counts.
 type RequestResult struct {
 	// Total is T(N): the end-user request latency.
 	Total *stats.Histogram
@@ -155,6 +162,13 @@ type RequestResult struct {
 	// Servers exposes the per-server key-latency samples (Fig. 4 uses
 	// the heaviest server's quantiles).
 	Servers []*ServerResult
+	// KeyLat is the integrated mode's per-key memcached sojourn sample,
+	// all servers pooled (the composition's is per server, in Servers).
+	KeyLat *stats.Histogram
+	// BusyTime is the integrated mode's per-server busy time over the
+	// virtual span Elapsed: BusyTime[j]/Elapsed is the emergent ρ_j.
+	BusyTime []float64
+	Elapsed  float64
 	// DBLat records the per-miss penalty sample: backend fetches,
 	// coalesced residual waits, and (on tiered runs) disk reads — the
 	// full cost a RAM miss pays, whoever serves it.
@@ -195,9 +209,10 @@ type RequestResult struct {
 	// DiskHits counts misses the simulated SSD tier absorbed (tiered
 	// runs only; see RequestConfig.Extstore).
 	DiskHits int64
-	// Tenants carries the per-tenant QoS outcome in declaration order
-	// (nil without tenant specs).
-	Tenants []TenantSimResult
+	// Tenants are the run's tenants in declaration order (nil without
+	// tenant specs): their buckets, counters and the latency histogram of
+	// their requests with at least one admitted key, as the run left them.
+	Tenants []*tenant.Tenant
 	// TenantShedKeys counts keys refused by tenant admission; shed
 	// keys never enter KeyCount or any queue.
 	TenantShedKeys int64
@@ -207,404 +222,275 @@ type RequestResult struct {
 	ShedRequests int64
 }
 
-// TenantSimResult is one tenant's simulated outcome: the final bucket
-// and counter snapshot plus the latency histogram of its requests that
-// had at least one admitted key.
-type TenantSimResult struct {
-	Snapshot tenant.Snapshot
-	Latency  *stats.Histogram
-}
-
-// SimulateRequests runs the two-stage experiment: simulate each server's
-// GI^X/M/1 key stream, then compose Requests fork-join requests whose N
-// keys are assigned to servers multinomially by {p_j}, each key reading
-// a latency sample from its server, missing with probability r into an
-// exponential database stage, and joining at the max (paper §4.1).
+// SimulateRequests runs the fork-join experiment. In the composition
+// mode it simulates each server's GI^X/M/1 key stream, then composes
+// Requests fork-join requests whose N keys are assigned to servers
+// multinomially by {p_j}, each key reading a latency sample from its
+// server, missing with probability r into the miss path, and joining at
+// the max (paper §4.1).
 func SimulateRequests(cfg RequestConfig) (*RequestResult, error) {
-	if cfg.Model == nil {
-		return nil, fmt.Errorf("sim: nil model config")
-	}
-	if err := cfg.Model.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Requests < 1 {
-		return nil, fmt.Errorf("sim: requests=%d must be >= 1", cfg.Requests)
+	if cfg.Integrated {
+		return simulateIntegrated(cfg)
 	}
-	keysPerServer := cfg.KeysPerServer
-	if keysPerServer == 0 {
-		keysPerServer = 200000
-	}
-	replicas := cfg.ReadReplicas
-	if replicas == 0 {
-		replicas = 1
-	}
-	if replicas < 1 {
-		return nil, fmt.Errorf("sim: read replicas %d must be >= 1", replicas)
-	}
-	m := cfg.Model
-
-	var inj *fault.Injector
-	if !cfg.Faults.Empty() {
-		var err error
-		inj, err = fault.NewInjector(cfg.Faults, m.M())
-		if err != nil {
-			return nil, err
-		}
-	}
-	faultAware := inj != nil || cfg.Resilience.Enabled()
-	if faultAware && replicas > 1 {
-		return nil, fmt.Errorf("sim: ReadReplicas > 1 cannot combine with faults/resilience (hedging is the Resilience knob)")
-	}
-
-	// Stage 1: per-server key streams.
-	servers := make([]*ServerResult, m.M())
-	for j := 0; j < m.M(); j++ {
-		if m.LoadRatios[j] == 0 {
-			continue
-		}
-		lam := m.ServerKeyRate(j)
-		if replicas > 1 {
-			lam *= float64(replicas)
-		}
-		arrival, err := serverArrival(m, lam)
-		if err != nil {
-			return nil, fmt.Errorf("server %d: %w", j, err)
-		}
-		res, err := SimulateServer(ServerConfig{
-			Interarrival: arrival,
-			Q:            m.Q,
-			MuS:          m.MuS,
-			Keys:         keysPerServer,
-			Seed:         cfg.Seed + uint64(j)*1000003,
-			Recorder:     cfg.Recorder,
-			Fault:        inj,
-			Server:       j,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("server %d: %w", j, err)
-		}
-		servers[j] = res
-	}
-
-	// Optional proxy stage: one more GI^X/M/1 stream at the aggregate
-	// key rate. Every key passes the proxy exactly once — replicated
-	// reads fan out on the proxy's upstream side, not its queue — so the
-	// stream's rate is the configured Λ regardless of ReadReplicas.
-	var proxySrv *ServerResult
-	if cfg.ProxyModel != nil {
-		pm := cfg.ProxyModel
-		if err := pm.Validate(); err != nil {
-			return nil, fmt.Errorf("sim: proxy model: %w", err)
-		}
-		arrival, err := serverArrival(pm, pm.TotalKeyRate)
-		if err != nil {
-			return nil, fmt.Errorf("sim: proxy stage: %w", err)
-		}
-		proxySrv, err = SimulateServer(ServerConfig{
-			Interarrival: arrival,
-			Q:            pm.Q,
-			MuS:          pm.MuS,
-			Keys:         keysPerServer,
-			Seed:         cfg.Seed + 777000777,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("sim: proxy stage: %w", err)
-		}
-	}
-
-	// Stage 2: fork-join composition.
-	assign, err := dist.NewWeighted(m.LoadRatios)
+	c, err := newComposition(cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := &RequestResult{
+	for req := 0; req < cfg.Requests; req++ {
+		c.request(float64(req) / c.reqRate)
+	}
+	return c.out, nil
+}
+
+// validate checks the configuration for its mode.
+func (cfg *RequestConfig) validate() error {
+	if cfg.Model == nil {
+		return fmt.Errorf("sim: nil model config")
+	}
+	if err := cfg.Model.Validate(); err != nil {
+		return err
+	}
+	if cfg.Requests < 1 {
+		return fmt.Errorf("sim: requests=%d must be >= 1", cfg.Requests)
+	}
+	if cfg.ReadReplicas < 0 {
+		return fmt.Errorf("sim: read replicas %d must be >= 1", cfg.ReadReplicas)
+	}
+	if cfg.Integrated && (cfg.ProxyModel != nil || cfg.ReadReplicas > 1 || len(cfg.Tenants) > 0 || cfg.Coalesce ||
+		cfg.Extstore != nil || cfg.Observer != nil || cfg.Resilience.Enabled()) {
+		return fmt.Errorf("sim: the integrated mode does not model a proxy tier, read replicas, tenant QoS, " +
+			"miss coalescing, the extstore tier, a request observer or resilience policies (use the composition mode)")
+	}
+	return nil
+}
+
+// injector builds the run's fault injector (nil when healthy).
+func (cfg *RequestConfig) injector() (*fault.Injector, error) {
+	if cfg.Faults.Empty() {
+		return nil, nil
+	}
+	return fault.NewInjector(cfg.Faults, cfg.Model.M())
+}
+
+// newResult allocates the histograms both modes fill.
+func newResult(m *core.Config) *RequestResult {
+	return &RequestResult{
 		Total:    stats.NewHistogram(),
 		TS:       stats.NewHistogram(),
 		TD:       stats.NewHistogram(),
 		DBLat:    stats.NewHistogram(),
 		TN:       m.NetworkLatency,
-		Servers:  servers,
-		Replicas: replicas,
+		Replicas: 1,
 	}
-	if proxySrv != nil {
-		out.TP = stats.NewHistogram()
-		out.ProxyKeys = proxySrv.Hist
+}
+
+// composition is one composition-mode run, every stage built before the
+// request loop. Streams: 101 assigns keys (and hedge replicas), 102
+// samples servers, 105 the proxy, 107 tenants, the rest the miss path.
+// A stage draws only when armed: runs without it keep their draws.
+type composition struct {
+	cfg       *RequestConfig
+	out       *RequestResult
+	rec       telemetry.Recorder
+	servers   []*ServerResult
+	assign    *dist.Weighted
+	rngAssign *rand.Rand
+	rngSample *rand.Rand
+	replicas  int
+	reqRate   float64 // virtual request arrivals per second
+	rs        *simResilience
+	tenants   *tenantAdmission
+	proxy     *ServerResult // nil without a proxy tier
+	rngProxy  *rand.Rand
+	miss      *missPath
+}
+
+func newComposition(cfg RequestConfig) (*composition, error) {
+	m := cfg.Model
+	c := &composition{cfg: &cfg, replicas: max(cfg.ReadReplicas, 1)}
+	inj, err := cfg.injector()
+	if err != nil {
+		return nil, err
 	}
-	var (
-		rngAssign = dist.SubRand(cfg.Seed, 101)
-		rngSample = dist.SubRand(cfg.Seed, 102)
-		rngMiss   = dist.SubRand(cfg.Seed, 103)
-		rngDB     = dist.SubRand(cfg.Seed, 104)
-		rngProxy  = dist.SubRand(cfg.Seed, 105)
-	)
-	rec := telemetry.OrNop(cfg.Recorder)
+	if (inj != nil || cfg.Resilience.Enabled()) && c.replicas > 1 {
+		return nil, fmt.Errorf("sim: ReadReplicas > 1 cannot combine with faults/resilience (hedging is the Resilience knob)")
+	}
+	if c.tenants, err = newTenantAdmission(cfg); err != nil {
+		return nil, err
+	}
+	if c.miss, err = newMissPath(cfg, inj); err != nil {
+		return nil, err
+	}
+	if c.assign, err = dist.NewWeighted(m.LoadRatios); err != nil {
+		return nil, err
+	}
+	if c.servers, err = simulateStreams(cfg, inj, c.replicas); err != nil {
+		return nil, err
+	}
+	if c.proxy, err = proxyStream(cfg); err != nil {
+		return nil, err
+	}
+	c.out = newResult(m)
+	c.out.Servers, c.out.Replicas = c.servers, c.replicas
+	if c.proxy != nil {
+		c.out.TP, c.out.ProxyKeys = stats.NewHistogram(), c.proxy.Hist
+	}
+	if c.tenants != nil {
+		c.out.Tenants = c.tenants.tenants
+	}
+	c.rngAssign, c.rngSample, c.rngProxy = dist.SubRand(cfg.Seed, 101), dist.SubRand(cfg.Seed, 102), dist.SubRand(cfg.Seed, 105)
+	c.rec = telemetry.OrNop(cfg.Recorder)
 	if cfg.Observer != nil {
-		rec = telemetry.Tee(rec, cfg.Observer)
+		c.rec = telemetry.Tee(c.rec, cfg.Observer)
 	}
-	rs := newSimResilience(cfg.Resilience, m, servers)
-	// Tenant QoS state: the limiter runs the same bucket code the live
-	// proxy runs, on the virtual request clock. The tenant rng (stream
-	// 107) is drawn only when tenants are declared, so untenanted runs
-	// keep their draw sequence byte-identical.
-	var (
-		lim       *tenant.Limiter
-		tenants   []*tenant.Tenant
-		tenantMix *dist.Weighted
-		rngTenant = dist.SubRand(cfg.Seed, 107)
-		tenantLat []*stats.Histogram
-	)
-	if len(cfg.Tenants) > 0 {
-		lim, err = tenant.New(cfg.Tenants)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %w", err)
-		}
-		tenants = lim.Tenants()
-		tenantMix, err = dist.NewWeighted(tenant.Shares(cfg.Tenants))
-		if err != nil {
-			return nil, fmt.Errorf("sim: tenant shares: %w", err)
-		}
-		tenantLat = make([]*stats.Histogram, len(cfg.Tenants))
-		for i := range tenantLat {
-			tenantLat[i] = stats.NewHistogram()
-		}
-	}
-	// Coalescing state: per-key in-flight fetch windows on the virtual
-	// timeline. The key rng (stream 106) is drawn only on coalesced
-	// runs, so naive runs keep their draw sequence byte-identical.
-	var (
-		rngMissKey    = dist.SubRand(cfg.Seed, 106)
-		missZipf      *dist.Zipf
-		inflightUntil []float64 // fetch window end per key (virtual s)
-		inflightFail  []bool    // window's fetch failed: error fans out
-	)
-	if cfg.Coalesce {
-		nKeys := cfg.MissKeys
-		if nKeys <= 0 {
-			nKeys = 2000
-		}
-		if cfg.MissZipfS > 0 {
-			z, err := dist.NewZipf(nKeys, cfg.MissZipfS)
-			if err != nil {
-				return nil, err
-			}
-			missZipf = z
-		}
-		inflightUntil = make([]float64, nKeys)
-		inflightFail = make([]bool, nKeys)
-	}
-	// Tiered miss state: the disk rng (stream 108) is drawn only on
-	// tiered runs — both for the β coin and the service draw — so
-	// untiered runs keep their draw sequence byte-identical.
-	var (
-		rngDisk  = dist.SubRand(cfg.Seed, 108)
-		diskDraw func() float64
-	)
-	if e := cfg.Extstore; e != nil {
-		if e.DiskHitFraction < 0 || e.DiskHitFraction > 1 {
-			return nil, fmt.Errorf("sim: extstore disk-hit fraction %v out of [0, 1]", e.DiskHitFraction)
-		}
-		if e.MuDisk <= 0 {
-			return nil, fmt.Errorf("sim: extstore MuDisk=%v must be positive", e.MuDisk)
-		}
-		switch e.Dist {
-		case "", "exp":
-			diskDraw = func() float64 { return rngDisk.ExpFloat64() / e.MuDisk }
-		case "lognormal":
-			sigma := e.Sigma
-			if sigma == 0 {
-				sigma = 0.5
-			}
-			// µ = ln(mean) − σ²/2 preserves the 1/MuDisk mean.
-			ln, err := dist.NewLogNormal(math.Log(1/e.MuDisk)-sigma*sigma/2, sigma)
-			if err != nil {
-				return nil, fmt.Errorf("sim: extstore: %w", err)
-			}
-			diskDraw = func() float64 { return ln.Sample(rngDisk) }
-		default:
-			return nil, fmt.Errorf("sim: extstore disk dist %q unknown (exp, lognormal)", e.Dist)
-		}
-	}
+	c.rs = newSimResilience(cfg.Resilience, m, c.servers)
 	// Virtual request clock for Database fault windows and tenant
 	// buckets: requests arrive at the aggregate rate Λ/N, matching the
 	// per-server streams' own virtual timelines. Under QoS the clock
 	// runs at the OFFERED rate — sheds happen at arrival, before any
 	// queue, so the admission process sees the pre-shedding stream.
-	offeredRate := cfg.OfferedKeyRate
-	if offeredRate <= 0 {
-		offeredRate = m.TotalKeyRate
+	offered := cfg.OfferedKeyRate
+	if offered <= 0 {
+		offered = m.TotalKeyRate
 	}
-	reqRate := offeredRate / float64(m.N)
-	// Every key read goes through the resilience pipeline (a nil
-	// simResilience is one plain draw): draw samples server j's stream
-	// and reports whether that sample went unanswered.
-	var j int
-	draw := func() (float64, bool) {
-		idx := servers[j].SampleIdx(rngSample)
-		return servers[j].Sojourns[idx], servers[j].FailedAt(idx)
-	}
-	for req := 0; req < cfg.Requests; req++ {
-		var (
-			maxTS, maxTD, maxTP, sumTS float64
-			misses, failedKeys         int
-			admittedKeys               int
-		)
-		now := float64(req) / reqRate
-		if cfg.Observer != nil {
-			cfg.Observer.BeginRequest(now)
-		}
-		var tn *tenant.Tenant
-		tenantIdx := -1
-		if lim != nil {
-			tenantIdx = tenantMix.SampleInt(rngTenant)
-			tn = tenants[tenantIdx]
-		}
-		for i := 0; i < m.N; i++ {
-			if tn != nil && !tn.Admit(now, 1, 0) {
-				// Shed before queue: the key never reaches the proxy or
-				// a server, so it draws nothing downstream.
-				out.TenantShedKeys++
-				rec.Observe(telemetry.StageTenantShed, 0)
-				continue
-			}
-			admittedKeys++
-			if proxySrv != nil {
-				tp := proxySrv.Sample(rngProxy)
-				if tp > maxTP {
-					maxTP = tp
-				}
-				rec.Observe(telemetry.StageProxyHop, tp)
-			}
-			j = assign.SampleInt(rngAssign)
-			s, failed, shed := rs.resolveKey(j, draw, rec)
-			if shed {
-				out.ShedKeys++
-			}
-			if failed {
-				failedKeys++
-				out.FailedKeys++
-			}
-			// Hedged reads: fastest of `replicas` independent draws
-			// (replicas live on distinct servers; with balanced load the
-			// same server's distribution represents each).
-			for rep := 1; rep < replicas; rep++ {
-				alt := servers[assign.SampleInt(rngAssign)].Sample(rngSample)
-				if alt < s {
-					s = alt
-				}
-			}
-			if s > maxTS {
-				maxTS = s
-			}
-			sumTS += s
-			out.KeyCount++
-			// A failed key returns no value, so it cannot miss into the
-			// database; the caller sees its error instead.
-			if !failed && m.MissRatio > 0 && rngMiss.Float64() < m.MissRatio {
-				var d float64
-				delayed := false
-				diskHit := false
-				if diskDraw != nil && rngDisk.Float64() < cfg.Extstore.DiskHitFraction {
-					// Disk hit: the SSD tier absorbs the RAM miss — a
-					// local segment read, so no backend fetch, no
-					// coalescing window and no Database fault exposure.
-					d = diskDraw()
-					diskHit = true
-				} else {
-					k := -1 // the miss's key identity, on coalesced runs
-					if missZipf != nil {
-						k = missZipf.SampleInt(rngMissKey)
-					} else if cfg.Coalesce {
-						k = rngMissKey.IntN(len(inflightUntil))
-					}
-					if k >= 0 && inflightUntil[k] > now {
-						// Delayed hit: the key's fetch is already in
-						// flight, so this miss pays only the residual
-						// wait. The leader's fault delay is inside the
-						// window, and a failed fetch fans its error out
-						// to everyone attached.
-						d = inflightUntil[k] - now
-						delayed = true
-						if inflightFail[k] {
-							failedKeys++
-							out.FailedKeys++
-						}
-					} else {
-						// A backend fetch, naive or a coalesced leader.
-						d = rngDB.ExpFloat64() / m.MuD
-						fetchFailed := false
-						if act := inj.At(fault.Database, now); act.Faulted() {
-							d += act.Delay
-							if act.Outcome != fault.OK {
-								// Database outage: the fill fails after the
-								// delay and the key goes unanswered.
-								fetchFailed = true
-								failedKeys++
-								out.FailedKeys++
-							}
-						}
-						if k >= 0 {
-							inflightUntil[k] = now + d
-							inflightFail[k] = fetchFailed
-						}
-					}
-				}
-				misses++
-				out.MissCount++
-				out.DBLat.Record(d)
-				switch {
-				case diskHit:
-					out.DiskHits++
-					rec.Observe(telemetry.StageDiskRead, d)
-				case delayed:
-					out.DelayedHits++
-					rec.Observe(telemetry.StageCoalesceWait, d)
-				default:
-					out.BackendFetches++
-					rec.Observe(telemetry.StageMissPenalty, d)
-				}
-				if d > maxTD {
-					maxTD = d
-				}
-			}
-		}
-		out.Requests++
-		if misses > 0 {
-			out.RequestsWithMiss++
-		}
-		if failedKeys > 0 {
-			out.DegradedRequests++
-		}
-		if admittedKeys == 0 {
-			// Every key was shed: the caller saw only error lines, so
-			// the request leaves no latency sample on any plane.
-			out.ShedRequests++
+	c.reqRate = offered / float64(m.N)
+	return c, nil
+}
+
+// simulateStreams runs stage 1: each loaded server's key stream, at
+// replicas times its key rate.
+func simulateStreams(cfg RequestConfig, inj *fault.Injector, replicas int) ([]*ServerResult, error) {
+	m := cfg.Model
+	servers := make([]*ServerResult, m.M())
+	for j := range servers {
+		if m.LoadRatios[j] == 0 {
 			continue
 		}
-		out.TS.Record(maxTS)
-		out.TD.Record(maxTD)
-		if out.TP != nil {
-			out.TP.Record(maxTP)
-		}
-		total := m.NetworkLatency + maxTS + maxTD + maxTP
-		out.Total.Record(total)
-		if cfg.Observer != nil {
-			cfg.Observer.RequestTotal(now, total)
-		}
-		if tenantIdx >= 0 {
-			tenantLat[tenantIdx].Record(total)
-		}
-		rec.Observe(telemetry.StageForkJoin, maxTS-sumTS/float64(admittedKeys))
-		if cfg.Tracer.Enabled() {
-			emitRequestSpans(cfg.Tracer, now, total, maxTP, maxTS, maxTD)
+		var err error
+		if servers[j], err = stream(m, m.ServerKeyRate(j)*float64(replicas), ServerConfig{
+			Keys:     cmp.Or(cfg.KeysPerServer, 200000),
+			Seed:     cfg.Seed + uint64(j)*1000003,
+			Recorder: cfg.Recorder,
+			Fault:    inj,
+			Server:   j,
+		}); err != nil {
+			return nil, fmt.Errorf("server %d: %w", j, err)
 		}
 	}
-	if lim != nil {
-		out.Tenants = make([]TenantSimResult, len(tenants))
-		for i, h := range tenants {
-			out.Tenants[i] = TenantSimResult{Snapshot: h.Snapshot(), Latency: tenantLat[i]}
-		}
+	return servers, nil
+}
+
+// fork accumulates one request's keys until it joins.
+type fork struct {
+	maxTS, maxTD, maxTP, sumTS float64
+	misses, failed, admitted   int
+}
+
+// request composes one request arriving at virtual time now and joins
+// it at its slowest key.
+func (c *composition) request(now float64) {
+	out := c.out
+	if c.cfg.Observer != nil {
+		c.cfg.Observer.BeginRequest(now)
 	}
-	return out, nil
+	tn := c.tenants.draw()
+	var f fork
+	for range c.cfg.Model.N {
+		if tn != nil && !tn.Admit(now, 1, 0) {
+			// Shed before queue: the key never reaches the proxy or a
+			// server, so it draws nothing downstream.
+			out.TenantShedKeys++
+			c.rec.Observe(telemetry.StageTenantShed, 0)
+			continue
+		}
+		c.key(now, &f)
+	}
+	out.Requests++
+	if f.misses > 0 {
+		out.RequestsWithMiss++
+	}
+	if f.failed > 0 {
+		out.DegradedRequests++
+	}
+	if f.admitted == 0 {
+		// Every key was shed: the caller saw only error lines, so the
+		// request leaves no latency sample on any plane.
+		out.ShedRequests++
+		return
+	}
+	out.TS.Record(f.maxTS)
+	out.TD.Record(f.maxTD)
+	if out.TP != nil {
+		out.TP.Record(f.maxTP)
+	}
+	total := c.cfg.Model.NetworkLatency + f.maxTS + f.maxTD + f.maxTP
+	out.Total.Record(total)
+	if c.cfg.Observer != nil {
+		c.cfg.Observer.RequestTotal(now, total)
+	}
+	if tn != nil {
+		tn.Observe(total)
+	}
+	c.rec.Observe(telemetry.StageForkJoin, f.maxTS-f.sumTS/float64(f.admitted))
+	if c.cfg.Tracer.Enabled() {
+		emitRequestSpans(c.cfg.Tracer, now, total, f.maxTP, f.maxTS, f.maxTD)
+	}
+}
+
+// key runs one admitted key through the proxy, its server (resilience
+// pipeline or hedge replicas) and, on a miss, the miss path.
+func (c *composition) key(now float64, f *fork) {
+	out := c.out
+	f.admitted++
+	if c.proxy != nil {
+		tp := c.proxy.Sample(c.rngProxy)
+		f.maxTP = max(f.maxTP, tp)
+		c.rec.Observe(telemetry.StageProxyHop, tp)
+	}
+	j := c.assign.SampleInt(c.rngAssign)
+	s, failed, shed := c.rs.resolveKey(j, c.servers[j], c.rngSample, c.rec)
+	if shed {
+		out.ShedKeys++
+	}
+	if failed {
+		f.failed++
+		out.FailedKeys++
+	}
+	// Hedged reads: fastest of `replicas` independent draws (replicas
+	// live on distinct servers; with balanced load the same server's
+	// distribution represents each).
+	for rep := 1; rep < c.replicas; rep++ {
+		s = min(s, c.servers[c.assign.SampleInt(c.rngAssign)].Sample(c.rngSample))
+	}
+	f.maxTS = max(f.maxTS, s)
+	f.sumTS += s
+	out.KeyCount++
+	// A failed key returns no value, so it cannot miss into the
+	// database; the caller sees its error instead.
+	if failed || !c.miss.misses() {
+		return
+	}
+	d, stage, missFailed := c.miss.serve(now)
+	if missFailed {
+		f.failed++
+		out.FailedKeys++
+	}
+	f.misses++
+	out.MissCount++
+	out.DBLat.Record(d)
+	switch stage {
+	case telemetry.StageDiskRead:
+		out.DiskHits++
+	case telemetry.StageCoalesceWait:
+		out.DelayedHits++
+	default:
+		out.BackendFetches++
+	}
+	c.rec.Observe(stage, d)
+	f.maxTD = max(f.maxTD, d)
 }
 
 // emitRequestSpans records one composed request on the virtual request
@@ -677,46 +563,35 @@ func (r *RequestResult) TSQuantileEstimate(m *core.Config) (float64, error) {
 	}
 	k := float64(m.N) / float64(m.N+1)
 	logK := math.Log(k)
-	replicas := r.Replicas
-	if replicas == 0 {
-		replicas = 1
-	}
+	// Hedged composition: every draw (primary and alternates) samples
+	// the load-weighted mixture G(t) = Σ p_j F_j(t), and the key keeps
+	// the fastest of d = Replicas draws: H(t) = 1 − (1−G(t))^d, identical
+	// for every key.
+	hedged := r.Replicas > 1
 	logCDF := func(t float64) float64 {
-		if replicas > 1 {
-			// Hedged composition: every draw (primary and alternates)
-			// samples the load-weighted mixture G(t) = Σ p_j F_j(t), and
-			// the key keeps the fastest of `replicas` draws:
-			// H(t) = 1 − (1−G(t))^d, identical for every key.
-			var g float64
-			for j, srv := range r.Servers {
-				p := m.LoadRatios[j]
-				if p == 0 || srv == nil {
-					continue
-				}
-				g += p * srv.Hist.CDF(t)
-			}
-			if g <= 0 {
-				return math.Inf(-1)
-			}
-			h := -math.Expm1(float64(replicas) * math.Log1p(-g))
-			if h <= 0 {
-				return math.Inf(-1)
-			}
-			return math.Log(h)
-		}
-		var s float64
+		var g, s float64
 		for j, srv := range r.Servers {
 			p := m.LoadRatios[j]
 			if p == 0 || srv == nil {
 				continue
 			}
 			f := srv.Hist.CDF(t)
-			if f <= 0 {
+			switch {
+			case hedged:
+				g += p * f
+			case f <= 0:
 				return math.Inf(-1)
+			default:
+				s += p * math.Log(f)
 			}
-			s += p * math.Log(f)
 		}
-		return s
+		if !hedged {
+			return s
+		}
+		if h := -math.Expm1(float64(r.Replicas) * math.Log1p(-g)); g > 0 && h > 0 {
+			return math.Log(h)
+		}
+		return math.Inf(-1)
 	}
 	if logCDF(0) >= logK {
 		return 0, nil
@@ -737,12 +612,19 @@ func (r *RequestResult) TSQuantileEstimate(m *core.Config) (float64, error) {
 	return (lo + hi) / 2, nil
 }
 
-// serverArrival builds the batch inter-arrival distribution for a
-// server with the given key rate, honoring a Config override.
-func serverArrival(m *core.Config, lambdaKeys float64) (dist.Interarrival, error) {
+// stream simulates one GI^X/M/1 key stream of model m at key rate
+// lambdaKeys, honoring a Config.Arrival override; cfg supplies the rest.
+func stream(m *core.Config, lambdaKeys float64, cfg ServerConfig) (*ServerResult, error) {
 	batchRate := (1 - m.Q) * lambdaKeys
+	var err error
 	if m.Arrival != nil {
-		return m.Arrival(batchRate)
+		cfg.Interarrival, err = m.Arrival(batchRate)
+	} else {
+		cfg.Interarrival, err = dist.NewGeneralizedPareto(m.Xi, batchRate)
 	}
-	return dist.NewGeneralizedPareto(m.Xi, batchRate)
+	if err != nil {
+		return nil, err
+	}
+	cfg.Q, cfg.MuS = m.Q, m.MuS
+	return SimulateServer(cfg)
 }

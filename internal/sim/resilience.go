@@ -2,9 +2,12 @@ package sim
 
 import (
 	"math"
+	"math/rand/v2"
+	"time"
 
 	"memqlat/internal/core"
 	"memqlat/internal/fault"
+	"memqlat/internal/route"
 	"memqlat/internal/telemetry"
 )
 
@@ -12,38 +15,32 @@ import (
 // the composition stage, mirroring what the live client does with the
 // same knobs: budget-free capped-backoff retries of failed key reads,
 // a hedge draw once a read exceeds the trigger, and a per-server
-// circuit breaker whose open state sheds draws. The composition has no
-// wall clock, so the breaker cooldown converts to a per-server draw
-// count via the server's key rate (draws ≈ rate × seconds).
+// route.Breaker — the client's and proxy's own state machine — whose
+// open state sheds draws.
 type simResilience struct {
-	spec     fault.Resilience
-	breakers []*simBreaker
+	spec fault.Resilience
+	// breakers per server; nil entries without a breaker policy.
+	breakers []*drawBreaker
 	// hedgeThreshold per server, in seconds; +Inf disables.
 	hedgeThreshold []float64
 }
 
+// newSimResilience arms spec; under the zero spec a read is one draw.
 func newSimResilience(spec fault.Resilience, m *core.Config, servers []*ServerResult) *simResilience {
-	if !spec.Enabled() {
-		return nil
-	}
 	spec = spec.WithDefaults()
-	rs := &simResilience{spec: spec}
-	if spec.BreakerThreshold > 0 {
-		rs.breakers = make([]*simBreaker, len(servers))
-		for j := range servers {
-			cooldown := int(spec.BreakerCooldown * m.ServerKeyRate(j))
-			if cooldown < 1 {
-				cooldown = 1
-			}
-			rs.breakers[j] = &simBreaker{
-				window:    spec.BreakerWindow,
-				threshold: spec.BreakerThreshold,
-				cooldown:  cooldown,
-			}
-		}
+	rs := &simResilience{
+		spec:           spec,
+		breakers:       make([]*drawBreaker, len(servers)),
+		hedgeThreshold: make([]float64, len(servers)),
 	}
-	rs.hedgeThreshold = make([]float64, len(servers))
-	for j := range rs.hedgeThreshold {
+	for j := range servers {
+		if spec.BreakerThreshold > 0 {
+			// The composition has no wall clock, so the cooldown converts
+			// to a per-server draw count via the server's key rate
+			// (draws ≈ rate × seconds).
+			cooldown := max(int(spec.BreakerCooldown*m.ServerKeyRate(j)), 1)
+			rs.breakers[j] = newDrawBreaker(spec.BreakerWindow, spec.BreakerThreshold, cooldown)
+		}
 		rs.hedgeThreshold[j] = math.Inf(1)
 		if servers[j] == nil {
 			continue
@@ -60,141 +57,75 @@ func newSimResilience(spec fault.Resilience, m *core.Config, servers []*ServerRe
 	return rs
 }
 
-// resolveKey runs one key read through the resilience pipeline. draw
-// samples the server's latency distribution and reports whether that
-// sample was a failed (unanswered) read. The returned shed flag marks
-// breaker fast-fails.
-func (rs *simResilience) resolveKey(j int, draw func() (float64, bool), rec telemetry.Recorder) (obs float64, failed, shed bool) {
-	var br *simBreaker
-	if rs != nil && rs.breakers != nil {
-		br = rs.breakers[j]
-	}
-	if br != nil && !br.allow() {
+// resolveKey runs one key read of server j through the resilience
+// pipeline, each attempt a draw from srv's stream on rng. It returns the
+// observed latency, whether the read ended unanswered, and whether it
+// was a breaker fast-fail.
+func (rs *simResilience) resolveKey(j int, srv *ServerResult, rng *rand.Rand, rec telemetry.Recorder) (obs float64, failed, shed bool) {
+	br := rs.breakers[j]
+	if !br.allow() {
 		rec.Observe(telemetry.StageBreakerShed, 0)
 		return 0, true, true
 	}
-	obs, failed = draw()
-	if br != nil {
-		br.record(failed)
-	}
-	if rs == nil {
-		return obs, failed, false
-	}
+	obs, failed = srv.draw(rng)
+	br.record(failed)
 	// Retries: the observed latency accumulates each failed attempt plus
 	// its backoff, exactly as the live read path pays them in sequence.
 	for k := 1; failed && k <= rs.spec.Retries; k++ {
-		if br != nil && !br.allow() {
+		if !br.allow() {
 			rec.Observe(telemetry.StageBreakerShed, 0)
 			break
 		}
-		backoff := rs.spec.RetryBackoff * math.Pow(2, float64(k-1))
-		if cap := 8 * rs.spec.RetryBackoff; backoff > cap {
-			backoff = cap
-		}
+		backoff := min(rs.spec.RetryBackoff*math.Pow(2, float64(k-1)), 8*rs.spec.RetryBackoff)
 		rec.Observe(telemetry.StageRetry, backoff)
-		s, f := draw()
-		if br != nil {
-			br.record(f)
-		}
+		s, f := srv.draw(rng)
+		br.record(f)
 		obs += backoff + s
 		failed = f
 	}
 	// Hedge: once the read is outstanding past the trigger, a duplicate
 	// draw races it; the client keeps whichever answers first.
-	if h := rs.hedgeThresholdFor(j); obs > h {
+	if h := rs.hedgeThreshold[j]; obs > h {
 		rec.Observe(telemetry.StageHedgeWait, h)
-		s2, f2 := draw()
-		if br != nil {
-			br.record(f2)
-		}
-		if !f2 {
-			if hedged := h + s2; failed || hedged < obs {
-				obs = hedged
-				failed = false
-			}
+		s2, f2 := srv.draw(rng)
+		br.record(f2)
+		if hedged := h + s2; !f2 && (failed || hedged < obs) {
+			obs, failed = hedged, false
 		}
 	}
 	return obs, failed, false
 }
 
-func (rs *simResilience) hedgeThresholdFor(j int) float64 {
-	if rs == nil || rs.hedgeThreshold == nil {
-		return math.Inf(1)
-	}
-	return rs.hedgeThreshold[j]
+// drawBreaker runs a route.Breaker on a per-server virtual clock that
+// ticks once per admission check; outcomes record at the current tick.
+// Open, it sheds the next cooldown checks and admits the half-open probe
+// on the one after (Cooldown = cooldown+1 ticks). Nil admits everything.
+type drawBreaker struct {
+	b   *route.Breaker
+	now time.Time
 }
 
-// simBreaker is the composition-stage circuit breaker: same sliding
-// window and threshold as the live client's, with the open-state
-// cooldown measured in shed draws instead of seconds.
-type simBreaker struct {
-	window    int
-	threshold float64
-	cooldown  int
-
-	outcomes []bool
-	idx      int
-	filled   int
-	fails    int
-	openLeft int  // draws remaining in the open state
-	halfOpen bool // next draw is the probe
+func newDrawBreaker(window int, threshold float64, cooldown int) *drawBreaker {
+	pol := (&route.BreakerPolicy{
+		Window:           window,
+		FailureThreshold: threshold,
+		Cooldown:         time.Duration(cooldown + 1),
+	}).WithDefaults()
+	return &drawBreaker{b: route.NewBreaker(*pol)}
 }
 
-// allow reports whether the next draw may proceed.
-func (b *simBreaker) allow() bool {
-	if b.openLeft > 0 {
-		b.openLeft--
-		if b.openLeft == 0 {
-			b.halfOpen = true
-		}
-		return false
+// allow advances the clock and reports whether the draw may proceed.
+func (d *drawBreaker) allow() bool {
+	if d == nil {
+		return true
 	}
-	return true
+	d.now = d.now.Add(1)
+	return d.b.Allow(d.now)
 }
 
-// record feeds one draw outcome.
-func (b *simBreaker) record(failure bool) {
-	if b.halfOpen {
-		b.halfOpen = false
-		if failure {
-			b.trip()
-		} else {
-			b.clearWindow()
-		}
-		return
+// record feeds one draw outcome at the current tick.
+func (d *drawBreaker) record(failed bool) {
+	if d != nil {
+		d.b.Record(failed, d.now)
 	}
-	if b.outcomes == nil {
-		b.outcomes = make([]bool, b.window)
-	}
-	if b.filled == len(b.outcomes) {
-		if b.outcomes[b.idx] {
-			b.fails--
-		}
-	} else {
-		b.filled++
-	}
-	b.outcomes[b.idx] = failure
-	if failure {
-		b.fails++
-	}
-	b.idx = (b.idx + 1) % len(b.outcomes)
-	minSamples := b.window / 2
-	if minSamples == 0 {
-		minSamples = 1
-	}
-	if b.filled >= minSamples && float64(b.fails)/float64(b.filled) >= b.threshold {
-		b.trip()
-	}
-}
-
-func (b *simBreaker) trip() {
-	b.openLeft = b.cooldown
-	b.clearWindow()
-}
-
-func (b *simBreaker) clearWindow() {
-	for i := range b.outcomes {
-		b.outcomes[i] = false
-	}
-	b.idx, b.filled, b.fails = 0, 0, 0
 }

@@ -65,11 +65,12 @@ func (r *ServerResult) Sample(rng *rand.Rand) float64 {
 	return r.Sojourns[rng.IntN(len(r.Sojourns))]
 }
 
-// SampleIdx draws an index into Sojourns/Failed — the fault-aware
-// composition uses it to learn both the latency and whether the key
-// got an answer.
-func (r *ServerResult) SampleIdx(rng *rand.Rand) int {
-	return rng.IntN(len(r.Sojourns))
+// draw samples one recorded key uniformly, as Sample does, and also
+// reports whether that key went unanswered — the fault-aware
+// composition step.
+func (r *ServerResult) draw(rng *rand.Rand) (float64, bool) {
+	i := rng.IntN(len(r.Sojourns))
+	return r.Sojourns[i], r.FailedAt(i)
 }
 
 // FailedAt reports whether sample i was a failure (false on healthy runs).

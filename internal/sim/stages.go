@@ -1,0 +1,177 @@
+package sim
+
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/rand/v2"
+
+	"memqlat/internal/dist"
+	"memqlat/internal/fault"
+	"memqlat/internal/telemetry"
+	"memqlat/internal/tenant"
+)
+
+// tenantAdmission draws each request's tenant from the Share mix on
+// stream 107; its keys charge that tenant.Tenant — the live proxy's
+// buckets and latency histogram — on the virtual request clock.
+type tenantAdmission struct {
+	tenants []*tenant.Tenant
+	mix     *dist.Weighted
+	rng     *rand.Rand
+}
+
+func newTenantAdmission(cfg RequestConfig) (*tenantAdmission, error) {
+	if len(cfg.Tenants) == 0 {
+		return nil, nil
+	}
+	lim, err := tenant.New(cfg.Tenants)
+	if err != nil {
+		return nil, fmt.Errorf("sim: %w", err)
+	}
+	mix, err := dist.NewWeighted(tenant.Shares(cfg.Tenants))
+	if err != nil {
+		return nil, fmt.Errorf("sim: tenant shares: %w", err)
+	}
+	return &tenantAdmission{tenants: lim.Tenants(), mix: mix, rng: dist.SubRand(cfg.Seed, 107)}, nil
+}
+
+// draw picks an arriving request's tenant (nil without tenants).
+func (ta *tenantAdmission) draw() *tenant.Tenant {
+	if ta == nil {
+		return nil
+	}
+	return ta.tenants[ta.mix.SampleInt(ta.rng)]
+}
+
+// proxyStream simulates the proxy tier (nil without one): one more
+// GI^X/M/1 stream at the aggregate key rate Λ, whatever ReadReplicas —
+// replicated reads fan out behind the proxy's queue, not through it.
+func proxyStream(cfg RequestConfig) (*ServerResult, error) {
+	pm := cfg.ProxyModel
+	if pm == nil {
+		return nil, nil
+	}
+	if err := pm.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: proxy model: %w", err)
+	}
+	srv, err := stream(pm, pm.TotalKeyRate, ServerConfig{Keys: cmp.Or(cfg.KeysPerServer, 200000), Seed: cfg.Seed + 777000777})
+	if err != nil {
+		return nil, fmt.Errorf("sim: proxy stage: %w", err)
+	}
+	return srv, nil
+}
+
+// missPath is where a RAM miss goes, once stream 103 says a key missed:
+// to the disk tier if armed (stream 108: the β coin, then the read),
+// else to a backend fetch — Exp(µ_D) on stream 104 plus any Database
+// fault, one per miss or, coalesced, one per key window (stream 106
+// draws each miss's key).
+type missPath struct {
+	ratio, muD float64
+	inj        *fault.Injector
+	rngMiss    *rand.Rand
+	rngDB      *rand.Rand
+
+	// Disk tier (nil disk without one).
+	rngDisk *rand.Rand
+	diskHit float64 // β = P{disk hit | RAM miss}
+	disk    dist.Sampler
+
+	// Coalescing: per-key in-flight fetch windows (nil without).
+	rngKey        *rand.Rand
+	zipf          *dist.Zipf
+	inflightUntil []float64 // fetch window end per key (virtual s)
+	inflightFail  []bool    // window's fetch failed: error fans out
+}
+
+func newMissPath(cfg RequestConfig, inj *fault.Injector) (*missPath, error) {
+	p := &missPath{
+		ratio:   cfg.Model.MissRatio,
+		muD:     cfg.Model.MuD,
+		inj:     inj,
+		rngMiss: dist.SubRand(cfg.Seed, 103),
+		rngDB:   dist.SubRand(cfg.Seed, 104),
+	}
+	if cfg.Coalesce {
+		nKeys := cfg.MissKeys
+		if nKeys <= 0 {
+			nKeys = 2000
+		}
+		if cfg.MissZipfS > 0 {
+			var err error
+			if p.zipf, err = dist.NewZipf(nKeys, cfg.MissZipfS); err != nil {
+				return nil, err
+			}
+		}
+		p.rngKey = dist.SubRand(cfg.Seed, 106)
+		p.inflightUntil = make([]float64, nKeys)
+		p.inflightFail = make([]bool, nKeys)
+	}
+	if e := cfg.Extstore; e != nil {
+		disk, err := e.readTime()
+		if err != nil {
+			return nil, fmt.Errorf("sim: extstore: %w", err)
+		}
+		p.rngDisk, p.diskHit, p.disk = dist.SubRand(cfg.Seed, 108), e.DiskHitFraction, disk
+	}
+	return p, nil
+}
+
+// readTime validates the tier and returns its read-time distribution.
+func (e *ExtstoreSim) readTime() (dist.Sampler, error) {
+	if e.DiskHitFraction < 0 || e.DiskHitFraction > 1 {
+		return nil, fmt.Errorf("disk-hit fraction %v out of [0, 1]", e.DiskHitFraction)
+	}
+	if e.MuDisk <= 0 {
+		return nil, fmt.Errorf("MuDisk=%v must be positive", e.MuDisk)
+	}
+	switch e.Dist {
+	case "", "exp":
+		return dist.NewExponential(e.MuDisk)
+	case "lognormal":
+		// µ = ln(mean) − σ²/2 preserves the 1/MuDisk mean.
+		sigma := cmp.Or(e.Sigma, 0.5)
+		return dist.NewLogNormal(math.Log(1/e.MuDisk)-sigma*sigma/2, sigma)
+	}
+	return nil, fmt.Errorf("disk dist %q unknown (exp, lognormal)", e.Dist)
+}
+
+// misses draws whether one answered key misses the RAM cache.
+func (p *missPath) misses() bool {
+	return p.ratio > 0 && p.rngMiss.Float64() < p.ratio
+}
+
+// serve resolves one miss at virtual time now: the penalty it pays, the
+// stage that charged it (disk_read, coalesce_wait or miss_penalty), and
+// whether the caller saw an error instead of a value.
+func (p *missPath) serve(now float64) (d float64, stage telemetry.Stage, failed bool) {
+	if p.disk != nil && p.rngDisk.Float64() < p.diskHit {
+		// Disk hit: a local segment read — no backend fetch, no
+		// coalescing window, no Database fault.
+		return p.disk.Sample(p.rngDisk), telemetry.StageDiskRead, false
+	}
+	k := -1 // the miss's key identity, on coalesced runs
+	if p.zipf != nil {
+		k = p.zipf.SampleInt(p.rngKey)
+	} else if p.rngKey != nil {
+		k = p.rngKey.IntN(len(p.inflightUntil))
+	}
+	if k >= 0 && p.inflightUntil[k] > now {
+		// Delayed hit: the key's fetch is in flight, so this miss pays the
+		// residual wait; the leader's fault delay is inside the window and
+		// its failure fans out to everyone attached.
+		return p.inflightUntil[k] - now, telemetry.StageCoalesceWait, p.inflightFail[k]
+	}
+	// A backend fetch, naive or a coalesced leader.
+	d = p.rngDB.ExpFloat64() / p.muD
+	if act := p.inj.At(fault.Database, now); act.Faulted() {
+		// An outage fails the fill after the delay: the key goes unanswered.
+		d += act.Delay
+		failed = act.Outcome != fault.OK
+	}
+	if k >= 0 {
+		p.inflightUntil[k], p.inflightFail[k] = now+d, failed
+	}
+	return d, telemetry.StageMissPenalty, failed
+}

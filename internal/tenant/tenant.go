@@ -128,7 +128,8 @@ func (s Spec) AdmittedRate(offered float64) float64 {
 //	acme:class=gold,rate=500,burst=50,share=0.5;evil:rate=200,share=0.5
 //
 // Keys: class, rate, burst, byterate, byteburst, share. A bare "name"
-// declares an unlimited tracked tenant.
+// declares an unlimited tracked tenant. The specs are validated as New
+// does, so an accepted string always builds a Limiter.
 func ParseSpecs(s string) ([]Spec, error) {
 	if strings.TrimSpace(s) == "" {
 		return nil, nil
@@ -178,6 +179,9 @@ func ParseSpecs(s string) ([]Spec, error) {
 			}
 		}
 		specs = append(specs, sp)
+	}
+	if _, err := New(specs); err != nil {
+		return nil, err
 	}
 	return specs, nil
 }

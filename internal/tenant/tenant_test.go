@@ -251,14 +251,12 @@ func TestParseSpecs(t *testing.T) {
 		"a:rate",          // not key=value
 		"a:rate=x",        // bad float
 		"a:frobs=1",       // unknown key
-		"a:class=plastic", // bad class (caught at New)
+		"a:class=plastic", // bad class
+		"a:rate=-1",       // negative rate
+		"a;b;a",           // duplicate tenant
 	} {
-		specs, err := ParseSpecs(bad)
-		if err == nil {
-			_, err = New(specs)
-		}
-		if err == nil {
-			t.Fatalf("ParseSpecs/New(%q) accepted", bad)
+		if _, err := ParseSpecs(bad); err == nil {
+			t.Fatalf("ParseSpecs(%q) accepted", bad)
 		}
 	}
 }

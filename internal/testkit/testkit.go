@@ -1,7 +1,7 @@
 // Package testkit is the one harness tests use to boot the real
 // binaries and to say "nothing leaked": build a main package once per
-// test process, start it on a reserved loopback port with its stderr
-// captured, wait for it, scrape its admin pages into typed samples,
+// test process, start it on a loopback port it picks with its stderr
+// captured, read the port back, scrape its admin pages into typed samples,
 // signal and reap it, and compare goroutines and descriptors with a
 // baseline. Only _test.go files import it; it imports nothing of the
 // product, so any package's tests can.
@@ -13,7 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
+	"log"
 	"net/http"
 	"os"
 	"os/exec"
@@ -29,15 +29,54 @@ import (
 	"time"
 )
 
-// ReservePort returns a loopback address that was free a moment ago.
-func ReservePort(t testing.TB) string {
+// Addr returns the address a process reports it bound: it waits up to
+// 10 s for a line of text() holding marker ("listening on ", "admin
+// plane on http://") and returns the host:port after it. Start a child
+// on 127.0.0.1:0 and read its port back this way (text is Proc.Stderr,
+// or CaptureLog for a run function called in-process); a port reserved
+// in advance is free for anyone to take before the child binds it.
+func Addr(t testing.TB, text func() string, marker string) string {
 	t.Helper()
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		for _, line := range strings.Split(text(), "\n") {
+			if _, rest, ok := strings.Cut(line, marker); ok {
+				if end := strings.IndexAny(rest, " ,/"); end >= 0 {
+					rest = rest[:end]
+				}
+				return rest
+			}
+		}
 	}
-	defer l.Close()
-	return l.Addr().String()
+	t.Fatalf("no %q line after 10s in:\n%s", marker, text())
+	return ""
+}
+
+// CaptureLog sends the standard logger's output to a buffer until the
+// test ends and returns the buffer's reader, for Addr.
+func CaptureLog(t testing.TB) func() string {
+	var (
+		mu  sync.Mutex
+		buf bytes.Buffer
+	)
+	prev := log.Writer()
+	log.SetOutput(lockedWriter{&mu, &buf})
+	t.Cleanup(func() { log.SetOutput(prev) })
+	return func() string {
+		mu.Lock()
+		defer mu.Unlock()
+		return buf.String()
+	}
+}
+
+type lockedWriter struct {
+	mu *sync.Mutex
+	w  io.Writer
+}
+
+func (l lockedWriter) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.w.Write(p)
 }
 
 // WaitReady polls probe until it succeeds, and fails the test when it

@@ -2,6 +2,7 @@ package testkit
 
 import (
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -44,4 +45,22 @@ h_seconds_count 4 # {trace_id="ff"} 5
 		}
 	}
 	settled("after a scrape")
+}
+
+// TestAddr reads the bound address off each line shape the binaries
+// log, through the captured standard logger.
+func TestAddr(t *testing.T) {
+	text := CaptureLog(t)
+	log.Printf("memcached-server: admin plane on http://127.0.0.1:4001/metrics")
+	log.Printf("mcproxy: listening on 127.0.0.1:4002, direct routing over 127.0.0.1:4003")
+	log.Printf("memcached-server: listening on [::1]:4004 (memory 64 MiB, shards 8, conn core goroutines)")
+	for marker, want := range map[string]string{
+		"admin plane on http://": "127.0.0.1:4001",
+		"mcproxy: listening on ": "127.0.0.1:4002",
+		"server: listening on ":  "[::1]:4004",
+	} {
+		if got := Addr(t, text, marker); got != want {
+			t.Errorf("Addr(%q) = %q, want %q", marker, got, want)
+		}
+	}
 }

@@ -1,6 +1,6 @@
 // Smoke tests of the real binaries: each boots cmd/memcached-server
-// (and cmd/mcproxy, cmd/mcbench) as child processes on reserved
-// loopback ports through internal/testkit and asserts on their typed
+// (and cmd/mcproxy, cmd/mcbench) as child processes on loopback ports
+// they pick and report, through internal/testkit, and asserts on their typed
 // output — the admin pages decoded, the report lines scanned into
 // numbers — then reaps the children and checks this process against its
 // goroutine and descriptor baseline.
@@ -9,7 +9,6 @@ package memqlat_test
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -37,25 +36,12 @@ func bin(t *testing.T, name string) string {
 	return testkit.Build(t, "cmd/"+name)
 }
 
-// listening probes a data-plane address: the server is up once it
-// accepts a connection.
-func listening(addr string) func() error {
-	return func() error {
-		c, err := net.Dial("tcp", addr)
-		if err == nil {
-			_ = c.Close() // a probe: nothing was written
-		}
-		return err
-	}
-}
-
-// healthy probes an admin plane's /healthz.
-func healthy(admin string) func() error {
-	return func() error {
-		_, err := testkit.Get("http://" + admin + "/healthz")
-		return err
-	}
-}
+// Every child binds 127.0.0.1:0 and logs what it bound: these are the
+// markers of its data-plane and admin-plane lines.
+const (
+	listeningOn = "listening on "
+	adminOn     = "admin plane on http://"
+)
 
 // stopClean sends SIGTERM and wants the drained exit status 0.
 func stopClean(t *testing.T, what string, p *testkit.Proc) {
@@ -95,9 +81,8 @@ func wantFamilies(t *testing.T, m testkit.Metrics, families ...string) {
 func TestObsSmoke(t *testing.T) {
 	server := bin(t, "memcached-server")
 	settled := testkit.Settles(t)
-	addr, admin := testkit.ReservePort(t), testkit.ReservePort(t)
-	srv := testkit.Start(t, server, "-addr", addr, "-admin", admin, "-trace-ring", "1024")
-	testkit.WaitReady(t, "admin plane", healthy(admin))
+	srv := testkit.Start(t, server, "-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0", "-trace-ring", "1024")
+	admin := testkit.Addr(t, srv.Stderr, adminOn)
 
 	var health struct{ Status string }
 	testkit.GetJSON(t, "http://"+admin+"/healthz", &health)
@@ -137,9 +122,8 @@ func TestConnsSmoke(t *testing.T) {
 	}
 	server, mcbench := bin(t, "memcached-server"), bin(t, "mcbench")
 	settled := testkit.Settles(t)
-	addr := testkit.ReservePort(t)
-	srv := testkit.Start(t, server, "-addr", addr, "-conn-core", "eventloop", "-max-conns", strconv.Itoa(conns+64))
-	testkit.WaitReady(t, "memcached-server", listening(addr))
+	srv := testkit.Start(t, server, "-addr", "127.0.0.1:0", "-conn-core", "eventloop", "-max-conns", strconv.Itoa(conns+64))
+	addr := testkit.Addr(t, srv.Stderr, listeningOn)
 
 	out := testkit.Run(t, mcbench, "-servers", addr, "-conns", strconv.Itoa(conns), "-ops", strconv.Itoa(ops), "-timeout", "2m")
 	var served int
@@ -159,9 +143,8 @@ func TestConnsSmoke(t *testing.T) {
 func TestCoalesceSmoke(t *testing.T) {
 	server, mcbench := bin(t, "memcached-server"), bin(t, "mcbench")
 	settled := testkit.Settles(t)
-	addr := testkit.ReservePort(t)
-	srv := testkit.Start(t, server, "-addr", addr)
-	testkit.WaitReady(t, "memcached-server", listening(addr))
+	srv := testkit.Start(t, server, "-addr", "127.0.0.1:0")
+	addr := testkit.Addr(t, srv.Stderr, listeningOn)
 
 	// Every get forced to miss on a tiny Zipf keyspace, fills held in
 	// flight ~10ms each (mud=100), negative fill TTL so write-backs never
@@ -210,16 +193,14 @@ func scanTenant(t *testing.T, out, name string) (r tenantRow) {
 func TestQoSSmoke(t *testing.T) {
 	server, mcproxy, mcbench := bin(t, "memcached-server"), bin(t, "mcproxy"), bin(t, "mcbench")
 	settled := testkit.Settles(t)
-	addr, paddr, admin := testkit.ReservePort(t), testkit.ReservePort(t), testkit.ReservePort(t)
-	srv := testkit.Start(t, server, "-addr", addr)
-	testkit.WaitReady(t, "memcached-server", listening(addr))
+	srv := testkit.Start(t, server, "-addr", "127.0.0.1:0")
+	addr := testkit.Addr(t, srv.Stderr, listeningOn)
 	// The proxy enforces the quotas: the victim is unlimited, the
 	// aggressor's 150 ops/s is far under the ~800/s mcbench offers it. The
 	// 80-op burst absorbs the populate sets so only the run sheds.
-	prx := testkit.Start(t, mcproxy, "-listen", paddr, "-servers", addr, "-admin", admin,
+	prx := testkit.Start(t, mcproxy, "-listen", "127.0.0.1:0", "-servers", addr, "-admin", "127.0.0.1:0",
 		"-tenants", "victim;aggressor:rate=150,burst=80")
-	testkit.WaitReady(t, "mcproxy admin plane", healthy(admin))
-	testkit.WaitReady(t, "mcproxy", listening(paddr))
+	paddr, admin := testkit.Addr(t, prx.Stderr, listeningOn), testkit.Addr(t, prx.Stderr, adminOn)
 
 	// mcbench's own specs carry no rates: they only shape the offered mix
 	// (50/50 prefixed key streams through its pass-through proxy). The
@@ -261,7 +242,7 @@ func TestQoSSmoke(t *testing.T) {
 func TestExtstoreSmoke(t *testing.T) {
 	server, mcbench := bin(t, "memcached-server"), bin(t, "mcbench")
 	settled := testkit.Settles(t)
-	addr, dir := testkit.ReservePort(t), t.TempDir()
+	dir := t.TempDir()
 	t.Cleanup(func() { // runs before TempDir's own removal
 		if !t.Failed() {
 			return
@@ -272,19 +253,18 @@ func TestExtstoreSmoke(t *testing.T) {
 		}
 		t.Logf("segment directory kept in %s (%v)", kept, err)
 	})
-	start := func() *testkit.Proc {
+	start := func() (*testkit.Proc, string) {
 		// One shard and a small item cap: the per-shard budget floor is
 		// MaxItemSize, so many shards would silently inflate the 1 MiB
 		// budget past the keyspace and nothing would ever spill.
-		p := testkit.Start(t, server, "-addr", addr, "-memory-mb", "1", "-shards", "1", "-max-item-kb", "64",
+		p := testkit.Start(t, server, "-addr", "127.0.0.1:0", "-memory-mb", "1", "-shards", "1", "-max-item-kb", "64",
 			"-extstore-dir", dir, "-extstore-segment-kb", "64")
-		testkit.WaitReady(t, "memcached-server", listening(addr))
-		return p
+		return p, testkit.Addr(t, p.Stderr, listeningOn)
 	}
 	// ~12k keys of lognormal values (mean 100 B) cost ~2 MiB against a
 	// 1 MiB RAM cache: populate evicts the early (Zipf-hot) keys to disk,
 	// so the measured gets must come back through the extstore tier.
-	diskHits := func(ops int) (hits int) {
+	diskHits := func(addr string, ops int) (hits int) {
 		out := testkit.Run(t, mcbench, "-servers", addr, "-keys", "12000", "-value-dist", "lognormal", "-zipf", "1",
 			"-ops", strconv.Itoa(ops), "-lambda", "30000", "-workers", "32")
 		var promotions, segmentBytes, compactions int
@@ -293,20 +273,20 @@ func TestExtstoreSmoke(t *testing.T) {
 		return hits
 	}
 
-	srv := start()
-	if hits := diskHits(6000); hits <= 0 {
+	srv, addr := start()
+	if hits := diskHits(addr, 6000); hits <= 0 {
 		t.Errorf("the disk tier served %d reads before the crash", hits)
 	}
 	// Crash: no shutdown path runs, the active segment keeps its torn
 	// tail. Recovery must rebuild the index from the durable prefix.
 	_ = srv.Stop(syscall.SIGKILL) // "signal: killed" is the point
-	srv = start()
+	srv, addr = start()
 	if m := regexp.MustCompile(`(\d+) keys recovered`).FindStringSubmatch(srv.Stderr()); m == nil || m[1] == "0" {
 		t.Errorf("restart recovered no keys from the segment log (%v):\n%s", m, srv.Stderr())
 	}
 	// The reopened tier must still serve reads (the restart emptied RAM,
 	// so the re-populated keyspace spills and reads back again).
-	if hits := diskHits(3000); hits <= 0 {
+	if hits := diskHits(addr, 3000); hits <= 0 {
 		t.Errorf("%d disk hits after crash recovery", hits)
 	}
 
@@ -334,10 +314,9 @@ func TestSLOSmoke(t *testing.T) {
 	// tracing client (-slow arms it, so commands carry in-band trace IDs)
 	// puts a trace_id exemplar on the stage histograms.
 	t.Run("server overload", func(t *testing.T) {
-		addr, admin := testkit.ReservePort(t), testkit.ReservePort(t)
-		srv := testkit.Start(t, server, "-addr", addr, "-admin", admin, "-service-rate", "500", "-trace-ring", "1024",
+		srv := testkit.Start(t, server, "-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0", "-service-rate", "500", "-trace-ring", "1024",
 			"-exemplars", "-slo", "lambda=100,mus=500,q=0.1,xi=0.15,window=0.5s,k=2,band=3")
-		testkit.WaitReady(t, "admin plane", healthy(admin))
+		addr, admin := testkit.Addr(t, srv.Stderr, listeningOn), testkit.Addr(t, srv.Stderr, adminOn)
 		testkit.Run(t, mcbench, "-servers", addr, "-keys", "200", "-value-size", "64", "-lambda", "400", "-ops", "1200",
 			"-workers", "32", "-seed", "7", "-trace-ring", "1024", "-slow", "10s")
 
