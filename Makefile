@@ -70,8 +70,11 @@ cover:
 # and re-parses to itself; keys outside the grammar are errors), 7s over
 # the fault-schedule grammar (an accepted schedule re-renders and
 # re-parses to an equal one), 6s over the tenant grammar (accepted specs
-# build a limiter that re-renders to itself) and 7s over the key-journal
-# reader (no input panics; what it accepts round-trips through Writer).
+# build a limiter that re-renders to itself), 7s over the key-journal
+# reader (no input panics; what it accepts round-trips through Writer)
+# and 10s over the extstore segment recovery (any frame bytes after a
+# valid header: Open recovers, every recovered key reads back or is
+# expired, and a second Open recovers the same keys).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseCommand -fuzztime=20s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzScanReply -fuzztime=10s ./internal/protocol/
@@ -81,6 +84,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSchedule -fuzztime=7s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpecs -fuzztime=6s ./internal/tenant/
 	$(GO) test -run '^$$' -fuzz FuzzKeylogReader -fuzztime=7s ./internal/keylog/
+	$(GO) test -run '^$$' -fuzz FuzzRecoverSegment -fuzztime=10s ./internal/extstore/
 
 # Micro-benchmarks, printed and gated by nothing: absolute ns/op says
 # nothing portable, so speed is gated by bench/ (BENCHMARK.json: paired

@@ -141,7 +141,7 @@ func BenchmarkTheorem1Estimate(b *testing.B) {
 // searches over ρ, each step of which is an eq. 6 solve.
 func BenchmarkCliffTable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.CliffTable(core.PaperTable4Xis(), 0.1, nil); err != nil {
+		if _, err := core.CliffTable(core.PaperTable4Xis(), 0.1, core.CliffDeltaThreshold); err != nil {
 			b.Fatal(err)
 		}
 	}

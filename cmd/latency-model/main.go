@@ -77,7 +77,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  T_D(N)  miss stage   %s\n", usf(est.TD))
 	fmt.Fprintf(out, "  T(N)    end-user     %s ~ %s\n", usf(est.Total.Lo), usf(est.Total.Hi))
 
-	cliff, err := core.CliffUtilization(*xi, *q, nil)
+	cliff, err := core.CliffUtilization(*xi, *q, core.CliffDeltaThreshold)
 	if err != nil {
 		return err
 	}

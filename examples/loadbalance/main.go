@@ -28,7 +28,7 @@ func run() error {
 		totalRate/1000, workload.FacebookXi, workload.FacebookMuS/1000)
 	fmt.Printf("%-6s  %-8s  %-14s  %-12s  %s\n", "p1", "max ρS", "Theorem 1", "simulated", "verdict")
 
-	cliff, err := core.CliffUtilization(workload.FacebookXi, workload.FacebookQ, nil)
+	cliff, err := core.CliffUtilization(workload.FacebookXi, workload.FacebookQ, core.CliffDeltaThreshold)
 	if err != nil {
 		return err
 	}

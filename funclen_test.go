@@ -21,9 +21,8 @@ var longFuncs = map[string]int{
 	"cmd/mcbench.run":                   149,
 	"cmd/memcached-server.run":          151,
 	"internal/experiments.Drift":        133,
-	"internal/loadgen.Run":              205,
 	"internal/metrics.RegisterServers":  142,
-	"internal/plane.LivePlane.Start":    130,
+	"internal/plane.LivePlane.Start":    126,
 	"internal/server.Server.dispatch":   168,
 	"internal/server.Server.writeStats": 122,
 }

@@ -215,7 +215,7 @@ func TestGarbageBytesOnWire(t *testing.T) {
 func TestBackendOverloadSurfaces(t *testing.T) {
 	_, addr := startServer(t, server.Options{})
 	db, err := backend.New(backend.Options{
-		MuD: 0.5, Mode: backend.ModeSingleQueue, QueueDepth: 1,
+		MuD: 0.5, QueueDepth: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -2,8 +2,9 @@
 // architecture (paper Fig. 1): the store of record that missed keys are
 // relayed to. Per the paper's §4.4 model it services each lookup with
 // an exponential delay of mean 1/µ_D; two disciplines are provided —
-// the model's effectively-unqueued stage (ρ_D ≈ 0) and a bounded
-// single-queue server for overload experiments.
+// the model's effectively-unqueued stage (ρ_D ≈ 0) and, when
+// Options.QueueDepth is set, a bounded single-queue server for overload
+// experiments.
 package backend
 
 import (
@@ -21,17 +22,8 @@ import (
 	"memqlat/internal/telemetry"
 )
 
-// Mode selects the service discipline.
-type Mode int
-
-const (
-	// ModeInfiniteServer delays each lookup independently — the paper's
-	// ρ_D ≈ 0 database stage (default).
-	ModeInfiniteServer Mode = iota + 1
-	// ModeSingleQueue serializes lookups through one worker with a
-	// bounded queue; overflow returns ErrOverloaded.
-	ModeSingleQueue
-)
+// valueSize is the size of synthesized values.
+const valueSize = 100
 
 // ErrOverloaded reports a full single-queue backend.
 var ErrOverloaded = errors.New("backend: queue full")
@@ -47,14 +39,13 @@ var ErrInjected = errors.New("backend: injected fault")
 type Options struct {
 	// MuD is the service rate (lookups per second, default 1000).
 	MuD float64
-	// Mode selects the discipline (default ModeInfiniteServer).
-	Mode Mode
-	// QueueDepth bounds the single-queue backlog (default 1024).
+	// QueueDepth, when positive, serializes lookups through one worker
+	// with a queue of this depth; overflow returns ErrOverloaded. Zero
+	// delays each lookup independently — the paper's ρ_D ≈ 0 database
+	// stage.
 	QueueDepth int
 	// Seed makes delays deterministic.
 	Seed uint64
-	// ValueSize is the size of synthesized values (default 100 bytes).
-	ValueSize int
 	// Recorder, when set, receives a StageMissPenalty observation for
 	// every completed lookup (the live plane's database-stage latency).
 	Recorder telemetry.Recorder
@@ -71,17 +62,15 @@ type Options struct {
 // DB is the simulated database. Lookups never miss: the database is the
 // store of record, so any key has a deterministically synthesized value.
 type DB struct {
-	muD       float64
-	mode      Mode
-	valueSize int
-	rec       telemetry.Recorder
-	fp        *fault.Point
-	tracer    *otrace.Tracer
+	muD    float64
+	rec    telemetry.Recorder
+	fp     *fault.Point
+	tracer *otrace.Tracer
 
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	queue   chan *job
+	queue   chan *job // nil unless single-queue
 	done    chan struct{}
 	wg      sync.WaitGroup
 	closed  atomic.Bool
@@ -104,32 +93,18 @@ func New(opts Options) (*DB, error) {
 	if !(opts.MuD > 0) {
 		return nil, fmt.Errorf("backend: MuD=%v must be positive", opts.MuD)
 	}
-	if opts.Mode == 0 {
-		opts.Mode = ModeInfiniteServer
-	}
-	if opts.QueueDepth == 0 {
-		opts.QueueDepth = 1024
-	}
 	if opts.QueueDepth < 0 {
-		return nil, fmt.Errorf("backend: QueueDepth=%d must be positive", opts.QueueDepth)
-	}
-	if opts.ValueSize == 0 {
-		opts.ValueSize = 100
-	}
-	if opts.ValueSize < 0 {
-		return nil, fmt.Errorf("backend: ValueSize=%d must be positive", opts.ValueSize)
+		return nil, fmt.Errorf("backend: QueueDepth=%d must not be negative", opts.QueueDepth)
 	}
 	db := &DB{
-		muD:       opts.MuD,
-		mode:      opts.Mode,
-		valueSize: opts.ValueSize,
-		rec:       telemetry.OrNop(opts.Recorder),
-		fp:        opts.Fault,
-		tracer:    opts.Tracer,
-		rng:       dist.SubRand(opts.Seed, 0xdb),
-		done:      make(chan struct{}),
+		muD:    opts.MuD,
+		rec:    telemetry.OrNop(opts.Recorder),
+		fp:     opts.Fault,
+		tracer: opts.Tracer,
+		rng:    dist.SubRand(opts.Seed, 0xdb),
+		done:   make(chan struct{}),
 	}
-	if opts.Mode == ModeSingleQueue {
+	if opts.QueueDepth > 0 {
 		db.queue = make(chan *job, opts.QueueDepth)
 		db.wg.Add(1)
 		go db.worker()
@@ -197,8 +172,7 @@ func (db *DB) Get(ctx context.Context, key string) ([]byte, error) {
 			return nil, ErrInjected
 		}
 	}
-	switch db.mode {
-	case ModeSingleQueue:
+	if db.queue != nil {
 		j := &job{service: service, ready: make(chan struct{})}
 		select {
 		case db.queue <- j:
@@ -223,7 +197,7 @@ func (db *DB) Get(ctx context.Context, key string) ([]byte, error) {
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-	default:
+	} else {
 		timer := time.NewTimer(service)
 		defer timer.Stop()
 		select {
@@ -240,7 +214,7 @@ func (db *DB) Get(ctx context.Context, key string) ([]byte, error) {
 // ValueFor deterministically synthesizes the record for key (no delay) —
 // the content a real database would hold.
 func (db *DB) ValueFor(key string) []byte {
-	out := make([]byte, db.valueSize)
+	out := make([]byte, valueSize)
 	// Simple key-dependent fill so distinct keys are distinguishable.
 	var h uint64 = 1469598103934665603
 	for i := 0; i < len(key); i++ {
@@ -269,7 +243,7 @@ type Stats struct {
 // Stats snapshots counters.
 func (db *DB) Stats() Stats {
 	s := Stats{Lookups: db.lookups.Load(), Dropped: db.dropped.Load()}
-	if db.mode == ModeSingleQueue {
+	if db.queue != nil {
 		s.QueueDepth = int64(len(db.queue))
 		s.QueuePeak = db.queuePeak.Load()
 	}

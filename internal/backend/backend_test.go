@@ -15,9 +15,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{QueueDepth: -1}); err == nil {
 		t.Error("negative depth accepted")
 	}
-	if _, err := New(Options{ValueSize: -1}); err == nil {
-		t.Error("negative value size accepted")
-	}
 	db, err := New(Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -26,7 +23,7 @@ func TestNewValidation(t *testing.T) {
 }
 
 func TestGetReturnsDeterministicValue(t *testing.T) {
-	db, err := New(Options{MuD: 1e7, ValueSize: 32}) // ~0.1µs service
+	db, err := New(Options{MuD: 1e7}) // ~0.1µs service
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +39,7 @@ func TestGetReturnsDeterministicValue(t *testing.T) {
 	if !bytes.Equal(v1, v2) {
 		t.Error("same key, different values")
 	}
-	if len(v1) != 32 {
+	if len(v1) != valueSize {
 		t.Errorf("value size = %d", len(v1))
 	}
 	v3, _ := db.Get(context.Background(), "key-2")
@@ -95,7 +92,7 @@ func TestGetContextCancel(t *testing.T) {
 }
 
 func TestSingleQueueOverload(t *testing.T) {
-	db, err := New(Options{MuD: 1, Mode: ModeSingleQueue, QueueDepth: 1, Seed: 2})
+	db, err := New(Options{MuD: 1, QueueDepth: 1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +123,7 @@ func TestSingleQueueOverload(t *testing.T) {
 
 func TestSingleQueuePeakDepth(t *testing.T) {
 	// Slow service (1/s) so enqueued jobs pile up behind the first.
-	db, err := New(Options{MuD: 1, Mode: ModeSingleQueue, QueueDepth: 16, Seed: 2})
+	db, err := New(Options{MuD: 1, QueueDepth: 16, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +167,7 @@ func TestConcurrentModeNoQueueGauges(t *testing.T) {
 }
 
 func TestSingleQueueServesInOrder(t *testing.T) {
-	db, err := New(Options{MuD: 1e6, Mode: ModeSingleQueue, QueueDepth: 64, Seed: 3})
+	db, err := New(Options{MuD: 1e6, QueueDepth: 64, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +180,7 @@ func TestSingleQueueServesInOrder(t *testing.T) {
 }
 
 func TestClose(t *testing.T) {
-	db, _ := New(Options{MuD: 1e6, Mode: ModeSingleQueue})
+	db, _ := New(Options{MuD: 1e6, QueueDepth: 1024})
 	db.Close()
 	db.Close() // idempotent
 	if _, err := db.Get(context.Background(), "k"); !errors.Is(err, ErrClosed) {

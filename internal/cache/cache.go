@@ -51,7 +51,7 @@ const DefaultMaxItemSize = 1 << 20
 // budget (entry struct, map bucket share, list links).
 const itemOverhead = 64
 
-// Item is a stored value returned by Get.
+// Item is a stored value returned by GetAndTouch.
 type Item struct {
 	Value   []byte
 	Flags   uint32
@@ -139,14 +139,6 @@ type Stats struct {
 	// LockWaitSeconds is their summed blocked time.
 	LockWaits       int64
 	LockWaitSeconds float64
-}
-
-// HitRatio returns Hits/Gets (0 when no gets were served).
-func (s Stats) HitRatio() float64 {
-	if s.Gets == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Gets)
 }
 
 // New constructs a cache with the given options.
@@ -338,32 +330,11 @@ func expiryTime(ns int64) time.Time {
 	return time.Unix(0, ns)
 }
 
-// Get returns the item stored at key.
-func (c *Cache) Get(key string) (Item, error) {
-	if err := validateKey(key); err != nil {
-		return Item{}, err
-	}
-	s := c.shardFor(key)
-	now := c.now()
-	c.lock(s)
-	e := s.lookup(key, now, &c.expirations)
-	if e == nil {
-		s.misses++
-		s.mu.Unlock()
-		return Item{}, ErrNotFound
-	}
-	s.hits++
-	e.touch()
-	it := e.item()
-	s.mu.Unlock()
-	return it, nil
-}
-
 // GetInto is the allocation-free read path used by the protocol server:
 // it looks up key (a byte slice the cache does not retain), appends the
 // stored value to dst and returns the extended slice plus the item's
 // flags and CAS token. When dst has sufficient capacity the call does
-// not allocate. Errors are those of Get.
+// not allocate. It fails with ErrKeyInvalid or ErrNotFound.
 func (c *Cache) GetInto(key []byte, dst []byte) (value []byte, flags uint32, cas uint64, err error) {
 	if err := validateKeyBytes(key); err != nil {
 		return nil, 0, 0, err
@@ -384,9 +355,9 @@ func (c *Cache) GetInto(key []byte, dst []byte) (value []byte, flags uint32, cas
 	return dst, flags, cas, nil
 }
 
-// SetBytes is Set for callers that reuse the key and value buffers (the
-// protocol hot path parses both into per-connection scratch): the cache
-// copies them before the store instead of taking ownership.
+// SetBytes unconditionally stores value at key. Callers reuse the key
+// and value buffers (the protocol hot path parses both into
+// per-connection scratch), so the cache copies them before the store.
 func (c *Cache) SetBytes(key, value []byte, flags uint32, ttl time.Duration) error {
 	if err := validateKeyBytes(key); err != nil {
 		return err
@@ -425,23 +396,6 @@ func (c *Cache) GetAndTouch(key string, ttl time.Duration) (Item, error) {
 	it := e.item()
 	s.mu.Unlock()
 	return it, nil
-}
-
-// Set unconditionally stores value at key.
-func (c *Cache) Set(key string, value []byte, flags uint32, ttl time.Duration) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	if err := c.validateValue(value); err != nil {
-		return err
-	}
-	s := c.shardFor(key)
-	now := c.now()
-	c.lock(s)
-	defer s.mu.Unlock()
-	s.store(key, value, flags, expiryFrom(now, ttl), c.nextCAS(), now, c)
-	c.sets.Add(1)
-	return nil
 }
 
 // Add stores only if the key is absent.
@@ -624,13 +578,6 @@ func (c *Cache) FlushAll() {
 		s.mu.Unlock()
 	}
 }
-
-// Len returns the number of live items (expired-but-unreaped items
-// included until their next access).
-func (c *Cache) Len() int64 { return c.Stats().Items }
-
-// Bytes returns the accounted memory usage.
-func (c *Cache) Bytes() int64 { return c.Stats().Bytes }
 
 // Stats snapshots the counters in one pass over the shards. Each
 // shard's occupancy and hit/miss counts are consistent with each other;

@@ -46,6 +46,17 @@ func newTestCache(t *testing.T, opts Options) (*Cache, *fakeClock) {
 	return c, clk
 }
 
+// getItem reads key through GetInto, the server's read path.
+func getItem(c *Cache, key string) (Item, error) {
+	v, flags, cas, err := c.GetInto([]byte(key), nil)
+	return Item{Value: v, Flags: flags, CAS: cas}, err
+}
+
+// setItem stores value at key through SetBytes, the server's write path.
+func setItem(c *Cache, key string, value []byte, flags uint32, ttl time.Duration) error {
+	return c.SetBytes([]byte(key), value, flags, ttl)
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(Options{MaxBytes: -1}); err == nil {
 		t.Error("negative MaxBytes accepted")
@@ -64,10 +75,10 @@ func TestNewValidation(t *testing.T) {
 
 func TestSetGetRoundTrip(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
-	if err := c.Set("k", []byte("v"), 42, 0); err != nil {
+	if err := setItem(c, "k", []byte("v"), 42, 0); err != nil {
 		t.Fatal(err)
 	}
-	it, err := c.Get("k")
+	it, err := getItem(c, "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +88,11 @@ func TestSetGetRoundTrip(t *testing.T) {
 	if it.CAS == 0 {
 		t.Error("zero CAS token")
 	}
-	if !it.Expires.IsZero() {
-		t.Error("unexpected expiry")
-	}
 }
 
 func TestGetMiss(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
-	if _, err := c.Get("absent"); !errors.Is(err, ErrNotFound) {
+	if _, err := getItem(c, "absent"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v", err)
 	}
 	st := c.Stats()
@@ -97,39 +105,39 @@ func TestKeyValidation(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
 	bad := []string{"", strings.Repeat("x", 251), "has space", "has\ttab", "has\nnl", "del\x7f"}
 	for _, k := range bad {
-		if err := c.Set(k, []byte("v"), 0, 0); !errors.Is(err, ErrKeyInvalid) {
+		if err := setItem(c, k, []byte("v"), 0, 0); !errors.Is(err, ErrKeyInvalid) {
 			t.Errorf("key %q: err = %v", k, err)
 		}
-		if _, err := c.Get(k); !errors.Is(err, ErrKeyInvalid) {
+		if _, err := getItem(c, k); !errors.Is(err, ErrKeyInvalid) {
 			t.Errorf("get key %q: err = %v", k, err)
 		}
 	}
 	// 250 bytes is legal.
-	if err := c.Set(strings.Repeat("k", 250), []byte("v"), 0, 0); err != nil {
+	if err := setItem(c, strings.Repeat("k", 250), []byte("v"), 0, 0); err != nil {
 		t.Errorf("250-byte key rejected: %v", err)
 	}
 }
 
 func TestValueSizeLimit(t *testing.T) {
 	c, _ := newTestCache(t, Options{MaxItemSize: 10})
-	if err := c.Set("k", make([]byte, 11), 0, 0); !errors.Is(err, ErrValueTooLarge) {
+	if err := setItem(c, "k", make([]byte, 11), 0, 0); !errors.Is(err, ErrValueTooLarge) {
 		t.Errorf("err = %v", err)
 	}
-	if err := c.Set("k", make([]byte, 10), 0, 0); err != nil {
+	if err := setItem(c, "k", make([]byte, 10), 0, 0); err != nil {
 		t.Errorf("at-limit value rejected: %v", err)
 	}
 }
 
 func TestTTLExpiry(t *testing.T) {
 	c, clk := newTestCache(t, Options{})
-	if err := c.Set("k", []byte("v"), 0, time.Second); err != nil {
+	if err := setItem(c, "k", []byte("v"), 0, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get("k"); err != nil {
+	if _, err := getItem(c, "k"); err != nil {
 		t.Fatalf("fresh item missing: %v", err)
 	}
 	clk.Advance(2 * time.Second)
-	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
+	if _, err := getItem(c, "k"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("expired item err = %v", err)
 	}
 	if got := c.Stats().Expirations; got != 1 {
@@ -139,12 +147,12 @@ func TestTTLExpiry(t *testing.T) {
 
 func TestTouchExtendsLife(t *testing.T) {
 	c, clk := newTestCache(t, Options{})
-	_ = c.Set("k", []byte("v"), 0, time.Second)
+	_ = setItem(c, "k", []byte("v"), 0, time.Second)
 	if err := c.Touch("k", time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(10 * time.Second)
-	if _, err := c.Get("k"); err != nil {
+	if _, err := getItem(c, "k"); err != nil {
 		t.Errorf("touched item gone: %v", err)
 	}
 	if err := c.Touch("absent", time.Hour); !errors.Is(err, ErrNotFound) {
@@ -166,7 +174,7 @@ func TestAddReplaceSemantics(t *testing.T) {
 	if err := c.Replace("k", []byte("v3"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	it, _ := c.Get("k")
+	it, _ := getItem(c, "k")
 	if string(it.Value) != "v3" {
 		t.Errorf("value = %q", it.Value)
 	}
@@ -177,14 +185,14 @@ func TestAppendPrepend(t *testing.T) {
 	if err := c.Append("k", []byte("x")); !errors.Is(err, ErrNotStored) {
 		t.Errorf("append absent: %v", err)
 	}
-	_ = c.Set("k", []byte("mid"), 7, 0)
+	_ = setItem(c, "k", []byte("mid"), 7, 0)
 	if err := c.Append("k", []byte("-end")); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Prepend("k", []byte("start-")); err != nil {
 		t.Fatal(err)
 	}
-	it, _ := c.Get("k")
+	it, _ := getItem(c, "k")
 	if string(it.Value) != "start-mid-end" {
 		t.Errorf("value = %q", it.Value)
 	}
@@ -195,8 +203,8 @@ func TestAppendPrepend(t *testing.T) {
 
 func TestCompareAndSwap(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
-	_ = c.Set("k", []byte("v1"), 0, 0)
-	it, _ := c.Get("k")
+	_ = setItem(c, "k", []byte("v1"), 0, 0)
+	it, _ := getItem(c, "k")
 	if err := c.CompareAndSwap("k", []byte("v2"), 0, 0, it.CAS); err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +215,7 @@ func TestCompareAndSwap(t *testing.T) {
 	if err := c.CompareAndSwap("absent", []byte("v"), 0, 0, 1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("cas absent err = %v", err)
 	}
-	it2, _ := c.Get("k")
+	it2, _ := getItem(c, "k")
 	if string(it2.Value) != "v2" {
 		t.Errorf("value = %q", it2.Value)
 	}
@@ -215,21 +223,21 @@ func TestCompareAndSwap(t *testing.T) {
 
 func TestDelete(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
-	_ = c.Set("k", []byte("v"), 0, 0)
+	_ = setItem(c, "k", []byte("v"), 0, 0)
 	if err := c.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Delete("k"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete err = %v", err)
 	}
-	if _, err := c.Get("k"); !errors.Is(err, ErrNotFound) {
+	if _, err := getItem(c, "k"); !errors.Is(err, ErrNotFound) {
 		t.Error("deleted key still present")
 	}
 }
 
 func TestIncrDecr(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
-	_ = c.Set("n", []byte("10"), 0, 0)
+	_ = setItem(c, "n", []byte("10"), 0, 0)
 	got, err := c.IncrDecr("n", 5)
 	if err != nil || got != 15 {
 		t.Fatalf("incr: %v %v", got, err)
@@ -238,14 +246,14 @@ func TestIncrDecr(t *testing.T) {
 	if err != nil || got != 0 {
 		t.Fatalf("decr: %v %v", got, err)
 	}
-	_ = c.Set("s", []byte("abc"), 0, 0)
+	_ = setItem(c, "s", []byte("abc"), 0, 0)
 	if _, err := c.IncrDecr("s", 1); !errors.Is(err, ErrNotNumeric) {
 		t.Errorf("non-numeric err = %v", err)
 	}
 	if _, err := c.IncrDecr("absent", 1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("absent err = %v", err)
 	}
-	it, _ := c.Get("n")
+	it, _ := getItem(c, "n")
 	if string(it.Value) != "0" {
 		t.Errorf("stored value = %q", it.Value)
 	}
@@ -254,19 +262,19 @@ func TestIncrDecr(t *testing.T) {
 func TestLRUEvictionOrder(t *testing.T) {
 	// One shard, budget for ~3 small items.
 	c, _ := newTestCache(t, Options{Shards: 1, MaxBytes: 3 * (2 + 1 + itemOverhead), MaxItemSize: 100})
-	_ = c.Set("k1", []byte("a"), 0, 0)
-	_ = c.Set("k2", []byte("b"), 0, 0)
-	_ = c.Set("k3", []byte("c"), 0, 0)
+	_ = setItem(c, "k1", []byte("a"), 0, 0)
+	_ = setItem(c, "k2", []byte("b"), 0, 0)
+	_ = setItem(c, "k3", []byte("c"), 0, 0)
 	// Touch k1 so k2 is LRU, then insert k4 -> k2 evicted.
-	if _, err := c.Get("k1"); err != nil {
+	if _, err := getItem(c, "k1"); err != nil {
 		t.Fatal(err)
 	}
-	_ = c.Set("k4", []byte("d"), 0, 0)
-	if _, err := c.Get("k2"); !errors.Is(err, ErrNotFound) {
+	_ = setItem(c, "k4", []byte("d"), 0, 0)
+	if _, err := getItem(c, "k2"); !errors.Is(err, ErrNotFound) {
 		t.Error("LRU victim k2 survived")
 	}
 	for _, k := range []string{"k1", "k3", "k4"} {
-		if _, err := c.Get(k); err != nil {
+		if _, err := getItem(c, k); err != nil {
 			t.Errorf("%s evicted unexpectedly: %v", k, err)
 		}
 	}
@@ -278,12 +286,12 @@ func TestLRUEvictionOrder(t *testing.T) {
 func TestEvictionRespectsBudget(t *testing.T) {
 	c, _ := newTestCache(t, Options{Shards: 1, MaxBytes: 1000, MaxItemSize: 100})
 	for i := 0; i < 100; i++ {
-		_ = c.Set(fmt.Sprintf("key-%03d", i), bytes.Repeat([]byte("x"), 50), 0, 0)
+		_ = setItem(c, fmt.Sprintf("key-%03d", i), bytes.Repeat([]byte("x"), 50), 0, 0)
 	}
-	if got := c.Bytes(); got > 1000+100+itemOverhead {
+	if got := c.Stats().Bytes; got > 1000+100+itemOverhead {
 		t.Errorf("bytes = %d exceeds budget", got)
 	}
-	if c.Len() == 0 {
+	if c.Stats().Items == 0 {
 		t.Error("everything evicted")
 	}
 }
@@ -291,41 +299,35 @@ func TestEvictionRespectsBudget(t *testing.T) {
 func TestFlushAll(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
 	for i := 0; i < 10; i++ {
-		_ = c.Set(fmt.Sprintf("k%d", i), []byte("v"), 0, 0)
+		_ = setItem(c, fmt.Sprintf("k%d", i), []byte("v"), 0, 0)
 	}
 	c.FlushAll()
-	if c.Len() != 0 || c.Bytes() != 0 {
-		t.Errorf("len=%d bytes=%d after flush", c.Len(), c.Bytes())
+	if c.Stats().Items != 0 || c.Stats().Bytes != 0 {
+		t.Errorf("len=%d bytes=%d after flush", c.Stats().Items, c.Stats().Bytes)
 	}
-	if _, err := c.Get("k0"); !errors.Is(err, ErrNotFound) {
+	if _, err := getItem(c, "k0"); !errors.Is(err, ErrNotFound) {
 		t.Error("item survived flush")
 	}
 }
 
 func TestStatsCounters(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
-	_ = c.Set("a", []byte("1"), 0, 0)
-	_, _ = c.Get("a")
-	_, _ = c.Get("b")
+	_ = setItem(c, "a", []byte("1"), 0, 0)
+	_, _ = getItem(c, "a")
+	_, _ = getItem(c, "b")
 	_ = c.Delete("a")
 	st := c.Stats()
 	if st.Sets != 1 || st.Gets != 2 || st.Hits != 1 || st.Misses != 1 || st.Deletes != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	if got := st.HitRatio(); got != 0.5 {
-		t.Errorf("hit ratio = %v", got)
-	}
-	if (Stats{}).HitRatio() != 0 {
-		t.Error("empty hit ratio != 0")
-	}
 }
 
 func TestGetReturnsCopy(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
-	_ = c.Set("k", []byte("abc"), 0, 0)
-	it, _ := c.Get("k")
+	_ = setItem(c, "k", []byte("abc"), 0, 0)
+	it, _ := getItem(c, "k")
 	it.Value[0] = 'X'
-	it2, _ := c.Get("k")
+	it2, _ := getItem(c, "k")
 	if string(it2.Value) != "abc" {
 		t.Error("Get exposed internal buffer")
 	}
@@ -341,8 +343,8 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				k := fmt.Sprintf("w%d-%d", w, i%50)
-				_ = c.Set(k, []byte("v"), 0, 0)
-				_, _ = c.Get(k)
+				_ = setItem(c, k, []byte("v"), 0, 0)
+				_, _ = getItem(c, k)
 				if i%10 == 0 {
 					_ = c.Delete(k)
 				}
@@ -364,10 +366,10 @@ func TestPropertyGetAfterSet(t *testing.T) {
 		if key == "" {
 			return true
 		}
-		if err := c.Set(key, value, 3, 0); err != nil {
+		if err := setItem(c, key, value, 3, 0); err != nil {
 			return false
 		}
-		it, err := c.Get(key)
+		it, err := getItem(c, key)
 		if err != nil {
 			return false
 		}
@@ -387,21 +389,21 @@ func TestPropertyAccountingInvariants(t *testing.T) {
 			key := fmt.Sprintf("k%d", int(op)%17)
 			switch op % 4 {
 			case 0:
-				_ = c.Set(key, bytes.Repeat([]byte("v"), int(op)%200), 0, 0)
+				_ = setItem(c, key, bytes.Repeat([]byte("v"), int(op)%200), 0, 0)
 			case 1:
-				_, _ = c.Get(key)
+				_, _ = getItem(c, key)
 			case 2:
 				_ = c.Delete(key)
 			case 3:
-				_ = c.Set(key, []byte{byte(i)}, 0, 0)
+				_ = setItem(c, key, []byte{byte(i)}, 0, 0)
 			}
-			if c.Len() < 0 || c.Bytes() < 0 {
+			if c.Stats().Items < 0 || c.Stats().Bytes < 0 {
 				return false
 			}
 		}
 		// Per-shard budget is MaxBytes/shards but never below one item;
 		// 2 shards * (256+64) slack.
-		return c.Bytes() <= 4096+2*(256+itemOverhead)
+		return c.Stats().Bytes <= 4096+2*(256+itemOverhead)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -425,7 +427,7 @@ func TestShardStatsAndLockWaitCounters(t *testing.T) {
 	}
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		if err := c.Set(key, []byte("v"), 0, 0); err != nil {
+		if err := setItem(c, key, []byte("v"), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -441,11 +443,11 @@ func TestShardStatsAndLockWaitCounters(t *testing.T) {
 		items += s.Items
 		bytes += s.Bytes
 	}
-	if items != c.Len() {
-		t.Errorf("shard items sum %d != Len %d", items, c.Len())
+	if items != c.Stats().Items {
+		t.Errorf("shard items sum %d != Len %d", items, c.Stats().Items)
 	}
-	if bytes != c.Bytes() {
-		t.Errorf("shard bytes sum %d != Bytes %d", bytes, c.Bytes())
+	if bytes != c.Stats().Bytes {
+		t.Errorf("shard bytes sum %d != Bytes %d", bytes, c.Stats().Bytes)
 	}
 	// Contend one shard hard enough that at least one TryLock misses.
 	var wg sync.WaitGroup
@@ -454,7 +456,7 @@ func TestShardStatsAndLockWaitCounters(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3000; i++ {
-				_, _ = c.Get("key-1")
+				_, _ = getItem(c, "key-1")
 			}
 		}()
 	}
@@ -470,7 +472,7 @@ func TestShardStatsAndLockWaitCounters(t *testing.T) {
 
 func TestGetAndTouch(t *testing.T) {
 	c, clk := newTestCache(t, Options{})
-	_ = c.Set("k", []byte("v"), 9, time.Second)
+	_ = setItem(c, "k", []byte("v"), 9, time.Second)
 	it, err := c.GetAndTouch("k", time.Hour)
 	if err != nil {
 		t.Fatal(err)
@@ -479,7 +481,7 @@ func TestGetAndTouch(t *testing.T) {
 		t.Errorf("item = %+v", it)
 	}
 	clk.Advance(10 * time.Second) // would have expired without the touch
-	if _, err := c.Get("k"); err != nil {
+	if _, err := getItem(c, "k"); err != nil {
 		t.Errorf("gat did not extend life: %v", err)
 	}
 	if _, err := c.GetAndTouch("absent", time.Hour); err != ErrNotFound {

@@ -56,11 +56,11 @@ func TestConcurrentMixedOps(t *testing.T) {
 				kb := []byte(k)
 				switch i % 6 {
 				case 0:
-					if err := c.Set(k, []byte("v-"+k), 0, 0); err != nil {
+					if err := setItem(c, k, []byte("v-"+k), 0, 0); err != nil {
 						t.Error(err)
 					}
 				case 1:
-					_, _ = c.Get(k)
+					_, _ = getItem(c, k)
 				case 2:
 					if err := c.SetBytes(kb, []byte("b-"+k), 0, 0); err != nil {
 						t.Error(err)
@@ -80,7 +80,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 	if st.Gets != st.Hits+st.Misses {
 		t.Errorf("gets=%d != hits=%d + misses=%d", st.Gets, st.Hits, st.Misses)
 	}
-	if got := c.Len(); got < 0 || got > keys {
+	if got := c.Stats().Items; got < 0 || got > keys {
 		t.Errorf("Len() = %d, want 0..%d", got, keys)
 	}
 }
@@ -92,7 +92,7 @@ func TestConcurrentIncrAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set("ctr", []byte("0"), 0, 0); err != nil {
+	if err := setItem(c, "ctr", []byte("0"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	const workers, incrs = 8, 400
@@ -109,7 +109,7 @@ func TestConcurrentIncrAtomicity(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	it, err := c.Get("ctr")
+	it, err := getItem(c, "ctr")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,24 +192,24 @@ func TestShardLRUEvictionDeterminism(t *testing.T) {
 		keys := shardKeys(t, c, 1, 12)
 		value := bytes.Repeat([]byte("x"), 2048)
 		for _, k := range keys[:9] {
-			if err := c.Set(k, value, 0, 0); err != nil {
+			if err := setItem(c, k, value, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		// Touch the first four so they become MRU before the refill
 		// evicts from the tail.
 		for _, k := range keys[:4] {
-			if _, err := c.Get(k); err != nil {
+			if _, err := getItem(c, k); err != nil {
 				t.Fatalf("touch %s: %v", k, err)
 			}
 		}
 		for _, k := range keys[9:] {
-			if err := c.Set(k, value, 0, 0); err != nil {
+			if err := setItem(c, k, value, 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for _, k := range keys {
-			if _, err := c.Get(k); err == nil {
+			if _, err := getItem(c, k); err == nil {
 				survivors = append(survivors, k)
 			}
 		}

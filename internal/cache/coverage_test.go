@@ -44,7 +44,7 @@ func TestOnLockWaitObservesContention(t *testing.T) {
 	s.mu.Lock()
 	done := make(chan error, 1)
 	go func() {
-		_, err := c.Get("k")
+		_, err := getItem(c, "k")
 		done <- err
 	}()
 	time.Sleep(5 * time.Millisecond)
@@ -64,7 +64,7 @@ func TestOnLockWaitObservesContention(t *testing.T) {
 	c.OnLockWait(nil)
 	s.mu.Lock()
 	go func() {
-		_, err := c.Get("k")
+		_, err := getItem(c, "k")
 		done <- err
 	}()
 	time.Sleep(2 * time.Millisecond)
@@ -115,7 +115,7 @@ func TestStringKeyValidation(t *testing.T) {
 	}
 	val := []byte("v")
 	for name, call := range map[string]func(string) error{
-		"Set":     func(k string) error { return c.Set(k, val, 0, 0) },
+		"Set":     func(k string) error { return setItem(c, k, val, 0, 0) },
 		"Add":     func(k string) error { return c.Add(k, val, 0, 0) },
 		"Replace": func(k string) error { return c.Replace(k, val, 0, 0) },
 		"Append":  func(k string) error { return c.Append(k, val) },
@@ -124,7 +124,7 @@ func TestStringKeyValidation(t *testing.T) {
 		"Delete":  c.Delete,
 		"Touch":   func(k string) error { return c.Touch(k, 0) },
 		"Incr":    func(k string) error { _, err := c.IncrDecr(k, 1); return err },
-		"Get":     func(k string) error { _, err := c.Get(k); return err },
+		"Get":     func(k string) error { _, err := getItem(c, k); return err },
 		"GAT":     func(k string) error { _, err := c.GetAndTouch(k, 0); return err },
 	} {
 		if err := call("bad key"); !errors.Is(err, ErrKeyInvalid) {

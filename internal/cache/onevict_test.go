@@ -32,27 +32,27 @@ func TestOnEvict(t *testing.T) {
 		{
 			name: "lru displacement reports the victim",
 			run: func(c *Cache, _ *fakeClock) {
-				c.Set("key-0000", val("value-00"), 7, 0)
-				c.Set("key-0001", val("value-01"), 0, 0)
-				c.Set("key-0002", val("value-02"), 0, 0) // evicts key-0000
+				setItem(c, "key-0000", val("value-00"), 7, 0)
+				setItem(c, "key-0001", val("value-01"), 0, 0)
+				setItem(c, "key-0002", val("value-02"), 0, 0) // evicts key-0000
 			},
 			want: []evictRecord{{key: "key-0000", value: "value-00", flags: 7}},
 		},
 		{
 			name: "expired victims are reaped, not reported",
 			run: func(c *Cache, clk *fakeClock) {
-				c.Set("key-0000", val("value-00"), 0, time.Minute)
-				c.Set("key-0001", val("value-01"), 0, 0)
+				setItem(c, "key-0000", val("value-00"), 0, time.Minute)
+				setItem(c, "key-0001", val("value-01"), 0, 0)
 				clk.Advance(2 * time.Minute)
-				c.Set("key-0002", val("value-02"), 0, 0) // key-0000 is dead weight
+				setItem(c, "key-0002", val("value-02"), 0, 0) // key-0000 is dead weight
 			},
 			want: nil,
 		},
 		{
 			name: "delete and overwrite are not evictions",
 			run: func(c *Cache, _ *fakeClock) {
-				c.Set("key-0000", val("value-00"), 0, 0)
-				c.Set("key-0000", val("value-XX"), 0, 0)
+				setItem(c, "key-0000", val("value-00"), 0, 0)
+				setItem(c, "key-0000", val("value-XX"), 0, 0)
 				c.Delete("key-0000")
 			},
 			want: nil,
@@ -60,8 +60,8 @@ func TestOnEvict(t *testing.T) {
 		{
 			name: "flush drops everything silently",
 			run: func(c *Cache, _ *fakeClock) {
-				c.Set("key-0000", val("value-00"), 0, 0)
-				c.Set("key-0001", val("value-01"), 0, 0)
+				setItem(c, "key-0000", val("value-00"), 0, 0)
+				setItem(c, "key-0001", val("value-01"), 0, 0)
 				c.FlushAll()
 			},
 			want: nil,
@@ -69,9 +69,9 @@ func TestOnEvict(t *testing.T) {
 		{
 			name: "victim expiry deadline is passed through",
 			run: func(c *Cache, clk *fakeClock) {
-				c.Set("key-0000", val("value-00"), 0, time.Hour)
-				c.Set("key-0001", val("value-01"), 0, 0)
-				c.Set("key-0002", val("value-02"), 0, 0)
+				setItem(c, "key-0000", val("value-00"), 0, time.Hour)
+				setItem(c, "key-0001", val("value-01"), 0, 0)
+				setItem(c, "key-0002", val("value-02"), 0, 0)
 			},
 			want: []evictRecord{{
 				key: "key-0000", value: "value-00",
@@ -81,11 +81,11 @@ func TestOnEvict(t *testing.T) {
 		{
 			name: "cascading evictions report every victim in LRU order",
 			run: func(c *Cache, _ *fakeClock) {
-				c.Set("key-0000", val("value-00"), 0, 0)
-				c.Set("key-0001", val("value-01"), 0, 0)
+				setItem(c, "key-0000", val("value-00"), 0, 0)
+				setItem(c, "key-0001", val("value-01"), 0, 0)
 				// A value sized near the whole budget displaces both.
 				big := make([]byte, int(budget)-len("key-0002")-itemOverhead)
-				c.Set("key-0002", big, 0, 0)
+				setItem(c, "key-0002", big, 0, 0)
 			},
 			want: []evictRecord{
 				{key: "key-0000", value: "value-00"},
@@ -125,15 +125,15 @@ func TestOnEvictRemoval(t *testing.T) {
 	c, _ := newTestCache(t, Options{MaxBytes: budget, Shards: 1, MaxItemSize: 128})
 	calls := 0
 	c.OnEvict(func(string, []byte, uint32, time.Time) { calls++ })
-	c.Set("key-0000", []byte("value-00"), 0, 0)
-	c.Set("key-0001", []byte("value-01"), 0, 0)
-	c.Set("key-0002", []byte("value-02"), 0, 0)
+	setItem(c, "key-0000", []byte("value-00"), 0, 0)
+	setItem(c, "key-0001", []byte("value-01"), 0, 0)
+	setItem(c, "key-0002", []byte("value-02"), 0, 0)
 	if calls != 1 {
 		t.Fatalf("calls = %d, want 1", calls)
 	}
 	c.OnEvict(nil)
 	for i := 3; i < 10; i++ {
-		c.Set(fmt.Sprintf("key-%04d", i), []byte("value-zz"), 0, 0)
+		setItem(c, fmt.Sprintf("key-%04d", i), []byte("value-zz"), 0, 0)
 	}
 	if calls != 1 {
 		t.Fatalf("calls after removal = %d, want still 1", calls)

@@ -17,7 +17,7 @@ func TestSecondChanceOrder(t *testing.T) {
 	set := func(t *testing.T, c *Cache, keys ...string) {
 		t.Helper()
 		for _, k := range keys {
-			if err := c.Set(k, []byte("v"), 0, 0); err != nil {
+			if err := setItem(c, k, []byte("v"), 0, 0); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -25,7 +25,7 @@ func TestSecondChanceOrder(t *testing.T) {
 	read := func(t *testing.T, c *Cache, keys ...string) {
 		t.Helper()
 		for _, k := range keys {
-			if _, err := c.Get(k); err != nil {
+			if _, err := getItem(c, k); err != nil {
 				t.Fatalf("get %s: %v", k, err)
 			}
 		}
@@ -111,7 +111,7 @@ func TestSecondChanceOrder(t *testing.T) {
 		{
 			name: "an expired entry goes whatever its bit",
 			run: func(t *testing.T, c *Cache, clk *fakeClock) {
-				if err := c.Set("a", []byte("v"), 0, time.Minute); err != nil {
+				if err := setItem(c, "a", []byte("v"), 0, time.Minute); err != nil {
 					t.Fatal(err)
 				}
 				set(t, c, "b", "c")
@@ -154,7 +154,7 @@ func TestSecondChanceOrder(t *testing.T) {
 				t.Errorf("items = %d, want %d", st.Items, len(tc.wantAlive))
 			}
 			for _, k := range tc.wantAlive {
-				if _, err := c.Get(k); err != nil {
+				if _, err := getItem(c, k); err != nil {
 					t.Errorf("%s is gone: %v", k, err)
 				}
 			}
@@ -189,7 +189,7 @@ func TestStatsBalanceUnderConcurrency(t *testing.T) {
 		present = 64
 	)
 	for i := 0; i < present; i++ {
-		if err := c.Set(fmt.Sprintf("k%d", i), []byte("v"), 0, 0); err != nil {
+		if err := setItem(c, fmt.Sprintf("k%d", i), []byte("v"), 0, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -224,7 +224,7 @@ func TestStatsBalanceUnderConcurrency(t *testing.T) {
 				var err error
 				switch i % 3 {
 				case 0:
-					_, err = c.Get(key)
+					_, err = getItem(c, key)
 				case 1:
 					_, _, _, err = c.GetInto([]byte(key), dst[:0])
 				default:
@@ -255,7 +255,7 @@ func TestScrapeIsNotALockWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set("k", []byte("v"), 0, 0); err != nil {
+	if err := setItem(c, "k", []byte("v"), 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	c.OnLockWait(func(seconds float64) {
@@ -263,8 +263,6 @@ func TestScrapeIsNotALockWait(t *testing.T) {
 	})
 	walks := []func(){
 		func() { c.Stats() },
-		func() { c.Len() },
-		func() { c.Bytes() },
 		func() { c.ShardStats() },
 		func() { c.SlabClasses() },
 	}

@@ -9,11 +9,11 @@ func TestSlabClasses(t *testing.T) {
 	c, _ := newTestCache(t, Options{MaxBytes: 16 << 20, MaxItemSize: 1 << 20})
 	// Tiny items (cost ~70B -> class 128) and big items (cost ~4KiB+).
 	for i := 0; i < 5; i++ {
-		_ = c.Set(fmt.Sprintf("small-%d", i), []byte("v"), 0, 0)
+		_ = setItem(c, fmt.Sprintf("small-%d", i), []byte("v"), 0, 0)
 	}
 	big := make([]byte, 4000)
 	for i := 0; i < 3; i++ {
-		_ = c.Set(fmt.Sprintf("big-%d", i), big, 0, 0)
+		_ = setItem(c, fmt.Sprintf("big-%d", i), big, 0, 0)
 	}
 	classes := c.SlabClasses()
 	if len(classes) < 2 {
@@ -33,8 +33,8 @@ func TestSlabClasses(t *testing.T) {
 	if totalItems != 8 {
 		t.Errorf("total items = %d", totalItems)
 	}
-	if totalBytes != c.Bytes() {
-		t.Errorf("class bytes %d != cache bytes %d", totalBytes, c.Bytes())
+	if totalBytes != c.Stats().Bytes {
+		t.Errorf("class bytes %d != cache bytes %d", totalBytes, c.Stats().Bytes)
 	}
 }
 

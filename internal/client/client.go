@@ -20,6 +20,7 @@ import (
 
 	"memqlat/internal/coalesce"
 	"memqlat/internal/dist"
+	"memqlat/internal/fault"
 	"memqlat/internal/otrace"
 	"memqlat/internal/protocol"
 	"memqlat/internal/route"
@@ -78,19 +79,20 @@ type Options struct {
 	Filler Filler
 	// FillTTL is the expiry used for filled values (default 0 = none).
 	FillTTL time.Duration
-	// Coalesce, when set, collapses concurrent GetThrough misses on the
-	// same key into one in-flight Filler fetch (single-flight miss
-	// coalescing): the first miss leads the fetch, concurrent misses
-	// attach as waiters and share its outcome. Nil keeps the naive
+	// Coalesce collapses concurrent GetThrough misses on the same key
+	// into one in-flight Filler fetch (single-flight miss coalescing):
+	// the first miss leads the fetch, concurrent misses attach as
+	// waiters and share its outcome. False keeps the naive
 	// one-fetch-per-miss behavior.
-	Coalesce *coalesce.Policy
+	Coalesce bool
 	// Seed seeds the client's jitter RNG (retry backoff) so resilience
 	// behavior is reproducible under a run seed. 0 seeds from the wall
 	// clock.
 	Seed uint64
 	// Resilience configures retries, hedged reads and circuit breakers
-	// (zero value = all off, the seed behavior).
-	Resilience Resilience
+	// (zero value = all off, the seed behavior). New refuses a spec that
+	// fails its Validate.
+	Resilience fault.Resilience
 	// Recorder, when set, receives the client-side resilience telemetry:
 	// StageRetry per backoff wait, StageHedgeWait per fired hedge,
 	// StageBreakerShed per shed operation.
@@ -112,12 +114,11 @@ type Client struct {
 	rec      telemetry.Recorder
 	tracer   *otrace.Tracer // nil = tracing disabled
 
-	retry       *RetryPolicy
-	hedge       *HedgePolicy
+	res         fault.Resilience // Options.Resilience with its defaults
 	breakers    []*route.Breaker // per server; nil when disabled
-	retryBudget *tokenBucket
-	readLat     *latencyDigest
-	coalescer   *coalesce.Group // nil = naive miss path
+	retryBudget *tokenBucket     // nil without retries
+	readLat     *latencyDigest   // nil without hedging
+	coalescer   *coalesce.Group  // nil = naive miss path
 
 	jitterMu sync.Mutex
 	jitter   func() float64
@@ -158,7 +159,7 @@ func (cn *conn) send() error {
 
 // Per-verb reply tables: what each legal one-line reply means (nil for
 // success). anyNumber stands for the replies no table can list: incr's
-// and decr's new value.
+// new value.
 const anyNumber = "<number>"
 
 var (
@@ -168,10 +169,7 @@ var (
 		protocol.RespExists:    ErrCASConflict,
 		protocol.RespNotFound:  ErrCacheMiss,
 	}
-	deleteOutcomes = map[string]error{protocol.RespDeleted: nil, protocol.RespNotFound: ErrCacheMiss}
-	touchOutcomes  = map[string]error{protocol.RespTouched: nil, protocol.RespNotFound: ErrCacheMiss}
-	incrOutcomes   = map[string]error{anyNumber: nil, protocol.RespNotFound: ErrCacheMiss}
-	flushOutcomes  = map[string]error{protocol.RespOK: nil}
+	incrOutcomes = map[string]error{anyNumber: nil, protocol.RespNotFound: ErrCacheMiss}
 )
 
 // New validates options and constructs a Client.
@@ -198,11 +196,15 @@ func New(opts Options) (*Client, error) {
 	if opts.MaxConnIdle == 0 {
 		opts.MaxConnIdle = 2 * time.Minute
 	}
+	if err := opts.Resilience.Validate(); err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
 	c := &Client{
 		opts:     opts,
 		selector: ring,
 		rec:      telemetry.OrNop(opts.Recorder),
 		tracer:   opts.Tracer,
+		res:      opts.Resilience.WithDefaults(),
 	}
 	n := len(opts.Servers)
 	c.pools = make([]chan *conn, n)
@@ -212,28 +214,22 @@ func New(opts Options) (*Client, error) {
 	c.dials = make([]atomic.Int64, n)
 	c.discards = make([]atomic.Int64, n)
 	c.staleDrops = make([]atomic.Int64, n)
-	if p := opts.Resilience.Retry; p != nil {
-		c.retry = p.withDefaults()
+	if c.res.Retries > 0 {
 		// Full from the start, so cold-start failures can retry at once.
 		c.retryBudget = &tokenBucket{tokens: retryBudgetBurst}
 	}
-	if p := opts.Resilience.Hedge; p != nil {
-		c.hedge = p.withDefaults()
+	if c.res.Hedging() {
 		c.readLat = new(latencyDigest)
 	}
-	if p := opts.Resilience.Breaker; p != nil {
-		pol := *p.WithDefaults()
+	if c.res.BreakerThreshold > 0 {
+		pol := route.PolicyOf(c.res)
 		c.breakers = make([]*route.Breaker, n)
 		for i := range c.breakers {
 			c.breakers[i] = route.NewBreaker(pol)
 		}
 	}
-	if p := opts.Coalesce; p != nil {
-		pol := *p
-		if pol.Recorder == nil {
-			pol.Recorder = c.rec
-		}
-		c.coalescer = coalesce.New(pol)
+	if opts.Coalesce {
+		c.coalescer = coalesce.New(c.rec)
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -722,7 +718,7 @@ func (fj *forkJoin) recycle() {
 // a race and needs a goroutine of its own to wait on it. CAS reads never
 // hedge — racing tokens would be ambiguous — and neither does gat.
 func (c *Client) read(parent otrace.Ctx, name string, legs []leg) {
-	if c.hedge == nil || len(legs) == 0 || legs[0].op != protocol.OpGet {
+	if !c.res.Hedging() || len(legs) == 0 || legs[0].op != protocol.OpGet {
 		c.run(parent, name, legs)
 		return
 	}
@@ -738,12 +734,12 @@ func (c *Client) read(parent otrace.Ctx, name string, legs []leg) {
 }
 
 // run takes legs to their outcomes on the calling goroutine: one
-// pipelined pass over all of them and, under a RetryPolicy, one more per
+// pipelined pass over all of them and, with retries on, one more per
 // further attempt over those that failed retryably. The legs of a pass
 // back off together, once, and each spends a token of the retry budget.
 func (c *Client) run(parent otrace.Ctx, name string, legs []leg) {
 	c.pass(parent, name, legs, nil)
-	for attempt := 2; c.retry != nil && attempt <= c.retry.MaxAttempts; attempt++ {
+	for attempt := 2; attempt <= c.res.Retries+1; attempt++ {
 		again := false
 		for i := range legs {
 			l := &legs[i]
@@ -967,57 +963,20 @@ func (c *Client) Set(key string, value []byte, flags uint32, ttl time.Duration) 
 	return c.storage(protocol.OpSet, key, value, flags, ttl, 0)
 }
 
-// Add stores a value only if absent.
-func (c *Client) Add(key string, value []byte, flags uint32, ttl time.Duration) error {
-	return c.storage(protocol.OpAdd, key, value, flags, ttl, 0)
-}
-
-// Replace stores a value only if present.
-func (c *Client) Replace(key string, value []byte, flags uint32, ttl time.Duration) error {
-	return c.storage(protocol.OpReplace, key, value, flags, ttl, 0)
-}
-
 // CompareAndSwap stores a value if the CAS token still matches.
 func (c *Client) CompareAndSwap(key string, value []byte, flags uint32, ttl time.Duration, cas uint64) error {
 	return c.storage(protocol.OpCas, key, value, flags, ttl, cas)
 }
 
-// Delete removes a key; ErrCacheMiss when absent. Like the storage
-// verbs it invalidates any in-flight coalesced fetch for the key.
-func (c *Client) Delete(key string) error {
-	defer c.coalescer.Invalidate(key)
-	_, err := c.command(c.pickServer(key), deleteOutcomes, func(buf []byte) []byte {
-		return protocol.AppendDelete(buf, key)
-	})
-	return err
-}
-
 // Incr atomically adds delta to a numeric value.
 func (c *Client) Incr(key string, delta uint64) (uint64, error) {
-	return c.incrDecr(protocol.OpIncr, key, delta)
-}
-
-// Decr atomically subtracts delta (floored at zero).
-func (c *Client) Decr(key string, delta uint64) (uint64, error) {
-	return c.incrDecr(protocol.OpDecr, key, delta)
-}
-
-func (c *Client) incrDecr(op protocol.Op, key string, delta uint64) (uint64, error) {
 	line, err := c.command(c.pickServer(key), incrOutcomes, func(buf []byte) []byte {
-		return protocol.AppendIncrDecr(buf, op, key, delta)
+		return protocol.AppendIncrDecr(buf, protocol.OpIncr, key, delta)
 	})
 	if err != nil {
 		return 0, err
 	}
 	return strconv.ParseUint(line, 10, 64)
-}
-
-// Touch refreshes a key's TTL.
-func (c *Client) Touch(key string, ttl time.Duration) error {
-	_, err := c.command(c.pickServer(key), touchOutcomes, func(buf []byte) []byte {
-		return protocol.AppendTouch(buf, key, exptimeFromTTL(ttl))
-	})
-	return err
 }
 
 // ServerStats fetches the stats table from server idx.
@@ -1034,17 +993,4 @@ func (c *Client) ServerStats(idx int) (map[string]string, error) {
 		return err
 	})
 	return out, err
-}
-
-// FlushAll clears every server.
-func (c *Client) FlushAll() error {
-	for idx := range c.opts.Servers {
-		_, err := c.command(idx, flushOutcomes, func(buf []byte) []byte {
-			return protocol.AppendBare(buf, protocol.OpFlushAll)
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

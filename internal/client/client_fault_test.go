@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"memqlat/internal/cache"
+	"memqlat/internal/fault"
 	"memqlat/internal/server"
 	"memqlat/internal/telemetry"
 )
@@ -114,13 +115,15 @@ func TestFaultPoisoningSemantics(t *testing.T) {
 		},
 		{
 			name: "not-stored recycles",
-			addr: func(*testing.T) string { return realAddr },
-			op: func(t *testing.T, c *Client) error {
-				if err := c.Set("ns", []byte("v"), 0, 0); err != nil {
-					t.Fatal(err)
-				}
-				return c.Add("ns", []byte("w"), 0, 0)
+			addr: func(t *testing.T) string {
+				return scriptedServer(t, func(w net.Conn, line string) bool {
+					if !strings.HasPrefix(line, "set ") { // the data block ends the command
+						_, _ = w.Write([]byte("NOT_STORED\r\n"))
+					}
+					return true
+				})
 			},
+			op:      func(_ *testing.T, c *Client) error { return c.Set("ns", []byte("w"), 0, 0) },
 			wantErr: func(err error) bool { return errors.Is(err, ErrNotStored) },
 			recycle: true,
 		},
@@ -335,7 +338,7 @@ func TestFaultRetryRecoversTransient(t *testing.T) {
 	})
 	col := telemetry.NewCollector()
 	c := newClient(t, []string{addr}, func(o *Options) {
-		o.Resilience = Resilience{Retry: &RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}}
+		o.Resilience = fault.Resilience{Retries: 2, RetryBackoff: 1e-3}
 		o.Recorder = col
 	})
 	it, err := c.Get("k")
@@ -365,7 +368,7 @@ func TestFaultRetryNotOnProtocolOutcome(t *testing.T) {
 		return true
 	})
 	c := newClient(t, []string{addr}, func(o *Options) {
-		o.Resilience = Resilience{Retry: &RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond}}
+		o.Resilience = fault.Resilience{Retries: 2, RetryBackoff: 1e-3}
 	})
 	if _, err := c.Get("k"); !errors.Is(err, ErrCacheMiss) {
 		t.Fatalf("Get = %v, want miss", err)
@@ -391,12 +394,7 @@ func TestFaultBreakerOpensAndRecovers(t *testing.T) {
 	col := telemetry.NewCollector()
 	c := newClient(t, []string{addr}, func(o *Options) {
 		o.DialTimeout = 200 * time.Millisecond
-		o.Resilience = Resilience{Breaker: &BreakerPolicy{
-			Window:           4,
-			FailureThreshold: 0.5,
-			MinSamples:       2,
-			Cooldown:         60 * time.Millisecond,
-		}}
+		o.Resilience = fault.Resilience{BreakerThreshold: 0.5, BreakerWindow: 4, BreakerCooldown: 0.06}
 		o.Recorder = col
 	})
 	for i := 0; i < 2; i++ {
@@ -457,7 +455,7 @@ func TestFaultHedgedGetCutsTail(t *testing.T) {
 	})
 	col := telemetry.NewCollector()
 	c := newClient(t, []string{addr}, func(o *Options) {
-		o.Resilience = Resilience{Hedge: &HedgePolicy{Delay: 5 * time.Millisecond}}
+		o.Resilience = fault.Resilience{HedgeDelay: 5e-3}
 		o.Recorder = col
 	})
 	began := time.Now()

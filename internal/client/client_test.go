@@ -15,7 +15,6 @@ import (
 
 	"memqlat/internal/backend"
 	"memqlat/internal/cache"
-	"memqlat/internal/coalesce"
 	"memqlat/internal/server"
 )
 
@@ -81,7 +80,7 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
-func TestSetGetDelete(t *testing.T) {
+func TestSetGet(t *testing.T) {
 	addrs := startCluster(t, 2)
 	c := newClient(t, addrs, nil)
 	if err := c.Set("k", []byte("v"), 7, 0); err != nil {
@@ -94,31 +93,8 @@ func TestSetGetDelete(t *testing.T) {
 	if string(it.Value) != "v" || it.Flags != 7 {
 		t.Errorf("item = %+v", it)
 	}
-	if err := c.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get("k"); !errors.Is(err, ErrCacheMiss) {
+	if _, err := c.Get("absent"); !errors.Is(err, ErrCacheMiss) {
 		t.Errorf("err = %v", err)
-	}
-	if err := c.Delete("k"); !errors.Is(err, ErrCacheMiss) {
-		t.Errorf("double delete err = %v", err)
-	}
-}
-
-func TestConditionalStores(t *testing.T) {
-	addrs := startCluster(t, 1)
-	c := newClient(t, addrs, nil)
-	if err := c.Replace("k", []byte("v"), 0, 0); !errors.Is(err, ErrNotStored) {
-		t.Errorf("replace absent: %v", err)
-	}
-	if err := c.Add("k", []byte("v"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Add("k", []byte("v2"), 0, 0); !errors.Is(err, ErrNotStored) {
-		t.Errorf("add present: %v", err)
-	}
-	if err := c.Replace("k", []byte("v3"), 0, 0); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -141,7 +117,7 @@ func TestCASFlow(t *testing.T) {
 	}
 }
 
-func TestIncrDecrTouch(t *testing.T) {
+func TestIncr(t *testing.T) {
 	addrs := startCluster(t, 1)
 	c := newClient(t, addrs, nil)
 	_ = c.Set("n", []byte("41"), 0, 0)
@@ -149,18 +125,8 @@ func TestIncrDecrTouch(t *testing.T) {
 	if err != nil || n != 42 {
 		t.Fatalf("incr: %v %v", n, err)
 	}
-	n, err = c.Decr("n", 2)
-	if err != nil || n != 40 {
-		t.Fatalf("decr: %v %v", n, err)
-	}
 	if _, err := c.Incr("missing", 1); !errors.Is(err, ErrCacheMiss) {
 		t.Errorf("incr missing: %v", err)
-	}
-	if err := c.Touch("n", time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Touch("missing", time.Hour); !errors.Is(err, ErrCacheMiss) {
-		t.Errorf("touch missing: %v", err)
 	}
 }
 
@@ -204,7 +170,7 @@ func TestMultiGetForkJoin(t *testing.T) {
 
 func TestGetThroughFillsOnMiss(t *testing.T) {
 	addrs := startCluster(t, 2)
-	db, err := backend.New(backend.Options{MuD: 1e6, ValueSize: 16})
+	db, err := backend.New(backend.Options{MuD: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +208,7 @@ func TestGetThroughWithoutFiller(t *testing.T) {
 	}
 }
 
-func TestFlushAllAndStats(t *testing.T) {
+func TestServerStats(t *testing.T) {
 	addrs := startCluster(t, 2)
 	c := newClient(t, addrs, nil)
 	_ = c.Set("a", []byte("1"), 0, 0)
@@ -256,12 +222,6 @@ func TestFlushAllAndStats(t *testing.T) {
 	}
 	if _, err := c.ServerStats(5); err == nil {
 		t.Error("bad index accepted")
-	}
-	if err := c.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Get("a"); !errors.Is(err, ErrCacheMiss) {
-		t.Error("item survived flush")
 	}
 }
 
@@ -412,7 +372,7 @@ func TestGetThroughCoalescedHerd(t *testing.T) {
 	c := newClient(t, startCluster(t, 1), func(o *Options) {
 		o.Filler = filler
 		o.FillTTL = -time.Second
-		o.Coalesce = &coalesce.Policy{}
+		o.Coalesce = true
 		o.PoolSize = 16
 	})
 	const workers, reads = 16, 10
@@ -453,7 +413,7 @@ func TestGetThroughCoalescedInvalidation(t *testing.T) {
 	filler := &slowFiller{value: []byte("old"), delay: 20 * time.Millisecond}
 	c := newClient(t, startCluster(t, 1), func(o *Options) {
 		o.Filler = filler
-		o.Coalesce = &coalesce.Policy{}
+		o.Coalesce = true
 	})
 	readDone := make(chan error, 1)
 	go func() {

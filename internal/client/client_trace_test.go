@@ -134,7 +134,7 @@ func TestTraceMultiGetForkJoin(t *testing.T) {
 func TestTraceGetThroughMissPath(t *testing.T) {
 	tr := otrace.New(otrace.Options{})
 	addrs := startTracedCluster(t, 1, tr)
-	db, err := backend.New(backend.Options{MuD: 1e6, ValueSize: 8, Tracer: tr})
+	db, err := backend.New(backend.Options{MuD: 1e6, Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

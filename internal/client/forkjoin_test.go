@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"memqlat/internal/fault"
 	"memqlat/internal/otrace"
 	"memqlat/internal/protocol"
 	"memqlat/internal/telemetry"
@@ -330,9 +331,7 @@ func TestForkJoinSemantics(t *testing.T) {
 		})
 		addrs := []string{hangup, startCluster(t, 1)[0]}
 		c := newClient(t, addrs, func(o *Options) {
-			o.Resilience = Resilience{Breaker: &BreakerPolicy{
-				Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: time.Minute,
-			}}
+			o.Resilience = fault.Resilience{BreakerThreshold: 0.5, BreakerWindow: 4, BreakerCooldown: 60}
 		})
 		keys := seqKeys("br", 16)
 		byOwner := splitByOwner(c, keys)
@@ -423,7 +422,7 @@ func TestForkJoinSemantics(t *testing.T) {
 		fails[1].Store(1)
 		col, tr := telemetry.NewCollector(), otrace.New(otrace.Options{})
 		c := newClient(t, []string{flaky(0), flaky(1)}, func(o *Options) {
-			o.Resilience = Resilience{Retry: &RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
+			o.Resilience = fault.Resilience{Retries: 1, RetryBackoff: 1e-3}
 			o.Recorder = col
 			o.Tracer = tr
 		})
@@ -442,7 +441,7 @@ func TestForkJoinSemantics(t *testing.T) {
 		if n := col.Breakdown()[telemetry.StageRetry].Count; n != 1 {
 			t.Errorf("%d backoffs for one retry pass, want 1", n)
 		}
-		// MaxAttempts is the bound: a leg that keeps failing is not asked a
+		// Retries is the bound: a leg that keeps failing is not asked a
 		// third time, and its keys carry the error.
 		gets[0].Store(0)
 		gets[1].Store(0)
@@ -515,9 +514,7 @@ func TestForkJoinSemantics(t *testing.T) {
 					lines.Add(1)
 					return false
 				})}, func(o *Options) {
-					o.Resilience = Resilience{Breaker: &BreakerPolicy{
-						Window: 4, FailureThreshold: 0.5, MinSamples: 2, Cooldown: time.Minute,
-					}}
+					o.Resilience = fault.Resilience{BreakerThreshold: 0.5, BreakerWindow: 4, BreakerCooldown: 60}
 				})
 				fails(t, c)
 				fails(t, c)
@@ -567,7 +564,7 @@ func TestForkJoinSemantics(t *testing.T) {
 				})
 				col, tr := telemetry.NewCollector(), otrace.New(otrace.Options{})
 				c := newClient(t, []string{flaky}, func(o *Options) {
-					o.Resilience = Resilience{Retry: &RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond}}
+					o.Resilience = fault.Resilience{Retries: 1, RetryBackoff: 1e-3}
 					o.Recorder = col
 					o.Tracer = tr
 				})
@@ -611,7 +608,7 @@ func TestForkJoinSemantics(t *testing.T) {
 		})
 		addrs := []string{slowFirst, startCluster(t, 1)[0]}
 		hedged := func(o *Options) {
-			o.Resilience = Resilience{Hedge: &HedgePolicy{Delay: 5 * time.Millisecond}}
+			o.Resilience = fault.Resilience{HedgeDelay: 5e-3}
 			o.DialTimeout = 500 * time.Millisecond
 		}
 		c := newClient(t, addrs, hedged)

@@ -6,7 +6,7 @@
 // independent backend fetches — the "delayed hit" pathology (Jiang &
 // Ma, arXiv:2505.15531; Manohar et al., arXiv:2006.00376): the backend
 // sees a thundering herd exactly when the cache is least able to
-// absorb it, ModeSingleQueue backends shed with ErrOverloaded, and
+// absorb it, single-queue backends shed with ErrOverloaded, and
 // client retries amplify the storm. With coalescing, the first miss
 // (the leader) runs the fetch; every concurrent miss on the same key
 // attaches to the pending call and receives the same value, error or
@@ -17,8 +17,8 @@
 //
 // The in-flight table is sharded like the cache (FNV-1a over the key)
 // so coalescing adds no global lock to the miss path. The per-key
-// waiter count is bounded (Policy.MaxWaiters): past the bound, extra
-// arrivals shed with ErrTooManyWaiters instead of pinning an unbounded
+// waiter count is bounded at 1024: past the bound, extra arrivals shed
+// with ErrTooManyWaiters instead of pinning an unbounded
 // number of goroutines to one pathological key — shedding the 1025th
 // waiter is strictly better than letting a stalled backend accumulate
 // every connection in the process.
@@ -40,26 +40,13 @@ import (
 // (fail the miss, optionally retry with backoff).
 var ErrTooManyWaiters = errors.New("coalesce: too many waiters for key")
 
-// Policy configures a Group.
-type Policy struct {
-	// Shards is the number of lock domains for the in-flight table,
-	// rounded up to a power of two. 0 means DefaultShards.
-	Shards int
-	// MaxWaiters bounds how many callers may be attached to one key's
-	// in-flight fetch (the leader does not count). Extra arrivals shed
-	// with ErrTooManyWaiters. 0 means DefaultMaxWaiters; negative means
-	// unbounded.
-	MaxWaiters int
-	// Recorder receives a StageCoalesceWait observation for every
-	// waiter that fanned in (the time it spent attached to the fetch).
-	// Nil disables recording.
-	Recorder telemetry.Recorder
-}
-
-// Defaults for Policy zero values.
 const (
-	DefaultShards     = 16
-	DefaultMaxWaiters = 1024
+	// shards is the number of lock domains of the in-flight table, a
+	// power of two.
+	shards = 16
+	// maxWaiters bounds how many callers may be attached to one key's
+	// in-flight fetch (the leader does not count).
+	maxWaiters = 1024
 )
 
 // Result is the outcome of one Do call.
@@ -127,9 +114,8 @@ type shard struct {
 // usable; construct with New. A nil *Group is a valid no-op handle for
 // which Coalescing() reports false.
 type Group struct {
-	shards     []shard
-	mask       uint64
-	maxWaiters int
+	shards     [shards]shard
+	maxWaiters int // the package's bound; tests lower it
 	rec        telemetry.Recorder
 
 	fetches       atomic.Int64
@@ -139,26 +125,11 @@ type Group struct {
 	curWaiters    atomic.Int64
 }
 
-// New builds a Group from the policy.
-func New(p Policy) *Group {
-	n := p.Shards
-	if n <= 0 {
-		n = DefaultShards
-	}
-	pow := 1
-	for pow < n {
-		pow <<= 1
-	}
-	mw := p.MaxWaiters
-	if mw == 0 {
-		mw = DefaultMaxWaiters
-	}
-	g := &Group{
-		shards:     make([]shard, pow),
-		mask:       uint64(pow - 1),
-		maxWaiters: mw,
-		rec:        telemetry.OrNop(p.Recorder),
-	}
+// New builds a Group that records, on rec, a StageCoalesceWait
+// observation for every waiter that fanned in (the time it spent
+// attached to the fetch). A nil rec disables recording.
+func New(rec telemetry.Recorder) *Group {
+	g := &Group{maxWaiters: maxWaiters, rec: telemetry.OrNop(rec)}
 	for i := range g.shards {
 		g.shards[i].calls = make(map[string]*call)
 	}
@@ -181,7 +152,7 @@ func (g *Group) shardFor(key string) *shard {
 		h ^= uint64(key[i])
 		h *= fnvPrime64
 	}
-	return &g.shards[h&g.mask]
+	return &g.shards[h%shards]
 }
 
 // Do fetches key once per in-flight window: if no fetch for key is
@@ -189,7 +160,7 @@ func (g *Group) shardFor(key string) *shard {
 // detached from ctx's cancellation but cancelled when every
 // participant abandons), and its outcome — value, error or negative
 // result — fans out to everyone attached. If a fetch is already
-// pending, the caller attaches as a waiter (subject to the MaxWaiters
+// pending, the caller attaches as a waiter (subject to the waiter
 // bound) and blocks until the fetch completes or ctx is done.
 //
 // The fetch function must honor its context and must not retain the
@@ -201,7 +172,7 @@ func (g *Group) Do(ctx context.Context, key string, fetch func(context.Context) 
 
 	sh.mu.Lock()
 	if c, ok := sh.calls[key]; ok {
-		if g.maxWaiters >= 0 && c.waiters >= g.maxWaiters {
+		if c.waiters >= g.maxWaiters {
 			sh.mu.Unlock()
 			g.sheds.Add(1)
 			return Result{}, ErrTooManyWaiters

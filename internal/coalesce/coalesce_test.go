@@ -43,7 +43,7 @@ func (f *gate) fetch(ctx context.Context) ([]byte, error) {
 }
 
 func TestSingleFlightFanIn(t *testing.T) {
-	g := New(Policy{})
+	g := New(nil)
 	f := newGate([]byte("payload"), nil)
 
 	const n = 16
@@ -100,7 +100,7 @@ func TestSingleFlightFanIn(t *testing.T) {
 }
 
 func TestNegativeResultFanOut(t *testing.T) {
-	g := New(Policy{})
+	g := New(nil)
 	f := newGate(nil, nil) // backend says "no such key"
 
 	var wg sync.WaitGroup
@@ -131,7 +131,7 @@ func TestNegativeResultFanOut(t *testing.T) {
 // every participant exactly once: one error return per Do call, all
 // identical, and no caller left hanging.
 func TestErrorFanOut(t *testing.T) {
-	g := New(Policy{})
+	g := New(nil)
 	fetchErr := errors.New("backend down")
 	f := newGate(nil, fetchErr)
 
@@ -175,7 +175,7 @@ func TestErrorFanOut(t *testing.T) {
 // fetch is in flight: the cancelled waiter returns promptly with its
 // context error, and the surviving participants still get the value.
 func TestWaiterCancellationMidFetch(t *testing.T) {
-	g := New(Policy{})
+	g := New(nil)
 	f := newGate([]byte("v"), nil)
 
 	var wg sync.WaitGroup
@@ -214,7 +214,7 @@ func TestWaiterCancellationMidFetch(t *testing.T) {
 // the fetch context is cancelled and the table entry removed, so the
 // next miss on the key starts a fresh fetch.
 func TestAllAbandonCancelsFetch(t *testing.T) {
-	g := New(Policy{})
+	g := New(nil)
 	fetchCancelled := make(chan struct{})
 	started := make(chan struct{})
 	var calls atomic.Int64
@@ -259,7 +259,7 @@ func TestAllAbandonCancelsFetch(t *testing.T) {
 // every participant's result stale so no one writes the fetched value
 // back over the newer Set/Delete.
 func TestSetDuringFetchInvalidation(t *testing.T) {
-	g := New(Policy{})
+	g := New(nil)
 	f := newGate([]byte("old"), nil)
 
 	var wg sync.WaitGroup
@@ -294,7 +294,8 @@ func TestSetDuringFetchInvalidation(t *testing.T) {
 }
 
 func TestMaxWaitersShed(t *testing.T) {
-	g := New(Policy{MaxWaiters: 2})
+	g := New(nil)
+	g.maxWaiters = 2
 	f := newGate([]byte("v"), nil)
 
 	var wg sync.WaitGroup
@@ -321,30 +322,8 @@ func TestMaxWaitersShed(t *testing.T) {
 	}
 }
 
-func TestUnboundedWaiters(t *testing.T) {
-	g := New(Policy{MaxWaiters: -1})
-	f := newGate([]byte("v"), nil)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); _, _ = g.Do(context.Background(), "k", f.fetch) }()
-	<-f.started
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); _, _ = g.Do(context.Background(), "k", f.fetch) }()
-	}
-	waitFor(t, func() bool { return g.Stats().Waiters == 8 })
-	close(f.release)
-	wg.Wait()
-	if st := g.Stats(); st.Sheds != 0 {
-		t.Fatalf("unbounded group shed %d waiters", st.Sheds)
-	}
-}
-
 func TestDistinctKeysDoNotCoalesce(t *testing.T) {
-	g := New(Policy{Shards: 3}) // rounds up to 4
-	if len(g.shards) != 4 {
-		t.Fatalf("shards = %d, want 4", len(g.shards))
-	}
+	g := New(nil)
 	var calls atomic.Int64
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -369,7 +348,7 @@ func TestDistinctKeysDoNotCoalesce(t *testing.T) {
 
 func TestCoalesceWaitRecorded(t *testing.T) {
 	col := telemetry.NewCollector()
-	g := New(Policy{Recorder: col})
+	g := New(col)
 	f := newGate([]byte("v"), nil)
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -399,7 +378,7 @@ func TestNilGroup(t *testing.T) {
 	if st := g.Stats(); st != (Stats{}) {
 		t.Fatalf("nil group stats = %+v, want zero", st)
 	}
-	if !New(Policy{}).Coalescing() {
+	if !New(nil).Coalescing() {
 		t.Fatal("live group reports !Coalescing")
 	}
 }
@@ -409,7 +388,8 @@ func TestNilGroup(t *testing.T) {
 // a shed, the fetch count must stay far below the caller count, and
 // the table must drain to empty.
 func TestStressSingleKeyRace(t *testing.T) {
-	g := New(Policy{MaxWaiters: 256})
+	g := New(nil)
+	g.maxWaiters = 256
 	var fetches atomic.Int64
 	fetch := func(ctx context.Context) ([]byte, error) {
 		fetches.Add(1)

@@ -49,42 +49,6 @@ func ClassifyTDRegime(n int, r float64) TDRegime {
 	}
 }
 
-// TSGrowthSlope returns the per-e-fold slope of E[T_S(N)] in ln N,
-// 1/((1−δ)(1−q)µ_S): Theorem 1 predicts E[T_S(N)] = Θ(log N) with this
-// coefficient (§5.2.4).
-func (c *Config) TSGrowthSlope() (float64, error) {
-	_, _, rate, err := c.expectedTS()
-	if err != nil {
-		return 0, err
-	}
-	return 1 / rate, nil
-}
-
-// ConcurrencyScaling returns E[T_S(N)] evaluated at concurrency q,
-// divided by its value at q=0, holding the key arrival rate λ fixed —
-// the paper's §5.2.1(i) observation that latency grows linearly in the
-// mean batch size 1/(1-q). (With λ fixed, both the batch arrival rate
-// and the batch service rate scale by (1−q), so δ is invariant and the
-// ratio is exactly 1/(1−q).)
-func ConcurrencyScaling(base *Config, q float64) (float64, error) {
-	if q < 0 || q >= 1 {
-		return 0, fmt.Errorf("core: q=%v out of [0,1)", q)
-	}
-	c0 := *base
-	c0.Q = 0
-	cq := *base
-	cq.Q = q
-	t0, err := c0.ExpectedTSPoint()
-	if err != nil {
-		return 0, err
-	}
-	tq, err := cq.ExpectedTSPoint()
-	if err != nil {
-		return 0, err
-	}
-	return tq / t0, nil
-}
-
 // Proposition2Invariant checks the scale invariance of Proposition 2:
 // scaling (Λ, µ_S) by a common factor c leaves δ unchanged and scales
 // E[T_S(N)] by 1/c. It returns the relative error of the two relations.

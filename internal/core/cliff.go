@@ -15,7 +15,7 @@ import (
 type CliffMethod int
 
 const (
-	// CliffDeltaThreshold (the default, used for Table 4) reports the
+	// CliffDeltaThreshold (used for Table 4) reports the
 	// utilization at which the GI/M/1 root δ reaches a calibrated level
 	// δ* (0.77, chosen so that ξ=0 reproduces the paper's 77%: for
 	// Poisson arrivals δ = ρ exactly).
@@ -28,44 +28,13 @@ const (
 	CliffSlope
 )
 
-// DefaultDeltaStar calibrates CliffDeltaThreshold to the paper's ξ=0 row.
-const DefaultDeltaStar = 0.77
-
-// DefaultSlopeStar calibrates CliffSlope to the paper's ξ=0 row:
-// for M/M/1, d ln(1/(1−ρ))/dρ = 1/(1−ρ) = 1/(1−0.77) at ρ = 0.77.
-const DefaultSlopeStar = 1 / (1 - DefaultDeltaStar)
-
-// CliffOptions tunes the cliff detectors.
-type CliffOptions struct {
-	Method CliffMethod
-	// DeltaStar is the δ level for CliffDeltaThreshold
-	// (DefaultDeltaStar when zero).
-	DeltaStar float64
-	// SlopeStar is the relative-sensitivity threshold for CliffSlope
-	// (DefaultSlopeStar when zero).
-	SlopeStar float64
-}
-
-func (o *CliffOptions) withDefaults() CliffOptions {
-	out := CliffOptions{
-		Method:    CliffDeltaThreshold,
-		DeltaStar: DefaultDeltaStar,
-		SlopeStar: DefaultSlopeStar,
-	}
-	if o == nil {
-		return out
-	}
-	if o.Method != 0 {
-		out.Method = o.Method
-	}
-	if o.DeltaStar > 0 {
-		out.DeltaStar = o.DeltaStar
-	}
-	if o.SlopeStar > 0 {
-		out.SlopeStar = o.SlopeStar
-	}
-	return out
-}
+const (
+	// deltaStar calibrates CliffDeltaThreshold to the paper's ξ=0 row.
+	deltaStar = 0.77
+	// slopeStar calibrates CliffSlope to the paper's ξ=0 row: for M/M/1,
+	// d ln(1/(1−ρ))/dρ = 1/(1−ρ) = 1/(1−0.77) at ρ = 0.77.
+	slopeStar = 1 / (1 - deltaStar)
+)
 
 // deltaAt solves the GI/M/1 root for Generalized Pareto arrivals with
 // burst degree xi and concurrency q at utilization rho. The result is
@@ -86,21 +55,20 @@ func deltaAt(xi, q, rho float64) (float64, error) {
 // CliffUtilization returns the utilization ρ_S(ξ) at which the
 // Memcached-server processing latency reaches its cliff, for burst
 // degree xi and concurrent probability q (Proposition 2 / Table 4).
-func CliffUtilization(xi, q float64, opts *CliffOptions) (float64, error) {
+func CliffUtilization(xi, q float64, method CliffMethod) (float64, error) {
 	if xi < 0 || xi >= 1 || math.IsNaN(xi) {
 		return 0, fmt.Errorf("core: cliff xi=%v must be in [0, 1)", xi)
 	}
 	if q < 0 || q >= 1 || math.IsNaN(q) {
 		return 0, fmt.Errorf("core: cliff q=%v must be in [0, 1)", q)
 	}
-	o := opts.withDefaults()
-	switch o.Method {
+	switch method {
 	case CliffSlope:
-		return cliffSlope(xi, q, o.SlopeStar)
+		return cliffSlope(xi, q)
 	case CliffDeltaThreshold:
-		return cliffDeltaThreshold(xi, q, o.DeltaStar)
+		return cliffDeltaThreshold(xi, q)
 	default:
-		return 0, fmt.Errorf("core: unknown cliff method %d", o.Method)
+		return 0, fmt.Errorf("core: unknown cliff method %d", method)
 	}
 }
 
@@ -108,10 +76,7 @@ func CliffUtilization(xi, q float64, opts *CliffOptions) (float64, error) {
 // E[T_S] ∝ 1/(1−δ(ρ)). The sensitivity δ'(ρ)/(1−δ(ρ)) is increasing in
 // ρ (latency is log-convex in utilization), so the crossing is unique;
 // the derivative is taken by central difference.
-func cliffSlope(xi, q, slopeStar float64) (float64, error) {
-	if !(slopeStar > 0) {
-		return 0, fmt.Errorf("core: slopeStar=%v must be positive", slopeStar)
-	}
+func cliffSlope(xi, q float64) (float64, error) {
 	excess := func(rho float64) (float64, error) {
 		const h = 1e-4
 		dPlus, err := deltaAt(xi, q, rho+h)
@@ -139,10 +104,7 @@ func cliffSlope(xi, q, slopeStar float64) (float64, error) {
 
 // cliffDeltaThreshold finds the ρ at which δ(ρ) = deltaStar: δ is
 // strictly increasing in ρ with δ(0+) = 0 and δ(1-) = 1.
-func cliffDeltaThreshold(xi, q, deltaStar float64) (float64, error) {
-	if deltaStar <= 0 || deltaStar >= 1 {
-		return 0, fmt.Errorf("core: deltaStar=%v must be in (0, 1)", deltaStar)
-	}
+func cliffDeltaThreshold(xi, q float64) (float64, error) {
 	return crossing(func(rho float64) (float64, error) {
 		d, err := deltaAt(xi, q, rho)
 		return d - deltaStar, err
@@ -179,10 +141,10 @@ type CliffRow struct {
 
 // CliffTable reproduces Table 4: the cliff utilization for each burst
 // degree, at concurrent probability q.
-func CliffTable(xis []float64, q float64, opts *CliffOptions) ([]CliffRow, error) {
+func CliffTable(xis []float64, q float64, method CliffMethod) ([]CliffRow, error) {
 	rows := make([]CliffRow, 0, len(xis))
 	for _, xi := range xis {
-		u, err := CliffUtilization(xi, q, opts)
+		u, err := CliffUtilization(xi, q, method)
 		if err != nil {
 			return nil, fmt.Errorf("xi=%v: %w", xi, err)
 		}

@@ -6,27 +6,24 @@ import (
 )
 
 func TestCliffValidation(t *testing.T) {
-	if _, err := CliffUtilization(-0.1, 0.1, nil); err == nil {
+	if _, err := CliffUtilization(-0.1, 0.1, CliffDeltaThreshold); err == nil {
 		t.Error("negative xi accepted")
 	}
-	if _, err := CliffUtilization(1, 0.1, nil); err == nil {
+	if _, err := CliffUtilization(1, 0.1, CliffDeltaThreshold); err == nil {
 		t.Error("xi=1 accepted")
 	}
-	if _, err := CliffUtilization(0.1, 1, nil); err == nil {
+	if _, err := CliffUtilization(0.1, 1, CliffDeltaThreshold); err == nil {
 		t.Error("q=1 accepted")
 	}
-	if _, err := CliffUtilization(0.1, 0.1, &CliffOptions{Method: CliffMethod(99)}); err == nil {
+	if _, err := CliffUtilization(0.1, 0.1, CliffMethod(99)); err == nil {
 		t.Error("unknown method accepted")
-	}
-	if _, err := CliffUtilization(0.1, 0.1, &CliffOptions{Method: CliffDeltaThreshold, DeltaStar: 0}); err != nil {
-		t.Errorf("zero deltaStar should default: %v", err)
 	}
 }
 
 // Calibration anchor: for xi=0 (Poisson) delta = rho exactly, so the
 // delta-threshold method returns deltaStar itself — the paper's 77%.
 func TestCliffDeltaThresholdPoisson(t *testing.T) {
-	got, err := CliffUtilization(0, 0.1, &CliffOptions{Method: CliffDeltaThreshold})
+	got, err := CliffUtilization(0, 0.1, CliffDeltaThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +38,7 @@ func TestCliffDecreasesWithXi(t *testing.T) {
 	for _, method := range []CliffMethod{CliffSlope, CliffDeltaThreshold} {
 		prev := 2.0
 		for _, xi := range []float64{0, 0.3, 0.6, 0.9} {
-			got, err := CliffUtilization(xi, 0.1, &CliffOptions{Method: method})
+			got, err := CliffUtilization(xi, 0.1, method)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +55,7 @@ func TestCliffDecreasesWithXi(t *testing.T) {
 
 // The Facebook workload (xi=0.15) should cliff near the paper's 75%.
 func TestCliffFacebookWorkload(t *testing.T) {
-	got, err := CliffUtilization(0.15, 0.1, &CliffOptions{Method: CliffDeltaThreshold})
+	got, err := CliffUtilization(0.15, 0.1, CliffDeltaThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +66,11 @@ func TestCliffFacebookWorkload(t *testing.T) {
 
 // Heavy tails collapse the usable utilization (paper: xi=0.95 -> 9%).
 func TestCliffHeavyTailCollapse(t *testing.T) {
-	light, err := CliffUtilization(0, 0.1, &CliffOptions{Method: CliffDeltaThreshold})
+	light, err := CliffUtilization(0, 0.1, CliffDeltaThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy, err := CliffUtilization(0.95, 0.1, &CliffOptions{Method: CliffDeltaThreshold})
+	heavy, err := CliffUtilization(0.95, 0.1, CliffDeltaThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +81,7 @@ func TestCliffHeavyTailCollapse(t *testing.T) {
 
 func TestCliffTable(t *testing.T) {
 	rows, err := CliffTable([]float64{0, 0.15, 0.5}, 0.1,
-		&CliffOptions{Method: CliffDeltaThreshold})
+		CliffDeltaThreshold)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +93,7 @@ func TestCliffTable(t *testing.T) {
 			t.Errorf("table not decreasing at row %d", i)
 		}
 	}
-	if _, err := CliffTable([]float64{-1}, 0.1, nil); err == nil {
+	if _, err := CliffTable([]float64{-1}, 0.1, CliffDeltaThreshold); err == nil {
 		t.Error("invalid xi row accepted")
 	}
 }
@@ -114,11 +111,11 @@ func TestPaperTable4Xis(t *testing.T) {
 // Knee and delta-threshold agree on order of magnitude across xi.
 func TestCliffMethodsAgreeRoughly(t *testing.T) {
 	for _, xi := range []float64{0, 0.3, 0.6} {
-		knee, err := CliffUtilization(xi, 0.1, &CliffOptions{Method: CliffSlope})
+		knee, err := CliffUtilization(xi, 0.1, CliffSlope)
 		if err != nil {
 			t.Fatal(err)
 		}
-		thr, err := CliffUtilization(xi, 0.1, &CliffOptions{Method: CliffDeltaThreshold})
+		thr, err := CliffUtilization(xi, 0.1, CliffDeltaThreshold)
 		if err != nil {
 			t.Fatal(err)
 		}

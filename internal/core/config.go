@@ -161,11 +161,6 @@ func (c *Config) MaxLoadRatio() (p1 float64, idx int) {
 	return p1, idx
 }
 
-// ServerUtilization returns ρ_j = λ_j/µ_S.
-func (c *Config) ServerUtilization(j int) float64 {
-	return c.ServerKeyRate(j) / c.MuS
-}
-
 // MaxUtilization returns the utilization of the heaviest server.
 func (c *Config) MaxUtilization() float64 {
 	p1, _ := c.MaxLoadRatio()
@@ -208,14 +203,4 @@ func (c *Config) ServerQueue(j int) (*queueing.BatchQueue, error) {
 func (c *Config) HeaviestQueue() (*queueing.BatchQueue, error) {
 	_, idx := c.MaxLoadRatio()
 	return c.ServerQueue(idx)
-}
-
-// DatabaseQueue builds an M/M/1 diagnostic view of the miss stage:
-// misses from all servers arrive at rate r·Λ and would be served at rate
-// µ_D by a single-queue database. The Theorem 1 estimate itself follows
-// the paper's ρ_D ≈ 0 approximation (see ExpectedTD); this view is for
-// checking how far a deployment is from that assumption and for sizing
-// the live backend.
-func (c *Config) DatabaseQueue() (*queueing.MM1, error) {
-	return queueing.NewMM1(c.MissRatio*c.TotalKeyRate, c.MuD)
 }

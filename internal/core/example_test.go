@@ -36,7 +36,7 @@ func ExampleConfig_Estimate() {
 // Where does latency hit its cliff for the Facebook workload's burst
 // degree? (Paper Table 4.)
 func ExampleCliffUtilization() {
-	rho, err := core.CliffUtilization(0.15, 0.1, nil)
+	rho, err := core.CliffUtilization(0.15, 0.1, core.CliffDeltaThreshold)
 	if err != nil {
 		fmt.Println("error:", err)
 		return

@@ -12,13 +12,6 @@ type Bounds struct {
 	Lo, Hi float64
 }
 
-// Contains reports whether x lies within the bounds, with a relative
-// slack to absorb simulation noise.
-func (b Bounds) Contains(x, relSlack float64) bool {
-	span := math.Max(math.Abs(b.Hi), 1e-300) * relSlack
-	return x >= b.Lo-span && x <= b.Hi+span
-}
-
 // Mid returns the midpoint of the interval.
 func (b Bounds) Mid() float64 { return (b.Lo + b.Hi) / 2 }
 
@@ -260,25 +253,4 @@ func missAnyProbability(r float64, n int) float64 {
 		return 1
 	}
 	return -math.Expm1(float64(n) * math.Log1p(-r))
-}
-
-// ExpectedMissCount returns E[K] = N·r and the conditional mean
-// E[K | K>0] = N·r/(1-(1-r)^N) (eq. 18).
-func (c *Config) ExpectedMissCount() (mean, conditional float64) {
-	mean = float64(c.N) * c.MissRatio
-	p := missAnyProbability(c.MissRatio, c.N)
-	if p == 0 {
-		return mean, 0
-	}
-	return mean, mean / p
-}
-
-// KeyLatencyBounds exposes eq. 9 for the heaviest server: bounds on the
-// k-th quantile of the per-key processing latency T_S.
-func (c *Config) KeyLatencyBounds(k float64) (lo, hi float64, err error) {
-	bq, err := c.HeaviestQueue()
-	if err != nil {
-		return 0, 0, err
-	}
-	return bq.KeyLatencyBounds(k)
 }

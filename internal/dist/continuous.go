@@ -126,47 +126,6 @@ func (e Erlang) LaplaceTransform(s float64) float64 {
 	return math.Pow(e.Rate/(e.Rate+s), float64(e.Shape))
 }
 
-// Uniform is the continuous uniform distribution on [Lo, Hi].
-type Uniform struct {
-	Lo, Hi float64
-}
-
-var _ Interarrival = Uniform{}
-
-// NewUniform validates 0 <= lo < hi.
-func NewUniform(lo, hi float64) (Uniform, error) {
-	if lo < 0 || !(hi > lo) {
-		return Uniform{}, fmt.Errorf("dist: uniform bounds [%v, %v] invalid", lo, hi)
-	}
-	return Uniform{Lo: lo, Hi: hi}, nil
-}
-
-// Sample draws uniformly on [Lo, Hi).
-func (u Uniform) Sample(rng *rand.Rand) float64 { return u.Lo + (u.Hi-u.Lo)*rng.Float64() }
-
-// Mean returns (Lo+Hi)/2.
-func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// CDF is linear between the bounds.
-func (u Uniform) CDF(t float64) float64 {
-	switch {
-	case t < u.Lo:
-		return 0
-	case t >= u.Hi:
-		return 1
-	default:
-		return (t - u.Lo) / (u.Hi - u.Lo)
-	}
-}
-
-// LaplaceTransform evaluates (e^{-s·Lo} - e^{-s·Hi}) / (s·(Hi-Lo)).
-func (u Uniform) LaplaceTransform(s float64) float64 {
-	if s == 0 {
-		return 1
-	}
-	return (math.Exp(-s*u.Lo) - math.Exp(-s*u.Hi)) / (s * (u.Hi - u.Lo))
-}
-
 // Hyperexponential is a probabilistic mixture of exponentials: with
 // probability Probs[i] the variate is exponential with Rates[i]. Its
 // squared coefficient of variation exceeds 1, making it the canonical
@@ -245,77 +204,6 @@ func (h Hyperexponential) LaplaceTransform(s float64) float64 {
 		l += p * h.Rates[i] / (h.Rates[i] + s)
 	}
 	return l
-}
-
-// Weibull has shape K and scale Lambda: F(t) = 1 − e^{−(t/Lambda)^K}.
-// K < 1 gives a heavier-than-exponential tail (another bursty-arrival
-// family), K = 1 is exponential, K > 1 lighter. The Laplace transform
-// is numeric except at K = 1.
-type Weibull struct {
-	K, Lambda float64
-}
-
-var _ Interarrival = Weibull{}
-
-// NewWeibull validates k > 0 and lambda > 0.
-func NewWeibull(k, lambda float64) (Weibull, error) {
-	if !(k > 0) {
-		return Weibull{}, fmt.Errorf("dist: weibull shape %v must be positive", k)
-	}
-	if !(lambda > 0) {
-		return Weibull{}, fmt.Errorf("dist: weibull scale %v must be positive", lambda)
-	}
-	return Weibull{K: k, Lambda: lambda}, nil
-}
-
-// NewWeibullWithMean builds a Weibull with the given shape whose mean is
-// exactly mean (scale = mean / Γ(1+1/k)) — convenient for rate-matched
-// arrival comparisons.
-func NewWeibullWithMean(k, mean float64) (Weibull, error) {
-	if !(mean > 0) {
-		return Weibull{}, fmt.Errorf("dist: weibull mean %v must be positive", mean)
-	}
-	if !(k > 0) {
-		return Weibull{}, fmt.Errorf("dist: weibull shape %v must be positive", k)
-	}
-	return NewWeibull(k, mean/math.Gamma(1+1/k))
-}
-
-// Sample inverts the CDF: t = Lambda·(−ln U)^{1/K}.
-func (w Weibull) Sample(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	for u == 0 {
-		u = rng.Float64()
-	}
-	return w.Lambda * math.Pow(-math.Log(u), 1/w.K)
-}
-
-// Mean returns Lambda·Γ(1+1/K).
-func (w Weibull) Mean() float64 { return w.Lambda * math.Gamma(1+1/w.K) }
-
-// CDF evaluates 1 − e^{−(t/Lambda)^K}.
-func (w Weibull) CDF(t float64) float64 {
-	if t <= 0 {
-		return 0
-	}
-	return -math.Expm1(-math.Pow(t/w.Lambda, w.K))
-}
-
-// LaplaceTransform is closed-form only at K = 1; otherwise numeric.
-func (w Weibull) LaplaceTransform(s float64) float64 {
-	if s <= 0 {
-		return 1
-	}
-	if w.K == 1 {
-		rate := 1 / w.Lambda
-		return rate / (rate + s)
-	}
-	return laplaceFromSurvival(func(t float64) float64 {
-		if t <= 0 {
-			return 1
-		}
-		return math.Exp(-math.Pow(t/w.Lambda, w.K))
-	}, s)
 }
 
 // LogNormal has log-mean Mu and log-stddev Sigma. The paper does not use

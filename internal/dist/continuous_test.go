@@ -104,32 +104,6 @@ func TestErlang(t *testing.T) {
 	}
 }
 
-func TestUniform(t *testing.T) {
-	u, err := NewUniform(1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Mean() != 2 {
-		t.Errorf("mean = %v", u.Mean())
-	}
-	if u.CDF(0) != 0 || u.CDF(2) != 0.5 || u.CDF(4) != 1 {
-		t.Error("uniform CDF wrong")
-	}
-	if u.LaplaceTransform(0) != 1 {
-		t.Error("L(0) != 1")
-	}
-	want := (math.Exp(-1) - math.Exp(-3)) / 2
-	if !almostEqual(u.LaplaceTransform(1), want, 1e-12) {
-		t.Errorf("L(1) = %v, want %v", u.LaplaceTransform(1), want)
-	}
-	if _, err := NewUniform(3, 1); err == nil {
-		t.Error("inverted bounds accepted")
-	}
-	if _, err := NewUniform(-1, 1); err == nil {
-		t.Error("negative lo accepted")
-	}
-}
-
 func TestHyperexponential(t *testing.T) {
 	h, err := NewHyperexponential([]float64{0.5, 0.5}, []float64{1, 3})
 	if err != nil {
@@ -199,10 +173,9 @@ func TestPropertyInterarrivalLaws(t *testing.T) {
 	e, _ := NewExponential(2)
 	d, _ := NewDeterministic(0.7)
 	er, _ := NewErlang(3, 5)
-	u, _ := NewUniform(0.1, 0.9)
 	h, _ := NewHyperexponential([]float64{0.3, 0.7}, []float64{0.5, 4})
 	g, _ := NewGeneralizedPareto(0.3, 2)
-	dists := []Interarrival{e, d, er, u, h, g}
+	dists := []Interarrival{e, d, er, h, g}
 	f := func(rawT, rawS float64) bool {
 		tv := math.Abs(math.Mod(rawT, 10))
 		sv := math.Abs(math.Mod(rawS, 10))
@@ -227,12 +200,11 @@ func TestPropertyInterarrivalLaws(t *testing.T) {
 func TestLaplaceMatchesMonteCarlo(t *testing.T) {
 	e, _ := NewExponential(3)
 	er, _ := NewErlang(2, 4)
-	u, _ := NewUniform(0, 1)
 	h, _ := NewHyperexponential([]float64{0.4, 0.6}, []float64{1, 5})
 	g, _ := NewGeneralizedPareto(0.15, 2)
 	l, _ := NewLogNormal(-1, 0.7)
 	dists := map[string]Interarrival{
-		"exp": e, "erlang": er, "uniform": u, "hyperexp": h, "gpareto": g, "lognormal": l,
+		"exp": e, "erlang": er, "hyperexp": h, "gpareto": g, "lognormal": l,
 	}
 	for name, d := range dists {
 		t.Run(name, func(t *testing.T) {
@@ -269,76 +241,6 @@ func TestSubRandIndependence(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		if c.Uint64() != d.Uint64() {
 			t.Fatal("SubRand not deterministic")
-		}
-	}
-}
-
-func TestWeibull(t *testing.T) {
-	if _, err := NewWeibull(0, 1); err == nil {
-		t.Error("shape 0 accepted")
-	}
-	if _, err := NewWeibull(1, 0); err == nil {
-		t.Error("scale 0 accepted")
-	}
-	if _, err := NewWeibullWithMean(1, 0); err == nil {
-		t.Error("mean 0 accepted")
-	}
-	if _, err := NewWeibullWithMean(-1, 1); err == nil {
-		t.Error("negative shape accepted")
-	}
-	// K=1 is exactly exponential.
-	w1, err := NewWeibull(1, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, _ := NewExponential(4)
-	for _, x := range []float64{0.01, 0.2, 1} {
-		if !almostEqual(w1.CDF(x), e.CDF(x), 1e-12) {
-			t.Errorf("Weibull(1).CDF(%v) != Exp.CDF", x)
-		}
-		if !almostEqual(w1.LaplaceTransform(x), e.LaplaceTransform(x), 1e-12) {
-			t.Errorf("Weibull(1).L(%v) != Exp.L", x)
-		}
-	}
-	// Rate-matched construction: mean is exact, sampling agrees.
-	for _, k := range []float64{0.7, 1.5, 3} {
-		w, err := NewWeibullWithMean(k, 1.0/62500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(w.Mean(), 1.0/62500, 1e-12) {
-			t.Errorf("k=%v: mean = %v", k, w.Mean())
-		}
-		if got := sampleMean(w, 77, 300000); !almostEqual(got, w.Mean(), 0.02) {
-			t.Errorf("k=%v: sample mean %v vs %v", k, got, w.Mean())
-		}
-	}
-	// Heavier tail for k<1: survival beyond 5 means is larger.
-	heavy, _ := NewWeibullWithMean(0.6, 1)
-	light, _ := NewWeibullWithMean(2, 1)
-	if 1-heavy.CDF(5) <= 1-light.CDF(5) {
-		t.Error("k=0.6 tail not heavier than k=2")
-	}
-	if w1.CDF(-1) != 0 || w1.LaplaceTransform(0) != 1 {
-		t.Error("edge values wrong")
-	}
-}
-
-func TestWeibullLaplaceMonteCarlo(t *testing.T) {
-	w, err := NewWeibullWithMean(0.8, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := NewRand(123)
-	const n = 200000
-	for _, s := range []float64{0.5, 3} {
-		var mc float64
-		for i := 0; i < n; i++ {
-			mc += math.Exp(-s * w.Sample(rng))
-		}
-		mc /= n
-		if got := w.LaplaceTransform(s); !almostEqual(got, mc, 0.02) {
-			t.Errorf("L(%v) = %v, Monte Carlo %v", s, got, mc)
 		}
 	}
 }

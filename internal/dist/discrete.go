@@ -50,14 +50,6 @@ func (g GeometricBatch) Sample(rng *rand.Rand) float64 { return float64(g.Sample
 // Mean returns 1/(1-Q).
 func (g GeometricBatch) Mean() float64 { return 1 / (1 - g.Q) }
 
-// PMF evaluates P{X = n}.
-func (g GeometricBatch) PMF(n int) float64 {
-	if n < 1 {
-		return 0
-	}
-	return math.Pow(g.Q, float64(n-1)) * (1 - g.Q)
-}
-
 var _ Sampler = GeometricBatch{}
 
 // Zipf samples integers in [0, N) with probability proportional to
@@ -107,9 +99,6 @@ func (z *Zipf) Prob(i int) float64 {
 	return z.cdf[i] - z.cdf[i-1]
 }
 
-// N returns the support size.
-func (z *Zipf) N() int { return len(z.cdf) }
-
 // Weighted samples indices in [0, len(weights)) proportionally to the
 // given non-negative weights. It realizes the paper's unbalanced load
 // distribution {p_j} when assigning keys to Memcached servers.
@@ -145,31 +134,6 @@ func NewWeighted(weights []float64) (*Weighted, error) {
 func (w *Weighted) SampleInt(rng *rand.Rand) int {
 	u := rng.Float64()
 	return sort.SearchFloat64s(w.cdf, u)
-}
-
-// Prob returns the normalized probability of index i.
-func (w *Weighted) Prob(i int) float64 {
-	if i < 0 || i >= len(w.cdf) {
-		return 0
-	}
-	if i == 0 {
-		return w.cdf[0]
-	}
-	return w.cdf[i] - w.cdf[i-1]
-}
-
-// N returns the number of categories.
-func (w *Weighted) N() int { return len(w.cdf) }
-
-// Multinomial draws counts per category for n trials with the given
-// weighted category distribution. Used to assign a request's N keys to
-// the M servers according to {p_j}.
-func (w *Weighted) Multinomial(rng *rand.Rand, n int) []int {
-	counts := make([]int, w.N())
-	for i := 0; i < n; i++ {
-		counts[w.SampleInt(rng)]++
-	}
-	return counts
 }
 
 // SamplePoisson draws from Poisson(mean): Knuth's product method for

@@ -87,14 +87,3 @@ func (g GeneralizedPareto) LaplaceTransform(s float64) float64 {
 	}
 	return laplaceFromSurvival(g.Survival, s)
 }
-
-// SquaredCV returns the squared coefficient of variation
-// Var[T]/E[T]² = (1)/(1-2ξ) · ... — for the GP with our parameterization
-// Var = σ²/((1-ξ)²(1-2ξ)), so SCV = 1/(1-2ξ) for ξ < 1/2 and +Inf
-// otherwise. This is the standard burstiness summary.
-func (g GeneralizedPareto) SquaredCV() float64 {
-	if g.Xi >= 0.5 {
-		return math.Inf(1)
-	}
-	return 1 / (1 - 2*g.Xi)
-}

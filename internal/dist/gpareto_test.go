@@ -81,21 +81,6 @@ func TestGeneralizedParetoTailHeavierWithXi(t *testing.T) {
 	}
 }
 
-func TestGeneralizedParetoSquaredCV(t *testing.T) {
-	g, _ := NewGeneralizedPareto(0.25, 1)
-	if !almostEqual(g.SquaredCV(), 2, 1e-12) {
-		t.Errorf("SCV = %v, want 2", g.SquaredCV())
-	}
-	g0, _ := NewGeneralizedPareto(0, 1)
-	if !almostEqual(g0.SquaredCV(), 1, 1e-12) {
-		t.Errorf("SCV(0) = %v, want 1", g0.SquaredCV())
-	}
-	gh, _ := NewGeneralizedPareto(0.5, 1)
-	if !math.IsInf(gh.SquaredCV(), 1) {
-		t.Errorf("SCV(0.5) should be +Inf")
-	}
-}
-
 func TestGeneralizedParetoLaplaceEdges(t *testing.T) {
 	g, _ := NewGeneralizedPareto(0.15, 62500)
 	if g.LaplaceTransform(0) != 1 {

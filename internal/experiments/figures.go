@@ -95,7 +95,7 @@ func Fig7(b Budget) (*Report, error) {
 			us(theory), us(measured),
 		})
 	}
-	cliff, err := core.CliffUtilization(workload.FacebookXi, workload.FacebookQ, nil)
+	cliff, err := core.CliffUtilization(workload.FacebookXi, workload.FacebookQ, core.CliffDeltaThreshold)
 	if err != nil {
 		return nil, err
 	}

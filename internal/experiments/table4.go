@@ -22,13 +22,11 @@ var paperTable4 = map[float64]float64{
 func Table4(Budget) (*Report, error) {
 	start := time.Now()
 	xis := core.PaperTable4Xis()
-	deltaRows, err := core.CliffTable(xis, workload.FacebookQ,
-		&core.CliffOptions{Method: core.CliffDeltaThreshold})
+	deltaRows, err := core.CliffTable(xis, workload.FacebookQ, core.CliffDeltaThreshold)
 	if err != nil {
 		return nil, err
 	}
-	slopeRows, err := core.CliffTable(xis, workload.FacebookQ,
-		&core.CliffOptions{Method: core.CliffSlope})
+	slopeRows, err := core.CliffTable(xis, workload.FacebookQ, core.CliffSlope)
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func BenchmarkExtstoreRead(b *testing.B) {
 	keyBufs := make([][]byte, keys)
 	for i := 0; i < keys; i++ {
 		keyBufs[i] = []byte(fmt.Sprintf("bench-key-%06d", i))
-		if err := s.Put(keyBufs[i], val, 0, time.Time{}); err != nil {
+		if err := s.put(keyBufs[i], val, 0, time.Time{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -31,7 +31,7 @@ func BenchmarkExtstoreRead(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v, _, err := s.GetInto(keyBufs[i%keys], dst[:0])
+		v, _, err := s.getInto(keyBufs[i%keys], dst[:0])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -59,7 +59,7 @@ func BenchmarkExtstoreWrite(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.Put(keyBufs[i%keys], val, 0, time.Time{}); err != nil {
+		if err := s.put(keyBufs[i%keys], val, 0, time.Time{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestHotPathAllocs(t *testing.T) {
 	keyBufs := make([][]byte, keys)
 	for i := range keyBufs {
 		keyBufs[i] = []byte(fmt.Sprintf("alloc-key-%06d", i))
-		if err := s.Put(keyBufs[i], val, 0, time.Time{}); err != nil {
+		if err := s.put(keyBufs[i], val, 0, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,7 +96,7 @@ func TestHotPathAllocs(t *testing.T) {
 		t.Errorf("Lookup of a warmed key = %v allocs/op, want 0", n)
 	}
 	if n := testing.AllocsPerRun(1000, func() {
-		if err := s.Put(keyBufs[i%keys], val, 0, time.Time{}); err != nil {
+		if err := s.put(keyBufs[i%keys], val, 0, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 		i++

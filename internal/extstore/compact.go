@@ -49,31 +49,6 @@ func (s *Store) maybeCompactLocked() {
 	}
 }
 
-// Compact runs one full reclamation pass regardless of thresholds:
-// every sealed segment with any dead bytes is rewritten. Tests and
-// operators use it; the hot path relies on maybeCompactLocked.
-func (s *Store) Compact() error {
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.compacting {
-		return nil
-	}
-	s.compacting = true
-	defer func() { s.compacting = false }()
-	for {
-		victim, ratio := s.pickVictimLocked()
-		if victim == nil || ratio <= 0 {
-			return nil
-		}
-		if err := s.compactSegmentLocked(victim); err != nil {
-			return err
-		}
-	}
-}
-
 func (s *Store) segmentCount() int {
 	s.segmu.RLock()
 	n := len(s.segments)
@@ -222,7 +197,7 @@ func (s *Store) iterFrames(data []byte, fn func(off int64, h frameHeader, key, v
 		case recPut, recDelete:
 			end := off + frameSize(h.keyLen, h.valLen)
 			if h.keyLen == 0 || h.keyLen > MaxKeyLen ||
-				h.valLen > s.opts.MaxValueBytes || end > n {
+				h.valLen > maxValueBytes || end > n {
 				return off, false
 			}
 			crc := crc32Update(0, data[off:off+19])

@@ -26,8 +26,6 @@ var (
 	ErrClosed = errors.New("extstore: store closed")
 	// ErrKeyInvalid: empty or oversized key.
 	ErrKeyInvalid = errors.New("extstore: invalid key")
-	// ErrValueTooLarge: the value exceeds MaxValueBytes.
-	ErrValueTooLarge = errors.New("extstore: value too large")
 )
 
 // MaxKeyLen mirrors memcached's 250-byte key limit.

@@ -52,7 +52,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					continue
 				}
 				value := fmt.Sprintf("%s#%d#%s", key, i, randHex(rng, rng.Intn(64)))
-				if err := s.Put([]byte(key), []byte(value), uint32(i), time.Time{}); err != nil {
+				if err := s.put([]byte(key), []byte(value), uint32(i), time.Time{}); err != nil {
 					t.Fatal(err)
 				}
 				ops = append(ops, logOp{key: key, value: value, size: frameSize(len(key), len(value))})
@@ -96,7 +96,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 					got, len(want), cut, logSize, durable, len(ops))
 			}
 			for key, value := range want {
-				v, _, err := r.GetInto([]byte(key), nil)
+				v, _, err := r.getInto([]byte(key), nil)
 				if err != nil {
 					t.Fatalf("recovered Get(%s): %v", key, err)
 				}
@@ -120,10 +120,10 @@ func TestCrashRecoveryProperty(t *testing.T) {
 
 			// And the reopened store keeps working: new appends land
 			// after the cut and read back.
-			if err := r.Put([]byte("post-crash"), []byte("alive"), 0, time.Time{}); err != nil {
+			if err := r.put([]byte("post-crash"), []byte("alive"), 0, time.Time{}); err != nil {
 				t.Fatal(err)
 			}
-			if v, _, err := r.GetInto([]byte("post-crash"), nil); err != nil || string(v) != "alive" {
+			if v, _, err := r.getInto([]byte("post-crash"), nil); err != nil || string(v) != "alive" {
 				t.Fatalf("post-crash put/get = %q, %v", v, err)
 			}
 		})
@@ -150,13 +150,13 @@ func TestRecoveryMultiSegment(t *testing.T) {
 	}
 	val := bytes.Repeat([]byte("x"), 300)
 	for i := 0; i < 60; i++ {
-		if err := s.Put([]byte(fmt.Sprintf("multi-%03d", i)), val, uint32(i), time.Time{}); err != nil {
+		if err := s.put([]byte(fmt.Sprintf("multi-%03d", i)), val, uint32(i), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Overwrite some early keys (their new records live in later
 	// segments) and delete others.
-	if err := s.Put([]byte("multi-001"), []byte("fresh"), 99, time.Time{}); err != nil {
+	if err := s.put([]byte("multi-001"), []byte("fresh"), 99, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	s.Delete([]byte("multi-002"))
@@ -171,13 +171,13 @@ func TestRecoveryMultiSegment(t *testing.T) {
 	if got := r.Len(); got != wantKeys {
 		t.Fatalf("recovered %d keys, want %d", got, wantKeys)
 	}
-	if v, flags, err := r.GetInto([]byte("multi-001"), nil); err != nil || string(v) != "fresh" || flags != 99 {
+	if v, flags, err := r.getInto([]byte("multi-001"), nil); err != nil || string(v) != "fresh" || flags != 99 {
 		t.Fatalf("overwrite lost in recovery: %q flags=%d err=%v", v, flags, err)
 	}
-	if _, _, err := r.GetInto([]byte("multi-002"), nil); err != ErrNotFound {
+	if _, _, err := r.getInto([]byte("multi-002"), nil); err != ErrNotFound {
 		t.Fatalf("tombstone lost in recovery: err = %v, want ErrNotFound", err)
 	}
-	if v, _, err := r.GetInto([]byte("multi-059"), nil); err != nil || !bytes.Equal(v, val) {
+	if v, _, err := r.getInto([]byte("multi-059"), nil); err != nil || !bytes.Equal(v, val) {
 		t.Fatalf("tail key lost in recovery: err = %v", err)
 	}
 	if st := r.Stats(); st.RecoveredRecords != wantKeys {
@@ -194,10 +194,10 @@ func TestRecoveryExpiredEntries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("short"), []byte("v"), 0, clk.Now().Add(time.Minute)); err != nil {
+	if err := s.put([]byte("short"), []byte("v"), 0, clk.Now().Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("long"), []byte("v"), 0, clk.Now().Add(time.Hour)); err != nil {
+	if err := s.put([]byte("long"), []byte("v"), 0, clk.Now().Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -207,10 +207,10 @@ func TestRecoveryExpiredEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if _, _, err := r.GetInto([]byte("short"), nil); err != ErrNotFound {
+	if _, _, err := r.getInto([]byte("short"), nil); err != ErrNotFound {
 		t.Fatalf("expired key err = %v, want ErrNotFound", err)
 	}
-	if _, _, err := r.GetInto([]byte("long"), nil); err != nil {
+	if _, _, err := r.getInto([]byte("long"), nil); err != nil {
 		t.Fatalf("live key err = %v", err)
 	}
 }

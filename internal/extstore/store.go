@@ -21,15 +21,10 @@ type Options struct {
 	// When live data alone exceeds it, whole oldest segments are
 	// dropped — the disk tier is a cache, not a durable store.
 	MaxBytes int64
-	// MaxValueBytes caps a single value (default 1 MiB). Frames
-	// claiming larger values are treated as corruption on scan.
-	MaxValueBytes int
-	// QueueDepth bounds the async write queue fed by RAM evictions
-	// (default 1024). A full queue drops the eviction — the value
-	// falls through to the backend on its next miss.
-	QueueDepth int
 	// Clock substitutes the time source for tests (default time.Now).
 	Clock func() time.Time
+
+	queueDepth int // writeQueueDepth; tests lower it
 }
 
 func (o *Options) withDefaults() error {
@@ -48,11 +43,8 @@ func (o *Options) withDefaults() error {
 	if o.MaxBytes < 2*o.SegmentBytes {
 		o.MaxBytes = 2 * o.SegmentBytes
 	}
-	if o.MaxValueBytes == 0 {
-		o.MaxValueBytes = 1 << 20
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 1024
+	if o.queueDepth == 0 {
+		o.queueDepth = writeQueueDepth
 	}
 	if o.Clock == nil {
 		o.Clock = time.Now
@@ -61,6 +53,13 @@ func (o *Options) withDefaults() error {
 }
 
 const (
+	// maxValueBytes caps a single value. Frames claiming larger values
+	// are treated as corruption on scan.
+	maxValueBytes = 1 << 20
+	// writeQueueDepth bounds the async write queue fed by RAM evictions.
+	// A full queue drops the eviction — the value falls through to the
+	// backend on its next miss.
+	writeQueueDepth = 1024
 	// indexShards is the number of index lock domains, a power of two
 	// (the shard is picked by mask).
 	indexShards = 16
@@ -188,7 +187,7 @@ func Open(opts Options) (*Store, error) {
 		clock:    opts.Clock,
 		segments: make(map[uint64]*segment),
 		shards:   make([]indexShard, indexShards),
-		queue:    make(chan putReq, opts.QueueDepth),
+		queue:    make(chan putReq, opts.queueDepth),
 		stop:     make(chan struct{}),
 	}
 	for i := range s.shards {
@@ -268,34 +267,20 @@ func nano(t time.Time) int64 {
 	return t.UnixNano()
 }
 
-// GetInto looks key up in the disk tier, appending the value to dst.
-// The record's checksum is verified on every read, so a latent torn
-// write surfaces as ErrCorrupt (and the entry is dropped) rather than
-// as silently wrong bytes. When dst has sufficient capacity the call
-// does not allocate.
-func (s *Store) GetInto(key, dst []byte) (value []byte, flags uint32, err error) {
-	value, flags, _, err = s.lookup(key, dst)
-	return value, flags, err
-}
-
-// Lookup is GetInto plus the record's expiry deadline (zero when the
-// record never expires) — the server's re-promotion path needs the
-// remaining TTL to store the disk hit back into the RAM tier without
-// resurrecting it past its deadline.
+// Lookup looks key up in the disk tier, appending the value to dst,
+// and returns it with the record's expiry deadline (zero when the record
+// never expires) — the server's re-promotion path needs the remaining
+// TTL to store the disk hit back into the RAM tier without resurrecting
+// it past its deadline. The record's checksum is verified on every
+// read, so a latent torn write surfaces as ErrCorrupt (and the entry is
+// dropped) rather than as silently wrong bytes. When dst has sufficient
+// capacity the call does not allocate.
 func (s *Store) Lookup(key, dst []byte) (value []byte, flags uint32, expires time.Time, err error) {
-	value, flags, exp, err := s.lookup(key, dst)
-	if exp != 0 {
-		expires = time.Unix(0, exp)
-	}
-	return value, flags, expires, err
-}
-
-func (s *Store) lookup(key, dst []byte) (value []byte, flags uint32, exp int64, err error) {
 	if err := validateKey(key); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, time.Time{}, err
 	}
 	if s.closed.Load() {
-		return nil, 0, 0, ErrClosed
+		return nil, 0, time.Time{}, ErrClosed
 	}
 	s.gets.Add(1)
 	sh := s.shardFor(key)
@@ -305,13 +290,13 @@ func (s *Store) lookup(key, dst []byte) (value []byte, flags uint32, exp int64, 
 		sh.mu.RUnlock()
 		if !ok {
 			s.misses.Add(1)
-			return nil, 0, 0, ErrNotFound
+			return nil, 0, time.Time{}, ErrNotFound
 		}
 		if lc.expires != 0 && s.clock().UnixNano() >= lc.expires {
 			s.dropEntry(key, lc)
 			s.expired.Add(1)
 			s.misses.Add(1)
-			return nil, 0, 0, ErrNotFound
+			return nil, 0, time.Time{}, ErrNotFound
 		}
 		s.segmu.RLock()
 		seg := s.segments[lc.seg]
@@ -327,17 +312,20 @@ func (s *Store) lookup(key, dst []byte) (value []byte, flags uint32, exp int64, 
 			s.dropEntry(key, lc)
 			s.corrupt.Add(1)
 			s.misses.Add(1)
-			return nil, 0, 0, ErrCorrupt
+			return nil, 0, time.Time{}, ErrCorrupt
 		}
 		if err != nil {
 			s.misses.Add(1)
-			return nil, 0, 0, err
+			return nil, 0, time.Time{}, err
 		}
 		s.hits.Add(1)
-		return value, flags, lc.expires, nil
+		if lc.expires != 0 {
+			expires = time.Unix(0, lc.expires)
+		}
+		return value, flags, expires, nil
 	}
 	s.misses.Add(1)
-	return nil, 0, 0, ErrNotFound
+	return nil, 0, time.Time{}, ErrNotFound
 }
 
 // readRecord reads and verifies one frame. Caller holds segmu.RLock
@@ -403,29 +391,6 @@ func (s *Store) addDead(segID uint64, n int64) {
 	s.segmu.RUnlock()
 }
 
-// Put synchronously appends key→value to the log and indexes it.
-func (s *Store) Put(key, value []byte, flags uint32, expires time.Time) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	if len(value) > s.opts.MaxValueBytes {
-		return ErrValueTooLarge
-	}
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	exp := nano(expires)
-	if exp != 0 && s.clock().UnixNano() >= exp {
-		return nil // already expired: nothing worth writing
-	}
-	s.wmu.Lock()
-	defer s.wmu.Unlock()
-	if s.closed.Load() {
-		return ErrClosed
-	}
-	return s.putLocked(key, value, flags, exp)
-}
-
 // PutAsync enqueues a write on the bounded eviction queue, reporting
 // whether it was accepted. This is the cache.OnEvict feed: it must
 // never block the shard lock of the RAM tier, so a full queue sheds
@@ -434,7 +399,7 @@ func (s *Store) PutAsync(key string, value []byte, flags uint32, expires time.Ti
 	if s.closed.Load() {
 		return false
 	}
-	if len(key) == 0 || len(key) > MaxKeyLen || len(value) > s.opts.MaxValueBytes {
+	if len(key) == 0 || len(key) > MaxKeyLen || len(value) > maxValueBytes {
 		s.drops.Add(1)
 		return false
 	}
@@ -605,10 +570,6 @@ func (s *Store) Bytes() int64 {
 	s.segmu.RUnlock()
 	return n
 }
-
-// Dir reports the segment directory (the live plane surfaces it so CI
-// can collect segment files on failure).
-func (s *Store) Dir() string { return s.opts.Dir }
 
 // Stats snapshots the counters.
 func (s *Store) Stats() Stats {

@@ -44,6 +44,57 @@ func mustOpen(t *testing.T, opts Options) *Store {
 	return s
 }
 
+// put appends key→value to the log and indexes it synchronously, the
+// way the eviction queue's writer applies a PutAsync.
+func (s *Store) put(key, value []byte, flags uint32, expires time.Time) error {
+	if err := validateKey(key); err != nil {
+		return err
+	}
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	exp := nano(expires)
+	if exp != 0 && s.clock().UnixNano() >= exp {
+		return nil // already expired: nothing worth writing
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	return s.putLocked(key, value, flags, exp)
+}
+
+// getInto is Lookup without the expiry deadline.
+func (s *Store) getInto(key, dst []byte) ([]byte, uint32, error) {
+	value, flags, _, err := s.Lookup(key, dst)
+	return value, flags, err
+}
+
+// compact runs one full reclamation pass regardless of thresholds:
+// every sealed segment with any dead bytes is rewritten.
+func (s *Store) compact() error {
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if s.compacting {
+		return nil
+	}
+	s.compacting = true
+	defer func() { s.compacting = false }()
+	for {
+		victim, ratio := s.pickVictimLocked()
+		if victim == nil || ratio <= 0 {
+			return nil
+		}
+		if err := s.compactSegmentLocked(victim); err != nil {
+			return err
+		}
+	}
+}
+
 func TestPutGetRoundtrip(t *testing.T) {
 	s := mustOpen(t, Options{})
 	cases := []struct {
@@ -56,12 +107,12 @@ func TestPutGetRoundtrip(t *testing.T) {
 		{"gamma", string(bytes.Repeat([]byte{0xAB}, 4096)), 42}, // binary
 	}
 	for _, c := range cases {
-		if err := s.Put([]byte(c.key), []byte(c.value), c.flags, time.Time{}); err != nil {
+		if err := s.put([]byte(c.key), []byte(c.value), c.flags, time.Time{}); err != nil {
 			t.Fatalf("Put(%q): %v", c.key, err)
 		}
 	}
 	for _, c := range cases {
-		v, flags, err := s.GetInto([]byte(c.key), nil)
+		v, flags, err := s.getInto([]byte(c.key), nil)
 		if err != nil {
 			t.Fatalf("GetInto(%q): %v", c.key, err)
 		}
@@ -70,7 +121,7 @@ func TestPutGetRoundtrip(t *testing.T) {
 				c.key, len(v), flags, len(c.value), c.flags)
 		}
 	}
-	if _, _, err := s.GetInto([]byte("absent"), nil); err != ErrNotFound {
+	if _, _, err := s.getInto([]byte("absent"), nil); err != ErrNotFound {
 		t.Fatalf("GetInto(absent) err = %v, want ErrNotFound", err)
 	}
 	st := s.Stats()
@@ -81,11 +132,11 @@ func TestPutGetRoundtrip(t *testing.T) {
 
 func TestGetIntoAppendsToDst(t *testing.T) {
 	s := mustOpen(t, Options{})
-	if err := s.Put([]byte("k"), []byte("world"), 0, time.Time{}); err != nil {
+	if err := s.put([]byte("k"), []byte("world"), 0, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	dst := append(make([]byte, 0, 64), "hello "...)
-	v, _, err := s.GetInto([]byte("k"), dst)
+	v, _, err := s.getInto([]byte("k"), dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +149,11 @@ func TestOverwriteLatestWins(t *testing.T) {
 	s := mustOpen(t, Options{})
 	key := []byte("k")
 	for i := 0; i < 10; i++ {
-		if err := s.Put(key, []byte(fmt.Sprintf("v%d", i)), uint32(i), time.Time{}); err != nil {
+		if err := s.put(key, []byte(fmt.Sprintf("v%d", i)), uint32(i), time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v, flags, err := s.GetInto(key, nil)
+	v, flags, err := s.getInto(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,13 +174,13 @@ func TestDelete(t *testing.T) {
 	if s.Delete(key) {
 		t.Fatal("Delete(absent) = true, want false")
 	}
-	if err := s.Put(key, []byte("v"), 0, time.Time{}); err != nil {
+	if err := s.put(key, []byte("v"), 0, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if !s.Delete(key) {
 		t.Fatal("Delete(present) = false, want true")
 	}
-	if _, _, err := s.GetInto(key, nil); err != ErrNotFound {
+	if _, _, err := s.getInto(key, nil); err != ErrNotFound {
 		t.Fatalf("Get after delete err = %v, want ErrNotFound", err)
 	}
 	if n := s.Len(); n != 0 {
@@ -141,40 +192,42 @@ func TestExpiry(t *testing.T) {
 	clk := newFakeClock()
 	s := mustOpen(t, Options{Clock: clk.Now})
 	key := []byte("k")
-	if err := s.Put(key, []byte("v"), 0, clk.Now().Add(time.Minute)); err != nil {
+	if err := s.put(key, []byte("v"), 0, clk.Now().Add(time.Minute)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.GetInto(key, nil); err != nil {
+	if _, _, err := s.getInto(key, nil); err != nil {
 		t.Fatalf("fresh get: %v", err)
 	}
 	clk.Advance(2 * time.Minute)
-	if _, _, err := s.GetInto(key, nil); err != ErrNotFound {
+	if _, _, err := s.getInto(key, nil); err != ErrNotFound {
 		t.Fatalf("expired get err = %v, want ErrNotFound", err)
 	}
 	if st := s.Stats(); st.Expired != 1 {
 		t.Fatalf("Expired = %d, want 1", st.Expired)
 	}
 	// Storing an already-expired value is a silent no-op.
-	if err := s.Put([]byte("dead"), []byte("v"), 0, clk.Now().Add(-time.Second)); err != nil {
+	if err := s.put([]byte("dead"), []byte("v"), 0, clk.Now().Add(-time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.GetInto([]byte("dead"), nil); err != ErrNotFound {
+	if _, _, err := s.getInto([]byte("dead"), nil); err != ErrNotFound {
 		t.Fatalf("pre-expired put should not be stored, got err = %v", err)
 	}
 }
 
 func TestValidation(t *testing.T) {
-	s := mustOpen(t, Options{MaxValueBytes: 128})
-	if err := s.Put(nil, []byte("v"), 0, time.Time{}); err != ErrKeyInvalid {
+	s := mustOpen(t, Options{})
+	if err := s.put(nil, []byte("v"), 0, time.Time{}); err != ErrKeyInvalid {
 		t.Fatalf("empty key err = %v, want ErrKeyInvalid", err)
 	}
 	long := bytes.Repeat([]byte("k"), MaxKeyLen+1)
-	if err := s.Put(long, []byte("v"), 0, time.Time{}); err != ErrKeyInvalid {
+	if err := s.put(long, []byte("v"), 0, time.Time{}); err != ErrKeyInvalid {
 		t.Fatalf("long key err = %v, want ErrKeyInvalid", err)
 	}
-	big := bytes.Repeat([]byte("v"), 129)
-	if err := s.Put([]byte("k"), big, 0, time.Time{}); err != ErrValueTooLarge {
-		t.Fatalf("big value err = %v, want ErrValueTooLarge", err)
+	if s.PutAsync("k", make([]byte, maxValueBytes+1), 0, time.Time{}) {
+		t.Fatal("PutAsync accepted a value over maxValueBytes")
+	}
+	if d := s.Stats().Drops; d != 1 {
+		t.Fatalf("Drops = %d after an oversized value, want 1", d)
 	}
 }
 
@@ -186,7 +239,7 @@ func TestRotationAndCompaction(t *testing.T) {
 	for round := 0; round < 40; round++ {
 		for i := 0; i < 16; i++ {
 			key := []byte(fmt.Sprintf("key-%02d", i))
-			if err := s.Put(key, val, uint32(round), time.Time{}); err != nil {
+			if err := s.put(key, val, uint32(round), time.Time{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -200,7 +253,7 @@ func TestRotationAndCompaction(t *testing.T) {
 	}
 	for i := 0; i < 16; i++ {
 		key := []byte(fmt.Sprintf("key-%02d", i))
-		v, flags, err := s.GetInto(key, nil)
+		v, flags, err := s.getInto(key, nil)
 		if err != nil {
 			t.Fatalf("Get(%s) after compaction: %v", key, err)
 		}
@@ -222,7 +275,7 @@ func TestCompactionHonorsTTL(t *testing.T) {
 	val := bytes.Repeat([]byte("x"), 200)
 	for i := 0; i < 50; i++ {
 		key := []byte(fmt.Sprintf("ttl-%03d", i))
-		if err := s.Put(key, val, 0, clk.Now().Add(time.Minute)); err != nil {
+		if err := s.put(key, val, 0, clk.Now().Add(time.Minute)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,11 +284,11 @@ func TestCompactionHonorsTTL(t *testing.T) {
 	// segments so compaction has something to reclaim.
 	for i := 0; i < 50; i++ {
 		key := []byte(fmt.Sprintf("ttl-%03d", i))
-		if _, _, err := s.GetInto(key, nil); err != ErrNotFound {
+		if _, _, err := s.getInto(key, nil); err != ErrNotFound {
 			t.Fatalf("expired Get(%s) err = %v, want ErrNotFound", key, err)
 		}
 	}
-	if err := s.Compact(); err != nil {
+	if err := s.compact(); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -257,7 +310,7 @@ func TestBudgetDropsOldestSegments(t *testing.T) {
 	// budget is dropping whole old segments.
 	for i := 0; i < 200; i++ {
 		key := []byte(fmt.Sprintf("uniq-%04d", i))
-		if err := s.Put(key, val, 0, time.Time{}); err != nil {
+		if err := s.put(key, val, 0, time.Time{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,7 +322,7 @@ func TestBudgetDropsOldestSegments(t *testing.T) {
 		t.Fatalf("Bytes = %d, want <= budget %d plus one segment slack", got, s.opts.MaxBytes)
 	}
 	// The newest keys must still be present.
-	if _, _, err := s.GetInto([]byte("uniq-0199"), nil); err != nil {
+	if _, _, err := s.getInto([]byte("uniq-0199"), nil); err != nil {
 		t.Fatalf("newest key lost: %v", err)
 	}
 }
@@ -288,7 +341,7 @@ func TestPutAsyncAndFlush(t *testing.T) {
 }
 
 func TestPutAsyncShedsWhenFull(t *testing.T) {
-	s := mustOpen(t, Options{QueueDepth: 1})
+	s := mustOpen(t, Options{queueDepth: 1})
 	// Stall the writer by holding the write lock, then overfill.
 	s.wmu.Lock()
 	accepted := 0
@@ -311,7 +364,7 @@ func TestCorruptRecordDetectedOnRead(t *testing.T) {
 	s := mustOpen(t, Options{Dir: dir})
 	key := []byte("victim")
 	val := bytes.Repeat([]byte("v"), 128)
-	if err := s.Put(key, val, 0, time.Time{}); err != nil {
+	if err := s.put(key, val, 0, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte in the value region of the only record.
@@ -324,11 +377,11 @@ func TestCorruptRecordDetectedOnRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	if _, _, err := s.GetInto(key, nil); err != ErrCorrupt {
+	if _, _, err := s.getInto(key, nil); err != ErrCorrupt {
 		t.Fatalf("corrupt get err = %v, want ErrCorrupt", err)
 	}
 	// The poisoned entry is dropped: next read is a plain miss.
-	if _, _, err := s.GetInto(key, nil); err != ErrNotFound {
+	if _, _, err := s.getInto(key, nil); err != ErrNotFound {
 		t.Fatalf("second get err = %v, want ErrNotFound", err)
 	}
 	if st := s.Stats(); st.Corrupt != 1 {
@@ -338,16 +391,16 @@ func TestCorruptRecordDetectedOnRead(t *testing.T) {
 
 func TestClosedStoreRejects(t *testing.T) {
 	s := mustOpen(t, Options{})
-	if err := s.Put([]byte("k"), []byte("v"), 0, time.Time{}); err != nil {
+	if err := s.put([]byte("k"), []byte("v"), 0, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.GetInto([]byte("k"), nil); err != ErrClosed {
+	if _, _, err := s.getInto([]byte("k"), nil); err != ErrClosed {
 		t.Fatalf("Get after close err = %v, want ErrClosed", err)
 	}
-	if err := s.Put([]byte("k"), []byte("v"), 0, time.Time{}); err != ErrClosed {
+	if err := s.put([]byte("k"), []byte("v"), 0, time.Time{}); err != ErrClosed {
 		t.Fatalf("Put after close err = %v, want ErrClosed", err)
 	}
 	if s.PutAsync("k", []byte("v"), 0, time.Time{}) {
@@ -368,18 +421,15 @@ func TestLookupFlushAllAndAccessors(t *testing.T) {
 	clk := newFakeClock()
 	dir := t.TempDir()
 	s := mustOpen(t, Options{Dir: dir, Clock: clk.Now})
-	if s.Dir() != dir {
-		t.Fatalf("Dir() = %q, want %q", s.Dir(), dir)
-	}
 	if got := FrameCost(5, 100); got != frameHeaderSize+105 {
 		t.Fatalf("FrameCost(5, 100) = %d, want %d", got, frameHeaderSize+105)
 	}
 
 	deadline := clk.Now().Add(time.Minute)
-	if err := s.Put([]byte("ttl"), []byte("soon"), 9, deadline); err != nil {
+	if err := s.put([]byte("ttl"), []byte("soon"), 9, deadline); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put([]byte("keep"), []byte("forever"), 3, time.Time{}); err != nil {
+	if err := s.put([]byte("keep"), []byte("forever"), 3, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
 	v, flags, exp, err := s.Lookup([]byte("ttl"), nil)
@@ -406,15 +456,15 @@ func TestLookupFlushAllAndAccessors(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("Len after FlushAll = %d, want 0", s.Len())
 	}
-	if _, _, err := s.GetInto([]byte("keep"), nil); err != ErrNotFound {
+	if _, _, err := s.getInto([]byte("keep"), nil); err != ErrNotFound {
 		t.Fatalf("GetInto after FlushAll err = %v, want ErrNotFound", err)
 	}
 	// The flushed tier stays writable: a fresh active segment accepts
 	// new puts and serves them back.
-	if err := s.Put([]byte("after"), []byte("flush"), 1, time.Time{}); err != nil {
+	if err := s.put([]byte("after"), []byte("flush"), 1, time.Time{}); err != nil {
 		t.Fatal(err)
 	}
-	if v, _, err := s.GetInto([]byte("after"), nil); err != nil || string(v) != "flush" {
+	if v, _, err := s.getInto([]byte("after"), nil); err != nil || string(v) != "flush" {
 		t.Fatalf("GetInto after re-put = %q, %v", v, err)
 	}
 	if err := s.Close(); err != nil {

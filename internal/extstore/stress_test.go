@@ -20,7 +20,6 @@ func TestConcurrentReadAppendCompact(t *testing.T) {
 	s := mustOpen(t, Options{
 		SegmentBytes: 8 << 10,
 		MaxBytes:     1 << 20,
-		QueueDepth:   256,
 	})
 	const (
 		keySpace = 64
@@ -48,7 +47,7 @@ func TestConcurrentReadAppendCompact(t *testing.T) {
 				case 1:
 					s.PutAsync(key, valOf(key, i), 0, time.Time{})
 				default:
-					if err := s.Put([]byte(key), valOf(key, i), 0, time.Time{}); err != nil {
+					if err := s.put([]byte(key), valOf(key, i), 0, time.Time{}); err != nil {
 						t.Errorf("Put(%s): %v", key, err)
 						return
 					}
@@ -64,7 +63,7 @@ func TestConcurrentReadAppendCompact(t *testing.T) {
 			dst := make([]byte, 0, 512)
 			for i := 0; i < opsPer*2; i++ {
 				key := keyOf(rng.Intn(keySpace))
-				v, _, err := s.GetInto([]byte(key), dst[:0])
+				v, _, err := s.getInto([]byte(key), dst[:0])
 				if err != nil {
 					continue // miss/raced delete: fine
 				}
@@ -78,7 +77,7 @@ func TestConcurrentReadAppendCompact(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 20; i++ {
-			if err := s.Compact(); err != nil && err != ErrClosed {
+			if err := s.compact(); err != nil && err != ErrClosed {
 				t.Errorf("Compact: %v", err)
 				return
 			}
@@ -93,7 +92,7 @@ func TestConcurrentReadAppendCompact(t *testing.T) {
 	// Post-stress sanity: everything still indexed reads back clean.
 	for i := 0; i < keySpace; i++ {
 		key := keyOf(i)
-		v, _, err := s.GetInto([]byte(key), nil)
+		v, _, err := s.getInto([]byte(key), nil)
 		if err != nil {
 			continue
 		}

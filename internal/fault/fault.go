@@ -415,9 +415,6 @@ func NewInjector(s Schedule, servers int) (*Injector, error) {
 	}, nil
 }
 
-// Schedule returns the injector's schedule.
-func (in *Injector) Schedule() Schedule { return in.schedule }
-
 // At evaluates the schedule for one operation at target `server`
 // (cache-server index or Database) at `now` seconds since the run
 // epoch. Delays from multiple matching rules add; the first non-OK
@@ -590,16 +587,17 @@ func (p *Point) Eval() Action {
 	return p.Inj.At(p.Server, p.Now())
 }
 
-// Resilience is the plane-neutral recovery policy a Scenario carries:
-// the client (live plane) and the composition simulator interpret the
-// same knobs, so "what does this policy buy under this schedule?" is a
-// cross-plane question. The zero value disables everything.
+// Resilience is the one recovery policy spec: a Scenario carries it, the
+// client (live plane) and the composition simulator interpret the same
+// knobs, and the proxy's failover breaker runs its defaults, so "what
+// does this policy buy under this schedule?" is a cross-plane question.
+// The zero value disables everything.
 type Resilience struct {
 	// Retries is the number of extra attempts for idempotent reads after
 	// a transport-level failure (0 = off).
 	Retries int
-	// RetryBackoff is the base backoff in seconds (doubled per attempt,
-	// jittered, capped at 8x base).
+	// RetryBackoff is the base backoff in seconds (see Backoff; default
+	// 1ms).
 	RetryBackoff float64
 	// HedgeDelay fires a hedged read after this many seconds (0 = use
 	// HedgePercentile).
@@ -618,23 +616,67 @@ type Resilience struct {
 	BreakerCooldown float64
 }
 
+// The policy defaults, which WithDefaults fills in.
+const (
+	defaultRetryBackoff    = 1e-3
+	defaultBreakerWindow   = 20
+	defaultBreakerCooldown = 1
+	// maxBackoffFactor caps a retry's backoff at this many RetryBackoffs.
+	maxBackoffFactor = 8
+	// DefaultBreakerThreshold is the trip point of a breaker no spec
+	// configures: the proxy's failover policy.
+	DefaultBreakerThreshold = 0.5
+)
+
 // Enabled reports whether any policy is active.
 func (r Resilience) Enabled() bool {
-	return r.Retries > 0 || r.HedgeDelay > 0 || r.HedgePercentile > 0 || r.BreakerThreshold > 0
+	return r.Retries > 0 || r.Hedging() || r.BreakerThreshold > 0
+}
+
+// Hedging reports whether reads are hedged.
+func (r Resilience) Hedging() bool { return r.HedgeDelay > 0 || r.HedgePercentile > 0 }
+
+// Validate checks that every plane reads r the same way: counts and
+// durations finite and non-negative, HedgePercentile in [0,1) and
+// BreakerThreshold in [0,1].
+func (r Resilience) Validate() error {
+	if r.Retries < 0 || r.BreakerWindow < 0 {
+		return fmt.Errorf("fault: resilience retries=%d window=%d: counts must be >= 0", r.Retries, r.BreakerWindow)
+	}
+	for _, d := range []float64{r.RetryBackoff, r.HedgeDelay, r.BreakerCooldown} {
+		if !(d >= 0) || math.IsInf(d, 1) {
+			return fmt.Errorf("fault: resilience duration %vs must be finite and >= 0", d)
+		}
+	}
+	if !(r.HedgePercentile >= 0 && r.HedgePercentile < 1) {
+		return fmt.Errorf("fault: hedge percentile %v out of [0,1)", r.HedgePercentile)
+	}
+	if !(r.BreakerThreshold >= 0 && r.BreakerThreshold <= 1) {
+		return fmt.Errorf("fault: breaker threshold %v out of [0,1]", r.BreakerThreshold)
+	}
+	return nil
 }
 
 // WithDefaults fills the dependent zero values of enabled policies.
 func (r Resilience) WithDefaults() Resilience {
 	if r.Retries > 0 && r.RetryBackoff == 0 {
-		r.RetryBackoff = 1e-3
+		r.RetryBackoff = defaultRetryBackoff
 	}
 	if r.BreakerThreshold > 0 {
 		if r.BreakerWindow == 0 {
-			r.BreakerWindow = 20
+			r.BreakerWindow = defaultBreakerWindow
 		}
 		if r.BreakerCooldown == 0 {
-			r.BreakerCooldown = 1
+			r.BreakerCooldown = defaultBreakerCooldown
 		}
 	}
 	return r
+}
+
+// Backoff is the longest wait in seconds before retry k (1-based):
+// RetryBackoff doubled per attempt, capped at 8 RetryBackoffs. The
+// simulator waits exactly this; the live client draws a full jitter in
+// [0, Backoff(k)).
+func (r Resilience) Backoff(k int) float64 {
+	return r.RetryBackoff * math.Min(math.Pow(2, float64(k-1)), maxBackoffFactor)
 }

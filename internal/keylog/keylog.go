@@ -40,7 +40,6 @@ const keySpace = " \t\r\n"
 // Writer journals records to an underlying stream.
 type Writer struct {
 	w   *bufio.Writer
-	n   int64
 	err error
 }
 
@@ -78,12 +77,8 @@ func (t *Writer) Write(rec Record) error {
 		t.err = err
 		return err
 	}
-	t.n++
 	return nil
 }
-
-// Count reports records written.
-func (t *Writer) Count() int64 { return t.n }
 
 // Flush pushes buffered output through.
 func (t *Writer) Flush() error {

@@ -28,9 +28,6 @@ func TestRoundTrip(t *testing.T) {
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != 3 {
-		t.Errorf("count = %d", w.Count())
-	}
 	got, err := NewReader(&buf).ReadAll()
 	if err != nil {
 		t.Fatal(err)

@@ -313,144 +313,162 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	gap, err := dist.NewGeneralizedPareto(o.Xi, (1-o.Q)*o.Lambda)
-	if err != nil {
-		return nil, err
-	}
-	batch, err := dist.NewGeometricBatch(o.Q)
-	if err != nil {
-		return nil, err
-	}
 	popularity, err := dist.NewZipf(o.Keys, o.ZipfS)
 	if err != nil {
 		return nil, err
 	}
-
-	var tenantMix *dist.Weighted
+	r := &run{
+		o: o, ctx: ctx, popularity: popularity,
+		res:       &Result{Latency: stats.NewHistogram()},
+		tcount:    make([]tenantCount, len(o.Tenants)),
+		tenantLat: make([]*stats.Histogram, len(o.Tenants)),
+	}
 	if len(o.Tenants) > 0 {
-		tenantMix, err = dist.NewWeighted(tenant.Shares(o.Tenants))
-		if err != nil {
+		if r.tenantMix, err = dist.NewWeighted(tenant.Shares(o.Tenants)); err != nil {
 			return nil, fmt.Errorf("loadgen: tenant shares: %w", err)
 		}
 	}
-	var (
-		rngGap    = dist.SubRand(o.Seed, 11)
-		rngBatch  = dist.SubRand(o.Seed, 12)
-		rngKey    = dist.SubRand(o.Seed, 13)
-		rngMiss   = dist.SubRand(o.Seed, 14)
-		rngTenant = dist.SubRand(o.Seed, 15)
-	)
-	res := &Result{Latency: stats.NewHistogram()}
-	var (
-		mu          sync.Mutex // guards the latency histograms (and Observer in closed loop)
-		hits        atomic.Int64
-		misses      atomic.Int64
-		errs        atomic.Int64
-		shed        atomic.Int64
-		issued      atomic.Int64
-		tenantSheds atomic.Int64
-		wg          sync.WaitGroup
-		started     = time.Now()
-	)
-	type tenantCount struct{ issued, sheds atomic.Int64 }
-	tcount := make([]tenantCount, len(o.Tenants))
-	tenantLat := make([]*stats.Histogram, len(o.Tenants))
-	for i := range tenantLat {
-		tenantLat[i] = stats.NewHistogram()
+	for i := range r.tenantLat {
+		r.tenantLat[i] = stats.NewHistogram()
 	}
-	// drawKey picks the next key — and, under a tenant mix, its tenant
-	// (rng stream 15; -1 without tenants).
-	drawKey := func(rngKey, rngMiss, rngTenant *rand.Rand, popularity *dist.Zipf) (string, int) {
-		var key string
-		if o.MissRatio > 0 && rngMiss.Float64() < o.MissRatio {
-			key = missKeyName(popularity.SampleInt(rngKey))
-		} else {
-			key = keyName(popularity.SampleInt(rngKey))
-		}
-		if tenantMix == nil {
-			return key, -1
-		}
-		t := tenantMix.SampleInt(rngTenant)
-		return o.Tenants[t].Name + ":" + key, t
+	r.started = time.Now()
+	if o.ClosedLoop {
+		r.closedLoop()
+	} else if err := r.openLoop(); err != nil {
+		return nil, err
 	}
-	executeKey := func(key string, tIdx int) float64 {
-		t0 := time.Now()
-		var err error
-		var hit bool
-		if o.UseGetThrough {
-			_, hit, err = o.Client.GetThrough(ctx, key)
-		} else {
-			_, err = o.Client.Get(key)
-			hit = err == nil
-		}
-		lat := time.Since(t0).Seconds()
+	return r.finish(), nil
+}
+
+// run is one Run: its options, key law, outcome counters and the
+// histograms the issuing goroutines fill.
+type run struct {
+	o          Options
+	ctx        context.Context
+	popularity *dist.Zipf
+	tenantMix  *dist.Weighted // nil without tenants
+	started    time.Time
+	res        *Result
+
+	mu                                            sync.Mutex // guards the latency histograms (and Observer in closed loop)
+	hits, misses, errs, shed, issued, tenantSheds atomic.Int64
+	tcount                                        []tenantCount
+	tenantLat                                     []*stats.Histogram
+}
+
+type tenantCount struct{ issued, sheds atomic.Int64 }
+
+// keyStreams are the rng streams one issuer draws its keys from: key
+// rank, miss decision and tenant.
+type keyStreams struct{ key, miss, tenant *rand.Rand }
+
+// drawKey picks the next key — and, under a tenant mix, its tenant
+// (-1 without tenants).
+func (r *run) drawKey(s keyStreams) (string, int) {
+	var key string
+	if r.o.MissRatio > 0 && s.miss.Float64() < r.o.MissRatio {
+		key = missKeyName(r.popularity.SampleInt(s.key))
+	} else {
+		key = keyName(r.popularity.SampleInt(s.key))
+	}
+	if r.tenantMix == nil {
+		return key, -1
+	}
+	t := r.tenantMix.SampleInt(s.tenant)
+	return r.o.Tenants[t].Name + ":" + key, t
+}
+
+// execute issues one get and records its outcome, returning its latency.
+func (r *run) execute(key string, tIdx int) float64 {
+	t0 := time.Now()
+	var err error
+	var hit bool
+	if r.o.UseGetThrough {
+		_, hit, err = r.o.Client.GetThrough(r.ctx, key)
+	} else {
+		_, err = r.o.Client.Get(key)
+		hit = err == nil
+	}
+	lat := time.Since(t0).Seconds()
+	if tIdx >= 0 {
+		r.tcount[tIdx].issued.Add(1)
+	}
+	var se *protocol.ServerError
+	if errors.As(err, &se) && se.Line == tenant.ShedMsg {
+		// Tenant QoS refusal: counted on its own, no latency sample
+		// (the proxy answered from its admission check, not from
+		// service).
+		r.tenantSheds.Add(1)
 		if tIdx >= 0 {
-			tcount[tIdx].issued.Add(1)
-		}
-		var se *protocol.ServerError
-		if errors.As(err, &se) && se.Line == tenant.ShedMsg {
-			// Tenant QoS refusal: counted on its own, no latency sample
-			// (the proxy answered from its admission check, not from
-			// service).
-			tenantSheds.Add(1)
-			if tIdx >= 0 {
-				tcount[tIdx].sheds.Add(1)
-			}
-			return lat
-		}
-		switch {
-		case err == nil:
-			if hit {
-				hits.Add(1)
-			} else {
-				misses.Add(1)
-			}
-		case errors.Is(err, client.ErrCacheMiss):
-			misses.Add(1)
-		default:
-			errs.Add(1)
-			if errors.Is(err, client.ErrBreakerOpen) {
-				shed.Add(1)
-			}
-		}
-		mu.Lock()
-		res.Latency.Record(lat)
-		if tIdx >= 0 {
-			tenantLat[tIdx].Record(lat)
-		}
-		mu.Unlock()
-		if o.OnLatency != nil {
-			o.OnLatency(lat)
+			r.tcount[tIdx].sheds.Add(1)
 		}
 		return lat
 	}
-	execute := func(key string, tIdx int) { executeKey(key, tIdx) }
-	finish := func() *Result {
-		res.Elapsed = time.Since(started)
-		res.Hits = hits.Load()
-		res.Misses = misses.Load()
-		res.Errors = errs.Load()
-		res.Shed = shed.Load()
-		res.Issued = issued.Load()
-		res.TenantSheds = tenantSheds.Load()
-		if len(o.Tenants) > 0 {
-			res.Tenants = make([]TenantStats, len(o.Tenants))
-			for i, sp := range o.Tenants {
-				res.Tenants[i] = TenantStats{
-					Name:    sp.Name,
-					Issued:  tcount[i].issued.Load(),
-					Sheds:   tcount[i].sheds.Load(),
-					Latency: tenantLat[i],
-				}
+	switch {
+	case err == nil:
+		if hit {
+			r.hits.Add(1)
+		} else {
+			r.misses.Add(1)
+		}
+	case errors.Is(err, client.ErrCacheMiss):
+		r.misses.Add(1)
+	default:
+		r.errs.Add(1)
+		if errors.Is(err, client.ErrBreakerOpen) {
+			r.shed.Add(1)
+		}
+	}
+	r.mu.Lock()
+	r.res.Latency.Record(lat)
+	if tIdx >= 0 {
+		r.tenantLat[tIdx].Record(lat)
+	}
+	r.mu.Unlock()
+	if r.o.OnLatency != nil {
+		r.o.OnLatency(lat)
+	}
+	return lat
+}
+
+// finish fills the Result from the counters.
+func (r *run) finish() *Result {
+	res := r.res
+	res.Elapsed = time.Since(r.started)
+	res.Hits = r.hits.Load()
+	res.Misses = r.misses.Load()
+	res.Errors = r.errs.Load()
+	res.Shed = r.shed.Load()
+	res.Issued = r.issued.Load()
+	res.TenantSheds = r.tenantSheds.Load()
+	if len(r.o.Tenants) > 0 {
+		res.Tenants = make([]TenantStats, len(r.o.Tenants))
+		for i, sp := range r.o.Tenants {
+			res.Tenants[i] = TenantStats{
+				Name:    sp.Name,
+				Issued:  r.tcount[i].issued.Load(),
+				Sheds:   r.tcount[i].sheds.Load(),
+				Latency: r.tenantLat[i],
 			}
 		}
-		return res
 	}
+	return res
+}
 
-	if o.ClosedLoop {
-		runClosedLoop(ctx, &o, drawKey, execute, &issued, &mu, started)
-		return finish(), nil
+// openLoop paces batch arrivals (rng streams 11 and 12) onto Workers
+// goroutines, drawing keys from streams 13–15.
+func (r *run) openLoop() error {
+	o := &r.o
+	gap, err := dist.NewGeneralizedPareto(o.Xi, (1-o.Q)*o.Lambda)
+	if err != nil {
+		return err
 	}
+	batch, err := dist.NewGeometricBatch(o.Q)
+	if err != nil {
+		return err
+	}
+	rngGap, rngBatch := dist.SubRand(o.Seed, 11), dist.SubRand(o.Seed, 12)
+	keys := keyStreams{dist.SubRand(o.Seed, 13), dist.SubRand(o.Seed, 14), dist.SubRand(o.Seed, 15)}
 
 	type workItem struct {
 		key  string
@@ -458,12 +476,13 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 		agg  *batchAgg
 	}
 	work := make(chan workItem, o.Workers)
+	var wg sync.WaitGroup
 	for w := 0; w < o.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for it := range work {
-				lat := executeKey(it.key, it.tIdx)
+				lat := r.execute(it.key, it.tIdx)
 				if it.agg != nil {
 					it.agg.done(lat)
 				}
@@ -481,7 +500,7 @@ func Run(ctx context.Context, opts Options) (*Result, error) {
 pacing:
 	for sent < o.Ops {
 		select {
-		case <-ctx.Done():
+		case <-r.ctx.Done():
 			break pacing
 		default:
 		}
@@ -495,15 +514,15 @@ pacing:
 		}
 		agg := &batchAgg{remaining: n, n: n, rec: rec}
 		for i := 0; i < n; i++ {
-			key, tIdx := drawKey(rngKey, rngMiss, rngTenant, popularity)
+			key, tIdx := r.drawKey(keys)
 			select {
 			case work <- workItem{key: key, tIdx: tIdx, agg: agg}:
 				sent++
-				issued.Add(1)
+				r.issued.Add(1)
 				if o.Observer != nil {
-					o.Observer(time.Since(started), key)
+					o.Observer(time.Since(r.started), key)
 				}
-			case <-ctx.Done():
+			case <-r.ctx.Done():
 				agg.abandon(n - i) // unpushed keys never complete
 				break pacing
 			}
@@ -511,7 +530,7 @@ pacing:
 	}
 	close(work)
 	wg.Wait()
-	return finish(), nil
+	return nil
 }
 
 // batchAgg joins the completion latencies of one concurrently-issued
@@ -552,17 +571,12 @@ func (a *batchAgg) abandon(k int) {
 	a.mu.Unlock()
 }
 
-// runClosedLoop issues ops from Workers independent closed loops, each
+// closedLoop issues ops from Workers independent closed loops, each
 // waiting an exponential think time between its operations so the
-// aggregate target rate is approximately Lambda.
-func runClosedLoop(ctx context.Context, o *Options,
-	drawKey func(rngKey, rngMiss, rngTenant *rand.Rand, popularity *dist.Zipf) (string, int),
-	execute func(string, int),
-	issued *atomic.Int64, mu *sync.Mutex, started time.Time) {
-	popularity, err := dist.NewZipf(o.Keys, o.ZipfS)
-	if err != nil {
-		return // options were validated upstream; unreachable
-	}
+// aggregate target rate is approximately Lambda. Worker id draws from
+// rng streams 2000+id (think time) and 3000/4000/5000+id (keys).
+func (r *run) closedLoop() {
+	o := &r.o
 	perWorkerRate := o.Lambda / float64(o.Workers)
 	var wg sync.WaitGroup
 	var quota atomic.Int64
@@ -571,12 +585,8 @@ func runClosedLoop(ctx context.Context, o *Options,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var (
-				rngThink  = dist.SubRand(o.Seed, 2000+id)
-				rngKey    = dist.SubRand(o.Seed, 3000+id)
-				rngMiss   = dist.SubRand(o.Seed, 4000+id)
-				rngTenant = dist.SubRand(o.Seed, 5000+id)
-			)
+			rngThink := dist.SubRand(o.Seed, 2000+id)
+			keys := keyStreams{dist.SubRand(o.Seed, 3000+id), dist.SubRand(o.Seed, 4000+id), dist.SubRand(o.Seed, 5000+id)}
 			for {
 				if quota.Add(1) > int64(o.Ops) {
 					return
@@ -585,18 +595,18 @@ func runClosedLoop(ctx context.Context, o *Options,
 				timer := time.NewTimer(think)
 				select {
 				case <-timer.C:
-				case <-ctx.Done():
+				case <-r.ctx.Done():
 					timer.Stop()
 					return
 				}
-				key, tIdx := drawKey(rngKey, rngMiss, rngTenant, popularity)
-				issued.Add(1)
+				key, tIdx := r.drawKey(keys)
+				r.issued.Add(1)
 				if o.Observer != nil {
-					mu.Lock()
-					o.Observer(time.Since(started), key)
-					mu.Unlock()
+					r.mu.Lock()
+					o.Observer(time.Since(r.started), key)
+					r.mu.Unlock()
 				}
-				execute(key, tIdx)
+				r.execute(key, tIdx)
 			}
 		}()
 	}

@@ -67,9 +67,6 @@ func ServeAdmin(addr string, reg *Registry, tracer *otrace.Tracer, wd *slo.Watch
 // Addr is the resolved listener address of a started plane.
 func (a *Admin) Addr() net.Addr { return a.l.Addr() }
 
-// Registry returns the registry the admin plane serves.
-func (a *Admin) Registry() *Registry { return a.reg }
-
 // Handle mounts an extra handler on the admin mux.
 func (a *Admin) Handle(pattern string, h http.Handler) {
 	a.mux.Handle(pattern, h)

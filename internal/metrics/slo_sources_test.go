@@ -125,13 +125,10 @@ func TestRegisterSLO(t *testing.T) {
 }
 
 // TestAdminHandleMount checks extra handlers (the /debug/watch surface)
-// mount on the admin mux and the registry accessor round-trips.
+// mount on the admin mux.
 func TestAdminHandleMount(t *testing.T) {
 	reg := NewRegistry()
 	a := NewAdmin(reg)
-	if a.Registry() != reg {
-		t.Error("Registry() did not return the registry the admin serves")
-	}
 	a.Handle("/debug/watch", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, _ = w.Write([]byte("watch-ok"))
 	}))

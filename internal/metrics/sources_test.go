@@ -121,9 +121,9 @@ func TestRegisterStackSources(t *testing.T) {
 // the exposition: fetches vs fan-ins on the group, lookups and queue
 // gauges on the database.
 func TestRegisterCoalesceBackend(t *testing.T) {
-	g := coalesce.New(coalesce.Policy{})
+	g := coalesce.New(nil)
 	db, err := backend.New(backend.Options{
-		MuD: 50000, Seed: 1, Mode: backend.ModeSingleQueue, QueueDepth: 8,
+		MuD: 50000, Seed: 1, QueueDepth: 8,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -240,15 +240,6 @@ func (t TierSplit) DiskHitFraction() float64 {
 	return t.DiskHit / miss
 }
 
-// Points samples the curve at the given capacities (for plotting).
-func (c *Curve) Points(capacities []int) []float64 {
-	out := make([]float64, len(capacities))
-	for i, cap := range capacities {
-		out[i] = c.MissRatio(cap)
-	}
-	return out
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

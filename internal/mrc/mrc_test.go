@@ -142,17 +142,6 @@ func TestCapacityForMissRatio(t *testing.T) {
 	}
 }
 
-func TestPointsSampling(t *testing.T) {
-	curve, err := Compute([]string{"a", "b", "a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts := curve.Points([]int{0, 1, 2})
-	if len(pts) != 3 || pts[0] != 1 || pts[2] != 0.5 {
-		t.Errorf("points = %v", pts)
-	}
-}
-
 func TestAnalyzerCounters(t *testing.T) {
 	a := NewAnalyzer()
 	for _, k := range []string{"x", "y", "x", "z"} {

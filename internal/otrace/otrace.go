@@ -116,14 +116,6 @@ func New(o Options) *Tracer {
 // Enabled reports whether spans will be recorded.
 func (t *Tracer) Enabled() bool { return t != nil }
 
-// Now reads the run clock; 0 when disabled.
-func (t *Tracer) Now() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.clock()
-}
-
 // NewID mints a fresh nonzero span or trace ID; 0 when disabled.
 func (t *Tracer) NewID() uint64 {
 	if t == nil {

@@ -37,8 +37,8 @@ func TestNilTracerIsDisabledNoOp(t *testing.T) {
 	}
 	tr.End(sp)
 	tr.Emit(Span{ID: 1, Trace: 1})
-	if tr.NewID() != 0 || tr.Now() != 0 {
-		t.Error("nil NewID/Now not zero")
+	if tr.NewID() != 0 {
+		t.Error("nil NewID not zero")
 	}
 	if got := tr.Snapshot(); got != nil {
 		t.Errorf("nil Snapshot = %v, want nil", got)

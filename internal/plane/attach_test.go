@@ -5,7 +5,6 @@ import (
 	"io"
 	"log"
 	"net"
-	"runtime"
 	"testing"
 	"time"
 
@@ -97,14 +96,10 @@ func TestLivePlaneAttach(t *testing.T) {
 	}
 
 	// The policy is only parsed once the cluster is up, so this Start
-	// fails with two servers (and their epoll loops) already running.
-	core := server.CoreEventLoop
-	if runtime.GOOS != "linux" {
-		core = server.CoreGoroutines
-	}
+	// fails with two servers already running.
 	bad := s
 	bad.Proxy = &ProxySpec{Policy: "scatter"}
-	if _, err := (LivePlane{ConnCore: core}).Start(bad); err == nil {
+	if _, err := (LivePlane{}).Start(bad); err == nil {
 		t.Fatal("Start accepted an unknown proxy policy")
 	}
 	settled("failed Start")

@@ -13,7 +13,6 @@ import (
 	"memqlat/internal/backend"
 	"memqlat/internal/cache"
 	"memqlat/internal/client"
-	"memqlat/internal/coalesce"
 	"memqlat/internal/core"
 	"memqlat/internal/extstore"
 	"memqlat/internal/fault"
@@ -78,11 +77,6 @@ func liveTier(s Scenario, m, valueSize int) (cache.Options, extstore.Options) {
 type LivePlane struct {
 	// PoolSize caps client connections per server (default: Workers).
 	PoolSize int
-	// ConnCore selects the servers' connection core: server.CoreGoroutines
-	// (the default) or server.CoreEventLoop. It belongs to this plane
-	// alone — connection handling is exactly the machinery the model and
-	// the simulator abstract away.
-	ConnCore string
 	// Servers, when non-empty, attaches the run to the cluster already
 	// listening at these addresses instead of starting one. It has its
 	// own service rate, tier and failures: the model parameters are not
@@ -169,7 +163,8 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 	clOpts := client.Options{
 		FillTTL:    s.FillTTL,
 		PoolSize:   p.PoolSize,
-		Resilience: client.ResilienceFromSpec(s.Resilience),
+		Resilience: s.Resilience,
+		Coalesce:   s.Coalesce,
 		Recorder:   rec,
 		Tracer:     s.Tracer,
 		Seed:       s.Seed,
@@ -178,16 +173,15 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 		clOpts.PoolSize = s.Workers
 	}
 	if readThrough {
-		dbOpts := backend.Options{MuD: s.MuD, Seed: s.Seed, Recorder: rec, Tracer: s.Tracer}
-		if r.inj != nil {
-			dbOpts.Fault = &fault.Point{Inj: r.inj, Server: fault.Database, Now: r.clock.Now}
-		}
-		if s.DBQueueDepth > 0 {
+		dbOpts := backend.Options{
+			MuD: s.MuD, Seed: s.Seed, Recorder: rec, Tracer: s.Tracer,
 			// A bounded single-worker database makes hot-key herds visible:
 			// without coalescing the herd stacks up in the queue (watch
 			// QueuePeak), with it the backend sees ~1 fetch per miss window.
-			dbOpts.Mode = backend.ModeSingleQueue
-			dbOpts.QueueDepth = s.DBQueueDepth
+			QueueDepth: s.DBQueueDepth,
+		}
+		if r.inj != nil {
+			dbOpts.Fault = &fault.Point{Inj: r.inj, Server: fault.Database, Now: r.clock.Now}
 		}
 		if r.db, err = backend.New(dbOpts); err != nil {
 			return nil, err
@@ -195,10 +189,6 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 		r.closers = append(r.closers, r.db.Close)
 		clOpts.Filler = r.db
 	}
-	if s.Coalesce {
-		clOpts.Coalesce = &coalesce.Policy{}
-	}
-
 	if s.Proxy != nil {
 		pol, err := proxy.ParsePolicy(s.Proxy.Policy)
 		if err != nil {
@@ -334,7 +324,6 @@ func (r *LiveRun) startServers(p LivePlane, rec telemetry.Recorder) ([]string, e
 			Recorder:    rec,
 			Tracer:      s.Tracer,
 			ID:          i,
-			ConnCore:    p.ConnCore,
 		}
 		if r.inj != nil {
 			sopts.Fault = &fault.Point{Inj: r.inj, Server: i, Now: r.clock.Now}

@@ -2,6 +2,8 @@ package plane
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,7 +114,7 @@ func TestFaultSimPlaneDegrades(t *testing.T) {
 // healthy half keeps answering — the live realization of the degraded
 // behavior the simulator predicts.
 func TestFaultLivePlaneSameSchedule(t *testing.T) {
-	eachConnCore(t, func(t *testing.T, live LivePlane) {
+	onLiveCore(t, func(t *testing.T, live LivePlane) {
 		s := faultScenario(t, "reset:srv=0", fault.Resilience{})
 		res, err := live.Run(context.Background(), s)
 		if err != nil {
@@ -138,7 +140,7 @@ func TestFaultLivePlaneSameSchedule(t *testing.T) {
 // live fault turns slow transport errors into fast breaker sheds,
 // visible both in the loadgen counters and the telemetry stage.
 func TestFaultLivePlaneBreakerSheds(t *testing.T) {
-	eachConnCore(t, func(t *testing.T, live LivePlane) {
+	onLiveCore(t, func(t *testing.T, live LivePlane) {
 		s := faultScenario(t, "reset:srv=0", fault.Resilience{
 			BreakerThreshold: 0.5,
 			BreakerWindow:    4,
@@ -156,4 +158,42 @@ func TestFaultLivePlaneBreakerSheds(t *testing.T) {
 			t.Error("no StageBreakerShed telemetry from the live plane")
 		}
 	})
+}
+
+// TestFaultResilienceRefusedOnEveryPlane: a spec the planes would read
+// differently (the client clamping what the simulator ignores) is
+// refused by both instead of run by each in its own way.
+func TestFaultResilienceRefusedOnEveryPlane(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live plane needs real time")
+	}
+	for _, tc := range []struct {
+		name string
+		res  fault.Resilience
+	}{
+		{"hedge-percentile-1.5", fault.Resilience{HedgePercentile: 1.5}},
+		{"negative-backoff", fault.Resilience{Retries: 1, RetryBackoff: -1e-3}},
+		{"negative-cooldown", fault.Resilience{BreakerThreshold: 0.5, BreakerCooldown: -1}},
+		{"threshold-above-1", fault.Resilience{BreakerThreshold: 1.5}},
+		{"negative-retries", fault.Resilience{Retries: -1}},
+		{"nan-hedge-delay", fault.Resilience{HedgeDelay: math.NaN()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			want := tc.res.Validate()
+			if want == nil {
+				t.Fatal("Validate accepted the spec")
+			}
+			s := faultScenario(t, "", tc.res)
+			if _, err := (SimPlane{}).Run(context.Background(), s); err == nil || !strings.Contains(err.Error(), want.Error()) {
+				t.Errorf("sim plane: err = %v, want %q", err, want)
+			}
+			r, err := (LivePlane{}).Start(s)
+			if err == nil {
+				r.Close()
+			}
+			if err == nil || !strings.Contains(err.Error(), want.Error()) {
+				t.Errorf("live plane: err = %v, want %q", err, want)
+			}
+		})
+	}
 }

@@ -64,7 +64,7 @@ func TestCrossPlaneTiered(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !mres.Total.Contains(sres.Point(), 0.08) {
+		if !within(mres.Total, sres.Point(), 0.08) {
 			t.Errorf("tiered sim total %v outside model band [%v, %v] (+8%%)",
 				sres.Point(), mres.Total.Lo, mres.Total.Hi)
 		}
@@ -138,7 +138,7 @@ func TestCrossPlaneTiered(t *testing.T) {
 	})
 
 	t.Run("live-vs-mrc", func(t *testing.T) {
-		eachConnCore(t, func(t *testing.T, live LivePlane) {
+		onLiveCore(t, func(t *testing.T, live LivePlane) {
 			// The live leg runs the same tier spec and key-popularity law at
 			// live-sustainable rates. MissRatio stays 0: the capacity-sized
 			// RAM cache produces the misses organically, which is the whole

@@ -43,20 +43,9 @@ func AppendStorage(dst []byte, op Op, key string, flags uint32, exptime int64, v
 	return append(dst, crlf...)
 }
 
-// AppendDelete appends "delete <key>".
-func AppendDelete(dst []byte, key string) []byte {
-	return append(appendVerbKey(dst, OpDelete, key), crlf...)
-}
-
 // AppendIncrDecr appends "incr|decr <key> <delta>".
 func AppendIncrDecr(dst []byte, op Op, key string, delta uint64) []byte {
 	dst = strconv.AppendUint(append(appendVerbKey(dst, op, key), ' '), delta, 10)
-	return append(dst, crlf...)
-}
-
-// AppendTouch appends "touch <key> <exptime>".
-func AppendTouch(dst []byte, key string, exptime int64) []byte {
-	dst = strconv.AppendInt(append(appendVerbKey(dst, OpTouch, key), ' '), exptime, 10)
 	return append(dst, crlf...)
 }
 

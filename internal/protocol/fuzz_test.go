@@ -170,14 +170,10 @@ func roundTrip(t *testing.T, keys []string, value []byte, a, b uint16) {
 		}
 		add(c)
 	}
-	wire = protocol.AppendDelete(wire, key)
-	add(ownedCommand{op: protocol.OpDelete, key: key})
 	for _, op := range []protocol.Op{protocol.OpIncr, protocol.OpDecr} {
 		wire = protocol.AppendIncrDecr(wire, op, key, big)
 		add(ownedCommand{op: op, key: key, delta: big})
 	}
-	wire = protocol.AppendTouch(wire, key, exptime)
-	add(ownedCommand{op: protocol.OpTouch, key: key, exptime: exptime})
 	wire = protocol.AppendTrace(wire, big|1, uint64(b))
 	add(ownedCommand{op: protocol.OpTrace, cas: big | 1, delta: uint64(b)})
 	for _, op := range []protocol.Op{protocol.OpStats, protocol.OpFlushAll, protocol.OpVersion} {

@@ -45,7 +45,7 @@ func startBenchProxy(tb testing.TB, nBackends int) string {
 		}
 		value := []byte(strings.Repeat("v", benchValueLen))
 		for i := 0; i < benchKeys; i++ {
-			if err := c.Set(benchKey(i), value, 0, 0); err != nil {
+			if err := c.SetBytes([]byte(benchKey(i)), value, 0, 0); err != nil {
 				tb.Fatal(err)
 			}
 		}

@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"memqlat/internal/fault"
 	"memqlat/internal/otrace"
 	"memqlat/internal/route"
 	"memqlat/internal/telemetry"
@@ -85,9 +86,6 @@ type Options struct {
 	// server (default 2). Keys stick to one connection by hash, so a
 	// noreply write and a subsequent read of the same key stay ordered.
 	UpstreamConns int
-	// Breaker tunes the per-server circuit breaker PolicyFailover
-	// consults (default route.BreakerPolicy zero value + defaults).
-	Breaker *route.BreakerPolicy
 	// Recorder, when set, receives StageProxyHop observations: the
 	// forward-path cost (parse + route + upstream enqueue) per command.
 	Recorder telemetry.Recorder
@@ -189,11 +187,7 @@ func New(opts Options) (*Proxy, error) {
 		}
 	}
 	if opts.Policy == PolicyFailover {
-		var pol route.BreakerPolicy
-		if opts.Breaker != nil {
-			pol = *opts.Breaker
-		}
-		pol = *(&pol).WithDefaults()
+		pol := route.PolicyOf(fault.Resilience{BreakerThreshold: fault.DefaultBreakerThreshold})
 		p.breakers = make([]*route.Breaker, len(opts.Upstreams))
 		for i := range p.breakers {
 			p.breakers[i] = route.NewBreaker(pol)
@@ -292,10 +286,6 @@ func (p *Proxy) Stats() Stats {
 		Upstreams:   len(p.opts.Upstreams),
 	}
 }
-
-// Tenants exposes the QoS limiter (nil when QoS is disabled) so the
-// admin plane can register per-tenant metric families.
-func (p *Proxy) Tenants() *tenant.Limiter { return p.tenants }
 
 // BreakerState reports upstream srv's breaker state ("disabled" unless
 // PolicyFailover).

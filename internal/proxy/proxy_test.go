@@ -313,20 +313,14 @@ func TestProxyFailover(t *testing.T) {
 	p, paddr := startProxy(t, Options{
 		Upstreams: []string{live, deadAddr},
 		Policy:    PolicyFailover,
-		Breaker: &route.BreakerPolicy{
-			Window:           4,
-			MinSamples:       2,
-			FailureThreshold: 0.5,
-			Cooldown:         time.Hour,
-			HalfOpenProbes:   1,
-		},
 	})
 	c := dialConn(t, paddr)
 
 	// The first attempts hit the dead owner and fail; once the breaker
-	// trips, traffic fails over to the live server (a clean miss).
+	// trips (half its 20-outcome window failing), traffic fails over to
+	// the live server (a clean miss).
 	recovered := false
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 20; i++ {
 		c.send("get " + key + "\r\n")
 		line := c.line()
 		if line == "END" {

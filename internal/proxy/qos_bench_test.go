@@ -32,7 +32,7 @@ func startQoSBenchProxy(tb testing.TB, specs []tenant.Spec) string {
 	}
 	value := []byte(strings.Repeat("v", benchValueLen))
 	for i := 0; i < benchKeys; i++ {
-		if err := c.Set(qosBenchKey(i), value, 0, 0); err != nil {
+		if err := c.SetBytes([]byte(qosBenchKey(i)), value, 0, 0); err != nil {
 			tb.Fatal(err)
 		}
 	}

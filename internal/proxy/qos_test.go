@@ -68,8 +68,8 @@ func TestProxyTenantShedding(t *testing.T) {
 	if st.TenantSheds != 3 {
 		t.Fatalf("TenantSheds = %d, want 3", st.TenantSheds)
 	}
-	evil := lim.Lookup("evil").Snapshot()
-	acme := lim.Lookup("acme").Snapshot()
+	evil := lim.FromKey([]byte("evil:")).Snapshot()
+	acme := lim.FromKey([]byte("acme:")).Snapshot()
 	if evil.Shed != 3 {
 		t.Fatalf("evil shed = %d, want 3", evil.Shed)
 	}
@@ -82,7 +82,7 @@ func TestProxyTenantShedding(t *testing.T) {
 	if bd := col.Breakdown(); bd[telemetry.StageTenantShed].Count != 3 {
 		t.Fatalf("tenant_shed stage count = %d, want 3", bd[telemetry.StageTenantShed].Count)
 	}
-	if lim.Lookup("acme").Latency().Count() == 0 {
+	if lim.FromKey([]byte("acme:")).Latency().Count() == 0 {
 		t.Fatal("admitted commands must feed the per-tenant latency histogram")
 	}
 
@@ -123,7 +123,7 @@ func TestProxyTenantByteQuota(t *testing.T) {
 	if got := c.retrieval(); len(got["blob:1"]) != 120 {
 		t.Fatalf("read after byte shed: %v", got)
 	}
-	s := lim.Lookup("blob").Snapshot()
+	s := lim.FromKey([]byte("blob:")).Snapshot()
 	if s.ShedBytes != 120 || s.AdmBytes != 120 {
 		t.Fatalf("byte accounting: adm=%d shed=%d", s.AdmBytes, s.ShedBytes)
 	}
@@ -144,7 +144,7 @@ func TestProxyTenantNoreplyShedDropped(t *testing.T) {
 	c.send("set q:2 0 0 1 noreply\r\nb\r\n") // shed, no reply
 	c.send("version\r\n")                    // control plane: exempt
 	c.expect("VERSION memqlat-proxy")
-	if s := lim.Lookup("q").Snapshot(); s.Shed != 1 || s.Admitted != 1 {
+	if s := lim.FromKey([]byte("q:")).Snapshot(); s.Shed != 1 || s.Admitted != 1 {
 		t.Fatalf("noreply accounting: %+v", s)
 	}
 	if st := p.Stats(); st.TenantSheds != 1 {
@@ -167,7 +167,7 @@ func TestProxyTenantMultigetCharge(t *testing.T) {
 	c.retrieval()
 	c.send("get mg:1 mg:2\r\n") // needs 2, only 1 left
 	c.expect(tenant.ShedMsg)
-	if s := lim.Lookup("mg").Snapshot(); s.Admitted != 3 || s.Shed != 2 {
+	if s := lim.FromKey([]byte("mg:")).Snapshot(); s.Admitted != 3 || s.Shed != 2 {
 		t.Fatalf("multiget accounting: %+v", s)
 	}
 }
@@ -190,7 +190,7 @@ func TestProxyTenantGoldNeverShed(t *testing.T) {
 			t.Fatalf("gold read %d lost: %v", i, got)
 		}
 	}
-	if s := lim.Lookup("vip").Snapshot(); s.Shed != 0 || s.Admitted != 21 {
+	if s := lim.FromKey([]byte("vip:")).Snapshot(); s.Shed != 0 || s.Admitted != 21 {
 		t.Fatalf("gold accounting: %+v", s)
 	}
 }
@@ -220,7 +220,7 @@ func TestProxyTenantDefaultClockThrottles(t *testing.T) {
 	if sheds == 0 {
 		t.Fatal("tight bucket on the wall clock never shed")
 	}
-	if s := lim.Lookup("w").Snapshot(); s.Shed != int64(sheds) {
+	if s := lim.FromKey([]byte("w:")).Snapshot(); s.Shed != int64(sheds) {
 		t.Fatalf("limiter shed %d, wire saw %d", s.Shed, sheds)
 	}
 }
@@ -240,7 +240,7 @@ func TestProxyTenantPreStartClockAdmitsAll(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.set(fmt.Sprintf("p:%d", i), "x")
 	}
-	if s := lim.Lookup("p").Snapshot(); s.Shed != 0 || s.Admitted != 20 {
+	if s := lim.FromKey([]byte("p:")).Snapshot(); s.Shed != 0 || s.Admitted != 20 {
 		t.Fatalf("pre-start accounting: %+v", s)
 	}
 }

@@ -1,7 +1,7 @@
 // Package queueing implements the queueing-theoretic machinery of the
 // paper: the GI^X/M/1 batch queue that models a Memcached server
-// (§3, §4.3) and the M/M/1 queue that models the back-end database
-// (§4.4).
+// (§3, §4.3). The back-end database is the ρ_D ≈ 0 exponential stage of
+// §4.4, which internal/core prices in closed form.
 package queueing
 
 import (
@@ -162,21 +162,6 @@ func (b *BatchQueue) KeyLatencyBounds(k float64) (lo, hi float64, err error) {
 
 // MeanSojourn returns the mean batch completion time 1/((1−δ)(1−q)µ_S).
 func (b *BatchQueue) MeanSojourn() float64 { return 1 / b.DecayRate() }
-
-// ArrivalQueueLengthPMF returns P{L = n}: the probability that an
-// arriving batch finds n batches in the system. For GI/M/1 this is the
-// geometric law (1−δ)·δ^n — δ's operational meaning, and a second,
-// independent handle for validating the root against simulation.
-func (b *BatchQueue) ArrivalQueueLengthPMF(n int) (float64, error) {
-	if n < 0 {
-		return 0, fmt.Errorf("queueing: queue length %d must be >= 0", n)
-	}
-	return (1 - b.delta) * math.Pow(b.delta, float64(n)), nil
-}
-
-// MeanArrivalQueueLength returns E[L] = δ/(1−δ), the mean number of
-// batches an arrival finds in the system.
-func (b *BatchQueue) MeanArrivalQueueLength() float64 { return b.delta / (1 - b.delta) }
 
 func checkQuantile(k float64) error {
 	if math.IsNaN(k) || k < 0 || k >= 1 {

@@ -274,45 +274,3 @@ func TestPropertyDeltaAndQuantiles(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-// GI/M/1 queue-length law: arriving batches see Geometric(1-delta)
-// batches in system. Validate the PMF and its mean against an M/M/1
-// case where delta = rho exactly.
-func TestArrivalQueueLengthLaw(t *testing.T) {
-	bq, err := NewBatchQueue(mustExp(t, 50), 0, 100) // M/M/1 rho=0.5
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0, err := bq.ArrivalQueueLengthPMF(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(p0, 0.5, 1e-9) {
-		t.Errorf("P{L=0} = %v, want 0.5", p0)
-	}
-	p2, err := bq.ArrivalQueueLengthPMF(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(p2, 0.125, 1e-9) {
-		t.Errorf("P{L=2} = %v, want 0.125", p2)
-	}
-	if mean := bq.MeanArrivalQueueLength(); !almostEqual(mean, 1, 1e-9) { // rho/(1-rho) = 1
-		t.Errorf("E[L] = %v, want 1", mean)
-	}
-	if _, err := bq.ArrivalQueueLengthPMF(-1); err == nil {
-		t.Error("negative length accepted")
-	}
-	// PMF sums to ~1.
-	var sum float64
-	for n := 0; n < 200; n++ {
-		p, err := bq.ArrivalQueueLengthPMF(n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum += p
-	}
-	if !almostEqual(sum, 1, 1e-9) {
-		t.Errorf("PMF sum = %v", sum)
-	}
-}

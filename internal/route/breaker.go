@@ -3,53 +3,34 @@ package route
 import (
 	"sync"
 	"time"
+
+	"memqlat/internal/fault"
 )
 
 // BreakerPolicy is the per-server circuit breaker: closed → open when
 // the failure rate over a sliding outcome window crosses the threshold,
-// open → half-open after a cooldown, half-open → closed after probe
-// successes (or back to open on a probe failure). The client uses it to
+// open → half-open after a cooldown, half-open → closed after one probe
+// success (or back to open on a probe failure). The client uses it to
 // shed load; the proxy's failover policy uses it to steer keys to ring
-// successors while the primary is open.
+// successors while the primary is open. The window may trip once it
+// holds max(Window/2, 1) outcomes.
 type BreakerPolicy struct {
-	// Window is the sliding outcome-window size in operations (default 20).
+	// Window is the sliding outcome-window size in operations.
 	Window int
-	// FailureThreshold opens the breaker when fails/window ≥ it
-	// (default 0.5).
+	// FailureThreshold opens the breaker when fails/window ≥ it.
 	FailureThreshold float64
-	// MinSamples gates tripping until the window holds at least this
-	// many outcomes (default Window/2).
-	MinSamples int
-	// Cooldown is how long the breaker stays open before probing
-	// (default 1s).
+	// Cooldown is how long the breaker stays open before probing.
 	Cooldown time.Duration
-	// HalfOpenProbes is how many consecutive probe successes close the
-	// breaker (default 1).
-	HalfOpenProbes int
 }
 
-// WithDefaults returns a copy with zero fields filled in.
-func (p *BreakerPolicy) WithDefaults() *BreakerPolicy {
-	out := *p
-	if out.Window <= 0 {
-		out.Window = 20
+// PolicyOf is the breaker policy spec enables, with its defaults.
+func PolicyOf(spec fault.Resilience) BreakerPolicy {
+	spec = spec.WithDefaults()
+	return BreakerPolicy{
+		Window:           spec.BreakerWindow,
+		FailureThreshold: spec.BreakerThreshold,
+		Cooldown:         time.Duration(spec.BreakerCooldown * float64(time.Second)),
 	}
-	if out.FailureThreshold <= 0 {
-		out.FailureThreshold = 0.5
-	}
-	if out.MinSamples <= 0 {
-		out.MinSamples = out.Window / 2
-		if out.MinSamples == 0 {
-			out.MinSamples = 1
-		}
-	}
-	if out.Cooldown <= 0 {
-		out.Cooldown = time.Second
-	}
-	if out.HalfOpenProbes <= 0 {
-		out.HalfOpenProbes = 1
-	}
-	return &out
 }
 
 // breakerState is the circuit breaker's state machine position.
@@ -66,19 +47,17 @@ const (
 type Breaker struct {
 	pol BreakerPolicy
 
-	mu        sync.Mutex
-	state     breakerState
-	outcomes  []bool // ring; true = failure
-	idx       int
-	filled    int
-	fails     int
-	openedAt  time.Time
-	probes    int // half-open probes admitted
-	successes int // half-open probe successes
+	mu       sync.Mutex
+	state    breakerState
+	outcomes []bool // ring; true = failure
+	idx      int
+	filled   int
+	fails    int
+	openedAt time.Time
+	probing  bool // the half-open probe is out
 }
 
-// NewBreaker constructs a closed breaker under pol (which should have
-// passed through WithDefaults).
+// NewBreaker constructs a closed breaker under pol.
 func NewBreaker(pol BreakerPolicy) *Breaker {
 	return &Breaker{pol: pol, outcomes: make([]bool, pol.Window)}
 }
@@ -96,12 +75,11 @@ func (b *Breaker) Allow(now time.Time) bool {
 			return false
 		}
 		b.state = breakerHalfOpen
-		b.probes = 0
-		b.successes = 0
+		b.probing = false
 	}
-	// Half-open: admit a bounded number of probes.
-	if b.probes < b.pol.HalfOpenProbes {
-		b.probes++
+	// Half-open: admit one probe.
+	if !b.probing {
+		b.probing = true
 		return true
 	}
 	return false
@@ -118,10 +96,7 @@ func (b *Breaker) Record(failure bool, now time.Time) {
 	case breakerHalfOpen:
 		if failure {
 			b.trip(now)
-			return
-		}
-		b.successes++
-		if b.successes >= b.pol.HalfOpenProbes {
+		} else {
 			b.reset()
 		}
 		return
@@ -138,7 +113,7 @@ func (b *Breaker) Record(failure bool, now time.Time) {
 		b.fails++
 	}
 	b.idx = (b.idx + 1) % len(b.outcomes)
-	if b.filled >= b.pol.MinSamples &&
+	if b.filled >= max(len(b.outcomes)/2, 1) &&
 		float64(b.fails)/float64(b.filled) >= b.pol.FailureThreshold {
 		b.trip(now)
 	}
@@ -162,7 +137,7 @@ func (b *Breaker) clearWindow() {
 		b.outcomes[i] = false
 	}
 	b.idx, b.filled, b.fails = 0, 0, 0
-	b.probes, b.successes = 0, 0
+	b.probing = false
 }
 
 // State returns the state name (test/stats introspection).

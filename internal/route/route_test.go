@@ -8,6 +8,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"memqlat/internal/fault"
 )
 
 func TestRingSelectorValidation(t *testing.T) {
@@ -78,8 +80,8 @@ func TestPropertySelectorsDeterministicInRange(t *testing.T) {
 }
 
 func TestBreakerLifecycle(t *testing.T) {
-	pol := (&BreakerPolicy{Window: 4, MinSamples: 2, Cooldown: 10 * time.Millisecond}).WithDefaults()
-	b := NewBreaker(*pol)
+	pol := BreakerPolicy{Window: 4, FailureThreshold: 0.5, Cooldown: 10 * time.Millisecond}
+	b := NewBreaker(pol)
 	now := time.Now()
 	if !b.Allow(now) || b.State() != "closed" {
 		t.Fatal("fresh breaker not closed")
@@ -97,7 +99,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("state %q after cooldown, want half-open probe", b.State())
 	}
 	if b.Allow(later) {
-		t.Error("half-open breaker admitted a second probe (HalfOpenProbes defaults to 1)")
+		t.Error("half-open breaker admitted a second probe")
 	}
 	b.Record(false, later)
 	if b.State() != "closed" {
@@ -118,19 +120,22 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("state %q after probe failure, want open and refusing", b.State())
 	}
 
-	// The zero policy takes every default, and the window slides: old
-	// failures age out, so a healthy server never trips on history.
-	def := (&BreakerPolicy{}).WithDefaults()
-	if def.Window != 20 || def.MinSamples != 10 || def.FailureThreshold != 0.5 ||
-		def.Cooldown != time.Second || def.HalfOpenProbes != 1 {
-		t.Fatalf("defaults = %+v", *def)
+	// A one-outcome window trips on its first failure.
+	one := NewBreaker(BreakerPolicy{Window: 1, FailureThreshold: 0.5, Cooldown: time.Second})
+	if one.Record(true, now); one.State() != "open" {
+		t.Fatalf("Window 1 breaker %q after a failure, want open", one.State())
 	}
-	if one := (&BreakerPolicy{Window: 1}).WithDefaults(); one.MinSamples != 1 {
-		t.Fatalf("Window 1 MinSamples = %d, want 1", one.MinSamples)
+
+	// The proxy's failover breaker takes every default, and the window
+	// slides: old failures age out, so a healthy server never trips on
+	// history.
+	def := PolicyOf(fault.Resilience{BreakerThreshold: fault.DefaultBreakerThreshold})
+	if def != (BreakerPolicy{Window: 20, FailureThreshold: 0.5, Cooldown: time.Second}) {
+		t.Fatalf("defaults = %+v", def)
 	}
-	h := NewBreaker(*def)
+	h := NewBreaker(def)
 	for i := 0; i < 4; i++ {
-		h.Record(true, now) // below MinSamples, and 4/10 once it is reached
+		h.Record(true, now) // below Window/2 outcomes, and 4/10 once there
 	}
 	for i := 0; i < 40; i++ {
 		h.Record(false, now)

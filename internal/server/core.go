@@ -18,9 +18,6 @@ const (
 	CoreEventLoop = "eventloop"
 )
 
-// ConnCores lists the selectable connection cores.
-func ConnCores() []string { return []string{CoreGoroutines, CoreEventLoop} }
-
 // connCore owns connections after the accept loop admits them. Both
 // implementations run the same per-command path (serveCommand), the
 // same parser semantics and the same telemetry; they differ only in how

@@ -22,7 +22,7 @@ func testCores(tb testing.TB) []string {
 	if runtime.GOOS != "linux" {
 		return []string{CoreGoroutines}
 	}
-	return ConnCores()
+	return []string{CoreGoroutines, CoreEventLoop}
 }
 
 // coreScript is a deterministic single-connection workload touching

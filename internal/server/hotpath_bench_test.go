@@ -41,7 +41,7 @@ func startHotServer(tb testing.TB, core string, maxConns int) string {
 	}
 	value := []byte(strings.Repeat("v", hotValueLen))
 	for i := 0; i < hotKeys; i++ {
-		if err := c.Set(hotKey(i), value, 0, 0); err != nil {
+		if err := c.SetBytes([]byte(hotKey(i)), value, 0, 0); err != nil {
 			tb.Fatal(err)
 		}
 	}

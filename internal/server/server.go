@@ -301,15 +301,6 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// ListenAndServe listens on addr and serves until Close.
-func (s *Server) ListenAndServe(addr string) error {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return fmt.Errorf("server: listen %s: %w", addr, err)
-	}
-	return s.Serve(l)
-}
-
 // Addr returns the bound address (nil before Serve).
 func (s *Server) Addr() net.Addr {
 	s.mu.Lock()

@@ -259,6 +259,9 @@ func (cfg *RequestConfig) validate() error {
 	if cfg.ReadReplicas < 0 {
 		return fmt.Errorf("sim: read replicas %d must be >= 1", cfg.ReadReplicas)
 	}
+	if err := cfg.Resilience.Validate(); err != nil {
+		return fmt.Errorf("sim: %w", err)
+	}
 	if cfg.Integrated && (cfg.ProxyModel != nil || cfg.ReadReplicas > 1 || len(cfg.Tenants) > 0 || cfg.Coalesce ||
 		cfg.Extstore != nil || cfg.Observer != nil || cfg.Resilience.Enabled()) {
 		return fmt.Errorf("sim: the integrated mode does not model a proxy tier, read replicas, tenant QoS, " +

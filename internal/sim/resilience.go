@@ -48,7 +48,7 @@ func newSimResilience(spec fault.Resilience, m *core.Config, servers []*ServerRe
 		switch {
 		case spec.HedgeDelay > 0:
 			rs.hedgeThreshold[j] = spec.HedgeDelay
-		case spec.HedgePercentile > 0 && spec.HedgePercentile < 1:
+		case spec.HedgePercentile > 0:
 			if q, err := servers[j].Hist.Quantile(spec.HedgePercentile); err == nil {
 				rs.hedgeThreshold[j] = q
 			}
@@ -76,7 +76,7 @@ func (rs *simResilience) resolveKey(j int, srv *ServerResult, rng *rand.Rand, re
 			rec.Observe(telemetry.StageBreakerShed, 0)
 			break
 		}
-		backoff := min(rs.spec.RetryBackoff*math.Pow(2, float64(k-1)), 8*rs.spec.RetryBackoff)
+		backoff := rs.spec.Backoff(k)
 		rec.Observe(telemetry.StageRetry, backoff)
 		s, f := srv.draw(rng)
 		br.record(f)
@@ -106,12 +106,11 @@ type drawBreaker struct {
 }
 
 func newDrawBreaker(window int, threshold float64, cooldown int) *drawBreaker {
-	pol := (&route.BreakerPolicy{
+	return &drawBreaker{b: route.NewBreaker(route.BreakerPolicy{
 		Window:           window,
 		FailureThreshold: threshold,
 		Cooldown:         time.Duration(cooldown + 1),
-	}).WithDefaults()
-	return &drawBreaker{b: route.NewBreaker(*pol)}
+	})}
 }
 
 // allow advances the clock and reports whether the draw may proceed.

@@ -19,25 +19,10 @@ func (iv Interval) String() string {
 	return fmt.Sprintf("%.6g [%.6g, %.6g] @%g%%", iv.Point, iv.Lo, iv.Hi, iv.Level*100)
 }
 
-// Width reports Hi - Lo.
-func (iv Interval) Width() float64 { return iv.Hi - iv.Lo }
-
-// Contains reports whether x lies inside the interval (inclusive).
-func (iv Interval) Contains(x float64) bool { return x >= iv.Lo && x <= iv.Hi }
-
-// MeanCI computes a normal-approximation confidence interval for the mean
-// of the observations accumulated in m. With fewer than 2 samples the
-// interval collapses to the point estimate.
-func MeanCI(m *Moments, level float64) Interval {
-	point := m.Mean()
-	z := zQuantile(level)
-	half := z * m.StdErr()
-	return Interval{Point: point, Lo: point - half, Hi: point + half, Level: level}
-}
-
-// HistMeanCI computes the same normal-approximation interval for the
-// mean of the observations recorded in a histogram (which tracks exact
-// streaming moments alongside its buckets).
+// HistMeanCI computes a normal-approximation confidence interval for
+// the mean of the observations recorded in a histogram (which tracks
+// exact streaming moments alongside its buckets). With fewer than 2
+// samples the interval collapses to the point estimate.
 func HistMeanCI(h *Histogram, level float64) Interval {
 	point := h.Mean()
 	var se float64

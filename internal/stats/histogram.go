@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Histogram is a log-bucketed latency histogram in the spirit of
@@ -232,23 +231,6 @@ func (h *Histogram) FractionAbove(v float64) float64 {
 		return 0
 	}
 	return float64(total-h.CumulativeCount(v)) / float64(total)
-}
-
-// Quantiles evaluates several quantiles at once, more cheaply than
-// repeated Quantile calls. qs must be sorted ascending in [0,1].
-func (h *Histogram) Quantiles(qs []float64) ([]float64, error) {
-	if !sort.Float64sAreSorted(qs) {
-		return nil, fmt.Errorf("stats: quantiles must be sorted")
-	}
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		v, err := h.Quantile(q)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }
 
 // QuantileBounds returns the bucket that holds the q-th quantile as the

@@ -285,23 +285,6 @@ func TestHistogramFractionAbove(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantilesBatch(t *testing.T) {
-	h := NewHistogram()
-	for i := 1; i <= 100; i++ {
-		h.Record(float64(i) / 1000)
-	}
-	out, err := h.Quantiles([]float64{0.1, 0.5, 0.9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sort.Float64sAreSorted(out) {
-		t.Errorf("batch quantiles not monotone: %v", out)
-	}
-	if _, err := h.Quantiles([]float64{0.9, 0.1}); err == nil {
-		t.Error("unsorted quantile request accepted")
-	}
-}
-
 // Property: quantiles are monotone in q and bounded by [Min, Max].
 func TestHistogramPropertyQuantileMonotone(t *testing.T) {
 	f := func(seed uint64, n uint8) bool {
@@ -349,50 +332,6 @@ func TestHistogramPropertyCDFMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestExpectedMax(t *testing.T) {
-	h := NewHistogram()
-	rng := rand.New(rand.NewPCG(5, 5))
-	for i := 0; i < 100000; i++ {
-		h.Record(rng.ExpFloat64() / 1e3)
-	}
-	// E[max of N exp(µ)] = H_N/µ ≈ (ln N + γ)/µ; the quantile approximation
-	// gives ln(N+1)/µ. Both should agree within ~10%.
-	got, err := ExpectedMax(h, 150)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := math.Log(151) / 1e3
-	if !almostEqual(got, want, 0.1) {
-		t.Errorf("expected max = %v, want ~%v", got, want)
-	}
-	if _, err := ExpectedMax(h, 0); err == nil {
-		t.Error("ExpectedMax(0) accepted")
-	}
-}
-
-func TestMaxOrderQuantile(t *testing.T) {
-	tests := []struct {
-		give int64
-		want float64
-	}{
-		{1, 0.5},
-		{9, 0.9},
-		{99, 0.99},
-	}
-	for _, tt := range tests {
-		got, err := MaxOrderQuantile(tt.give)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(got, tt.want, 1e-12) {
-			t.Errorf("MaxOrderQuantile(%d) = %v, want %v", tt.give, got, tt.want)
-		}
-	}
-	if _, err := MaxOrderQuantile(-1); err == nil {
-		t.Error("negative n accepted")
 	}
 }
 

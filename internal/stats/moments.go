@@ -41,13 +41,6 @@ func (m *Moments) Add(x float64) {
 	m.m2 += delta * (x - m.mean)
 }
 
-// AddN records the same observation k times (k >= 1).
-func (m *Moments) AddN(x float64, k int64) {
-	for i := int64(0); i < k; i++ {
-		m.Add(x)
-	}
-}
-
 // Merge folds other into m, producing the moments of the concatenated
 // streams (Chan et al. parallel variance combination).
 func (m *Moments) Merge(other Moments) {
@@ -103,14 +96,6 @@ func (m *Moments) Variance() float64 {
 
 // StdDev reports the unbiased sample standard deviation.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// StdErr reports the standard error of the mean.
-func (m *Moments) StdErr() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.StdDev() / math.Sqrt(float64(m.n))
-}
 
 // Scale multiplies the observation count by k >= 1, as if every
 // observation had been recorded k times: the Horvitz–Thompson

@@ -109,17 +109,6 @@ func TestMomentsMergeEmptySides(t *testing.T) {
 	}
 }
 
-func TestMomentsAddN(t *testing.T) {
-	var a, b Moments
-	a.AddN(2.5, 4)
-	for i := 0; i < 4; i++ {
-		b.Add(2.5)
-	}
-	if a.Count() != b.Count() || a.Mean() != b.Mean() || a.Variance() != b.Variance() {
-		t.Fatalf("AddN mismatch: %s vs %s", a.String(), b.String())
-	}
-}
-
 func TestMomentsReset(t *testing.T) {
 	var m Moments
 	m.Add(1)

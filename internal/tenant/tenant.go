@@ -24,7 +24,6 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -247,9 +246,6 @@ func (t *Tenant) Name() string { return t.spec.Name }
 // Class returns the tenant's priority class.
 func (t *Tenant) Class() string { return t.spec.Class }
 
-// Spec returns the declared (defaulted) spec.
-func (t *Tenant) Spec() Spec { return t.spec }
-
 // Admit decides whether ops keys totalling nbytes stored bytes may pass
 // at time now (seconds on the run clock; virtual or wall). A negative
 // or -Inf now means the run clock has not started (fault.Clock before
@@ -410,9 +406,6 @@ func (l *Limiter) FromKey(key []byte) *Tenant {
 	return l.def
 }
 
-// Lookup resolves a tenant by name (nil when undeclared).
-func (l *Limiter) Lookup(name string) *Tenant { return l.byName[name] }
-
 // Default returns the catch-all tenant.
 func (l *Limiter) Default() *Tenant { return l.def }
 
@@ -459,10 +452,4 @@ func (l *Limiter) String() string {
 		}
 	}
 	return b.String()
-}
-
-// SortSnapshots orders snapshots by name (stable output for logs and
-// tests that aggregate over concurrent sources).
-func SortSnapshots(ss []Snapshot) {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Name < ss[j].Name })
 }

@@ -3,6 +3,7 @@ package tenant
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -47,7 +48,7 @@ func TestBucketDeterministicReplay(t *testing.T) {
 		}
 		out := make([]bool, len(arrivals))
 		for i, a := range arrivals {
-			out[i] = l.Lookup(a.tenant).Admit(a.now, a.ops, a.nbytes)
+			out[i] = l.byName[a.tenant].Admit(a.now, a.ops, a.nbytes)
 		}
 		return out
 	}
@@ -151,7 +152,7 @@ func TestBucketTable(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			tn := l.Lookup(tc.spec.Name)
+			tn := l.byName[tc.spec.Name]
 			for i, st := range tc.steps {
 				if got := tn.Admit(st.now, st.ops, st.nbytes); got != st.want {
 					t.Fatalf("step %d (now=%v ops=%d bytes=%d): admit=%v want %v",
@@ -167,8 +168,8 @@ func TestBronzeHasNoBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tn := l.Lookup("br")
-	if b := tn.Spec().Burst; b != 1 {
+	tn := l.byName["br"]
+	if b := tn.spec.Burst; b != 1 {
 		t.Fatalf("bronze burst = %v, want clamp to 1", b)
 	}
 	if !tn.Admit(10, 1, 0) {
@@ -201,9 +202,6 @@ func TestFromKey(t *testing.T) {
 			t.Fatalf("FromKey(%q) = %q, want %q", tc.key, got, tc.want)
 		}
 	}
-	if l.Lookup("nope") != nil {
-		t.Fatal("Lookup of undeclared tenant should be nil")
-	}
 	if l.Default().Class() != ClassGold {
 		t.Fatal("implicit catch-all must be gold (never sheds)")
 	}
@@ -215,8 +213,8 @@ func TestDefaultOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := l.FromKey([]byte("anything"))
-	if def.Name() != DefaultName || def.Spec().Rate != 5 {
-		t.Fatalf("declared * spec not applied: %+v", def.Spec())
+	if def.Name() != DefaultName || def.spec.Rate != 5 {
+		t.Fatalf("declared * spec not applied: %+v", def.spec)
 	}
 	if !def.Admit(0, 1, 0) || def.Admit(0, 1, 0) {
 		t.Fatal("overridden catch-all must enforce its bucket")
@@ -311,7 +309,7 @@ func TestSnapshotsAndString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := l.Lookup("acme")
+	a := l.byName["acme"]
 	for i := 0; i < 15; i++ {
 		a.Admit(0, 1, 10)
 	}
@@ -322,7 +320,7 @@ func TestSnapshotsAndString(t *testing.T) {
 	if len(snaps) != 3 {
 		t.Fatalf("want declared + active catch-all, got %d", len(snaps))
 	}
-	SortSnapshots(snaps)
+	sort.Slice(snaps, func(i, j int) bool { return snaps[i].Name < snaps[j].Name })
 	if snaps[0].Name != DefaultName || snaps[1].Name != "acme" || snaps[2].Name != "vip" {
 		t.Fatalf("sorted order wrong: %v %v %v", snaps[0].Name, snaps[1].Name, snaps[2].Name)
 	}
