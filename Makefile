@@ -74,7 +74,9 @@ cover:
 # reader (no input panics; what it accepts round-trips through Writer)
 # and 10s over the extstore segment recovery (any frame bytes after a
 # valid header: Open recovers, every recovered key reads back or is
-# expired, and a second Open recovers the same keys).
+# expired, and a second Open recovers the same keys) and 10s over the
+# mcbench -extstore grammar (an accepted spec re-renders and re-parses
+# to an equal one).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseCommand -fuzztime=20s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzScanReply -fuzztime=10s ./internal/protocol/
@@ -85,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpecs -fuzztime=6s ./internal/tenant/
 	$(GO) test -run '^$$' -fuzz FuzzKeylogReader -fuzztime=7s ./internal/keylog/
 	$(GO) test -run '^$$' -fuzz FuzzRecoverSegment -fuzztime=10s ./internal/extstore/
+	$(GO) test -run '^$$' -fuzz FuzzParseExtstoreSpec -fuzztime=10s ./cmd/mcbench/
 
 # Micro-benchmarks, printed and gated by nothing: absolute ns/op says
 # nothing portable, so speed is gated by bench/ (BENCHMARK.json: paired

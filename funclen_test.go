@@ -23,7 +23,6 @@ var longFuncs = map[string]int{
 	"internal/experiments.Drift":        133,
 	"internal/metrics.RegisterServers":  142,
 	"internal/plane.LivePlane.Start":    126,
-	"internal/server.Server.dispatch":   168,
 	"internal/server.Server.writeStats": 122,
 }
 

@@ -51,13 +51,24 @@ const DefaultMaxItemSize = 1 << 20
 // budget (entry struct, map bucket share, list links).
 const itemOverhead = 64
 
-// Item is a stored value returned by GetAndTouch.
-type Item struct {
-	Value   []byte
-	Flags   uint32
-	CAS     uint64
-	Expires time.Time // zero when the item never expires
-}
+// StoreMode is the precondition of a Store, one per storage verb.
+type StoreMode uint8
+
+const (
+	// ModeSet stores unconditionally.
+	ModeSet StoreMode = iota
+	// ModeAdd stores only if the key is absent.
+	ModeAdd
+	// ModeReplace stores only if the key is present.
+	ModeReplace
+	// ModeAppend puts the value after the stored one, keeping the stored
+	// flags and expiry.
+	ModeAppend
+	// ModePrepend puts the value before the stored one, likewise.
+	ModePrepend
+	// ModeCAS stores only if the caller's token matches the stored CAS.
+	ModeCAS
+)
 
 // Options configures a Cache.
 type Options struct {
@@ -196,26 +207,13 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func fnv64a(key string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= fnvPrime64
-	}
-	return h
-}
-
-func fnv64aBytes(key []byte) uint64 {
+func fnv64a(key []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for _, b := range key {
 		h ^= uint64(b)
 		h *= fnvPrime64
 	}
 	return h
-}
-
-func (c *Cache) shardFor(key string) *shard {
-	return c.shards[fnv64a(key)&c.shardMask]
 }
 
 // Shards reports the number of lock domains.
@@ -271,35 +269,16 @@ func (c *Cache) lock(s *shard) {
 
 func (c *Cache) nextCAS() uint64 { return c.casCounter.Add(1) }
 
-func validateKey(key string) error {
-	if key == "" || len(key) > MaxKeyLen {
-		return ErrKeyInvalid
-	}
-	for i := 0; i < len(key); i++ {
-		// memcached forbids whitespace and control characters in keys.
-		if key[i] <= ' ' || key[i] == 0x7f {
-			return ErrKeyInvalid
-		}
-	}
-	return nil
-}
-
-// validateKeyBytes mirrors validateKey for the byte-slice hot path.
-func validateKeyBytes(key []byte) error {
+// validateKey enforces memcached's key rules: 1 to MaxKeyLen bytes, no
+// whitespace or control characters.
+func validateKey(key []byte) error {
 	if len(key) == 0 || len(key) > MaxKeyLen {
 		return ErrKeyInvalid
 	}
-	for i := 0; i < len(key); i++ {
-		if key[i] <= ' ' || key[i] == 0x7f {
+	for _, b := range key {
+		if b <= ' ' || b == 0x7f {
 			return ErrKeyInvalid
 		}
-	}
-	return nil
-}
-
-func (c *Cache) validateValue(value []byte) error {
-	if len(value) > c.maxItemSize {
-		return ErrValueTooLarge
 	}
 	return nil
 }
@@ -330,207 +309,173 @@ func expiryTime(ns int64) time.Time {
 	return time.Unix(0, ns)
 }
 
+// open is the preamble of every keyed verb: it validates key, locks the
+// key's shard and, when lookup is set, returns the key's live entry (nil
+// on a miss), reaping it if its TTL has passed. The map index
+// s.items[string(key)] materializes no string, and the clock is read only
+// for an entry that carries an expiry, so TTL-less reads stay off
+// time.Now. The caller unlocks s.
+func (c *Cache) open(key []byte, lookup bool) (s *shard, e *entry, err error) {
+	if err := validateKey(key); err != nil {
+		return nil, nil, err
+	}
+	s = c.shards[fnv64a(key)&c.shardMask]
+	c.lock(s)
+	if !lookup {
+		return s, nil, nil
+	}
+	e = s.items[string(key)]
+	if e != nil && e.expires != 0 && e.expired(c.now()) {
+		s.remove(e.key)
+		c.expirations.Add(1)
+		return s, nil, nil
+	}
+	return s, e, nil
+}
+
 // GetInto is the allocation-free read path used by the protocol server:
 // it looks up key (a byte slice the cache does not retain), appends the
 // stored value to dst and returns the extended slice plus the item's
 // flags and CAS token. When dst has sufficient capacity the call does
 // not allocate. It fails with ErrKeyInvalid or ErrNotFound.
 func (c *Cache) GetInto(key []byte, dst []byte) (value []byte, flags uint32, cas uint64, err error) {
-	if err := validateKeyBytes(key); err != nil {
+	return c.read(key, dst, false, 0)
+}
+
+// GetAndTouch is GetInto that also replaces the item's expiry (the
+// protocol's gat/gats command).
+func (c *Cache) GetAndTouch(key []byte, ttl time.Duration, dst []byte) (value []byte, flags uint32, cas uint64, err error) {
+	return c.read(key, dst, true, ttl)
+}
+
+// read is the counted read path: a hit sets the entry's reference bit,
+// replaces its expiry when retime is set, and appends its value to dst
+// under the shard lock.
+func (c *Cache) read(key, dst []byte, retime bool, ttl time.Duration) ([]byte, uint32, uint64, error) {
+	s, e, err := c.open(key, true)
+	if err != nil {
 		return nil, 0, 0, err
 	}
-	s := c.shards[fnv64aBytes(key)&c.shardMask]
-	c.lock(s)
-	e := s.lookupBytes(key, c.clock, &c.expirations)
+	defer s.mu.Unlock()
 	if e == nil {
 		s.misses++
-		s.mu.Unlock()
 		return nil, 0, 0, ErrNotFound
 	}
 	s.hits++
+	if retime {
+		e.expires = expiryFrom(c.now(), ttl)
+	}
 	e.touch()
-	dst = append(dst, e.value...)
-	flags, cas = e.flags, e.cas
-	s.mu.Unlock()
-	return dst, flags, cas, nil
+	return append(dst, e.value...), e.flags, e.cas, nil
 }
 
-// SetBytes unconditionally stores value at key. Callers reuse the key
-// and value buffers (the protocol hot path parses both into
-// per-connection scratch), so the cache copies them before the store.
+// SetBytes stores value at key unconditionally: Store's set mode.
 func (c *Cache) SetBytes(key, value []byte, flags uint32, ttl time.Duration) error {
-	if err := validateKeyBytes(key); err != nil {
-		return err
+	return c.Store(ModeSet, key, value, flags, ttl, 0)
+}
+
+// Store is the one write path of the storage verbs, as memcached's
+// do_store_item is: look the key up, then apply mode's precondition. A
+// failed precondition is ErrNotStored, except for ModeCAS, which fails
+// with ErrNotFound (absent) or ErrExists (cas is not the stored token).
+// Append and prepend keep the stored flags and expiry. The cache keeps a
+// copy of value, so callers may reuse the key and value buffers (the
+// protocol path parses both into per-connection scratch). Set overwrites
+// without a lookup, so an expired entry it replaces is not counted as an
+// expiration.
+func (c *Cache) Store(mode StoreMode, key, value []byte, flags uint32, ttl time.Duration, cas uint64) error {
+	concat := mode == ModeAppend || mode == ModePrepend
+	if !concat {
+		// Checked and copied before the lock, so a refused value is never
+		// copied; a concatenation is built under it.
+		if err := validateKey(key); err != nil {
+			return err
+		}
+		if len(value) > c.maxItemSize {
+			return ErrValueTooLarge
+		}
+		value = append(make([]byte, 0, len(value)), value...)
 	}
-	if err := c.validateValue(value); err != nil {
-		return err
-	}
-	owned := append(make([]byte, 0, len(value)), value...)
-	s := c.shards[fnv64aBytes(key)&c.shardMask]
 	now := c.now()
-	c.lock(s)
+	s, e, err := c.open(key, mode != ModeSet)
+	if err != nil {
+		return err
+	}
 	defer s.mu.Unlock()
-	s.store(string(key), owned, flags, expiryFrom(now, ttl), c.nextCAS(), now, c)
+	expires := expiryFrom(now, ttl)
+	switch mode {
+	case ModeAdd:
+		if e != nil {
+			return ErrNotStored
+		}
+	case ModeReplace:
+		if e == nil {
+			return ErrNotStored
+		}
+	case ModeCAS:
+		if e == nil {
+			return ErrNotFound
+		}
+		if e.cas != cas {
+			return ErrExists
+		}
+	case ModeAppend, ModePrepend:
+		if e == nil {
+			return ErrNotStored
+		}
+		joined := make([]byte, 0, len(e.value)+len(value))
+		if mode == ModeAppend {
+			joined = append(append(joined, e.value...), value...)
+		} else {
+			joined = append(append(joined, value...), e.value...)
+		}
+		if len(joined) > c.maxItemSize {
+			return ErrValueTooLarge
+		}
+		value, flags, expires = joined, e.flags, e.expires
+	}
+	s.store(string(key), value, flags, expires, c.nextCAS(), now, c)
 	c.sets.Add(1)
 	return nil
 }
 
-// GetAndTouch atomically fetches the item at key and replaces its
-// expiry (the protocol's gat/gats command).
-func (c *Cache) GetAndTouch(key string, ttl time.Duration) (Item, error) {
-	if err := validateKey(key); err != nil {
-		return Item{}, err
+// Contains reports whether key is live, without counting a hit or a miss
+// or setting the entry's reference bit.
+func (c *Cache) Contains(key []byte) bool {
+	s, e, err := c.open(key, true)
+	if err != nil {
+		return false
 	}
-	s := c.shardFor(key)
-	now := c.now()
-	c.lock(s)
-	e := s.lookup(key, now, &c.expirations)
-	if e == nil {
-		s.misses++
-		s.mu.Unlock()
-		return Item{}, ErrNotFound
-	}
-	s.hits++
-	e.expires = expiryFrom(now, ttl)
-	e.touch()
-	it := e.item()
 	s.mu.Unlock()
-	return it, nil
-}
-
-// Add stores only if the key is absent.
-func (c *Cache) Add(key string, value []byte, flags uint32, ttl time.Duration) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	if err := c.validateValue(value); err != nil {
-		return err
-	}
-	s := c.shardFor(key)
-	now := c.now()
-	c.lock(s)
-	defer s.mu.Unlock()
-	if s.lookup(key, now, &c.expirations) != nil {
-		return ErrNotStored
-	}
-	s.store(key, value, flags, expiryFrom(now, ttl), c.nextCAS(), now, c)
-	c.sets.Add(1)
-	return nil
-}
-
-// Replace stores only if the key is present.
-func (c *Cache) Replace(key string, value []byte, flags uint32, ttl time.Duration) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	if err := c.validateValue(value); err != nil {
-		return err
-	}
-	s := c.shardFor(key)
-	now := c.now()
-	c.lock(s)
-	defer s.mu.Unlock()
-	if s.lookup(key, now, &c.expirations) == nil {
-		return ErrNotStored
-	}
-	s.store(key, value, flags, expiryFrom(now, ttl), c.nextCAS(), now, c)
-	c.sets.Add(1)
-	return nil
-}
-
-// Append concatenates value after the existing value. Flags and expiry
-// are preserved (memcached semantics).
-func (c *Cache) Append(key string, value []byte) error {
-	return c.concat(key, value, true)
-}
-
-// Prepend concatenates value before the existing value.
-func (c *Cache) Prepend(key string, value []byte) error {
-	return c.concat(key, value, false)
-}
-
-func (c *Cache) concat(key string, value []byte, after bool) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	s := c.shardFor(key)
-	now := c.now()
-	c.lock(s)
-	defer s.mu.Unlock()
-	e := s.lookup(key, now, &c.expirations)
-	if e == nil {
-		return ErrNotStored
-	}
-	var combined []byte
-	if after {
-		combined = append(append(make([]byte, 0, len(e.value)+len(value)), e.value...), value...)
-	} else {
-		combined = append(append(make([]byte, 0, len(e.value)+len(value)), value...), e.value...)
-	}
-	if err := c.validateValue(combined); err != nil {
-		return err
-	}
-	s.store(key, combined, e.flags, e.expires, c.nextCAS(), now, c)
-	c.sets.Add(1)
-	return nil
-}
-
-// CompareAndSwap stores value only if the caller's token matches the
-// item's current CAS.
-func (c *Cache) CompareAndSwap(key string, value []byte, flags uint32, ttl time.Duration, casToken uint64) error {
-	if err := validateKey(key); err != nil {
-		return err
-	}
-	if err := c.validateValue(value); err != nil {
-		return err
-	}
-	s := c.shardFor(key)
-	now := c.now()
-	c.lock(s)
-	defer s.mu.Unlock()
-	e := s.lookup(key, now, &c.expirations)
-	if e == nil {
-		return ErrNotFound
-	}
-	if e.cas != casToken {
-		return ErrExists
-	}
-	s.store(key, value, flags, expiryFrom(now, ttl), c.nextCAS(), now, c)
-	c.sets.Add(1)
-	return nil
+	return e != nil
 }
 
 // Delete removes the key.
-func (c *Cache) Delete(key string) error {
-	if err := validateKey(key); err != nil {
+func (c *Cache) Delete(key []byte) error {
+	s, e, err := c.open(key, true)
+	if err != nil {
 		return err
 	}
-	s := c.shardFor(key)
-	now := c.now()
-	c.lock(s)
 	defer s.mu.Unlock()
-	if s.lookup(key, now, &c.expirations) == nil {
+	if e == nil {
 		return ErrNotFound
 	}
-	s.remove(key)
+	s.remove(e.key)
 	c.deletes.Add(1)
 	return nil
 }
 
-// Touch updates the expiry of an existing key.
-func (c *Cache) Touch(key string, ttl time.Duration) error {
-	if err := validateKey(key); err != nil {
+// Touch replaces the expiry of an existing key.
+func (c *Cache) Touch(key []byte, ttl time.Duration) error {
+	s, e, err := c.open(key, true)
+	if err != nil {
 		return err
 	}
-	s := c.shardFor(key)
-	now := c.now()
-	c.lock(s)
 	defer s.mu.Unlock()
-	e := s.lookup(key, now, &c.expirations)
 	if e == nil {
 		return ErrNotFound
 	}
-	e.expires = expiryFrom(now, ttl)
+	e.expires = expiryFrom(c.now(), ttl)
 	e.touch()
 	return nil
 }
@@ -538,15 +483,12 @@ func (c *Cache) Touch(key string, ttl time.Duration) error {
 // IncrDecr adjusts a decimal uint64 value by delta (negative for decr).
 // Decrement saturates at zero (memcached semantics); increment wraps.
 // The new value is returned.
-func (c *Cache) IncrDecr(key string, delta int64) (uint64, error) {
-	if err := validateKey(key); err != nil {
+func (c *Cache) IncrDecr(key []byte, delta int64) (uint64, error) {
+	s, e, err := c.open(key, true)
+	if err != nil {
 		return 0, err
 	}
-	s := c.shardFor(key)
-	now := c.now()
-	c.lock(s)
 	defer s.mu.Unlock()
-	e := s.lookup(key, now, &c.expirations)
 	if e == nil {
 		return 0, ErrNotFound
 	}
@@ -565,8 +507,8 @@ func (c *Cache) IncrDecr(key string, delta int64) (uint64, error) {
 			next = cur - dec
 		}
 	}
-	s.store(key, []byte(strconv.FormatUint(next, 10)), e.flags, e.expires,
-		c.nextCAS(), now, c)
+	s.store(e.key, []byte(strconv.FormatUint(next, 10)), e.flags, e.expires,
+		c.nextCAS(), c.now(), c)
 	return next, nil
 }
 
@@ -653,16 +595,6 @@ func (e *entry) touch() {
 	}
 }
 
-// item copies e out for the caller. Caller holds mu.
-func (e *entry) item() Item {
-	return Item{
-		Value:   append([]byte(nil), e.value...),
-		Flags:   e.flags,
-		CAS:     e.cas,
-		Expires: expiryTime(e.expires),
-	}
-}
-
 func (e *entry) cost() int64 {
 	return ItemCost(len(e.key), len(e.value))
 }
@@ -700,39 +632,6 @@ func newShard(maxBytes int64) *shard {
 		items:    make(map[string]*entry),
 		maxBytes: maxBytes,
 	}
-}
-
-// lookup returns the live entry for key, reaping it if expired.
-// Caller holds mu.
-func (s *shard) lookup(key string, now int64, expirations *atomic.Int64) *entry {
-	e, ok := s.items[key]
-	if !ok {
-		return nil
-	}
-	if e.expired(now) {
-		s.remove(key)
-		expirations.Add(1)
-		return nil
-	}
-	return e
-}
-
-// lookupBytes is lookup for byte keys. The map index expression
-// s.items[string(key)] is recognized by the compiler, so no string is
-// materialized on the hit path; the clock is consulted only when the
-// entry carries an expiry, keeping TTL-less reads off time.Now.
-// Caller holds mu.
-func (s *shard) lookupBytes(key []byte, clock func() time.Time, expirations *atomic.Int64) *entry {
-	e, ok := s.items[string(key)]
-	if !ok {
-		return nil
-	}
-	if e.expires != 0 && e.expired(clock().UnixNano()) {
-		s.remove(e.key)
-		expirations.Add(1)
-		return nil
-	}
-	return e
 }
 
 func (s *shard) unlink(e *entry) {

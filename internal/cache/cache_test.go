@@ -46,10 +46,17 @@ func newTestCache(t *testing.T, opts Options) (*Cache, *fakeClock) {
 	return c, clk
 }
 
+// item is what one read returns.
+type item struct {
+	Value []byte
+	Flags uint32
+	CAS   uint64
+}
+
 // getItem reads key through GetInto, the server's read path.
-func getItem(c *Cache, key string) (Item, error) {
+func getItem(c *Cache, key string) (item, error) {
 	v, flags, cas, err := c.GetInto([]byte(key), nil)
-	return Item{Value: v, Flags: flags, CAS: cas}, err
+	return item{Value: v, Flags: flags, CAS: cas}, err
 }
 
 // setItem stores value at key through SetBytes, the server's write path.
@@ -126,6 +133,14 @@ func TestValueSizeLimit(t *testing.T) {
 	if err := setItem(c, "k", make([]byte, 10), 0, 0); err != nil {
 		t.Errorf("at-limit value rejected: %v", err)
 	}
+	// A refused store copies nothing, and a bad key outranks a bad size.
+	k, big, badKey := []byte("k"), make([]byte, 11), []byte("bad key")
+	if n := testing.AllocsPerRun(100, func() { _ = c.SetBytes(k, big, 0, 0) }); n != 0 {
+		t.Errorf("an oversized set allocated %v times, want 0", n)
+	}
+	if err := c.SetBytes(badKey, big, 0, 0); !errors.Is(err, ErrKeyInvalid) {
+		t.Errorf("bad key with an oversized value: err = %v, want ErrKeyInvalid", err)
+	}
 }
 
 func TestTTLExpiry(t *testing.T) {
@@ -148,30 +163,30 @@ func TestTTLExpiry(t *testing.T) {
 func TestTouchExtendsLife(t *testing.T) {
 	c, clk := newTestCache(t, Options{})
 	_ = setItem(c, "k", []byte("v"), 0, time.Second)
-	if err := c.Touch("k", time.Hour); err != nil {
+	if err := c.Touch([]byte("k"), time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	clk.Advance(10 * time.Second)
 	if _, err := getItem(c, "k"); err != nil {
 		t.Errorf("touched item gone: %v", err)
 	}
-	if err := c.Touch("absent", time.Hour); !errors.Is(err, ErrNotFound) {
+	if err := c.Touch([]byte("absent"), time.Hour); !errors.Is(err, ErrNotFound) {
 		t.Errorf("touch absent err = %v", err)
 	}
 }
 
 func TestAddReplaceSemantics(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
-	if err := c.Replace("k", []byte("v"), 0, 0); !errors.Is(err, ErrNotStored) {
+	if err := c.Store(ModeReplace, []byte("k"), []byte("v"), 0, 0, 0); !errors.Is(err, ErrNotStored) {
 		t.Errorf("replace absent: %v", err)
 	}
-	if err := c.Add("k", []byte("v1"), 0, 0); err != nil {
+	if err := c.Store(ModeAdd, []byte("k"), []byte("v1"), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Add("k", []byte("v2"), 0, 0); !errors.Is(err, ErrNotStored) {
+	if err := c.Store(ModeAdd, []byte("k"), []byte("v2"), 0, 0, 0); !errors.Is(err, ErrNotStored) {
 		t.Errorf("add existing: %v", err)
 	}
-	if err := c.Replace("k", []byte("v3"), 0, 0); err != nil {
+	if err := c.Store(ModeReplace, []byte("k"), []byte("v3"), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	it, _ := getItem(c, "k")
@@ -182,14 +197,14 @@ func TestAddReplaceSemantics(t *testing.T) {
 
 func TestAppendPrepend(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
-	if err := c.Append("k", []byte("x")); !errors.Is(err, ErrNotStored) {
+	if err := c.Store(ModeAppend, []byte("k"), []byte("x"), 0, 0, 0); !errors.Is(err, ErrNotStored) {
 		t.Errorf("append absent: %v", err)
 	}
 	_ = setItem(c, "k", []byte("mid"), 7, 0)
-	if err := c.Append("k", []byte("-end")); err != nil {
+	if err := c.Store(ModeAppend, []byte("k"), []byte("-end"), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Prepend("k", []byte("start-")); err != nil {
+	if err := c.Store(ModePrepend, []byte("k"), []byte("start-"), 0, 0, 0); err != nil {
 		t.Fatal(err)
 	}
 	it, _ := getItem(c, "k")
@@ -205,14 +220,14 @@ func TestCompareAndSwap(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
 	_ = setItem(c, "k", []byte("v1"), 0, 0)
 	it, _ := getItem(c, "k")
-	if err := c.CompareAndSwap("k", []byte("v2"), 0, 0, it.CAS); err != nil {
+	if err := c.Store(ModeCAS, []byte("k"), []byte("v2"), 0, 0, it.CAS); err != nil {
 		t.Fatal(err)
 	}
 	// Stale token now fails.
-	if err := c.CompareAndSwap("k", []byte("v3"), 0, 0, it.CAS); !errors.Is(err, ErrExists) {
+	if err := c.Store(ModeCAS, []byte("k"), []byte("v3"), 0, 0, it.CAS); !errors.Is(err, ErrExists) {
 		t.Errorf("stale cas err = %v", err)
 	}
-	if err := c.CompareAndSwap("absent", []byte("v"), 0, 0, 1); !errors.Is(err, ErrNotFound) {
+	if err := c.Store(ModeCAS, []byte("absent"), []byte("v"), 0, 0, 1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("cas absent err = %v", err)
 	}
 	it2, _ := getItem(c, "k")
@@ -224,10 +239,10 @@ func TestCompareAndSwap(t *testing.T) {
 func TestDelete(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
 	_ = setItem(c, "k", []byte("v"), 0, 0)
-	if err := c.Delete("k"); err != nil {
+	if err := c.Delete([]byte("k")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete("k"); !errors.Is(err, ErrNotFound) {
+	if err := c.Delete([]byte("k")); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double delete err = %v", err)
 	}
 	if _, err := getItem(c, "k"); !errors.Is(err, ErrNotFound) {
@@ -238,19 +253,19 @@ func TestDelete(t *testing.T) {
 func TestIncrDecr(t *testing.T) {
 	c, _ := newTestCache(t, Options{})
 	_ = setItem(c, "n", []byte("10"), 0, 0)
-	got, err := c.IncrDecr("n", 5)
+	got, err := c.IncrDecr([]byte("n"), 5)
 	if err != nil || got != 15 {
 		t.Fatalf("incr: %v %v", got, err)
 	}
-	got, err = c.IncrDecr("n", -20) // saturates at 0
+	got, err = c.IncrDecr([]byte("n"), -20) // saturates at 0
 	if err != nil || got != 0 {
 		t.Fatalf("decr: %v %v", got, err)
 	}
 	_ = setItem(c, "s", []byte("abc"), 0, 0)
-	if _, err := c.IncrDecr("s", 1); !errors.Is(err, ErrNotNumeric) {
+	if _, err := c.IncrDecr([]byte("s"), 1); !errors.Is(err, ErrNotNumeric) {
 		t.Errorf("non-numeric err = %v", err)
 	}
-	if _, err := c.IncrDecr("absent", 1); !errors.Is(err, ErrNotFound) {
+	if _, err := c.IncrDecr([]byte("absent"), 1); !errors.Is(err, ErrNotFound) {
 		t.Errorf("absent err = %v", err)
 	}
 	it, _ := getItem(c, "n")
@@ -315,7 +330,7 @@ func TestStatsCounters(t *testing.T) {
 	_ = setItem(c, "a", []byte("1"), 0, 0)
 	_, _ = getItem(c, "a")
 	_, _ = getItem(c, "b")
-	_ = c.Delete("a")
+	_ = c.Delete([]byte("a"))
 	st := c.Stats()
 	if st.Sets != 1 || st.Gets != 2 || st.Hits != 1 || st.Misses != 1 || st.Deletes != 1 {
 		t.Errorf("stats = %+v", st)
@@ -346,10 +361,10 @@ func TestConcurrentAccess(t *testing.T) {
 				_ = setItem(c, k, []byte("v"), 0, 0)
 				_, _ = getItem(c, k)
 				if i%10 == 0 {
-					_ = c.Delete(k)
+					_ = c.Delete([]byte(k))
 				}
 				if i%25 == 0 {
-					_, _ = c.IncrDecr("ctr", 1)
+					_, _ = c.IncrDecr([]byte("ctr"), 1)
 				}
 			}
 		}()
@@ -393,7 +408,7 @@ func TestPropertyAccountingInvariants(t *testing.T) {
 			case 1:
 				_, _ = getItem(c, key)
 			case 2:
-				_ = c.Delete(key)
+				_ = c.Delete([]byte(key))
 			case 3:
 				_ = setItem(c, key, []byte{byte(i)}, 0, 0)
 			}
@@ -473,21 +488,179 @@ func TestShardStatsAndLockWaitCounters(t *testing.T) {
 func TestGetAndTouch(t *testing.T) {
 	c, clk := newTestCache(t, Options{})
 	_ = setItem(c, "k", []byte("v"), 9, time.Second)
-	it, err := c.GetAndTouch("k", time.Hour)
+	dst := []byte("kept:")
+	v, flags, cas, err := c.GetAndTouch([]byte("k"), time.Hour, dst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(it.Value) != "v" || it.Flags != 9 {
-		t.Errorf("item = %+v", it)
+	if string(v) != "kept:v" || flags != 9 || cas == 0 {
+		t.Errorf("gat = (%q, %d, %d), want the value appended to dst, flags 9, a CAS", v, flags, cas)
 	}
 	clk.Advance(10 * time.Second) // would have expired without the touch
 	if _, err := getItem(c, "k"); err != nil {
 		t.Errorf("gat did not extend life: %v", err)
 	}
-	if _, err := c.GetAndTouch("absent", time.Hour); err != ErrNotFound {
+	if _, _, _, err := c.GetAndTouch([]byte("absent"), time.Hour, nil); err != ErrNotFound {
 		t.Errorf("gat absent: %v", err)
 	}
-	if _, err := c.GetAndTouch("", time.Hour); err != ErrKeyInvalid {
+	if _, _, _, err := c.GetAndTouch(nil, time.Hour, nil); err != ErrKeyInvalid {
 		t.Errorf("gat invalid key: %v", err)
+	}
+	st := c.Stats()
+	if st.Hits != 2 || st.Misses != 1 {
+		t.Errorf("hits=%d misses=%d, want 2 and 1: gat counts as a read", st.Hits, st.Misses)
+	}
+}
+
+// TestGetAndTouchZeroAlloc: gat reads into the caller's buffer as get
+// does, so a pre-sized destination costs nothing.
+func TestGetAndTouchZeroAlloc(t *testing.T) {
+	c, _ := newTestCache(t, Options{})
+	key := []byte("hotkey")
+	if err := c.SetBytes(key, bytes.Repeat([]byte("v"), 100), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	dst := make([]byte, 0, 128)
+	allocs := testing.AllocsPerRun(200, func() {
+		v, _, _, err := c.GetAndTouch(key, time.Hour, dst[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		dst = v[:0]
+	})
+	if allocs != 0 {
+		t.Errorf("GetAndTouch allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestStoreModes walks one key through every storage mode and checks
+// what each leaves behind: value, flags, CAS and the Sets count. The
+// concatenations pass an already-expired TTL and flags 9, both of which
+// they must ignore.
+func TestStoreModes(t *testing.T) {
+	c, clk := newTestCache(t, Options{MaxItemSize: 8})
+	k := []byte("k")
+	const stale = 999 // a token the cache never handed out
+	steps := []struct {
+		mode      StoreMode
+		value     string
+		flags     uint32
+		ttl       time.Duration
+		cas       uint64 // 0: the stored token
+		want      error
+		wantValue string // "": the key is absent after the step
+		wantFlags uint32
+	}{
+		{ModeReplace, "r", 1, 0, 0, ErrNotStored, "", 0},
+		{ModeAppend, "a", 1, 0, 0, ErrNotStored, "", 0},
+		{ModeCAS, "c", 1, 0, stale, ErrNotFound, "", 0},
+		{ModeAdd, "v", 3, 0, 0, nil, "v", 3},
+		{ModeAdd, "w", 4, 0, 0, ErrNotStored, "v", 3},
+		{ModeAppend, "z", 9, -time.Second, 0, nil, "vz", 3},
+		{ModePrepend, "y", 9, -time.Second, 0, nil, "yvz", 3},
+		{ModeAppend, "123456", 9, 0, 0, ErrValueTooLarge, "yvz", 3},
+		{ModeCAS, "x", 5, 0, stale, ErrExists, "yvz", 3},
+		{ModeCAS, "x", 5, 0, 0, nil, "x", 5},
+		{ModeReplace, "123456789", 6, 0, 0, ErrValueTooLarge, "x", 5},
+		{ModeReplace, "r", 6, 0, 0, nil, "r", 6},
+		{ModeSet, "s", 7, time.Minute, 0, nil, "s", 7},
+	}
+	sets := int64(0)
+	for i, st := range steps {
+		_, _, before, _ := c.GetInto(k, nil)
+		cas := before
+		if st.cas != 0 {
+			cas = st.cas
+		}
+		if err := c.Store(st.mode, k, []byte(st.value), st.flags, st.ttl, cas); !errors.Is(err, st.want) {
+			t.Fatalf("step %d: mode %d = %v, want %v", i, st.mode, err, st.want)
+		}
+		if st.want == nil {
+			sets++
+		}
+		v, flags, after, err := c.GetInto(k, nil)
+		if st.wantValue == "" {
+			if !errors.Is(err, ErrNotFound) {
+				t.Fatalf("step %d: key present (%q, %v), want absent", i, v, err)
+			}
+			continue
+		}
+		if string(v) != st.wantValue || flags != st.wantFlags {
+			t.Fatalf("step %d: stored (%q, %d, %v), want (%q, %d)", i, v, flags, err, st.wantValue, st.wantFlags)
+		}
+		if (st.want == nil) == (after == before) {
+			t.Fatalf("step %d: CAS %d -> %d; a store takes a fresh token, a refusal keeps it", i, before, after)
+		}
+	}
+	if got := c.Stats().Sets; got != sets {
+		t.Errorf("Sets = %d, want %d", got, sets)
+	}
+	clk.Advance(30 * time.Second)
+	if _, _, _, err := c.GetInto(k, nil); err != nil {
+		t.Errorf("30 s into the set's minute: %v", err)
+	}
+	clk.Advance(time.Minute)
+	if _, _, _, err := c.GetInto(k, nil); !errors.Is(err, ErrNotFound) {
+		t.Errorf("past the set's minute: %v, want ErrNotFound", err)
+	}
+}
+
+// TestStoreExpirations: set overwrites without a lookup, so an expired
+// entry it replaces is not counted as an expiration; every other mode
+// looks the key up, and reaps and counts one.
+func TestStoreExpirations(t *testing.T) {
+	c, clk := newTestCache(t, Options{})
+	k := []byte("k")
+	if err := c.SetBytes(k, []byte("v"), 0, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(2 * time.Second)
+	if err := c.SetBytes(k, []byte("v"), 0, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Stats().Expirations; got != 0 {
+		t.Fatalf("set over an expired entry: expirations = %d, want 0", got)
+	}
+	clk.Advance(2 * time.Second)
+	if err := c.Store(ModeReplace, k, []byte("w"), 0, 0, 0); !errors.Is(err, ErrNotStored) {
+		t.Fatalf("replace of an expired key = %v, want ErrNotStored", err)
+	}
+	if got := c.Stats().Expirations; got != 1 {
+		t.Errorf("replace over an expired entry: expirations = %d, want 1", got)
+	}
+}
+
+// TestContains: presence is answered without counting a hit or a miss,
+// and an expired key is absent.
+func TestContains(t *testing.T) {
+	c, clk := newTestCache(t, Options{})
+	if err := c.SetBytes([]byte("k"), []byte("v"), 0, time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !c.Contains([]byte("k")) || c.Contains([]byte("absent")) || c.Contains([]byte("bad key")) {
+		t.Fatal("Contains disagrees with what was stored")
+	}
+	if s := c.Stats(); s.Hits != 0 || s.Misses != 0 {
+		t.Fatalf("Contains counted %d hits and %d misses, want none", s.Hits, s.Misses)
+	}
+	clk.Advance(2 * time.Second)
+	if c.Contains([]byte("k")) {
+		t.Fatal("Contains reported an expired key")
+	}
+}
+
+// TestStoreCopiesValue: the cache keeps no reference to the caller's
+// value buffer in any mode, so the protocol path may reuse its scratch.
+func TestStoreCopiesValue(t *testing.T) {
+	c, _ := newTestCache(t, Options{})
+	buf := []byte("abc")
+	for _, mode := range []StoreMode{ModeSet, ModeReplace, ModeAppend, ModePrepend} {
+		if err := c.Store(mode, []byte("k"), buf, 0, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	copy(buf, "XYZ")
+	if v, _, _, _ := c.GetInto([]byte("k"), nil); string(v) != "abcabcabc" {
+		t.Errorf("stored value = %q, want abcabcabc untouched by the caller's write", v)
 	}
 }

@@ -21,7 +21,7 @@ func shardKeys(t *testing.T, c *Cache, shard, n int) []string {
 	keys := make([]string, 0, n)
 	for i := 0; len(keys) < n; i++ {
 		k := fmt.Sprintf("sk%06d", i)
-		if c.shardFor(k) == c.shards[shard] {
+		if fnv64a([]byte(k))&c.shardMask == uint64(shard) {
 			keys = append(keys, k)
 		}
 		if i > 1_000_000 {
@@ -68,9 +68,9 @@ func TestConcurrentMixedOps(t *testing.T) {
 				case 3:
 					_, _, _, _ = c.GetInto(kb, dst[:0])
 				case 4:
-					_ = c.Delete(k)
+					_ = c.Delete([]byte(k))
 				case 5:
-					_ = c.Append(k, []byte("+"))
+					_ = c.Store(ModeAppend, []byte(k), []byte("+"), 0, 0, 0)
 				}
 			}
 		}(w)
@@ -102,7 +102,7 @@ func TestConcurrentIncrAtomicity(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < incrs; i++ {
-				if _, err := c.IncrDecr("ctr", 1); err != nil {
+				if _, err := c.IncrDecr([]byte("ctr"), 1); err != nil {
 					t.Error(err)
 				}
 			}

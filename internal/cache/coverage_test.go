@@ -2,6 +2,7 @@ package cache
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -108,26 +109,27 @@ func TestByteKeyValidation(t *testing.T) {
 	}
 }
 
-func TestStringKeyValidation(t *testing.T) {
-	c, err := New(Options{})
+// TestEveryVerbValidatesKey: every keyed verb goes through the one
+// preamble, so each rejects a bad key the same way, and a bad key takes
+// precedence over an oversized value.
+func TestEveryVerbValidatesKey(t *testing.T) {
+	c, err := New(Options{MaxItemSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	val := []byte("v")
-	for name, call := range map[string]func(string) error{
-		"Set":     func(k string) error { return setItem(c, k, val, 0, 0) },
-		"Add":     func(k string) error { return c.Add(k, val, 0, 0) },
-		"Replace": func(k string) error { return c.Replace(k, val, 0, 0) },
-		"Append":  func(k string) error { return c.Append(k, val) },
-		"Prepend": func(k string) error { return c.Prepend(k, val) },
-		"CAS":     func(k string) error { return c.CompareAndSwap(k, val, 0, 0, 1) },
-		"Delete":  c.Delete,
-		"Touch":   func(k string) error { return c.Touch(k, 0) },
-		"Incr":    func(k string) error { _, err := c.IncrDecr(k, 1); return err },
-		"Get":     func(k string) error { _, err := getItem(c, k); return err },
-		"GAT":     func(k string) error { _, err := c.GetAndTouch(k, 0); return err },
-	} {
-		if err := call("bad key"); !errors.Is(err, ErrKeyInvalid) {
+	val := []byte("too large")
+	calls := map[string]func([]byte) error{
+		"Delete": c.Delete,
+		"Touch":  func(k []byte) error { return c.Touch(k, 0) },
+		"Incr":   func(k []byte) error { _, err := c.IncrDecr(k, 1); return err },
+		"Get":    func(k []byte) error { _, _, _, err := c.GetInto(k, nil); return err },
+		"GAT":    func(k []byte) error { _, _, _, err := c.GetAndTouch(k, 0, nil); return err },
+	}
+	for _, mode := range []StoreMode{ModeSet, ModeAdd, ModeReplace, ModeAppend, ModePrepend, ModeCAS} {
+		calls[fmt.Sprintf("Store(%d)", mode)] = func(k []byte) error { return c.Store(mode, k, val, 0, 0, 1) }
+	}
+	for name, call := range calls {
+		if err := call([]byte("bad key")); !errors.Is(err, ErrKeyInvalid) {
 			t.Errorf("%s with invalid key = %v, want ErrKeyInvalid", name, err)
 		}
 	}

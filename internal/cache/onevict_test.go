@@ -53,7 +53,7 @@ func TestOnEvict(t *testing.T) {
 			run: func(c *Cache, _ *fakeClock) {
 				setItem(c, "key-0000", val("value-00"), 0, 0)
 				setItem(c, "key-0000", val("value-XX"), 0, 0)
-				c.Delete("key-0000")
+				c.Delete([]byte("key-0000"))
 			},
 			want: nil,
 		},

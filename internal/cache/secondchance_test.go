@@ -97,10 +97,10 @@ func TestSecondChanceOrder(t *testing.T) {
 				if _, _, _, err := c.GetInto([]byte("b"), nil); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := c.GetAndTouch("c", 0); err != nil {
+				if _, _, _, err := c.GetAndTouch([]byte("c"), 0, nil); err != nil {
 					t.Fatal(err)
 				}
-				if err := c.Touch("d", 0); err != nil {
+				if err := c.Touch([]byte("d"), 0); err != nil {
 					t.Fatal(err)
 				}
 				set(t, c, "e") // b, c, d reprieved in turn, then b goes
@@ -228,7 +228,7 @@ func TestStatsBalanceUnderConcurrency(t *testing.T) {
 				case 1:
 					_, _, _, err = c.GetInto([]byte(key), dst[:0])
 				default:
-					_, err = c.GetAndTouch(key, 0)
+					_, _, _, err = c.GetAndTouch([]byte(key), 0, dst[:0])
 				}
 				if i%2 == 0 && err != nil || i%2 == 1 && !errors.Is(err, ErrNotFound) {
 					t.Errorf("read %d of %s = %v", i, key, err)

@@ -89,7 +89,7 @@ func ExtResilience(b Budget) (*Report, error) {
 				"each masks ~p of the p-probability drops per extra attempt",
 			"the breaker trades availability for latency: shed keys fail fast instead " +
 				"of eating the 5ms timeout stand-in",
-			"the live client interprets the same policy knobs (client.ResilienceFromSpec); " +
+			"the live client reads the same policy knobs (client.Options.Resilience, a fault.Resilience); " +
 				"mcbench -faults runs this sweep's schedule against the real TCP stack",
 		},
 		Elapsed: time.Since(start),

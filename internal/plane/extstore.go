@@ -79,16 +79,18 @@ func (e ExtstoreSpec) validate(name string) error {
 		return fmt.Errorf("plane: scenario %q: extstore TotalItems=%d must exceed RAMItems=%d (otherwise there is no SSD tier)",
 			name, e.TotalItems, e.RAMItems)
 	}
-	if !(e.MuDisk > 0) {
-		return fmt.Errorf("plane: scenario %q: extstore MuDisk=%v must be positive", name, e.MuDisk)
+	// The model, the simulator and the live plane would each read an
+	// infinite rate or shape differently, so no plane takes one.
+	if !(e.MuDisk > 0) || math.IsInf(e.MuDisk, 1) {
+		return fmt.Errorf("plane: scenario %q: extstore MuDisk=%v must be positive and finite", name, e.MuDisk)
 	}
 	switch e.DiskDist {
 	case DiskDistExp, DiskDistLogNormal:
 	default:
 		return fmt.Errorf("plane: scenario %q: extstore DiskDist=%q unknown (exp, lognormal)", name, e.DiskDist)
 	}
-	if !(e.DiskSigma > 0) {
-		return fmt.Errorf("plane: scenario %q: extstore DiskSigma=%v must be positive", name, e.DiskSigma)
+	if !(e.DiskSigma > 0) || math.IsInf(e.DiskSigma, 1) {
+		return fmt.Errorf("plane: scenario %q: extstore DiskSigma=%v must be positive and finite", name, e.DiskSigma)
 	}
 	return nil
 }

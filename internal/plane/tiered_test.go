@@ -197,6 +197,41 @@ func TestCrossPlaneTiered(t *testing.T) {
 	})
 }
 
+// TestExtstoreSpecRefusedOnEveryPlane: a disk rate or shape that is not
+// finite would be priced by the model, fail deep inside the simulator's
+// distributions and be ignored by the live plane; instead every plane
+// refuses it with the same validation error.
+func TestExtstoreSpecRefusedOnEveryPlane(t *testing.T) {
+	ctx := context.Background()
+	for name, mut := range map[string]func(*ExtstoreSpec){
+		"mud=Inf":   func(e *ExtstoreSpec) { e.MuDisk = math.Inf(1) },
+		"sigma=NaN": func(e *ExtstoreSpec) { e.DiskDist, e.DiskSigma = DiskDistLogNormal, math.NaN() },
+		"sigma=Inf": func(e *ExtstoreSpec) { e.DiskDist, e.DiskSigma = DiskDistLogNormal, math.Inf(1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := tieredScenario(t)
+			spec := *s.Extstore
+			mut(&spec)
+			s.Extstore = &spec
+			want := spec.withDefaults().validate(s.Name)
+			if want == nil {
+				t.Fatal("validate accepted the spec")
+			}
+			_, mErr := ModelPlane{}.Run(ctx, s)
+			_, sErr := (SimPlane{}).Run(ctx, s)
+			r, lErr := (LivePlane{}).Start(s)
+			if lErr == nil {
+				r.Close()
+			}
+			for plane, err := range map[string]error{"model": mErr, "sim": sErr, "live": lErr} {
+				if err == nil || err.Error() != want.Error() {
+					t.Errorf("%s plane: err = %v, want %q", plane, err, want)
+				}
+			}
+		})
+	}
+}
+
 // TestTieredScenarioValidation pins the rejection surface: the
 // integrated simulator does not model the tier, and malformed specs
 // fail on every plane with a named scenario.

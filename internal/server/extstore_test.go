@@ -243,3 +243,154 @@ func TestTieredTTLSurvivesDemotion(t *testing.T) {
 		t.Fatalf("get after expiry = %q, want END (promotion dropped the TTL?)", got)
 	}
 }
+
+// TestTieredAddOfPromotedKeyChangesNothing: a get that promotes a disk
+// record leaves the key on both tiers. An add of it then fails on the RAM
+// copy alone: no disk read, no second promotion, and the CAS token a gets
+// handed out still works.
+func TestTieredAddOfPromotedKeyChangesNothing(t *testing.T) {
+	for _, core := range testCores(t) {
+		t.Run(core, func(t *testing.T) {
+			srv, ext, addr := tieredServer(t, core)
+			r, w, _ := dial(t, addr)
+			send(t, w, "set k 7 0 8\r\nvalue-xx\r\n")
+			readLine(t, r)
+			for i := 0; i < 4; i++ {
+				send(t, w, fmt.Sprintf("set pad-%d 0 0 3\r\npad\r\n", i))
+				readLine(t, r)
+			}
+			ext.Flush()
+			send(t, w, "get k\r\n")
+			expectValue(t, r, "k", "7", "value-xx")
+			if _, _, _, err := ext.Lookup([]byte("k"), nil); err != nil {
+				t.Fatalf("k is not on disk after its promotion: %v", err)
+			}
+			send(t, w, "gets k\r\n")
+			f := strings.Fields(readLine(t, r))
+			readLine(t, r) // body
+			readLine(t, r) // END
+			if len(f) != 5 || f[4] == "0" {
+				t.Fatalf("gets of a promoted key = %q, want a RAM hit with its CAS", f)
+			}
+			hits, promos := srv.ExtstoreCounts()
+			send(t, w, "add k 0 0 3\r\nnew\r\n")
+			if got := readLine(t, r); got != "NOT_STORED" {
+				t.Fatalf("add of a key on both tiers = %q, want NOT_STORED", got)
+			}
+			if h, p := srv.ExtstoreCounts(); h != hits || p != promos {
+				t.Fatalf("add moved the extstore counts from (%d, %d) to (%d, %d)", hits, promos, h, p)
+			}
+			send(t, w, "cas k 0 0 1 "+f[4]+"\r\nx\r\n")
+			if got := readLine(t, r); got != "STORED" {
+				t.Fatalf("cas with the token gets handed out = %q, want STORED", got)
+			}
+		})
+	}
+}
+
+// TestTieredVerbsSeeOneCache runs every keyed verb against a key while it
+// is in RAM, then against the same key after it has spilled to disk: the
+// reply, and what a get sees afterwards, must not depend on the tier. The
+// two exceptions are the CAS cases DESIGN §15.2 documents: a disk hit is
+// served with CAS 0, because its promoted copy owns a token the reply
+// never saw, and for the same reason a cas with the token read before the
+// spill answers EXISTS.
+func TestTieredVerbsSeeOneCache(t *testing.T) {
+	value := func(flags, body string) string {
+		return fmt.Sprintf("VALUE k %s %d|%s|END", flags, len(body), body)
+	}
+	verbs := []struct {
+		name, stored, cmd string
+		reply, after      string
+		diskReply         string // "" = reply
+		diskAfter         string // "" = after
+	}{
+		{name: "add", stored: "value-xx", cmd: "add k 0 0 3\r\nnew\r\n",
+			reply: "NOT_STORED", after: value("7", "value-xx")},
+		{name: "replace", stored: "value-xx", cmd: "replace k 5 0 3\r\nnew\r\n",
+			reply: "STORED", after: value("5", "new")},
+		{name: "append", stored: "value-xx", cmd: "append k 0 0 2\r\n!!\r\n",
+			reply: "STORED", after: value("7", "value-xx!!")},
+		{name: "prepend", stored: "value-xx", cmd: "prepend k 0 0 2\r\n>>\r\n",
+			reply: "STORED", after: value("7", ">>value-xx")},
+		{name: "cas", stored: "value-xx", cmd: "cas k 0 0 1 {cas}\r\nx\r\n",
+			reply: "STORED", after: value("0", "x"),
+			diskReply: "EXISTS", diskAfter: value("7", "value-xx")},
+		{name: "incr", stored: "41", cmd: "incr k 1\r\n", reply: "42", after: value("7", "42")},
+		{name: "decr", stored: "41", cmd: "decr k 3\r\n", reply: "38", after: value("7", "38")},
+		{name: "touch", stored: "value-xx", cmd: "touch k 100\r\n",
+			reply: "TOUCHED", after: value("7", "value-xx")},
+		{name: "gat", stored: "value-xx", cmd: "gat 100 k\r\n",
+			reply: value("7", "value-xx"), after: value("7", "value-xx")},
+		{name: "gats", stored: "value-xx", cmd: "gats 100 k\r\n",
+			reply: "VALUE k 7 8 <cas>|value-xx|END", after: value("7", "value-xx")},
+		{name: "get", stored: "value-xx", cmd: "get k\r\n",
+			reply: value("7", "value-xx"), after: value("7", "value-xx")},
+		{name: "gets", stored: "value-xx", cmd: "gets k\r\n",
+			reply: "VALUE k 7 8 <cas>|value-xx|END", after: value("7", "value-xx"),
+			diskReply: "VALUE k 7 8 0|value-xx|END"},
+		{name: "delete", stored: "value-xx", cmd: "delete k\r\n", reply: "DELETED", after: "END"},
+	}
+	for _, core := range testCores(t) {
+		t.Run(core, func(t *testing.T) {
+			srv, ext, addr := tieredServer(t, core)
+			r, w, _ := dial(t, addr)
+			// reply reads one reply, a VALUE block's data line included,
+			// joined by "|", with every nonzero CAS shown as <cas>.
+			reply := func() string {
+				var lines []string
+				for {
+					line := readLine(t, r)
+					f := strings.Fields(line)
+					if len(f) == 5 && f[0] == "VALUE" && f[4] != "0" {
+						line = strings.Join(append(f[:4], "<cas>"), " ")
+					}
+					lines = append(lines, line)
+					if f == nil || f[0] != "VALUE" {
+						return strings.Join(lines, "|")
+					}
+					lines = append(lines, readLine(t, r))
+				}
+			}
+			for _, v := range verbs {
+				for _, onDisk := range []bool{false, true} {
+					send(t, w, "flush_all\r\n")
+					reply()
+					send(t, w, fmt.Sprintf("set k 7 0 %d\r\n%s\r\ngets k\r\n", len(v.stored), v.stored))
+					reply()
+					f := strings.Fields(readLine(t, r))
+					readLine(t, r) // body
+					readLine(t, r) // END
+					wantReply, wantAfter := v.reply, v.after
+					if onDisk {
+						for i := 0; i < 4; i++ {
+							send(t, w, fmt.Sprintf("set pad-%d 0 0 3\r\npad\r\n", i))
+							reply()
+						}
+						ext.Flush()
+						if _, _, _, err := srv.Cache().GetInto([]byte("k"), nil); err == nil {
+							t.Fatal("k is still in RAM after the spill")
+						}
+						if _, _, _, err := ext.Lookup([]byte("k"), nil); err != nil {
+							t.Fatalf("k is not on disk after the spill: %v", err)
+						}
+						if v.diskReply != "" {
+							wantReply = v.diskReply
+						}
+						if v.diskAfter != "" {
+							wantAfter = v.diskAfter
+						}
+					}
+					send(t, w, strings.ReplaceAll(v.cmd, "{cas}", f[4]))
+					got := reply()
+					send(t, w, "get k\r\n")
+					after := reply()
+					if got != wantReply || after != wantAfter {
+						t.Errorf("%s, on disk %v: reply %q then get %q, want %q then %q",
+							v.name, onDisk, got, after, wantReply, wantAfter)
+					}
+				}
+			}
+		})
+	}
+}

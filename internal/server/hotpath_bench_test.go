@@ -62,6 +62,7 @@ func startHotServer(tb testing.TB, core string, maxConns int) string {
 // of the server's reply, so workers can io.ReadFull without parsing.
 //
 //	get:      pipeline of single-key gets (op = one get)
+//	gat:      pipeline of single-key gats (op = one gat)
 //	set:      pipeline of sets             (op = one set)
 //	multiget: pipeline of 8-key gets       (op = one 8-key command)
 func hotBatch(op string, offset int) (batch []byte, ops int, respLen int) {
@@ -74,6 +75,12 @@ func hotBatch(op string, offset int) (batch []byte, ops int, respLen int) {
 		ops = 64
 		for i := 0; i < ops; i++ {
 			fmt.Fprintf(&sb, "get %s\r\n", hotKey(offset+i))
+		}
+		respLen = ops * (valueBlock + len("END\r\n"))
+	case "gat":
+		ops = 64
+		for i := 0; i < ops; i++ {
+			fmt.Fprintf(&sb, "gat 0 %s\r\n", hotKey(offset+i))
 		}
 		respLen = ops * (valueBlock + len("END\r\n"))
 	case "set":
@@ -136,14 +143,14 @@ func (c *hotConn) roundTrip() error {
 }
 
 // TestHotPathAllocs is the allocation gate of the server hot path, on
-// both connection cores: a pipelined batch of gets or multigets costs
-// the whole process zero heap allocations, a set at most three (the
+// both connection cores: a pipelined batch of gets, gats or multigets
+// costs the whole process zero heap allocations, a set at most three (the
 // stored item). AllocsPerRun counts every goroutine's mallocs, so the
 // server side is what it sees. The last case repeats the get with 1000
 // connections parked on the event loop: fan-in must not add a malloc.
 func TestHotPathAllocs(t *testing.T) {
 	for _, core := range testCores(t) {
-		for _, op := range []string{"get", "set", "multiget"} {
+		for _, op := range []string{"get", "gat", "set", "multiget"} {
 			t.Run(core+"/"+op, func(t *testing.T) {
 				checkHotAllocs(t, startHotServer(t, core, 0), op)
 			})
@@ -164,7 +171,7 @@ func TestHotPathAllocs(t *testing.T) {
 }
 
 // checkHotAllocs fails unless a steady-state batch of op against addr
-// allocates nothing (get, multiget) or at most 3 per command (set).
+// allocates nothing (get, gat, multiget) or at most 3 per command (set).
 func checkHotAllocs(t *testing.T, addr, op string) {
 	t.Helper()
 	c := dialHot(t, addr, op, 0)

@@ -7,7 +7,6 @@
 package server
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"log"
@@ -374,9 +373,21 @@ func reply(w *protocol.Writer, cmd *protocol.Command, line string) error {
 	return w.Line(line)
 }
 
+// storeModes maps each storage verb to its cache precondition.
+var storeModes = [...]cache.StoreMode{
+	protocol.OpSet:     cache.ModeSet,
+	protocol.OpAdd:     cache.ModeAdd,
+	protocol.OpReplace: cache.ModeReplace,
+	protocol.OpAppend:  cache.ModeAppend,
+	protocol.OpPrepend: cache.ModePrepend,
+	protocol.OpCas:     cache.ModeCAS,
+}
+
 func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSession) error {
 	c := s.opts.Cache
 	st := &cs.st
+	// ttl is the expiry of the verbs that carry one (storage, touch, gat).
+	ttl := ttlFromExptime(cmd.Exptime, time.Now)
 	switch cmd.Op {
 	case protocol.OpGet, protocol.OpGets:
 		// The zero-alloc path: keys alias the parser's buffers, values
@@ -405,123 +416,65 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 		}
 		return w.End()
 
-	case protocol.OpSet:
-		// SetBytes copies key and value, so the parser scratch that
-		// cmd.Value aliases is safe to reuse on the next command.
-		err := c.SetBytes(cmd.KeyB, cmd.Value, cmd.Flags, ttlFromExptime(cmd.Exptime, time.Now))
-		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
-	case protocol.OpAdd:
-		err := c.Add(string(cmd.KeyB), bytes.Clone(cmd.Value), cmd.Flags, ttlFromExptime(cmd.Exptime, time.Now))
-		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
-	case protocol.OpReplace:
-		k, v, ttl := string(cmd.KeyB), bytes.Clone(cmd.Value), ttlFromExptime(cmd.Exptime, time.Now)
-		err := c.Replace(k, v, cmd.Flags, ttl)
-		if s.promoted(err, cmd.KeyB, cs) {
-			err = c.Replace(k, v, cmd.Flags, ttl)
-		}
-		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
-	case protocol.OpAppend, protocol.OpPrepend:
-		// concat copies the affix under the shard lock; no clone needed.
-		concat := c.Append
-		if cmd.Op == protocol.OpPrepend {
-			concat = c.Prepend
-		}
-		k := string(cmd.KeyB)
-		err := concat(k, cmd.Value)
-		if s.promoted(err, cmd.KeyB, cs) {
-			err = concat(k, cmd.Value)
-		}
-		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
-	case protocol.OpCas:
-		// A promoted copy owns a fresh CAS, so a cas of a disk-resident
-		// key answers EXISTS (the token is out of date), not NOT_FOUND.
-		k, v, ttl := string(cmd.KeyB), bytes.Clone(cmd.Value), ttlFromExptime(cmd.Exptime, time.Now)
-		err := c.CompareAndSwap(k, v, cmd.Flags, ttl, cmd.CAS)
-		if s.promoted(err, cmd.KeyB, cs) {
-			err = c.CompareAndSwap(k, v, cmd.Flags, ttl, cmd.CAS)
-		}
-		return s.storageReply(w, cmd, s.settle(cmd.KeyB, err))
+	case protocol.OpSet, protocol.OpAdd, protocol.OpReplace,
+		protocol.OpAppend, protocol.OpPrepend, protocol.OpCas:
+		mode := storeModes[cmd.Op]
+		err := s.tiered(cmd.Op, cmd.KeyB, cs, func() error {
+			return c.Store(mode, cmd.KeyB, cmd.Value, cmd.Flags, ttl, cmd.CAS)
+		})
+		return keyedReply(w, cmd, err, protocol.RespStored)
 
 	case protocol.OpDelete:
-		err := c.Delete(string(cmd.KeyB))
+		err := c.Delete(cmd.KeyB)
 		// The disk record goes whether or not RAM held the key —
 		// otherwise the next get would resurrect it — and a key that
 		// lived on disk only was still deleted.
 		if ext := s.opts.Extstore; ext != nil && ext.Delete(cmd.KeyB) && errors.Is(err, cache.ErrNotFound) {
 			err = nil
 		}
-		switch {
-		case err == nil:
-			return reply(w, cmd, protocol.RespDeleted)
-		case errors.Is(err, cache.ErrNotFound):
-			return reply(w, cmd, protocol.RespNotFound)
-		default:
-			return s.cacheError(w, cmd, err)
-		}
+		return keyedReply(w, cmd, err, protocol.RespDeleted)
 
 	case protocol.OpIncr, protocol.OpDecr:
 		delta := int64(cmd.Delta)
 		if cmd.Op == protocol.OpDecr {
 			delta = -delta
 		}
-		k := string(cmd.KeyB)
-		n, err := c.IncrDecr(k, delta)
-		if s.promoted(err, cmd.KeyB, cs) {
-			n, err = c.IncrDecr(k, delta)
-		}
-		s.settle(cmd.KeyB, err)
-		switch {
-		case err == nil:
-			if cmd.Noreply {
-				return nil
-			}
+		var n uint64
+		err := s.tiered(cmd.Op, cmd.KeyB, cs, func() (err error) {
+			n, err = c.IncrDecr(cmd.KeyB, delta)
+			return err
+		})
+		if err == nil && !cmd.Noreply {
 			return w.Number(n)
-		case errors.Is(err, cache.ErrNotFound):
-			return reply(w, cmd, protocol.RespNotFound)
-		case errors.Is(err, cache.ErrNotNumeric):
-			if cmd.Noreply {
-				return nil
-			}
-			return w.ClientErrorf("cannot increment or decrement non-numeric value")
-		default:
-			return s.cacheError(w, cmd, err)
 		}
+		return keyedReply(w, cmd, err, "")
 
 	case protocol.OpTouch:
-		k, ttl := string(cmd.KeyB), ttlFromExptime(cmd.Exptime, time.Now)
-		err := c.Touch(k, ttl)
-		if s.promoted(err, cmd.KeyB, cs) {
-			err = c.Touch(k, ttl)
-		}
-		s.settle(cmd.KeyB, err)
-		switch {
-		case err == nil:
-			return reply(w, cmd, protocol.RespTouched)
-		case errors.Is(err, cache.ErrNotFound):
-			return reply(w, cmd, protocol.RespNotFound)
-		default:
-			return s.cacheError(w, cmd, err)
-		}
+		err := s.tiered(cmd.Op, cmd.KeyB, cs, func() error { return c.Touch(cmd.KeyB, ttl) })
+		return keyedReply(w, cmd, err, protocol.RespTouched)
 
 	case protocol.OpGat, protocol.OpGats:
 		withCAS := cmd.Op == protocol.OpGats
-		ttl := ttlFromExptime(cmd.Exptime, time.Now)
 		for _, key := range cmd.KeyList {
-			it, err := c.GetAndTouch(string(key), ttl)
-			if s.promoted(err, key, cs) {
-				it, err = c.GetAndTouch(string(key), ttl)
-			}
-			if s.settle(key, err) != nil {
+			var v []byte
+			var flags uint32
+			var cas uint64
+			err := s.tiered(cmd.Op, key, cs, func() (err error) {
+				v, flags, cas, err = c.GetAndTouch(key, ttl, st.val[:0])
+				return err
+			})
+			if err != nil {
 				continue
 			}
-			if err := w.ValueBytes(key, it.Flags, it.CAS, it.Value, withCAS); err != nil {
+			st.val = v
+			if err := w.ValueBytes(key, flags, cas, v, withCAS); err != nil {
 				return err
 			}
 		}
 		return w.End()
 
 	case protocol.OpStats:
-		return s.writeStats(w, string(cmd.KeyB))
+		return s.writeStats(w, cmd.KeyB)
 
 	case protocol.OpFlushAll:
 		c.FlushAll()
@@ -577,50 +530,54 @@ func (s *Server) diskFill(key []byte, cs *connSession) ([]byte, uint32, bool) {
 	return v, flags, true
 }
 
-// promoted reports whether a keyed verb that just missed RAM should run
-// once more: err says the key was absent, and the disk tier held it and
-// diskFill has put it back in RAM. Verbs that need the current value
-// (touch, gat, append, incr, replace, cas) see one cache, not two tiers.
-func (s *Server) promoted(err error, key []byte, cs *connSession) bool {
-	if !errors.Is(err, cache.ErrNotFound) && !errors.Is(err, cache.ErrNotStored) {
-		return false
+// tiered runs one keyed verb against RAM and the disk tier as one cache.
+// A verb that needs the key present and missed RAM runs once more after
+// diskFill has promoted the disk record; add promotes before its one
+// run instead, because what fails it is presence, and only a key RAM
+// lacks: a key get has already promoted is on both tiers, and promoting
+// it again would overwrite the live copy. The promoted copy owns
+// a fresh CAS, so a cas of a disk-resident key answers EXISTS (its token
+// is out of date), not NOT_FOUND. A verb that succeeds drops the disk
+// record, so a stale copy cannot outlive it; one that failed leaves both
+// tiers as they were. Without a disk tier the verb just runs.
+func (s *Server) tiered(op protocol.Op, key []byte, cs *connSession, run func() error) error {
+	ext := s.opts.Extstore
+	if ext == nil {
+		return run()
 	}
-	_, _, ok := s.diskFill(key, cs)
-	return ok
-}
-
-// settle drops key's disk record once a mutation has succeeded, so a
-// stale disk copy cannot outlive it; a verb that failed leaves both
-// tiers as they were. One nil check without a disk tier.
-func (s *Server) settle(key []byte, err error) error {
-	if ext := s.opts.Extstore; ext != nil && err == nil {
+	if op == protocol.OpAdd && !s.opts.Cache.Contains(key) {
+		s.diskFill(key, cs)
+	}
+	err := run()
+	if op != protocol.OpAdd && (errors.Is(err, cache.ErrNotFound) || errors.Is(err, cache.ErrNotStored)) {
+		if _, _, ok := s.diskFill(key, cs); ok {
+			err = run()
+		}
+	}
+	if err == nil {
 		ext.Delete(key)
 	}
 	return err
 }
 
-// storageReply maps cache errors of storage commands to protocol lines.
-func (s *Server) storageReply(w *protocol.Writer, cmd *protocol.Command, err error) error {
-	switch {
-	case err == nil:
-		return reply(w, cmd, protocol.RespStored)
-	case errors.Is(err, cache.ErrNotStored):
-		return reply(w, cmd, protocol.RespNotStored)
-	case errors.Is(err, cache.ErrExists):
-		return reply(w, cmd, protocol.RespExists)
-	case errors.Is(err, cache.ErrNotFound):
-		return reply(w, cmd, protocol.RespNotFound)
-	default:
-		return s.cacheError(w, cmd, err)
-	}
-}
-
-// cacheError reports validation failures as CLIENT_ERROR.
-func (s *Server) cacheError(w *protocol.Writer, cmd *protocol.Command, err error) error {
+// keyedReply answers a keyed verb: ok on success, otherwise the
+// protocol's line for the cache error. Validation failures are
+// CLIENT_ERRORs.
+func keyedReply(w *protocol.Writer, cmd *protocol.Command, err error, ok string) error {
 	if cmd.Noreply {
 		return nil
 	}
 	switch {
+	case err == nil:
+		return w.Line(ok)
+	case errors.Is(err, cache.ErrNotStored):
+		return w.Line(protocol.RespNotStored)
+	case errors.Is(err, cache.ErrExists):
+		return w.Line(protocol.RespExists)
+	case errors.Is(err, cache.ErrNotFound):
+		return w.Line(protocol.RespNotFound)
+	case errors.Is(err, cache.ErrNotNumeric):
+		return w.ClientErrorf("cannot increment or decrement non-numeric value")
 	case errors.Is(err, cache.ErrKeyInvalid), errors.Is(err, cache.ErrValueTooLarge):
 		return w.ClientErrorf("%v", err)
 	default:
@@ -628,8 +585,8 @@ func (s *Server) cacheError(w *protocol.Writer, cmd *protocol.Command, err error
 	}
 }
 
-func (s *Server) writeStats(w *protocol.Writer, section string) error {
-	switch section {
+func (s *Server) writeStats(w *protocol.Writer, section []byte) error {
+	switch string(section) {
 	case "items", "slabs":
 		// Per-size-class accounting, in the spirit of memcached's
 		// "stats items"/"stats slabs" output.

@@ -480,7 +480,7 @@ func TestStatsSections(t *testing.T) {
 	}
 
 	send(t, w, "stats bogus\r\n")
-	if got := readLine(t, r); !strings.HasPrefix(got, "CLIENT_ERROR") {
+	if got := readLine(t, r); got != `CLIENT_ERROR unknown stats section "bogus"` {
 		t.Errorf("unknown section reply = %q", got)
 	}
 }
