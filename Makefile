@@ -46,7 +46,7 @@ lint:
 # hot-path rework touches most, plus the proxy tier's data plane and
 # routing library. The floors are the blessed coverage levels; CI fails
 # if any package drops below its floor.
-COVER_FLOORS = cache:95.2 protocol:90.6 proxy:82.0 route:91.0 otrace:95.0 \
+COVER_FLOORS = cache:95.2 protocol:90.6 proxy:91.0 route:91.0 otrace:95.0 \
 	metrics:90.0 server:77.0 coalesce:90.0 tenant:90.0 extstore:85.0 \
 	sketch:90.0 slo:85.0 client:86.0
 

@@ -33,19 +33,24 @@ const (
 	// roleDirect is both the upstream leg and the downstream reply slot:
 	// the unsplit passthrough hot path.
 	roleDirect role = iota
-	// roleSlot is a downstream reply slot fed by separate legs (split
-	// multi-get join, replicated-read race, or a local reply).
+	// roleSlot is a downstream reply slot: a local reply, or a fan-out
+	// whose legs fold into it by its join rule.
 	roleSlot
-	// rolePart is one upstream leg of a split multi-get; its VALUE
-	// blocks append to the slot, its END is swallowed.
-	rolePart
-	// roleRaceLeg is one upstream leg of a replicated read; the first
-	// to produce bytes claims the slot, the rest drain.
-	roleRaceLeg
-	// roleJoinLine is one upstream leg of a line-reply broadcast
-	// (replicated write, flush_all); lines fold into the slot with
-	// error lines preferred.
-	roleJoinLine
+	// roleLeg is one upstream request of a fan-out, feeding its slot.
+	roleLeg
+)
+
+// join is how a fan-out slot folds its legs' replies (see fold).
+type join uint8
+
+const (
+	// joinLines: a broadcast (replicated write, flush_all) waits for
+	// every leg; the first error line beats any success.
+	joinLines join = iota
+	// joinSplit: a split multi-get concatenates its parts' VALUE blocks.
+	joinSplit
+	// joinRace: a replicated read takes the first healthy reply.
+	joinRace
 )
 
 // pending is one entry of the in-order reply machinery: downstream
@@ -58,13 +63,13 @@ type pending struct {
 	next *pending
 	kind replyKind
 	role role
-	srv  int // origin upstream (breaker bookkeeping)
+	join join // slot: how its legs fold
+	srv  int  // origin upstream (breaker bookkeeping)
 
 	done      bool   // slot: reply bytes complete
 	popped    bool   // slot: left the queue (awaiting straggler legs)
-	claimed   bool   // race slot: a winner is delivering
 	remaining int    // slot: outstanding legs
-	frames    int    // part leg: request lines sent, one reply owed for each
+	frames    int    // leg: request lines sent, one reply owed for each
 	buf       []byte // buffered reply bytes (reused)
 }
 
@@ -92,8 +97,9 @@ type downstream struct {
 	hdr   []byte
 }
 
-// splitGroup accumulates one (server, connection) share of a split
-// multi-get; the slices are reused across commands.
+// splitGroup accumulates the keys of a read that route to one (server,
+// connection), and the frame of a split's share; the slices are reused
+// across commands.
 type splitGroup struct {
 	srv, conn int
 	keys      [][]byte // alias the downstream command: valid during dispatch
@@ -116,7 +122,7 @@ func (p *Proxy) handleConn(nc net.Conn, hint uint64) {
 		if err != nil {
 			var ce *protocol.ClientError
 			if errors.As(err, &ce) {
-				d.localLine("CLIENT_ERROR " + ce.Msg + crlf)
+				d.localReply("CLIENT_ERROR " + ce.Msg + crlf)
 				continue
 			}
 			// quit, EOF or a broken connection: deliver what is owed,
@@ -160,7 +166,7 @@ func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte, flu
 			d.rec.Observe(telemetry.StageTenantShed, 0)
 			d.trace = otrace.Ctx{} // a shed command consumes its trace scope
 			if !cmd.Noreply {
-				d.localLine(tenantShedLine)
+				d.localReply(tenantShedLine)
 			}
 			return nil
 		}
@@ -184,22 +190,21 @@ func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte, flu
 	case protocol.OpStats:
 		d.localStats()
 	case protocol.OpVersion:
-		d.localLine(versionLine)
+		d.localReply(versionLine)
 	case protocol.OpVerbosity:
 		// Accepted and ignored, like memcached.
 		if !cmd.Noreply {
-			d.localLine(okLine)
+			d.localReply(okLine)
 		}
 	case protocol.OpFlushAll:
-		p.broadcast(d, frame, cmd.Noreply, flush, -1, 0)
+		p.broadcast(d, frame, joinLines, cmd.Noreply, flush, 0, p.sel.N(), 0)
 	default:
 		// Keyed single-reply ops: storage, delete, incr/decr, touch.
+		conn := p.connFor(route.Hash64B(cmd.KeyB))
 		if p.opts.Policy == PolicyReplicate {
-			h := route.Hash64B(cmd.KeyB)
-			p.broadcast(d, frame, cmd.Noreply, flush, p.sel.PickB(cmd.KeyB), h)
+			p.broadcast(d, frame, joinLines, cmd.Noreply, flush, p.sel.PickB(cmd.KeyB), p.opts.Replicas, conn)
 		} else {
-			h := route.Hash64B(cmd.KeyB)
-			p.forward(d, frame, kindLine, p.routeKey(cmd.KeyB), p.connFor(h), flush, cmd.Noreply)
+			p.forward(d, frame, kindLine, p.routeKey(cmd.KeyB), conn, flush, cmd.Noreply)
 		}
 	}
 	return tn
@@ -231,189 +236,115 @@ func (p *Proxy) admit(cmd *protocol.Command) (*tenant.Tenant, bool) {
 	return tn, true
 }
 
-// dispatchRead handles the retrieval family: direct passthrough when
-// every key lands on one upstream connection, fork-join split
-// otherwise, first-reply-wins racing for single-key reads under
-// PolicyReplicate.
+// dispatchRead handles the retrieval family: a single-key read races
+// the replica set under PolicyReplicate; otherwise every key is routed
+// once and grouped by (server, connection) — one group is a direct
+// passthrough of frame, more split into a fork-join.
 func (p *Proxy) dispatchRead(d *downstream, cmd *protocol.Command, frame []byte, flush bool) {
 	keys := cmd.KeyList
 	if p.opts.Policy == PolicyReplicate && len(keys) == 1 {
-		p.raceRead(d, keys[0], frame, flush)
+		conn := p.connFor(route.Hash64B(keys[0]))
+		p.broadcast(d, frame, joinRace, false, flush, p.sel.PickB(keys[0]), p.opts.Replicas, conn)
 		return
 	}
-	srv0, conn0, single := 0, 0, true
-	for i, k := range keys {
-		h := route.Hash64B(k)
-		srv, conn := p.routeKey(k), p.connFor(h)
-		if i == 0 {
-			srv0, conn0 = srv, conn
-		} else if srv != srv0 || conn != conn0 {
-			single = false
-			break
+	groups := d.groups[:0]
+	for _, k := range keys {
+		srv, conn := p.routeKey(k), p.connFor(route.Hash64B(k))
+		i := 0
+		for i < len(groups) && (groups[i].srv != srv || groups[i].conn != conn) {
+			i++
 		}
+		if i == len(groups) {
+			if i == cap(groups) {
+				groups = append(groups, splitGroup{})
+			}
+			groups = groups[:i+1] // a reused group keeps its slices
+			groups[i].srv, groups[i].conn, groups[i].keys = srv, conn, groups[i].keys[:0]
+		}
+		groups[i].keys = append(groups[i].keys, k)
 	}
-	if single {
-		p.forward(d, frame, kindRetrieval, srv0, conn0, flush, false)
+	d.groups = groups
+	if len(groups) == 1 {
+		p.forward(d, frame, kindRetrieval, groups[0].srv, groups[0].conn, flush, false)
 		return
 	}
-	p.splitRead(d, cmd, flush)
+	p.splitRead(d, cmd, groups, flush)
 }
 
 // forward sends frame to one upstream as a direct passthrough: the
 // pending is both leg and slot, replies relay in command order.
 func (p *Proxy) forward(d *downstream, frame []byte, kind replyKind, srv, conn int, flush, noreply bool) {
-	u := p.ups[srv][conn]
-	if noreply {
-		if err := u.send(d.hdr, frame, nil, flush); err != nil {
-			p.recordOutcome(srv, true)
-			return
-		}
-		p.forwarded.Add(1)
-		return
+	var pd *pending
+	if !noreply {
+		d.mu.Lock()
+		pd = d.allocLocked()
+		pd.role, pd.kind, pd.srv = roleDirect, kind, srv
+		d.pushLocked(pd)
+		d.mu.Unlock()
 	}
-	d.mu.Lock()
-	pd := d.allocLocked()
-	pd.role, pd.kind, pd.srv = roleDirect, kind, srv
-	d.pushLocked(pd)
-	d.mu.Unlock()
-	if err := u.send(d.hdr, frame, pd, flush); err != nil {
-		p.recordOutcome(srv, true)
-		d.failSlot(pd)
-		return
-	}
-	p.forwarded.Add(1)
+	p.send(d, pd, srv, conn, frame, flush)
 }
 
-// splitRead forks a multi-key retrieval across its owning upstream
-// connections and rejoins the parts in a single slot. A failed part
-// degrades its keys to misses (absent from the reply), matching
-// memcached's partial-result semantics.
-func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, flush bool) {
-	active := 0
-	for _, k := range cmd.KeyList {
-		h := route.Hash64B(k)
-		srv, conn := p.routeKey(k), p.connFor(h)
-		var g *splitGroup
-		for i := 0; i < active; i++ {
-			if d.groups[i].srv == srv && d.groups[i].conn == conn {
-				g = &d.groups[i]
-				break
-			}
-		}
-		if g == nil {
-			if active == len(d.groups) {
-				d.groups = append(d.groups, splitGroup{})
-			}
-			g = &d.groups[active]
-			active++
-			g.srv, g.conn, g.keys = srv, conn, g.keys[:0]
-		}
-		g.keys = append(g.keys, k)
-	}
-	d.mu.Lock()
-	slot := d.allocLocked()
-	slot.role, slot.kind = roleSlot, kindRetrieval
-	slot.remaining = active
-	d.pushLocked(slot)
-	d.mu.Unlock()
-	for i := 0; i < active; i++ {
-		g := &d.groups[i]
-		d.mu.Lock()
-		leg := d.allocLocked()
-		leg.role, leg.slot, leg.srv = rolePart, slot, g.srv
-		d.mu.Unlock()
-		// A share too long for one line goes out as pipelined lines on the
-		// same connection; the leg then reads one reply per line.
+// splitRead sends each group's share of a multi-key retrieval as one leg
+// of a split slot. A share too long for one line goes out as pipelined
+// lines on the same connection; its leg then reads one reply per line.
+func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, groups []splitGroup, flush bool) {
+	slot := d.openSlot(joinSplit, len(groups))
+	for i := range groups {
+		g := &groups[i]
 		g.frame = g.frame[:0]
-		for keys := g.keys; len(keys) > 0; leg.frames++ {
+		frames := 0
+		for keys := g.keys; len(keys) > 0; frames++ {
 			var n int
 			g.frame, n = protocol.AppendRetrieval(g.frame, cmd.Op, cmd.Exptime, keys)
 			keys = keys[n:]
 		}
-		if err := p.ups[g.srv][g.conn].send(d.hdr, g.frame, leg, flush); err != nil {
-			p.recordOutcome(g.srv, true)
-			d.legDone(leg, true)
-			continue
-		}
-		p.forwarded.Add(1)
+		p.sendLeg(d, slot, g.srv, g.conn, g.frame, frames, flush)
 	}
 }
 
-// raceRead fans a single-key read out to the replica set; the first
-// upstream to produce reply bytes claims the slot.
-func (p *Proxy) raceRead(d *downstream, key []byte, frame []byte, flush bool) {
-	h := route.Hash64B(key)
-	owner := p.sel.PickB(key)
-	n := p.sel.N()
-	r := p.opts.Replicas
-	d.mu.Lock()
-	slot := d.allocLocked()
-	slot.role, slot.kind = roleSlot, kindRetrieval
-	slot.remaining = r
-	d.pushLocked(slot)
-	d.mu.Unlock()
-	conn := p.connFor(h)
-	for i := 0; i < r; i++ {
-		srv := owner + i
-		if srv >= n {
-			srv -= n
-		}
-		d.mu.Lock()
-		leg := d.allocLocked()
-		leg.role, leg.slot, leg.srv = roleRaceLeg, slot, srv
-		d.mu.Unlock()
-		if err := p.ups[srv][conn].send(d.hdr, frame, leg, flush); err != nil {
-			p.recordOutcome(srv, true)
-			d.legDone(leg, true)
-			continue
-		}
-		p.forwarded.Add(1)
-	}
-}
-
-// broadcast sends frame to a set of upstreams and folds the line
-// replies into one: every server for flush_all (owner < 0), the
-// replica set of owner otherwise. Error lines win the fold, so the
-// client sees the worst outcome of the set.
-func (p *Proxy) broadcast(d *downstream, frame []byte, noreply, flush bool, owner int, h uint64) {
-	n := p.sel.N()
-	count, conn := n, 0
-	if owner >= 0 {
-		count, conn = p.opts.Replicas, p.connFor(h)
-	}
+// broadcast sends frame to count servers, owner and its ring successors,
+// as the legs of one slot joined by j: a replicated read races them
+// (joinRace), a replicated write or flush_all folds their lines
+// (joinLines). A noreply broadcast opens no slot.
+func (p *Proxy) broadcast(d *downstream, frame []byte, j join, noreply, flush bool, owner, count, conn int) {
 	var slot *pending
 	if !noreply {
-		d.mu.Lock()
-		slot = d.allocLocked()
-		slot.role, slot.kind = roleSlot, kindLine
-		slot.remaining = count
-		d.pushLocked(slot)
-		d.mu.Unlock()
+		slot = d.openSlot(j, count)
 	}
 	for i := 0; i < count; i++ {
-		srv := i
-		if owner >= 0 {
-			srv = owner + i
-			if srv >= n {
-				srv -= n
-			}
-		}
-		var leg *pending
-		if slot != nil {
-			d.mu.Lock()
-			leg = d.allocLocked()
-			leg.role, leg.slot, leg.srv = roleJoinLine, slot, srv
-			d.mu.Unlock()
-		}
-		if err := p.ups[srv][conn].send(d.hdr, frame, leg, flush); err != nil {
-			p.recordOutcome(srv, true)
-			if leg != nil {
-				d.legFold(leg, serverErrorBytes, true)
-			}
-			continue
-		}
-		p.forwarded.Add(1)
+		p.sendLeg(d, slot, p.successor(owner, i), conn, frame, 1, flush)
 	}
+}
+
+// sendLeg sends one fan-out leg of slot (nil for noreply) carrying frames
+// request lines to upstream (srv, conn).
+func (p *Proxy) sendLeg(d *downstream, slot *pending, srv, conn int, frame []byte, frames int, flush bool) {
+	var leg *pending
+	if slot != nil {
+		d.mu.Lock()
+		leg = d.allocLocked()
+		leg.role, leg.slot, leg.srv, leg.frames = roleLeg, slot, srv, frames
+		leg.kind = kindRetrieval
+		if slot.join == joinLines {
+			leg.kind = kindLine
+		}
+		d.mu.Unlock()
+	}
+	p.send(d, leg, srv, conn, frame, flush)
+}
+
+// send writes frame to upstream (srv, conn) for pd (nil for noreply); a
+// send that fails before pd is enqueued resolves pd as an error reply.
+func (p *Proxy) send(d *downstream, pd *pending, srv, conn int, frame []byte, flush bool) {
+	if err := p.ups[srv][conn].send(d.hdr, frame, pd, flush); err != nil {
+		p.recordOutcome(srv, true)
+		if pd != nil {
+			d.fail(pd)
+		}
+		return
+	}
+	p.forwarded.Add(1)
 }
 
 // Local reply lines: the only wire text the proxy writes itself;
@@ -428,8 +359,6 @@ const (
 	// clients and loadgen classify sheds without importing the proxy.
 	tenantShedLine = tenant.ShedMsg + crlf
 )
-
-var serverErrorBytes = []byte(serverErrorLine)
 
 // --- queue machinery -------------------------------------------------
 
@@ -466,7 +395,7 @@ func (d *downstream) recycleLocked(pd *pending) {
 }
 
 // advanceLocked relays every finished reply at the head of the queue,
-// streams the finished prefix of a blocked multi-get join, and flushes
+// streams the folded prefix of a split waiting at the head, and flushes
 // (caller holds mu).
 func (d *downstream) advanceLocked() {
 	wrote := false
@@ -487,10 +416,9 @@ func (d *downstream) advanceLocked() {
 			d.recycleLocked(pd)
 		}
 	}
-	if h := d.head; h != nil && !h.done && h.role == roleSlot &&
-		h.kind == kindRetrieval && len(h.buf) > 0 && d.err == nil {
-		// A multi-get join blocked on slower parts: its completed VALUE
-		// blocks are whole, stream them now.
+	if h := d.head; h != nil && !h.done && h.join == joinSplit && len(h.buf) > 0 && d.err == nil {
+		// A split blocked on slower parts: its folded VALUE blocks are
+		// whole, stream them now.
 		if _, err := d.w.Write(h.buf); err != nil {
 			d.poisonLocked(err)
 		}
@@ -537,73 +465,74 @@ func (d *downstream) drain() {
 	d.mu.Unlock()
 }
 
-// failSlot resolves a roleDirect pending whose send failed with a
-// SERVER_ERROR reply.
-func (d *downstream) failSlot(pd *pending) {
+// openSlot queues a fan-out slot that legs legs fold into by j.
+func (d *downstream) openSlot(j join, legs int) *pending {
 	d.mu.Lock()
-	pd.buf = append(pd.buf[:0], serverErrorLine...)
-	pd.done = true
-	d.advanceLocked()
+	slot := d.allocLocked()
+	slot.role, slot.join, slot.remaining = roleSlot, j, legs
+	d.pushLocked(slot)
 	d.mu.Unlock()
+	return slot
 }
 
-// legDone resolves one part/race leg that produced no bytes (send
-// failure or drained pipeline): the join degrades those keys to
-// misses; a race slot fails only when every leg is gone.
-func (d *downstream) legDone(leg *pending, failed bool) {
+// fail resolves pd, whose reply will never arrive, as an upstream error.
+func (d *downstream) fail(pd *pending) {
+	pd.buf = append(pd.buf[:0], serverErrorLine...)
+	d.fold(pd, true)
+}
+
+// fold resolves pd once pd.buf holds its whole reply (fail: an error
+// reply). A direct reply is done; a leg folds into its slot by the
+// slot's join rule:
+//
+//   - split: a healthy part's VALUE blocks append, a failed part's keys
+//     read as misses, END closes the join once every part is in;
+//   - race: the first healthy reply wins, a miss being an answer; the
+//     first error is kept, relayed only if no replica answers healthily;
+//   - lines: every leg is awaited; the first error line beats any success.
+func (d *downstream) fold(pd *pending, fail bool) {
 	d.mu.Lock()
-	slot := leg.slot
+	defer d.mu.Unlock()
+	if pd.role == roleDirect {
+		pd.done = true
+		d.advanceLocked()
+		return
+	}
+	slot := pd.slot
 	slot.remaining--
-	switch leg.role {
-	case rolePart:
+	switch slot.join {
+	case joinSplit:
+		if !fail {
+			slot.buf = append(slot.buf, pd.buf...)
+		}
 		if slot.remaining == 0 {
 			slot.buf = append(slot.buf, endLine...)
-			slot.done = true
 		}
-	case roleRaceLeg:
-		if failed && !slot.claimed && slot.remaining == 0 {
-			slot.buf = append(slot.buf[:0], serverErrorLine...)
-			slot.done = true
+	case joinRace:
+		if !slot.done && (!fail || len(slot.buf) == 0) {
+			slot.buf, pd.buf = pd.buf, slot.buf
+			slot.done = !fail
+		}
+	case joinLines:
+		if len(slot.buf) == 0 || fail && !protocol.IsErrorReply(slot.buf) {
+			slot.buf, pd.buf = pd.buf, slot.buf
 		}
 	}
-	d.finishLegLocked(leg, slot)
-	d.mu.Unlock()
-}
-
-// legFold resolves one broadcast leg by folding its reply line into
-// the slot (error lines win).
-func (d *downstream) legFold(leg *pending, line []byte, failure bool) {
-	d.mu.Lock()
-	slot := leg.slot
-	if len(slot.buf) == 0 || (failure && !protocol.IsErrorReply(slot.buf)) {
-		slot.buf = append(slot.buf[:0], line...)
-	}
-	slot.remaining--
-	if slot.remaining == 0 {
-		slot.done = true
-	}
-	d.finishLegLocked(leg, slot)
-	d.mu.Unlock()
-}
-
-// finishLegLocked recycles a completed leg, recycles its slot if the
-// slot already left the queue and this was the last straggler, and
-// advances (caller holds mu).
-func (d *downstream) finishLegLocked(leg, slot *pending) {
-	d.recycleLocked(leg)
+	slot.done = slot.done || slot.remaining == 0
+	d.recycleLocked(pd)
 	if slot.popped && slot.remaining == 0 {
-		d.recycleLocked(slot)
+		d.recycleLocked(slot) // a race's last straggler
 	} else {
 		d.advanceLocked()
 	}
 }
 
-// localLine enqueues a proxy-generated single-line reply.
-func (d *downstream) localLine(line string) {
+// localReply enqueues a reply the proxy writes itself.
+func (d *downstream) localReply(reply string) {
 	d.mu.Lock()
 	pd := d.allocLocked()
-	pd.role, pd.kind = roleSlot, kindLine
-	pd.buf = append(pd.buf[:0], line...)
+	pd.role = roleSlot
+	pd.buf = append(pd.buf, reply...)
 	pd.done = true
 	d.pushLocked(pd)
 	d.advanceLocked()
@@ -629,15 +558,7 @@ func (d *downstream) localStats() {
 			buf = appendStatInt(buf, "tenant_"+s.Name+"_shed", s.Shed)
 		}
 	}
-	buf = append(buf, endLine...)
-	d.mu.Lock()
-	pd := d.allocLocked()
-	pd.role, pd.kind = roleSlot, kindRetrieval
-	pd.buf = append(pd.buf[:0], buf...)
-	pd.done = true
-	d.pushLocked(pd)
-	d.advanceLocked()
-	d.mu.Unlock()
+	d.localReply(string(append(buf, endLine...)))
 }
 
 func appendStat(b []byte, k, v string) []byte {

@@ -84,11 +84,29 @@ func FuzzProxyFrame(f *testing.F) {
 // relay (copyReply) and through the client-side reader: whatever the
 // client would accept the relay must forward byte for byte, an error
 // reply must be one for both, and the relay never forwards bytes that
-// were not in the stream.
+// were not in the stream. The same bytes read as a fan-out leg
+// (readReply) give a race leg the relay's output and a split part its
+// VALUE blocks only, or serverErrorLine when the stream broke.
 func relayContract(t *testing.T, data []byte) {
-	var relayed []byte
+	var rec lastWrite
 	up := &uconn{r: bufio.NewReader(bytes.NewReader(data))}
-	fail, err := up.copyReply(appender{&relayed}, kindRetrieval, false)
+	fail, err := up.copyReply(&rec, kindRetrieval, false)
+	relayed := rec.buf
+	for _, j := range []join{joinRace, joinSplit} {
+		leg := &pending{role: roleLeg, kind: kindRetrieval, slot: &pending{join: j}}
+		legFail, legErr := (&uconn{r: bufio.NewReader(bytes.NewReader(data))}).readReply(leg)
+		want := relayed
+		switch {
+		case err != nil:
+			want = []byte(serverErrorLine)
+		case j == joinSplit:
+			want = relayed[:rec.last] // the terminal line is the relay's last write
+		}
+		if !bytes.Equal(leg.buf, want) || legErr != err || legFail != (fail || err != nil) {
+			t.Fatalf("leg (join %d) of %q reads %q fail=%v err=%v, want %q fail=%v err=%v",
+				j, data, leg.buf, legFail, legErr, want, fail || err != nil, err)
+		}
+	}
 	if !bytes.HasPrefix(data, relayed) {
 		t.Fatalf("relay wrote %q, not a prefix of the stream %q", relayed, data)
 	}
@@ -108,4 +126,17 @@ func relayContract(t *testing.T, data []byte) {
 			t.Fatalf("client reads error reply %q, relay says fail=%v err=%v", se.Line, fail, err)
 		}
 	}
+}
+
+// lastWrite collects what the relay writes and where its last write
+// began.
+type lastWrite struct {
+	buf  []byte
+	last int
+}
+
+func (w *lastWrite) Write(p []byte) (int, error) {
+	w.last = len(w.buf)
+	w.buf = append(w.buf, p...)
+	return len(p), nil
 }

@@ -4,9 +4,9 @@
 // selectors a direct client uses (internal/route), and adds route
 // policies on top — direct, primary-with-failover driven by the
 // per-server circuit breaker, and replicated reads (fan out to r
-// replicas, first reply wins). Multi-gets are split per owning server
-// and rejoined fork-join style, which is the paper's fork-join point
-// moved into the proxy.
+// replicas, the first healthy reply wins). Multi-gets are split per
+// owning server and rejoined fork-join style, which is the paper's
+// fork-join point moved into the proxy.
 //
 // The data plane is allocation-free in steady state: commands are
 // forwarded as the exact wire frames the protocol Parser captured
@@ -42,7 +42,8 @@ const (
 	// whose breaker admits traffic.
 	PolicyFailover
 	// PolicyReplicate fans single-key reads out to Replicas servers
-	// (owner plus ring successors) and keeps the first reply; writes
+	// (owner plus ring successors) and keeps the first healthy reply (a
+	// miss counts; an error only when every replica errs); writes
 	// broadcast to the same replica set so the copies stay coherent.
 	PolicyReplicate
 )
@@ -298,27 +299,28 @@ func (p *Proxy) BreakerState(srv int) string {
 
 // routeKey picks the serving upstream for key: the selector's owner,
 // shifted to the next ring successor with a closed breaker under
-// PolicyFailover.
+// PolicyFailover. A command routes each key once: Allow admits a
+// half-open breaker's one probe, which must then be sent.
 func (p *Proxy) routeKey(key []byte) int {
-	srv := p.sel.PickB(key)
+	owner := p.sel.PickB(key)
 	if p.breakers == nil {
-		return srv
+		return owner
 	}
-	n := p.sel.N()
 	now := time.Now()
-	for i := 0; i < n; i++ {
-		s := srv + i
-		if s >= n {
-			s -= n
-		}
-		if p.breakers[s].Allow(now) {
+	for i := 0; i < p.sel.N(); i++ {
+		if s := p.successor(owner, i); p.breakers[s].Allow(now) {
 			if i > 0 {
 				p.failovers.Add(1)
 			}
 			return s
 		}
 	}
-	return srv
+	return owner
+}
+
+// successor is the server i steps after owner around the ring.
+func (p *Proxy) successor(owner, i int) int {
+	return (owner + i) % p.sel.N()
 }
 
 // recordOutcome feeds the failover breakers (no-op otherwise).

@@ -172,7 +172,10 @@ func (c *uconn) readLoop() {
 
 // process reads one reply off the wire and resolves pd. It fully
 // resolves pd in every case; a non-nil return means the uconn must be
-// abandoned (reply stream desynced or dead).
+// abandoned (reply stream desynced or dead). The first byte is awaited
+// without d.mu: a direct reply that then heads its downstream's queue
+// streams straight to the socket (the zero-copy hot path); any other
+// reply is read whole into pd.buf, then folded under the lock.
 func (c *uconn) process(pd *pending) error {
 	u := c.u
 	u.mu.Lock()
@@ -184,164 +187,53 @@ func (c *uconn) process(pd *pending) error {
 	u.mu.Unlock()
 	_ = c.nc.SetReadDeadline(time.Now().Add(upstreamTimeout))
 
-	switch pd.role {
-	case roleDirect:
-		return c.processDirect(pd)
-	case rolePart:
-		return c.processPart(pd)
-	case roleRaceLeg:
-		return c.processRaceLeg(pd)
-	case roleJoinLine:
-		return c.processJoinLine(pd)
-	}
-	return errUpstreamProtocol
-}
-
-// processDirect relays an unsplit passthrough reply: streamed straight
-// to the downstream socket when pd heads the reply queue (the zero-copy
-// hot path), buffered into pd otherwise.
-func (c *uconn) processDirect(pd *pending) error {
-	d := pd.d
-	srv := pd.srv
-	d.mu.Lock()
-	if pd == d.head && d.err == nil {
-		fail, err := c.copyReply(dsWriter{d}, pd.kind, false)
-		if err != nil {
-			// The downstream stream may hold a partial reply; its framing
-			// cannot be recovered.
-			d.poisonLocked(err)
-		}
-		pd.done = true
-		d.advanceLocked()
-		d.mu.Unlock()
-		c.u.p.recordOutcome(srv, err != nil || fail)
-		return err
-	}
-	start := len(pd.buf)
-	fail, err := c.copyReply(appender{&pd.buf}, pd.kind, false)
-	if err != nil {
-		pd.buf = append(pd.buf[:start], serverErrorLine...)
-	}
-	pd.done = true
-	d.advanceLocked()
-	d.mu.Unlock()
-	c.u.p.recordOutcome(srv, err != nil || fail)
-	return err
-}
-
-// processPart folds one split-multi-get part into its join slot: VALUE
-// blocks append, the part's END (or error line) is swallowed, and the
-// last part to land appends the joined reply's END. A failed part
-// degrades its keys to misses.
-func (c *uconn) processPart(pd *pending) error {
-	d := pd.d
-	srv := pd.srv
-	d.mu.Lock()
-	slot := pd.slot
-	start := len(slot.buf)
-	var fail bool
-	var err error
-	for f := 0; f < pd.frames && err == nil; f++ {
-		var lineFail bool
-		lineFail, err = c.copyReply(appender{&slot.buf}, kindRetrieval, true)
-		fail = fail || lineFail
-	}
-	if err != nil || fail {
-		slot.buf = slot.buf[:start]
-	}
-	slot.remaining--
-	if slot.remaining == 0 {
-		slot.buf = append(slot.buf, endLine...)
-		slot.done = true
-	}
-	d.finishLegLocked(pd, slot)
-	d.mu.Unlock()
-	c.u.p.recordOutcome(srv, err != nil || fail)
-	return err
-}
-
-// processRaceLeg resolves one replicated-read leg: the first leg whose
-// reply bytes arrive claims the slot; losers drain their replies to
-// keep the pipeline aligned.
-func (c *uconn) processRaceLeg(pd *pending) error {
-	d := pd.d
-	srv := pd.srv
-	_, perr := c.r.Peek(1)
-	d.mu.Lock()
-	slot := pd.slot
-	if perr != nil {
-		slot.remaining--
-		if !slot.claimed && !slot.done && slot.remaining == 0 {
-			slot.buf = append(slot.buf[:0], serverErrorLine...)
-			slot.done = true
-		}
-		d.finishLegLocked(pd, slot)
-		d.mu.Unlock()
-		c.u.p.recordOutcome(srv, true)
-		return perr
-	}
-	if !slot.claimed && !slot.done && d.err == nil {
-		slot.claimed = true
-		fail, err := c.copyReply(appender{&slot.buf}, kindRetrieval, false)
-		if err != nil {
-			slot.buf = slot.buf[:0]
-			slot.claimed = false
-			slot.remaining--
-			if slot.remaining == 0 {
-				slot.buf = append(slot.buf[:0], serverErrorLine...)
-				slot.done = true
+	d, srv := pd.d, pd.srv // pd is recycled once resolved
+	if _, err := c.r.Peek(1); err == nil && pd.role == roleDirect {
+		d.mu.Lock()
+		if pd == d.head && d.err == nil {
+			fail, err := c.copyReply(dsWriter{d}, pd.kind, false)
+			if err != nil {
+				// The downstream stream may hold a partial reply; its framing
+				// cannot be recovered.
+				d.poisonLocked(err)
 			}
-			d.finishLegLocked(pd, slot)
+			pd.done = true
+			d.advanceLocked()
 			d.mu.Unlock()
-			c.u.p.recordOutcome(srv, true)
+			u.p.recordOutcome(srv, err != nil || fail)
 			return err
 		}
-		slot.done = true
-		slot.remaining--
-		d.finishLegLocked(pd, slot)
 		d.mu.Unlock()
-		c.u.p.recordOutcome(srv, fail)
-		return nil
 	}
-	// Loser: the slot is already resolved; discard this leg's reply
-	// outside the downstream lock.
-	slot.remaining--
-	d.finishLegLocked(pd, slot)
-	d.mu.Unlock()
-	fail, err := c.copyReply(io.Discard, kindRetrieval, false)
-	c.u.p.recordOutcome(srv, err != nil || fail)
+	fail, err := c.readReply(pd) // a Peek error recurs here
+	d.fold(pd, fail)
+	u.p.recordOutcome(srv, fail)
 	return err
 }
 
-// processJoinLine folds one broadcast reply line into its join slot
-// (error lines win the fold).
-func (c *uconn) processJoinLine(pd *pending) error {
-	rep, err := protocol.ScanReply(c.r)
-	srv := pd.srv
-	if err != nil {
-		pd.d.legFold(pd, serverErrorBytes, true)
-		c.u.p.recordOutcome(srv, true)
-		return err
+// readReply reads pd's whole reply into pd.buf — only the VALUE blocks
+// of a split part's replies, one per request line it sent — or
+// serverErrorLine when the stream breaks. fail reports an error reply.
+func (c *uconn) readReply(pd *pending) (fail bool, err error) {
+	part := pd.role == roleLeg && pd.slot.join == joinSplit
+	pd.buf = pd.buf[:0]
+	for f := 0; f < max(pd.frames, 1) && err == nil; f++ {
+		var lineFail bool
+		lineFail, err = c.copyReply(appender{&pd.buf}, pd.kind, part)
+		fail = fail || lineFail
 	}
-	fail := rep.Kind == protocol.ReplyError
-	pd.d.legFold(pd, rep.Line, fail)
-	c.u.p.recordOutcome(srv, fail)
-	return nil
+	if err != nil {
+		pd.buf = append(pd.buf[:0], serverErrorLine...)
+		fail = true
+	}
+	return fail, err
 }
 
 // failPending resolves a pending whose reply will never arrive (broken
 // pipeline drain).
 func (c *uconn) failPending(pd *pending) {
-	d := pd.d
 	srv := pd.srv
-	switch pd.role {
-	case roleDirect:
-		d.failSlot(pd)
-	case rolePart, roleRaceLeg:
-		d.legDone(pd, true)
-	case roleJoinLine:
-		d.legFold(pd, serverErrorBytes, true)
-	}
+	pd.d.fail(pd)
 	c.u.p.recordOutcome(srv, true)
 }
 
