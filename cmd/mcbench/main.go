@@ -66,7 +66,8 @@ func main() {
 // virtual-time planes) and what the refusal elsewhere says they need.
 var flagModes = []struct{ flags, modes, needs string }{
 	{"servers", "e", "an external run (a -plane run starts its own cluster)"},
-	{"mus plane-servers n", "lv", "a -plane mode (external servers bring their own rate, count and request shape)"},
+	{"mus plane-servers", "lv", "a -plane mode (external servers bring their own rate and count)"},
+	{"n", "v", "the model or sim planes (the live stack issues single-key gets)"},
 	{"faults", "lv", "a -plane mode (external -servers cannot be injected)"},
 	{"slo", "lv", "a -plane mode (external servers arm their own watchdog via memcached-server/mcproxy -slo)"},
 	{"extstore", "lv", "a -plane mode (external servers run their own tier via memcached-server -extstore-dir)"},
@@ -91,11 +92,13 @@ func checkFlagModes(set map[string]bool, mode string) error {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("mcbench", flag.ContinueOnError)
-	// Flags bind straight into the Scenario, or the LivePlane driving it.
-	s := plane.Scenario{Name: "mcbench"}
+	// Flags bind straight into the Scenario, or the LivePlane driving it;
+	// -n alone is read once the mode is known, since the live stack's
+	// request is one key.
+	s := plane.Scenario{Name: "mcbench", N: 1}
 	var live plane.LivePlane
 	fs.IntVar(&s.Keys, "keys", 10000, "keyspace size")
-	fs.IntVar(&live.Load.ValueSize, "value-size", 100, "value size in bytes (the mean under -value-dist=lognormal)")
+	fs.IntVar(&s.ValueSize, "value-size", 100, "value size in bytes (the mean under -value-dist=lognormal)")
 	fs.StringVar(&s.ValueDist, "value-dist", "fixed", "per-key value-size law: fixed|lognormal (mixed object sizes for a disk tier)")
 	fs.Float64Var(&s.ValueSigma, "value-sigma", 0, "lognormal shape for -value-dist=lognormal (0 = default 0.5)")
 	fs.Float64Var(&s.ZipfS, "zipf", 0, "Zipf popularity exponent (0 = uniform)")
@@ -106,23 +109,23 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&s.Ops, "ops", 10000, "operations to issue")
 	fs.IntVar(&s.Workers, "workers", 32, "max in-flight operations")
 	fs.Uint64Var(&s.Seed, "seed", 1, "random seed")
-	fs.BoolVar(&live.Load.UseGetThrough, "fill-misses", false, "relay misses to a simulated database")
+	fs.BoolVar(&live.ReadThrough, "fill-misses", false, "relay misses to a simulated database")
 	fs.Float64Var(&s.MuD, "mud", 1000, "simulated database service rate for -fill-misses")
 	fs.BoolVar(&s.Coalesce, "coalesce", false, "single-flight coalesce concurrent misses per key (needs -fill-misses on external runs)")
 	fs.DurationVar(&s.FillTTL, "fill-ttl", 0, "write-back TTL for filled misses (negative = store already expired, keeping misses steady)")
 	fs.IntVar(&s.DBQueueDepth, "db-queue", 0, "bound the simulated database to a single serving queue of this depth (0 = concurrent)")
 	fs.DurationVar(&s.Duration, "timeout", 10*time.Minute, "overall run timeout")
-	fs.BoolVar(&live.Load.ClosedLoop, "closed-loop", false, "closed-loop mode (fixed concurrency + think time) instead of open-loop pacing")
+	fs.BoolVar(&live.ClosedLoop, "closed-loop", false, "closed-loop mode (fixed concurrency + think time) instead of open-loop pacing")
 	fs.Float64Var(&s.MuS, "mus", 2000, "per-server shaped service rate for -plane modes")
-	fs.IntVar(&s.N, "n", 10, "keys per end-user request for the model/sim planes")
 	fs.IntVar(&s.Resilience.Retries, "retries", 0, "extra read attempts after transport failures (0 = off)")
 	fs.Float64Var(&s.Resilience.HedgePercentile, "hedge-percentile", 0, "hedged-read trigger quantile in (0,1) (0 = hedging off)")
 	fs.Float64Var(&s.Resilience.BreakerThreshold, "breaker-threshold", 0, "circuit-breaker failure-rate trip point (0 = off)")
 	fs.IntVar(&s.Resilience.BreakerWindow, "breaker-window", 0, "circuit-breaker outcome window (0 = policy default)")
 	var (
-		servers  = fs.String("servers", "127.0.0.1:11211", "comma-separated server addresses")
-		hotZipf  = fs.Float64("hot-zipf", 0, "Zipf exponent for the hot-key miss keyspace (plane modes; overrides -zipf on external runs when set)")
-		keyTrace = fs.String("trace", "", "journal the issued key stream to this file (mrc/replay input)")
+		servers    = fs.String("servers", "127.0.0.1:11211", "comma-separated server addresses")
+		hotZipf    = fs.Float64("hot-zipf", 0, "Zipf exponent for the hot-key miss keyspace (plane modes; overrides -zipf on external runs when set)")
+		keyTrace   = fs.String("trace", "", "journal the issued key stream to this file (mrc/replay input)")
+		keysPerReq = fs.Int("n", 10, "keys per end-user request for the model/sim planes (live runs issue single-key gets)")
 
 		conns    = fs.Int("conns", 0, "connection-scaling mode: park this many mostly-idle connections on the first server while -conn-hot connections issue gets (0 = off)")
 		connRamp = fs.String("conn-ramp", "", `connection-scaling ramp, e.g. "1000,5000,10000": grow the idle fleet through each tier, reporting p50/p95/p99 per connection count`)
@@ -161,7 +164,7 @@ func run(args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return runConns(out, strings.Split(*servers, ",")[0], tiers, *connHot, s.Ops, live.Load.ValueSize, s.Duration)
+		return runConns(out, strings.Split(*servers, ",")[0], tiers, *connHot, s.Ops, s.ValueSize, s.Duration)
 	}
 
 	var p plane.Plane
@@ -171,7 +174,7 @@ func run(args []string, out io.Writer) error {
 	if *planeName == "" {
 		live.Servers = strings.Split(*servers, ",")
 		s.LoadRatios = core.BalancedLoad(len(live.Servers))
-		if s.Coalesce && !live.Load.UseGetThrough {
+		if s.Coalesce && !live.ReadThrough {
 			return fmt.Errorf("-coalesce collapses miss fills; it needs -fill-misses on external runs")
 		}
 	} else if p, err = plane.ByName(*planeName); err != nil {
@@ -179,7 +182,7 @@ func run(args []string, out io.Writer) error {
 	} else if p.Name() == "live" {
 		mode = "l"
 	} else {
-		mode = "v"
+		mode, s.N = "v", *keysPerReq
 	}
 	if err := checkFlagModes(set, mode); err != nil {
 		return err
@@ -203,11 +206,9 @@ func run(args []string, out io.Writer) error {
 	if *proxied {
 		s.Proxy = &plane.ProxySpec{Policy: *routePolicy, Replicas: *routeReplica}
 	}
-	if *tenantsSpec != "" {
-		// Without -proxy every plane refuses them: QoS lives at that tier.
-		if s.Tenants, err = tenant.ParseSpecs(*tenantsSpec); err != nil {
-			return err
-		}
+	// Without -proxy every plane refuses tenants: QoS lives at that tier.
+	if s.Tenants, err = tenant.ParseSpecs(*tenantsSpec); err != nil {
+		return err
 	}
 	// -trace-out or -slow arm tracing; the ring collects across every tier.
 	if *traceOut != "" || *slow > 0 {
@@ -228,7 +229,7 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		defer flush()
-		live.Load.Observer = observe
+		live.Observer = observe
 	}
 	if mode != "v" {
 		p = live

@@ -422,7 +422,7 @@ func TestFlagModes(t *testing.T) {
 		{[]string{"-servers", addr}, "live sim", "an external run", ""},
 		{[]string{"-mus", "90000"}, "external", "a -plane mode", ""},
 		{[]string{"-plane-servers", "5"}, "external", "a -plane mode", ""},
-		{[]string{"-n", "5"}, "external", "a -plane mode", ""},
+		{[]string{"-n", "5"}, "external live", "the model or sim planes", ""},
 		{[]string{"-faults", "slow:srv=0,delay=1us"}, "external", "a -plane mode", ""},
 		{[]string{"-slo", "window=50ms"}, "external", "a -plane mode", ""},
 		{[]string{"-extstore", "ram=10,total=40,mud=2000"}, "external", "a -plane mode", ""},

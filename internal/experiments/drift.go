@@ -176,7 +176,7 @@ func Drift(b Budget) (*Report, error) {
 	}
 	ls := plane.Scenario{
 		Name:         "drift-live",
-		N:            1, // the loadgen issues per-key gets
+		N:            1,
 		LoadRatios:   core.BalancedLoad(2),
 		TotalKeyRate: 300,
 		Q:            0.1,
@@ -194,7 +194,7 @@ func Drift(b Budget) (*Report, error) {
 		return nil, err
 	}
 	ls.SLO = liveWd
-	liveRes, err := plane.LivePlane{PoolSize: 16}.Run(context.Background(), ls)
+	liveRes, err := plane.LivePlane{}.Run(context.Background(), ls)
 	if err != nil {
 		return nil, err
 	}

@@ -150,7 +150,7 @@ func HotKey(b Budget) (*Report, error) {
 			DBQueueDepth: 64,
 			Coalesce:     coalesce,
 		}
-		return plane.LivePlane{PoolSize: 16}.Run(context.Background(), s)
+		return plane.LivePlane{}.Run(context.Background(), s)
 	}
 	naive, err := liveLeg(false)
 	if err != nil {

@@ -165,7 +165,7 @@ func Noisy(b Budget) (*Report, error) {
 			{Name: "aggressor", Rate: 1600 * 0.5 / 3, Share: 0.5},
 		},
 	}
-	live, err := plane.LivePlane{PoolSize: 16}.Run(context.Background(), liveScenario)
+	live, err := plane.LivePlane{}.Run(context.Background(), liveScenario)
 	if err != nil {
 		return nil, fmt.Errorf("live: %w", err)
 	}

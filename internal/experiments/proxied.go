@@ -92,13 +92,13 @@ func Proxied(b Budget) (*Report, error) {
 		Workers:      32,
 		Seed:         b.Seed,
 	}
-	ldir, err := (plane.LivePlane{PoolSize: 16}).Run(ctx, live)
+	ldir, err := (plane.LivePlane{}).Run(ctx, live)
 	if err != nil {
 		return nil, err
 	}
 	liveProxied := live
 	liveProxied.Proxy = &plane.ProxySpec{}
-	lpx, err := (plane.LivePlane{PoolSize: 16}).Run(ctx, liveProxied)
+	lpx, err := (plane.LivePlane{}).Run(ctx, liveProxied)
 	if err != nil {
 		return nil, err
 	}

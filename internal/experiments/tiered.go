@@ -127,7 +127,7 @@ func Tiered(b Budget) (*Report, error) {
 	liveSpec := &plane.ExtstoreSpec{RAMItems: 200, TotalItems: 1800, MuDisk: tieredMuDisk}
 	ls := plane.Scenario{
 		Name:         "tiered-live",
-		N:            10,
+		N:            1,
 		LoadRatios:   core.BalancedLoad(2),
 		TotalKeyRate: 4000,
 		Q:            0.1,

@@ -5,11 +5,12 @@ import (
 	"io"
 	"log"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"memqlat/internal/cache"
-	"memqlat/internal/loadgen"
+	"memqlat/internal/dist"
 	"memqlat/internal/server"
 	"memqlat/internal/telemetry"
 	"memqlat/internal/tenant"
@@ -47,7 +48,7 @@ func TestLivePlaneAttach(t *testing.T) {
 
 	s := Scenario{
 		Name:         "attach",
-		N:            10,
+		N:            1,
 		LoadRatios:   []float64{0.5, 0.5},
 		TotalKeyRate: 4000,
 		Q:            0.1,
@@ -73,7 +74,7 @@ func TestLivePlaneAttach(t *testing.T) {
 		{"in-process", LivePlane{}, s, true},
 		{"in-process hits only", LivePlane{}, hitsOnly, false},
 		{"attached", LivePlane{Servers: addrs}, s, false},
-		{"attached read-through", LivePlane{Servers: addrs, Load: loadgen.Options{UseGetThrough: true}}, s, true},
+		{"attached read-through", LivePlane{Servers: addrs, ReadThrough: true}, s, true},
 	} {
 		res, err := tc.live.Run(context.Background(), tc.s)
 		if err != nil {
@@ -110,5 +111,42 @@ func TestLivePlaneAttach(t *testing.T) {
 	tiered.Extstore = &ExtstoreSpec{RAMItems: 10, TotalItems: 40, MuDisk: 2000}
 	if _, err := (LivePlane{Servers: addrs}).Start(tiered); err == nil {
 		t.Error("attached Start accepted an extstore spec")
+	}
+}
+
+// TestLivePlaneRefusesWhatItCannotRun: a Scenario field the live stack
+// has no way to realize is refused by name before anything is built,
+// rather than measured as something else.
+func TestLivePlaneRefusesWhatItCannotRun(t *testing.T) {
+	poisson := func(rate float64) (dist.Interarrival, error) { return dist.NewExponential(rate) }
+	for _, tc := range []struct {
+		field string
+		mut   func(*Scenario)
+	}{
+		{"N", func(s *Scenario) { s.N = 10 }},
+		{"Arrival", func(s *Scenario) { s.Arrival = poisson }},
+		{"LoadRatios", func(s *Scenario) { s.LoadRatios = []float64{0.7, 0.3} }},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			s := Scenario{
+				Name:         "refused",
+				N:            1,
+				LoadRatios:   []float64{0.5, 0.5},
+				TotalKeyRate: 1000,
+				Q:            0.1,
+				Xi:           0.15,
+				MuS:          1000,
+				MuD:          1000,
+			}
+			tc.mut(&s)
+			r, err := (LivePlane{}).Start(s)
+			if err == nil {
+				r.Close()
+				t.Fatalf("Start accepted %s", tc.field)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("err = %v, want it to name %s", err, tc.field)
+			}
+		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -33,9 +34,10 @@ const liveExtSegmentBytes = 16 << 10
 
 // liveTier sizes one server's share of a tiered scenario: a RAM cache
 // holding ~RAMItems/M items and an extstore budget for the SSD share,
-// both converted to bytes at the loadgen's key size and valueSize (the
-// payload the run stores; 0 = the loadgen default of 100).
-func liveTier(s Scenario, m, valueSize int) (cache.Options, extstore.Options) {
+// both converted to bytes at the loadgen's key size and the scenario's
+// ValueSize (0 = the loadgen default of 100).
+func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
+	valueSize := s.ValueSize
 	if valueSize == 0 {
 		valueSize = 100
 	}
@@ -65,27 +67,53 @@ func liveTier(s Scenario, m, valueSize int) (cache.Options, extstore.Options) {
 // LivePlane evaluates a Scenario on the real TCP stack, and is the one
 // place that stack is assembled: a cluster (one shaped in-process
 // server per load-ratio entry, or the existing one at Servers), an
-// optional proxy tier, a simulated database backend, a pooled client,
-// and the mutilate-like load generator, all sharing a single telemetry
-// collector so the measured Breakdown decomposes exactly like the
-// model's and the simulator's. Run is Start → Drive → Close.
+// optional proxy tier, a simulated database backend, a pooled client
+// (one idle connection per worker and server), and the mutilate-like
+// load generator, all sharing a single telemetry collector so the
+// measured Breakdown decomposes exactly like the model's and the
+// simulator's. Run is Start → Drive → Close.
 //
+// Every workload value comes from the Scenario; the fields here say
+// only how the stack is driven. The load generator issues single-key
+// gets at Generalized Pareto gaps and consistent hashing realizes only
+// a balanced split, so Start refuses a Scenario with N ≠ 1, a non-nil
+// Arrival or unequal LoadRatios instead of measuring something else.
 // Real-time pacing cannot sustain the paper's 62.5 Kps per server on
-// one machine, so live Scenarios use scaled rates; the Sample is
-// per-key latency (keys spread by consistent hashing, which realizes a
-// balanced load split).
+// one machine, so live Scenarios use scaled rates.
 type LivePlane struct {
-	// PoolSize caps client connections per server (default: Workers).
-	PoolSize int
 	// Servers, when non-empty, attaches the run to the cluster already
 	// listening at these addresses instead of starting one. It has its
 	// own service rate, tier and failures: the model parameters are not
 	// validated against it and Faults/Extstore are rejected.
 	Servers []string
-	// Load carries the loadgen settings a Scenario has no word for:
-	// ValueSize, ClosedLoop, Observer and UseGetThrough (an in-process
-	// cluster also reads through whenever the scenario prices misses).
-	Load loadgen.Options
+	// ReadThrough relays misses to a simulated database through the
+	// client's GetThrough. An in-process cluster reads through anyway
+	// whenever the scenario prices misses or arms the extstore tier.
+	ReadThrough bool
+	// ClosedLoop keeps Workers operations outstanding, each issued when
+	// the previous completes, instead of pacing arrivals open-loop.
+	ClosedLoop bool
+	// Observer, when set, sees every issued key with its offset from
+	// the run start (e.g. a key journal for MRC analysis or replay).
+	Observer func(offset time.Duration, key string)
+}
+
+// liveRefusal names the first Scenario field the live plane would
+// otherwise ignore: it runs single-key requests, Generalized Pareto
+// gaps and a balanced split only.
+func (s Scenario) liveRefusal() error {
+	switch {
+	case s.N != 1:
+		return fmt.Errorf("plane: scenario %q: the live plane issues single-key gets and needs N = 1, not N = %d", s.Name, s.N)
+	case s.Arrival != nil:
+		return fmt.Errorf("plane: scenario %q: the live plane paces Generalized Pareto gaps only; Arrival must be nil", s.Name)
+	}
+	for _, p := range s.LoadRatios {
+		if math.Abs(p-s.LoadRatios[0]) > 1e-9 {
+			return fmt.Errorf("plane: scenario %q: consistent hashing realizes only a balanced split; LoadRatios %v are unequal", s.Name, s.LoadRatios)
+		}
+	}
+	return nil
 }
 
 // Name implements Plane.
@@ -130,6 +158,9 @@ type LiveRun struct {
 // everything built so far is released.
 func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 	s = s.withDefaults()
+	if err := s.liveRefusal(); err != nil {
+		return nil, err
+	}
 	r := &LiveRun{s: s, began: time.Now(), collector: telemetry.NewCollector()}
 	defer func() {
 		if err != nil {
@@ -149,7 +180,7 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 
 	addrs := p.Servers
 	if len(addrs) == 0 {
-		if addrs, err = r.startServers(p, rec); err != nil {
+		if addrs, err = r.startServers(rec); err != nil {
 			return nil, err
 		}
 	} else if !s.Faults.Empty() || s.Extstore != nil {
@@ -158,19 +189,16 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 
 	// A tiered run's misses are capacity misses, and whatever falls past
 	// the disk tier must still read through to the backend.
-	readThrough := p.Load.UseGetThrough ||
+	readThrough := p.ReadThrough ||
 		len(p.Servers) == 0 && (s.MissRatio > 0 || s.Extstore != nil)
 	clOpts := client.Options{
 		FillTTL:    s.FillTTL,
-		PoolSize:   p.PoolSize,
+		PoolSize:   s.Workers,
 		Resilience: s.Resilience,
 		Coalesce:   s.Coalesce,
 		Recorder:   rec,
 		Tracer:     s.Tracer,
 		Seed:       s.Seed,
-	}
-	if clOpts.PoolSize == 0 {
-		clOpts.PoolSize = s.Workers
 	}
 	if readThrough {
 		dbOpts := backend.Options{
@@ -224,7 +252,7 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 	r.load = loadgen.Options{
 		Client:        r.cl,
 		Keys:          s.Keys,
-		ValueSize:     p.Load.ValueSize,
+		ValueSize:     s.ValueSize,
 		ValueDist:     s.ValueDist,
 		ValueSigma:    s.ValueSigma,
 		ZipfS:         s.ZipfS,
@@ -236,8 +264,8 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 		Workers:       s.Workers,
 		Seed:          s.Seed,
 		UseGetThrough: readThrough,
-		Observer:      p.Load.Observer,
-		ClosedLoop:    p.Load.ClosedLoop,
+		Observer:      p.Observer,
+		ClosedLoop:    p.ClosedLoop,
 		Recorder:      rec,
 		Tenants:       s.Tenants,
 	}
@@ -271,7 +299,7 @@ func (r *LiveRun) serve(serve func(net.Listener) error, closeTier func() error) 
 
 // startServers brings up the in-process cluster (on a tiered scenario,
 // capacity-sized RAM caches over real segment files in temp dirs).
-func (r *LiveRun) startServers(p LivePlane, rec telemetry.Recorder) ([]string, error) {
+func (r *LiveRun) startServers(rec telemetry.Recorder) ([]string, error) {
 	s := r.s
 	model, err := s.Config()
 	if err != nil {
@@ -295,7 +323,7 @@ func (r *LiveRun) startServers(p LivePlane, rec telemetry.Recorder) ([]string, e
 		var ext *extstore.Store
 		if s.Extstore != nil {
 			var eopts extstore.Options
-			copts, eopts = liveTier(s, m, p.Load.ValueSize)
+			copts, eopts = liveTier(s, m)
 			dir, err := os.MkdirTemp("", "memqlat-extstore-*")
 			if err != nil {
 				return nil, err
@@ -362,11 +390,14 @@ func (r *LiveRun) RegisterMetrics(reg *metrics.Registry) {
 
 // Drive starts the run clock, issues the load (bounded by ctx and the
 // scenario's Duration) and summarizes it on the common Result surface.
+// The breakdown covers the run alone: what Start's populate recorded
+// is drained when the clock starts.
 func (r *LiveRun) Drive(ctx context.Context) (*Result, error) {
 	s := r.s
 	runCtx, cancel := context.WithTimeout(ctx, s.Duration)
 	defer cancel()
 	r.clock.Start()
+	r.collector.Drain()
 	if wd := s.SLO; wd != nil {
 		// Arm only once the run clock starts: populate traffic is warmup,
 		// not SLO traffic. Windows advance on the same epoch the fault
@@ -409,8 +440,7 @@ func (r *LiveRun) summarize(lg *loadgen.Result) *Result {
 	res := &Result{
 		Plane:    "live",
 		Scenario: s,
-		// Live totals are per-key (the loadgen issues single-key gets);
-		// the network stage is physically included in the sample, so TN
+		// The network stage is physically included in the sample, so TN
 		// reads 0 rather than the modeled constant.
 		Total:     core.Bounds{Lo: mean, Hi: mean},
 		TN:        0,

@@ -57,12 +57,14 @@ type Scenario struct {
 	// Name labels the scenario in reports (e.g. "facebook", "fig5 q=0.3").
 	Name string
 
-	// N is the number of Memcached keys per end-user request.
+	// N is the number of Memcached keys per end-user request. The live
+	// plane issues single-key gets and refuses any N but 1.
 	N int
 	// LoadRatios is the load split {p_j} over the M servers (must be
 	// non-negative, summing to 1). The live plane spreads keys with
-	// consistent hashing, so it realizes a balanced split; unbalanced
-	// scenarios are the model/simulator's domain.
+	// consistent hashing, which realizes only a balanced split, so it
+	// refuses unequal ratios; unbalanced scenarios are the
+	// model/simulator's domain.
 	LoadRatios []float64
 	// TotalKeyRate is Λ, the aggregate key arrival rate.
 	TotalKeyRate float64
@@ -80,7 +82,8 @@ type Scenario struct {
 	NetworkLatency float64
 	// Arrival optionally overrides the batch inter-arrival family
 	// (default: Generalized Pareto with shape Xi). Model and simulator
-	// planes honor it; the live plane's pacer is GPareto-only.
+	// planes honor it; the live plane's pacer is GPareto-only, so it
+	// refuses a non-nil Arrival.
 	Arrival core.ArrivalFactory
 
 	// Faults is the shared fault schedule. The simulator planes evaluate
@@ -103,7 +106,8 @@ type Scenario struct {
 	// Ops is the number of key operations the live plane issues
 	// (default 2000 — real-time pacing bounds the live rate).
 	Ops int
-	// Workers bounds the live plane's in-flight operations (default 32).
+	// Workers bounds the live plane's in-flight operations and sizes
+	// its client's idle pool per server (default 32).
 	Workers int
 	// Duration caps the live run's wall time (default 2 minutes).
 	Duration time.Duration
@@ -149,13 +153,16 @@ type Scenario struct {
 	// concurrent backend (the paper's ρ_D ≈ 0 stage).
 	DBQueueDepth int
 
-	// ValueDist selects the live plane's per-key value-size law
-	// (loadgen.ValueDistFixed or loadgen.ValueDistLogNormal; "" =
-	// fixed). The lognormal keeps the fixed law's 100-byte mean — the
-	// tier sizing assumes it — but gives the disk tier mixed object
-	// sizes. ValueSigma is its shape (0 = loadgen's default). The
-	// model and sim planes ignore both: they price service stages,
-	// not payloads.
+	// ValueSize, ValueDist and ValueSigma are the live plane's per-key
+	// value-size law. ValueSize is the stored value in bytes (0 = the
+	// loadgen's 100), and the mean of the law under lognormal; the live
+	// tier sizing converts item budgets to bytes at it. ValueDist is
+	// loadgen.ValueDistFixed or loadgen.ValueDistLogNormal ("" =
+	// fixed): the lognormal gives the disk tier mixed object sizes
+	// around the same mean. ValueSigma is its shape (0 = loadgen's
+	// default). The model and sim planes ignore all three: they price
+	// service stages, not payloads.
+	ValueSize  int
 	ValueDist  string
 	ValueSigma float64
 
@@ -351,8 +358,7 @@ type Result struct {
 	TS core.Bounds
 	TD float64
 
-	// Sample is the measured latency histogram (per composed request
-	// on the simulator planes, per key on the live plane; nil on the
+	// Sample is the measured per-request latency histogram (nil on the
 	// model plane).
 	Sample *stats.Histogram
 	// MeanCI is the 95% confidence interval on Sample's mean (zero
@@ -408,9 +414,8 @@ type TenantResult struct {
 	// Issued / Shed count keys on the measured planes (zero on model).
 	Issued int64
 	Shed   int64
-	// Latency is the admitted-traffic latency histogram: per composed
-	// request on the sim plane, per key op on the live plane; nil on
-	// the model plane.
+	// Latency is the admitted-traffic per-request latency histogram
+	// (nil on the model plane).
 	Latency *stats.Histogram
 }
 

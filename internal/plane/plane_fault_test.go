@@ -11,6 +11,8 @@ import (
 	"memqlat/internal/telemetry"
 )
 
+// faultScenario is the shared faulted scenario at N = 10; live callers
+// set N = 1, the only request the live plane runs.
 func faultScenario(t *testing.T, spec string, res fault.Resilience) Scenario {
 	t.Helper()
 	sched, err := fault.ParseSchedule(spec)
@@ -116,6 +118,7 @@ func TestFaultSimPlaneDegrades(t *testing.T) {
 func TestFaultLivePlaneSameSchedule(t *testing.T) {
 	onLiveCore(t, func(t *testing.T, live LivePlane) {
 		s := faultScenario(t, "reset:srv=0", fault.Resilience{})
+		s.N = 1
 		res, err := live.Run(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
@@ -146,6 +149,7 @@ func TestFaultLivePlaneBreakerSheds(t *testing.T) {
 			BreakerWindow:    4,
 			BreakerCooldown:  0.05,
 		})
+		s.N = 1
 		res, err := live.Run(context.Background(), s)
 		if err != nil {
 			t.Fatal(err)
@@ -187,6 +191,7 @@ func TestFaultResilienceRefusedOnEveryPlane(t *testing.T) {
 			if _, err := (SimPlane{}).Run(context.Background(), s); err == nil || !strings.Contains(err.Error(), want.Error()) {
 				t.Errorf("sim plane: err = %v, want %q", err, want)
 			}
+			s.N = 1
 			r, err := (LivePlane{}).Start(s)
 			if err == nil {
 				r.Close()

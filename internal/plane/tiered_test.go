@@ -145,7 +145,7 @@ func TestCrossPlaneTiered(t *testing.T) {
 			// point of deriving the split from the MRC.
 			ls := Scenario{
 				Name:         "tiered-live",
-				N:            10,
+				N:            1,
 				LoadRatios:   []float64{0.5, 0.5},
 				TotalKeyRate: 4000,
 				Q:            0.1,
@@ -219,7 +219,9 @@ func TestExtstoreSpecRefusedOnEveryPlane(t *testing.T) {
 			}
 			_, mErr := ModelPlane{}.Run(ctx, s)
 			_, sErr := (SimPlane{}).Run(ctx, s)
-			r, lErr := (LivePlane{}).Start(s)
+			ls := s
+			ls.N = 1 // the live plane's request is one key
+			r, lErr := (LivePlane{}).Start(ls)
 			if lErr == nil {
 				r.Close()
 			}

@@ -92,9 +92,11 @@ type downstream struct {
 
 	// trace is the pending mq_trace header from the client: it scopes
 	// the next command. hdr is the regenerated upstream header for the
-	// in-flight dispatch (reused buffer; empty when untraced).
+	// in-flight dispatch (reused buffer; empty when untraced), and hop
+	// its span until ended (zero when untraced).
 	trace otrace.Ctx
 	hdr   []byte
+	hop   otrace.Span
 }
 
 // splitGroup accumulates the keys of a read that route to one (server,
@@ -171,19 +173,18 @@ func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte, flu
 			return nil
 		}
 	}
-	// A traced command gets a hop span covering the forward path (the
-	// same window StageProxyHop measures) and a regenerated header that
+	// A traced command gets a hop span covering the forward path up to
+	// its first upstream send (see send) and a regenerated header that
 	// parents every upstream leg under the hop.
-	var hop otrace.Span
 	d.hdr = d.hdr[:0]
 	if tc := d.trace; tc.Valid() {
 		d.trace = otrace.Ctx{}
 		if tr := p.tracer; tr.Enabled() {
-			hop = tr.Begin(tc, "proxy", "hop", -1)
-			d.hdr = protocol.AppendTrace(d.hdr, hop.Trace, hop.ID)
+			d.hop = tr.Begin(tc, "proxy", "hop", -1)
+			d.hdr = protocol.AppendTrace(d.hdr, d.hop.Trace, d.hop.ID)
+			defer p.endHop(d) // a command answered locally sends nothing
 		}
 	}
-	defer p.tracer.End(hop)
 	switch cmd.Op {
 	case protocol.OpGet, protocol.OpGets, protocol.OpGat, protocol.OpGats:
 		p.dispatchRead(d, cmd, frame, flush)
@@ -337,6 +338,12 @@ func (p *Proxy) sendLeg(d *downstream, slot *pending, srv, conn int, frame []byt
 // send writes frame to upstream (srv, conn) for pd (nil for noreply); a
 // send that fails before pd is enqueued resolves pd as an error reply.
 func (p *Proxy) send(d *downstream, pd *pending, srv, conn int, frame []byte, flush bool) {
+	if d.hop.ID != 0 {
+		// Once a leg is queued its read loop may flush it and relay the
+		// reply, so the hop ends first: a client holding the reply finds
+		// the span recorded.
+		p.endHop(d)
+	}
 	if err := p.ups[srv][conn].send(d.hdr, frame, pd, flush); err != nil {
 		p.recordOutcome(srv, true)
 		if pd != nil {
@@ -345,6 +352,12 @@ func (p *Proxy) send(d *downstream, pd *pending, srv, conn int, frame []byte, fl
 		return
 	}
 	p.forwarded.Add(1)
+}
+
+// endHop records the traced command's hop span, once.
+func (p *Proxy) endHop(d *downstream) {
+	p.tracer.End(d.hop)
+	d.hop = otrace.Span{}
 }
 
 // Local reply lines: the only wire text the proxy writes itself;

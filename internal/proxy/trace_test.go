@@ -6,7 +6,6 @@ import (
 	"log"
 	"net"
 	"testing"
-	"time"
 
 	"memqlat/internal/cache"
 	"memqlat/internal/otrace"
@@ -47,19 +46,6 @@ func spansByKind(spans []otrace.Span) map[string][]otrace.Span {
 	return out
 }
 
-// spansOnceEnded waits up to 2 s for the hop span and handles server
-// spans to end, then returns the spans by kind: the proxy ends its hop
-// span after the forward returns, which can be after the relayed reply
-// reached the client.
-func spansOnceEnded(tr *otrace.Tracer, handles int) map[string][]otrace.Span {
-	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(time.Millisecond) {
-		kinds := spansByKind(tr.Snapshot())
-		if len(kinds["proxy/hop"]) > 0 && len(kinds["server/handle"]) >= handles || time.Now().After(deadline) {
-			return kinds
-		}
-	}
-}
-
 func TestTraceHeaderPropagatesThroughProxy(t *testing.T) {
 	tr := otrace.New(otrace.Options{})
 	backends := startTracedBackends(t, 2, tr)
@@ -73,7 +59,7 @@ func TestTraceHeaderPropagatesThroughProxy(t *testing.T) {
 	if got["tkey"] != "tv" {
 		t.Fatalf("traced get = %v", got)
 	}
-	kinds := spansOnceEnded(tr, 1)
+	kinds := spansByKind(tr.Snapshot())
 	hops := kinds["proxy/hop"]
 	if len(hops) != 1 || hops[0].Trace != 41 || hops[0].Parent != 7 {
 		t.Fatalf("proxy/hop spans = %+v, want one with trace 41 parent 7", hops)
@@ -99,7 +85,7 @@ func TestTraceSplitMultiGetFansOut(t *testing.T) {
 	if got := c.retrieval(); len(got) != 16 {
 		t.Fatalf("split read returned %d keys, want 16", len(got))
 	}
-	kinds := spansOnceEnded(tr, 2)
+	kinds := spansByKind(tr.Snapshot())
 	hops := kinds["proxy/hop"]
 	if len(hops) != 1 {
 		t.Fatalf("proxy/hop spans = %d, want 1", len(hops))

@@ -104,12 +104,12 @@ func (s *Server) serveCommand(w *protocol.Writer, cmd *protocol.Command, cs *con
 	var waited time.Duration
 	if cs.shaper != nil {
 		service := time.Duration(cs.shaper.ExpFloat64() / s.opts.ServiceRate * float64(time.Second))
-		s.serviceCh.Lock()
-		// Time spent acquiring the service channel is the live
+		s.serviceCh <- struct{}{}
+		// Time spent entering the service channel is the live
 		// server's queueing delay (the W of GI^X/M/1).
 		waited = time.Since(began)
 		time.Sleep(service)
-		s.serviceCh.Unlock()
+		<-s.serviceCh
 		cs.rec.Observe(telemetry.StageQueueWait, waited.Seconds())
 	}
 	out := w

@@ -129,10 +129,12 @@ type Server struct {
 	telem *telemetry.Collector
 	rec   telemetry.Recorder
 
-	// serviceCh serializes shaped service across connections, so a
-	// shaped server behaves as ONE queueing server (the paper's single
-	// GI^X/M/1 service channel), not one per connection.
-	serviceCh sync.Mutex
+	// serviceCh is the one-slot service channel of a shaped server: a
+	// command sends to enter service and receives to leave it, so the
+	// server behaves as ONE queueing server (the paper's single GI^X/M/1
+	// service channel), not one per connection. A receive hands the slot
+	// to the oldest blocked sender, so service order is FIFO.
+	serviceCh chan struct{}
 
 	// latency tracks per-command handling time, served by "stats
 	// latency" (a memqlat observability extension). Each connection
@@ -214,6 +216,7 @@ func New(opts Options) (*Server, error) {
 		latency:    latency,
 		timingMask: timingMask,
 		timingOff:  timingOff,
+		serviceCh:  make(chan struct{}, 1),
 	}
 	// Shard-lock contention in the cache surfaces as the lock_wait
 	// telemetry stage; the TryLock fast path records nothing when

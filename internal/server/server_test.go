@@ -356,6 +356,37 @@ func TestServiceRateShaping(t *testing.T) {
 	}
 }
 
+// TestShapedServiceIsFIFO: a command that arrives while another is in
+// shaped service is served next, even against a connection with more
+// pipelined commands ready. Connection A pipelines five incr; B sends
+// one 5 ms later, inside A's first service (seed 4 draws 36 ms for it at
+// µ = 50/s), so B must be served second. Each incr reply is the
+// counter after it, so the replies carry the service order; A's replies
+// leave in one flush once its pipeline drains, so their arrival order
+// could not tell.
+func TestShapedServiceIsFIFO(t *testing.T) {
+	_, addr := startServer(t, Options{ServiceRate: 50, Seed: 4})
+	ra, wa, _ := dial(t, addr)
+	send(t, wa, "set ctr 0 0 1\r\n0\r\n")
+	if got := readLine(t, ra); got != "STORED" {
+		t.Fatalf("set = %q", got)
+	}
+	rb, wb, _ := dial(t, addr)
+	send(t, wa, strings.Repeat("incr ctr 1\r\n", 5))
+	time.Sleep(5 * time.Millisecond)
+	send(t, wb, "incr ctr 1\r\n")
+	if got := readLine(t, rb); got != "2" {
+		t.Errorf("B's incr = %s, want 2: B was not served right after A's first command", got)
+	}
+	var order []string
+	for i := 0; i < 5; i++ {
+		order = append(order, readLine(t, ra))
+	}
+	if got := strings.Join(order, " "); got != "1 3 4 5 6" {
+		t.Errorf("A's incr replies = %s, want 1 3 4 5 6", got)
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	_, addr := startServer(t, Options{})
 	var wg sync.WaitGroup

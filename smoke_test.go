@@ -350,7 +350,7 @@ func TestSLOSmoke(t *testing.T) {
 	// The live plane with a mid-run db slowdown: the watchdog rides the
 	// run and must name miss_penalty.
 	t.Run("live plane db fault", func(t *testing.T) {
-		out := testkit.Run(t, mcbench, "-plane=live", "-plane-servers", "2", "-lambda", "300", "-mus", "500", "-n", "1",
+		out := testkit.Run(t, mcbench, "-plane=live", "-plane-servers", "2", "-lambda", "300", "-mus", "500",
 			"-ops", "900", "-workers", "32", "-miss-ratio", "0.2", "-mud", "500", "-seed", "7",
 			"-faults", "slow:srv=db,from=1s,delay=50ms", "-slo", "window=0.5s,k=2,band=3")
 		if !alert.MatchString(out) {
