@@ -123,7 +123,7 @@ microbench:
 # and so is the admin plane of the real binary (TestObsSmoke).
 obs:
 	$(GO) run ./cmd/mcbench -plane=live -plane-servers 2 -lambda 2000 \
-		-mus 2000 -n 10 -ops 1200 -miss-ratio 0.02 -seed 7 \
+		-mus 2000 -ops 1200 -miss-ratio 0.02 -seed 7 \
 		-admin 127.0.0.1:0 -trace-ring 8192 -trace-out obs_trace.json -slow 250ms
 	rm -f obs_trace.json
 	$(GO) test -run TestObservabilitySmoke -count=1 ./cmd/mcbench/

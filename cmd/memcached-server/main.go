@@ -60,7 +60,6 @@ func run(args []string) error {
 		maxConns    = fs.Int("max-conns", 1024, "maximum concurrent connections")
 		serviceRate = fs.Float64("service-rate", 0, "optional exponential service-rate shaping (ops/s, 0 = off)")
 		seed        = fs.Uint64("seed", 1, "seed for service-time shaping")
-		timingSmpl  = fs.Int("timing-sample", 0, "time 1-in-N unshaped commands for stats latency/telemetry (0 = default 8, 1 = every command, negative = off)")
 		extDir      = fs.String("extstore-dir", "", "arm a log-structured SSD cache tier on this directory (RAM evictions spill there; empty = off)")
 		extMB       = fs.Int64("extstore-mb", 64, "extstore on-disk budget in MiB")
 		extSegKB    = fs.Int64("extstore-segment-kb", 0, "extstore segment size in KiB (0 = default 4096)")
@@ -138,18 +137,17 @@ func run(args []string) error {
 			*extDir, *extMB, ext.Len(), ext.Stats().Segments)
 	}
 	sopts := server.Options{
-		Cache:        c,
-		Extstore:     ext,
-		MaxConns:     *maxConns,
-		ServiceRate:  *serviceRate,
-		Seed:         *seed,
-		TimingSample: *timingSmpl,
-		Tracer:       tracer,
-		Exemplars:    exStore,
-		ConnCore:     *connCore,
-		LoopWorkers:  *loopWorkers,
-		IdleTimeout:  *idleTimeout,
-		Logger:       log.New(os.Stderr, "memcached-server: ", log.LstdFlags),
+		Cache:       c,
+		Extstore:    ext,
+		MaxConns:    *maxConns,
+		ServiceRate: *serviceRate,
+		Seed:        *seed,
+		Tracer:      tracer,
+		Exemplars:   exStore,
+		ConnCore:    *connCore,
+		LoopWorkers: *loopWorkers,
+		IdleTimeout: *idleTimeout,
+		Logger:      log.New(os.Stderr, "memcached-server: ", log.LstdFlags),
 	}
 	if wd != nil {
 		// The server tees Options.Recorder with its own collector, so

@@ -18,12 +18,10 @@ const maxFuncLines = 120
 // the length each may not exceed. The list only shrinks: split a
 // function and delete its entry; never add one or raise a number.
 var longFuncs = map[string]int{
-	"cmd/mcbench.run":                   149,
-	"cmd/memcached-server.run":          151,
-	"internal/experiments.Drift":        133,
-	"internal/metrics.RegisterServers":  142,
-	"internal/plane.LivePlane.Start":    126,
-	"internal/server.Server.writeStats": 122,
+	"cmd/mcbench.run":                149,
+	"cmd/memcached-server.run":       149,
+	"internal/experiments.Drift":     133,
+	"internal/plane.LivePlane.Start": 126,
 }
 
 // TestFunctionLengthRatchet parses every non-test Go file of the module

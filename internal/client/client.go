@@ -219,7 +219,7 @@ func New(opts Options) (*Client, error) {
 		c.retryBudget = &tokenBucket{tokens: retryBudgetBurst}
 	}
 	if c.res.Hedging() {
-		c.readLat = new(latencyDigest)
+		c.readLat = newLatencyDigest()
 	}
 	if c.res.BreakerThreshold > 0 {
 		pol := route.PolicyOf(c.res)

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"log"
+	"math"
 	"net"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -471,6 +473,70 @@ func TestFaultHedgedGetCutsTail(t *testing.T) {
 	}
 	if got := col.Breakdown()[telemetry.StageHedgeWait].Count; got != 1 {
 		t.Errorf("StageHedgeWait count = %d, want 1", got)
+	}
+}
+
+// TestFaultHedgePercentileTrigger: with HedgePercentile and no fixed
+// delay, once hedgeMinSamples reads have succeeded a stalled read hedges
+// at the observed p90 of those reads — not at their median, the
+// minHedgeDelay floor or the warm-up fallback. Warm-up read i waits
+// 1 ms + (i mod 10)·0.5 ms on the server, so every read lasts at least
+// its server delay and at most its client-side wall time: the p90 of
+// each bounds the trigger, widened by the histogram's 1 % bucket error.
+func TestFaultHedgePercentileTrigger(t *testing.T) {
+	var stalls atomic.Int64
+	delays := make([]time.Duration, hedgeMinSamples)
+	for i := range delays {
+		delays[i] = time.Millisecond + time.Duration(i%10)*time.Millisecond/2
+	}
+	var next atomic.Int64
+	addr := scriptedServer(t, func(w net.Conn, line string) bool {
+		if !strings.HasPrefix(line, "get ") {
+			return false
+		}
+		if line == "get stall" {
+			if stalls.Add(1) == 1 {
+				time.Sleep(400 * time.Millisecond) // the stalled primary
+			}
+		} else {
+			time.Sleep(delays[(next.Add(1)-1)%hedgeMinSamples])
+		}
+		_, _ = w.Write([]byte("VALUE " + strings.TrimPrefix(line, "get ") + " 0 1\r\nv\r\nEND\r\n"))
+		return true
+	})
+	col := telemetry.NewCollector()
+	c := newClient(t, []string{addr}, func(o *Options) {
+		o.Resilience = fault.Resilience{HedgePercentile: 0.9}
+		o.Recorder = col
+	})
+	walls := make([]time.Duration, hedgeMinSamples)
+	for i := range walls {
+		began := time.Now()
+		if _, err := c.Get("k"); err != nil {
+			t.Fatalf("warm-up Get %d = %v", i, err)
+		}
+		walls[i] = time.Since(began)
+	}
+	if got := col.Breakdown()[telemetry.StageHedgeWait].Count; got != 0 {
+		t.Fatalf("%d warm-up reads outlived the %v fallback and hedged", got, hedgeFallbackDelay)
+	}
+	p90 := func(d []time.Duration) time.Duration {
+		slices.Sort(d)
+		return d[int(math.Ceil(0.9*float64(len(d))))-1]
+	}
+	lo, hi := p90(slices.Clone(delays)), p90(walls)
+	lo, hi = lo-lo/50, hi+hi/50
+
+	if _, err := c.Get("stall"); err != nil {
+		t.Fatalf("hedged Get = %v", err)
+	}
+	hw := col.Breakdown()[telemetry.StageHedgeWait]
+	if hw.Count != 1 {
+		t.Fatalf("StageHedgeWait count = %d, want 1", hw.Count)
+	}
+	if trigger := time.Duration(hw.Mean * float64(time.Second)); trigger < lo || trigger > hi {
+		t.Errorf("hedge fired after %v, want the warm-up p90 in [%v, %v] (fallback %v, floor %v)",
+			trigger, lo, hi, hedgeFallbackDelay, minHedgeDelay)
 	}
 }
 

@@ -4,13 +4,13 @@ import (
 	"errors"
 	"math"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
 	"memqlat/internal/fault"
 	"memqlat/internal/otrace"
 	"memqlat/internal/protocol"
+	"memqlat/internal/stats"
 	"memqlat/internal/telemetry"
 )
 
@@ -139,47 +139,44 @@ func (t *tokenBucket) take() bool {
 	return true
 }
 
-// latencyDigest is a fixed-size reservoir of recent read latencies with
-// a lazily recomputed quantile — the adaptive hedge trigger's input.
+// latencyDigest keeps the latencies of recent successful reads — the
+// adaptive hedge trigger's input — in two histogram windows: the one
+// filling and the last full one.
 type latencyDigest struct {
-	mu      sync.Mutex
-	buf     [digestSize]float64
-	idx     int
-	filled  int
-	stale   int
-	cachedQ float64
+	mu        sync.Mutex
+	cur, last *stats.Histogram
+	full      bool // last holds a full window
 }
 
-const digestSize = 512
+// digestWindow is how many reads a window holds before it replaces the
+// last full one.
+const digestWindow = 512
 
-// recomputing the quantile every insert would be O(n log n) per op;
-// every 32 inserts keeps the trigger fresh at negligible cost.
-const digestRefresh = 32
+func newLatencyDigest() *latencyDigest {
+	return &latencyDigest{cur: stats.NewHistogram(), last: stats.NewHistogram()}
+}
 
 func (d *latencyDigest) add(v float64) {
 	d.mu.Lock()
-	d.buf[d.idx] = v
-	d.idx = (d.idx + 1) % len(d.buf)
-	if d.filled < len(d.buf) {
-		d.filled++
+	defer d.mu.Unlock()
+	d.cur.Record(v)
+	if d.cur.Count() == digestWindow {
+		d.cur, d.last, d.full = d.last, d.cur, true
+		d.cur.Reset()
 	}
-	d.stale++
-	d.mu.Unlock()
 }
 
-// quantile returns the p-quantile of the reservoir — p being the same
-// from call to call — once it holds hedgeMinSamples observations.
+// quantile returns the p-quantile of the last full window, or of the
+// filling one until a window fills, once it holds hedgeMinSamples reads.
 func (d *latencyDigest) quantile(p float64) (float64, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.filled < hedgeMinSamples {
+	h := d.cur
+	if d.full {
+		h = d.last
+	}
+	if h.Count() < hedgeMinSamples {
 		return 0, false
 	}
-	if d.cachedQ == 0 || d.stale >= digestRefresh {
-		tmp := slices.Clone(d.buf[:d.filled])
-		sort.Float64s(tmp)
-		d.cachedQ = tmp[int(p*float64(len(tmp)-1))]
-		d.stale = 0
-	}
-	return d.cachedQ, true
+	return h.MustQuantile(p), true
 }

@@ -100,27 +100,23 @@ func RegisterServers(r *Registry, srvs []*server.Server) {
 	if r == nil || len(srvs) == 0 {
 		return
 	}
-	r.GaugeVec("memqlat_server_connections_current",
+	// perServer publishes one number per server under the "server" label.
+	perServer := func(vec func(string, string, func(func(Labels, float64))), name, help string, v func(*server.Server) float64) {
+		vec(name, help, func(emit func(Labels, float64)) {
+			for i, s := range srvs {
+				emit(L("server", itoa(i)), v(s))
+			}
+		})
+	}
+	perServer(r.GaugeVec, "memqlat_server_connections_current",
 		"Open downstream connections per server.",
-		func(emit func(Labels, float64)) {
-			for i, s := range srvs {
-				emit(L("server", itoa(i)), float64(s.Counters().CurrConns))
-			}
-		})
-	r.CounterVec("memqlat_server_connections_total",
+		func(s *server.Server) float64 { return float64(s.Counters().CurrConns) })
+	perServer(r.CounterVec, "memqlat_server_connections_total",
 		"Connections ever accepted per server.",
-		func(emit func(Labels, float64)) {
-			for i, s := range srvs {
-				emit(L("server", itoa(i)), float64(s.Counters().TotalConns))
-			}
-		})
-	r.CounterVec("memqlat_server_connections_rejected_total",
+		func(s *server.Server) float64 { return float64(s.Counters().TotalConns) })
+	perServer(r.CounterVec, "memqlat_server_connections_rejected_total",
 		"Connections rejected (MaxConns cap or refuse-fault window).",
-		func(emit func(Labels, float64)) {
-			for i, s := range srvs {
-				emit(L("server", itoa(i)), float64(s.Counters().RejectedConns))
-			}
-		})
+		func(s *server.Server) float64 { return float64(s.Counters().RejectedConns) })
 	r.CounterVec("memqlat_server_commands_total",
 		"Commands dispatched per server and protocol op.",
 		func(emit func(Labels, float64)) {
@@ -133,25 +129,10 @@ func RegisterServers(r *Registry, srvs []*server.Server) {
 			}
 		})
 	r.Histogram("memqlat_server_command_latency_seconds",
-		"Per-command handling latency, rescaled to population counts: unshaped servers time 1 in sample_every commands, so bucket counts are multiplied by sample_every at scrape time (Horvitz-Thompson; see DESIGN.md).",
+		"Per-command handling latency; every command is timed.",
 		nil, func(emit func(Labels, *stats.Histogram)) {
 			for i, s := range srvs {
-				h := s.LatencyHistogram()
-				// LatencyHistogram returns a private copy, so the scrape
-				// can rescale it in place. Without this, a page mixing
-				// sampled (1-in-k) and always-timed (shaped/traced)
-				// servers under-weights the sampled ones k-fold.
-				if k := s.LatencySampleEvery(); k > 1 {
-					h.Scale(int64(k))
-				}
-				emit(L("server", itoa(i)), h)
-			}
-		})
-	r.GaugeVec("memqlat_server_latency_sample_every",
-		"The k of each server's 1-in-k command timing (1 = every command, 0 = timing off).",
-		func(emit func(Labels, float64)) {
-			for i, s := range srvs {
-				emit(L("server", itoa(i)), float64(s.LatencySampleEvery()))
+				emit(L("server", itoa(i)), s.LatencyHistogram())
 			}
 		})
 	// Event-loop core gauges: absent (no series) on the goroutine core,
@@ -223,20 +204,12 @@ func RegisterServers(r *Registry, srvs []*server.Server) {
 				emit(L("server", srv, "result", "expiration"), float64(st.Expirations))
 			}
 		})
-	r.CounterVec("memqlat_cache_lock_waits_total",
+	perServer(r.CounterVec, "memqlat_cache_lock_waits_total",
 		"Contended shard-lock acquisitions per server.",
-		func(emit func(Labels, float64)) {
-			for i, s := range srvs {
-				emit(L("server", itoa(i)), float64(s.Cache().Stats().LockWaits))
-			}
-		})
-	r.CounterVec("memqlat_cache_lock_wait_seconds_total",
+		func(s *server.Server) float64 { return float64(s.Cache().Stats().LockWaits) })
+	perServer(r.CounterVec, "memqlat_cache_lock_wait_seconds_total",
 		"Summed shard-lock blocked time per server.",
-		func(emit func(Labels, float64)) {
-			for i, s := range srvs {
-				emit(L("server", itoa(i)), s.Cache().Stats().LockWaitSeconds)
-			}
-		})
+		func(s *server.Server) float64 { return s.Cache().Stats().LockWaitSeconds })
 }
 
 // RegisterProxy exposes the proxy's forwarding counters, per-upstream

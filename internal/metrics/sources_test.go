@@ -83,6 +83,8 @@ func TestRegisterStackSources(t *testing.T) {
 	for _, want := range []string{
 		`memqlat_server_commands_total{server="0",op="get"} 1`,
 		`memqlat_server_commands_total{server="0",op="set"} 1`,
+		// Every command is timed: the histogram counts both commands sent.
+		`memqlat_server_command_latency_seconds_count{server="0"} 2`,
 		`memqlat_cache_operations_total{server="0",result="hit"} 1`,
 		`memqlat_cache_shard_items{`,
 		"memqlat_cache_lock_waits_total",

@@ -28,7 +28,7 @@ type connState struct {
 
 // connSession bundles the per-connection dispatch state both cores
 // thread through serveCommand: telemetry handle, latency stripe,
-// service-time shaper, sampling sequence and reusable scratch.
+// service-time shaper and reusable scratch.
 type connSession struct {
 	st connState
 	// rec/lat: connections mapped to different stripes never serialize
@@ -37,8 +37,6 @@ type connSession struct {
 	lat *sketch.Stripe
 	// shaper draws exponential service times when ServiceRate > 0.
 	shaper *rand.Rand
-	// cmdSeq is the per-connection sequence driving latency sampling.
-	cmdSeq uint64
 	// blackhole is the lazily built reply sink for Drop faults.
 	blackhole *protocol.Writer
 }
@@ -71,28 +69,18 @@ func (s *Server) serveCommand(w *protocol.Writer, cmd *protocol.Command, cs *con
 		cs.st.trace = otrace.Ctx{Trace: cmd.CAS, Span: cmd.Delta}
 		return false, nil
 	}
-	// Shaped servers time every command (the queue-wait split needs
-	// it); unshaped ones sample 1 in TimingSample per connection
-	// (default 8), so the latency/telemetry histograms estimate the
-	// same distribution without paying two clock reads and two
-	// histogram inserts on every operation of the raw hot path.
-	timed := cs.shaper != nil || (!s.timingOff && cs.cmdSeq&s.timingMask == 0)
-	cs.cmdSeq++
 	// A pending trace header upgrades the command to traced: spans
-	// are recorded against the tracer's run clock, and the command
-	// is always timed so span durations exist.
+	// are recorded against the tracer's run clock.
 	var srvSpan otrace.Span
 	if tc := cs.st.trace; tc.Valid() {
 		cs.st.trace = otrace.Ctx{}
 		if tr := s.opts.Tracer; tr.Enabled() {
 			srvSpan = tr.Begin(tc, "server", "handle", s.opts.ID)
-			timed = true
 		}
 	}
-	var began time.Time
-	if timed {
-		began = time.Now()
-	}
+	// Every command is timed into the latency sketch and the service
+	// stage, so stage totals count every command served.
+	began := time.Now()
 	act := s.opts.Fault.Eval()
 	if act.Delay > 0 {
 		time.Sleep(time.Duration(act.Delay * float64(time.Second)))
@@ -124,37 +112,35 @@ func (s *Server) serveCommand(w *protocol.Writer, cmd *protocol.Command, cs *con
 	if err := s.dispatch(out, cmd, cs); err != nil {
 		return false, err
 	}
-	if timed {
-		total := time.Since(began)
-		cs.lat.Record(total.Seconds())
-		cs.rec.Observe(telemetry.StageService, (total - waited).Seconds())
-		if srvSpan.ID != 0 {
-			// A traced command doubles as the stage histograms' exemplar:
-			// the freshest observation a scrape can link back to a trace.
-			if ex := s.opts.Exemplars; ex != nil {
-				unix := float64(time.Now().UnixNano()) / 1e9
-				if waited > 0 {
-					ex.Record(telemetry.StageQueueWait, srvSpan.Trace, waited.Seconds(), unix)
-				}
-				ex.Record(telemetry.StageService, srvSpan.Trace, (total - waited).Seconds(), unix)
-			}
-			tr := s.opts.Tracer
-			// Child spans mirror the queue_wait/service telemetry
-			// split inside the handle span's window.
+	total := time.Since(began)
+	cs.lat.Record(total.Seconds())
+	cs.rec.Observe(telemetry.StageService, (total - waited).Seconds())
+	if srvSpan.ID != 0 {
+		// A traced command doubles as the stage histograms' exemplar:
+		// the freshest observation a scrape can link back to a trace.
+		if ex := s.opts.Exemplars; ex != nil {
+			unix := float64(time.Now().UnixNano()) / 1e9
 			if waited > 0 {
-				tr.Emit(otrace.Span{
-					Trace: srvSpan.Trace, ID: tr.NewID(), Parent: srvSpan.ID,
-					Comp: "server", Name: "queue_wait", Server: s.opts.ID,
-					Start: srvSpan.Start, Dur: waited.Seconds(),
-				})
+				ex.Record(telemetry.StageQueueWait, srvSpan.Trace, waited.Seconds(), unix)
 			}
+			ex.Record(telemetry.StageService, srvSpan.Trace, (total - waited).Seconds(), unix)
+		}
+		tr := s.opts.Tracer
+		// Child spans mirror the queue_wait/service telemetry
+		// split inside the handle span's window.
+		if waited > 0 {
 			tr.Emit(otrace.Span{
 				Trace: srvSpan.Trace, ID: tr.NewID(), Parent: srvSpan.ID,
-				Comp: "server", Name: "service", Server: s.opts.ID,
-				Start: srvSpan.Start + waited.Seconds(), Dur: (total - waited).Seconds(),
+				Comp: "server", Name: "queue_wait", Server: s.opts.ID,
+				Start: srvSpan.Start, Dur: waited.Seconds(),
 			})
-			tr.End(srvSpan)
 		}
+		tr.Emit(otrace.Span{
+			Trace: srvSpan.Trace, ID: tr.NewID(), Parent: srvSpan.ID,
+			Comp: "server", Name: "service", Server: s.opts.ID,
+			Start: srvSpan.Start + waited.Seconds(), Dur: (total - waited).Seconds(),
+		})
+		tr.End(srvSpan)
 	}
 	return false, nil
 }

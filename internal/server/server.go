@@ -59,16 +59,6 @@ type Options struct {
 	// command is run through the injector (slow/stall delays, dropped
 	// replies, connection resets). Nil = healthy.
 	Fault *fault.Point
-	// TimingSample controls how often an unshaped connection times a
-	// command for the latency/telemetry histograms: 1 times every
-	// command, N > 1 times 1 in N (rounded up to a power of two so the
-	// hot path masks instead of dividing), and any negative value turns
-	// timing off. 0 keeps the existing default of 1 in 8, so the
-	// zero-value Options behave exactly as before this field existed.
-	// Shaped connections (ServiceRate > 0) always time every command —
-	// the queue-wait split needs it. See "stats latency" for how the
-	// sampling bias is reported.
-	TimingSample int
 	// Tracer, when set, records request-scoped spans for commands whose
 	// connection sent an mq_trace header. Nil (the default) disables
 	// tracing; the per-command cost is then a single branch.
@@ -117,12 +107,6 @@ type Server struct {
 	cmdCount     atomic.Int64
 	opCounts     [protocol.OpTrace + 1]atomic.Int64
 	startTime    time.Time
-
-	// timingMask drives unshaped-connection latency sampling: a command
-	// is timed when cmdSeq&timingMask == 0. timingOff disables sampling
-	// entirely (TimingSample < 0).
-	timingMask uint64
-	timingOff  bool
 
 	// telem aggregates the per-stage decomposition served by "stats
 	// telemetry"; rec tees it with the Options.Recorder (if any).
@@ -195,28 +179,18 @@ func New(opts Options) (*Server, error) {
 	if logger == nil {
 		logger = log.Default()
 	}
-	if opts.TimingSample == 0 {
-		opts.TimingSample = 8
-	}
-	timingOff := opts.TimingSample < 0
-	var timingMask uint64
-	if !timingOff {
-		timingMask = uint64(nextPow2(opts.TimingSample)) - 1
-	}
 	telem := telemetry.NewCollector()
 	// New cannot fail: Options has nothing to reject.
 	latency, _ := sketch.New(sketch.Options{})
 	s := &Server{
-		opts:       opts,
-		logger:     logger,
-		conns:      make(map[net.Conn]struct{}),
-		startTime:  time.Now(),
-		telem:      telem,
-		rec:        telemetry.Tee(telem, opts.Recorder),
-		latency:    latency,
-		timingMask: timingMask,
-		timingOff:  timingOff,
-		serviceCh:  make(chan struct{}, 1),
+		opts:      opts,
+		logger:    logger,
+		conns:     make(map[net.Conn]struct{}),
+		startTime: time.Now(),
+		telem:     telem,
+		rec:       telemetry.Tee(telem, opts.Recorder),
+		latency:   latency,
+		serviceCh: make(chan struct{}, 1),
 	}
 	// Shard-lock contention in the cache surfaces as the lock_wait
 	// telemetry stage; the TryLock fast path records nothing when
@@ -336,15 +310,6 @@ func (s *Server) Close() error {
 	}
 	s.wg.Wait()
 	return err
-}
-
-// nextPow2 rounds n up to a power of two (minimum 1).
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // ttlFromExptime applies memcached exptime semantics: 0 = never,
@@ -616,21 +581,6 @@ func (s *Server) writeStats(w *protocol.Writer, section []byte) error {
 				return err
 			}
 		}
-		// Sampling bias disclosure: unshaped connections head-sample
-		// 1 in sample_every commands per connection, so bursty
-		// pipelines under-represent mid-burst commands; shaped
-		// connections (and traced commands) are always timed.
-		sampleEvery := int64(s.timingMask) + 1
-		if s.timingOff {
-			sampleEvery = 0
-		}
-		if err := w.Stat("latency:sample_every", fmt.Sprintf("%d", sampleEvery)); err != nil {
-			return err
-		}
-		if err := w.Stat("latency:sample_bias",
-			"head-sampled 1-in-sample_every per connection (0=off); shaped and traced commands always timed"); err != nil {
-			return err
-		}
 		return w.End()
 	case "commands":
 		// memqlat extension: per-command counters, one row per
@@ -761,21 +711,6 @@ func (s *Server) Cache() *cache.Cache { return s.opts.Cache }
 // Options.Extstore.
 func (s *Server) ExtstoreCounts() (diskHits, promotions int64) {
 	return s.diskHits.Load(), s.promotions.Load()
-}
-
-// LatencySampleEvery reports the k of the server's 1-in-k command
-// timing: 1 on shaped servers (every command is timed), timingMask+1 on
-// unshaped ones, and 0 when timing is off. Scrapers use it to rescale
-// the sampled LatencyHistogram into population estimates (see
-// Histogram.Scale).
-func (s *Server) LatencySampleEvery() int {
-	switch {
-	case s.timingOff:
-		return 0
-	case s.opts.ServiceRate > 0:
-		return 1
-	}
-	return int(s.timingMask) + 1
 }
 
 // LatencyHistogram snapshots the merged per-command latency histogram

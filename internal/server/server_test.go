@@ -679,65 +679,36 @@ func TestTraceHeaderWithoutTracerIsIgnored(t *testing.T) {
 	}
 }
 
-func TestTimingSampleEveryCommand(t *testing.T) {
-	srv, addr := startServer(t, Options{TimingSample: 1})
-	r, w, _ := dial(t, addr)
-	const n = 20
-	for i := 0; i < n; i++ {
-		send(t, w, "get k\r\n")
-		readLine(t, r)
+// TestEveryCommandTimed: an unshaped, untraced server times every
+// command it dispatches, so the latency sketch, the service stage and
+// "stats latency" all count every command served.
+func TestEveryCommandTimed(t *testing.T) {
+	for _, core := range testCores(t) {
+		t.Run(core, func(t *testing.T) {
+			srv, addr := startServer(t, Options{ConnCore: core})
+			r, w, _ := dial(t, addr)
+			const n = 20
+			for i := 0; i < n; i++ {
+				send(t, w, "get k\r\n")
+				readLine(t, r)
+			}
+			if got := srv.LatencyHistogram().Count(); got != n {
+				t.Errorf("latency sketch recorded %d of %d commands", got, n)
+			}
+			if got := srv.Telemetry().Breakdown()[telemetry.StageService].Count; got != n {
+				t.Errorf("service stage count = %d, want %d", got, n)
+			}
+			// The stats command is timed after its reply is rendered, so
+			// the row counts the gets alone.
+			send(t, w, "stats latency\r\n")
+			want := fmt.Sprintf("STAT latency:count %d", n)
+			var saw bool
+			for line := readLine(t, r); line != "END"; line = readLine(t, r) {
+				saw = saw || line == want
+			}
+			if !saw {
+				t.Errorf("stats latency has no %q row", want)
+			}
+		})
 	}
-	if got := srv.LatencyHistogram().Count(); got != n {
-		t.Errorf("TimingSample=1 recorded %d of %d commands", got, n)
-	}
-	b := srv.Telemetry().Breakdown()
-	if b[telemetry.StageService].Count != n {
-		t.Errorf("service stage count = %d, want %d", b[telemetry.StageService].Count, n)
-	}
-}
-
-func TestTimingSampleOff(t *testing.T) {
-	srv, addr := startServer(t, Options{TimingSample: -1})
-	r, w, _ := dial(t, addr)
-	for i := 0; i < 20; i++ {
-		send(t, w, "get k\r\n")
-		readLine(t, r)
-	}
-	if got := srv.LatencyHistogram().Count(); got != 0 {
-		t.Errorf("TimingSample=-1 recorded %d commands, want 0", got)
-	}
-	// The disclosure rows still render, with sample_every = 0.
-	send(t, w, "stats latency\r\n")
-	var sawOff bool
-	for {
-		line := readLine(t, r)
-		if line == "END" {
-			break
-		}
-		if line == "STAT latency:sample_every 0" {
-			sawOff = true
-		}
-	}
-	if !sawOff {
-		t.Error("stats latency did not report sample_every 0")
-	}
-}
-
-func TestTimingSampleRoundsUp(t *testing.T) {
-	srv, err := New(Options{Cache: mustCache(t), TimingSample: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if srv.timingMask != 7 {
-		t.Errorf("TimingSample=5 mask = %d, want 7 (1 in 8)", srv.timingMask)
-	}
-}
-
-func mustCache(t *testing.T) *cache.Cache {
-	t.Helper()
-	c, err := cache.New(cache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
 }

@@ -277,24 +277,6 @@ func (h *Histogram) CumulativeCount(v float64) int64 {
 	return cum
 }
 
-// Scale multiplies every bucket count (and the moment count) by k >= 1,
-// as if each recorded observation had been seen k times. It is the
-// Horvitz–Thompson estimator for a uniformly 1-in-k sampled stream:
-// each sample stands for k population observations, so inflating the
-// counts recovers unbiased estimates of the population's count, CDF and
-// quantiles (quantiles are count-rank statistics, so unequal per-bucket
-// weighting — the bias this corrects — would otherwise skew them
-// whenever the scrape mixes sampled and unsampled sources).
-func (h *Histogram) Scale(k int64) {
-	if k <= 1 {
-		return
-	}
-	for i := range h.counts {
-		h.counts[i] *= k
-	}
-	h.moments.Scale(k)
-}
-
 // Clone returns an independent copy of h; mutating either afterwards
 // leaves the other untouched.
 func (h *Histogram) Clone() *Histogram {

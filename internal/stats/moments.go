@@ -97,20 +97,6 @@ func (m *Moments) Variance() float64 {
 // StdDev reports the unbiased sample standard deviation.
 func (m *Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
 
-// Scale multiplies the observation count by k >= 1, as if every
-// observation had been recorded k times: the Horvitz–Thompson
-// correction for a 1-in-k sampled stream. Mean, min and max are
-// location statistics and are unchanged; m2 (the summed squared
-// deviation) scales with the count so the variance estimate stays
-// consistent.
-func (m *Moments) Scale(k int64) {
-	if k <= 1 || m.n == 0 {
-		return
-	}
-	m.n *= k
-	m.m2 *= float64(k)
-}
-
 // Reset discards all state.
 func (m *Moments) Reset() { *m = Moments{} }
 

@@ -331,7 +331,7 @@ func TestSLOSmoke(t *testing.T) {
 		}
 		m := testkit.Scrape(t, "http://"+admin+"/metrics")
 		wantFamilies(t, m, "memqlat_slo_armed", "memqlat_slo_windows_closed_total", "memqlat_slo_stage_drifting",
-			"memqlat_slo_drift_alerts_total", "memqlat_server_latency_sample_every")
+			"memqlat_slo_drift_alerts_total", "memqlat_server_command_latency_seconds")
 		if s := m.Series[`memqlat_slo_stage_drifting{stage="queue_wait"}`]; s.Value != 1 {
 			t.Errorf("/metrics slo_stage_drifting{queue_wait} = %v, want 1", s.Value)
 		}
