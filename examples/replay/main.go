@@ -20,6 +20,7 @@ import (
 
 	"memqlat/internal/cache"
 	"memqlat/internal/client"
+	"memqlat/internal/core"
 	"memqlat/internal/keylog"
 	"memqlat/internal/loadgen"
 	"memqlat/internal/mrc"
@@ -72,13 +73,19 @@ func run() error {
 
 	var journal bytes.Buffer
 	writer := keylog.NewWriter(&journal)
+	// 80 Kkeys/s in geometric batches (q = 0.1) at the model's
+	// Generalized Pareto gaps (ξ = 0.15).
+	model := &core.Config{Q: 0.1, Xi: 0.15}
+	gaps, err := model.ArrivalFor(80000)
+	if err != nil {
+		return err
+	}
 	opts := loadgen.Options{
 		Client:  bigClient,
 		Keys:    3000,
 		ZipfS:   1.0,
-		Lambda:  80000,
-		Xi:      0.15,
-		Q:       0.1,
+		Gaps:    gaps,
+		Q:       model.Q,
 		Ops:     8000,
 		Workers: 16,
 		Seed:    21,

@@ -70,9 +70,13 @@ func TestFullStackEndToEnd(t *testing.T) {
 	}
 	t.Cleanup(func() { _ = cl.Close() })
 
+	gaps, err := (&core.Config{Q: 0.1, Xi: 0.15}).ArrivalFor(100000)
+	if err != nil {
+		t.Fatal(err)
+	}
 	opts := loadgen.Options{
-		Client: cl, Keys: 500, Ops: 2000, Lambda: 100000,
-		Xi: 0.15, Q: 0.1, MissRatio: 0.02, Workers: 16,
+		Client: cl, Keys: 500, Ops: 2000, Gaps: gaps,
+		Q: 0.1, MissRatio: 0.02, Workers: 16,
 		UseGetThrough: true, Seed: 42,
 	}
 	if err := loadgen.Populate(opts); err != nil {

@@ -167,9 +167,12 @@ func (c *Config) MaxUtilization() float64 {
 	return p1 * c.TotalKeyRate / c.MuS
 }
 
-// arrivalFor builds the batch inter-arrival distribution for a server
-// whose key arrival rate is lambdaKeys.
-func (c *Config) arrivalFor(lambdaKeys float64) (dist.Interarrival, error) {
+// ArrivalFor builds the batch inter-arrival law of a stream of
+// lambdaKeys keys per second: the Arrival override, or Generalized
+// Pareto with shape Xi, at the batch rate (1−q)·lambdaKeys. It is the
+// one place that law is built; the model's queues, the simulator's
+// streams and the load generator's pacer all draw from it.
+func (c *Config) ArrivalFor(lambdaKeys float64) (dist.Interarrival, error) {
 	batchRate := (1 - c.Q) * lambdaKeys
 	if c.Arrival != nil {
 		return c.Arrival(batchRate)
@@ -187,7 +190,7 @@ func (c *Config) ServerQueue(j int) (*queueing.BatchQueue, error) {
 	if !(lam > 0) {
 		return nil, fmt.Errorf("core: server %d has zero load; queue undefined", j)
 	}
-	arr, err := c.arrivalFor(lam)
+	arr, err := c.ArrivalFor(lam)
 	if err != nil {
 		return nil, fmt.Errorf("server %d arrival: %w", j, err)
 	}

@@ -60,7 +60,7 @@ func (c *Config) ExpectedTSPointRedundant(d int, inflateLoad bool) (float64, err
 		}
 		return s
 	}
-	return solveQuantile(logCDF, logK)
+	return SolveQuantile(logCDF, logK)
 }
 
 // RedundancyCrossover finds the base utilization (of the heaviest

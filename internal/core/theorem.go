@@ -162,17 +162,20 @@ func quantileBounds(tails []serverTail, logK float64) (Bounds, error) {
 		}
 		return s
 	}
-	lo, err := solveQuantile(logWait, logK)
+	lo, err := SolveQuantile(logWait, logK)
 	if err != nil {
 		return Bounds{}, err
 	}
-	hi, err := solveQuantile(logComplete, logK)
+	hi, err := SolveQuantile(logComplete, logK)
 	return Bounds{Lo: lo, Hi: hi}, err
 }
 
-// solveQuantile finds t >= 0 with logCDF(t) = logK for a non-decreasing
-// logCDF. Returns 0 when even t=0 already satisfies the level.
-func solveQuantile(logCDF func(float64) float64, logK float64) (float64, error) {
+// SolveQuantile finds t >= 0 with logCDF(t) = logK for a non-decreasing
+// logCDF. Returns 0 when even t=0 already satisfies the level, and
+// queueing.FindRoot's error when doubling from 1 µs never reaches it.
+// The model's quantile bounds and the simulator's §4.5 estimator both
+// solve through it.
+func SolveQuantile(logCDF func(float64) float64, logK float64) (float64, error) {
 	if logCDF(0) >= logK {
 		return 0, nil
 	}

@@ -148,7 +148,7 @@ func ExtArrivals(b Budget) (*Report, error) {
 func ExtEq6Ablation(b Budget) (*Report, error) {
 	start := time.Now()
 	model := workload.Facebook()
-	gp, err := dist.NewGeneralizedPareto(model.Xi, (1-model.Q)*workload.FacebookLambda)
+	gp, err := model.ArrivalFor(workload.FacebookLambda)
 	if err != nil {
 		return nil, err
 	}

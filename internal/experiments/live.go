@@ -93,8 +93,8 @@ func Live(b Budget) (*Report, error) {
 		{"p99 latency", ms(lg.Latency.MustQuantile(0.99)), "-"},
 	}
 	// Telemetry decomposition of the measured latency: where inside the
-	// stack the time went (server queue vs service vs DB vs fork-join
-	// spread of concurrently issued batches).
+	// stack the time went (server queue vs service vs DB). The load
+	// generator issues single-key gets, so there is no join to record.
 	for _, st := range telemetry.Stages() {
 		ss, ok := res.Breakdown[st]
 		if !ok || ss.Count == 0 {
@@ -121,8 +121,8 @@ func Live(b Budget) (*Report, error) {
 		Notes: []string{
 			"live latency includes loopback RTT and scheduler jitter on top of the queueing model; " +
 				"expect the same order of magnitude, not equality",
-			"stage rows come from the telemetry recorder threaded through server, backend and " +
-				"loadgen — the same seam the simulator planes record through — and count the measured run only",
+			"stage rows come from the telemetry recorder threaded through server, client and " +
+				"backend — the same seam the simulator planes record through — and count the measured run only",
 			"sleep overshoot makes the service stage longer than 1/µS; Theorem 1 at the measured µ̂S prices " +
 				"that, and at this ρ̂ the live mean still spreads widely around it (the gate runs at ρ̂ ≈ 0.5)",
 		},

@@ -91,7 +91,8 @@ func crossPlaneQuantiles() []crossPlaneQuantile {
 
 // crossPlaneQuantileRow formats one quantile row for a Result: the
 // model plane's entries are analytic shape predictions (exponential
-// service/wait/miss quantiles, point-mass fork-join), the measured
+// service/miss quantiles, the eq. 3 queue-wait law, point-mass
+// fork-join), the measured
 // planes' are sample quantiles of the same stages — so each quantile
 // group reads predicted-vs-observed down the column.
 func crossPlaneQuantileRow(label string, res *plane.Result, q crossPlaneQuantile) []string {
@@ -192,9 +193,10 @@ func CrossPlane(b Budget) (*Report, error) {
 	}
 	notes = append(notes,
 		"quantile rows diff the model's distributional shape against the measured "+
-			"samples: service/queue-wait/miss are exponential predictions "+
-			"(−ln(1−p)·mean), fork_join an analytic point mass; E[T(N)] on measured "+
-			"quantile rows is the sample quantile of the total")
+			"samples: service/miss are exponential predictions (−ln(1−p)·mean), "+
+			"queue-wait the eq. 3 law P{W > t} = δ·e^{−Rt} plus the same-batch term "+
+			"(the SLO watchdog's bands), fork_join an analytic point mass; E[T(N)] on "+
+			"measured quantile rows is the sample quantile of the total")
 	columns := []string{"plane", "E[T(N)]", "E[TS(N)]", "E[TD(N)]"}
 	for _, st := range telemetry.Stages() {
 		columns = append(columns, st.String())

@@ -1,8 +1,9 @@
 // Package loadgen is the mutilate-like workload driver for the live TCP
 // stack (the paper uses mutilate, §5.1): it generates an open-loop key
-// stream with Generalized Pareto inter-arrival gaps (burst degree ξ),
-// geometric batch concurrency (probability q), and Zipf key popularity,
-// issues the gets through the client, and records per-key latency.
+// stream of batches at the gaps of a given inter-arrival law (the
+// model's, core.Config.ArrivalFor), geometric batch concurrency
+// (probability q), and Zipf key popularity, issues the gets through the
+// client, and records per-key latency.
 package loadgen
 
 import (
@@ -20,7 +21,6 @@ import (
 	"memqlat/internal/dist"
 	"memqlat/internal/protocol"
 	"memqlat/internal/stats"
-	"memqlat/internal/telemetry"
 	"memqlat/internal/tenant"
 )
 
@@ -56,12 +56,15 @@ type Options struct {
 	// ZipfS skews key popularity (0 = uniform; the Facebook trace is
 	// heavily skewed, ~1).
 	ZipfS float64
-	// Lambda is the target aggregate key rate per second (default 2000;
-	// real-time sleeping cannot sustain the paper's 62.5 Kps per server
-	// on one box — the virtual-time simulator covers that regime).
+	// Lambda is the closed loop's target aggregate key rate per second
+	// (default 2000); the open loop's rate is set by Gaps and Q.
 	Lambda float64
-	// Xi is the burst degree of batch inter-arrival gaps.
-	Xi float64
+	// Gaps is the law of the gaps between open-loop batch arrivals, in
+	// seconds; the open loop requires it. The model's law at a key rate
+	// λ is core.Config.ArrivalFor(λ), which paces λ keys per second
+	// (real-time sleeping cannot sustain the paper's 62.5 Kps per server
+	// on one box — the virtual-time simulator covers that regime).
+	Gaps dist.Interarrival
 	// Q is the concurrent probability (geometric batch sizes).
 	Q float64
 	// MissRatio is the fraction of gets aimed at keys that were never
@@ -90,12 +93,6 @@ type Options struct {
 	// exactly why the paper's methodology is open-loop — this mode
 	// exists to demonstrate the difference.
 	ClosedLoop bool
-	// Recorder, when set, receives a StageForkJoin observation per
-	// issued batch: the spread (max − mean completion latency) over the
-	// batch's concurrently-issued keys — the live analogue of the
-	// fork-join join overhead. Open-loop mode only (closed loops have
-	// no batches).
-	Recorder telemetry.Recorder
 	// OnLatency, when set, receives every per-key end-to-end latency
 	// (seconds) that lands in the Latency histogram — tenant-shed
 	// refusals excluded, same as the histogram. It is called from
@@ -194,9 +191,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if !(out.Lambda > 0) {
 		return out, fmt.Errorf("loadgen: Lambda=%v must be positive", out.Lambda)
-	}
-	if out.Xi < 0 || out.Xi >= 1 {
-		return out, fmt.Errorf("loadgen: Xi=%v must be in [0, 1)", out.Xi)
 	}
 	if out.Q < 0 || out.Q >= 1 {
 		return out, fmt.Errorf("loadgen: Q=%v must be in [0, 1)", out.Q)
@@ -378,8 +372,8 @@ func (r *run) drawKey(s keyStreams) (string, int) {
 	return r.o.Tenants[t].Name + ":" + key, t
 }
 
-// execute issues one get and records its outcome, returning its latency.
-func (r *run) execute(key string, tIdx int) float64 {
+// execute issues one get and records its outcome.
+func (r *run) execute(key string, tIdx int) {
 	t0 := time.Now()
 	var err error
 	var hit bool
@@ -402,7 +396,7 @@ func (r *run) execute(key string, tIdx int) float64 {
 		if tIdx >= 0 {
 			r.tcount[tIdx].sheds.Add(1)
 		}
-		return lat
+		return
 	}
 	switch {
 	case err == nil:
@@ -428,7 +422,6 @@ func (r *run) execute(key string, tIdx int) float64 {
 	if r.o.OnLatency != nil {
 		r.o.OnLatency(lat)
 	}
-	return lat
 }
 
 // finish fills the Result from the counters.
@@ -459,9 +452,8 @@ func (r *run) finish() *Result {
 // goroutines, drawing keys from streams 13–15.
 func (r *run) openLoop() error {
 	o := &r.o
-	gap, err := dist.NewGeneralizedPareto(o.Xi, (1-o.Q)*o.Lambda)
-	if err != nil {
-		return err
+	if o.Gaps == nil {
+		return errors.New("loadgen: the open loop needs a Gaps law")
 	}
 	batch, err := dist.NewGeometricBatch(o.Q)
 	if err != nil {
@@ -473,7 +465,6 @@ func (r *run) openLoop() error {
 	type workItem struct {
 		key  string
 		tIdx int
-		agg  *batchAgg
 	}
 	work := make(chan workItem, o.Workers)
 	var wg sync.WaitGroup
@@ -482,10 +473,7 @@ func (r *run) openLoop() error {
 		go func() {
 			defer wg.Done()
 			for it := range work {
-				lat := r.execute(it.key, it.tIdx)
-				if it.agg != nil {
-					it.agg.done(lat)
-				}
+				r.execute(it.key, it.tIdx)
 			}
 		}()
 	}
@@ -494,7 +482,6 @@ func (r *run) openLoop() error {
 	// until cumulative deadlines (rather than per-gap) keeps the average
 	// rate exact despite timer granularity and avoids busy-waiting,
 	// which would starve the workers on small machines.
-	rec := telemetry.OrNop(o.Recorder)
 	sent := 0
 	next := time.Now()
 pacing:
@@ -504,7 +491,7 @@ pacing:
 			break pacing
 		default:
 		}
-		next = next.Add(time.Duration(gap.Sample(rngGap) * float64(time.Second)))
+		next = next.Add(time.Duration(o.Gaps.Sample(rngGap) * float64(time.Second)))
 		if d := time.Until(next); d > 0 {
 			time.Sleep(d)
 		}
@@ -512,18 +499,16 @@ pacing:
 		if n > o.Ops-sent {
 			n = o.Ops - sent
 		}
-		agg := &batchAgg{remaining: n, n: n, rec: rec}
 		for i := 0; i < n; i++ {
 			key, tIdx := r.drawKey(keys)
 			select {
-			case work <- workItem{key: key, tIdx: tIdx, agg: agg}:
+			case work <- workItem{key: key, tIdx: tIdx}:
 				sent++
 				r.issued.Add(1)
 				if o.Observer != nil {
 					o.Observer(time.Since(r.started), key)
 				}
 			case <-r.ctx.Done():
-				agg.abandon(n - i) // unpushed keys never complete
 				break pacing
 			}
 		}
@@ -531,44 +516,6 @@ pacing:
 	close(work)
 	wg.Wait()
 	return nil
-}
-
-// batchAgg joins the completion latencies of one concurrently-issued
-// batch and records the fork-join spread once the last key finishes.
-type batchAgg struct {
-	mu        sync.Mutex
-	remaining int
-	n         int
-	max, sum  float64
-	rec       telemetry.Recorder
-}
-
-// done folds one key's completion latency into the batch.
-func (a *batchAgg) done(lat float64) {
-	a.mu.Lock()
-	a.sum += lat
-	if lat > a.max {
-		a.max = lat
-	}
-	a.remaining--
-	finished := a.remaining == 0
-	n := a.n
-	max, sum := a.max, a.sum
-	rec := a.rec
-	a.mu.Unlock()
-	if finished && n > 0 {
-		rec.Observe(telemetry.StageForkJoin, max-sum/float64(n))
-	}
-}
-
-// abandon removes keys that were never issued (context cancellation
-// mid-batch) so the batch can still join — without recording, since the
-// sample is truncated.
-func (a *batchAgg) abandon(k int) {
-	a.mu.Lock()
-	a.remaining -= k
-	a.rec = telemetry.Nop
-	a.mu.Unlock()
 }
 
 // closedLoop issues ops from Workers independent closed loops, each

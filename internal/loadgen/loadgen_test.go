@@ -13,6 +13,7 @@ import (
 	"memqlat/internal/backend"
 	"memqlat/internal/cache"
 	"memqlat/internal/client"
+	"memqlat/internal/dist"
 	"memqlat/internal/server"
 )
 
@@ -61,23 +62,35 @@ func startStack(t *testing.T, n int, withFiller bool) *client.Client {
 	return cl
 }
 
+// poisson is the exponential gap law that paces an open loop with
+// Q = 0 at rate keys per second.
+func poisson(t *testing.T, rate float64) dist.Interarrival {
+	t.Helper()
+	e, err := dist.NewExponential(rate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestOptionsValidation(t *testing.T) {
 	if _, err := Run(context.Background(), Options{}); err == nil {
 		t.Error("nil client accepted")
 	}
 	cl := startStack(t, 1, false)
+	g := poisson(t, 1000)
 	bad := []Options{
-		{Client: cl, Keys: -1},
-		{Client: cl, ValueSize: -1},
-		{Client: cl, ZipfS: -1},
-		{Client: cl, Lambda: -5},
-		{Client: cl, Xi: 1},
-		{Client: cl, Q: -0.1},
-		{Client: cl, MissRatio: 2},
-		{Client: cl, Ops: -1},
-		{Client: cl, Workers: -1},
-		{Client: cl, ValueDist: "pareto"},
-		{Client: cl, ValueDist: ValueDistLogNormal, ValueSigma: -1},
+		{Client: cl, Gaps: g, Keys: -1},
+		{Client: cl, Gaps: g, ValueSize: -1},
+		{Client: cl, Gaps: g, ZipfS: -1},
+		{Client: cl, Gaps: g, Lambda: -5},
+		{Client: cl}, // an open loop without a gap law
+		{Client: cl, Gaps: g, Q: -0.1},
+		{Client: cl, Gaps: g, MissRatio: 2},
+		{Client: cl, Gaps: g, Ops: -1},
+		{Client: cl, Gaps: g, Workers: -1},
+		{Client: cl, Gaps: g, ValueDist: "pareto"},
+		{Client: cl, Gaps: g, ValueDist: ValueDistLogNormal, ValueSigma: -1},
 	}
 	for i, o := range bad {
 		if _, err := Run(context.Background(), o); err == nil {
@@ -138,7 +151,7 @@ func TestPopulateValueDist(t *testing.T) {
 func TestPopulateAndRunAllHits(t *testing.T) {
 	cl := startStack(t, 2, false)
 	opts := Options{
-		Client: cl, Keys: 200, Ops: 1000, Lambda: 50000, Workers: 8, Seed: 1,
+		Client: cl, Keys: 200, Ops: 1000, Gaps: poisson(t, 50000), Workers: 8, Seed: 1,
 	}
 	if err := Populate(opts); err != nil {
 		t.Fatal(err)
@@ -170,7 +183,7 @@ func TestPopulateAndRunAllHits(t *testing.T) {
 func TestRunForcedMisses(t *testing.T) {
 	cl := startStack(t, 1, false)
 	opts := Options{
-		Client: cl, Keys: 100, Ops: 500, Lambda: 50000, Workers: 8,
+		Client: cl, Keys: 100, Ops: 500, Gaps: poisson(t, 50000), Workers: 8,
 		MissRatio: 0.5, Seed: 2,
 	}
 	if err := Populate(opts); err != nil {
@@ -189,7 +202,7 @@ func TestRunForcedMisses(t *testing.T) {
 func TestRunGetThroughFillsBackend(t *testing.T) {
 	cl := startStack(t, 1, true)
 	opts := Options{
-		Client: cl, Keys: 50, Ops: 300, Lambda: 20000, Workers: 4,
+		Client: cl, Keys: 50, Ops: 300, Gaps: poisson(t, 20000), Workers: 4,
 		MissRatio: 0.3, UseGetThrough: true, Seed: 3,
 	}
 	if err := Populate(opts); err != nil {
@@ -214,7 +227,7 @@ func TestRunGetThroughFillsBackend(t *testing.T) {
 
 func TestRunContextCancel(t *testing.T) {
 	cl := startStack(t, 1, false)
-	opts := Options{Client: cl, Keys: 10, Ops: 1000000, Lambda: 10, Workers: 2, Seed: 4}
+	opts := Options{Client: cl, Keys: 10, Ops: 1000000, Gaps: poisson(t, 10), Workers: 2, Seed: 4}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	res, err := Run(ctx, opts)
@@ -229,7 +242,7 @@ func TestRunContextCancel(t *testing.T) {
 func TestRunZipfSkew(t *testing.T) {
 	cl := startStack(t, 4, false)
 	opts := Options{
-		Client: cl, Keys: 1000, Ops: 2000, Lambda: 100000, Workers: 8,
+		Client: cl, Keys: 1000, Ops: 2000, Gaps: poisson(t, 100000), Workers: 8,
 		ZipfS: 1.2, Seed: 5,
 	}
 	if err := Populate(opts); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"log"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -83,8 +84,10 @@ func TestLivePlaneAttach(t *testing.T) {
 		if res.Live == nil || res.Live.Issued != int64(s.Ops) {
 			t.Errorf("%s: Live = %+v, want %d issued", tc.name, res.Live, s.Ops)
 		}
-		if res.Breakdown[telemetry.StageForkJoin].Count == 0 {
-			t.Errorf("%s: breakdown has no fork_join stage: %v", tc.name, res.Breakdown)
+		// A single-key get has no join: like the model and the
+		// simulators at N = 1, the live plane records none.
+		if n := res.Breakdown[telemetry.StageForkJoin].Count; n != 0 {
+			t.Errorf("%s: %d fork_join observations at N = 1, want none", tc.name, n)
 		}
 		if got := res.DB != nil; got != tc.wantDB {
 			t.Errorf("%s: DB present = %v, want %v (read-through on = %v)", tc.name, got, tc.wantDB, tc.wantDB)
@@ -118,13 +121,11 @@ func TestLivePlaneAttach(t *testing.T) {
 // has no way to realize is refused by name before anything is built,
 // rather than measured as something else.
 func TestLivePlaneRefusesWhatItCannotRun(t *testing.T) {
-	poisson := func(rate float64) (dist.Interarrival, error) { return dist.NewExponential(rate) }
 	for _, tc := range []struct {
 		field string
 		mut   func(*Scenario)
 	}{
 		{"N", func(s *Scenario) { s.N = 10 }},
-		{"Arrival", func(s *Scenario) { s.Arrival = poisson }},
 		{"LoadRatios", func(s *Scenario) { s.LoadRatios = []float64{0.7, 0.3} }},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
@@ -146,6 +147,52 @@ func TestLivePlaneRefusesWhatItCannotRun(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.field) {
 				t.Errorf("err = %v, want it to name %s", err, tc.field)
+			}
+		})
+	}
+}
+
+// TestLivePlaneRunsTheModelsArrivalLaw: the load generator paces the
+// gaps of the model's own arrival law, so a Scenario with a non-GP
+// Arrival family runs on the live plane: every op is issued, at the
+// key rate λ the law's batch gaps and the geometric batches imply.
+func TestLivePlaneRunsTheModelsArrivalLaw(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live plane needs real time")
+	}
+	for _, tc := range []struct {
+		name    string
+		arrival func(rate float64) (dist.Interarrival, error)
+	}{
+		{"Poisson", func(rate float64) (dist.Interarrival, error) { return dist.NewExponential(rate) }},
+		{"Erlang-4", func(rate float64) (dist.Interarrival, error) { return dist.NewErlang(4, 4*rate) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := Scenario{
+				Name:         "live-arrival",
+				N:            1,
+				LoadRatios:   []float64{0.5, 0.5},
+				TotalKeyRate: 1000,
+				Q:            0.1,
+				MuS:          2000,
+				MuD:          1000,
+				Keys:         200,
+				Ops:          600,
+				Duration:     30 * time.Second,
+				Seed:         7,
+				Arrival:      tc.arrival,
+			}
+			res, err := (LivePlane{}).Run(context.Background(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Live.Issued != int64(s.Ops) || res.Live.Errors != 0 {
+				t.Fatalf("issued %d of %d ops, %d errors", res.Live.Issued, s.Ops, res.Live.Errors)
+			}
+			rate := res.Live.AchievedRate()
+			t.Logf("achieved %.0f keys/s at λ = %.0f", rate, s.TotalKeyRate)
+			if math.Abs(rate/s.TotalKeyRate-1) > 0.25 {
+				t.Errorf("achieved %.0f keys/s, want within 25 %% of λ = %.0f", rate, s.TotalKeyRate)
 			}
 		})
 	}

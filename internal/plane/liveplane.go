@@ -15,6 +15,7 @@ import (
 	"memqlat/internal/cache"
 	"memqlat/internal/client"
 	"memqlat/internal/core"
+	"memqlat/internal/dist"
 	"memqlat/internal/extstore"
 	"memqlat/internal/fault"
 	"memqlat/internal/loadgen"
@@ -74,10 +75,11 @@ func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
 // simulator's. Run is Start → Drive → Close.
 //
 // Every workload value comes from the Scenario; the fields here say
-// only how the stack is driven. The load generator issues single-key
-// gets at Generalized Pareto gaps and consistent hashing realizes only
-// a balanced split, so Start refuses a Scenario with N ≠ 1, a non-nil
-// Arrival or unequal LoadRatios instead of measuring something else.
+// only how the stack is driven. The load generator paces batches at the
+// model's own gap law (core.Config.ArrivalFor, so any Arrival family
+// the model prices) but issues single-key gets, and consistent hashing
+// realizes only a balanced split, so Start refuses a Scenario with
+// N ≠ 1 or unequal LoadRatios instead of measuring something else.
 // Real-time pacing cannot sustain the paper's 62.5 Kps per server on
 // one machine, so live Scenarios use scaled rates.
 type LivePlane struct {
@@ -98,22 +100,24 @@ type LivePlane struct {
 	Observer func(offset time.Duration, key string)
 }
 
-// liveRefusal names the first Scenario field the live plane would
-// otherwise ignore: it runs single-key requests, Generalized Pareto
-// gaps and a balanced split only.
-func (s Scenario) liveRefusal() error {
-	switch {
-	case s.N != 1:
-		return fmt.Errorf("plane: scenario %q: the live plane issues single-key gets and needs N = 1, not N = %d", s.Name, s.N)
-	case s.Arrival != nil:
-		return fmt.Errorf("plane: scenario %q: the live plane paces Generalized Pareto gaps only; Arrival must be nil", s.Name)
+// liveGaps returns the batch-gap law the live load generator paces: the
+// model's, at Λ. It first refuses, by name, a Scenario field the live
+// plane would otherwise ignore: it runs single-key requests over a
+// balanced split only.
+func (s Scenario) liveGaps() (dist.Interarrival, error) {
+	if s.N != 1 {
+		return nil, fmt.Errorf("plane: scenario %q: the live plane issues single-key gets and needs N = 1, not N = %d", s.Name, s.N)
 	}
 	for _, p := range s.LoadRatios {
 		if math.Abs(p-s.LoadRatios[0]) > 1e-9 {
-			return fmt.Errorf("plane: scenario %q: consistent hashing realizes only a balanced split; LoadRatios %v are unequal", s.Name, s.LoadRatios)
+			return nil, fmt.Errorf("plane: scenario %q: consistent hashing realizes only a balanced split; LoadRatios %v are unequal", s.Name, s.LoadRatios)
 		}
 	}
-	return nil
+	model, err := s.Config()
+	if err != nil {
+		return nil, err
+	}
+	return model.ArrivalFor(s.TotalKeyRate)
 }
 
 // Name implements Plane.
@@ -158,7 +162,8 @@ type LiveRun struct {
 // everything built so far is released.
 func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 	s = s.withDefaults()
-	if err := s.liveRefusal(); err != nil {
+	gaps, err := s.liveGaps()
+	if err != nil {
 		return nil, err
 	}
 	r := &LiveRun{s: s, began: time.Now(), collector: telemetry.NewCollector()}
@@ -257,7 +262,7 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 		ValueSigma:    s.ValueSigma,
 		ZipfS:         s.ZipfS,
 		Lambda:        s.TotalKeyRate,
-		Xi:            s.Xi,
+		Gaps:          gaps,
 		Q:             s.Q,
 		MissRatio:     s.MissRatio,
 		Ops:           s.Ops,
@@ -266,7 +271,6 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 		UseGetThrough: readThrough,
 		Observer:      p.Observer,
 		ClosedLoop:    p.ClosedLoop,
-		Recorder:      rec,
 		Tenants:       s.Tenants,
 	}
 	if s.SLO != nil {
@@ -301,11 +305,8 @@ func (r *LiveRun) serve(serve func(net.Listener) error, closeTier func() error) 
 // capacity-sized RAM caches over real segment files in temp dirs).
 func (r *LiveRun) startServers(rec telemetry.Recorder) ([]string, error) {
 	s := r.s
-	model, err := s.Config()
-	if err != nil {
-		return nil, err
-	}
-	m := model.M()
+	m := len(s.LoadRatios)
+	var err error
 	if !s.Faults.Empty() {
 		if r.inj, err = fault.NewInjector(s.Faults, m); err != nil {
 			return nil, err
@@ -426,17 +427,15 @@ func (r *LiveRun) summarize(lg *loadgen.Result) *Result {
 	b := r.collector.Breakdown()
 	mean := lg.Latency.Mean()
 	tsMean := b.MeanOf(telemetry.StageQueueWait) + b.MeanOf(telemetry.StageService)
-	td := b.MeanOf(telemetry.StageMissPenalty) * float64(lg.Misses) / float64(lg.Issued)
-	if s.Coalesce || s.Extstore != nil {
-		// Under coalescing a miss is either a fetch leader (miss_penalty)
-		// or a fan-in (coalesce_wait), and a tiered run splits the cost
-		// with disk reads; the per-key miss cost is the combined stage
-		// mass amortized over every issued key, which matches the model's
-		// blended TD stage.
-		td = (b[telemetry.StageMissPenalty].Total +
-			b[telemetry.StageCoalesceWait].Total +
-			b[telemetry.StageDiskRead].Total) / float64(lg.Issued)
-	}
+	// The per-key miss cost is the miss stages' combined mass amortized
+	// over every issued key, which matches the model's blended TD stage.
+	// A miss is a fetch leader (miss_penalty) or, coalesced, a fan-in
+	// (coalesce_wait); a tiered run splits the cost with disk reads.
+	// Without either, the backend times exactly the fills the load
+	// generator counts as misses, so this is mean(miss_penalty)·r.
+	td := (b[telemetry.StageMissPenalty].Total +
+		b[telemetry.StageCoalesceWait].Total +
+		b[telemetry.StageDiskRead].Total) / float64(lg.Issued)
 	res := &Result{
 		Plane:    "live",
 		Scenario: s,

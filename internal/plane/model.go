@@ -108,7 +108,7 @@ func (p ModelPlane) Run(ctx context.Context, s Scenario) (*Result, error) {
 			return nil, err
 		}
 		// Per-key proxy sojourn: exponential shape around the predicted
-		// mean, matching the queue-wait treatment.
+		// mean.
 		res.Breakdown[telemetry.StageProxyHop] = expStage(hop)
 	}
 	if lim != nil {

@@ -81,9 +81,9 @@ type Scenario struct {
 	// NetworkLatency is the constant per-key network latency T_N.
 	NetworkLatency float64
 	// Arrival optionally overrides the batch inter-arrival family
-	// (default: Generalized Pareto with shape Xi). Model and simulator
-	// planes honor it; the live plane's pacer is GPareto-only, so it
-	// refuses a non-nil Arrival.
+	// (default: Generalized Pareto with shape Xi). Every plane honors
+	// it: the model's queues, the simulator's streams and the live load
+	// generator's pacer all draw from core.Config.ArrivalFor.
 	Arrival core.ArrivalFactory
 
 	// Faults is the shared fault schedule. The simulator planes evaluate

@@ -105,6 +105,53 @@ func TestModelPlaneDeterministic(t *testing.T) {
 	}
 }
 
+// TestModelPlaneQueueWaitIsTheBandLaw: the model plane's queue_wait
+// quantiles are the eq. 3 law the SLO watchdog is banded with, not an
+// exponential around the mean. At low utilization most keys do not
+// wait, so the median is the same-batch term alone.
+func TestModelPlaneQueueWaitIsTheBandLaw(t *testing.T) {
+	for _, s := range []Scenario{
+		FromConfig("facebook", workload.Facebook()),
+		FromConfig("low-rho", workload.WithLambda(5000)),
+	} {
+		res, err := ModelPlane{}.Run(context.Background(), s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bands, err := PredictedBands(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := res.Breakdown[telemetry.StageQueueWait], bands[telemetry.StageQueueWait]
+		if got.P50 != want.P50 || got.P95 != want.P95 || got.P99 != want.P99 {
+			t.Errorf("%s: model queue_wait p50/p95/p99 = %.1f/%.1f/%.1f µs, bands %.1f/%.1f/%.1f µs", s.Name,
+				got.P50*1e6, got.P95*1e6, got.P99*1e6, want.P50*1e6, want.P95*1e6, want.P99*1e6)
+		}
+		model, err := s.Config()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bq, err := model.HeaviestQueue()
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta, rate, batch := bq.Delta(), bq.DecayRate(), s.Q/(1-s.Q)/s.MuS
+		if m := delta/rate + batch; math.Abs(got.Mean/m-1) > 1e-12 {
+			t.Errorf("%s: queue_wait mean %.2f µs, want δ/R + q/(1−q)/µS = %.2f µs", s.Name, got.Mean*1e6, m*1e6)
+		}
+		// P{W > t} = δ·e^{−R·t} at the p99 (above the atom at every
+		// utilization here).
+		if p := delta * math.Exp(-rate*(got.P99-batch)); math.Abs(p/0.01-1) > 1e-9 {
+			t.Errorf("%s: P{W > p99} = %.6f, want 0.01", s.Name, p)
+		}
+		if 1-delta >= 0.5 && got.P50 != batch {
+			t.Errorf("%s: δ = %.3f but p50 = %.2f µs, want the batch term %.2f µs", s.Name, delta, got.P50*1e6, batch*1e6)
+		}
+		t.Logf("%s: δ %.3f, queue_wait p50/p95/p99 %.1f/%.1f/%.1f µs, mean %.1f µs", s.Name, delta,
+			got.P50*1e6, got.P95*1e6, got.P99*1e6, got.Mean*1e6)
+	}
+}
+
 func TestSimPlaneDeterministic(t *testing.T) {
 	s := scenarios()[0]
 	s.Requests = 2000
@@ -536,6 +583,12 @@ func TestLiveBreakdownCountsOnlyTheRun(t *testing.T) {
 	served := commands() - before
 	if res.DB == nil || res.DB.Lookups == 0 {
 		t.Fatalf("run read through no misses (DB %+v): the write-backs go unchecked", res.DB)
+	}
+	// Without coalescing or a disk tier the backend times exactly the
+	// fills counted as misses, so TD's stage mass is mean·r.
+	b := res.Breakdown
+	if want := b.MeanOf(telemetry.StageMissPenalty) * float64(res.Live.Misses) / float64(res.Live.Issued); math.Abs(res.TD/want-1) > 1e-9 {
+		t.Errorf("TD = %v, want mean(miss_penalty)·misses/issued = %v", res.TD, want)
 	}
 	for _, st := range []telemetry.Stage{telemetry.StageQueueWait, telemetry.StageService} {
 		if got := res.Breakdown[st].Count; got != served {

@@ -559,7 +559,9 @@ func (r *RequestResult) TPQuantileEstimate(n int) (float64, error) {
 // per-server CDFs. This is the estimator the paper's "Experiment"
 // columns report; the mean of per-request maxima (TS.Mean()) exceeds it
 // by the Euler–Mascheroni bias of the maximal-statistics approximation
-// (≈ γ/ln(N+1), ~11% at N=150) — see EXPERIMENTS.md.
+// (≈ γ/ln(N+1), ~11% at N=150) — see EXPERIMENTS.md. The level is
+// solved by the model's own core.SolveQuantile, so a level the
+// empirical CDFs never reach is an error, not a guess.
 func (r *RequestResult) TSQuantileEstimate(m *core.Config) (float64, error) {
 	if m == nil {
 		return 0, fmt.Errorf("sim: nil model")
@@ -596,36 +598,15 @@ func (r *RequestResult) TSQuantileEstimate(m *core.Config) (float64, error) {
 		}
 		return math.Inf(-1)
 	}
-	if logCDF(0) >= logK {
-		return 0, nil
-	}
-	hi := 1e-6
-	for i := 0; i < 200 && logCDF(hi) < logK; i++ {
-		hi *= 2
-	}
-	lo := 0.0
-	for i := 0; i < 100; i++ {
-		mid := (lo + hi) / 2
-		if logCDF(mid) < logK {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
+	return core.SolveQuantile(logCDF, logK)
 }
 
 // stream simulates one GI^X/M/1 key stream of model m at key rate
-// lambdaKeys, honoring a Config.Arrival override; cfg supplies the rest.
+// lambdaKeys, its batch gaps drawn from m's arrival law; cfg supplies
+// the rest.
 func stream(m *core.Config, lambdaKeys float64, cfg ServerConfig) (*ServerResult, error) {
-	batchRate := (1 - m.Q) * lambdaKeys
 	var err error
-	if m.Arrival != nil {
-		cfg.Interarrival, err = m.Arrival(batchRate)
-	} else {
-		cfg.Interarrival, err = dist.NewGeneralizedPareto(m.Xi, batchRate)
-	}
-	if err != nil {
+	if cfg.Interarrival, err = m.ArrivalFor(lambdaKeys); err != nil {
 		return nil, err
 	}
 	cfg.Q, cfg.MuS = m.Q, m.MuS

@@ -42,7 +42,6 @@ func testConfig() Config {
 			telemetry.StageQueueWait:   pointQuantiles(500e-6),
 			telemetry.StageService:     pointQuantiles(500e-6),
 		},
-		MinSamples: 10,
 	}
 }
 
@@ -244,9 +243,6 @@ func TestBurnRateAlerting(t *testing.T) {
 	cfg := testConfig()
 	cfg.Target = 10e-3
 	cfg.Budget = 0.01
-	cfg.Burn = 5
-	cfg.ShortWindows = 2
-	cfg.LongWindows = 4
 	cfg.AlertWriter = &alerts
 	w, err := NewWatchdog(cfg)
 	if err != nil {
@@ -254,8 +250,8 @@ func TestBurnRateAlerting(t *testing.T) {
 	}
 	w.Arm()
 	now := 0.0
-	// Healthy windows: nothing above target.
-	for win := 0; win < 4; win++ {
+	// Healthy windows fill the long ring: nothing above target.
+	for win := 0; win < longWindows; win++ {
 		for i := 0; i < 100; i++ {
 			w.OnLatency(1e-3)
 		}
@@ -265,8 +261,10 @@ func TestBurnRateAlerting(t *testing.T) {
 	if st := w.Status(); st.BurnActive || st.BurnAlerts != 0 {
 		t.Fatalf("healthy burn state: %+v", st)
 	}
-	// Burning windows: 50%% above target = burn rate 50x budget.
-	for win := 0; win < 4; win++ {
+	// Burning windows fill the short ring: 50%% above target = burn
+	// rate 50x budget there, while the long ring's rate climbs by
+	// 50/16 a window and only reaches the threshold on the 4th.
+	for win := 0; win < shortWindows; win++ {
 		for i := 0; i < 100; i++ {
 			lat := 1e-3
 			if i%2 == 0 {
@@ -276,20 +274,24 @@ func TestBurnRateAlerting(t *testing.T) {
 		}
 		now += 0.25
 		w.Advance(now)
+		if st := w.Status(); win < shortWindows-1 && st.BurnActive {
+			t.Fatalf("burn active after %d burning windows: short=%.1f long=%.1f, want the long ring below %d",
+				win+1, st.BurnShort, st.BurnLong, burnThreshold)
+		}
 	}
 	st := w.Status()
 	if !st.BurnActive || st.BurnAlerts != 1 {
 		t.Fatalf("burn state after violation: active=%v alerts=%d short=%.1f long=%.1f",
 			st.BurnActive, st.BurnAlerts, st.BurnShort, st.BurnLong)
 	}
-	if st.BurnShort < cfg.Burn || st.BurnLong < cfg.Burn {
-		t.Fatalf("burn rates %.1f/%.1f below threshold %v", st.BurnShort, st.BurnLong, cfg.Burn)
+	if st.BurnShort < burnThreshold || st.BurnLong < burnThreshold {
+		t.Fatalf("burn rates %.1f/%.1f below threshold %d", st.BurnShort, st.BurnLong, burnThreshold)
 	}
 	if !strings.Contains(alerts.String(), "slo alert kind=burn") {
 		t.Fatalf("burn alert line missing from %q", alerts.String())
 	}
 	// Recovery clears the alert latch.
-	for win := 0; win < 6; win++ {
+	for win := 0; win < shortWindows; win++ {
 		for i := 0; i < 100; i++ {
 			w.OnLatency(1e-3)
 		}
@@ -399,14 +401,13 @@ func TestServeHTTP(t *testing.T) {
 
 func TestParseSpec(t *testing.T) {
 	cfg, m, err := ParseSpec(
-		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002,burn=8,short=2,long=6,min-samples=30," +
+		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002," +
 			"lambda=2000,mus=2000,mud=500,q=0.1,xi=1,miss=0.2,n=10")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.Window != 0.25 || cfg.K != 3 || cfg.Band != 2.5 || cfg.Target != 5e-3 ||
-		cfg.Budget != 0.002 || cfg.Burn != 8 || cfg.ShortWindows != 2 || cfg.LongWindows != 6 ||
-		cfg.MinSamples != 30 {
+		cfg.Budget != 0.002 {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if m.Lambda != 2000 || m.MuS != 2000 || m.MuD != 500 || m.Q != 0.1 || m.Xi != 1 ||
@@ -426,6 +427,13 @@ func TestParseSpec(t *testing.T) {
 	for _, bad := range []string{"window", "nope=1", "k=abc", "window=xyz", "alpha=0.02"} {
 		if _, _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q): want error", bad)
+		}
+	}
+	// The burn threshold, the burn-rate ring sizes and the sample floor
+	// are constants, not keys.
+	for _, gone := range []string{"burn=8", "short=2", "long=6", "min-samples=30", "minsamples=30"} {
+		if _, _, err := ParseSpec(gone); err == nil || !strings.Contains(err.Error(), "unknown key") {
+			t.Errorf("ParseSpec(%q) = %v, want an unknown key error", gone, err)
 		}
 	}
 }
@@ -450,10 +458,6 @@ func renderSpec(cfg Config, m Model) string {
 	f("band", cfg.Band)
 	f("target", cfg.Target)
 	f("budget", cfg.Budget)
-	f("burn", cfg.Burn)
-	i("short", int64(cfg.ShortWindows))
-	i("long", int64(cfg.LongWindows))
-	i("min-samples", cfg.MinSamples)
 	f("lambda", m.Lambda)
 	f("mus", m.MuS)
 	f("mud", m.MuD)
@@ -470,7 +474,7 @@ func renderSpec(cfg Config, m Model) string {
 // names a key outside the grammar — alpha included — is rejected.
 func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
-		"", " , ", "window", "nope=1", "alpha=0.02", "k=abc", "window=xyz", "band=NaN,burn=+Inf",
+		"", " , ", "window", "nope=1", "alpha=0.02", "k=abc", "window=xyz", "band=NaN,budget=+Inf",
 		// scripts/slo_smoke.sh and the README's SLO section.
 		"lambda=100,mus=500,q=0.1,xi=0.15,window=0.5s,k=2,band=3",
 		"lambda=100,mus=500,q=0.1,xi=0.15,window=500ms,band=3",
@@ -480,12 +484,12 @@ func FuzzParseSpec(f *testing.F) {
 		"window=250ms,k=2,band=2",
 		"lambda=2000,mus=8000,window=1s,k=2",
 		"lambda=2000,mus=4000,miss=0.2,mud=500,window=1s,k=2,band=2",
-		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002,burn=8,short=2,long=6,minsamples=30,n=10",
+		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002,n=10",
 	} {
 		f.Add(seed)
 	}
 	known := map[string]bool{}
-	for _, key := range strings.Split("window k band target budget burn short long min-samples minsamples "+
+	for _, key := range strings.Split("window k band target budget "+
 		"lambda mus mud q xi miss n", " ") {
 		known[key] = true
 	}

@@ -25,9 +25,8 @@ type Model struct {
 // ParseSpec parses a -slo flag value: comma-separated key=value pairs.
 //
 // Detector keys: window (duration), k (int), band (float), target
-// (duration), budget (float), burn (float), short/long (windows),
-// min-samples (int). Durations accept Go syntax ("250ms") or bare
-// seconds ("0.25").
+// (duration), budget (float). Durations accept Go syntax ("250ms") or
+// bare seconds ("0.25").
 //
 // Model keys (for binaries that are not already running a scenario):
 // lambda, mus, mud, q, xi, miss, n.
@@ -64,16 +63,6 @@ func ParseSpec(spec string) (Config, Model, error) {
 			cfg.Target, err = parseSeconds(val)
 		case "budget":
 			cfg.Budget, err = strconv.ParseFloat(val, 64)
-		case "burn":
-			cfg.Burn, err = strconv.ParseFloat(val, 64)
-		case "short":
-			cfg.ShortWindows, err = strconv.Atoi(val)
-		case "long":
-			cfg.LongWindows, err = strconv.Atoi(val)
-		case "min-samples", "minsamples":
-			var n int
-			n, err = strconv.Atoi(val)
-			cfg.MinSamples = int64(n)
 		case "lambda":
 			m.Lambda, err = strconv.ParseFloat(val, 64)
 		case "mus":

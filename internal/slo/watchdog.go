@@ -26,7 +26,7 @@
 //   - End-to-end request latencies feed a burn-rate alert: the fraction
 //     of requests above Target per window, averaged over a short and a
 //     long window ring and divided by Budget. Both rates exceeding the
-//     Burn threshold fires the alert (multi-window, à la error-budget
+//     burn threshold fires the alert (multi-window, à la error-budget
 //     alerting), which keeps one noisy window from paging.
 //
 // The package deliberately does not import internal/plane: the caller
@@ -45,6 +45,18 @@ import (
 
 	"memqlat/internal/sketch"
 	"memqlat/internal/telemetry"
+)
+
+// The burn-rate alert fires when both the short and the long ring's
+// burn rate reach burnThreshold; the rings hold shortWindows and
+// longWindows windows. A stage is judged in a window only once it holds
+// minSamples observations: below that the drift streak is kept, not
+// reset, so a stalled tier cannot launder its drift by going quiet.
+const (
+	burnThreshold = 10
+	shortWindows  = 4
+	longWindows   = 16
+	minSamples    = 20
 )
 
 // quantile labels in evaluation order; pred/obs triples index alike.
@@ -70,18 +82,6 @@ type Config struct {
 	// Budget is the allowed fraction of requests above Target
 	// (default 1e-3).
 	Budget float64
-	// Burn is the burn-rate alert threshold: alert when both the short
-	// and long window burn rates reach it (default 10).
-	Burn float64
-	// ShortWindows / LongWindows size the two burn-rate rings in
-	// windows (defaults 4 and 16).
-	ShortWindows int
-	LongWindows  int
-	// MinSamples is the per-stage observation floor below which a
-	// window is not evaluated for that stage — the drift streak is
-	// kept, not reset, so a stalled tier cannot launder its drift by
-	// going quiet (default 20).
-	MinSamples int64
 	// Predicted anchors the bands: the Theorem-1 per-stage breakdown
 	// of the running scenario (plane.PredictedBands). Stages with no
 	// predicted observations get no band and never drift.
@@ -103,18 +103,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Budget == 0 {
 		c.Budget = 1e-3
-	}
-	if c.Burn == 0 {
-		c.Burn = 10
-	}
-	if c.ShortWindows == 0 {
-		c.ShortWindows = 4
-	}
-	if c.LongWindows == 0 {
-		c.LongWindows = 16
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = 20
 	}
 	return c
 }
@@ -308,7 +296,7 @@ func (w *Watchdog) closeWindowLocked(idx int64) {
 		ss := &w.stages[i]
 		snap := window[ss.stage]
 		ss.lastCount = snap.Count()
-		if snap.Count() >= w.cfg.MinSamples {
+		if snap.Count() >= minSamples {
 			obs := [3]float64{}
 			for j, q := range qprobs {
 				obs[j] = snap.MustQuantile(q)
@@ -337,7 +325,7 @@ func (w *Watchdog) closeWindowLocked(idx int64) {
 				}
 			}
 		}
-		// Below MinSamples the window is not evidence either way: the
+		// Below minSamples the window is not evidence either way: the
 		// streak is kept, so a tier that stalls outright (and stops
 		// reporting) stays flagged.
 		ss.drifting = ss.hasBand && ss.streak >= w.cfg.K
@@ -375,11 +363,11 @@ func (w *Watchdog) closeWindowLocked(idx int64) {
 	if w.cfg.Target > 0 {
 		frac = tsnap.FractionAbove(w.cfg.Target)
 	}
-	w.shortRing = pushRing(w.shortRing, frac, w.cfg.ShortWindows)
-	w.longRing = pushRing(w.longRing, frac, w.cfg.LongWindows)
+	w.shortRing = pushRing(w.shortRing, frac, shortWindows)
+	w.longRing = pushRing(w.longRing, frac, longWindows)
 	w.burnShort = ringMean(w.shortRing) / w.cfg.Budget
 	w.burnLong = ringMean(w.longRing) / w.cfg.Budget
-	w.burnActive = w.cfg.Target > 0 && w.burnShort >= w.cfg.Burn && w.burnLong >= w.cfg.Burn
+	w.burnActive = w.cfg.Target > 0 && w.burnShort >= burnThreshold && w.burnLong >= burnThreshold
 	if w.burnActive {
 		if !w.burnAlerted {
 			w.burnAlerted = true
