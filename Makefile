@@ -81,6 +81,7 @@ cover:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseCommand -fuzztime=20s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzScanReply -fuzztime=10s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz FuzzWriter -fuzztime=10s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzProxyFrame -fuzztime=15s ./internal/proxy/
 	$(GO) test -run '^$$' -fuzz FuzzChromeTrace -fuzztime=15s ./internal/otrace/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=10s ./internal/slo/
@@ -103,9 +104,10 @@ fuzz-smoke:
 # in-process servers), extstore and SLO-watchdog hot paths;
 # the cache hit under one reader and under GOMAXPROCS readers (parallel
 # minus serial at -cpu 2 is what readers cost each other in shared cache
-# lines); connection-count scaling, 1k -> 100k parked connections on the
-# event-loop core (tiers beyond the fd limit skip; the fixed -benchtime
-# runs the expensive fleet setup once per scale, not once per b.N probe).
+# lines); connection-count scaling, 1k -> 100k parked connections on
+# each connection core, with the heap and stack each parked connection
+# costs (tiers beyond the fd limit skip; the fixed -benchtime runs the
+# expensive fleet setup once per scale, not once per b.N probe).
 microbench:
 	$(GO) test -run '^$$' -bench 'BenchmarkDelta$$|BenchmarkCliffTable' .
 	$(GO) test -run '^$$' -bench 'BenchmarkExtIntegrated$$' -benchmem .

@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/iotest"
@@ -53,9 +55,10 @@ func fuzzKeys(data []byte) []string {
 // FuzzParseCommand checks the two properties the wire format rests on.
 //
 // Chunk-split invariance: the same request bytes fed to the framer
-// whole, split at two fuzz-chosen offsets, and one byte at a time
-// through the blocking Parser yield the same commands, the same
-// recoverable errors and the same captured frames. The seed corpus
+// whole, split at two fuzz-chosen offsets, and read by the blocking
+// Parser one byte at a time and in half-size reads (so its buffer starts
+// small and grows each time a read fills it) yield the same commands,
+// the same recoverable errors and the same captured frames. The seed corpus
 // covers truncated data blocks, oversized declared lengths, oversized
 // lines, bad terminators and junk.
 //
@@ -87,16 +90,14 @@ func FuzzParseCommand(f *testing.F) {
 		" \t \r\n",
 		"get a\r\nquit\r\nget b\r\n",
 		"get " + strings.Repeat("k", 300) + "\r\n",
-		strings.Repeat("x", 9000) + "\r\nget k\r\n", // oversized line, then recovery
+		strings.Repeat("x", protocol.ConnBufferBytes+100) + "\r\nget k\r\n", // oversized line, then recovery
 		"get k1 k2\r\nset k1 0 0 0\r\n\r\n",
 	}
 	for i, s := range seeds {
 		f.Add([]byte(s), uint16(i), uint16(3*i+1))
 	}
 	f.Fuzz(func(t *testing.T, data []byte, a, b uint16) {
-		const maxLine = 4096
-
-		whole := protocol.NewStreamParser(maxLine)
+		whole := protocol.NewStreamParser(0) // the Parser's limit, ConnBufferBytes
 		whole.CaptureFrames(true)
 		whole.Feed(data)
 		want, _ := drain(nil, whole.Next, whole.Frame)
@@ -110,7 +111,7 @@ func FuzzParseCommand(f *testing.F) {
 		if cut1 > cut2 {
 			cut1, cut2 = cut2, cut1
 		}
-		split := protocol.NewStreamParser(maxLine)
+		split := protocol.NewStreamParser(0)
 		split.CaptureFrames(true)
 		var got []framed
 		for _, chunk := range [][]byte{data[:cut1], data[cut1:cut2], data[cut2:]} {
@@ -124,10 +125,15 @@ func FuzzParseCommand(f *testing.F) {
 			t.Fatalf("split at %d,%d diverged from the whole feed:\n got %+v\nwant %+v", cut1, cut2, got, want)
 		}
 
-		p := protocol.NewParser(bufio.NewReaderSize(iotest.OneByteReader(bytes.NewReader(data)), maxLine))
-		p.CaptureFrames(true)
-		if got, _ = drain(nil, p.Next, p.Frame); !reflect.DeepEqual(got, want) {
-			t.Fatalf("Parser over a one-byte reader diverged from the whole feed:\n got %+v\nwant %+v", got, want)
+		for name, r := range map[string]io.Reader{
+			"one-byte": iotest.OneByteReader(bytes.NewReader(data)),
+			"half":     iotest.HalfReader(bytes.NewReader(data)),
+		} {
+			p := protocol.NewParser(r)
+			p.CaptureFrames(true)
+			if got, _ = drain(nil, p.Next, p.Frame); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Parser over a %s reader diverged from the whole feed:\n got %+v\nwant %+v", name, got, want)
+			}
 		}
 
 		roundTrip(t, fuzzKeys(data), data[:min(len(data), 2048)], a, b)
@@ -182,7 +188,7 @@ func roundTrip(t *testing.T, keys []string, value []byte, a, b uint16) {
 	}
 	wire = protocol.AppendBare(wire, protocol.OpQuit)
 
-	p := protocol.NewParser(bufio.NewReaderSize(bytes.NewReader(wire), protocol.ConnBufferBytes))
+	p := protocol.NewParser(bytes.NewReader(wire))
 	p.CaptureFrames(true)
 	for i, w := range want {
 		cmd, err := p.Next()
@@ -199,4 +205,123 @@ func roundTrip(t *testing.T, keys []string, value []byte, a, b uint16) {
 	if _, err := p.Next(); err != io.EOF {
 		t.Fatalf("encoders wrote trailing bytes: %v", err)
 	}
+}
+
+// bufioReplies is the reply writer as it was built on a bufio.Writer of
+// ConnBufferBytes: the reference FuzzWriter holds the Writer to.
+type bufioReplies struct{ *bufio.Writer }
+
+func (r bufioReplies) line(s string) { _, _ = r.WriteString(s + "\r\n") }
+
+func (r bufioReplies) value(key []byte, flags uint32, cas uint64, value []byte, withCAS bool) {
+	if withCAS {
+		_, _ = fmt.Fprintf(r, "VALUE %s %d %d %d\r\n", key, flags, len(value), cas)
+	} else {
+		_, _ = fmt.Fprintf(r, "VALUE %s %d %d\r\n", key, flags, len(value))
+	}
+	_, _ = r.Write(value)
+	r.line("")
+}
+
+// countingWriter counts the Write calls that reach it.
+type countingWriter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.Buffer.Write(p)
+}
+
+// FuzzWriter checks the reply writer against the bufio-backed writer it
+// replaced: any sequence of Line, ValueBytes, Number, Stat and Flush —
+// values and stat lines on both sides of ConnBufferBytes — puts the same
+// bytes on the wire, written straight to a connection or through a
+// bufio.Writer. After every Flush the destination holds every byte
+// written so far, the Flush cost at most one Write, and the Writer never
+// holds more than ConnBufferBytes.
+func FuzzWriter(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4})
+	f.Add([]byte{1 + 5*4, 1 + 5*5, 4, 1 + 5*6, 1 + 5*3, 0, 4})
+	f.Add([]byte{1 + 5*7, 3 + 5*7, 2, 1 + 5*12, 1 + 5*13, 1 + 5*14})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		sizes := []int{0, 1, 100, protocol.ConnBufferBytes - 80, protocol.ConnBufferBytes - 1,
+			protocol.ConnBufferBytes, protocol.ConnBufferBytes + 1, 2*protocol.ConnBufferBytes + 7}
+		var ref, viaBufio bytes.Buffer
+		var direct countingWriter
+		rw := bufioReplies{bufio.NewWriterSize(&ref, protocol.ConnBufferBytes)}
+		ws := []*protocol.Writer{protocol.NewWriter(&direct), protocol.NewWriter(bufio.NewWriter(&viaBufio))}
+		check := func(step int) {
+			for i, w := range ws {
+				if w.Buffered() > protocol.ConnBufferBytes {
+					t.Fatalf("step %d: writer %d holds %d bytes", step, i, w.Buffered())
+				}
+			}
+		}
+		flush := func(step int) {
+			if err := rw.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			before := direct.writes
+			for _, w := range ws {
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := direct.writes - before; n > 1 {
+				t.Fatalf("step %d: Flush took %d writes", step, n)
+			}
+			for name, got := range map[string][]byte{"direct": direct.Bytes(), "bufio": viaBufio.Bytes()} {
+				if !bytes.Equal(got, ref.Bytes()) {
+					t.Fatalf("step %d: %s writer put %d bytes on the wire, the bufio reference %d:\n got %.200q\nwant %.200q",
+						step, name, len(got), ref.Len(), got, ref.Bytes())
+				}
+			}
+		}
+		for step, op := range ops {
+			p := int(op / 5)
+			size := sizes[p%len(sizes)]
+			key := []byte("k" + strconv.Itoa(p))
+			switch op % 5 {
+			case 0:
+				line := []string{protocol.RespStored, protocol.RespEnd, protocol.RespNotFound, ""}[p%4]
+				rw.line(line)
+				for _, w := range ws {
+					if err := w.Line(line); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 1:
+				value := bytes.Repeat([]byte{'a' + byte(p%26)}, size)
+				flags, cas, withCAS := uint32(p)*7919, uint64(p)<<40|uint64(size), p%2 == 1
+				rw.value(key, flags, cas, value, withCAS)
+				for _, w := range ws {
+					if err := w.ValueBytes(key, flags, cas, value, withCAS); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 2:
+				n := uint64(p) * 0x3fffffffffffffff
+				rw.line(strconv.FormatUint(n, 10))
+				for _, w := range ws {
+					if err := w.Number(n); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 3:
+				value := strings.Repeat("s", size)
+				rw.line("STAT " + string(key) + " " + value)
+				for _, w := range ws {
+					if err := w.Stat(string(key), value); err != nil {
+						t.Fatal(err)
+					}
+				}
+			case 4:
+				flush(step)
+			}
+			check(step)
+		}
+		flush(len(ops))
+	})
 }

@@ -1,25 +1,27 @@
 package protocol
 
-import "bufio"
+import "io"
 
 // Parser is the blocking front of the request framer: a fill loop that
-// moves whatever its bufio.Reader delivers into a StreamParser and asks
-// it for the next command. The goroutine server core and the proxy's
-// downstream side own one per connection. Its command-line limit is the
-// reader's buffer size.
+// reads from its io.Reader straight into a StreamParser's buffer and
+// asks it for the next command. The goroutine server core and the
+// proxy's downstream side own one per connection; its buffer grows only
+// when a read fills it, so an idle connection holds next to nothing.
+// Its command-line limit is ConnBufferBytes.
 //
 // Aliasing contract: the Command returned by Next, its KeyB, KeyList and
 // Value fields, and Frame all alias the framer's input buffer. Everything
 // is valid only until the next call to Next; callers that retain any of
 // it must copy first (the cache's SetBytes/GetInto do).
 type Parser struct {
-	r *bufio.Reader
-	s StreamParser
+	r   io.Reader
+	s   StreamParser
+	err error // a read error that arrived with data, returned next
 }
 
 // NewParser returns a Parser reading from r.
-func NewParser(r *bufio.Reader) *Parser {
-	return &Parser{r: r, s: StreamParser{maxLine: r.Size()}}
+func NewParser(r io.Reader) *Parser {
+	return &Parser{r: r, s: StreamParser{maxLine: ConnBufferBytes}}
 }
 
 // CaptureFrames toggles frame capture: when on, each successful Next
@@ -33,7 +35,7 @@ func (p *Parser) Frame() []byte { return p.s.Frame() }
 
 // Buffered reports how many received bytes Next has not consumed yet: 0
 // means the pipeline is drained and the caller should flush its replies.
-func (p *Parser) Buffered() int { return p.s.Buffered() + p.r.Buffered() }
+func (p *Parser) Buffered() int { return p.s.Buffered() }
 
 // Next parses one command. Malformed requests yield a *ClientError
 // (recoverable); I/O failures yield the underlying error; a quit
@@ -45,14 +47,16 @@ func (p *Parser) Next() (*Command, error) {
 		if err != ErrIncomplete {
 			return cmd, err
 		}
-		// Block for at least one byte, then hand over everything the
-		// reader holds.
-		if _, err := p.r.Peek(1); err != nil {
-			return nil, err
+		if p.err != nil {
+			return nil, p.err
 		}
-		chunk, _ := p.r.Peek(p.r.Buffered())
-		p.s.Feed(chunk)
-		_, _ = p.r.Discard(len(chunk)) // cannot fail: chunk was just peeked
+		n, err := p.s.readFrom(p.r)
+		if err != nil {
+			if n == 0 {
+				return nil, err
+			}
+			p.err = err // parse what arrived first
+		}
 	}
 }
 

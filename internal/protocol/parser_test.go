@@ -177,17 +177,20 @@ func TestWriterValueBytesMatchesValue(t *testing.T) {
 }
 
 // TestWriterValueBytesFlushGuard fills the writer's buffer to just
-// below the header guard and checks the block still comes out intact.
+// below the header guard and checks the padding goes out on its own and
+// the block still comes out intact after it.
 func TestWriterValueBytesFlushGuard(t *testing.T) {
 	var out bytes.Buffer
-	bw := bufio.NewWriterSize(&out, 128)
-	w := NewWriter(bw)
-	pad := strings.Repeat("x", 100)
-	if _, err := bw.WriteString(pad); err != nil {
+	w := NewWriter(&out)
+	pad := strings.Repeat("x", ConnBufferBytes-len("key")-63)
+	if _, err := w.Write([]byte(pad)); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.ValueBytes([]byte("key"), 1, 2, []byte("abcde"), true); err != nil {
 		t.Fatal(err)
+	}
+	if out.String() != pad {
+		t.Errorf("before Flush the destination holds %d bytes, want the %d-byte padding", out.Len(), len(pad))
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)

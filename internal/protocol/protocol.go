@@ -70,10 +70,11 @@ const MaxValueBytes = 1 << 20
 // retrieval encoder splits longer key lists into pipelined lines.
 const MaxLineBytes = 8 << 10
 
-// ConnBufferBytes sizes the per-connection read and write buffers of
-// both server cores and the proxy. A Parser takes its command-line limit
-// from its reader's size, so this is also the longest line a server or
-// proxy accepts — twice MaxLineBytes, the longest a client frames.
+// ConnBufferBytes is the longest command line a Parser accepts — so the
+// longest a server or the proxy accepts, twice MaxLineBytes, the longest
+// a client frames — and the most reply bytes a Writer holds before it
+// writes them. It also sizes the event loop's per-loop read buffer and
+// the proxy's upstream connection buffers.
 const ConnBufferBytes = 16 << 10
 
 // ClientError is a malformed-request error; servers report it as

@@ -24,54 +24,124 @@ const (
 
 var crlf = []byte("\r\n")
 
-// Writer emits protocol responses to a buffered stream.
+// Writer emits protocol responses. It owns one reply buffer, which
+// holds only the replies owed: it starts empty, grows with them up to
+// ConnBufferBytes, and Flush hands its bytes to the destination in one
+// Write. A write that does not fit drains the buffer first; one larger
+// than the whole buffer goes straight through, as with a bufio.Writer of
+// that size, so a parked connection pins no reply memory it never used.
 type Writer struct {
-	w *bufio.Writer
+	dst io.Writer
+	buf []byte
+	// next is dst's own Flush when dst buffers too (a *bufio.Writer):
+	// Flush pushes the bytes all the way through it.
+	next interface{ Flush() error }
 }
 
-// NewWriter wraps w.
-func NewWriter(w *bufio.Writer) *Writer { return &Writer{w: w} }
+// NewWriter returns a Writer owing its replies to w.
+func NewWriter(w io.Writer) *Writer {
+	next, _ := w.(interface{ Flush() error })
+	return &Writer{dst: w, next: next}
+}
+
+// Reset retargets the Writer at w, keeping its buffer; any reply bytes
+// still owed to the old destination are dropped.
+func (w *Writer) Reset(dst io.Writer) {
+	w.dst = dst
+	w.next, _ = dst.(interface{ Flush() error })
+	w.buf = w.buf[:0]
+}
+
+// Buffered reports how many reply bytes the next Flush writes.
+func (w *Writer) Buffered() int { return len(w.buf) }
+
+// Write buffers p, implementing io.Writer for relays and fmt.
+func (w *Writer) Write(p []byte) (int, error) {
+	if err := write(w, p); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// write buffers p, draining the buffer each time it fills. When the
+// buffer is empty, a p larger than all of it goes straight through.
+func write[T string | []byte](w *Writer, p T) error {
+	for len(p) > ConnBufferBytes-len(w.buf) {
+		if len(w.buf) == 0 {
+			_, err := w.dst.Write([]byte(p))
+			return err
+		}
+		k := ConnBufferBytes - len(w.buf)
+		w.buf = append(w.reserve(k), p[:k]...)
+		p = p[k:]
+		if err := w.drain(); err != nil {
+			return err
+		}
+	}
+	w.buf = append(w.reserve(len(p)), p...)
+	return nil
+}
+
+// reserve returns the buffer with room for n more bytes, growing it by
+// doubling from 512 bytes, never past ConnBufferBytes (callers never
+// ask for more).
+func (w *Writer) reserve(n int) []byte {
+	if len(w.buf)+n <= cap(w.buf) {
+		return w.buf
+	}
+	grown := make([]byte, len(w.buf), min(max(2*cap(w.buf), len(w.buf)+n, 512), ConnBufferBytes))
+	copy(grown, w.buf)
+	return grown
+}
+
+// room drains the buffer when fewer than n bytes are left before
+// ConnBufferBytes, then returns it with room for n more.
+func (w *Writer) room(n int) ([]byte, error) {
+	if ConnBufferBytes-len(w.buf) < n {
+		if err := w.drain(); err != nil {
+			return nil, err
+		}
+	}
+	return w.reserve(n), nil
+}
+
+// drain writes the buffered bytes to the destination in one Write.
+func (w *Writer) drain() error {
+	if len(w.buf) == 0 {
+		return nil
+	}
+	n, err := w.dst.Write(w.buf)
+	if err == nil && n < len(w.buf) {
+		err = io.ErrShortWrite
+	}
+	w.buf = w.buf[:0]
+	return err
+}
 
 // Line writes a bare reply line (one of the Resp* constants or a
 // numeric incr/decr result).
 func (w *Writer) Line(s string) error {
-	if _, err := w.w.WriteString(s); err != nil {
+	if err := write(w, s); err != nil {
 		return err
 	}
-	_, err := w.w.Write(crlf)
-	return err
+	return write(w, crlf)
 }
 
 // Value writes one VALUE block; pass withCAS for gets responses.
 func (w *Writer) Value(key string, flags uint32, cas uint64, value []byte, withCAS bool) error {
-	if withCAS {
-		if _, err := fmt.Fprintf(w.w, "VALUE %s %d %d %d\r\n", key, flags, len(value), cas); err != nil {
-			return err
-		}
-	} else {
-		if _, err := fmt.Fprintf(w.w, "VALUE %s %d %d\r\n", key, flags, len(value)); err != nil {
-			return err
-		}
-	}
-	if _, err := w.w.Write(value); err != nil {
-		return err
-	}
-	_, err := w.w.Write(crlf)
-	return err
+	return w.ValueBytes([]byte(key), flags, cas, value, withCAS)
 }
 
 // ValueBytes writes one VALUE block without allocating: the header is
-// appended into the bufio writer's spare capacity (flushing first when
-// the header might not fit), so pipelined gets coalesce into the
-// writer's buffer and go out in one syscall at the next Flush.
+// appended in place (draining the buffer first when the header might
+// not fit), so pipelined gets coalesce and go out in one syscall at the
+// next Flush.
 func (w *Writer) ValueBytes(key []byte, flags uint32, cas uint64, value []byte, withCAS bool) error {
 	// Worst-case header: "VALUE " + key + 3 numbers + spaces + CRLF.
-	if w.w.Available() < len(key)+64 {
-		if err := w.w.Flush(); err != nil {
-			return err
-		}
+	buf, err := w.room(len(key) + 64)
+	if err != nil {
+		return err
 	}
-	buf := w.w.AvailableBuffer()
 	buf = append(buf, "VALUE "...)
 	buf = append(buf, key...)
 	buf = append(buf, ' ')
@@ -82,15 +152,11 @@ func (w *Writer) ValueBytes(key []byte, flags uint32, cas uint64, value []byte, 
 		buf = append(buf, ' ')
 		buf = strconv.AppendUint(buf, cas, 10)
 	}
-	buf = append(buf, '\r', '\n')
-	if _, err := w.w.Write(buf); err != nil {
+	w.buf = append(buf, '\r', '\n')
+	if err := write(w, value); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(value); err != nil {
-		return err
-	}
-	_, err := w.w.Write(crlf)
-	return err
+	return write(w, crlf)
 }
 
 // End terminates a retrieval response.
@@ -98,21 +164,17 @@ func (w *Writer) End() error { return w.Line(RespEnd) }
 
 // Number writes an incr/decr result without allocating.
 func (w *Writer) Number(n uint64) error {
-	if w.w.Available() < 22 { // 20 digits + CRLF
-		if err := w.w.Flush(); err != nil {
-			return err
-		}
+	buf, err := w.room(22) // 20 digits + CRLF
+	if err != nil {
+		return err
 	}
-	buf := w.w.AvailableBuffer()
-	buf = strconv.AppendUint(buf, n, 10)
-	buf = append(buf, '\r', '\n')
-	_, err := w.w.Write(buf)
-	return err
+	w.buf = append(strconv.AppendUint(buf, n, 10), '\r', '\n')
+	return nil
 }
 
 // Stat writes one STAT line.
 func (w *Writer) Stat(name, value string) error {
-	_, err := fmt.Fprintf(w.w, "STAT %s %s\r\n", name, value)
+	_, err := fmt.Fprintf(w, "STAT %s %s\r\n", name, value)
 	return err
 }
 
@@ -121,18 +183,27 @@ func (w *Writer) Version(v string) error { return w.Line("VERSION " + v) }
 
 // ClientErrorf reports a malformed request without closing the stream.
 func (w *Writer) ClientErrorf(format string, args ...any) error {
-	_, err := fmt.Fprintf(w.w, "CLIENT_ERROR "+format+"\r\n", args...)
+	_, err := fmt.Fprintf(w, "CLIENT_ERROR "+format+"\r\n", args...)
 	return err
 }
 
 // ServerErrorf reports an internal failure.
 func (w *Writer) ServerErrorf(format string, args ...any) error {
-	_, err := fmt.Fprintf(w.w, "SERVER_ERROR "+format+"\r\n", args...)
+	_, err := fmt.Fprintf(w, "SERVER_ERROR "+format+"\r\n", args...)
 	return err
 }
 
-// Flush pushes buffered output to the connection.
-func (w *Writer) Flush() error { return w.w.Flush() }
+// Flush writes the owed replies to the destination — one Write — and
+// flushes the destination too when it buffers.
+func (w *Writer) Flush() error {
+	if err := w.drain(); err != nil {
+		return err
+	}
+	if w.next != nil {
+		return w.next.Flush()
+	}
+	return nil
+}
 
 // ---- Reply scanning (clients and the proxy's relay) ----
 

@@ -3,6 +3,7 @@ package protocol
 import (
 	"bytes"
 	"errors"
+	"io"
 )
 
 // ErrIncomplete is returned by StreamParser.Next when the buffered
@@ -24,7 +25,7 @@ const streamShrinkCap = 64 << 10
 // block split at any byte boundary — and yields complete commands with
 // Next; ErrIncomplete means "wait for more input". The event-loop server
 // feeds it whatever a readiness-driven read returned; the blocking
-// Parser feeds it from a bufio.Reader.
+// Parser reads into its buffer directly.
 //
 // Aliasing contract: the returned Command, its byte-slice fields and
 // Frame are slices of the input buffer, valid only until the next call
@@ -44,8 +45,7 @@ type StreamParser struct {
 }
 
 // NewStreamParser returns a StreamParser. maxLine bounds a single
-// command line; 0 applies ConnBufferBytes, the limit the blocking
-// server's reader size implies.
+// command line; 0 applies ConnBufferBytes, the blocking Parser's limit.
 func NewStreamParser(maxLine int) *StreamParser {
 	if maxLine <= 0 {
 		maxLine = ConnBufferBytes
@@ -81,6 +81,29 @@ func (s *StreamParser) Feed(data []byte) {
 		s.off = 0
 	}
 	s.buf = append(s.buf, data...)
+}
+
+// readFrom reads once from r into the buffer's spare room, first
+// making room when the last read filled it: sliding the unconsumed
+// bytes down when that frees at least half, else doubling. The first
+// buffer is 512 bytes, room for a few pipelined gets.
+func (s *StreamParser) readFrom(r io.Reader) (int, error) {
+	if len(s.buf) == cap(s.buf) {
+		live := s.buf[s.off:]
+		size := cap(s.buf)
+		if size < 512 || 2*len(live) > size {
+			size = max(2*size, 512)
+		}
+		if size == cap(s.buf) {
+			s.buf = s.buf[:copy(s.buf, live)]
+		} else {
+			s.buf = append(make([]byte, 0, size), live...)
+		}
+		s.off = 0
+	}
+	n, err := r.Read(s.buf[len(s.buf):cap(s.buf)])
+	s.buf = s.buf[:len(s.buf)+n]
+	return n, err
 }
 
 // Buffered reports how many fed bytes are not yet consumed.

@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"bufio"
 	"errors"
 	"net"
 	"strconv"
@@ -58,13 +57,14 @@ const (
 // freelist-recycled per downstream, so the steady-state data plane
 // allocates nothing.
 type pending struct {
-	d    *downstream
-	slot *pending // legs: the slot they feed
-	next *pending
-	kind replyKind
-	role role
-	join join // slot: how its legs fold
-	srv  int  // origin upstream (breaker bookkeeping)
+	d      *downstream
+	slot   *pending // legs: the slot they feed
+	next   *pending
+	upNext *pending // legs and directs: next in their upstream's queue
+	kind   replyKind
+	role   role
+	join   join // slot: how its legs fold
+	srv    int  // origin upstream (breaker bookkeeping)
 
 	done      bool   // slot: reply bytes complete
 	popped    bool   // slot: left the queue (awaiting straggler legs)
@@ -79,7 +79,7 @@ type pending struct {
 type downstream struct {
 	p   *Proxy
 	nc  net.Conn
-	w   *bufio.Writer
+	w   *protocol.Writer
 	rec telemetry.Recorder
 
 	mu     sync.Mutex
@@ -113,11 +113,11 @@ func (p *Proxy) handleConn(nc net.Conn, hint uint64) {
 	d := &downstream{
 		p:   p,
 		nc:  nc,
-		w:   bufio.NewWriterSize(nc, protocol.ConnBufferBytes),
+		w:   protocol.NewWriter(nc),
 		rec: telemetry.Shard(p.rec, hint),
 	}
 	d.cond = sync.NewCond(&d.mu)
-	parser := protocol.NewParser(bufio.NewReaderSize(nc, protocol.ConnBufferBytes))
+	parser := protocol.NewParser(nc)
 	parser.CaptureFrames(true)
 	for {
 		cmd, err := parser.Next()

@@ -23,6 +23,7 @@ import (
 	"memqlat/internal/cache"
 	"memqlat/internal/server"
 	"memqlat/internal/tenant"
+	"memqlat/internal/testkit"
 )
 
 const (
@@ -223,6 +224,55 @@ func TestHotPathAllocs(t *testing.T) {
 			checkBatchAllocs(t, c, 0)
 		})
 	}
+}
+
+// TestParkedDownstreamFootprint gates what a parked client connection
+// costs the proxy: 500 downstream connections add at most 4 KiB of live
+// heap apiece (both ends, after a forced GC), idle and again after one
+// get each — the get also dials the upstream connections, whose cost
+// the 500 share.
+func TestParkedDownstreamFootprint(t *testing.T) {
+	const parked, budget = 500, 4 << 10
+	if limit := testkit.RaiseNoFile(); limit < 2*parked+256 {
+		t.Skipf("RLIMIT_NOFILE=%d too low for %d in-process connections", limit, parked)
+	}
+	addr := startBenchProxy(t, 1)
+	base := testkit.ReadFootprint()
+	ioBase := testkit.IOWaiting()
+	conns := make([]net.Conn, parked)
+	for i := range conns {
+		nc, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = nc.Close() })
+		conns[i] = nc
+	}
+	check := func(state string) {
+		t.Helper()
+		testkit.WaitReady(t, "parked downstreams", func() error {
+			if n := testkit.IOWaiting() - ioBase; n < parked {
+				return fmt.Errorf("%d parked", n)
+			}
+			return nil
+		})
+		heap, stack := testkit.ReadFootprint().PerConn(base, parked)
+		t.Logf("%s: %.0f B heap, %.0f B stack per connection", state, heap, stack)
+		if heap > budget {
+			t.Errorf("%s: %.0f B of heap per parked downstream, want <= %d", state, heap, budget)
+		}
+	}
+	check("idle")
+	reply := make([]byte, len("VALUE k0000 0 100\r\n")+benchValueLen+len("\r\nEND\r\n"))
+	for _, nc := range conns {
+		if _, err := nc.Write([]byte("get " + benchKey(0) + "\r\n")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(nc, reply); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("after one get")
 }
 
 // checkBatchAllocs fails if one steady-state batch on c allocates more

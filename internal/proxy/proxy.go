@@ -198,7 +198,7 @@ func New(opts Options) (*Proxy, error) {
 }
 
 // Serve accepts downstream connections on l until l or the proxy
-// closes.
+// closes. A failed accept is retried after a backoff.
 func (p *Proxy) Serve(l net.Listener) error {
 	p.mu.Lock()
 	if p.closed {
@@ -213,19 +213,22 @@ func (p *Proxy) Serve(l net.Listener) error {
 		p.mu.Unlock()
 		_ = l.Close()
 	}()
+	var backoff time.Duration
 	for {
 		nc, err := l.Accept()
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {
 				return nil
 			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				time.Sleep(5 * time.Millisecond)
-				continue
-			}
-			return err
+			// EMFILE at a connection peak, a connection reset before
+			// accept: the listener still works, so back off (5 ms,
+			// doubling up to 1 s) and go on.
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			p.log.Printf("proxy: accept: %v; retrying in %v", err, backoff)
+			time.Sleep(backoff)
+			continue
 		}
+		backoff = 0
 		p.mu.Lock()
 		if p.closed {
 			p.mu.Unlock()
@@ -340,7 +343,7 @@ func (p *Proxy) UpstreamQueueDepths() []int {
 		for _, u := range conns {
 			u.mu.Lock()
 			if u.cur != nil && !u.cur.broken {
-				out[s] += len(u.cur.pend)
+				out[s] += u.cur.queued
 			}
 			u.mu.Unlock()
 		}

@@ -16,6 +16,7 @@ import (
 	"memqlat/internal/protocol"
 	"memqlat/internal/route"
 	"memqlat/internal/server"
+	"memqlat/internal/testkit"
 )
 
 // startBackends brings up n real memqlat servers on loopback listeners.
@@ -452,6 +453,42 @@ func TestProxyReplicatedReadSurvivesReplicaLoss(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// TestProxyServeSurvivesAcceptError: a failed accept (EMFILE, as at a
+// connection peak) is retried after a backoff; the proxy goes on serving
+// the next connection and shuts down clean.
+func TestProxyServeSurvivesAcceptError(t *testing.T) {
+	settled := testkit.Settles(t)
+	p, err := New(Options{Upstreams: []string{"127.0.0.1:1"}, Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- p.Serve(testkit.FailFirstAccept(l)) }()
+	nc, err := net.DialTimeout("tcp", l.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = nc.SetDeadline(time.Now().Add(2 * time.Second))
+	if _, err := nc.Write([]byte("version\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := bufio.NewReader(nc).ReadString('\n'); !strings.HasPrefix(line, "VERSION ") {
+		t.Errorf("after a failed accept the proxy answered %q, %v; want a VERSION line", line, err)
+	}
+	_ = nc.Close()
+	if err := p.Close(); err != nil {
+		t.Error(err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("serve: %v", err)
+	}
+	settled("proxy after a failed accept and Close")
 }
 
 func TestProxyOptionsValidation(t *testing.T) {

@@ -37,15 +37,23 @@ type upstream struct {
 }
 
 // uconn is one live upstream connection. Writers append frames to w and
-// enqueue the matching pending on pend (both under upstream.mu); the
-// readLoop goroutine pops pendings in FIFO order — the order the server
-// replies in — and resolves each against its downstream.
+// queue the matching pending (both under upstream.mu); the readLoop
+// goroutine pops pendings in FIFO order — the order the server replies
+// in — and resolves each against its downstream.
 type uconn struct {
-	u    *upstream
-	nc   net.Conn
-	r    *bufio.Reader
-	w    *bufio.Writer
-	pend chan *pending
+	u  *upstream
+	nc net.Conn
+	r  *bufio.Reader
+	w  *bufio.Writer
+
+	// The pendings awaiting replies, oldest first, linked through
+	// pending.upNext, so the queue holds memory only for what is queued;
+	// queued counts them against pendQueueDepth. ready (on u.mu) wakes
+	// the read loop when one is queued or the conn breaks. All guarded
+	// by u.mu.
+	head, tail *pending
+	queued     int
+	ready      sync.Cond
 
 	broken bool // guarded by u.mu; set exactly once
 }
@@ -81,13 +89,20 @@ func (u *upstream) send(hdr, frame []byte, pd *pending, flush bool) error {
 		return err
 	}
 	if pd != nil {
-		select {
-		case c.pend <- pd:
-		default:
+		if c.queued == pendQueueDepth {
 			u.breakLocked(c)
 			u.mu.Unlock()
 			return errPipelineFull
 		}
+		pd.upNext = nil
+		if c.tail == nil {
+			c.head = pd
+		} else {
+			c.tail.upNext = pd
+		}
+		c.tail = pd
+		c.queued++
+		c.ready.Signal()
 	}
 	if flush {
 		if err := c.w.Flush(); err != nil {
@@ -116,26 +131,26 @@ func (u *upstream) dialLocked() (*uconn, error) {
 		return nil, err
 	}
 	c := &uconn{
-		u:    u,
-		nc:   nc,
-		r:    bufio.NewReaderSize(nc, protocol.ConnBufferBytes),
-		w:    bufio.NewWriterSize(nc, protocol.ConnBufferBytes),
-		pend: make(chan *pending, pendQueueDepth),
+		u:  u,
+		nc: nc,
+		r:  bufio.NewReaderSize(nc, protocol.ConnBufferBytes),
+		w:  bufio.NewWriterSize(nc, protocol.ConnBufferBytes),
 	}
+	c.ready.L = &u.mu
 	u.cur = c
 	go c.readLoop()
 	return c, nil
 }
 
-// breakLocked retires a uconn: no further sends land on it, its pend
-// channel closes so the read loop can finish draining, and the socket
-// closes to unblock any in-flight read (caller holds u.mu).
+// breakLocked retires a uconn: no further sends land on it, the read
+// loop wakes to finish draining its queue, and the socket closes to
+// unblock any in-flight read (caller holds u.mu).
 func (u *upstream) breakLocked(c *uconn) {
 	if c.broken {
 		return
 	}
 	c.broken = true
-	close(c.pend)
+	c.ready.Signal()
 	_ = c.nc.Close()
 }
 
@@ -159,15 +174,42 @@ func (u *upstream) close() {
 // means the connection's reply stream is unusable: the conn is retired
 // and every remaining pending fails with SERVER_ERROR.
 func (c *uconn) readLoop() {
-	for pd := range c.pend {
+	for pd := c.next(); pd != nil; pd = c.next() {
 		if err := c.process(pd); err != nil {
 			c.u.abandon(c)
-			for pd := range c.pend {
+			for pd := c.next(); pd != nil; pd = c.next() {
 				c.failPending(pd)
 			}
 			return
 		}
 	}
+}
+
+// next pops the oldest queued pending, waiting for one while the conn
+// is live, and flushes the pipelined writes its reply may still sit
+// behind. It returns nil once the conn is broken and its queue drained.
+func (c *uconn) next() *pending {
+	u := c.u
+	u.mu.Lock()
+	defer u.mu.Unlock()
+	for c.head == nil && !c.broken {
+		c.ready.Wait()
+	}
+	pd := c.head
+	if pd == nil {
+		return nil
+	}
+	if c.head = pd.upNext; c.head == nil {
+		c.tail = nil
+	}
+	pd.upNext = nil
+	c.queued--
+	if !c.broken {
+		if err := c.w.Flush(); err != nil {
+			u.breakLocked(c)
+		}
+	}
+	return pd
 }
 
 // process reads one reply off the wire and resolves pd. It fully
@@ -178,13 +220,6 @@ func (c *uconn) readLoop() {
 // reply is read whole into pd.buf, then folded under the lock.
 func (c *uconn) process(pd *pending) error {
 	u := c.u
-	u.mu.Lock()
-	if !c.broken {
-		if err := c.w.Flush(); err != nil {
-			u.breakLocked(c)
-		}
-	}
-	u.mu.Unlock()
 	_ = c.nc.SetReadDeadline(time.Now().Add(upstreamTimeout))
 
 	d, srv := pd.d, pd.srv // pd is recycled once resolved

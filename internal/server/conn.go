@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -105,7 +104,7 @@ func (s *Server) serveCommand(w *protocol.Writer, cmd *protocol.Command, cs *con
 		// The server does the work but the reply is lost: the client
 		// is left waiting for its op timeout.
 		if cs.blackhole == nil {
-			cs.blackhole = protocol.NewWriter(bufio.NewWriter(io.Discard))
+			cs.blackhole = protocol.NewWriter(io.Discard)
 		}
 		out = cs.blackhole
 	}
@@ -148,7 +147,7 @@ func (s *Server) serveCommand(w *protocol.Writer, cmd *protocol.Command, cs *con
 // goroutineCore is the legacy connection core: each attached connection
 // gets its own goroutine running a blocking read loop. Simple, fair,
 // and exactly the configuration the paper reproduction measures — but a
-// 100k-connection fan-in pays 100k stacks and read buffers.
+// 100k-connection fan-in pays 100k goroutine stacks.
 type goroutineCore struct {
 	s *Server
 }
@@ -187,8 +186,8 @@ func (c *goroutineCore) loopStats() []LoopStat { return nil }
 
 // handleConn runs the request loop for one connection.
 func (s *Server) handleConn(conn net.Conn, id uint64) error {
-	w := protocol.NewWriter(bufio.NewWriterSize(conn, protocol.ConnBufferBytes))
-	p := protocol.NewParser(bufio.NewReaderSize(conn, protocol.ConnBufferBytes))
+	w := protocol.NewWriter(conn)
+	p := protocol.NewParser(conn)
 	cs := s.newSession(id)
 	for {
 		if s.opts.IdleTimeout > 0 {

@@ -14,13 +14,13 @@ import (
 	"io"
 	"log"
 	"net"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"memqlat/internal/cache"
+	"memqlat/internal/testkit"
 )
 
 const (
@@ -31,9 +31,9 @@ const (
 func hotKey(i int) string { return fmt.Sprintf("k%04d", i%hotKeys) }
 
 // startHotServer brings up an unshaped server on a loopback listener
-// with hotKeys pre-populated fixed-size values and returns its address.
-// maxConns 0 keeps the server's default cap.
-func startHotServer(tb testing.TB, core string, maxConns int) string {
+// with hotKeys pre-populated fixed-size values and returns it and its
+// address. maxConns 0 keeps the server's default cap.
+func startHotServer(tb testing.TB, core string, maxConns int) (*Server, string) {
 	tb.Helper()
 	c, err := cache.New(cache.Options{MaxBytes: 256 << 20})
 	if err != nil {
@@ -55,7 +55,7 @@ func startHotServer(tb testing.TB, core string, maxConns int) string {
 	}
 	go func() { _ = srv.Serve(l) }()
 	tb.Cleanup(func() { _ = srv.Close() })
-	return l.Addr().String()
+	return srv, l.Addr().String()
 }
 
 // hotBatch builds one pipelined request batch plus the exact byte count
@@ -146,28 +146,28 @@ func (c *hotConn) roundTrip() error {
 // both connection cores: a pipelined batch of gets, gats or multigets
 // costs the whole process zero heap allocations, a set at most three (the
 // stored item). AllocsPerRun counts every goroutine's mallocs, so the
-// server side is what it sees. The last case repeats the get with 1000
-// connections parked on the event loop: fan-in must not add a malloc.
+// server side is what it sees. The parked cases repeat the get with 1000
+// connections parked on the same core: fan-in must not add a malloc.
 func TestHotPathAllocs(t *testing.T) {
 	for _, core := range testCores(t) {
 		for _, op := range []string{"get", "gat", "set", "multiget"} {
 			t.Run(core+"/"+op, func(t *testing.T) {
-				checkHotAllocs(t, startHotServer(t, core, 0), op)
+				_, addr := startHotServer(t, core, 0)
+				checkHotAllocs(t, addr, op)
 			})
 		}
 	}
-	t.Run(CoreEventLoop+"/get/parked=1000", func(t *testing.T) {
-		if runtime.GOOS != "linux" {
-			t.Skip("event loop requires linux")
-		}
-		const parked = 1000
-		if limit, need := raiseNoFile(), fdsFor(parked); limit < need {
-			t.Skipf("RLIMIT_NOFILE=%d < %d needed for %d in-process connections", limit, need, parked)
-		}
-		addr := startScalingServer(t, parked)
-		dialFleet(t, addr, parked)
-		checkHotAllocs(t, addr, "get")
-	})
+	for _, core := range testCores(t) {
+		t.Run(core+"/get/parked=1000", func(t *testing.T) {
+			const parked = 1000
+			if limit, need := testkit.RaiseNoFile(), fdsFor(parked); limit < need {
+				t.Skipf("RLIMIT_NOFILE=%d < %d needed for %d in-process connections", limit, need, parked)
+			}
+			srv, addr := startScalingServer(t, core, parked)
+			parkFleet(t, srv, addr, parked)
+			checkHotAllocs(t, addr, "get")
+		})
+	}
 }
 
 // checkHotAllocs fails unless a steady-state batch of op against addr
@@ -214,7 +214,7 @@ func BenchmarkServerHotPath(b *testing.B) {
 }
 
 func benchHotPath(b *testing.B, core, op string, conns int) {
-	addr := startHotServer(b, core, 0)
+	_, addr := startHotServer(b, core, 0)
 	workers := make([]*hotConn, conns)
 	for i := range workers {
 		workers[i] = dialHot(b, addr, op, i*16)

@@ -3,7 +3,6 @@
 package server
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -150,11 +149,10 @@ type evLoop struct {
 
 	conns map[int32]*evConn
 
-	// Per-loop scratch. bw sinks into the current connection (retargeted
-	// with Reset); w wraps bw once — protocol.Writer holds only the
-	// bufio pointer, so it follows the retarget.
+	// Per-loop scratch. w owes replies to the connection being served
+	// (retargeted with Reset); its buffer is the loop's, not a
+	// connection's.
 	readBuf []byte
-	bw      *bufio.Writer
 	w       *protocol.Writer
 
 	nconns   atomic.Int64
@@ -179,10 +177,9 @@ func newEvLoop(s *Server, idx int) (*evLoop, error) {
 		s: s, idx: idx, epfd: epfd, wakeR: p[0], wakeW: p[1],
 		conns:   make(map[int32]*evConn),
 		readBuf: make([]byte, protocol.ConnBufferBytes),
+		w:       protocol.NewWriter(io.Discard),
 		done:    make(chan struct{}),
 	}
-	l.bw = bufio.NewWriterSize(io.Discard, protocol.ConnBufferBytes)
-	l.w = protocol.NewWriter(l.bw)
 	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: int32(l.wakeR)}
 	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, l.wakeR, &ev); err != nil {
 		_ = syscall.Close(epfd)
@@ -399,8 +396,8 @@ func (l *evLoop) readable(c *evConn, now time.Time) {
 // the connection was closed.
 func (l *evLoop) process(c *evConn) bool {
 	s := l.s
-	l.bw.Reset(c)
 	w := l.w
+	w.Reset(c)
 	quit := false
 	for !quit {
 		cmd, err := c.sp.Next()
@@ -436,9 +433,9 @@ func (l *evLoop) process(c *evConn) bool {
 			return false
 		}
 	}
-	if l.bw.Buffered() > 0 {
+	if w.Buffered() > 0 {
 		l.flushes.Add(1)
-		if err := l.bw.Flush(); err != nil {
+		if err := w.Flush(); err != nil {
 			l.closeConn(c, err)
 			return false
 		}
@@ -503,7 +500,7 @@ type evConn struct {
 	lastActive      int64 // UnixNano of last readiness
 }
 
-// Write is the sink under the loop's bufio writer: it tries the socket
+// Write is the sink under the loop's reply writer: it tries the socket
 // directly when nothing is queued (the common case — one syscall per
 // batch) and spills the remainder to the out buffer otherwise.
 func (c *evConn) Write(p []byte) (int, error) {

@@ -227,7 +227,9 @@ func New(opts Options) (*Server, error) {
 }
 
 // Serve accepts connections on l until Close. It returns nil after a
-// clean shutdown.
+// clean shutdown, and an error only when l is closed under it; any other
+// failed accept counts as a rejected connection and is retried after a
+// backoff.
 func (s *Server) Serve(l net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -238,6 +240,7 @@ func (s *Server) Serve(l net.Listener) error {
 	s.mu.Unlock()
 
 	var connID uint64
+	var backoff time.Duration
 	for {
 		conn, err := l.Accept()
 		if err != nil {
@@ -247,12 +250,19 @@ func (s *Server) Serve(l net.Listener) error {
 			if closed {
 				return nil
 			}
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				continue
+			if errors.Is(err, net.ErrClosed) {
+				return fmt.Errorf("server: accept: %w", err)
 			}
-			return fmt.Errorf("server: accept: %w", err)
+			// EMFILE at a connection peak, a connection reset before
+			// accept: the listener still works, so back off (5 ms,
+			// doubling up to 1 s) and go on.
+			s.rejectedConn.Add(1)
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			s.logger.Printf("server: accept: %v; retrying in %v", err, backoff)
+			time.Sleep(backoff)
+			continue
 		}
+		backoff = 0
 		if s.currConns.Load() >= int64(s.opts.MaxConns) {
 			s.rejectedConn.Add(1)
 			_ = conn.Close()
@@ -360,8 +370,8 @@ func (s *Server) dispatch(w *protocol.Writer, cmd *protocol.Command, cs *connSes
 	case protocol.OpGet, protocol.OpGets:
 		// The zero-alloc path: keys alias the parser's buffers, values
 		// are copied into the connection's reusable scratch under the
-		// shard lock, and the response header is built in the bufio
-		// writer's spare capacity.
+		// shard lock, and the response header is built in place in the
+		// reply writer's buffer.
 		withCAS := cmd.Op == protocol.OpGets
 		for _, key := range cmd.KeyList {
 			v, flags, cas, err := c.GetInto(key, st.val[:0])

@@ -16,6 +16,7 @@ import (
 	"memqlat/internal/otrace"
 	"memqlat/internal/protocol"
 	"memqlat/internal/telemetry"
+	"memqlat/internal/testkit"
 )
 
 // startServer launches a server on a loopback listener and returns its
@@ -619,7 +620,12 @@ func TestRecorderTee(t *testing.T) {
 	}
 }
 
+// TestIdleTimeoutClosesConnection runs a goroutine-core connection
+// through its whole life — accept, serve, idle close, server Close —
+// and requires that it leaves no goroutine or descriptor behind.
 func TestIdleTimeoutClosesConnection(t *testing.T) {
+	settled := testkit.Settles(t)
+	t.Cleanup(func() { settled("server after an idle close and Close") }) // runs after startServer's Close
 	_, addr := startServer(t, Options{IdleTimeout: 50 * time.Millisecond})
 	r, w, conn := dial(t, addr)
 	send(t, w, "version\r\n")
@@ -630,6 +636,50 @@ func TestIdleTimeoutClosesConnection(t *testing.T) {
 	if _, err := conn.Read(buf); err == nil {
 		t.Error("idle connection not closed")
 	}
+}
+
+// TestServeSurvivesAcceptError: a failed accept (EMFILE, as at a
+// connection peak) is counted as a rejected connection and retried after
+// a backoff; the server goes on serving the next connection and shuts
+// down clean.
+func TestServeSurvivesAcceptError(t *testing.T) {
+	settled := testkit.Settles(t)
+	c, err := cache.New(cache.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Options{Cache: c, Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(testkit.FailFirstAccept(l)) }()
+	nc, err := net.DialTimeout("tcp", l.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = nc.SetDeadline(time.Now().Add(2 * time.Second))
+	if _, err := nc.Write([]byte("version\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if line, err := bufio.NewReader(nc).ReadString('\n'); !strings.HasPrefix(line, "VERSION ") {
+		t.Errorf("after a failed accept the server answered %q, %v; want a VERSION line", line, err)
+	}
+	if got := srv.Counters().RejectedConns; got != 1 {
+		t.Errorf("rejected connections = %d, want the 1 failed accept", got)
+	}
+	_ = nc.Close()
+	if err := srv.Close(); err != nil {
+		t.Error(err)
+	}
+	if err := <-served; err != nil {
+		t.Errorf("serve: %v", err)
+	}
+	settled("server after a failed accept and Close")
 }
 
 func TestTraceHeaderScopesNextCommand(t *testing.T) {

@@ -2,8 +2,8 @@
 // binaries and to say "nothing leaked": build a main package once per
 // test process, start it on a loopback port it picks with its stderr
 // captured, read the port back, scrape its admin pages into typed samples,
-// signal and reap it, and compare goroutines and descriptors with a
-// baseline. Only _test.go files import it; it imports nothing of the
+// signal and reap it, compare goroutines and descriptors with a
+// baseline, and read what parked connections cost in heap and stack. Only _test.go files import it; it imports nothing of the
 // product, so any package's tests can.
 package testkit
 
@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -24,6 +25,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -118,6 +120,71 @@ func Settles(t testing.TB) func(what string) {
 			}
 		}
 	}
+}
+
+// RaiseNoFile lifts the soft descriptor limit to the hard limit and
+// returns the limit in force, for tests that park many in-process
+// connections (two descriptors each).
+func RaiseNoFile() uint64 {
+	var rl syscall.Rlimit
+	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl); err != nil {
+		return 1024
+	}
+	if rl.Cur < rl.Max {
+		rl.Cur = rl.Max
+		_ = syscall.Setrlimit(syscall.RLIMIT_NOFILE, &rl)
+		_ = syscall.Getrlimit(syscall.RLIMIT_NOFILE, &rl)
+	}
+	return uint64(rl.Cur)
+}
+
+// Footprint is the memory this process holds: the live heap and the
+// goroutine stacks in use. What n parked connections cost is the
+// difference of two readings, over n.
+type Footprint struct{ Heap, Stack int64 }
+
+// ReadFootprint forces a garbage collection, then reads the footprint.
+func ReadFootprint() Footprint {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return Footprint{Heap: int64(ms.HeapAlloc), Stack: int64(ms.StackInuse)}
+}
+
+// PerConn returns the heap and stack bytes per connection that n
+// connections added since base.
+func (f Footprint) PerConn(base Footprint, n int) (heap, stack float64) {
+	return float64(f.Heap-base.Heap) / float64(n), float64(f.Stack-base.Stack) / float64(n)
+}
+
+// IOWaiting counts the goroutines blocked on network I/O: a
+// goroutine-per-connection handler parked in its read is one, so a test
+// knows its connections are parked once the count has risen by theirs.
+func IOWaiting() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return bytes.Count(buf[:n], []byte("[IO wait"))
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// FailFirstAccept wraps l so that its first Accept fails with EMFILE,
+// as it does in a process out of descriptors at a connection peak;
+// every later call accepts normally.
+func FailFirstAccept(l net.Listener) net.Listener { return &failFirst{Listener: l} }
+
+type failFirst struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *failFirst) Accept() (net.Conn, error) {
+	if !l.failed.Swap(true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Addr: l.Addr(), Err: os.NewSyscallError("accept4", syscall.EMFILE)}
+	}
+	return l.Listener.Accept()
 }
 
 // openFDs counts this process's open descriptors (-1 where /proc does
