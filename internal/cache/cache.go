@@ -17,6 +17,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math"
 	"runtime"
 	"strconv"
@@ -47,8 +48,9 @@ const MaxKeyLen = 250
 // DefaultMaxItemSize mirrors memcached's default 1 MiB item limit.
 const DefaultMaxItemSize = 1 << 20
 
-// itemOverhead approximates per-item bookkeeping cost for the byte
-// budget (entry struct, map bucket share, list links).
+// itemOverhead is the per-item bookkeeping cost the byte budget charges:
+// one slot, which holds the key and value headers, the metadata and the
+// list links. The index's share (a few bytes an item) is not charged.
 const itemOverhead = 64
 
 // StoreMode is the precondition of a Store, one per storage verb.
@@ -186,8 +188,9 @@ func New(opts Options) (*Cache, error) {
 		maxItemSize: opts.MaxItemSize,
 		clock:       opts.Clock,
 	}
+	seed := maphash.MakeSeed()
 	for i := range c.shards {
-		c.shards[i] = newShard(perShard)
+		c.shards[i] = newShard(perShard, seed)
 	}
 	return c, nil
 }
@@ -222,11 +225,11 @@ func (c *Cache) Shards() int { return len(c.shards) }
 // EvictFunc observes one eviction victim: the key, the stored value, its
 // flags and its absolute expiry (zero when none). It is called with
 // the victim's shard lock held, so it must be fast and must not call
-// back into the cache; the value slice is owned by the evicted entry
-// and must be copied if retained beyond the call. The extstore tier
-// hangs off this hook: victims are enqueued to the SSD log instead of
+// back into the cache. The value is the stored copy itself, immutable,
+// so the observer may keep it without copying. The extstore tier hangs
+// off this hook: victims are enqueued to the SSD log instead of
 // vanishing.
-type EvictFunc func(key string, value []byte, flags uint32, expires time.Time)
+type EvictFunc func(key string, value string, flags uint32, expires time.Time)
 
 // OnEvict installs f as the eviction observer (nil removes it). Safe
 // to call concurrently with cache use. Only genuine displacements are
@@ -310,27 +313,27 @@ func expiryTime(ns int64) time.Time {
 }
 
 // open is the preamble of every keyed verb: it validates key, locks the
-// key's shard and, when lookup is set, returns the key's live entry (nil
-// on a miss), reaping it if its TTL has passed. The map index
-// s.items[string(key)] materializes no string, and the clock is read only
-// for an entry that carries an expiry, so TTL-less reads stay off
-// time.Now. The caller unlocks s.
-func (c *Cache) open(key []byte, lookup bool) (s *shard, e *entry, err error) {
+// key's shard and, when lookup is set, returns the key's live slot (0 on
+// a miss), reaping it if its TTL has passed. The index probe compares
+// the slot's key with key without materializing a string, and the clock
+// is read only for an item that carries an expiry, so TTL-less reads
+// stay off time.Now. The caller unlocks s.
+func (c *Cache) open(key []byte, lookup bool) (s *shard, r uint32, err error) {
 	if err := validateKey(key); err != nil {
-		return nil, nil, err
+		return nil, 0, err
 	}
 	s = c.shards[fnv64a(key)&c.shardMask]
 	c.lock(s)
 	if !lookup {
-		return s, nil, nil
+		return s, 0, nil
 	}
-	e = s.items[string(key)]
-	if e != nil && e.expires != 0 && e.expired(c.now()) {
-		s.remove(e.key)
+	r = s.find(key, maphash.Bytes(s.seed, key))
+	if r != 0 && s.at(r).expires != 0 && s.at(r).expired(c.now()) {
+		s.remove(r)
 		c.expirations.Add(1)
-		return s, nil, nil
+		return s, 0, nil
 	}
-	return s, e, nil
+	return s, r, nil
 }
 
 // GetInto is the allocation-free read path used by the protocol server:
@@ -348,20 +351,21 @@ func (c *Cache) GetAndTouch(key []byte, ttl time.Duration, dst []byte) (value []
 	return c.read(key, dst, true, ttl)
 }
 
-// read is the counted read path: a hit sets the entry's reference bit,
+// read is the counted read path: a hit sets the item's reference bit,
 // replaces its expiry when retime is set, and appends its value to dst
 // under the shard lock.
 func (c *Cache) read(key, dst []byte, retime bool, ttl time.Duration) ([]byte, uint32, uint64, error) {
-	s, e, err := c.open(key, true)
+	s, r, err := c.open(key, true)
 	if err != nil {
 		return nil, 0, 0, err
 	}
 	defer s.mu.Unlock()
-	if e == nil {
+	if r == 0 {
 		s.misses++
 		return nil, 0, 0, ErrNotFound
 	}
 	s.hits++
+	e := s.at(r)
 	if retime {
 		e.expires = expiryFrom(c.now(), ttl)
 	}
@@ -380,12 +384,13 @@ func (c *Cache) SetBytes(key, value []byte, flags uint32, ttl time.Duration) err
 // with ErrNotFound (absent) or ErrExists (cas is not the stored token).
 // Append and prepend keep the stored flags and expiry. The cache keeps a
 // copy of value, so callers may reuse the key and value buffers (the
-// protocol path parses both into per-connection scratch). Set overwrites
-// without a lookup, so an expired entry it replaces is not counted as an
+// protocol path parses both into per-connection scratch); that copy is
+// the one allocation of a set that overwrites a key. Set overwrites
+// without a lookup, so an expired item it replaces is not counted as an
 // expiration.
 func (c *Cache) Store(mode StoreMode, key, value []byte, flags uint32, ttl time.Duration, cas uint64) error {
-	concat := mode == ModeAppend || mode == ModePrepend
-	if !concat {
+	var stored string
+	if mode != ModeAppend && mode != ModePrepend {
 		// Checked and copied before the lock, so a refused value is never
 		// copied; a concatenation is built under it.
 		if err := validateKey(key); err != nil {
@@ -394,10 +399,10 @@ func (c *Cache) Store(mode StoreMode, key, value []byte, flags uint32, ttl time.
 		if len(value) > c.maxItemSize {
 			return ErrValueTooLarge
 		}
-		value = append(make([]byte, 0, len(value)), value...)
+		stored = string(value)
 	}
 	now := c.now()
-	s, e, err := c.open(key, mode != ModeSet)
+	s, r, err := c.open(key, mode != ModeSet)
 	if err != nil {
 		return err
 	}
@@ -405,76 +410,77 @@ func (c *Cache) Store(mode StoreMode, key, value []byte, flags uint32, ttl time.
 	expires := expiryFrom(now, ttl)
 	switch mode {
 	case ModeAdd:
-		if e != nil {
+		if r != 0 {
 			return ErrNotStored
 		}
 	case ModeReplace:
-		if e == nil {
+		if r == 0 {
 			return ErrNotStored
 		}
 	case ModeCAS:
-		if e == nil {
+		if r == 0 {
 			return ErrNotFound
 		}
-		if e.cas != cas {
+		if s.at(r).cas != cas {
 			return ErrExists
 		}
 	case ModeAppend, ModePrepend:
-		if e == nil {
+		if r == 0 {
 			return ErrNotStored
 		}
-		joined := make([]byte, 0, len(e.value)+len(value))
-		if mode == ModeAppend {
-			joined = append(append(joined, e.value...), value...)
-		} else {
-			joined = append(append(joined, value...), e.value...)
-		}
-		if len(joined) > c.maxItemSize {
+		e := s.at(r)
+		if len(e.value)+len(value) > c.maxItemSize {
 			return ErrValueTooLarge
 		}
-		value, flags, expires = joined, e.flags, e.expires
+		if mode == ModeAppend {
+			stored = e.value + string(value)
+		} else {
+			stored = string(value) + e.value
+		}
+		flags, expires = e.flags, e.expires
 	}
-	s.store(string(key), value, flags, expires, c.nextCAS(), now, c)
+	s.store(c, key, stored, flags, expires, c.nextCAS(), now)
 	c.sets.Add(1)
 	return nil
 }
 
 // Contains reports whether key is live, without counting a hit or a miss
-// or setting the entry's reference bit.
+// or setting the item's reference bit.
 func (c *Cache) Contains(key []byte) bool {
-	s, e, err := c.open(key, true)
+	s, r, err := c.open(key, true)
 	if err != nil {
 		return false
 	}
 	s.mu.Unlock()
-	return e != nil
+	return r != 0
 }
 
 // Delete removes the key.
 func (c *Cache) Delete(key []byte) error {
-	s, e, err := c.open(key, true)
+	s, r, err := c.open(key, true)
 	if err != nil {
 		return err
 	}
 	defer s.mu.Unlock()
-	if e == nil {
+	if r == 0 {
 		return ErrNotFound
 	}
-	s.remove(e.key)
+	s.remove(r)
 	c.deletes.Add(1)
 	return nil
 }
 
 // Touch replaces the expiry of an existing key.
 func (c *Cache) Touch(key []byte, ttl time.Duration) error {
-	s, e, err := c.open(key, true)
+	s, r, err := c.open(key, true)
 	if err != nil {
 		return err
 	}
 	defer s.mu.Unlock()
-	if e == nil {
+	if r == 0 {
 		return ErrNotFound
 	}
+	e := s.at(r)
 	e.expires = expiryFrom(c.now(), ttl)
 	e.touch()
 	return nil
@@ -484,15 +490,16 @@ func (c *Cache) Touch(key []byte, ttl time.Duration) error {
 // Decrement saturates at zero (memcached semantics); increment wraps.
 // The new value is returned.
 func (c *Cache) IncrDecr(key []byte, delta int64) (uint64, error) {
-	s, e, err := c.open(key, true)
+	s, r, err := c.open(key, true)
 	if err != nil {
 		return 0, err
 	}
 	defer s.mu.Unlock()
-	if e == nil {
+	if r == 0 {
 		return 0, ErrNotFound
 	}
-	cur, err := strconv.ParseUint(string(e.value), 10, 64)
+	e := s.at(r)
+	cur, err := strconv.ParseUint(e.value, 10, 64)
 	if err != nil {
 		return 0, ErrNotNumeric
 	}
@@ -507,8 +514,7 @@ func (c *Cache) IncrDecr(key []byte, delta int64) (uint64, error) {
 			next = cur - dec
 		}
 	}
-	s.store(e.key, []byte(strconv.FormatUint(next, 10)), e.flags, e.expires,
-		c.nextCAS(), c.now(), c)
+	s.store(c, key, strconv.FormatUint(next, 10), e.flags, e.expires, c.nextCAS(), c.now())
 	return next, nil
 }
 
@@ -535,7 +541,7 @@ func (c *Cache) Stats() Stats {
 	}
 	for _, s := range c.shards {
 		s.mu.Lock()
-		st.Items += int64(len(s.items))
+		st.Items += int64(s.live)
 		st.Bytes += s.bytes
 		st.MaxBytes += s.maxBytes
 		st.Hits += s.hits
@@ -562,7 +568,7 @@ func (c *Cache) ShardStats() []ShardStat {
 	for i, s := range c.shards {
 		s.mu.Lock()
 		out[i] = ShardStat{
-			Items:    int64(len(s.items)),
+			Items:    int64(s.live),
 			Bytes:    s.bytes,
 			MaxBytes: s.maxBytes,
 		}
@@ -571,31 +577,32 @@ func (c *Cache) ShardStats() []ShardStat {
 	return out
 }
 
-// entry is one stored item plus its eviction-list links (intrusive
-// list). It is 80 bytes, a malloc size class of its own, and the heap of
-// a full cache is mostly entries: ref sits in the padding after flags
-// and expires is Unix nanoseconds (0 = never) rather than a 24-byte
-// time.Time so that it stays there (TestEntrySize).
-type entry struct {
+// slot is one stored item plus its eviction-list links, which are slot
+// references (0 = none). It is 64 bytes, the itemOverhead the budget
+// charges (TestEntrySize), and it lives in its shard's chunk table, so
+// an item's only allocations are its key and its value. The value is an
+// immutable copy, which lets the eviction hook take it as it is. expires
+// is Unix nanoseconds (0 = never).
+type slot struct {
 	key        string
-	value      []byte
-	flags      uint32
-	ref        bool // read since it was stored or last reprieved
+	value      string
 	cas        uint64
 	expires    int64
-	prev, next *entry
+	flags      uint32
+	prev, next uint32 // next also chains the free slots
+	ref        bool   // read since it was stored or last reprieved
 }
 
 // touch marks e recently used; every read path goes through it. The
-// evictor does the reordering (shard.store), so a hit on an entry that
+// evictor does the reordering (shard.store), so a hit on an item that
 // is already referenced writes nothing to it.
-func (e *entry) touch() {
+func (e *slot) touch() {
 	if !e.ref {
 		e.ref = true
 	}
 }
 
-func (e *entry) cost() int64 {
+func (e *slot) cost() int64 {
 	return ItemCost(len(e.key), len(e.value))
 }
 
@@ -607,115 +614,234 @@ func ItemCost(keyLen, valueLen int) int64 {
 	return int64(keyLen) + int64(valueLen) + itemOverhead
 }
 
-func (e *entry) expired(now int64) bool {
+func (e *slot) expired(now int64) bool {
 	return e.expires != 0 && now >= e.expires
 }
 
-// shard is one lock domain: hash map + second-chance list + byte
-// budget + the read counters, which are plain integers because every
-// read already holds mu (Stats sums them). It is 64 bytes and allocated
-// on its own, so the lock word and the counters a hit writes share one
-// cache line and no other shard's.
+const (
+	// chunkSlots is the slot table's unit of growth: an array never
+	// resized, so the table has no append slack and a shard's unused
+	// slots are fewer than one chunk. 63 slots plus the 8-byte header
+	// Go's allocator puts on a pointerful object this size fill the
+	// 4 KiB size class; 64 would round up to 4864 bytes.
+	chunkSlots = 63
+	// minIndex is the index's starting size. The index grows before it
+	// is ¾ full and the slot table holds at most one chunk more than the
+	// peak item count, so every slot reference stays below the index
+	// size and fits under the index mask (¾·256 + 63 < 256).
+	minIndex = 256
+)
+
+// shard is one lock domain: a slot table, the open-addressing index
+// over it, the second-chance list threaded through it, the byte budget,
+// and the read counters, which are plain integers because every read
+// already holds mu (Stats sums them). It is padded to 128 bytes and
+// allocated on its own, so the lock word and the counters a hit writes
+// share the first cache line and no other shard's (TestEntrySize).
+//
+// Index entries are slot references with the hash's high bits as a tag
+// above the index mask (0 = empty). Probing is linear and a removal
+// shifts the rest of its cluster back, so the table has no tombstones.
+// The index hash is maphash under the Cache's seed; the shard a key
+// belongs to is chosen by FNV-1a (Cache.open), so routing stays
+// deterministic while the probe sequence cannot be chosen by a client.
 type shard struct {
 	mu       sync.Mutex
-	items    map[string]*entry
-	head     *entry // newest: stored or reprieved last
-	tail     *entry // oldest: the next eviction candidate
-	bytes    int64
-	maxBytes int64
 	hits     int64
 	misses   int64
+	index    []uint32
+	chunks   []*[chunkSlots]slot // slot 0 is never used: it is the nil reference
+	seed     maphash.Seed
+	bytes    int64
+	maxBytes int64
+	head     uint32 // newest: stored or reprieved last
+	tail     uint32 // oldest: the next eviction candidate
+	free     uint32 // the free-slot chain
+	live     uint32
+	_        [16]byte
 }
 
-func newShard(maxBytes int64) *shard {
-	return &shard{
-		items:    make(map[string]*entry),
-		maxBytes: maxBytes,
+func newShard(maxBytes int64, seed maphash.Seed) *shard {
+	return &shard{index: make([]uint32, minIndex), seed: seed, maxBytes: maxBytes}
+}
+
+func (s *shard) at(r uint32) *slot { return &s.chunks[r/chunkSlots][r%chunkSlots] }
+
+func (s *shard) hash(key string) uint64 { return maphash.String(s.seed, key) }
+
+// find returns key's slot reference, 0 when absent. h is the key's
+// index hash.
+func (s *shard) find(key []byte, h uint64) uint32 {
+	mask := uint32(len(s.index) - 1)
+	tag := uint32(h>>32) &^ mask
+	for i := uint32(h) & mask; ; i = (i + 1) & mask {
+		e := s.index[i]
+		if e == 0 {
+			return 0
+		}
+		if e&^mask == tag && s.at(e&mask).key == string(key) {
+			return e & mask
+		}
 	}
 }
 
-func (s *shard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
+// place indexes slot r under hash h at the first free position of its
+// probe sequence.
+func (s *shard) place(r uint32, h uint64) {
+	mask := uint32(len(s.index) - 1)
+	i := uint32(h) & mask
+	for s.index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.index[i] = uint32(h>>32)&^mask | r
+}
+
+// unindex removes slot r, whose key hashes to h, from the index and
+// shifts back the entries behind it that probed past it.
+func (s *shard) unindex(r uint32, h uint64) {
+	mask := uint32(len(s.index) - 1)
+	i := uint32(h) & mask
+	for s.index[i]&mask != r {
+		i = (i + 1) & mask
+	}
+	for j := i; ; {
+		j = (j + 1) & mask
+		e := s.index[j]
+		if e == 0 {
+			break
+		}
+		// e may fill the hole at i unless its home lies in (i, j].
+		if home := uint32(s.hash(s.at(e&mask).key)) & mask; (j-home)&mask >= (j-i)&mask {
+			s.index[i] = e
+			i = j
+		}
+	}
+	s.index[i] = 0
+}
+
+// insert takes a free slot for key, a key the index does not hold, and
+// indexes it under h. The index doubles first if the new item would
+// fill it past ¾.
+func (s *shard) insert(key []byte, h uint64) uint32 {
+	if 4*(int(s.live)+1) > 3*len(s.index) {
+		old := s.index
+		s.index = make([]uint32, 2*len(old))
+		oldMask := uint32(len(old) - 1)
+		for _, e := range old {
+			if e != 0 {
+				s.place(e&oldMask, s.hash(s.at(e&oldMask).key))
+			}
+		}
+	}
+	if s.free == 0 {
+		base := uint32(len(s.chunks)) * chunkSlots
+		s.chunks = append(s.chunks, new([chunkSlots]slot))
+		for r := base + chunkSlots - 1; r >= max(base, 1); r-- {
+			s.at(r).next, s.free = s.free, r
+		}
+	}
+	r := s.free
+	e := s.at(r)
+	s.free, e.next = e.next, 0
+	e.key = string(key)
+	s.place(r, h)
+	s.live++
+	return r
+}
+
+func (s *shard) unlink(r uint32) {
+	e := s.at(r)
+	if e.prev != 0 {
+		s.at(e.prev).next = e.next
 	} else {
 		s.head = e.next
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
+	if e.next != 0 {
+		s.at(e.next).prev = e.prev
 	} else {
 		s.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
+	e.prev, e.next = 0, 0
 }
 
-func (s *shard) pushFront(e *entry) {
+func (s *shard) pushFront(r uint32) {
+	e := s.at(r)
 	e.next = s.head
-	e.prev = nil
-	if s.head != nil {
-		s.head.prev = e
+	if s.head != 0 {
+		s.at(s.head).prev = r
 	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+	s.head = r
+	if s.tail == 0 {
+		s.tail = r
 	}
 }
 
-// store inserts or replaces key at the head, evicting from the tail to
-// fit the budget. Caller holds mu.
-func (s *shard) store(key string, value []byte, flags uint32, expires int64,
-	cas uint64, now int64, c *Cache) {
-	if old, ok := s.items[key]; ok {
-		s.bytes -= old.cost()
-		s.unlink(old)
-		delete(s.items, key)
+// store puts value at key at the head of the list, evicting from the
+// tail to fit the budget. A key already present keeps its slot, its key
+// string and its index entry, so an overwrite allocates nothing here.
+// Caller holds mu.
+func (s *shard) store(c *Cache, key []byte, value string, flags uint32, expires int64,
+	cas uint64, now int64) {
+	h := maphash.Bytes(s.seed, key)
+	r := s.find(key, h)
+	if r != 0 {
+		s.bytes -= s.at(r).cost()
+		s.unlink(r)
 	}
-	e := &entry{key: key, value: value, flags: flags, cas: cas, expires: expires}
-	need := e.cost()
-	// Walk the tail until the new entry fits. A live entry read since its
+	need := ItemCost(len(key), len(value))
+	// Walk the tail until the new item fits. A live item read since its
 	// last lap gets a second chance: its bit is cleared and it goes round
 	// again, so the loop ends after at most one lap of reprieves. An
-	// expired entry goes whatever its bit.
-	for s.bytes+need > s.maxBytes && s.tail != nil {
+	// expired item goes whatever its bit.
+	for s.bytes+need > s.maxBytes && s.tail != 0 {
 		victim := s.tail
-		expired := victim.expired(now)
-		if victim.ref && !expired {
-			victim.ref = false
+		v := s.at(victim)
+		expired := v.expired(now)
+		if v.ref && !expired {
+			v.ref = false
 			s.unlink(victim)
 			s.pushFront(victim)
 			continue
 		}
-		s.remove(victim.key)
+		vkey, vvalue, vflags, vexpires := v.key, v.value, v.flags, v.expires
+		s.remove(victim)
 		if expired {
 			c.expirations.Add(1)
 		} else {
 			c.evictions.Add(1)
 			// Displaced-but-live victims are observable: the second
-			// cache tier catches them here. The entry is already
-			// unlinked, so the callback is the value's sole referent.
+			// cache tier catches them here, value and all, uncopied.
 			if f := c.onEvict.Load(); f != nil {
-				(*f)(victim.key, victim.value, victim.flags, expiryTime(victim.expires))
+				(*f)(vkey, vvalue, vflags, expiryTime(vexpires))
 			}
 		}
 	}
-	s.items[key] = e
-	s.pushFront(e)
+	if r == 0 {
+		r = s.insert(key, h)
+	}
+	e := s.at(r)
+	e.value, e.flags, e.expires, e.cas, e.ref = value, flags, expires, cas, false
+	s.pushFront(r)
 	s.bytes += need
 }
 
-// remove deletes key if present. Caller holds mu.
-func (s *shard) remove(key string) {
-	e, ok := s.items[key]
-	if !ok {
-		return
-	}
+// remove deletes slot r and returns it to the free chain, dropping its
+// strings so the collector can reclaim them. Caller holds mu.
+func (s *shard) remove(r uint32) {
+	e := s.at(r)
 	s.bytes -= e.cost()
-	s.unlink(e)
-	delete(s.items, key)
+	s.unlink(r)
+	s.unindex(r, s.hash(e.key))
+	*e = slot{next: s.free}
+	s.free = r
+	s.live--
 }
 
+// clear drops every item, the slot table and the grown index with them.
 func (s *shard) clear() {
-	s.items = make(map[string]*entry)
-	s.head, s.tail = nil, nil
+	s.index = make([]uint32, minIndex)
+	s.chunks = nil
+	s.head, s.tail, s.free, s.live = 0, 0, 0, 0
 	s.bytes = 0
 }
 

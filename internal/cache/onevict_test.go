@@ -97,10 +97,10 @@ func TestOnEvict(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, clk := newTestCache(t, Options{MaxBytes: budget, Shards: 1, MaxItemSize: 128})
 			var got []evictRecord
-			c.OnEvict(func(key string, value []byte, flags uint32, expires time.Time) {
+			c.OnEvict(func(key string, value string, flags uint32, expires time.Time) {
 				got = append(got, evictRecord{
 					key:     key,
-					value:   string(value), // copy: the slice dies with the entry
+					value:   value,
 					flags:   flags,
 					expires: expires,
 				})
@@ -124,7 +124,7 @@ func TestOnEvictRemoval(t *testing.T) {
 	budget := int64(2 * (8 + 8 + itemOverhead))
 	c, _ := newTestCache(t, Options{MaxBytes: budget, Shards: 1, MaxItemSize: 128})
 	calls := 0
-	c.OnEvict(func(string, []byte, uint32, time.Time) { calls++ })
+	c.OnEvict(func(string, string, uint32, time.Time) { calls++ })
 	setItem(c, "key-0000", []byte("value-00"), 0, 0)
 	setItem(c, "key-0001", []byte("value-01"), 0, 0)
 	setItem(c, "key-0002", []byte("value-02"), 0, 0)

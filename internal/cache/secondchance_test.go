@@ -138,7 +138,7 @@ func TestSecondChanceOrder(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			c, clk := newTestCache(t, Options{MaxBytes: budget, Shards: 1, MaxItemSize: 16})
 			var evicted []string
-			c.OnEvict(func(key string, _ []byte, _ uint32, _ time.Time) {
+			c.OnEvict(func(key string, _ string, _ uint32, _ time.Time) {
 				evicted = append(evicted, key)
 			})
 			tc.run(t, c, clk)
@@ -162,16 +162,27 @@ func TestSecondChanceOrder(t *testing.T) {
 	}
 }
 
-// TestEntrySize is the heap guard: a full cache's heap is mostly entry
-// structs, and Go rounds each up to a malloc size class (…, 80, 96,
-// 112, …), so one more word costs every item 16 bytes. The shard must
-// stay within the one cache line a hit writes.
+// TestEntrySize is the layout guard. A slot is the itemOverhead the byte
+// budget charges, so it must stay 64 bytes: one more word would make the
+// charge a lie again. The shard is 128 bytes, a malloc size class whose
+// objects start on a 64-byte boundary, and the lock word and the hit and
+// miss counters a hit writes sit in its first cache line.
 func TestEntrySize(t *testing.T) {
-	if got := unsafe.Sizeof(entry{}); got != 80 {
-		t.Errorf("sizeof(entry) = %d, want 80", got)
+	if got := unsafe.Sizeof(slot{}); got != itemOverhead {
+		t.Errorf("sizeof(slot) = %d, want %d", got, itemOverhead)
 	}
-	if got := unsafe.Sizeof(shard{}); got > 64 {
-		t.Errorf("sizeof(shard) = %d, want <= 64", got)
+	var s shard
+	if got := unsafe.Sizeof(s); got != 128 {
+		t.Errorf("sizeof(shard) = %d, want 128", got)
+	}
+	for name, end := range map[string]uintptr{
+		"mu":     unsafe.Offsetof(s.mu) + unsafe.Sizeof(s.mu),
+		"hits":   unsafe.Offsetof(s.hits) + unsafe.Sizeof(s.hits),
+		"misses": unsafe.Offsetof(s.misses) + unsafe.Sizeof(s.misses),
+	} {
+		if end > 64 {
+			t.Errorf("shard.%s ends at byte %d, outside the first cache line", name, end)
+		}
 	}
 }
 

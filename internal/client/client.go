@@ -895,31 +895,39 @@ func (c *Client) do(idx int, fn func(*conn) error) error {
 	return l[0].err
 }
 
-// command runs a one-line command on server idx and returns its reply:
-// frame appends the request to the connection's buffer, and outcomes is
-// the verb's reply table. A reply the table does not list is an error
-// that is no protocol outcome, so the connection is discarded.
-func (c *Client) command(idx int, outcomes map[string]error, frame func([]byte) []byte) (line string, err error) {
+// command runs a one-line command on server idx and returns its number
+// reply ("" for any other): frame appends the request to the
+// connection's buffer, and outcomes is the verb's reply table. A reply
+// the table lists is looked up without building a string; only a number
+// is copied out. A reply the table does not list is an error that is no
+// protocol outcome, so the connection is discarded.
+func (c *Client) command(idx int, outcomes map[string]error, frame func([]byte) []byte) (number string, err error) {
 	err = c.do(idx, func(cn *conn) (err error) {
 		cn.buf = frame(cn.buf[:0])
 		if err = cn.send(); err != nil {
 			return err
 		}
-		if line, err = protocol.ReadLineReply(cn.r); err != nil {
+		rep, err := protocol.ScanReply(cn.r)
+		if err != nil {
 			return err
 		}
-		outcome, ok := outcomes[line]
+		text := rep.Text()
+		if rep.Kind == protocol.ReplyError {
+			return &protocol.ServerError{Line: string(text)}
+		}
+		outcome, ok := outcomes[string(text)]
 		if !ok {
-			if _, perr := strconv.ParseUint(line, 10, 64); perr == nil {
+			if _, perr := strconv.ParseUint(string(text), 10, 64); perr == nil {
 				outcome, ok = outcomes[anyNumber]
+				number = string(text)
 			}
 		}
 		if !ok {
-			return fmt.Errorf("client: unexpected reply %q", line)
+			return fmt.Errorf("client: unexpected reply %q", text)
 		}
 		return outcome
 	})
-	return line, err
+	return number, err
 }
 
 // storage runs one storage-class command. A successful store
@@ -970,13 +978,13 @@ func (c *Client) CompareAndSwap(key string, value []byte, flags uint32, ttl time
 
 // Incr atomically adds delta to a numeric value.
 func (c *Client) Incr(key string, delta uint64) (uint64, error) {
-	line, err := c.command(c.pickServer(key), incrOutcomes, func(buf []byte) []byte {
+	number, err := c.command(c.pickServer(key), incrOutcomes, func(buf []byte) []byte {
 		return protocol.AppendIncrDecr(buf, protocol.OpIncr, key, delta)
 	})
 	if err != nil {
 		return 0, err
 	}
-	return strconv.ParseUint(line, 10, 64)
+	return strconv.ParseUint(number, 10, 64)
 }
 
 // ServerStats fetches the stats table from server idx.

@@ -438,3 +438,21 @@ func TestGetThroughCoalescedInvalidation(t *testing.T) {
 		t.Fatalf("invalidations = %d, want 1", got)
 	}
 }
+
+// TestSetAllocs pins a Set's cost against a live in-process server: the
+// client matches STORED without building a string, and the server's
+// overwrite of the key allocates only its value copy, so the whole
+// process makes one allocation per Set.
+func TestSetAllocs(t *testing.T) {
+	c := newClient(t, startCluster(t, 1), nil)
+	value := make([]byte, 100)
+	set := func() {
+		if err := c.Set("set-allocs", value, 0, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set() // dial, size the scratch, store the key
+	if allocs := testing.AllocsPerRun(500, set); allocs > 1 {
+		t.Errorf("Set: %.1f allocs per call, want at most 1 (the server's value copy)", allocs)
+	}
+}

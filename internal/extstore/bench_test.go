@@ -71,6 +71,7 @@ func BenchmarkExtstoreWrite(b *testing.B) {
 // per RAM miss), and a sync Put of an indexed key allocates at most
 // twice (what the write benchmark, which overwrites, has always shown).
 func TestHotPathAllocs(t *testing.T) {
+	settles(t)
 	s, err := Open(Options{Dir: t.TempDir(), SegmentBytes: 16 << 20})
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 func (s *Store) rotateLocked() error {
 	seg := s.active
 	off := seg.size.Load()
-	s.wbuf = appendFrame(s.wbuf[:0], recFooter, nil, nil, 0, 0)
+	s.wbuf = appendFrame(s.wbuf[:0], recFooter, nil, "", 0, 0)
 	if err := s.writeFrameLocked(seg, off); err != nil {
 		return err
 	}
@@ -108,7 +108,7 @@ func (s *Store) compactSegmentLocked(victim *segment) error {
 			return true
 		}
 		// Relocate: append to the active log, repoint the index.
-		if err := s.putLocked(key, value, h.flags, h.expires); err != nil {
+		if err := putLocked(s, key, value, h.flags, h.expires); err != nil {
 			return false
 		}
 		s.puts.Add(-1) // relocations are not user puts

@@ -79,21 +79,23 @@ func frameSize(keyLen, valLen int) int64 {
 
 // appendFrame encodes one frame (header + key + value) onto buf. The
 // CRC covers the header prefix (sans CRC field) plus both payloads, so
-// a torn write anywhere in the frame is detected on scan.
-func appendFrame(buf []byte, typ byte, key, value []byte, flags uint32, expires int64) []byte {
+// a torn write anywhere in the frame is detected on scan. The value is
+// a string when it is an evicted cache item, which is immutable and
+// queued uncopied, and a slice of a segment when it is relocated.
+func appendFrame[V string | []byte](buf []byte, typ byte, key []byte, value V, flags uint32, expires int64) []byte {
+	start := len(buf)
 	var hdr [frameHeaderSize]byte
 	hdr[0] = typ
 	binary.LittleEndian.PutUint16(hdr[1:3], uint16(len(key)))
 	binary.LittleEndian.PutUint32(hdr[3:7], uint32(len(value)))
 	binary.LittleEndian.PutUint32(hdr[7:11], flags)
 	binary.LittleEndian.PutUint64(hdr[11:19], uint64(expires))
-	crc := crc32.Update(0, crcTable, hdr[:19])
-	crc = crc32.Update(crc, crcTable, key)
-	crc = crc32.Update(crc, crcTable, value)
-	binary.LittleEndian.PutUint32(hdr[19:23], crc)
 	buf = append(buf, hdr[:]...)
 	buf = append(buf, key...)
 	buf = append(buf, value...)
+	crc := crc32.Update(0, crcTable, buf[start:start+19])
+	crc = crc32.Update(crc, crcTable, buf[start+frameHeaderSize:])
+	binary.LittleEndian.PutUint32(buf[start+19:start+23], crc)
 	return buf
 }
 

@@ -17,11 +17,11 @@ import (
 func FuzzRecoverSegment(f *testing.F) {
 	clean := appendFrame(nil, recPut, []byte("k1"), []byte("v1"), 0, 0)
 	clean = appendFrame(clean, recPut, []byte("k2"), []byte("value-2"), 7, 0)
-	clean = appendFrame(clean, recDelete, []byte("k1"), nil, 0, 0)
+	clean = appendFrame(clean, recDelete, []byte("k1"), "", 0, 0)
 	clean = appendFrame(clean, recPut, []byte("k3"), []byte("gone"), 0, 1) // expired
 	f.Add(clean)
-	f.Add(clean[:len(clean)-5])                                               // torn tail
-	f.Add(appendFrame(append([]byte{}, clean...), recFooter, nil, nil, 0, 0)) // sealed
+	f.Add(clean[:len(clean)-5])                                              // torn tail
+	f.Add(appendFrame(append([]byte{}, clean...), recFooter, nil, "", 0, 0)) // sealed
 	f.Fuzz(func(t *testing.T, frames []byte) {
 		dir := t.TempDir()
 		seg := append(appendSegHeader(nil, 0), frames...)

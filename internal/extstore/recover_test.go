@@ -31,6 +31,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%02d", trial), func(t *testing.T) {
+			settles(t)
 			dir := t.TempDir()
 			// One big segment so the random cut always lands in the
 			// live log rather than a sealed file.
@@ -143,6 +144,7 @@ func randHex(rng *rand.Rand, n int) string {
 // writes footers, reopen trusts them, and tombstones plus overwrites
 // resolve across segment boundaries.
 func TestRecoveryMultiSegment(t *testing.T) {
+	settles(t)
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, SegmentBytes: 4 << 10, MaxBytes: 4 << 20})
 	if err != nil {
@@ -188,6 +190,7 @@ func TestRecoveryMultiSegment(t *testing.T) {
 // TestRecoveryExpiredEntries: expiry deadlines survive the round trip
 // and expired records recovered into the index die on first read.
 func TestRecoveryExpiredEntries(t *testing.T) {
+	settles(t)
 	dir := t.TempDir()
 	clk := newFakeClock()
 	s, err := Open(Options{Dir: dir, Clock: clk.Now})
@@ -218,6 +221,7 @@ func TestRecoveryExpiredEntries(t *testing.T) {
 // TestRecoveryIgnoresForeignFiles: stray files in the directory are
 // neither indexed nor destroyed.
 func TestRecoveryIgnoresForeignFiles(t *testing.T) {
+	settles(t)
 	dir := t.TempDir()
 	stray := filepath.Join(dir, "README.txt")
 	if err := os.WriteFile(stray, []byte("not a segment"), 0o644); err != nil {

@@ -94,7 +94,7 @@ type indexShard struct {
 
 type putReq struct {
 	key     string
-	value   []byte
+	value   string
 	flags   uint32
 	expires int64
 }
@@ -394,8 +394,9 @@ func (s *Store) addDead(segID uint64, n int64) {
 // PutAsync enqueues a write on the bounded eviction queue, reporting
 // whether it was accepted. This is the cache.OnEvict feed: it must
 // never block the shard lock of the RAM tier, so a full queue sheds
-// the write instead of waiting. Key and value are copied.
-func (s *Store) PutAsync(key string, value []byte, flags uint32, expires time.Time) bool {
+// the write instead of waiting. Key and value are strings, immutable,
+// so they are queued as they are.
+func (s *Store) PutAsync(key string, value string, flags uint32, expires time.Time) bool {
 	if s.closed.Load() {
 		return false
 	}
@@ -407,9 +408,8 @@ func (s *Store) PutAsync(key string, value []byte, flags uint32, expires time.Ti
 	if exp != 0 && s.clock().UnixNano() >= exp {
 		return false // expired victim: not worth a disk write
 	}
-	owned := append(make([]byte, 0, len(value)), value...)
 	select {
-	case s.queue <- putReq{key: key, value: owned, flags: flags, expires: exp}:
+	case s.queue <- putReq{key: key, value: value, flags: flags, expires: exp}:
 		return true
 	default:
 		s.drops.Add(1)
@@ -423,7 +423,7 @@ func (s *Store) writer() {
 	apply := func(r putReq) {
 		s.wmu.Lock()
 		if !s.closed.Load() {
-			_ = s.putLocked([]byte(r.key), r.value, r.flags, r.expires)
+			_ = putLocked(s, []byte(r.key), r.value, r.flags, r.expires)
 		}
 		s.wmu.Unlock()
 	}
@@ -445,7 +445,7 @@ func (s *Store) writer() {
 }
 
 // putLocked appends one record and indexes it. Caller holds wmu.
-func (s *Store) putLocked(key, value []byte, flags uint32, exp int64) error {
+func putLocked[V string | []byte](s *Store, key []byte, value V, flags uint32, exp int64) error {
 	fsize := frameSize(len(key), len(value))
 	if s.active.size.Load()+fsize+frameHeaderSize > s.opts.SegmentBytes &&
 		s.active.size.Load() > segHeaderSize {
@@ -512,7 +512,7 @@ func (s *Store) Delete(key []byte) bool {
 	s.wmu.Lock()
 	if !s.closed.Load() {
 		off := s.active.size.Load()
-		s.wbuf = appendFrame(s.wbuf[:0], recDelete, key, nil, 0, 0)
+		s.wbuf = appendFrame(s.wbuf[:0], recDelete, key, "", 0, 0)
 		if s.writeFrameLocked(s.active, off) == nil {
 			// A tombstone is dead weight from birth.
 			s.active.dead.Add(frameSize(len(key), 0))

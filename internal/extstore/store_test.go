@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"memqlat/internal/testkit"
 )
 
 // fakeClock is a mutable time source for expiry tests.
@@ -31,8 +33,18 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
+// settles fails t unless the stores it opens leave no goroutine (the
+// eviction-queue writer) or descriptor (segment files) behind once they
+// are closed. Called before the first Open, its check runs after the
+// test's defers and after the Close cleanups registered later.
+func settles(t *testing.T) {
+	settled := testkit.Settles(t)
+	t.Cleanup(func() { settled("extstore after Close") })
+}
+
 func mustOpen(t *testing.T, opts Options) *Store {
 	t.Helper()
+	settles(t)
 	if opts.Dir == "" {
 		opts.Dir = t.TempDir()
 	}
@@ -62,7 +74,7 @@ func (s *Store) put(key, value []byte, flags uint32, expires time.Time) error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
-	return s.putLocked(key, value, flags, exp)
+	return putLocked(s, key, value, flags, exp)
 }
 
 // getInto is Lookup without the expiry deadline.
@@ -223,7 +235,7 @@ func TestValidation(t *testing.T) {
 	if err := s.put(long, []byte("v"), 0, time.Time{}); err != ErrKeyInvalid {
 		t.Fatalf("long key err = %v, want ErrKeyInvalid", err)
 	}
-	if s.PutAsync("k", make([]byte, maxValueBytes+1), 0, time.Time{}) {
+	if s.PutAsync("k", string(make([]byte, maxValueBytes+1)), 0, time.Time{}) {
 		t.Fatal("PutAsync accepted a value over maxValueBytes")
 	}
 	if d := s.Stats().Drops; d != 1 {
@@ -330,7 +342,7 @@ func TestBudgetDropsOldestSegments(t *testing.T) {
 func TestPutAsyncAndFlush(t *testing.T) {
 	s := mustOpen(t, Options{})
 	for i := 0; i < 64; i++ {
-		if !s.PutAsync(fmt.Sprintf("async-%02d", i), []byte("v"), 0, time.Time{}) {
+		if !s.PutAsync(fmt.Sprintf("async-%02d", i), "v", 0, time.Time{}) {
 			t.Fatalf("PutAsync(%d) rejected", i)
 		}
 	}
@@ -346,7 +358,7 @@ func TestPutAsyncShedsWhenFull(t *testing.T) {
 	s.wmu.Lock()
 	accepted := 0
 	for i := 0; i < 64; i++ {
-		if s.PutAsync(fmt.Sprintf("shed-%02d", i), []byte("v"), 0, time.Time{}) {
+		if s.PutAsync(fmt.Sprintf("shed-%02d", i), "v", 0, time.Time{}) {
 			accepted++
 		}
 	}
@@ -403,7 +415,7 @@ func TestClosedStoreRejects(t *testing.T) {
 	if err := s.put([]byte("k"), []byte("v"), 0, time.Time{}); err != ErrClosed {
 		t.Fatalf("Put after close err = %v, want ErrClosed", err)
 	}
-	if s.PutAsync("k", []byte("v"), 0, time.Time{}) {
+	if s.PutAsync("k", "v", 0, time.Time{}) {
 		t.Fatal("PutAsync after close accepted")
 	}
 	if err := s.Close(); err != ErrClosed {

@@ -45,7 +45,7 @@ func TestConcurrentReadAppendCompact(t *testing.T) {
 				case 0:
 					s.Delete([]byte(key))
 				case 1:
-					s.PutAsync(key, valOf(key, i), 0, time.Time{})
+					s.PutAsync(key, string(valOf(key, i)), 0, time.Time{})
 				default:
 					if err := s.put([]byte(key), valOf(key, i), 0, time.Time{}); err != nil {
 						t.Errorf("Put(%s): %v", key, err)

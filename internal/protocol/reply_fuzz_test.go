@@ -57,9 +57,9 @@ func refReadRetrieval(r *bufio.Reader) ([]ValueItem, error) {
 		case ReplyEnd:
 			return items, nil
 		case ReplyError:
-			return nil, &ServerError{Line: string(rep.text())}
+			return nil, &ServerError{Line: string(rep.Text())}
 		case ReplyLine:
-			return nil, fmt.Errorf("protocol: unexpected retrieval line %q", rep.text())
+			return nil, fmt.Errorf("protocol: unexpected retrieval line %q", rep.Text())
 		}
 		item := ValueItem{Key: string(rep.Key), Flags: rep.Flags, CAS: rep.CAS}
 		block := make([]byte, rep.Bytes+2)

@@ -253,7 +253,7 @@ func ScanReply(r *bufio.Reader) (Reply, error) {
 		scanValueHeader(&rep, line[6:])
 		return rep, nil
 	}
-	switch text := rep.text(); {
+	switch text := rep.Text(); {
 	case string(text) == RespEnd:
 		rep.Kind = ReplyEnd
 	case IsErrorReply(text):
@@ -316,8 +316,9 @@ func IsErrorReply(line []byte) bool {
 	return false
 }
 
-// text returns the line without its terminator.
-func (r Reply) text() []byte { return bytes.TrimRight(r.Line, "\r\n") }
+// Text is Line without its terminator. Like Line, it aliases the
+// reader's buffer.
+func (r Reply) Text() []byte { return bytes.TrimRight(r.Line, "\r\n") }
 
 // ValueItem is one VALUE block of a retrieval response.
 type ValueItem struct {
@@ -373,9 +374,9 @@ func (rr *RetrievalReader) Read(r *bufio.Reader, emit func(ValueItem) error) err
 		case ReplyEnd:
 			return nil
 		case ReplyError:
-			return &ServerError{Line: string(rep.text())}
+			return &ServerError{Line: string(rep.Text())}
 		case ReplyLine:
-			return fmt.Errorf("protocol: unexpected retrieval line %q", rep.text())
+			return fmt.Errorf("protocol: unexpected retrieval line %q", rep.Text())
 		}
 		item := ValueItem{Key: rr.key(rep.Key), Flags: rep.Flags, CAS: rep.CAS} // rep.Key is dead after the next read
 		block := rr.carve(rep.Bytes+len(crlf), r.Buffered())
@@ -444,9 +445,9 @@ func ReadLineReply(r *bufio.Reader) (string, error) {
 		return "", err
 	}
 	if rep.Kind == ReplyError {
-		return "", &ServerError{Line: string(rep.text())}
+		return "", &ServerError{Line: string(rep.Text())}
 	}
-	return string(rep.text()), nil
+	return string(rep.Text()), nil
 }
 
 // ReadStats parses a stats response: STAT lines until END.
@@ -461,11 +462,11 @@ func ReadStats(r *bufio.Reader) (map[string]string, error) {
 		case ReplyEnd:
 			return out, nil
 		case ReplyError:
-			return nil, &ServerError{Line: string(rep.text())}
+			return nil, &ServerError{Line: string(rep.Text())}
 		}
-		fields := bytes.SplitN(rep.text(), []byte(" "), 3)
+		fields := bytes.SplitN(rep.Text(), []byte(" "), 3)
 		if len(fields) != 3 || string(fields[0]) != "STAT" {
-			return nil, fmt.Errorf("protocol: unexpected stats line %q", rep.text())
+			return nil, fmt.Errorf("protocol: unexpected stats line %q", rep.Text())
 		}
 		out[string(fields[1])] = string(fields[2])
 	}

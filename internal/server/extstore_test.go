@@ -10,13 +10,18 @@ import (
 
 	"memqlat/internal/cache"
 	"memqlat/internal/extstore"
+	"memqlat/internal/testkit"
 )
 
 // tieredServer starts a server whose RAM tier holds only a couple of
 // small items, backed by an extstore tier in a temp dir, so a handful
-// of sets reliably spills the eviction tail to disk.
+// of sets reliably spills the eviction tail to disk. Once the test has
+// closed its connections, the server and the tier, they must have left
+// no goroutine or descriptor behind.
 func tieredServer(t *testing.T, core string) (*Server, *extstore.Store, string) {
 	t.Helper()
+	settled := testkit.Settles(t)
+	t.Cleanup(func() { settled("tiered server after Close") })
 	ext, err := extstore.Open(extstore.Options{Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)

@@ -202,7 +202,7 @@ func New(opts Options) (*Server, error) {
 		// Eviction victims feed the disk tier. PutAsync never blocks (the
 		// hook runs under the cache shard lock): a full queue sheds the
 		// write, which the tier's drop counter records.
-		opts.Cache.OnEvict(func(key string, value []byte, flags uint32, expires time.Time) {
+		opts.Cache.OnEvict(func(key string, value string, flags uint32, expires time.Time) {
 			ext.PutAsync(key, value, flags, expires)
 		})
 	}
