@@ -1,8 +1,8 @@
-// Benchmarks: one per paper table/figure (regenerating the artifact end
-// to end, so ns/op measures the cost of a full reproduction at bench
-// budget) plus micro-benchmarks of the model-side solvers. The live
-// substrate's per-layer costs (cache, protocol, histogram, ring pick)
-// are bench/'s layer rows, not repeated here.
+// Benchmarks: one sub-benchmark per REPRO section (regenerating the
+// artifact end to end, so ns/op measures the cost of a full
+// reproduction at bench budget) plus micro-benchmarks of the model-side
+// solvers. The live substrate's per-layer costs (cache, protocol,
+// histogram, ring pick) are bench/'s layer rows, not repeated here.
 package memqlat_test
 
 import (
@@ -21,40 +21,23 @@ import (
 // benchBudget keeps each experiment iteration around a second.
 var benchBudget = experiments.Budget{Requests: 500, KeysPerServer: 30000, Seed: 1}
 
-func runExperiment(b *testing.B, run func(experiments.Budget) (*experiments.Report, error)) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		report, err := run(benchBudget)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(report.Rows) == 0 {
-			b.Fatal("empty report")
-		}
+// BenchmarkExperiments regenerates every section of experiments.All(),
+// live legs included, as BenchmarkExperiments/<id>.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All() {
+		b.Run(e.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				report, err := e.Run(benchBudget, true)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(report.Rows) == 0 {
+					b.Fatal("empty report")
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkTable3BasicValidation(b *testing.B)  { runExperiment(b, experiments.Table3) }
-func BenchmarkFig4QuantileBounds(b *testing.B)     { runExperiment(b, experiments.Fig4) }
-func BenchmarkFig5ConcurrencySweep(b *testing.B)   { runExperiment(b, experiments.Fig5) }
-func BenchmarkFig6BurstSweep(b *testing.B)         { runExperiment(b, experiments.Fig6) }
-func BenchmarkFig7ArrivalRateSweep(b *testing.B)   { runExperiment(b, experiments.Fig7) }
-func BenchmarkFig8TheoryByBurst(b *testing.B)      { runExperiment(b, experiments.Fig8) }
-func BenchmarkFig9ServiceRateSweep(b *testing.B)   { runExperiment(b, experiments.Fig9) }
-func BenchmarkFig10LoadImbalance(b *testing.B)     { runExperiment(b, experiments.Fig10) }
-func BenchmarkFig11MissRatioSweep(b *testing.B)    { runExperiment(b, experiments.Fig11) }
-func BenchmarkFig12KeysPerRequestTS(b *testing.B)  { runExperiment(b, experiments.Fig12) }
-func BenchmarkFig13KeysPerRequestTD(b *testing.B)  { runExperiment(b, experiments.Fig13) }
-func BenchmarkTable4CliffUtilization(b *testing.B) { runExperiment(b, experiments.Table4) }
-func BenchmarkProp1Bounds(b *testing.B)            { runExperiment(b, experiments.Prop1) }
-func BenchmarkProp2ScaleInvariance(b *testing.B)   { runExperiment(b, experiments.Prop2) }
-func BenchmarkExtTailQuantiles(b *testing.B)       { runExperiment(b, experiments.ExtTails) }
-func BenchmarkExtArrivalFamilies(b *testing.B)     { runExperiment(b, experiments.ExtArrivals) }
-func BenchmarkExtEq6Ablation(b *testing.B)         { runExperiment(b, experiments.ExtEq6Ablation) }
-func BenchmarkExtRedundancy(b *testing.B)          { runExperiment(b, experiments.ExtRedundancy) }
-func BenchmarkExtIntegrated(b *testing.B)          { runExperiment(b, experiments.ExtIntegrated) }
-func BenchmarkExtElasticity(b *testing.B)          { runExperiment(b, experiments.ExtElasticity) }
-func BenchmarkLiveStack(b *testing.B)              { runExperiment(b, experiments.Live) }
 
 // ---- plane harness benchmarks (make microbench) ----
 

@@ -71,7 +71,7 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	for _, e := range toRun {
-		report, err := e.Run(budget)
+		report, err := e.Run(budget, true)
 		if err != nil {
 			return fmt.Errorf("%s: %w", e.ID, err)
 		}

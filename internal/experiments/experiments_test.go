@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -41,6 +42,20 @@ func TestByID(t *testing.T) {
 	}
 }
 
+// runID runs the experiment id at the tiny budget, live legs included.
+func runID(t *testing.T, id string) *Report {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Run(tiny, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestReportRender(t *testing.T) {
 	r := &Report{
 		ID: "x", Title: "demo",
@@ -52,6 +67,23 @@ func TestReportRender(t *testing.T) {
 	for _, want := range []string{"== x", "demo", "a note", "333"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
+		}
+	}
+	r.Rows = append(r.Rows, []string{"a,b", `say "hi"`})
+	if got, want := r.CSV(), "a,bb\n1,2\n333,4\n\"a,b\",\"say \"\"hi\"\"\"\n"; got != want {
+		t.Errorf("CSV = %q, want %q", got, want)
+	}
+	// The engine builds every report; a row wider or narrower than the
+	// columns is an error there, never a panic or a ragged CSV line.
+	for _, cells := range [][]string{{"1", "2", "3"}, {"1"}} {
+		sec := &section{id: "x", cols: heads("a", "bb"), more: func(_ Budget, rep *Report, _ []row) error {
+			rep.Rows = append(rep.Rows, []string{"1", "2"}, cells)
+			return nil
+		}}
+		rep, err := sec.run(tiny, false)
+		want := fmt.Sprintf("experiments: x row 1 has %d cells under 2 columns", len(cells))
+		if err == nil || err.Error() != want {
+			t.Errorf("%d-cell row: report %v, error %v; want %q", len(cells), rep, err, want)
 		}
 	}
 }
@@ -98,10 +130,7 @@ func parseLat(t *testing.T, cell string) float64 {
 }
 
 func TestTable3ReproducesPaper(t *testing.T) {
-	r, err := Table3(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "table3")
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -118,10 +147,7 @@ func TestTable3ReproducesPaper(t *testing.T) {
 }
 
 func TestFig4BoundsHold(t *testing.T) {
-	r, err := Fig4(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "fig4")
 	for _, row := range r.Rows {
 		if row[4] != "yes" {
 			t.Errorf("k=%s outside bounds: %v", row[0], row)
@@ -130,10 +156,7 @@ func TestFig4BoundsHold(t *testing.T) {
 }
 
 func TestFig5Monotone(t *testing.T) {
-	r, err := Fig5(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "fig5")
 	prevTheory, prevExp := 0.0, 0.0
 	for _, row := range r.Rows {
 		theory, exp := parseUs(t, row[1]), parseUs(t, row[2])
@@ -152,10 +175,7 @@ func TestFig5Monotone(t *testing.T) {
 }
 
 func TestFig7CliffShape(t *testing.T) {
-	r, err := Fig7(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "fig7")
 	first := parseUs(t, r.Rows[0][2])
 	last := parseUs(t, r.Rows[len(r.Rows)-1][2])
 	if last < first*5 {
@@ -164,10 +184,7 @@ func TestFig7CliffShape(t *testing.T) {
 }
 
 func TestFig8Fig9TheoryOrdering(t *testing.T) {
-	r8, err := Fig8(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r8 := runID(t, "fig8")
 	// At every λ, burstier traffic must be slower (when stable).
 	for _, row := range r8.Rows {
 		if row[1] == "unstable" || row[3] == "unstable" {
@@ -179,10 +196,7 @@ func TestFig8Fig9TheoryOrdering(t *testing.T) {
 			t.Errorf("λ=%s: ξ=0.8 (%v) not slower than ξ=0 (%v)", row[0], hi, lo)
 		}
 	}
-	r9, err := Fig9(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r9 := runID(t, "fig9")
 	// At every µS where all curves are stable, same ordering.
 	for _, row := range r9.Rows {
 		if row[1] == "unstable" || row[3] == "unstable" {
@@ -195,10 +209,7 @@ func TestFig8Fig9TheoryOrdering(t *testing.T) {
 }
 
 func TestFig10ImbalanceCliff(t *testing.T) {
-	r, err := Fig10(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "fig10")
 	first := parseUs(t, r.Rows[0][3])
 	last := parseUs(t, r.Rows[len(r.Rows)-1][3])
 	if last < first*3 {
@@ -207,10 +218,7 @@ func TestFig10ImbalanceCliff(t *testing.T) {
 }
 
 func TestFig11Regimes(t *testing.T) {
-	r, err := Fig11(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "fig11")
 	// For N=1 (cols 1-2), theory at r=1e-2 (row 2) should be ~10x theory
 	// at r=1e-3 (row 1) — Θ(r).
 	lo := parseLat(t, r.Rows[1][1])
@@ -229,10 +237,7 @@ func TestFig11Regimes(t *testing.T) {
 }
 
 func TestFig12Fig13LogGrowth(t *testing.T) {
-	r12, err := Fig12(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r12 := runID(t, "fig12")
 	// Per-decade increments of theory should be roughly constant once N
 	// is large (the 1→10 decade legitimately carries a smaller
 	// ln(11)−ln(2) increment, so compare from the second decade on).
@@ -245,10 +250,7 @@ func TestFig12Fig13LogGrowth(t *testing.T) {
 			t.Errorf("TS increments not log-like: %v", incs)
 		}
 	}
-	r13, err := Fig13(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r13 := runID(t, "fig13")
 	lastTheory := parseLat(t, r13.Rows[len(r13.Rows)-1][1])
 	lastExp := parseLat(t, r13.Rows[len(r13.Rows)-1][2])
 	if lastTheory < 8e-3 || lastTheory > 11e-3 {
@@ -260,10 +262,7 @@ func TestFig12Fig13LogGrowth(t *testing.T) {
 }
 
 func TestTable4MatchesPaper(t *testing.T) {
-	r, err := Table4(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "table4")
 	if len(r.Rows) != 20 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -291,10 +290,7 @@ func TestTable4MatchesPaper(t *testing.T) {
 }
 
 func TestProp1NoViolations(t *testing.T) {
-	r, err := Prop1(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "prop1")
 	for _, row := range r.Rows {
 		if row[3] != "true" {
 			t.Errorf("Prop 1 violated: %v", row)
@@ -308,10 +304,7 @@ func TestProp1NoViolations(t *testing.T) {
 }
 
 func TestProp2SmallErrors(t *testing.T) {
-	r, err := Prop2(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "prop2")
 	for _, row := range r.Rows {
 		for _, cell := range row[1:] {
 			v, err := strconv.ParseFloat(cell, 64)
@@ -329,10 +322,7 @@ func TestLiveStack(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live stack run takes ~2s of wall time")
 	}
-	r, err := Live(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "live")
 	if len(r.Rows) < 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -357,10 +347,7 @@ func TestProxiedExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("includes two live stack runs")
 	}
-	r, err := Proxied(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "proxied")
 	// 3 load points × 3 routing rows + 2 live rows.
 	if len(r.Rows) != 11 {
 		t.Fatalf("rows = %d, want 11", len(r.Rows))
@@ -380,10 +367,7 @@ func TestNoisyExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("includes a live stack run")
 	}
-	r, err := Noisy(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "noisy")
 	// 3 legs × (2 tenants + the "all" row).
 	if len(r.Rows) != 9 {
 		t.Fatalf("rows = %d, want 9", len(r.Rows))
@@ -414,10 +398,7 @@ func TestTieredExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("includes a live stack run")
 	}
-	r, err := Tiered(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "tiered")
 	// 5 sweep rows + 1 live row.
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(r.Rows))
@@ -458,10 +439,7 @@ func TestTieredExperiment(t *testing.T) {
 }
 
 func TestExtTails(t *testing.T) {
-	r, err := ExtTails(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "ext-tails")
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -504,10 +482,7 @@ func TestExtTails(t *testing.T) {
 }
 
 func TestExtArrivalsOrdering(t *testing.T) {
-	r, err := ExtArrivals(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "ext-arrivals")
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -526,10 +501,7 @@ func TestExtArrivalsOrdering(t *testing.T) {
 }
 
 func TestExtEq6Ablation(t *testing.T) {
-	r, err := ExtEq6Ablation(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "ext-eq6")
 	table1 := parseUs(t, r.Rows[0][2])
 	inline := parseUs(t, r.Rows[1][2])
 	simMean := parseUs(t, r.Rows[2][2])
@@ -546,10 +518,7 @@ func TestExtEq6Ablation(t *testing.T) {
 }
 
 func TestExtRedundancy(t *testing.T) {
-	r, err := ExtRedundancy(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "ext-redundancy")
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -576,10 +545,7 @@ func TestExtRedundancy(t *testing.T) {
 }
 
 func TestExtIntegrated(t *testing.T) {
-	r, err := ExtIntegrated(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "ext-integrated")
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -606,10 +572,7 @@ func TestExtIntegrated(t *testing.T) {
 }
 
 func TestExtElasticity(t *testing.T) {
-	r, err := ExtElasticity(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "ext-elasticity")
 	if len(r.Rows) != 7 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -628,10 +591,7 @@ func TestExtElasticity(t *testing.T) {
 }
 
 func TestFaultExtResilience(t *testing.T) {
-	r, err := ExtResilience(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "ext-resilience")
 	if len(r.Rows) != 5 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -656,10 +616,7 @@ func TestFaultExtResilience(t *testing.T) {
 }
 
 func TestFaultCrossPlaneRows(t *testing.T) {
-	r, err := CrossPlane(tiny)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := runID(t, "crossplane")
 	labels := []string{"model", "sim", "sim-integrated", "sim-integrated faulted",
 		"sim faulted", "sim faulted+resilient"}
 	// 6 mean rows plus a predicted-vs-observed quantile block:
@@ -721,13 +678,10 @@ func TestDrift(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drift live leg takes ~6s of wall time")
 	}
-	r, err := Drift(tiny)
-	if err != nil {
-		// Drift enforces its own acceptance bounds (detection within 5
-		// windows, miss_penalty attribution, sim determinism, quiet
-		// ramp) and errors when any is violated.
-		t.Fatal(err)
-	}
+	// drift enforces its own acceptance bounds (detection within 5
+	// windows, miss_penalty attribution, sim determinism, quiet ramp) as
+	// leg checks, and errors when any is violated.
+	r := runID(t, "drift")
 	if len(r.Rows) != 6 {
 		t.Fatalf("drift rendered %d rows, want 6 (2 sim + live + 3 ramp)", len(r.Rows))
 	}
@@ -738,5 +692,41 @@ func TestDrift(t *testing.T) {
 		if row[6] != "0/0" {
 			t.Errorf("healthy ramp row %s fired alerts: %s", row[0], row[6])
 		}
+	}
+}
+
+func TestHotKeyCoalescing(t *testing.T) {
+	e, err := ByID("hotkey")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := e.Run(tiny, false) // the six model and sim legs
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 6 {
+		t.Fatalf("rows = %d, want 6", len(r.Rows))
+	}
+	// Memorylessness: the model's totals do not move with coalescing.
+	if r.Rows[0][1] != r.Rows[1][1] {
+		t.Errorf("model totals differ: %s vs %s", r.Rows[0][1], r.Rows[1][1])
+	}
+	fetches := func(row []string) int {
+		n, err := strconv.Atoi(row[5])
+		if err != nil {
+			t.Fatalf("db fetches cell %q: %v", row[5], err)
+		}
+		return n
+	}
+	// Coalescing cuts the backend fetches, healthy and faulted, and
+	// bounds the stalled database's cost.
+	for _, pair := range [][2]int{{2, 3}, {4, 5}} {
+		naive, coal := r.Rows[pair[0]], r.Rows[pair[1]]
+		if fetches(coal) >= fetches(naive) {
+			t.Errorf("%s fetched %d, %s %d", coal[0], fetches(coal), naive[0], fetches(naive))
+		}
+	}
+	if parseUs(t, r.Rows[5][1]) >= parseUs(t, r.Rows[4][1]) {
+		t.Errorf("coalesced faulted total %s not below naive %s", r.Rows[5][1], r.Rows[4][1])
 	}
 }

@@ -1,0 +1,734 @@
+package experiments
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"slices"
+
+	"memqlat/internal/core"
+	"memqlat/internal/dist"
+	"memqlat/internal/fault"
+	"memqlat/internal/plane"
+	"memqlat/internal/queueing"
+	"memqlat/internal/sim"
+	"memqlat/internal/stats"
+	"memqlat/internal/telemetry"
+	"memqlat/internal/workload"
+)
+
+// facebook is the paper's §5.1 workload as a scenario.
+func facebook() plane.Scenario { return plane.FromConfig("facebook", workload.Facebook()) }
+
+// sections is the REPRO in paper order: every table and figure as a
+// section the engine runs.
+var sections = []*section{
+	// table3 is the paper's Table 3: the model and the simulator plane
+	// decompose the Facebook workload's latency, with 95% CIs on the means.
+	{
+		id:    "table3",
+		title: "Theorem 1 vs experiment, Facebook workload (λ=62.5K ξ=0.15 q=0.1 µS=80K N=150 r=1% µD=1K)",
+		base:  facebook(),
+		legs:  []leg{{on: onModelSim}},
+		cols:  heads("latency", "Theorem 1", "Experiment (§4.5 estimator)", "mean-of-max (95% CI)"),
+		notes: []string{
+			"paper Table 3: TN 20µs, TS 351~366µs (exp 368µs), TD 836µs (exp 867µs), T 836~1222µs (exp 1144µs)",
+			"the mean of per-request maxima exceeds the §4.5 quantile estimator by the " +
+				"maximal-statistics (Euler–Mascheroni) bias; both are reported",
+		},
+		more: func(_ Budget, rep *Report, runs []row) error {
+			est, res := runs[0].on("model"), runs[0].on("sim")
+			sim := res.Sim
+			meanOfMax := func(h *stats.Histogram) string {
+				ci := stats.HistMeanCI(h, 0.95)
+				return fmt.Sprintf("mean-of-max %s [%s, %s]", us(h.Mean()), us(ci.Lo), us(ci.Hi))
+			}
+			rep.Rows = [][]string{
+				{"TN(N)", us(est.TN), us(sim.TN), "exact (constant)"},
+				{"TS(N)", band(est, est.TS), us(res.TS.Mid()), meanOfMax(sim.TS)},
+				{"TD(N)", us(est.TD), us(res.TD), meanOfMax(sim.TD)},
+				{"T(N)", band(est, est.Total), us(res.Point()), meanOfMax(sim.Total)},
+			}
+			note := "sim stage means:"
+			for _, st := range telemetry.Stages() {
+				if ss, ok := res.Breakdown[st]; ok && ss.Count > 0 {
+					note += fmt.Sprintf(" %s %s", st, us(ss.Mean))
+				}
+			}
+			rep.Notes = append(rep.Notes, note)
+			return nil
+		},
+	},
+	// fig4 reproduces the paper's Fig. 4: the k-th quantile of per-key
+	// Memcached-server latency against the eq. 9 bounds.
+	{
+		id:    "fig4",
+		title: "per-key TS quantiles vs eq. 9 bounds (Facebook workload)",
+		base:  facebook(),
+		// Only the per-server streams matter here.
+		legs: []leg{{on: onSim, mut: func(s *plane.Scenario) error { s.Requests = 1; return nil }}},
+		cols: heads("k", "lower (TQ)k", "experiment", "upper (TC)k", "within"),
+		notes: []string{
+			"paper Fig. 4 shows the measured curve hugging the bound band up to ~300µs",
+			"high quantiles can sit a few percent ABOVE (TC)k: per-key sampling is " +
+				"size-biased toward large batches, which eq. 9's batch-stationary derivation ignores",
+		},
+		more: func(_ Budget, rep *Report, runs []row) error {
+			bq, err := workload.Facebook().ServerQueue(0)
+			if err != nil {
+				return err
+			}
+			srv := runs[0].last().Sim.Servers[0]
+			for _, k := range []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 0.99} {
+				lo, hi, err1 := bq.KeyLatencyBounds(k)
+				got, err2 := srv.Quantile(k)
+				if err := errors.Join(err1, err2); err != nil {
+					return err
+				}
+				within := "yes"
+				if got < lo*0.9 || got > hi*1.1 {
+					within = "NO"
+				}
+				rep.Rows = append(rep.Rows, []string{fmt.Sprintf("%.2f", k), us(lo), us(got), us(hi), within})
+			}
+			return nil
+		},
+	},
+	// fig5 sweeps the concurrent probability q from 0 to 0.5 (paper Fig. 5).
+	{
+		id:    "fig5",
+		title: "E[TS(N)] vs concurrent probability q (λ=62.5K fixed)",
+		legs: sweep(0, []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5},
+			func(v float64) []string { return []string{fmt.Sprintf("%.1f", v)} },
+			func(s *plane.Scenario, q float64) error { return lift(s, workload.WithQ(q)) }),
+		cols:  []col{{"q", nil}, theoryTS, measuredTS},
+		notes: []string{"paper Fig. 5: ~350µs at q=0 rising to ~650µs at q=0.5 — E[TS(N)] = Θ(1/(1-q))"},
+	},
+	// fig6 sweeps the burst degree ξ from 0 to 0.6 (paper Fig. 6).
+	{
+		id: "fig6", title: "E[TS(N)] vs burst degree ξ",
+		legs: sweep(100, []float64{0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6},
+			func(v float64) []string { return []string{fmt.Sprintf("%.1f", v)} },
+			func(s *plane.Scenario, xi float64) error { return lift(s, workload.WithXi(xi)) }),
+		cols:  []col{{"ξ", nil}, theoryTS, measuredTS},
+		notes: []string{"paper Fig. 6: latency grows from ~300µs (Poisson) past 1.2ms at ξ=0.6"},
+	},
+	// fig7 sweeps the per-server arrival rate λ (paper Fig. 7) and reports
+	// the knee the paper calls the latency cliff.
+	{
+		id:    "fig7",
+		title: "E[TS(N)] vs per-server arrival rate λ (µS=80K)",
+		legs: sweep(200, []float64{10000, 20000, 30000, 40000, 50000, 55000, 60000, 65000, 70000, 75000},
+			func(lam float64) []string {
+				return []string{fmt.Sprintf("%.0fK", lam/1000), pct(lam / workload.FacebookMuS)}
+			},
+			func(s *plane.Scenario, lam float64) error { return lift(s, workload.WithLambda(lam)) }),
+		cols:  []col{{"λ", nil}, {"ρS", nil}, theoryTS, measuredTS},
+		notes: []string{"paper Fig. 7: gentle growth below 50K, sharp past 60K"},
+		more: func(_ Budget, rep *Report, _ []row) error {
+			cliff, err := core.CliffUtilization(workload.FacebookXi, workload.FacebookQ, core.CliffDeltaThreshold)
+			rep.Notes = append([]string{fmt.Sprintf(
+				"detected cliff utilization for ξ=0.15: %s (paper: ~75%%, λ≈60K)", pct(cliff))}, rep.Notes...)
+			return err
+		},
+	},
+	// fig8 is the theory-only λ sweep for ξ ∈ {0, 0.6, 0.8} (paper Fig. 8).
+	theoryByXi("fig8", "Theory: E[TS(N)] vs λ for three burst degrees (µS=80K)", "λ",
+		[]float64{10000, 20000, 30000, 40000, 45000, 50000, 55000, 60000, 65000, 70000, 75000}, workload.WithLambda,
+		"paper Fig. 8: cliffs at λ≈65K (ξ=0), 45K (ξ=0.6), 30K (ξ=0.8) — i.e. ρS 80%/55%/40%"),
+	// fig9 is the theory-only µS sweep for ξ ∈ {0, 0.6, 0.8} (paper Fig. 9).
+	theoryByXi("fig9", "Theory: E[TS(N)] vs µS for three burst degrees (λ=62.5K)", "µS",
+		[]float64{65000, 70000, 80000, 90000, 100000, 110000, 120000, 140000, 160000, 180000, 200000}, workload.WithMuS,
+		"paper Fig. 9: cliffs at µS≈85K (ξ=0), 110K (ξ=0.6), 160K (ξ=0.8) — same ρS as Fig. 8"),
+	// fig10 sweeps the largest load ratio p1 at a fixed Λ=80K (Fig. 10).
+	{
+		id:    "fig10",
+		title: "E[TS(N)] vs largest load ratio p1 (Λ=80K, ξ=0.15, µS=80K)",
+		legs: sweep(300, []float64{0.3, 0.4, 0.5, 0.6, 0.7, 0.75, 0.8, 0.85, 0.9},
+			func(p1 float64) []string {
+				return []string{fmt.Sprintf("%.2f", p1), pct(p1 * 80000 / workload.FacebookMuS)}
+			},
+			func(s *plane.Scenario, p1 float64) error {
+				c, err := workload.WithImbalance(p1, 80000)
+				if err != nil {
+					return err
+				}
+				return lift(s, c)
+			}),
+		cols: []col{{"p1", nil}, {"max ρS", nil}, theoryTS, measuredTS},
+		notes: []string{"paper Fig. 10: cliff at p1=0.75 (heaviest server 60K keys/s, ρS=75%) — " +
+			"load balancing only matters past the cliff"},
+	},
+	fig11(),
+	// fig12 sweeps keys-per-request N for the server stage (paper Fig. 12).
+	{
+		id:    "fig12",
+		title: "E[TS(N)] vs keys per request N (Facebook workload, Θ(log N))",
+		legs: sweep(400, []int{1, 10, 100, 1000, 10000}, func(n int) []string { return []string{fmt.Sprint(n)} },
+			func(s *plane.Scenario, n int) error {
+				if n >= 1000 {
+					s.Requests = max(s.Requests/10, 200)
+				}
+				model := workload.WithN(n)
+				model.MissRatio = 0 // isolate TS
+				return lift(s, model)
+			}),
+		cols:  []col{{"N", nil}, theoryTS, measuredTS},
+		notes: []string{"paper Fig. 12: ~75µs at N=1 growing logarithmically to ~650µs at N=10⁴"},
+	},
+	// fig13 sweeps keys-per-request N for the database stage (Fig. 13).
+	{
+		id:    "fig13",
+		title: "E[TD(N)] vs keys per request N (r=1%, µD=1K, Θ(log N))",
+		cols:  heads("N", "Theorem 1", "Experiment"),
+		notes: []string{"paper Fig. 13: sub-ms for N≤10², ~2.3ms at 10⁴, ~9.2ms at 10⁶"},
+		more: func(b Budget, rep *Report, _ []row) error {
+			for _, n := range []int{1, 10, 100, 1000, 10000, 100000, 1000000} {
+				thr, exp, err := tdPoint(workload.WithN(n), b.Requests*5, b.Seed+500)
+				if err != nil {
+					return err
+				}
+				rep.Rows = append(rep.Rows, []string{fmt.Sprintf("%d", n), thr, exp})
+			}
+			return nil
+		},
+	},
+	// table4 reproduces the paper's Table 4: the utilization cliff ρS(ξ)
+	// for each burst degree, via both detectors (DESIGN.md §4.2).
+	{
+		id: "table4", title: "cliff utilization ρS(ξ) (q=0.1)",
+		cols: heads("ξ", "δ-threshold", "slope", "paper"),
+		notes: []string{
+			"both detectors are calibrated at ξ=0 → 77% (paper's anchor); " +
+				"Proposition 2 guarantees the value depends only on ξ",
+			"the slope detector saturates to ~0% for ξ ≥ 0.8: with such heavy tails the " +
+				"relative latency sensitivity exceeds the calibrated threshold at every " +
+				"utilization — the curve is 'all cliff'",
+		},
+		more: func(_ Budget, rep *Report, _ []row) error {
+			xis := core.PaperTable4Xis()
+			deltaRows, err1 := core.CliffTable(xis, workload.FacebookQ, core.CliffDeltaThreshold)
+			slopeRows, err2 := core.CliffTable(xis, workload.FacebookQ, core.CliffSlope)
+			if err := errors.Join(err1, err2); err != nil {
+				return err
+			}
+			for i, xi := range xis {
+				paper := "-"
+				if v, ok := paperTable4[xi]; ok {
+					paper = pct(v)
+				}
+				rep.Rows = append(rep.Rows, []string{fmt.Sprintf("%.2f", xi),
+					pct(deltaRows[i].Utilization), pct(slopeRows[i].Utilization), paper})
+			}
+			return nil
+		},
+	},
+	// prop1 checks that Proposition 1's closed-form bounds contain the exact
+	// eq. 11 composite quantile for random unbalanced load splits.
+	{
+		id:    "prop1",
+		title: "Proposition 1 closed-form bounds vs exact composite (random splits)",
+		cols:  heads("p1", "exact eq.11 bounds", "Prop.1 bounds", "contained"),
+		notes: []string{"Proposition 1 bounds must contain the exact eq. 11 composite bounds"},
+		more: func(b Budget, rep *Report, _ []row) error {
+			rng := dist.NewRand(b.Seed + 700)
+			violations := 0
+			for trial := 0; trial < 8; trial++ {
+				// Random 4-way split, scaled so the heaviest server stays at
+				// ~70% utilization.
+				weights, sum := make([]float64, 4), 0.0
+				for i := range weights {
+					weights[i] = 0.1 + rng.Float64()
+					sum += weights[i]
+				}
+				for i := range weights {
+					weights[i] /= sum
+				}
+				p1 := slices.Max(weights)
+				model := workload.Facebook()
+				model.LoadRatios, model.TotalKeyRate = weights, 0.7*model.MuS/p1
+				exact, err1 := model.ExpectedTSBounds()
+				prop, err2 := model.Proposition1TSBounds()
+				if err := errors.Join(err1, err2); err != nil {
+					return err
+				}
+				holds := prop.Lo <= exact.Lo*1.001 && prop.Hi >= exact.Hi*0.999
+				if !holds {
+					violations++
+				}
+				rep.Rows = append(rep.Rows, []string{fmt.Sprintf("%.2f", p1),
+					fmt.Sprintf("[%s, %s]", us(exact.Lo), us(exact.Hi)),
+					fmt.Sprintf("[%s, %s]", us(prop.Lo), us(prop.Hi)), fmt.Sprintf("%t", holds)})
+			}
+			if violations > 0 {
+				rep.Notes = append(rep.Notes, fmt.Sprintf("VIOLATIONS: %d", violations))
+			}
+			return nil
+		},
+	},
+	// prop2 checks Proposition 2: jointly scaling (Λ, µS) leaves δ
+	// unchanged and scales E[TS(N)] by 1/c.
+	{
+		id:    "prop2",
+		title: "Proposition 2 scale invariance (δ constant, latency ∝ 1/c)",
+		cols:  heads("scale c", "δ rel. error", "latency rel. error"),
+		notes: []string{"errors should be at numerical-solver noise level (≪1e-3)"},
+		more: func(_ Budget, rep *Report, _ []row) error {
+			for _, scale := range []float64{0.1, 0.5, 2, 10, 100} {
+				dErr, lErr, err := core.Proposition2Invariant(workload.Facebook(), scale)
+				if err != nil {
+					return err
+				}
+				rep.Rows = append(rep.Rows, []string{fmt.Sprintf("%g", scale),
+					fmt.Sprintf("%.2e", dErr), fmt.Sprintf("%.2e", lErr)})
+			}
+			return nil
+		},
+	},
+	// extTails pushes the model from expectations to the percentiles SLOs
+	// are written in: T_S(N) bounded via the eq. 3 sandwich, T_D(N) exact,
+	// against the simulator's per-request maxima.
+	{
+		id:    "ext-tails",
+		title: "EXTENSION: tail quantiles of TS(N) and TD(N), theory vs simulation",
+		base:  facebook(),
+		// Tails need more samples.
+		legs: []leg{{on: onSim, seed: 900, mut: func(s *plane.Scenario) error { s.Requests *= 4; return nil }}},
+		cols: heads("level", "TS theory bounds", "TS sim", "TD theory (exact)", "TD sim"),
+		notes: []string{
+			"not in the paper: the same model pushed from expectations to percentiles",
+			"TD theory is the exact closed form (1 − r·e^{−µD·t})^N, no approximation",
+			"deep TS tails (p99+) probe the per-key 0.9999+ quantile: the resampling " +
+				"simulator truncates them under small key budgets — use -full for tail studies",
+		},
+		more: func(_ Budget, rep *Report, runs []row) error {
+			levels := []float64{0.5, 0.9, 0.99, 0.999}
+			tails, err := workload.Facebook().Tails(levels)
+			if err != nil {
+				return err
+			}
+			res := runs[0].last().Sim
+			for i, k := range levels {
+				ts, err1 := res.TS.Quantile(k)
+				td, err2 := res.TD.Quantile(k)
+				if err := errors.Join(err1, err2); err != nil {
+					return err
+				}
+				rep.Rows = append(rep.Rows, []string{fmt.Sprintf("p%g", k*100),
+					fmt.Sprintf("[%s, %s]", us(tails[i].TS.Lo), us(tails[i].TS.Hi)), us(ts), lat(tails[i].TD), lat(td)})
+			}
+			return nil
+		},
+	},
+	// extArrivals swaps the inter-arrival family at fixed utilization: the
+	// GI of GI^X/M/1 takes any renewal process, and δ prices how much
+	// arrival variability costs, theory vs simulation.
+	{
+		id:    "ext-arrivals",
+		title: "EXTENSION: E[TS(N)] under different inter-arrival families (ρS=78% fixed)",
+		base:  facebook(),
+		legs: sweep(950, []arrivalFamily{
+			{"Erlang-4 (SCV 0.25)", "0.25", func(rate float64) (dist.Interarrival, error) {
+				return dist.NewErlang(4, 4*rate)
+			}},
+			{"Poisson (SCV 1)", "1", func(rate float64) (dist.Interarrival, error) {
+				return dist.NewExponential(rate)
+			}},
+			{"GPareto ξ=0.15 (SCV 1.43)", "1.43", func(rate float64) (dist.Interarrival, error) {
+				return dist.NewGeneralizedPareto(0.15, rate)
+			}},
+			{"Hyperexp (SCV 4)", "4", func(rate float64) (dist.Interarrival, error) {
+				// Balanced-means H2 with SCV = 4.
+				const scv = 4.0
+				p := 0.5 * (1 + math.Sqrt((scv-1)/(scv+1)))
+				return dist.NewHyperexponential([]float64{p, 1 - p}, []float64{2 * p * rate, 2 * (1 - p) * rate})
+			}},
+		}, func(f arrivalFamily) []string { return []string{f.name, f.scv} },
+			func(s *plane.Scenario, f arrivalFamily) error { s.Arrival = f.make; return nil }),
+		cols: []col{{"arrival family", nil}, {"SCV", nil}, theoryTS, measuredTS},
+		notes: []string{"not in the paper: the GI slot of GI^X/M/1 exercised beyond Generalized Pareto — " +
+			"latency ranks by arrival variability at identical utilization"},
+	},
+	// extEq6 quantifies the (1−q) factor discrepancy between the paper's
+	// in-line eq. 6 (δ = L_TX((1−δ)µ_S)) and its Table 1 form
+	// (δ = L_TX((1−δ)(1−q)µ_S)): only the Table 1 form matches the
+	// simulated queue, which is why the reproduction uses it (DESIGN §4.1).
+	{
+		id:    "ext-eq6",
+		title: "EXTENSION: eq. 6 (1−q) factor ablation — which δ matches the real queue",
+		cols:  heads("variant", "δ", "implied mean per-key latency"),
+		notes: []string{"the Table 1 fixed point reproduces the simulated mean; dropping the (1−q) " +
+			"batch-service thinning (as the in-line eq. 6 prints) underestimates δ"},
+		more: func(b Budget, rep *Report, _ []row) error {
+			model := workload.Facebook()
+			gp, err := model.ArrivalFor(workload.FacebookLambda)
+			if err != nil {
+				return err
+			}
+			// Table 1 form (ours): batch service rate (1-q)µS. The in-line
+			// eq. 6 form, δ = L_TX((1−δ)µS), is the same fixed point with µS
+			// un-thinned: the Table 1 form of a queue with q = 0.
+			var deltas [2]float64
+			for i, q := range []float64{model.Q, 0} {
+				bq, err := queueing.NewBatchQueue(gp, q, model.MuS)
+				if err != nil {
+					return err
+				}
+				deltas[i] = bq.Delta()
+			}
+			// Ground truth: simulated mean per-key latency.
+			simRes, err := sim.SimulateServer(sim.ServerConfig{
+				Interarrival: gp, Q: model.Q, MuS: model.MuS,
+				Keys: b.KeysPerServer * 2, Seed: b.Seed + 990,
+			})
+			if err != nil {
+				return err
+			}
+			meanOf := func(delta float64) string { return us(1 / ((1 - delta) * (1 - model.Q) * model.MuS)) }
+			rep.Rows = [][]string{
+				{"Table 1 form (used here)", fmt.Sprintf("%.4f", deltas[0]), meanOf(deltas[0])},
+				{"in-line eq. 6 form", fmt.Sprintf("%.4f", deltas[1]), meanOf(deltas[1])},
+				{"simulated queue", "-", us(simRes.Mean())},
+			}
+			return nil
+		},
+	},
+	// extRedundancy evaluates hedged reads (send each key to two replicas,
+	// keep the first answer) inside the paper's model: the hedge thins the
+	// per-key tail but doubles every server's load, so theory and
+	// simulator both find a utilization crossover.
+	{
+		id:    "ext-redundancy",
+		title: "EXTENSION: 2-way hedged reads vs baseline (load doubled by the hedge)",
+		cols:  heads("base ρS", "theory base", "theory hedged", "sim base", "sim hedged", "verdict"),
+		more: func(b Budget, rep *Report, _ []row) error {
+			crossover, err := workload.Facebook().RedundancyCrossover(2)
+			if err != nil {
+				return err
+			}
+			for i, rho := range []float64{0.1, 0.2, 0.3, 0.4, 0.45} {
+				model := workload.WithLambda(rho * workload.FacebookMuS)
+				tsBase, err1 := model.ExpectedTSPoint()
+				tsRed, err2 := model.ExpectedTSPointRedundant(2, true)
+				if err := errors.Join(err1, err2); err != nil {
+					return err
+				}
+				cells := []string{pct(rho), us(tsBase), us(tsRed)}
+				for _, replicas := range []int{0, 2} { // 0: no hedge
+					res, err := sim.SimulateRequests(sim.RequestConfig{
+						Model: model, Requests: b.Requests, KeysPerServer: b.KeysPerServer,
+						ReadReplicas: replicas, Seed: b.Seed + 1200 + 50*uint64(replicas) + uint64(i),
+					})
+					if err != nil {
+						return err
+					}
+					ts, err := res.TSQuantileEstimate(model)
+					if err != nil {
+						return err
+					}
+					cells = append(cells, us(ts))
+				}
+				verdict := "hedge wins"
+				if tsRed >= tsBase {
+					verdict = "hedge LOSES"
+				}
+				rep.Rows = append(rep.Rows, append(cells, verdict))
+			}
+			rep.Notes = append(rep.Notes,
+				fmt.Sprintf("theory crossover: hedging helps below base ρS ≈ %s and hurts above it", pct(crossover)),
+				"not in the paper: its related-work §2.2 cites redundancy (Vulimiri et al., C3) — "+
+					"this quantifies it inside the paper's own GI^X/M/1 model")
+			return nil
+		},
+	},
+	extIntegrated(),
+	// extElasticity answers the paper's §1 question ("which factor has the
+	// most significant impact on the latency") numerically: each factor's
+	// d ln E[T(N)] / d ln x at the Facebook point (ρS = 78%) and at half
+	// its load, to show how the ranking moves with utilization.
+	{
+		id:    "ext-elasticity",
+		title: "EXTENSION: factor elasticities d ln E[T(N)] / d ln x (the §1 question, numerically)",
+		cols:  heads("rank", "factor", "meaning", "elasticity @ρS=78%", "@ρS=39%"),
+		notes: []string{
+			"positive: increasing the factor increases latency; |value| ranks leverage",
+			"reading: a +1% change in the top-ranked factor moves end-user latency by " +
+				"|elasticity|% — the quantitative form of the paper's §5.3 recommendations",
+		},
+		more: func(_ Budget, rep *Report, _ []row) error {
+			low := workload.Facebook()
+			low.TotalKeyRate /= 2
+			esHigh, err1 := workload.Facebook().Elasticities()
+			esLow, err2 := low.Elasticities()
+			if err := errors.Join(err1, err2); err != nil {
+				return err
+			}
+			lowByFactor := make(map[string]float64, len(esLow))
+			for _, e := range esLow {
+				lowByFactor[e.Factor] = e.Value
+			}
+			for rank, e := range esHigh {
+				rep.Rows = append(rep.Rows, []string{fmt.Sprintf("%d", rank+1), e.Factor, e.Description,
+					fmt.Sprintf("%+.2f", e.Value), fmt.Sprintf("%+.2f", lowByFactor[e.Factor])})
+			}
+			return nil
+		},
+	},
+	extResilience(),
+	crossPlane(),
+	hotKey(),
+	noisy(),
+	proxied(),
+	tiered(),
+	// live is the end-to-end check NOT in the paper: the real cluster with
+	// exponential service shaping, driven by the mutilate-like generator,
+	// against the GI^X/M/1 prediction at the live parameters.
+	{
+		id:    "live",
+		title: "live TCP stack vs GI^X/M/1 theory (scaled rates: λ=500/s, µS=1K/s per server)",
+		base:  liveScenario(0),
+		legs:  []leg{{on: onLive}},
+		cols:  heads("metric", "live measurement", "theory"),
+		notes: []string{
+			"live latency includes loopback RTT and scheduler jitter on top of the queueing model; " +
+				"expect the same order of magnitude, not equality",
+			"stage rows come from the telemetry recorder threaded through server, client and " +
+				"backend — the same seam the simulator planes record through — and count the measured run only",
+			"sleep overshoot makes the service stage longer than 1/µS; Theorem 1 at the measured µ̂S prices " +
+				"that, and at this ρ̂ the live mean still spreads widely around it (the gate runs at ρ̂ ≈ 0.5)",
+		},
+		more: func(_ Budget, rep *Report, runs []row) error {
+			if len(runs) == 0 {
+				return nil
+			}
+			s, res := runs[0].s, runs[0].last()
+			lg := res.Live
+			// Timer overshoot stretches shaped service past 1/µS, so
+			// Theorem 1 is also read at the measured service rate µ̂S =
+			// 1/(service stage mean) and the achieved key rate.
+			measured := s
+			measured.MuS = 1 / res.Breakdown.MeanOf(telemetry.StageService)
+			measured.TotalKeyRate = lg.AchievedRate()
+			var queues [2]*queueing.BatchQueue
+			for i, at := range []plane.Scenario{s, measured} {
+				model, err := at.Config()
+				if err != nil {
+					return err
+				}
+				if queues[i], err = model.ServerQueue(0); err != nil {
+					return err
+				}
+			}
+			p90lo, p90hi, err := queues[0].KeyLatencyBounds(0.9)
+			if err != nil {
+				return err
+			}
+			rep.Rows = [][]string{
+				{"issued ops", fmt.Sprintf("%d", lg.Issued), "-"},
+				{"achieved rate", fmt.Sprintf("%.0f keys/s", lg.AchievedRate()), fmt.Sprintf("target %.0f", s.TotalKeyRate)},
+				{"hits/misses/errors", fmt.Sprintf("%d/%d/%d", lg.Hits, lg.Misses, lg.Errors), "-"},
+				{"mean latency", ms(lg.Latency.Mean()), "GI^X/M/1 mean sojourn " + ms(queues[0].MeanSojourn())},
+				{"mean at measured µS", ms(lg.Latency.Mean()), fmt.Sprintf("Theorem 1 at µS=%.0f/s, λ=%.0f/s measured: %s",
+					measured.MuS, measured.TotalKeyRate, ms(queues[1].MeanSojourn()))},
+				{"p50 latency", ms(lg.Latency.MustQuantile(0.5)), "-"},
+				{"p90 latency", ms(lg.Latency.MustQuantile(0.9)), fmt.Sprintf("eq.9 band [%s, %s]", ms(p90lo), ms(p90hi))},
+				{"p99 latency", ms(lg.Latency.MustQuantile(0.99)), "-"},
+			}
+			// Telemetry decomposition of the measured latency: where inside
+			// the stack the time went (server queue vs service vs DB). The
+			// load generator issues single-key gets, so there is no join to
+			// record.
+			for _, st := range telemetry.Stages() {
+				ss, ok := res.Breakdown[st]
+				if !ok || ss.Count == 0 {
+					continue
+				}
+				theory := "-"
+				switch st {
+				case telemetry.StageService:
+					theory = "1/µS " + ms(1/s.MuS)
+				case telemetry.StageMissPenalty:
+					theory = "1/µD " + ms(1/s.MuD)
+				}
+				rep.Rows = append(rep.Rows, []string{"stage " + st.String(),
+					fmt.Sprintf("mean %s p99 %s (n=%d)", ms(ss.Mean), ms(ss.P99), ss.Count), theory})
+			}
+			return nil
+		},
+	},
+	drift(),
+}
+
+// theoryByXi is a theory-only λ or µS sweep for several burst degrees
+// (papers Figs. 8 and 9).
+func theoryByXi(id, title, varName string, values []float64, model func(float64) *core.Config, paperNote string) *section {
+	return &section{id: id, title: title, cols: heads(varName, "ξ=0.0", "ξ=0.6", "ξ=0.8"), notes: []string{paperNote},
+		more: func(_ Budget, rep *Report, _ []row) error {
+			for _, v := range values {
+				cells := []string{fmt.Sprintf("%.0fK", v/1000)}
+				for _, xi := range []float64{0, 0.6, 0.8} {
+					m := model(v)
+					m.Xi = xi
+					ts, err := m.ExpectedTSPoint()
+					if err != nil {
+						cells = append(cells, "unstable")
+						continue
+					}
+					cells = append(cells, us(ts))
+				}
+				rep.Rows = append(rep.Rows, cells)
+			}
+			return nil
+		}}
+}
+
+// fig11 sweeps the cache miss ratio for small and large N (paper
+// Fig. 11, both panels).
+func fig11() *section {
+	ns := []int{1, 4, 10, 100, 1000, 10000}
+	cols := heads("r")
+	for _, n := range ns {
+		cols = append(cols, heads(fmt.Sprintf("N=%d thr", n), fmt.Sprintf("N=%d exp", n))...)
+	}
+	return &section{
+		id: "fig11", title: "E[TD(N)] vs cache miss ratio r (µD=1K)",
+		cols:  cols,
+		notes: []string{"paper Fig. 11: Θ(r) growth for small N (left panel), Θ(log r) for large N (right panel)"},
+		more: func(b Budget, rep *Report, _ []row) error {
+			for _, r := range []float64{1e-4, 1e-3, 1e-2, 2e-2, 5e-2, 1e-1} {
+				cells := []string{fmt.Sprintf("%g", r)}
+				for _, n := range ns {
+					thr, exp, err := tdPoint(workload.WithMissRatio(r, n), b.Requests*5, b.Seed)
+					if err != nil {
+						return err
+					}
+					cells = append(cells, thr, exp)
+				}
+				rep.Rows = append(rep.Rows, cells)
+			}
+			return nil
+		},
+	}
+}
+
+// tdPoint is one E[TD(N)] point: eq. 23 against the simulated miss
+// stage.
+func tdPoint(model *core.Config, requests int, seed uint64) (theory, measured string, err error) {
+	td, err1 := model.ExpectedTD()
+	res, err2 := sim.SimulateMissStage(sim.MissStageConfig{
+		N: model.N, MissRatio: model.MissRatio, MuD: model.MuD, Requests: requests, Seed: seed,
+	})
+	if err := errors.Join(err1, err2); err != nil {
+		return "", "", err
+	}
+	return lat(td), lat(res.TDQuantileEstimate(model.MuD)), nil
+}
+
+// paperTable4 holds the paper's published ρS(ξ) values for side-by-side
+// comparison.
+var paperTable4 = map[float64]float64{
+	0.00: 0.77, 0.05: 0.76, 0.10: 0.76, 0.15: 0.75, 0.20: 0.74,
+	0.25: 0.73, 0.30: 0.72, 0.35: 0.71, 0.40: 0.69, 0.45: 0.67,
+	0.50: 0.65, 0.55: 0.62, 0.60: 0.59, 0.65: 0.55, 0.70: 0.50,
+	0.75: 0.45, 0.80: 0.39, 0.85: 0.31, 0.90: 0.21, 0.95: 0.09,
+}
+
+// arrivalFamily is a batch inter-arrival law by name and SCV.
+type arrivalFamily struct {
+	name, scv string
+	make      core.ArrivalFactory
+}
+
+// extIntegrated probes the model's §3 independence assumption. The
+// composition simulator takes it as given; in the integrated simulator
+// the per-server arrivals EMERGE from fork-join requests whose keys
+// arrive together, so the gap between the two is what the assumption
+// gives away.
+func extIntegrated() *section {
+	// Scaled N keeps the integrated run short; scaling the request rate up
+	// to match keeps the assumption's stress.
+	const n = 20
+	on := []plane.Plane{plane.ModelPlane{}, plane.SimPlane{}, reseeded{onIntegrated[0], 100}}
+	legs := sweep(1400, []float64{0.3, 0.5, 0.7, 0.8}, func(rho float64) []string { return []string{pct(rho)} },
+		func(s *plane.Scenario, rho float64) error {
+			model := workload.WithLambda(rho * workload.FacebookMuS)
+			model.N = n
+			model.MissRatio = 0 // isolate the cache stage
+			return lift(s, model)
+		})
+	for i := range legs {
+		legs[i].on = on
+	}
+	meanMax := func(p string) func(r row) string {
+		return func(r row) string { return us(r.on(p).Sim.TS.Mean()) }
+	}
+	return &section{
+		id:    "ext-integrated",
+		title: fmt.Sprintf("EXTENSION: independence-assumption ablation (N=%d, miss-free)", n),
+		legs:  legs,
+		cols: []col{{"ρS", nil}, theoryTS, {"composition (§4.5 est)", measuredTS.cell},
+			{"composition mean-max", meanMax("sim")}, {"integrated mean-max", meanMax("sim-integrated")},
+			{"integrated vs comp", func(r row) string {
+				comp := r.on("sim").Sim.TS.Mean()
+				return fmt.Sprintf("%+.0f%%", (r.on("sim-integrated").Sim.TS.Mean()-comp)/comp*100)
+			}}},
+		notes: []string{
+			"the integrated simulator derives per-server arrivals FROM the fork-join " +
+				"request stream (correlated same-request batches) instead of assuming GI^X — " +
+				"the last column is the latency cost of the §3 independence assumption",
+			"finding: the RELATIVE error is largest at LOW load — a request's own keys " +
+				"colliding on a server add a fixed self-queueing cost (≈ keys-per-server × " +
+				"service time) that dominates when cross-traffic queueing is small, and " +
+				"washes out toward the cliff",
+		},
+	}
+}
+
+// resilienceFaults is the schedule the policy sweep runs under: a hard
+// 20%-drop fault on server 0 with a 5ms timeout stand-in — heavy enough
+// that every policy has something to recover, light enough that the
+// healthy three quarters of the fleet keeps the composition meaningful.
+const resilienceFaults = "drop:srv=0,p=0.2,delay=5ms"
+
+// extResilience is the fault-injection analogue of the paper's factor
+// sweeps: the factor is the recovery policy, one at a time and
+// combined, under one deterministic fault sequence on the simulator.
+func extResilience() *section {
+	base := facebook()
+	base.Faults = schedule(resilienceFaults)
+	policy := func(label string, r fault.Resilience) leg {
+		return leg{cells: []string{label}, on: onSim, mut: func(s *plane.Scenario) error { s.Resilience = r; return nil }}
+	}
+	fraction := func(n, of int64) string { return fmt.Sprintf("%d (%s)", n, pct(float64(n)/float64(of))) }
+	return &section{
+		id:    "ext-resilience",
+		title: "Extension: recovery-policy sweep under the fault schedule " + resilienceFaults,
+		base:  base,
+		legs: []leg{
+			policy("none", fault.Resilience{}),
+			policy("retry", fault.Resilience{Retries: 2, RetryBackoff: 100e-6}),
+			policy("hedge", fault.Resilience{HedgeDelay: 2e-3}),
+			policy("breaker", fault.Resilience{BreakerThreshold: 0.5, BreakerWindow: 20, BreakerCooldown: 0.02}),
+			policy("retry+hedge+breaker", fault.Resilience{Retries: 2, RetryBackoff: 100e-6, HedgeDelay: 2e-3,
+				BreakerThreshold: 0.5, BreakerWindow: 20, BreakerCooldown: 0.02}),
+		},
+		cols: []col{{"policy", nil},
+			{"E[T(N)]", func(r row) string { return lat(r.last().Sample.Mean()) }},
+			{"p99", func(r row) string { return quantile(r.last().Sample, 0.99, lat) }},
+			{"failed keys", func(r row) string { s := r.last().Sim; return fraction(s.FailedKeys, s.KeyCount) }},
+			{"shed keys", func(r row) string { return fmt.Sprintf("%d", r.last().Sim.ShedKeys) }},
+			{"degraded reqs", func(r row) string { s := r.last().Sim; return fraction(s.DegradedRequests, s.Requests) }},
+			{"retry", func(r row) string { return lat(r.last().Breakdown.MeanOf(telemetry.StageRetry)) }},
+			{"hedge_wait", func(r row) string { return lat(r.last().Breakdown.MeanOf(telemetry.StageHedgeWait)) }}},
+		notes: []string{
+			"all rows share one deterministic fault sequence (same schedule seed), so " +
+				"differences are the policy's doing, not sampling noise",
+			"retries and hedges re-draw the faulted server's latency distribution, so " +
+				"each masks ~p of the p-probability drops per extra attempt",
+			"the breaker trades availability for latency: shed keys fail fast instead " +
+				"of eating the 5ms timeout stand-in",
+			"the live client reads the same policy knobs (client.Options.Resilience, a fault.Resilience); " +
+				"mcbench -faults runs this sweep's schedule against the real TCP stack",
+		},
+	}
+}

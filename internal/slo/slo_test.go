@@ -479,7 +479,7 @@ func FuzzParseSpec(f *testing.F) {
 		"lambda=100,mus=500,q=0.1,xi=0.15,window=0.5s,k=2,band=3",
 		"lambda=100,mus=500,q=0.1,xi=0.15,window=500ms,band=3",
 		"window=0.5s,k=2,band=3",
-		// experiments/drift.go's Config, and the binaries' -slo help text.
+		// the experiments drift section's watchdog Config, and the binaries' -slo help text.
 		"window=0.25,k=2,band=3,target=10ms,budget=0.05",
 		"window=250ms,k=2,band=2",
 		"lambda=2000,mus=8000,window=1s,k=2",
