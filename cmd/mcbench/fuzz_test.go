@@ -32,6 +32,8 @@ func FuzzParseExtstoreSpec(f *testing.F) {
 		"ram=+07,total=-1,mud=1e-3,ram=3",
 		"",
 		",",
+		// the spacing every flagspec grammar reads alike.
+		"ram=1, total=2", "ram = 1", "ram=1,,total=2", " \t ",
 	} {
 		f.Add(seed)
 	}

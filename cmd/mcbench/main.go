@@ -35,6 +35,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -45,6 +46,7 @@ import (
 
 	"memqlat/internal/core"
 	"memqlat/internal/fault"
+	"memqlat/internal/flagspec"
 	"memqlat/internal/keylog"
 	"memqlat/internal/metrics"
 	"memqlat/internal/otrace"
@@ -142,7 +144,7 @@ func run(args []string, out io.Writer) error {
 		tenantsSpec  = fs.String("tenants", "", `tenant QoS specs armed at the proxy, e.g. "acme:rate=500,share=0.5;evil:rate=200,share=0.5" (needs -proxy)`)
 
 		planeName    = fs.String("plane", "", "run against an internal plane (model|sim|sim-integrated|live) instead of -servers")
-		sloSpec      = fs.String("slo", "", `arm the model-anchored SLO watchdog on a -plane run, e.g. "window=250ms,k=2,band=2" (detector keys only; the Theorem-1 bands come from the scenario flags)`)
+		sloSpec      = fs.String("slo", "", `arm the model-anchored SLO watchdog on a -plane run, e.g. "window=250ms,k=2,band=2": detector keys window, k, band, target, budget (the scenario flags set the model, so its keys are refused)`)
 		extstoreSpec = fs.String("extstore", "", `arm an SSD extstore tier on -plane runs, e.g. "ram=200,total=1200,mud=2000[,dist=lognormal][,sigma=0.5]" (RAM/total item budgets, disk reads/s)`)
 		planeSrv     = fs.Int("plane-servers", 2, "server count for -plane modes")
 		faultSpec    = fs.String("faults", "", `fault schedule for -plane modes, e.g. "slow:srv=0,delay=200us;drop:srv=1,p=0.1,delay=5ms"`)
@@ -218,10 +220,8 @@ func run(args []string, out io.Writer) error {
 			SlowWriter: os.Stderr,
 		})
 	}
-	if *sloSpec != "" {
-		if s.SLO, err = armWatchdog(*sloSpec, s, out); err != nil {
-			return err
-		}
+	if s.SLO, err = plane.NewWatchdog(*sloSpec, s, out); err != nil {
+		return err
 	}
 	if *keyTrace != "" {
 		observe, flush, err := keyJournal(*keyTrace, out)
@@ -238,20 +238,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	return writeChromeTrace(s.Tracer, *traceOut, out)
-}
-
-// armWatchdog anchors the -slo watchdog on the Theorem-1 bands of the
-// scenario the flags describe; alert lines ride the benchmark's output.
-func armWatchdog(spec string, s plane.Scenario, out io.Writer) (*slo.Watchdog, error) {
-	cfg, _, err := slo.ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	if cfg.Predicted, err = plane.PredictedBands(s); err != nil {
-		return nil, err
-	}
-	cfg.AlertWriter = out
-	return slo.NewWatchdog(cfg)
 }
 
 // keyJournal opens the -trace journal of the issued key stream: the
@@ -457,37 +443,33 @@ func secs(s float64) time.Duration {
 	return time.Duration(s * float64(time.Second)).Round(time.Microsecond)
 }
 
-// parseExtstoreSpec reads the -extstore tier description:
-// comma-separated key=value pairs with ram/total item budgets and the
-// disk service rate, e.g. "ram=200,total=1200,mud=2000".
+// parseExtstoreSpec reads the -extstore tier description in the
+// flagspec grammar: ram/total item budgets and the disk service rate,
+// e.g. "ram=200,total=1200,mud=2000". A blank spec arms no tier.
 func parseExtstoreSpec(s string) (*plane.ExtstoreSpec, error) {
-	if s == "" {
+	if strings.TrimSpace(s) == "" {
 		return nil, nil
 	}
 	spec := &plane.ExtstoreSpec{}
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 || kv[1] == "" {
-			return nil, fmt.Errorf("-extstore: %q is not key=value", part)
-		}
-		var err error
-		switch kv[0] {
+	err := flagspec.Scan(s, func(key, val string) (err error) {
+		switch key {
 		case "ram":
-			spec.RAMItems, err = strconv.Atoi(kv[1])
+			spec.RAMItems, err = strconv.Atoi(val)
 		case "total":
-			spec.TotalItems, err = strconv.Atoi(kv[1])
+			spec.TotalItems, err = strconv.Atoi(val)
 		case "mud", "mudisk":
-			spec.MuDisk, err = strconv.ParseFloat(kv[1], 64)
+			spec.MuDisk, err = strconv.ParseFloat(val, 64)
 		case "dist":
-			spec.DiskDist = kv[1]
+			spec.DiskDist = val
 		case "sigma":
-			spec.DiskSigma, err = strconv.ParseFloat(kv[1], 64)
+			spec.DiskSigma, err = strconv.ParseFloat(val, 64)
 		default:
-			return nil, fmt.Errorf("-extstore: unknown field %q (ram, total, mud, dist, sigma)", kv[0])
+			err = errors.New("unknown field (ram, total, mud, dist, sigma)")
 		}
-		if err != nil {
-			return nil, fmt.Errorf("-extstore: field %q: %w", kv[0], err)
-		}
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("-extstore: %w", err)
 	}
 	return spec, nil
 }

@@ -457,6 +457,17 @@ func TestFlagModes(t *testing.T) {
 		}
 	}
 
+	// The scenario flags set a plane run's model, so -slo refuses each
+	// model key by name instead of parsing it and dropping it.
+	for _, key := range []string{"lambda", "mus", "mud", "q", "xi", "miss", "n"} {
+		for _, mode := range []string{"live", "sim"} {
+			err := run(append(append([]string{}, base[mode]...), "-slo", key+"=5000,window=1s"), io.Discard)
+			if err == nil || !strings.Contains(err.Error(), `"`+key+`": a model key`) {
+				t.Errorf("%s run with -slo %s=5000: err = %v, want a refusal naming %q", mode, key, err, key)
+			}
+		}
+	}
+
 	// Effects the output cannot show are read off the journal: -zipf
 	// skews the issued key stream on the in-process form exactly as it
 	// does attached (the parent ran -plane=live -zipf uniform), and

@@ -23,18 +23,14 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
-	"os/signal"
 	"strings"
-	"syscall"
-	"time"
 
+	"memqlat/internal/daemon"
 	"memqlat/internal/metrics"
 	"memqlat/internal/otrace"
 	"memqlat/internal/plane"
 	"memqlat/internal/proxy"
-	"memqlat/internal/slo"
 	"memqlat/internal/tenant"
 )
 
@@ -56,7 +52,7 @@ func run(args []string) error {
 		adminAddr = fs.String("admin", "", "observability listener address for /metrics, /healthz, /debug/pprof (empty = off)")
 		traceRing = fs.Int("trace-ring", 0, "retain this many proxy-hop spans of in-band-traced requests, served on <admin>/trace (0 = off)")
 		tenants   = fs.String("tenants", "", `tenant QoS specs, e.g. "acme:class=gold,rate=500;evil:rate=200,share=0.5" (empty = QoS off)`)
-		sloSpec   = fs.String("slo", "", "arm the model-anchored SLO watchdog on the proxy_hop stage, e.g. 'lambda=2000,mus=8000,window=1s,k=2' (needs lambda and mus; empty = off)")
+		sloSpec   = fs.String("slo", "", "arm the model-anchored SLO watchdog on the proxy_hop stage, e.g. 'lambda=2000,mus=8000,window=1s,k=2': model keys lambda and mus (needed), q, xi, n, mud, miss; detector keys window, k, band, target, budget (empty = off)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -79,23 +75,11 @@ func run(args []string) error {
 			return err
 		}
 	}
-	// The watchdog judges the proxy_hop stage against the single
-	// GI^X/M/1 band the -slo parameters imply, on wall-clock rolling
-	// windows from process start.
-	var wd *slo.Watchdog
-	if *sloSpec != "" {
-		cfg, m, err := slo.ParseSpec(*sloSpec)
-		if err != nil {
-			return err
-		}
-		cfg.Predicted, err = plane.ProxyHopBand(m)
-		if err != nil {
-			return err
-		}
-		cfg.AlertWriter = os.Stderr
-		if wd, err = slo.NewWatchdog(cfg); err != nil {
-			return err
-		}
+	// The watchdog judges the proxy_hop stage against the Theorem-1
+	// band of the proxy its -slo model keys describe.
+	wd, err := plane.NewWatchdog(*sloSpec, plane.Scenario{Proxy: &plane.ProxySpec{}}, os.Stderr)
+	if err != nil {
+		return err
 	}
 	popts := proxy.Options{
 		Upstreams:     strings.Split(*servers, ","),
@@ -113,11 +97,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if wd != nil {
-		start := time.Now()
-		defer wd.Start(func() float64 { return time.Since(start).Seconds() })()
-		log.Printf("mcproxy: slo watchdog armed (window %gs, alerts on stderr)", wd.Window())
-	}
 	if *adminAddr != "" {
 		reg := metrics.NewRegistry()
 		metrics.RegisterProxy(reg, p)
@@ -129,28 +108,5 @@ func run(args []string) error {
 		defer func() { _ = admin.Close() }()
 		log.Printf("mcproxy: admin plane on http://%s/metrics", admin.Addr())
 	}
-	l, err := net.Listen("tcp", *listen)
-	if err != nil {
-		return err
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	errCh := make(chan error, 1)
-	go func() { errCh <- p.Serve(l) }()
-	log.Printf("mcproxy: listening on %s, %s routing over %s",
-		l.Addr(), pol, *servers)
-
-	select {
-	case err := <-errCh:
-		return err
-	case s := <-sig:
-		log.Printf("mcproxy: %v, shutting down", s)
-		if err := p.Close(); err != nil {
-			return err
-		}
-		<-errCh
-		return nil
-	}
+	return daemon.Serve("mcproxy", *listen, p, wd, fmt.Sprintf(", %s routing over %s", pol, *servers))
 }

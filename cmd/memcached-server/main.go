@@ -27,19 +27,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"memqlat/internal/cache"
+	"memqlat/internal/daemon"
 	"memqlat/internal/extstore"
 	"memqlat/internal/metrics"
 	"memqlat/internal/otrace"
 	"memqlat/internal/plane"
 	"memqlat/internal/server"
-	"memqlat/internal/slo"
 	"memqlat/internal/telemetry"
 )
 
@@ -69,7 +65,7 @@ func run(args []string) error {
 		adminAddr   = fs.String("admin", "", "observability listener address for /metrics, /healthz, /debug/pprof (empty = off)")
 		traceRing   = fs.Int("trace-ring", 0, "retain this many spans of in-band-traced requests, served on <admin>/trace (0 = tracing off)")
 		slow        = fs.Duration("slow", 0, "log the span tree of traced requests at least this slow (0 = off; needs -trace-ring)")
-		sloSpec     = fs.String("slo", "", "arm the model-anchored SLO watchdog, e.g. 'lambda=2000,mus=4000,miss=0.2,mud=500,window=1s,k=2,band=2' (needs lambda; mus defaults to -service-rate; empty = off)")
+		sloSpec     = fs.String("slo", "", "arm the model-anchored SLO watchdog, e.g. 'lambda=2000,mus=4000,miss=0.2,mud=500,window=1s,k=2,band=2': model keys lambda (needed), mus (default -service-rate), mud (needed with miss), q, xi, miss, n; detector keys window, k, band, target, budget (empty = off)")
 		exemplars   = fs.Bool("exemplars", false, "attach OpenMetrics exemplars (trace_id of the latest traced command) to the /metrics stage histograms; needs -trace-ring")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -89,27 +85,11 @@ func run(args []string) error {
 		}
 		exStore = telemetry.NewExemplarStore()
 	}
-	// The watchdog judges this server's queue_wait/service stages
-	// against the Theorem-1 bands its -slo parameters imply, on
-	// wall-clock rolling windows from process start.
-	var wd *slo.Watchdog
-	if *sloSpec != "" {
-		cfg, m, err := slo.ParseSpec(*sloSpec)
-		if err != nil {
-			return err
-		}
-		if m.MuS == 0 {
-			m.MuS = *serviceRate
-		}
-		cfg.Predicted, err = plane.BandsFromModel(m)
-		if err != nil {
-			return err
-		}
-		cfg.AlertWriter = os.Stderr
-		wd, err = slo.NewWatchdog(cfg)
-		if err != nil {
-			return err
-		}
+	// The watchdog judges this server's stages against the Theorem-1
+	// bands of the one server its -slo model keys describe.
+	wd, err := plane.NewWatchdog(*sloSpec, plane.Scenario{MuS: *serviceRate}, os.Stderr)
+	if err != nil {
+		return err
 	}
 	c, err := cache.New(cache.Options{
 		MaxBytes:    *memoryMB << 20,
@@ -159,11 +139,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if wd != nil {
-		start := time.Now()
-		defer wd.Start(func() float64 { return time.Since(start).Seconds() })()
-		log.Printf("memcached-server: slo watchdog armed (window %gs, alerts on stderr)", wd.Window())
-	}
 	if *adminAddr != "" {
 		reg := metrics.NewRegistry()
 		metrics.RegisterServers(reg, []*server.Server{srv})
@@ -175,27 +150,6 @@ func run(args []string) error {
 		defer func() { _ = admin.Close() }()
 		log.Printf("memcached-server: admin plane on http://%s/metrics", admin.Addr())
 	}
-
-	l, err := net.Listen("tcp", *addr)
-	if err != nil {
-		return err
-	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
-	errCh := make(chan error, 1)
-	go func() { errCh <- srv.Serve(l) }()
-	log.Printf("memcached-server: listening on %s (memory %d MiB, shards %d, conn core %s)",
-		l.Addr(), *memoryMB, c.Shards(), srv.ConnCoreName())
-
-	select {
-	case err := <-errCh:
-		return err
-	case s := <-sig:
-		log.Printf("memcached-server: %v, shutting down", s)
-		if err := srv.Close(); err != nil {
-			return err
-		}
-		return <-errCh
-	}
+	return daemon.Serve("memcached-server", *addr, srv, wd, fmt.Sprintf(" (memory %d MiB, shards %d, conn core %s)",
+		*memoryMB, c.Shards(), srv.ConnCoreName()))
 }

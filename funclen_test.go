@@ -18,8 +18,7 @@ const maxFuncLines = 120
 // the length each may not exceed. The list only shrinks: split a
 // function and delete its entry; never add one or raise a number.
 var longFuncs = map[string]int{
-	"cmd/mcbench.run":                149,
-	"cmd/memcached-server.run":       149,
+	"cmd/mcbench.run":                147,
 	"internal/plane.LivePlane.Start": 126,
 }
 

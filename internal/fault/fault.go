@@ -13,12 +13,15 @@
 package fault
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"memqlat/internal/flagspec"
 )
 
 // Special Rule.Server targets.
@@ -53,24 +56,16 @@ const (
 	KindFlap
 )
 
+// kindNames are the schedule-spec keywords, indexed by Kind.
+var kindNames = [...]string{KindSlow: "slow", KindStall: "stall", KindDrop: "drop",
+	KindReset: "reset", KindRefuse: "refuse", KindFlap: "flap"}
+
 // String returns the schedule-spec keyword for the kind.
 func (k Kind) String() string {
-	switch k {
-	case KindSlow:
-		return "slow"
-	case KindStall:
-		return "stall"
-	case KindDrop:
-		return "drop"
-	case KindReset:
-		return "reset"
-	case KindRefuse:
-		return "refuse"
-	case KindFlap:
-		return "flap"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
+	if k >= KindSlow && int(k) < len(kindNames) {
+		return kindNames[k]
 	}
+	return fmt.Sprintf("kind(%d)", int(k))
 }
 
 // Rule is one fault point: a kind, a target, a time window, and the
@@ -207,7 +202,7 @@ func (r Rule) String() string {
 	return b.String()
 }
 
-// seconds renders v for parseSeconds: as a Go duration when that reads
+// seconds renders v for flagspec.Seconds: as a Go duration when that reads
 // back exactly, else as bare seconds.
 func seconds(v float64) string {
 	if d := time.Duration(v * 1e9); d.Seconds() == v {
@@ -249,18 +244,14 @@ func (s Schedule) String() string {
 }
 
 // ParseSchedule parses the CLI spec syntax: semicolon-separated rules,
-// each "kind:key=value,...". Keys: srv (index, "all" or "db"), from,
-// until, delay (durations like 100ms or 5s), p, period, duty.
+// each "kind:key=value,..." in the flagspec grammar. Keys: srv (index,
+// "all" or "db"), from, until, delay, period (durations), p, duty.
 //
 //	stall:srv=1,from=5s,until=10s
 //	slow:srv=all,delay=200us;drop:srv=0,p=0.3,delay=50ms
 //	flap:srv=2,period=2s,duty=0.5
 func ParseSchedule(spec string) (Schedule, error) {
 	var s Schedule
-	spec = strings.TrimSpace(spec)
-	if spec == "" {
-		return s, nil
-	}
 	for _, part := range strings.Split(spec, ";") {
 		part = strings.TrimSpace(part)
 		if part == "" {
@@ -280,70 +271,36 @@ func ParseSchedule(spec string) (Schedule, error) {
 
 func parseRule(part string) (Rule, error) {
 	head, rest, _ := strings.Cut(part, ":")
+	head = strings.TrimSpace(head)
 	r := Rule{Server: AllServers, P: 1}
-	switch head {
-	case "slow":
-		r.Kind = KindSlow
-	case "stall":
-		r.Kind = KindStall
-	case "drop":
-		r.Kind = KindDrop
-	case "reset":
-		r.Kind = KindReset
-	case "refuse":
-		r.Kind = KindRefuse
-	case "flap":
-		r.Kind = KindFlap
-	default:
+	for k := KindSlow; int(k) < len(kindNames); k++ {
+		if kindNames[k] == head {
+			r.Kind = k
+		}
+	}
+	if r.Kind == 0 {
 		return r, fmt.Errorf("unknown kind %q", head)
 	}
-	if rest == "" {
-		return r, nil
-	}
-	for _, kv := range strings.Split(rest, ",") {
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return r, fmt.Errorf("malformed parameter %q", kv)
-		}
-		var err error
-		switch k {
-		case "srv":
-			switch v {
-			case "all":
-				r.Server = AllServers
-			case "db":
-				r.Server = Database
-			default:
-				r.Server, err = strconv.Atoi(v)
-			}
-		case "from":
-			r.From, err = parseSeconds(v)
-		case "until":
-			r.Until, err = parseSeconds(v)
-		case "delay":
-			r.Delay, err = parseSeconds(v)
-		case "p":
-			r.P, err = strconv.ParseFloat(v, 64)
-		case "period":
-			r.Period, err = parseSeconds(v)
-		case "duty":
-			r.Duty, err = strconv.ParseFloat(v, 64)
+	secs := map[string]*float64{"from": &r.From, "until": &r.Until, "delay": &r.Delay, "period": &r.Period}
+	floats := map[string]*float64{"p": &r.P, "duty": &r.Duty}
+	err := flagspec.Scan(rest, func(k, v string) (err error) {
+		switch {
+		case k == "srv" && v == "all":
+			r.Server = AllServers
+		case k == "srv" && v == "db":
+			r.Server = Database
+		case k == "srv":
+			r.Server, err = strconv.Atoi(v)
+		case secs[k] != nil:
+			*secs[k], err = flagspec.Seconds(v)
+		case floats[k] != nil:
+			*floats[k], err = strconv.ParseFloat(v, 64)
 		default:
-			return r, fmt.Errorf("unknown parameter %q", k)
+			err = errors.New("unknown parameter")
 		}
-		if err != nil {
-			return r, fmt.Errorf("parameter %q: %w", kv, err)
-		}
-	}
-	return r, nil
-}
-
-// parseSeconds accepts Go durations ("100ms") or bare seconds ("5").
-func parseSeconds(v string) (float64, error) {
-	if d, err := time.ParseDuration(v); err == nil {
-		return d.Seconds(), nil
-	}
-	return strconv.ParseFloat(v, 64)
+		return err
+	})
+	return r, err
 }
 
 // Outcome classifies what the injected fault does to one operation.

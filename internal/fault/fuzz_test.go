@@ -15,6 +15,8 @@ func FuzzParseSchedule(f *testing.F) {
 		"reset:srv=2,from=1e-10,p=0;refuse:srv=db,until=3",
 		"slow:delay=0.0000000001;;",
 		"flap:srv=3,period=+Inf;drop:duty=1,period=-2",
+		// the spacing every flagspec grammar reads alike.
+		"reset:from=1, until=2", "reset:from = 1", "reset:from=1,,until=2", " \t ",
 	} {
 		f.Add(seed)
 	}

@@ -129,11 +129,3 @@ func DelayedHitFraction(lambdaMiss, muD float64, keys int, zipfS float64) (float
 	}
 	return d, nil
 }
-
-// proxyStageMean is the per-key mean sojourn at the proxy queue (queue
-// wait + service), the analytic counterpart of the per-key proxy_hop
-// samples the measured planes record.
-func proxyStageMean(pc *core.Config) (float64, error) {
-	wait, err := waitStage(pc)
-	return wait.Mean + 1/pc.MuS, err
-}

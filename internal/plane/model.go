@@ -103,13 +103,14 @@ func (p ModelPlane) Run(ctx context.Context, s Scenario) (*Result, error) {
 		// with the memcached/database stages.
 		res.Total.Lo += pest.TS.Lo
 		res.Total.Hi += pest.TS.Hi
-		hop, err := proxyStageMean(pc)
+		// Per-key proxy sojourn (queue wait + service, the analytic
+		// counterpart of the measured planes' proxy_hop samples):
+		// exponential shape around the predicted mean.
+		wait, err := waitStage(pc)
 		if err != nil {
 			return nil, err
 		}
-		// Per-key proxy sojourn: exponential shape around the predicted
-		// mean.
-		res.Breakdown[telemetry.StageProxyHop] = expStage(hop)
+		res.Breakdown[telemetry.StageProxyHop] = expStage(wait.Mean + 1/pc.MuS)
 	}
 	if lim != nil {
 		offered, admitted, _ := s.tenantRates()

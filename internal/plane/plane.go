@@ -182,8 +182,8 @@ type Scenario struct {
 	// windows on a wall-clock ticker; the composition simulator
 	// replays the same detector on the virtual request timeline, so a
 	// given seed detects drift at an identical window index on every
-	// run. The model plane ignores it (nothing executes). Anchor its
-	// bands with PredictedBands before the run.
+	// run. The model plane ignores it (nothing executes). NewWatchdog
+	// arms one on the bands PredictedBands gives the scenario.
 	SLO *slo.Watchdog
 
 	// Tracer, when set, records request-scoped spans from every tier of

@@ -2,7 +2,10 @@ package plane
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
+	"strconv"
 
 	"memqlat/internal/core"
 	"memqlat/internal/slo"
@@ -22,71 +25,60 @@ func PredictedBands(s Scenario) (telemetry.Breakdown, error) {
 	return res.Breakdown, nil
 }
 
-// BandsFromModel lowers a -slo flag's queueing parameters (slo.Model)
-// to a single-server Scenario and returns its watchdog bands. This is
-// how the standalone daemons — which have no Scenario, only a flag
-// string — anchor their watchdogs to the same Theorem-1 closed form the
-// harness uses.
-func BandsFromModel(m slo.Model) (telemetry.Breakdown, error) {
-	if !(m.Lambda > 0) {
-		return nil, fmt.Errorf("plane: slo model needs lambda > 0 to anchor bands")
+// NewWatchdog arms the watchdog an -slo spec describes (slo.ParseSpec)
+// on a run of s: its bands are PredictedBands(s), so every binary's
+// watchdog is priced by the model plane, and its alert lines go to
+// alerts. An empty spec arms nothing: the watchdog is nil.
+//
+// A harness scenario sets the model, and the spec's model keys are
+// refused by name. A scenario with no servers (LoadRatios unset) is a
+// standalone daemon's, the one server it runs: the model keys set its
+// rates — lambda (Λ) and mus (µ_S, unless s has it) are required, mud
+// (µ_D) is with miss, and q, xi, miss and n are optional. A standalone
+// proxy (s.Proxy set) records only proxy_hop, the one band it keeps.
+func NewWatchdog(spec string, s Scenario, alerts io.Writer) (*slo.Watchdog, error) {
+	if spec == "" {
+		return nil, nil
 	}
-	if !(m.MuS > 0) {
-		return nil, fmt.Errorf("plane: slo model needs mus > 0 to anchor bands")
+	standalone := s.LoadRatios == nil
+	if standalone {
+		s.Name, s.N, s.LoadRatios = "slo-band", 1, core.BalancedLoad(1)
 	}
-	if m.Miss > 0 && !(m.MuD > 0) {
-		return nil, fmt.Errorf("plane: slo model with miss > 0 needs mud > 0")
-	}
-	mud := m.MuD
-	if mud <= 0 {
-		// No miss stage is priced; Validate still wants a positive rate.
-		mud = 1
-	}
-	n := m.N
-	if n <= 0 {
-		n = 1
-	}
-	s := Scenario{
-		Name:         "slo-band",
-		N:            n,
-		LoadRatios:   core.BalancedLoad(1),
-		TotalKeyRate: m.Lambda,
-		Q:            m.Q,
-		Xi:           m.Xi,
-		MuS:          m.MuS,
-		MissRatio:    m.Miss,
-		MuD:          mud,
-	}
-	return PredictedBands(s)
-}
-
-// ProxyHopBand returns the proxy_hop watchdog band for a standalone
-// proxy fed aggregate key rate m.Lambda at service rate m.MuS: the same
-// single GI^X/M/1 stage the model plane prices for Scenario.Proxy,
-// with the per-key sojourn given an exponential shape around its mean.
-func ProxyHopBand(m slo.Model) (telemetry.Breakdown, error) {
-	if !(m.Lambda > 0) || !(m.MuS > 0) {
-		return nil, fmt.Errorf("plane: proxy slo model needs lambda > 0 and mus > 0")
-	}
-	n := m.N
-	if n <= 0 {
-		n = 1
-	}
-	pc := &core.Config{
-		N:            n,
-		LoadRatios:   core.BalancedLoad(1),
-		TotalKeyRate: m.Lambda,
-		Q:            m.Q,
-		Xi:           m.Xi,
-		MuS:          m.MuS,
-		MuD:          1, // unused by the hop stage; satisfies validation
-	}
-	if err := pc.Validate(); err != nil {
-		return nil, err
-	}
-	hop, err := proxyStageMean(pc)
+	rates := map[string]*float64{"lambda": &s.TotalKeyRate, "mus": &s.MuS, "mud": &s.MuD,
+		"q": &s.Q, "xi": &s.Xi, "miss": &s.MissRatio}
+	cfg, err := slo.ParseSpec(spec, func(key, val string) (err error) {
+		rate, ok := rates[key]
+		switch {
+		case !ok && key != "n":
+			return errors.New("unknown key")
+		case !standalone:
+			return errors.New("a model key: the scenario flags set the model here")
+		case ok:
+			*rate, err = strconv.ParseFloat(val, 64)
+		default:
+			s.N, err = strconv.Atoi(val)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	return telemetry.Breakdown{telemetry.StageProxyHop: expStage(hop)}, nil
+	if standalone {
+		switch {
+		case !(s.TotalKeyRate > 0) || !(s.MuS > 0):
+			return nil, fmt.Errorf("slo: spec %q: a standalone watchdog needs lambda > 0 and mus > 0", spec)
+		case s.MissRatio > 0 && !(s.MuD > 0):
+			return nil, fmt.Errorf("slo: spec %q: miss > 0 needs mud > 0", spec)
+		case !(s.MuD > 0):
+			s.MuD = 1 // no miss stage is priced; validation still wants a rate
+		}
+	}
+	if cfg.Predicted, err = PredictedBands(s); err != nil {
+		return nil, err
+	}
+	if standalone && s.Proxy != nil {
+		cfg.Predicted = telemetry.Breakdown{telemetry.StageProxyHop: cfg.Predicted[telemetry.StageProxyHop]}
+	}
+	cfg.AlertWriter = alerts
+	return slo.NewWatchdog(cfg)
 }

@@ -2,6 +2,7 @@ package slo
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -73,8 +74,8 @@ func TestDriftDetectionAndAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Window() != 0.25 {
-		t.Fatalf("Window() = %v, want 0.25", w.Window())
+	if got := w.Status().WindowSeconds; got != 0.25 {
+		t.Fatalf("window = %v s, want 0.25", got)
 	}
 
 	// Pre-arm observations are discarded at Arm; a second Arm is a
@@ -399,10 +400,31 @@ func TestServeHTTP(t *testing.T) {
 	}
 }
 
+// model stands in for a binary's model keys (plane.NewWatchdog reads
+// them), which ParseSpec hands on to its caller.
+type model struct {
+	Lambda, MuS, MuD, Q, Xi, Miss float64
+	N                             int
+}
+
+func (m *model) set(key, val string) (err error) {
+	rates := map[string]*float64{"lambda": &m.Lambda, "mus": &m.MuS, "mud": &m.MuD, "q": &m.Q, "xi": &m.Xi, "miss": &m.Miss}
+	switch rate := rates[key]; {
+	case rate != nil:
+		*rate, err = strconv.ParseFloat(val, 64)
+	case key == "n":
+		m.N, err = strconv.Atoi(val)
+	default:
+		err = errors.New("unknown key")
+	}
+	return err
+}
+
 func TestParseSpec(t *testing.T) {
-	cfg, m, err := ParseSpec(
-		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002," +
-			"lambda=2000,mus=2000,mud=500,q=0.1,xi=1,miss=0.2,n=10")
+	var m model
+	cfg, err := ParseSpec(
+		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002,"+
+			"lambda=2000,mus=2000,mud=500,q=0.1,xi=1,miss=0.2,n=10", m.set)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,24 +437,25 @@ func TestParseSpec(t *testing.T) {
 		t.Fatalf("model = %+v", m)
 	}
 	// Bare-seconds durations.
-	cfg, _, err = ParseSpec("window=0.5,target=0.01")
+	cfg, err = ParseSpec("window=0.5,target=0.01", nil)
 	if err != nil || cfg.Window != 0.5 || cfg.Target != 0.01 {
 		t.Fatalf("bare seconds: cfg=%+v err=%v", cfg, err)
 	}
 	// Empty spec is valid (all defaults).
-	if _, _, err := ParseSpec("  "); err != nil {
+	if _, err := ParseSpec("  ", nil); err != nil {
 		t.Fatalf("empty spec: %v", err)
 	}
 	// alpha went with the sketch's own bucket scheme: it is unknown now.
 	for _, bad := range []string{"window", "nope=1", "k=abc", "window=xyz", "alpha=0.02"} {
-		if _, _, err := ParseSpec(bad); err == nil {
+		if _, err := ParseSpec(bad, m.set); err == nil {
 			t.Errorf("ParseSpec(%q): want error", bad)
 		}
 	}
 	// The burn threshold, the burn-rate ring sizes and the sample floor
-	// are constants, not keys.
-	for _, gone := range []string{"burn=8", "short=2", "long=6", "min-samples=30", "minsamples=30"} {
-		if _, _, err := ParseSpec(gone); err == nil || !strings.Contains(err.Error(), "unknown key") {
+	// are constants, not keys; without a caller's reader, so are the
+	// model keys.
+	for _, gone := range []string{"burn=8", "short=2", "long=6", "min-samples=30", "minsamples=30", "lambda=2000"} {
+		if _, err := ParseSpec(gone, nil); err == nil || !strings.Contains(err.Error(), "unknown key") {
 			t.Errorf("ParseSpec(%q) = %v, want an unknown key error", gone, err)
 		}
 	}
@@ -441,7 +464,7 @@ func TestParseSpec(t *testing.T) {
 // renderSpec writes a parsed spec back in the -slo grammar: every
 // non-zero field under its key, floats in round-trip form, durations
 // as bare seconds.
-func renderSpec(cfg Config, m Model) string {
+func renderSpec(cfg Config, m model) string {
 	var parts []string
 	f := func(key string, v float64) {
 		if v != 0 {
@@ -470,7 +493,7 @@ func renderSpec(cfg Config, m Model) string {
 
 // FuzzParseSpec fuzzes the -slo flag grammar: ParseSpec never panics;
 // a spec it accepts re-renders and re-parses to the same Config and
-// Model (compared as renderings, so NaN equals itself); a spec that
+// model (compared as renderings, so NaN equals itself); a spec that
 // names a key outside the grammar — alpha included — is rejected.
 func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
@@ -485,6 +508,8 @@ func FuzzParseSpec(f *testing.F) {
 		"lambda=2000,mus=8000,window=1s,k=2",
 		"lambda=2000,mus=4000,miss=0.2,mud=500,window=1s,k=2,band=2",
 		"window=250ms,k=3,band=2.5,target=5ms,budget=0.002,n=10",
+		// the spacing every flagspec grammar reads alike.
+		"window=1, band=2", "window = 1", "window=1,,band=2", " \t ",
 	} {
 		f.Add(seed)
 	}
@@ -494,7 +519,8 @@ func FuzzParseSpec(f *testing.F) {
 		known[key] = true
 	}
 	f.Fuzz(func(t *testing.T, spec string) {
-		cfg, m, err := ParseSpec(spec)
+		var m model
+		cfg, err := ParseSpec(spec, m.set)
 		if err != nil {
 			return
 		}
@@ -504,7 +530,8 @@ func FuzzParseSpec(f *testing.F) {
 			}
 		}
 		rendered := renderSpec(cfg, m)
-		cfg2, m2, err := ParseSpec(rendered)
+		var m2 model
+		cfg2, err := ParseSpec(rendered, m2.set)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q) ok, but its rendering %q fails: %v", spec, rendered, err)
 		}

@@ -183,9 +183,6 @@ func NewWatchdog(cfg Config) (*Watchdog, error) {
 	return w, nil
 }
 
-// Window reports the configured window length in seconds.
-func (w *Watchdog) Window() float64 { return w.cfg.Window }
-
 // Arm starts the measured phase: whatever was observed before it
 // (warm-up traffic, cache population) is discarded, so it cannot
 // pollute the first window, and the record paths need no armed check.

@@ -10,6 +10,8 @@ func FuzzParseSpecs(f *testing.F) {
 		"victim;aggressor:rate=150,burst=80",
 		"b:class=bronze,rate=1e3,byterate=1e6,byteburst=2048;*:rate=10",
 		" x : share = 1 ;; y:class=silver,",
+		// the spacing every flagspec grammar reads alike.
+		"t:rate=1, burst=2", "t:rate = 1", "t:rate=1,,burst=2", " \t ",
 	} {
 		f.Add(seed)
 	}

@@ -22,12 +22,14 @@ package tenant
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 	"sync"
 
+	"memqlat/internal/flagspec"
 	"memqlat/internal/stats"
 )
 
@@ -122,7 +124,8 @@ func (s Spec) AdmittedRate(offered float64) float64 {
 }
 
 // ParseSpecs parses the CLI/config form: semicolon-separated
-// "name:key=value,..." entries, e.g.
+// "name:key=value,..." entries, the options in the flagspec grammar,
+// e.g.
 //
 //	acme:class=gold,rate=500,burst=50,share=0.5;evil:rate=200,share=0.5
 //
@@ -130,52 +133,29 @@ func (s Spec) AdmittedRate(offered float64) float64 {
 // declares an unlimited tracked tenant. The specs are validated as New
 // does, so an accepted string always builds a Limiter.
 func ParseSpecs(s string) ([]Spec, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
 	var specs []Spec
 	for _, entry := range strings.Split(s, ";") {
 		entry = strings.TrimSpace(entry)
 		if entry == "" {
 			continue
 		}
-		var sp Spec
-		name, opts, hasOpts := strings.Cut(entry, ":")
-		sp.Name = strings.TrimSpace(name)
-		if hasOpts {
-			for _, kv := range strings.Split(opts, ",") {
-				kv = strings.TrimSpace(kv)
-				if kv == "" {
-					continue
-				}
-				k, v, ok := strings.Cut(kv, "=")
-				if !ok {
-					return nil, fmt.Errorf("tenant: %s: %q is not key=value", sp.Name, kv)
-				}
-				k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-				if k == "class" {
-					sp.Class = v
-					continue
-				}
-				f, err := strconv.ParseFloat(v, 64)
-				if err != nil {
-					return nil, fmt.Errorf("tenant: %s: %s=%q: %v", sp.Name, k, v, err)
-				}
-				switch k {
-				case "rate":
-					sp.Rate = f
-				case "burst":
-					sp.Burst = f
-				case "byterate":
-					sp.ByteRate = f
-				case "byteburst":
-					sp.ByteBurst = f
-				case "share":
-					sp.Share = f
-				default:
-					return nil, fmt.Errorf("tenant: %s: unknown option %q", sp.Name, k)
-				}
+		name, opts, _ := strings.Cut(entry, ":")
+		sp := Spec{Name: strings.TrimSpace(name)}
+		floats := map[string]*float64{"rate": &sp.Rate, "burst": &sp.Burst, "byterate": &sp.ByteRate,
+			"byteburst": &sp.ByteBurst, "share": &sp.Share}
+		err := flagspec.Scan(opts, func(k, v string) (err error) {
+			switch f := floats[k]; {
+			case k == "class":
+				sp.Class = v
+			case f != nil:
+				*f, err = strconv.ParseFloat(v, 64)
+			default:
+				err = errors.New("unknown option")
 			}
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("tenant: %s: %w", sp.Name, err)
 		}
 		specs = append(specs, sp)
 	}
