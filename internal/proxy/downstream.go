@@ -25,26 +25,13 @@ const (
 	kindRetrieval
 )
 
-// role distinguishes how a pending participates in reply assembly.
-type role uint8
-
-const (
-	// roleDirect is both the upstream leg and the downstream reply slot:
-	// the unsplit passthrough hot path.
-	roleDirect role = iota
-	// roleSlot is a downstream reply slot: a local reply, or a fan-out
-	// whose legs fold into it by its join rule.
-	roleSlot
-	// roleLeg is one upstream request of a fan-out, feeding its slot.
-	roleLeg
-)
-
-// join is how a fan-out slot folds its legs' replies (see fold).
+// join is how a slot folds its legs' replies (see fold).
 type join uint8
 
 const (
-	// joinLines: a broadcast (replicated write, flush_all) waits for
-	// every leg; the first error line beats any success.
+	// joinLines: every leg is awaited; the first error line beats any
+	// success. A one-leg lines slot is a passthrough: its reply relays
+	// verbatim.
 	joinLines join = iota
 	// joinSplit: a split multi-get concatenates its parts' VALUE blocks.
 	joinSplit
@@ -52,25 +39,24 @@ const (
 	joinRace
 )
 
-// pending is one entry of the in-order reply machinery: downstream
-// slots queue in command order, upstream legs feed them. Instances are
-// freelist-recycled per downstream, so the steady-state data plane
-// allocates nothing.
+// pending is one entry of the in-order reply machinery, either a slot
+// or a leg: downstream slots queue in command order, upstream legs
+// (slot set) feed them. Instances are freelist-recycled per downstream,
+// so the steady-state data plane allocates nothing.
 type pending struct {
 	d      *downstream
-	slot   *pending // legs: the slot they feed
+	slot   *pending // leg: the slot it feeds
 	next   *pending
-	upNext *pending // legs and directs: next in their upstream's queue
-	kind   replyKind
-	role   role
-	join   join // slot: how its legs fold
-	srv    int  // origin upstream (breaker bookkeeping)
+	upNext *pending  // leg: next in its upstream's queue
+	kind   replyKind // slot: its command's reply framing
+	join   join      // slot: how its legs fold
+	srv    int       // leg: origin upstream (breaker bookkeeping)
 
 	done      bool   // slot: reply bytes complete
 	popped    bool   // slot: left the queue (awaiting straggler legs)
 	remaining int    // slot: outstanding legs
 	frames    int    // leg: request lines sent, one reply owed for each
-	buf       []byte // buffered reply bytes (reused)
+	buf       []byte // buffered reply bytes (reused up to ConnBufferBytes)
 }
 
 // downstream is one client connection's state: the parser side runs in
@@ -87,7 +73,8 @@ type downstream struct {
 	head   *pending
 	tail   *pending
 	free   *pending
-	err    error // poisoned output stream
+	err    error     // poisoned output stream
+	rearm  time.Time // when the write deadline is next pushed out
 	groups []splitGroup
 
 	// trace is the pending mq_trace header from the client: it scopes
@@ -198,15 +185,16 @@ func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte, flu
 			d.localReply(okLine)
 		}
 	case protocol.OpFlushAll:
-		p.broadcast(d, frame, joinLines, cmd.Noreply, flush, 0, p.sel.N(), 0)
+		p.fanOut(d, frame, joinLines, kindLine, cmd.Noreply, flush, 0, p.sel.N(), 0)
 	default:
-		// Keyed single-reply ops: storage, delete, incr/decr, touch.
-		conn := p.connFor(route.Hash64B(cmd.KeyB))
+		// Keyed single-reply ops (storage, delete, incr/decr, touch) go to
+		// the key's owner, and to its replicas under PolicyReplicate.
+		count := 1
 		if p.opts.Policy == PolicyReplicate {
-			p.broadcast(d, frame, joinLines, cmd.Noreply, flush, p.sel.PickB(cmd.KeyB), p.opts.Replicas, conn)
-		} else {
-			p.forward(d, frame, kindLine, p.routeKey(cmd.KeyB), conn, flush, cmd.Noreply)
+			count = p.opts.Replicas
 		}
+		conn := p.connFor(route.Hash64B(cmd.KeyB))
+		p.fanOut(d, frame, joinLines, kindLine, cmd.Noreply, flush, p.routeKey(cmd.KeyB), count, conn)
 	}
 	return tn
 }
@@ -239,13 +227,13 @@ func (p *Proxy) admit(cmd *protocol.Command) (*tenant.Tenant, bool) {
 
 // dispatchRead handles the retrieval family: a single-key read races
 // the replica set under PolicyReplicate; otherwise every key is routed
-// once and grouped by (server, connection) — one group is a direct
-// passthrough of frame, more split into a fork-join.
+// once and grouped by (server, connection) — one group is a passthrough
+// of frame, more split into a fork-join.
 func (p *Proxy) dispatchRead(d *downstream, cmd *protocol.Command, frame []byte, flush bool) {
 	keys := cmd.KeyList
 	if p.opts.Policy == PolicyReplicate && len(keys) == 1 {
 		conn := p.connFor(route.Hash64B(keys[0]))
-		p.broadcast(d, frame, joinRace, false, flush, p.sel.PickB(keys[0]), p.opts.Replicas, conn)
+		p.fanOut(d, frame, joinRace, kindRetrieval, false, flush, p.sel.PickB(keys[0]), p.opts.Replicas, conn)
 		return
 	}
 	groups := d.groups[:0]
@@ -266,31 +254,17 @@ func (p *Proxy) dispatchRead(d *downstream, cmd *protocol.Command, frame []byte,
 	}
 	d.groups = groups
 	if len(groups) == 1 {
-		p.forward(d, frame, kindRetrieval, groups[0].srv, groups[0].conn, flush, false)
+		p.fanOut(d, frame, joinLines, kindRetrieval, false, flush, groups[0].srv, 1, groups[0].conn)
 		return
 	}
 	p.splitRead(d, cmd, groups, flush)
-}
-
-// forward sends frame to one upstream as a direct passthrough: the
-// pending is both leg and slot, replies relay in command order.
-func (p *Proxy) forward(d *downstream, frame []byte, kind replyKind, srv, conn int, flush, noreply bool) {
-	var pd *pending
-	if !noreply {
-		d.mu.Lock()
-		pd = d.allocLocked()
-		pd.role, pd.kind, pd.srv = roleDirect, kind, srv
-		d.pushLocked(pd)
-		d.mu.Unlock()
-	}
-	p.send(d, pd, srv, conn, frame, flush)
 }
 
 // splitRead sends each group's share of a multi-key retrieval as one leg
 // of a split slot. A share too long for one line goes out as pipelined
 // lines on the same connection; its leg then reads one reply per line.
 func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, groups []splitGroup, flush bool) {
-	slot := d.openSlot(joinSplit, len(groups))
+	slot := d.openSlot(joinSplit, kindRetrieval, len(groups))
 	for i := range groups {
 		g := &groups[i]
 		g.frame = g.frame[:0]
@@ -304,14 +278,15 @@ func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, groups []splitGr
 	}
 }
 
-// broadcast sends frame to count servers, owner and its ring successors,
-// as the legs of one slot joined by j: a replicated read races them
+// fanOut sends frame to count servers, owner and its ring successors,
+// as the legs of one slot joined by j whose replies are framed as kind:
+// a passthrough is one lines leg, a replicated read races its legs
 // (joinRace), a replicated write or flush_all folds their lines
-// (joinLines). A noreply broadcast opens no slot.
-func (p *Proxy) broadcast(d *downstream, frame []byte, j join, noreply, flush bool, owner, count, conn int) {
+// (joinLines). A noreply fan-out opens no slot.
+func (p *Proxy) fanOut(d *downstream, frame []byte, j join, kind replyKind, noreply, flush bool, owner, count, conn int) {
 	var slot *pending
 	if !noreply {
-		slot = d.openSlot(j, count)
+		slot = d.openSlot(j, kind, count)
 	}
 	for i := 0; i < count; i++ {
 		p.sendLeg(d, slot, p.successor(owner, i), conn, frame, 1, flush)
@@ -325,11 +300,7 @@ func (p *Proxy) sendLeg(d *downstream, slot *pending, srv, conn int, frame []byt
 	if slot != nil {
 		d.mu.Lock()
 		leg = d.allocLocked()
-		leg.role, leg.slot, leg.srv, leg.frames = roleLeg, slot, srv, frames
-		leg.kind = kindRetrieval
-		if slot.join == joinLines {
-			leg.kind = kindLine
-		}
+		leg.slot, leg.srv, leg.frames = slot, srv, frames
 		d.mu.Unlock()
 	}
 	p.send(d, leg, srv, conn, frame, flush)
@@ -379,12 +350,9 @@ const (
 func (d *downstream) allocLocked() *pending {
 	pd := d.free
 	if pd == nil {
-		pd = &pending{d: d}
-	} else {
-		d.free = pd.next
-		buf := pd.buf[:0]
-		*pd = pending{d: d, buf: buf}
+		return &pending{d: d}
 	}
+	d.free, pd.next = pd.next, nil
 	return pd
 }
 
@@ -399,11 +367,14 @@ func (d *downstream) pushLocked(pd *pending) {
 	}
 }
 
-// recycleLocked returns a pending to the freelist (caller holds mu).
+// recycleLocked returns a pending to the freelist, keeping a buffer of
+// at most ConnBufferBytes (caller holds mu).
 func (d *downstream) recycleLocked(pd *pending) {
 	buf := pd.buf[:0]
-	*pd = pending{buf: buf}
-	pd.next = d.free
+	if cap(buf) > protocol.ConnBufferBytes {
+		buf = nil
+	}
+	*pd = pending{d: d, next: d.free, buf: buf}
 	d.free = pd
 }
 
@@ -414,11 +385,7 @@ func (d *downstream) advanceLocked() {
 	wrote := false
 	for d.head != nil && d.head.done {
 		pd := d.head
-		if d.err == nil && len(pd.buf) > 0 {
-			if _, err := d.w.Write(pd.buf); err != nil {
-				d.poisonLocked(err)
-			}
-		}
+		d.writeLocked(pd.buf)
 		wrote = true
 		d.head = pd.next
 		if d.head == nil {
@@ -429,22 +396,51 @@ func (d *downstream) advanceLocked() {
 			d.recycleLocked(pd)
 		}
 	}
-	if h := d.head; h != nil && !h.done && h.join == joinSplit && len(h.buf) > 0 && d.err == nil {
+	if h := d.head; h != nil && !h.done && h.join == joinSplit && len(h.buf) > 0 {
 		// A split blocked on slower parts: its folded VALUE blocks are
 		// whole, stream them now.
-		if _, err := d.w.Write(h.buf); err != nil {
-			d.poisonLocked(err)
-		}
+		d.writeLocked(h.buf)
 		h.buf = h.buf[:0]
 		wrote = true
 	}
-	if wrote && d.err == nil {
-		if err := d.w.Flush(); err != nil {
-			d.poisonLocked(err)
-		}
+	if wrote {
+		d.flushLocked()
 	}
 	if d.head == nil {
 		d.cond.Broadcast()
+	}
+}
+
+// flushTimeout bounds every write to a client: a client that drains
+// nothing for this long is disconnected, so the upstream read loop that
+// flushes to it moves on to its other clients' replies. A variable so
+// tests can shorten it; New reads it once per Proxy.
+var flushTimeout = 5 * time.Second
+
+// writeLocked appends b to the client's reply stream (caller holds mu).
+// The write deadline is pushed out only once half of it has run, so a
+// write has between flushTimeout/2 and flushTimeout, and a reply costs
+// no timer operation.
+func (d *downstream) writeLocked(b []byte) {
+	if d.err != nil || len(b) == 0 {
+		return
+	}
+	if now := time.Now(); now.After(d.rearm) {
+		_ = d.nc.SetWriteDeadline(now.Add(d.p.flushTimeout))
+		d.rearm = now.Add(d.p.flushTimeout / 2)
+	}
+	if _, err := d.w.Write(b); err != nil {
+		d.poisonLocked(err)
+	}
+}
+
+// flushLocked pushes the written replies to the client under the
+// deadline writeLocked set (caller holds mu).
+func (d *downstream) flushLocked() {
+	if d.err == nil {
+		if err := d.w.Flush(); err != nil {
+			d.poisonLocked(err)
+		}
 	}
 }
 
@@ -472,17 +468,15 @@ func (d *downstream) drain() {
 	for d.head != nil && d.err == nil {
 		d.cond.Wait()
 	}
-	if d.err == nil {
-		_ = d.w.Flush()
-	}
+	d.flushLocked()
 	d.mu.Unlock()
 }
 
-// openSlot queues a fan-out slot that legs legs fold into by j.
-func (d *downstream) openSlot(j join, legs int) *pending {
+// openSlot queues a slot that legs legs, framed as kind, fold into by j.
+func (d *downstream) openSlot(j join, kind replyKind, legs int) *pending {
 	d.mu.Lock()
 	slot := d.allocLocked()
-	slot.role, slot.join, slot.remaining = roleSlot, j, legs
+	slot.join, slot.kind, slot.remaining = j, kind, legs
 	d.pushLocked(slot)
 	d.mu.Unlock()
 	return slot
@@ -494,9 +488,8 @@ func (d *downstream) fail(pd *pending) {
 	d.fold(pd, true)
 }
 
-// fold resolves pd once pd.buf holds its whole reply (fail: an error
-// reply). A direct reply is done; a leg folds into its slot by the
-// slot's join rule:
+// fold resolves leg pd once pd.buf holds its whole reply (fail: an
+// error reply), folding it into its slot by the slot's join rule:
 //
 //   - split: a healthy part's VALUE blocks append, a failed part's keys
 //     read as misses, END closes the join once every part is in;
@@ -506,11 +499,6 @@ func (d *downstream) fail(pd *pending) {
 func (d *downstream) fold(pd *pending, fail bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if pd.role == roleDirect {
-		pd.done = true
-		d.advanceLocked()
-		return
-	}
 	slot := pd.slot
 	slot.remaining--
 	switch slot.join {
@@ -544,7 +532,6 @@ func (d *downstream) fold(pd *pending, fail bool) {
 func (d *downstream) localReply(reply string) {
 	d.mu.Lock()
 	pd := d.allocLocked()
-	pd.role = roleSlot
 	pd.buf = append(pd.buf, reply...)
 	pd.done = true
 	d.pushLocked(pd)

@@ -37,6 +37,12 @@ func FuzzProxyFrame(f *testing.F) {
 	f.Add([]byte("VALUE a 0 3\r\nabc\r\n"))                // missing END, stream ends
 	f.Add([]byte("VALUE a 0 3\r\nabcXYEND\r\n"))           // data block not CRLF-closed
 	f.Add([]byte("SERVER_ERROR out of memory\r\nEND\r\n")) // error line closes the reply
+	// Data blocks longer than the upstream reader: whole, cut short, and
+	// not CRLF-closed.
+	long := bytes.Repeat([]byte("x"), 5000)
+	f.Add(append(append([]byte("VALUE a 0 5000\r\n"), long...), "\r\nVALUE b 0 1\r\ny\r\nEND\r\n"...))
+	f.Add(append([]byte("VALUE a 0 5000\r\n"), long[:4500]...))
+	f.Add(append(append([]byte("VALUE a 0 5000\r\n"), long...), "XYEND\r\n"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		relayContract(t, data)
 		p := protocol.NewParser(bufio.NewReader(bytes.NewReader(data)))
@@ -80,42 +86,56 @@ func FuzzProxyFrame(f *testing.F) {
 	})
 }
 
-// relayContract reads data as an upstream retrieval reply through the
-// relay (copyReply) and through the client-side reader: whatever the
-// client would accept the relay must forward byte for byte, an error
-// reply must be one for both, and the relay never forwards bytes that
-// were not in the stream. The same bytes read as a fan-out leg
-// (readReply) give a race leg the relay's output and a split part its
-// VALUE blocks only, or serverErrorLine when the stream broke.
+// relayContract reads data as an upstream retrieval reply the way the
+// proxy does, through a leg's readReply with the upstream reader at its
+// real size, and checks it against the client-side reader. A passthrough
+// (a one-leg lines slot) and a race leg relay the same bytes: on a whole
+// reply a prefix of the stream byte for byte, ending where the client
+// reader stops; on a broken stream serverErrorLine. A split part keeps
+// what they relay minus the terminal line. An error reply must be one
+// for the relay and the client alike.
 func relayContract(t *testing.T, data []byte) {
-	var rec lastWrite
-	up := &uconn{r: bufio.NewReader(bytes.NewReader(data))}
-	fail, err := up.copyReply(&rec, kindRetrieval, false)
-	relayed := rec.buf
-	for _, j := range []join{joinRace, joinSplit} {
-		leg := &pending{role: roleLeg, kind: kindRetrieval, slot: &pending{join: j}}
-		legFail, legErr := (&uconn{r: bufio.NewReader(bytes.NewReader(data))}).readReply(leg)
-		want := relayed
-		switch {
-		case err != nil:
-			want = []byte(serverErrorLine)
-		case j == joinSplit:
-			want = relayed[:rec.last] // the terminal line is the relay's last write
-		}
-		if !bytes.Equal(leg.buf, want) || legErr != err || legFail != (fail || err != nil) {
-			t.Fatalf("leg (join %d) of %q reads %q fail=%v err=%v, want %q fail=%v err=%v",
-				j, data, leg.buf, legFail, legErr, want, fail || err != nil, err)
-		}
+	read := func(j join) ([]byte, bool, error) {
+		leg := &pending{frames: 1, slot: &pending{join: j, kind: kindRetrieval}}
+		fail, err := (&uconn{r: bufio.NewReader(bytes.NewReader(data))}).readReply(leg)
+		return leg.buf, fail, err
 	}
-	if !bytes.HasPrefix(data, relayed) {
+	relayed, fail, err := read(joinLines)
+	if err != nil {
+		if string(relayed) != serverErrorLine || !fail {
+			t.Fatalf("broken stream %q (%v) relays %q fail=%v, want %q", data, err, relayed, fail, serverErrorLine)
+		}
+	} else if !bytes.HasPrefix(data, relayed) {
 		t.Fatalf("relay wrote %q, not a prefix of the stream %q", relayed, data)
 	}
-	items, rerr := protocol.ReadRetrieval(bufio.NewReader(bytes.NewReader(data)))
+	for _, j := range []join{joinRace, joinSplit} {
+		legBuf, legFail, legErr := read(j)
+		want := relayed
+		if j == joinSplit && err == nil && bytes.HasPrefix(relayed, legBuf) {
+			// A part drops the terminal line: the relay holds one END or
+			// error line more.
+			term := relayed[len(legBuf):]
+			rep, _ := protocol.ScanReply(bufio.NewReader(bytes.NewReader(term)))
+			if len(rep.Line) == len(term) && (rep.Kind == protocol.ReplyEnd || rep.Kind == protocol.ReplyError) {
+				want = legBuf
+			}
+		}
+		if !bytes.Equal(legBuf, want) || legErr != err || legFail != fail {
+			t.Fatalf("leg (join %d) of %q reads %q fail=%v err=%v, want %q fail=%v err=%v",
+				j, data, legBuf, legFail, legErr, want, fail, err)
+		}
+	}
+	src := bytes.NewReader(data)
+	br := bufio.NewReader(src)
+	items, rerr := protocol.ReadRetrieval(br)
 	var se *protocol.ServerError
 	switch {
 	case rerr == nil:
 		if err != nil || fail {
 			t.Fatalf("client reads %d items from %q, relay says fail=%v err=%v", len(items), data, fail, err)
+		}
+		if used := len(data) - src.Len() - br.Buffered(); used != len(relayed) {
+			t.Fatalf("relay wrote %d bytes of %q, the client read a reply of %d", len(relayed), data, used)
 		}
 		again, err := protocol.ReadRetrieval(bufio.NewReader(bytes.NewReader(relayed)))
 		if err != nil || len(again) != len(items) {
@@ -126,17 +146,4 @@ func relayContract(t *testing.T, data []byte) {
 			t.Fatalf("client reads error reply %q, relay says fail=%v err=%v", se.Line, fail, err)
 		}
 	}
-}
-
-// lastWrite collects what the relay writes and where its last write
-// began.
-type lastWrite struct {
-	buf  []byte
-	last int
-}
-
-func (w *lastWrite) Write(p []byte) (int, error) {
-	w.last = len(w.buf)
-	w.buf = append(w.buf, p...)
-	return len(p), nil
 }

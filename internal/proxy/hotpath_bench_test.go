@@ -15,12 +15,14 @@ import (
 	"io"
 	"log"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"memqlat/internal/cache"
+	"memqlat/internal/route"
 	"memqlat/internal/server"
 	"memqlat/internal/tenant"
 	"memqlat/internal/testkit"
@@ -274,6 +276,45 @@ func TestParkedDownstreamFootprint(t *testing.T) {
 		}
 	}
 	check("after one get")
+}
+
+// TestParkedUpstreamFootprint gates what an upstream connection costs
+// the proxy: after one reply each, 200 upstream connections add at most
+// 8 KiB of live heap apiece (both ends, after a forced GC).
+func TestParkedUpstreamFootprint(t *testing.T) {
+	const conns, budget = 200, 8 << 10
+	if limit := testkit.RaiseNoFile(); limit < 2*conns+256 {
+		t.Skipf("RLIMIT_NOFILE=%d too low for %d in-process connections", limit, conns)
+	}
+	p, addr := startProxy(t, Options{Upstreams: []string{startBackend(t)}, UpstreamConns: conns})
+	keys := make([]string, conns) // keys[i] sticks to upstream connection i
+	for i, left := 0, conns; left > 0; i++ {
+		k := "u" + strconv.Itoa(i)
+		if c := p.connFor(route.Hash64B([]byte(k))); keys[c] == "" {
+			keys[c] = k
+			left--
+		}
+	}
+	c := dialConn(t, addr)
+	c.send("version\r\n")
+	c.expect("VERSION memqlat-proxy")
+	base := testkit.ReadFootprint()
+	ioBase := testkit.IOWaiting()
+	for _, k := range keys {
+		c.send("get " + k + "\r\n")
+		c.expect("END")
+	}
+	testkit.WaitReady(t, "parked upstreams", func() error {
+		if n := testkit.IOWaiting() - ioBase; n < conns {
+			return fmt.Errorf("%d parked", n)
+		}
+		return nil
+	})
+	heap, stack := testkit.ReadFootprint().PerConn(base, conns)
+	t.Logf("after one reply: %.0f B heap, %.0f B stack per upstream connection", heap, stack)
+	if heap > budget {
+		t.Errorf("%.0f B of heap per upstream connection, want <= %d", heap, budget)
+	}
 }
 
 // checkBatchAllocs fails if one steady-state batch on c allocates more

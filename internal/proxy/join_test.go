@@ -2,9 +2,12 @@ package proxy
 
 import (
 	"bufio"
+	"errors"
+	"fmt"
 	"io"
 	"log"
 	"net"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -275,6 +278,132 @@ func TestProxySlowUpstreamDoesNotStallDownstream(t *testing.T) {
 			c.retrieval()
 		})
 	}
+}
+
+// TestProxyRepliesIsolatedAcrossClients: an upstream that stalls in the
+// middle of one client's reply holds up no other client's reply from
+// another upstream. Client X pipelines a get to server A and one to
+// server B; A sends half a VALUE block and stalls for 500 ms; client Y's
+// get on B's same connection, queued behind X's, is still answered at
+// once.
+func TestProxyRepliesIsolatedAcrossClients(t *testing.T) {
+	a, b, c := ownedBy(t, 2, 0, "a"), ownedBy(t, 2, 1, "b"), ownedBy(t, 2, 1, "c")
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = l.Close() })
+	halfSent := make(chan struct{})
+	go func() { // server A
+		nc, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer nc.Close()
+		if _, err := bufio.NewReader(nc).ReadString('\n'); err != nil {
+			return
+		}
+		_, _ = nc.Write([]byte("VALUE " + a + " 0 4\r\nok"))
+		close(halfSent)
+		time.Sleep(500 * time.Millisecond)
+		_, _ = nc.Write([]byte("ok\r\nEND\r\n"))
+		_, _ = io.Copy(io.Discard, nc) // until the proxy hangs up
+	}()
+	// B answers X 20 ms late, once A is midway through X's first reply.
+	fast := startScripted(t, func(req string) (time.Duration, string) {
+		d, reply := hits(0)(req)
+		if req == "get "+b {
+			d = 20 * time.Millisecond
+		}
+		return d, reply
+	})
+	_, paddr := startProxy(t, Options{Upstreams: []string{l.Addr().String(), fast.addr()}, UpstreamConns: 1})
+	x, y := dialConn(t, paddr), dialConn(t, paddr)
+	x.send("get " + a + "\r\nget " + b + "\r\n")
+	select {
+	case <-halfSent:
+	case <-time.After(5 * time.Second):
+		t.Fatal("server A got no request")
+	}
+	testkit.WaitReady(t, "X's get on B", func() error { // Y's must queue behind it
+		if _, ok := fast.arrived("get "+b, time.Time{}); !ok {
+			return errors.New("not arrived")
+		}
+		return nil
+	})
+	sent := time.Now()
+	y.send("get " + c + "\r\n")
+	if got := y.retrieval(); got[c] != "ok" {
+		t.Fatalf("Y's get = %v", got)
+	}
+	if lag := time.Since(sent); lag > 100*time.Millisecond {
+		t.Errorf("Y's reply from idle server B took %v while A stalled X's reply", lag)
+	}
+	if got := x.retrieval(); got[a] != "okok" {
+		t.Fatalf("X's get from A = %v", got)
+	}
+	if got := x.retrieval(); got[b] != "ok" {
+		t.Fatalf("X's get from B = %v", got)
+	}
+}
+
+// TestProxyUndrainedClientIsDisconnected: a client that stops reading
+// wedges no upstream connection. X pipelines 600 gets of a 64 KiB value
+// and reads nothing; once the sockets between fill, the proxy's write to
+// X passes flushTimeout, X is disconnected, and Y's get on the same
+// upstream connection is answered within flushTimeout plus 1 s.
+func TestProxyUndrainedClientIsDisconnected(t *testing.T) {
+	settled := testkit.Settles(t)
+	saved := flushTimeout
+	flushTimeout = 500 * time.Millisecond
+	t.Cleanup(func() { flushTimeout = saved })
+	big := "VALUE big 0 65536\r\n" + strings.Repeat("v", 65536) + "\r\nEND\r\n"
+	up := startScripted(t, func(req string) (time.Duration, string) {
+		if req == "get big" {
+			return 0, big
+		}
+		return 0, "VALUE small 0 2\r\nok\r\nEND\r\n"
+	})
+	p, err := New(Options{Upstreams: []string{up.addr()}, UpstreamConns: 1, Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = p.Serve(l)
+	}()
+	x, y := dialConn(t, l.Addr().String()), dialConn(t, l.Addr().String())
+	x.send(strings.Repeat("get big\r\n", 600))
+	testkit.WaitReady(t, "X's gets forwarded", func() error { // Y's must queue behind them
+		if n := p.Stats().Forwarded; n < 600 {
+			return fmt.Errorf("%d forwarded", n)
+		}
+		return nil
+	})
+	sent := time.Now()
+	y.send("get small\r\n")
+	_ = y.nc.SetReadDeadline(sent.Add(8 * time.Second))
+	if got := y.retrieval(); got["small"] != "ok" {
+		t.Fatalf("Y's get = %v", got)
+	}
+	if lag := time.Since(sent); lag > flushTimeout+time.Second {
+		t.Errorf("Y's reply took %v behind a client that reads nothing, want <= %v", lag, flushTimeout+time.Second)
+	}
+	_ = x.nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.Copy(io.Discard, x.nc); errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Error("X, which read nothing, is still connected")
+	}
+	_ = x.nc.Close()
+	_ = y.nc.Close()
+	_ = p.Close()
+	<-served
+	_ = up.l.Close()
+	settled("proxy closed after disconnecting an undrained client")
 }
 
 // TestProxyCloseReleasesParkedLegs: closing a proxy whose split, race

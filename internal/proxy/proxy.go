@@ -142,6 +142,8 @@ type Proxy struct {
 	tenantNow func() float64
 	epoch     time.Time // default TenantClock base
 
+	flushTimeout time.Duration // bound on one write to a client
+
 	cmds        atomic.Int64 // commands dispatched
 	forwarded   atomic.Int64 // upstream sends (legs count individually)
 	failovers   atomic.Int64 // keys routed off their owner
@@ -176,6 +178,7 @@ func New(opts Options) (*Proxy, error) {
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
+	p.flushTimeout = flushTimeout
 	p.tenantNow = opts.TenantClock
 	if p.tenantNow == nil {
 		p.tenantNow = func() float64 { return time.Since(p.epoch).Seconds() }

@@ -614,9 +614,8 @@ func TestErrorReplyClassification(t *testing.T) {
 		if client := errors.As(err, &se); client != want || (err != nil && !client) {
 			t.Errorf("%q: client reader error-reply=%v (err %v), want %v", line, client, err, want)
 		}
-		var relayed []byte
 		up := &uconn{r: bufio.NewReader(bytes.NewReader(wire))}
-		relay, err := up.copyReply(appender{&relayed}, kindLine, false)
+		relayed, relay, err := up.appendReply(nil, kindLine, false)
 		if err != nil || relay != want || !bytes.Equal(relayed, wire) {
 			t.Errorf("%q: proxy relay error-reply=%v (err %v, relayed %q), want %v", line, relay, err, relayed, want)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,12 +40,15 @@ type upstream struct {
 // uconn is one live upstream connection. Writers append frames to w and
 // queue the matching pending (both under upstream.mu); the readLoop
 // goroutine pops pendings in FIFO order — the order the server replies
-// in — and resolves each against its downstream.
+// in — and resolves each against its downstream. w is the owned
+// protocol.Writer every proxy connection writes through (empty until a
+// request is owed), r a reader of bufio's default 4 KiB, which a VALUE
+// block larger than it bypasses.
 type uconn struct {
 	u  *upstream
 	nc net.Conn
 	r  *bufio.Reader
-	w  *bufio.Writer
+	w  *protocol.Writer
 
 	// The pendings awaiting replies, oldest first, linked through
 	// pending.upNext, so the queue holds memory only for what is queued;
@@ -133,8 +137,8 @@ func (u *upstream) dialLocked() (*uconn, error) {
 	c := &uconn{
 		u:  u,
 		nc: nc,
-		r:  bufio.NewReaderSize(nc, protocol.ConnBufferBytes),
-		w:  bufio.NewWriterSize(nc, protocol.ConnBufferBytes),
+		r:  bufio.NewReader(nc),
+		w:  protocol.NewWriter(nc),
 	}
 	c.ready.L = &u.mu
 	u.cur = c
@@ -212,37 +216,15 @@ func (c *uconn) next() *pending {
 	return pd
 }
 
-// process reads one reply off the wire and resolves pd. It fully
-// resolves pd in every case; a non-nil return means the uconn must be
-// abandoned (reply stream desynced or dead). The first byte is awaited
-// without d.mu: a direct reply that then heads its downstream's queue
-// streams straight to the socket (the zero-copy hot path); any other
-// reply is read whole into pd.buf, then folded under the lock.
+// process reads pd's whole reply without any lock, then folds it into
+// its slot. It fully resolves pd in every case; a non-nil return means
+// the uconn must be abandoned (reply stream desynced or dead).
 func (c *uconn) process(pd *pending) error {
-	u := c.u
 	_ = c.nc.SetReadDeadline(time.Now().Add(upstreamTimeout))
-
-	d, srv := pd.d, pd.srv // pd is recycled once resolved
-	if _, err := c.r.Peek(1); err == nil && pd.role == roleDirect {
-		d.mu.Lock()
-		if pd == d.head && d.err == nil {
-			fail, err := c.copyReply(dsWriter{d}, pd.kind, false)
-			if err != nil {
-				// The downstream stream may hold a partial reply; its framing
-				// cannot be recovered.
-				d.poisonLocked(err)
-			}
-			pd.done = true
-			d.advanceLocked()
-			d.mu.Unlock()
-			u.p.recordOutcome(srv, err != nil || fail)
-			return err
-		}
-		d.mu.Unlock()
-	}
-	fail, err := c.readReply(pd) // a Peek error recurs here
-	d.fold(pd, fail)
-	u.p.recordOutcome(srv, fail)
+	srv := pd.srv // pd is recycled once folded
+	fail, err := c.readReply(pd)
+	pd.d.fold(pd, fail)
+	c.u.p.recordOutcome(srv, fail)
 	return err
 }
 
@@ -250,11 +232,10 @@ func (c *uconn) process(pd *pending) error {
 // of a split part's replies, one per request line it sent — or
 // serverErrorLine when the stream breaks. fail reports an error reply.
 func (c *uconn) readReply(pd *pending) (fail bool, err error) {
-	part := pd.role == roleLeg && pd.slot.join == joinSplit
-	pd.buf = pd.buf[:0]
-	for f := 0; f < max(pd.frames, 1) && err == nil; f++ {
+	kind, part := pd.slot.kind, pd.slot.join == joinSplit
+	for f := 0; f < pd.frames && err == nil; f++ {
 		var lineFail bool
-		lineFail, err = c.copyReply(appender{&pd.buf}, pd.kind, part)
+		pd.buf, lineFail, err = c.appendReply(pd.buf, kind, part)
 		fail = fail || lineFail
 	}
 	if err != nil {
@@ -272,80 +253,36 @@ func (c *uconn) failPending(pd *pending) {
 	c.u.p.recordOutcome(srv, true)
 }
 
-// copyReply relays one reply from the upstream stream into dst, line
-// by line as protocol.ScanReply classifies them. kindLine replies are a
-// single terminal line; kindRetrieval replies are VALUE blocks closed by
-// END or an error line. partMode swallows the terminal line (split-join
-// parts contribute only VALUE blocks). fail reports an error-line reply;
-// a non-nil error means the stream is desynced and the conn must go.
-func (c *uconn) copyReply(dst io.Writer, kind replyKind, partMode bool) (fail bool, err error) {
+// appendReply appends one reply from the upstream stream to dst, line
+// by line as protocol.ScanReply classifies them; a VALUE block's data is
+// read straight into dst. kindLine replies are a single terminal line;
+// kindRetrieval replies are VALUE blocks closed by END or an error line.
+// part drops the terminal line (split-join parts contribute only VALUE
+// blocks). fail reports an error-line reply; a non-nil error means the
+// stream is desynced and the conn must go.
+func (c *uconn) appendReply(dst []byte, kind replyKind, part bool) ([]byte, bool, error) {
 	for {
 		rep, err := protocol.ScanReply(c.r)
 		if err != nil {
-			return false, err
+			return dst, false, err
 		}
 		if kind == kindRetrieval && rep.Kind == protocol.ReplyValue {
-			if _, werr := dst.Write(rep.Line); werr != nil {
-				return false, werr
-			}
-			if cerr := c.copyN(dst, rep.Bytes+len(crlf)); cerr != nil {
-				return false, cerr
+			dst = append(dst, rep.Line...)
+			n := len(dst)
+			dst = slices.Grow(dst, rep.Bytes+len(crlf))[:n+rep.Bytes+len(crlf)]
+			if _, err := io.ReadFull(c.r, dst[n:]); err != nil {
+				return dst, false, err
 			}
 			continue
 		}
-		if !partMode {
-			if _, werr := dst.Write(rep.Line); werr != nil {
-				return false, werr
-			}
+		if !part {
+			dst = append(dst, rep.Line...)
 		}
 		if kind == kindRetrieval && rep.Kind != protocol.ReplyEnd && rep.Kind != protocol.ReplyError {
 			// A retrieval stream may only close with END or an error line;
 			// anything else means we lost framing.
-			return true, errUpstreamProtocol
+			return dst, true, errUpstreamProtocol
 		}
-		return rep.Kind == protocol.ReplyError, nil
+		return dst, rep.Kind == protocol.ReplyError, nil
 	}
-}
-
-// copyN relays exactly n upstream bytes to dst, straight out of the
-// reader's buffer.
-func (c *uconn) copyN(dst io.Writer, n int) error {
-	for n > 0 {
-		if _, err := c.r.Peek(1); err != nil { // block until some of it is here
-			return err
-		}
-		chunk, _ := c.r.Peek(min(n, c.r.Buffered()))
-		if _, err := dst.Write(chunk); err != nil {
-			return err
-		}
-		_, _ = c.r.Discard(len(chunk)) // cannot fail: chunk was just peeked
-		n -= len(chunk)
-	}
-	return nil
-}
-
-// dsWriter streams reply bytes straight to the downstream socket's
-// buffered writer (caller holds d.mu). Downstream write failures poison
-// the downstream but report success, so the upstream reply finishes
-// draining and the pipeline stays aligned.
-type dsWriter struct{ d *downstream }
-
-func (w dsWriter) Write(p []byte) (int, error) {
-	d := w.d
-	if d.err == nil {
-		if _, err := d.w.Write(p); err != nil {
-			d.poisonLocked(err)
-		}
-	}
-	return len(p), nil
-}
-
-// appender accumulates reply bytes into a pending's reusable buffer.
-// It is a one-pointer struct so converting it to io.Writer does not
-// allocate (pointer-shaped values box directly).
-type appender struct{ buf *[]byte }
-
-func (a appender) Write(p []byte) (int, error) {
-	*a.buf = append(*a.buf, p...)
-	return len(p), nil
 }
