@@ -3,6 +3,7 @@ package proxy
 import (
 	"errors"
 	"net"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -76,6 +77,7 @@ type downstream struct {
 	err    error     // poisoned output stream
 	rearm  time.Time // when the write deadline is next pushed out
 	groups []splitGroup
+	ups    []*uconn // handler only: upstream connections its batch wrote to
 
 	// trace is the pending mq_trace header from the client: it scopes
 	// the next command. hdr is the regenerated upstream header for the
@@ -104,9 +106,9 @@ func (p *Proxy) handleConn(nc net.Conn, hint uint64) {
 		rec: telemetry.Shard(p.rec, hint),
 	}
 	d.cond = sync.NewCond(&d.mu)
-	parser := protocol.NewParser(nc)
+	parser := protocol.NewParser(d) // reads nc, flushing first (see Read)
 	parser.CaptureFrames(true)
-	for {
+	for !d.poisoned() {
 		cmd, err := parser.Next()
 		if err != nil {
 			var ce *protocol.ClientError
@@ -114,10 +116,7 @@ func (p *Proxy) handleConn(nc net.Conn, hint uint64) {
 				d.localReply("CLIENT_ERROR " + ce.Msg + crlf)
 				continue
 			}
-			// quit, EOF or a broken connection: deliver what is owed,
-			// then hang up.
-			d.drain()
-			return
+			break // quit, EOF or a broken connection
 		}
 		if cmd.Op == protocol.OpTrace {
 			// Trace header: scope the next command. No reply, no
@@ -126,16 +125,32 @@ func (p *Proxy) handleConn(nc net.Conn, hint uint64) {
 			continue
 		}
 		start := time.Now()
-		tn := p.dispatch(d, cmd, parser.Frame(), parser.Buffered() == 0)
+		tn := p.dispatch(d, cmd, parser.Frame())
 		hop := time.Since(start).Seconds()
 		d.rec.Observe(telemetry.StageProxyHop, hop)
 		if tn != nil {
 			tn.Observe(hop)
 		}
-		if d.poisoned() {
-			return
-		}
 	}
+	// Send what the batch wrote, deliver what is owed, then hang up.
+	d.flushUps()
+	d.drain()
+}
+
+// Read reads the client socket for the parser, which calls it only when
+// it needs more bytes: whether the batch ended or stopped mid-command,
+// what it wrote upstream goes out before the handler blocks on nc.
+func (d *downstream) Read(b []byte) (int, error) {
+	d.flushUps()
+	return d.nc.Read(b)
+}
+
+// flushUps flushes each upstream connection the batch wrote to, once.
+func (d *downstream) flushUps() {
+	for _, c := range d.ups {
+		c.flush()
+	}
+	d.ups = d.ups[:0]
 }
 
 // dispatch routes one parsed command. frame is the exact wire bytes
@@ -144,7 +159,7 @@ func (p *Proxy) handleConn(nc net.Conn, hint uint64) {
 // the command was admitted for (nil when QoS is off, the command is
 // control-plane, or it was shed) so the caller can charge the hop
 // latency to the right tenant.
-func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte, flush bool) *tenant.Tenant {
+func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte) *tenant.Tenant {
 	p.cmds.Add(1)
 	var tn *tenant.Tenant
 	if p.tenants != nil {
@@ -174,7 +189,7 @@ func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte, flu
 	}
 	switch cmd.Op {
 	case protocol.OpGet, protocol.OpGets, protocol.OpGat, protocol.OpGats:
-		p.dispatchRead(d, cmd, frame, flush)
+		p.dispatchRead(d, cmd, frame)
 	case protocol.OpStats:
 		d.localStats()
 	case protocol.OpVersion:
@@ -185,7 +200,7 @@ func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte, flu
 			d.localReply(okLine)
 		}
 	case protocol.OpFlushAll:
-		p.fanOut(d, frame, joinLines, kindLine, cmd.Noreply, flush, 0, p.sel.N(), 0)
+		p.fanOut(d, frame, joinLines, kindLine, cmd.Noreply, 0, p.sel.N(), 0)
 	default:
 		// Keyed single-reply ops (storage, delete, incr/decr, touch) go to
 		// the key's owner, and to its replicas under PolicyReplicate.
@@ -194,7 +209,7 @@ func (p *Proxy) dispatch(d *downstream, cmd *protocol.Command, frame []byte, flu
 			count = p.opts.Replicas
 		}
 		conn := p.connFor(route.Hash64B(cmd.KeyB))
-		p.fanOut(d, frame, joinLines, kindLine, cmd.Noreply, flush, p.routeKey(cmd.KeyB), count, conn)
+		p.fanOut(d, frame, joinLines, kindLine, cmd.Noreply, p.routeKey(cmd.KeyB), count, conn)
 	}
 	return tn
 }
@@ -229,11 +244,11 @@ func (p *Proxy) admit(cmd *protocol.Command) (*tenant.Tenant, bool) {
 // the replica set under PolicyReplicate; otherwise every key is routed
 // once and grouped by (server, connection) — one group is a passthrough
 // of frame, more split into a fork-join.
-func (p *Proxy) dispatchRead(d *downstream, cmd *protocol.Command, frame []byte, flush bool) {
+func (p *Proxy) dispatchRead(d *downstream, cmd *protocol.Command, frame []byte) {
 	keys := cmd.KeyList
 	if p.opts.Policy == PolicyReplicate && len(keys) == 1 {
 		conn := p.connFor(route.Hash64B(keys[0]))
-		p.fanOut(d, frame, joinRace, kindRetrieval, false, flush, p.sel.PickB(keys[0]), p.opts.Replicas, conn)
+		p.fanOut(d, frame, joinRace, kindRetrieval, false, p.sel.PickB(keys[0]), p.opts.Replicas, conn)
 		return
 	}
 	groups := d.groups[:0]
@@ -254,16 +269,16 @@ func (p *Proxy) dispatchRead(d *downstream, cmd *protocol.Command, frame []byte,
 	}
 	d.groups = groups
 	if len(groups) == 1 {
-		p.fanOut(d, frame, joinLines, kindRetrieval, false, flush, groups[0].srv, 1, groups[0].conn)
+		p.fanOut(d, frame, joinLines, kindRetrieval, false, groups[0].srv, 1, groups[0].conn)
 		return
 	}
-	p.splitRead(d, cmd, groups, flush)
+	p.splitRead(d, cmd, groups)
 }
 
 // splitRead sends each group's share of a multi-key retrieval as one leg
 // of a split slot. A share too long for one line goes out as pipelined
 // lines on the same connection; its leg then reads one reply per line.
-func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, groups []splitGroup, flush bool) {
+func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, groups []splitGroup) {
 	slot := d.openSlot(joinSplit, kindRetrieval, len(groups))
 	for i := range groups {
 		g := &groups[i]
@@ -274,7 +289,7 @@ func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, groups []splitGr
 			g.frame, n = protocol.AppendRetrieval(g.frame, cmd.Op, cmd.Exptime, keys)
 			keys = keys[n:]
 		}
-		p.sendLeg(d, slot, g.srv, g.conn, g.frame, frames, flush)
+		p.sendLeg(d, slot, g.srv, g.conn, g.frame, frames)
 	}
 }
 
@@ -283,19 +298,19 @@ func (p *Proxy) splitRead(d *downstream, cmd *protocol.Command, groups []splitGr
 // a passthrough is one lines leg, a replicated read races its legs
 // (joinRace), a replicated write or flush_all folds their lines
 // (joinLines). A noreply fan-out opens no slot.
-func (p *Proxy) fanOut(d *downstream, frame []byte, j join, kind replyKind, noreply, flush bool, owner, count, conn int) {
+func (p *Proxy) fanOut(d *downstream, frame []byte, j join, kind replyKind, noreply bool, owner, count, conn int) {
 	var slot *pending
 	if !noreply {
 		slot = d.openSlot(j, kind, count)
 	}
 	for i := 0; i < count; i++ {
-		p.sendLeg(d, slot, p.successor(owner, i), conn, frame, 1, flush)
+		p.sendLeg(d, slot, p.successor(owner, i), conn, frame, 1)
 	}
 }
 
 // sendLeg sends one fan-out leg of slot (nil for noreply) carrying frames
 // request lines to upstream (srv, conn).
-func (p *Proxy) sendLeg(d *downstream, slot *pending, srv, conn int, frame []byte, frames int, flush bool) {
+func (p *Proxy) sendLeg(d *downstream, slot *pending, srv, conn int, frame []byte, frames int) {
 	var leg *pending
 	if slot != nil {
 		d.mu.Lock()
@@ -303,24 +318,29 @@ func (p *Proxy) sendLeg(d *downstream, slot *pending, srv, conn int, frame []byt
 		leg.slot, leg.srv, leg.frames = slot, srv, frames
 		d.mu.Unlock()
 	}
-	p.send(d, leg, srv, conn, frame, flush)
+	p.send(d, leg, srv, conn, frame)
 }
 
-// send writes frame to upstream (srv, conn) for pd (nil for noreply); a
-// send that fails before pd is enqueued resolves pd as an error reply.
-func (p *Proxy) send(d *downstream, pd *pending, srv, conn int, frame []byte, flush bool) {
+// send writes frame to upstream (srv, conn) for pd (nil for noreply),
+// noting the connection for the batch's flush; a send that fails before
+// pd is enqueued resolves pd as an error reply.
+func (p *Proxy) send(d *downstream, pd *pending, srv, conn int, frame []byte) {
 	if d.hop.ID != 0 {
-		// Once a leg is queued its read loop may flush it and relay the
-		// reply, so the hop ends first: a client holding the reply finds
-		// the span recorded.
+		// Once a leg is queued another client's flush may send it and its
+		// reply be relayed, so the hop ends first: a client holding the
+		// reply finds the span recorded.
 		p.endHop(d)
 	}
-	if err := p.ups[srv][conn].send(d.hdr, frame, pd, flush); err != nil {
+	c, err := p.ups[srv][conn].send(d.hdr, frame, pd)
+	if err != nil {
 		p.recordOutcome(srv, true)
 		if pd != nil {
 			d.fail(pd)
 		}
 		return
+	}
+	if !slices.Contains(d.ups, c) {
+		d.ups = append(d.ups, c)
 	}
 	p.forwarded.Add(1)
 }

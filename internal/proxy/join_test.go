@@ -26,10 +26,12 @@ type answerFunc func(req string) (time.Duration, string)
 // scripted is a fake upstream server. It records every request line it
 // reads with its arrival time and answers each, in order per connection,
 // as answer says; a storage command's data block is read and dropped. A
-// nil answer never replies. A connection lasts until the proxy hangs up.
+// nil answer never replies. A connection lasts until the proxy hangs up;
+// closed counts the connections the proxy has hung up.
 type scripted struct {
 	l      net.Listener
 	answer answerFunc
+	closed atomic.Int32
 
 	mu   sync.Mutex
 	reqs []arrival
@@ -65,6 +67,7 @@ func (s *scripted) serve() {
 }
 
 func (s *scripted) handle(nc net.Conn) {
+	defer s.closed.Add(1)
 	defer nc.Close()
 	r := bufio.NewReader(nc)
 	for {
@@ -277,6 +280,72 @@ func TestProxySlowUpstreamDoesNotStallDownstream(t *testing.T) {
 			c.retrieval()
 			c.retrieval()
 		})
+	}
+}
+
+// TestProxyBatchFlushesEveryUpstream: one client write whose gets route
+// to two servers reaches both at once — the batch flushes every upstream
+// connection it wrote to, not only the last — so both replies arrive
+// within 1 s.
+func TestProxyBatchFlushesEveryUpstream(t *testing.T) {
+	a, b := ownedBy(t, 2, 0, "a"), ownedBy(t, 2, 1, "b")
+	_, paddr := startProxy(t, Options{Upstreams: addrsOf(startScripted(t, hits(0)), startScripted(t, hits(0)))})
+	c := dialConn(t, paddr)
+	_ = c.nc.SetReadDeadline(time.Now().Add(time.Second))
+	c.send("get " + a + "\r\nget " + b + "\r\n")
+	if got := c.retrieval(); got[a] != "ok" {
+		t.Fatalf("get %s = %v", a, got)
+	}
+	if got := c.retrieval(); got[b] != "ok" {
+		t.Fatalf("get %s = %v", b, got)
+	}
+}
+
+// TestProxyBatchEndingMidCommandFlushes: a client write that stops
+// midway through a command still sends the commands before it, since the
+// handler flushes before it blocks for the rest: a's reply arrives within
+// 1 s while the end of "get b" is still unwritten.
+func TestProxyBatchEndingMidCommandFlushes(t *testing.T) {
+	_, paddr := startProxy(t, Options{Upstreams: addrsOf(startScripted(t, hits(0)))})
+	c := dialConn(t, paddr)
+	_ = c.nc.SetReadDeadline(time.Now().Add(time.Second))
+	c.send("get a\r\nget b")
+	if got := c.retrieval(); got["a"] != "ok" {
+		t.Fatalf("get a = %v, want a=ok before the batch's last command is whole", got)
+	}
+	c.send("\r\n")
+	if got := c.retrieval(); got["b"] != "ok" {
+		t.Fatalf("get b = %v", got)
+	}
+}
+
+// TestProxyUnsolicitedReplyRetiresConnection: bytes an upstream sends
+// with no request pending mean its pipeline lost framing, so the proxy
+// retires the connection at once — not when a request next times out —
+// fails no client request, and answers the next one on a redialed
+// connection.
+func TestProxyUnsolicitedReplyRetiresConnection(t *testing.T) {
+	up := startScripted(t, func(req string) (time.Duration, string) {
+		if req == "get a" {
+			return 0, "END\r\nEND\r\n" // the reply owed, then one nobody asked for
+		}
+		return hits(0)(req)
+	})
+	_, paddr := startProxy(t, Options{Upstreams: []string{up.addr()}, UpstreamConns: 1})
+	c := dialConn(t, paddr)
+	c.send("get a\r\n")
+	c.expect("END")
+	for deadline := time.Now().Add(time.Second); up.closed.Load() == 0; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the upstream connection that sent an unsolicited reply is still open after 1s")
+		}
+	}
+	c.send("get b\r\n")
+	if got := c.retrieval(); got["b"] != "ok" {
+		t.Fatalf("get b after the desync = %v, want b=ok", got)
+	}
+	if n := up.requests(); n != 2 {
+		t.Errorf("upstream saw %d requests, want 2", n)
 	}
 }
 

@@ -31,21 +31,30 @@ func startBackends(t testing.TB, n int) []string {
 
 func startBackend(t testing.TB) string {
 	t.Helper()
+	_, addr := serveBackend(t, "127.0.0.1:0", server.Options{})
+	return addr
+}
+
+// serveBackend serves a memqlat server configured by opts on addr until
+// the test ends, and returns it with the address it bound.
+func serveBackend(t testing.TB, addr string, opts server.Options) (*server.Server, string) {
+	t.Helper()
 	c, err := cache.New(cache.Options{MaxBytes: 64 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Options{Cache: c, Logger: log.New(io.Discard, "", 0)})
+	opts.Cache, opts.Logger = c, log.New(io.Discard, "", 0)
+	srv, err := server.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
+	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go func() { _ = srv.Serve(l) }()
 	t.Cleanup(func() { _ = srv.Close() })
-	return l.Addr().String()
+	return srv, l.Addr().String()
 }
 
 // startProxy brings the proxy up on a loopback listener.
@@ -396,25 +405,11 @@ func TestProxyReplicatedWriteAndRead(t *testing.T) {
 // TestProxyReplicatedReadSurvivesReplicaLoss kills one backend and
 // checks the racing read still answers from the surviving replica.
 func TestProxyReplicatedReadSurvivesReplicaLoss(t *testing.T) {
-	// Backends managed by hand so one can be torn down mid-test.
+	// Backends kept by handle so one can be torn down mid-test.
 	addrs := make([]string, 3)
 	srvs := make([]*server.Server, 3)
 	for i := range addrs {
-		ca, err := cache.New(cache.Options{MaxBytes: 64 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv, err := server.New(server.Options{Cache: ca, Logger: log.New(io.Discard, "", 0)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = srv.Serve(l) }()
-		addrs[i], srvs[i] = l.Addr().String(), srv
-		t.Cleanup(func() { _ = srv.Close() })
+		srvs[i], addrs[i] = serveBackend(t, "127.0.0.1:0", server.Options{})
 	}
 	sel, err := route.NewRingSelector(3, 0) // the proxy's ring
 	if err != nil {
@@ -453,6 +448,47 @@ func TestProxyReplicatedReadSurvivesReplicaLoss(t *testing.T) {
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
+}
+
+// TestProxyClosedUpstreamCostsNoRequest: a server that closes an idle
+// upstream connection costs no request, because the connection's read
+// loop sees the close while idle and retires it, so the next request
+// redials: (a) the server is closed and restarted on the same address
+// between two sets; (b) the server's idle timeout closes the upstream
+// connection between gets 200 ms apart.
+func TestProxyClosedUpstreamCostsNoRequest(t *testing.T) {
+	t.Run("restarted", func(t *testing.T) {
+		srv, addr := serveBackend(t, "127.0.0.1:0", server.Options{})
+		p, paddr := startProxy(t, Options{Upstreams: []string{addr}, UpstreamConns: 1})
+		c := dialConn(t, paddr)
+		c.set("k", "before")
+		_ = srv.Close()
+		// A restart takes longer than the close takes to reach the idle
+		// read loop; wait for that here rather than race it.
+		testkit.WaitReady(t, "retiring the upstream connection its server closed", func() error {
+			u := p.ups[0][0]
+			u.mu.Lock()
+			defer u.mu.Unlock()
+			if u.cur != nil && !u.cur.broken {
+				return errors.New("still live")
+			}
+			return nil
+		})
+		serveBackend(t, addr, server.Options{})
+		c.set("k", "after")
+	})
+	t.Run("idle timeout", func(t *testing.T) {
+		_, addr := serveBackend(t, "127.0.0.1:0", server.Options{IdleTimeout: 50 * time.Millisecond})
+		_, paddr := startProxy(t, Options{Upstreams: []string{addr}, UpstreamConns: 1})
+		c := dialConn(t, paddr)
+		for i := 0; i < 3; i++ {
+			c.send("get k\r\n")
+			if got := c.retrieval(); len(got) != 0 {
+				t.Fatalf("get %d = %v, want a miss", i, got)
+			}
+			time.Sleep(200 * time.Millisecond)
+		}
+	})
 }
 
 // TestProxyServeSurvivesAcceptError: a failed accept (EMFILE, as at a

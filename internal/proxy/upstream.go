@@ -38,9 +38,11 @@ type upstream struct {
 }
 
 // uconn is one live upstream connection. Writers append frames to w and
-// queue the matching pending (both under upstream.mu); the readLoop
-// goroutine pops pendings in FIFO order — the order the server replies
-// in — and resolves each against its downstream. w is the owned
+// queue the matching pending (both under upstream.mu); the client
+// handler whose batch wrote to w flushes it before it next reads its
+// client (downstream.Read), the only flush w gets. The readLoop goroutine
+// parks on the socket and resolves pendings in FIFO order — the order
+// the server replies in — against their downstreams. w is the owned
 // protocol.Writer every proxy connection writes through (empty until a
 // request is owed), r a reader of bufio's default 4 KiB, which a VALUE
 // block larger than it bypasses.
@@ -52,76 +54,69 @@ type uconn struct {
 
 	// The pendings awaiting replies, oldest first, linked through
 	// pending.upNext, so the queue holds memory only for what is queued;
-	// queued counts them against pendQueueDepth. ready (on u.mu) wakes
-	// the read loop when one is queued or the conn breaks. All guarded
-	// by u.mu.
+	// queued counts them against pendQueueDepth. All guarded by u.mu.
 	head, tail *pending
 	queued     int
-	ready      sync.Cond
 
 	broken bool // guarded by u.mu; set exactly once
 }
 
-// send writes frame to the upstream pipeline and registers pd (nil for
-// noreply fire-and-forget) for the matching reply. hdr, when non-empty,
-// is an mq_trace header written immediately before frame under the same
-// lock, so no other downstream's frame can interleave and steal the
-// trace scope. flush pushes the write buffer immediately; otherwise the
-// readLoop flushes when it starts waiting on a reply. Once pd is
-// enqueued the read loop owns its resolution, so send reports only
+// send appends frame to the upstream pipeline and registers pd (nil for
+// noreply) for the matching reply; the caller flushes the returned uconn
+// before it next reads its client. hdr, when non-empty, is an mq_trace
+// header written just before frame under the same lock, so no other
+// downstream's frame can interleave and steal the trace scope. Once pd
+// is enqueued the read loop owns its resolution, so send reports only
 // pre-enqueue failures to the caller.
-func (u *upstream) send(hdr, frame []byte, pd *pending, flush bool) error {
+func (u *upstream) send(hdr, frame []byte, pd *pending) (*uconn, error) {
 	u.mu.Lock()
+	defer u.mu.Unlock()
 	c := u.cur
 	if c == nil || c.broken {
 		var err error
 		if c, err = u.dialLocked(); err != nil {
-			u.mu.Unlock()
-			return err
+			return nil, err
 		}
 	}
 	if len(hdr) > 0 {
 		if _, err := c.w.Write(hdr); err != nil {
 			u.breakLocked(c)
-			u.mu.Unlock()
-			return err
+			return nil, err
 		}
 	}
 	if _, err := c.w.Write(frame); err != nil {
 		u.breakLocked(c)
-		u.mu.Unlock()
-		return err
+		return nil, err
 	}
 	if pd != nil {
 		if c.queued == pendQueueDepth {
 			u.breakLocked(c)
-			u.mu.Unlock()
-			return errPipelineFull
+			return nil, errPipelineFull
 		}
 		pd.upNext = nil
 		if c.tail == nil {
 			c.head = pd
+			// The first reply owed starts the read deadline (see pop).
+			_ = c.nc.SetReadDeadline(time.Now().Add(upstreamTimeout))
 		} else {
 			c.tail.upNext = pd
 		}
 		c.tail = pd
 		c.queued++
-		c.ready.Signal()
 	}
-	if flush {
+	return c, nil
+}
+
+// flush pushes the frames written to c to its server; a failed write
+// retires c, whose read loop then fails every pending queued on it.
+func (c *uconn) flush() {
+	c.u.mu.Lock()
+	if !c.broken {
 		if err := c.w.Flush(); err != nil {
-			u.breakLocked(c)
-			u.mu.Unlock()
-			if pd != nil {
-				// The read loop drains the broken pipeline and fails pd;
-				// reporting the error here would resolve it twice.
-				return nil
-			}
-			return err
+			c.u.breakLocked(c)
 		}
 	}
-	u.mu.Unlock()
-	return nil
+	c.u.mu.Unlock()
 }
 
 // dialTimeout bounds an upstream dial.
@@ -140,29 +135,20 @@ func (u *upstream) dialLocked() (*uconn, error) {
 		r:  bufio.NewReader(nc),
 		w:  protocol.NewWriter(nc),
 	}
-	c.ready.L = &u.mu
 	u.cur = c
 	go c.readLoop()
 	return c, nil
 }
 
-// breakLocked retires a uconn: no further sends land on it, the read
-// loop wakes to finish draining its queue, and the socket closes to
-// unblock any in-flight read (caller holds u.mu).
+// breakLocked retires a uconn: no further sends land on it, and the
+// socket closes to wake its read loop, which drains the queue (caller
+// holds u.mu).
 func (u *upstream) breakLocked(c *uconn) {
 	if c.broken {
 		return
 	}
 	c.broken = true
-	c.ready.Signal()
 	_ = c.nc.Close()
-}
-
-// abandon is breakLocked for callers that do not hold u.mu.
-func (u *upstream) abandon(c *uconn) {
-	u.mu.Lock()
-	u.breakLocked(c)
-	u.mu.Unlock()
 }
 
 // close tears the upstream down (proxy shutdown).
@@ -174,55 +160,64 @@ func (u *upstream) close() {
 	u.mu.Unlock()
 }
 
-// readLoop resolves pendings in pipeline order. A processing error
-// means the connection's reply stream is unusable: the conn is retired
-// and every remaining pending fails with SERVER_ERROR.
+// readLoop parks on the socket between replies. A reply that starts
+// belongs to the oldest pending; bytes that arrive with nothing pending
+// (a desync), EOF or a reset while idle, the owed-reply deadline, or a
+// reply that cannot be read retire the connection: every pending still
+// queued fails with SERVER_ERROR (a request queued as an idle close
+// arrives among them), and the next send redials.
 func (c *uconn) readLoop() {
-	for pd := c.next(); pd != nil; pd = c.next() {
-		if err := c.process(pd); err != nil {
-			c.u.abandon(c)
-			for pd := c.next(); pd != nil; pd = c.next() {
-				c.failPending(pd)
-			}
-			return
+	for {
+		_, err := c.r.Peek(1)
+		pd := c.oldest()
+		if err != nil || pd == nil || c.process(pd) != nil {
+			break
 		}
+	}
+	c.u.mu.Lock()
+	c.u.breakLocked(c)
+	c.u.mu.Unlock()
+	for pd := c.pop(); pd != nil; pd = c.pop() {
+		c.failPending(pd)
 	}
 }
 
-// next pops the oldest queued pending, waiting for one while the conn
-// is live, and flushes the pipelined writes its reply may still sit
-// behind. It returns nil once the conn is broken and its queue drained.
-func (c *uconn) next() *pending {
-	u := c.u
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	for c.head == nil && !c.broken {
-		c.ready.Wait()
-	}
+// oldest returns the pending the next reply belongs to, nil if none.
+func (c *uconn) oldest() *pending {
+	c.u.mu.Lock()
+	defer c.u.mu.Unlock()
+	return c.head
+}
+
+// pop dequeues the oldest pending, whose reply is read, and keeps the
+// read deadline running exactly while a reply is owed: pushed out when
+// more are queued, cleared when none are.
+func (c *uconn) pop() *pending {
+	c.u.mu.Lock()
+	defer c.u.mu.Unlock()
 	pd := c.head
 	if pd == nil {
 		return nil
 	}
 	if c.head = pd.upNext; c.head == nil {
 		c.tail = nil
+		_ = c.nc.SetReadDeadline(time.Time{})
+	} else {
+		_ = c.nc.SetReadDeadline(time.Now().Add(upstreamTimeout))
 	}
 	pd.upNext = nil
 	c.queued--
-	if !c.broken {
-		if err := c.w.Flush(); err != nil {
-			u.breakLocked(c)
-		}
-	}
 	return pd
 }
 
-// process reads pd's whole reply without any lock, then folds it into
-// its slot. It fully resolves pd in every case; a non-nil return means
-// the uconn must be abandoned (reply stream desynced or dead).
+// process reads the oldest pending's whole reply without any lock, then
+// pops it and folds it into its slot. It fully resolves pd in every
+// case; a non-nil return means the uconn must be abandoned (reply
+// stream desynced or dead).
 func (c *uconn) process(pd *pending) error {
-	_ = c.nc.SetReadDeadline(time.Now().Add(upstreamTimeout))
 	srv := pd.srv // pd is recycled once folded
 	fail, err := c.readReply(pd)
+	c.pop()
 	pd.d.fold(pd, fail)
 	c.u.p.recordOutcome(srv, fail)
 	return err
