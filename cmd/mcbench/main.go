@@ -129,10 +129,6 @@ func run(args []string, out io.Writer) error {
 		keyTrace   = fs.String("trace", "", "journal the issued key stream to this file (mrc/replay input)")
 		keysPerReq = fs.Int("n", 10, "keys per end-user request for the model/sim planes (live runs issue single-key gets)")
 
-		conns    = fs.Int("conns", 0, "connection-scaling mode: park this many mostly-idle connections on the first server while -conn-hot connections issue gets (0 = off)")
-		connRamp = fs.String("conn-ramp", "", `connection-scaling ramp, e.g. "1000,5000,10000": grow the idle fleet through each tier, reporting p50/p95/p99 per connection count`)
-		connHot  = fs.Int("conn-hot", 16, "hot connections issuing traffic in -conns/-conn-ramp mode")
-
 		adminAddr = fs.String("admin", "", "observability listener address for /metrics, /healthz, /debug/pprof, /trace (empty = off)")
 		traceOut  = fs.String("trace-out", "", "record request-scoped spans and write them as Chrome trace-event JSON to this file")
 		traceRing = fs.Int("trace-ring", 0, "span-ring capacity for -trace-out/-slow (0 = default 16384)")
@@ -158,17 +154,6 @@ func run(args []string, out io.Writer) error {
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	if *conns > 0 || *connRamp != "" {
-		if *planeName != "" || *proxied {
-			return fmt.Errorf("-conns/-conn-ramp drive an external server directly (no -plane or -proxy)")
-		}
-		tiers, err := parseConnRamp(*conns, *connRamp)
-		if err != nil {
-			return err
-		}
-		return runConns(out, strings.Split(*servers, ",")[0], tiers, *connHot, s.Ops, s.ValueSize, s.Duration)
-	}
-
 	var p plane.Plane
 	var err error
 	mode := "e" // an external run: the live plane attached to -servers

@@ -249,8 +249,12 @@ func TestRunUnknownPlane(t *testing.T) {
 
 func TestRunBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-bogus"}, &out); err == nil {
-		t.Error("bad flag accepted")
+	// -conns, -conn-ramp and -conn-hot named a removed connection-scaling
+	// mode: they are unknown flags like any other.
+	for _, f := range []string{"-bogus", "-conns=100", "-conn-ramp=100", "-conn-hot=4"} {
+		if err := run([]string{f}, &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("run %s = %v, want an unknown-flag error", f, err)
+		}
 	}
 	// Unreachable server: Populate must fail with an error, not hang.
 	if err := run([]string{"-servers", "127.0.0.1:1", "-ops", "10", "-keys", "5"}, &out); err == nil {

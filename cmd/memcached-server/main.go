@@ -59,8 +59,6 @@ func run(args []string) error {
 		extDir      = fs.String("extstore-dir", "", "arm a log-structured SSD cache tier on this directory (RAM evictions spill there; empty = off)")
 		extMB       = fs.Int64("extstore-mb", 64, "extstore on-disk budget in MiB")
 		extSegKB    = fs.Int64("extstore-segment-kb", 0, "extstore segment size in KiB (0 = default 4096)")
-		connCore    = fs.String("conn-core", server.CoreGoroutines, "connection core: goroutines (one per connection) or eventloop (epoll loops, linux)")
-		loopWorkers = fs.Int("loop-workers", 0, "event-loop goroutines for -conn-core eventloop (0 = GOMAXPROCS)")
 		idleTimeout = fs.Duration("idle-timeout", 0, "close connections idle this long (0 = never)")
 		adminAddr   = fs.String("admin", "", "observability listener address for /metrics, /healthz, /debug/pprof (empty = off)")
 		traceRing   = fs.Int("trace-ring", 0, "retain this many spans of in-band-traced requests, served on <admin>/trace (0 = tracing off)")
@@ -124,8 +122,6 @@ func run(args []string) error {
 		Seed:        *seed,
 		Tracer:      tracer,
 		Exemplars:   exStore,
-		ConnCore:    *connCore,
-		LoopWorkers: *loopWorkers,
 		IdleTimeout: *idleTimeout,
 		Logger:      log.New(os.Stderr, "memcached-server: ", log.LstdFlags),
 	}
@@ -150,6 +146,6 @@ func run(args []string) error {
 		defer func() { _ = admin.Close() }()
 		log.Printf("memcached-server: admin plane on http://%s/metrics", admin.Addr())
 	}
-	return daemon.Serve("memcached-server", *addr, srv, wd, fmt.Sprintf(" (memory %d MiB, shards %d, conn core %s)",
-		*memoryMB, c.Shards(), srv.ConnCoreName()))
+	return daemon.Serve("memcached-server", *addr, srv, wd, fmt.Sprintf(" (memory %d MiB, shards %d)",
+		*memoryMB, c.Shards()))
 }

@@ -56,11 +56,14 @@ func TestRunDrainsOnSIGTERM(t *testing.T) {
 	settled("after drain")
 }
 
-// TestRunRejectsFlags: the shaped path has one service channel and no
-// flag to say otherwise, and the flags that need a tracer still say so.
+// TestRunRejectsFlags: the shaped path has one service channel and the
+// server one connection core, with no flag to say otherwise, and the
+// flags that need a tracer still say so.
 func TestRunRejectsFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-service-channels", "2"},
+		{"-conn-core", "eventloop"},
+		{"-loop-workers", "2"},
 		{"-slow", "10ms"},
 		{"-exemplars"},
 	} {

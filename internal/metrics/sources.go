@@ -135,44 +135,6 @@ func RegisterServers(r *Registry, srvs []*server.Server) {
 				emit(L("server", itoa(i)), s.LatencyHistogram())
 			}
 		})
-	// Event-loop core gauges: absent (no series) on the goroutine core,
-	// so dashboards can tell the cores apart by family presence.
-	r.GaugeVec("memqlat_server_loop_connections",
-		"Connections owned by each event-loop goroutine (eventloop core only).",
-		func(emit func(Labels, float64)) {
-			for i, s := range srvs {
-				for li, ls := range s.LoopStats() {
-					emit(L("server", itoa(i), "loop", itoa(li)), float64(ls.Conns))
-				}
-			}
-		})
-	r.CounterVec("memqlat_server_loop_wakeups_total",
-		"epoll_wait returns per event-loop goroutine (readiness batches).",
-		func(emit func(Labels, float64)) {
-			for i, s := range srvs {
-				for li, ls := range s.LoopStats() {
-					emit(L("server", itoa(i), "loop", itoa(li)), float64(ls.Wakeups))
-				}
-			}
-		})
-	r.CounterVec("memqlat_server_loop_flush_batches_total",
-		"Coalesced reply flushes per event-loop goroutine (one per connection per batch with output).",
-		func(emit func(Labels, float64)) {
-			for i, s := range srvs {
-				for li, ls := range s.LoopStats() {
-					emit(L("server", itoa(i), "loop", itoa(li)), float64(ls.FlushBatches))
-				}
-			}
-		})
-	r.CounterVec("memqlat_server_loop_commands_total",
-		"Commands dispatched per event-loop goroutine.",
-		func(emit func(Labels, float64)) {
-			for i, s := range srvs {
-				for li, ls := range s.LoopStats() {
-					emit(L("server", itoa(i), "loop", itoa(li)), float64(ls.Commands))
-				}
-			}
-		})
 	r.GaugeVec("memqlat_cache_shard_items",
 		"Cached items per server and shard (occupancy balance).",
 		func(emit func(Labels, float64)) {

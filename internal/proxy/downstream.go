@@ -431,24 +431,31 @@ func (d *downstream) advanceLocked() {
 	}
 }
 
-// flushTimeout bounds every write to a client: a client that drains
-// nothing for this long is disconnected, so the upstream read loop that
-// flushes to it moves on to its other clients' replies. A variable so
-// tests can shorten it; New reads it once per Proxy.
+// flushTimeout bounds every write the proxy makes, to a client or to an
+// upstream, each under its connection's lock: a peer that drains nothing
+// for this long is disconnected, so the lock is freed for the upstream
+// read loop and the other clients. A variable so tests can shorten it;
+// New reads it once per Proxy.
 var flushTimeout = 5 * time.Second
 
-// writeLocked appends b to the client's reply stream (caller holds mu).
-// The write deadline is pushed out only once half of it has run, so a
-// write has between flushTimeout/2 and flushTimeout, and a reply costs
-// no timer operation.
+// armWrite keeps nc's write deadline timeout ahead, pushing it out only
+// once half of it has run (*rearm records when): a write has between
+// timeout/2 and timeout, and a request or reply costs no timer operation.
+// The caller holds the lock that guards *rearm and the writes to nc.
+func armWrite(nc net.Conn, rearm *time.Time, timeout time.Duration) {
+	if now := time.Now(); now.After(*rearm) {
+		_ = nc.SetWriteDeadline(now.Add(timeout))
+		*rearm = now.Add(timeout / 2)
+	}
+}
+
+// writeLocked appends b to the client's reply stream under the write
+// deadline (caller holds mu).
 func (d *downstream) writeLocked(b []byte) {
 	if d.err != nil || len(b) == 0 {
 		return
 	}
-	if now := time.Now(); now.After(d.rearm) {
-		_ = d.nc.SetWriteDeadline(now.Add(d.p.flushTimeout))
-		d.rearm = now.Add(d.p.flushTimeout / 2)
-	}
+	armWrite(d.nc, &d.rearm, d.p.flushTimeout)
 	if _, err := d.w.Write(b); err != nil {
 		d.poisonLocked(err)
 	}

@@ -528,3 +528,76 @@ func TestProxyCloseReleasesParkedLegs(t *testing.T) {
 	}
 	settled("proxy closed with parked legs")
 }
+
+// TestProxyUnreadUpstreamIsBounded: an upstream that stops reading
+// wedges no lock. X pipelines 64 KiB sets at a server that never reads;
+// once the sockets between fill, the proxy's write to it passes
+// flushTimeout and the connection is retired, so Y's get on the same
+// upstream slot is answered within flushTimeout plus 1 s, and Close
+// returns within 1 s.
+func TestProxyUnreadUpstreamIsBounded(t *testing.T) {
+	settled := testkit.Settles(t)
+	saved := flushTimeout
+	flushTimeout = 500 * time.Millisecond
+	t.Cleanup(func() { flushTimeout = saved })
+	// The server listens and never accepts: the kernel completes the
+	// proxy's connections and buffers what they send until the window
+	// fills, and nothing reads it.
+	deaf, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, addr := startProxy(t, Options{Upstreams: []string{deaf.Addr().String()}, UpstreamConns: 1})
+	t.Cleanup(func() { _ = deaf.Close() }) // before the proxy's Close, so a write left blocked cannot hang it
+	x, y := dialConn(t, addr), dialConn(t, addr)
+	go func() { _, _ = io.Copy(io.Discard, x.nc) }() // X drains its SERVER_ERRORs
+	set := []byte("set big 0 0 65536\r\n" + strings.Repeat("v", 65536) + "\r\n")
+	go func() { // until the proxy hangs up
+		for {
+			if _, err := x.nc.Write(set); err != nil {
+				return
+			}
+		}
+	}()
+	// A send blocked on the full socket holds the upstream's lock, and
+	// the forwarded count stops moving.
+	last := int64(-1)
+	testkit.WaitReady(t, "X's sets wedging the upstream", func() error {
+		n := p.Stats().Forwarded
+		if n == 0 || n != last {
+			last = n
+			time.Sleep(100 * time.Millisecond)
+			return fmt.Errorf("%d forwarded", n)
+		}
+		return nil
+	})
+	sent := time.Now()
+	y.send("get k\r\n")
+	_ = y.nc.SetReadDeadline(sent.Add(flushTimeout + 2*time.Second))
+	if got := y.line(); !strings.HasPrefix(got, "SERVER_ERROR") {
+		t.Errorf("Y's get from a server that reads nothing = %q, want SERVER_ERROR", got)
+	}
+	lag := time.Since(sent)
+	t.Logf("Y answered after %v", lag)
+	if lag > flushTimeout+time.Second {
+		t.Errorf("Y's reply took %v behind an upstream that reads nothing, want <= %v", lag, flushTimeout+time.Second)
+	}
+	closed := make(chan time.Duration, 1)
+	go func() {
+		start := time.Now()
+		_ = p.Close()
+		closed <- time.Since(start)
+	}()
+	select {
+	case took := <-closed:
+		if took > time.Second {
+			t.Errorf("Close took %v, want <= 1s", took)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still blocked after 5s on an upstream that reads nothing")
+	}
+	_ = x.nc.Close()
+	_ = y.nc.Close()
+	_ = deaf.Close()
+	settled("proxy closed with an upstream that reads nothing")
+}

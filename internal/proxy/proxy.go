@@ -345,8 +345,8 @@ func (p *Proxy) UpstreamQueueDepths() []int {
 	for s, conns := range p.ups {
 		for _, u := range conns {
 			u.mu.Lock()
-			if u.cur != nil && !u.cur.broken {
-				out[s] += u.cur.queued
+			if c := u.cur.Load(); c != nil && !c.broken {
+				out[s] += c.queued
 			}
 			u.mu.Unlock()
 		}

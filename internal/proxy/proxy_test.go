@@ -469,7 +469,7 @@ func TestProxyClosedUpstreamCostsNoRequest(t *testing.T) {
 			u := p.ups[0][0]
 			u.mu.Lock()
 			defer u.mu.Unlock()
-			if u.cur != nil && !u.cur.broken {
+			if c := u.cur.Load(); c != nil && !c.broken {
 				return errors.New("still live")
 			}
 			return nil

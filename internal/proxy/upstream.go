@@ -7,6 +7,7 @@ import (
 	"net"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"memqlat/internal/protocol"
@@ -27,14 +28,15 @@ var (
 )
 
 // upstream is one pipelined connection slot to one server: at most one
-// live uconn at a time, redialed lazily after a break.
+// live uconn at a time, redialed lazily after a break until close.
 type upstream struct {
 	p    *Proxy
 	srv  int
 	addr string
 
-	mu  sync.Mutex
-	cur *uconn
+	mu     sync.Mutex
+	cur    atomic.Pointer[uconn] // written under mu; close reads it without the lock
+	closed bool                  // guarded by mu; refuses redials
 }
 
 // uconn is one live upstream connection. Writers append frames to w and
@@ -58,7 +60,8 @@ type uconn struct {
 	head, tail *pending
 	queued     int
 
-	broken bool // guarded by u.mu; set exactly once
+	rearm  time.Time // guarded by u.mu: when the write deadline is next pushed out
+	broken bool      // guarded by u.mu; set exactly once
 }
 
 // send appends frame to the upstream pipeline and registers pd (nil for
@@ -67,17 +70,19 @@ type uconn struct {
 // header written just before frame under the same lock, so no other
 // downstream's frame can interleave and steal the trace scope. Once pd
 // is enqueued the read loop owns its resolution, so send reports only
-// pre-enqueue failures to the caller.
+// pre-enqueue failures to the caller. A frame that reaches the socket is
+// written under the same deadline as a flush.
 func (u *upstream) send(hdr, frame []byte, pd *pending) (*uconn, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	c := u.cur
+	c := u.cur.Load()
 	if c == nil || c.broken {
 		var err error
 		if c, err = u.dialLocked(); err != nil {
 			return nil, err
 		}
 	}
+	armWrite(c.nc, &c.rearm, u.p.flushTimeout)
 	if len(hdr) > 0 {
 		if _, err := c.w.Write(hdr); err != nil {
 			u.breakLocked(c)
@@ -107,11 +112,13 @@ func (u *upstream) send(hdr, frame []byte, pd *pending) (*uconn, error) {
 	return c, nil
 }
 
-// flush pushes the frames written to c to its server; a failed write
+// flush pushes the frames written to c to its server; a failed write,
+// or one that outlasts its deadline because the server stopped reading,
 // retires c, whose read loop then fails every pending queued on it.
 func (c *uconn) flush() {
 	c.u.mu.Lock()
 	if !c.broken {
+		armWrite(c.nc, &c.rearm, c.u.p.flushTimeout)
 		if err := c.w.Flush(); err != nil {
 			c.u.breakLocked(c)
 		}
@@ -125,6 +132,9 @@ const dialTimeout = 2 * time.Second
 // dialLocked establishes a fresh uconn and starts its read loop (caller
 // holds u.mu).
 func (u *upstream) dialLocked() (*uconn, error) {
+	if u.closed {
+		return nil, net.ErrClosed
+	}
 	nc, err := net.DialTimeout("tcp", u.addr, dialTimeout)
 	if err != nil {
 		return nil, err
@@ -135,7 +145,7 @@ func (u *upstream) dialLocked() (*uconn, error) {
 		r:  bufio.NewReader(nc),
 		w:  protocol.NewWriter(nc),
 	}
-	u.cur = c
+	u.cur.Store(c)
 	go c.readLoop()
 	return c, nil
 }
@@ -151,11 +161,17 @@ func (u *upstream) breakLocked(c *uconn) {
 	_ = c.nc.Close()
 }
 
-// close tears the upstream down (proxy shutdown).
+// close tears the upstream down (proxy shutdown). The live socket
+// closes before the lock is taken, so a send or flush blocked writing to
+// a server that stopped reading fails now rather than at its deadline.
 func (u *upstream) close() {
+	if c := u.cur.Load(); c != nil {
+		_ = c.nc.Close()
+	}
 	u.mu.Lock()
-	if u.cur != nil {
-		u.breakLocked(u.cur)
+	u.closed = true
+	if c := u.cur.Load(); c != nil {
+		u.breakLocked(c)
 	}
 	u.mu.Unlock()
 }

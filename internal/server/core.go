@@ -2,19 +2,18 @@ package server
 
 import "net"
 
-// Connection-core names accepted by Options.ConnCore and the
-// -conn-core flags.
+// Connection-core names accepted by Options.ConnCore.
 const (
-	// CoreGoroutines is the legacy core: one goroutine per connection,
-	// blocking reads, per-connection buffers. It is the default and the
-	// configuration the paper reproduction runs on.
+	// CoreGoroutines is one goroutine per connection, blocking reads,
+	// per-connection buffers. It is the default, the configuration the
+	// paper reproduction runs on and the only core the binaries run.
 	CoreGoroutines = "goroutines"
 	// CoreEventLoop multiplexes every connection onto a small set of
-	// epoll-driven loop goroutines (default GOMAXPROCS): readiness-driven
+	// epoll-driven loop goroutines (GOMAXPROCS of them): readiness-driven
 	// batched reads feed per-connection resumable parsers, replies
 	// coalesce into one write per connection per batch, and an idle
 	// connection costs a few hundred bytes instead of a goroutine stack.
-	// Linux only.
+	// Linux only; only bench/ selects it.
 	CoreEventLoop = "eventloop"
 )
 
@@ -36,7 +35,7 @@ type connCore interface {
 }
 
 // LoopStat is a snapshot of one event-loop goroutine's gauges, exposed
-// through Server.LoopStats and the metrics registry.
+// through Server.LoopStats.
 type LoopStat struct {
 	// Conns is the number of connections currently owned by the loop.
 	Conns int64

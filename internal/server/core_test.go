@@ -351,8 +351,8 @@ func firstDiff(a, b string) int {
 	return n
 }
 
-// TestConnCoreValidation covers Options.ConnCore / LoopWorkers input
-// checking and the stats row naming the active core.
+// TestConnCoreValidation covers Options.ConnCore input checking and the
+// stats row naming the active core.
 func TestConnCoreValidation(t *testing.T) {
 	c, err := cache.New(cache.Options{})
 	if err != nil {
@@ -361,13 +361,7 @@ func TestConnCoreValidation(t *testing.T) {
 	if _, err := New(Options{Cache: c, ConnCore: "fibers"}); err == nil {
 		t.Error("unknown ConnCore accepted")
 	}
-	if _, err := New(Options{Cache: c, LoopWorkers: -1}); err == nil {
-		t.Error("negative LoopWorkers accepted")
-	}
 	srv, addr := startServer(t, Options{})
-	if got := srv.ConnCoreName(); got != CoreGoroutines {
-		t.Errorf("default core = %q", got)
-	}
 	if stats := srv.LoopStats(); stats != nil {
 		t.Errorf("goroutine core LoopStats = %v, want nil", stats)
 	}
@@ -393,7 +387,7 @@ func TestEventLoopLoopStats(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("event loop requires linux")
 	}
-	srv, addr := startServer(t, Options{ConnCore: CoreEventLoop, LoopWorkers: 2})
+	srv, addr := startServer(t, Options{ConnCore: CoreEventLoop})
 	r, w, _ := dial(t, addr)
 	send(t, w, "set k 0 0 1\r\nx\r\nget k\r\n")
 	if got := readLine(t, r); got != "STORED" {
@@ -405,8 +399,8 @@ func TestEventLoopLoopStats(t *testing.T) {
 		}
 	}
 	stats := srv.LoopStats()
-	if len(stats) != 2 {
-		t.Fatalf("LoopStats len = %d, want 2", len(stats))
+	if want := runtime.GOMAXPROCS(0); len(stats) != want {
+		t.Fatalf("LoopStats len = %d, want GOMAXPROCS = %d", len(stats), want)
 	}
 	var conns, cmds int64
 	for _, ls := range stats {

@@ -43,16 +43,11 @@ type eventLoopCore struct {
 	stop  sync.Once
 }
 
-// newEventLoopCore starts the loop goroutines (LoopWorkers, default
-// GOMAXPROCS). Loops start immediately — they idle in epoll_wait until
-// Serve attaches connections.
+// newEventLoopCore starts GOMAXPROCS loop goroutines. Loops start
+// immediately — they idle in epoll_wait until Serve attaches connections.
 func newEventLoopCore(s *Server) (connCore, error) {
-	n := s.opts.LoopWorkers
-	if n == 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
 	e := &eventLoopCore{s: s}
-	for i := 0; i < n; i++ {
+	for i := range runtime.GOMAXPROCS(0) {
 		l, err := newEvLoop(s, i)
 		if err != nil {
 			e.shutdown()

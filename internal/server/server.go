@@ -73,13 +73,12 @@ type Options struct {
 	ID int
 	// ConnCore selects the connection-handling core: CoreGoroutines
 	// (default, one goroutine per connection — the paper-repro
-	// configuration) or CoreEventLoop (an epoll event loop multiplexing
-	// all connections onto a few poller/worker goroutines; Linux only).
-	// Empty means CoreGoroutines.
+	// configuration and the only core the binaries run) or CoreEventLoop
+	// (GOMAXPROCS epoll loops multiplexing every connection; Linux only).
+	// Empty means CoreGoroutines. CoreEventLoop is kept for bench/'s
+	// get_eventloop workload until a benchmark change retires it and the
+	// event-loop core is deleted (ROADMAP item 5).
 	ConnCore string
-	// LoopWorkers sets how many event-loop goroutines CoreEventLoop
-	// runs (default GOMAXPROCS). Ignored by CoreGoroutines.
-	LoopWorkers int
 	// Extstore, when set, adds a log-structured SSD tier behind the RAM
 	// cache: eviction victims are appended to it asynchronously (the server
 	// installs the cache's OnEvict hook), a RAM miss consults it, disk
@@ -205,9 +204,6 @@ func New(opts Options) (*Server, error) {
 		opts.Cache.OnEvict(func(key string, value string, flags uint32, expires time.Time) {
 			ext.PutAsync(key, value, flags, expires)
 		})
-	}
-	if opts.LoopWorkers < 0 {
-		return nil, fmt.Errorf("server: LoopWorkers=%d must be >= 0", opts.LoopWorkers)
 	}
 	switch opts.ConnCore {
 	case "", CoreGoroutines:
@@ -706,11 +702,9 @@ func (s *Server) OpCount(op protocol.Op) int64 {
 // "stats telemetry" prints).
 func (s *Server) Telemetry() *telemetry.Collector { return s.telem }
 
-// ConnCoreName reports which connection core the server runs.
-func (s *Server) ConnCoreName() string { return s.opts.ConnCore }
-
-// LoopStats snapshots the event-loop core's per-loop gauges. It returns
-// nil on the goroutine core, which has no loops to report.
+// LoopStats snapshots the event-loop core's per-loop gauges (bench/'s
+// server.loop_* rows). It returns nil on the goroutine core, which has
+// no loops to report.
 func (s *Server) LoopStats() []LoopStat { return s.core.loopStats() }
 
 // Cache exposes the backing store for occupancy metrics.

@@ -53,7 +53,7 @@ func TestAddr(t *testing.T) {
 	text := CaptureLog(t)
 	log.Printf("memcached-server: admin plane on http://127.0.0.1:4001/metrics")
 	log.Printf("mcproxy: listening on 127.0.0.1:4002, direct routing over 127.0.0.1:4003")
-	log.Printf("memcached-server: listening on [::1]:4004 (memory 64 MiB, shards 8, conn core goroutines)")
+	log.Printf("memcached-server: listening on [::1]:4004 (memory 64 MiB, shards 8)")
 	for marker, want := range map[string]string{
 		"admin plane on http://": "127.0.0.1:4001",
 		"mcproxy: listening on ": "127.0.0.1:4002",

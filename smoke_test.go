@@ -12,7 +12,6 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
-	"runtime"
 	"strconv"
 	"strings"
 	"syscall"
@@ -100,41 +99,6 @@ func TestObsSmoke(t *testing.T) {
 
 	stopClean(t, "memcached-server", srv)
 	settled("obs smoke")
-}
-
-// TestConnsSmoke boots memcached-server on the epoll event-loop core and
-// parks 5000 mostly-idle connections on it with mcbench -conns while a
-// hot subset issues gets: the multiplexed core serves real traffic at a
-// connection count goroutine-per-connection settings never exercise.
-func TestConnsSmoke(t *testing.T) {
-	const conns, ops = 5000, 20000
-	if runtime.GOOS != "linux" {
-		t.Skip("the event-loop core is epoll: linux only")
-	}
-	// Both children are Go programs and raise their own soft limit to the
-	// hard one; the server holds every connection plus its listeners.
-	var lim syscall.Rlimit
-	if err := syscall.Getrlimit(syscall.RLIMIT_NOFILE, &lim); err != nil {
-		t.Fatal(err)
-	}
-	if lim.Max < conns+256 {
-		t.Skipf("hard RLIMIT_NOFILE %d cannot hold %d connections (ulimit -n %d)", lim.Max, conns, conns+256)
-	}
-	server, mcbench := bin(t, "memcached-server"), bin(t, "mcbench")
-	settled := testkit.Settles(t)
-	srv := testkit.Start(t, server, "-addr", "127.0.0.1:0", "-conn-core", "eventloop", "-max-conns", strconv.Itoa(conns+64))
-	addr := testkit.Addr(t, srv.Stderr, listeningOn)
-
-	out := testkit.Run(t, mcbench, "-servers", addr, "-conns", strconv.Itoa(conns), "-ops", strconv.Itoa(ops), "-timeout", "2m")
-	var served int
-	var p50, p95, p99 float64
-	scanLine(t, out, fmt.Sprintf("conns=%d", conns), "p50=%fµs p95=%fµs p99=%fµs (%d ops,", &p50, &p95, &p99, &served)
-	if served != ops {
-		t.Errorf("the %d-connection tier served %d hot gets, want %d:\n%s", conns, served, ops, out)
-	}
-
-	stopClean(t, "memcached-server", srv)
-	settled("conns smoke")
 }
 
 // TestCoalesceSmoke drives a hot-key steady-miss workload at a live
