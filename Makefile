@@ -3,7 +3,7 @@
 GO ?= go
 
 .PHONY: build test vet race bench-module verify faults lint cover fuzz-smoke \
-	microbench obs slo repro clean
+	microbench obs slo repro clean tier1-busy
 
 build:
 	$(GO) build ./...
@@ -25,6 +25,14 @@ bench-module:
 	cd bench && $(GO) vet . && $(GO) test .
 
 verify: build vet test bench-module race
+
+# Tier 1 beside four busy-loop processes the script starts and kills
+# itself (scripts/busytest.sh: no cgroup, no CPU pinning). Minutes per
+# pass, so it is not a CI step. Narrow or repeat it through BUSY, e.g.
+#   make tier1-busy BUSY="-n 10 -run TestLiveStack ./internal/experiments/"
+BUSY ?= ./...
+tier1-busy:
+	./scripts/busytest.sh -k 4 $(BUSY)
 
 # Fault-injection and resilience suite only (client recovery paths,
 # sim/live fault threading, cross-plane schedule determinism). -race

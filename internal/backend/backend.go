@@ -19,6 +19,7 @@ import (
 	"memqlat/internal/dist"
 	"memqlat/internal/fault"
 	"memqlat/internal/otrace"
+	"memqlat/internal/queueing"
 	"memqlat/internal/telemetry"
 )
 
@@ -39,10 +40,10 @@ var ErrInjected = errors.New("backend: injected fault")
 type Options struct {
 	// MuD is the service rate (lookups per second, default 1000).
 	MuD float64
-	// QueueDepth, when positive, serializes lookups through one worker
-	// with a queue of this depth; overflow returns ErrOverloaded. Zero
-	// delays each lookup independently — the paper's ρ_D ≈ 0 database
-	// stage.
+	// QueueDepth, when positive, serializes lookups through one FIFO
+	// service channel with a queue of this depth; overflow returns
+	// ErrOverloaded. Zero delays each lookup independently — the
+	// paper's ρ_D ≈ 0 database stage.
 	QueueDepth int
 	// Seed makes delays deterministic.
 	Seed uint64
@@ -70,19 +71,12 @@ type DB struct {
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	queue   chan *job // nil unless single-queue
-	done    chan struct{}
-	wg      sync.WaitGroup
+	// station realizes each drawn delay in wall time: one FIFO channel
+	// in single-queue mode, an infinite-server delay stage otherwise.
+	station queueing.Station
 	closed  atomic.Bool
 	lookups atomic.Int64
 	dropped atomic.Int64
-	// queuePeak is the single-queue backlog high-watermark (see Stats).
-	queuePeak atomic.Int64
-}
-
-type job struct {
-	service time.Duration
-	ready   chan struct{}
 }
 
 // New constructs a DB.
@@ -96,41 +90,14 @@ func New(opts Options) (*DB, error) {
 	if opts.QueueDepth < 0 {
 		return nil, fmt.Errorf("backend: QueueDepth=%d must not be negative", opts.QueueDepth)
 	}
-	db := &DB{
-		muD:    opts.MuD,
-		rec:    telemetry.OrNop(opts.Recorder),
-		fp:     opts.Fault,
-		tracer: opts.Tracer,
-		rng:    dist.SubRand(opts.Seed, 0xdb),
-		done:   make(chan struct{}),
-	}
-	if opts.QueueDepth > 0 {
-		db.queue = make(chan *job, opts.QueueDepth)
-		db.wg.Add(1)
-		go db.worker()
-	}
-	return db, nil
-}
-
-func (db *DB) worker() {
-	defer db.wg.Done()
-	for {
-		select {
-		case j := <-db.queue:
-			time.Sleep(j.service)
-			close(j.ready)
-		case <-db.done:
-			// Drain pending jobs so callers unblock.
-			for {
-				select {
-				case j := <-db.queue:
-					close(j.ready)
-				default:
-					return
-				}
-			}
-		}
-	}
+	return &DB{
+		muD:     opts.MuD,
+		rec:     telemetry.OrNop(opts.Recorder),
+		fp:      opts.Fault,
+		tracer:  opts.Tracer,
+		rng:     dist.SubRand(opts.Seed, 0xdb),
+		station: queueing.Station{Parallel: opts.QueueDepth == 0, Depth: opts.QueueDepth},
+	}, nil
 }
 
 // serviceTime draws an exponential delay.
@@ -172,39 +139,13 @@ func (db *DB) Get(ctx context.Context, key string) ([]byte, error) {
 			return nil, ErrInjected
 		}
 	}
-	if db.queue != nil {
-		j := &job{service: service, ready: make(chan struct{})}
-		select {
-		case db.queue <- j:
-			// Track the backlog high-watermark at enqueue: the depth
-			// including this job, raised with a CAS loop so concurrent
-			// enqueues never lower it. This is the direct backend-pressure
-			// signal the coalesced-vs-naive experiment reports — drops
-			// only show pressure after the queue is already lost.
-			depth := int64(len(db.queue))
-			for {
-				peak := db.queuePeak.Load()
-				if depth <= peak || db.queuePeak.CompareAndSwap(peak, depth) {
-					break
-				}
-			}
-		default:
-			db.dropped.Add(1)
-			return nil, ErrOverloaded
-		}
-		select {
-		case <-j.ready:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	} else {
-		timer := time.NewTimer(service)
-		defer timer.Stop()
-		select {
-		case <-timer.C:
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
+	v, ok := db.station.Arrive(time.Now(), service)
+	if !ok {
+		db.dropped.Add(1)
+		return nil, ErrOverloaded
+	}
+	if err := db.station.Wait(ctx, v); err != nil {
+		return nil, err
 	}
 	db.rec.Observe(telemetry.StageMissPenalty, time.Since(began).Seconds())
 	db.tracer.End(sp)
@@ -242,19 +183,13 @@ type Stats struct {
 
 // Stats snapshots counters.
 func (db *DB) Stats() Stats {
-	s := Stats{Lookups: db.lookups.Load(), Dropped: db.dropped.Load()}
-	if db.queue != nil {
-		s.QueueDepth = int64(len(db.queue))
-		s.QueuePeak = db.queuePeak.Load()
-	}
-	return s
+	depth, peak := db.station.Backlog(time.Now())
+	return Stats{Lookups: db.lookups.Load(), Dropped: db.dropped.Load(),
+		QueueDepth: int64(depth), QueuePeak: int64(peak)}
 }
 
-// Close stops the worker (single-queue mode) and fails future lookups.
+// Close fails future lookups and wakes every waiting one with ErrClosed.
 func (db *DB) Close() {
-	if db.closed.Swap(true) {
-		return
-	}
-	close(db.done)
-	db.wg.Wait()
+	db.closed.Store(true)
+	db.station.Close(ErrClosed)
 }

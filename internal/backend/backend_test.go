@@ -6,6 +6,8 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"memqlat/internal/testkit"
 )
 
 func TestNewValidation(t *testing.T) {
@@ -121,6 +123,34 @@ func TestSingleQueueOverload(t *testing.T) {
 	}
 }
 
+// TestSingleQueueCountsAbandonedLookups checks that a lookup whose
+// caller gave up keeps its place in the single queue until its service
+// would have ended: behind an abandoned lookup in service and another
+// abandoned one waiting, a 1-deep queue refuses the next at once.
+func TestSingleQueueCountsAbandonedLookups(t *testing.T) {
+	db, err := New(Options{MuD: 0.01, QueueDepth: 1, Seed: 6}) // ~100 s a lookup
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i := 0; i < 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err := db.Get(ctx, "k")
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("lookup %d: err = %v, want its caller's deadline", i, err)
+		}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if _, err := db.Get(ctx, "k"); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("lookup behind two abandoned ones: err = %v, want ErrOverloaded", err)
+	}
+	if st := db.Stats(); st.QueueDepth != 1 || st.QueuePeak != 1 || st.Dropped != 1 {
+		t.Errorf("stats = %+v, want 1 waiting, peak 1, 1 dropped", st)
+	}
+}
+
 func TestSingleQueuePeakDepth(t *testing.T) {
 	// Slow service (1/s) so enqueued jobs pile up behind the first.
 	db, err := New(Options{MuD: 1, QueueDepth: 16, Seed: 2})
@@ -179,11 +209,34 @@ func TestSingleQueueServesInOrder(t *testing.T) {
 	}
 }
 
+// TestClose checks that Close fails later lookups and wakes every
+// lookup waiting on the single queue with ErrClosed, leaving no
+// goroutine behind.
 func TestClose(t *testing.T) {
-	db, _ := New(Options{MuD: 1e6, QueueDepth: 1024})
+	settled := testkit.Settles(t)
+	db, _ := New(Options{MuD: 0.01, QueueDepth: 1024, Seed: 5}) // ~100 s a lookup
+	const waiters = 4
+	errs := make(chan error, waiters)
+	for i := 0; i < waiters; i++ {
+		go func() {
+			_, err := db.Get(context.Background(), "k")
+			errs <- err
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); db.Stats().QueueDepth < waiters-1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("stats = %+v, want %d lookups queued behind the first", db.Stats(), waiters-1)
+		}
+	}
 	db.Close()
 	db.Close() // idempotent
+	for i := 0; i < waiters; i++ {
+		if err := <-errs; !errors.Is(err, ErrClosed) {
+			t.Errorf("waiting lookup woken with %v, want ErrClosed", err)
+		}
+	}
 	if _, err := db.Get(context.Background(), "k"); !errors.Is(err, ErrClosed) {
 		t.Errorf("err = %v", err)
 	}
+	settled("single-queue DB.Close")
 }

@@ -480,14 +480,22 @@ func TestFaultHedgedGetCutsTail(t *testing.T) {
 // delay, once hedgeMinSamples reads have succeeded a stalled read hedges
 // at the observed p90 of those reads — not at their median, the
 // minHedgeDelay floor or the warm-up fallback. Warm-up read i waits
-// 1 ms + (i mod 10)·0.5 ms on the server, so every read lasts at least
-// its server delay and at most its client-side wall time: the p90 of
-// each bounds the trigger, widened by the histogram's 1 % bucket error.
+// 0.2 ms on the server, or 2 ms when i mod 10 is 8 or 9, so every read
+// lasts at least its server delay and at most its client-side wall
+// time: the p90 of each bounds the trigger, widened by the histogram's
+// 1 % bucket error. The p90 of the delays (2 ms) sits well above the
+// median wall (about 1.1 ms, a timer's granularity) and the floor, and
+// no delay comes near the 10 ms fallback, so that a busy machine's
+// scheduling delays, not the script, decide whether a warm-up read
+// outlives it.
 func TestFaultHedgePercentileTrigger(t *testing.T) {
 	var stalls atomic.Int64
 	delays := make([]time.Duration, hedgeMinSamples)
 	for i := range delays {
-		delays[i] = time.Millisecond + time.Duration(i%10)*time.Millisecond/2
+		delays[i] = 200 * time.Microsecond
+		if i%10 >= 8 {
+			delays[i] = 2 * time.Millisecond
+		}
 	}
 	var next atomic.Int64
 	addr := scriptedServer(t, func(w net.Conn, line string) bool {

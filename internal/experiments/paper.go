@@ -494,8 +494,8 @@ var sections = []*section{
 				"expect the same order of magnitude, not equality",
 			"stage rows come from the telemetry recorder threaded through server, client and " +
 				"backend — the same seam the simulator planes record through — and count the measured run only",
-			"sleep overshoot makes the service stage longer than 1/µS; Theorem 1 at the measured µ̂S prices " +
-				"that, and at this ρ̂ the live mean still spreads widely around it (the gate runs at ρ̂ ≈ 0.5)",
+			"each server and the database sleep to deadlines on a wall-clock Lindley station and carry every " +
+				"wake's lateness into the next wakes, so the service stage holds 1/µS and Theorem 1 at µ̂S ≈ µS",
 		},
 		more: func(_ Budget, rep *Report, runs []row) error {
 			if len(runs) == 0 {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -91,12 +92,11 @@ func (s *Server) serveCommand(w *protocol.Writer, cmd *protocol.Command, cs *con
 	var waited time.Duration
 	if cs.shaper != nil {
 		service := time.Duration(cs.shaper.ExpFloat64() / s.opts.ServiceRate * float64(time.Second))
-		s.serviceCh <- struct{}{}
-		// Time spent entering the service channel is the live
-		// server's queueing delay (the W of GI^X/M/1).
-		waited = time.Since(began)
-		time.Sleep(service)
-		<-s.serviceCh
+		v, _ := s.station.Arrive(time.Now(), service)
+		_ = s.station.Wait(context.Background(), v) // nothing closes the station
+		// Time until the station starts serving the command is the
+		// live server's queueing delay (the W of GI^X/M/1).
+		waited = v.Start.Sub(began)
 		cs.rec.Observe(telemetry.StageQueueWait, waited.Seconds())
 	}
 	out := w

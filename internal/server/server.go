@@ -20,6 +20,7 @@ import (
 	"memqlat/internal/fault"
 	"memqlat/internal/otrace"
 	"memqlat/internal/protocol"
+	"memqlat/internal/queueing"
 	"memqlat/internal/sketch"
 	"memqlat/internal/stats"
 	"memqlat/internal/telemetry"
@@ -112,12 +113,11 @@ type Server struct {
 	telem *telemetry.Collector
 	rec   telemetry.Recorder
 
-	// serviceCh is the one-slot service channel of a shaped server: a
-	// command sends to enter service and receives to leave it, so the
-	// server behaves as ONE queueing server (the paper's single GI^X/M/1
-	// service channel), not one per connection. A receive hands the slot
-	// to the oldest blocked sender, so service order is FIFO.
-	serviceCh chan struct{}
+	// station is the one service channel of a shaped server: every
+	// connection's commands queue on it FIFO, so the server behaves as
+	// ONE queueing server (the paper's single GI^X/M/1 service channel),
+	// not one per connection.
+	station queueing.Station
 
 	// latency tracks per-command handling time, served by "stats
 	// latency" (a memqlat observability extension). Each connection
@@ -189,7 +189,6 @@ func New(opts Options) (*Server, error) {
 		telem:     telem,
 		rec:       telemetry.Tee(telem, opts.Recorder),
 		latency:   latency,
-		serviceCh: make(chan struct{}, 1),
 	}
 	// Shard-lock contention in the cache surfaces as the lock_wait
 	// telemetry stage; the TryLock fast path records nothing when
