@@ -58,7 +58,7 @@ lint:
 # below its floor.
 COVER_FLOORS = cache:99.0 protocol:90.6 proxy:95.8 route:91.0 otrace:95.0 \
 	metrics:90.0 server:77.0 coalesce:90.0 tenant:90.0 extstore:85.0 \
-	sketch:90.0 slo:85.0 client:86.0 loadgen:84.2 sim:88.4 core:87.7 \
+	sketch:90.0 slo:85.0 client:86.0 loadgen:84.2 sim:89.5 core:87.7 \
 	experiments:86.5
 
 cover:

@@ -57,6 +57,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Trapped before the admin plane answers: a signal from then on drains.
+	sig, untrap := daemon.Trap()
+	defer untrap()
 	pol, err := proxy.ParsePolicy(*policy)
 	if err != nil {
 		return err
@@ -108,5 +111,5 @@ func run(args []string) error {
 		defer func() { _ = admin.Close() }()
 		log.Printf("mcproxy: admin plane on http://%s/metrics", admin.Addr())
 	}
-	return daemon.Serve("mcproxy", *listen, p, wd, fmt.Sprintf(", %s routing over %s", pol, *servers))
+	return daemon.Serve("mcproxy", *listen, p, wd, fmt.Sprintf(", %s routing over %s", pol, *servers), sig)
 }

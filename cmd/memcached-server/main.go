@@ -69,6 +69,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// Trapped before the admin plane answers: a signal from then on drains.
+	sig, untrap := daemon.Trap()
+	defer untrap()
 
 	var tracer *otrace.Tracer
 	if *traceRing > 0 {
@@ -147,5 +150,5 @@ func run(args []string) error {
 		log.Printf("memcached-server: admin plane on http://%s/metrics", admin.Addr())
 	}
 	return daemon.Serve("memcached-server", *addr, srv, wd, fmt.Sprintf(" (memory %d MiB, shards %d)",
-		*memoryMB, c.Shards()))
+		*memoryMB, c.Shards()), sig)
 }

@@ -479,15 +479,14 @@ func TestFaultHedgedGetCutsTail(t *testing.T) {
 // TestFaultHedgePercentileTrigger: with HedgePercentile and no fixed
 // delay, once hedgeMinSamples reads have succeeded a stalled read hedges
 // at the observed p90 of those reads — not at their median, the
-// minHedgeDelay floor or the warm-up fallback. Warm-up read i waits
+// minHedgeDelay floor. Warm-up read i waits
 // 0.2 ms on the server, or 2 ms when i mod 10 is 8 or 9, so every read
 // lasts at least its server delay and at most its client-side wall
 // time: the p90 of each bounds the trigger, widened by the histogram's
 // 1 % bucket error. The p90 of the delays (2 ms) sits well above the
-// median wall (about 1.1 ms, a timer's granularity) and the floor, and
-// no delay comes near the 10 ms fallback, so that a busy machine's
-// scheduling delays, not the script, decide whether a warm-up read
-// outlives it.
+// median wall (about 1.1 ms, a timer's granularity) and the floor.
+// Warm-up reads are never hedged, however long a busy machine makes
+// them.
 func TestFaultHedgePercentileTrigger(t *testing.T) {
 	var stalls atomic.Int64
 	delays := make([]time.Duration, hedgeMinSamples)
@@ -526,7 +525,7 @@ func TestFaultHedgePercentileTrigger(t *testing.T) {
 		walls[i] = time.Since(began)
 	}
 	if got := col.Breakdown()[telemetry.StageHedgeWait].Count; got != 0 {
-		t.Fatalf("%d warm-up reads outlived the %v fallback and hedged", got, hedgeFallbackDelay)
+		t.Fatalf("%d warm-up reads hedged before the digest held %d reads", got, hedgeMinSamples)
 	}
 	p90 := func(d []time.Duration) time.Duration {
 		slices.Sort(d)
@@ -543,8 +542,42 @@ func TestFaultHedgePercentileTrigger(t *testing.T) {
 		t.Fatalf("StageHedgeWait count = %d, want 1", hw.Count)
 	}
 	if trigger := time.Duration(hw.Mean * float64(time.Second)); trigger < lo || trigger > hi {
-		t.Errorf("hedge fired after %v, want the warm-up p90 in [%v, %v] (fallback %v, floor %v)",
-			trigger, lo, hi, hedgeFallbackDelay, minHedgeDelay)
+		t.Errorf("hedge fired after %v, want the warm-up p90 in [%v, %v] (floor %v)",
+			trigger, lo, hi, minHedgeDelay)
+	}
+}
+
+// TestFaultHedgeWaitsForMeasuredTrigger: with HedgePercentile and no
+// fixed delay, a read issued before the digest holds hedgeMinSamples
+// reads goes out once, however long it stalls: there is no measured
+// delay to hedge at, so the server sees one get and no hedge is
+// recorded.
+func TestFaultHedgeWaitsForMeasuredTrigger(t *testing.T) {
+	var gets atomic.Int64
+	addr := scriptedServer(t, func(w net.Conn, line string) bool {
+		if !strings.HasPrefix(line, "get ") {
+			return false
+		}
+		gets.Add(1)
+		time.Sleep(30 * time.Millisecond)
+		_, _ = w.Write([]byte("VALUE k 0 1\r\nv\r\nEND\r\n"))
+		return true
+	})
+	col := telemetry.NewCollector()
+	c := newClient(t, []string{addr}, func(o *Options) {
+		o.Resilience = fault.Resilience{HedgePercentile: 0.9}
+		o.Recorder = col
+	})
+	for i := range 3 {
+		if _, err := c.Get("k"); err != nil {
+			t.Fatalf("Get %d = %v", i, err)
+		}
+	}
+	if got := gets.Load(); got != 3 {
+		t.Errorf("server saw %d gets for 3 unhedged reads", got)
+	}
+	if got := col.Breakdown()[telemetry.StageHedgeWait].Count; got != 0 {
+		t.Errorf("StageHedgeWait count = %d before the digest warmed up, want 0", got)
 	}
 }
 

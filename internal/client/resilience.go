@@ -53,9 +53,8 @@ func (c *Client) backOff(attempt int) {
 
 const (
 	// hedgeMinSamples is how many reads must be observed before the
-	// adaptive trigger arms; until then hedgeFallbackDelay is the trigger.
-	hedgeMinSamples    = 50
-	hedgeFallbackDelay = 10 * time.Millisecond
+	// adaptive trigger arms; until then a read is not hedged.
+	hedgeMinSamples = 50
 	// minHedgeDelay floors the adaptive trigger so sub-µs observed
 	// latencies cannot degenerate into hedging every read.
 	minHedgeDelay = 100 * time.Microsecond
@@ -66,7 +65,8 @@ const (
 // first success wins; if the first reply is a failure and a hedge is
 // outstanding, the slower attempt gets to answer. Both are complete runs,
 // so the loser's connection is recycled normally, and each success feeds
-// the digest the trigger is read from.
+// the digest the trigger is read from. Without a trigger yet the read
+// runs once.
 func (c *Client) race(parent otrace.Ctx, name string, l *leg) {
 	span := c.tracer.Begin(parent, "client", name, l.idx)
 	defer c.tracer.End(span)
@@ -82,13 +82,17 @@ func (c *Client) race(parent otrace.Ctx, name string, l *leg) {
 		ch <- r[0]
 	}
 	go issue()
-	delay := c.hedgeTrigger()
-	timer := time.NewTimer(delay)
-	defer timer.Stop()
+	var fire <-chan time.Time // nil: never hedges
+	delay, armed := c.hedgeTrigger()
+	if armed {
+		timer := time.NewTimer(delay)
+		defer timer.Stop()
+		fire = timer.C
+	}
 	var won leg
 	select {
 	case won = <-ch:
-	case <-timer.C:
+	case <-fire:
 		c.rec.Observe(telemetry.StageHedgeWait, delay.Seconds())
 		go issue()
 		if won = <-ch; won.err != nil {
@@ -102,16 +106,15 @@ func (c *Client) race(parent otrace.Ctx, name string, l *leg) {
 }
 
 // hedgeTrigger returns the current hedge delay: the fixed HedgeDelay
-// when configured, else the observed read-latency percentile (floored),
-// else the fallback while the digest warms up.
-func (c *Client) hedgeTrigger() time.Duration {
+// when configured, else the observed read-latency percentile (floored).
+// It reports false while the digest warms up: there is no measured
+// delay to hedge at yet.
+func (c *Client) hedgeTrigger() (time.Duration, bool) {
 	if c.res.HedgeDelay > 0 {
-		return time.Duration(c.res.HedgeDelay * float64(time.Second))
+		return time.Duration(c.res.HedgeDelay * float64(time.Second)), true
 	}
-	if q, ok := c.readLat.quantile(c.res.HedgePercentile); ok {
-		return max(time.Duration(q*float64(time.Second)), minHedgeDelay)
-	}
-	return hedgeFallbackDelay
+	q, ok := c.readLat.quantile(c.res.HedgePercentile)
+	return max(time.Duration(q*float64(time.Second)), minHedgeDelay), ok
 }
 
 // tokenBucket is the retry budget: successes earn fractional tokens,

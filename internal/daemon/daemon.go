@@ -13,15 +13,25 @@ import (
 	"memqlat/internal/slo"
 )
 
-// Serve listens on addr and serves tier there until Serve fails or
-// SIGINT/SIGTERM arrives, which closes the tier and waits for Serve to
-// return. wd, when non-nil, judges windows of a wall clock started
-// here. Log lines open with name; "listening on" carries the bound
-// address and banner, and is logged once the signal handler is set.
+// Trap holds SIGINT and SIGTERM for Serve until stop. Call it before
+// anything serves, the admin plane included: a signal that arrives
+// before Serve then waits for it and drains the tier instead of killing
+// the process.
+func Trap() (sig <-chan os.Signal, stop func()) {
+	ch := make(chan os.Signal, 1)
+	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
+	return ch, func() { signal.Stop(ch) }
+}
+
+// Serve listens on addr and serves tier there until Serve fails or a
+// signal arrives on sig (see Trap), which closes the tier and waits for
+// Serve to return. wd, when non-nil, judges windows of a wall clock
+// started here. Log lines open with name; "listening on" carries the
+// bound address and banner.
 func Serve(name, addr string, tier interface {
 	Serve(net.Listener) error
 	Close() error
-}, wd *slo.Watchdog, banner string) error {
+}, wd *slo.Watchdog, banner string, sig <-chan os.Signal) error {
 	if wd != nil {
 		start := time.Now()
 		defer wd.Start(func() float64 { return time.Since(start).Seconds() })()
@@ -31,9 +41,6 @@ func Serve(name, addr string, tier interface {
 	if err != nil {
 		return err
 	}
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 	served := make(chan error, 1)
 	go func() { served <- tier.Serve(l) }()
 	log.Printf("%s: listening on %s%s", name, l.Addr(), banner)

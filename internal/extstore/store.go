@@ -97,6 +97,7 @@ type putReq struct {
 	value   string
 	flags   uint32
 	expires int64
+	gen     uint64 // the flush generation it was queued in
 }
 
 // Store is the SSD tier. All methods are safe for concurrent use.
@@ -123,6 +124,11 @@ type Store struct {
 	stop   chan struct{}
 	wg     sync.WaitGroup
 	closed atomic.Bool
+	// gen is the flush generation, bumped by FlushAll under wmu; queued
+	// and done count the writes PutAsync accepted and the writer finished
+	// with, Flush's barrier.
+	gen          atomic.Uint64
+	queued, done atomic.Int64
 
 	keys        atomic.Int64
 	gets        atomic.Int64
@@ -409,7 +415,8 @@ func (s *Store) PutAsync(key string, value string, flags uint32, expires time.Ti
 		return false // expired victim: not worth a disk write
 	}
 	select {
-	case s.queue <- putReq{key: key, value: value, flags: flags, expires: exp}:
+	case s.queue <- putReq{key: key, value: value, flags: flags, expires: exp, gen: s.gen.Load()}:
+		s.queued.Add(1)
 		return true
 	default:
 		s.drops.Add(1)
@@ -417,15 +424,17 @@ func (s *Store) PutAsync(key string, value string, flags uint32, expires time.Ti
 	}
 }
 
-// writer drains the eviction queue onto the log.
+// writer drains the eviction queue onto the log, dropping the writes
+// queued before the last FlushAll.
 func (s *Store) writer() {
 	defer s.wg.Done()
 	apply := func(r putReq) {
 		s.wmu.Lock()
-		if !s.closed.Load() {
+		if !s.closed.Load() && r.gen == s.gen.Load() {
 			_ = putLocked(s, []byte(r.key), r.value, r.flags, r.expires)
 		}
 		s.wmu.Unlock()
+		s.done.Add(1)
 	}
 	for {
 		select {
@@ -524,9 +533,9 @@ func (s *Store) Delete(key []byte) bool {
 
 // FlushAll atomically drops the entire disk tier: the index is
 // cleared, every segment file is unlinked and a fresh active segment
-// is opened — the disk half of a memcached flush_all. Queued async
-// writes that drain after the flush re-enter the tier as ordinary
-// puts, mirroring a set that races flush_all on the RAM tier.
+// is opened — the disk half of a memcached flush_all. It is final: an
+// async write queued before it, still in the queue or in the writer's
+// hand, is dropped rather than landing after it.
 func (s *Store) FlushAll() error {
 	if s.closed.Load() {
 		return ErrClosed
@@ -536,6 +545,7 @@ func (s *Store) FlushAll() error {
 	if s.closed.Load() {
 		return ErrClosed
 	}
+	s.gen.Add(1)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
@@ -605,17 +615,14 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Flush blocks until every write enqueued before the call has been
-// applied (tests and graceful drains use it; the hot path never does).
-// The writer applies items strictly in order, so an empty queue plus
-// an acquired-and-released write lock means all prior enqueues landed.
+// Flush blocks until the writer has finished with every write enqueued
+// before the call (tests and graceful drains use it; the hot path never
+// does). An empty queue is not enough: the writer may hold the last
+// write, not yet applied.
 func (s *Store) Flush() {
-	for len(s.queue) > 0 && !s.closed.Load() {
+	for target := s.queued.Load(); s.done.Load() < target && !s.closed.Load(); {
 		time.Sleep(100 * time.Microsecond)
 	}
-	s.wmu.Lock()
-	//nolint:staticcheck // the lock acquisition is the barrier
-	s.wmu.Unlock()
 }
 
 // Close stops the async writer (draining queued writes) and closes all

@@ -352,6 +352,42 @@ func TestPutAsyncAndFlush(t *testing.T) {
 	}
 }
 
+// TestFlushAllIsFinal: a write queued before FlushAll — in the queue or
+// in the writer's hand, parked on the write lock — never lands after it,
+// so a flushed key stays gone; a write queued after it lands.
+func TestFlushAllIsFinal(t *testing.T) {
+	s := mustOpen(t, Options{})
+	s.wmu.Lock() // the writer takes the first write and parks on the lock
+	for i := range writeQueueDepth {
+		if !s.PutAsync(fmt.Sprintf("pre-%04d", i), "v", 0, time.Time{}) {
+			t.Fatalf("PutAsync(%d) rejected", i)
+		}
+	}
+	flushed := make(chan error, 1)
+	go func() { flushed <- s.FlushAll() }()
+	// Let FlushAll queue on the lock behind the writer: the writes it
+	// overtakes are the ones a racy flush would let land afterwards.
+	time.Sleep(10 * time.Millisecond)
+	s.wmu.Unlock()
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	s.Flush()
+	if n := s.Len(); n != 0 {
+		t.Fatalf("Len = %d after FlushAll: writes queued before it landed after it", n)
+	}
+	if _, _, _, err := s.Lookup([]byte(fmt.Sprintf("pre-%04d", writeQueueDepth-1)), nil); err != ErrNotFound {
+		t.Fatalf("Lookup of a flushed key err = %v, want ErrNotFound", err)
+	}
+	if !s.PutAsync("post", "v", 0, time.Time{}) {
+		t.Fatal("PutAsync after FlushAll rejected")
+	}
+	s.Flush()
+	if v, _, _, err := s.Lookup([]byte("post"), nil); err != nil || string(v) != "v" {
+		t.Fatalf("Lookup(post) = %q, %v; a write queued after the flush must land", v, err)
+	}
+}
+
 func TestPutAsyncShedsWhenFull(t *testing.T) {
 	s := mustOpen(t, Options{queueDepth: 1})
 	// Stall the writer by holding the write lock, then overfill.

@@ -446,8 +446,10 @@ func (in *Injector) RefusedAt(server int, now float64) bool {
 // DelayAt collapses any active fault into pure extra latency: slowdowns
 // contribute their (probability-weighted) delay, and bounded
 // stall/refuse/flap windows act as a server that is unresponsive until
-// the window (or flap down phase) ends. The integrated simulator uses
-// this view — it models servers, not connections. Drop and reset
+// the window (or flap down phase) ends. The integrated simulator's
+// server queues use this view — they model servers, not connections;
+// its database stage takes At on the miss path it shares with the
+// composition (for a stall window the two agree). Drop and reset
 // outcomes contribute only their bounded windows: a lost reply or a
 // torn-down connection does not make the server itself busier, and a
 // servers-only model has no per-connection caller to surface the

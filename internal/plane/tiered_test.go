@@ -104,6 +104,26 @@ func TestCrossPlaneTiered(t *testing.T) {
 		}
 	})
 
+	// The integrated mode shares the miss path, so the tier absorbs its
+	// misses at the same MRC fraction.
+	t.Run("sim-integrated", func(t *testing.T) {
+		ires, err := (SimPlane{Mode: SimIntegrated}).Run(ctx, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := ires.Sim
+		if ires.Extstore == nil || in.DiskHits == 0 || ires.Breakdown[telemetry.StageDiskRead].Count != in.DiskHits {
+			t.Fatalf("integrated tiered run reports no disk hits: %+v", ires.Extstore)
+		}
+		if in.BackendFetches+in.DelayedHits+in.DiskHits != in.MissCount {
+			t.Errorf("fetches(%d) + delayed(%d) + disk(%d) != misses(%d)",
+				in.BackendFetches, in.DelayedHits, in.DiskHits, in.MissCount)
+		}
+		if got := ires.Extstore.DiskHitFraction(); got < beta*0.9 || got > beta*1.1 {
+			t.Errorf("integrated disk-hit fraction %.3f, MRC predicts %.3f", got, beta)
+		}
+	})
+
 	t.Run("sim-deterministic", func(t *testing.T) {
 		a, err := (SimPlane{}).Run(ctx, s)
 		if err != nil {
@@ -234,14 +254,14 @@ func TestExtstoreSpecRefusedOnEveryPlane(t *testing.T) {
 	}
 }
 
-// TestTieredScenarioValidation pins the rejection surface: the
-// integrated simulator does not model the tier, and malformed specs
-// fail on every plane with a named scenario.
+// TestTieredScenarioValidation pins the rejection surface: malformed
+// specs fail on every plane with a named scenario, and both simulator
+// modes accept a well-formed one.
 func TestTieredScenarioValidation(t *testing.T) {
 	ctx := context.Background()
 	s := tieredScenario(t)
-	if _, err := (SimPlane{Mode: SimIntegrated}).Run(ctx, s); err == nil {
-		t.Error("integrated sim accepted an extstore scenario")
+	if _, err := (SimPlane{Mode: SimIntegrated}).Run(ctx, s); err != nil {
+		t.Errorf("integrated sim refused an extstore scenario: %v", err)
 	}
 	for name, mut := range map[string]func(*ExtstoreSpec){
 		"zero-ram":      func(e *ExtstoreSpec) { e.RAMItems = 0 },

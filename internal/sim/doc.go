@@ -4,21 +4,21 @@
 // exponential-service database stage for misses, constant network delay,
 // and fork-join composition of a request's N keys (paper §3, Fig. 3).
 //
-// SimulateRequests is the one entry point, with two modes. Neither needs
-// an event scheduler: every queue is FIFO with a single server, so the
-// Lindley recursion is its exact event-by-event evolution.
+// SimulateRequests is the one entry point: one request loop that
+// launches requests, forks their keys, sends misses down one miss path
+// and joins. RequestConfig.Integrated switches the paper's §3
+// independence assumption, which decides how a key's memcached stage is
+// produced and how a request joins:
 //
-//   - The composition mode mirrors the paper's testbed methodology:
-//     SimulateServer generates per-server key streams (Generalized Pareto
-//     gaps, geometric batches) and request latency is composed from
-//     sampled key latencies (the paper's mutilate + statistical
-//     composition).
-//
-//   - The integrated mode (RequestConfig.Integrated) is request-driven:
-//     requests fork into keys, keys queue at servers, misses visit the
-//     database, and the request joins when its last key completes.
-//     Per-server arrivals emerge from the request stream, so it tests the
-//     model's independence assumptions end to end.
+//   - Composition (the paper's mutilate + statistical composition): a
+//     key draws its sojourn from its server's GI^X/M/1 stream,
+//     pre-simulated by SimulateServer, and a request adds its stage
+//     maxima in series.
+//   - Integrated: a key queues at its server, so per-server arrivals
+//     emerge from the request stream, and a request joins at its last
+//     key's completion. No event scheduler is needed: every queue is
+//     FIFO with a single server, so the Lindley recursion is its exact
+//     event-by-event evolution.
 //
 // SimulateMissStage samples the database stage alone, O(1) per request.
 package sim

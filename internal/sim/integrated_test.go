@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -22,26 +23,110 @@ func TestSimulateIntegratedValidation(t *testing.T) {
 	if _, err := SimulateRequests(RequestConfig{Integrated: true, Model: bad, Requests: 1}); err == nil {
 		t.Error("invalid model accepted")
 	}
-	// Every option the request-driven pass does not model is refused, and
-	// the same option is fine for the composition mode.
-	for name, set := range map[string]func(*RequestConfig){
-		"proxy":      func(c *RequestConfig) { c.ProxyModel = facebookModel() },
-		"replicas":   func(c *RequestConfig) { c.ReadReplicas = 2 },
-		"tenants":    func(c *RequestConfig) { c.Tenants = []tenant.Spec{{Name: "a"}} },
-		"coalesce":   func(c *RequestConfig) { c.Coalesce = true },
-		"extstore":   func(c *RequestConfig) { c.Extstore = &ExtstoreSim{DiskHitFraction: 0.5, MuDisk: 1000} },
-		"observer":   func(c *RequestConfig) { c.Observer = nopObserver{} },
-		"resilience": func(c *RequestConfig) { c.Resilience = fault.Resilience{Retries: 1} },
+	// Every option drawn from a pre-simulated stream or acting on the
+	// series join is refused by name, and the same option is fine for the
+	// composition mode. The miss path is shared, so coalescing and the
+	// extstore tier run in both modes.
+	for name, c := range map[string]struct {
+		set     func(*RequestConfig)
+		refused string
+	}{
+		"proxy":      {func(c *RequestConfig) { c.ProxyModel = facebookModel() }, "a proxy tier"},
+		"replicas":   {func(c *RequestConfig) { c.ReadReplicas = 2 }, "read replicas"},
+		"tenants":    {func(c *RequestConfig) { c.Tenants = []tenant.Spec{{Name: "a"}} }, "tenant QoS"},
+		"coalesce":   {func(c *RequestConfig) { c.Coalesce = true }, ""},
+		"extstore":   {func(c *RequestConfig) { c.Extstore = &ExtstoreSim{DiskHitFraction: 0.5, MuDisk: 1000} }, ""},
+		"observer":   {func(c *RequestConfig) { c.Observer = nopObserver{} }, "a request observer"},
+		"resilience": {func(c *RequestConfig) { c.Resilience = fault.Resilience{Retries: 1} }, "resilience policies"},
 	} {
 		cfg := RequestConfig{Model: facebookModel(), Requests: 10, KeysPerServer: 2000, Integrated: true}
-		set(&cfg)
-		if _, err := SimulateRequests(cfg); err == nil || !strings.Contains(err.Error(), "integrated mode does not model") {
-			t.Errorf("integrated mode with %s: err = %v, want a refusal", name, err)
+		c.set(&cfg)
+		_, err := SimulateRequests(cfg)
+		switch {
+		case c.refused == "" && err != nil:
+			t.Errorf("integrated mode with %s: %v", name, err)
+		case c.refused != "" && (err == nil || !strings.Contains(err.Error(), "integrated mode does not model") ||
+			!strings.Contains(err.Error(), c.refused)):
+			t.Errorf("integrated mode with %s: err = %v, want a refusal naming %q", name, err, c.refused)
 		}
 		cfg.Integrated = false
 		if _, err := SimulateRequests(cfg); err != nil {
 			t.Errorf("composition mode with %s: %v", name, err)
 		}
+	}
+}
+
+// integratedMissRun is the integrated mode on a miss-heavy model, with
+// coalescing over a hot keyspace and a disk tier as asked.
+func integratedMissRun(t *testing.T, coalesce bool, disk *ExtstoreSim, col telemetry.Recorder) *RequestResult {
+	t.Helper()
+	res, err := SimulateRequests(RequestConfig{
+		Model: hotMissModel(), Requests: 4000, Seed: 7, Integrated: true, Recorder: col,
+		Coalesce: coalesce, MissKeys: 50, MissZipfS: 1.2, Extstore: disk,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestIntegratedMissPath: the integrated mode sends its misses down the
+// composition mode's miss path in completion order. Every measured miss
+// is a backend fetch, a delayed hit or a disk hit, each on its stage.
+func TestIntegratedMissPath(t *testing.T) {
+	col := telemetry.NewCollector()
+	res := integratedMissRun(t, true, &ExtstoreSim{DiskHitFraction: 0.4, MuDisk: 5000}, col)
+	if res.BackendFetches+res.DelayedHits+res.DiskHits != res.MissCount {
+		t.Fatalf("fetches(%d) + delayed(%d) + disk(%d) != misses(%d)",
+			res.BackendFetches, res.DelayedHits, res.DiskHits, res.MissCount)
+	}
+	if res.BackendFetches == 0 || res.DelayedHits == 0 || res.DiskHits == 0 {
+		t.Fatalf("fetches/delayed/disk = %d/%d/%d: every kind should occur",
+			res.BackendFetches, res.DelayedHits, res.DiskHits)
+	}
+	if frac := float64(res.DiskHits) / float64(res.MissCount); math.Abs(frac-0.4) > 0.05 {
+		t.Errorf("disk-hit fraction %.3f, want ~0.4", frac)
+	}
+	b := col.Breakdown()
+	for st, want := range map[telemetry.Stage]int64{
+		telemetry.StageMissPenalty:  res.BackendFetches,
+		telemetry.StageCoalesceWait: res.DelayedHits,
+		telemetry.StageDiskRead:     res.DiskHits,
+	} {
+		if got := b[st].Count; got != want {
+			t.Errorf("%v count = %d, want %d", st, got, want)
+		}
+	}
+	if got := res.DBLat.Count(); got != res.MissCount {
+		t.Errorf("DBLat holds %d samples, want %d misses", got, res.MissCount)
+	}
+
+	// Coalescing only merges fetches: the same keys miss, so MissCount
+	// holds while BackendFetches drops.
+	naive, coalesced := integratedMissRun(t, false, nil, nil), integratedMissRun(t, true, nil, nil)
+	if naive.MissCount != coalesced.MissCount {
+		t.Fatalf("misses %d naive vs %d coalesced: coalescing changed which keys miss",
+			naive.MissCount, coalesced.MissCount)
+	}
+	if naive.BackendFetches != naive.MissCount || naive.DelayedHits != 0 {
+		t.Errorf("naive: %d fetches, %d delayed hits of %d misses", naive.BackendFetches, naive.DelayedHits, naive.MissCount)
+	}
+	if coalesced.BackendFetches*2 > naive.BackendFetches {
+		t.Errorf("coalesced fetches %d, naive %d: a hot keyspace should collapse most of them",
+			coalesced.BackendFetches, naive.BackendFetches)
+	}
+}
+
+// TestIntegratedMissPathDeterministic: one seed, one run, whatever the
+// miss path's stages.
+func TestIntegratedMissPathDeterministic(t *testing.T) {
+	disk := &ExtstoreSim{DiskHitFraction: 0.4, MuDisk: 5000, Dist: "lognormal"}
+	a, b := integratedMissRun(t, true, disk, nil), integratedMissRun(t, true, disk, nil)
+	if a.Total.Mean() != b.Total.Mean() || a.TD.Mean() != b.TD.Mean() || a.Elapsed != b.Elapsed ||
+		a.BackendFetches != b.BackendFetches || a.DelayedHits != b.DelayedHits || a.DiskHits != b.DiskHits {
+		t.Errorf("same seed, different runs: total %v/%v, fetches %d/%d, delayed %d/%d, disk %d/%d",
+			a.Total.Mean(), b.Total.Mean(), a.BackendFetches, b.BackendFetches,
+			a.DelayedHits, b.DelayedHits, a.DiskHits, b.DiskHits)
 	}
 }
 

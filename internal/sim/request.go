@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"memqlat/internal/core"
 	"memqlat/internal/dist"
@@ -22,11 +23,14 @@ type RequestConfig struct {
 	Model *core.Config
 	// Requests is the number of end-user requests to synthesize.
 	Requests int
-	// Integrated selects the request-driven mode. It honours Model,
-	// Requests, Seed, Recorder and Faults (collapsed to pure delay by
-	// fault.Injector.DelayAt: it models servers, not connections), and
-	// refuses a proxy, replicas, tenants, coalescing, the extstore tier,
-	// an observer and resilience policies.
+	// Integrated drops the §3 independence assumption: keys queue at
+	// their servers instead of drawing from pre-simulated streams (see
+	// queuedStage), and a request joins at its last key. Server faults
+	// collapse to pure delay (fault.Injector.DelayAt); the miss path,
+	// coalescing and the extstore tier run as in the composition mode.
+	// It refuses a proxy, replicas, tenants, an observer and resilience
+	// policies, which draw from pre-simulated streams or act on the
+	// series join.
 	Integrated bool
 	// KeysPerServer is the per-server key-stream sample size feeding the
 	// composition (default 200_000).
@@ -73,8 +77,7 @@ type RequestConfig struct {
 	// issuing its own fetch. Because the exponential miss latency is
 	// memoryless, the residual is itself Exp(µ_D)-distributed, so the
 	// per-miss TD distribution — and the cross-plane totals — match the
-	// naive draw; only the backend fetch count drops. False keeps the
-	// naive one-fetch-per-miss draw byte-identical to prior runs.
+	// naive draw; only the backend fetch count drops.
 	Coalesce bool
 	// MissKeys sizes the miss-key population the coalesced draw samples
 	// from (default 2000, the live plane's loadgen keyspace). Ignored
@@ -86,12 +89,11 @@ type RequestConfig struct {
 	MissZipfS float64
 	// Extstore, when non-nil, interposes the SSD cache tier on the miss
 	// path: each miss is absorbed by the disk tier with probability
-	// DiskHitFraction (rng stream 108, drawn only on tiered runs so
-	// untiered runs keep their draw sequence byte-identical), paying a
-	// disk read from the configured service-time family instead of the
-	// Exp(µ_D) backend fetch. Disk hits are local reads, so they never
-	// enter the coalescing windows or the Database fault path; they are
-	// recorded as telemetry.StageDiskRead and counted in DiskHits.
+	// DiskHitFraction, paying a disk read from the configured
+	// service-time family instead of the Exp(µ_D) backend fetch. Disk
+	// hits are local reads, so they never enter the coalescing windows
+	// or the Database fault path; they are recorded as
+	// telemetry.StageDiskRead and counted in DiskHits.
 	Extstore *ExtstoreSim
 	// Tenants arms the multi-tenant QoS admission ahead of every key
 	// draw: each request draws its tenant from the Share mix (rng
@@ -101,27 +103,25 @@ type RequestConfig struct {
 	// skips the proxy/server/miss draws entirely (shed-before-queue)
 	// and is recorded as telemetry.StageTenantShed; a request whose
 	// keys all shed is excluded from the latency sample (its caller
-	// saw only error lines). Empty keeps every draw sequence
-	// byte-identical to prior runs.
+	// saw only error lines).
 	Tenants []tenant.Spec
 	// OfferedKeyRate is the pre-shedding aggregate key rate Λ driving
 	// the virtual request clock when Tenants is set; Model.TotalKeyRate
 	// should then carry the admitted Λ' the surviving streams are
 	// priced at. Zero defaults to Model.TotalKeyRate.
 	OfferedKeyRate float64
-	// Observer, when set, watches the composition loop on its virtual
+	// Observer, when set, watches the request loop on its virtual
 	// timeline: BeginRequest fires at each request's arrival instant
 	// (before any draw), request-loop stage observations are teed to
 	// its Observe, and RequestTotal reports each composed request's
 	// end-to-end latency. Per-server stream stages (queue_wait,
 	// service) are simulated up front outside the request timeline, so
-	// they are not replayed through the observer. Nil adds no work and
-	// draws nothing, keeping existing runs byte-identical — this is the
-	// seam the SLO watchdog replays deterministically.
+	// they are not replayed through the observer. It draws nothing, so
+	// the SLO watchdog replays deterministically through it.
 	Observer RequestObserver
 }
 
-// RequestObserver receives the composition loop's virtual-time events
+// RequestObserver receives the request loop's virtual-time events
 // (see RequestConfig.Observer). slo.Watchdog implements it.
 type RequestObserver interface {
 	telemetry.Recorder
@@ -147,8 +147,8 @@ type ExtstoreSim struct {
 }
 
 // RequestResult aggregates the measured latency decomposition, mirroring
-// the paper's Table 3 columns. The integrated mode fills Total, TS, TD,
-// TN, KeyLat, BusyTime, Elapsed and the key, miss and request counts.
+// the paper's Table 3 columns. Servers, TP and ProxyKeys are the
+// composition mode's; KeyLat and BusyTime the integrated mode's.
 type RequestResult struct {
 	// Total is T(N): the end-user request latency.
 	Total *stats.Histogram
@@ -222,27 +222,37 @@ type RequestResult struct {
 	ShedRequests int64
 }
 
-// SimulateRequests runs the fork-join experiment. In the composition
-// mode it simulates each server's GI^X/M/1 key stream, then composes
-// Requests fork-join requests whose N keys are assigned to servers
-// multinomially by {p_j}, each key reading a latency sample from its
-// server, missing with probability r into the miss path, and joining at
-// the max (paper §4.1).
+// SimulateRequests runs the fork-join experiment: one request loop over
+// Requests requests (after Requests/10 unmeasured warm-up ones in the
+// integrated mode), each forking N keys that are assigned to servers
+// multinomially by {p_j}, pass their server's memcached stage, miss with
+// probability r into the miss path, and join (paper §4.1). The mode
+// only picks how a key's memcached stage is produced (see drawnStage
+// and queuedStage) and how a request joins.
 func SimulateRequests(cfg RequestConfig) (*RequestResult, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Integrated {
-		return simulateIntegrated(cfg)
-	}
-	c, err := newComposition(cfg)
+	l, err := newLoop(cfg)
 	if err != nil {
 		return nil, err
 	}
-	for req := 0; req < cfg.Requests; req++ {
-		c.request(float64(req) / c.reqRate)
+	// The launch clock is evenly spaced in the composition mode, where it
+	// only places fault windows and tenant buckets, and a Poisson stream
+	// in the integrated mode, whose queues it feeds. The span ends at the
+	// last join or at the clock's final tick, whichever is later.
+	var now float64
+	for i := range l.warmup + cfg.Requests {
+		l.request(i, now)
+		if l.rngLaunch != nil {
+			now += l.rngLaunch.ExpFloat64() / l.reqRate
+		} else {
+			now = float64(i+1) / l.reqRate
+		}
 	}
-	return c.out, nil
+	l.out.Elapsed = max(l.out.Elapsed, now)
+	l.drain()
+	return l.out, nil
 }
 
 // validate checks the configuration for its mode.
@@ -262,105 +272,113 @@ func (cfg *RequestConfig) validate() error {
 	if err := cfg.Resilience.Validate(); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}
-	if cfg.Integrated && (cfg.ProxyModel != nil || cfg.ReadReplicas > 1 || len(cfg.Tenants) > 0 || cfg.Coalesce ||
-		cfg.Extstore != nil || cfg.Observer != nil || cfg.Resilience.Enabled()) {
+	if cfg.Integrated && (cfg.ProxyModel != nil || cfg.ReadReplicas > 1 || len(cfg.Tenants) > 0 ||
+		cfg.Observer != nil || cfg.Resilience.Enabled()) {
 		return fmt.Errorf("sim: the integrated mode does not model a proxy tier, read replicas, tenant QoS, " +
-			"miss coalescing, the extstore tier, a request observer or resilience policies (use the composition mode)")
+			"a request observer or resilience policies (use the composition mode)")
 	}
 	return nil
 }
 
-// injector builds the run's fault injector (nil when healthy).
-func (cfg *RequestConfig) injector() (*fault.Injector, error) {
-	if cfg.Faults.Empty() {
-		return nil, nil
-	}
-	return fault.NewInjector(cfg.Faults, cfg.Model.M())
+// memcachedStage gives a key of server j arriving at virtual time
+// arrival its sojourn, the instant it leaves memcached, and whether it
+// ended unanswered or a breaker shed it; measured keys feed telemetry.
+type memcachedStage interface {
+	sojourn(j int, arrival float64, measured bool) (s, done float64, failed, shed bool)
 }
 
-// newResult allocates the histograms both modes fill.
-func newResult(m *core.Config) *RequestResult {
-	return &RequestResult{
-		Total:    stats.NewHistogram(),
-		TS:       stats.NewHistogram(),
-		TD:       stats.NewHistogram(),
-		DBLat:    stats.NewHistogram(),
-		TN:       m.NetworkLatency,
-		Replicas: 1,
-	}
-}
-
-// composition is one composition-mode run, every stage built before the
-// request loop. Streams: 101 assigns keys (and hedge replicas), 102
-// samples servers, 105 the proxy, 107 tenants, the rest the miss path.
-// A stage draws only when armed: runs without it keep their draws.
-type composition struct {
+// loop is one SimulateRequests run, every stage built before the first
+// launch. Streams: composition assigns keys (and hedge replicas) on 101,
+// samples servers on 102, the proxy on 105 and tenants on 107;
+// integrated launches on 201, assigns on 202 and serves server j on
+// 300+j; missPath names its own. A stage draws only when armed: runs
+// without it keep their draws.
+type loop struct {
 	cfg       *RequestConfig
 	out       *RequestResult
 	rec       telemetry.Recorder
-	servers   []*ServerResult
+	stage     memcachedStage
 	assign    *dist.Weighted
 	rngAssign *rand.Rand
-	rngSample *rand.Rand
-	replicas  int
-	reqRate   float64 // virtual request arrivals per second
-	rs        *simResilience
+	rngLaunch *rand.Rand // nil: launches evenly spaced
+	reqRate   float64    // virtual request launches per second
+	warmup    int
 	tenants   *tenantAdmission
 	proxy     *ServerResult // nil without a proxy tier
 	rngProxy  *rand.Rand
 	miss      *missPath
+	// held are the launched requests that still wait on misses, and
+	// pending those misses, in launch order until drain sorts them.
+	held    []fork
+	pending []pendingMiss
 }
 
-func newComposition(cfg RequestConfig) (*composition, error) {
+func newLoop(cfg RequestConfig) (*loop, error) {
 	m := cfg.Model
-	c := &composition{cfg: &cfg, replicas: max(cfg.ReadReplicas, 1)}
-	inj, err := cfg.injector()
-	if err != nil {
-		return nil, err
+	l := &loop{cfg: &cfg}
+	var err error
+	var inj *fault.Injector
+	if !cfg.Faults.Empty() {
+		if inj, err = fault.NewInjector(cfg.Faults, m.M()); err != nil {
+			return nil, err
+		}
 	}
-	if (inj != nil || cfg.Resilience.Enabled()) && c.replicas > 1 {
+	replicas := max(cfg.ReadReplicas, 1)
+	if (inj != nil || cfg.Resilience.Enabled()) && replicas > 1 {
 		return nil, fmt.Errorf("sim: ReadReplicas > 1 cannot combine with faults/resilience (hedging is the Resilience knob)")
 	}
-	if c.tenants, err = newTenantAdmission(cfg); err != nil {
+	if l.tenants, err = newTenantAdmission(cfg); err != nil {
 		return nil, err
 	}
-	if c.miss, err = newMissPath(cfg, inj); err != nil {
+	if l.assign, err = dist.NewWeighted(m.LoadRatios); err != nil {
 		return nil, err
 	}
-	if c.assign, err = dist.NewWeighted(m.LoadRatios); err != nil {
+	if l.proxy, err = proxyStream(cfg); err != nil {
 		return nil, err
 	}
-	if c.servers, err = simulateStreams(cfg, inj, c.replicas); err != nil {
+	l.out = &RequestResult{Total: stats.NewHistogram(), TS: stats.NewHistogram(), TD: stats.NewHistogram(),
+		DBLat: stats.NewHistogram(), TN: m.NetworkLatency, Replicas: replicas}
+	l.rec = telemetry.OrNop(cfg.Recorder)
+	missBase := uint64(100)
+	if cfg.Integrated {
+		missBase, l.warmup = 200, cfg.Requests/10
+		l.rngLaunch, l.rngAssign = dist.SubRand(cfg.Seed, 201), dist.SubRand(cfg.Seed, 202)
+		l.out.KeyLat, l.out.BusyTime = stats.NewHistogram(), make([]float64, m.M())
+		q := &queuedStage{muS: m.MuS, inj: inj, free: make([]float64, m.M()), out: l.out, rec: l.rec}
+		for j := range m.M() {
+			q.rng = append(q.rng, dist.SubRand(cfg.Seed, 300+uint64(j)))
+		}
+		l.stage = q
+	} else {
+		servers, err := simulateStreams(cfg, inj, replicas)
+		if err != nil {
+			return nil, err
+		}
+		l.out.Servers = servers
+		l.rngAssign, l.rngProxy = dist.SubRand(cfg.Seed, 101), dist.SubRand(cfg.Seed, 105)
+		if cfg.Observer != nil {
+			l.rec = telemetry.Tee(l.rec, cfg.Observer)
+		}
+		l.stage = &drawnStage{
+			servers: servers, rs: newSimResilience(cfg.Resilience, m, servers), rec: l.rec,
+			assign: l.assign, rngAssign: l.rngAssign, rngSample: dist.SubRand(cfg.Seed, 102), replicas: replicas,
+		}
+	}
+	if l.miss, err = newMissPath(cfg, inj, missBase); err != nil {
 		return nil, err
 	}
-	if c.proxy, err = proxyStream(cfg); err != nil {
-		return nil, err
+	if l.proxy != nil {
+		l.out.TP, l.out.ProxyKeys = stats.NewHistogram(), l.proxy.Hist
 	}
-	c.out = newResult(m)
-	c.out.Servers, c.out.Replicas = c.servers, c.replicas
-	if c.proxy != nil {
-		c.out.TP, c.out.ProxyKeys = stats.NewHistogram(), c.proxy.Hist
+	if l.tenants != nil {
+		l.out.Tenants = l.tenants.tenants
 	}
-	if c.tenants != nil {
-		c.out.Tenants = c.tenants.tenants
-	}
-	c.rngAssign, c.rngSample, c.rngProxy = dist.SubRand(cfg.Seed, 101), dist.SubRand(cfg.Seed, 102), dist.SubRand(cfg.Seed, 105)
-	c.rec = telemetry.OrNop(cfg.Recorder)
-	if cfg.Observer != nil {
-		c.rec = telemetry.Tee(c.rec, cfg.Observer)
-	}
-	c.rs = newSimResilience(cfg.Resilience, m, c.servers)
-	// Virtual request clock for Database fault windows and tenant
-	// buckets: requests arrive at the aggregate rate Λ/N, matching the
-	// per-server streams' own virtual timelines. Under QoS the clock
-	// runs at the OFFERED rate — sheds happen at arrival, before any
-	// queue, so the admission process sees the pre-shedding stream.
-	offered := cfg.OfferedKeyRate
-	if offered <= 0 {
-		offered = m.TotalKeyRate
-	}
-	c.reqRate = offered / float64(m.N)
-	return c, nil
+	// Requests launch at the aggregate rate Λ/N, so the key rate equals
+	// Λ. Under QoS the clock runs at the OFFERED rate — sheds happen at
+	// arrival, before any queue, so the admission process sees the
+	// pre-shedding stream.
+	l.reqRate = cmp.Or(max(cfg.OfferedKeyRate, 0), m.TotalKeyRate) / float64(m.N)
+	return l, nil
 }
 
 // simulateStreams runs stage 1: each loaded server's key stream, at
@@ -386,32 +404,138 @@ func simulateStreams(cfg RequestConfig, inj *fault.Injector, replicas int) ([]*S
 	return servers, nil
 }
 
-// fork accumulates one request's keys until it joins.
+// fork accumulates one request's keys until it joins: start is its
+// launch, end its last completion so far, and open counts the misses it
+// still waits on.
 type fork struct {
-	maxTS, maxTD, maxTP, sumTS float64
-	misses, failed, admitted   int
+	start, end, maxTS, maxTD, maxTP, sumTS float64
+	misses, failed, admitted, open         int
+	measured                               bool
+	tenant                                 *tenant.Tenant
 }
 
-// request composes one request arriving at virtual time now and joins
-// it at its slowest key.
-func (c *composition) request(now float64) {
-	out := c.out
-	if c.cfg.Observer != nil {
-		c.cfg.Observer.BeginRequest(now)
+// pendingMiss is a queued key that missed: it reaches the miss path
+// when it leaves memcached at done, on behalf of held[fork].
+type pendingMiss struct {
+	done float64
+	fork int
+}
+
+// request launches request i at virtual time now, and joins it at once
+// unless a key's miss is pending.
+func (l *loop) request(i int, now float64) {
+	if l.cfg.Observer != nil {
+		l.cfg.Observer.BeginRequest(now)
 	}
-	tn := c.tenants.draw()
-	var f fork
-	for range c.cfg.Model.N {
-		if tn != nil && !tn.Admit(now, 1, 0) {
+	f := fork{start: now, measured: i >= l.warmup, tenant: l.tenants.draw()}
+	for range l.cfg.Model.N {
+		if f.tenant != nil && !f.tenant.Admit(now, 1, 0) {
 			// Shed before queue: the key never reaches the proxy or a
 			// server, so it draws nothing downstream.
-			out.TenantShedKeys++
-			c.rec.Observe(telemetry.StageTenantShed, 0)
+			l.out.TenantShedKeys++
+			l.rec.Observe(telemetry.StageTenantShed, 0)
 			continue
 		}
-		c.key(now, &f)
+		l.key(&f, now)
+	}
+	if f.open > 0 {
+		l.held = append(l.held, f)
+		return
+	}
+	l.join(&f)
+}
+
+// key runs one admitted key through the proxy, its server's memcached
+// stage and, on a miss, the miss path: at once for a drawn key, and
+// from drain for a queued one.
+func (l *loop) key(f *fork, now float64) {
+	f.admitted++
+	if l.proxy != nil {
+		tp := l.proxy.Sample(l.rngProxy)
+		f.maxTP = max(f.maxTP, tp)
+		l.rec.Observe(telemetry.StageProxyHop, tp)
+	}
+	j := l.assign.SampleInt(l.rngAssign)
+	s, done, failed, shed := l.stage.sojourn(j, now+l.cfg.Model.NetworkLatency, f.measured)
+	if shed && f.measured {
+		l.out.ShedKeys++
+	}
+	if failed {
+		f.failed++
+	}
+	f.maxTS = max(f.maxTS, s)
+	f.sumTS += s
+	// A failed key returns no value, so it cannot miss into the
+	// database; the caller sees its error instead.
+	if failed || !l.miss.misses() {
+		f.end = max(f.end, done)
+		return
+	}
+	f.misses++
+	if l.cfg.Integrated {
+		f.open++
+		l.pending = append(l.pending, pendingMiss{done, len(l.held)})
+		return
+	}
+	l.serveMiss(f, now)
+}
+
+// drain serves the queued keys' misses in the order they leave
+// memcached, which interleaves servers unlike launch order, and joins
+// each held request at its last one.
+func (l *loop) drain() {
+	slices.SortStableFunc(l.pending, func(a, b pendingMiss) int { return cmp.Compare(a.done, b.done) })
+	for _, p := range l.pending {
+		f := &l.held[p.fork]
+		l.serveMiss(f, p.done)
+		if f.open--; f.open == 0 {
+			l.join(f)
+		}
+	}
+}
+
+// serveMiss sends one of f's misses down the miss path at time at.
+func (l *loop) serveMiss(f *fork, at float64) {
+	out := l.out
+	d, stage, failed := l.miss.serve(at)
+	if failed {
+		f.failed++
+	}
+	f.maxTD = max(f.maxTD, d)
+	f.end = max(f.end, at+d)
+	if !f.measured {
+		return
+	}
+	out.DBLat.Record(d)
+	switch stage {
+	case telemetry.StageDiskRead:
+		out.DiskHits++
+	case telemetry.StageCoalesceWait:
+		out.DelayedHits++
+	default:
+		out.BackendFetches++
+	}
+	l.rec.Observe(stage, d)
+}
+
+// join closes request f. Under the §3 independence assumption (the
+// composition mode) its stage maxima add in series; without it (the
+// integrated mode) it ends at its last key's completion.
+func (l *loop) join(f *fork) {
+	out := l.out
+	total := f.end - f.start
+	if !l.cfg.Integrated {
+		total = l.cfg.Model.NetworkLatency + f.maxTS + f.maxTD + f.maxTP
+		f.end = f.start + total
+	}
+	out.Elapsed = max(out.Elapsed, f.end)
+	if !f.measured {
+		return
 	}
 	out.Requests++
+	out.KeyCount += int64(f.admitted)
+	out.MissCount += int64(f.misses)
+	out.FailedKeys += int64(f.failed)
 	if f.misses > 0 {
 		out.RequestsWithMiss++
 	}
@@ -429,71 +553,17 @@ func (c *composition) request(now float64) {
 	if out.TP != nil {
 		out.TP.Record(f.maxTP)
 	}
-	total := c.cfg.Model.NetworkLatency + f.maxTS + f.maxTD + f.maxTP
 	out.Total.Record(total)
-	if c.cfg.Observer != nil {
-		c.cfg.Observer.RequestTotal(now, total)
+	if l.cfg.Observer != nil {
+		l.cfg.Observer.RequestTotal(f.start, total)
 	}
-	if tn != nil {
-		tn.Observe(total)
+	if f.tenant != nil {
+		f.tenant.Observe(total)
 	}
-	c.rec.Observe(telemetry.StageForkJoin, f.maxTS-f.sumTS/float64(f.admitted))
-	if c.cfg.Tracer.Enabled() {
-		emitRequestSpans(c.cfg.Tracer, now, total, f.maxTP, f.maxTS, f.maxTD)
+	l.rec.Observe(telemetry.StageForkJoin, f.maxTS-f.sumTS/float64(f.admitted))
+	if l.cfg.Tracer.Enabled() {
+		emitRequestSpans(l.cfg.Tracer, f.start, total, f.maxTP, f.maxTS, f.maxTD)
 	}
-}
-
-// key runs one admitted key through the proxy, its server (resilience
-// pipeline or hedge replicas) and, on a miss, the miss path.
-func (c *composition) key(now float64, f *fork) {
-	out := c.out
-	f.admitted++
-	if c.proxy != nil {
-		tp := c.proxy.Sample(c.rngProxy)
-		f.maxTP = max(f.maxTP, tp)
-		c.rec.Observe(telemetry.StageProxyHop, tp)
-	}
-	j := c.assign.SampleInt(c.rngAssign)
-	s, failed, shed := c.rs.resolveKey(j, c.servers[j], c.rngSample, c.rec)
-	if shed {
-		out.ShedKeys++
-	}
-	if failed {
-		f.failed++
-		out.FailedKeys++
-	}
-	// Hedged reads: fastest of `replicas` independent draws (replicas
-	// live on distinct servers; with balanced load the same server's
-	// distribution represents each).
-	for rep := 1; rep < c.replicas; rep++ {
-		s = min(s, c.servers[c.assign.SampleInt(c.rngAssign)].Sample(c.rngSample))
-	}
-	f.maxTS = max(f.maxTS, s)
-	f.sumTS += s
-	out.KeyCount++
-	// A failed key returns no value, so it cannot miss into the
-	// database; the caller sees its error instead.
-	if failed || !c.miss.misses() {
-		return
-	}
-	d, stage, missFailed := c.miss.serve(now)
-	if missFailed {
-		f.failed++
-		out.FailedKeys++
-	}
-	f.misses++
-	out.MissCount++
-	out.DBLat.Record(d)
-	switch stage {
-	case telemetry.StageDiskRead:
-		out.DiskHits++
-	case telemetry.StageCoalesceWait:
-		out.DelayedHits++
-	default:
-		out.BackendFetches++
-	}
-	c.rec.Observe(stage, d)
-	f.maxTD = max(f.maxTD, d)
 }
 
 // emitRequestSpans records one composed request on the virtual request

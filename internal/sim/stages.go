@@ -44,6 +44,58 @@ func (ta *tenantAdmission) draw() *tenant.Tenant {
 	return ta.tenants[ta.mix.SampleInt(ta.rng)]
 }
 
+// drawnStage is the composition mode's memcached stage: a key's sojourn
+// is drawn from its server's pre-simulated GI^X/M/1 stream through the
+// resilience pipeline, and hedged across replicas.
+type drawnStage struct {
+	servers              []*ServerResult
+	rs                   *simResilience
+	rec                  telemetry.Recorder
+	assign               *dist.Weighted
+	rngAssign, rngSample *rand.Rand
+	replicas             int
+}
+
+func (d *drawnStage) sojourn(j int, arrival float64, _ bool) (s, done float64, failed, shed bool) {
+	s, failed, shed = d.rs.resolveKey(j, d.servers[j], d.rngSample, d.rec)
+	// Hedged reads: fastest of `replicas` independent draws (replicas
+	// live on distinct servers; with balanced load the same server's
+	// distribution represents each).
+	for rep := 1; rep < d.replicas; rep++ {
+		s = min(s, d.servers[d.assign.SampleInt(d.rngAssign)].Sample(d.rngSample))
+	}
+	return s, arrival + s, failed, shed
+}
+
+// queuedStage is the integrated mode's memcached stage. Every key reaches
+// its server T_N after its request launches, so launch order is arrival
+// order at every FIFO server, and a key's service starts at max(arrival,
+// the server's previous completion): the Lindley recursion. Service is
+// Exp(µ_S) on stream 300+j plus the server's faults collapsed by
+// fault.Injector.DelayAt: it models servers, not connections.
+type queuedStage struct {
+	muS  float64
+	inj  *fault.Injector
+	rng  []*rand.Rand
+	free []float64 // each server's last completion
+	out  *RequestResult
+	rec  telemetry.Recorder
+}
+
+func (q *queuedStage) sojourn(j int, arrival float64, measured bool) (s, done float64, failed, shed bool) {
+	start := max(arrival, q.free[j])
+	service := q.rng[j].ExpFloat64()/q.muS + q.inj.DelayAt(j, start)
+	q.free[j] = start + service
+	q.out.BusyTime[j] += service
+	s = q.free[j] - arrival
+	if measured {
+		q.out.KeyLat.Record(s)
+		q.rec.Observe(telemetry.StageQueueWait, start-arrival)
+		q.rec.Observe(telemetry.StageService, service)
+	}
+	return s, q.free[j], false, false
+}
+
 // proxyStream simulates the proxy tier (nil without one): one more
 // GI^X/M/1 stream at the aggregate key rate Λ, whatever ReadReplicas —
 // replicated reads fan out behind the proxy's queue, not through it.
@@ -62,11 +114,11 @@ func proxyStream(cfg RequestConfig) (*ServerResult, error) {
 	return srv, nil
 }
 
-// missPath is where a RAM miss goes, once stream 103 says a key missed:
-// to the disk tier if armed (stream 108: the β coin, then the read),
-// else to a backend fetch — Exp(µ_D) on stream 104 plus any Database
-// fault, one per miss or, coalesced, one per key window (stream 106
-// draws each miss's key).
+// missPath is where a RAM miss goes, once stream base+3 says a key
+// missed: to the disk tier if armed (stream base+8: the β coin, then the
+// read), else to a backend fetch — Exp(µ_D) on stream base+4 plus any
+// Database fault, one per miss or, coalesced, one per key window (stream
+// base+6 draws each miss's key). base is 100, or 200 when integrated.
 type missPath struct {
 	ratio, muD float64
 	inj        *fault.Injector
@@ -85,13 +137,13 @@ type missPath struct {
 	inflightFail  []bool    // window's fetch failed: error fans out
 }
 
-func newMissPath(cfg RequestConfig, inj *fault.Injector) (*missPath, error) {
+func newMissPath(cfg RequestConfig, inj *fault.Injector, base uint64) (*missPath, error) {
 	p := &missPath{
 		ratio:   cfg.Model.MissRatio,
 		muD:     cfg.Model.MuD,
 		inj:     inj,
-		rngMiss: dist.SubRand(cfg.Seed, 103),
-		rngDB:   dist.SubRand(cfg.Seed, 104),
+		rngMiss: dist.SubRand(cfg.Seed, base+3),
+		rngDB:   dist.SubRand(cfg.Seed, base+4),
 	}
 	if cfg.Coalesce {
 		nKeys := cfg.MissKeys
@@ -104,7 +156,7 @@ func newMissPath(cfg RequestConfig, inj *fault.Injector) (*missPath, error) {
 				return nil, err
 			}
 		}
-		p.rngKey = dist.SubRand(cfg.Seed, 106)
+		p.rngKey = dist.SubRand(cfg.Seed, base+6)
 		p.inflightUntil = make([]float64, nKeys)
 		p.inflightFail = make([]bool, nKeys)
 	}
@@ -113,7 +165,7 @@ func newMissPath(cfg RequestConfig, inj *fault.Injector) (*missPath, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sim: extstore: %w", err)
 		}
-		p.rngDisk, p.diskHit, p.disk = dist.SubRand(cfg.Seed, 108), e.DiskHitFraction, disk
+		p.rngDisk, p.diskHit, p.disk = dist.SubRand(cfg.Seed, base+8), e.DiskHitFraction, disk
 	}
 	return p, nil
 }

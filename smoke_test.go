@@ -16,6 +16,7 @@ import (
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"memqlat/internal/slo"
 	"memqlat/internal/testkit"
@@ -99,6 +100,40 @@ func TestObsSmoke(t *testing.T) {
 
 	stopClean(t, "memcached-server", srv)
 	settled("obs smoke")
+}
+
+// TestSignalAfterAdminSmoke sends SIGTERM to memcached-server and to
+// mcproxy the moment each logs its admin plane, 20 times each, and wants
+// the drained exit status 0 every time: the signal handler is installed
+// before anything serves, so no signal can find the default action.
+func TestSignalAfterAdminSmoke(t *testing.T) {
+	server, mcproxy := bin(t, "memcached-server"), bin(t, "mcproxy")
+	settled := testkit.Settles(t)
+	upstream := testkit.Start(t, server, "-addr", "127.0.0.1:0")
+	addr := testkit.Addr(t, upstream.Stderr, listeningOn)
+	for _, c := range []struct {
+		bin  string
+		args []string
+	}{
+		{server, []string{"-addr", "127.0.0.1:0", "-admin", "127.0.0.1:0"}},
+		{mcproxy, []string{"-listen", "127.0.0.1:0", "-servers", addr, "-admin", "127.0.0.1:0"}},
+	} {
+		name := filepath.Base(c.bin)
+		for i := range 20 {
+			p := testkit.Start(t, c.bin, c.args...)
+			// Poll tighter than testkit.Addr, so the signal lands as close
+			// behind the admin line as a reader can put it.
+			for deadline := time.Now().Add(10 * time.Second); !strings.Contains(p.Stderr(), adminOn); {
+				if time.Now().After(deadline) {
+					t.Fatalf("%s run %d: no admin line after 10s:\n%s", name, i, p.Stderr())
+				}
+				time.Sleep(50 * time.Microsecond)
+			}
+			stopClean(t, fmt.Sprintf("%s run %d", name, i), p)
+		}
+	}
+	stopClean(t, "upstream memcached-server", upstream)
+	settled("signal smoke")
 }
 
 // TestCoalesceSmoke drives a hot-key steady-miss workload at a live
