@@ -67,17 +67,11 @@ func BenchmarkSimPlane(b *testing.B) {
 // ns/op is dominated by the paced open-loop run (ops/λ seconds).
 func BenchmarkLivePlane(b *testing.B) {
 	s := plane.Scenario{
-		Name:         "bench",
-		N:            1,
-		LoadRatios:   core.BalancedLoad(2),
-		TotalKeyRate: 4000,
-		Q:            0.1,
-		Xi:           0.15,
-		MuS:          4000,
-		MissRatio:    0.01,
-		MuD:          1000,
-		Ops:          500,
-		Workers:      32,
+		Name: "bench",
+		Config: core.Config{N: 1, LoadRatios: core.BalancedLoad(2), TotalKeyRate: 4000, Q: 0.1,
+			Xi: 0.15, MuS: 4000, MissRatio: 0.01, MuD: 1000},
+		Ops:     500,
+		Workers: 32,
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -97,7 +97,7 @@ func run(args []string, out io.Writer) error {
 	// Flags bind straight into the Scenario, or the LivePlane driving it;
 	// -n alone is read once the mode is known, since the live stack's
 	// request is one key.
-	s := plane.Scenario{Name: "mcbench", N: 1}
+	s := plane.Scenario{Name: "mcbench", Config: core.Config{N: 1}}
 	var live plane.LivePlane
 	fs.IntVar(&s.Keys, "keys", 10000, "keyspace size")
 	fs.IntVar(&s.ValueSize, "value-size", 100, "value size in bytes (the mean under -value-dist=lognormal)")

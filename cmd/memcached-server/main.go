@@ -30,6 +30,7 @@ import (
 	"os"
 
 	"memqlat/internal/cache"
+	"memqlat/internal/core"
 	"memqlat/internal/daemon"
 	"memqlat/internal/extstore"
 	"memqlat/internal/metrics"
@@ -88,7 +89,7 @@ func run(args []string) error {
 	}
 	// The watchdog judges this server's stages against the Theorem-1
 	// bands of the one server its -slo model keys describe.
-	wd, err := plane.NewWatchdog(*sloSpec, plane.Scenario{MuS: *serviceRate}, os.Stderr)
+	wd, err := plane.NewWatchdog(*sloSpec, plane.Scenario{Config: core.Config{MuS: *serviceRate}}, os.Stderr)
 	if err != nil {
 		return err
 	}

@@ -506,16 +506,16 @@ var sections = []*section{
 			// Timer overshoot stretches shaped service past 1/µS, so
 			// Theorem 1 is also read at the measured service rate µ̂S =
 			// 1/(service stage mean) and the achieved key rate.
-			measured := s
+			measured := s.Config
 			measured.MuS = 1 / res.Breakdown.MeanOf(telemetry.StageService)
 			measured.TotalKeyRate = lg.AchievedRate()
 			var queues [2]*queueing.BatchQueue
-			for i, at := range []plane.Scenario{s, measured} {
-				model, err := at.Config()
-				if err != nil {
-					return err
+			for i, at := range []core.Config{s.Config, measured} {
+				err := at.Validate()
+				if err == nil {
+					queues[i], err = at.ServerQueue(0)
 				}
-				if queues[i], err = model.ServerQueue(0); err != nil {
+				if err != nil {
 					return err
 				}
 			}

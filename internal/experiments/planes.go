@@ -130,9 +130,9 @@ func hotKey() *section {
 	// The live legs run scaled rates against a bounded single-queue backend.
 	liveHot := func(label string, coalesce bool) leg {
 		return leg{cells: []string{label}, on: onLive, mut: func(s *plane.Scenario) error {
-			*s = plane.Scenario{Name: "hotkey-live", N: 1, LoadRatios: core.BalancedLoad(2), TotalKeyRate: 1200,
-				Q: 0.1, Xi: 0.15, MuS: 4000, MissRatio: 0.5, MuD: 200, Ops: 5000, Workers: 32, Seed: s.Seed,
-				Keys: 8, ZipfS: 4, // one mega-hot key carries ~93% of misses
+			*s = plane.Scenario{Name: "hotkey-live", Config: core.Config{N: 1, LoadRatios: core.BalancedLoad(2),
+				TotalKeyRate: 1200, Q: 0.1, Xi: 0.15, MuS: 4000, MissRatio: 0.5, MuD: 200},
+				Ops: 5000, Workers: 32, Seed: s.Seed, Keys: 8, ZipfS: 4, // one mega-hot key carries ~93% of misses
 				FillTTL: -time.Second, DBQueueDepth: 64, Coalesce: coalesce}
 			return nil
 		}}
@@ -239,9 +239,10 @@ func noisy() *section {
 		base:  base,
 		legs: []leg{{on: onModel}, {on: onSim}, {on: onLive, mut: func(s *plane.Scenario) error {
 			// Scaled rates through the real proxy, limiter and loadgen.
-			*s = plane.Scenario{Name: "noisy-live", N: 1, LoadRatios: core.BalancedLoad(2), TotalKeyRate: 1600,
-				Q: 0.1, Xi: 0.15, MuS: 850, MissRatio: 0.02, MuD: 2000, Ops: 6000, Workers: 32, Seed: s.Seed,
-				Proxy: &plane.ProxySpec{}, Tenants: []tenant.Spec{{Name: "victim", Share: 0.5},
+			*s = plane.Scenario{Name: "noisy-live", Config: core.Config{N: 1, LoadRatios: core.BalancedLoad(2),
+				TotalKeyRate: 1600, Q: 0.1, Xi: 0.15, MuS: 850, MissRatio: 0.02, MuD: 2000},
+				Ops: 6000, Workers: 32, Seed: s.Seed, Proxy: &plane.ProxySpec{},
+				Tenants: []tenant.Spec{{Name: "victim", Share: 0.5},
 					{Name: "aggressor", Rate: 1600 * 0.5 / 3, Share: 0.5}}}
 			return nil
 		}}},
@@ -295,8 +296,8 @@ func tenantRows(res *plane.Result) [][]string {
 // liveScenario is the live and proxied sections' workload, scaled to
 // rates the live TCP stack sustains in real time on one machine.
 func liveScenario(seed uint64) plane.Scenario {
-	return plane.Scenario{Name: "live", N: 1, LoadRatios: core.BalancedLoad(2), TotalKeyRate: 1000, Q: 0.1,
-		Xi: 0.15, MuS: 1000, MissRatio: 0.01, MuD: 1000, Ops: 2000, Workers: 32, Seed: seed}
+	return plane.Scenario{Name: "live", Config: core.Config{N: 1, LoadRatios: core.BalancedLoad(2),
+		TotalKeyRate: 1000, Q: 0.1, Xi: 0.15, MuS: 1000, MissRatio: 0.01, MuD: 1000}, Ops: 2000, Workers: 32, Seed: seed}
 }
 
 // proxied prices an mcrouter-style proxy between the clients and the
@@ -403,8 +404,8 @@ func tiered() *section {
 	// segment files in a temp dir, at live-sustainable rates. MissRatio
 	// stays 0: the capacity-sized cache produces misses organically.
 	legs = append(legs, leg{cells: []string{"live 200:1600"}, on: onLive, mut: func(s *plane.Scenario) error {
-		*s = plane.Scenario{Name: "tiered-live", N: 1, LoadRatios: core.BalancedLoad(2), TotalKeyRate: 4000,
-			Q: 0.1, Xi: 0.15, MuS: 2000, MuD: 1000, Ops: max(s.Requests, 2000), Workers: 32,
+		*s = plane.Scenario{Name: "tiered-live", Config: core.Config{N: 1, LoadRatios: core.BalancedLoad(2),
+			TotalKeyRate: 4000, Q: 0.1, Xi: 0.15, MuS: 2000, MuD: 1000}, Ops: max(s.Requests, 2000), Workers: 32,
 			Duration: 45 * time.Second, Seed: s.Seed, Keys: tieredKeys, ZipfS: tieredZipfS,
 			Extstore: &plane.ExtstoreSpec{RAMItems: 200, TotalItems: 1800, MuDisk: tieredMuDisk}}
 		return nil
@@ -557,8 +558,9 @@ func drift() *section {
 	}
 	legs := []leg{simRun(1), simRun(2), {cells: []string{"live"}, on: onLive,
 		mut: watched(driftLiveWindow, 0, func(s *plane.Scenario) {
-			*s = plane.Scenario{Name: "drift-live", N: 1, LoadRatios: core.BalancedLoad(2), TotalKeyRate: 300,
-				Q: 0.1, Xi: 0.15, MuS: 500, MissRatio: 0.2, MuD: 500, Ops: 1500, Workers: 32, Seed: s.Seed, Faults: faults}
+			*s = plane.Scenario{Name: "drift-live", Config: core.Config{N: 1, LoadRatios: core.BalancedLoad(2),
+				TotalKeyRate: 300, Q: 0.1, Xi: 0.15, MuS: 500, MissRatio: 0.2, MuD: 500},
+				Ops: 1500, Workers: 32, Seed: s.Seed, Faults: faults}
 		}),
 		check: func(r row, _ []row) error {
 			if fw, detected := driftWindows(r); detected < 0 || detected > fw+driftDetectWithin {
@@ -583,8 +585,8 @@ func drift() *section {
 		title: "SLO watchdog: db-slow fault detection latency across planes, plus a healthy-load false-alarm sweep",
 		// A miss-heavy mix, so the database stage carries enough
 		// per-window samples to be judged.
-		base: plane.Scenario{Name: "drift", N: 10, LoadRatios: core.BalancedLoad(2), TotalKeyRate: 2000, Q: 0.1,
-			Xi: 0.15, MuS: 4000, MissRatio: 0.2, MuD: 500, Faults: faults},
+		base: plane.Scenario{Name: "drift", Config: core.Config{N: 10, LoadRatios: core.BalancedLoad(2),
+			TotalKeyRate: 2000, Q: 0.1, Xi: 0.15, MuS: 4000, MissRatio: 0.2, MuD: 500}, Faults: faults},
 		legs: legs,
 		cols: append([]col{{"leg", nil}}, columns(func(r row) []string {
 			st, fw, det, delay, mag := r.last().SLO, "-", "-", "-", 0.0

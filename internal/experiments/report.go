@@ -296,11 +296,9 @@ func sweep[T any](seed0 uint64, vals []T, cells func(T) []string, mut func(*plan
 	return legs
 }
 
-// lift sets the model half of s to c; its budget and seed stay.
+// lift sets the model half of s to c; the rest of s stays.
 func lift(s *plane.Scenario, c *core.Config) error {
-	l := plane.FromConfig(s.Name, c)
-	l.Requests, l.KeysPerServer, l.Seed = s.Requests, s.KeysPerServer, s.Seed
-	*s = l
+	s.Config = *c
 	return nil
 }
 

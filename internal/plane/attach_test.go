@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"memqlat/internal/cache"
+	"memqlat/internal/core"
 	"memqlat/internal/dist"
 	"memqlat/internal/server"
 	"memqlat/internal/telemetry"
@@ -48,21 +49,15 @@ func TestLivePlaneAttach(t *testing.T) {
 	settled := testkit.Settles(t)
 
 	s := Scenario{
-		Name:         "attach",
-		N:            1,
-		LoadRatios:   []float64{0.5, 0.5},
-		TotalKeyRate: 4000,
-		Q:            0.1,
-		Xi:           0.15,
-		MuS:          4000,
-		MissRatio:    0.05,
-		MuD:          2000,
-		Keys:         100,
-		Ops:          400,
-		Duration:     30 * time.Second,
-		Seed:         5,
-		Proxy:        &ProxySpec{},
-		Tenants:      []tenant.Spec{{Name: "a", Share: 0.5}, {Name: "b", Share: 0.5}},
+		Name: "attach",
+		Config: core.Config{N: 1, LoadRatios: []float64{0.5, 0.5}, TotalKeyRate: 4000, Q: 0.1,
+			Xi: 0.15, MuS: 4000, MissRatio: 0.05, MuD: 2000},
+		Keys:     100,
+		Ops:      400,
+		Duration: 30 * time.Second,
+		Seed:     5,
+		Proxy:    &ProxySpec{},
+		Tenants:  []tenant.Spec{{Name: "a", Share: 0.5}, {Name: "b", Share: 0.5}},
 	}
 	hitsOnly := s
 	hitsOnly.MissRatio = 0
@@ -130,14 +125,9 @@ func TestLivePlaneRefusesWhatItCannotRun(t *testing.T) {
 	} {
 		t.Run(tc.field, func(t *testing.T) {
 			s := Scenario{
-				Name:         "refused",
-				N:            1,
-				LoadRatios:   []float64{0.5, 0.5},
-				TotalKeyRate: 1000,
-				Q:            0.1,
-				Xi:           0.15,
-				MuS:          1000,
-				MuD:          1000,
+				Name: "refused",
+				Config: core.Config{N: 1, LoadRatios: []float64{0.5, 0.5}, TotalKeyRate: 1000,
+					Q: 0.1, Xi: 0.15, MuS: 1000, MuD: 1000},
 			}
 			tc.mut(&s)
 			r, err := (LivePlane{}).Start(s)
@@ -169,18 +159,13 @@ func TestLivePlaneRunsTheModelsArrivalLaw(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := Scenario{
-				Name:         "live-arrival",
-				N:            1,
-				LoadRatios:   []float64{0.5, 0.5},
-				TotalKeyRate: 1000,
-				Q:            0.1,
-				MuS:          2000,
-				MuD:          1000,
-				Keys:         200,
-				Ops:          600,
-				Duration:     30 * time.Second,
-				Seed:         7,
-				Arrival:      tc.arrival,
+				Name: "live-arrival",
+				Config: core.Config{N: 1, LoadRatios: []float64{0.5, 0.5}, TotalKeyRate: 1000,
+					Q: 0.1, MuS: 2000, MuD: 1000, Arrival: tc.arrival},
+				Keys:     200,
+				Ops:      600,
+				Duration: 30 * time.Second,
+				Seed:     7,
 			}
 			res, err := (LivePlane{}).Run(context.Background(), s)
 			if err != nil {

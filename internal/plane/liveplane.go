@@ -113,7 +113,7 @@ func (s Scenario) liveGaps() (dist.Interarrival, error) {
 			return nil, fmt.Errorf("plane: scenario %q: consistent hashing realizes only a balanced split; LoadRatios %v are unequal", s.Name, s.LoadRatios)
 		}
 	}
-	model, err := s.Config()
+	model, err := s.modelConfig()
 	if err != nil {
 		return nil, err
 	}

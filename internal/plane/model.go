@@ -33,7 +33,7 @@ func (p ModelPlane) Run(ctx context.Context, s Scenario) (*Result, error) {
 	// analytic story of the noisy-neighbor scenario: the aggressor's
 	// excess never enters λ, so the victims' band is the Λ' band.
 	priced := s.admittedScenario()
-	model, err := priced.Config()
+	model, err := priced.modelConfig()
 	if err != nil {
 		return nil, err
 	}

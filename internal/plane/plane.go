@@ -1,8 +1,8 @@
 // Package plane unifies the repo's three evaluation paths — the
 // analytical model (internal/core), the simulator (internal/sim) and
 // the live TCP stack (internal/server + internal/loadgen) — behind one
-// interface. A Scenario describes a deployment/workload in the paper's
-// terms (Table 1) plus measurement effort; a Plane runs it and returns
+// interface. A Scenario is a core.Config, the deployment/workload in the
+// paper's terms (Table 1), plus how to run it; a Plane runs it and returns
 // a Result whose shape is identical across planes: latency bounds, the
 // TN/TS/TD decomposition of Theorem 1, and the per-stage telemetry
 // Breakdown (queue wait, service, miss penalty, fork-join overhead).
@@ -17,6 +17,7 @@ package plane
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"memqlat/internal/backend"
@@ -51,40 +52,18 @@ type ProxySpec struct {
 	Replicas int
 }
 
-// Scenario is one deployment + workload + measurement budget, the unit
-// of cross-plane comparison. Rates are per second, times in seconds.
+// Scenario is one model configuration plus its measurement budget,
+// tiers and observers: the unit of cross-plane comparison. Rates are
+// per second, times in seconds.
 type Scenario struct {
 	// Name labels the scenario in reports (e.g. "facebook", "fig5 q=0.3").
 	Name string
 
-	// N is the number of Memcached keys per end-user request. The live
-	// plane issues single-key gets and refuses any N but 1.
-	N int
-	// LoadRatios is the load split {p_j} over the M servers (must be
-	// non-negative, summing to 1). The live plane spreads keys with
-	// consistent hashing, which realizes only a balanced split, so it
-	// refuses unequal ratios; unbalanced scenarios are the
-	// model/simulator's domain.
-	LoadRatios []float64
-	// TotalKeyRate is Λ, the aggregate key arrival rate.
-	TotalKeyRate float64
-	// Q is the concurrent probability (geometric batch sizes).
-	Q float64
-	// Xi is the burst degree of the Generalized Pareto gaps.
-	Xi float64
-	// MuS is the per-key Memcached service rate.
-	MuS float64
-	// MissRatio is r, the per-key cache miss probability.
-	MissRatio float64
-	// MuD is the database service rate.
-	MuD float64
-	// NetworkLatency is the constant per-key network latency T_N.
-	NetworkLatency float64
-	// Arrival optionally overrides the batch inter-arrival family
-	// (default: Generalized Pareto with shape Xi). Every plane honors
-	// it: the model's queues, the simulator's streams and the live load
-	// generator's pacer all draw from core.Config.ArrivalFor.
-	Arrival core.ArrivalFactory
+	// Config is Theorem 1's parameter set, which every plane prices the
+	// scenario at. The live plane issues single-key gets over a
+	// consistent-hash ring, so it refuses any N but 1 and unequal
+	// LoadRatios.
+	core.Config
 
 	// Faults is the shared fault schedule. The simulator planes evaluate
 	// it in virtual time; the live plane injects the same rules in wall
@@ -279,8 +258,9 @@ func (s Scenario) admittedScenario() Scenario {
 // µ_P = MuS × M (one proxy fronting M servers runs at the per-server
 // utilization), with the workload's batching (Q) and burstiness (Xi) intact —
 // the proxy sees the union of the arrival processes the servers see.
-// MissRatio is zero (the proxy always forwards, never touches the
-// database); MuD is carried over only to satisfy validation.
+// Only the stage's TS and queue wait are read from it; the miss and
+// network parameters ride along unread (the proxy never touches the
+// database).
 func (s Scenario) proxyConfig() (*core.Config, error) {
 	if s.Proxy == nil {
 		return nil, fmt.Errorf("plane: scenario %q has no proxy spec", s.Name)
@@ -288,58 +268,30 @@ func (s Scenario) proxyConfig() (*core.Config, error) {
 	if _, err := proxy.ParsePolicy(s.Proxy.Policy); err != nil {
 		return nil, fmt.Errorf("plane: scenario %q: %w", s.Name, err)
 	}
-	c := &core.Config{
-		N:            s.N,
-		LoadRatios:   []float64{1},
-		TotalKeyRate: s.TotalKeyRate,
-		Q:            s.Q,
-		Xi:           s.Xi,
-		MuS:          s.MuS * float64(len(s.LoadRatios)), // µ_P
-		MuD:          s.MuD,
-		Arrival:      s.Arrival,
-	}
+	c := s.Config
+	c.LoadRatios = []float64{1}
+	c.MuS *= float64(s.M()) // µ_P
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("plane: scenario %q proxy stage: %w", s.Name, err)
 	}
-	return c, nil
+	return &c, nil
 }
 
 // FromConfig lifts a model configuration into a Scenario.
 func FromConfig(name string, c *core.Config) Scenario {
-	return Scenario{
-		Name:           name,
-		N:              c.N,
-		LoadRatios:     append([]float64(nil), c.LoadRatios...),
-		TotalKeyRate:   c.TotalKeyRate,
-		Q:              c.Q,
-		Xi:             c.Xi,
-		MuS:            c.MuS,
-		MissRatio:      c.MissRatio,
-		MuD:            c.MuD,
-		NetworkLatency: c.NetworkLatency,
-		Arrival:        c.Arrival,
-	}
+	s := Scenario{Name: name, Config: *c}
+	s.LoadRatios = slices.Clone(c.LoadRatios)
+	return s
 }
 
-// Config lowers the Scenario to the model configuration all planes
-// derive their parameters from.
-func (s Scenario) Config() (*core.Config, error) {
-	c := &core.Config{
-		N:              s.N,
-		LoadRatios:     s.LoadRatios,
-		TotalKeyRate:   s.TotalKeyRate,
-		Q:              s.Q,
-		Xi:             s.Xi,
-		MuS:            s.MuS,
-		MissRatio:      s.MissRatio,
-		MuD:            s.MuD,
-		NetworkLatency: s.NetworkLatency,
-		Arrival:        s.Arrival,
-	}
+// modelConfig returns a validated copy of s.Config, which a plane may
+// reprice (a blended µ_D) without touching s.
+func (s Scenario) modelConfig() (*core.Config, error) {
+	c := s.Config
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("plane: scenario %q: %w", s.Name, err)
 	}
-	return c, nil
+	return &c, nil
 }
 
 // Result is the plane-independent outcome of running one Scenario.

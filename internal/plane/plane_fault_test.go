@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"memqlat/internal/core"
 	"memqlat/internal/fault"
 	"memqlat/internal/telemetry"
 )
@@ -21,14 +22,9 @@ func faultScenario(t *testing.T, spec string, res fault.Resilience) Scenario {
 	}
 	sched.Seed = 7
 	return Scenario{
-		Name:          "fault",
-		N:             10,
-		LoadRatios:    []float64{0.5, 0.5},
-		TotalKeyRate:  4000,
-		Q:             0.1,
-		Xi:            0.15,
-		MuS:           2000,
-		MuD:           1000,
+		Name: "fault",
+		Config: core.Config{N: 10, LoadRatios: []float64{0.5, 0.5}, TotalKeyRate: 4000, Q: 0.1,
+			Xi: 0.15, MuS: 2000, MuD: 1000},
 		Ops:           600,
 		Requests:      600,
 		KeysPerServer: 30000,

@@ -127,11 +127,7 @@ func TestModelPlaneQueueWaitIsTheBandLaw(t *testing.T) {
 			t.Errorf("%s: model queue_wait p50/p95/p99 = %.1f/%.1f/%.1f µs, bands %.1f/%.1f/%.1f µs", s.Name,
 				got.P50*1e6, got.P95*1e6, got.P99*1e6, want.P50*1e6, want.P95*1e6, want.P99*1e6)
 		}
-		model, err := s.Config()
-		if err != nil {
-			t.Fatal(err)
-		}
-		bq, err := model.HeaviestQueue()
+		bq, err := s.HeaviestQueue()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,11 +482,7 @@ func onLiveCore(t *testing.T, f func(t *testing.T, live LivePlane)) {
 func liveTheorem1(t *testing.T, s Scenario, lambda, mu float64) float64 {
 	t.Helper()
 	s.TotalKeyRate, s.MuS = lambda, mu
-	model, err := s.Config()
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := model.ServerQueue(0)
+	q, err := s.ServerQueue(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,17 +499,12 @@ func liveTheorem1(t *testing.T, s Scenario, lambda, mu float64) float64 {
 func TestLivePlaneSmoke(t *testing.T) {
 	onLiveCore(t, func(t *testing.T, live LivePlane) {
 		s := Scenario{
-			Name:         "live-gate",
-			N:            1,
-			LoadRatios:   []float64{0.5, 0.5},
-			TotalKeyRate: 600,
-			Q:            0.1,
-			Xi:           0.15,
-			MuS:          1000,
-			MuD:          1000,
-			Ops:          2000,
-			Duration:     60 * time.Second,
-			Seed:         3,
+			Name: "live-gate",
+			Config: core.Config{N: 1, LoadRatios: []float64{0.5, 0.5}, TotalKeyRate: 600, Q: 0.1,
+				Xi: 0.15, MuS: 1000, MuD: 1000},
+			Ops:      2000,
+			Duration: 60 * time.Second,
+			Seed:     3,
 		}
 		res, err := live.Run(context.Background(), s)
 		if err != nil {
@@ -550,19 +537,13 @@ func TestLiveBreakdownCountsOnlyTheRun(t *testing.T) {
 		t.Skip("live plane needs real time")
 	}
 	r, err := (LivePlane{}).Start(Scenario{
-		Name:         "live-flow",
-		N:            1,
-		LoadRatios:   []float64{0.5, 0.5},
-		TotalKeyRate: 1000,
-		Q:            0.1,
-		Xi:           0.15,
-		MuS:          2000,
-		MissRatio:    0.05,
-		MuD:          2000,
-		Keys:         200,
-		Ops:          500,
-		Duration:     30 * time.Second,
-		Seed:         3,
+		Name: "live-flow",
+		Config: core.Config{N: 1, LoadRatios: []float64{0.5, 0.5}, TotalKeyRate: 1000, Q: 0.1,
+			Xi: 0.15, MuS: 2000, MissRatio: 0.05, MuD: 2000},
+		Keys:     200,
+		Ops:      500,
+		Duration: 30 * time.Second,
+		Seed:     3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -602,20 +583,14 @@ func TestLiveBreakdownCountsOnlyTheRun(t *testing.T) {
 func TestLivePlaneProxiedSmoke(t *testing.T) {
 	onLiveCore(t, func(t *testing.T, live LivePlane) {
 		s := Scenario{
-			Name:         "live-proxied-smoke",
-			N:            1,
-			LoadRatios:   []float64{0.5, 0.5},
-			TotalKeyRate: 4000,
-			Q:            0.1,
-			Xi:           0.15,
-			MuS:          2000,
-			MissRatio:    0.01,
-			MuD:          1000,
-			Ops:          1200,
-			Workers:      32,
-			Duration:     30 * time.Second,
-			Seed:         3,
-			Proxy:        &ProxySpec{},
+			Name: "live-proxied-smoke",
+			Config: core.Config{N: 1, LoadRatios: []float64{0.5, 0.5}, TotalKeyRate: 4000, Q: 0.1,
+				Xi: 0.15, MuS: 2000, MissRatio: 0.01, MuD: 1000},
+			Ops:      1200,
+			Workers:  32,
+			Duration: 30 * time.Second,
+			Seed:     3,
+			Proxy:    &ProxySpec{},
 		}
 		res, err := live.Run(context.Background(), s)
 		if err != nil {
@@ -642,14 +617,9 @@ func TestLivePlaneProxiedSmoke(t *testing.T) {
 func TestSimPlaneTraced(t *testing.T) {
 	tr := otrace.New(otrace.Options{})
 	s := Scenario{
-		Name:          "sim-traced",
-		N:             20,
-		LoadRatios:    []float64{0.5, 0.5},
-		TotalKeyRate:  2 * 40000,
-		Q:             0.1,
-		Xi:            0.15,
-		MuS:           60000,
-		MuD:           1000,
+		Name: "sim-traced",
+		Config: core.Config{N: 20, LoadRatios: []float64{0.5, 0.5}, TotalKeyRate: 2 * 40000, Q: 0.1,
+			Xi: 0.15, MuS: 60000, MuD: 1000},
 		Requests:      200,
 		KeysPerServer: 20000,
 		Seed:          5,
@@ -679,20 +649,14 @@ func TestLivePlaneTraced(t *testing.T) {
 	onLiveCore(t, func(t *testing.T, live LivePlane) {
 		tr := otrace.New(otrace.Options{RingSize: 1 << 16})
 		s := Scenario{
-			Name:         "live-traced",
-			N:            1,
-			LoadRatios:   []float64{0.5, 0.5},
-			TotalKeyRate: 4000,
-			Q:            0.1,
-			Xi:           0.15,
-			MuS:          2000,
-			MissRatio:    0.05,
-			MuD:          1000,
-			Ops:          600,
-			Workers:      16,
-			Duration:     30 * time.Second,
-			Seed:         3,
-			Tracer:       tr,
+			Name: "live-traced",
+			Config: core.Config{N: 1, LoadRatios: []float64{0.5, 0.5}, TotalKeyRate: 4000, Q: 0.1,
+				Xi: 0.15, MuS: 2000, MissRatio: 0.05, MuD: 1000},
+			Ops:      600,
+			Workers:  16,
+			Duration: 30 * time.Second,
+			Seed:     3,
+			Tracer:   tr,
 		}
 		res, err := live.Run(context.Background(), s)
 		if err != nil {

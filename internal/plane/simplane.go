@@ -102,7 +102,7 @@ func (p SimPlane) requestConfig(s Scenario) (sim.RequestConfig, mrc.TierSplit, e
 		return sim.RequestConfig{}, split, err
 	}
 	priced := s.admittedScenario()
-	model, err := priced.Config()
+	model, err := priced.modelConfig()
 	if err != nil {
 		return sim.RequestConfig{}, split, err
 	}

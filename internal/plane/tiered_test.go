@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"memqlat/internal/core"
 	"memqlat/internal/telemetry"
 	"memqlat/internal/workload"
 )
@@ -164,21 +165,16 @@ func TestCrossPlaneTiered(t *testing.T) {
 			// RAM cache produces the misses organically, which is the whole
 			// point of deriving the split from the MRC.
 			ls := Scenario{
-				Name:         "tiered-live",
-				N:            1,
-				LoadRatios:   []float64{0.5, 0.5},
-				TotalKeyRate: 4000,
-				Q:            0.1,
-				Xi:           0.15,
-				MuS:          2000,
-				MuD:          1000,
-				Ops:          8000,
-				Workers:      32,
-				Duration:     45 * time.Second,
-				Seed:         7,
-				Keys:         2000,
-				ZipfS:        1.0,
-				Extstore:     &ExtstoreSpec{RAMItems: 200, TotalItems: 1200, MuDisk: 2000},
+				Name: "tiered-live",
+				Config: core.Config{N: 1, LoadRatios: []float64{0.5, 0.5}, TotalKeyRate: 4000,
+					Q: 0.1, Xi: 0.15, MuS: 2000, MuD: 1000},
+				Ops:      8000,
+				Workers:  32,
+				Duration: 45 * time.Second,
+				Seed:     7,
+				Keys:     2000,
+				ZipfS:    1.0,
+				Extstore: &ExtstoreSpec{RAMItems: 200, TotalItems: 1200, MuDisk: 2000},
 			}
 			lsplit, err := ls.ExtstoreSplit()
 			if err != nil {

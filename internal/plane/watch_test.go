@@ -26,19 +26,19 @@ func bands(w *slo.Watchdog) map[string]slo.Quantiles {
 // drain tests. The values are the ones the per-binary band functions
 // gave before NewWatchdog replaced them.
 func TestNewWatchdogBands(t *testing.T) {
-	mcbench := Scenario{Name: "mcbench", N: 1, LoadRatios: core.BalancedLoad(2), TotalKeyRate: 300,
-		Xi: 0.15, Q: 0.1, MuS: 500, MissRatio: 0.2, MuD: 500}
+	mcbench := Scenario{Name: "mcbench", Config: core.Config{N: 1, LoadRatios: core.BalancedLoad(2),
+		TotalKeyRate: 300, Xi: 0.15, Q: 0.1, MuS: 500, MissRatio: 0.2, MuD: 500}}
 	for _, tc := range []struct {
 		name, spec string
 		s          Scenario
 		want       map[string]slo.Quantiles
 	}{
-		{"memcached-server smoke", "lambda=100,mus=500,q=0.1,xi=0.15,window=0.5s,k=2,band=3", Scenario{MuS: 500},
+		{"memcached-server smoke", "lambda=100,mus=500,q=0.1,xi=0.15,window=0.5s,k=2,band=3", Scenario{Config: core.Config{MuS: 500}},
 			map[string]slo.Quantiles{
 				"queue_wait": {P50: 0.00022222222222222223, P95: 0.004580182157746285, P99: 0.00920981231286612},
 				"service":    {P50: 0.0013862943611198907, P95: 0.0059914645471079815, P99: 0.009210340371976183},
 			}},
-		{"memcached-server drain", "lambda=100,mus=5000,window=20ms", Scenario{MuS: 5000},
+		{"memcached-server drain", "lambda=100,mus=5000,window=20ms", Scenario{Config: core.Config{MuS: 5000}},
 			map[string]slo.Quantiles{
 				"queue_wait": {P50: 0, P95: 0, P99: 0.0001414586082775396},
 				"service":    {P50: 0.00013862943611198905, P95: 0.0005991464547107981, P99: 0.0009210340371976184},

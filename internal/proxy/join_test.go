@@ -601,3 +601,84 @@ func TestProxyUnreadUpstreamIsBounded(t *testing.T) {
 	_ = deaf.Close()
 	settled("proxy closed with an upstream that reads nothing")
 }
+
+// TestProxyReadLoopNeverWaitsOnAWriter: an upstream's read loop takes
+// only its connection's queue lock, never the lock a writer holds while
+// its socket is full. On one upstream connection, X pipelines batches of
+// 64 KiB sets while Y pipelines batches of gets of a 64 KiB value. A
+// read loop that waited on X's blocked write would stop draining Y's
+// values, the server would stop reading, and X's write would stall until
+// flushTimeout retired the connection with SERVER_ERRORs. Every batch
+// must finish well inside flushTimeout.
+func TestProxyReadLoopNeverWaitsOnAWriter(t *testing.T) {
+	saved := flushTimeout
+	flushTimeout = 2 * time.Second
+	t.Cleanup(func() { flushTimeout = saved })
+	_, addr := startProxy(t, Options{Upstreams: startBackends(t, 1), UpstreamConns: 1})
+	value := strings.Repeat("v", 64<<10)
+	set := "set big 0 0 65536\r\n" + value + "\r\n"
+	dialConn(t, addr).set("big", value)
+	const batches, perBatch = 10, 128
+	sets, gets := strings.Repeat(set, perBatch), strings.Repeat("get big\r\n", perBatch)
+	// run sends batches of one command and reads each batch's replies,
+	// returning the slowest batch; read consumes one reply.
+	run := func(batch string, read func(r *bufio.Reader) error) (time.Duration, error) {
+		nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+		if err != nil {
+			return 0, err
+		}
+		defer nc.Close()
+		_ = nc.SetDeadline(time.Now().Add(batches * 2 * flushTimeout))
+		r := bufio.NewReader(nc)
+		var slowest time.Duration
+		for b := 0; b < batches; b++ {
+			start := time.Now()
+			if _, err := io.WriteString(nc, batch); err != nil {
+				return slowest, err
+			}
+			for i := 0; i < perBatch; i++ {
+				if err := read(r); err != nil {
+					return slowest, fmt.Errorf("batch %d reply %d: %w", b, i, err)
+				}
+			}
+			slowest = max(slowest, time.Since(start))
+		}
+		return slowest, nil
+	}
+	expect := func(r *bufio.Reader, want string) error {
+		line, err := r.ReadString('\n')
+		if err == nil && line != want+"\r\n" {
+			err = fmt.Errorf("got %q, want %q", strings.TrimSpace(line), want)
+		}
+		return err
+	}
+	var wg sync.WaitGroup
+	var slowest [2]time.Duration
+	var errs [2]error
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		slowest[0], errs[0] = run(sets, func(r *bufio.Reader) error { return expect(r, "STORED") })
+	}()
+	go func() {
+		defer wg.Done()
+		slowest[1], errs[1] = run(gets, func(r *bufio.Reader) error {
+			if err := expect(r, "VALUE big 0 65536"); err != nil {
+				return err
+			}
+			if _, err := r.Discard(len(value) + 2); err != nil {
+				return err
+			}
+			return expect(r, "END")
+		})
+	}()
+	wg.Wait()
+	for i, name := range []string{"X (sets)", "Y (gets)"} {
+		t.Logf("%s: slowest batch %v", name, slowest[i])
+		if errs[i] != nil {
+			t.Errorf("%s: %v", name, errs[i])
+		} else if slowest[i] >= flushTimeout {
+			t.Errorf("%s: a batch took %v, want < flushTimeout %v", name, slowest[i], flushTimeout)
+		}
+	}
+}

@@ -344,11 +344,13 @@ func (p *Proxy) UpstreamQueueDepths() []int {
 	out := make([]int, len(p.ups))
 	for s, conns := range p.ups {
 		for _, u := range conns {
-			u.mu.Lock()
-			if c := u.cur.Load(); c != nil && !c.broken {
-				out[s] += c.queued
+			if c := u.cur.Load(); c != nil {
+				c.qmu.Lock()
+				if !c.broken {
+					out[s] += c.queued
+				}
+				c.qmu.Unlock()
 			}
-			u.mu.Unlock()
 		}
 	}
 	return out

@@ -466,10 +466,13 @@ func TestProxyClosedUpstreamCostsNoRequest(t *testing.T) {
 		// A restart takes longer than the close takes to reach the idle
 		// read loop; wait for that here rather than race it.
 		testkit.WaitReady(t, "retiring the upstream connection its server closed", func() error {
-			u := p.ups[0][0]
-			u.mu.Lock()
-			defer u.mu.Unlock()
-			if c := u.cur.Load(); c != nil && !c.broken {
+			c := p.ups[0][0].cur.Load()
+			if c == nil {
+				return nil
+			}
+			c.qmu.Lock()
+			defer c.qmu.Unlock()
+			if !c.broken {
 				return errors.New("still live")
 			}
 			return nil

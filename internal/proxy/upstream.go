@@ -34,82 +34,108 @@ type upstream struct {
 	srv  int
 	addr string
 
+	// mu is the write lock: held across a frame's enqueue, its append
+	// and its flush, and across a redial. A read loop never takes it.
 	mu     sync.Mutex
 	cur    atomic.Pointer[uconn] // written under mu; close reads it without the lock
-	closed bool                  // guarded by mu; refuses redials
+	closed atomic.Bool           // refuses redials
 }
 
-// uconn is one live upstream connection. Writers append frames to w and
-// queue the matching pending (both under upstream.mu); the client
-// handler whose batch wrote to w flushes it before it next reads its
-// client (downstream.Read), the only flush w gets. The readLoop goroutine
-// parks on the socket and resolves pendings in FIFO order — the order
-// the server replies in — against their downstreams. w is the owned
-// protocol.Writer every proxy connection writes through (empty until a
-// request is owed), r a reader of bufio's default 4 KiB, which a VALUE
-// block larger than it bypasses.
+// uconn is one live upstream connection. Writers queue a frame's pending
+// and append the frame to w (both under upstream.mu); the client handler
+// whose batch wrote to w flushes it before it next reads its client
+// (downstream.Read), the only flush w gets. The readLoop goroutine parks
+// on the socket and resolves pendings in FIFO order — the order the
+// server replies in — against their downstreams, taking only qmu, so a
+// writer blocked on a full socket never stops the replies that would
+// unblock it. w is the owned protocol.Writer every proxy connection
+// writes through (empty until a request is owed), r a reader of bufio's
+// default 4 KiB, which a VALUE block larger than it bypasses.
 type uconn struct {
 	u  *upstream
 	nc net.Conn
 	r  *bufio.Reader
 	w  *protocol.Writer
 
-	// The pendings awaiting replies, oldest first, linked through
+	rearm time.Time // guarded by u.mu: when the write deadline is next pushed out
+
+	// qmu is the queue lock, held only while the queue is edited. The
+	// pendings awaiting replies, oldest first, are linked through
 	// pending.upNext, so the queue holds memory only for what is queued;
-	// queued counts them against pendQueueDepth. All guarded by u.mu.
+	// queued counts them against pendQueueDepth. Once broken is set no
+	// pending is queued, and the read loop fails what is.
+	qmu        sync.Mutex
 	head, tail *pending
 	queued     int
-
-	rearm  time.Time // guarded by u.mu: when the write deadline is next pushed out
-	broken bool      // guarded by u.mu; set exactly once
+	broken     bool
 }
 
-// send appends frame to the upstream pipeline and registers pd (nil for
-// noreply) for the matching reply; the caller flushes the returned uconn
-// before it next reads its client. hdr, when non-empty, is an mq_trace
-// header written just before frame under the same lock, so no other
-// downstream's frame can interleave and steal the trace scope. Once pd
-// is enqueued the read loop owns its resolution, so send reports only
-// pre-enqueue failures to the caller. A frame that reaches the socket is
-// written under the same deadline as a flush.
+// send queues pd (nil for noreply) for the matching reply, then appends
+// hdr (an mq_trace header, when non-empty) and frame to the pipeline, all
+// under the write lock: replies stay in frame order, and no other
+// downstream's frame can interleave and steal the trace scope. The
+// caller flushes the returned uconn before it next reads its client.
+// Once pd is queued the read loop owns it (a failed write retires c,
+// whose read loop fails pd), so send reports only failures before that.
+// A frame that reaches the socket is written under the same deadline as
+// a flush.
 func (u *upstream) send(hdr, frame []byte, pd *pending) (*uconn, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	c := u.cur.Load()
-	if c == nil || c.broken {
-		var err error
-		if c, err = u.dialLocked(); err != nil {
-			return nil, err
+	err := net.ErrClosed
+	if c != nil {
+		err = c.enqueue(pd)
+	}
+	if err == net.ErrClosed { // never dialed, or retired: redial
+		if c, err = u.dialLocked(); err == nil {
+			err = c.enqueue(pd)
 		}
+	}
+	if err != nil {
+		return nil, err
 	}
 	armWrite(c.nc, &c.rearm, u.p.flushTimeout)
 	if len(hdr) > 0 {
-		if _, err := c.w.Write(hdr); err != nil {
-			u.breakLocked(c)
+		_, err = c.w.Write(hdr)
+	}
+	if err == nil {
+		_, err = c.w.Write(frame)
+	}
+	if err != nil {
+		c.retire()
+		if pd == nil {
 			return nil, err
 		}
 	}
-	if _, err := c.w.Write(frame); err != nil {
-		u.breakLocked(c)
-		return nil, err
-	}
-	if pd != nil {
-		if c.queued == pendQueueDepth {
-			u.breakLocked(c)
-			return nil, errPipelineFull
-		}
-		pd.upNext = nil
-		if c.tail == nil {
-			c.head = pd
-			// The first reply owed starts the read deadline (see pop).
-			_ = c.nc.SetReadDeadline(time.Now().Add(upstreamTimeout))
-		} else {
-			c.tail.upNext = pd
-		}
-		c.tail = pd
-		c.queued++
-	}
 	return c, nil
+}
+
+// enqueue queues pd (nil for noreply) on c: net.ErrClosed when c is
+// retired, errPipelineFull (retiring c) when pendQueueDepth are owed.
+func (c *uconn) enqueue(pd *pending) error {
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	switch {
+	case c.broken:
+		return net.ErrClosed
+	case pd == nil:
+		return nil
+	case c.queued == pendQueueDepth:
+		c.retireLocked()
+		return errPipelineFull
+	}
+	pd.upNext = nil
+	if c.tail == nil {
+		c.head = pd
+		// The first reply owed starts the read deadline (see pop).
+		_ = c.nc.SetReadDeadline(time.Now().Add(upstreamTimeout))
+	} else {
+		c.tail.upNext = pd
+	}
+	c.tail = pd
+	c.queued++
+	return nil
 }
 
 // flush pushes the frames written to c to its server; a failed write,
@@ -117,11 +143,9 @@ func (u *upstream) send(hdr, frame []byte, pd *pending) (*uconn, error) {
 // retires c, whose read loop then fails every pending queued on it.
 func (c *uconn) flush() {
 	c.u.mu.Lock()
-	if !c.broken {
-		armWrite(c.nc, &c.rearm, c.u.p.flushTimeout)
-		if err := c.w.Flush(); err != nil {
-			c.u.breakLocked(c)
-		}
+	armWrite(c.nc, &c.rearm, c.u.p.flushTimeout)
+	if err := c.w.Flush(); err != nil {
+		c.retire()
 	}
 	c.u.mu.Unlock()
 }
@@ -132,7 +156,7 @@ const dialTimeout = 2 * time.Second
 // dialLocked establishes a fresh uconn and starts its read loop (caller
 // holds u.mu).
 func (u *upstream) dialLocked() (*uconn, error) {
-	if u.closed {
+	if u.closed.Load() {
 		return nil, net.ErrClosed
 	}
 	nc, err := net.DialTimeout("tcp", u.addr, dialTimeout)
@@ -147,33 +171,38 @@ func (u *upstream) dialLocked() (*uconn, error) {
 	}
 	u.cur.Store(c)
 	go c.readLoop()
+	if u.closed.Load() { // close ran during the dial and may have missed c
+		c.retire()
+	}
 	return c, nil
 }
 
-// breakLocked retires a uconn: no further sends land on it, and the
-// socket closes to wake its read loop, which drains the queue (caller
-// holds u.mu).
-func (u *upstream) breakLocked(c *uconn) {
-	if c.broken {
-		return
-	}
-	c.broken = true
-	_ = c.nc.Close()
+// retire marks c broken, so nothing more is queued on it, and closes its
+// socket, which fails a blocked write and wakes the read loop to fail
+// what is queued.
+func (c *uconn) retire() {
+	c.qmu.Lock()
+	c.retireLocked()
+	c.qmu.Unlock()
 }
 
-// close tears the upstream down (proxy shutdown). The live socket
-// closes before the lock is taken, so a send or flush blocked writing to
-// a server that stopped reading fails now rather than at its deadline.
-func (u *upstream) close() {
-	if c := u.cur.Load(); c != nil {
+// retireLocked is retire with c.qmu held.
+func (c *uconn) retireLocked() {
+	if !c.broken {
+		c.broken = true
 		_ = c.nc.Close()
 	}
-	u.mu.Lock()
-	u.closed = true
+}
+
+// close tears the upstream down (proxy shutdown). It takes no write
+// lock: the live socket closes at once, so a send or flush blocked
+// writing to a server that stopped reading fails now rather than at its
+// deadline.
+func (u *upstream) close() {
+	u.closed.Store(true)
 	if c := u.cur.Load(); c != nil {
-		u.breakLocked(c)
+		c.retire()
 	}
-	u.mu.Unlock()
 }
 
 // readLoop parks on the socket between replies. A reply that starts
@@ -190,18 +219,23 @@ func (c *uconn) readLoop() {
 			break
 		}
 	}
-	c.u.mu.Lock()
-	c.u.breakLocked(c)
-	c.u.mu.Unlock()
-	for pd := c.pop(); pd != nil; pd = c.pop() {
+	c.qmu.Lock()
+	c.retireLocked()
+	pd := c.head
+	c.head, c.tail, c.queued = nil, nil, 0
+	c.qmu.Unlock()
+	for pd != nil {
+		next := pd.upNext
+		pd.upNext = nil
 		c.failPending(pd)
+		pd = next
 	}
 }
 
 // oldest returns the pending the next reply belongs to, nil if none.
 func (c *uconn) oldest() *pending {
-	c.u.mu.Lock()
-	defer c.u.mu.Unlock()
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
 	return c.head
 }
 
@@ -209,8 +243,8 @@ func (c *uconn) oldest() *pending {
 // read deadline running exactly while a reply is owed: pushed out when
 // more are queued, cleared when none are.
 func (c *uconn) pop() *pending {
-	c.u.mu.Lock()
-	defer c.u.mu.Unlock()
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
 	pd := c.head
 	if pd == nil {
 		return nil
