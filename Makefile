@@ -52,14 +52,15 @@ lint:
 
 # Coverage floors (package:percent under internal/) for the packages the
 # hot-path rework touches most, the proxy tier's data plane and routing
-# library, the model, simulator and load generator that share one
-# arrival law, and the engine every REPRO section runs through. The
+# library, the model, the simulator and the load generator, the
+# distributions package whose dist.Arrivals is the one arrival draw of
+# the latter two, and the engine every REPRO section runs through. The
 # floors are the blessed coverage levels; CI fails if any package drops
 # below its floor.
 COVER_FLOORS = cache:99.0 protocol:90.6 proxy:95.8 route:91.0 otrace:95.0 \
 	metrics:90.0 server:77.0 coalesce:90.0 tenant:90.0 extstore:85.0 \
 	sketch:90.0 slo:85.0 client:86.0 loadgen:84.2 sim:89.5 core:87.7 \
-	experiments:86.5
+	experiments:86.5 dist:94.3
 
 cover:
 	@set -e; for pf in $(COVER_FLOORS); do \

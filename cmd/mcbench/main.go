@@ -73,7 +73,7 @@ var flagModes = []struct{ flags, modes, needs string }{
 	{"faults", "lv", "a -plane mode (external -servers cannot be injected)"},
 	{"slo", "lv", "a -plane mode (external servers arm their own watchdog via memcached-server/mcproxy -slo)"},
 	{"extstore", "lv", "a -plane mode (external servers run their own tier via memcached-server -extstore-dir)"},
-	{"value-size value-dist value-sigma workers fill-misses fill-ttl db-queue trace closed-loop", "el",
+	{"value-size value-dist value-sigma workers fill-misses fill-ttl db-queue trace", "el",
 		"the live stack (-servers or -plane=live; the model and sim planes price stages, not payloads or pacing)"},
 }
 
@@ -117,7 +117,6 @@ func run(args []string, out io.Writer) error {
 	fs.DurationVar(&s.FillTTL, "fill-ttl", 0, "write-back TTL for filled misses (negative = store already expired, keeping misses steady)")
 	fs.IntVar(&s.DBQueueDepth, "db-queue", 0, "bound the simulated database to a single serving queue of this depth (0 = concurrent)")
 	fs.DurationVar(&s.Duration, "timeout", 10*time.Minute, "overall run timeout")
-	fs.BoolVar(&live.ClosedLoop, "closed-loop", false, "closed-loop mode (fixed concurrency + think time) instead of open-loop pacing")
 	fs.Float64Var(&s.MuS, "mus", 2000, "per-server shaped service rate for -plane modes")
 	fs.IntVar(&s.Resilience.Retries, "retries", 0, "extra read attempts after transport failures (0 = off)")
 	fs.Float64Var(&s.Resilience.HedgePercentile, "hedge-percentile", 0, "hedged-read trigger quantile in (0,1) (0 = hedging off)")
@@ -125,7 +124,6 @@ func run(args []string, out io.Writer) error {
 	fs.IntVar(&s.Resilience.BreakerWindow, "breaker-window", 0, "circuit-breaker outcome window (0 = policy default)")
 	var (
 		servers    = fs.String("servers", "127.0.0.1:11211", "comma-separated server addresses")
-		hotZipf    = fs.Float64("hot-zipf", 0, "Zipf exponent for the hot-key miss keyspace (plane modes; overrides -zipf on external runs when set)")
 		keyTrace   = fs.String("trace", "", "journal the issued key stream to this file (mrc/replay input)")
 		keysPerReq = fs.Int("n", 10, "keys per end-user request for the model/sim planes (live runs issue single-key gets)")
 
@@ -176,9 +174,6 @@ func run(args []string, out io.Writer) error {
 	}
 	if mode != "e" && !set["keys"] {
 		s.Keys = 0 // plane runs size their keyspace from the Scenario default
-	}
-	if set["hot-zipf"] {
-		s.ZipfS = *hotZipf
 	}
 	s.Requests = s.Ops
 	s.Resilience.RetryBackoff = retryBackoff.Seconds()

@@ -178,7 +178,7 @@ func TestRunSimPlaneExtstore(t *testing.T) {
 		"-plane", "sim",
 		"-lambda", "20000", "-mus", "80000", "-plane-servers", "2",
 		"-n", "10", "-miss-ratio", "0.37", "-ops", "1000",
-		"-keys", "2000", "-hot-zipf", "1",
+		"-keys", "2000", "-zipf", "1",
 		"-extstore", "ram=200,total=1200,mud=2000",
 	}
 	if err := run(args, &out); err != nil {
@@ -420,7 +420,7 @@ func TestFlagModes(t *testing.T) {
 	for _, tc := range []struct {
 		flag     []string
 		refused  string // modes that must refuse it, naming what it needs
-		needs    string
+		needs    string // "" = no mode defines the flag
 		external string // output the flag's effect leaves on an external run ("" = just runs)
 	}{
 		{[]string{"-servers", addr}, "live sim", "an external run", ""},
@@ -431,12 +431,12 @@ func TestFlagModes(t *testing.T) {
 		{[]string{"-slo", "window=50ms"}, "external", "a -plane mode", ""},
 		{[]string{"-extstore", "ram=10,total=40,mud=2000"}, "external", "a -plane mode", ""},
 		{[]string{"-value-size", "64"}, "sim", "the live stack", ""},
-		{[]string{"-closed-loop"}, "sim", "the live stack", ""},
+		{[]string{"-closed-loop"}, "external live sim", "", ""},
 		{[]string{"-trace", journal}, "sim", "the live stack", ""},
 		{[]string{"-fill-misses", "-miss-ratio", "0.5"}, "sim", "the live stack", "fills "},
 		{[]string{"-workers", "4"}, "sim", "the live stack", ""},
 		{[]string{"-zipf", "1"}, "", "", ""},
-		{[]string{"-hot-zipf", "1"}, "", "", ""},
+		{[]string{"-hot-zipf", "1"}, "external live sim", "", ""},
 	} {
 		for mode, args := range base {
 			t.Run(tc.flag[0]+"/"+mode, func(t *testing.T) {
@@ -446,8 +446,12 @@ func TestFlagModes(t *testing.T) {
 				var out bytes.Buffer
 				err := run(append(append([]string{}, args...), tc.flag...), &out)
 				if strings.Contains(tc.refused, mode) {
-					if err == nil || !strings.Contains(err.Error(), tc.flag[0]+" needs "+tc.needs) {
-						t.Fatalf("err = %v, want a refusal naming %s and %q", err, tc.flag[0], tc.needs)
+					want := tc.flag[0] + " needs " + tc.needs
+					if tc.needs == "" {
+						want = "flag provided but not defined: " + tc.flag[0]
+					}
+					if err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("err = %v, want %q", err, want)
 					}
 					return
 				}

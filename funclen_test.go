@@ -18,8 +18,7 @@ const maxFuncLines = 120
 // the length each may not exceed. The list only shrinks: split a
 // function and delete its entry; never add one or raise a number.
 var longFuncs = map[string]int{
-	"cmd/mcbench.run":                132,
-	"internal/plane.LivePlane.Start": 126,
+	"cmd/mcbench.run": 127,
 }
 
 // TestFunctionLengthRatchet parses every non-test Go file of the module

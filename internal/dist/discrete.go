@@ -44,13 +44,41 @@ func (g GeometricBatch) SampleInt(rng *rand.Rand) int {
 	return n
 }
 
-// Sample implements Sampler, returning the batch size as a float64.
-func (g GeometricBatch) Sample(rng *rand.Rand) float64 { return float64(g.SampleInt(rng)) }
+// Arrivals is the paper's GI^X arrival process (§3), handed out one
+// customer at a time: batches at gaps drawn from one law, of
+// GeometricBatch(q) sizes. It is the simulator's and the load
+// generator's only arrival draw.
+type Arrivals struct {
+	gaps             Sampler
+	batch            GeometricBatch
+	rngGap, rngBatch *rand.Rand
+	left             int // customers of the current batch still to hand out
+}
 
-// Mean returns 1/(1-Q).
-func (g GeometricBatch) Mean() float64 { return 1 / (1 - g.Q) }
+// NewArrivals draws batch gaps from gaps on rngGap and batch sizes on
+// rngBatch. With q = 0 every batch is one customer and rngBatch is never
+// touched, so it may be nil.
+func NewArrivals(gaps Sampler, q float64, rngGap, rngBatch *rand.Rand) (*Arrivals, error) {
+	if gaps == nil {
+		return nil, fmt.Errorf("dist: an arrival process needs a gap law")
+	}
+	batch, err := NewGeometricBatch(q)
+	if err != nil {
+		return nil, err
+	}
+	return &Arrivals{gaps: gaps, batch: batch, rngGap: rngGap, rngBatch: rngBatch}, nil
+}
 
-var _ Sampler = GeometricBatch{}
+// Next returns the gap since the previous customer (0 inside a batch)
+// and whether this customer starts a batch.
+func (a *Arrivals) Next() (gap float64, first bool) {
+	if a.left > 0 {
+		a.left--
+		return 0, false
+	}
+	a.left = a.batch.SampleInt(a.rngBatch) - 1
+	return a.gaps.Sample(a.rngGap), true
+}
 
 // Zipf samples integers in [0, N) with probability proportional to
 // 1/(rank+1)^S — the standard model for skewed key popularity ("a small

@@ -25,25 +25,19 @@ func TestGeometricBatchZeroQ(t *testing.T) {
 			t.Fatalf("q=0 batch size = %d, want 1", got)
 		}
 	}
-	if g.Mean() != 1 {
-		t.Errorf("mean = %v", g.Mean())
-	}
 }
 
 func TestGeometricBatchMean(t *testing.T) {
 	g, _ := NewGeometricBatch(0.1) // the paper's Facebook workload
-	if !almostEqual(g.Mean(), 1/0.9, 1e-12) {
-		t.Errorf("mean = %v", g.Mean())
-	}
-	// Empirical mean.
+	// Empirical mean against 1/(1-q).
 	rng := NewRand(2)
 	var sum float64
 	const n = 200000
 	for i := 0; i < n; i++ {
 		sum += float64(g.SampleInt(rng))
 	}
-	if !almostEqual(sum/n, g.Mean(), 0.01) {
-		t.Errorf("empirical mean %v vs %v", sum/n, g.Mean())
+	if !almostEqual(sum/n, 1/0.9, 0.01) {
+		t.Errorf("empirical mean %v vs %v", sum/n, 1/0.9)
 	}
 }
 
@@ -263,5 +257,69 @@ func TestSampleMaxExponential(t *testing.T) {
 	}
 	if SampleMaxExponential(rng, 0, 5) != 0 {
 		t.Error("rate=0 should be 0")
+	}
+}
+
+// TestArrivalsGIX draws the paper's Facebook process (GP gaps of burst
+// degree 0.15, q = 0.1) and checks the customer rate, the mean batch,
+// and that each batch is announced once, by its first customer, with
+// the batch sizes a twin GeometricBatch stream draws.
+func TestArrivalsGIX(t *testing.T) {
+	const (
+		lambda = 62500.0
+		q      = 0.1
+		n      = 100000
+	)
+	gaps, err := NewGeneralizedPareto(0.15, (1-q)*lambda)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewArrivals(gaps, q, NewRand(1), NewRand(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, twinRng := GeometricBatch{Q: q}, NewRand(2)
+	var span float64
+	batches, left := 0, 0
+	for i := range n {
+		gap, first := a.Next()
+		span += gap
+		if first != (left == 0) {
+			t.Fatalf("customer %d: first = %v with %d customers of the batch left", i, first, left)
+		}
+		if first {
+			batches++
+			left = twin.SampleInt(twinRng)
+		} else if gap != 0 {
+			t.Fatalf("customer %d: gap %v inside a batch", i, gap)
+		}
+		left--
+	}
+	if rate := n / span; !almostEqual(rate, lambda, 0.02) {
+		t.Errorf("customer rate %v, want %v within 2%%", rate, lambda)
+	}
+	if mean := float64(n) / float64(batches); !almostEqual(mean, 1/(1-q), 0.02) {
+		t.Errorf("mean batch %v, want %v within 2%%", mean, 1/(1-q))
+	}
+}
+
+// TestArrivalsZeroQ: without batching every customer starts its own
+// batch and the batch stream, here nil, is never drawn from.
+func TestArrivalsZeroQ(t *testing.T) {
+	gaps, err := NewExponential(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewArrivals(gaps, 0, NewRand(1), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 1000 {
+		if gap, first := a.Next(); !first || !(gap > 0) {
+			t.Fatalf("customer %d: gap %v, first %v; want a new batch", i, gap, first)
+		}
+	}
+	if _, err := NewArrivals(gaps, 1, NewRand(1), nil); err == nil {
+		t.Error("q = 1 accepted")
 	}
 }

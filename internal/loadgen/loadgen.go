@@ -1,9 +1,9 @@
 // Package loadgen is the mutilate-like workload driver for the live TCP
-// stack (the paper uses mutilate, §5.1): it generates an open-loop key
-// stream of batches at the gaps of a given inter-arrival law (the
-// model's, core.Config.ArrivalFor), geometric batch concurrency
-// (probability q), and Zipf key popularity, issues the gets through the
-// client, and records per-key latency.
+// stack (the paper uses mutilate, §5.1): its open loop paces the model's
+// GI^X key stream, drawn by dist.Arrivals (batch gaps of a given law,
+// core.Config.ArrivalFor on the live plane, geometric batches of
+// concurrent probability q), picks keys by Zipf popularity, issues the
+// gets through the client, and records per-key latency.
 package loadgen
 
 import (
@@ -84,14 +84,12 @@ type Options struct {
 	// issued key with its offset from run start — e.g. a trace.Writer
 	// journaling the stream for later MRC analysis or replay.
 	Observer func(offset time.Duration, key string)
-	// ClosedLoop switches from open-loop pacing (arrivals at the target
-	// rate regardless of completions — the paper's/mutilate's model) to
-	// closed-loop: Workers outstanding requests, each issued as soon as
-	// the previous completes, with an exponential think time of mean
-	// 1/Lambda·Workers between a worker's operations. Closed loops
-	// cannot observe queueing collapse (coordinated omission), which is
-	// exactly why the paper's methodology is open-loop — this mode
-	// exists to demonstrate the difference.
+	// ClosedLoop switches from open-loop pacing (the paper's and
+	// mutilate's model) to Workers closed loops, each issuing after an
+	// exponential think time of mean Workers/Lambda once its previous
+	// operation completes. A closed loop cannot observe queueing collapse
+	// (coordinated omission), so it measures the harness's own rate, not
+	// the model's latency; no plane runs it.
 	ClosedLoop bool
 	// OnLatency, when set, receives every per-key end-to-end latency
 	// (seconds) that lands in the Latency histogram — tenant-shed
@@ -191,9 +189,6 @@ func (o *Options) withDefaults() (Options, error) {
 	}
 	if !(out.Lambda > 0) {
 		return out, fmt.Errorf("loadgen: Lambda=%v must be positive", out.Lambda)
-	}
-	if out.Q < 0 || out.Q >= 1 {
-		return out, fmt.Errorf("loadgen: Q=%v must be in [0, 1)", out.Q)
 	}
 	if out.MissRatio < 0 || out.MissRatio > 1 {
 		return out, fmt.Errorf("loadgen: MissRatio=%v must be in [0, 1]", out.MissRatio)
@@ -452,14 +447,10 @@ func (r *run) finish() *Result {
 // goroutines, drawing keys from streams 13–15.
 func (r *run) openLoop() error {
 	o := &r.o
-	if o.Gaps == nil {
-		return errors.New("loadgen: the open loop needs a Gaps law")
-	}
-	batch, err := dist.NewGeometricBatch(o.Q)
+	arrivals, err := dist.NewArrivals(o.Gaps, o.Q, dist.SubRand(o.Seed, 11), dist.SubRand(o.Seed, 12))
 	if err != nil {
-		return err
+		return fmt.Errorf("loadgen: open loop: %w", err)
 	}
-	rngGap, rngBatch := dist.SubRand(o.Seed, 11), dist.SubRand(o.Seed, 12)
 	keys := keyStreams{dist.SubRand(o.Seed, 13), dist.SubRand(o.Seed, 14), dist.SubRand(o.Seed, 15)}
 
 	type workItem struct {
@@ -482,35 +473,27 @@ func (r *run) openLoop() error {
 	// until cumulative deadlines (rather than per-gap) keeps the average
 	// rate exact despite timer granularity and avoids busy-waiting,
 	// which would starve the workers on small machines.
-	sent := 0
 	next := time.Now()
 pacing:
-	for sent < o.Ops {
-		select {
-		case <-r.ctx.Done():
-			break pacing
-		default:
-		}
-		next = next.Add(time.Duration(o.Gaps.Sample(rngGap) * float64(time.Second)))
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
-		}
-		n := batch.SampleInt(rngBatch)
-		if n > o.Ops-sent {
-			n = o.Ops - sent
-		}
-		for i := 0; i < n; i++ {
-			key, tIdx := r.drawKey(keys)
-			select {
-			case work <- workItem{key: key, tIdx: tIdx}:
-				sent++
-				r.issued.Add(1)
-				if o.Observer != nil {
-					o.Observer(time.Since(r.started), key)
-				}
-			case <-r.ctx.Done():
+	for sent := 0; sent < o.Ops; sent++ {
+		if gap, first := arrivals.Next(); first {
+			if r.ctx.Err() != nil {
 				break pacing
 			}
+			next = next.Add(time.Duration(gap * float64(time.Second)))
+			if d := time.Until(next); d > 0 {
+				time.Sleep(d)
+			}
+		}
+		key, tIdx := r.drawKey(keys)
+		select {
+		case work <- workItem{key: key, tIdx: tIdx}:
+			r.issued.Add(1)
+			if o.Observer != nil {
+				o.Observer(time.Since(r.started), key)
+			}
+		case <-r.ctx.Done():
+			break pacing
 		}
 	}
 	close(work)

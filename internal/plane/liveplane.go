@@ -75,13 +75,13 @@ func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
 // simulator's. Run is Start → Drive → Close.
 //
 // Every workload value comes from the Scenario; the fields here say
-// only how the stack is driven. The load generator paces batches at the
-// model's own gap law (core.Config.ArrivalFor, so any Arrival family
-// the model prices) but issues single-key gets, and consistent hashing
-// realizes only a balanced split, so Start refuses a Scenario with
-// N ≠ 1 or unequal LoadRatios instead of measuring something else.
-// Real-time pacing cannot sustain the paper's 62.5 Kps per server on
-// one machine, so live Scenarios use scaled rates.
+// only how the stack is driven. The load generator's open loop draws the
+// model's own arrival process (core.Config.ArrivalFor gaps, batches of
+// Q) but issues single-key gets, and consistent hashing realizes only a
+// balanced split, so Start refuses N ≠ 1 or unequal LoadRatios instead
+// of measuring something else. Real-time pacing cannot sustain the
+// paper's 62.5 Kps per server on one machine, so live Scenarios use
+// scaled rates.
 type LivePlane struct {
 	// Servers, when non-empty, attaches the run to the cluster already
 	// listening at these addresses instead of starting one. It has its
@@ -92,9 +92,6 @@ type LivePlane struct {
 	// client's GetThrough. An in-process cluster reads through anyway
 	// whenever the scenario prices misses or arms the extstore tier.
 	ReadThrough bool
-	// ClosedLoop keeps Workers operations outstanding, each issued when
-	// the previous completes, instead of pacing arrivals open-loop.
-	ClosedLoop bool
 	// Observer, when set, sees every issued key with its offset from
 	// the run start (e.g. a key journal for MRC analysis or replay).
 	Observer func(offset time.Duration, key string)
@@ -192,6 +189,25 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 		return nil, fmt.Errorf("plane: scenario %q: faults and the extstore tier are built into in-process servers; an attached cluster runs its own", s.Name)
 	}
 
+	if err := r.startDriver(p, addrs, gaps, rec); err != nil {
+		return nil, err
+	}
+	if err := loadgen.Populate(r.load); err != nil {
+		return nil, err
+	}
+	for _, e := range r.exts {
+		// Drain the eviction queues so the measured run starts with the
+		// populate spill fully indexed on disk.
+		e.Flush()
+	}
+	return r, nil
+}
+
+// startDriver builds what drives the cluster at addrs: the backend that
+// misses read through to, the proxy tier the scenario may interpose, the
+// client, and the load generator's options.
+func (r *LiveRun) startDriver(p LivePlane, addrs []string, gaps dist.Interarrival, rec telemetry.Recorder) (err error) {
+	s := r.s
 	// A tiered run's misses are capacity misses, and whatever falls past
 	// the disk tier must still read through to the backend.
 	readThrough := p.ReadThrough ||
@@ -217,7 +233,7 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 			dbOpts.Fault = &fault.Point{Inj: r.inj, Server: fault.Database, Now: r.clock.Now}
 		}
 		if r.db, err = backend.New(dbOpts); err != nil {
-			return nil, err
+			return err
 		}
 		r.closers = append(r.closers, r.db.Close)
 		clOpts.Filler = r.db
@@ -225,7 +241,7 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 	if s.Proxy != nil {
 		pol, err := proxy.ParsePolicy(s.Proxy.Policy)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		r.px, err = proxy.New(proxy.Options{
 			Upstreams: addrs,
@@ -240,20 +256,19 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 			TenantClock: r.clock.Now,
 		})
 		if err != nil {
-			return nil, err
+			return err
 		}
 		addr, err := r.serve(r.px.Serve, r.px.Close)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		addrs = []string{addr}
 	}
 	clOpts.Servers, r.upstreams = addrs, len(addrs)
 	if r.cl, err = client.New(clOpts); err != nil {
-		return nil, err
+		return err
 	}
 	r.closers = append(r.closers, func() { _ = r.cl.Close() })
-
 	r.load = loadgen.Options{
 		Client:        r.cl,
 		Keys:          s.Keys,
@@ -261,7 +276,6 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 		ValueDist:     s.ValueDist,
 		ValueSigma:    s.ValueSigma,
 		ZipfS:         s.ZipfS,
-		Lambda:        s.TotalKeyRate,
 		Gaps:          gaps,
 		Q:             s.Q,
 		MissRatio:     s.MissRatio,
@@ -270,21 +284,12 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 		Seed:          s.Seed,
 		UseGetThrough: readThrough,
 		Observer:      p.Observer,
-		ClosedLoop:    p.ClosedLoop,
 		Tenants:       s.Tenants,
 	}
 	if s.SLO != nil {
 		r.load.OnLatency = s.SLO.OnLatency
 	}
-	if err := loadgen.Populate(r.load); err != nil {
-		return nil, err
-	}
-	for _, e := range r.exts {
-		// Drain the eviction queues so the measured run starts with the
-		// populate spill fully indexed on disk.
-		e.Flush()
-	}
-	return r, nil
+	return nil
 }
 
 // serve puts a new server or proxy on a loopback listener. A tier that

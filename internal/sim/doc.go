@@ -20,5 +20,9 @@
 //     FIFO with a single server, so the Lindley recursion is its exact
 //     event-by-event evolution.
 //
+// Every arrival stream is one dist.Arrivals: a server's or the proxy's
+// GI^X key stream (SimulateServer) and the integrated launches, which
+// stay Poisson at Λ/N whatever Xi, Q and Arrival say (DESIGN §4.4).
+//
 // SimulateMissStage samples the database stage alone, O(1) per request.
 package sim

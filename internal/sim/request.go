@@ -238,14 +238,15 @@ func SimulateRequests(cfg RequestConfig) (*RequestResult, error) {
 		return nil, err
 	}
 	// The launch clock is evenly spaced in the composition mode, where it
-	// only places fault windows and tenant buckets, and a Poisson stream
+	// only places fault windows and tenant buckets, and an arrival process
 	// in the integrated mode, whose queues it feeds. The span ends at the
 	// last join or at the clock's final tick, whichever is later.
 	var now float64
 	for i := range l.warmup + cfg.Requests {
 		l.request(i, now)
-		if l.rngLaunch != nil {
-			now += l.rngLaunch.ExpFloat64() / l.reqRate
+		if l.launches != nil {
+			gap, _ := l.launches.Next()
+			now += gap
 		} else {
 			now = float64(i+1) / l.reqRate
 		}
@@ -300,8 +301,8 @@ type loop struct {
 	stage     memcachedStage
 	assign    *dist.Weighted
 	rngAssign *rand.Rand
-	rngLaunch *rand.Rand // nil: launches evenly spaced
-	reqRate   float64    // virtual request launches per second
+	launches  *dist.Arrivals // nil: launches evenly spaced
+	reqRate   float64        // virtual request launches per second
 	warmup    int
 	tenants   *tenantAdmission
 	proxy     *ServerResult // nil without a proxy tier
@@ -339,10 +340,18 @@ func newLoop(cfg RequestConfig) (*loop, error) {
 	l.out = &RequestResult{Total: stats.NewHistogram(), TS: stats.NewHistogram(), TD: stats.NewHistogram(),
 		DBLat: stats.NewHistogram(), TN: m.NetworkLatency, Replicas: replicas}
 	l.rec = telemetry.OrNop(cfg.Recorder)
+	// Requests launch at the aggregate rate Λ/N, so the key rate equals
+	// Λ. Under QoS the clock runs at the OFFERED rate — sheds happen at
+	// arrival, before any queue, so the admission process sees the
+	// pre-shedding stream.
+	l.reqRate = cmp.Or(max(cfg.OfferedKeyRate, 0), m.TotalKeyRate) / float64(m.N)
 	missBase := uint64(100)
 	if cfg.Integrated {
 		missBase, l.warmup = 200, cfg.Requests/10
-		l.rngLaunch, l.rngAssign = dist.SubRand(cfg.Seed, 201), dist.SubRand(cfg.Seed, 202)
+		// Poisson launches, one request per epoch, whatever Xi, Q and
+		// Arrival say (DESIGN §4.4); q = 0 with a law is never refused.
+		l.launches, _ = dist.NewArrivals(dist.Exponential{Rate: l.reqRate}, 0, dist.SubRand(cfg.Seed, 201), nil)
+		l.rngAssign = dist.SubRand(cfg.Seed, 202)
 		l.out.KeyLat, l.out.BusyTime = stats.NewHistogram(), make([]float64, m.M())
 		q := &queuedStage{muS: m.MuS, inj: inj, free: make([]float64, m.M()), out: l.out, rec: l.rec}
 		for j := range m.M() {
@@ -373,11 +382,6 @@ func newLoop(cfg RequestConfig) (*loop, error) {
 	if l.tenants != nil {
 		l.out.Tenants = l.tenants.tenants
 	}
-	// Requests launch at the aggregate rate Λ/N, so the key rate equals
-	// Λ. Under QoS the clock runs at the OFFERED rate — sheds happen at
-	// arrival, before any queue, so the admission process sees the
-	// pre-shedding stream.
-	l.reqRate = cmp.Or(max(cfg.OfferedKeyRate, 0), m.TotalKeyRate) / float64(m.N)
 	return l, nil
 }
 

@@ -49,7 +49,7 @@ type ServerResult struct {
 	FailedKeys int
 	// Hist is the same sample as a quantile-queryable histogram.
 	Hist *stats.Histogram
-	// Batches is the number of batches simulated (post-warmup).
+	// Batches is the number of batches that began after the warm-up.
 	Batches int
 }
 
@@ -86,12 +86,6 @@ func (r *ServerResult) FailedAt(i int) bool {
 //
 // which is the exact discrete-event dynamics of the modeled server.
 func SimulateServer(cfg ServerConfig) (*ServerResult, error) {
-	if cfg.Interarrival == nil {
-		return nil, fmt.Errorf("sim: nil interarrival")
-	}
-	if cfg.Q < 0 || cfg.Q >= 1 {
-		return nil, fmt.Errorf("sim: q=%v out of [0,1)", cfg.Q)
-	}
 	if !(cfg.MuS > 0) {
 		return nil, fmt.Errorf("sim: muS=%v must be positive", cfg.MuS)
 	}
@@ -99,16 +93,11 @@ func SimulateServer(cfg ServerConfig) (*ServerResult, error) {
 		return nil, fmt.Errorf("sim: keys=%d must be >= 1", cfg.Keys)
 	}
 	warmup := cfg.Keys / 10
-	batch, err := dist.NewGeometricBatch(cfg.Q)
+	arrivals, err := dist.NewArrivals(cfg.Interarrival, cfg.Q, dist.SubRand(cfg.Seed, 1), dist.SubRand(cfg.Seed, 2))
 	if err != nil {
 		return nil, err
 	}
-
-	var (
-		rngArrival = dist.SubRand(cfg.Seed, 1)
-		rngBatch   = dist.SubRand(cfg.Seed, 2)
-		rngService = dist.SubRand(cfg.Seed, 3)
-	)
+	rngService := dist.SubRand(cfg.Seed, 3)
 	res := &ServerResult{
 		Sojourns: make([]float64, 0, cfg.Keys),
 		Hist:     stats.NewHistogram(),
@@ -118,59 +107,50 @@ func SimulateServer(cfg ServerConfig) (*ServerResult, error) {
 		res.Failed = make([]bool, 0, cfg.Keys)
 	}
 	var (
-		backlog   float64 // unfinished work at the current arrival instant
-		clock     float64 // virtual stream time (fault windows key off it)
-		seenKeys  int
-		totalKeys = warmup + cfg.Keys
+		backlog float64 // unfinished work at the current arrival instant
+		clock   float64 // virtual stream time (fault windows key off it)
 	)
-	for seenKeys < totalKeys {
-		gap := cfg.Interarrival.Sample(rngArrival)
+	for key := 1; key <= warmup+cfg.Keys; key++ {
+		gap, first := arrivals.Next()
 		clock += gap
-		backlog -= gap
-		if backlog < 0 {
-			backlog = 0
-		}
-		n := batch.SampleInt(rngBatch)
-		for i := 0; i < n && seenKeys < totalKeys; i++ {
-			act := cfg.Fault.At(cfg.Server, clock)
-			wait := backlog // work ahead of this key = its queueing delay
-			seenKeys++
-			measured := seenKeys > warmup
-			if act.Outcome == fault.Reset || act.Outcome == fault.Refuse {
-				// Fast connection-level failure: no service consumed, the
-				// client learns instantly.
-				if measured {
-					res.record(0, true)
-				}
-				continue
-			}
-			service := rngService.ExpFloat64() / cfg.MuS
-			if act.Outcome != fault.Drop {
-				// Slow/stall windows hold the server busy longer; a drop's
-				// Delay is the client-side timeout stand-in, not work.
-				service += act.Delay
-			}
-			backlog += service
-			if !measured {
-				continue
-			}
-			if act.Outcome == fault.Drop {
-				// The server did the work but the reply is lost: the
-				// client observes the timeout stand-in.
-				obs := act.Delay
-				if obs < backlog {
-					obs = backlog
-				}
-				res.record(obs, true)
-				continue
-			}
-			res.record(backlog, false)
-			rec.Observe(telemetry.StageQueueWait, wait)
-			rec.Observe(telemetry.StageService, service)
-		}
-		if seenKeys > warmup {
+		backlog = max(backlog-gap, 0)
+		act := cfg.Fault.At(cfg.Server, clock)
+		wait := backlog // work ahead of this key = its queueing delay
+		measured := key > warmup
+		if measured && first {
 			res.Batches++
 		}
+		if act.Outcome == fault.Reset || act.Outcome == fault.Refuse {
+			// Fast connection-level failure: no service consumed, the
+			// client learns instantly.
+			if measured {
+				res.record(0, true)
+			}
+			continue
+		}
+		service := rngService.ExpFloat64() / cfg.MuS
+		if act.Outcome != fault.Drop {
+			// Slow/stall windows hold the server busy longer; a drop's
+			// Delay is the client-side timeout stand-in, not work.
+			service += act.Delay
+		}
+		backlog += service
+		if !measured {
+			continue
+		}
+		if act.Outcome == fault.Drop {
+			// The server did the work but the reply is lost: the
+			// client observes the timeout stand-in.
+			obs := act.Delay
+			if obs < backlog {
+				obs = backlog
+			}
+			res.record(obs, true)
+			continue
+		}
+		res.record(backlog, false)
+		rec.Observe(telemetry.StageQueueWait, wait)
+		rec.Observe(telemetry.StageService, service)
 	}
 	return res, nil
 }

@@ -149,7 +149,7 @@ func TestCoalesceSmoke(t *testing.T) {
 	// flight ~10ms each (mud=100), negative fill TTL so write-backs never
 	// mask later misses. 32 workers pile onto the same key, so with
 	// -coalesce most misses must fan in to an existing fetch.
-	out := testkit.Run(t, mcbench, "-servers", addr, "-keys", "8", "-hot-zipf", "4", "-ops", "3000", "-lambda", "1500",
+	out := testkit.Run(t, mcbench, "-servers", addr, "-keys", "8", "-zipf", "4", "-ops", "3000", "-lambda", "1500",
 		"-miss-ratio", "1", "-fill-misses", "-mud", "100", "-fill-ttl", "-1s", "-coalesce", "-workers", "32")
 	var misses, fetches, fanIns, sheds, peak int
 	scanLine(t, out, "fills", "%d misses, %d db fetches, %d fan-ins, %d sheds, queue peak %d",
