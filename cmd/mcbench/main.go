@@ -99,29 +99,7 @@ func run(args []string, out io.Writer) error {
 	// request is one key.
 	s := plane.Scenario{Name: "mcbench", Config: core.Config{N: 1}}
 	var live plane.LivePlane
-	fs.IntVar(&s.Keys, "keys", 10000, "keyspace size")
-	fs.IntVar(&s.ValueSize, "value-size", 100, "value size in bytes (the mean under -value-dist=lognormal)")
-	fs.StringVar(&s.ValueDist, "value-dist", "fixed", "per-key value-size law: fixed|lognormal (mixed object sizes for a disk tier)")
-	fs.Float64Var(&s.ValueSigma, "value-sigma", 0, "lognormal shape for -value-dist=lognormal (0 = default 0.5)")
-	fs.Float64Var(&s.ZipfS, "zipf", 0, "Zipf popularity exponent (0 = uniform)")
-	fs.Float64Var(&s.TotalKeyRate, "lambda", 2000, "target aggregate key rate (keys/s)")
-	fs.Float64Var(&s.Xi, "xi", 0.15, "burst degree of batch gaps")
-	fs.Float64Var(&s.Q, "q", 0.1, "concurrent probability (batching)")
-	fs.Float64Var(&s.MissRatio, "miss-ratio", 0, "fraction of gets forced to miss")
-	fs.IntVar(&s.Ops, "ops", 10000, "operations to issue")
-	fs.IntVar(&s.Workers, "workers", 32, "max in-flight operations")
-	fs.Uint64Var(&s.Seed, "seed", 1, "random seed")
-	fs.BoolVar(&live.ReadThrough, "fill-misses", false, "relay misses to a simulated database")
-	fs.Float64Var(&s.MuD, "mud", 1000, "simulated database service rate for -fill-misses")
-	fs.BoolVar(&s.Coalesce, "coalesce", false, "single-flight coalesce concurrent misses per key (needs -fill-misses on external runs)")
-	fs.DurationVar(&s.FillTTL, "fill-ttl", 0, "write-back TTL for filled misses (negative = store already expired, keeping misses steady)")
-	fs.IntVar(&s.DBQueueDepth, "db-queue", 0, "bound the simulated database to a single serving queue of this depth (0 = concurrent)")
-	fs.DurationVar(&s.Duration, "timeout", 10*time.Minute, "overall run timeout")
-	fs.Float64Var(&s.MuS, "mus", 2000, "per-server shaped service rate for -plane modes")
-	fs.IntVar(&s.Resilience.Retries, "retries", 0, "extra read attempts after transport failures (0 = off)")
-	fs.Float64Var(&s.Resilience.HedgePercentile, "hedge-percentile", 0, "hedged-read trigger quantile in (0,1) (0 = hedging off)")
-	fs.Float64Var(&s.Resilience.BreakerThreshold, "breaker-threshold", 0, "circuit-breaker failure-rate trip point (0 = off)")
-	fs.IntVar(&s.Resilience.BreakerWindow, "breaker-window", 0, "circuit-breaker outcome window (0 = policy default)")
+	bindScenario(fs, &s, &live)
 	var (
 		servers    = fs.String("servers", "127.0.0.1:11211", "comma-separated server addresses")
 		keyTrace   = fs.String("trace", "", "journal the issued key stream to this file (mrc/replay input)")
@@ -218,6 +196,34 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	return writeChromeTrace(s.Tracer, *traceOut, out)
+}
+
+// bindScenario binds the flags that set a field of the Scenario, or of
+// the LivePlane driving it, directly.
+func bindScenario(fs *flag.FlagSet, s *plane.Scenario, live *plane.LivePlane) {
+	fs.IntVar(&s.Keys, "keys", 10000, "keyspace size")
+	fs.IntVar(&s.ValueSize, "value-size", 100, "value size in bytes (the mean under -value-dist=lognormal)")
+	fs.StringVar(&s.ValueDist, "value-dist", "fixed", "per-key value-size law: fixed|lognormal (mixed object sizes for a disk tier)")
+	fs.Float64Var(&s.ValueSigma, "value-sigma", 0, "lognormal shape for -value-dist=lognormal (0 = default 0.5)")
+	fs.Float64Var(&s.ZipfS, "zipf", 0, "Zipf popularity exponent (0 = uniform)")
+	fs.Float64Var(&s.TotalKeyRate, "lambda", 2000, "target aggregate key rate (keys/s)")
+	fs.Float64Var(&s.Xi, "xi", 0.15, "burst degree of batch gaps")
+	fs.Float64Var(&s.Q, "q", 0.1, "concurrent probability (batching)")
+	fs.Float64Var(&s.MissRatio, "miss-ratio", 0, "fraction of gets forced to miss")
+	fs.IntVar(&s.Ops, "ops", 10000, "operations to issue")
+	fs.IntVar(&s.Workers, "workers", 32, "max in-flight operations")
+	fs.Uint64Var(&s.Seed, "seed", 1, "random seed")
+	fs.BoolVar(&live.ReadThrough, "fill-misses", false, "relay misses to a simulated database")
+	fs.Float64Var(&s.MuD, "mud", 1000, "simulated database service rate for -fill-misses")
+	fs.BoolVar(&s.Coalesce, "coalesce", false, "single-flight coalesce concurrent misses per key (needs -fill-misses on external runs)")
+	fs.DurationVar(&s.FillTTL, "fill-ttl", 0, "write-back TTL for filled misses (negative = store already expired, keeping misses steady)")
+	fs.IntVar(&s.DBQueueDepth, "db-queue", 0, "bound the simulated database to a single serving queue of this depth (0 = concurrent)")
+	fs.DurationVar(&s.Duration, "timeout", 10*time.Minute, "overall run timeout")
+	fs.Float64Var(&s.MuS, "mus", 2000, "per-server shaped service rate for -plane modes")
+	fs.IntVar(&s.Resilience.Retries, "retries", 0, "extra read attempts after transport failures (0 = off)")
+	fs.Float64Var(&s.Resilience.HedgePercentile, "hedge-percentile", 0, "hedged-read trigger quantile in (0,1) (0 = hedging off)")
+	fs.Float64Var(&s.Resilience.BreakerThreshold, "breaker-threshold", 0, "circuit-breaker failure-rate trip point (0 = off)")
+	fs.IntVar(&s.Resilience.BreakerWindow, "breaker-window", 0, "circuit-breaker outcome window (0 = policy default)")
 }
 
 // keyJournal opens the -trace journal of the issued key stream: the

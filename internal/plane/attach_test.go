@@ -13,6 +13,7 @@ import (
 	"memqlat/internal/cache"
 	"memqlat/internal/core"
 	"memqlat/internal/dist"
+	"memqlat/internal/extstore"
 	"memqlat/internal/server"
 	"memqlat/internal/telemetry"
 	"memqlat/internal/tenant"
@@ -180,5 +181,91 @@ func TestLivePlaneRunsTheModelsArrivalLaw(t *testing.T) {
 				t.Errorf("achieved %.0f keys/s, want within 25 %% of λ = %.0f", rate, s.TotalKeyRate)
 			}
 		})
+	}
+}
+
+// TestLivePlaneAttachedDiskTier: on an attached cluster the disk tier is
+// the servers' own, so the Result sums their extstore_* stats rows. The
+// in-process servers here each keep a store behind a cache too small
+// for the keyspace, and the reported counters must be the sums of what
+// the servers count; a cluster without a tier reports none.
+func TestLivePlaneAttachedDiskTier(t *testing.T) {
+	if testing.Short() {
+		t.Skip("live plane needs real time")
+	}
+	cluster := func(tiered bool) ([]string, []*server.Server) {
+		addrs := make([]string, 2)
+		srvs := make([]*server.Server, 2)
+		for i := range addrs {
+			opts := server.Options{Logger: log.New(io.Discard, "", 0)}
+			copts := cache.Options{}
+			if tiered {
+				copts = cache.Options{MaxBytes: 20 * cache.ItemCost(8, 100), Shards: 1, MaxItemSize: 1024}
+				ext, err := extstore.Open(extstore.Options{Dir: t.TempDir(), SegmentBytes: 16 << 10})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { _ = ext.Close() })
+				opts.Extstore = ext
+			}
+			c, err := cache.New(copts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Cache = c
+			srv, err := server.New(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go func() { _ = srv.Serve(l) }()
+			t.Cleanup(func() { _ = srv.Close() })
+			addrs[i], srvs[i] = l.Addr().String(), srv
+		}
+		return addrs, srvs
+	}
+	s := Scenario{
+		Name: "attach-tier",
+		Config: core.Config{N: 1, LoadRatios: []float64{0.5, 0.5}, TotalKeyRate: 2000, Q: 0.1,
+			Xi: 0.15, MuS: 4000, MuD: 2000},
+		Keys:     200,
+		Ops:      400,
+		Duration: 30 * time.Second,
+		Seed:     9,
+	}
+
+	addrs, srvs := cluster(true)
+	res, err := (LivePlane{Servers: addrs}).Run(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	er := res.Extstore
+	if er == nil {
+		t.Fatal("attached tiered cluster reported no disk tier")
+	}
+	var hits, promotions int64
+	for _, srv := range srvs {
+		dh, pr := srv.ExtstoreCounts()
+		hits += dh
+		promotions += pr
+	}
+	if hits == 0 {
+		t.Fatal("no get reached the disk tier: the cache is not smaller than the keyspace")
+	}
+	if er.DiskHits != hits || er.Promotions != promotions {
+		t.Errorf("Extstore = %d disk hits, %d promotions; servers count %d, %d",
+			er.DiskHits, er.Promotions, hits, promotions)
+	}
+
+	plain, _ := cluster(false)
+	res, err = (LivePlane{Servers: plain}).Run(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Extstore != nil {
+		t.Errorf("cluster without a tier reported Extstore = %+v", res.Extstore)
 	}
 }

@@ -3,10 +3,17 @@ package plane
 import (
 	"fmt"
 	"math"
+	"os"
 	"strconv"
 
+	"memqlat/internal/cache"
+	"memqlat/internal/core"
 	"memqlat/internal/dist"
+	"memqlat/internal/extstore"
+	"memqlat/internal/loadgen"
 	"memqlat/internal/mrc"
+	"memqlat/internal/server"
+	"memqlat/internal/sim"
 	"memqlat/internal/telemetry"
 )
 
@@ -24,15 +31,12 @@ const extstoreTraceStream = 901
 
 // ExtstoreSpec arms the log-structured SSD cache tier (internal/
 // extstore) behind the RAM tier on every plane. The tier split — what
-// fraction of RAM misses the disk absorbs — is not an input: all three
-// planes derive it from the same miss-ratio curve, computed over a
-// seeded synthetic trace of the scenario's own key popularity (Keys,
-// ZipfS), evaluated at the two capacity points RAMItems and TotalItems
-// (mrc.Curve.Split). The model plane prices the miss stage at the
-// blended service rate 1/µ' = β/µ_disk + (1−β)/µ_D; the composition
-// simulator draws per-miss disk reads with probability β; the live
-// plane runs real segment files in a temp dir and must realize β
-// within measurement error.
+// fraction β of RAM misses the disk absorbs — is not an input: all three
+// planes derive it from the same miss-ratio curve (ExtstoreSplit). The
+// model plane prices the miss stage at the blended service rate
+// 1/µ' = β/µ_disk + (1−β)/µ_D; the composition simulator draws per-miss
+// disk reads with probability β; the live plane runs real segment files
+// in a temp dir and must realize β within measurement error.
 //
 // Scenario.MissRatio stays exogenous, as everywhere else in the model:
 // for a coherent tiered scenario set it to the MRC's RAM miss ratio
@@ -175,7 +179,6 @@ func (e *ExtstoreResult) DiskHitFraction() float64 {
 // (µ = ln(1/µ_disk) − σ²/2) when the spec selects it, with quantiles
 // from the standard-normal points z₅₀=0, z₉₅=1.6449, z₉₉=2.3263.
 func diskStage(e ExtstoreSpec) telemetry.StageStats {
-	e = e.withDefaults()
 	mean := 1 / e.MuDisk
 	if e.DiskDist != DiskDistLogNormal {
 		return expStage(mean)
@@ -187,4 +190,162 @@ func diskStage(e ExtstoreSpec) telemetry.StageStats {
 		Count: 1, Mean: mean, Total: mean,
 		P50: q(0), P95: q(1.6449), P99: q(2.3263),
 	}
+}
+
+// extstoreTier is the disk tier unit; ExtstoreSpec says how each plane
+// runs it.
+func (s Scenario) extstoreTier() (tier, error) {
+	e := *s.Extstore
+	// The MRC prediction every plane prices from is also the Result's
+	// cross-plane surface.
+	split, err := s.ExtstoreSplit()
+	if err != nil {
+		return tier{}, err
+	}
+	beta := split.DiskHitFraction()
+	var caches []*cache.Cache
+	var stores []*extstore.Store
+	return tier{
+		name: "the extstore tier",
+		// A RAM miss is absorbed by the disk tier with probability β at
+		// mean 1/µ_disk, else it pays the backend's 1/µ_D, so Theorem 1's
+		// database stage is priced at the blended rate
+		// 1/µ' = β/µ_disk + (1−β)/µ_D.
+		reprice: func(c *core.Config) { c.MuD = 1 / (beta/e.MuDisk + (1-beta)/s.MuD) },
+		price: func(res *Result) error {
+			// The bounds price the blend, but the breakdown keeps the
+			// stages apart the way the measured planes record them.
+			if s.MissRatio > 0 {
+				res.Breakdown[telemetry.StageMissPenalty] = expStage(1 / s.MuD)
+				res.Breakdown[telemetry.StageDiskRead] = diskStage(e)
+			}
+			res.Extstore = &ExtstoreResult{Predicted: split}
+			return nil
+		},
+		lower: func(rc *sim.RequestConfig) error {
+			rc.Extstore = &sim.ExtstoreSim{DiskHitFraction: beta, MuDisk: e.MuDisk, Dist: e.DiskDist, Sigma: e.DiskSigma}
+			return nil
+		},
+		simulated: func(out *sim.RequestResult, res *Result) {
+			res.Extstore = &ExtstoreResult{Predicted: split, DiskHits: out.DiskHits, RAMMisses: out.MissCount}
+		},
+		server: func(r *LiveRun, _ int, o *server.Options) error {
+			copts, eopts := liveTier(s, len(s.LoadRatios))
+			dir, err := os.MkdirTemp("", "memqlat-extstore-*")
+			if err != nil {
+				return err
+			}
+			// The dir outlives the store and the store its server: reads
+			// race a store's Close.
+			r.closers = append(r.closers, func() { _ = os.RemoveAll(dir) })
+			eopts.Dir = dir
+			ext, err := extstore.Open(eopts)
+			if err != nil {
+				return err
+			}
+			r.closers = append(r.closers, func() { _ = ext.Close() })
+			c, err := cache.New(copts)
+			if err != nil {
+				return err
+			}
+			o.Cache, o.Extstore = c, ext
+			caches, stores = append(caches, c), append(stores, ext)
+			return nil
+		},
+		drive: func(_ *LiveRun, d *driver) error {
+			// A tiered run's misses are capacity misses, and whatever falls
+			// past the disk tier must still read through to the backend.
+			d.load.UseGetThrough = true
+			return nil
+		},
+		populated: func() {
+			// Drain the eviction queues so the measured run starts with the
+			// populate spill fully indexed on disk.
+			for _, st := range stores {
+				st.Flush()
+			}
+		},
+		summarize: func(r *LiveRun, _ *loadgen.Result, res *Result) {
+			er := &ExtstoreResult{Predicted: split}
+			for _, srv := range r.servers {
+				dh, pr := srv.ExtstoreCounts()
+				er.DiskHits += dh
+				er.Promotions += pr
+			}
+			for _, c := range caches {
+				// Populate only writes, so Misses counts the measured gets.
+				er.RAMMisses += c.Stats().Misses
+			}
+			for _, st := range stores {
+				ss := st.Stats()
+				er.SegmentBytes += ss.SegmentBytes
+				er.Segments += ss.Segments
+				er.Compactions += ss.Compactions
+				er.Drops += ss.Drops
+			}
+			res.Extstore = er
+		},
+	}, nil
+}
+
+// liveExtSegmentBytes keeps live-plane segments small so modest SSD
+// budgets still roll across several segments (eviction granularity is
+// a whole segment).
+const liveExtSegmentBytes = 16 << 10
+
+// liveTier sizes one server's share of a tiered scenario: a RAM cache
+// holding ~RAMItems/M items and an extstore budget for the SSD share,
+// both converted to bytes at the loadgen's key size and the scenario's
+// ValueSize (0 = the loadgen default of 100).
+func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
+	valueSize := s.ValueSize
+	if valueSize == 0 {
+		valueSize = 100
+	}
+	e := s.Extstore
+	keyLen := len(loadgen.KeyPrefix + strconv.Itoa(s.Keys-1))
+	ramPer := (e.RAMItems + m - 1) / m
+	diskPer := (e.TotalItems - e.RAMItems + m - 1) / m
+	copts := cache.Options{
+		// One shard: a sharded cache partitions its budget per shard,
+		// which blurs the item capacity this sizing is trying to pin.
+		// The split it is sized from is Mattson's, exact LRU; the cache
+		// evicts by second chance, which lands within ~2 % of that RAM
+		// hit ratio here (DESIGN §9.1).
+		MaxBytes:    int64(ramPer) * cache.ItemCost(keyLen, valueSize),
+		Shards:      1,
+		MaxItemSize: 1024,
+	}
+	eopts := extstore.Options{
+		SegmentBytes: liveExtSegmentBytes,
+		// One segment of slack absorbs footers and the active segment's
+		// unsealed tail.
+		MaxBytes: int64(diskPer)*extstore.FrameCost(keyLen, valueSize) + liveExtSegmentBytes,
+	}
+	return copts, eopts
+}
+
+// attachedExtstore sums the extstore_* stats rows of an attached
+// cluster, whose disk tier is its own: nil when no server reports one
+// or a proxy in front does not relay the rows.
+func (r *LiveRun) attachedExtstore() *ExtstoreResult {
+	var er *ExtstoreResult
+	for i := range r.cl.NumServers() {
+		m, err := r.cl.ServerStats(i)
+		if _, ok := m["extstore_disk_hits"]; err != nil || !ok {
+			continue
+		}
+		if er == nil {
+			er = &ExtstoreResult{}
+		}
+		row := func(k string) int64 {
+			v, _ := strconv.ParseInt(m[k], 10, 64)
+			return v
+		}
+		er.DiskHits += row("extstore_disk_hits")
+		er.Promotions += row("extstore_promotions")
+		er.SegmentBytes += row("extstore_segment_bytes")
+		er.Compactions += row("extstore_compactions")
+	}
+	return er
 }

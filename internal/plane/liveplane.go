@@ -7,63 +7,21 @@ import (
 	"log"
 	"math"
 	"net"
-	"os"
-	"strconv"
 	"time"
 
 	"memqlat/internal/backend"
 	"memqlat/internal/cache"
 	"memqlat/internal/client"
-	"memqlat/internal/core"
 	"memqlat/internal/dist"
-	"memqlat/internal/extstore"
 	"memqlat/internal/fault"
 	"memqlat/internal/loadgen"
 	"memqlat/internal/metrics"
-	"memqlat/internal/mrc"
 	"memqlat/internal/proxy"
 	"memqlat/internal/server"
 	"memqlat/internal/stats"
 	"memqlat/internal/telemetry"
 	"memqlat/internal/tenant"
 )
-
-// liveExtSegmentBytes keeps live-plane segments small so modest SSD
-// budgets still roll across several segments (eviction granularity is
-// a whole segment).
-const liveExtSegmentBytes = 16 << 10
-
-// liveTier sizes one server's share of a tiered scenario: a RAM cache
-// holding ~RAMItems/M items and an extstore budget for the SSD share,
-// both converted to bytes at the loadgen's key size and the scenario's
-// ValueSize (0 = the loadgen default of 100).
-func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
-	valueSize := s.ValueSize
-	if valueSize == 0 {
-		valueSize = 100
-	}
-	e := s.Extstore
-	keyLen := len(loadgen.KeyPrefix + strconv.Itoa(s.Keys-1))
-	ramPer := (e.RAMItems + m - 1) / m
-	diskPer := (e.TotalItems - e.RAMItems + m - 1) / m
-	copts := cache.Options{
-		// One shard: a sharded cache partitions its budget per shard,
-		// which blurs the item capacity this sizing is trying to pin.
-		// The split it is sized from is Mattson's, exact LRU; the cache
-		// evicts by second chance, which lands within ~2 % of that RAM
-		// hit ratio here (DESIGN §9.1).
-		MaxBytes:    int64(ramPer) * cache.ItemCost(keyLen, valueSize),
-		Shards:      1,
-		MaxItemSize: 1024,
-	}
-	eopts := extstore.Options{
-		SegmentBytes: liveExtSegmentBytes,
-		// One segment of slack absorbs footers and the active segment's
-		// unsealed tail.
-		MaxBytes: int64(diskPer)*extstore.FrameCost(keyLen, valueSize) + liveExtSegmentBytes,
-	}
-	return copts, eopts
-}
 
 // LivePlane evaluates a Scenario on the real TCP stack, and is the one
 // place that stack is assembled: a cluster (one shaped in-process
@@ -77,11 +35,10 @@ func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
 // Every workload value comes from the Scenario; the fields here say
 // only how the stack is driven. The load generator's open loop draws the
 // model's own arrival process (core.Config.ArrivalFor gaps, batches of
-// Q) but issues single-key gets, and consistent hashing realizes only a
-// balanced split, so Start refuses N ≠ 1 or unequal LoadRatios instead
-// of measuring something else. Real-time pacing cannot sustain the
-// paper's 62.5 Kps per server on one machine, so live Scenarios use
-// scaled rates.
+// Q) but issues single-key gets over a balanced split (see
+// refuseUnrealizable). Real-time pacing cannot sustain the paper's
+// 62.5 Kps per server on one machine, so live Scenarios use scaled
+// rates.
 type LivePlane struct {
 	// Servers, when non-empty, attaches the run to the cluster already
 	// listening at these addresses instead of starting one. It has its
@@ -97,24 +54,19 @@ type LivePlane struct {
 	Observer func(offset time.Duration, key string)
 }
 
-// liveGaps returns the batch-gap law the live load generator paces: the
-// model's, at Λ. It first refuses, by name, a Scenario field the live
-// plane would otherwise ignore: it runs single-key requests over a
-// balanced split only.
-func (s Scenario) liveGaps() (dist.Interarrival, error) {
+// refuseUnrealizable refuses, by name, a Scenario field the live plane
+// would otherwise ignore: it runs single-key requests over a balanced
+// split only.
+func (s Scenario) refuseUnrealizable() error {
 	if s.N != 1 {
-		return nil, fmt.Errorf("plane: scenario %q: the live plane issues single-key gets and needs N = 1, not N = %d", s.Name, s.N)
+		return fmt.Errorf("plane: scenario %q: the live plane issues single-key gets and needs N = 1, not N = %d", s.Name, s.N)
 	}
 	for _, p := range s.LoadRatios {
 		if math.Abs(p-s.LoadRatios[0]) > 1e-9 {
-			return nil, fmt.Errorf("plane: scenario %q: consistent hashing realizes only a balanced split; LoadRatios %v are unequal", s.Name, s.LoadRatios)
+			return fmt.Errorf("plane: scenario %q: consistent hashing realizes only a balanced split; LoadRatios %v are unequal", s.Name, s.LoadRatios)
 		}
 	}
-	model, err := s.modelConfig()
-	if err != nil {
-		return nil, err
-	}
-	return model.ArrivalFor(s.TotalKeyRate)
+	return nil
 }
 
 // Name implements Plane.
@@ -133,24 +85,21 @@ func (p LivePlane) Run(ctx context.Context, s Scenario) (*Result, error) {
 // LiveRun is a started, populated live stack; it owns its tiers until Close.
 type LiveRun struct {
 	s         Scenario
+	tiers     []tier
 	began     time.Time
 	collector *telemetry.Collector
+	// rec is what every tier records to: the collector, teed into the
+	// watchdog when the scenario arms one.
+	rec telemetry.Recorder
 	// clock is the run epoch the fault schedule, the QoS buckets and the
 	// watchdog windows share: -Inf until Drive, so populate runs healthy.
-	clock fault.Clock
-	// inj is shared by all servers and the backend, so wall-time fault
-	// windows line up with the simulator's virtual-time schedule.
-	inj       *fault.Injector
-	split     mrc.TierSplit
-	load      loadgen.Options
-	servers   []*server.Server
-	caches    []*cache.Cache
-	exts      []*extstore.Store
-	db        *backend.DB
-	px        *proxy.Proxy
-	lim       *tenant.Limiter
-	cl        *client.Client
-	upstreams int // addresses the client dials: the cluster, or its proxy
+	clock   fault.Clock
+	load    loadgen.Options
+	servers []*server.Server
+	db      *backend.DB
+	px      *proxy.Proxy
+	lim     *tenant.Limiter
+	cl      *client.Client
 	// closers release what Start built; Close runs them last-in first-out.
 	closers []func()
 }
@@ -159,136 +108,119 @@ type LiveRun struct {
 // everything built so far is released.
 func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 	s = s.withDefaults()
-	gaps, err := s.liveGaps()
+	if err := s.refuseUnrealizable(); err != nil {
+		return nil, err
+	}
+	model, tiers, err := s.tiers()
 	if err != nil {
 		return nil, err
 	}
-	r := &LiveRun{s: s, began: time.Now(), collector: telemetry.NewCollector()}
+	// The load generator paces the model's own batch gaps, at Λ.
+	gaps, err := model.ArrivalFor(s.TotalKeyRate)
+	if err != nil {
+		return nil, err
+	}
+	r := &LiveRun{s: s, tiers: tiers, began: time.Now(), collector: telemetry.NewCollector()}
 	defer func() {
 		if err != nil {
 			r.Close()
 		}
 	}()
-	if r.lim, err = s.validateTenants(); err != nil {
-		return nil, err
-	}
 	// With a watchdog armed, every tier's stage observations tee into
 	// its rolling-window sketches alongside the collector; the tee
 	// preserves sharding, so hot-path recording stays lock-striped.
-	var rec telemetry.Recorder = r.collector
+	r.rec = r.collector
 	if s.SLO != nil {
-		rec = telemetry.Tee(r.collector, s.SLO)
+		r.rec = telemetry.Tee(r.collector, s.SLO)
 	}
 
 	addrs := p.Servers
+	for _, t := range tiers {
+		if t.server != nil && len(addrs) > 0 {
+			return nil, fmt.Errorf("plane: scenario %q: %s is built into in-process servers; an attached cluster runs its own", s.Name, t.name)
+		}
+	}
 	if len(addrs) == 0 {
-		if addrs, err = r.startServers(rec); err != nil {
+		if addrs, err = r.startServers(); err != nil {
 			return nil, err
 		}
-	} else if !s.Faults.Empty() || s.Extstore != nil {
-		return nil, fmt.Errorf("plane: scenario %q: faults and the extstore tier are built into in-process servers; an attached cluster runs its own", s.Name)
 	}
 
-	if err := r.startDriver(p, addrs, gaps, rec); err != nil {
+	if err := r.startDriver(p, addrs, gaps); err != nil {
 		return nil, err
 	}
 	if err := loadgen.Populate(r.load); err != nil {
 		return nil, err
 	}
-	for _, e := range r.exts {
-		// Drain the eviction queues so the measured run starts with the
-		// populate spill fully indexed on disk.
-		e.Flush()
+	for _, t := range tiers {
+		if t.populated != nil {
+			t.populated()
+		}
 	}
 	return r, nil
 }
 
-// startDriver builds what drives the cluster at addrs: the backend that
-// misses read through to, the proxy tier the scenario may interpose, the
-// client, and the load generator's options.
-func (r *LiveRun) startDriver(p LivePlane, addrs []string, gaps dist.Interarrival, rec telemetry.Recorder) (err error) {
+// startDriver builds what drives the cluster at addrs: the proxy tier
+// the scenario may interpose, the backend that misses read through to,
+// the client, and the load generator's options.
+func (r *LiveRun) startDriver(p LivePlane, addrs []string, gaps dist.Interarrival) (err error) {
 	s := r.s
-	// A tiered run's misses are capacity misses, and whatever falls past
-	// the disk tier must still read through to the backend.
-	readThrough := p.ReadThrough ||
-		len(p.Servers) == 0 && (s.MissRatio > 0 || s.Extstore != nil)
-	clOpts := client.Options{
-		FillTTL:    s.FillTTL,
-		PoolSize:   s.Workers,
-		Resilience: s.Resilience,
-		Coalesce:   s.Coalesce,
-		Recorder:   rec,
-		Tracer:     s.Tracer,
-		Seed:       s.Seed,
-	}
-	if readThrough {
-		dbOpts := backend.Options{
-			MuD: s.MuD, Seed: s.Seed, Recorder: rec, Tracer: s.Tracer,
+	d := &driver{
+		addrs: addrs,
+		db: backend.Options{
+			MuD: s.MuD, Seed: s.Seed, Recorder: r.rec, Tracer: s.Tracer,
 			// A bounded single-worker database makes hot-key herds visible:
 			// without coalescing the herd stacks up in the queue (watch
 			// QueuePeak), with it the backend sees ~1 fetch per miss window.
 			QueueDepth: s.DBQueueDepth,
+		},
+		client: client.Options{
+			FillTTL:  s.FillTTL,
+			PoolSize: s.Workers,
+			Recorder: r.rec,
+			Tracer:   s.Tracer,
+			Seed:     s.Seed,
+		},
+		load: loadgen.Options{
+			Keys:          s.Keys,
+			ValueSize:     s.ValueSize,
+			ValueDist:     s.ValueDist,
+			ValueSigma:    s.ValueSigma,
+			ZipfS:         s.ZipfS,
+			Gaps:          gaps,
+			Q:             s.Q,
+			MissRatio:     s.MissRatio,
+			Ops:           s.Ops,
+			Workers:       s.Workers,
+			Seed:          s.Seed,
+			UseGetThrough: p.ReadThrough || len(p.Servers) == 0 && s.MissRatio > 0,
+			Observer:      p.Observer,
+		},
+	}
+	if s.SLO != nil {
+		d.load.OnLatency = s.SLO.OnLatency
+	}
+	for _, t := range r.tiers {
+		if t.drive != nil {
+			if err := t.drive(r, d); err != nil {
+				return err
+			}
 		}
-		if r.inj != nil {
-			dbOpts.Fault = &fault.Point{Inj: r.inj, Server: fault.Database, Now: r.clock.Now}
-		}
-		if r.db, err = backend.New(dbOpts); err != nil {
+	}
+	if d.load.UseGetThrough {
+		if r.db, err = backend.New(d.db); err != nil {
 			return err
 		}
 		r.closers = append(r.closers, r.db.Close)
-		clOpts.Filler = r.db
+		d.client.Filler = r.db
 	}
-	if s.Proxy != nil {
-		pol, err := proxy.ParsePolicy(s.Proxy.Policy)
-		if err != nil {
-			return err
-		}
-		r.px, err = proxy.New(proxy.Options{
-			Upstreams: addrs,
-			Policy:    pol,
-			Replicas:  s.Proxy.Replicas,
-			Recorder:  rec,
-			Logger:    log.New(io.Discard, "", 0),
-			Tracer:    s.Tracer,
-			// The QoS buckets meter on the run clock, so populate admits
-			// unthrottled and the sim's virtual timeline shares the epoch.
-			Tenants:     r.lim,
-			TenantClock: r.clock.Now,
-		})
-		if err != nil {
-			return err
-		}
-		addr, err := r.serve(r.px.Serve, r.px.Close)
-		if err != nil {
-			return err
-		}
-		addrs = []string{addr}
-	}
-	clOpts.Servers, r.upstreams = addrs, len(addrs)
-	if r.cl, err = client.New(clOpts); err != nil {
+	d.client.Servers = d.addrs
+	if r.cl, err = client.New(d.client); err != nil {
 		return err
 	}
 	r.closers = append(r.closers, func() { _ = r.cl.Close() })
-	r.load = loadgen.Options{
-		Client:        r.cl,
-		Keys:          s.Keys,
-		ValueSize:     s.ValueSize,
-		ValueDist:     s.ValueDist,
-		ValueSigma:    s.ValueSigma,
-		ZipfS:         s.ZipfS,
-		Gaps:          gaps,
-		Q:             s.Q,
-		MissRatio:     s.MissRatio,
-		Ops:           s.Ops,
-		Workers:       s.Workers,
-		Seed:          s.Seed,
-		UseGetThrough: readThrough,
-		Observer:      p.Observer,
-		Tenants:       s.Tenants,
-	}
-	if s.SLO != nil {
-		r.load.OnLatency = s.SLO.OnLatency
-	}
+	r.load = d.load
+	r.load.Client = r.cl
 	return nil
 }
 
@@ -306,63 +238,34 @@ func (r *LiveRun) serve(serve func(net.Listener) error, closeTier func() error) 
 	return l.Addr().String(), nil
 }
 
-// startServers brings up the in-process cluster (on a tiered scenario,
-// capacity-sized RAM caches over real segment files in temp dirs).
-func (r *LiveRun) startServers(rec telemetry.Recorder) ([]string, error) {
+// startServers brings up the in-process cluster, one shaped server per
+// load-ratio entry, each with what the tiers build into it.
+func (r *LiveRun) startServers() ([]string, error) {
 	s := r.s
-	m := len(s.LoadRatios)
-	var err error
-	if !s.Faults.Empty() {
-		if r.inj, err = fault.NewInjector(s.Faults, m); err != nil {
-			return nil, err
-		}
-	}
-	if s.Extstore != nil {
-		// The MRC prediction is also the Result's cross-plane surface.
-		if r.split, err = s.ExtstoreSplit(); err != nil {
-			return nil, err
-		}
-	}
-	addrs := make([]string, m)
+	addrs := make([]string, len(s.LoadRatios))
 	for i := range addrs {
-		copts := cache.Options{}
-		var ext *extstore.Store
-		if s.Extstore != nil {
-			var eopts extstore.Options
-			copts, eopts = liveTier(s, m)
-			dir, err := os.MkdirTemp("", "memqlat-extstore-*")
-			if err != nil {
-				return nil, err
-			}
-			// The dir outlives the store and the store its server: reads
-			// race a store's Close.
-			r.closers = append(r.closers, func() { _ = os.RemoveAll(dir) })
-			eopts.Dir = dir
-			if ext, err = extstore.Open(eopts); err != nil {
-				return nil, err
-			}
-			r.closers = append(r.closers, func() { _ = ext.Close() })
-			r.exts = append(r.exts, ext)
-		}
-		c, err := cache.New(copts)
-		if err != nil {
-			return nil, err
-		}
-		r.caches = append(r.caches, c)
-		sopts := server.Options{
-			Cache:       c,
-			Extstore:    ext,
+		o := server.Options{
 			ServiceRate: s.MuS,
 			Seed:        s.Seed + uint64(i),
 			Logger:      log.New(io.Discard, "", 0),
-			Recorder:    rec,
+			Recorder:    r.rec,
 			Tracer:      s.Tracer,
 			ID:          i,
 		}
-		if r.inj != nil {
-			sopts.Fault = &fault.Point{Inj: r.inj, Server: i, Now: r.clock.Now}
+		for _, t := range r.tiers {
+			if t.server != nil {
+				if err := t.server(r, i, &o); err != nil {
+					return nil, err
+				}
+			}
 		}
-		srv, err := server.New(sopts)
+		var err error
+		if o.Cache == nil {
+			if o.Cache, err = cache.New(cache.Options{}); err != nil {
+				return nil, err
+			}
+		}
+		srv, err := server.New(o)
 		if err != nil {
 			return nil, err
 		}
@@ -441,14 +344,13 @@ func (r *LiveRun) summarize(lg *loadgen.Result) *Result {
 	td := (b[telemetry.StageMissPenalty].Total +
 		b[telemetry.StageCoalesceWait].Total +
 		b[telemetry.StageDiskRead].Total) / float64(lg.Issued)
+	// The network stage is physically included in the sample, so TN
+	// reads 0 rather than the modeled constant.
 	res := &Result{
-		Plane:    "live",
-		Scenario: s,
-		// The network stage is physically included in the sample, so TN
-		// reads 0 rather than the modeled constant.
-		Total:     core.Bounds{Lo: mean, Hi: mean},
-		TN:        0,
-		TS:        core.Bounds{Lo: tsMean, Hi: tsMean},
+		Plane:     "live",
+		Scenario:  s,
+		Total:     point(mean),
+		TS:        point(tsMean),
 		TD:        td,
 		Sample:    lg.Latency,
 		MeanCI:    stats.HistMeanCI(lg.Latency, ci95),
@@ -463,79 +365,13 @@ func (r *LiveRun) summarize(lg *loadgen.Result) *Result {
 	if s.SLO != nil {
 		res.SLO = s.SLO.Status()
 	}
-	res.Extstore = r.tier()
-	if g := r.cl.Coalescer(); g.Coalescing() {
-		cs := g.Stats()
-		res.Coalesce = &cs
+	if len(r.servers) == 0 {
+		res.Extstore = r.attachedExtstore()
 	}
-	if len(lg.Tenants) > 0 {
-		offered, _, _ := s.tenantRates()
-		handles := r.lim.Tenants()
-		res.Tenants = make([]TenantResult, len(lg.Tenants))
-		for i, ts := range lg.Tenants {
-			admittedRate := 0.0
-			if lg.Elapsed > 0 {
-				admittedRate = float64(ts.Issued-ts.Sheds) / lg.Elapsed.Seconds()
-			}
-			res.Tenants[i] = TenantResult{
-				Name:     ts.Name,
-				Class:    handles[i].Snapshot().Class,
-				Offered:  offered[i],
-				Admitted: admittedRate,
-				Issued:   ts.Issued,
-				Shed:     ts.Sheds,
-				Latency:  ts.Latency,
-			}
+	for _, t := range r.tiers {
+		if t.summarize != nil {
+			t.summarize(r, lg, res)
 		}
 	}
 	return res
-}
-
-// tier reports the disk tier's counters: read off the in-process
-// servers next to the MRC prediction, or summed from the extstore_*
-// stats rows of an attached cluster (nil when no server reports a tier
-// or a proxy in front does not relay the rows).
-func (r *LiveRun) tier() *ExtstoreResult {
-	if len(r.servers) > 0 {
-		if r.s.Extstore == nil {
-			return nil
-		}
-		er := &ExtstoreResult{Predicted: r.split}
-		for _, srv := range r.servers {
-			dh, pr := srv.ExtstoreCounts()
-			er.DiskHits += dh
-			er.Promotions += pr
-		}
-		for _, c := range r.caches {
-			// Populate only writes, so Misses counts the measured gets.
-			er.RAMMisses += c.Stats().Misses
-		}
-		for _, e := range r.exts {
-			st := e.Stats()
-			er.SegmentBytes += st.SegmentBytes
-			er.Segments += st.Segments
-			er.Compactions += st.Compactions
-			er.Drops += st.Drops
-		}
-		return er
-	}
-	var er *ExtstoreResult
-	for i := 0; i < r.upstreams; i++ {
-		m, err := r.cl.ServerStats(i)
-		if _, ok := m["extstore_disk_hits"]; err != nil || !ok {
-			continue
-		}
-		if er == nil {
-			er = &ExtstoreResult{}
-		}
-		row := func(k string) int64 {
-			v, _ := strconv.ParseInt(m[k], 10, 64)
-			return v
-		}
-		er.DiskHits += row("extstore_disk_hits")
-		er.Promotions += row("extstore_promotions")
-		er.SegmentBytes += row("extstore_segment_bytes")
-		er.Compactions += row("extstore_compactions")
-	}
-	return er
 }

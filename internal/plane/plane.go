@@ -26,31 +26,12 @@ import (
 	"memqlat/internal/fault"
 	"memqlat/internal/loadgen"
 	"memqlat/internal/otrace"
-	"memqlat/internal/proxy"
 	"memqlat/internal/sim"
 	"memqlat/internal/slo"
 	"memqlat/internal/stats"
 	"memqlat/internal/telemetry"
 	"memqlat/internal/tenant"
 )
-
-// ProxySpec interposes the proxy tier (internal/proxy) between the
-// clients and the servers of a Scenario. The model and simulator planes
-// price the proxy as one extra GI^X/M/1 stage in series: a single
-// queue receiving the aggregate key rate Λ at service rate MuS × M, whose
-// per-request contribution is the fork-join max over the request's N
-// keys — exactly the Theorem 1 treatment of the memcached stage. The
-// live plane interposes a real TCP proxy and points the client at it.
-type ProxySpec struct {
-	// Policy is the route policy ("direct", "failover", "replicate";
-	// default direct). The model plane prices every policy identically —
-	// routing does not change the queueing structure; the composition
-	// simulator realizes "replicate" as hedged reads; the live plane
-	// runs the policy for real.
-	Policy string
-	// Replicas is the replication degree under "replicate" (default 2).
-	Replicas int
-}
 
 // Scenario is one model configuration plus its measurement budget,
 // tiers and observers: the unit of cross-plane comparison. Rates are
@@ -65,12 +46,8 @@ type Scenario struct {
 	// LoadRatios.
 	core.Config
 
-	// Faults is the shared fault schedule. The simulator planes evaluate
-	// it in virtual time; the live plane injects the same rules in wall
-	// time (a shared fault.Clock starts when the load does), so both
-	// planes see the identical deterministic per-rule decision sequence.
-	// The model plane ignores it — Theorem 1 has no failure modes, which
-	// is exactly the gap the faulted planes measure.
+	// Faults is the fault schedule the measured planes share
+	// (faults.go). The empty schedule is the healthy run.
 	Faults fault.Schedule
 	// Resilience configures the recovery policies (retries, hedging,
 	// circuit breaking) the measured planes apply. Zero value = none.
@@ -93,27 +70,18 @@ type Scenario struct {
 	// Seed roots all randomness, making model/sim runs deterministic.
 	Seed uint64
 
-	// Proxy, when non-nil, interposes the proxy tier on every plane.
+	// Proxy, when non-nil, interposes the proxy tier on every plane
+	// (proxy.go).
 	Proxy *ProxySpec
 
-	// Tenants, when non-empty, arms the multi-tenant QoS layer (which
-	// lives at the proxy, so Proxy must be set too). Each spec's Share
-	// is its slice of the offered load Λ; its bucket decides how much
-	// of that slice is admitted. The model plane prices each tenant's
-	// admitted rate as its own arrival stream into the shared stages
-	// (Λ' = Σ_t admitted_t replaces Λ, so the victim tenants' Theorem-1
-	// band is computable with the aggressor's excess shed out of λ);
-	// the composition sim draws per-request tenants from the Share mix
-	// and runs the same token buckets on virtual time; the live plane
-	// runs the real limiter at the proxy under a tenant-mixed loadgen.
+	// Tenants, when non-empty, arms the multi-tenant QoS layer at the
+	// proxy, so Proxy must be set too (tenants.go). Each spec's Share is
+	// its slice of the offered load Λ; its bucket decides how much of
+	// that slice is admitted.
 	Tenants []tenant.Spec
 
-	// Coalesce turns on single-flight miss coalescing on every plane:
-	// the live client's GetThrough single-flights its backend fills,
-	// the composition sim gives misses key identities with per-key
-	// in-flight windows, and the model prices the delayed-hit stage
-	// (coalesce_wait = residual Exp(µ_D) wait) in its breakdown. Off
-	// keeps the naive one-fetch-per-miss path everywhere.
+	// Coalesce turns on single-flight miss coalescing on every plane
+	// (coalesce.go). Off keeps the naive one-fetch-per-miss path.
 	Coalesce bool
 	// Keys sizes the keyspace the live load generator (and the sim's
 	// coalesced miss draw) samples from (default 2000).
@@ -146,23 +114,14 @@ type Scenario struct {
 	ValueSigma float64
 
 	// Extstore, when non-nil, adds a log-structured SSD cache tier
-	// behind the RAM tier on every plane. All three planes derive the
-	// tier split from the same miss-ratio curve (see ExtstoreSpec and
-	// ExtstoreSplit): the model blends the miss-stage service rate and
-	// prices a disk_read breakdown stage, the composition simulator
-	// draws per-miss disk reads with the predicted hit fraction, and
-	// the live plane runs real segment files in a temp dir behind a
-	// capacity-sized RAM cache.
+	// behind the RAM tier on every plane (ExtstoreSpec, extstore.go).
 	Extstore *ExtstoreSpec
 
 	// SLO, when set, arms the model-anchored watchdog on the measured
-	// planes. The live plane tees it into every tier's telemetry,
-	// arms it when the run clock starts and advances its rolling
-	// windows on a wall-clock ticker; the composition simulator
-	// replays the same detector on the virtual request timeline, so a
-	// given seed detects drift at an identical window index on every
-	// run. The model plane ignores it (nothing executes). NewWatchdog
-	// arms one on the bands PredictedBands gives the scenario.
+	// planes: on the live plane's run clock, and replayed on the
+	// simulator's virtual request timeline (see SimPlane.Run). The model
+	// plane ignores it. NewWatchdog arms one on the bands PredictedBands
+	// gives the scenario.
 	SLO *slo.Watchdog
 
 	// Tracer, when set, records request-scoped spans from every tier of
@@ -207,91 +166,11 @@ func (s Scenario) withDefaults() Scenario {
 	return s
 }
 
-// validateTenants checks the QoS side of a scenario: tenant specs must
-// parse and the proxy tier must be present (admission lives there).
-func (s Scenario) validateTenants() (*tenant.Limiter, error) {
-	if len(s.Tenants) == 0 {
-		return nil, nil
-	}
-	if s.Proxy == nil {
-		return nil, fmt.Errorf("plane: scenario %q declares tenants but no proxy (QoS lives at the proxy tier)", s.Name)
-	}
-	l, err := tenant.New(s.Tenants)
-	if err != nil {
-		return nil, fmt.Errorf("plane: scenario %q: %w", s.Name, err)
-	}
-	return l, nil
-}
-
-// tenantRates prices the QoS layer the way every plane agrees on: each
-// declared tenant offers Share_t × Λ; its bucket sustains
-// admitted_t = min(offered_t, Rate_t) (gold and unlimited tenants pass
-// through); Λ' = Σ_t admitted_t is the post-shedding aggregate rate the
-// shared stages actually see.
-func (s Scenario) tenantRates() (offered, admitted []float64, total float64) {
-	shares := tenant.Shares(s.Tenants)
-	offered = make([]float64, len(s.Tenants))
-	admitted = make([]float64, len(s.Tenants))
-	for i, sp := range s.Tenants {
-		offered[i] = shares[i] * s.TotalKeyRate
-		admitted[i] = sp.AdmittedRate(offered[i])
-		total += admitted[i]
-	}
-	return offered, admitted, total
-}
-
-// admittedScenario returns the scenario with Λ replaced by the
-// admitted Λ', which is what the shared GI^X/M/1 stages are priced at
-// when QoS sheds traffic ahead of them. Without tenants it is the
-// identity.
-func (s Scenario) admittedScenario() Scenario {
-	if len(s.Tenants) == 0 {
-		return s
-	}
-	_, _, total := s.tenantRates()
-	s.TotalKeyRate = total
-	return s
-}
-
-// proxyConfig lowers the proxy stage to its own single-queue model
-// configuration: the aggregate key stream Λ through one queue at rate
-// µ_P = MuS × M (one proxy fronting M servers runs at the per-server
-// utilization), with the workload's batching (Q) and burstiness (Xi) intact —
-// the proxy sees the union of the arrival processes the servers see.
-// Only the stage's TS and queue wait are read from it; the miss and
-// network parameters ride along unread (the proxy never touches the
-// database).
-func (s Scenario) proxyConfig() (*core.Config, error) {
-	if s.Proxy == nil {
-		return nil, fmt.Errorf("plane: scenario %q has no proxy spec", s.Name)
-	}
-	if _, err := proxy.ParsePolicy(s.Proxy.Policy); err != nil {
-		return nil, fmt.Errorf("plane: scenario %q: %w", s.Name, err)
-	}
-	c := s.Config
-	c.LoadRatios = []float64{1}
-	c.MuS *= float64(s.M()) // µ_P
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("plane: scenario %q proxy stage: %w", s.Name, err)
-	}
-	return &c, nil
-}
-
 // FromConfig lifts a model configuration into a Scenario.
 func FromConfig(name string, c *core.Config) Scenario {
 	s := Scenario{Name: name, Config: *c}
 	s.LoadRatios = slices.Clone(c.LoadRatios)
 	return s
-}
-
-// modelConfig returns a validated copy of s.Config, which a plane may
-// reprice (a blended µ_D) without touching s.
-func (s Scenario) modelConfig() (*core.Config, error) {
-	c := s.Config
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("plane: scenario %q: %w", s.Name, err)
-	}
-	return &c, nil
 }
 
 // Result is the plane-independent outcome of running one Scenario.
@@ -348,27 +227,6 @@ type Result struct {
 	// arms the SSD tier: the shared MRC prediction plus the plane's
 	// measured disk-hit counters (nil otherwise).
 	Extstore *ExtstoreResult
-}
-
-// TenantResult is one tenant's cross-plane surface: the model plane
-// fills the analytic rates; measured planes add realized counters and
-// the admitted-traffic latency histogram.
-type TenantResult struct {
-	// Name / Class echo the spec.
-	Name  string
-	Class string
-	// Offered is the tenant's offered key rate λ_t = Share_t × Λ.
-	Offered float64
-	// Admitted is the post-bucket key rate the shared stages see: the
-	// analytic min(λ_t, Rate_t) on the model plane, the realized rate
-	// on measured planes.
-	Admitted float64
-	// Issued / Shed count keys on the measured planes (zero on model).
-	Issued int64
-	Shed   int64
-	// Latency is the admitted-traffic per-request latency histogram
-	// (nil on the model plane).
-	Latency *stats.Histogram
 }
 
 // Point returns the scalar each plane nominates for cross-plane

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"memqlat/internal/core"
-	"memqlat/internal/mrc"
 	"memqlat/internal/sim"
 	"memqlat/internal/stats"
 	"memqlat/internal/telemetry"
@@ -47,7 +46,7 @@ func (p SimPlane) Run(ctx context.Context, s Scenario) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	rc, split, err := p.requestConfig(s)
+	rc, tiers, err := p.requestConfig(s)
 	if err != nil {
 		return nil, err
 	}
@@ -83,64 +82,40 @@ func (p SimPlane) Run(ctx context.Context, s Scenario) (*Result, error) {
 		wd.Flush()
 		res.SLO = wd.Status()
 	}
-	if s.Extstore != nil {
-		res.Extstore = &ExtstoreResult{Predicted: split, DiskHits: out.DiskHits, RAMMisses: out.MissCount}
+	for _, t := range tiers {
+		if t.simulated != nil {
+			t.simulated(out, res)
+		}
 	}
-	res.Tenants = s.simTenants(out, rc.Model.N)
 	res.MeanCI = stats.HistMeanCI(res.Sample, ci95)
 	res.Breakdown = collector.Breakdown()
 	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
-// requestConfig lowers s to one simulator run and the tier split it
-// prices. The streams run at the admitted Λ' (Λ without tenants); the
-// virtual request clock, hence the buckets, at the offered Λ.
-func (p SimPlane) requestConfig(s Scenario) (sim.RequestConfig, mrc.TierSplit, error) {
-	var split mrc.TierSplit
-	if _, err := s.validateTenants(); err != nil {
-		return sim.RequestConfig{}, split, err
-	}
-	priced := s.admittedScenario()
-	model, err := priced.modelConfig()
+// requestConfig lowers s to one simulator run, with the tiers it arms.
+// The streams run at the admitted Λ′ (Λ without tenants).
+func (p SimPlane) requestConfig(s Scenario) (sim.RequestConfig, []tier, error) {
+	model, tiers, err := s.tiers()
 	if err != nil {
-		return sim.RequestConfig{}, split, err
+		return sim.RequestConfig{}, nil, err
 	}
 	rc := sim.RequestConfig{
-		Model:          model,
-		Requests:       s.Requests,
-		Integrated:     p.Mode == SimIntegrated,
-		KeysPerServer:  s.KeysPerServer,
-		Seed:           s.Seed,
-		Faults:         s.Faults,
-		Resilience:     s.Resilience,
-		Tracer:         s.Tracer,
-		Coalesce:       s.Coalesce,
-		MissKeys:       s.Keys,
-		MissZipfS:      s.ZipfS,
-		Tenants:        s.Tenants,
-		OfferedKeyRate: s.TotalKeyRate,
+		Model:         model,
+		Requests:      s.Requests,
+		Integrated:    p.Mode == SimIntegrated,
+		KeysPerServer: s.KeysPerServer,
+		Seed:          s.Seed,
+		Tracer:        s.Tracer,
 	}
-	if s.Proxy != nil {
-		if rc.ProxyModel, err = priced.proxyConfig(); err != nil {
-			return sim.RequestConfig{}, split, err
-		}
-		if s.Proxy.Policy == "replicate" {
-			rc.ReadReplicas = s.Proxy.Replicas
+	for _, t := range tiers {
+		if t.lower != nil {
+			if err := t.lower(&rc); err != nil {
+				return sim.RequestConfig{}, nil, err
+			}
 		}
 	}
-	if e := s.Extstore; e != nil {
-		if split, err = s.ExtstoreSplit(); err != nil {
-			return sim.RequestConfig{}, split, err
-		}
-		rc.Extstore = &sim.ExtstoreSim{
-			DiskHitFraction: split.DiskHitFraction(),
-			MuDisk:          e.MuDisk,
-			Dist:            e.DiskDist,
-			Sigma:           e.DiskSigma,
-		}
-	}
-	return rc, split, nil
+	return rc, tiers, nil
 }
 
 // estimate sets the totals from the §4.5 quantile estimators.
@@ -161,30 +136,6 @@ func (r *Result) estimate(out *sim.RequestResult, model *core.Config) error {
 	r.TS = point(ts)
 	r.TD = td
 	return nil
-}
-
-// simTenants reports realized tenant rates on the virtual clock: the
-// run spans Requests×N offered keys at rate Λ.
-func (s Scenario) simTenants(out *sim.RequestResult, n int) []TenantResult {
-	if len(out.Tenants) == 0 {
-		return nil
-	}
-	offered, _, _ := s.tenantRates()
-	virtualDur := float64(s.Requests) * float64(n) / s.TotalKeyRate
-	res := make([]TenantResult, len(out.Tenants))
-	for i, t := range out.Tenants {
-		snap := t.Snapshot()
-		res[i] = TenantResult{
-			Name:     snap.Name,
-			Class:    snap.Class,
-			Offered:  offered[i],
-			Admitted: float64(snap.Admitted) / virtualDur,
-			Issued:   snap.Admitted + snap.Shed,
-			Shed:     snap.Shed,
-			Latency:  t.Latency(),
-		}
-	}
-	return res
 }
 
 // point is a measured plane's collapsed estimate.
