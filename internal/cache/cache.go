@@ -401,7 +401,10 @@ func (c *Cache) Store(mode StoreMode, key, value []byte, flags uint32, ttl time.
 		}
 		stored = string(value)
 	}
-	now := c.now()
+	var now int64 // read for a TTL only; store reads it if its walk needs it
+	if ttl != 0 {
+		now = c.now()
+	}
 	s, r, err := c.open(key, mode != ModeSet)
 	if err != nil {
 		return err
@@ -514,7 +517,7 @@ func (c *Cache) IncrDecr(key []byte, delta int64) (uint64, error) {
 			next = cur - dec
 		}
 	}
-	s.store(c, key, strconv.FormatUint(next, 10), e.flags, e.expires, c.nextCAS(), c.now())
+	s.store(c, key, strconv.FormatUint(next, 10), e.flags, e.expires, c.nextCAS(), 0)
 	return next, nil
 }
 
@@ -779,9 +782,8 @@ func (s *shard) pushFront(r uint32) {
 // store puts value at key at the head of the list, evicting from the
 // tail to fit the budget. A key already present keeps its slot, its key
 // string and its index entry, so an overwrite allocates nothing here.
-// Caller holds mu.
-func (s *shard) store(c *Cache, key []byte, value string, flags uint32, expires int64,
-	cas uint64, now int64) {
+// now is the clock, or 0 if the caller has not read it. Caller holds mu.
+func (s *shard) store(c *Cache, key []byte, value string, flags uint32, expires int64, cas uint64, now int64) {
 	h := maphash.Bytes(s.seed, key)
 	r := s.find(key, h)
 	if r != 0 {
@@ -796,6 +798,9 @@ func (s *shard) store(c *Cache, key []byte, value string, flags uint32, expires 
 	for s.bytes+need > s.maxBytes && s.tail != 0 {
 		victim := s.tail
 		v := s.at(victim)
+		if now == 0 && v.expires != 0 {
+			now = c.now() // read once, at the first victim with an expiry
+		}
 		expired := v.expired(now)
 		if v.ref && !expired {
 			v.ref = false

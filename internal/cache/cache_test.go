@@ -630,6 +630,42 @@ func TestStoreExpirations(t *testing.T) {
 	}
 }
 
+// TestStoreReadsClockOnlyWhenNeeded: a store reads the clock for a TTL,
+// or when its eviction walk meets an item that carries an expiry, and
+// otherwise not at all, so a TTL-less set that evicts nothing costs no
+// clock read. The walk's one reading still reaps an expired victim as an
+// expiration.
+func TestStoreReadsClockOnlyWhenNeeded(t *testing.T) {
+	clk := newFakeClock()
+	reads := 0
+	c, _ := newTestCache(t, Options{Shards: 1, MaxBytes: 3 * (2 + 1 + itemOverhead), MaxItemSize: 100,
+		Clock: func() time.Time { reads++; return clk.Now() }})
+	step := func(what string, want int, do func() error) {
+		t.Helper()
+		reads = 0
+		if err := do(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if reads != want {
+			t.Errorf("%s read the clock %d times, want %d", what, reads, want)
+		}
+	}
+	step("a TTL-less set", 0, func() error { return setItem(c, "k1", []byte("a"), 0, 0) })
+	step("a TTL-less overwrite", 0, func() error { return setItem(c, "k1", []byte("b"), 0, 0) })
+	step("a set with a TTL", 1, func() error { return setItem(c, "k2", []byte("c"), 0, time.Second) })
+	step("an incr", 0, func() error {
+		_ = setItem(c, "k3", []byte("1"), 0, 0)
+		_, err := c.IncrDecr([]byte("k3"), 1)
+		return err
+	})
+	step("a TTL-less set that evicts a TTL-less item", 0, func() error { return setItem(c, "k4", []byte("d"), 0, 0) })
+	clk.Advance(2 * time.Second)
+	step("a TTL-less set whose walk meets an expired item", 1, func() error { return setItem(c, "k5", []byte("e"), 0, 0) })
+	if st := c.Stats(); st.Evictions != 1 || st.Expirations != 1 {
+		t.Errorf("evictions, expirations = %d, %d; want 1, 1", st.Evictions, st.Expirations)
+	}
+}
+
 // TestContains: presence is answered without counting a hit or a miss,
 // and an expired key is absent.
 func TestContains(t *testing.T) {

@@ -67,7 +67,7 @@ type Options struct {
 	PoolSize int
 	// DialTimeout bounds connection establishment (default 2s).
 	DialTimeout time.Duration
-	// OpTimeout bounds one round trip (default 2s).
+	// OpTimeout (T, default 2s) bounds a round trip: it fails in [T, 9T/8].
 	OpTimeout time.Duration
 	// MaxConnIdle drops pooled connections idle longer than this at
 	// acquire time, so a connection parked across a server restart is
@@ -142,6 +142,7 @@ type conn struct {
 	// idleSince is when the connection was parked in the pool (or
 	// dialed); the acquire-time liveness screen keys off it.
 	idleSince time.Time
+	dl        protocol.Deadline // the deadline nc carries, read and write
 }
 
 // maxRetainedBuf bounds the request buffer a pooled connection keeps, so
@@ -284,8 +285,8 @@ const probeAfterIdle = 10 * time.Millisecond
 // restart sends FIN/RST) without consuming stream data. A deadline-based
 // probe cannot do this — an already-expired read deadline short-circuits
 // before the syscall — so the probe reads the raw fd directly.
-func (c *Client) connAlive(cn *conn) bool {
-	idle := time.Since(cn.idleSince)
+func (c *Client) connAlive(cn *conn, now time.Time) bool {
+	idle := now.Sub(cn.idleSince)
 	if c.opts.MaxConnIdle > 0 && idle > c.opts.MaxConnIdle {
 		return false
 	}
@@ -296,9 +297,8 @@ func (c *Client) connAlive(cn *conn) bool {
 		// Unsolicited bytes on an idle connection: protocol desync.
 		return false
 	}
-	// The last exchange's deadline is still on the connection, and once
-	// it has passed the probe would fail without reaching the socket.
-	_ = cn.nc.SetReadDeadline(time.Time{})
+	// A probe past the deadline never reaches the socket: arm the next one.
+	_ = cn.dl.Arm(cn.nc.SetDeadline, now, c.opts.OpTimeout)
 	return !connDead(cn.nc)
 }
 
@@ -335,25 +335,25 @@ func connDead(nc net.Conn) bool {
 // pooled connection — screened for liveness, so a server restart does
 // not poison the first request issued afterwards — or a fresh one. A dial
 // is bounded by DialTimeout and by nothing else: the exchange's clock
-// starts once the connection is in hand, so a slow dial spends no
-// OpTimeout.
-func (c *Client) checkout(idx int) (*conn, error) {
-	if br := c.breakerFor(idx); br != nil && !br.Allow(time.Now()) {
+// starts once the connection is in hand (at the time returned: now or
+// the dial's end), so a slow dial spends no OpTimeout.
+func (c *Client) checkout(idx int, now time.Time) (*conn, time.Time, error) {
+	if br := c.breakerFor(idx); br != nil && !br.Allow(now) {
 		c.rec.Observe(telemetry.StageBreakerShed, 0)
-		return nil, fmt.Errorf("client: server %s: %w", c.opts.Servers[idx], ErrBreakerOpen)
+		return nil, now, fmt.Errorf("client: server %s: %w", c.opts.Servers[idx], ErrBreakerOpen)
 	}
 	c.mu.Lock()
 	closed := c.closed
 	c.mu.Unlock()
 	if closed {
 		c.recordOutcome(idx, false)
-		return nil, ErrClosed
+		return nil, now, ErrClosed
 	}
 	for {
 		select {
 		case cn := <-c.pools[idx]:
-			if c.connAlive(cn) {
-				return cn, nil
+			if c.connAlive(cn, now) {
+				return cn, now, nil
 			}
 			_ = cn.nc.Close()
 			c.discards[idx].Add(1)
@@ -366,24 +366,25 @@ func (c *Client) checkout(idx int) (*conn, error) {
 	nc, err := net.DialTimeout("tcp", c.opts.Servers[idx], c.opts.DialTimeout)
 	if err != nil {
 		c.recordOutcome(idx, false)
-		return nil, fmt.Errorf("client: dial %s: %w", c.opts.Servers[idx], err)
+		return nil, now, fmt.Errorf("client: dial %s: %w", c.opts.Servers[idx], err)
 	}
 	c.dials[idx].Add(1)
-	return &conn{nc: nc, r: bufio.NewReader(nc), idleSince: time.Now()}, nil
+	cn := &conn{nc: nc, r: bufio.NewReader(nc), idleSince: time.Now()}
+	return cn, cn.idleSince, nil
 }
 
-// checkin is the second half: err is what the exchange on cn came to.
-// Protocol-level outcomes (miss, not-stored, cas conflict, server error
-// lines) leave the stream positioned at a command boundary and the
-// connection reusable; only transport/parse errors poison it. A healthy
-// connection is parked under the lock Close drains the pools under, so
-// none lands in a drained pool.
-func (c *Client) checkin(idx int, cn *conn, err error) {
+// checkin is the second half: err is what the exchange on cn, begun at
+// start, came to. Protocol-level outcomes (miss, not-stored, cas
+// conflict, server error lines) leave the stream positioned at a command
+// boundary and the connection reusable; only transport/parse errors
+// poison it. A healthy connection is parked under the lock Close drains
+// the pools under, so none lands in a drained pool.
+func (c *Client) checkin(idx int, cn *conn, err error, start time.Time) {
 	ok := err == nil || isProtocolOutcome(err)
 	c.recordOutcome(idx, ok)
 	parked, closed := false, false
 	if ok {
-		cn.idleSince = time.Now()
+		cn.idleSince = start
 		c.mu.Lock()
 		if closed = c.closed; !closed {
 			select {
@@ -633,11 +634,11 @@ type leg struct {
 
 	// Whether the next pass issues the leg and, between its checkout and
 	// its join, the exchange in flight.
-	due      bool
-	cn       *conn
-	deadline time.Time
-	rpc      otrace.Span
-	lines    int
+	due   bool
+	cn    *conn
+	start time.Time // the exchange's one clock reading
+	rpc   otrace.Span
+	lines int
 }
 
 // forkJoin is the per-call scratch of a read, pooled so that a call
@@ -791,9 +792,8 @@ func (c *Client) pass(parent otrace.Ctx, name string, legs []leg, do func(*conn)
 			}
 			under = l.span.Ctx()
 		}
-		if l.cn, l.err = c.checkout(l.idx); l.err == nil {
-			l.deadline = time.Now().Add(c.opts.OpTimeout)
-			l.err = l.cn.nc.SetDeadline(l.deadline)
+		if l.cn, l.start, l.err = c.checkout(l.idx, time.Now()); l.err == nil {
+			l.err = l.cn.dl.Arm(l.cn.nc.SetDeadline, l.start, c.opts.OpTimeout)
 		}
 		if l.err == nil && do == nil {
 			if under.Valid() {
@@ -810,8 +810,9 @@ func (c *Client) pass(parent otrace.Ctx, name string, legs []leg, do func(*conn)
 		if l.err == nil {
 			// A read that starts after the deadline fails without looking
 			// at the socket, whatever has arrived.
-			if time.Now().After(l.deadline) {
+			if len(legs) > 1 && time.Since(l.start) > c.opts.OpTimeout {
 				_ = l.cn.nc.SetReadDeadline(time.Now().Add(drainGrace)) // on failure the read reports it
+				l.cn.dl = protocol.Deadline{}
 			}
 			if do != nil {
 				l.err = do(l.cn)
@@ -824,7 +825,7 @@ func (c *Client) pass(parent otrace.Ctx, name string, legs []leg, do func(*conn)
 		// while the failure is one a retry may mend.
 		if l.cn != nil {
 			c.tracer.End(l.rpc)
-			c.checkin(l.idx, l.cn, l.err)
+			c.checkin(l.idx, l.cn, l.err, l.start)
 			l.cn, l.rpc = nil, otrace.Span{}
 		}
 		if !c.retries(l) {

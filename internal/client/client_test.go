@@ -15,6 +15,7 @@ import (
 
 	"memqlat/internal/backend"
 	"memqlat/internal/cache"
+	"memqlat/internal/protocol"
 	"memqlat/internal/server"
 )
 
@@ -301,6 +302,42 @@ func TestConnectionReuse(t *testing.T) {
 	}
 	if st["total_connections"] > "3" { // string compare fine for single digit
 		t.Errorf("total_connections = %s", st["total_connections"])
+	}
+}
+
+// TestSteadyRequestsArmNoTimer: back-to-back requests on a pooled
+// connection leave the deadline its socket carries where the first one
+// put it, so 1000 gets within T/8 of that one touch no socket timer. A
+// run that outlasts T/8 (the test measures it) may move it.
+func TestSteadyRequestsArmNoTimer(t *testing.T) {
+	const T = 8 * time.Second
+	c := newClient(t, startCluster(t, 1), func(o *Options) { o.PoolSize, o.OpTimeout = 1, T })
+	armed := func() (*conn, protocol.Deadline) {
+		cn := <-c.pools[0]
+		defer func() { c.pools[0] <- cn }()
+		return cn, cn.dl
+	}
+	began := time.Now()
+	if err := c.Set("k", []byte("v"), 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	first, before := armed()
+	for range 1000 {
+		if _, err := c.Get("k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	took := time.Since(began)
+	cn, after := armed()
+	if cn != first {
+		t.Fatal("the gets did not reuse the pooled connection")
+	}
+	if after != before {
+		if took < T/8 {
+			t.Errorf("1000 gets within %v moved the socket's deadline", took)
+		} else {
+			t.Logf("the gets took %v, past T/8, and moved the deadline", took)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"memqlat/internal/cache"
+	"memqlat/internal/client"
 	"memqlat/internal/core"
 	"memqlat/internal/dist"
 	"memqlat/internal/extstore"
@@ -193,9 +194,13 @@ func TestLivePlaneAttachedDiskTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live plane needs real time")
 	}
-	cluster := func(tiered bool) ([]string, []*server.Server) {
+	// cluster returns each server's address and the server, cache and
+	// disk tier (nil when untiered) behind it.
+	cluster := func(tiered bool) ([]string, []*server.Server, []*cache.Cache, []*extstore.Store) {
 		addrs := make([]string, 2)
 		srvs := make([]*server.Server, 2)
+		caches := make([]*cache.Cache, 2)
+		exts := make([]*extstore.Store, 2)
 		for i := range addrs {
 			opts := server.Options{Logger: log.New(io.Discard, "", 0)}
 			copts := cache.Options{}
@@ -206,13 +211,13 @@ func TestLivePlaneAttachedDiskTier(t *testing.T) {
 					t.Fatal(err)
 				}
 				t.Cleanup(func() { _ = ext.Close() })
-				opts.Extstore = ext
+				opts.Extstore, exts[i] = ext, ext
 			}
 			c, err := cache.New(copts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts.Cache = c
+			opts.Cache, caches[i] = c, c
 			srv, err := server.New(opts)
 			if err != nil {
 				t.Fatal(err)
@@ -225,7 +230,7 @@ func TestLivePlaneAttachedDiskTier(t *testing.T) {
 			t.Cleanup(func() { _ = srv.Close() })
 			addrs[i], srvs[i] = l.Addr().String(), srv
 		}
-		return addrs, srvs
+		return addrs, srvs, caches, exts
 	}
 	s := Scenario{
 		Name: "attach-tier",
@@ -237,7 +242,7 @@ func TestLivePlaneAttachedDiskTier(t *testing.T) {
 		Seed:     9,
 	}
 
-	addrs, srvs := cluster(true)
+	addrs, srvs, caches, exts := cluster(true)
 	res, err := (LivePlane{Servers: addrs}).Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +264,37 @@ func TestLivePlaneAttachedDiskTier(t *testing.T) {
 		t.Errorf("Extstore = %d disk hits, %d promotions; servers count %d, %d",
 			er.DiskHits, er.Promotions, hits, promotions)
 	}
+	// The RAM misses are the caches' own counter, as the in-process
+	// cluster reads it. Segments and drops are the disk tiers' own, read
+	// again once their writers are idle: a write still queued when the
+	// run ends can roll or compact a segment after the run's report.
+	var misses, drops int64
+	var segments int
+	for i := range caches {
+		exts[i].Flush()
+		misses += caches[i].Stats().Misses
+		st := exts[i].Stats()
+		segments += st.Segments
+		drops += st.Drops
+	}
+	cl, err := client.New(client.Options{Servers: addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	idle := (&LiveRun{cl: cl}).attachedExtstore()
+	if idle == nil {
+		t.Fatal("the idle cluster reported no disk tier")
+	}
+	if er.RAMMisses != misses || idle.RAMMisses != misses || idle.Segments != segments || idle.Drops != drops {
+		t.Errorf("Extstore = %d RAM misses (%d idle), %d segments, %d drops; servers count %d, %d, %d",
+			er.RAMMisses, idle.RAMMisses, idle.Segments, idle.Drops, misses, segments, drops)
+	}
+	if f := er.DiskHitFraction(); f <= 0 {
+		t.Errorf("disk-hit fraction = %v with %d disk hits", f, er.DiskHits)
+	}
 
-	plain, _ := cluster(false)
+	plain, _, _, _ := cluster(false)
 	res, err = (LivePlane{Servers: plain}).Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)

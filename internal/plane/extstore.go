@@ -343,9 +343,12 @@ func (r *LiveRun) attachedExtstore() *ExtstoreResult {
 			return v
 		}
 		er.DiskHits += row("extstore_disk_hits")
+		er.RAMMisses += row("get_misses") // cache.Stats().Misses, as in process
 		er.Promotions += row("extstore_promotions")
 		er.SegmentBytes += row("extstore_segment_bytes")
+		er.Segments += int(row("extstore_segments"))
 		er.Compactions += row("extstore_compactions")
+		er.Drops += row("extstore_drops")
 	}
 	return er
 }

@@ -8,6 +8,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"time"
 )
 
 // Op enumerates protocol commands.
@@ -76,6 +77,21 @@ const MaxLineBytes = 8 << 10
 // writes them. It also sizes the event loop's per-loop read buffer and
 // the proxy's upstream connection buffers.
 const ConnBufferBytes = 16 << 10
+
+// Deadline is the deadline a socket carries (zero: none). Arm moves it only
+// when under timeout ahead, to 9/8 timeout past the start: an exchange fails
+// 1 to 9/8 timeouts after it began; steady requests set it once per timeout/8.
+type Deadline struct{ at time.Time }
+
+// Arm sets, through set, the deadline an exchange begun at start needs,
+// unless the one carried covers it. Zero d after setting the socket directly.
+func (d *Deadline) Arm(set func(time.Time) error, start time.Time, timeout time.Duration) error {
+	if d.at.Sub(start) >= timeout {
+		return nil
+	}
+	d.at = start.Add(timeout + timeout/8)
+	return set(d.at)
+}
 
 // ClientError is a malformed-request error; servers report it as
 // CLIENT_ERROR and keep the connection open.

@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func reader(s string) *bufio.Reader {
@@ -449,5 +451,63 @@ func TestParseStatsSection(t *testing.T) {
 	cmd, err = parse(reader("stats\r\n"))
 	if err != nil || string(cmd.KeyB) != "" {
 		t.Fatalf("bare stats: %+v %v", cmd, err)
+	}
+}
+
+// TestDeadlineRule: however requests fall, the deadline Arm leaves is
+// never less than T nor more than 9T/8 past the start of the request
+// that set it, and at least T past every later one; the socket is set at
+// most once per T/8 of request time, and not at all for any number of
+// requests within T/8 of the one that set it.
+func TestDeadlineRule(t *testing.T) {
+	const T = 8 * time.Second
+	var d Deadline
+	if !d.at.IsZero() {
+		t.Fatal("the zero Deadline carries a deadline")
+	}
+	var socket time.Time // what the socket carries
+	sets := 0
+	set := func(at time.Time) error {
+		socket = at
+		sets++
+		return nil
+	}
+	rng := rand.New(rand.NewSource(1))
+	base := time.Now()
+	start := base
+	for i := 0; i < 10000; i++ {
+		start = start.Add(time.Duration(rng.Int63n(int64(T / 4))))
+		before := sets
+		if err := d.Arm(set, start, T); err != nil {
+			t.Fatal(err)
+		}
+		if !socket.Equal(d.at) {
+			t.Fatalf("request %d: the socket carries %v, the Deadline holds %v", i, socket, d.at)
+		}
+		ahead := socket.Sub(start)
+		if ahead < T || ahead > T+T/8 || sets > before && ahead != T+T/8 {
+			t.Fatalf("request %d: deadline %v ahead of its start (set: %v), want [T, 9T/8]", i, ahead, sets > before)
+		}
+	}
+	if most := int(start.Sub(base)/(T/8)) + 1; sets > most {
+		t.Errorf("%d sets over %v of requests, want <= %d", sets, start.Sub(base), most)
+	}
+
+	d, sets = Deadline{}, 0
+	for i := 0; i <= 1000; i++ {
+		if err := d.Arm(set, base.Add(time.Duration(i)*(T/8)/1000), T); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sets != 1 {
+		t.Errorf("1001 requests within T/8 set the socket %d times, want once", sets)
+	}
+	_ = d.Arm(set, base.Add(T/8+1), T)
+	if sets != 2 {
+		t.Error("a request just past T/8 left the deadline less than T ahead")
+	}
+	fail := errors.New("closed")
+	if err := (&Deadline{}).Arm(func(time.Time) error { return fail }, base, T); !errors.Is(err, fail) {
+		t.Errorf("Arm = %v, want the setter's error", err)
 	}
 }

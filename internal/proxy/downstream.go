@@ -52,6 +52,7 @@ type pending struct {
 	kind   replyKind // slot: its command's reply framing
 	join   join      // slot: how its legs fold
 	srv    int       // leg: origin upstream (breaker bookkeeping)
+	sent   time.Time // leg: its command's hop start, when its reply became owed
 
 	done      bool   // slot: reply bytes complete
 	popped    bool   // slot: left the queue (awaiting straggler legs)
@@ -74,10 +75,11 @@ type downstream struct {
 	head   *pending
 	tail   *pending
 	free   *pending
-	err    error     // poisoned output stream
-	rearm  time.Time // when the write deadline is next pushed out
+	err    error             // poisoned output stream
+	wdl    protocol.Deadline // the write deadline nc carries
 	groups []splitGroup
-	ups    []*uconn // handler only: upstream connections its batch wrote to
+	ups    []*uconn  // handler only: upstream connections its batch wrote to
+	start  time.Time // handler only: the last command's hop start, which its sends and flush reuse
 
 	// trace is the pending mq_trace header from the client: it scopes
 	// the next command. hdr is the regenerated upstream header for the
@@ -124,9 +126,9 @@ func (p *Proxy) handleConn(nc net.Conn, hint uint64) {
 			d.trace = otrace.Ctx{Trace: cmd.CAS, Span: cmd.Delta}
 			continue
 		}
-		start := time.Now()
+		d.start = time.Now()
 		tn := p.dispatch(d, cmd, parser.Frame())
-		hop := time.Since(start).Seconds()
+		hop := time.Since(d.start).Seconds()
 		d.rec.Observe(telemetry.StageProxyHop, hop)
 		if tn != nil {
 			tn.Observe(hop)
@@ -148,7 +150,7 @@ func (d *downstream) Read(b []byte) (int, error) {
 // flushUps flushes each upstream connection the batch wrote to, once.
 func (d *downstream) flushUps() {
 	for _, c := range d.ups {
-		c.flush()
+		c.flush(d.start)
 	}
 	d.ups = d.ups[:0]
 }
@@ -331,7 +333,7 @@ func (p *Proxy) send(d *downstream, pd *pending, srv, conn int, frame []byte) {
 		// reply finds the span recorded.
 		p.endHop(d)
 	}
-	c, err := p.ups[srv][conn].send(d.hdr, frame, pd)
+	c, err := p.ups[srv][conn].send(d.hdr, frame, pd, d.start)
 	if err != nil {
 		p.recordOutcome(srv, true)
 		if pd != nil {
@@ -433,21 +435,10 @@ func (d *downstream) advanceLocked() {
 
 // flushTimeout bounds every write the proxy makes, to a client or to an
 // upstream, each under its connection's lock: a peer that drains nothing
-// for this long is disconnected, so the lock is freed for the upstream
-// read loop and the other clients. A variable so tests can shorten it;
-// New reads it once per Proxy.
+// for this long (to 9/8 of it) is disconnected, so the lock is freed for
+// the upstream read loop and the other clients. A variable so tests can
+// shorten it; New reads it once per Proxy.
 var flushTimeout = 5 * time.Second
-
-// armWrite keeps nc's write deadline timeout ahead, pushing it out only
-// once half of it has run (*rearm records when): a write has between
-// timeout/2 and timeout, and a request or reply costs no timer operation.
-// The caller holds the lock that guards *rearm and the writes to nc.
-func armWrite(nc net.Conn, rearm *time.Time, timeout time.Duration) {
-	if now := time.Now(); now.After(*rearm) {
-		_ = nc.SetWriteDeadline(now.Add(timeout))
-		*rearm = now.Add(timeout / 2)
-	}
-}
 
 // writeLocked appends b to the client's reply stream under the write
 // deadline (caller holds mu).
@@ -455,7 +446,7 @@ func (d *downstream) writeLocked(b []byte) {
 	if d.err != nil || len(b) == 0 {
 		return
 	}
-	armWrite(d.nc, &d.rearm, d.p.flushTimeout)
+	_ = d.wdl.Arm(d.nc.SetWriteDeadline, time.Now(), d.p.flushTimeout)
 	if _, err := d.w.Write(b); err != nil {
 		d.poisonLocked(err)
 	}

@@ -142,7 +142,7 @@ type Proxy struct {
 	tenantNow func() float64
 	epoch     time.Time // default TenantClock base
 
-	flushTimeout time.Duration // bound on one write to a client
+	flushTimeout, upstreamTimeout time.Duration // bounds on one write and one owed upstream reply
 
 	cmds        atomic.Int64 // commands dispatched
 	forwarded   atomic.Int64 // upstream sends (legs count individually)
@@ -178,7 +178,7 @@ func New(opts Options) (*Proxy, error) {
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[net.Conn]struct{}),
 	}
-	p.flushTimeout = flushTimeout
+	p.flushTimeout, p.upstreamTimeout = flushTimeout, upstreamTimeout
 	p.tenantNow = opts.TenantClock
 	if p.tenantNow == nil {
 		p.tenantNow = func() float64 { return time.Since(p.epoch).Seconds() }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -18,9 +19,9 @@ import (
 // sender that holds the pool lock.
 const pendQueueDepth = 4096
 
-// upstreamTimeout bounds waiting for one upstream reply; a timeout
-// abandons the connection and fails its pipeline.
-const upstreamTimeout = 5 * time.Second
+// upstreamTimeout bounds the wait for one reply, to 9/8 of it from its hop
+// start, then retires the connection. Tests shorten it; New reads it once.
+var upstreamTimeout = 5 * time.Second
 
 var (
 	errPipelineFull     = errors.New("proxy: upstream pipeline full")
@@ -57,7 +58,7 @@ type uconn struct {
 	r  *bufio.Reader
 	w  *protocol.Writer
 
-	rearm time.Time // guarded by u.mu: when the write deadline is next pushed out
+	wdl, rdl protocol.Deadline // the write and read deadlines nc carries, guarded by u.mu and qmu
 
 	// qmu is the queue lock, held only while the queue is edited. The
 	// pendings awaiting replies, oldest first, are linked through
@@ -78,24 +79,24 @@ type uconn struct {
 // Once pd is queued the read loop owns it (a failed write retires c,
 // whose read loop fails pd), so send reports only failures before that.
 // A frame that reaches the socket is written under the same deadline as
-// a flush.
-func (u *upstream) send(hdr, frame []byte, pd *pending) (*uconn, error) {
+// a flush, dated from now, the command's hop start.
+func (u *upstream) send(hdr, frame []byte, pd *pending, now time.Time) (*uconn, error) {
 	u.mu.Lock()
 	defer u.mu.Unlock()
 	c := u.cur.Load()
 	err := net.ErrClosed
 	if c != nil {
-		err = c.enqueue(pd)
+		err = c.enqueue(pd, now)
 	}
 	if err == net.ErrClosed { // never dialed, or retired: redial
 		if c, err = u.dialLocked(); err == nil {
-			err = c.enqueue(pd)
+			err = c.enqueue(pd, now)
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	armWrite(c.nc, &c.rearm, u.p.flushTimeout)
+	_ = c.wdl.Arm(c.nc.SetWriteDeadline, now, u.p.flushTimeout)
 	if len(hdr) > 0 {
 		_, err = c.w.Write(hdr)
 	}
@@ -111,9 +112,9 @@ func (u *upstream) send(hdr, frame []byte, pd *pending) (*uconn, error) {
 	return c, nil
 }
 
-// enqueue queues pd (nil for noreply) on c: net.ErrClosed when c is
-// retired, errPipelineFull (retiring c) when pendQueueDepth are owed.
-func (c *uconn) enqueue(pd *pending) error {
+// enqueue queues pd (nil for noreply), owed from now, on c: net.ErrClosed
+// when c is retired, errPipelineFull (retiring c) at pendQueueDepth owed.
+func (c *uconn) enqueue(pd *pending, now time.Time) error {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
 	switch {
@@ -125,11 +126,10 @@ func (c *uconn) enqueue(pd *pending) error {
 		c.retireLocked()
 		return errPipelineFull
 	}
-	pd.upNext = nil
+	pd.upNext, pd.sent = nil, now
 	if c.tail == nil {
 		c.head = pd
-		// The first reply owed starts the read deadline (see pop).
-		_ = c.nc.SetReadDeadline(time.Now().Add(upstreamTimeout))
+		_ = c.rdl.Arm(c.nc.SetReadDeadline, now, c.u.p.upstreamTimeout) // the oldest reply owed bounds it (see pop)
 	} else {
 		c.tail.upNext = pd
 	}
@@ -141,9 +141,9 @@ func (c *uconn) enqueue(pd *pending) error {
 // flush pushes the frames written to c to its server; a failed write,
 // or one that outlasts its deadline because the server stopped reading,
 // retires c, whose read loop then fails every pending queued on it.
-func (c *uconn) flush() {
+func (c *uconn) flush(now time.Time) {
 	c.u.mu.Lock()
-	armWrite(c.nc, &c.rearm, c.u.p.flushTimeout)
+	_ = c.wdl.Arm(c.nc.SetWriteDeadline, now, c.u.p.flushTimeout)
 	if err := c.w.Flush(); err != nil {
 		c.retire()
 	}
@@ -214,6 +214,9 @@ func (u *upstream) close() {
 func (c *uconn) readLoop() {
 	for {
 		_, err := c.r.Peek(1)
+		if errors.Is(err, os.ErrDeadlineExceeded) && c.stale() {
+			continue
+		}
 		pd := c.oldest()
 		if err != nil || pd == nil || c.process(pd) != nil {
 			break
@@ -232,6 +235,18 @@ func (c *uconn) readLoop() {
 	}
 }
 
+// stale reports whether a read deadline that fired while parked owes
+// nothing: no reply is owed (it is disarmed), or the oldest is not due.
+func (c *uconn) stale() bool {
+	c.qmu.Lock()
+	defer c.qmu.Unlock()
+	if c.head == nil {
+		c.rdl = protocol.Deadline{}
+		return c.nc.SetReadDeadline(time.Time{}) == nil
+	}
+	return time.Since(c.head.sent) < c.u.p.upstreamTimeout
+}
+
 // oldest returns the pending the next reply belongs to, nil if none.
 func (c *uconn) oldest() *pending {
 	c.qmu.Lock()
@@ -240,8 +255,7 @@ func (c *uconn) oldest() *pending {
 }
 
 // pop dequeues the oldest pending, whose reply is read, and keeps the
-// read deadline running exactly while a reply is owed: pushed out when
-// more are queued, cleared when none are.
+// read deadline covering the next one owed, if any.
 func (c *uconn) pop() *pending {
 	c.qmu.Lock()
 	defer c.qmu.Unlock()
@@ -251,9 +265,8 @@ func (c *uconn) pop() *pending {
 	}
 	if c.head = pd.upNext; c.head == nil {
 		c.tail = nil
-		_ = c.nc.SetReadDeadline(time.Time{})
 	} else {
-		_ = c.nc.SetReadDeadline(time.Now().Add(upstreamTimeout))
+		_ = c.rdl.Arm(c.nc.SetReadDeadline, c.head.sent, c.u.p.upstreamTimeout)
 	}
 	pd.upNext = nil
 	c.queued--

@@ -189,9 +189,10 @@ func (s *Server) handleConn(conn net.Conn, id uint64) error {
 	w := protocol.NewWriter(conn)
 	p := protocol.NewParser(conn)
 	cs := s.newSession(id)
+	var idle protocol.Deadline
 	for {
 		if s.opts.IdleTimeout > 0 {
-			if err := conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout)); err != nil {
+			if err := idle.Arm(conn.SetReadDeadline, time.Now(), s.opts.IdleTimeout); err != nil {
 				return fmt.Errorf("set idle deadline: %w", err)
 			}
 		}

@@ -48,7 +48,7 @@ type Options struct {
 	// Logger receives connection-level errors (default log.Default()).
 	Logger *log.Logger
 	// IdleTimeout closes connections that send no command for this
-	// long (0 = never).
+	// long, or at most 9/8 of it on the goroutine core (0 = never).
 	IdleTimeout time.Duration
 	// Recorder, when set, additionally receives the server's per-stage
 	// observations (queue wait on the service channel, service time) —
