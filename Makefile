@@ -60,8 +60,8 @@ lint:
 # package drops below its floor.
 COVER_FLOORS = cache:99.0 protocol:90.6 proxy:95.9 route:91.0 otrace:95.0 \
 	metrics:90.0 server:77.0 coalesce:90.0 tenant:90.0 extstore:85.0 \
-	sketch:90.0 slo:85.0 client:86.1 loadgen:84.2 sim:89.5 core:87.7 \
-	experiments:86.5 dist:94.3 plane:85.4
+	sketch:90.0 slo:85.0 client:86.1 loadgen:84.2 sim:90.0 core:87.7 \
+	experiments:86.5 dist:94.4 plane:85.4
 
 cover:
 	@set -e; for pf in $(COVER_FLOORS); do \
@@ -74,7 +74,9 @@ cover:
 # split, and one at a time through Parser must frame identically, and
 # every Append encoder's output must parse back to its inputs), 10s over
 # the reply readers (ScanReply's in-place VALUE cutter and the known-keys
-# RetrievalReader against their plain reference implementations), 15s over
+# RetrievalReader against their plain reference implementations), 10s over
+# the stats reader the disk-tier ledger rests on (Writer.Stat rows read
+# back equal through ReadStats; no input panics), 15s over
 # the proxy's forwarding contract (every accepted command's captured
 # frame must re-parse identically; a reply must relay verbatim and agree
 # with the client-side reader), 15s over the Chrome trace-event
@@ -94,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseCommand -fuzztime=20s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzScanReply -fuzztime=10s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzWriter -fuzztime=10s ./internal/protocol/
+	$(GO) test -run '^$$' -fuzz FuzzReadStats -fuzztime=10s ./internal/protocol/
 	$(GO) test -run '^$$' -fuzz FuzzProxyFrame -fuzztime=15s ./internal/proxy/
 	$(GO) test -run '^$$' -fuzz FuzzChromeTrace -fuzztime=15s ./internal/otrace/
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime=10s ./internal/slo/

@@ -544,11 +544,10 @@ func (c *Client) GetThrough(ctx context.Context, key string) (Item, bool, error)
 		if cerr != nil {
 			return Item{}, false, fmt.Errorf("client: fill %q: %w", key, cerr)
 		}
-		// Only the leader writes back, and only if no Set/Delete raced
-		// the fetch: waiters would just re-store the same bytes, and a
-		// stale write-back would resurrect an overwritten entry.
+		// Only the leader writes back: waiters would just re-store the
+		// same bytes. A store that raced the fetch (Stale) skips it too.
 		if !res.Shared && !res.Stale {
-			_ = c.Set(key, res.Value, 0, c.opts.FillTTL)
+			c.fill(key, res.Value)
 		}
 		return Item{Key: key, Value: res.Value}, false, nil
 	}
@@ -556,9 +555,15 @@ func (c *Client) GetThrough(ctx context.Context, key string) (Item, bool, error)
 	if err != nil {
 		return Item{}, false, fmt.Errorf("client: fill %q: %w", key, err)
 	}
-	// Write-back is best-effort: a racing eviction must not fail the read.
-	_ = c.Set(key, value, 0, c.opts.FillTTL)
+	c.fill(key, value)
 	return Item{Key: key, Value: value}, false, nil
+}
+
+// fill writes a fetched value back as an add, so a Set that raced the
+// fetch keeps its newer value. It is best-effort: a racing eviction or
+// a NOT_STORED must not fail the read.
+func (c *Client) fill(key string, value []byte) {
+	_ = c.storage(protocol.OpAdd, key, value, 0, c.opts.FillTTL, 0)
 }
 
 // MultiGet fetches many keys with fork-join fan-out: keys are grouped by

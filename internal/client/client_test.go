@@ -443,36 +443,40 @@ func TestGetThroughCoalescedHerd(t *testing.T) {
 	}
 }
 
-// TestGetThroughCoalescedInvalidation: a set racing the in-flight fill
-// must win — the fetched value may be served to the waiting read, but
-// it must not be written back over the set.
+// TestGetThroughCoalescedInvalidation: a set racing the in-flight fill,
+// coalesced or not, must win: the fetched value may be served to the
+// waiting read, but it must not be written back over the set.
 func TestGetThroughCoalescedInvalidation(t *testing.T) {
-	filler := &slowFiller{value: []byte("old"), delay: 20 * time.Millisecond}
-	c := newClient(t, startCluster(t, 1), func(o *Options) {
-		o.Filler = filler
-		o.Coalesce = true
-	})
-	readDone := make(chan error, 1)
-	go func() {
-		_, _, err := c.GetThrough(context.Background(), "k")
-		readDone <- err
-	}()
-	// Let the fetch start, then set the key mid-fetch.
-	for c.Coalescer().Stats().InflightKeys == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if err := c.Set("k", []byte("new"), 0, 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-readDone; err != nil {
-		t.Fatal(err)
-	}
-	it, err := c.Get("k")
-	if err != nil || string(it.Value) != "new" {
-		t.Fatalf("post-race value = %q, %v; want %q (stale write-back resurrected the fetched value?)", it.Value, err, "new")
-	}
-	if got := c.Coalescer().Stats().Invalidations; got != 1 {
-		t.Fatalf("invalidations = %d, want 1", got)
+	for _, coalesce := range []bool{true, false} {
+		t.Run(fmt.Sprintf("coalesce=%v", coalesce), func(t *testing.T) {
+			filler := &slowFiller{value: []byte("old"), delay: 20 * time.Millisecond}
+			c := newClient(t, startCluster(t, 1), func(o *Options) {
+				o.Filler = filler
+				o.Coalesce = coalesce
+			})
+			readDone := make(chan error, 1)
+			go func() {
+				_, _, err := c.GetThrough(context.Background(), "k")
+				readDone <- err
+			}()
+			// Let the fetch start, then set the key mid-fetch.
+			for filler.fetches.Load() == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			if err := c.Set("k", []byte("new"), 0, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-readDone; err != nil {
+				t.Fatal(err)
+			}
+			it, err := c.Get("k")
+			if err != nil || string(it.Value) != "new" {
+				t.Fatalf("post-race value = %q, %v; want %q (stale write-back resurrected the fetched value?)", it.Value, err, "new")
+			}
+			if got, want := c.Coalescer().Stats().Invalidations, map[bool]int64{true: 1}[coalesce]; got != want {
+				t.Fatalf("invalidations = %d, want %d", got, want)
+			}
+		})
 	}
 }
 

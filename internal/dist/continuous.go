@@ -224,6 +224,15 @@ func NewLogNormal(mu, sigma float64) (LogNormal, error) {
 	return LogNormal{Mu: mu, Sigma: sigma}, nil
 }
 
+// NewLogNormalMean returns the lognormal of the given mean and shape:
+// Mu = ln(mean) − Sigma²/2.
+func NewLogNormalMean(mean, sigma float64) (LogNormal, error) {
+	if !(mean > 0) || math.IsInf(mean, 1) {
+		return LogNormal{}, fmt.Errorf("dist: lognormal mean %v must be positive and finite", mean)
+	}
+	return NewLogNormal(math.Log(mean)-sigma*sigma/2, sigma)
+}
+
 // Sample draws exp(Mu + Sigma·Z).
 func (l LogNormal) Sample(rng *rand.Rand) float64 {
 	return math.Exp(l.Mu + l.Sigma*rng.NormFloat64())

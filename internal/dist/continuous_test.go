@@ -167,6 +167,26 @@ func TestLogNormal(t *testing.T) {
 	}
 }
 
+// TestLogNormalMean: the mean-and-shape constructor keeps the mean it is
+// given and puts the median at e^Mu = mean·e^(−σ²/2).
+func TestLogNormalMean(t *testing.T) {
+	l, err := NewLogNormalMean(0.002, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !almostEqual(l.Mean(), 0.002, 1e-12) || l.Sigma != 0.5 {
+		t.Errorf("NewLogNormalMean(0.002, 0.5) = %+v, mean %v", l, l.Mean())
+	}
+	if !almostEqual(l.CDF(0.002*math.Exp(-0.125)), 0.5, 1e-9) {
+		t.Errorf("CDF(mean·e^(−σ²/2)) = %v, want 0.5", l.CDF(0.002*math.Exp(-0.125)))
+	}
+	for _, c := range [][2]float64{{0, 0.5}, {-1, 0.5}, {math.Inf(1), 0.5}, {math.NaN(), 0.5}, {1, 0}} {
+		if _, err := NewLogNormalMean(c[0], c[1]); err == nil {
+			t.Errorf("NewLogNormalMean(%v, %v) accepted", c[0], c[1])
+		}
+	}
+}
+
 // Property: every Interarrival's CDF is within [0,1], non-decreasing, and
 // the Laplace transform is within (0,1], non-increasing in s.
 func TestPropertyInterarrivalLaws(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"strconv"
 	"sync"
@@ -271,8 +270,7 @@ func valueSizes(o Options) ([]int, int, error) {
 	if o.ValueDist != ValueDistLogNormal {
 		return nil, o.ValueSize, nil
 	}
-	mean := float64(o.ValueSize)
-	ln, err := dist.NewLogNormal(math.Log(mean)-o.ValueSigma*o.ValueSigma/2, o.ValueSigma)
+	ln, err := dist.NewLogNormalMean(float64(o.ValueSize), o.ValueSigma)
 	if err != nil {
 		return nil, 0, fmt.Errorf("loadgen: %w", err)
 	}

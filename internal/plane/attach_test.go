@@ -1,17 +1,18 @@
 package plane
 
 import (
+	"bufio"
 	"context"
 	"io"
 	"log"
 	"math"
 	"net"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"memqlat/internal/cache"
-	"memqlat/internal/client"
 	"memqlat/internal/core"
 	"memqlat/internal/dist"
 	"memqlat/internal/extstore"
@@ -186,19 +187,20 @@ func TestLivePlaneRunsTheModelsArrivalLaw(t *testing.T) {
 }
 
 // TestLivePlaneAttachedDiskTier: on an attached cluster the disk tier is
-// the servers' own, so the Result sums their extstore_* stats rows. The
-// in-process servers here each keep a store behind a cache too small
-// for the keyspace, and the reported counters must be the sums of what
-// the servers count; a cluster without a tier reports none.
+// the servers' own, so the Result sums their extstore_* stats rows, read
+// at the servers' own addresses even behind a proxy, which answers stats
+// for itself. The in-process servers here each keep a store behind a
+// cache too small for the keyspace, and the reported counters must be
+// the sums of what the servers count; a cluster without a tier reports
+// none.
 func TestLivePlaneAttachedDiskTier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live plane needs real time")
 	}
-	// cluster returns each server's address and the server, cache and
-	// disk tier (nil when untiered) behind it.
-	cluster := func(tiered bool) ([]string, []*server.Server, []*cache.Cache, []*extstore.Store) {
+	// cluster returns each server's address and the cache and disk tier
+	// (nil when untiered) behind it.
+	cluster := func(tiered bool) ([]string, []*cache.Cache, []*extstore.Store) {
 		addrs := make([]string, 2)
-		srvs := make([]*server.Server, 2)
 		caches := make([]*cache.Cache, 2)
 		exts := make([]*extstore.Store, 2)
 		for i := range addrs {
@@ -228,9 +230,35 @@ func TestLivePlaneAttachedDiskTier(t *testing.T) {
 			}
 			go func() { _ = srv.Serve(l) }()
 			t.Cleanup(func() { _ = srv.Close() })
-			addrs[i], srvs[i] = l.Addr().String(), srv
+			addrs[i] = l.Addr().String()
 		}
-		return addrs, srvs, caches, exts
+		return addrs, caches, exts
+	}
+	// row reads one row of a server's stats over a connection of the
+	// test's own.
+	row := func(addr, name string) int64 {
+		t.Helper()
+		nc, err := net.DialTimeout("tcp", addr, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer nc.Close()
+		_ = nc.SetDeadline(time.Now().Add(2 * time.Second))
+		if _, err := io.WriteString(nc, "stats\r\n"); err != nil {
+			t.Fatal(err)
+		}
+		sc := bufio.NewScanner(nc)
+		for sc.Scan() && sc.Text() != "END" {
+			if v, ok := strings.CutPrefix(sc.Text(), "STAT "+name+" "); ok {
+				n, err := strconv.ParseInt(v, 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatalf("%s: stats has no %s row (%v)", addr, name, sc.Err())
+		return 0
 	}
 	s := Scenario{
 		Name: "attach-tier",
@@ -241,65 +269,97 @@ func TestLivePlaneAttachedDiskTier(t *testing.T) {
 		Duration: 30 * time.Second,
 		Seed:     9,
 	}
+	proxied := s
+	proxied.Proxy = &ProxySpec{}
 
-	addrs, srvs, caches, exts := cluster(true)
-	res, err := (LivePlane{Servers: addrs}).Run(context.Background(), s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	er := res.Extstore
-	if er == nil {
-		t.Fatal("attached tiered cluster reported no disk tier")
-	}
-	var hits, promotions int64
-	for _, srv := range srvs {
-		dh, pr := srv.ExtstoreCounts()
-		hits += dh
-		promotions += pr
-	}
-	if hits == 0 {
-		t.Fatal("no get reached the disk tier: the cache is not smaller than the keyspace")
-	}
-	if er.DiskHits != hits || er.Promotions != promotions {
-		t.Errorf("Extstore = %d disk hits, %d promotions; servers count %d, %d",
-			er.DiskHits, er.Promotions, hits, promotions)
-	}
-	// The RAM misses are the caches' own counter, as the in-process
-	// cluster reads it. Segments and drops are the disk tiers' own, read
-	// again once their writers are idle: a write still queued when the
-	// run ends can roll or compact a segment after the run's report.
-	var misses, drops int64
-	var segments int
-	for i := range caches {
-		exts[i].Flush()
-		misses += caches[i].Stats().Misses
-		st := exts[i].Stats()
-		segments += st.Segments
-		drops += st.Drops
-	}
-	cl, err := client.New(client.Options{Servers: addrs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	idle := (&LiveRun{cl: cl}).attachedExtstore()
-	if idle == nil {
-		t.Fatal("the idle cluster reported no disk tier")
-	}
-	if er.RAMMisses != misses || idle.RAMMisses != misses || idle.Segments != segments || idle.Drops != drops {
-		t.Errorf("Extstore = %d RAM misses (%d idle), %d segments, %d drops; servers count %d, %d, %d",
-			er.RAMMisses, idle.RAMMisses, idle.Segments, idle.Drops, misses, segments, drops)
-	}
-	if f := er.DiskHitFraction(); f <= 0 {
-		t.Errorf("disk-hit fraction = %v with %d disk hits", f, er.DiskHits)
+	for _, tc := range []struct {
+		name string
+		s    Scenario
+	}{{"direct", s}, {"proxied", proxied}} {
+		t.Run(tc.name, func(t *testing.T) {
+			addrs, caches, exts := cluster(true)
+			res, err := (LivePlane{Servers: addrs}).Run(context.Background(), tc.s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			er := res.Extstore
+			if er == nil {
+				t.Fatal("attached tiered cluster reported no disk tier")
+			}
+			var hits, promotions int64
+			for _, addr := range addrs {
+				hits += row(addr, "extstore_disk_hits")
+				promotions += row(addr, "extstore_promotions")
+			}
+			if hits == 0 {
+				t.Fatal("no get reached the disk tier: the cache is not smaller than the keyspace")
+			}
+			if er.DiskHits != hits || er.Promotions != promotions {
+				t.Errorf("Extstore = %d disk hits, %d promotions; servers count %d, %d",
+					er.DiskHits, er.Promotions, hits, promotions)
+			}
+			// The RAM misses are the caches' own counter. Segments and drops
+			// are the disk tiers' own, read again once their writers are
+			// idle: a write still queued when the run ends can roll or
+			// compact a segment after the run's report.
+			var misses, segments, drops int64
+			for i := range caches {
+				exts[i].Flush()
+				misses += caches[i].Stats().Misses
+				st := exts[i].Stats()
+				segments += int64(st.Segments)
+				drops += st.Drops
+			}
+			tables, err := (&LiveRun{attached: addrs}).clusterStats()
+			if err != nil {
+				t.Fatal(err)
+			}
+			idle, err := diskLedger(tables)
+			if err != nil || idle == nil {
+				t.Fatalf("the idle cluster reported %+v, %v", idle, err)
+			}
+			if er.RAMMisses != misses || idle.RAMMisses != misses || idle.Segments != segments || idle.Drops != drops {
+				t.Errorf("Extstore = %d RAM misses (%d idle), %d segments, %d drops; servers count %d, %d, %d",
+					er.RAMMisses, idle.RAMMisses, idle.Segments, idle.Drops, misses, segments, drops)
+			}
+			if f := er.DiskHitFraction(); f <= 0 {
+				t.Errorf("disk-hit fraction = %v with %d disk hits", f, er.DiskHits)
+			}
+		})
 	}
 
-	plain, _, _, _ := cluster(false)
-	res, err = (LivePlane{Servers: plain}).Run(context.Background(), s)
+	plain, _, _ := cluster(false)
+	res, err := (LivePlane{Servers: plain}).Run(context.Background(), s)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Extstore != nil {
 		t.Errorf("cluster without a tier reported Extstore = %+v", res.Extstore)
+	}
+}
+
+// TestDiskLedger: the ledger sums every tiered server's rows, skips a
+// server without a disk tier, and names a row that does not parse
+// instead of reading it as 0.
+func TestDiskLedger(t *testing.T) {
+	tier := func(hits string) map[string]string {
+		return map[string]string{"get_misses": "10", "extstore_disk_hits": hits, "extstore_promotions": "3",
+			"extstore_segments": "2", "extstore_segment_bytes": "4096", "extstore_compactions": "1", "extstore_drops": "0"}
+	}
+	er, err := diskLedger([]map[string]string{tier("4"), {"get_misses": "7"}, tier("5")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ExtstoreResult{DiskHits: 9, RAMMisses: 20, Promotions: 6, Segments: 4, SegmentBytes: 8192, Compactions: 2}
+	if er == nil || *er != want {
+		t.Errorf("ledger = %+v, want %+v", er, want)
+	}
+	if er, err := diskLedger([]map[string]string{{"get_misses": "7"}}); er != nil || err != nil {
+		t.Errorf("untiered cluster: ledger = %+v, %v; want nil, nil", er, err)
+	}
+	bad := tier("4")
+	bad["extstore_segments"] = "two"
+	if _, err := diskLedger([]map[string]string{bad}); err == nil || !strings.Contains(err.Error(), "extstore_segments") {
+		t.Errorf("unparsable row: err = %v, want one naming extstore_segments", err)
 	}
 }

@@ -1,6 +1,7 @@
 package plane
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"os"
@@ -17,60 +18,49 @@ import (
 	"memqlat/internal/telemetry"
 )
 
-// Disk service-time families the model and simulator planes can price
-// for the extstore tier.
+// The disk read laws an ExtstoreSpec can name (diskRead).
 const (
 	DiskDistExp       = "exp"
 	DiskDistLogNormal = "lognormal"
 )
 
-// extstoreTraceStream is the rng sub-stream seeding the synthetic MRC
-// trace, disjoint from the loadgen (1, 11–15, 2000+) and sim (101–108)
-// streams so arming the tier never perturbs their draw sequences.
-const extstoreTraceStream = 901
+const (
+	// extstoreTraceStream is the rng sub-stream seeding the synthetic MRC
+	// trace, disjoint from the loadgen (1, 11–15, 2000+) and sim (101–108)
+	// streams so arming the tier never perturbs their draw sequences.
+	extstoreTraceStream = 901
+	// mrcTraceLen sizes the synthetic MRC trace, in accesses.
+	mrcTraceLen = 50000
+)
 
 // ExtstoreSpec arms the log-structured SSD cache tier (internal/
-// extstore) behind the RAM tier on every plane. The tier split — what
-// fraction β of RAM misses the disk absorbs — is not an input: all three
-// planes derive it from the same miss-ratio curve (ExtstoreSplit). The
-// model plane prices the miss stage at the blended service rate
-// 1/µ' = β/µ_disk + (1−β)/µ_D; the composition simulator draws per-miss
-// disk reads with probability β; the live plane runs real segment files
-// in a temp dir and must realize β within measurement error.
+// extstore) behind the RAM tier on every plane. The fraction β of RAM
+// misses the disk absorbs is not an input: every plane derives it from
+// one miss-ratio curve (ExtstoreSplit), and the live plane's real
+// segment files must realize it within measurement error.
 //
 // Scenario.MissRatio stays exogenous, as everywhere else in the model:
 // for a coherent tiered scenario set it to the MRC's RAM miss ratio
-// (1 − Split().RAMHit), which is what the live plane's capacity-sized
-// cache realizes on its own.
+// (1 − Split().RAMHit), which the live plane's capacity-sized cache
+// realizes on its own.
 type ExtstoreSpec struct {
 	// RAMItems is the RAM tier's capacity in items across the cluster.
 	RAMItems int
-	// TotalItems is the combined RAM+SSD capacity in items; the SSD
-	// budget is the difference.
+	// TotalItems is the RAM+SSD capacity in items; the SSD's is the rest.
 	TotalItems int
 	// MuDisk is the disk read service rate µ_disk (mean read 1/µ_disk)
 	// the model and simulator planes price. The live plane ignores it —
 	// its disk reads cost whatever the filesystem charges.
 	MuDisk float64
-	// DiskDist selects the simulated disk service-time family:
-	// DiskDistExp (default) or DiskDistLogNormal (mean preserved at
-	// 1/µ_disk, shape DiskSigma).
-	DiskDist string
-	// DiskSigma is the lognormal shape parameter (default 0.5).
+	// DiskDist selects the disk read law (diskRead): DiskDistExp
+	// (default) or DiskDistLogNormal of shape DiskSigma (default 0.5).
+	DiskDist  string
 	DiskSigma float64
 }
 
-// mrcTraceLen sizes the synthetic MRC trace, in accesses.
-const mrcTraceLen = 50000
-
 // withDefaults fills the spec's zero values.
 func (e ExtstoreSpec) withDefaults() ExtstoreSpec {
-	if e.DiskDist == "" {
-		e.DiskDist = DiskDistExp
-	}
-	if e.DiskSigma == 0 {
-		e.DiskSigma = 0.5
-	}
+	e.DiskDist, e.DiskSigma = cmp.Or(e.DiskDist, DiskDistExp), cmp.Or(e.DiskSigma, 0.5)
 	return e
 }
 
@@ -100,27 +90,22 @@ func (e ExtstoreSpec) validate(name string) error {
 }
 
 // ExtstoreSplit evaluates the scenario's miss-ratio curve at the two
-// tier capacities, yielding the RAM-hit / disk-hit / DB-miss split
-// every plane prices the SSD tier from. The trace is synthesized from
-// the scenario's own key-popularity law — Zipf(ZipfS) over Keys keys
-// (uniform when ZipfS = 0) on a seeded sub-stream — so the prediction
-// and the live loadgen draw from the same law.
+// tier capacities: the RAM-hit / disk-hit / DB-miss split every plane
+// prices the SSD tier from. Its trace draws the live loadgen's key law,
+// Zipf(ZipfS) over Keys keys (uniform at ZipfS = 0), on its own stream.
 func (s Scenario) ExtstoreSplit() (mrc.TierSplit, error) {
 	if s.Extstore == nil {
 		return mrc.TierSplit{}, fmt.Errorf("plane: scenario %q has no extstore spec", s.Name)
 	}
-	e := s.Extstore.withDefaults()
+	s = s.withDefaults()
+	e := *s.Extstore
 	if err := e.validate(s.Name); err != nil {
 		return mrc.TierSplit{}, err
 	}
-	keys := s.Keys
-	if keys == 0 {
-		keys = 2000
-	}
 	rng := dist.SubRand(s.Seed, extstoreTraceStream)
-	draw := func() int { return rng.IntN(keys) }
+	draw := func() int { return rng.IntN(s.Keys) }
 	if s.ZipfS > 0 {
-		z, err := dist.NewZipf(keys, s.ZipfS)
+		z, err := dist.NewZipf(s.Keys, s.ZipfS)
 		if err != nil {
 			return mrc.TierSplit{}, fmt.Errorf("plane: scenario %q: %w", s.Name, err)
 		}
@@ -130,11 +115,11 @@ func (s Scenario) ExtstoreSplit() (mrc.TierSplit, error) {
 	for i := 0; i < mrcTraceLen; i++ {
 		a.Add("k" + strconv.Itoa(draw()))
 	}
+	var split mrc.TierSplit
 	curve, err := a.Curve()
-	if err != nil {
-		return mrc.TierSplit{}, fmt.Errorf("plane: scenario %q: %w", s.Name, err)
+	if err == nil {
+		split, err = curve.Split(e.RAMItems, e.TotalItems)
 	}
-	split, err := curve.Split(e.RAMItems, e.TotalItems)
 	if err != nil {
 		return mrc.TierSplit{}, fmt.Errorf("plane: scenario %q: %w", s.Name, err)
 	}
@@ -144,23 +129,19 @@ func (s Scenario) ExtstoreSplit() (mrc.TierSplit, error) {
 // ExtstoreResult is the tiered-storage surface of one run: the MRC
 // prediction every plane shares plus whatever the plane measures.
 type ExtstoreResult struct {
-	// Predicted is the two-point MRC evaluation (RAM vs RAM+SSD) the
-	// tier split was priced from — identical across planes for the same
-	// scenario, which is what makes the measured counters diffable.
+	// Predicted is the two-point MRC evaluation (RAM vs RAM+SSD) every
+	// plane prices the split from, so the measured counters diff.
 	Predicted mrc.TierSplit
-	// DiskHits counts RAM misses the disk tier absorbed: real segment
-	// reads on the live plane, β-coin draws on the simulator, zero on
-	// the model plane (it prices rates, not counts).
+	// DiskHits counts RAM misses the disk tier absorbed: segment reads
+	// live, β-coin draws simulated, zero on the model (it prices rates).
 	DiskHits int64
-	// RAMMisses counts RAM-tier misses (the denominator of the realized
-	// disk-hit fraction). Zero on the model plane.
+	// RAMMisses counts RAM-tier misses (zero on the model plane).
 	RAMMisses int64
-	// Promotions counts disk hits re-inserted into RAM (live only).
-	Promotions int64
-	// SegmentBytes / Segments / Compactions / Drops snapshot the live
-	// tier's physical state (zero on model and sim).
+	// Promotions (disk hits re-inserted into RAM) and the rest snapshot
+	// the live tier; they are zero on model and sim.
+	Promotions   int64
 	SegmentBytes int64
-	Segments     int
+	Segments     int64
 	Compactions  int64
 	Drops        int64
 }
@@ -174,22 +155,26 @@ func (e *ExtstoreResult) DiskHitFraction() float64 {
 	return float64(e.DiskHits) / float64(e.RAMMisses)
 }
 
-// diskStage predicts the disk_read stage's distributional shape:
-// exponential around 1/µ_disk by default; lognormal with the same mean
-// (µ = ln(1/µ_disk) − σ²/2) when the spec selects it, with quantiles
-// from the standard-normal points z₅₀=0, z₉₅=1.6449, z₉₉=2.3263.
-func diskStage(e ExtstoreSpec) telemetry.StageStats {
-	mean := 1 / e.MuDisk
-	if e.DiskDist != DiskDistLogNormal {
+// diskRead is the disk read's service-time law, mean 1/µ_disk: the one
+// object the model prices and the simulator draws from.
+func (e ExtstoreSpec) diskRead() (dist.Interarrival, error) {
+	if e.DiskDist == DiskDistLogNormal {
+		return dist.NewLogNormalMean(1/e.MuDisk, e.DiskSigma)
+	}
+	return dist.NewExponential(e.MuDisk)
+}
+
+// diskStage predicts the disk_read stage from the read law: exponential
+// quantiles, or a lognormal's e^(µ+σz) at the standard-normal points
+// z₅₀=0, z₉₅=1.6449, z₉₉=2.3263.
+func diskStage(read dist.Interarrival) telemetry.StageStats {
+	mean := read.Mean()
+	ln, ok := read.(dist.LogNormal)
+	if !ok {
 		return expStage(mean)
 	}
-	sigma := e.DiskSigma
-	mu := math.Log(mean) - sigma*sigma/2
-	q := func(z float64) float64 { return math.Exp(mu + sigma*z) }
-	return telemetry.StageStats{
-		Count: 1, Mean: mean, Total: mean,
-		P50: q(0), P95: q(1.6449), P99: q(2.3263),
-	}
+	q := func(z float64) float64 { return math.Exp(ln.Mu + ln.Sigma*z) }
+	return telemetry.StageStats{Count: 1, Mean: mean, Total: mean, P50: q(0), P95: q(1.6449), P99: q(2.3263)}
 }
 
 // extstoreTier is the disk tier unit; ExtstoreSpec says how each plane
@@ -202,55 +187,39 @@ func (s Scenario) extstoreTier() (tier, error) {
 	if err != nil {
 		return tier{}, err
 	}
+	read, err := e.diskRead()
+	if err != nil {
+		return tier{}, fmt.Errorf("plane: scenario %q: %w", s.Name, err)
+	}
 	beta := split.DiskHitFraction()
-	var caches []*cache.Cache
 	var stores []*extstore.Store
 	return tier{
 		name: "the extstore tier",
-		// A RAM miss is absorbed by the disk tier with probability β at
-		// mean 1/µ_disk, else it pays the backend's 1/µ_D, so Theorem 1's
-		// database stage is priced at the blended rate
-		// 1/µ' = β/µ_disk + (1−β)/µ_D.
+		// The disk absorbs a RAM miss with probability β at mean 1/µ_disk,
+		// else it pays the backend's 1/µ_D, so Theorem 1's database stage
+		// is priced at the blended rate 1/µ' = β/µ_disk + (1−β)/µ_D.
 		reprice: func(c *core.Config) { c.MuD = 1 / (beta/e.MuDisk + (1-beta)/s.MuD) },
 		price: func(res *Result) error {
 			// The bounds price the blend, but the breakdown keeps the
 			// stages apart the way the measured planes record them.
 			if s.MissRatio > 0 {
 				res.Breakdown[telemetry.StageMissPenalty] = expStage(1 / s.MuD)
-				res.Breakdown[telemetry.StageDiskRead] = diskStage(e)
+				res.Breakdown[telemetry.StageDiskRead] = diskStage(read)
 			}
 			res.Extstore = &ExtstoreResult{Predicted: split}
 			return nil
 		},
 		lower: func(rc *sim.RequestConfig) error {
-			rc.Extstore = &sim.ExtstoreSim{DiskHitFraction: beta, MuDisk: e.MuDisk, Dist: e.DiskDist, Sigma: e.DiskSigma}
+			rc.Extstore = &sim.ExtstoreSim{DiskHitFraction: beta, Read: read}
 			return nil
 		},
 		simulated: func(out *sim.RequestResult, res *Result) {
 			res.Extstore = &ExtstoreResult{Predicted: split, DiskHits: out.DiskHits, RAMMisses: out.MissCount}
 		},
 		server: func(r *LiveRun, _ int, o *server.Options) error {
-			copts, eopts := liveTier(s, len(s.LoadRatios))
-			dir, err := os.MkdirTemp("", "memqlat-extstore-*")
-			if err != nil {
-				return err
-			}
-			// The dir outlives the store and the store its server: reads
-			// race a store's Close.
-			r.closers = append(r.closers, func() { _ = os.RemoveAll(dir) })
-			eopts.Dir = dir
-			ext, err := extstore.Open(eopts)
-			if err != nil {
-				return err
-			}
-			r.closers = append(r.closers, func() { _ = ext.Close() })
-			c, err := cache.New(copts)
-			if err != nil {
-				return err
-			}
-			o.Cache, o.Extstore = c, ext
-			caches, stores = append(caches, c), append(stores, ext)
-			return nil
+			err := r.liveTier(o)
+			stores = append(stores, o.Extstore)
+			return err
 		},
 		drive: func(_ *LiveRun, d *driver) error {
 			// A tiered run's misses are capacity misses, and whatever falls
@@ -259,31 +228,14 @@ func (s Scenario) extstoreTier() (tier, error) {
 			return nil
 		},
 		populated: func() {
-			// Drain the eviction queues so the measured run starts with the
-			// populate spill fully indexed on disk.
+			// The measured run starts with the populate spill indexed on disk.
 			for _, st := range stores {
 				st.Flush()
 			}
 		},
-		summarize: func(r *LiveRun, _ *loadgen.Result, res *Result) {
-			er := &ExtstoreResult{Predicted: split}
-			for _, srv := range r.servers {
-				dh, pr := srv.ExtstoreCounts()
-				er.DiskHits += dh
-				er.Promotions += pr
-			}
-			for _, c := range caches {
-				// Populate only writes, so Misses counts the measured gets.
-				er.RAMMisses += c.Stats().Misses
-			}
-			for _, st := range stores {
-				ss := st.Stats()
-				er.SegmentBytes += ss.SegmentBytes
-				er.Segments += ss.Segments
-				er.Compactions += ss.Compactions
-				er.Drops += ss.Drops
-			}
-			res.Extstore = er
+		summarize: func(_ *LiveRun, _ *loadgen.Result, res *Result) {
+			// The servers' own rows are the measurement (diskLedger).
+			res.Extstore.Predicted = split
 		},
 	}, nil
 }
@@ -293,20 +245,36 @@ func (s Scenario) extstoreTier() (tier, error) {
 // a whole segment).
 const liveExtSegmentBytes = 16 << 10
 
-// liveTier sizes one server's share of a tiered scenario: a RAM cache
-// holding ~RAMItems/M items and an extstore budget for the SSD share,
-// both converted to bytes at the loadgen's key size and the scenario's
-// ValueSize (0 = the loadgen default of 100).
-func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
-	valueSize := s.ValueSize
-	if valueSize == 0 {
-		valueSize = 100
-	}
-	e := s.Extstore
+// liveTier builds one server's share of a tiered scenario into o: a RAM
+// cache holding ~RAMItems/M items and a store in a temp dir for the SSD
+// share, both sized in bytes at the loadgen's key size and the
+// scenario's ValueSize (0 = the loadgen default of 100).
+func (r *LiveRun) liveTier(o *server.Options) error {
+	s, m := r.s, len(r.s.LoadRatios)
+	valueSize := cmp.Or(s.ValueSize, 100)
 	keyLen := len(loadgen.KeyPrefix + strconv.Itoa(s.Keys-1))
-	ramPer := (e.RAMItems + m - 1) / m
-	diskPer := (e.TotalItems - e.RAMItems + m - 1) / m
-	copts := cache.Options{
+	ramPer := (s.Extstore.RAMItems + m - 1) / m
+	diskPer := (s.Extstore.TotalItems - s.Extstore.RAMItems + m - 1) / m
+	dir, err := os.MkdirTemp("", "memqlat-extstore-*")
+	if err != nil {
+		return err
+	}
+	// The dir outlives the store and the store its server: reads race a
+	// store's Close.
+	r.closers = append(r.closers, func() { _ = os.RemoveAll(dir) })
+	ext, err := extstore.Open(extstore.Options{
+		Dir:          dir,
+		SegmentBytes: liveExtSegmentBytes,
+		// One segment of slack absorbs footers and the active segment's
+		// unsealed tail.
+		MaxBytes: int64(diskPer)*extstore.FrameCost(keyLen, valueSize) + liveExtSegmentBytes,
+	})
+	if err != nil {
+		return err
+	}
+	r.closers = append(r.closers, func() { _ = ext.Close() })
+	o.Extstore = ext
+	o.Cache, err = cache.New(cache.Options{
 		// One shard: a sharded cache partitions its budget per shard,
 		// which blurs the item capacity this sizing is trying to pin.
 		// The split it is sized from is Mattson's, exact LRU; the cache
@@ -315,40 +283,38 @@ func liveTier(s Scenario, m int) (cache.Options, extstore.Options) {
 		MaxBytes:    int64(ramPer) * cache.ItemCost(keyLen, valueSize),
 		Shards:      1,
 		MaxItemSize: 1024,
-	}
-	eopts := extstore.Options{
-		SegmentBytes: liveExtSegmentBytes,
-		// One segment of slack absorbs footers and the active segment's
-		// unsealed tail.
-		MaxBytes: int64(diskPer)*extstore.FrameCost(keyLen, valueSize) + liveExtSegmentBytes,
-	}
-	return copts, eopts
+	})
+	return err
 }
 
-// attachedExtstore sums the extstore_* stats rows of an attached
-// cluster, whose disk tier is its own: nil when no server reports one
-// or a proxy in front does not relay the rows.
-func (r *LiveRun) attachedExtstore() *ExtstoreResult {
+// diskLedger sums the disk-tier rows of the servers' stats tables into
+// one report, nil when no server has a disk tier. RAMMisses is the
+// caches' get_misses: populate only writes, so these are the measured
+// gets. A row that does not parse is an error naming it.
+func diskLedger(tables []map[string]string) (*ExtstoreResult, error) {
 	var er *ExtstoreResult
-	for i := range r.cl.NumServers() {
-		m, err := r.cl.ServerStats(i)
-		if _, ok := m["extstore_disk_hits"]; err != nil || !ok {
+	for _, m := range tables {
+		if _, ok := m["extstore_disk_hits"]; !ok {
 			continue
 		}
 		if er == nil {
 			er = &ExtstoreResult{}
 		}
-		row := func(k string) int64 {
-			v, _ := strconv.ParseInt(m[k], 10, 64)
-			return v
+		for _, f := range []struct {
+			row string
+			sum *int64
+		}{
+			{"extstore_disk_hits", &er.DiskHits}, {"get_misses", &er.RAMMisses},
+			{"extstore_promotions", &er.Promotions}, {"extstore_segments", &er.Segments},
+			{"extstore_segment_bytes", &er.SegmentBytes}, {"extstore_compactions", &er.Compactions},
+			{"extstore_drops", &er.Drops},
+		} {
+			v, err := strconv.ParseInt(m[f.row], 10, 64)
+			if err != nil {
+				return nil, fmt.Errorf("plane: stats row %s: %w", f.row, err)
+			}
+			*f.sum += v
 		}
-		er.DiskHits += row("extstore_disk_hits")
-		er.RAMMisses += row("get_misses") // cache.Stats().Misses, as in process
-		er.Promotions += row("extstore_promotions")
-		er.SegmentBytes += row("extstore_segment_bytes")
-		er.Segments += int(row("extstore_segments"))
-		er.Compactions += row("extstore_compactions")
-		er.Drops += row("extstore_drops")
 	}
-	return er
+	return er, nil
 }

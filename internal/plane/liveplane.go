@@ -96,10 +96,12 @@ type LiveRun struct {
 	clock   fault.Clock
 	load    loadgen.Options
 	servers []*server.Server
-	db      *backend.DB
-	px      *proxy.Proxy
-	lim     *tenant.Limiter
-	cl      *client.Client
+	// attached is an attached cluster's server addresses (nil in process).
+	attached []string
+	db       *backend.DB
+	px       *proxy.Proxy
+	lim      *tenant.Limiter
+	cl       *client.Client
 	// closers release what Start built; Close runs them last-in first-out.
 	closers []func()
 }
@@ -135,6 +137,7 @@ func (p LivePlane) Start(s Scenario) (_ *LiveRun, err error) {
 	}
 
 	addrs := p.Servers
+	r.attached = addrs
 	for _, t := range tiers {
 		if t.server != nil && len(addrs) > 0 {
 			return nil, fmt.Errorf("plane: scenario %q: %s is built into in-process servers; an attached cluster runs its own", s.Name, t.name)
@@ -326,11 +329,11 @@ func (r *LiveRun) Drive(ctx context.Context) (*Result, error) {
 		// surface it instead of reporting a zero-latency "result".
 		return nil, fmt.Errorf("plane: live run issued no operations (duration %v too short?)", s.Duration)
 	}
-	return r.summarize(lg), nil
+	return r.summarize(lg)
 }
 
 // summarize folds the run into the plane-independent Result.
-func (r *LiveRun) summarize(lg *loadgen.Result) *Result {
+func (r *LiveRun) summarize(lg *loadgen.Result) (*Result, error) {
 	s := r.s
 	b := r.collector.Breakdown()
 	mean := lg.Latency.Mean()
@@ -365,13 +368,43 @@ func (r *LiveRun) summarize(lg *loadgen.Result) *Result {
 	if s.SLO != nil {
 		res.SLO = s.SLO.Status()
 	}
-	if len(r.servers) == 0 {
-		res.Extstore = r.attachedExtstore()
+	tables, err := r.clusterStats()
+	if err != nil {
+		return nil, err
+	}
+	if res.Extstore, err = diskLedger(tables); err != nil {
+		return nil, err
 	}
 	for _, t := range r.tiers {
 		if t.summarize != nil {
 			t.summarize(r, lg, res)
 		}
 	}
-	return res
+	return res, nil
+}
+
+// clusterStats reads every server's general stats table: in process
+// from the server itself, attached from the server's own address, since
+// a proxy in front answers stats for itself.
+func (r *LiveRun) clusterStats() ([]map[string]string, error) {
+	var tables []map[string]string
+	for _, srv := range r.servers {
+		tables = append(tables, srv.Stats())
+	}
+	if len(r.attached) == 0 {
+		return tables, nil
+	}
+	cl, err := client.New(client.Options{Servers: r.attached})
+	if err != nil {
+		return nil, err
+	}
+	defer cl.Close()
+	for i, addr := range r.attached {
+		m, err := cl.ServerStats(i)
+		if err != nil {
+			return nil, fmt.Errorf("plane: stats of %s: %w", addr, err)
+		}
+		tables = append(tables, m)
+	}
+	return tables, nil
 }

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"memqlat/internal/core"
+	"memqlat/internal/dist"
+	"memqlat/internal/sim"
 	"memqlat/internal/telemetry"
 	"memqlat/internal/workload"
 )
@@ -313,5 +315,47 @@ func TestTieredScenarioValidation(t *testing.T) {
 	}
 	if ds.P50 >= ds.Mean {
 		t.Errorf("lognormal median %v must sit below the mean %v", ds.P50, ds.Mean)
+	}
+}
+
+// TestDiskReadLawIsOneObject: the model prices, and the simulator draws,
+// the disk read from the one law the tier builds, of mean 1/µ_disk; for
+// the lognormal the priced median is that law's e^µ.
+func TestDiskReadLawIsOneObject(t *testing.T) {
+	for _, d := range []string{DiskDistExp, DiskDistLogNormal} {
+		t.Run(d, func(t *testing.T) {
+			s := tieredScenario(t).withDefaults()
+			s.Extstore.DiskDist = d
+			ti, err := s.extstoreTier()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var rc sim.RequestConfig
+			if err := ti.lower(&rc); err != nil {
+				t.Fatal(err)
+			}
+			read, ok := rc.Extstore.Read.(dist.Interarrival)
+			if !ok {
+				t.Fatalf("simulated read law %T has no mean", rc.Extstore.Read)
+			}
+			if got, want := read.Mean(), 1/s.Extstore.MuDisk; math.Abs(got-want) > 1e-15 {
+				t.Errorf("read law mean = %v, want 1/µ_disk = %v", got, want)
+			}
+			res := &Result{Breakdown: telemetry.Breakdown{}}
+			if err := ti.price(res); err != nil {
+				t.Fatal(err)
+			}
+			priced := res.Breakdown[telemetry.StageDiskRead]
+			if priced != diskStage(read) || priced.Mean != read.Mean() {
+				t.Errorf("priced disk_read %+v is not the simulated law's %+v", priced, diskStage(read))
+			}
+			if ln, ok := read.(dist.LogNormal); ok {
+				if priced.P50 != math.Exp(ln.Mu) || ln.Sigma != s.Extstore.DiskSigma {
+					t.Errorf("priced P50 = %v, want e^µ = %v (σ %v)", priced.P50, math.Exp(ln.Mu), ln.Sigma)
+				}
+			} else if d == DiskDistLogNormal {
+				t.Errorf("DiskDist %q built a %T", d, read)
+			}
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"strings"
 	"testing"
 	"unsafe"
@@ -245,4 +246,45 @@ func sameString(s string, strs []string) bool {
 		}
 	}
 	return false
+}
+
+// FuzzReadStats: stats rows the Writer puts on the wire read back equal
+// through ReadStats (a repeated name keeps its last value), and no input
+// makes ReadStats panic. rows holds one "name value" pair per line,
+// cut at the first space; a pair the Writer cannot carry (an empty name,
+// a CR anywhere) is left out.
+func FuzzReadStats(f *testing.F) {
+	f.Add("get_misses 12\nextstore_disk_hits 3\nversion 1.6 memqlat", []byte("STAT a 1\r\nEND\r\n"))
+	f.Add("a 1\na 2\nempty \n x", []byte("STAT a\r\nSERVER_ERROR busy\r\n"))
+	f.Add("", []byte("VALUE k 0 1\r\nv\r\nEND\r\n"))
+	f.Fuzz(func(t *testing.T, rows string, raw []byte) {
+		_, _ = ReadStats(bufio.NewReader(bytes.NewReader(raw)))
+
+		var wire bytes.Buffer
+		w := NewWriter(&wire)
+		want := map[string]string{}
+		for _, line := range strings.Split(rows, "\n") {
+			name, value, _ := strings.Cut(line, " ")
+			if name == "" || strings.Contains(line, "\r") {
+				continue
+			}
+			if err := w.Stat(name, value); err != nil {
+				t.Fatal(err)
+			}
+			want[name] = value
+		}
+		if err := w.End(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ReadStats(bufio.NewReaderSize(&wire, len(rows)+64))
+		if err != nil {
+			t.Fatalf("ReadStats(%q): %v", wire.String(), err)
+		}
+		if !maps.Equal(got, want) {
+			t.Fatalf("wrote %q, read back %q", want, got)
+		}
+	})
 }

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -33,6 +34,24 @@ func tieredServer(t *testing.T, core string) (*Server, *extstore.Store, string) 
 	}
 	srv, addr := startServer(t, Options{Cache: c, Extstore: ext, ConnCore: core})
 	return srv, ext, addr
+}
+
+// diskCounts reads the extstore_disk_hits and extstore_promotions rows
+// of stats over the test's own connection.
+func diskCounts(t *testing.T, r *bufio.Reader, w *bufio.Writer) (hits, promotions int64) {
+	t.Helper()
+	send(t, w, "stats\r\n")
+	for line := readLine(t, r); line != "END"; line = readLine(t, r) {
+		for name, n := range map[string]*int64{"extstore_disk_hits": &hits, "extstore_promotions": &promotions} {
+			if v, ok := strings.CutPrefix(line, "STAT "+name+" "); ok {
+				var err error
+				if *n, err = strconv.ParseInt(v, 10, 64); err != nil {
+					t.Fatalf("stats row %q: %v", line, err)
+				}
+			}
+		}
+	}
+	return hits, promotions
 }
 
 // expectValue reads one VALUE reply plus terminator.
@@ -81,7 +100,7 @@ func TestTieredReadPathBothCores(t *testing.T) {
 			// it with its original flags and value.
 			send(t, w, "get key-0000\r\n")
 			expectValue(t, r, "key-0000", "7", "value-00")
-			hits, promos := srv.ExtstoreCounts()
+			hits, promos := diskCounts(t, r, w)
 			if hits != 1 || promos != 1 {
 				t.Fatalf("extstore counts = (%d hits, %d promotions), want (1, 1)", hits, promos)
 			}
@@ -89,7 +108,7 @@ func TestTieredReadPathBothCores(t *testing.T) {
 			// must not move.
 			send(t, w, "get key-0000\r\n")
 			expectValue(t, r, "key-0000", "7", "value-00")
-			if hits, _ := srv.ExtstoreCounts(); hits != 1 {
+			if hits, _ := diskCounts(t, r, w); hits != 1 {
 				t.Fatalf("disk hits after re-promotion = %d, want still 1", hits)
 			}
 
@@ -184,20 +203,23 @@ func TestTieredReadPathBothCores(t *testing.T) {
 			readLine(t, r) // body
 			readLine(t, r) // END
 
-			// The stats surface reports the tier.
+			// The stats surface reports the tier, and Stats reads the rows
+			// the wire carries (uptime may tick between the two).
 			send(t, w, "stats\r\n")
-			sawDiskHits := false
-			for {
-				line := readLine(t, r)
-				if line == "END" {
-					break
-				}
-				if line == fmt.Sprintf("STAT extstore_disk_hits %d", srv.diskHits.Load()) {
-					sawDiskHits = true
-				}
+			var wire []string
+			for line := readLine(t, r); line != "END"; line = readLine(t, r) {
+				wire = append(wire, line)
 			}
-			if !sawDiskHits {
-				t.Fatal("stats did not report extstore_disk_hits")
+			table := srv.Stats()
+			if len(wire) != len(table) || table["extstore_disk_hits"] != fmt.Sprint(srv.diskHits.Load()) {
+				t.Fatalf("stats wrote %d rows, Stats has %d with extstore_disk_hits %q; the server counts %d",
+					len(wire), len(table), table["extstore_disk_hits"], srv.diskHits.Load())
+			}
+			for _, line := range wire {
+				f := strings.SplitN(line, " ", 3)
+				if len(f) != 3 || f[1] != "uptime" && table[f[1]] != f[2] {
+					t.Errorf("stats wrote %q, Stats has %q", line, table[f[1]])
+				}
 			}
 
 			// flush_all clears BOTH tiers: nothing may resurrect from disk.
@@ -220,7 +242,7 @@ func TestTieredReadPathBothCores(t *testing.T) {
 // deadline across eviction to disk and re-promotion — the promoted RAM
 // copy must not outlive the original exptime.
 func TestTieredTTLSurvivesDemotion(t *testing.T) {
-	srv, ext, addr := tieredServer(t, CoreGoroutines)
+	_, ext, addr := tieredServer(t, CoreGoroutines)
 	r, w, _ := dial(t, addr)
 
 	send(t, w, "set ttl-key 0 1 7\r\nexpires\r\n")
@@ -237,7 +259,7 @@ func TestTieredTTLSurvivesDemotion(t *testing.T) {
 	// Served from disk and re-promoted while still live.
 	send(t, w, "get ttl-key\r\n")
 	expectValue(t, r, "ttl-key", "0", "expires")
-	if hits, _ := srv.ExtstoreCounts(); hits != 1 {
+	if hits, _ := diskCounts(t, r, w); hits != 1 {
 		t.Fatalf("disk hits = %d, want 1", hits)
 	}
 
@@ -256,7 +278,7 @@ func TestTieredTTLSurvivesDemotion(t *testing.T) {
 func TestTieredAddOfPromotedKeyChangesNothing(t *testing.T) {
 	for _, core := range testCores(t) {
 		t.Run(core, func(t *testing.T) {
-			srv, ext, addr := tieredServer(t, core)
+			_, ext, addr := tieredServer(t, core)
 			r, w, _ := dial(t, addr)
 			send(t, w, "set k 7 0 8\r\nvalue-xx\r\n")
 			readLine(t, r)
@@ -277,12 +299,12 @@ func TestTieredAddOfPromotedKeyChangesNothing(t *testing.T) {
 			if len(f) != 5 || f[4] == "0" {
 				t.Fatalf("gets of a promoted key = %q, want a RAM hit with its CAS", f)
 			}
-			hits, promos := srv.ExtstoreCounts()
+			hits, promos := diskCounts(t, r, w)
 			send(t, w, "add k 0 0 3\r\nnew\r\n")
 			if got := readLine(t, r); got != "NOT_STORED" {
 				t.Fatalf("add of a key on both tiers = %q, want NOT_STORED", got)
 			}
-			if h, p := srv.ExtstoreCounts(); h != hits || p != promos {
+			if h, p := diskCounts(t, r, w); h != hits || p != promos {
 				t.Fatalf("add moved the extstore counts from (%d, %d) to (%d, %d)", hits, promos, h, p)
 			}
 			send(t, w, "cas k 0 0 1 "+f[4]+"\r\nx\r\n")

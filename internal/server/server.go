@@ -625,6 +625,16 @@ func (s *Server) writeStats(w *protocol.Writer, section []byte) error {
 	default:
 		return w.ClientErrorf("unknown stats section %q", section)
 	}
+	for _, row := range s.generalRows() {
+		if err := w.Stat(row.k, row.v); err != nil {
+			return err
+		}
+	}
+	return w.End()
+}
+
+// generalRows is the general "stats" table, in the order it is written.
+func (s *Server) generalRows() []statRow {
 	st := s.opts.Cache.Stats()
 	rows := []statRow{
 		{"version", Version},
@@ -658,12 +668,7 @@ func (s *Server) writeStats(w *protocol.Writer, section []byte) error {
 			statRow{"extstore_compactions", fmt.Sprintf("%d", es.Compactions)},
 			statRow{"extstore_relocated", fmt.Sprintf("%d", es.Relocated)})
 	}
-	for _, row := range rows {
-		if err := w.Stat(row.k, row.v); err != nil {
-			return err
-		}
-	}
-	return w.End()
+	return rows
 }
 
 // --- observability accessors -----------------------------------------
@@ -709,11 +714,15 @@ func (s *Server) LoopStats() []LoopStat { return s.core.loopStats() }
 // Cache exposes the backing store for occupancy metrics.
 func (s *Server) Cache() *cache.Cache { return s.opts.Cache }
 
-// ExtstoreCounts reports how many RAM misses the disk tier served and
-// how many of those were re-promoted into RAM. Both are zero without
-// Options.Extstore.
-func (s *Server) ExtstoreCounts() (diskHits, promotions int64) {
-	return s.diskHits.Load(), s.promotions.Load()
+// Stats returns the general "stats" table by row name: the rows the
+// wire carries, read without crossing it.
+func (s *Server) Stats() map[string]string {
+	rows := s.generalRows()
+	m := make(map[string]string, len(rows))
+	for _, row := range rows {
+		m[row.k] = row.v
+	}
+	return m
 }
 
 // LatencyHistogram snapshots the merged per-command latency histogram

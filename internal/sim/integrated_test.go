@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"memqlat/internal/dist"
 	"memqlat/internal/fault"
 	"memqlat/internal/telemetry"
 	"memqlat/internal/tenant"
@@ -27,6 +28,7 @@ func TestSimulateIntegratedValidation(t *testing.T) {
 	// series join is refused by name, and the same option is fine for the
 	// composition mode. The miss path is shared, so coalescing and the
 	// extstore tier run in both modes.
+	disk := &ExtstoreSim{DiskHitFraction: 0.5, Read: dist.Exponential{Rate: 1000}}
 	for name, c := range map[string]struct {
 		set     func(*RequestConfig)
 		refused string
@@ -35,7 +37,7 @@ func TestSimulateIntegratedValidation(t *testing.T) {
 		"replicas":   {func(c *RequestConfig) { c.ReadReplicas = 2 }, "read replicas"},
 		"tenants":    {func(c *RequestConfig) { c.Tenants = []tenant.Spec{{Name: "a"}} }, "tenant QoS"},
 		"coalesce":   {func(c *RequestConfig) { c.Coalesce = true }, ""},
-		"extstore":   {func(c *RequestConfig) { c.Extstore = &ExtstoreSim{DiskHitFraction: 0.5, MuDisk: 1000} }, ""},
+		"extstore":   {func(c *RequestConfig) { c.Extstore = disk }, ""},
 		"observer":   {func(c *RequestConfig) { c.Observer = nopObserver{} }, "a request observer"},
 		"resilience": {func(c *RequestConfig) { c.Resilience = fault.Resilience{Retries: 1} }, "resilience policies"},
 	} {
@@ -75,7 +77,7 @@ func integratedMissRun(t *testing.T, coalesce bool, disk *ExtstoreSim, col telem
 // is a backend fetch, a delayed hit or a disk hit, each on its stage.
 func TestIntegratedMissPath(t *testing.T) {
 	col := telemetry.NewCollector()
-	res := integratedMissRun(t, true, &ExtstoreSim{DiskHitFraction: 0.4, MuDisk: 5000}, col)
+	res := integratedMissRun(t, true, &ExtstoreSim{DiskHitFraction: 0.4, Read: dist.Exponential{Rate: 5000}}, col)
 	if res.BackendFetches+res.DelayedHits+res.DiskHits != res.MissCount {
 		t.Fatalf("fetches(%d) + delayed(%d) + disk(%d) != misses(%d)",
 			res.BackendFetches, res.DelayedHits, res.DiskHits, res.MissCount)
@@ -120,7 +122,11 @@ func TestIntegratedMissPath(t *testing.T) {
 // TestIntegratedMissPathDeterministic: one seed, one run, whatever the
 // miss path's stages.
 func TestIntegratedMissPathDeterministic(t *testing.T) {
-	disk := &ExtstoreSim{DiskHitFraction: 0.4, MuDisk: 5000, Dist: "lognormal"}
+	read, err := dist.NewLogNormalMean(1.0/5000, 0.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk := &ExtstoreSim{DiskHitFraction: 0.4, Read: read}
 	a, b := integratedMissRun(t, true, disk, nil), integratedMissRun(t, true, disk, nil)
 	if a.Total.Mean() != b.Total.Mean() || a.TD.Mean() != b.TD.Mean() || a.Elapsed != b.Elapsed ||
 		a.BackendFetches != b.BackendFetches || a.DelayedHits != b.DelayedHits || a.DiskHits != b.DiskHits {

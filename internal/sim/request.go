@@ -89,11 +89,11 @@ type RequestConfig struct {
 	MissZipfS float64
 	// Extstore, when non-nil, interposes the SSD cache tier on the miss
 	// path: each miss is absorbed by the disk tier with probability
-	// DiskHitFraction, paying a disk read from the configured
-	// service-time family instead of the Exp(µ_D) backend fetch. Disk
-	// hits are local reads, so they never enter the coalescing windows
-	// or the Database fault path; they are recorded as
-	// telemetry.StageDiskRead and counted in DiskHits.
+	// DiskHitFraction, paying a disk read drawn from its Read law
+	// instead of the Exp(µ_D) backend fetch. Disk hits are local reads,
+	// so they never enter the coalescing windows or the Database fault
+	// path; they are recorded as telemetry.StageDiskRead and counted in
+	// DiskHits.
 	Extstore *ExtstoreSim
 	// Tenants arms the multi-tenant QoS admission ahead of every key
 	// draw: each request draws its tenant from the Share mix (rng
@@ -137,13 +137,8 @@ type ExtstoreSim struct {
 	// DiskHitFraction is β = P{disk hit | RAM miss}, typically the
 	// mrc.TierSplit prediction the plane layer computes.
 	DiskHitFraction float64
-	// MuDisk is the disk read service rate (mean read 1/MuDisk).
-	MuDisk float64
-	// Dist selects the disk service-time family: "exp" (default) or
-	// "lognormal" (mean preserved at 1/MuDisk).
-	Dist string
-	// Sigma is the lognormal shape parameter (default 0.5).
-	Sigma float64
+	// Read is the disk read's service-time law.
+	Read dist.Sampler
 }
 
 // RequestResult aggregates the measured latency decomposition, mirroring

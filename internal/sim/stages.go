@@ -3,7 +3,6 @@ package sim
 import (
 	"cmp"
 	"fmt"
-	"math"
 	"math/rand/v2"
 
 	"memqlat/internal/dist"
@@ -161,32 +160,12 @@ func newMissPath(cfg RequestConfig, inj *fault.Injector, base uint64) (*missPath
 		p.inflightFail = make([]bool, nKeys)
 	}
 	if e := cfg.Extstore; e != nil {
-		disk, err := e.readTime()
-		if err != nil {
-			return nil, fmt.Errorf("sim: extstore: %w", err)
+		if e.DiskHitFraction < 0 || e.DiskHitFraction > 1 || e.Read == nil {
+			return nil, fmt.Errorf("sim: extstore needs a read law and a disk-hit fraction in [0, 1], got %v", e.DiskHitFraction)
 		}
-		p.rngDisk, p.diskHit, p.disk = dist.SubRand(cfg.Seed, base+8), e.DiskHitFraction, disk
+		p.rngDisk, p.diskHit, p.disk = dist.SubRand(cfg.Seed, base+8), e.DiskHitFraction, e.Read
 	}
 	return p, nil
-}
-
-// readTime validates the tier and returns its read-time distribution.
-func (e *ExtstoreSim) readTime() (dist.Sampler, error) {
-	if e.DiskHitFraction < 0 || e.DiskHitFraction > 1 {
-		return nil, fmt.Errorf("disk-hit fraction %v out of [0, 1]", e.DiskHitFraction)
-	}
-	if e.MuDisk <= 0 {
-		return nil, fmt.Errorf("MuDisk=%v must be positive", e.MuDisk)
-	}
-	switch e.Dist {
-	case "", "exp":
-		return dist.NewExponential(e.MuDisk)
-	case "lognormal":
-		// µ = ln(mean) − σ²/2 preserves the 1/MuDisk mean.
-		sigma := cmp.Or(e.Sigma, 0.5)
-		return dist.NewLogNormal(math.Log(1/e.MuDisk)-sigma*sigma/2, sigma)
-	}
-	return nil, fmt.Errorf("disk dist %q unknown (exp, lognormal)", e.Dist)
 }
 
 // misses draws whether one answered key misses the RAM cache.
