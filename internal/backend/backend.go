@@ -118,10 +118,10 @@ func (db *DB) Get(ctx context.Context, key string) ([]byte, error) {
 	}
 	db.lookups.Add(1)
 	// A traced caller hands its context over via otrace.ContextWith; the
-	// lookup span covers queueing (single-queue mode) plus service.
-	sp := otrace.Span{}
+	// lookup span covers queueing (single-queue mode) plus service, and
+	// ends however the lookup does.
 	if tc := otrace.FromContext(ctx); tc.Valid() {
-		sp = db.tracer.Begin(tc, "backend", "lookup", 0)
+		defer db.tracer.End(db.tracer.Begin(tc, "backend", "lookup", 0))
 	}
 	began := time.Now()
 	service := db.serviceTime()
@@ -148,7 +148,6 @@ func (db *DB) Get(ctx context.Context, key string) ([]byte, error) {
 		return nil, err
 	}
 	db.rec.Observe(telemetry.StageMissPenalty, time.Since(began).Seconds())
-	db.tracer.End(sp)
 	return db.ValueFor(key), nil
 }
 

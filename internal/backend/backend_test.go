@@ -7,6 +7,8 @@ import (
 	"testing"
 	"time"
 
+	"memqlat/internal/fault"
+	"memqlat/internal/otrace"
 	"memqlat/internal/testkit"
 )
 
@@ -239,4 +241,37 @@ func TestClose(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 	settled("single-queue DB.Close")
+}
+
+// TestFaultTracedLookupEndsSpan: a traced lookup that an injected fault
+// fails still ends its span, so the trace keeps its database leg.
+func TestFaultTracedLookupEndsSpan(t *testing.T) {
+	sched, err := fault.ParseSchedule("reset:srv=db")
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj, err := fault.NewInjector(sched, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := otrace.New(otrace.Options{})
+	db, err := New(Options{MuD: 1e7, Tracer: tr,
+		Fault: &fault.Point{Inj: inj, Server: fault.Database, Now: func() float64 { return 0 }}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx := otrace.ContextWith(context.Background(), otrace.Ctx{Trace: 7, Span: 3})
+	if _, err := db.Get(ctx, "k"); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Get under reset:srv=db = %v, want ErrInjected", err)
+	}
+	var lookups int
+	for _, sp := range tr.Snapshot() {
+		if sp.Comp == "backend" && sp.Name == "lookup" && sp.Trace == 7 && sp.Parent == 3 {
+			lookups++
+		}
+	}
+	if lookups != 1 {
+		t.Errorf("%d backend/lookup spans, want 1: %+v", lookups, tr.Snapshot())
+	}
 }

@@ -333,16 +333,39 @@ func (o Outcome) String() string {
 	}
 }
 
-// Action is the injector's verdict for one operation.
+// Action is the injector's verdict for one operation. Its law on a
+// cache-server visit, which every plane reads the same way, with the
+// verdict taken when the server starts the visit: a Refused visit is not
+// served, adds no work, and its caller fails at that start; a
+// Lost visit is served with its own service only, its reply is lost, and
+// its caller fails after the larger of its sojourn and Delay; a served
+// visit (OK) holds the server for its service plus Work. The database
+// keeps its own law: the delay, then a failure on any outcome but OK.
 type Action struct {
-	// Delay is extra latency in seconds applied before Outcome.
+	// Delay is extra latency in seconds: served work for an OK outcome
+	// (slow, stall), the caller's timeout stand-in for a Drop.
 	Delay float64
-	// Outcome is what happens after the delay.
+	// Outcome is what happens to the operation.
 	Outcome Outcome
 }
 
 // Faulted reports whether the action perturbs the operation at all.
 func (a Action) Faulted() bool { return a.Delay > 0 || a.Outcome != OK }
+
+// Refused reports a reset or refused connection.
+func (a Action) Refused() bool { return a.Outcome == Reset || a.Outcome == Refuse }
+
+// Lost reports a dropped reply.
+func (a Action) Lost() bool { return a.Outcome == Drop }
+
+// Work is the time the verdict adds to the visit's service: its delay
+// when the visit is served, zero when it is lost or refused.
+func (a Action) Work() float64 {
+	if a.Outcome != OK {
+		return 0
+	}
+	return a.Delay
+}
 
 // Injector evaluates a Schedule. It is safe for concurrent use: the
 // only mutable state is the per-target query counters feeding the
@@ -443,55 +466,6 @@ func (in *Injector) RefusedAt(server int, now float64) bool {
 	return false
 }
 
-// DelayAt collapses any active fault into pure extra latency: slowdowns
-// contribute their (probability-weighted) delay, and bounded
-// stall/refuse/flap windows act as a server that is unresponsive until
-// the window (or flap down phase) ends. The integrated simulator's
-// server queues use this view — they model servers, not connections;
-// its database stage takes At on the miss path it shares with the
-// composition (for a stall window the two agree). Drop and reset
-// outcomes contribute only their bounded windows: a lost reply or a
-// torn-down connection does not make the server itself busier, and a
-// servers-only model has no per-connection caller to surface the
-// failure to.
-func (in *Injector) DelayAt(server int, now float64) float64 {
-	if in == nil {
-		return 0
-	}
-	var delay float64
-	for _, r := range in.schedule.Rules {
-		if !r.matches(server) || !r.active(now) {
-			continue
-		}
-		switch r.Kind {
-		case KindSlow:
-			d := r.Delay
-			if r.P > 0 && r.P < 1 {
-				d *= r.P
-			}
-			delay += d
-		case KindStall, KindRefuse:
-			if r.Until > now {
-				delay += r.Until - now
-			} else {
-				delay += r.Delay
-			}
-		case KindDrop, KindReset:
-			if r.Until > now {
-				delay += r.Until - now
-			}
-		case KindFlap:
-			duty := r.Duty
-			if duty <= 0 {
-				duty = 0.5
-			}
-			phase := math.Mod(now-r.From, r.Period)
-			delay += duty*r.Period - phase
-		}
-	}
-	return delay
-}
-
 // decide hashes (seed, rule, target, query counter) into [0,1) — a
 // splitmix64 finalizer, so the n-th query for a target gets the same
 // verdict on every plane.
@@ -544,6 +518,15 @@ func (p *Point) Eval() Action {
 		return Action{}
 	}
 	return p.Inj.At(p.Server, p.Now())
+}
+
+// EvalAt evaluates the point for one operation that its target starts at
+// wall time t, which lies ahead of now for a queued command.
+func (p *Point) EvalAt(t time.Time) Action {
+	if p == nil || p.Inj == nil || p.Now == nil {
+		return Action{}
+	}
+	return p.Inj.At(p.Server, p.Now()+time.Until(t).Seconds())
 }
 
 // Resilience is the one recovery policy spec: a Scenario carries it, the

@@ -99,6 +99,12 @@ func TestFaultStallDelaysUntilWindowEnd(t *testing.T) {
 	if d := in.At(0, 9.5).Delay; math.Abs(d-0.5) > 1e-12 {
 		t.Errorf("stall at t=9.5: delay %v, want 0.5", d)
 	}
+	// A point taken at t=6 for a command its server starts 2s later
+	// reads the window as of t=8.
+	p := &Point{Inj: in, Now: func() float64 { return 6 }}
+	if d := p.EvalAt(time.Now().Add(2 * time.Second)).Delay; math.Abs(d-2) > 0.01 {
+		t.Errorf("EvalAt 2s ahead of t=6: delay %v, want 2", d)
+	}
 }
 
 func TestFaultFlapPhases(t *testing.T) {
@@ -186,12 +192,12 @@ func TestFaultNilInjectorHealthy(t *testing.T) {
 	if act := in.At(0, 5); act.Faulted() {
 		t.Errorf("nil injector faulted: %+v", act)
 	}
-	if d := in.DelayAt(0, 5); d != 0 {
-		t.Errorf("nil injector delay: %v", d)
-	}
 	var p *Point
 	if act := p.Eval(); act.Faulted() {
 		t.Errorf("nil point faulted: %+v", act)
+	}
+	if act := p.EvalAt(time.Now()); act.Faulted() {
+		t.Errorf("nil point faulted at a start: %+v", act)
 	}
 }
 
@@ -216,20 +222,25 @@ func TestFaultInjectorValidation(t *testing.T) {
 	}
 }
 
-func TestFaultDelayAtCollapsesOutages(t *testing.T) {
-	in, err := NewInjector(Schedule{Rules: []Rule{
-		{Server: 0, Kind: KindRefuse, From: 2, Until: 4},
-		{Server: 0, Kind: KindSlow, From: 0, Delay: 0.001},
-	}}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// At t=3 the refuse window has 1s left plus the 1ms slowdown.
-	if d := in.DelayAt(0, 3); math.Abs(d-1.001) > 1e-9 {
-		t.Errorf("DelayAt = %v, want 1.001", d)
-	}
-	if d := in.DelayAt(0, 5); math.Abs(d-0.001) > 1e-9 {
-		t.Errorf("DelayAt after window = %v, want 0.001", d)
+// TestFaultActionLaw: what each verdict does to a cache-server visit,
+// the one law both simulators and the shaped live server read.
+func TestFaultActionLaw(t *testing.T) {
+	for _, c := range []struct {
+		act           Action
+		refused, lost bool
+		work          float64
+	}{
+		{Action{}, false, false, 0},
+		{Action{Delay: 0.02}, false, false, 0.02},
+		{Action{Delay: 0.002, Outcome: Drop}, false, true, 0},
+		{Action{Outcome: Reset}, true, false, 0},
+		{Action{Delay: 0.02, Outcome: Reset}, true, false, 0},
+		{Action{Outcome: Refuse}, true, false, 0},
+	} {
+		if c.act.Refused() != c.refused || c.act.Lost() != c.lost || c.act.Work() != c.work {
+			t.Errorf("%+v: refused %v lost %v work %v, want %v %v %v", c.act,
+				c.act.Refused(), c.act.Lost(), c.act.Work(), c.refused, c.lost, c.work)
+		}
 	}
 }
 

@@ -174,8 +174,15 @@ func (w *Writer) Number(n uint64) error {
 
 // Stat writes one STAT line.
 func (w *Writer) Stat(name, value string) error {
-	_, err := fmt.Fprintf(w, "STAT %s %s\r\n", name, value)
+	_, err := w.Write(AppendStat(nil, name, value))
 	return err
+}
+
+// AppendStat appends one "STAT <name> <value>" line, the row of every
+// stats reply, the server's and the proxy's.
+func AppendStat(dst []byte, name, value string) []byte {
+	dst = append(append(append(append(dst, "STAT "...), name...), ' '), value...)
+	return append(dst, crlf...)
 }
 
 // Version writes a VERSION line.

@@ -562,35 +562,20 @@ func (d *downstream) localReply(reply string) {
 func (d *downstream) localStats() {
 	st := d.p.Stats()
 	buf := make([]byte, 0, 192)
-	buf = appendStat(buf, "proxy", "memqlat")
-	buf = appendStat(buf, "policy", st.Policy.String())
-	buf = appendStatInt(buf, "upstream_servers", int64(st.Upstreams))
-	buf = appendStatInt(buf, "upstream_conns", int64(d.p.opts.UpstreamConns))
-	buf = appendStatInt(buf, "cmd_total", st.Commands)
-	buf = appendStatInt(buf, "forwarded", st.Forwarded)
-	buf = appendStatInt(buf, "failovers", st.Failovers)
+	buf = protocol.AppendStat(buf, "proxy", "memqlat")
+	buf = protocol.AppendStat(buf, "policy", st.Policy.String())
+	statInt := func(name string, v int64) { buf = protocol.AppendStat(buf, name, strconv.FormatInt(v, 10)) }
+	statInt("upstream_servers", int64(st.Upstreams))
+	statInt("upstream_conns", int64(d.p.opts.UpstreamConns))
+	statInt("cmd_total", st.Commands)
+	statInt("forwarded", st.Forwarded)
+	statInt("failovers", st.Failovers)
 	if tl := d.p.tenants; tl != nil {
-		buf = appendStatInt(buf, "tenant_sheds", st.TenantSheds)
+		statInt("tenant_sheds", st.TenantSheds)
 		for _, s := range tl.Snapshots() {
-			buf = appendStatInt(buf, "tenant_"+s.Name+"_admitted", s.Admitted)
-			buf = appendStatInt(buf, "tenant_"+s.Name+"_shed", s.Shed)
+			statInt("tenant_"+s.Name+"_admitted", s.Admitted)
+			statInt("tenant_"+s.Name+"_shed", s.Shed)
 		}
 	}
 	d.localReply(string(append(buf, endLine...)))
-}
-
-func appendStat(b []byte, k, v string) []byte {
-	b = append(b, "STAT "...)
-	b = append(b, k...)
-	b = append(b, ' ')
-	b = append(b, v...)
-	return append(b, crlf...)
-}
-
-func appendStatInt(b []byte, k string, v int64) []byte {
-	b = append(b, "STAT "...)
-	b = append(b, k...)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, v, 10)
-	return append(b, crlf...)
 }

@@ -47,6 +47,14 @@ type Visit struct {
 // against Depth until its deadline on the clock, whenever its caller
 // stops waiting.
 func (st *Station) Arrive(now time.Time, service time.Duration) (Visit, bool) {
+	return st.ArriveFunc(now, func(time.Time) time.Duration { return service })
+}
+
+// ArriveFunc is Arrive with the service drawn when the station starts the
+// customer: service is called under the station's lock with the start on
+// the clock, so a draw that depends on that instant (a fault verdict taken
+// at service start, as the simulator takes it) cannot race a later arrival.
+func (st *Station) ArriveFunc(now time.Time, service func(start time.Time) time.Duration) (Visit, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	start := now
@@ -61,9 +69,10 @@ func (st *Station) Arrive(now time.Time, service time.Duration) (Visit, bool) {
 			start = st.due[n-1]
 		}
 	}
-	cut := min(st.late, service)
+	d := service(start)
+	cut := min(st.late, d)
 	st.late -= cut
-	v := Visit{Start: start, Deadline: start.Add(service), Wake: start.Add(service - cut), closed: st.done()}
+	v := Visit{Start: start, Deadline: start.Add(d), Wake: start.Add(d - cut), closed: st.done()}
 	if !st.Parallel {
 		st.due = append(st.due, v.Deadline)
 	}

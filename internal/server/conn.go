@@ -81,26 +81,37 @@ func (s *Server) serveCommand(w *protocol.Writer, cmd *protocol.Command, cs *con
 	// Every command is timed into the latency sketch and the service
 	// stage, so stage totals count every command served.
 	began := time.Now()
-	act := s.opts.Fault.Eval()
-	if act.Delay > 0 {
-		time.Sleep(time.Duration(act.Delay * float64(time.Second)))
-	}
-	if act.Outcome == fault.Reset || act.Outcome == fault.Refuse {
-		// Tear the connection down mid-operation, reply unwritten.
-		return true, nil
-	}
-	var waited time.Duration
+	var (
+		act    fault.Action
+		waited time.Duration
+	)
 	if cs.shaper != nil {
-		service := time.Duration(cs.shaper.ExpFloat64() / s.opts.ServiceRate * float64(time.Second))
-		v, _ := s.station.Arrive(time.Now(), service)
+		// The station takes the verdict when it starts the command, as
+		// the simulators' fifo does, and a served verdict's delay holds
+		// it as service: the fault.Action law.
+		v, _ := s.station.ArriveFunc(time.Now(), func(start time.Time) time.Duration {
+			if act = s.opts.Fault.EvalAt(start); act.Refused() {
+				return 0
+			}
+			return time.Duration((cs.shaper.ExpFloat64()/s.opts.ServiceRate + act.Work()) * float64(time.Second))
+		})
 		_ = s.station.Wait(context.Background(), v) // nothing closes the station
 		// Time until the station starts serving the command is the
 		// live server's queueing delay (the W of GI^X/M/1).
 		waited = v.Start.Sub(began)
+	} else if act = s.opts.Fault.Eval(); act.Work() > 0 {
+		time.Sleep(time.Duration(act.Work() * float64(time.Second)))
+	}
+	if act.Refused() {
+		// Tear the connection down mid-operation, reply unwritten.
+		s.opts.Tracer.End(srvSpan)
+		return true, nil
+	}
+	if cs.shaper != nil {
 		cs.rec.Observe(telemetry.StageQueueWait, waited.Seconds())
 	}
 	out := w
-	if act.Outcome == fault.Drop {
+	if act.Lost() {
 		// The server does the work but the reply is lost: the client
 		// is left waiting for its op timeout.
 		if cs.blackhole == nil {
@@ -109,6 +120,7 @@ func (s *Server) serveCommand(w *protocol.Writer, cmd *protocol.Command, cs *con
 		out = cs.blackhole
 	}
 	if err := s.dispatch(out, cmd, cs); err != nil {
+		s.opts.Tracer.End(srvSpan)
 		return false, err
 	}
 	total := time.Since(began)

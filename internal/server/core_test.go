@@ -13,7 +13,9 @@ import (
 
 	"memqlat/internal/cache"
 	"memqlat/internal/fault"
+	"memqlat/internal/otrace"
 	"memqlat/internal/protocol"
+	"memqlat/internal/telemetry"
 )
 
 // testCores lists the connection cores runnable on this platform.
@@ -154,10 +156,10 @@ func TestConnCoreLineLimit(t *testing.T) {
 	}
 }
 
-// TestConnCoreFaultReset checks that a reset fault tears the connection
-// down before any reply on both cores.
-func TestConnCoreFaultReset(t *testing.T) {
-	sched, err := fault.ParseSchedule("reset:srv=all")
+// faultPoint arms spec against server 0 on a started clock.
+func faultPoint(t *testing.T, spec string) *fault.Point {
+	t.Helper()
+	sched, err := fault.ParseSchedule(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,26 +169,102 @@ func TestConnCoreFaultReset(t *testing.T) {
 	}
 	var clock fault.Clock
 	clock.Start()
+	return &fault.Point{Inj: inj, Server: 0, Now: clock.Now}
+}
+
+// TestConnCoreFaultReset checks that a reset fault tears the connection
+// down before any reply on both cores, and that a traced command still
+// ends its handle span.
+func TestConnCoreFaultReset(t *testing.T) {
+	fp := faultPoint(t, "reset:srv=all")
 	for _, core := range testCores(t) {
 		t.Run(core, func(t *testing.T) {
-			_, addr := startServer(t, Options{
-				ConnCore: core,
-				Fault:    &fault.Point{Inj: inj, Server: 0, Now: clock.Now},
-			})
+			tr := otrace.New(otrace.Options{})
+			_, addr := startServer(t, Options{ConnCore: core, Fault: fp, Tracer: tr})
 			conn, err := net.DialTimeout("tcp", addr, time.Second)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer conn.Close()
 			_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
-			if _, err := conn.Write([]byte("get a\r\n")); err != nil {
+			if _, err := conn.Write([]byte("mq_trace 77 5\r\nget a\r\n")); err != nil {
 				t.Fatal(err)
 			}
 			reply, _ := io.ReadAll(conn)
 			if len(reply) != 0 {
 				t.Fatalf("reset fault still produced a reply: %q", reply)
 			}
+			if spans := tr.Snapshot(); len(spans) != 1 || spans[0].Name != "handle" || spans[0].Trace != 77 {
+				t.Errorf("spans after a reset = %+v, want one server/handle span of trace 77", spans)
+			}
 		})
+	}
+}
+
+// TestFaultShapedSlowIsService: a shaped server books a slow verdict's
+// delay as service on its one station, so two concurrent gets under a
+// 40ms slowdown run one after the other, the second queueing behind the
+// first, as both simulators charge it.
+func TestFaultShapedSlowIsService(t *testing.T) {
+	const delay = 40 * time.Millisecond
+	srv, addr := startServer(t, Options{ServiceRate: 1e6, Fault: faultPoint(t, "slow:srv=0,delay=40ms")})
+	conns := [2]net.Conn{}
+	for i := range conns {
+		_, _, conns[i] = dial(t, addr)
+		_ = conns[i].SetDeadline(time.Now().Add(5 * time.Second))
+	}
+	began := time.Now()
+	for _, c := range conns {
+		if _, err := c.Write([]byte("get k\r\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range conns {
+		buf := make([]byte, 5)
+		if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "END\r\n" {
+			t.Fatalf("get reply %q, %v", buf, err)
+		}
+	}
+	if took := time.Since(began); took < 7*delay/4 {
+		t.Errorf("both gets done in %v, want >= %v: the second did not wait for the first", took, 7*delay/4)
+	}
+	b := srv.Telemetry().Breakdown()
+	if got := b[telemetry.StageService].Total; got < 1.5*delay.Seconds() {
+		t.Errorf("service stage holds %.1fms, want >= %.1fms (the slow verdicts)", got*1e3, 1.5*delay.Seconds()*1e3)
+	}
+	if got := b[telemetry.StageQueueWait].Total; got < delay.Seconds()/2 {
+		t.Errorf("queue_wait stage holds %.1fms, want >= %.1fms (one get behind the other)", got*1e3, delay.Seconds()/2*1e3)
+	}
+}
+
+// TestFaultShapedStallEndsAtUntil: a shaped server takes a stall's
+// verdict when its station starts the command, so only the first command
+// of the window holds the station, to the window's end, and every
+// command read inside the window is answered shortly after it, not one
+// remaining window after another.
+func TestFaultShapedStallEndsAtUntil(t *testing.T) {
+	const until = 300 * time.Millisecond
+	fp := faultPoint(t, "stall:srv=0,from=0,until=300ms")
+	epoch := time.Now() // the fault clock started no later than this
+	_, addr := startServer(t, Options{ServiceRate: 1e6, Fault: fp})
+	conns := [4]net.Conn{}
+	for i := range conns {
+		_, _, conns[i] = dial(t, addr)
+		_ = conns[i].SetDeadline(time.Now().Add(5 * time.Second))
+	}
+	for _, c := range conns {
+		if _, err := c.Write([]byte("get k\r\n")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, c := range conns {
+		buf := make([]byte, 5)
+		if _, err := io.ReadFull(c, buf); err != nil || string(buf) != "END\r\n" {
+			t.Fatalf("get %d reply %q, %v", i, buf, err)
+		}
+		if at := time.Since(epoch); at < until-10*time.Millisecond || at > until+150*time.Millisecond {
+			t.Errorf("get %d answered %v into the run, want shortly after the stall ends at %v", i, at, until)
+		}
 	}
 }
 

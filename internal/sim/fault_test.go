@@ -224,7 +224,7 @@ func TestFaultSimHedgeRecoversDrops(t *testing.T) {
 }
 
 // TestFaultSimIntegratedSlow: the request-driven mode must also honor the
-// schedule (via the collapsed-delay view).
+// schedule.
 func TestFaultSimIntegratedSlow(t *testing.T) {
 	model := facebookModel()
 	healthy, err := SimulateRequests(RequestConfig{Integrated: true, Model: model, Requests: 400, Seed: 3})
@@ -243,6 +243,30 @@ func TestFaultSimIntegratedSlow(t *testing.T) {
 	}
 	if got := slowed.TS.Mean() - healthy.TS.Mean(); got < 100e-6 {
 		t.Errorf("integrated slow fault added %.0fµs TS mean, want >= 100µs", got*1e6)
+	}
+}
+
+// TestFaultSimIntegratedDrop: a server drop fails keys in the integrated
+// mode as it does in the composition: the lost keys and their requests
+// are counted, and each costs its caller at least the rule's delay.
+func TestFaultSimIntegratedDrop(t *testing.T) {
+	res, err := SimulateRequests(RequestConfig{
+		Model: facebookModel(), Requests: 400, Seed: 3, Integrated: true,
+		Faults: mustSchedule(t, "drop:srv=0,p=0.3,delay=1ms"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FailedKeys == 0 || res.DegradedRequests == 0 {
+		t.Fatalf("drop schedule failed %d keys, degraded %d requests; want both > 0",
+			res.FailedKeys, res.DegradedRequests)
+	}
+	if res.FailedKeys > res.KeyCount || res.DegradedRequests > res.Requests {
+		t.Errorf("failed %d of %d keys, degraded %d of %d requests",
+			res.FailedKeys, res.KeyCount, res.DegradedRequests, res.Requests)
+	}
+	if got := res.TS.Mean(); got < 1e-3 {
+		t.Errorf("TS mean %.0fµs, want >= the 1ms drop delay when most requests hold a lost key", got*1e6)
 	}
 }
 

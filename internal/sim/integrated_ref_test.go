@@ -70,7 +70,6 @@ type refStation struct {
 	eng     *refEngine
 	busy    bool
 	pending []*refKey
-	onDone  func(*refKey)
 	busyAcc *float64
 	rec     telemetry.Recorder
 	inj     *fault.Injector
@@ -78,16 +77,16 @@ type refStation struct {
 }
 
 type refKey struct {
-	req       *refRequest
-	arrived   float64
-	sojourn   float64
-	willMiss  bool
-	dbLatency float64
+	req           *refRequest
+	arrived, done float64
+	sojourn       float64
+	failed        bool
+	dbLatency     float64
 }
 
 type refRequest struct {
 	start, maxTS, maxTD, sumTS float64
-	remaining                  int
+	remaining, failed          int
 	measured                   bool
 }
 
@@ -99,30 +98,43 @@ func (s *refStation) enqueue(k *refKey) {
 	}
 }
 
+// startNext starts the head of the queue under its fault verdict: a
+// refused key fails then, adding no work, and the next key starts at once; a
+// lost one is served and fails at the later of its completion and the
+// verdict's delay.
 func (s *refStation) startNext() {
-	if len(s.pending) == 0 {
-		s.busy = false
+	for len(s.pending) > 0 {
+		k := s.pending[0]
+		s.pending = s.pending[1:]
+		act := s.inj.At(s.target, s.eng.now)
+		if act.Refused() {
+			k.done, k.sojourn, k.failed = s.eng.now, s.eng.now-k.arrived, true
+			continue
+		}
+		s.busy = true
+		service := s.rng.ExpFloat64()/s.mu + act.Work()
+		*s.busyAcc += service
+		if k.req.measured && !act.Lost() {
+			s.rec.Observe(telemetry.StageQueueWait, s.eng.now-k.arrived)
+			s.rec.Observe(telemetry.StageService, service)
+		}
+		s.eng.schedule(service, func() {
+			k.done, k.sojourn, k.failed = s.eng.now, s.eng.now-k.arrived, act.Lost()
+			if k.failed && act.Delay > k.sojourn {
+				k.done, k.sojourn = k.arrived+act.Delay, act.Delay
+			}
+			s.startNext()
+		})
 		return
 	}
-	s.busy = true
-	k := s.pending[0]
-	s.pending = s.pending[1:]
-	service := s.rng.ExpFloat64() / s.mu
-	service += s.inj.DelayAt(s.target, s.eng.now)
-	*s.busyAcc += service
-	if k.req.measured {
-		s.rec.Observe(telemetry.StageQueueWait, s.eng.now-k.arrived)
-		s.rec.Observe(telemetry.StageService, service)
-	}
-	s.eng.schedule(service, func() {
-		k.sojourn = s.eng.now - k.arrived
-		s.onDone(k)
-		s.startNext()
-	})
+	s.busy = false
 }
 
 // simulateIntegratedRef is the event-scheduled integrated simulator with
-// validation dropped: the same rng streams, drawn at the same events.
+// validation dropped: the same rng streams, drawn at the same events. A
+// failed key draws no miss coin, and the coins go in launch order, so
+// the memcached stations run first and the database (an infinite-server
+// stage, which no station waits on) runs after them on the same clock.
 func simulateIntegratedRef(cfg RequestConfig) *RequestResult {
 	m := cfg.Model
 	warmup := cfg.Requests / 10
@@ -153,6 +165,9 @@ func simulateIntegratedRef(cfg RequestConfig) *RequestResult {
 		if k.dbLatency > r.maxTD {
 			r.maxTD = k.dbLatency
 		}
+		if k.failed {
+			r.failed++
+		}
 		r.sumTS += k.sojourn
 		r.remaining--
 		if r.remaining == 0 && r.measured {
@@ -160,49 +175,30 @@ func simulateIntegratedRef(cfg RequestConfig) *RequestResult {
 			res.TS.Record(r.maxTS)
 			res.TD.Record(r.maxTD)
 			res.Requests++
+			res.FailedKeys += int64(r.failed)
 			rec.Observe(telemetry.StageForkJoin, r.maxTS-r.sumTS/float64(m.N))
 		}
-	}
-	memcachedDone := func(k *refKey) {
-		if k.req.measured {
-			res.KeyLat.Record(k.sojourn)
-			res.KeyCount++
-		}
-		if !k.willMiss {
-			finishKey(k)
-			return
-		}
-		if k.req.measured {
-			res.MissCount++
-		}
-		d := rngDB.ExpFloat64() / m.MuD
-		d += inj.DelayAt(fault.Database, eng.now)
-		k.dbLatency = d
-		if k.req.measured {
-			rec.Observe(telemetry.StageMissPenalty, d)
-		}
-		eng.schedule(d, func() { finishKey(k) })
 	}
 	res.BusyTime = make([]float64, m.M())
 	servers := make([]*refStation, m.M())
 	for j := range servers {
 		servers[j] = &refStation{
 			mu: m.MuS, rng: dist.SubRand(cfg.Seed, 300+uint64(j)), eng: &eng,
-			onDone: memcachedDone, busyAcc: &res.BusyTime[j], rec: rec, inj: inj, target: j,
+			busyAcc: &res.BusyTime[j], rec: rec, inj: inj, target: j,
 		}
 	}
 	reqRate := m.TotalKeyRate / float64(m.N)
 	total := warmup + cfg.Requests
-	launched := 0
+	var keys []*refKey // launch order
 	var launch func()
 	launch = func() {
-		if launched >= total {
+		if len(keys) >= total*m.N {
 			return
 		}
-		launched++
-		r := &refRequest{start: eng.now, remaining: m.N, measured: launched > warmup}
+		r := &refRequest{start: eng.now, remaining: m.N, measured: len(keys) >= warmup*m.N}
 		for i := 0; i < m.N; i++ {
-			k := &refKey{req: r, willMiss: m.MissRatio > 0 && rngMiss.Float64() < m.MissRatio}
+			k := &refKey{req: r}
+			keys = append(keys, k)
 			srv := servers[assign.SampleInt(rngAssign)]
 			eng.schedule(m.NetworkLatency, func() { srv.enqueue(k) })
 		}
@@ -210,6 +206,30 @@ func simulateIntegratedRef(cfg RequestConfig) *RequestResult {
 	}
 	launch()
 	res.Elapsed = eng.run()
+	eng.now = 0
+	for _, k := range keys {
+		if k.req.measured {
+			res.KeyLat.Record(k.sojourn)
+			res.KeyCount++
+		}
+		if k.failed || !(m.MissRatio > 0 && rngMiss.Float64() < m.MissRatio) {
+			eng.schedule(k.done, func() { finishKey(k) })
+			continue
+		}
+		if k.req.measured {
+			res.MissCount++
+		}
+		eng.schedule(k.done, func() {
+			act := inj.At(fault.Database, eng.now)
+			k.dbLatency = rngDB.ExpFloat64()/m.MuD + act.Delay
+			k.failed = act.Outcome != fault.OK
+			if k.req.measured {
+				rec.Observe(telemetry.StageMissPenalty, k.dbLatency)
+			}
+			eng.schedule(k.dbLatency, func() { finishKey(k) })
+		})
+	}
+	res.Elapsed = max(res.Elapsed, eng.run())
 	return res
 }
 
@@ -225,7 +245,8 @@ func (l stageLog) Observe(s telemetry.Stage, v float64) { l[s] = append(l[s], v)
 // the last bit. Only sums taken in a different order (the Welford means,
 // the fork-join spread's Σ sojourn) may move, in the last ulps. The grid
 // covers queueing across requests (T_N ≫ the request gap), misses in
-// bulk, imbalance, and fault windows on a server and on the database.
+// bulk, imbalance, fault windows on a server and on the database, and
+// failed keys: server drops and resets.
 func TestSimulateIntegratedMatchesReference(t *testing.T) {
 	withN := func(n int) func(*core.Config) { return func(m *core.Config) { m.N = n } }
 	configs := []struct {
@@ -243,6 +264,8 @@ func TestSimulateIntegratedMatchesReference(t *testing.T) {
 		{"N20-p1-0.55", func(m *core.Config) { m.N, m.LoadRatios = 20, []float64{0.55, 0.15, 0.15, 0.15} }, ""},
 		{"N20-faults-r5", func(m *core.Config) { m.N, m.MissRatio = 20, 0.05 },
 			"slow:srv=1,from=10ms,until=30ms,delay=200us;stall:srv=db,from=20ms,until=25ms"},
+		{"N20-drop-reset-r5", func(m *core.Config) { m.N, m.MissRatio = 20, 0.05 },
+			"drop:srv=0,p=0.3,delay=1ms;reset:srv=2,p=0.1;slow:srv=3,p=0.2,delay=100us"},
 	}
 	for _, c := range configs {
 		for _, seed := range []uint64{1, 2, 7} {
@@ -269,9 +292,11 @@ func TestSimulateIntegratedMatchesReference(t *testing.T) {
 
 func compareIntegrated(t *testing.T, got, want *RequestResult, gotLog, wantLog stageLog) {
 	t.Helper()
-	if got.Requests != want.Requests || got.KeyCount != want.KeyCount || got.MissCount != want.MissCount {
-		t.Errorf("requests/keys/misses = %d/%d/%d, reference %d/%d/%d",
-			got.Requests, got.KeyCount, got.MissCount, want.Requests, want.KeyCount, want.MissCount)
+	if got.Requests != want.Requests || got.KeyCount != want.KeyCount || got.MissCount != want.MissCount ||
+		got.FailedKeys != want.FailedKeys {
+		t.Errorf("requests/keys/misses/failed = %d/%d/%d/%d, reference %d/%d/%d/%d",
+			got.Requests, got.KeyCount, got.MissCount, got.FailedKeys,
+			want.Requests, want.KeyCount, want.MissCount, want.FailedKeys)
 	}
 	if got.Elapsed != want.Elapsed {
 		t.Errorf("elapsed = %v, reference %v", got.Elapsed, want.Elapsed)

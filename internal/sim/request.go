@@ -25,9 +25,9 @@ type RequestConfig struct {
 	Requests int
 	// Integrated drops the §3 independence assumption: keys queue at
 	// their servers instead of drawing from pre-simulated streams (see
-	// queuedStage), and a request joins at its last key. Server faults
-	// collapse to pure delay (fault.Injector.DelayAt); the miss path,
-	// coalescing and the extstore tier run as in the composition mode.
+	// queuedStage), and a request joins at its last key. Faults, the
+	// miss path, coalescing and the extstore tier run as in the
+	// composition mode.
 	// It refuses a proxy, replicas, tenants, an observer and resilience
 	// policies, which draw from pre-simulated streams or act on the
 	// series join.
@@ -348,9 +348,9 @@ func newLoop(cfg RequestConfig) (*loop, error) {
 		l.launches, _ = dist.NewArrivals(dist.Exponential{Rate: l.reqRate}, 0, dist.SubRand(cfg.Seed, 201), nil)
 		l.rngAssign = dist.SubRand(cfg.Seed, 202)
 		l.out.KeyLat, l.out.BusyTime = stats.NewHistogram(), make([]float64, m.M())
-		q := &queuedStage{muS: m.MuS, inj: inj, free: make([]float64, m.M()), out: l.out, rec: l.rec}
+		q := &queuedStage{out: l.out, rec: l.rec}
 		for j := range m.M() {
-			q.rng = append(q.rng, dist.SubRand(cfg.Seed, 300+uint64(j)))
+			q.servers = append(q.servers, fifo{muS: m.MuS, rng: dist.SubRand(cfg.Seed, 300+uint64(j)), inj: inj, target: j})
 		}
 		l.stage = q
 	} else {

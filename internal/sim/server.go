@@ -28,7 +28,7 @@ type ServerConfig struct {
 	// observations for every measured key.
 	Recorder telemetry.Recorder
 	// Fault, when set, evaluates every key against the shared fault
-	// schedule at its virtual arrival time; Server is this stream's
+	// schedule when the server starts it; Server is this stream's
 	// target index in the schedule. Nil = healthy.
 	Fault  *fault.Injector
 	Server int
@@ -39,8 +39,8 @@ type ServerConfig struct {
 type ServerResult struct {
 	// Sojourns are the recorded per-key latencies (queueing + service),
 	// in arrival order. For faulted keys the entry is what the CLIENT
-	// observes: the drop timeout stand-in, or ~0 for a fast
-	// reset/refuse failure.
+	// observes: at least the drop timeout stand-in, or for a reset/refuse
+	// failure its wait until the server started it and turned it away.
 	Sojourns []float64
 	// Failed marks the sojourn entries whose key did not get an answer
 	// (dropped reply, reset or refused connection). Nil on healthy runs.
@@ -78,13 +78,46 @@ func (r *ServerResult) FailedAt(i int) bool {
 	return r.Failed != nil && r.Failed[i]
 }
 
-// SimulateServer runs the GI^X/M/1 queue with the Lindley recursion:
-// the unfinished-work process of a FIFO single-server queue evolves as
-//
-//	U ← max(0, U − gap) at each batch arrival,
-//	sojourn(key) = U + Σ service of keys ahead in the batch + own service,
-//
-// which is the exact discrete-event dynamics of the modeled server.
+// fifo is one simulated FIFO cache server on absolute virtual time:
+// service draws Exp(muS) on rng, the server's faults come from inj as
+// target, and free is its last completion.
+type fifo struct {
+	muS    float64
+	rng    *rand.Rand
+	inj    *fault.Injector
+	target int
+	free   float64
+}
+
+// visit is one key's pass through a fifo: its queueing delay, the work
+// it held the server for, what its caller observes and when, and
+// whether it went unanswered.
+type visit struct {
+	wait, service, sojourn, done float64
+	failed                       bool
+}
+
+// serve runs the key arriving at arrival through the Lindley step: it
+// starts at max(arrival, the previous completion), where it takes its
+// fault verdict, and the verdict acts by the fault.Action law.
+func (f *fifo) serve(arrival float64) visit {
+	start := max(arrival, f.free)
+	act := f.inj.At(f.target, start)
+	if act.Refused() {
+		return visit{sojourn: start - arrival, done: start, failed: true}
+	}
+	v := visit{wait: start - arrival, service: f.rng.ExpFloat64()/f.muS + act.Work()}
+	f.free = start + v.service
+	v.sojourn, v.done, v.failed = f.free-arrival, f.free, act.Lost()
+	if v.failed && act.Delay > v.sojourn {
+		v.sojourn, v.done = act.Delay, arrival+act.Delay
+	}
+	return v
+}
+
+// SimulateServer runs the GI^X/M/1 queue one key at a time through a
+// fifo, which is the exact discrete-event dynamics of the modeled
+// server.
 func SimulateServer(cfg ServerConfig) (*ServerResult, error) {
 	if !(cfg.MuS > 0) {
 		return nil, fmt.Errorf("sim: muS=%v must be positive", cfg.MuS)
@@ -97,7 +130,7 @@ func SimulateServer(cfg ServerConfig) (*ServerResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rngService := dist.SubRand(cfg.Seed, 3)
+	srv := fifo{muS: cfg.MuS, rng: dist.SubRand(cfg.Seed, 3), inj: cfg.Fault, target: cfg.Server}
 	res := &ServerResult{
 		Sojourns: make([]float64, 0, cfg.Keys),
 		Hist:     stats.NewHistogram(),
@@ -106,51 +139,22 @@ func SimulateServer(cfg ServerConfig) (*ServerResult, error) {
 	if cfg.Fault != nil {
 		res.Failed = make([]bool, 0, cfg.Keys)
 	}
-	var (
-		backlog float64 // unfinished work at the current arrival instant
-		clock   float64 // virtual stream time (fault windows key off it)
-	)
+	var clock float64 // virtual stream time
 	for key := 1; key <= warmup+cfg.Keys; key++ {
 		gap, first := arrivals.Next()
 		clock += gap
-		backlog = max(backlog-gap, 0)
-		act := cfg.Fault.At(cfg.Server, clock)
-		wait := backlog // work ahead of this key = its queueing delay
-		measured := key > warmup
-		if measured && first {
+		v := srv.serve(clock)
+		if key <= warmup {
+			continue
+		}
+		if first {
 			res.Batches++
 		}
-		if act.Outcome == fault.Reset || act.Outcome == fault.Refuse {
-			// Fast connection-level failure: no service consumed, the
-			// client learns instantly.
-			if measured {
-				res.record(0, true)
-			}
-			continue
+		res.record(v.sojourn, v.failed)
+		if !v.failed {
+			rec.Observe(telemetry.StageQueueWait, v.wait)
+			rec.Observe(telemetry.StageService, v.service)
 		}
-		service := rngService.ExpFloat64() / cfg.MuS
-		if act.Outcome != fault.Drop {
-			// Slow/stall windows hold the server busy longer; a drop's
-			// Delay is the client-side timeout stand-in, not work.
-			service += act.Delay
-		}
-		backlog += service
-		if !measured {
-			continue
-		}
-		if act.Outcome == fault.Drop {
-			// The server did the work but the reply is lost: the
-			// client observes the timeout stand-in.
-			obs := act.Delay
-			if obs < backlog {
-				obs = backlog
-			}
-			res.record(obs, true)
-			continue
-		}
-		res.record(backlog, false)
-		rec.Observe(telemetry.StageQueueWait, wait)
-		rec.Observe(telemetry.StageService, service)
 	}
 	return res, nil
 }

@@ -68,31 +68,25 @@ func (d *drawnStage) sojourn(j int, arrival float64, _ bool) (s, done float64, f
 
 // queuedStage is the integrated mode's memcached stage. Every key reaches
 // its server T_N after its request launches, so launch order is arrival
-// order at every FIFO server, and a key's service starts at max(arrival,
-// the server's previous completion): the Lindley recursion. Service is
-// Exp(µ_S) on stream 300+j plus the server's faults collapsed by
-// fault.Injector.DelayAt: it models servers, not connections.
+// order at every FIFO server, and a key is one visit to its server's
+// fifo (service on stream 300+j), faults and all.
 type queuedStage struct {
-	muS  float64
-	inj  *fault.Injector
-	rng  []*rand.Rand
-	free []float64 // each server's last completion
-	out  *RequestResult
-	rec  telemetry.Recorder
+	servers []fifo
+	out     *RequestResult
+	rec     telemetry.Recorder
 }
 
 func (q *queuedStage) sojourn(j int, arrival float64, measured bool) (s, done float64, failed, shed bool) {
-	start := max(arrival, q.free[j])
-	service := q.rng[j].ExpFloat64()/q.muS + q.inj.DelayAt(j, start)
-	q.free[j] = start + service
-	q.out.BusyTime[j] += service
-	s = q.free[j] - arrival
+	v := q.servers[j].serve(arrival)
+	q.out.BusyTime[j] += v.service
 	if measured {
-		q.out.KeyLat.Record(s)
-		q.rec.Observe(telemetry.StageQueueWait, start-arrival)
-		q.rec.Observe(telemetry.StageService, service)
+		q.out.KeyLat.Record(v.sojourn)
+		if !v.failed {
+			q.rec.Observe(telemetry.StageQueueWait, v.wait)
+			q.rec.Observe(telemetry.StageService, v.service)
+		}
 	}
-	return s, q.free[j], false, false
+	return v.sojourn, v.done, v.failed, false
 }
 
 // proxyStream simulates the proxy tier (nil without one): one more
